@@ -65,7 +65,6 @@ fn mt_lib(tb: &Testbed, tag: &str, telemetry: Telemetry, window: u64) -> NclLib 
     config.inline_nic = false;
     config.rdma = sim::LatencyModel::from_nanos(100_000, 0.08, 0.0);
     config.pipeline_window = window;
-    config.coalesce_headers = true;
     config.telemetry = telemetry;
     // Files are pinned one-per-shard via `host_on`, not hashed via the
     // config runtime: the sweep must not depend on hash luck.

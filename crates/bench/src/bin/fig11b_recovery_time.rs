@@ -3,8 +3,9 @@
 //! Each application builds a log (no flush/checkpoint in between, so the
 //! full state must be replayed), the application server "crashes", and a
 //! fresh instance recovers. SplitFT recovers the log from NCL (with the
-//! get-peer / connect / rdma-read / sync-peer / parse breakdown), DFT from
-//! the DFS, and the unrealistic `local ext4` baseline from local disk.
+//! get-peer / connect / rdma-read / catch-up / ap-map / parse breakdown),
+//! DFT from the DFS, and the unrealistic `local ext4` baseline from local
+//! disk.
 //!
 //! Paper shape: all three are comparable (hundreds of ms for a 60 MB log,
 //! dominated by application-level parsing); NCL is modestly slower than
@@ -15,13 +16,17 @@
 //! time, plus a `recovery_phases` section mapping each run onto the
 //! five-phase breakdown (detect → acquire → catch-up → ap-map →
 //! first-ack): detect is the crash-to-remount interval, acquire is
-//! get-peer + connect, catch-up the RDMA read-back, ap-map the peer
-//! resynchronisation ([`RecoveryStats::sync_peer`] — catch-up of stale
-//! peers + the ap-map update), and first-ack the application-level parse
-//! until it serves again. Non-NCL configs recover from a file image, so
-//! everything lands in detect + first-ack.
+//! get-peer + connect, catch-up is the RDMA read-back of the image plus
+//! bringing every peer up to it under the new epoch
+//! ([`RecoveryStats::rdma_read`] + [`RecoveryStats::catch_up`]), ap-map is
+//! the controller write alone ([`RecoveryStats::update_ap_map`]), and
+//! first-ack the application-level parse until it serves again. Non-NCL
+//! configs recover from a file image, so everything lands in detect +
+//! first-ack.
 //!
-//! [`RecoveryStats::sync_peer`]: ncl::RecoveryStats
+//! [`RecoveryStats::rdma_read`]: ncl::file::RecoveryStats::rdma_read
+//! [`RecoveryStats::catch_up`]: ncl::file::RecoveryStats::catch_up
+//! [`RecoveryStats::update_ap_map`]: ncl::file::RecoveryStats::update_ap_map
 
 use std::time::Duration;
 
@@ -139,7 +144,8 @@ fn main() {
         "get peer".into(),
         "connect".into(),
         "rdma read".into(),
-        "sync peer".into(),
+        "catch up".into(),
+        "ap map".into(),
         "parse".into(),
     ]);
 
@@ -188,7 +194,8 @@ fn main() {
                     f1(ms(stats.get_peer)),
                     f1(ms(stats.connect)),
                     f1(ms(stats.rdma_read)),
-                    f1(ms(stats.sync_peer)),
+                    f1(ms(stats.catch_up)),
+                    f1(ms(stats.update_ap_map)),
                     f1(ms(parse)),
                 ]);
                 emit(
@@ -198,8 +205,8 @@ fn main() {
                     RecoveryPhases {
                         detect_ns: ns(detect),
                         acquire_ns: ns(stats.get_peer + stats.connect),
-                        catch_up_ns: ns(stats.rdma_read),
-                        ap_map_ns: ns(stats.sync_peer),
+                        catch_up_ns: ns(stats.rdma_read + stats.catch_up),
+                        ap_map_ns: ns(stats.update_ap_map),
                         first_ack_ns: ns(parse),
                     },
                 );
@@ -208,6 +215,7 @@ fn main() {
                     kind.name().into(),
                     name.into(),
                     f1(ms(total)),
+                    "-".into(),
                     "-".into(),
                     "-".into(),
                     "-".into(),
@@ -246,6 +254,7 @@ fn main() {
             kind.name().into(),
             "local ext4".into(),
             f1(ms(total)),
+            "-".into(),
             "-".into(),
             "-".into(),
             "-".into(),

@@ -11,17 +11,13 @@
 //! NCL tracks the weak configuration while strong is two orders of
 //! magnitude slower.
 //!
-//! A window-depth sweep (`NCL p1` / `p4` / `p16`) rides along on the
-//! threaded NIC, where work requests are genuinely in flight: `p1` issues
+//! A window-depth sweep (`NCL w1` / `w4` / `w16`) rides along on the
+//! threaded NIC, where work requests are genuinely in flight: `w1` issues
 //! one synchronous `record` at a time (the paper's baseline), deeper
 //! windows post through `record_nowait` and fence once at the end, so the
 //! reported figure is the amortized per-record latency the pipelined path
-//! achieves at that depth. The p-columns keep one header write per record
-//! (`coalesce_headers = false`, PR 1 behaviour); the `NCL batch` columns
-//! (`b4` / `b16`) rerun the same depths with batched submission and
-//! coalesced headers — one doorbell and one header write per flushed
-//! burst — showing what the posting-side batching is worth on top of the
-//! window overlap.
+//! achieves at that depth — window overlap plus one doorbell and one
+//! header write per window-full burst.
 
 use bench::{calibrated_testbed, f1, header, quick, row, NCL_STAGES};
 use ncl::NclLib;
@@ -41,11 +37,9 @@ fn main() {
         "strong DFS".into(),
         "weak DFS".into(),
         "NCL".into(),
-        "NCL p1".into(),
-        "NCL p4".into(),
-        "NCL p16".into(),
-        "NCL b4".into(),
-        "NCL b16".into(),
+        "NCL w1".into(),
+        "NCL w4".into(),
+        "NCL w16".into(),
     ]);
 
     for &size in &sizes {
@@ -94,17 +88,15 @@ fn main() {
         // Window-depth sweep on the threaded NIC: amortized per-record
         // latency at pipeline depth 1 (synchronous baseline), 4, and 16.
         let pipe_ops = ncl_ops.min(2_000);
-        let pipelined_us = |window: u64, coalesce: bool| {
-            let tag = if coalesce { "b" } else { "p" };
+        let pipelined_us = |window: u64| {
             let mut config = tb.config().ncl.clone();
             config.inline_nic = false;
             config.pipeline_window = window;
-            config.coalesce_headers = coalesce;
-            let node = tb.add_app_node(&format!("fig8-{tag}{window}-{size}"));
+            let node = tb.add_app_node(&format!("fig8-w{window}-{size}"));
             let ncl = NclLib::new(
                 &tb.cluster,
                 node,
-                &format!("fig8-{tag}{window}-{size}"),
+                &format!("fig8-w{window}-{size}"),
                 config,
                 &tb.controller,
                 &tb.registry,
@@ -124,22 +116,18 @@ fn main() {
             file.release().unwrap();
             us
         };
-        let p1_us = pipelined_us(1, false);
-        let p4_us = pipelined_us(4, false);
-        let p16_us = pipelined_us(16, false);
-        let b4_us = pipelined_us(4, true);
-        let b16_us = pipelined_us(16, true);
+        let w1_us = pipelined_us(1);
+        let w4_us = pipelined_us(4);
+        let w16_us = pipelined_us(16);
 
         row(&[
             format!("{size}B"),
             f1(strong_us),
             f1(weak_us),
             f1(ncl_us),
-            f1(p1_us),
-            f1(p4_us),
-            f1(p16_us),
-            f1(b4_us),
-            f1(b16_us),
+            f1(w1_us),
+            f1(w4_us),
+            f1(w16_us),
         ]);
     }
 
@@ -193,9 +181,8 @@ fn main() {
     println!(
         "\npaper reference @128B: strong ≈ 2000 µs | weak ≈ 1.2 µs | NCL ≈ 4.6 µs\n\
          expectation: NCL within ~5x of weak; strong 2+ orders of magnitude above both\n\
-         p-columns: threaded-NIC amortized latency at pipeline depth 1/4/16 with\n\
-         per-record headers — deeper windows overlap the in-flight period\n\
-         b-columns: batched submission at depth 4/16 — one doorbell and one\n\
-         coalesced header write per flushed burst on top of the window overlap"
+         w-columns: threaded-NIC amortized latency at pipeline window 1/4/16 —\n\
+         deeper windows overlap the in-flight period and post one doorbell and\n\
+         one coalesced header write per window-full burst"
     );
 }

@@ -7,7 +7,7 @@ use sim::LatencyModel;
 use telemetry::Telemetry;
 
 use crate::ec::SpillSink;
-use crate::layout::HEADER_SIZE;
+use crate::file::scheme;
 use crate::runtime::NclRuntime;
 
 /// How many peers must complete a record before it is acknowledged.
@@ -49,14 +49,6 @@ impl Durability {
     /// Whether this is an erasure-coded mode.
     pub fn is_ec(&self) -> bool {
         matches!(self, Durability::Ec { .. })
-    }
-
-    /// `(k, n)` when erasure-coded, `None` when replicated.
-    pub fn ec_params(&self) -> Option<(usize, usize)> {
-        match *self {
-            Durability::Replicated => None,
-            Durability::Ec { k, n } => Some((k, n)),
-        }
     }
 
     /// Stable label for telemetry and bench output
@@ -107,12 +99,6 @@ pub struct NclConfig {
     /// suspicion entirely (peers are then only declared dead on an explicit
     /// error completion).
     pub detect_timeout: Duration,
-    /// Phi threshold of the adaptive detector: a peer is suspect once its
-    /// current silence is `suspicion_threshold` orders of magnitude (base
-    /// 10, scaled by its mean inter-completion interval) beyond what its
-    /// history predicts — the phi-accrual rule with an exponential
-    /// approximation. Higher values tolerate grayer peers.
-    pub suspicion_threshold: f64,
     /// First delay of the bounded exponential backoff used on replication
     /// wait loops, peer-acquisition rounds and controller retries.
     pub backoff_base: Duration,
@@ -135,14 +121,6 @@ pub struct NclConfig {
     /// it. Depth 1 allows one outstanding record; the paper's baseline
     /// protocol corresponds to the synchronous `record` call.
     pub pipeline_window: u64,
-    /// Coalesce header writes within a flushed burst: post the data WR of
-    /// every record but only the burst-final record's header WR. Safe
-    /// because recovery reads the single fixed-location header and the
-    /// prefix-acknowledgement rule (§4.4) only needs the highest sequence
-    /// number per durability barrier — intermediate header overwrites of
-    /// the same slot are pure overhead. `false` restores one header WR per
-    /// record (the pre-batching behaviour), kept as an ablation.
-    pub coalesce_headers: bool,
     /// Execute RDMA work requests inline at post time instead of on NIC
     /// engine threads. Semantically equivalent (ordering, permissions,
     /// failures) but avoids cross-thread handoffs whose scheduler cost
@@ -158,12 +136,6 @@ pub struct NclConfig {
     /// without blocking an in-progress recovery, which re-acquires the
     /// lock and thereby renews every lease.
     pub peer_lease: Duration,
-    /// Allow peers to make room for a new allocation by voluntarily
-    /// revoking the coldest regions of other files (§4.5.2) when the
-    /// memory budget would otherwise reject the request. The revoked
-    /// file's application sees the next write fail and runs the ordinary
-    /// replace/catch-up path.
-    pub peer_evict_on_pressure: bool,
     /// Observability handle. Every component wired from one config — files,
     /// peers, controller, registry — reports into the same registry and
     /// event trace, so one snapshot covers a whole deployment. Cloning the
@@ -193,7 +165,6 @@ impl NclConfig {
             mr_register: LatencyModel::mr_register(),
             write_timeout: Duration::from_secs(10),
             detect_timeout: Duration::from_millis(250),
-            suspicion_threshold: 8.0,
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(100),
             reattach_probe: Duration::from_millis(250),
@@ -201,10 +172,8 @@ impl NclConfig {
             local_copy: LatencyModel::from_nanos(250, 120.0, 0.0),
             ack_policy: AckPolicy::Majority,
             pipeline_window: 8,
-            coalesce_headers: true,
             inline_nic: true,
             peer_lease: Duration::from_secs(120),
-            peer_evict_on_pressure: true,
             telemetry: Telemetry::new(),
             runtime: None,
         }
@@ -223,7 +192,6 @@ impl NclConfig {
             mr_register: LatencyModel::ZERO,
             write_timeout: Duration::from_secs(5),
             detect_timeout: Duration::from_millis(200),
-            suspicion_threshold: 8.0,
             backoff_base: Duration::from_micros(500),
             backoff_cap: Duration::from_millis(50),
             reattach_probe: Duration::from_millis(50),
@@ -231,66 +199,33 @@ impl NclConfig {
             local_copy: LatencyModel::ZERO,
             ack_policy: AckPolicy::Majority,
             pipeline_window: 8,
-            coalesce_headers: true,
             inline_nic: false,
             peer_lease: Duration::from_secs(30),
-            peer_evict_on_pressure: true,
             telemetry: Telemetry::new(),
             runtime: None,
         }
     }
 
-    /// Number of peers allocated per file: `2f + 1` replicated, `n` under
-    /// erasure coding.
+    /// Number of peers allocated per file ([`scheme::peers_per_file`]).
     pub fn replicas(&self) -> usize {
-        match self.durability {
-            Durability::Replicated => 2 * self.f + 1,
-            Durability::Ec { n, .. } => n,
-        }
+        scheme::peers_per_file(self.durability, self.f)
     }
 
-    /// Acknowledgement quorum size: `f + 1` replicated (a majority holds
-    /// every acked byte), `n` under erasure coding (every peer holds its
-    /// fragment, so the stripe survives any `n − k` post-ack losses).
+    /// Acknowledgement quorum size ([`scheme::ack_quorum`]).
     pub fn quorum(&self) -> usize {
-        match self.durability {
-            Durability::Replicated => self.f + 1,
-            Durability::Ec { n, .. } => n,
-        }
+        scheme::ack_quorum(self.durability, self.f)
     }
 
-    /// Minimum responders recovery needs to reconstruct the acked prefix:
-    /// one holder of the full copy replicated (`f + 1` responders
-    /// guarantee one overlaps the ack quorum), `k` fragment holders under
-    /// erasure coding.
+    /// Minimum responders recovery needs to reconstruct the acked prefix
+    /// ([`scheme::recovery_quorum`]).
     pub fn recovery_quorum(&self) -> usize {
-        match self.durability {
-            Durability::Replicated => self.f + 1,
-            Durability::Ec { k, .. } => k,
-        }
-    }
-
-    /// Per-peer fragment half-area capacity for a file with `capacity`
-    /// data bytes (erasure-coded regions only): `capacity / (2k)` so the
-    /// two generation halves together hold roughly one striped file, plus
-    /// slack for entry framing and record overheads.
-    pub fn ec_half_capacity(&self, capacity: usize) -> usize {
-        let (k, _) = self
-            .durability
-            .ec_params()
-            .expect("ec_half_capacity requires Durability::Ec");
-        capacity.div_ceil(2 * k) + (64 << 10)
+        scheme::recovery_quorum(self.durability, self.f)
     }
 
     /// Bytes of peer memory one region occupies for a file with `capacity`
-    /// data bytes: header + full copy replicated, header + two fragment
-    /// halves (≈ `capacity · n / k` aggregated across `n` peers) under
-    /// erasure coding.
+    /// data bytes ([`scheme::region_size`]).
     pub fn region_size(&self, capacity: usize) -> usize {
-        match self.durability {
-            Durability::Replicated => HEADER_SIZE + capacity,
-            Durability::Ec { .. } => HEADER_SIZE + 2 * self.ec_half_capacity(capacity),
-        }
+        scheme::region_size(self.durability, capacity)
     }
 }
 
@@ -333,7 +268,7 @@ mod tests {
     fn ec_region_is_fractional() {
         let mut c = NclConfig::zero();
         let cap = 32 << 20;
-        assert_eq!(c.region_size(cap), HEADER_SIZE + cap);
+        assert_eq!(c.region_size(cap), crate::layout::HEADER_SIZE + cap);
         c.durability = Durability::Ec { k: 2, n: 3 };
         let per_peer = c.region_size(cap);
         // Two halves of capacity/(2k) ≈ capacity/k per peer, far below a

@@ -22,6 +22,12 @@ use sim::SplitMix64;
 /// Samples of inter-completion intervals kept per peer.
 const WINDOW: usize = 32;
 
+/// Phi threshold of the detector: a peer is suspect once its current silence
+/// is this many orders of magnitude (base 10, scaled by its mean
+/// inter-completion interval) beyond what its history predicts. Higher
+/// values would tolerate grayer peers.
+pub const SUSPICION_THRESHOLD: f64 = 8.0;
+
 /// Floor on the mean interval so an extremely fast peer (zero-latency
 /// simulation: sub-microsecond completions) does not make phi explode on
 /// the first scheduling hiccup.
@@ -93,13 +99,14 @@ impl PhiDetector {
     }
 
     /// Whether the peer should be declared suspect: silent for at least
-    /// `detect_timeout` (the floor) *and* phi beyond `threshold`. Callers
-    /// must additionally check the peer actually has outstanding work — an
-    /// idle peer is silent because nothing was asked of it.
-    pub fn is_suspect(&self, now: Instant, detect_timeout: Duration, threshold: f64) -> bool {
+    /// `detect_timeout` (the floor) *and* phi beyond
+    /// [`SUSPICION_THRESHOLD`]. Callers must additionally check the peer
+    /// actually has outstanding work — an idle peer is silent because
+    /// nothing was asked of it.
+    pub fn is_suspect(&self, now: Instant, detect_timeout: Duration) -> bool {
         !detect_timeout.is_zero()
             && self.silence(now) >= detect_timeout
-            && self.phi(now) > threshold
+            && self.phi(now) > SUSPICION_THRESHOLD
     }
 }
 
@@ -158,13 +165,9 @@ mod tests {
     fn fresh_detector_needs_real_silence() {
         let t0 = Instant::now();
         let d = PhiDetector::new(t0);
-        assert!(!d.is_suspect(t0, Duration::from_millis(100), 8.0));
+        assert!(!d.is_suspect(t0, Duration::from_millis(100)));
         // Young but not silent long enough: the floor protects it.
-        assert!(!d.is_suspect(
-            t0 + Duration::from_millis(50),
-            Duration::from_millis(100),
-            8.0
-        ));
+        assert!(!d.is_suspect(t0 + Duration::from_millis(50), Duration::from_millis(100)));
     }
 
     #[test]
@@ -179,7 +182,7 @@ mod tests {
         assert!(d.silence(now) > Duration::from_millis(199));
         // 200 ms of silence vs a ≤100 µs mean: phi is enormous.
         assert!(d.phi(now) > 100.0);
-        assert!(d.is_suspect(now, Duration::from_millis(100), 8.0));
+        assert!(d.is_suspect(now, Duration::from_millis(100)));
     }
 
     #[test]
@@ -192,9 +195,9 @@ mod tests {
         }
         let after = |ms: u64| t0 + Duration::from_millis(200 + ms);
         // 120 ms of silence ≈ phi 2.6 — not suspect at threshold 8.
-        assert!(!d.is_suspect(after(120), Duration::from_millis(100), 8.0));
+        assert!(!d.is_suspect(after(120), Duration::from_millis(100)));
         // ~4 s of silence is phi ≈ 87 — far over the threshold.
-        assert!(d.is_suspect(after(4_000), Duration::from_millis(100), 8.0));
+        assert!(d.is_suspect(after(4_000), Duration::from_millis(100)));
     }
 
     #[test]
@@ -202,7 +205,7 @@ mod tests {
         let t0 = Instant::now();
         let d = PhiDetector::new(t0);
         let later = t0 + Duration::from_secs(3600);
-        assert!(!d.is_suspect(later, Duration::ZERO, 8.0));
+        assert!(!d.is_suspect(later, Duration::ZERO));
     }
 
     #[test]

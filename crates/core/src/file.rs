@@ -2,11 +2,22 @@
 //!
 //! This module implements the paper's §4.4–§4.5: the failure-free
 //! replication protocol, application recovery, and peer failure handling.
+//! It is one pipeline — stage, post per-peer work requests, acknowledge a
+//! prefix by a rule, reconstruct from responders, catch up before the
+//! ap-map moves — parameterised by a durability [`scheme`]:
+//!
+//! | module | responsibility |
+//! |---|---|
+//! | `staging` | the local image, the pending burst and the pipeline window: `record_nowait` / `submit` / the one flush function |
+//! | `slots` | peer slots, completion absorption, the acknowledgement watermark and the durability barrier (`wait_durable`) |
+//! | `repair` | inline peer replacement, peer acquisition and the two catch-up transfers |
+//! | `recovery` | `NclLib::recover`: the quorum read front half and the shared catch-up → rearm → ap-map → open epilogue |
+//! | [`scheme`] | everything that differs between `Replicated` and `Ec { k, n }` |
 //!
 //! ## Replication (§4.4)
 //!
 //! Every application `record` (a POSIX `write` to an ncl file) is staged in
-//! a local buffer and turned into **two** one-sided RDMA writes per peer, in
+//! a local buffer and turned into one-sided RDMA writes per peer, in
 //! send-queue order: the data, then the fixed-location region header
 //! carrying the new sequence number. The record is acknowledged when every
 //! record up to and including it has completed — data *and* header — on at
@@ -35,38 +46,39 @@
 //! per peer** ([`rdma::QueuePair::post_many`]) when the burst reaches the
 //! pipeline window, when a barrier needs it, or when the application rings
 //! the doorbell explicitly ([`NclFile::submit`]). Within a burst,
-//! remotely-contiguous data WRs are merged into scatter-gather WRs, and —
-//! when [`NclConfig::coalesce_headers`] is set — only the burst-final
-//! record's header WR is posted: all headers overwrite the same fixed
-//! location, recovery reads only the latest one, and the prefix rule above
-//! needs only the highest sequence number per barrier. A crash mid-burst
-//! can therefore lose records whose data landed but whose (coalesced)
-//! header did not — exactly the un-acknowledged tail, which the protocol
-//! never promised to keep. `crates/modelcheck` explores the coalesced
-//! interleavings explicitly.
+//! remotely-contiguous data WRs are merged into scatter-gather WRs, and
+//! only the burst-final record's header WR is posted: all headers
+//! overwrite the same fixed location, recovery reads only the latest one,
+//! and the prefix rule above needs only the highest sequence number per
+//! barrier. A crash mid-burst can therefore lose records whose data landed
+//! but whose (coalesced) header did not — exactly the un-acknowledged tail,
+//! which the protocol never promised to keep. `crates/modelcheck` explores
+//! the coalesced interleavings explicitly.
 //!
 //! Internally the file state is split into two locks: `stage` (the local
-//! buffer, length, and sequence counter) and `rep` (peer slots, completion
-//! bookkeeping). Posting holds both briefly so per-QP post order equals
-//! sequence order; the durability wait holds neither while blocking on the
-//! completion queue, so concurrent posters are never stalled behind a
-//! waiter.
+//! image, the pending burst, and the scheme's encoder state) and `rep`
+//! (peer slots, completion bookkeeping). Posting holds both briefly so
+//! per-QP post order equals sequence order; the durability wait holds
+//! neither while blocking on the completion queue, so concurrent posters
+//! are never stalled behind a waiter.
 //!
 //! ## Recovery (§4.5.1)
 //!
-//! A restarted application reads the region header from at least `f + 1` of
-//! the ap-map peers, takes the maximum sequence number (quorum intersection
-//! guarantees it covers every acknowledged record), fetches that peer's data
-//! with RDMA reads, and then **catches up** the peers before returning data
-//! to the application: each peer stages a fresh region (optionally
-//! pre-filled from its current one), the application writes the recovered
-//! image (or just the missing tail, for append-only files), and the peer
-//! atomically switches its mr-map entry. Only then is the ap-map advanced to
-//! the new epoch. Doing these steps in the opposite order loses data — the
-//! model checker in `crates/modelcheck` demonstrates both seeded bugs.
-//! The per-peer header reads and catch-up transfers are independent, so
-//! both phases fan out across the peers with scoped threads instead of
-//! paying one peer round trip after another.
+//! A restarted application reads the region header from at least a
+//! recovery quorum of the ap-map peers, reconstructs the acknowledged
+//! prefix from them (the scheme's decode rule: the maximum-sequence peer's
+//! image when replicated — quorum intersection guarantees it covers every
+//! acknowledged record — or a spill snapshot plus a fragment walk over any
+//! `k` holders when erasure-coded), and then **catches up** the peers
+//! before returning data to the application: each peer stages a fresh
+//! region (optionally pre-filled from its current one), the application
+//! writes the recovered image (or just the missing tail, for append-only
+//! files), and the peer atomically switches its mr-map entry. Only then is
+//! the ap-map advanced to the new epoch. Doing these steps in the opposite
+//! order loses data — the model checker in `crates/modelcheck`
+//! demonstrates both seeded bugs. The per-peer header reads and catch-up
+//! transfers are independent, so both phases fan out across the peers with
+//! scoped threads instead of paying one peer round trip after another.
 //!
 //! ## Peer replacement (§4.5.2)
 //!
@@ -78,112 +90,31 @@
 //! only then swing the ap-map. If a majority is lost, the record blocks
 //! until replacement restores a quorum.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+mod recovery;
+mod repair;
+pub mod scheme;
+mod slots;
+mod staging;
+
+pub use recovery::RecoveryStats;
+pub use repair::RepairStats;
+
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use rdma::{
-    CompletionQueue, CqWaker, QueuePair, RemoteMr, WcStatus, WorkCompletion, WorkRequest, WrId,
-};
-use sim::{Cluster, NodeId, Stopwatch};
-use telemetry::{events, spans, Counter, HistHandle, Telemetry};
+use parking_lot::Mutex;
+use rdma::CompletionQueue;
+use sim::{Cluster, NodeId};
+use telemetry::Telemetry;
 
-use crate::config::{AckPolicy, NclConfig};
+use self::scheme::Scheme;
+use self::slots::{AckedState, PeerSlot, Rep, WcRouter};
+use self::staging::{FileMetrics, Image, Stage};
+use crate::config::NclConfig;
 use crate::controller::{Controller, ControllerClient};
-use crate::detector::{Backoff, PhiDetector};
-use crate::ec::{FragEntry, SpillSnapshot, FRAG_ENTRY_SIZE};
-use crate::layout::{RegionHeader, HEADER_SIZE, HEADER_WIRE_SIZE};
-use crate::lockaudit;
-use crate::peer::{PeerReq, PeerResp};
-use crate::registry::{NclRegistry, PeerEndpoint};
-use crate::runtime::ShardOp;
+use crate::peer::PeerReq;
+use crate::registry::NclRegistry;
 use crate::NclError;
-
-/// One EC recovery responder: its slot, final header, and the fragment
-/// logs it served, keyed by generation.
-type FetchedResponder = (PeerSlot, RegionHeader, Vec<(u64, Vec<u8>)>);
-
-/// Attention bit: a completion reported a peer failure not yet repaired.
-const ATTN_FAILURE: u32 = 1;
-/// Attention bit: fewer than `f + 1` peers are alive.
-const ATTN_NO_QUORUM: u32 = 2;
-
-/// The lock-free published acknowledgement state of one file.
-///
-/// `refresh_durable` (under the `rep` lock, on whichever thread ran it —
-/// a durability waiter or a shard reactor) publishes the quorum watermark
-/// and the attention bits here; [`NclFile::wait_durable`] observes them
-/// with two atomic loads and returns without touching a mutex when the
-/// awaited record is already acked and nothing needs attention. Hosted
-/// files also park durability waiters on `parked` instead of draining the
-/// completion queue themselves — the shard reactor drains, publishes, and
-/// notifies.
-///
-/// The attention bits may lag a failure absorbed-but-not-yet-refreshed by
-/// at most one `refresh_durable` call. That is sound: a fast-path return
-/// linearizes at the moment the watermark was published, when the record
-/// was durable on a quorum and no failure had been observed — the same
-/// answer a barrier at that instant would have given. The failure is
-/// sticky in `Rep::failure_seen` and the very next refresh publishes it,
-/// so repair is never lost, only (briefly) not yet visible.
-struct AckedState {
-    /// Highest sequence number durable on the acknowledgement quorum.
-    watermark: AtomicU64,
-    /// [`ATTN_FAILURE`] | [`ATTN_NO_QUORUM`]; non-zero sends every barrier
-    /// down the slow path where repair lives.
-    attention: AtomicU32,
-    /// Parking lot for hosted durability waiters.
-    park: Mutex<()>,
-    parked: Condvar,
-}
-
-impl AckedState {
-    fn new(durable: u64) -> Arc<Self> {
-        Arc::new(AckedState {
-            watermark: AtomicU64::new(durable),
-            attention: AtomicU32::new(0),
-            park: Mutex::new(()),
-            parked: Condvar::new(),
-        })
-    }
-
-    /// True when a barrier on `seq` can return without locking anything.
-    #[inline]
-    fn fast_acked(&self, seq: u64) -> bool {
-        self.attention.load(Ordering::Acquire) == 0 && self.watermark.load(Ordering::Acquire) >= seq
-    }
-
-    /// Publishes a new watermark/attention pair and wakes parked waiters if
-    /// anything changed. Callers hold the `rep` lock, so publications are
-    /// serialized; the brief `park` lock before notifying closes the
-    /// check-then-sleep race with [`AckedState::park_until`].
-    fn publish(&self, durable: u64, attention: u32) {
-        let prev_mark = self.watermark.fetch_max(durable, Ordering::AcqRel);
-        let prev_attn = self.attention.swap(attention, Ordering::AcqRel);
-        if prev_mark < durable || prev_attn != attention {
-            let _guard = self.park.lock();
-            self.parked.notify_all();
-        }
-    }
-
-    /// Sleeps until `seq` is acked, attention is raised, or `timeout`
-    /// passes. The watermark re-check under the `park` lock pairs with the
-    /// lock in [`AckedState::publish`]: a publication either lands before
-    /// the re-check (observed) or blocks on the lock until the waiter is
-    /// parked (notified).
-    fn park_until(&self, seq: u64, timeout: Duration) {
-        lockaudit::note_lock();
-        let mut guard = self.park.lock();
-        if self.watermark.load(Ordering::Acquire) < seq
-            && self.attention.load(Ordering::Acquire) == 0
-        {
-            self.parked.wait_for(&mut guard, timeout);
-        }
-    }
-}
 
 /// Shared context of one application instance.
 struct Ctx {
@@ -195,167 +126,27 @@ struct Ctx {
     registry: Arc<NclRegistry>,
 }
 
-/// Phase timings of the last recovery (Figure 11b's breakdown).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecoveryStats {
-    /// Fetching peer information from the controller.
-    pub get_peer: Duration,
-    /// Connecting to peers and reading region headers.
-    pub connect: Duration,
-    /// RDMA-reading the recovered data image.
-    pub rdma_read: Duration,
-    /// Synchronising peers (catch-up + ap-map update).
-    pub sync_peer: Duration,
-}
-
-/// Phase timings of the last peer replacement (Table 3's breakdown).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RepairStats {
-    /// Getting a new peer from the controller.
-    pub get_peer: Duration,
-    /// Connecting to the new peer and setting up its memory region.
-    pub connect_mr: Duration,
-    /// Catching the new peer up from the local buffer.
-    pub catch_up: Duration,
-    /// Updating the ap-map on the controller.
-    pub update_ap_map: Duration,
-}
-
-/// Why a staged burst was posted to the peers — each flush site increments
-/// its own counter, so ablation runs can see which trigger dominates.
-#[derive(Clone, Copy)]
-enum FlushReason {
-    /// The application rang the doorbell explicitly ([`NclFile::submit`]).
-    Submit,
-    /// The pending burst reached the pipeline window.
-    WindowFull,
-    /// A durability barrier needed a record still sitting in the burst.
-    Barrier,
-    /// Peer replacement froze the image (replace-implies-flush).
-    Replace,
-}
-
-/// Per-file metric handles, interned once at open so the record hot path
-/// never touches the registry. The span histograms decompose a record's
-/// lifetime into consecutive segments — `stage` (staging the wire image) →
-/// `doorbell` (staged, waiting for a flush) → `wire` (posted until the first
-/// peer completes it) → `ack` (first peer until the quorum watermark passes
-/// it) — so their means sum to the `e2e` mean by construction.
-struct FileMetrics {
-    /// Cached `telemetry.is_enabled()`: gates the per-record timestamping
-    /// and flight bookkeeping behind one branch.
-    enabled: bool,
-    tel: Telemetry,
-    /// `app/file`, the scope every span and event of this file carries.
-    /// Interned so span recording on the hot path never allocates.
-    scope: &'static str,
-    stage: HistHandle,
-    doorbell: HistHandle,
-    wire: HistHandle,
-    ack: HistHandle,
-    e2e: HistHandle,
-    flush_submit: Counter,
-    flush_window_full: Counter,
-    flush_barrier: Counter,
-    flush_replace: Counter,
-    /// Header WRs posted in the per-record fallback (`coalesce_headers`
-    /// off) — the silent cost of the ablation.
-    hdr_per_record: Counter,
-    /// `record_nowait` entered its barrier with the window full and the
-    /// oldest in-flight record not yet durable.
-    window_stall: Counter,
-    /// Total bytes posted to peers on the replication hot path (payload +
-    /// headers + fragment framing, summed over peers) — the wire-cost
-    /// denominator the durability bench axis reports per record.
-    wire_bytes: Counter,
-    /// Spill demotions started (EC only).
-    spills: Counter,
-    /// Per-shard twins of the span histograms, bound once when the file is
-    /// hosted on a reactor shard. Hot-path recording reads them through
-    /// `OnceLock::get` — one atomic load, no allocation — and stamps every
-    /// sample into both the fleet-wide histogram and the shard's, so bench
-    /// reports get a per-shard dimension for free.
-    shard: std::sync::OnceLock<ShardStages>,
-}
-
-/// The five stage histograms scoped to one reactor shard
-/// (`ncl.shard-<i>.record.<stage>`).
-struct ShardStages {
-    stage: HistHandle,
-    doorbell: HistHandle,
-    wire: HistHandle,
-    ack: HistHandle,
-    e2e: HistHandle,
-}
-
-impl FileMetrics {
-    fn new(tel: &Telemetry, scope: &str) -> Arc<Self> {
-        Arc::new(FileMetrics {
-            enabled: tel.is_enabled(),
-            tel: tel.clone(),
-            scope: telemetry::intern_scope(scope),
-            stage: tel.histogram("ncl.record.stage"),
-            doorbell: tel.histogram("ncl.record.doorbell"),
-            wire: tel.histogram("ncl.record.wire"),
-            ack: tel.histogram("ncl.record.ack"),
-            e2e: tel.histogram("ncl.record.e2e"),
-            flush_submit: tel.counter("ncl.flush.submit"),
-            flush_window_full: tel.counter("ncl.flush.window_full"),
-            flush_barrier: tel.counter("ncl.flush.barrier"),
-            flush_replace: tel.counter("ncl.flush.replace"),
-            hdr_per_record: tel.counter("ncl.header.per_record"),
-            window_stall: tel.counter("ncl.window.stall"),
-            wire_bytes: tel.counter("ncl.wire.bytes"),
-            spills: tel.counter("ncl.spill.demotions"),
-            shard: std::sync::OnceLock::new(),
-        })
-    }
-
-    /// Binds the per-shard histogram twins (idempotent; first shard wins,
-    /// matching a file hosted exactly once). Cold path: runs at hosting
-    /// time, never while recording.
-    fn bind_shard(&self, shard: usize) {
-        let _ = self.shard.set(ShardStages {
-            stage: self
-                .tel
-                .histogram(&format!("ncl.shard-{shard}.record.stage")),
-            doorbell: self
-                .tel
-                .histogram(&format!("ncl.shard-{shard}.record.doorbell")),
-            wire: self
-                .tel
-                .histogram(&format!("ncl.shard-{shard}.record.wire")),
-            ack: self.tel.histogram(&format!("ncl.shard-{shard}.record.ack")),
-            e2e: self.tel.histogram(&format!("ncl.shard-{shard}.record.e2e")),
-        });
-    }
-
-    fn count_flush(&self, reason: FlushReason) {
-        match reason {
-            FlushReason::Submit => self.flush_submit.inc(),
-            FlushReason::WindowFull => self.flush_window_full.inc(),
-            FlushReason::Barrier => self.flush_barrier.inc(),
-            FlushReason::Replace => self.flush_replace.inc(),
-        }
-    }
-}
-
-/// Lifecycle timestamps of one posted-but-not-yet-acked record; keyed by
-/// sequence number in [`Rep::flights`] and retired when the durability
-/// watermark passes it. Bounded by the pipeline window.
-struct Flight {
-    /// `record_nowait` entry.
-    t0: Instant,
-    /// Doorbell time (posted to the peers).
-    posted: Instant,
-    /// First peer whose header completion covered this record.
-    first_peer: Option<Instant>,
-    /// Trace id assigned at `record_nowait` (0 when tracing is off).
-    trace: u64,
-    /// QP numbers of peers already credited with a wire/catch-up span for
-    /// this record, so a burst of coalesced headers from one peer produces
-    /// one child span. Bounded by `2f + 1`.
-    covered: Vec<u32>,
+/// Runs `work` on one scoped thread per item — the per-peer header reads,
+/// fragment fetches and catch-up transfers are independent, so their round
+/// trips overlap instead of accumulating — and returns the results in item
+/// order.
+fn fan_out<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    work: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| {
+                let work = &work;
+                scope.spawn(move || work(item))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("per-peer worker thread"))
+            .collect()
+    })
 }
 
 /// Handle to the NCL layer for one application instance.
@@ -432,749 +223,46 @@ impl NclLib {
             .list_app_files(self.ctx.node, &self.ctx.app_id)
     }
 
-    /// Hosts `file` on the configured shard runtime (when one is present)
-    /// and returns it behind the `Arc` the runtime holds weakly.
-    fn finish_open(&self, file: NclFile) -> Arc<NclFile> {
-        let file = Arc::new(file);
-        if let Some(runtime) = &self.ctx.config.runtime {
-            runtime.host(&file);
-        }
-        file
-    }
-
     /// Creates a new ncl file with the given data capacity, allocating
-    /// regions on the configured peer set ( `2f + 1` replicated, `n` under
+    /// regions on the scheme's peer set ( `2f + 1` replicated, `n` under
     /// erasure coding) and publishing the ap-map entry.
     pub fn create(&self, file: &str, capacity: usize) -> Result<Arc<NclFile>, NclError> {
         if self.exists(file)? {
             return Err(NclError::AlreadyExists(file.to_string()));
         }
         let ctx = &self.ctx;
-        validate_ec_config(&ctx.config)?;
+        let scope = telemetry::intern_scope(&format!("{}/{}", ctx.app_id, file));
+        let scheme = Scheme::new(&ctx.config, capacity, scope)?;
         let epoch = ctx.controller.get_app_epoch(ctx.node, &ctx.app_id, file)? + 1;
         let cq = CompletionQueue::new();
-        let mut slots = Vec::new();
+        let mut slots: Vec<PeerSlot> = Vec::new();
         let mut exclude: Vec<String> = Vec::new();
-        // Under erasure coding each peer lends only the two fragment
-        // halves, not a full copy of the file.
-        let region_data = ctx.config.region_size(capacity) - HEADER_SIZE;
+        let region_data = scheme.region_data(capacity);
         while slots.len() < ctx.config.replicas() {
-            let slot = acquire_peer(ctx, file, epoch, region_data, &cq, &mut exclude)?;
-            slots.push(slot);
-        }
-        for (i, slot) in slots.iter_mut().enumerate() {
-            slot.shard = i as u32;
-        }
-        if ctx.config.durability.is_ec() {
-            // Seed every region with a generation-0 header carrying the
-            // file capacity: the fragment area is smaller than the file,
-            // so recovery cannot infer the staging-buffer size from the
-            // region length and must read it from a header — which
-            // therefore has to exist before the first crash can happen.
-            let router = WcRouter::new(&cq);
-            let header = RegionHeader {
-                capacity: capacity as u32,
-                ..Default::default()
-            };
-            for slot in &slots {
-                slot.qp
-                    .post_write(
-                        WrId(1),
-                        &slot.mr,
-                        0,
-                        Bytes::copy_from_slice(&header.encode()),
-                    )
-                    .map_err(|e| NclError::Unavailable(e.to_string()))?;
-            }
-            for slot in &slots {
-                match router.wait_for(slot.qp.qp_num(), WrId(1), ctx.config.write_timeout) {
-                    Some(wc) if wc.status == WcStatus::Success => {}
-                    _ => {
-                        return Err(NclError::Unavailable(format!(
-                            "initial header write to {} failed",
-                            slot.name
-                        )))
-                    }
-                }
-            }
-        }
-        let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
-        ctx.controller
-            .set_ap_entry(ctx.node, &ctx.app_id, file, names, epoch)?;
-        let scope = format!("{}/{}", ctx.app_id, file);
-        announce_durability(ctx, &scope, epoch, capacity);
-        let metrics = FileMetrics::new(&ctx.config.telemetry, &scope);
-        let acked = AckedState::new(0);
-        Ok(self.finish_open(NclFile {
-            ctx: Arc::clone(&self.ctx),
-            name: file.to_string(),
-            capacity,
-            metrics: Arc::clone(&metrics),
-            acked: Arc::clone(&acked),
-            issued: AtomicU64::new(0),
-            hosted: AtomicBool::new(false),
-            stage: Mutex::new(Stage::new(vec![0; capacity], 0, 0, false, 0, 0)),
-            rep: Mutex::new(Rep::new(
-                slots,
-                cq,
-                epoch,
-                0,
-                false,
-                metrics,
-                acked,
-                RecoveryStats::default(),
-            )),
-        }))
-    }
-
-    /// Recovers an existing ncl file after an application restart: returns
-    /// the file handle with its contents reconstructed from the peers (read
-    /// them with [`NclFile::contents`] / [`NclFile::read`]).
-    pub fn recover(&self, file: &str) -> Result<Arc<NclFile>, NclError> {
-        let ctx = &*self.ctx;
-        let tel = &ctx.config.telemetry;
-        let mut stats = RecoveryStats::default();
-        let scope = telemetry::intern_scope(&format!("{}/{}", ctx.app_id, file));
-        let recover_trace = tel.next_trace_id();
-        let recover_start = Instant::now();
-
-        // Phase 1: ap-map from the controller.
-        let sw = Stopwatch::start();
-        let entry = ctx
-            .controller
-            .get_ap_entry(ctx.node, &ctx.app_id, file)?
-            .ok_or_else(|| NclError::NotFound(file.to_string()))?;
-        stats.get_peer = sw.elapsed();
-        tel.event_traced(
-            events::RECOVERY_START,
-            scope,
-            entry.epoch,
-            recover_trace,
-            format!("{} ap-map peers", entry.peers.len()),
-        );
-
-        // Phase 2: contact peers, connect, read headers — one thread per
-        // peer; the connect RPC and the header-read latency of the ap-map
-        // peers overlap instead of accumulating.
-        let sw = Stopwatch::start();
-        let fetch_start = Instant::now();
-        let cq = CompletionQueue::new();
-        let router = WcRouter::new(&cq);
-        let responders: Vec<(PeerSlot, RegionHeader)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = entry
-                .peers
-                .iter()
-                .map(|name| {
-                    let (router, cq) = (&router, &cq);
-                    scope.spawn(move || -> Option<(PeerSlot, RegionHeader)> {
-                        let endpoint = ctx.registry.lookup(name)?;
-                        let resp = endpoint.rpc.call(
-                            ctx.node,
-                            PeerReq::RecoveryLookup {
-                                app: ctx.app_id.clone(),
-                                file: file.to_string(),
-                            },
-                        );
-                        let Ok(PeerResp::Mr(mr)) = resp else {
-                            return None;
-                        };
-                        let qp = QueuePair::connect_with_mode(
-                            ctx.cluster.clone(),
-                            ctx.node,
-                            &endpoint.device,
-                            cq.clone(),
-                            ctx.config.rdma,
-                            ctx.config.inline_nic,
-                        );
-                        if ctx.config.telemetry.is_enabled() {
-                            qp.set_wire_hist(ctx.config.telemetry.histogram("rdma.wr.wire"));
-                        }
-                        // Read the fixed-location header.
-                        qp.post_read(WrId(u64::MAX), &mr, 0, HEADER_WIRE_SIZE)
-                            .ok()?;
-                        let header = match router.wait_for(
-                            qp.qp_num(),
-                            WrId(u64::MAX),
-                            ctx.config.write_timeout,
-                        ) {
-                            Some(wc) if wc.status == WcStatus::Success => wc
-                                .read_data
-                                .as_deref()
-                                .and_then(RegionHeader::decode)
-                                .unwrap_or_default(),
-                            _ => return None,
-                        };
-                        Some((
-                            PeerSlot {
-                                name: name.clone(),
-                                endpoint,
-                                mr,
-                                qp,
-                                completed_seq: 0,
-                                shard: 0,
-                                alive: true,
-                                detector: PhiDetector::new(Instant::now()),
-                            },
-                            header,
-                        ))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| h.join().expect("header-read thread"))
-                .collect()
-        });
-        if responders.len() < ctx.config.recovery_quorum() {
-            return Err(NclError::QuorumUnavailable(format!(
-                "{} of {} peers responded, need {}",
-                responders.len(),
-                entry.peers.len(),
-                ctx.config.recovery_quorum()
-            )));
-        }
-        stats.connect = sw.elapsed();
-
-        if let Some((k, n)) = ctx.config.durability.ec_params() {
-            return self.recover_ec(
+            slots.push(repair::acquire_peer(
+                ctx,
                 file,
-                &entry,
-                responders,
+                epoch,
+                region_data,
                 &cq,
-                &router,
-                stats,
-                scope,
-                recover_trace,
-                recover_start,
-                (k, n),
-            );
+                &mut exclude,
+                &mut RepairStats::default(),
+            )?);
         }
-
-        // Phase 3: pick the recovery peer (max sequence) and read its data.
-        let sw = Stopwatch::start();
-        let (rec_idx, rec_header) = responders
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, (_, h))| h.seq)
-            .map(|(i, (_, h))| (i, *h))
-            .expect("responders nonempty");
-        let capacity = responders[rec_idx].0.mr.len - HEADER_SIZE;
-        let mut buffer = vec![0u8; capacity];
-        if rec_header.len > 0 {
-            let slot = &responders[rec_idx].0;
-            let len = rec_header.len as usize;
-            slot.qp
-                .post_read(WrId(u64::MAX - 1), &slot.mr, HEADER_SIZE, len)
-                .map_err(|e| NclError::Unavailable(e.to_string()))?;
-            match router.wait_for(
-                slot.qp.qp_num(),
-                WrId(u64::MAX - 1),
-                ctx.config.write_timeout,
-            ) {
-                Some(wc) if wc.status == WcStatus::Success => {
-                    let data = wc.read_data.expect("read completion carries data");
-                    buffer[..len].copy_from_slice(&data);
-                }
-                _ => {
-                    return Err(NclError::Unavailable(
-                        "recovery peer failed during data read".to_string(),
-                    ))
-                }
+        if let Some(header) = scheme.initial_header() {
+            let router = WcRouter::new(&cq);
+            for slot in &slots {
+                repair::ship(ctx, &router, slot, &slot.mr, &header, None)?;
             }
-        }
-        stats.rdma_read = sw.elapsed();
-        tel.span_auto(
-            recover_trace,
-            recover_trace,
-            spans::NCL_RECOVER_FETCH,
-            scope,
-            entry.epoch,
-            fetch_start,
-            Instant::now(),
-        );
-
-        // Phase 4: catch every peer up to the recovered image under a new
-        // epoch, then (and only then) advance the ap-map. The per-peer
-        // prepare/copy/commit pipelines are independent — run them in
-        // parallel, dropping any peer that dies mid-catch-up.
-        let sw = Stopwatch::start();
-        let replay_start = Instant::now();
-        let epoch = entry.epoch + 1;
-        let mut slots: Vec<PeerSlot> = std::thread::scope(|scope| {
-            let handles: Vec<_> = responders
-                .into_iter()
-                .map(|(slot, header)| {
-                    let (router, buffer, rec_header) = (&router, &buffer, &rec_header);
-                    scope.spawn(move || {
-                        catch_up_existing(
-                            ctx, file, epoch, capacity, router, slot, header, rec_header, buffer,
-                            false,
-                        )
-                        .ok()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| h.join().expect("catch-up thread"))
-                .collect()
-        });
-        tel.span_auto(
-            recover_trace,
-            recover_trace,
-            spans::NCL_RECOVER_REPLAY,
-            scope,
-            epoch,
-            replay_start,
-            Instant::now(),
-        );
-        // Replace unreachable/failed peers to restore the FT level.
-        let rearm_start = Instant::now();
-        let mut exclude: Vec<String> = entry.peers.clone();
-        exclude.extend(slots.iter().map(|s| s.name.clone()));
-        exclude.sort();
-        exclude.dedup();
-        while slots.len() < ctx.config.replicas() {
-            match acquire_peer(ctx, file, epoch, capacity, &cq, &mut exclude) {
-                Ok(mut slot) => {
-                    if catch_up_fresh(ctx, &router, &mut slot, epoch, &rec_header, &buffer, false)
-                        .is_ok()
-                    {
-                        slots.push(slot);
-                    }
-                }
-                Err(_) => break, // No spare peers; proceed degraded if quorate.
-            }
-        }
-        if slots.len() < ctx.config.quorum() {
-            return Err(NclError::QuorumUnavailable(
-                "could not catch up a majority during recovery".to_string(),
-            ));
         }
         let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
         ctx.controller
             .set_ap_entry(ctx.node, &ctx.app_id, file, names, epoch)?;
-        stats.sync_peer = sw.elapsed();
-        tel.span_auto(
-            recover_trace,
-            recover_trace,
-            spans::NCL_RECOVER_REARM,
-            scope,
-            epoch,
-            rearm_start,
-            Instant::now(),
-        );
-
-        let seq = rec_header.seq;
-        for s in &mut slots {
-            s.completed_seq = seq;
-        }
-        let repair_pending = slots.len() < ctx.config.replicas();
-        tel.event_traced(
-            events::RECOVERY_FINISH,
-            scope,
-            epoch,
-            recover_trace,
-            format!(
-                "seq={seq} peers={} get_peer={:?} connect={:?} rdma_read={:?} sync_peer={:?}",
-                slots.len(),
-                stats.get_peer,
-                stats.connect,
-                stats.rdma_read,
-                stats.sync_peer
-            ),
-        );
-        tel.span(
-            recover_trace,
-            recover_trace,
-            0,
-            spans::NCL_RECOVER,
-            scope,
-            epoch,
-            recover_start,
-            Instant::now(),
-        );
-        // Cross-shard visibility of the recovery: shard reactors learn the
-        // new epoch through the operation log, in the same order everywhere
-        // — catch-up logged before the ap-map update, mirroring the wire
-        // protocol's ordering rule.
-        if let Some(runtime) = &ctx.config.runtime {
-            runtime.log_op(ShardOp::EpochBump { scope, epoch });
-            runtime.log_op(ShardOp::CatchUp { scope, epoch, seq });
-            runtime.log_op(ShardOp::ApMapUpdate { scope, epoch });
-        }
-        let metrics = FileMetrics::new(tel, scope);
-        let acked = AckedState::new(seq);
-        Ok(self.finish_open(NclFile {
-            ctx: Arc::clone(&self.ctx),
-            name: file.to_string(),
-            capacity,
-            metrics: Arc::clone(&metrics),
-            acked: Arc::clone(&acked),
-            issued: AtomicU64::new(seq),
-            hosted: AtomicBool::new(false),
-            stage: Mutex::new(Stage::new(
-                buffer,
-                rec_header.len,
-                seq,
-                rec_header.overwritten,
-                0,
-                0,
-            )),
-            rep: Mutex::new(Rep::new(
-                slots,
-                cq,
-                epoch,
-                seq,
-                repair_pending,
-                metrics,
-                acked,
-                stats,
-            )),
-        }))
-    }
-
-    /// Erasure-coded recovery (§4.5.1 adapted to fragments): the acked
-    /// prefix is rebuilt from the spill snapshot of the highest generation
-    /// any responder reached, plus a lockstep reassembly walk over the
-    /// surviving fragment logs — any `k` of the `n` peers suffice. The
-    /// rearm is reset-based: the recovered image is stored as the next
-    /// generation's snapshot (synchronously, *before* any header may carry
-    /// that generation) and every peer gets a fresh header with empty
-    /// fragment tails; no fragment history is rebuilt.
-    #[allow(clippy::too_many_arguments)]
-    fn recover_ec(
-        &self,
-        file: &str,
-        entry: &crate::controller::ApEntry,
-        responders: Vec<(PeerSlot, RegionHeader)>,
-        cq: &CompletionQueue,
-        router: &WcRouter<'_>,
-        mut stats: RecoveryStats,
-        scope: &'static str,
-        recover_trace: u64,
-        recover_start: Instant,
-        (k, n): (usize, usize),
-    ) -> Result<Arc<NclFile>, NclError> {
-        let ctx = &*self.ctx;
-        let tel = &ctx.config.telemetry;
-        let gmax = responders.iter().map(|(_, h)| h.gen).max().unwrap_or(0);
-        let capacity = responders
-            .iter()
-            .map(|(_, h)| h.capacity)
-            .max()
-            .unwrap_or(0) as usize;
-        if capacity == 0 {
-            return Err(NclError::Unavailable(
-                "no EC region header carries the file capacity".to_string(),
-            ));
-        }
-        let half_cap = ctx.config.ec_half_capacity(capacity);
-        let sink =
-            ctx.config.spill.clone().ok_or_else(|| {
-                NclError::Rejected("EC recovery requires a spill sink".to_string())
-            })?;
-        let base = if gmax > 0 {
-            Some(
-                sink.load(scope, gmax)
-                    .map_err(NclError::Unavailable)?
-                    .ok_or_else(|| {
-                        NclError::Unavailable(format!(
-                            "spill snapshot for generation {gmax} missing"
-                        ))
-                    })?,
-            )
-        } else {
-            None
-        };
-
-        // Fetch the fragment logs a responder can serve: a peer at the max
-        // generation serves its active half plus (having necessarily
-        // applied all of the previous generation — QP order) the full
-        // previous half; a peer one generation behind serves its active
-        // half for that generation. Anything older is covered by the
-        // snapshot.
-        let sw = Stopwatch::start();
-        let fetch_start = Instant::now();
-        let fetched: Vec<FetchedResponder> = std::thread::scope(|ts| {
-            let handles: Vec<_> = responders
-                .into_iter()
-                .map(|(slot, header)| {
-                    ts.spawn(move || -> Option<FetchedResponder> {
-                        let mut wants: Vec<(u64, u64)> = Vec::new();
-                        if header.gen == gmax {
-                            if header.frag_tail > 0 {
-                                wants.push((gmax, header.frag_tail));
-                            }
-                            if gmax > 0 && header.prev_tail > 0 {
-                                wants.push((gmax - 1, header.prev_tail));
-                            }
-                        } else if gmax > 0 && header.gen + 1 == gmax && header.frag_tail > 0 {
-                            wants.push((header.gen, header.frag_tail));
-                        }
-                        let mut logs = Vec::new();
-                        for (i, (gen, tail)) in wants.into_iter().enumerate() {
-                            let len = (tail as usize).min(half_cap);
-                            let off = HEADER_SIZE + (gen % 2) as usize * half_cap;
-                            let wr = WrId(u64::MAX - i as u64);
-                            slot.qp.post_read(wr, &slot.mr, off, len).ok()?;
-                            match router.wait_for(slot.qp.qp_num(), wr, ctx.config.write_timeout) {
-                                Some(wc) if wc.status == WcStatus::Success => {
-                                    let data = wc.read_data.expect("read completion carries data");
-                                    logs.push((gen, data.to_vec()));
-                                }
-                                _ => return None,
-                            }
-                        }
-                        Some((slot, header, logs))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| h.join().expect("fragment-read thread"))
-                .collect()
-        });
-        if fetched.len() < k {
-            return Err(NclError::QuorumUnavailable(format!(
-                "{} fragment holders survived the log fetch, need {k}",
-                fetched.len()
-            )));
-        }
-
-        // Lockstep reassembly: previous generation first, then the active
-        // one, skipping bursts the snapshot already covers.
-        let min_seq = base.as_ref().map(|s| s.spill_seq).unwrap_or(0);
-        let walk_gens: Vec<u64> = if gmax == 0 {
-            vec![0]
-        } else {
-            vec![gmax - 1, gmax]
-        };
-        let mut bursts: Vec<(u64, Vec<u8>)> = Vec::new();
-        for walk_gen in walk_gens {
-            let logs: Vec<&[u8]> = fetched
-                .iter()
-                .flat_map(|(_, _, ls)| {
-                    ls.iter()
-                        .filter(move |(g, _)| *g == walk_gen)
-                        .map(|(_, l)| l.as_slice())
-                })
-                .collect();
-            if logs.is_empty() {
-                continue;
-            }
-            bursts.extend(crate::ec::reassemble(k, n, &logs, min_seq));
-        }
-
-        // Apply: snapshot image first, then the replayed bursts — stopping
-        // at the first sequence gap, so only a contiguous issued-order
-        // prefix is ever exposed (a gap can only exist in the unacked
-        // tail: an acked burst has entries on all n peers, hence on every
-        // responder).
-        let mut buffer = vec![0u8; capacity];
-        let (mut len, mut overwritten, mut cur_seq) = match &base {
-            Some(s) => {
-                buffer[..s.len as usize].copy_from_slice(&s.data[..s.len as usize]);
-                (s.len, s.overwritten, s.spill_seq)
-            }
-            None => (0, false, 0),
-        };
-        'apply: for (_, image) in &bursts {
-            let Some(records) = crate::ec::decode_burst(image) else {
-                break;
-            };
-            for (rseq, off, payload) in records {
-                if rseq != cur_seq + 1 || off as usize + payload.len() > capacity {
-                    break 'apply;
-                }
-                let end = off as usize + payload.len();
-                if off < len {
-                    overwritten = true;
-                }
-                buffer[off as usize..end].copy_from_slice(&payload);
-                len = len.max(end as u64);
-                cur_seq = rseq;
-            }
-        }
-        let rec_seq = cur_seq;
-        stats.rdma_read = sw.elapsed();
-        tel.span_auto(
-            recover_trace,
-            recover_trace,
-            spans::NCL_RECOVER_FETCH,
-            scope,
-            entry.epoch,
-            fetch_start,
-            Instant::now(),
-        );
-
-        // Rearm, reset-based: snapshot the recovered image under the next
-        // generation — synchronously, because no peer may observe a
-        // generation whose snapshot is not durable — then hand every peer
-        // a fresh header with empty fragment tails.
-        let sw = Stopwatch::start();
-        let replay_start = Instant::now();
-        let new_gen = gmax + 1;
-        let snap = SpillSnapshot {
-            spill_seq: rec_seq,
-            len,
-            overwritten,
-            capacity: capacity as u64,
-            data: buffer[..len as usize].to_vec(),
-        };
-        sink.store(scope, new_gen, &snap)
-            .map_err(NclError::Unavailable)?;
-        let epoch = entry.epoch + 1;
-        let reset = RegionHeader {
-            seq: rec_seq,
-            len,
-            overwritten,
-            gen: new_gen,
-            frag_tail: 0,
-            prev_tail: 0,
-            spill_seq: rec_seq,
-            capacity: capacity as u32,
-        };
-        let region_data = ctx.config.region_size(capacity) - HEADER_SIZE;
-        let mut slots: Vec<PeerSlot> = std::thread::scope(|ts| {
-            let handles: Vec<_> = fetched
-                .into_iter()
-                .map(|(slot, header, _)| {
-                    let reset = &reset;
-                    ts.spawn(move || {
-                        catch_up_existing(
-                            ctx,
-                            file,
-                            epoch,
-                            region_data,
-                            router,
-                            slot,
-                            header,
-                            reset,
-                            &[],
-                            true,
-                        )
-                        .ok()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| h.join().expect("catch-up thread"))
-                .collect()
-        });
-        tel.span_auto(
-            recover_trace,
-            recover_trace,
-            spans::NCL_RECOVER_REPLAY,
-            scope,
-            epoch,
-            replay_start,
-            Instant::now(),
-        );
-        let rearm_start = Instant::now();
-        let mut exclude: Vec<String> = entry.peers.clone();
-        exclude.extend(slots.iter().map(|s| s.name.clone()));
-        exclude.sort();
-        exclude.dedup();
-        while slots.len() < ctx.config.replicas() {
-            match acquire_peer(ctx, file, epoch, region_data, cq, &mut exclude) {
-                Ok(mut slot) => {
-                    if catch_up_fresh(ctx, router, &mut slot, epoch, &reset, &[], true).is_ok() {
-                        slots.push(slot);
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        // Unlike replicated mode there is no degraded write service below
-        // the full set: acknowledgement needs all n fragment holders.
-        if slots.len() < ctx.config.quorum() {
-            return Err(NclError::QuorumUnavailable(
-                "could not restore the full fragment set during recovery".to_string(),
-            ));
-        }
-        for (i, s) in slots.iter_mut().enumerate() {
-            s.shard = i as u32;
-            s.completed_seq = rec_seq;
-        }
-        let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
-        ctx.controller
-            .set_ap_entry(ctx.node, &ctx.app_id, file, names, epoch)?;
-        stats.sync_peer = sw.elapsed();
-        tel.span_auto(
-            recover_trace,
-            recover_trace,
-            spans::NCL_RECOVER_REARM,
-            scope,
-            epoch,
-            rearm_start,
-            Instant::now(),
-        );
-        announce_durability(ctx, scope, epoch, capacity);
-        let repair_pending = slots.len() < ctx.config.replicas();
-        tel.event_traced(
-            events::RECOVERY_FINISH,
-            scope,
-            epoch,
-            recover_trace,
-            format!(
-                "seq={rec_seq} peers={} gen={new_gen} get_peer={:?} connect={:?} rdma_read={:?} sync_peer={:?}",
-                slots.len(),
-                stats.get_peer,
-                stats.connect,
-                stats.rdma_read,
-                stats.sync_peer
-            ),
-        );
-        tel.span(
-            recover_trace,
-            recover_trace,
-            0,
-            spans::NCL_RECOVER,
-            scope,
-            epoch,
-            recover_start,
-            Instant::now(),
-        );
-        if let Some(runtime) = &ctx.config.runtime {
-            runtime.log_op(ShardOp::EpochBump { scope, epoch });
-            runtime.log_op(ShardOp::CatchUp {
-                scope,
-                epoch,
-                seq: rec_seq,
-            });
-            runtime.log_op(ShardOp::ApMapUpdate { scope, epoch });
-        }
-        let metrics = FileMetrics::new(tel, scope);
-        let acked = AckedState::new(rec_seq);
-        Ok(self.finish_open(NclFile {
-            ctx: Arc::clone(&self.ctx),
-            name: file.to_string(),
-            capacity,
-            metrics: Arc::clone(&metrics),
-            acked: Arc::clone(&acked),
-            issued: AtomicU64::new(rec_seq),
-            hosted: AtomicBool::new(false),
-            stage: Mutex::new(Stage::new(
-                buffer,
-                len,
-                rec_seq,
-                overwritten,
-                new_gen,
-                rec_seq,
-            )),
-            rep: Mutex::new(Rep::new(
-                slots,
-                cq.clone(),
-                epoch,
-                rec_seq,
-                repair_pending,
-                metrics,
-                acked,
-                stats,
-            )),
-        }))
+        let image = Image::empty(capacity);
+        let stats = RecoveryStats::default();
+        Ok(NclFile::open(
+            ctx, file, scope, image, scheme, slots, cq, epoch, stats,
+        ))
     }
 
     /// Recovers `file` if it exists, otherwise creates it.
@@ -1222,465 +310,6 @@ impl Drop for NclLib {
     }
 }
 
-struct PeerSlot {
-    name: String,
-    endpoint: PeerEndpoint,
-    mr: RemoteMr,
-    qp: QueuePair,
-    /// Highest sequence number whose data + header completed on this peer.
-    completed_seq: u64,
-    /// Generator row this peer holds under erasure coding (stable across
-    /// the slot's lifetime; fresh replacements inherit the dead slot's
-    /// row). Unused in replicated mode. The row index also travels inside
-    /// every fragment entry, so recovery never depends on peer order.
-    shard: u32,
-    alive: bool,
-    /// Adaptive phi-accrual detector fed by this peer's completions; lets a
-    /// gray (silent-but-connected) peer be suspected long before the record
-    /// deadline.
-    detector: PhiDetector,
-}
-
-/// One staged-but-unposted record: its slice of the shared wire image plus
-/// the header encoded when it was staged. A run of these is a burst, posted
-/// as one doorbell batch per peer at flush time.
-struct PendingRecord {
-    seq: u64,
-    offset: usize,
-    payload: Bytes,
-    header: Bytes,
-    /// `record_nowait` entry and staging-complete timestamps; consumed at
-    /// flush time to close the stage/doorbell spans and open a [`Flight`].
-    t0: Instant,
-    staged_at: Instant,
-    /// Trace id assigned at `record_nowait` (0 when tracing is off); the
-    /// root span id of this record's causal chain.
-    trace: u64,
-}
-
-/// An in-flight demotion of the acked prefix to the spill sink (EC only).
-/// The store runs on a background thread; the next flush observes `done`
-/// and flips the fragment area to `gen` — the snapshot is guaranteed
-/// durable before any header carrying the new generation is posted, which
-/// is the ordering the recovery rule rests on.
-struct PendingSpill {
-    /// Generation the snapshot is keyed under (current generation + 1).
-    gen: u64,
-    /// Highest sequence number the snapshot covers.
-    seq: u64,
-    /// Set by the store thread on success.
-    done: Arc<AtomicBool>,
-    /// Set by the store thread on sink error; the demotion is retried.
-    failed: Arc<AtomicBool>,
-}
-
-/// Staging state: the local image, the sequence counter, and the pending
-/// burst. Held while a record is staged and while a burst is flushed (so
-/// per-QP post order equals sequence order) and while a replacement copies
-/// the buffer; never held across a durability wait.
-struct Stage {
-    buffer: Vec<u8>,
-    len: u64,
-    seq: u64,
-    overwritten: bool,
-    /// Records staged by `record_nowait` but not yet posted to the peers.
-    pending: Vec<PendingRecord>,
-    /// Highest sequence number whose work requests have been posted.
-    flushed_seq: u64,
-    /// Fragment-area generation (EC only); bursts land in half `gen % 2`.
-    gen: u64,
-    /// Next entry offset within the active generation half (EC only).
-    frag_tail: u64,
-    /// Final tail of generation `gen - 1` in the other half (EC only).
-    prev_tail: u64,
-    /// Highest sequence number covered by this generation's spill snapshot
-    /// (EC only); fragments at or below it are dead weight for recovery.
-    spill_seq: u64,
-    /// In-flight spill demotion, if any (EC only).
-    spill: Option<PendingSpill>,
-}
-
-impl Stage {
-    /// Staging state for a file whose log starts (or resumes) at `seq`
-    /// under fragment generation `gen` with snapshot coverage `spill_seq`.
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        buffer: Vec<u8>,
-        len: u64,
-        seq: u64,
-        overwritten: bool,
-        gen: u64,
-        spill_seq: u64,
-    ) -> Self {
-        Stage {
-            buffer,
-            len,
-            seq,
-            overwritten,
-            pending: Vec::new(),
-            flushed_seq: seq,
-            gen,
-            frag_tail: 0,
-            prev_tail: 0,
-            spill_seq,
-            spill: None,
-        }
-    }
-}
-
-/// Replication state: peer slots and completion bookkeeping. Locked briefly
-/// to post work requests or absorb completions; all blocking happens on the
-/// completion queue with no lock held. Lock order is `stage` before `rep`.
-struct Rep {
-    peers: Vec<PeerSlot>,
-    /// `qp_num → index into peers`, so absorbing a completion is a hash
-    /// lookup rather than a linear scan; rebuilt whenever slots change.
-    /// Completions from replaced peers simply miss the map.
-    slot_of_qp: HashMap<u32, usize>,
-    cq: CompletionQueue,
-    epoch: u64,
-    /// Highest sequence number acknowledged durable (prefix on a quorum).
-    durable_seq: u64,
-    /// A completion reported a peer failure that has not been repaired yet.
-    failure_seen: bool,
-    /// Completions that could not be attributed to a slot but have a
-    /// registered waiter: one-off RDMA reads (`wr_id ≥ u64::MAX - 2`) and
-    /// fresh replacement peers mid-catch-up (`expecting`).
-    stray: Vec<(u32, WorkCompletion)>,
-    /// QP numbers of fresh peers whose catch-up is in flight.
-    expecting: HashSet<u32>,
-    /// A peer failed but replacement was deferred (no spare peer available
-    /// while a quorum was still alive); [`NclFile::maintain`] retries.
-    repair_pending: bool,
-    /// Reusable work-request buffer for burst flushes, so the steady-state
-    /// inline-NIC flush path allocates nothing per doorbell.
-    wr_scratch: Vec<WorkRequest>,
-    /// Posted-but-not-durable records being timed (empty with telemetry
-    /// disabled). Entries retire in [`Rep::refresh_durable`]; size is
-    /// bounded by the pipeline window. Ordered by sequence number so the
-    /// completion path touches only the flights a header newly covers —
-    /// a full scan per completion is O(window) under the `rep` lock and
-    /// visibly stalls concurrent doorbells at deep windows.
-    flights: BTreeMap<u64, Flight>,
-    /// Every flight at or below this sequence number has had its wire
-    /// span closed by some peer's header completion. Advanced monotonically
-    /// in [`Rep::absorb`]; flights are registered in sequence order before
-    /// their headers can complete, so nothing is ever inserted below it.
-    wire_covered_seq: u64,
-    /// Flights carrying a nonzero trace id. The per-peer coverage pass in
-    /// `absorb` scans flights only while this is nonzero, so untraced
-    /// steady-state runs skip it entirely.
-    traced_flights: usize,
-    metrics: Arc<FileMetrics>,
-    /// Shared with the owning [`NclFile`]; republished after every
-    /// watermark refresh so the barrier fast path stays current.
-    acked: Arc<AckedState>,
-    last_recovery: RecoveryStats,
-    last_repair: RepairStats,
-}
-
-impl Rep {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        peers: Vec<PeerSlot>,
-        cq: CompletionQueue,
-        epoch: u64,
-        durable_seq: u64,
-        repair_pending: bool,
-        metrics: Arc<FileMetrics>,
-        acked: Arc<AckedState>,
-        last_recovery: RecoveryStats,
-    ) -> Self {
-        let mut rep = Rep {
-            peers,
-            slot_of_qp: HashMap::new(),
-            cq,
-            epoch,
-            durable_seq,
-            failure_seen: false,
-            stray: Vec::new(),
-            expecting: HashSet::new(),
-            repair_pending,
-            wr_scratch: Vec::new(),
-            flights: BTreeMap::new(),
-            wire_covered_seq: 0,
-            traced_flights: 0,
-            metrics,
-            acked,
-            last_recovery,
-            last_repair: RepairStats::default(),
-        };
-        rep.rebuild_qp_map();
-        rep
-    }
-
-    fn rebuild_qp_map(&mut self) {
-        self.slot_of_qp = self
-            .peers
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.qp.qp_num(), i))
-            .collect();
-    }
-
-    fn alive(&self) -> usize {
-        self.peers.iter().filter(|s| s.alive).count()
-    }
-
-    /// Applies completions to the slots. Unattributable completions with a
-    /// registered waiter are parked in `stray`; everything else (stale
-    /// completions from replaced peers) is dropped.
-    fn absorb(&mut self, wcs: Vec<(u32, WorkCompletion)>) {
-        let now = Instant::now();
-        for (qp_num, wc) in wcs {
-            if wc.wr_id.0 >= u64::MAX - 2 {
-                // One-off RDMA read (recovery lookup / read_remote): a
-                // failure still means the peer died; the data (or error) is
-                // routed to the waiter via `stray`.
-                if wc.status != WcStatus::Success {
-                    if let Some(&idx) = self.slot_of_qp.get(&qp_num) {
-                        self.peers[idx].alive = false;
-                        self.failure_seen = true;
-                        self.metrics.tel.event(
-                            events::PEER_FAILURE,
-                            &self.peers[idx].name,
-                            self.epoch,
-                            "one-off read failed",
-                        );
-                    }
-                }
-                self.stray.push((qp_num, wc));
-                continue;
-            }
-            let Some(&idx) = self.slot_of_qp.get(&qp_num) else {
-                if self.expecting.contains(&qp_num) {
-                    self.stray.push((qp_num, wc));
-                }
-                continue; // Stale completion from a replaced peer.
-            };
-            let slot = &mut self.peers[idx];
-            if !slot.alive {
-                continue;
-            }
-            match wc.status {
-                WcStatus::Success => {
-                    slot.detector.heartbeat(now);
-                    // Header writes carry odd ids 2s+1; data writes even 2s.
-                    if wc.wr_id.0 % 2 == 1 {
-                        let seq = wc.wr_id.0 / 2;
-                        slot.completed_seq = slot.completed_seq.max(seq);
-                        // Wire histogram closes at the first peer whose
-                        // header covers the record; a coalesced header for
-                        // `seq` acknowledges every flight at or below it.
-                        // Each peer additionally closes a per-peer wire
-                        // child span, reconstructed from the NIC's own
-                        // post→completion measurement.
-                        if self.metrics.enabled && !self.flights.is_empty() {
-                            let now = Instant::now();
-                            let wire_start = now
-                                .checked_sub(Duration::from_nanos(wc.wire_ns))
-                                .unwrap_or(now);
-                            let peer_name = &self.peers[idx].name;
-                            // Interned on first use only: one lookup per
-                            // completion, nothing when no flight is traced.
-                            let mut peer_scope: Option<&'static str> = None;
-                            let epoch = self.epoch;
-                            let metrics = &self.metrics;
-                            // Wire spans close at the first covering header.
-                            // Every flight at or below `wire_covered_seq`
-                            // was closed by an earlier header, so this
-                            // header only touches the flights it newly
-                            // covers — never the whole in-flight window.
-                            if seq > self.wire_covered_seq {
-                                let newly = (
-                                    std::ops::Bound::Excluded(self.wire_covered_seq),
-                                    std::ops::Bound::Included(seq),
-                                );
-                                for (_, flight) in self.flights.range_mut(newly) {
-                                    flight.first_peer = Some(now);
-                                    metrics
-                                        .wire
-                                        .record_duration(now.duration_since(flight.posted));
-                                    if let Some(s) = metrics.shard.get() {
-                                        s.wire.record_duration(now.duration_since(flight.posted));
-                                    }
-                                }
-                                self.wire_covered_seq = seq;
-                            }
-                            // Per-peer coverage spans exist per traced
-                            // flight; benches trace nothing and skip this.
-                            if self.traced_flights > 0 {
-                                for (_, flight) in self.flights.range_mut(..=seq) {
-                                    if flight.trace != 0 && !flight.covered.contains(&qp_num) {
-                                        flight.covered.push(qp_num);
-                                        let peer = *peer_scope.get_or_insert_with(|| {
-                                            telemetry::intern_scope(peer_name)
-                                        });
-                                        metrics.tel.span_auto(
-                                            flight.trace,
-                                            flight.trace,
-                                            spans::NCL_WIRE_PEER,
-                                            peer,
-                                            epoch,
-                                            wire_start.max(flight.posted),
-                                            now,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    slot.alive = false;
-                    self.failure_seen = true;
-                    self.metrics.tel.event(
-                        events::PEER_FAILURE,
-                        &self.peers[idx].name,
-                        self.epoch,
-                        "work request failed",
-                    );
-                }
-            }
-        }
-    }
-
-    /// Drains the completion queue without blocking and applies the result.
-    fn drain(&mut self) {
-        let wcs = self.cq.poll();
-        self.absorb(wcs);
-    }
-
-    /// Declares alive-but-silent peers holding back `awaited_seq` suspect,
-    /// per the adaptive phi detector, so a gray peer stalls a barrier for
-    /// the detector's horizon instead of the full record deadline. Suspects
-    /// go through the normal dead-peer path (replacement at the next epoch).
-    fn suspect_stalled(&mut self, config: &NclConfig, awaited_seq: u64) {
-        if config.detect_timeout.is_zero() {
-            return;
-        }
-        let now = Instant::now();
-        let epoch = self.epoch;
-        for slot in self.peers.iter_mut() {
-            if slot.alive
-                && slot.completed_seq < awaited_seq
-                && slot
-                    .detector
-                    .is_suspect(now, config.detect_timeout, config.suspicion_threshold)
-            {
-                slot.alive = false;
-                self.failure_seen = true;
-                self.metrics.tel.event(
-                    events::PEER_SUSPECT,
-                    &slot.name,
-                    epoch,
-                    format!(
-                        "phi={:.1} silence={:?} awaiting seq={awaited_seq}",
-                        slot.detector.phi(now),
-                        slot.detector.silence(now)
-                    ),
-                );
-            }
-        }
-    }
-
-    /// Advances `durable_seq` to the highest sequence number complete on the
-    /// acknowledgement quorum. Monotonic: peer replacement catches fresh
-    /// peers up to the full staged image before they join, so the watermark
-    /// never has to move backwards.
-    fn refresh_durable(&mut self, config: &NclConfig) {
-        let mut seqs: Vec<u64> = self
-            .peers
-            .iter()
-            .filter(|s| s.alive)
-            .map(|s| s.completed_seq)
-            .collect();
-        if seqs.len() < config.quorum() {
-            self.publish_acked(config);
-            return;
-        }
-        seqs.sort_unstable();
-        let candidate = match config.ack_policy {
-            AckPolicy::Majority => seqs[seqs.len() - config.quorum()],
-            AckPolicy::All => seqs[0],
-        };
-        let prev = self.durable_seq;
-        self.durable_seq = self.durable_seq.max(candidate);
-        // Retire flights the watermark just passed: close their ack and
-        // end-to-end spans.
-        if self.metrics.enabled && self.durable_seq > prev && !self.flights.is_empty() {
-            let now = Instant::now();
-            let durable = self.durable_seq;
-            let epoch = self.epoch;
-            let metrics = &self.metrics;
-            // Ordered map: retiring pops from the front until the first
-            // flight still above the watermark — O(retired), not O(window).
-            while let Some(entry) = self.flights.first_entry() {
-                if *entry.key() > durable {
-                    break;
-                }
-                let flight = entry.remove();
-                if flight.trace != 0 {
-                    self.traced_flights -= 1;
-                }
-                let first = flight.first_peer.unwrap_or(flight.posted);
-                metrics.ack.record_duration(now.duration_since(first));
-                metrics.e2e.record_duration(now.duration_since(flight.t0));
-                if let Some(s) = metrics.shard.get() {
-                    s.ack.record_duration(now.duration_since(first));
-                    s.e2e.record_duration(now.duration_since(flight.t0));
-                }
-                if flight.trace != 0 {
-                    metrics.tel.span_auto(
-                        flight.trace,
-                        flight.trace,
-                        spans::NCL_ACK,
-                        metrics.scope,
-                        epoch,
-                        first,
-                        now,
-                    );
-                    // Root last: a write's chain is complete exactly when
-                    // its root span exists.
-                    metrics.tel.span(
-                        flight.trace,
-                        flight.trace,
-                        0,
-                        spans::NCL_WRITE,
-                        metrics.scope,
-                        epoch,
-                        flight.t0,
-                        now,
-                    );
-                }
-            }
-        }
-        self.publish_acked(config);
-    }
-
-    /// Republishes the lock-free acked state from the authoritative `rep`
-    /// fields. Called under the `rep` lock (waiter loop, shard reactor,
-    /// repair commit), so publications never race each other.
-    fn publish_acked(&self, config: &NclConfig) {
-        let mut attention = 0;
-        if self.failure_seen {
-            attention |= ATTN_FAILURE;
-        }
-        if self.alive() < config.quorum() {
-            attention |= ATTN_NO_QUORUM;
-        }
-        self.acked.publish(self.durable_seq, attention);
-    }
-
-    /// Removes routed-but-unclaimed completions whose waiter is gone.
-    fn prune_stray(&mut self) {
-        let (map, expecting) = (&self.slot_of_qp, &self.expecting);
-        self.stray.retain(|(qp_num, wc)| {
-            wc.wr_id.0 >= u64::MAX - 2 || map.contains_key(qp_num) || expecting.contains(qp_num)
-        });
-    }
-}
-
 /// A fault-tolerant near-compute log file.
 ///
 /// All methods are safe to call from multiple application threads. Records
@@ -1694,8 +323,8 @@ pub struct NclFile {
     metrics: Arc<FileMetrics>,
     /// Published acked state; shared with `rep` (which writes it).
     acked: Arc<AckedState>,
-    /// Sequence number of the latest issued record, mirrored from
-    /// `stage.seq` under the staging lock so `seq()`/`fsync()` read it
+    /// Sequence number of the latest issued record, mirrored from the
+    /// staged image under the staging lock so `seq()`/`fsync()` read it
     /// without locking.
     issued: AtomicU64,
     /// Set when a shard reactor services this file: completions are
@@ -1707,21 +336,55 @@ pub struct NclFile {
 }
 
 impl NclFile {
-    /// Acquires the staging lock through the lock-audit hook. Every
-    /// `stage` acquisition inside this module goes through here (and
-    /// `rep_guard` for `rep`) so the zero-mutex fast-path guarantee is
-    /// checkable by tests.
-    #[inline]
-    fn stage_guard(&self) -> MutexGuard<'_, Stage> {
-        lockaudit::note_lock();
-        self.stage.lock()
-    }
-
-    /// Acquires the replication lock through the lock-audit hook.
-    #[inline]
-    fn rep_guard(&self) -> MutexGuard<'_, Rep> {
-        lockaudit::note_lock();
-        self.rep.lock()
+    /// The one construction site, shared by create and recovery: `image`
+    /// is what every slot in `slots` (in ap-map order) already holds
+    /// through `image.seq` under `epoch`. Announces the durability scheme
+    /// and hosts the file on the configured shard runtime, if any.
+    #[allow(clippy::too_many_arguments)]
+    fn open(
+        ctx: &Arc<Ctx>,
+        name: &str,
+        scope: &'static str,
+        image: Image,
+        scheme: Scheme,
+        mut slots: Vec<PeerSlot>,
+        cq: CompletionQueue,
+        epoch: u64,
+        recovery: RecoveryStats,
+    ) -> Arc<NclFile> {
+        let seq = image.seq;
+        for (row, slot) in slots.iter_mut().enumerate() {
+            slot.row = row as u32;
+            slot.completed_seq = seq;
+        }
+        scheme.announce(&ctx.config.telemetry, scope, epoch);
+        let metrics = FileMetrics::new(&ctx.config.telemetry, scope);
+        let acked = AckedState::new(seq);
+        let repair_pending = slots.len() < ctx.config.replicas();
+        let file = Arc::new(NclFile {
+            ctx: Arc::clone(ctx),
+            name: name.to_string(),
+            capacity: image.buffer.len(),
+            metrics: Arc::clone(&metrics),
+            acked: Arc::clone(&acked),
+            issued: AtomicU64::new(seq),
+            hosted: AtomicBool::new(false),
+            stage: Mutex::new(Stage::new(image, scheme)),
+            rep: Mutex::new(Rep::new(
+                slots,
+                cq,
+                epoch,
+                seq,
+                repair_pending,
+                metrics,
+                acked,
+                recovery,
+            )),
+        });
+        if let Some(runtime) = &ctx.config.runtime {
+            runtime.host(&file);
+        }
+        file
     }
 
     /// The file's name.
@@ -1740,1067 +403,9 @@ impl NclFile {
         self.capacity
     }
 
-    /// Current valid length.
-    pub fn len(&self) -> u64 {
-        self.stage_guard().len
-    }
-
-    /// True when no data has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sequence number of the latest issued record (lock-free).
-    pub fn seq(&self) -> u64 {
-        self.issued.load(Ordering::Acquire)
-    }
-
-    /// Highest sequence number known durable on an acknowledgement quorum.
-    /// Reads the published watermark — lock-free, and kept fresh in the
-    /// background when the file is hosted on a shard reactor.
-    pub fn durable_seq(&self) -> u64 {
-        self.acked.watermark.load(Ordering::Acquire)
-    }
-
-    /// Current ap-map epoch.
-    pub fn epoch(&self) -> u64 {
-        self.rep_guard().epoch
-    }
-
-    /// Registers `waker` with this file's completion queue, binds the
-    /// per-shard stage histograms, and flips the file into hosted mode.
-    /// Called by `NclRuntime::host_on`.
-    pub(crate) fn attach_reactor(&self, waker: &CqWaker, shard: usize) {
-        self.metrics.bind_shard(shard);
-        self.rep_guard().cq.register_waker(waker);
-        self.hosted.store(true, Ordering::Release);
-    }
-
-    /// One shard-reactor poll round: drain the completion queue and
-    /// republish the acked watermark, without ever blocking on a busy
-    /// file (the lock holder is doing this same work). Returns whether the
-    /// durable watermark advanced — the reactor profiler attributes such
-    /// rounds to publish time rather than empty-poll time.
-    pub(crate) fn reactor_poll(&self) -> bool {
-        if let Some(mut rep) = self.rep.try_lock() {
-            let before = self.durable_seq();
-            rep.drain();
-            rep.refresh_durable(&self.ctx.config);
-            self.durable_seq() > before
-        } else {
-            false
-        }
-    }
-
-    /// Names of the currently assigned peers (alive ones first-class; dead
-    /// ones pending replacement are excluded).
-    pub fn peer_names(&self) -> Vec<String> {
-        self.rep
-            .lock()
-            .peers
-            .iter()
-            .filter(|s| s.alive)
-            .map(|s| s.name.clone())
-            .collect()
-    }
-
     /// The telemetry handle this file reports into.
     pub fn telemetry(&self) -> &Telemetry {
         &self.ctx.config.telemetry
-    }
-
-    /// Phase timings of the recovery that produced this handle.
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.rep_guard().last_recovery
-    }
-
-    /// Phase timings of the most recent peer replacement.
-    pub fn repair_stats(&self) -> RepairStats {
-        self.rep_guard().last_repair
-    }
-
-    /// Reads from the local buffer (logs are only read during recovery; this
-    /// serves the application's replay pass from the prefetched image).
-    pub fn read(&self, offset: u64, len: usize) -> Vec<u8> {
-        let stage = self.stage_guard();
-        if offset >= stage.len {
-            return Vec::new();
-        }
-        let end = (offset as usize + len).min(stage.len as usize);
-        stage.buffer[offset as usize..end].to_vec()
-    }
-
-    /// Returns the full valid contents (`[0, len)`).
-    pub fn contents(&self) -> Vec<u8> {
-        let stage = self.stage_guard();
-        stage.buffer[..stage.len as usize].to_vec()
-    }
-
-    /// Reads directly from a peer via one-sided RDMA, bypassing the local
-    /// buffer — the "NCL no prefetch" variant measured in Figure 11(a).
-    pub fn read_remote(&self, offset: u64, len: usize) -> Result<Vec<u8>, NclError> {
-        if self.ctx.config.durability.is_ec() {
-            // No peer holds a readable image of the file — only fragment
-            // stripes. Read from the local staging buffer instead.
-            return Err(NclError::Rejected(
-                "read_remote unsupported under erasure coding".to_string(),
-            ));
-        }
-        let flen = self.stage_guard().len;
-        let end = (offset as usize + len).min(flen as usize);
-        if offset as usize >= end {
-            return Ok(Vec::new());
-        }
-        let n = end - offset as usize;
-        let wr = WrId(u64::MAX - 2);
-        let qp_num = {
-            let mut rep = self.rep_guard();
-            // Clear leftovers of an earlier timed-out read before reposting.
-            rep.stray.retain(|(_, wc)| wc.wr_id != wr);
-            let slot = rep
-                .peers
-                .iter()
-                .find(|s| s.alive)
-                .ok_or_else(|| NclError::QuorumUnavailable("no live peer".to_string()))?;
-            slot.qp
-                .post_read(wr, &slot.mr, HEADER_SIZE + offset as usize, n)
-                .map_err(|e| NclError::Unavailable(e.to_string()))?;
-            slot.qp.qp_num()
-        };
-        let wait = RepWait { file: self };
-        match wait.wait_for(qp_num, wr, self.ctx.config.write_timeout) {
-            Some(wc) if wc.status == WcStatus::Success => {
-                Ok(wc.read_data.expect("read data").to_vec())
-            }
-            _ => Err(NclError::Unavailable("remote read failed".to_string())),
-        }
-    }
-
-    /// Records a write at `offset` — the paper's `record(offset, data)`.
-    ///
-    /// Returns once the write (and all prior writes) is durable on a
-    /// majority of peers. Detected peer failures trigger inline replacement:
-    /// a short stall if a quorum survives, blocking until a quorum is
-    /// restored otherwise.
-    pub fn record(&self, offset: u64, data: &[u8]) -> Result<(), NclError> {
-        let seq = self.record_nowait(offset, data)?;
-        self.wait_durable(seq)
-    }
-
-    /// Stages a write into the pending burst without posting or waiting;
-    /// returns the record's sequence number for a later
-    /// [`NclFile::wait_durable`] barrier.
-    ///
-    /// The burst is posted with one doorbell per peer when it reaches the
-    /// pipeline window, when a barrier needs one of its records, or on an
-    /// explicit [`NclFile::submit`]. At most [`NclConfig::pipeline_window`]
-    /// records may be in flight; a post beyond the window first drains the
-    /// oldest in-flight record. On a drain error the record has still been
-    /// staged — a subsequent barrier reports its fate.
-    pub fn record_nowait(&self, offset: u64, data: &[u8]) -> Result<u64, NclError> {
-        let ctx = &self.ctx;
-        let window = ctx.config.pipeline_window.max(1);
-        let t0 = Instant::now();
-        let seq;
-        {
-            let mut stage = self.stage_guard();
-            let end = offset as usize + data.len();
-            if end > self.capacity {
-                return Err(NclError::CapacityExceeded {
-                    capacity: self.capacity,
-                    needed: end,
-                });
-            }
-            // Stage locally.
-            ctx.config.local_copy.charge(data.len());
-            stage.buffer[offset as usize..end].copy_from_slice(data);
-            if offset < stage.len {
-                stage.overwritten = true;
-            }
-            stage.len = stage.len.max(end as u64);
-            stage.seq += 1;
-            seq = stage.seq;
-            self.issued.store(seq, Ordering::Release);
-            let header = RegionHeader {
-                seq,
-                len: stage.len,
-                overwritten: stage.overwritten,
-                ..Default::default()
-            };
-            // One wire image per record: the header (encoded into a stack
-            // array) and the payload share a single allocation; the per-peer
-            // copies are refcount bumps (`Bytes::clone`/`slice` do not
-            // copy).
-            let mut wire = Vec::with_capacity(HEADER_WIRE_SIZE + data.len());
-            wire.extend_from_slice(&header.encode());
-            wire.extend_from_slice(data);
-            let wire = Bytes::from(wire);
-            let header_bytes = wire.slice(..HEADER_WIRE_SIZE);
-            let payload = wire.slice(HEADER_WIRE_SIZE..);
-            let staged_at = Instant::now();
-            self.metrics.stage.record_duration(staged_at - t0);
-            if let Some(s) = self.metrics.shard.get() {
-                s.stage.record_duration(staged_at - t0);
-            }
-            // Root of this record's causal chain; 0 (and therefore span-free)
-            // when telemetry is disabled or tracing is switched off.
-            let trace = if self.metrics.enabled {
-                self.metrics.tel.next_trace_id()
-            } else {
-                0
-            };
-            if trace != 0 {
-                self.metrics.tel.span_auto(
-                    trace,
-                    trace,
-                    spans::NCL_STAGE,
-                    self.metrics.scope,
-                    0,
-                    t0,
-                    staged_at,
-                );
-            }
-            stage.pending.push(PendingRecord {
-                seq,
-                offset: offset as usize,
-                payload,
-                header: header_bytes,
-                t0,
-                staged_at,
-                trace,
-            });
-            // Window-full: ring the doorbell for the accumulated burst.
-            if stage.pending.len() as u64 >= window {
-                self.flush_staged(&mut stage, FlushReason::WindowFull);
-            }
-        }
-        // Bounded in-flight window. The stall check reads the published
-        // watermark — no lock on the record hot path.
-        if seq > window {
-            if self.metrics.enabled && self.acked.watermark.load(Ordering::Acquire) < seq - window {
-                self.metrics.window_stall.inc();
-            }
-            self.wait_durable(seq - window)?;
-        }
-        Ok(seq)
-    }
-
-    /// Rings the doorbell for the staged burst without waiting: every record
-    /// staged since the last flush is posted to all live peers, one doorbell
-    /// batch per peer. Durability still requires a barrier
-    /// ([`NclFile::wait_durable`] / [`NclFile::fsync`]); group-commit
-    /// callers use this to start replicating a finished group while they
-    /// assemble the next one. A no-op when nothing is pending.
-    pub fn submit(&self) {
-        let mut stage = self.stage_guard();
-        self.flush_staged(&mut stage, FlushReason::Submit);
-    }
-
-    /// Posts the pending burst to every live peer as one doorbell batch
-    /// each. Data WRs go first in sequence order (remotely-contiguous runs
-    /// merged into scatter-gather WRs); headers follow per the configured
-    /// coalescing mode. Post errors are left to the completion path, like
-    /// every other posting site.
-    fn flush_staged(&self, stage: &mut Stage, reason: FlushReason) {
-        if stage.pending.is_empty() {
-            return;
-        }
-        if let Some((k, n)) = self.ctx.config.durability.ec_params() {
-            self.flush_staged_ec(stage, reason, k, n);
-            return;
-        }
-        let flushed = stage.pending.last().expect("burst nonempty").seq;
-        let coalesce = self.ctx.config.coalesce_headers;
-        self.metrics.count_flush(reason);
-        if !coalesce {
-            // The ablation posts one header WR per record (per peer, but
-            // count records once — the wire cost scales with both).
-            self.metrics.hdr_per_record.add(stage.pending.len() as u64);
-        }
-        let mut rep = self.rep_guard();
-        self.register_flights(&mut rep, &stage.pending);
-        let per_peer_bytes = if self.metrics.enabled {
-            let payload: usize = stage.pending.iter().map(|r| r.payload.len()).sum();
-            let headers = if coalesce { 1 } else { stage.pending.len() };
-            (payload + headers * HEADER_WIRE_SIZE) as u64
-        } else {
-            0
-        };
-        let idle_below = stage.flushed_seq;
-        let now = Instant::now();
-        let mut wrs = std::mem::take(&mut rep.wr_scratch);
-        for slot in rep.peers.iter_mut().filter(|s| s.alive) {
-            // A peer with nothing outstanding was silent because nothing was
-            // asked of it: restart its silence clock as the new work posts,
-            // so idle time never reads as suspicious.
-            if slot.completed_seq >= idle_below {
-                slot.detector.touch(now);
-            }
-            wrs.clear();
-            build_burst(&mut wrs, &stage.pending, &slot.mr, coalesce);
-            let _ = slot.qp.post_many(&wrs);
-            if self.metrics.enabled {
-                self.metrics.wire_bytes.add(per_peer_bytes);
-            }
-        }
-        wrs.clear();
-        rep.wr_scratch = wrs;
-        stage.flushed_seq = flushed;
-        stage.pending.clear();
-    }
-
-    /// Stamps the doorbell spans and opens a [`Flight`] per pending record.
-    /// Must run before the posts: an inline NIC executes the writes during
-    /// `post_many`, so stamping after would misattribute the wire time to
-    /// the doorbell span — and completions cannot be absorbed concurrently
-    /// because the caller holds the replication lock.
-    fn register_flights(&self, rep: &mut Rep, pending: &[PendingRecord]) {
-        if !self.metrics.enabled {
-            return;
-        }
-        let posted_at = Instant::now();
-        for rec in pending {
-            self.metrics
-                .doorbell
-                .record_duration(posted_at.duration_since(rec.staged_at));
-            if let Some(s) = self.metrics.shard.get() {
-                s.doorbell
-                    .record_duration(posted_at.duration_since(rec.staged_at));
-            }
-            if rec.trace != 0 {
-                self.metrics.tel.span_auto(
-                    rec.trace,
-                    rec.trace,
-                    spans::NCL_DOORBELL,
-                    self.metrics.scope,
-                    0,
-                    rec.staged_at,
-                    posted_at,
-                );
-                rep.traced_flights += 1;
-            }
-            rep.flights.insert(
-                rec.seq,
-                Flight {
-                    t0: rec.t0,
-                    posted: posted_at,
-                    first_peer: None,
-                    trace: rec.trace,
-                    covered: Vec::new(),
-                },
-            );
-        }
-    }
-
-    /// EC flush: the pending burst becomes one fragment entry per peer —
-    /// the burst image is striped into `k` data units plus `n − k` parity
-    /// units, and peer `i` receives only its generator row's unit, appended
-    /// to the active generation half of its region. Acknowledgement then
-    /// requires header completions from **all** `n` peers
-    /// ([`NclConfig::quorum`] returns `n` under EC), because each peer
-    /// holds a fragment no other peer can substitute.
-    ///
-    /// Spill demotion hangs off this path: when the fragment tail crosses
-    /// the watermark an async snapshot store starts, and a later flush that
-    /// observes it durable flips the generation — the flip rides in that
-    /// flush's (atomic) header write, so no extra WR and no barrier is
-    /// needed. An overflow of the half forces the flip synchronously.
-    fn flush_staged_ec(&self, stage: &mut Stage, reason: FlushReason, k: usize, n: usize) {
-        let flushed = stage.pending.last().expect("burst nonempty").seq;
-        self.metrics.count_flush(reason);
-        let half_cap = self.ctx.config.ec_half_capacity(self.capacity);
-        let watermark = ec_spill_watermark(&self.ctx.config, self.capacity);
-        self.try_finalize_spill(stage);
-
-        let image = {
-            let records: Vec<(u64, u64, &[u8])> = stage
-                .pending
-                .iter()
-                .map(|r| (r.seq, r.offset as u64, &r.payload[..]))
-                .collect();
-            crate::ec::encode_burst(&records)
-        };
-        let burst_len = image.len() as u32;
-        let (unit_len, data_units) = crate::ec::split_units(&image, k);
-        let entry_len = FRAG_ENTRY_SIZE + unit_len;
-        if stage.frag_tail as usize + entry_len > half_cap {
-            // The active half cannot take this entry: demote and flip now,
-            // waiting out any in-flight demotion first.
-            self.wait_spill_and_flip(stage);
-            assert!(
-                entry_len <= half_cap,
-                "one burst entry ({entry_len} B) exceeds the fragment half ({half_cap} B)"
-            );
-        }
-        let parity = crate::ec::parity_units(k, n, &data_units);
-        let units: Vec<Vec<u8>> = data_units.into_iter().chain(parity).collect();
-        let header = RegionHeader {
-            seq: flushed,
-            len: stage.len,
-            overwritten: stage.overwritten,
-            gen: stage.gen,
-            frag_tail: stage.frag_tail + (FRAG_ENTRY_SIZE + unit_len) as u64,
-            prev_tail: stage.prev_tail,
-            spill_seq: stage.spill_seq,
-            capacity: self.capacity as u32,
-        };
-        let header_bytes = Bytes::copy_from_slice(&header.encode());
-        let half_off = HEADER_SIZE + (stage.gen % 2) as usize * half_cap;
-        let entry_off = half_off + stage.frag_tail as usize;
-
-        let mut rep = self.rep_guard();
-        self.register_flights(&mut rep, &stage.pending);
-        let idle_below = stage.flushed_seq;
-        let now = Instant::now();
-        for slot in rep.peers.iter_mut().filter(|s| s.alive) {
-            if slot.completed_seq >= idle_below {
-                slot.detector.touch(now);
-            }
-            let entry = FragEntry {
-                burst_seq: flushed,
-                burst_len,
-                unit_len: unit_len as u32,
-                shard: slot.shard,
-            };
-            let unit = &units[slot.shard as usize];
-            let frame = entry.encode(unit);
-            // One doorbell per peer: the fragment entry (header framing +
-            // unit, scatter-gathered) then the region header — QP order
-            // makes "header completed" imply "fragment landed".
-            let wrs = [
-                WorkRequest::WriteSg {
-                    wr_id: WrId(2 * flushed),
-                    mr: slot.mr,
-                    offset: entry_off,
-                    slices: vec![Bytes::copy_from_slice(&frame), Bytes::copy_from_slice(unit)],
-                },
-                WorkRequest::Write {
-                    wr_id: WrId(2 * flushed + 1),
-                    mr: slot.mr,
-                    offset: 0,
-                    data: header_bytes.clone(),
-                },
-            ];
-            let _ = slot.qp.post_many(&wrs);
-            if self.metrics.enabled {
-                self.metrics
-                    .wire_bytes
-                    .add((FRAG_ENTRY_SIZE + unit_len + HEADER_WIRE_SIZE) as u64);
-            }
-        }
-        drop(rep);
-        stage.frag_tail += (FRAG_ENTRY_SIZE + unit_len) as u64;
-        stage.flushed_seq = flushed;
-        stage.pending.clear();
-        if stage.spill.is_none() && stage.frag_tail as usize > watermark {
-            self.start_spill(stage, false);
-        }
-    }
-
-    /// Observes a finished spill demotion, if any: on success the fragment
-    /// area flips to the spilled generation — the *next* flush's header
-    /// carries the flip, atomically with its tail reset. On sink failure
-    /// the demotion is dropped and retried by a later flush.
-    fn try_finalize_spill(&self, stage: &mut Stage) {
-        let Some(sp) = &stage.spill else {
-            return;
-        };
-        if sp.failed.load(Ordering::Acquire) {
-            let sp = stage.spill.take().expect("spill present");
-            self.metrics.tel.event(
-                events::SPILL_FAIL,
-                self.metrics.scope,
-                0,
-                format!("gen={} seq={}", sp.gen, sp.seq),
-            );
-            return;
-        }
-        if !sp.done.load(Ordering::Acquire) {
-            return;
-        }
-        let sp = stage.spill.take().expect("spill present");
-        stage.prev_tail = stage.frag_tail;
-        stage.frag_tail = 0;
-        stage.gen = sp.gen;
-        stage.spill_seq = sp.seq;
-        self.metrics.tel.event(
-            events::SPILL_FINISH,
-            self.metrics.scope,
-            0,
-            format!("gen={} seq={}", sp.gen, sp.seq),
-        );
-    }
-
-    /// Starts demoting the current acked image to the spill sink as the
-    /// snapshot of generation `stage.gen + 1`. Synchronous stores complete
-    /// inline (overflow handling); asynchronous ones run on a helper thread
-    /// and are observed by [`NclFile::try_finalize_spill`].
-    fn start_spill(&self, stage: &mut Stage, sync: bool) {
-        let Some(sink) = self.ctx.config.spill.clone() else {
-            return;
-        };
-        let snap = SpillSnapshot {
-            spill_seq: stage.seq,
-            len: stage.len,
-            overwritten: stage.overwritten,
-            capacity: self.capacity as u64,
-            data: stage.buffer[..stage.len as usize].to_vec(),
-        };
-        let gen = stage.gen + 1;
-        let seq = stage.seq;
-        let done = Arc::new(AtomicBool::new(false));
-        let failed = Arc::new(AtomicBool::new(false));
-        self.metrics.spills.inc();
-        self.metrics.tel.event(
-            events::SPILL_START,
-            self.metrics.scope,
-            0,
-            format!("gen={gen} seq={seq} bytes={} sync={sync}", snap.len),
-        );
-        stage.spill = Some(PendingSpill {
-            gen,
-            seq,
-            done: Arc::clone(&done),
-            failed: Arc::clone(&failed),
-        });
-        let scope = self.metrics.scope;
-        let store = move || match sink.store(scope, gen, &snap) {
-            Ok(()) => done.store(true, Ordering::Release),
-            Err(_) => failed.store(true, Ordering::Release),
-        };
-        if sync {
-            store();
-        } else {
-            std::thread::spawn(store);
-        }
-    }
-
-    /// Forces a generation flip: waits for the in-flight demotion (starting
-    /// a synchronous one if none is running) and finalizes it, leaving the
-    /// active half empty. Called when a burst entry cannot fit.
-    fn wait_spill_and_flip(&self, stage: &mut Stage) {
-        let g0 = stage.gen;
-        loop {
-            self.try_finalize_spill(stage);
-            if stage.gen > g0 {
-                return;
-            }
-            if stage.spill.is_none() {
-                self.start_spill(stage, true);
-            } else {
-                sim::delay(Duration::from_micros(50));
-            }
-        }
-    }
-
-    /// Waits out an in-flight spill demotion *without* flipping, then
-    /// forgets it. Peer replacement stores its own snapshot under the same
-    /// `(scope, gen + 1)` key; letting the async store land afterwards
-    /// would overwrite it with a stale image.
-    fn wait_out_pending_spill(&self, stage: &mut Stage) {
-        while let Some(sp) = &stage.spill {
-            if sp.done.load(Ordering::Acquire) || sp.failed.load(Ordering::Acquire) {
-                stage.spill = None;
-                return;
-            }
-            sim::delay(Duration::from_micros(50));
-        }
-    }
-
-    /// Durability barrier: returns once every record up to and including
-    /// `seq` is durable on the acknowledgement quorum.
-    ///
-    /// All failure handling of the write path lives here, in the drain
-    /// path: a dead peer is replaced inline once the awaited prefix is
-    /// durable on the survivors (the Figure 12 "blip"); a lost majority
-    /// blocks until replacement restores a quorum (replacement catch-up
-    /// copies the staged image, which includes every in-flight record, so
-    /// the prefix-acknowledgement invariant is preserved).
-    pub fn wait_durable(&self, seq: u64) -> Result<(), NclError> {
-        enum Next {
-            Done,
-            Repair { must: bool },
-            Wait,
-        }
-        // Fast path: the record is already acked and nothing needs
-        // attention. Two atomic loads, zero mutexes — the property the
-        // lock-audit tests pin. With a shard reactor publishing the
-        // watermark in the background this is the steady-state barrier.
-        if self.acked.fast_acked(seq) {
-            return Ok(());
-        }
-        let ctx = &self.ctx;
-        let deadline = Instant::now() + ctx.config.write_timeout;
-        let mut backoff = Backoff::new(ctx.config.backoff_base, ctx.config.backoff_cap, seq);
-        // A barrier on a record still sitting in the staged burst must ring
-        // the doorbell first, or it would wait on never-posted requests.
-        {
-            let mut stage = self.stage_guard();
-            if stage.flushed_seq < seq {
-                self.flush_staged(&mut stage, FlushReason::Barrier);
-            }
-        }
-        loop {
-            let (next, cq) = {
-                let mut rep = self.rep_guard();
-                rep.drain();
-                rep.suspect_stalled(&ctx.config, seq);
-                rep.refresh_durable(&ctx.config);
-                let next = if rep.durable_seq >= seq {
-                    if rep.failure_seen {
-                        Next::Repair { must: false }
-                    } else {
-                        Next::Done
-                    }
-                } else if rep.alive() < ctx.config.quorum() {
-                    Next::Repair { must: true }
-                } else {
-                    Next::Wait
-                };
-                (next, rep.cq.clone())
-            };
-            match next {
-                Next::Done => return Ok(()),
-                Next::Repair { must } => {
-                    let mut stage = self.stage_guard();
-                    match self.replace_failed(&mut stage) {
-                        Ok(()) => continue,
-                        Err(e) => {
-                            if !must {
-                                // The awaited prefix is durable on the
-                                // survivors; replacement is deferred to
-                                // `maintain` instead of failing the record.
-                                let mut rep = self.rep_guard();
-                                rep.repair_pending = true;
-                                rep.failure_seen = false;
-                                // Clear the attention bit so fast-path
-                                // barriers resume while repair is deferred.
-                                rep.publish_acked(&ctx.config);
-                                return Ok(());
-                            }
-                            if Instant::now() >= deadline {
-                                return Err(e);
-                            }
-                            drop(stage);
-                            // Bounded exponential backoff with jitter: the
-                            // cluster is short of peers, and hammering the
-                            // controller will not conjure one.
-                            sim::delay(backoff.next_delay());
-                        }
-                    }
-                }
-                Next::Wait => {
-                    if Instant::now() >= deadline {
-                        return Err(NclError::QuorumUnavailable(format!(
-                            "record {seq} not durable within timeout"
-                        )));
-                    }
-                    if self.hosted.load(Ordering::Acquire) {
-                        // Hosted file: the shard reactor drains the
-                        // completion queue and publishes the watermark.
-                        // Never park while the awaited record is still in
-                        // the staged burst — that doorbell tail would wait
-                        // on never-posted requests. Records staged *beyond*
-                        // the awaited one keep accumulating toward their
-                        // natural burst boundary: flushing them here would
-                        // fragment the doorbell batches of a pipelined
-                        // writer every time the window back-pressures
-                        // mid-burst.
-                        {
-                            let mut stage = self.stage_guard();
-                            if stage.flushed_seq < seq {
-                                self.flush_staged(&mut stage, FlushReason::Barrier);
-                                continue;
-                            }
-                        }
-                        let remaining = deadline.saturating_duration_since(Instant::now());
-                        self.acked
-                            .park_until(seq, remaining.min(Duration::from_millis(50)));
-                        continue;
-                    }
-                    // NCL polls the completion queues (§4.4). With NIC
-                    // engine threads a short poll-and-yield loop catches the
-                    // microsecond-scale completions; with an inline NIC
-                    // completions only ever appear when another thread
-                    // posts, so spinning is pure waste — go straight to the
-                    // blocking wait, whose timeout is derived from the
-                    // record deadline (the queue wakes on every completion,
-                    // so a long timeout costs nothing in the common case).
-                    let mut wcs = Vec::new();
-                    if !ctx.config.inline_nic {
-                        for _ in 0..64 {
-                            wcs = cq.poll();
-                            if !wcs.is_empty() {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                    if wcs.is_empty() {
-                        let remaining = deadline.saturating_duration_since(Instant::now());
-                        wcs = cq.wait(remaining.min(Duration::from_millis(50)));
-                    }
-                    if !wcs.is_empty() {
-                        self.rep_guard().absorb(wcs);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Replaces every dead peer slot, restoring `2f + 1` live peers.
-    ///
-    /// Steps per the paper (§4.5.2) and Table 3: get new peers from the
-    /// controller; connect and set up their memory regions; catch them up
-    /// from the local buffer in parallel (so each holds everything up to
-    /// the current sequence number); and only after that update the ap-map —
-    /// first bumping the surviving peers' region epochs so the leak GC
-    /// cannot misfire.
-    ///
-    /// The caller holds the staging lock (freezing the image and blocking
-    /// new posts); the replication lock is dropped during the catch-up
-    /// copies so concurrent durability waiters keep draining completions.
-    fn replace_failed(&self, stage: &mut Stage) -> Result<(), NclError> {
-        let ctx = &*self.ctx;
-        let tel = &ctx.config.telemetry;
-        let scope = telemetry::intern_scope(&format!("{}/{}", ctx.app_id, self.name));
-        let repair_trace = tel.next_trace_id();
-        let repair_start = Instant::now();
-        let mut stats = RepairStats::default();
-        // Catch-up stamps `stage.seq`, which covers any records still in the
-        // pending burst (the staged image already contains their bytes).
-        // Post the burst to the survivors first so the flush boundary and
-        // the catch-up header agree — the model checker's
-        // replace-implies-flush rule.
-        self.flush_staged(stage, FlushReason::Replace);
-        let is_ec = ctx.config.durability.is_ec();
-        let header = if is_ec {
-            // A fresh peer cannot be caught up from fragment history (its
-            // row of every past stripe is gone). Reset instead: store the
-            // full image as the next generation's spill snapshot —
-            // synchronously, and only after waiting out any in-flight
-            // demotion that shares the `(scope, gen + 1)` sink key — and
-            // hand out a header with empty fragment tails. Survivors need
-            // no reset write of their own: the next flush posts this same
-            // header (atomically with its first new-generation entry).
-            self.wait_out_pending_spill(stage);
-            let sink =
-                ctx.config.spill.clone().ok_or_else(|| {
-                    NclError::Rejected("EC replacement requires a spill sink".into())
-                })?;
-            let new_gen = stage.gen + 1;
-            let snap = SpillSnapshot {
-                spill_seq: stage.seq,
-                len: stage.len,
-                overwritten: stage.overwritten,
-                capacity: self.capacity as u64,
-                data: stage.buffer[..stage.len as usize].to_vec(),
-            };
-            sink.store(self.metrics.scope, new_gen, &snap)
-                .map_err(NclError::Unavailable)?;
-            RegionHeader {
-                seq: stage.seq,
-                len: stage.len,
-                overwritten: stage.overwritten,
-                gen: new_gen,
-                frag_tail: 0,
-                prev_tail: 0,
-                spill_seq: stage.seq,
-                capacity: self.capacity as u32,
-            }
-        } else {
-            RegionHeader {
-                seq: stage.seq,
-                len: stage.len,
-                overwritten: stage.overwritten,
-                ..Default::default()
-            }
-        };
-
-        // Phase A: drop dead slots (their QPs are in error state) and
-        // acquire all replacements.
-        let (epoch, mut fresh) = {
-            let mut rep = self.rep_guard();
-            if rep.peers.iter().all(|s| s.alive) && rep.peers.len() == ctx.config.replicas() {
-                rep.repair_pending = false;
-                rep.failure_seen = false;
-                rep.publish_acked(&ctx.config);
-                return Ok(());
-            }
-            let epoch = rep.epoch + 1;
-            let mut exclude: Vec<String> = rep.peers.iter().map(|s| s.name.clone()).collect();
-            let dead: Vec<String> = rep
-                .peers
-                .iter()
-                .filter(|s| !s.alive)
-                .map(|s| s.name.clone())
-                .collect();
-            tel.event_traced(
-                events::PEER_REPLACE_START,
-                scope,
-                epoch,
-                repair_trace,
-                format!("replacing [{}]", dead.join(", ")),
-            );
-            rep.peers.retain(|s| s.alive);
-            rep.rebuild_qp_map();
-            let acquire_start = Instant::now();
-            let region_data = ctx.config.region_size(self.capacity) - HEADER_SIZE;
-            let mut fresh: Vec<PeerSlot> = Vec::new();
-            while rep.peers.len() + fresh.len() < ctx.config.replicas() {
-                let slot = acquire_peer_timed(
-                    ctx,
-                    &self.name,
-                    epoch,
-                    region_data,
-                    &rep.cq,
-                    &mut exclude,
-                    &mut stats,
-                )?;
-                fresh.push(slot);
-            }
-            if is_ec {
-                // Each fresh peer inherits a dead slot's generator row —
-                // the row index is what selects its unit of every stripe.
-                let used: HashSet<u32> = rep.peers.iter().map(|s| s.shard).collect();
-                let mut free = (0..ctx.config.replicas() as u32).filter(|r| !used.contains(r));
-                for slot in fresh.iter_mut() {
-                    slot.shard = free.next().expect("one free generator row per fresh peer");
-                }
-            }
-            tel.span_auto(
-                repair_trace,
-                repair_trace,
-                spans::NCL_REPAIR_ACQUIRE,
-                scope,
-                epoch,
-                acquire_start,
-                Instant::now(),
-            );
-            for s in &fresh {
-                rep.expecting.insert(s.qp.qp_num());
-            }
-            (epoch, fresh)
-        };
-
-        // Phase B (replication lock released): catch the fresh peers up in
-        // parallel — each copy is a bulk RDMA write whose latency would
-        // otherwise serialise.
-        let sw = Stopwatch::start();
-        let catchup_start = Instant::now();
-        let wait = RepWait { file: self };
-        let buffer = &stage.buffer;
-        let results: Vec<Result<(), NclError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = fresh
-                .iter_mut()
-                .map(|slot| {
-                    let wait = &wait;
-                    scope.spawn(move || {
-                        let start = Instant::now();
-                        let peer = telemetry::intern_scope(&slot.name);
-                        let result = catch_up_fresh(ctx, wait, slot, epoch, &header, buffer, is_ec);
-                        tel.span_auto(
-                            repair_trace,
-                            repair_trace,
-                            spans::NCL_REPAIR_CATCHUP,
-                            peer,
-                            epoch,
-                            start,
-                            Instant::now(),
-                        );
-                        result
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("catch-up thread"))
-                .collect()
-        });
-        stats.catch_up += sw.elapsed();
-        let catchup_end = Instant::now();
-
-        // Phase C: commit.
-        let mut rep = self.rep_guard();
-        for s in &fresh {
-            rep.expecting.remove(&s.qp.qp_num());
-        }
-        rep.prune_stray();
-        if let Some(e) = results.into_iter().find_map(|r| r.err()) {
-            // Survivors are kept; the fresh regions are abandoned (their
-            // peers GC them by epoch). The caller defers or retries. Close
-            // the repair root so its child spans stay reachable.
-            tel.span(
-                repair_trace,
-                repair_trace,
-                0,
-                spans::NCL_REPAIR,
-                scope,
-                epoch,
-                repair_start,
-                Instant::now(),
-            );
-            return Err(e);
-        }
-        let sw = Stopwatch::start();
-        let commit_start = Instant::now();
-        // Survivors first: bump their region epochs so e_r stays ≥ the
-        // ap-map epoch (see peer::PeerReq::BumpEpoch).
-        for slot in rep.peers.iter() {
-            let _ = slot.endpoint.rpc.call(
-                ctx.node,
-                PeerReq::BumpEpoch {
-                    app: ctx.app_id.clone(),
-                    file: self.name.clone(),
-                    epoch,
-                },
-            );
-        }
-        tel.event_traced(
-            events::EPOCH_BUMP,
-            scope,
-            epoch,
-            repair_trace,
-            format!("bumped {} survivors", rep.peers.len()),
-        );
-        // Cross-shard ordering: every shard reactor observes the bump, the
-        // catch-up, and the ap-map rewrite in this exact sequence — the log
-        // is appended in protocol order and applied in log order.
-        if let Some(runtime) = &ctx.config.runtime {
-            runtime.log_op(ShardOp::EpochBump { scope, epoch });
-            runtime.log_op(ShardOp::CatchUp {
-                scope,
-                epoch,
-                seq: header.seq,
-            });
-            runtime.log_op(ShardOp::PeerReplace {
-                scope,
-                epoch,
-                peers: fresh
-                    .iter()
-                    .map(|s| s.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            });
-        }
-        // Replaced-in peers never produced wire completions for records that
-        // were in flight when they joined — the catch-up copy is what made
-        // those records durable on them. Credit each such flight with a
-        // catch-up coverage span so its quorum is reconstructible from the
-        // trace alone.
-        let fresh_info: Vec<(&'static str, u32)> = fresh
-            .iter()
-            .map(|s| (telemetry::intern_scope(&s.name), s.qp.qp_num()))
-            .collect();
-        for (&fseq, flight) in rep.flights.iter_mut() {
-            if fseq > header.seq || flight.trace == 0 {
-                continue;
-            }
-            for &(peer, qp_num) in &fresh_info {
-                if !flight.covered.contains(&qp_num) {
-                    flight.covered.push(qp_num);
-                    tel.span_auto(
-                        flight.trace,
-                        flight.trace,
-                        spans::NCL_CATCHUP_PEER,
-                        peer,
-                        epoch,
-                        catchup_start,
-                        catchup_end,
-                    );
-                }
-            }
-        }
-        rep.peers.extend(fresh);
-        rep.rebuild_qp_map();
-        let names: Vec<String> = rep.peers.iter().map(|s| s.name.clone()).collect();
-        ctx.controller
-            .set_ap_entry(ctx.node, &ctx.app_id, &self.name, names.clone(), epoch)?;
-        if let Some(runtime) = &ctx.config.runtime {
-            runtime.log_op(ShardOp::ApMapUpdate { scope, epoch });
-        }
-        stats.update_ap_map = sw.elapsed();
-        tel.span_auto(
-            repair_trace,
-            repair_trace,
-            spans::NCL_REPAIR_COMMIT,
-            scope,
-            epoch,
-            commit_start,
-            Instant::now(),
-        );
-        tel.event_traced(
-            events::PEER_REPLACE_FINISH,
-            scope,
-            epoch,
-            repair_trace,
-            format!(
-                "peers=[{}] catch_up={:?} update_ap_map={:?}",
-                names.join(", "),
-                stats.catch_up,
-                stats.update_ap_map
-            ),
-        );
-
-        if is_ec {
-            // The replacements hold the reset header; mirror its state so
-            // the next flush posts the same generation (with its first
-            // entry) to the survivors too.
-            stage.gen = header.gen;
-            stage.frag_tail = 0;
-            stage.prev_tail = 0;
-            stage.spill_seq = header.seq;
-        }
-        rep.epoch = epoch;
-        rep.repair_pending = false;
-        // A survivor may have died while the replacements caught up; leave
-        // the flag set so the next barrier repairs again.
-        rep.failure_seen = rep.peers.iter().any(|s| !s.alive);
-        rep.last_repair = stats;
-        rep.refresh_durable(&ctx.config);
-        tel.span(
-            repair_trace,
-            repair_trace,
-            0,
-            spans::NCL_REPAIR,
-            scope,
-            epoch,
-            repair_start,
-            Instant::now(),
-        );
-        Ok(())
-    }
-
-    /// Retries a deferred peer replacement (call from a background
-    /// maintenance loop; the paper's "maintaining FT level").
-    pub fn maintain(&self) -> Result<bool, NclError> {
-        {
-            let mut rep = self.rep_guard();
-            rep.drain();
-            rep.refresh_durable(&self.ctx.config);
-            if !rep.repair_pending && rep.peers.iter().all(|s| s.alive) {
-                return Ok(false);
-            }
-        }
-        let mut stage = self.stage_guard();
-        self.replace_failed(&mut stage)?;
-        Ok(true)
-    }
-
-    /// True when a peer failure is pending replacement.
-    pub fn repair_pending(&self) -> bool {
-        self.rep_guard().repair_pending
-    }
-
-    /// Durability barrier over everything issued so far: waits until the
-    /// latest staged record is durable. A no-op after synchronous `record`
-    /// calls; the real fence for `record_nowait` pipelines.
-    pub fn fsync(&self) -> Result<(), NclError> {
-        // Lock-free read of the issued counter: an fsync of fully durable
-        // data composes with the `wait_durable` fast path into a
-        // zero-mutex barrier.
-        let seq = self.issued.load(Ordering::Acquire);
-        self.wait_durable(seq)
     }
 
     /// Releases the file: frees the peer regions and removes the ap-map
@@ -2828,500 +433,5 @@ impl NclFile {
         ctx.controller
             .delete_ap_entry(ctx.node, &ctx.app_id, &self.name)?;
         Ok(())
-    }
-}
-
-/// Translates one staged burst into the work-request sequence for a peer.
-///
-/// Data WRs come first in sequence order, with remotely-contiguous
-/// neighbours merged into scatter-gather WRs (a pure append burst collapses
-/// into a single data WR); ordering between non-contiguous runs is kept, so
-/// overlapping overwrites still apply in sequence order. With coalesced
-/// headers only the burst-final record's header follows — every header
-/// overwrites the same fixed location and the prefix rule needs only the
-/// highest sequence number per barrier. Without coalescing, each record's
-/// data WR is chased by its own header WR, reproducing the pre-batching
-/// wire history (the `coalesce_headers: false` ablation).
-fn build_burst(
-    wrs: &mut Vec<WorkRequest>,
-    pending: &[PendingRecord],
-    mr: &RemoteMr,
-    coalesce: bool,
-) {
-    if !coalesce {
-        for rec in pending {
-            wrs.push(WorkRequest::Write {
-                wr_id: WrId(2 * rec.seq),
-                mr: *mr,
-                offset: HEADER_SIZE + rec.offset,
-                data: rec.payload.clone(),
-            });
-            wrs.push(WorkRequest::Write {
-                wr_id: WrId(2 * rec.seq + 1),
-                mr: *mr,
-                offset: 0,
-                data: rec.header.clone(),
-            });
-        }
-        return;
-    }
-    let mut i = 0;
-    while i < pending.len() {
-        let start = pending[i].offset;
-        let mut end = start + pending[i].payload.len();
-        let mut j = i + 1;
-        while j < pending.len() && pending[j].offset == end {
-            end += pending[j].payload.len();
-            j += 1;
-        }
-        // The merged WR borrows the run-final record's data id; data ids
-        // never drive acknowledgement (only odd header ids do), they only
-        // have to stay unique per QP.
-        let wr_id = WrId(2 * pending[j - 1].seq);
-        if j - i == 1 {
-            wrs.push(WorkRequest::Write {
-                wr_id,
-                mr: *mr,
-                offset: HEADER_SIZE + start,
-                data: pending[i].payload.clone(),
-            });
-        } else {
-            wrs.push(WorkRequest::WriteSg {
-                wr_id,
-                mr: *mr,
-                offset: HEADER_SIZE + start,
-                slices: pending[i..j].iter().map(|r| r.payload.clone()).collect(),
-            });
-        }
-        i = j;
-    }
-    let last = pending.last().expect("burst nonempty");
-    wrs.push(WorkRequest::Write {
-        wr_id: WrId(2 * last.seq + 1),
-        mr: *mr,
-        offset: 0,
-        data: last.header.clone(),
-    });
-}
-
-/// Targeted wait for one work completion on a completion queue that other
-/// waiters may be draining concurrently.
-trait WcWait: Sync {
-    fn wait_for(&self, qp_num: u32, wr_id: WrId, timeout: Duration) -> Option<WorkCompletion>;
-}
-
-/// [`WcWait`] over a private completion queue (recovery, before the file
-/// handle exists): concurrent per-peer threads share a stash so none of
-/// them loses a completion another thread drained.
-struct WcRouter<'a> {
-    cq: &'a CompletionQueue,
-    stash: Mutex<Vec<(u32, WorkCompletion)>>,
-}
-
-impl<'a> WcRouter<'a> {
-    fn new(cq: &'a CompletionQueue) -> Self {
-        WcRouter {
-            cq,
-            stash: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl WcWait for WcRouter<'_> {
-    fn wait_for(&self, qp_num: u32, wr_id: WrId, timeout: Duration) -> Option<WorkCompletion> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let mut stash = self.stash.lock();
-                if let Some(pos) = stash
-                    .iter()
-                    .position(|(n, wc)| *n == qp_num && wc.wr_id == wr_id)
-                {
-                    return Some(stash.remove(pos).1);
-                }
-            }
-            let wcs = self.cq.wait(Duration::from_millis(2));
-            if !wcs.is_empty() {
-                let mut found = None;
-                let mut stash = self.stash.lock();
-                for (n, wc) in wcs {
-                    if found.is_none() && n == qp_num && wc.wr_id == wr_id {
-                        found = Some(wc);
-                    } else {
-                        stash.push((n, wc));
-                    }
-                }
-                drop(stash);
-                if found.is_some() {
-                    return found;
-                }
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-        }
-    }
-}
-
-/// [`WcWait`] over a live file's shared completion queue: everything drained
-/// is absorbed into the replication state, and the waiter's own completion
-/// comes back out of [`Rep::stray`] where `absorb` parks it.
-struct RepWait<'a> {
-    file: &'a NclFile,
-}
-
-impl WcWait for RepWait<'_> {
-    fn wait_for(&self, qp_num: u32, wr_id: WrId, timeout: Duration) -> Option<WorkCompletion> {
-        let deadline = Instant::now() + timeout;
-        let take = |rep: &mut Rep| -> Option<WorkCompletion> {
-            rep.stray
-                .iter()
-                .position(|(n, wc)| *n == qp_num && wc.wr_id == wr_id)
-                .map(|pos| rep.stray.remove(pos).1)
-        };
-        loop {
-            let cq = {
-                let mut rep = self.file.rep_guard();
-                rep.drain();
-                if let Some(wc) = take(&mut rep) {
-                    return Some(wc);
-                }
-                rep.cq.clone()
-            };
-            let wcs = cq.wait(Duration::from_millis(2));
-            if !wcs.is_empty() {
-                let mut rep = self.file.rep_guard();
-                rep.absorb(wcs);
-                if let Some(wc) = take(&mut rep) {
-                    return Some(wc);
-                }
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-        }
-    }
-}
-
-/// Rejects malformed erasure-coding configurations at file-create time:
-/// the parameters must describe a real `k`-of-`n` code and a spill sink
-/// must exist, because the fragment area is bounded and cold prefixes have
-/// nowhere else to go.
-fn validate_ec_config(config: &NclConfig) -> Result<(), NclError> {
-    let Some((k, n)) = config.durability.ec_params() else {
-        return Ok(());
-    };
-    if k == 0 || n <= k || n > 255 {
-        return Err(NclError::Rejected(format!(
-            "invalid erasure-coding parameters k={k} n={n}"
-        )));
-    }
-    if config.spill.is_none() {
-        return Err(NclError::Rejected(
-            "erasure-coded durability requires a spill sink (NclConfig::spill)".to_string(),
-        ));
-    }
-    Ok(())
-}
-
-/// Publishes the file's durability scheme: a [`events::DURABILITY_MODE`]
-/// event (the trace analyzer parses `k=` out of it to pick the coverage an
-/// acked write must have) and, under EC, the effective spill watermark as a
-/// gauge.
-fn announce_durability(ctx: &Ctx, scope: &str, epoch: u64, capacity: usize) {
-    let tel = &ctx.config.telemetry;
-    match ctx.config.durability {
-        crate::config::Durability::Replicated => {
-            tel.event(
-                events::DURABILITY_MODE,
-                scope,
-                epoch,
-                "replicated".to_string(),
-            );
-        }
-        crate::config::Durability::Ec { k, n } => {
-            tel.event(
-                events::DURABILITY_MODE,
-                scope,
-                epoch,
-                format!("ec k={k} n={n}"),
-            );
-            tel.gauge("ncl.spill.watermark")
-                .set(ec_spill_watermark(&ctx.config, capacity) as i64);
-        }
-    }
-}
-
-/// Fragment-tail watermark past which a spill demotion starts:
-/// [`NclConfig::spill_watermark`], or three quarters of the generation half
-/// when left at 0.
-fn ec_spill_watermark(config: &NclConfig, capacity: usize) -> usize {
-    if config.spill_watermark > 0 {
-        config.spill_watermark
-    } else {
-        config.ec_half_capacity(capacity) * 3 / 4
-    }
-}
-
-/// Obtains one fresh peer: ask the controller for candidates (their
-/// availability is only a hint), try to allocate, connect a QP.
-fn acquire_peer(
-    ctx: &Ctx,
-    file: &str,
-    epoch: u64,
-    capacity: usize,
-    cq: &CompletionQueue,
-    exclude: &mut Vec<String>,
-) -> Result<PeerSlot, NclError> {
-    let mut stats = RepairStats::default();
-    acquire_peer_timed(ctx, file, epoch, capacity, cq, exclude, &mut stats)
-}
-
-fn acquire_peer_timed(
-    ctx: &Ctx,
-    file: &str,
-    epoch: u64,
-    capacity: usize,
-    cq: &CompletionQueue,
-    exclude: &mut Vec<String>,
-    stats: &mut RepairStats,
-) -> Result<PeerSlot, NclError> {
-    let need = (HEADER_SIZE + capacity) as u64;
-    let mut backoff = Backoff::new(ctx.config.backoff_base, ctx.config.backoff_cap, epoch);
-    loop {
-        let sw = Stopwatch::start();
-        let candidates = ctx
-            .controller
-            .get_peers(ctx.node, &ctx.app_id, need, 4, exclude)?;
-        stats.get_peer += sw.elapsed();
-        if candidates.is_empty() {
-            return Err(NclError::QuorumUnavailable(
-                "controller has no eligible peers".to_string(),
-            ));
-        }
-        for cand in candidates {
-            exclude.push(cand.name.clone());
-            let Some(endpoint) = ctx.registry.lookup(&cand.name) else {
-                continue;
-            };
-            let sw = Stopwatch::start();
-            let resp = endpoint.rpc.call(
-                ctx.node,
-                PeerReq::Alloc {
-                    app: ctx.app_id.clone(),
-                    file: file.to_string(),
-                    epoch,
-                    capacity,
-                },
-            );
-            let Ok(PeerResp::Mr(mr)) = resp else {
-                stats.connect_mr += sw.elapsed();
-                continue; // The hint was stale or the peer is down: retry.
-            };
-            // Connection setup is one more control round trip.
-            ctx.config.control.charge(0);
-            let qp = QueuePair::connect_with_mode(
-                ctx.cluster.clone(),
-                ctx.node,
-                &endpoint.device,
-                cq.clone(),
-                ctx.config.rdma,
-                ctx.config.inline_nic,
-            );
-            if ctx.config.telemetry.is_enabled() {
-                qp.set_wire_hist(ctx.config.telemetry.histogram("rdma.wr.wire"));
-            }
-            stats.connect_mr += sw.elapsed();
-            return Ok(PeerSlot {
-                name: cand.name,
-                endpoint,
-                mr,
-                qp,
-                completed_seq: 0,
-                shard: 0,
-                alive: true,
-                detector: PhiDetector::new(Instant::now()),
-            });
-        }
-        // Every candidate of this round was stale or down; back off before
-        // asking the controller again so a flapping cluster is not hammered.
-        sim::delay(backoff.next_delay());
-    }
-}
-
-/// Catches a freshly allocated peer up from the local image: one bulk data
-/// write plus the header, using the current sequence's WR ids so the normal
-/// completion path credits the peer.
-fn catch_up_fresh(
-    ctx: &Ctx,
-    wait: &dyn WcWait,
-    slot: &mut PeerSlot,
-    epoch: u64,
-    header: &RegionHeader,
-    buffer: &[u8],
-    skip_data: bool,
-) -> Result<(), NclError> {
-    let seq = header.seq;
-    ctx.config.telemetry.event(
-        events::CATCH_UP_START,
-        &slot.name,
-        epoch,
-        format!(
-            "fresh peer, {} bytes",
-            if skip_data { 0 } else { header.len }
-        ),
-    );
-    if header.len > 0 && !skip_data {
-        let data = Bytes::copy_from_slice(&buffer[..header.len as usize]);
-        slot.qp
-            .post_write(WrId(2 * seq), &slot.mr, HEADER_SIZE, data)
-            .map_err(|e| NclError::Unavailable(e.to_string()))?;
-    }
-    slot.qp
-        .post_write(
-            WrId(2 * seq + 1),
-            &slot.mr,
-            0,
-            Bytes::copy_from_slice(&header.encode()),
-        )
-        .map_err(|e| NclError::Unavailable(e.to_string()))?;
-    match wait.wait_for(
-        slot.qp.qp_num(),
-        WrId(2 * seq + 1),
-        ctx.config.write_timeout,
-    ) {
-        Some(wc) if wc.status == WcStatus::Success => {
-            slot.completed_seq = seq;
-            ctx.config.telemetry.event(
-                events::CATCH_UP_FINISH,
-                &slot.name,
-                epoch,
-                format!("fresh peer caught up to seq={seq}"),
-            );
-            Ok(())
-        }
-        _ => Err(NclError::Unavailable(format!(
-            "catch-up of peer {} failed",
-            slot.name
-        ))),
-    }
-}
-
-/// Recovery catch-up of a peer that still holds a (possibly lagging) region:
-/// stage a fresh region, fill it, and atomically switch.
-///
-/// For append-only files (`overwritten == false`) the staged region is
-/// pre-filled from the peer's current one and only the missing tail is
-/// shipped — the §6 byte-diff optimisation. Circular logs always ship the
-/// full image, because a lagging circular region's bytes are not a prefix of
-/// the recovered image (Figure 7ii).
-#[allow(clippy::too_many_arguments)]
-fn catch_up_existing(
-    ctx: &Ctx,
-    file: &str,
-    epoch: u64,
-    capacity: usize,
-    wait: &dyn WcWait,
-    slot: PeerSlot,
-    peer_header: RegionHeader,
-    rec_header: &RegionHeader,
-    buffer: &[u8],
-    skip_data: bool,
-) -> Result<PeerSlot, NclError> {
-    // `skip_data` (EC reset): the region holds fragment stripes, not the
-    // file image — only the fresh header is shipped, into an empty region.
-    let tail_only = !skip_data
-        && ctx.config.tail_diff_catchup
-        && !rec_header.overwritten
-        && !peer_header.overwritten
-        && peer_header.len <= rec_header.len;
-    let copy_current = tail_only;
-    ctx.config.telemetry.event(
-        events::CATCH_UP_START,
-        &slot.name,
-        epoch,
-        format!(
-            "existing peer at seq={}, {}",
-            peer_header.seq,
-            if tail_only { "tail-diff" } else { "full copy" }
-        ),
-    );
-    let resp = slot.endpoint.rpc.call(
-        ctx.node,
-        PeerReq::Prepare {
-            app: ctx.app_id.clone(),
-            file: file.to_string(),
-            epoch,
-            capacity,
-            copy_current,
-        },
-    );
-    let Ok(PeerResp::Mr(staged)) = resp else {
-        return Err(NclError::Unavailable(format!(
-            "peer {} rejected prepare",
-            slot.name
-        )));
-    };
-    let seq = rec_header.seq;
-    let (start, end) = if skip_data {
-        (0, 0)
-    } else if tail_only {
-        (peer_header.len as usize, rec_header.len as usize)
-    } else {
-        (0, rec_header.len as usize)
-    };
-    if end > start {
-        let data = Bytes::copy_from_slice(&buffer[start..end]);
-        slot.qp
-            .post_write(WrId(2 * seq), &staged, HEADER_SIZE + start, data)
-            .map_err(|e| NclError::Unavailable(e.to_string()))?;
-    }
-    slot.qp
-        .post_write(
-            WrId(2 * seq + 1),
-            &staged,
-            0,
-            Bytes::copy_from_slice(&rec_header.encode()),
-        )
-        .map_err(|e| NclError::Unavailable(e.to_string()))?;
-    match wait.wait_for(
-        slot.qp.qp_num(),
-        WrId(2 * seq + 1),
-        ctx.config.write_timeout,
-    ) {
-        Some(wc) if wc.status == WcStatus::Success => {}
-        _ => {
-            return Err(NclError::Unavailable(format!(
-                "catch-up write to {} failed",
-                slot.name
-            )))
-        }
-    }
-    let resp = slot.endpoint.rpc.call(
-        ctx.node,
-        PeerReq::Commit {
-            app: ctx.app_id.clone(),
-            file: file.to_string(),
-            epoch,
-        },
-    );
-    match resp {
-        Ok(PeerResp::Ok) => {
-            ctx.config.telemetry.event(
-                events::CATCH_UP_FINISH,
-                &slot.name,
-                epoch,
-                format!("existing peer caught up to seq={seq}"),
-            );
-            Ok(PeerSlot {
-                mr: staged,
-                completed_seq: seq,
-                ..slot
-            })
-        }
-        _ => Err(NclError::Unavailable(format!(
-            "peer {} rejected commit",
-            slot.name
-        ))),
     }
 }

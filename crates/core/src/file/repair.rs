@@ -1,0 +1,519 @@
+//! Repair: inline peer replacement (§4.5.2), peer acquisition, and the
+//! two catch-up transfers — a fresh peer's bulk copy and an existing
+//! peer's stage-fill-switch — that recovery's rearm shares.
+
+use std::collections::HashSet;
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use rdma::{CompletionQueue, RemoteMr, WcStatus, WrId};
+use sim::Stopwatch;
+use telemetry::{events, spans};
+
+use super::slots::{PeerSlot, RepWait, WcWait};
+use super::staging::{FlushReason, Stage};
+use super::{fan_out, Ctx, NclFile};
+use crate::detector::Backoff;
+use crate::layout::{RegionHeader, HEADER_SIZE};
+use crate::peer::{PeerReq, PeerResp};
+use crate::runtime::ShardOp;
+use crate::NclError;
+
+/// Phase timings of the last peer replacement (Table 3's breakdown).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RepairStats {
+    /// Getting a new peer from the controller.
+    pub get_peer: Duration,
+    /// Connecting to the new peer and setting up its memory region.
+    pub connect_mr: Duration,
+    /// Catching the new peer up from the local buffer.
+    pub catch_up: Duration,
+    /// Updating the ap-map on the controller.
+    pub update_ap_map: Duration,
+}
+
+impl NclFile {
+    /// Phase timings of the most recent peer replacement.
+    pub fn repair_stats(&self) -> RepairStats {
+        self.rep_guard().last_repair
+    }
+
+    /// Replaces every dead peer slot, restoring the scheme's full peer set.
+    ///
+    /// Steps per the paper (§4.5.2) and Table 3: get new peers from the
+    /// controller; connect and set up their memory regions; catch them up
+    /// from the local buffer in parallel (so each holds everything up to
+    /// the current sequence number); and only after that update the ap-map —
+    /// first bumping the surviving peers' region epochs so the leak GC
+    /// cannot misfire.
+    ///
+    /// The caller holds the staging lock (freezing the image and blocking
+    /// new posts); the replication lock is dropped during the catch-up
+    /// copies so concurrent durability waiters keep draining completions.
+    pub(super) fn replace_failed(&self, stage: &mut Stage) -> Result<(), NclError> {
+        let ctx = &*self.ctx;
+        let tel = &ctx.config.telemetry;
+        let scope = self.metrics.scope;
+        let repair_trace = tel.next_trace_id();
+        let repair_start = Instant::now();
+        let mut stats = RepairStats::default();
+        // Closes one child span of the repair root, ending now.
+        let phase = |name: &'static str, scope: &'static str, epoch: u64, start: Instant| {
+            tel.span_auto(
+                repair_trace,
+                repair_trace,
+                name,
+                scope,
+                epoch,
+                start,
+                Instant::now(),
+            );
+        };
+        // Closes the repair root itself.
+        let close_root = |epoch: u64| {
+            tel.span(
+                repair_trace,
+                repair_trace,
+                0,
+                spans::NCL_REPAIR,
+                scope,
+                epoch,
+                repair_start,
+                Instant::now(),
+            );
+        };
+        // Catch-up stamps the image's tip, which covers any records still in
+        // the pending burst (the staged image already contains their bytes).
+        // Post the burst to the survivors first so the flush boundary and
+        // the catch-up header agree — the model checker's
+        // replace-implies-flush rule.
+        self.flush_staged(stage, FlushReason::Replace);
+        let header = stage.scheme.reset_header(&stage.image)?;
+
+        // Phase A: drop dead slots (their QPs are in error state) and
+        // acquire all replacements.
+        let (epoch, mut fresh) = {
+            let mut rep = self.rep_guard();
+            if rep.peers.iter().all(|s| s.alive) && rep.peers.len() == ctx.config.replicas() {
+                rep.repair_pending = false;
+                rep.failure_seen = false;
+                rep.publish_acked(&ctx.config);
+                return Ok(());
+            }
+            let epoch = rep.epoch + 1;
+            let mut exclude: Vec<String> = rep.peers.iter().map(|s| s.name.clone()).collect();
+            let dead: Vec<String> = rep
+                .peers
+                .iter()
+                .filter(|s| !s.alive)
+                .map(|s| s.name.clone())
+                .collect();
+            tel.event_traced(
+                events::PEER_REPLACE_START,
+                scope,
+                epoch,
+                repair_trace,
+                format!("replacing [{}]", dead.join(", ")),
+            );
+            rep.peers.retain(|s| s.alive);
+            rep.rebuild_qp_map();
+            let acquire_start = Instant::now();
+            let region_data = stage.scheme.region_data(self.capacity);
+            // Each fresh peer inherits a dead slot's row — what the scheme
+            // addresses its share of every burst by.
+            let used: HashSet<u32> = rep.peers.iter().map(|s| s.row).collect();
+            let mut free = (0..ctx.config.replicas() as u32).filter(|r| !used.contains(r));
+            let mut fresh: Vec<PeerSlot> = Vec::new();
+            while rep.peers.len() + fresh.len() < ctx.config.replicas() {
+                let mut slot = acquire_peer(
+                    ctx,
+                    &self.name,
+                    epoch,
+                    region_data,
+                    &rep.cq,
+                    &mut exclude,
+                    &mut stats,
+                )?;
+                slot.row = free.next().expect("one free row per fresh peer");
+                fresh.push(slot);
+            }
+            phase(spans::NCL_REPAIR_ACQUIRE, scope, epoch, acquire_start);
+            for s in &fresh {
+                rep.expecting.insert(s.qp.qp_num());
+            }
+            (epoch, fresh)
+        };
+
+        // Phase B (replication lock released): catch the fresh peers up in
+        // parallel — each copy is a bulk RDMA write whose latency would
+        // otherwise serialise.
+        let sw = Stopwatch::start();
+        let catchup_start = Instant::now();
+        let wait = RepWait { file: self };
+        let image = stage.scheme.ships_image().then(|| stage.image.valid());
+        let results = fan_out(fresh.iter_mut(), |slot| {
+            let start = Instant::now();
+            let peer = telemetry::intern_scope(&slot.name);
+            let result = catch_up_fresh(ctx, &wait, slot, epoch, &header, image);
+            phase(spans::NCL_REPAIR_CATCHUP, peer, epoch, start);
+            result
+        });
+        stats.catch_up += sw.elapsed();
+        let catchup_end = Instant::now();
+
+        // Phase C: commit.
+        let mut rep = self.rep_guard();
+        for s in &fresh {
+            rep.expecting.remove(&s.qp.qp_num());
+        }
+        rep.prune_stray();
+        if let Some(e) = results.into_iter().find_map(|r| r.err()) {
+            // Survivors are kept; the fresh regions are abandoned (their
+            // peers GC them by epoch). The caller defers or retries. Close
+            // the repair root so its child spans stay reachable.
+            close_root(epoch);
+            return Err(e);
+        }
+        let sw = Stopwatch::start();
+        let commit_start = Instant::now();
+        // Survivors first: bump their region epochs so e_r stays ≥ the
+        // ap-map epoch (see peer::PeerReq::BumpEpoch).
+        for slot in rep.peers.iter() {
+            let _ = slot.endpoint.rpc.call(
+                ctx.node,
+                PeerReq::BumpEpoch {
+                    app: ctx.app_id.clone(),
+                    file: self.name.clone(),
+                    epoch,
+                },
+            );
+        }
+        tel.event_traced(
+            events::EPOCH_BUMP,
+            scope,
+            epoch,
+            repair_trace,
+            format!("bumped {} survivors", rep.peers.len()),
+        );
+        // Cross-shard ordering: every shard reactor observes the bump, the
+        // catch-up, and the ap-map rewrite in this exact sequence — the log
+        // is appended in protocol order and applied in log order.
+        if let Some(runtime) = &ctx.config.runtime {
+            runtime.log_op(ShardOp::EpochBump { scope, epoch });
+            runtime.log_op(ShardOp::CatchUp {
+                scope,
+                epoch,
+                seq: header.seq,
+            });
+            runtime.log_op(ShardOp::PeerReplace {
+                scope,
+                epoch,
+                peers: fresh
+                    .iter()
+                    .map(|s| s.name.as_str())
+                    .collect::<Vec<_>>()
+                    .join(","),
+            });
+        }
+        // Replaced-in peers never produced wire completions for records that
+        // were in flight when they joined — the catch-up copy is what made
+        // those records durable on them. Credit each such flight with a
+        // catch-up coverage span so its quorum is reconstructible from the
+        // trace alone.
+        let fresh_info: Vec<(&'static str, u32)> = fresh
+            .iter()
+            .map(|s| (telemetry::intern_scope(&s.name), s.qp.qp_num()))
+            .collect();
+        for (&fseq, flight) in rep.flights.iter_mut() {
+            if fseq > header.seq || flight.trace == 0 {
+                continue;
+            }
+            for &(peer, qp_num) in &fresh_info {
+                if !flight.covered.contains(&qp_num) {
+                    flight.covered.push(qp_num);
+                    tel.span_auto(
+                        flight.trace,
+                        flight.trace,
+                        spans::NCL_CATCHUP_PEER,
+                        peer,
+                        epoch,
+                        catchup_start,
+                        catchup_end,
+                    );
+                }
+            }
+        }
+        rep.peers.extend(fresh);
+        rep.rebuild_qp_map();
+        let names: Vec<String> = rep.peers.iter().map(|s| s.name.clone()).collect();
+        ctx.controller
+            .set_ap_entry(ctx.node, &ctx.app_id, &self.name, names.clone(), epoch)?;
+        if let Some(runtime) = &ctx.config.runtime {
+            runtime.log_op(ShardOp::ApMapUpdate { scope, epoch });
+        }
+        stats.update_ap_map = sw.elapsed();
+        phase(spans::NCL_REPAIR_COMMIT, scope, epoch, commit_start);
+        tel.event_traced(
+            events::PEER_REPLACE_FINISH,
+            scope,
+            epoch,
+            repair_trace,
+            format!(
+                "peers=[{}] catch_up={:?} update_ap_map={:?}",
+                names.join(", "),
+                stats.catch_up,
+                stats.update_ap_map
+            ),
+        );
+
+        stage.scheme.adopt_reset(&header);
+        rep.epoch = epoch;
+        rep.repair_pending = false;
+        // A survivor may have died while the replacements caught up; leave
+        // the flag set so the next barrier repairs again.
+        rep.failure_seen = rep.peers.iter().any(|s| !s.alive);
+        rep.last_repair = stats;
+        rep.refresh_durable(&ctx.config);
+        close_root(epoch);
+        Ok(())
+    }
+
+    /// Retries a deferred peer replacement (call from a background
+    /// maintenance loop; the paper's "maintaining FT level").
+    pub fn maintain(&self) -> Result<bool, NclError> {
+        {
+            let mut rep = self.rep_guard();
+            rep.drain();
+            rep.refresh_durable(&self.ctx.config);
+            if !rep.repair_pending && rep.peers.iter().all(|s| s.alive) {
+                return Ok(false);
+            }
+        }
+        let mut stage = self.stage_guard();
+        self.replace_failed(&mut stage)?;
+        Ok(true)
+    }
+
+    /// True when a peer failure is pending replacement.
+    pub fn repair_pending(&self) -> bool {
+        self.rep_guard().repair_pending
+    }
+}
+
+/// Obtains one fresh peer: ask the controller for candidates (their
+/// availability is only a hint), try to allocate `capacity` data bytes,
+/// connect a QP. The get-peer and connect phases accumulate into `stats`.
+pub(super) fn acquire_peer(
+    ctx: &Ctx,
+    file: &str,
+    epoch: u64,
+    capacity: usize,
+    cq: &CompletionQueue,
+    exclude: &mut Vec<String>,
+    stats: &mut RepairStats,
+) -> Result<PeerSlot, NclError> {
+    let need = (HEADER_SIZE + capacity) as u64;
+    let mut backoff = Backoff::new(ctx.config.backoff_base, ctx.config.backoff_cap, epoch);
+    loop {
+        let sw = Stopwatch::start();
+        let candidates = ctx
+            .controller
+            .get_peers(ctx.node, &ctx.app_id, need, 4, exclude)?;
+        stats.get_peer += sw.elapsed();
+        if candidates.is_empty() {
+            return Err(NclError::QuorumUnavailable(
+                "controller has no eligible peers".to_string(),
+            ));
+        }
+        for cand in candidates {
+            exclude.push(cand.name.clone());
+            let Some(endpoint) = ctx.registry.lookup(&cand.name) else {
+                continue;
+            };
+            let sw = Stopwatch::start();
+            let resp = endpoint.rpc.call(
+                ctx.node,
+                PeerReq::Alloc {
+                    app: ctx.app_id.clone(),
+                    file: file.to_string(),
+                    epoch,
+                    capacity,
+                },
+            );
+            let Ok(PeerResp::Mr(mr)) = resp else {
+                stats.connect_mr += sw.elapsed();
+                continue; // The hint was stale or the peer is down: retry.
+            };
+            // Connection setup is one more control round trip.
+            ctx.config.control.charge(0);
+            let slot = PeerSlot::connect(ctx, cand.name, endpoint, mr, cq);
+            stats.connect_mr += sw.elapsed();
+            return Ok(slot);
+        }
+        // Every candidate of this round was stale or down; back off before
+        // asking the controller again so a flapping cluster is not hammered.
+        sim::delay(backoff.next_delay());
+    }
+}
+
+/// Writes `body` (bytes to place at data offset `.0`) and then `header`
+/// into `mr` over the slot's queue pair and waits for the header to
+/// complete. The WR ids are the header sequence's, so on a live file the
+/// normal completion path credits the peer with `header.seq`.
+pub(super) fn ship(
+    ctx: &Ctx,
+    wait: &dyn WcWait,
+    slot: &PeerSlot,
+    mr: &RemoteMr,
+    header: &RegionHeader,
+    body: Option<(usize, &[u8])>,
+) -> Result<(), NclError> {
+    let unavailable = |e: sim::SimError| NclError::Unavailable(e.to_string());
+    let seq = header.seq;
+    if let Some((start, bytes)) = body.filter(|(_, bytes)| !bytes.is_empty()) {
+        let data = Bytes::copy_from_slice(bytes);
+        slot.qp
+            .post_write(WrId(2 * seq), mr, HEADER_SIZE + start, data)
+            .map_err(unavailable)?;
+    }
+    let data = Bytes::copy_from_slice(&header.encode());
+    slot.qp
+        .post_write(WrId(2 * seq + 1), mr, 0, data)
+        .map_err(unavailable)?;
+    match wait.wait_for(
+        slot.qp.qp_num(),
+        WrId(2 * seq + 1),
+        ctx.config.write_timeout,
+    ) {
+        Some(wc) if wc.status == WcStatus::Success => Ok(()),
+        _ => Err(NclError::Unavailable(format!(
+            "header write to {} failed",
+            slot.name
+        ))),
+    }
+}
+
+/// Catches a freshly allocated peer up: the scheme's reset `header`,
+/// preceded by one bulk copy of `image` when the scheme ships the file
+/// image to peers.
+pub(super) fn catch_up_fresh(
+    ctx: &Ctx,
+    wait: &dyn WcWait,
+    slot: &mut PeerSlot,
+    epoch: u64,
+    header: &RegionHeader,
+    image: Option<&[u8]>,
+) -> Result<(), NclError> {
+    let seq = header.seq;
+    ctx.config.telemetry.event(
+        events::CATCH_UP_START,
+        &slot.name,
+        epoch,
+        format!("fresh peer, {} bytes", image.map_or(0, <[u8]>::len)),
+    );
+    ship(
+        ctx,
+        wait,
+        slot,
+        &slot.mr,
+        header,
+        image.map(|bytes| (0, bytes)),
+    )?;
+    slot.completed_seq = seq;
+    ctx.config.telemetry.event(
+        events::CATCH_UP_FINISH,
+        &slot.name,
+        epoch,
+        format!("fresh peer caught up to seq={seq}"),
+    );
+    Ok(())
+}
+
+/// Recovery catch-up of a peer that still holds a (possibly lagging) region:
+/// stage a fresh region of `capacity` data bytes, fill it, and atomically
+/// switch.
+///
+/// For append-only files (`overwritten == false`) the staged region is
+/// pre-filled from the peer's current one and only the missing tail is
+/// shipped — the §6 byte-diff optimisation. Circular logs always ship the
+/// full image, because a lagging circular region's bytes are not a prefix of
+/// the recovered image (Figure 7ii). When the scheme ships no image
+/// (`image == None`) only the reset header goes into an empty region.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn catch_up_existing(
+    ctx: &Ctx,
+    file: &str,
+    epoch: u64,
+    capacity: usize,
+    wait: &dyn WcWait,
+    slot: PeerSlot,
+    peer_header: RegionHeader,
+    header: &RegionHeader,
+    image: Option<&[u8]>,
+) -> Result<PeerSlot, NclError> {
+    let tail_only = image.is_some()
+        && ctx.config.tail_diff_catchup
+        && !header.overwritten
+        && !peer_header.overwritten
+        && peer_header.len <= header.len;
+    ctx.config.telemetry.event(
+        events::CATCH_UP_START,
+        &slot.name,
+        epoch,
+        format!(
+            "existing peer at seq={}, {}",
+            peer_header.seq,
+            if tail_only { "tail-diff" } else { "full copy" }
+        ),
+    );
+    let resp = slot.endpoint.rpc.call(
+        ctx.node,
+        PeerReq::Prepare {
+            app: ctx.app_id.clone(),
+            file: file.to_string(),
+            epoch,
+            capacity,
+            copy_current: tail_only,
+        },
+    );
+    let Ok(PeerResp::Mr(staged)) = resp else {
+        return Err(NclError::Unavailable(format!(
+            "peer {} rejected prepare",
+            slot.name
+        )));
+    };
+    let start = if tail_only {
+        peer_header.len as usize
+    } else {
+        0
+    };
+    let body = image.map(|bytes| (start, &bytes[start..]));
+    ship(ctx, wait, &slot, &staged, header, body)?;
+    let resp = slot.endpoint.rpc.call(
+        ctx.node,
+        PeerReq::Commit {
+            app: ctx.app_id.clone(),
+            file: file.to_string(),
+            epoch,
+        },
+    );
+    match resp {
+        Ok(PeerResp::Ok) => {
+            ctx.config.telemetry.event(
+                events::CATCH_UP_FINISH,
+                &slot.name,
+                epoch,
+                format!("existing peer caught up to seq={}", header.seq),
+            );
+            Ok(PeerSlot {
+                mr: staged,
+                completed_seq: header.seq,
+                ..slot
+            })
+        }
+        _ => Err(NclError::Unavailable(format!(
+            "peer {} rejected commit",
+            slot.name
+        ))),
+    }
+}

@@ -1,0 +1,864 @@
+//! Peer slots, completion absorption, and the acknowledgement watermark:
+//! the `rep` half of a file's state, the lock-free published acked state,
+//! the durability barrier ([`NclFile::wait_durable`]) where all write-path
+//! failure handling lives, and the targeted completion waits the catch-up
+//! and recovery transfers use.
+
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use rdma::{
+    CompletionQueue, CqWaker, QueuePair, RemoteMr, WcStatus, WorkCompletion, WorkRequest, WrId,
+};
+use telemetry::{events, spans};
+
+use super::recovery::RecoveryStats;
+use super::repair::RepairStats;
+use super::scheme;
+use super::staging::{FileMetrics, FlushReason};
+use super::{Ctx, NclFile};
+use crate::config::{AckPolicy, NclConfig};
+use crate::detector::{Backoff, PhiDetector};
+use crate::layout::{RegionHeader, HEADER_SIZE};
+use crate::lockaudit;
+use crate::registry::PeerEndpoint;
+use crate::NclError;
+
+/// Attention bit: a completion reported a peer failure not yet repaired.
+const ATTN_FAILURE: u32 = 1;
+/// Attention bit: fewer than `f + 1` peers are alive.
+const ATTN_NO_QUORUM: u32 = 2;
+
+/// The lock-free published acknowledgement state of one file.
+///
+/// `refresh_durable` (under the `rep` lock, on whichever thread ran it —
+/// a durability waiter or a shard reactor) publishes the quorum watermark
+/// and the attention bits here; [`NclFile::wait_durable`] observes them
+/// with two atomic loads and returns without touching a mutex when the
+/// awaited record is already acked and nothing needs attention. Hosted
+/// files also park durability waiters on `parked` instead of draining the
+/// completion queue themselves — the shard reactor drains, publishes, and
+/// notifies.
+///
+/// The attention bits may lag a failure absorbed-but-not-yet-refreshed by
+/// at most one `refresh_durable` call. That is sound: a fast-path return
+/// linearizes at the moment the watermark was published, when the record
+/// was durable on a quorum and no failure had been observed — the same
+/// answer a barrier at that instant would have given. The failure is
+/// sticky in `Rep::failure_seen` and the very next refresh publishes it,
+/// so repair is never lost, only (briefly) not yet visible.
+pub(super) struct AckedState {
+    /// Highest sequence number durable on the acknowledgement quorum.
+    pub watermark: AtomicU64,
+    /// [`ATTN_FAILURE`] | [`ATTN_NO_QUORUM`]; non-zero sends every barrier
+    /// down the slow path where repair lives.
+    attention: AtomicU32,
+    /// Parking lot for hosted durability waiters.
+    park: Mutex<()>,
+    parked: Condvar,
+}
+
+impl AckedState {
+    pub fn new(durable: u64) -> Arc<Self> {
+        Arc::new(AckedState {
+            watermark: AtomicU64::new(durable),
+            attention: AtomicU32::new(0),
+            park: Mutex::new(()),
+            parked: Condvar::new(),
+        })
+    }
+
+    /// True when a barrier on `seq` can return without locking anything.
+    #[inline]
+    fn fast_acked(&self, seq: u64) -> bool {
+        self.attention.load(Ordering::Acquire) == 0 && self.watermark.load(Ordering::Acquire) >= seq
+    }
+
+    /// Publishes a new watermark/attention pair and wakes parked waiters if
+    /// anything changed. Callers hold the `rep` lock, so publications are
+    /// serialized; the brief `park` lock before notifying closes the
+    /// check-then-sleep race with [`AckedState::park_until`].
+    fn publish(&self, durable: u64, attention: u32) {
+        let prev_mark = self.watermark.fetch_max(durable, Ordering::AcqRel);
+        let prev_attn = self.attention.swap(attention, Ordering::AcqRel);
+        if prev_mark < durable || prev_attn != attention {
+            let _guard = self.park.lock();
+            self.parked.notify_all();
+        }
+    }
+
+    /// Sleeps until `seq` is acked, attention is raised, or `timeout`
+    /// passes. The watermark re-check under the `park` lock pairs with the
+    /// lock in [`AckedState::publish`]: a publication either lands before
+    /// the re-check (observed) or blocks on the lock until the waiter is
+    /// parked (notified).
+    fn park_until(&self, seq: u64, timeout: Duration) {
+        lockaudit::note_lock();
+        let mut guard = self.park.lock();
+        if self.watermark.load(Ordering::Acquire) < seq
+            && self.attention.load(Ordering::Acquire) == 0
+        {
+            self.parked.wait_for(&mut guard, timeout);
+        }
+    }
+}
+
+/// Lifecycle timestamps of one posted-but-not-yet-acked record; keyed by
+/// sequence number in [`Rep::flights`] and retired when the durability
+/// watermark passes it. Bounded by the pipeline window.
+pub(super) struct Flight {
+    /// `record_nowait` entry.
+    pub t0: Instant,
+    /// Doorbell time (posted to the peers).
+    pub posted: Instant,
+    /// First peer whose header completion covered this record.
+    pub first_peer: Option<Instant>,
+    /// Trace id assigned at `record_nowait` (0 when tracing is off).
+    pub trace: u64,
+    /// QP numbers of peers already credited with a wire/catch-up span for
+    /// this record, so a burst of coalesced headers from one peer produces
+    /// one child span. Bounded by the peer count.
+    pub covered: Vec<u32>,
+}
+
+/// Recovery responders: each peer that answered, with the region header it
+/// served.
+pub(super) type Responders = Vec<(PeerSlot, RegionHeader)>;
+
+/// One peer of the file's peer set: its region, its queue pair, and what
+/// the completions so far say about it.
+pub(super) struct PeerSlot {
+    pub name: String,
+    pub endpoint: PeerEndpoint,
+    pub mr: RemoteMr,
+    pub qp: QueuePair,
+    /// Highest sequence number whose data + header completed on this peer.
+    pub completed_seq: u64,
+    /// Position in the file's peer set, which the scheme addresses per-peer
+    /// encodings by. Stable across the slot's lifetime; a replacement
+    /// inherits the dead slot's row.
+    pub row: u32,
+    pub alive: bool,
+    /// Adaptive phi-accrual detector fed by this peer's completions; lets a
+    /// gray (silent-but-connected) peer be suspected long before the record
+    /// deadline.
+    pub detector: PhiDetector,
+}
+
+impl PeerSlot {
+    /// Connects a queue pair (completing into `cq`) to the region `mr` that
+    /// peer `name` lent this file.
+    pub fn connect(
+        ctx: &Ctx,
+        name: String,
+        endpoint: PeerEndpoint,
+        mr: RemoteMr,
+        cq: &CompletionQueue,
+    ) -> PeerSlot {
+        let qp = QueuePair::connect_with_mode(
+            ctx.cluster.clone(),
+            ctx.node,
+            &endpoint.device,
+            cq.clone(),
+            ctx.config.rdma,
+            ctx.config.inline_nic,
+        );
+        if ctx.config.telemetry.is_enabled() {
+            qp.set_wire_hist(ctx.config.telemetry.histogram("rdma.wr.wire"));
+        }
+        PeerSlot {
+            name,
+            endpoint,
+            mr,
+            qp,
+            completed_seq: 0,
+            row: 0,
+            alive: true,
+            detector: PhiDetector::new(Instant::now()),
+        }
+    }
+}
+
+/// Replication state: peer slots and completion bookkeeping. Locked briefly
+/// to post work requests or absorb completions; all blocking happens on the
+/// completion queue with no lock held. Lock order is `stage` before `rep`.
+pub(super) struct Rep {
+    pub peers: Vec<PeerSlot>,
+    /// `qp_num → index into peers`, so absorbing a completion is a hash
+    /// lookup rather than a linear scan; rebuilt whenever slots change.
+    /// Completions from replaced peers simply miss the map.
+    slot_of_qp: HashMap<u32, usize>,
+    pub cq: CompletionQueue,
+    pub epoch: u64,
+    /// Highest sequence number acknowledged durable (prefix on a quorum).
+    durable_seq: u64,
+    /// A completion reported a peer failure that has not been repaired yet.
+    pub failure_seen: bool,
+    /// Completions that could not be attributed to a slot but have a
+    /// registered waiter: one-off RDMA reads (`wr_id ≥ u64::MAX - 2`) and
+    /// fresh replacement peers mid-catch-up (`expecting`).
+    pub stray: Vec<(u32, WorkCompletion)>,
+    /// QP numbers of fresh peers whose catch-up is in flight.
+    pub expecting: HashSet<u32>,
+    /// A peer failed but replacement was deferred (no spare peer available
+    /// while a quorum was still alive); [`NclFile::maintain`] retries.
+    pub repair_pending: bool,
+    /// Reusable work-request buffer for burst flushes, so the steady-state
+    /// inline-NIC flush path allocates nothing per doorbell.
+    pub wr_scratch: Vec<WorkRequest>,
+    /// Posted-but-not-durable records being timed (empty with telemetry
+    /// disabled). Entries retire in [`Rep::refresh_durable`]; size is
+    /// bounded by the pipeline window. Ordered by sequence number so the
+    /// completion path touches only the flights a header newly covers —
+    /// a full scan per completion is O(window) under the `rep` lock and
+    /// visibly stalls concurrent doorbells at deep windows.
+    pub flights: BTreeMap<u64, Flight>,
+    /// Every flight at or below this sequence number has had its wire
+    /// span closed by some peer's header completion. Advanced monotonically
+    /// in [`Rep::absorb`]; flights are registered in sequence order before
+    /// their headers can complete, so nothing is ever inserted below it.
+    wire_covered_seq: u64,
+    /// Flights carrying a nonzero trace id. The per-peer coverage pass in
+    /// `absorb` scans flights only while this is nonzero, so untraced
+    /// steady-state runs skip it entirely.
+    pub traced_flights: usize,
+    metrics: Arc<FileMetrics>,
+    /// Shared with the owning [`NclFile`]; republished after every
+    /// watermark refresh so the barrier fast path stays current.
+    acked: Arc<AckedState>,
+    pub last_recovery: RecoveryStats,
+    pub last_repair: RepairStats,
+}
+
+impl Rep {
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        peers: Vec<PeerSlot>,
+        cq: CompletionQueue,
+        epoch: u64,
+        durable_seq: u64,
+        repair_pending: bool,
+        metrics: Arc<FileMetrics>,
+        acked: Arc<AckedState>,
+        last_recovery: RecoveryStats,
+    ) -> Self {
+        let mut rep = Rep {
+            peers,
+            slot_of_qp: HashMap::new(),
+            cq,
+            epoch,
+            durable_seq,
+            failure_seen: false,
+            stray: Vec::new(),
+            expecting: HashSet::new(),
+            repair_pending,
+            wr_scratch: Vec::new(),
+            flights: BTreeMap::new(),
+            wire_covered_seq: 0,
+            traced_flights: 0,
+            metrics,
+            acked,
+            last_recovery,
+            last_repair: RepairStats::default(),
+        };
+        rep.rebuild_qp_map();
+        rep
+    }
+
+    pub fn rebuild_qp_map(&mut self) {
+        self.slot_of_qp = self
+            .peers
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.qp.qp_num(), i))
+            .collect();
+    }
+
+    fn alive(&self) -> usize {
+        self.peers.iter().filter(|s| s.alive).count()
+    }
+
+    /// Marks slot `idx` dead on a failed completion. `failure_seen` is
+    /// sticky: it sends the next barrier down the repair path.
+    fn declare_dead(&mut self, idx: usize, why: &str) {
+        self.peers[idx].alive = false;
+        self.failure_seen = true;
+        let name = &self.peers[idx].name;
+        self.metrics
+            .tel
+            .event(events::PEER_FAILURE, name, self.epoch, why);
+    }
+
+    /// Applies completions to the slots. Unattributable completions with a
+    /// registered waiter are parked in `stray`; everything else (stale
+    /// completions from replaced peers) is dropped.
+    pub fn absorb(&mut self, wcs: Vec<(u32, WorkCompletion)>) {
+        let now = Instant::now();
+        for (qp_num, wc) in wcs {
+            if wc.wr_id.0 >= u64::MAX - 2 {
+                // One-off RDMA read (recovery lookup / read_remote): a
+                // failure still means the peer died; the data (or error) is
+                // routed to the waiter via `stray`.
+                if wc.status != WcStatus::Success {
+                    if let Some(&idx) = self.slot_of_qp.get(&qp_num) {
+                        self.declare_dead(idx, "one-off read failed");
+                    }
+                }
+                self.stray.push((qp_num, wc));
+                continue;
+            }
+            let Some(&idx) = self.slot_of_qp.get(&qp_num) else {
+                if self.expecting.contains(&qp_num) {
+                    self.stray.push((qp_num, wc));
+                }
+                continue; // Stale completion from a replaced peer.
+            };
+            let slot = &mut self.peers[idx];
+            if !slot.alive {
+                continue;
+            }
+            match wc.status {
+                WcStatus::Success => {
+                    slot.detector.heartbeat(now);
+                    // Header writes carry odd ids 2s+1; data writes even 2s.
+                    if wc.wr_id.0 % 2 == 1 {
+                        let seq = wc.wr_id.0 / 2;
+                        slot.completed_seq = slot.completed_seq.max(seq);
+                        // Wire histogram closes at the first peer whose
+                        // header covers the record; a coalesced header for
+                        // `seq` acknowledges every flight at or below it.
+                        // Each peer additionally closes a per-peer wire
+                        // child span, reconstructed from the NIC's own
+                        // post→completion measurement.
+                        if self.metrics.enabled && !self.flights.is_empty() {
+                            let now = Instant::now();
+                            let wire_start = now
+                                .checked_sub(Duration::from_nanos(wc.wire_ns))
+                                .unwrap_or(now);
+                            let peer_name = &self.peers[idx].name;
+                            // Interned on first use only: one lookup per
+                            // completion, nothing when no flight is traced.
+                            let mut peer_scope: Option<&'static str> = None;
+                            let epoch = self.epoch;
+                            let metrics = &self.metrics;
+                            // Wire spans close at the first covering header.
+                            // Every flight at or below `wire_covered_seq`
+                            // was closed by an earlier header, so this
+                            // header only touches the flights it newly
+                            // covers — never the whole in-flight window.
+                            if seq > self.wire_covered_seq {
+                                let newly = (
+                                    std::ops::Bound::Excluded(self.wire_covered_seq),
+                                    std::ops::Bound::Included(seq),
+                                );
+                                for (_, flight) in self.flights.range_mut(newly) {
+                                    flight.first_peer = Some(now);
+                                    let wire = now.duration_since(flight.posted);
+                                    metrics.stamp(|s| s.wire.record_duration(wire));
+                                }
+                                self.wire_covered_seq = seq;
+                            }
+                            // Per-peer coverage spans exist per traced
+                            // flight; benches trace nothing and skip this.
+                            if self.traced_flights > 0 {
+                                for (_, flight) in self.flights.range_mut(..=seq) {
+                                    if flight.trace != 0 && !flight.covered.contains(&qp_num) {
+                                        flight.covered.push(qp_num);
+                                        let peer = *peer_scope.get_or_insert_with(|| {
+                                            telemetry::intern_scope(peer_name)
+                                        });
+                                        metrics.tel.span_auto(
+                                            flight.trace,
+                                            flight.trace,
+                                            spans::NCL_WIRE_PEER,
+                                            peer,
+                                            epoch,
+                                            wire_start.max(flight.posted),
+                                            now,
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                _ => self.declare_dead(idx, "work request failed"),
+            }
+        }
+    }
+
+    /// Drains the completion queue without blocking and applies the result.
+    pub fn drain(&mut self) {
+        let wcs = self.cq.poll();
+        self.absorb(wcs);
+    }
+
+    /// Declares alive-but-silent peers holding back `awaited_seq` suspect,
+    /// per the adaptive phi detector, so a gray peer stalls a barrier for
+    /// the detector's horizon instead of the full record deadline. Suspects
+    /// go through the normal dead-peer path (replacement at the next epoch).
+    fn suspect_stalled(&mut self, config: &NclConfig, awaited_seq: u64) {
+        if config.detect_timeout.is_zero() {
+            return;
+        }
+        let now = Instant::now();
+        let epoch = self.epoch;
+        for slot in self.peers.iter_mut() {
+            if slot.alive
+                && slot.completed_seq < awaited_seq
+                && slot.detector.is_suspect(now, config.detect_timeout)
+            {
+                slot.alive = false;
+                self.failure_seen = true;
+                self.metrics.tel.event(
+                    events::PEER_SUSPECT,
+                    &slot.name,
+                    epoch,
+                    format!(
+                        "phi={:.1} silence={:?} awaiting seq={awaited_seq}",
+                        slot.detector.phi(now),
+                        slot.detector.silence(now)
+                    ),
+                );
+            }
+        }
+    }
+
+    /// Advances `durable_seq` to the highest sequence number complete on the
+    /// acknowledgement quorum. Monotonic: peer replacement catches fresh
+    /// peers up to the full staged image before they join, so the watermark
+    /// never has to move backwards.
+    pub fn refresh_durable(&mut self, config: &NclConfig) {
+        let mut seqs: Vec<u64> = self
+            .peers
+            .iter()
+            .filter(|s| s.alive)
+            .map(|s| s.completed_seq)
+            .collect();
+        // `All` waits for every live peer, never for fewer than the quorum.
+        let quorum = match config.ack_policy {
+            AckPolicy::Majority => config.quorum(),
+            AckPolicy::All => seqs.len().max(config.quorum()),
+        };
+        let Some(candidate) = scheme::ack_watermark(&mut seqs, quorum) else {
+            self.publish_acked(config);
+            return;
+        };
+        let prev = self.durable_seq;
+        self.durable_seq = self.durable_seq.max(candidate);
+        // Retire flights the watermark just passed: close their ack and
+        // end-to-end spans.
+        if self.metrics.enabled && self.durable_seq > prev && !self.flights.is_empty() {
+            let now = Instant::now();
+            let durable = self.durable_seq;
+            let epoch = self.epoch;
+            let metrics = &self.metrics;
+            // Ordered map: retiring pops from the front until the first
+            // flight still above the watermark — O(retired), not O(window).
+            while let Some(entry) = self.flights.first_entry() {
+                if *entry.key() > durable {
+                    break;
+                }
+                let flight = entry.remove();
+                if flight.trace != 0 {
+                    self.traced_flights -= 1;
+                }
+                let first = flight.first_peer.unwrap_or(flight.posted);
+                metrics.stamp(|s| {
+                    s.ack.record_duration(now.duration_since(first));
+                    s.e2e.record_duration(now.duration_since(flight.t0));
+                });
+                if flight.trace != 0 {
+                    metrics.tel.span_auto(
+                        flight.trace,
+                        flight.trace,
+                        spans::NCL_ACK,
+                        metrics.scope,
+                        epoch,
+                        first,
+                        now,
+                    );
+                    // Root last: a write's chain is complete exactly when
+                    // its root span exists.
+                    metrics.tel.span(
+                        flight.trace,
+                        flight.trace,
+                        0,
+                        spans::NCL_WRITE,
+                        metrics.scope,
+                        epoch,
+                        flight.t0,
+                        now,
+                    );
+                }
+            }
+        }
+        self.publish_acked(config);
+    }
+
+    /// Republishes the lock-free acked state from the authoritative `rep`
+    /// fields. Called under the `rep` lock (waiter loop, shard reactor,
+    /// repair commit), so publications never race each other.
+    pub fn publish_acked(&self, config: &NclConfig) {
+        let mut attention = 0;
+        if self.failure_seen {
+            attention |= ATTN_FAILURE;
+        }
+        if self.alive() < config.quorum() {
+            attention |= ATTN_NO_QUORUM;
+        }
+        self.acked.publish(self.durable_seq, attention);
+    }
+
+    /// Removes routed-but-unclaimed completions whose waiter is gone.
+    pub fn prune_stray(&mut self) {
+        let (map, expecting) = (&self.slot_of_qp, &self.expecting);
+        self.stray.retain(|(qp_num, wc)| {
+            wc.wr_id.0 >= u64::MAX - 2 || map.contains_key(qp_num) || expecting.contains(qp_num)
+        });
+    }
+}
+
+impl NclFile {
+    /// Acquires the replication lock through the lock-audit hook.
+    #[inline]
+    pub(super) fn rep_guard(&self) -> MutexGuard<'_, Rep> {
+        lockaudit::note_lock();
+        self.rep.lock()
+    }
+
+    /// Highest sequence number known durable on an acknowledgement quorum.
+    /// Reads the published watermark — lock-free, and kept fresh in the
+    /// background when the file is hosted on a shard reactor.
+    pub fn durable_seq(&self) -> u64 {
+        self.acked.watermark.load(Ordering::Acquire)
+    }
+
+    /// Current ap-map epoch.
+    pub fn epoch(&self) -> u64 {
+        self.rep_guard().epoch
+    }
+
+    /// Registers `waker` with this file's completion queue, binds the
+    /// per-shard stage histograms, and flips the file into hosted mode.
+    /// Called by `NclRuntime::host_on`.
+    pub(crate) fn attach_reactor(&self, waker: &CqWaker, shard: usize) {
+        self.metrics.bind_shard(shard);
+        self.rep_guard().cq.register_waker(waker);
+        self.hosted.store(true, Ordering::Release);
+    }
+
+    /// One shard-reactor poll round: drain the completion queue and
+    /// republish the acked watermark, without ever blocking on a busy
+    /// file (the lock holder is doing this same work). Returns whether the
+    /// durable watermark advanced — the reactor profiler attributes such
+    /// rounds to publish time rather than empty-poll time.
+    pub(crate) fn reactor_poll(&self) -> bool {
+        if let Some(mut rep) = self.rep.try_lock() {
+            let before = self.durable_seq();
+            rep.drain();
+            rep.refresh_durable(&self.ctx.config);
+            self.durable_seq() > before
+        } else {
+            false
+        }
+    }
+
+    /// Names of the currently assigned peers (alive ones first-class; dead
+    /// ones pending replacement are excluded).
+    pub fn peer_names(&self) -> Vec<String> {
+        self.rep
+            .lock()
+            .peers
+            .iter()
+            .filter(|s| s.alive)
+            .map(|s| s.name.clone())
+            .collect()
+    }
+
+    /// Reads directly from a peer via one-sided RDMA, bypassing the local
+    /// buffer — the "NCL no prefetch" variant measured in Figure 11(a).
+    pub fn read_remote(&self, offset: u64, len: usize) -> Result<Vec<u8>, NclError> {
+        let flen = {
+            let stage = self.stage_guard();
+            if !stage.scheme.ships_image() {
+                // No peer holds a readable image of the file. Read from the
+                // local staging buffer instead.
+                return Err(NclError::Rejected(
+                    "read_remote unsupported: the durability scheme keeps no file image on peers"
+                        .to_string(),
+                ));
+            }
+            stage.image.len
+        };
+        let n = len.min(flen.saturating_sub(offset) as usize);
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let wr = WrId(u64::MAX - 2);
+        let qp_num = {
+            let mut rep = self.rep_guard();
+            // Clear leftovers of an earlier timed-out read before reposting.
+            rep.stray.retain(|(_, wc)| wc.wr_id != wr);
+            let slot = rep
+                .peers
+                .iter()
+                .find(|s| s.alive)
+                .ok_or_else(|| NclError::QuorumUnavailable("no live peer".to_string()))?;
+            slot.qp
+                .post_read(wr, &slot.mr, HEADER_SIZE + offset as usize, n)
+                .map_err(|e| NclError::Unavailable(e.to_string()))?;
+            slot.qp.qp_num()
+        };
+        let wait = RepWait { file: self };
+        match wait.wait_for(qp_num, wr, self.ctx.config.write_timeout) {
+            Some(wc) if wc.status == WcStatus::Success => {
+                Ok(wc.read_data.expect("read data").to_vec())
+            }
+            _ => Err(NclError::Unavailable("remote read failed".to_string())),
+        }
+    }
+
+    /// Durability barrier: returns once every record up to and including
+    /// `seq` is durable on the acknowledgement quorum.
+    ///
+    /// All failure handling of the write path lives here, in the drain
+    /// path: a dead peer is replaced inline once the awaited prefix is
+    /// durable on the survivors (the Figure 12 "blip"); a lost majority
+    /// blocks until replacement restores a quorum (replacement catch-up
+    /// copies the staged image, which includes every in-flight record, so
+    /// the prefix-acknowledgement invariant is preserved).
+    pub fn wait_durable(&self, seq: u64) -> Result<(), NclError> {
+        enum Next {
+            Done,
+            Repair { must: bool },
+            Wait,
+        }
+        // Fast path: the record is already acked and nothing needs
+        // attention. Two atomic loads, zero mutexes — the property the
+        // lock-audit tests pin. With a shard reactor publishing the
+        // watermark in the background this is the steady-state barrier.
+        if self.acked.fast_acked(seq) {
+            return Ok(());
+        }
+        let ctx = &self.ctx;
+        let deadline = Instant::now() + ctx.config.write_timeout;
+        let mut backoff = Backoff::new(ctx.config.backoff_base, ctx.config.backoff_cap, seq);
+        // A barrier on a record still sitting in the staged burst must ring
+        // the doorbell first, or it would wait on never-posted requests.
+        {
+            let mut stage = self.stage_guard();
+            if stage.flushed_seq < seq {
+                self.flush_staged(&mut stage, FlushReason::Barrier);
+            }
+        }
+        loop {
+            let (next, cq) = {
+                let mut rep = self.rep_guard();
+                rep.drain();
+                rep.suspect_stalled(&ctx.config, seq);
+                rep.refresh_durable(&ctx.config);
+                let next = if rep.durable_seq >= seq {
+                    if rep.failure_seen {
+                        Next::Repair { must: false }
+                    } else {
+                        Next::Done
+                    }
+                } else if rep.alive() < ctx.config.quorum() {
+                    Next::Repair { must: true }
+                } else {
+                    Next::Wait
+                };
+                (next, rep.cq.clone())
+            };
+            match next {
+                Next::Done => return Ok(()),
+                Next::Repair { must } => {
+                    let mut stage = self.stage_guard();
+                    match self.replace_failed(&mut stage) {
+                        Ok(()) => continue,
+                        Err(e) => {
+                            if !must {
+                                // The awaited prefix is durable on the
+                                // survivors; replacement is deferred to
+                                // `maintain` instead of failing the record.
+                                let mut rep = self.rep_guard();
+                                rep.repair_pending = true;
+                                rep.failure_seen = false;
+                                // Clear the attention bit so fast-path
+                                // barriers resume while repair is deferred.
+                                rep.publish_acked(&ctx.config);
+                                return Ok(());
+                            }
+                            if Instant::now() >= deadline {
+                                return Err(e);
+                            }
+                            drop(stage);
+                            // Bounded exponential backoff with jitter: the
+                            // cluster is short of peers, and hammering the
+                            // controller will not conjure one.
+                            sim::delay(backoff.next_delay());
+                        }
+                    }
+                }
+                Next::Wait => {
+                    if Instant::now() >= deadline {
+                        return Err(NclError::QuorumUnavailable(format!(
+                            "record {seq} not durable within timeout"
+                        )));
+                    }
+                    if self.hosted.load(Ordering::Acquire) {
+                        // Hosted file: the shard reactor drains the
+                        // completion queue and publishes the watermark.
+                        // Never park while the awaited record is still in
+                        // the staged burst — that doorbell tail would wait
+                        // on never-posted requests. Records staged *beyond*
+                        // the awaited one keep accumulating toward their
+                        // natural burst boundary: flushing them here would
+                        // fragment the doorbell batches of a pipelined
+                        // writer every time the window back-pressures
+                        // mid-burst.
+                        {
+                            let mut stage = self.stage_guard();
+                            if stage.flushed_seq < seq {
+                                self.flush_staged(&mut stage, FlushReason::Barrier);
+                                continue;
+                            }
+                        }
+                        let remaining = deadline.saturating_duration_since(Instant::now());
+                        self.acked
+                            .park_until(seq, remaining.min(Duration::from_millis(50)));
+                        continue;
+                    }
+                    // NCL polls the completion queues (§4.4). With NIC
+                    // engine threads a short poll-and-yield loop catches the
+                    // microsecond-scale completions; with an inline NIC
+                    // completions only ever appear when another thread
+                    // posts, so spinning is pure waste — go straight to the
+                    // blocking wait, whose timeout is derived from the
+                    // record deadline (the queue wakes on every completion,
+                    // so a long timeout costs nothing in the common case).
+                    let mut wcs = Vec::new();
+                    if !ctx.config.inline_nic {
+                        for _ in 0..64 {
+                            wcs = cq.poll();
+                            if !wcs.is_empty() {
+                                break;
+                            }
+                            std::thread::yield_now();
+                        }
+                    }
+                    if wcs.is_empty() {
+                        let remaining = deadline.saturating_duration_since(Instant::now());
+                        wcs = cq.wait(remaining.min(Duration::from_millis(50)));
+                    }
+                    if !wcs.is_empty() {
+                        self.rep_guard().absorb(wcs);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Targeted wait for one work completion on a completion queue that other
+/// waiters may be draining concurrently.
+pub(super) trait WcWait: Sync {
+    fn wait_for(&self, qp_num: u32, wr_id: WrId, timeout: Duration) -> Option<WorkCompletion>;
+}
+
+/// [`WcWait`] over a private completion queue (recovery, before the file
+/// handle exists): concurrent per-peer threads share a stash so none of
+/// them loses a completion another thread drained.
+pub(super) struct WcRouter<'a> {
+    cq: &'a CompletionQueue,
+    stash: Mutex<Vec<(u32, WorkCompletion)>>,
+}
+
+impl<'a> WcRouter<'a> {
+    pub fn new(cq: &'a CompletionQueue) -> Self {
+        WcRouter {
+            cq,
+            stash: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl WcWait for WcRouter<'_> {
+    fn wait_for(&self, qp_num: u32, wr_id: WrId, timeout: Duration) -> Option<WorkCompletion> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            {
+                let mut stash = self.stash.lock();
+                if let Some(pos) = stash
+                    .iter()
+                    .position(|(n, wc)| *n == qp_num && wc.wr_id == wr_id)
+                {
+                    return Some(stash.remove(pos).1);
+                }
+            }
+            let wcs = self.cq.wait(Duration::from_millis(2));
+            if !wcs.is_empty() {
+                let mut found = None;
+                let mut stash = self.stash.lock();
+                for (n, wc) in wcs {
+                    if found.is_none() && n == qp_num && wc.wr_id == wr_id {
+                        found = Some(wc);
+                    } else {
+                        stash.push((n, wc));
+                    }
+                }
+                drop(stash);
+                if found.is_some() {
+                    return found;
+                }
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+        }
+    }
+}
+
+/// [`WcWait`] over a live file's shared completion queue: everything drained
+/// is absorbed into the replication state, and the waiter's own completion
+/// comes back out of [`Rep::stray`] where `absorb` parks it.
+pub(super) struct RepWait<'a> {
+    pub file: &'a NclFile,
+}
+
+impl WcWait for RepWait<'_> {
+    fn wait_for(&self, qp_num: u32, wr_id: WrId, timeout: Duration) -> Option<WorkCompletion> {
+        let deadline = Instant::now() + timeout;
+        let take = |rep: &mut Rep| -> Option<WorkCompletion> {
+            rep.stray
+                .iter()
+                .position(|(n, wc)| *n == qp_num && wc.wr_id == wr_id)
+                .map(|pos| rep.stray.remove(pos).1)
+        };
+        loop {
+            let cq = {
+                let mut rep = self.file.rep_guard();
+                rep.drain();
+                if let Some(wc) = take(&mut rep) {
+                    return Some(wc);
+                }
+                rep.cq.clone()
+            };
+            let wcs = cq.wait(Duration::from_millis(2));
+            if !wcs.is_empty() {
+                let mut rep = self.file.rep_guard();
+                rep.absorb(wcs);
+                if let Some(wc) = take(&mut rep) {
+                    return Some(wc);
+                }
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+        }
+    }
+}

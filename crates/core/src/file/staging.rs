@@ -1,0 +1,471 @@
+//! Staging and the pipeline window: the local image, the pending burst,
+//! the `record_nowait` / `submit` entry points, the one flush function
+//! every burst goes through, and the per-record stage metrics.
+
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
+
+use bytes::Bytes;
+use parking_lot::MutexGuard;
+use telemetry::{spans, Counter, HistHandle, Telemetry};
+
+use super::scheme::Scheme;
+use super::slots::{Flight, Rep};
+use super::NclFile;
+use crate::layout::{RegionHeader, HEADER_WIRE_SIZE};
+use crate::lockaudit;
+use crate::NclError;
+
+/// Why a staged burst was posted to the peers — each flush site increments
+/// its own counter, so ablation runs can see which trigger dominates.
+#[derive(Clone, Copy)]
+pub(super) enum FlushReason {
+    /// The application rang the doorbell explicitly ([`NclFile::submit`]).
+    Submit,
+    /// The pending burst reached the pipeline window.
+    WindowFull,
+    /// A durability barrier needed a record still sitting in the burst.
+    Barrier,
+    /// Peer replacement froze the image (replace-implies-flush).
+    Replace,
+}
+
+/// The span histograms that decompose a record's lifetime into consecutive
+/// segments — `stage` (staging the wire image) → `doorbell` (staged,
+/// waiting for a flush) → `wire` (posted until the first peer completes
+/// it) → `ack` (first peer until the quorum watermark passes it) — so
+/// their means sum to the `e2e` mean by construction.
+pub(super) struct Stages {
+    pub stage: HistHandle,
+    pub doorbell: HistHandle,
+    pub wire: HistHandle,
+    pub ack: HistHandle,
+    pub e2e: HistHandle,
+}
+
+impl Stages {
+    /// Interns `<prefix>.record.<stage>` for the five stages.
+    fn new(tel: &Telemetry, prefix: &str) -> Self {
+        let hist = |stage: &str| tel.histogram(&format!("{prefix}.record.{stage}"));
+        Stages {
+            stage: hist("stage"),
+            doorbell: hist("doorbell"),
+            wire: hist("wire"),
+            ack: hist("ack"),
+            e2e: hist("e2e"),
+        }
+    }
+}
+
+/// Per-file metric handles, interned once at open so the record hot path
+/// never touches the registry.
+pub(super) struct FileMetrics {
+    /// Cached `telemetry.is_enabled()`: gates the per-record timestamping
+    /// and flight bookkeeping behind one branch.
+    pub enabled: bool,
+    pub tel: Telemetry,
+    /// `app/file`, the scope every span and event of this file carries.
+    /// Interned so span recording on the hot path never allocates.
+    pub scope: &'static str,
+    /// The fleet-wide stage histograms (`ncl.record.<stage>`).
+    fleet: Stages,
+    /// Their per-shard twins (`ncl.shard-<i>.record.<stage>`), bound once
+    /// when the file is hosted on a reactor shard. Hot-path recording reads
+    /// them through `OnceLock::get` — one atomic load, no allocation — and
+    /// stamps every sample into both, so bench reports get a per-shard
+    /// dimension for free.
+    shard: OnceLock<Stages>,
+    flush_submit: Counter,
+    flush_window_full: Counter,
+    flush_barrier: Counter,
+    flush_replace: Counter,
+    /// `record_nowait` entered its barrier with the window full and the
+    /// oldest in-flight record not yet durable.
+    window_stall: Counter,
+    /// Total bytes posted to peers on the replication hot path (payload +
+    /// headers + fragment framing, summed over peers) — the wire-cost
+    /// denominator the durability bench axis reports per record.
+    wire_bytes: Counter,
+}
+
+impl FileMetrics {
+    pub fn new(tel: &Telemetry, scope: &'static str) -> Arc<Self> {
+        Arc::new(FileMetrics {
+            enabled: tel.is_enabled(),
+            tel: tel.clone(),
+            scope,
+            fleet: Stages::new(tel, "ncl"),
+            shard: OnceLock::new(),
+            flush_submit: tel.counter("ncl.flush.submit"),
+            flush_window_full: tel.counter("ncl.flush.window_full"),
+            flush_barrier: tel.counter("ncl.flush.barrier"),
+            flush_replace: tel.counter("ncl.flush.replace"),
+            window_stall: tel.counter("ncl.window.stall"),
+            wire_bytes: tel.counter("ncl.wire.bytes"),
+        })
+    }
+
+    /// Binds the per-shard histogram twins (idempotent; first shard wins,
+    /// matching a file hosted exactly once). Cold path: runs at hosting
+    /// time, never while recording.
+    pub fn bind_shard(&self, shard: usize) {
+        let _ = self
+            .shard
+            .set(Stages::new(&self.tel, &format!("ncl.shard-{shard}")));
+    }
+
+    /// Stamps one stage sample into the fleet-wide histogram and, when the
+    /// file is hosted, its shard twin.
+    #[inline]
+    pub fn stamp(&self, sample: impl Fn(&Stages)) {
+        sample(&self.fleet);
+        if let Some(shard) = self.shard.get() {
+            sample(shard);
+        }
+    }
+
+    fn count_flush(&self, reason: FlushReason) {
+        match reason {
+            FlushReason::Submit => self.flush_submit.inc(),
+            FlushReason::WindowFull => self.flush_window_full.inc(),
+            FlushReason::Barrier => self.flush_barrier.inc(),
+            FlushReason::Replace => self.flush_replace.inc(),
+        }
+    }
+}
+
+/// One staged-but-unposted record: its slice of the shared wire image plus
+/// the plain header encoded when it was staged. A run of these is a burst,
+/// posted as one doorbell batch per peer at flush time.
+pub(super) struct PendingRecord {
+    pub seq: u64,
+    pub offset: usize,
+    pub payload: Bytes,
+    pub header: Bytes,
+    /// `record_nowait` entry and staging-complete timestamps; consumed at
+    /// flush time to close the stage/doorbell spans and open a [`Flight`].
+    pub t0: Instant,
+    pub staged_at: Instant,
+    /// Trace id assigned at `record_nowait` (0 when tracing is off); the
+    /// root span id of this record's causal chain.
+    pub trace: u64,
+}
+
+/// The file image and its tip: what staging mutates, what recovery
+/// reconstructs, and what a catch-up copy or a spill snapshot captures.
+pub(super) struct Image {
+    pub buffer: Vec<u8>,
+    pub len: u64,
+    pub seq: u64,
+    pub overwritten: bool,
+}
+
+impl Image {
+    /// A fresh, zero-filled file of `capacity` bytes at sequence 0.
+    pub fn empty(capacity: usize) -> Self {
+        Image {
+            buffer: vec![0; capacity],
+            len: 0,
+            seq: 0,
+            overwritten: false,
+        }
+    }
+
+    /// The valid bytes, `[0, len)`.
+    pub fn valid(&self) -> &[u8] {
+        &self.buffer[..self.len as usize]
+    }
+
+    /// The plain region header at this tip.
+    pub fn header(&self) -> RegionHeader {
+        RegionHeader {
+            seq: self.seq,
+            len: self.len,
+            overwritten: self.overwritten,
+            ..Default::default()
+        }
+    }
+}
+
+/// Staging state: the local image, the pending burst, and the scheme's
+/// encoder state. Held while a record is staged and while a burst is
+/// flushed (so per-QP post order equals sequence order) and while a
+/// replacement copies the buffer; never held across a durability wait.
+pub(super) struct Stage {
+    pub image: Image,
+    /// Records staged by `record_nowait` but not yet posted to the peers.
+    pending: Vec<PendingRecord>,
+    /// Highest sequence number whose work requests have been posted.
+    pub flushed_seq: u64,
+    pub scheme: Scheme,
+}
+
+impl Stage {
+    /// Staging state for a file whose log starts (or resumes) at `image`.
+    pub fn new(image: Image, scheme: Scheme) -> Self {
+        Stage {
+            flushed_seq: image.seq,
+            image,
+            pending: Vec::new(),
+            scheme,
+        }
+    }
+}
+
+impl NclFile {
+    /// Acquires the staging lock through the lock-audit hook. Every
+    /// `stage` acquisition inside this module tree goes through here (and
+    /// `rep_guard` for `rep`) so the zero-mutex fast-path guarantee is
+    /// checkable by tests.
+    #[inline]
+    pub(super) fn stage_guard(&self) -> MutexGuard<'_, Stage> {
+        lockaudit::note_lock();
+        self.stage.lock()
+    }
+
+    /// Current valid length.
+    pub fn len(&self) -> u64 {
+        self.stage_guard().image.len
+    }
+
+    /// True when no data has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Sequence number of the latest issued record (lock-free).
+    pub fn seq(&self) -> u64 {
+        self.issued.load(Ordering::Acquire)
+    }
+
+    /// Reads from the local buffer (logs are only read during recovery; this
+    /// serves the application's replay pass from the prefetched image). A
+    /// range running past the valid length is a short read.
+    pub fn read(&self, offset: u64, len: usize) -> Vec<u8> {
+        let stage = self.stage_guard();
+        let valid = stage.image.valid();
+        if offset >= valid.len() as u64 {
+            return Vec::new();
+        }
+        let start = offset as usize;
+        valid[start..start.saturating_add(len).min(valid.len())].to_vec()
+    }
+
+    /// Returns the full valid contents (`[0, len)`).
+    pub fn contents(&self) -> Vec<u8> {
+        self.stage_guard().image.valid().to_vec()
+    }
+
+    /// Records a write at `offset` — the paper's `record(offset, data)`.
+    ///
+    /// Returns once the write (and all prior writes) is durable on a
+    /// majority of peers. Detected peer failures trigger inline replacement:
+    /// a short stall if a quorum survives, blocking until a quorum is
+    /// restored otherwise.
+    pub fn record(&self, offset: u64, data: &[u8]) -> Result<(), NclError> {
+        let seq = self.record_nowait(offset, data)?;
+        self.wait_durable(seq)
+    }
+
+    /// Stages a write into the pending burst without posting or waiting;
+    /// returns the record's sequence number for a later
+    /// [`NclFile::wait_durable`] barrier.
+    ///
+    /// The burst is posted with one doorbell per peer when it reaches the
+    /// pipeline window, when a barrier needs one of its records, or on an
+    /// explicit [`NclFile::submit`]. At most [`NclConfig::pipeline_window`]
+    /// records may be in flight; a post beyond the window first drains the
+    /// oldest in-flight record. On a drain error the record has still been
+    /// staged — a subsequent barrier reports its fate.
+    ///
+    /// [`NclConfig::pipeline_window`]: crate::NclConfig::pipeline_window
+    pub fn record_nowait(&self, offset: u64, data: &[u8]) -> Result<u64, NclError> {
+        let ctx = &self.ctx;
+        let window = ctx.config.pipeline_window.max(1);
+        let t0 = Instant::now();
+        let seq;
+        {
+            let mut stage = self.stage_guard();
+            // An end offset that does not even fit `usize` cannot fit the file.
+            let end = usize::try_from(offset)
+                .ok()
+                .and_then(|start| start.checked_add(data.len()))
+                .unwrap_or(usize::MAX);
+            if end > self.capacity {
+                return Err(NclError::CapacityExceeded {
+                    capacity: self.capacity,
+                    needed: end,
+                });
+            }
+            let image = &mut stage.image;
+            // Stage locally.
+            ctx.config.local_copy.charge(data.len());
+            image.buffer[offset as usize..end].copy_from_slice(data);
+            if offset < image.len {
+                image.overwritten = true;
+            }
+            image.len = image.len.max(end as u64);
+            image.seq += 1;
+            seq = image.seq;
+            self.issued.store(seq, Ordering::Release);
+            // One wire image per record: the header (encoded into a stack
+            // array) and the payload share a single allocation; the per-peer
+            // copies are refcount bumps (`Bytes::clone`/`slice` do not
+            // copy).
+            let mut wire = Vec::with_capacity(HEADER_WIRE_SIZE + data.len());
+            wire.extend_from_slice(&image.header().encode());
+            wire.extend_from_slice(data);
+            let wire = Bytes::from(wire);
+            let header = wire.slice(..HEADER_WIRE_SIZE);
+            let payload = wire.slice(HEADER_WIRE_SIZE..);
+            let staged_at = Instant::now();
+            self.metrics
+                .stamp(|s| s.stage.record_duration(staged_at - t0));
+            // Root of this record's causal chain; 0 (and therefore span-free)
+            // when telemetry is disabled or tracing is switched off.
+            let trace = if self.metrics.enabled {
+                self.metrics.tel.next_trace_id()
+            } else {
+                0
+            };
+            if trace != 0 {
+                self.metrics.tel.span_auto(
+                    trace,
+                    trace,
+                    spans::NCL_STAGE,
+                    self.metrics.scope,
+                    0,
+                    t0,
+                    staged_at,
+                );
+            }
+            stage.pending.push(PendingRecord {
+                seq,
+                offset: offset as usize,
+                payload,
+                header,
+                t0,
+                staged_at,
+                trace,
+            });
+            // Window-full: ring the doorbell for the accumulated burst.
+            if stage.pending.len() as u64 >= window {
+                self.flush_staged(&mut stage, FlushReason::WindowFull);
+            }
+        }
+        // Bounded in-flight window. The stall check reads the published
+        // watermark — no lock on the record hot path.
+        if seq > window {
+            if self.metrics.enabled && self.durable_seq() < seq - window {
+                self.metrics.window_stall.inc();
+            }
+            self.wait_durable(seq - window)?;
+        }
+        Ok(seq)
+    }
+
+    /// Rings the doorbell for the staged burst without waiting: every record
+    /// staged since the last flush is posted to all live peers, one doorbell
+    /// batch per peer. Durability still requires a barrier
+    /// ([`NclFile::wait_durable`] / [`NclFile::fsync`]); group-commit
+    /// callers use this to start replicating a finished group while they
+    /// assemble the next one. A no-op when nothing is pending.
+    pub fn submit(&self) {
+        let mut stage = self.stage_guard();
+        self.flush_staged(&mut stage, FlushReason::Submit);
+    }
+
+    /// Posts the pending burst to every live peer as one doorbell batch
+    /// each. The scheme encodes the burst once ([`Scheme::begin_burst`])
+    /// and then translates it into each peer's work requests — QP order
+    /// makes "header completed" imply "everything before it landed" under
+    /// every scheme. Post errors are left to the completion path, like
+    /// every other posting site.
+    pub(super) fn flush_staged(&self, stage: &mut Stage, reason: FlushReason) {
+        let Some(last) = stage.pending.last() else {
+            return;
+        };
+        let flushed = last.seq;
+        self.metrics.count_flush(reason);
+        let burst = stage.scheme.begin_burst(&stage.image, &stage.pending);
+        let mut rep = self.rep_guard();
+        self.register_flights(&mut rep, &stage.pending);
+        let per_peer_bytes = if self.metrics.enabled {
+            burst.wire_bytes(&stage.pending)
+        } else {
+            0
+        };
+        let idle_below = stage.flushed_seq;
+        let now = Instant::now();
+        let mut wrs = std::mem::take(&mut rep.wr_scratch);
+        for slot in rep.peers.iter_mut().filter(|s| s.alive) {
+            // A peer with nothing outstanding was silent because nothing was
+            // asked of it: restart its silence clock as the new work posts,
+            // so idle time never reads as suspicious.
+            if slot.completed_seq >= idle_below {
+                slot.detector.touch(now);
+            }
+            wrs.clear();
+            burst.peer_wrs(&mut wrs, &stage.pending, &slot.mr, slot.row);
+            let _ = slot.qp.post_many(&wrs);
+            if self.metrics.enabled {
+                self.metrics.wire_bytes.add(per_peer_bytes);
+            }
+        }
+        wrs.clear();
+        rep.wr_scratch = wrs;
+        drop(rep);
+        stage.flushed_seq = flushed;
+        stage.pending.clear();
+        stage.scheme.end_burst(&stage.image, burst);
+    }
+
+    /// Stamps the doorbell spans and opens a [`Flight`] per pending record.
+    /// Must run before the posts: an inline NIC executes the writes during
+    /// `post_many`, so stamping after would misattribute the wire time to
+    /// the doorbell span — and completions cannot be absorbed concurrently
+    /// because the caller holds the replication lock.
+    fn register_flights(&self, rep: &mut Rep, pending: &[PendingRecord]) {
+        if !self.metrics.enabled {
+            return;
+        }
+        let posted_at = Instant::now();
+        for rec in pending {
+            let waited = posted_at.duration_since(rec.staged_at);
+            self.metrics.stamp(|s| s.doorbell.record_duration(waited));
+            if rec.trace != 0 {
+                self.metrics.tel.span_auto(
+                    rec.trace,
+                    rec.trace,
+                    spans::NCL_DOORBELL,
+                    self.metrics.scope,
+                    0,
+                    rec.staged_at,
+                    posted_at,
+                );
+                rep.traced_flights += 1;
+            }
+            rep.flights.insert(
+                rec.seq,
+                Flight {
+                    t0: rec.t0,
+                    posted: posted_at,
+                    first_peer: None,
+                    trace: rec.trace,
+                    covered: Vec::new(),
+                },
+            );
+        }
+    }
+
+    /// Durability barrier over everything issued so far: waits until the
+    /// latest staged record is durable. A no-op after synchronous `record`
+    /// calls; the real fence for `record_nowait` pipelines.
+    pub fn fsync(&self) -> Result<(), NclError> {
+        // Lock-free read of the issued counter: an fsync of fully durable
+        // data composes with the `wait_durable` fast path into a
+        // zero-mutex barrier.
+        self.wait_durable(self.seq())
+    }
+}

@@ -131,12 +131,6 @@ struct Region {
     lease: Instant,
 }
 
-/// Per-peer knobs copied out of [`NclConfig`] at start.
-struct PeerOpts {
-    lease: Duration,
-    evict_on_pressure: bool,
-}
-
 /// Gauge/counter handles for the `splitft_peer_mem_*` observability plane.
 ///
 /// Per-peer gauges are set absolutely; the fleet-wide aggregates (shared by
@@ -196,7 +190,8 @@ struct PeerState {
     staged: HashMap<(String, String), Region>,
     /// Event trace for region lifecycle transitions (shared via the config).
     telemetry: Telemetry,
-    opts: PeerOpts,
+    /// [`NclConfig::peer_lease`], copied out at start.
+    lease: Duration,
     gauges: MemGauges,
 }
 
@@ -260,10 +255,7 @@ impl Peer {
             mr_map: HashMap::new(),
             staged: HashMap::new(),
             telemetry: config.telemetry.clone(),
-            opts: PeerOpts {
-                lease: config.peer_lease,
-                evict_on_pressure: config.peer_evict_on_pressure,
-            },
+            lease: config.peer_lease,
             gauges: MemGauges::new(&config.telemetry, name, lend_mem),
         }));
 
@@ -620,7 +612,7 @@ fn run_gc_sweep(
     // renewed instead, and an unreachable controller means no confirmation
     // and no reclaim.
     let now = Instant::now();
-    let lease = st.opts.lease;
+    let lease = st.lease;
     for map_kind in 0..2 {
         let keys: Vec<(String, String)> = if map_kind == 0 {
             st.mr_map.keys().cloned().collect()
@@ -772,9 +764,6 @@ fn consume_pressure(
         0,
         format!("shrink to {pct}% of {}-byte budget", st.alloc.total()),
     );
-    if !st.opts.evict_on_pressure {
-        return;
-    }
     let target = ((st.alloc.total() as u128 * pct as u128) / 100) as u64;
     let used = st.alloc.used();
     if used > target {
@@ -833,7 +822,7 @@ fn allocate_with_eviction(
     match allocate_region(device, st, &key.0, region_len) {
         Ok(pair) => Ok(pair),
         Err(msg) => {
-            if !st.opts.evict_on_pressure || region_len as u64 > st.alloc.total() {
+            if region_len as u64 > st.alloc.total() {
                 return Err(msg);
             }
             let shortfall = (region_len as u64).saturating_sub(st.alloc.avail());

@@ -175,7 +175,7 @@ proptest! {
     }
 }
 
-/// Operations for the batched-submission equivalence property: appends
+/// Operations for the batched-submission property: appends
 /// staged through `record_nowait`, with burst boundaries (`submit`),
 /// durability barriers (`wait_durable` / `fsync`), and app crash–recover
 /// cycles at proptest-chosen points.
@@ -203,14 +203,13 @@ fn burst_op_strategy() -> impl Strategy<Value = BurstOp> {
     ]
 }
 
-fn burst_world(coalesce: bool, capacity: usize) -> (World, NclLib, Arc<NclFile>) {
+fn burst_world(capacity: usize) -> (World, NclLib, Arc<NclFile>) {
     let mut config = NclConfig::zero();
-    // Inline NIC: posted requests apply at post time, so both worlds see
-    // the same deterministic wire state at every crash point. The window
-    // exceeds the op count, so burst boundaries come only from the ops.
+    // Inline NIC: posted requests apply at post time, so the wire state at
+    // every crash point is deterministic. The window exceeds the op count,
+    // so burst boundaries come only from the ops.
     config.inline_nic = true;
     config.pipeline_window = 64;
-    config.coalesce_headers = coalesce;
     let mut world = World::with_config(config);
     let lib = world.fresh_app();
     let file = lib.create("wal", capacity).unwrap();
@@ -233,18 +232,16 @@ proptest! {
         max_shrink_iters: 200,
     })]
 
-    /// Coalesced and per-record header modes must recover byte-identical
-    /// acked prefixes under every interleaving of `record_nowait`,
-    /// `submit`, `wait_durable`, `fsync`, and app restarts: coalescing
-    /// changes how many header writes a burst posts, never which bytes
-    /// survive a barrier.
+    /// Under every interleaving of `record_nowait`, `submit`,
+    /// `wait_durable`, `fsync`, and app restarts, recovery returns exactly
+    /// the flushed prefix: batching changes how many header writes a burst
+    /// posts, never which bytes survive a barrier.
     #[test]
-    fn coalesced_and_per_record_recover_identical_prefixes(
+    fn batched_bursts_recover_the_flushed_prefix(
         ops in prop::collection::vec(burst_op_strategy(), 1..40)
     ) {
         let capacity = 8192usize;
-        let (mut world_c, mut lib_c, mut file_c) = burst_world(true, capacity);
-        let (mut world_p, mut lib_p, mut file_p) = burst_world(false, capacity);
+        let (mut world, mut lib, mut file) = burst_world(capacity);
         // Model: all bytes staged, and the prefix flushed to the wire (with
         // the inline NIC, flushed == durable; staged-but-unflushed records
         // die with the app).
@@ -260,49 +257,30 @@ proptest! {
                     }
                     fill = fill.wrapping_add(1);
                     let data = vec![fill; len];
-                    file_c.record_nowait(appended.len() as u64, &data).unwrap();
-                    file_p.record_nowait(appended.len() as u64, &data).unwrap();
+                    file.record_nowait(appended.len() as u64, &data).unwrap();
                     appended.extend_from_slice(&data);
                 }
                 BurstOp::Submit => {
-                    file_c.submit();
-                    file_p.submit();
+                    file.submit();
                     flushed_len = appended.len();
                 }
                 BurstOp::WaitDurable => {
-                    let seq = file_c.seq();
-                    file_c.wait_durable(seq).unwrap();
-                    file_p.wait_durable(seq).unwrap();
+                    file.wait_durable(file.seq()).unwrap();
                     flushed_len = appended.len();
                 }
                 BurstOp::Fsync => {
-                    file_c.fsync().unwrap();
-                    file_p.fsync().unwrap();
+                    file.fsync().unwrap();
                     flushed_len = appended.len();
                 }
                 BurstOp::AppRestart => {
-                    let (lib, file) = burst_restart(&mut world_c, lib_c, file_c);
-                    lib_c = lib;
-                    file_c = file;
-                    let (lib, file) = burst_restart(&mut world_p, lib_p, file_p);
-                    lib_p = lib;
-                    file_p = file;
-                    prop_assert_eq!(
-                        file_c.contents(),
-                        file_p.contents(),
-                        "modes must recover identical images"
-                    );
-                    prop_assert_eq!(file_c.contents(), appended[..flushed_len].to_vec());
+                    (lib, file) = burst_restart(&mut world, lib, file);
+                    prop_assert_eq!(file.contents(), appended[..flushed_len].to_vec());
                     appended.truncate(flushed_len);
                 }
             }
         }
 
-        let (_, file) = burst_restart(&mut world_c, lib_c, file_c);
-        let recovered_c = file.contents();
-        let (_, file) = burst_restart(&mut world_p, lib_p, file_p);
-        let recovered_p = file.contents();
-        prop_assert_eq!(&recovered_c, &recovered_p, "modes must recover identical images");
-        prop_assert_eq!(recovered_c, appended[..flushed_len].to_vec());
+        let (_, file) = burst_restart(&mut world, lib, file);
+        prop_assert_eq!(file.contents(), appended[..flushed_len].to_vec());
     }
 }

@@ -1,6 +1,6 @@
 //! Exhaustive model of the erasure-coded durability path.
 //!
-//! Abstraction (mirroring `ncl::file::flush_staged_ec` + `recover_ec`):
+//! Abstraction (mirroring the `Ec` arm of `ncl::file::scheme`):
 //!
 //! * Writes are coalesced; the unit of the model is one **burst** — one
 //!   fragment entry posted to each of the `n` peers plus one header write
@@ -35,6 +35,9 @@
 //! counterexamples.
 
 use std::collections::{HashMap, VecDeque};
+
+use ncl::file::scheme;
+use ncl::Durability;
 
 use crate::model::{CheckResult, Violation};
 
@@ -72,6 +75,16 @@ pub struct EcModelConfig {
     pub bug: EcBugMode,
     /// Safety valve on exploration size (0 = unbounded).
     pub max_states: usize,
+}
+
+impl EcModelConfig {
+    /// The modelled code as the implementation names it.
+    fn durability(&self) -> Durability {
+        Durability::Ec {
+            k: self.k,
+            n: self.n,
+        }
+    }
 }
 
 impl Default for EcModelConfig {
@@ -128,7 +141,7 @@ impl EcState {
                     entries: 0,
                     headers: 0,
                 };
-                config.n
+                scheme::peers_per_file(config.durability(), 0)
             ],
             crashes_left: config.crash_budget,
         }
@@ -151,19 +164,19 @@ impl EcState {
     /// peer crashed still count (they reached the writer).
     fn acked(&self, config: &EcModelConfig) -> u8 {
         let mut hs: Vec<u8> = self.peers.iter().map(|p| p.headers).collect();
-        hs.sort_unstable_by(|a, b| b.cmp(a));
         let need = match config.bug {
             EcBugMode::AckAtK => config.k,
-            _ => config.n,
+            _ => scheme::ack_quorum(config.durability(), 0),
         };
-        hs[need - 1]
+        scheme::ack_watermark(&mut hs, need).expect("the model runs all n peers")
     }
 
     /// Does responder `p` serve burst `b` when the decode walk targets
-    /// `gmax`? Mirrors `recover_ec`'s serve rule: a responder at
-    /// generation `gmax` serves its active half up to its *header* tail
-    /// plus all of the previous generation via `prev_tail`; a responder
-    /// one generation behind serves only its active half.
+    /// `gmax`? Mirrors the serve rule of `ncl::file::scheme`'s EC
+    /// reconstruction: a responder at generation `gmax` serves its active
+    /// half up to its *header* tail plus all of the previous generation
+    /// via `prev_tail`; a responder one generation behind serves only its
+    /// active half.
     fn serves(&self, p: usize, b: u8, gmax: u8) -> bool {
         let bg = self.gen_of[b as usize - 1];
         let pg = self.header_gen(p);
@@ -185,7 +198,8 @@ fn check_recovery(config: &EcModelConfig, st: &EcState) -> Option<String> {
         return None;
     }
     let live: Vec<usize> = (0..config.n).filter(|&p| st.peers[p].alive).collect();
-    if live.len() < config.k {
+    let k = scheme::recovery_quorum(config.durability(), 0);
+    if live.len() < k {
         // Fewer than `k` survivors: recovery legitimately reports
         // `QuorumUnavailable` — outside the durability contract.
         return None;
@@ -209,7 +223,7 @@ fn check_recovery(config: &EcModelConfig, st: &EcState) -> Option<String> {
         }
     }
     let mut cur = Vec::new();
-    rec(&live, config.k, 0, &mut cur, &mut combos);
+    rec(&live, k, 0, &mut cur, &mut combos);
 
     for responders in &combos {
         let gmax = responders
@@ -217,7 +231,7 @@ fn check_recovery(config: &EcModelConfig, st: &EcState) -> Option<String> {
             .map(|&p| st.header_gen(p))
             .max()
             .expect("responders nonempty");
-        // Base prefix: the durable snapshot for `gmax`. `recover_ec`
+        // Base prefix: the durable snapshot for `gmax`. Recovery
         // refuses to proceed without it — modelled as recovering nothing.
         let base = if gmax == 0 {
             0

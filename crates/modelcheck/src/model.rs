@@ -25,6 +25,13 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use ncl::file::scheme;
+use ncl::Durability;
+
+/// The model's failure budget: three ap-map slots, recovery reads from
+/// every 2-subset of responders, and acks by the implementation's rule.
+const F: usize = 1;
+
 /// Seeded bugs from §4.6 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BugMode {
@@ -264,7 +271,9 @@ fn successors(config: &ModelConfig, st: &State) -> Vec<Successor> {
         }
 
         // --- Acknowledge the in-flight write. ---
-        if st.issued > st.acked && st.applied_on(st.acked + 1) >= 2 {
+        if st.issued > st.acked
+            && st.applied_on(st.acked + 1) >= scheme::ack_quorum(Durability::Replicated, F)
+        {
             let mut next = st.clone();
             next.acked += 1;
             out.push((format!("ack(w{})", st.acked + 1), next, None));
@@ -541,6 +550,14 @@ pub fn check(config: &ModelConfig) -> CheckResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn model_shape_is_the_schemes_for_f() {
+        // The hard-wired three ap-map slots and 2-subset read quorums are
+        // the implementation's counts at the model's failure budget.
+        assert_eq!(scheme::peers_per_file(Durability::Replicated, F), 3);
+        assert_eq!(scheme::recovery_quorum(Durability::Replicated, F), 2);
+    }
 
     fn small(bug: BugMode) -> ModelConfig {
         ModelConfig {

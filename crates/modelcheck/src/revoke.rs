@@ -30,6 +30,9 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use ncl::file::scheme;
+use ncl::Durability;
+
 use crate::model::{CheckResult, Violation};
 
 /// Seeded bugs for the revocation model.
@@ -120,7 +123,7 @@ impl RevokeState {
                     revoked: false,
                     needs_catchup: false,
                 };
-                2 * config.f + 1
+                scheme::peers_per_file(Durability::Replicated, config.f)
             ],
             crashes_left: config.crash_budget,
             revokes_left: config.revoke_budget,
@@ -137,8 +140,11 @@ impl RevokeState {
     /// Recomputes the acked high-water mark after an apply.
     fn refresh_acked(&mut self, f: usize) {
         let mut applied: Vec<u8> = self.peers.iter().map(|p| p.applied).collect();
-        applied.sort_unstable_by(|a, b| b.cmp(a));
-        self.acked = self.acked.max(applied[f]);
+        let quorum = scheme::ack_quorum(Durability::Replicated, f);
+        let mark = scheme::ack_watermark(&mut applied, quorum);
+        self.acked = self
+            .acked
+            .max(mark.expect("the model runs all 2f + 1 peers"));
     }
 
     /// Does peer `p` answer a recovery lookup, and with which sequence
@@ -173,7 +179,7 @@ fn check_recovery(config: &RevokeModelConfig, st: &RevokeState) -> Option<String
                 .map(|(adv, held)| (p, adv, held))
         })
         .collect();
-    let quorum = config.f + 1;
+    let quorum = scheme::recovery_quorum(Durability::Replicated, config.f);
     if responders.len() < quorum {
         // Fewer than `f + 1` responders: recovery legitimately reports
         // `QuorumUnavailable` — outside the durability contract (and, with
