@@ -2,17 +2,19 @@
 //!
 //! Replays the `{"type":"span"}` / `{"type":"event"}` JSONL stream a run
 //! wrote through `Telemetry::set_jsonl_sink` (the chaos harness and the
-//! splitfs testbed both emit this format), groups spans by `trace_id`, and
-//! verifies the per-write invariants of the protocol through
-//! `telemetry::analyze` — the same checker the integration tests assert
-//! with in-process:
+//! splitfs testbed both emit this format) through `telemetry::analyze`,
+//! i.e. through the invariant engine (`telemetry::checker`, whose module
+//! docs hold the table of rules) that the online monitor runs live and the
+//! integration tests assert with in-process. Each violation is printed
+//! with its invariant code:
 //!
-//! * every rooted span resolves its parent (no orphans);
-//! * every acked write (an `ncl.write` root) carries staging, a doorbell,
-//!   and wire/catch-up coverage on at least a write quorum of peers;
-//! * no write roots inside a degraded window outside reattach replay;
-//! * per epoch, catch-up finishes before the ap-map moves;
-//! * ap-map epochs are monotone per file.
+//! * `orphan-span` — a span in a rooted trace does not resolve its parent;
+//! * `ack-coverage` — an acked write (an `ncl.write` root) lacks staging, a
+//!   doorbell, or wire/catch-up coverage on a write quorum of peers;
+//! * `degraded-write` — a write roots inside a degraded window outside
+//!   reattach replay;
+//! * `ap-map-order` — the ap-map moved before its epoch's catch-up finished;
+//! * `ap-map-monotone` — ap-map epochs went backwards for a file.
 //!
 //! Usage:
 //!

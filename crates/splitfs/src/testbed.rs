@@ -49,8 +49,9 @@ pub struct TestbedConfig {
     /// by the `NCL_SHARDS` environment variable at [`Testbed::start`].
     pub shards: usize,
     /// When true, attach a streaming [`telemetry::OnlineMonitor`] to the
-    /// shared telemetry handle: the analyzer's invariants are verified live
-    /// against the span/event stream, violations increment
+    /// shared telemetry handle: the invariant engine's rules
+    /// ([`telemetry::checker`]) are verified live against the span/event
+    /// stream, violations increment
     /// `invariant.violations.total`, flip the scrape endpoint's `/health`
     /// to 503, and (when `FLIGHT_DUMP_DIR` is set) dump the flight
     /// recorder. Overridden by the `SPLITFT_ONLINE_MONITOR` environment
@@ -332,6 +333,18 @@ impl Testbed {
     }
 }
 
+impl Drop for Testbed {
+    /// Stops the peer GC threads while the controller is still there: the
+    /// controller field drops before the peers, and a GC sweep caught
+    /// mid-RPC to a controller that is already gone would keep its peer's
+    /// drop waiting out the 30 s RPC timeout.
+    fn drop(&mut self) {
+        for peer in &mut self.peers {
+            peer.stop_gc();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,6 +448,31 @@ mod tests {
         assert!(text.contains("200"), "{text}");
         assert!(text.contains("\"shards\""), "{text}");
         assert!(text.contains("\"apply_ns\""), "{text}");
+    }
+
+    #[test]
+    fn calibrated_testbed_with_peer_gc_drops_promptly() {
+        let mut cfg = TestbedConfig::calibrated(3);
+        // Keep every GC thread inside a sweep, i.e. inside controller RPCs,
+        // nearly all the time: many regions, back-to-back sweeps, and no
+        // modelled RPC latency to idle in.
+        cfg.peer_gc_interval = Some(Duration::from_millis(1));
+        cfg.ncl.control = sim::LatencyModel::ZERO;
+        let tb = Testbed::start(cfg);
+        let (fs, _node) = tb.mount(Mode::SplitFt, "app-drop");
+        let files: Vec<_> = (0..32)
+            .map(|i| {
+                fs.open(&format!("wal-{i}"), OpenOptions::create_ncl(1 << 12))
+                    .unwrap()
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(50));
+        drop(files);
+        drop(fs);
+        let t0 = std::time::Instant::now();
+        drop(tb);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "testbed drop took {took:?}");
     }
 
     #[test]

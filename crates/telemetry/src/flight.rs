@@ -14,9 +14,11 @@
 //! * **Complete traces only** — ring eviction can behead a trace (children
 //!   are recorded before their root, so the oldest spans of a rooted trace
 //!   go first). A dump containing a beheaded acked write would *manufacture*
-//!   invariant violations, so rooted traces that no longer carry their
-//!   required children (stage, doorbell, reconstruction-quorum coverage,
-//!   resolvable parents) are dropped from the dump and counted instead;
+//!   invariant violations, so the rings are run through a
+//!   [`Checker`] and every rooted trace its span-completeness rules reject
+//!   ([`Checker::is_complete`]) is dropped from the dump and counted
+//!   instead — the predicate that filters the dump is the one that will
+//!   judge it;
 //! * **Counter deltas** — [`FlightRecorder::tick`] snapshots every counter
 //!   and retains a bounded ring of per-tick deltas, encoded in the dump as
 //!   `flight-counter-delta` events (unknown kinds pass [`crate::analyze`]
@@ -28,12 +30,13 @@
 //! Dump files are named `trace-flight-<tag>.jsonl` so a directory of them is
 //! checkable with `trace_analyzer --check <dir>`.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::{events, spans, Event, Span, Telemetry};
+use crate::checker::Checker;
+use crate::{Event, Span, Telemetry};
 
 /// Event kind of the dump's header line.
 pub const FLIGHT_DUMP_KIND: &str = "flight-dump";
@@ -126,8 +129,7 @@ impl FlightRecorder {
 
     /// A recorder with explicit bounds. `quorum` is the coverage required of
     /// an acked write for it to be considered complete (erasure-coded scopes
-    /// override it via their `durability-mode` events, same as the
-    /// analyzer).
+    /// override it via their `durability-mode` events).
     pub fn with_limits(
         tel: Telemetry,
         per_scope: usize,
@@ -183,21 +185,13 @@ impl FlightRecorder {
         let events = self.inner.tel.events();
         let all_spans = self.inner.tel.spans();
 
-        // Per-scope coverage requirement, mirroring the analyzer's rule.
-        let mut required: BTreeMap<String, usize> = BTreeMap::new();
-        for ev in events.iter().filter(|e| e.kind == events::DURABILITY_MODE) {
-            if let Some(k) = ev
-                .detail
-                .split_whitespace()
-                .find_map(|t| t.strip_prefix("k="))
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                required.insert(ev.scope.clone(), k);
-            }
+        let mut checker = Checker::replay(self.inner.quorum);
+        for ev in &events {
+            checker.feed_event(ev);
         }
-
         let mut by_trace: BTreeMap<u64, Vec<Span>> = BTreeMap::new();
         for s in all_spans {
+            checker.feed_span(&s);
             by_trace.entry(s.trace).or_default().push(s);
         }
 
@@ -209,36 +203,15 @@ impl FlightRecorder {
         type RankedTrace = ((u64, u64), Vec<Span>);
         let mut per_scope: BTreeMap<&str, Vec<RankedTrace>> = BTreeMap::new();
         for (trace, group) in &by_trace {
-            let root = group.iter().find(|s| s.id == *trace && s.parent == 0);
-            if let Some(root) = root {
-                let ids: BTreeSet<u64> = group.iter().map(|s| s.id).collect();
-                let parents_resolve = group
-                    .iter()
-                    .all(|s| s.parent == 0 || ids.contains(&s.parent));
-                let complete = parents_resolve
-                    && if root.name == spans::NCL_WRITE {
-                        let has = |n: &str| group.iter().any(|s| s.name == n);
-                        let coverage: BTreeSet<&str> = group
-                            .iter()
-                            .filter(|s| {
-                                s.name == spans::NCL_WIRE_PEER || s.name == spans::NCL_CATCHUP_PEER
-                            })
-                            .map(|s| s.scope)
-                            .collect();
-                        let need = required
-                            .get(root.scope)
-                            .copied()
-                            .unwrap_or(self.inner.quorum);
-                        has(spans::NCL_STAGE) && has(spans::NCL_DOORBELL) && coverage.len() >= need
-                    } else {
-                        true
-                    };
-                if !complete {
-                    dropped_traces += 1;
-                    continue;
-                }
+            if !checker.is_complete(*trace) {
+                dropped_traces += 1;
+                continue;
             }
-            let scope = root.map_or_else(|| group[0].scope, |r| r.scope);
+            let scope = group
+                .iter()
+                .find(|s| s.is_root())
+                .unwrap_or(&group[0])
+                .scope;
             let recency = group.iter().map(|s| s.end_ns).max().unwrap_or(0);
             per_scope
                 .entry(scope)
@@ -328,6 +301,8 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::analyze::{analyze, parse_jsonl};
+    use crate::{events, spans};
+    use std::collections::BTreeSet;
     use std::time::Instant;
 
     /// Emits one complete acked write (root + stage + doorbell + 2 wire

@@ -16,8 +16,8 @@
 //! * **causal spans** ([`Span`], same ring + sink machinery): every NCL write
 //!   gets a `trace` id at `record_nowait` whose span tree reconstructs the
 //!   full durability chain (stage → doorbell → per-peer wire → quorum ack),
-//!   consumed by the exporters in [`export`] and the invariant checker in
-//!   [`analyze`].
+//!   consumed by the exporters in [`export`] and by the invariant engine in
+//!   [`checker`], live through [`monitor`] and offline through [`analyze`].
 //!
 //! A [`Telemetry`] value is a cheap cloneable handle; all clones share one
 //! registry and one trace. [`Telemetry::disabled`] yields a handle whose
@@ -38,6 +38,7 @@
 //! ```
 
 pub mod analyze;
+pub mod checker;
 pub mod export;
 pub mod flight;
 mod hist;
@@ -49,10 +50,11 @@ mod snapshot;
 mod span;
 mod trace;
 
+pub use checker::{MonitorReport, Violation};
 pub use flight::FlightRecorder;
 pub use hist::{Histogram, Summary, OVERFLOW_LIMIT};
 pub use metrics::{Counter, Gauge, HistHandle};
-pub use monitor::{MonitorReport, OnlineMonitor, Violation};
+pub use monitor::OnlineMonitor;
 pub use profile::{ProfileReport, ReactorProfiler, ShardProfile};
 pub use slo::{
     HealthReport, SaturationSnapshot, ShardSaturation, SloPlane, SloSpec, SloState, SloStatus,

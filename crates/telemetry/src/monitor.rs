@@ -1,88 +1,35 @@
-//! Streaming online invariant monitor: the analyzer's checks, verified live.
+//! Streaming online invariant monitor: the live front end of the
+//! [`Checker`].
 //!
-//! [`crate::analyze`] replays a finished JSONL artifact; this module
-//! subscribes to the live span/event stream inside a [`crate::Telemetry`]
-//! handle ([`OnlineMonitor::attach`]) and verifies the same per-write
-//! promises *as traces complete*, with bounded memory:
+//! [`crate::analyze`] replays a finished JSONL artifact through a checker;
+//! this module subscribes one to the live span/event stream inside a
+//! [`crate::Telemetry`] handle ([`OnlineMonitor::attach`]), so the rules of
+//! [`crate::checker`] are verified *as traces complete*, with bounded
+//! memory. What lives here is only the plumbing around the checker:
 //!
-//! * **Tree integrity** — children of every rooted trace resolve their
-//!   parents. A trace is only judged once it has *retired*: the stream's
-//!   high-water end timestamp (the watermark) has moved
-//!   [`retirement lag`](OnlineMonitor::with_limits) past the trace's last
-//!   span, so stragglers (minority wire-peer spans closing after the root,
-//!   catch-up credits landing during a later repair) have had their window.
-//!   State is O(open traces), never O(history).
-//! * **Ack ⇒ reconstructible coverage** — acked writes carry their
-//!   `ncl.stage` + `ncl.doorbell` children and ≥ quorum (or the scope's
-//!   declared EC `k`) distinct covering peers.
-//! * **No ack while degraded** — a write root starting inside an open
-//!   `dfs-fallback-engage` window is *deferred*, not flagged: judgment waits
-//!   for the scope's `ncl-reattach` (whose replay span, recorded just
-//!   before it, exempts journal-replay traffic) or for [`finalize`].
-//! * **Catch-up before ap-map**, per epoch, and **monotone ap-map epochs**
-//!   — checked immediately at event arrival; these are the violations the
-//!   monitor catches with zero latency.
-//!
-//! A trace that fails a span-completeness check at retirement is first
-//! parked as a *suspect* for a grace period (late catch-up credits can still
-//! clear it); only when the grace expires — or at [`finalize`] — does it
-//! become a violation. Violations increment
-//! `invariant.violations.total` (exported as
-//! `splitft_invariant_violations_total`), emit an `invariant-violation`
-//! event, fire the registered [`on_violation`](OnlineMonitor::on_violation)
-//! hook (the testbed wires a flight-recorder dump there), and flip `/health`
-//! to 503 via [`OnlineMonitor::violating`]. Violation messages use the
-//! *same format strings* as the offline analyzer, so the chaos harness can
-//! cross-check the two reports verbatim.
-//!
-//! When a trace ring overflows ([`crate::Telemetry`] reports it via
-//! `note_truncated`), span-completeness checks downgrade to a "truncated
-//! window" note instead of false-positive orphan/coverage violations —
-//! mirroring [`crate::analyze::analyze_with_drops`].
+//! * recording threads pay one `Vec` push per span; the checker is fed in
+//!   batches by the `ncl-invmon` drainer thread (or by the next event,
+//!   report or [`finalize`]);
+//! * traces retire after the
+//!   [retirement lag](OnlineMonitor::attach_with_limits) and failures are
+//!   confirmed after the suspect grace, both in stream time;
+//! * confirmed violations increment `invariant.violations.total` (exported
+//!   as `splitft_invariant_violations_total`), emit an
+//!   `invariant-violation` event, fire the registered
+//!   [`on_violation`](OnlineMonitor::on_violation) hook (the testbed wires a
+//!   flight-recorder dump there), and flip `/health` to 503 via
+//!   [`OnlineMonitor::violating`];
+//! * a trace-ring overflow ([`crate::Telemetry`] reports it via
+//!   `note_truncated`) reaches the checker, which downgrades its
+//!   span-completeness rules to a "truncated window" note.
 //!
 //! [`finalize`]: OnlineMonitor::finalize
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::snapshot::json_escape;
-use crate::{events, spans, Counter, Event, Gauge, Span, Telemetry, WeakTelemetry};
-
-/// Multiplicative hasher for `u64` trace ids (FxHash-style). The default
-/// SipHash costs more than the whole per-span budget on the hot path, and
-/// trace ids are sequential — no DoS surface to defend.
-#[derive(Default)]
-struct TraceIdHasher(u64);
-
-impl std::hash::Hasher for TraceIdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type TraceMap = HashMap<u64, Slot, BuildHasherDefault<TraceIdHasher>>;
-
-/// Map slot per known trace. Settled tombstones are the common steady-state
-/// resident (every acked write leaves one for a short TTL), so they are kept
-/// inline and pointer-free: the straggler-span probe touches one cache line,
-/// and the map stays small enough to sit in cache at line rate. Live
-/// accumulators are boxed — there are only O(in-flight + failing) of them.
-enum Slot {
-    Live(Box<TraceAcc>),
-    /// Trace judged clean at root arrival; the payload is its expiry due
-    /// time (mirror of the entry pushed to `due_rooted`).
-    Settled(u64),
-}
+use crate::checker::{Checker, MonitorReport, Violation};
+use crate::{events, Counter, Event, Gauge, Span, Telemetry, WeakTelemetry};
 
 /// Watermark distance a rooted trace must be quiet for before it is judged.
 /// Large enough for minority wire spans closing at peer timeouts.
@@ -90,18 +37,6 @@ const DEFAULT_RETIREMENT_LAG_NS: u64 = 100_000_000; // 100ms
 /// Extra watermark distance a failing trace is held as a suspect before its
 /// failure becomes a violation (late catch-up credits can still clear it).
 const DEFAULT_SUSPECT_GRACE_NS: u64 = 3_000_000_000; // 3s
-/// Watermark distance before a *rootless* write trace is counted open. Much
-/// longer than the rooted lag: a write blocked on dead peers can ack (and
-/// root) seconds later, and a premature open-count would double-book it.
-const DEFAULT_OPEN_WRITE_LAG_NS: u64 = 30_000_000_000; // 30s
-/// How long a settled tombstone lingers to absorb post-ack stragglers (the
-/// minority wire spans that close after the quorum ack). Deliberately short:
-/// a straggler arriving later just opens a throwaway rootless accumulator
-/// that retires silently (it is not a write), while a long TTL would keep
-/// throughput × TTL tombstones resident — the map's cache footprint.
-const TOMBSTONE_TTL_NS: u64 = 10_000_000; // 10ms
-/// Spans between retirement sweeps.
-const SWEEP_EVERY: u32 = 128;
 /// Producer buffer length at which the background drainer is nudged awake.
 /// Producers only pay a `Vec` push under a short lock; the full checker
 /// state is touched in batches on the drainer thread, off every recording
@@ -113,212 +48,17 @@ const DRAIN_BATCH: usize = 256;
 const DRAIN_HARD_CAP: usize = 1 << 16;
 /// Drainer thread wake interval when no producer nudges it.
 const DRAIN_INTERVAL: std::time::Duration = std::time::Duration::from_millis(10);
-/// Violation list cap; the total is also a counter, so nothing is lost.
-const MAX_VIOLATIONS: usize = 256;
-
-/// One confirmed invariant violation.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Watermark (stream time, ns) when the violation was confirmed.
-    pub t_ns: u64,
-    /// Short invariant code: `orphan-span`, `ack-coverage`,
-    /// `degraded-write`, `ap-map-order`, `ap-map-monotone`.
-    pub invariant: &'static str,
-    /// Trace id the violation is about (0 for event-order violations).
-    pub trace: u64,
-    /// Scope the violation is about.
-    pub scope: String,
-    /// Human-readable message, same format as the offline analyzer's.
-    pub message: String,
-}
-
-impl Violation {
-    /// Renders the violation as one JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_ns\": {}, \"invariant\": \"{}\", \"trace\": {}, \"scope\": \"{}\", \"message\": \"{}\"}}",
-            self.t_ns,
-            json_escape(self.invariant),
-            self.trace,
-            json_escape(&self.scope),
-            json_escape(&self.message)
-        )
-    }
-}
-
-/// Point-in-time (or, after [`OnlineMonitor::finalize`], final) outcome of
-/// the online checks. The counts mirror [`crate::analyze::TraceReport`] so
-/// the chaos harness can diff the two.
-#[derive(Debug, Default, Clone)]
-pub struct MonitorReport {
-    /// Rooted `ncl.write` traces seen (the analyzer's `acked_writes`).
-    pub acked_writes: u64,
-    /// Rootless write traces retired open (only settles at finalize).
-    pub open_writes: u64,
-    /// Traces retired clean.
-    pub retired_clean: u64,
-    /// Traces currently held open (watermark has not passed them).
-    pub open_traces: usize,
-    /// Failing traces inside their suspect grace window.
-    pub suspects: usize,
-    /// Whether a trace ring overflowed (span-completeness checks downgraded).
-    pub truncated: bool,
-    /// Whether the monitor has been finalized (report is settled).
-    pub finalized: bool,
-    /// Confirmed violations, oldest first, capped at an internal limit.
-    pub violations: Vec<Violation>,
-    /// Violations beyond the cap (counted, not stored).
-    pub violations_dropped: u64,
-}
-
-impl MonitorReport {
-    /// True when no invariant has been violated.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty() && self.violations_dropped == 0
-    }
-
-    /// Renders the report as one JSON object (the `/invariants` body).
-    pub fn to_json(&self) -> String {
-        let status = if !self.ok() {
-            "violating"
-        } else if self.truncated {
-            "truncated"
-        } else {
-            "ok"
-        };
-        let violations: Vec<String> = self.violations.iter().map(|v| v.to_json()).collect();
-        format!(
-            "{{\"status\": \"{}\", \"acked_writes\": {}, \"open_writes\": {}, \"retired_clean\": {}, \"open_traces\": {}, \"suspects\": {}, \"truncated\": {}, \"finalized\": {}, \"violations_total\": {}, \"violations\": [{}]}}",
-            status,
-            self.acked_writes,
-            self.open_writes,
-            self.retired_clean,
-            self.open_traces,
-            self.suspects,
-            self.truncated,
-            self.finalized,
-            self.violations.len() as u64 + self.violations_dropped,
-            violations.join(", ")
-        )
-    }
-}
-
-/// Root facts kept per open trace.
-#[derive(Debug, Clone, Copy)]
-struct RootInfo {
-    name: &'static str,
-    scope: &'static str,
-    start_ns: u64,
-}
-
-/// Bounded per-trace accumulator.
-#[derive(Debug, Default)]
-struct TraceAcc {
-    root: Option<RootInfo>,
-    /// Span ids seen (a handful per trace; linear scans beat set nodes).
-    ids: Vec<u64>,
-    /// `(id, parent, name)` of every span with a nonzero parent, for the
-    /// orphan check at retirement.
-    children: Vec<(u64, u64, &'static str)>,
-    /// Distinct covering peers (`ncl.wire.peer` / `ncl.catchup.peer` scopes).
-    coverage: Vec<&'static str>,
-    has_stage: bool,
-    has_doorbell: bool,
-    is_write: bool,
-    /// Last end timestamp seen for this trace (quiescence reference).
-    max_end_ns: u64,
-    /// Set when the trace failed its first judgment; watermark deadline
-    /// after which the failure becomes a violation.
-    suspect_deadline_ns: Option<u64>,
-    /// Current key of this trace in the due index (0 = not indexed yet).
-    /// Earlier, superseded index entries are skipped lazily at sweep time.
-    due_ns: u64,
-}
-
-/// One `dfs-fallback-engage` → `ncl-reattach` window.
-#[derive(Debug, Clone)]
-struct DegradeWindow {
-    scope: String,
-    engage_ns: u64,
-    /// `u64::MAX` while the window is still open.
-    reattach_ns: u64,
-}
-
-/// One `splitfs.reattach.replay` span (exempts in-window writes).
-#[derive(Debug, Clone, Copy)]
-struct ReplayWindow {
-    scope: &'static str,
-    start_ns: u64,
-    end_ns: u64,
-}
-
-#[derive(Default)]
-struct MonState {
-    /// Configuration of the current attachment (reset when a detached core
-    /// is revived by a later attach). All reads happen under the state lock,
-    /// which every checker path already holds.
-    quorum: usize,
-    retirement_lag_ns: u64,
-    suspect_grace_ns: u64,
-    open_write_lag_ns: u64,
-    traces: TraceMap,
-    /// Retirement index, insert-only on the hot path: `(due watermark,
-    /// trace)` entries. Each trace's *latest* due time is mirrored in
-    /// [`TraceAcc::due_ns`]; older entries for the same trace are stale and
-    /// skipped when popped. This keeps a sweep O(traces actually due), never
-    /// O(open traces) — the difference between a no-op and a full-scan stall
-    /// every `SWEEP_EVERY` spans on a saturated write path.
-    ///
-    /// Each category uses a constant lag, so each queue is near-monotone in
-    /// due time and a plain FIFO works (a microsecond of cross-thread
-    /// end-timestamp disorder only delays a retirement by that much):
-    /// `due_rooted` holds tombstone expiries for traces settled clean at
-    /// root arrival (pushed in ack order), `due_rootless` one entry per
-    /// trace pushed at its first span. Suspect deadlines, defer retries, and
-    /// quiescence requeues are rare and unordered — they live in the
-    /// `due_slow` set.
-    due_rooted: VecDeque<(u64, u64)>,
-    due_rootless: VecDeque<(u64, u64)>,
-    due_slow: BTreeSet<(u64, u64)>,
-    /// Settled tombstones currently lingering in `traces` (excluded from the
-    /// open-trace counts).
-    settled_count: usize,
-    /// Traces currently parked as suspects (mirrors the per-trace deadlines
-    /// so reports never rescan the open set).
-    suspect_count: usize,
-    watermark_ns: u64,
-    spans_since_sweep: u32,
-    /// Per-scope coverage requirement from `durability-mode` events.
-    required_coverage: BTreeMap<String, usize>,
-    last_ap_epoch: BTreeMap<String, u64>,
-    /// Epochs with a `catch-up-finish` seen (catch-up events are scoped to
-    /// peer names, so invariant 4 matches them by epoch alone).
-    catchup_epochs: BTreeSet<u64>,
-    /// `(scope, epoch)` of replace-starts awaiting their ap-map update.
-    replace_pending: BTreeSet<(String, u64)>,
-    /// `(scope, epoch)` pairs that already published an ap-map update.
-    ap_updated: BTreeSet<(String, u64)>,
-    degrade_windows: Vec<DegradeWindow>,
-    replay_windows: Vec<ReplayWindow>,
-    acked_writes: u64,
-    open_writes: u64,
-    retired_clean: u64,
-    truncated: bool,
-    finalized: bool,
-    violations: Vec<Violation>,
-    violations_dropped: u64,
-}
 
 /// The violation hook: fired once per confirmed violation, outside the
 /// state lock (the testbed wires a flight-recorder dump here).
 type ViolationHook = Arc<dyn Fn(&Violation) + Send + Sync>;
 
-/// How a trace fared at judgment time.
-enum Judgment {
-    Clean,
-    /// Root starts inside a still-open degrade window: wait for reattach.
-    Defer,
-    Fail(Vec<Violation>),
+/// The checker of the current attachment plus how much of its retirement
+/// count has reached the `invariant.retired.total` counter.
+#[derive(Default)]
+struct Live {
+    checker: Checker,
+    retired_published: u64,
 }
 
 pub(crate) struct MonitorCore {
@@ -336,24 +76,21 @@ pub(crate) struct MonitorCore {
     suspects_gauge: Gauge,
     hook: Mutex<Option<ViolationHook>>,
     /// Producer-side span buffer. Recording threads only push here (a
-    /// short-lived lock around a `Vec` push); the checker state is updated
-    /// in batches on the drainer thread, so threads recording spans at line
-    /// rate never serialize on the full `state` critical section.
+    /// short-lived lock around a `Vec` push); the checker is fed in batches
+    /// on the drainer thread, so threads recording spans at line rate never
+    /// serialize on the full `state` critical section.
     pending: Mutex<Vec<Span>>,
     /// Wakes the drainer early when the buffer crosses [`DRAIN_BATCH`].
     gate: Arc<(Mutex<bool>, std::sync::Condvar)>,
     drainer: Mutex<Option<std::thread::JoinHandle<()>>>,
-    state: Mutex<MonState>,
+    state: Mutex<Live>,
 }
 
 impl MonitorCore {
     /// Called by `Telemetry::span` with the monitor's state lock NOT held by
-    /// anyone up-stack; never re-enters `tel` while holding the state lock.
-    /// Called by `Telemetry::span` with the monitor's state lock NOT held by
-    /// anyone up-stack. The span is only buffered here; the checker state is
-    /// updated by the drainer thread (or on the next report / event /
-    /// finalize), keeping the recording threads' critical section to a
-    /// `Vec` push.
+    /// anyone up-stack. The span is only buffered here; the checker is fed
+    /// by the drainer thread (or on the next report / event / finalize),
+    /// keeping the recording threads' critical section to a `Vec` push.
     pub(crate) fn on_span(&self, span: &Span) {
         let len = {
             let mut buf = self.pending.lock().expect("monitor buffer poisoned");
@@ -362,285 +99,65 @@ impl MonitorCore {
         };
         if len >= DRAIN_HARD_CAP {
             // Backpressure: the drainer has fallen behind; pay inline.
-            let fresh = {
-                let mut st = self.state.lock().expect("monitor poisoned");
-                self.drain_pending(&mut st)
-            };
-            self.publish(fresh);
+            self.drain();
         } else if len % DRAIN_BATCH == 0 {
             self.gate.1.notify_one();
         }
     }
 
-    /// Flushes the producer buffer into `st`. Returns freshly confirmed
-    /// violations from any sweeps that ran; caller publishes them after
-    /// releasing the lock.
-    fn drain_pending(&self, st: &mut MonState) -> Vec<Violation> {
-        let batch = std::mem::take(&mut *self.pending.lock().expect("monitor buffer poisoned"));
-        self.ingest(st, batch)
-    }
-
-    fn ingest(&self, st: &mut MonState, batch: Vec<Span>) -> Vec<Violation> {
-        let mut fresh = Vec::new();
-        if st.finalized {
-            return fresh; // frozen: drop the batch
-        }
-        for span in &batch {
-            self.apply_span(st, span, &mut fresh);
-        }
-        fresh
-    }
-
-    fn apply_span(&self, st: &mut MonState, span: &Span, fresh: &mut Vec<Violation>) {
-        st.watermark_ns = st.watermark_ns.max(span.end_ns);
-        st.spans_since_sweep += 1;
-        let must_sweep = st.spans_since_sweep >= SWEEP_EVERY;
-        if must_sweep {
-            st.spans_since_sweep = 0;
-        }
-        if span.name == spans::FS_REATTACH_REPLAY {
-            st.replay_windows.push(ReplayWindow {
-                scope: span.scope,
-                start_ns: span.start_ns,
-                end_ns: span.end_ns,
-            });
-        }
-        let mut index_rootless = None;
-        let mut rooted_now = false;
-        {
-            let slot = st
-                .traces
-                .entry(span.trace)
-                .or_insert_with(|| Slot::Live(Box::default()));
-            let Slot::Live(acc) = slot else {
-                // Post-ack straggler (minority wire credit landing after the
-                // root): the trace's verdict is already in — ignore.
-                if must_sweep {
-                    fresh.extend(self.sweep(st, false));
-                }
-                return;
-            };
-            if acc.due_ns == 0 {
-                // First span of the trace: index it once with the rootless
-                // lag. Roots and failures re-index; further spans don't.
-                let due = span.end_ns.saturating_add(st.open_write_lag_ns);
-                acc.due_ns = due;
-                index_rootless = Some((due, span.trace));
-            }
-            acc.ids.push(span.id);
-            acc.max_end_ns = acc.max_end_ns.max(span.end_ns);
-            if span.parent != 0 {
-                acc.children.push((span.id, span.parent, span.name));
-            }
-            match span.name {
-                spans::NCL_WIRE_PEER | spans::NCL_CATCHUP_PEER
-                    if !acc.coverage.contains(&span.scope) =>
-                {
-                    acc.coverage.push(span.scope);
-                }
-                spans::NCL_STAGE => acc.has_stage = true,
-                spans::NCL_DOORBELL => acc.has_doorbell = true,
-                _ => {}
-            }
-            if matches!(
-                span.name,
-                spans::NCL_WRITE | spans::NCL_STAGE | spans::NCL_DOORBELL
-            ) {
-                acc.is_write = true;
-            }
-            if span.id == span.trace && span.parent == 0 && acc.root.is_none() {
-                acc.root = Some(RootInfo {
-                    name: span.name,
-                    scope: span.scope,
-                    start_ns: span.start_ns,
-                });
-                rooted_now = true;
-            }
-        }
-        if let Some(entry) = index_rootless {
-            st.due_rootless.push_back(entry);
-        }
-        if rooted_now {
-            if span.name == spans::NCL_WRITE {
-                st.acked_writes += 1;
-            }
-            // The root is recorded LAST (repo-wide convention): the chain is
-            // complete right now, so judge immediately. A clean verdict
-            // settles the trace on the spot — its accumulator is replaced by
-            // an inline tombstone that lingers a short TTL to absorb
-            // post-ack stragglers. This keeps the live set O(in-flight +
-            // failing) instead of O(throughput × retirement lag).
-            let verdict = {
-                let Some(Slot::Live(acc)) = st.traces.get(&span.trace) else {
-                    unreachable!("live slot was just written");
-                };
-                self.judge(st, span.trace, acc, false)
-            };
-            match verdict {
-                Judgment::Clean => {
-                    st.retired_clean += 1;
-                    st.settled_count += 1;
-                    self.retired_total.inc();
-                    let due = st.watermark_ns.saturating_add(TOMBSTONE_TTL_NS);
-                    let slot = st.traces.get_mut(&span.trace).expect("trace present");
-                    *slot = Slot::Settled(due);
-                    st.due_rooted.push_back((due, span.trace));
-                }
-                Judgment::Defer | Judgment::Fail(_) => {
-                    // Failed (or must wait out a degrade window) at root
-                    // arrival: discard this verdict and fall back to the
-                    // lagged sweep — stragglers get their window before the
-                    // failure is even parked as a suspect.
-                    let Some(Slot::Live(acc)) = st.traces.get_mut(&span.trace) else {
-                        unreachable!("live slot was just written");
-                    };
-                    let due = acc.max_end_ns.saturating_add(st.retirement_lag_ns);
-                    acc.due_ns = due;
-                    st.due_slow.insert((due, span.trace));
-                }
-            }
-        }
-        if must_sweep {
-            fresh.extend(self.sweep(st, false));
-        }
-    }
-
     pub(crate) fn on_event(&self, ev: &Event) {
-        // Self-emitted and informational kinds never feed the checks (and
-        // must not: `invariant-violation` is emitted from `publish`).
-        if matches!(
-            ev.kind,
-            events::INVARIANT_VIOLATION | events::TRACE_TRUNCATED | events::REACTOR_STALL
-        ) {
+        // Self-emitted from `publish`; must not feed back into the checks.
+        if ev.kind == events::INVARIANT_VIOLATION {
             return;
         }
-        let fresh = {
-            let mut st = self.state.lock().expect("monitor poisoned");
-            if st.finalized {
-                return;
-            }
-            // Buffered spans logically precede this event: flush them so
-            // degrade/replay windows and the watermark stay coherent.
-            let mut fresh = self.drain_pending(&mut st);
-            st.watermark_ns = st.watermark_ns.max(ev.ts_ns);
-            match ev.kind {
-                events::DURABILITY_MODE => {
-                    if let Some(k) = ev
-                        .detail
-                        .split_whitespace()
-                        .find_map(|t| t.strip_prefix("k="))
-                        .and_then(|v| v.parse::<usize>().ok())
-                    {
-                        st.required_coverage.insert(ev.scope.clone(), k);
-                    }
-                }
-                events::CATCH_UP_FINISH => {
-                    st.catchup_epochs.insert(ev.epoch);
-                }
-                events::PEER_REPLACE_START => {
-                    if st.ap_updated.contains(&(ev.scope.clone(), ev.epoch)) {
-                        fresh.push(Violation {
-                            t_ns: ev.ts_ns,
-                            invariant: "ap-map-order",
-                            trace: ev.trace,
-                            scope: ev.scope.clone(),
-                            message: format!(
-                                "scope {}: ap-map update at epoch {} precedes its replace-start",
-                                ev.scope, ev.epoch
-                            ),
-                        });
-                    } else {
-                        st.replace_pending.insert((ev.scope.clone(), ev.epoch));
-                    }
-                }
-                events::AP_MAP_UPDATE => {
-                    // Invariant 5: monotone published epochs per scope.
-                    let prev = *st.last_ap_epoch.get(ev.scope.as_str()).unwrap_or(&0);
-                    if ev.epoch < prev {
-                        fresh.push(Violation {
-                            t_ns: ev.ts_ns,
-                            invariant: "ap-map-monotone",
-                            trace: ev.trace,
-                            scope: ev.scope.clone(),
-                            message: format!(
-                                "scope {}: ap-map epoch went backwards ({} after {})",
-                                ev.scope, ev.epoch, prev
-                            ),
-                        });
-                    }
-                    st.last_ap_epoch
-                        .insert(ev.scope.clone(), prev.max(ev.epoch));
-                    // Invariant 4: the *first* update for (scope, epoch)
-                    // commits a pending replacement; catch-up must have
-                    // finished at that epoch by now.
-                    let key = (ev.scope.clone(), ev.epoch);
-                    if st.ap_updated.insert(key.clone())
-                        && st.replace_pending.remove(&key)
-                        && !st.catchup_epochs.contains(&ev.epoch)
-                    {
-                        fresh.push(Violation {
-                            t_ns: ev.ts_ns,
-                            invariant: "ap-map-order",
-                            trace: ev.trace,
-                            scope: ev.scope.clone(),
-                            message: format!(
-                                "scope {}: ap-map moved to epoch {} before catch-up finished",
-                                ev.scope, ev.epoch
-                            ),
-                        });
-                    }
-                }
-                events::DFS_FALLBACK_ENGAGE => {
-                    st.degrade_windows.push(DegradeWindow {
-                        scope: ev.scope.clone(),
-                        engage_ns: ev.ts_ns,
-                        reattach_ns: u64::MAX,
-                    });
-                }
-                events::NCL_REATTACH => {
-                    for w in st
-                        .degrade_windows
-                        .iter_mut()
-                        .filter(|w| w.scope == ev.scope && w.reattach_ns == u64::MAX)
-                    {
-                        if w.engage_ns <= ev.ts_ns {
-                            w.reattach_ns = ev.ts_ns;
-                        }
-                    }
-                }
-                _ => {}
-            }
-            for v in fresh.iter().cloned() {
-                Self::store(&mut st, v);
-            }
-            fresh
-        };
-        self.publish(fresh);
+        self.with_checker(|checker, fresh| fresh.extend(checker.feed_event(ev)));
     }
 
-    /// Records that an in-memory trace ring overflowed: from here on,
-    /// span-completeness judgments report a truncated window instead of
-    /// violations.
+    /// Records that an in-memory trace ring overflowed.
     pub(crate) fn note_truncated(&self) {
-        let mut st = self.state.lock().expect("monitor poisoned");
-        st.truncated = true;
+        let mut live = self.state.lock().expect("monitor poisoned");
+        live.checker.note_truncated();
     }
 
-    fn store(st: &mut MonState, v: Violation) {
-        if st.violations.len() < MAX_VIOLATIONS {
-            st.violations.push(v);
-        } else {
-            st.violations_dropped += 1;
-        }
+    /// Feeds the buffered spans to the checker.
+    fn drain(&self) {
+        self.with_checker(|_, _| ());
+    }
+
+    /// Runs `f` on the checker, under the state lock, after flushing the
+    /// producer buffer into it (buffered spans logically precede whatever
+    /// `f` feeds or reads). Violations confirmed by the flush, plus those
+    /// `f` adds to its second argument, are published once the lock is
+    /// released.
+    fn with_checker<R>(&self, f: impl FnOnce(&mut Checker, &mut Vec<Violation>) -> R) -> R {
+        let (out, fresh) = {
+            let mut live = self.state.lock().expect("monitor poisoned");
+            let batch = std::mem::take(&mut *self.pending.lock().expect("monitor buffer poisoned"));
+            let mut fresh = Vec::new();
+            for span in &batch {
+                fresh.extend(live.checker.feed_span(span));
+            }
+            let out = f(&mut live.checker, &mut fresh);
+            let tally = live.checker.report();
+            let (retired, open, suspects) =
+                (tally.retired_clean, tally.open_traces, tally.suspects);
+            self.retired_total.add(retired - live.retired_published);
+            live.retired_published = retired;
+            self.open_traces_gauge.set(open as i64);
+            self.suspects_gauge.set(suspects as i64);
+            (out, fresh)
+        };
+        self.publish(&fresh);
+        out
     }
 
     /// Emits counters / events / the hook for freshly confirmed violations.
     /// MUST be called with the state lock released: the event emission
     /// re-enters `Telemetry` (harmless — `on_event` ignores the kind), and
     /// the hook may capture a flight recorder that snapshots the rings.
-    fn publish(&self, fresh: Vec<Violation>) {
+    fn publish(&self, fresh: &[Violation]) {
         let tel = (!fresh.is_empty()).then(|| self.tel.upgrade()).flatten();
-        for v in &fresh {
+        for v in fresh {
             self.violations_total.inc();
             if let Some(tel) = &tel {
                 tel.event(
@@ -654,238 +171,6 @@ impl MonitorCore {
             if let Some(hook) = hook {
                 hook(v);
             }
-        }
-        if !fresh.is_empty() {
-            let st = self.state.lock().expect("monitor poisoned");
-            self.open_traces_gauge
-                .set((st.traces.len() - st.settled_count) as i64);
-        }
-    }
-
-    /// Judges `acc` against invariants 1–3. `draining` skips the degrade
-    /// deferral (finalize semantics).
-    fn judge(&self, st: &MonState, trace: u64, acc: &TraceAcc, draining: bool) -> Judgment {
-        let Some(root) = acc.root else {
-            return Judgment::Clean; // rootless: handled by the caller
-        };
-        let mut fails = Vec::new();
-        // 1. Tree integrity (skipped once a ring truncated — children may
-        //    have been recorded before the monitor's window).
-        if !st.truncated {
-            for (id, parent, name) in &acc.children {
-                if !acc.ids.contains(parent) {
-                    fails.push(Violation {
-                        t_ns: st.watermark_ns,
-                        invariant: "orphan-span",
-                        trace,
-                        scope: root.scope.to_string(),
-                        message: format!(
-                            "trace {trace}: span {id} ({name}) has unresolved parent {parent}"
-                        ),
-                    });
-                }
-            }
-        }
-        if root.name == spans::NCL_WRITE {
-            // 2. Ack ⇒ staged, doorbelled, quorum/k-covered.
-            if !st.truncated {
-                for (present, required) in [
-                    (acc.has_stage, spans::NCL_STAGE),
-                    (acc.has_doorbell, spans::NCL_DOORBELL),
-                ] {
-                    if !present {
-                        fails.push(Violation {
-                            t_ns: st.watermark_ns,
-                            invariant: "ack-coverage",
-                            trace,
-                            scope: root.scope.to_string(),
-                            message: format!("trace {trace}: acked write missing {required} span"),
-                        });
-                    }
-                }
-                let required = st
-                    .required_coverage
-                    .get(root.scope)
-                    .copied()
-                    .unwrap_or(st.quorum);
-                if acc.coverage.len() < required {
-                    fails.push(Violation {
-                        t_ns: st.watermark_ns,
-                        invariant: "ack-coverage",
-                        trace,
-                        scope: root.scope.to_string(),
-                        message: format!(
-                            "trace {trace}: acked write covered by {} peers ({:?}), reconstruction quorum is {required}",
-                            acc.coverage.len(),
-                            acc.coverage
-                        ),
-                    });
-                }
-            }
-            // 3. No write root starts inside a degraded window, unless it is
-            //    reattach-replay traffic.
-            for w in st.degrade_windows.iter().filter(|w| w.scope == root.scope) {
-                if root.start_ns >= w.engage_ns && root.start_ns < w.reattach_ns {
-                    if w.reattach_ns == u64::MAX && !draining {
-                        // Window still open: the exempting replay span is
-                        // recorded just before reattach, so wait for it.
-                        return Judgment::Defer;
-                    }
-                    let replayed = st.replay_windows.iter().any(|r| {
-                        r.scope == root.scope
-                            && root.start_ns >= r.start_ns
-                            && root.start_ns <= r.end_ns
-                    });
-                    if !replayed {
-                        fails.push(Violation {
-                            t_ns: st.watermark_ns,
-                            invariant: "degraded-write",
-                            trace,
-                            scope: root.scope.to_string(),
-                            message: format!(
-                                "trace {trace}: write started at {}ns inside degraded window [{}ns, {}ns) of {}",
-                                root.start_ns, w.engage_ns, w.reattach_ns, root.scope
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        if fails.is_empty() {
-            Judgment::Clean
-        } else {
-            Judgment::Fail(fails)
-        }
-    }
-
-    /// Retires quiesced traces by popping the due index until it is ahead of
-    /// the watermark — O(traces actually due), independent of how many are
-    /// open. `draining` judges everything immediately (finalize). Returns
-    /// freshly confirmed violations; caller publishes them after releasing
-    /// the lock.
-    fn sweep(&self, st: &mut MonState, draining: bool) -> Vec<Violation> {
-        let watermark = st.watermark_ns;
-        let mut fresh = Vec::new();
-        // Strict `due < watermark`: `due == max_end + lag` retires only once
-        // the stream has moved *past* the lag (the old `quiet > lag`).
-        let mut ready: Vec<(u64, u64)> = Vec::new();
-        for queue in [&mut st.due_rooted, &mut st.due_rootless] {
-            while queue
-                .front()
-                .is_some_and(|&(due, _)| draining || due < watermark)
-            {
-                ready.push(queue.pop_front().expect("front checked"));
-            }
-        }
-        while let Some(&entry) = st.due_slow.iter().next() {
-            if !draining && entry.0 >= watermark {
-                break;
-            }
-            st.due_slow.remove(&entry);
-            ready.push(entry);
-        }
-        for (due, trace) in ready {
-            let acc = match st.traces.get(&trace) {
-                None => continue, // already retired; this was a stale entry
-                Some(Slot::Settled(tomb_due)) => {
-                    if draining || *tomb_due == due {
-                        // Tombstone expiry: the straggler window of a trace
-                        // judged clean at root arrival has closed.
-                        st.traces.remove(&trace);
-                        st.settled_count -= 1;
-                    }
-                    // Else: a stale pre-settle entry — the tombstone's own
-                    // expiry entry is still queued.
-                    continue;
-                }
-                Some(Slot::Live(acc)) => acc,
-            };
-            if !draining && acc.due_ns != due {
-                continue; // superseded: the trace was touched again
-            }
-            if acc.root.is_none() {
-                // Rootless traces are indexed once, at their first span, so
-                // re-check quiescence: if touched since, requeue instead.
-                let fresh_due = acc.max_end_ns.saturating_add(st.open_write_lag_ns);
-                if !draining && fresh_due > due {
-                    let Some(Slot::Live(acc)) = st.traces.get_mut(&trace) else {
-                        unreachable!("live slot checked above");
-                    };
-                    acc.due_ns = fresh_due;
-                    st.due_slow.insert((fresh_due, trace));
-                    continue;
-                }
-                // Rootless at retirement: a crashed (never-acked) write, or
-                // stray straggler children of an already-retired trace.
-                if acc.is_write {
-                    st.open_writes += 1;
-                }
-                st.traces.remove(&trace);
-                continue;
-            }
-            let was_suspect = acc.suspect_deadline_ns.is_some();
-            match self.judge(st, trace, acc, draining) {
-                Judgment::Clean => {
-                    st.retired_clean += 1;
-                    self.retired_total.inc();
-                    if was_suspect {
-                        st.suspect_count -= 1;
-                    }
-                    st.traces.remove(&trace);
-                }
-                Judgment::Defer => {
-                    // Keep; re-examine one lag from now (the exempting
-                    // replay span / reattach will have landed by then, and
-                    // finalize drains regardless).
-                    let retry = watermark.saturating_add(st.retirement_lag_ns.max(1));
-                    let Some(Slot::Live(acc)) = st.traces.get_mut(&trace) else {
-                        unreachable!("live slot checked above");
-                    };
-                    acc.due_ns = retry;
-                    st.due_slow.insert((retry, trace));
-                }
-                Judgment::Fail(violations) => {
-                    if was_suspect || draining {
-                        for v in violations {
-                            fresh.push(v.clone());
-                            Self::store(st, v);
-                        }
-                        if was_suspect {
-                            st.suspect_count -= 1;
-                        }
-                        st.traces.remove(&trace);
-                    } else {
-                        // First failure: hold as a suspect; late catch-up
-                        // credits may still clear it.
-                        let deadline = watermark.saturating_add(st.suspect_grace_ns);
-                        let Some(Slot::Live(acc)) = st.traces.get_mut(&trace) else {
-                            unreachable!("live slot checked above");
-                        };
-                        acc.suspect_deadline_ns = Some(deadline);
-                        acc.due_ns = deadline;
-                        st.due_slow.insert((deadline, trace));
-                        st.suspect_count += 1;
-                    }
-                }
-            }
-        }
-        self.open_traces_gauge
-            .set((st.traces.len() - st.settled_count) as i64);
-        self.suspects_gauge.set(st.suspect_count as i64);
-        fresh
-    }
-
-    fn report_locked(&self, st: &MonState) -> MonitorReport {
-        MonitorReport {
-            acked_writes: st.acked_writes,
-            open_writes: st.open_writes,
-            retired_clean: st.retired_clean,
-            open_traces: st.traces.len() - st.settled_count,
-            suspects: st.suspect_count,
-            truncated: st.truncated,
-            finalized: st.finalized,
-            violations: st.violations.clone(),
-            violations_dropped: st.violations_dropped,
         }
     }
 }
@@ -925,7 +210,7 @@ impl std::fmt::Debug for OnlineMonitor {
 impl OnlineMonitor {
     /// Attaches a monitor with default retirement/grace windows. `quorum` is
     /// the deployment's f+1 write quorum (EC scopes override it per scope
-    /// via their `durability-mode` events, exactly like the analyzer).
+    /// via their `durability-mode` events).
     ///
     /// A `Telemetry` accepts one attachment for its lifetime; later calls
     /// return a handle to the already-attached monitor.
@@ -958,12 +243,9 @@ impl OnlineMonitor {
             pending: Mutex::new(Vec::new()),
             gate: Arc::new((Mutex::new(false), std::sync::Condvar::new())),
             drainer: Mutex::new(None),
-            state: Mutex::new(MonState {
-                quorum,
-                retirement_lag_ns,
-                suspect_grace_ns,
-                open_write_lag_ns: DEFAULT_OPEN_WRITE_LAG_NS,
-                ..MonState::default()
+            state: Mutex::new(Live {
+                checker: Checker::live(quorum, retirement_lag_ns, suspect_grace_ns),
+                retired_published: 0,
             }),
         });
         match tel.install_monitor(&core) {
@@ -987,13 +269,8 @@ impl OnlineMonitor {
 
     /// Total confirmed violations so far (flushes buffered spans first).
     pub fn violation_count(&self) -> u64 {
-        let (fresh, count) = {
-            let mut st = self.core.state.lock().expect("monitor poisoned");
-            let fresh = self.core.drain_pending(&mut st);
-            (fresh, st.violations.len() as u64 + st.violations_dropped)
-        };
-        self.core.publish(fresh);
-        count
+        self.core
+            .with_checker(|checker, _| checker.report().violation_count())
     }
 
     /// True when at least one invariant has been violated (`/health` flips
@@ -1005,36 +282,20 @@ impl OnlineMonitor {
     /// Point-in-time report without draining open traces (buffered spans
     /// are flushed and a retirement sweep runs first).
     pub fn report(&self) -> MonitorReport {
-        let mut st = self.core.state.lock().expect("monitor poisoned");
-        if !st.finalized {
-            let mut fresh = self.core.drain_pending(&mut st);
-            fresh.extend(self.core.sweep(&mut st, false));
-            let report = self.core.report_locked(&st);
-            drop(st);
-            self.core.publish(fresh);
-            return report;
-        }
-        self.core.report_locked(&st)
+        self.core.with_checker(|checker, fresh| {
+            fresh.extend(checker.sweep());
+            checker.report().clone()
+        })
     }
 
     /// Drains every open trace (watermark → ∞), settles suspects, and
     /// freezes the monitor: subsequent spans/events are ignored, so the
-    /// returned report is stable for an offline cross-check. Idempotent.
+    /// returned report is stable. Idempotent.
     pub fn finalize(&self) -> MonitorReport {
-        let (fresh, report) = {
-            let mut st = self.core.state.lock().expect("monitor poisoned");
-            if st.finalized {
-                return self.core.report_locked(&st);
-            }
-            let mut fresh = self.core.drain_pending(&mut st);
-            fresh.extend(self.core.sweep(&mut st, true));
-            st.finalized = true;
-            (fresh, self.core.report_locked(&st))
-        };
-        self.core.publish(fresh);
-        // The report was taken before publish (which only touches gauges);
-        // re-read nothing — violations were already stored under the lock.
-        report
+        self.core.with_checker(|checker, fresh| {
+            fresh.extend(checker.finalize());
+            checker.report().clone()
+        })
     }
 
     /// `/invariants` body: the current report as JSON.
@@ -1071,11 +332,7 @@ impl MonitorCore {
                     }
                 }
                 let Some(core) = weak.upgrade() else { return };
-                let fresh = {
-                    let mut st = core.state.lock().expect("monitor poisoned");
-                    core.drain_pending(&mut st)
-                };
-                core.publish(fresh);
+                core.drain();
             })
             .expect("spawn invariant-monitor drainer");
         *core.drainer.lock().expect("monitor drainer poisoned") = Some(handle);
@@ -1085,26 +342,12 @@ impl MonitorCore {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Revives a deactivated core in place with a new attachment's
-    /// configuration (the checker state starts fresh). Called by
-    /// `Telemetry::install_monitor`, which then restarts the drainer.
+    /// Revives a deactivated core in place with the fresh checker of a new
+    /// attachment. Called by `Telemetry::install_monitor`, which then
+    /// restarts the drainer.
     pub(crate) fn reactivate(&self, candidate: &MonitorCore) {
-        let config = {
-            let c = candidate.state.lock().expect("monitor poisoned");
-            (
-                c.quorum,
-                c.retirement_lag_ns,
-                c.suspect_grace_ns,
-                c.open_write_lag_ns,
-            )
-        };
-        *self.state.lock().expect("monitor poisoned") = MonState {
-            quorum: config.0,
-            retirement_lag_ns: config.1,
-            suspect_grace_ns: config.2,
-            open_write_lag_ns: config.3,
-            ..MonState::default()
-        };
+        let fresh = std::mem::take(&mut *candidate.state.lock().expect("monitor poisoned"));
+        *self.state.lock().expect("monitor poisoned") = fresh;
         self.pending
             .lock()
             .expect("monitor buffer poisoned")
@@ -1139,7 +382,7 @@ impl MonitorCore {
             .lock()
             .expect("monitor buffer poisoned")
             .clear();
-        *self.state.lock().expect("monitor poisoned") = MonState::default();
+        *self.state.lock().expect("monitor poisoned") = Live::default();
     }
 
     fn stop_drainer(&self) {
@@ -1169,7 +412,301 @@ impl Drop for MonitorCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::analyze;
+    use crate::checker::{invariant, SWEEP_EVERY};
+    use crate::spans;
     use std::time::{Duration, Instant};
+
+    fn sp(trace: u64, id: u64, parent: u64, name: &'static str, scope: &'static str) -> Span {
+        Span {
+            trace,
+            id,
+            parent,
+            name,
+            scope,
+            epoch: 1,
+            start_ns: 100,
+            end_ns: 200,
+        }
+    }
+
+    fn at(mut span: Span, start_ns: u64, end_ns: u64) -> Span {
+        span.start_ns = start_ns;
+        span.end_ns = end_ns;
+        span
+    }
+
+    fn ev(ts_ns: u64, kind: &'static str, scope: &str, epoch: u64, detail: &str) -> Event {
+        Event {
+            ts_ns,
+            kind,
+            scope: scope.into(),
+            epoch,
+            trace: 0,
+            detail: detail.into(),
+        }
+    }
+
+    /// One acked write on `app/f` in emission order: children, root last.
+    fn acked_write(trace: u64, peers: &[&'static str]) -> Vec<Span> {
+        let mut spans = vec![
+            sp(trace, trace + 1, trace, spans::NCL_STAGE, "app/f"),
+            sp(trace, trace + 2, trace, spans::NCL_DOORBELL, "app/f"),
+        ];
+        for (i, peer) in peers.iter().enumerate() {
+            let id = trace + 3 + i as u64;
+            spans.push(sp(trace, id, trace, spans::NCL_WIRE_PEER, peer));
+        }
+        spans.push(sp(trace, trace, 0, spans::NCL_WRITE, "app/f"));
+        spans
+    }
+
+    /// The same write moved to `[5_000, 6_000]`.
+    fn acked_write_at_5000(trace: u64) -> Vec<Span> {
+        acked_write(trace, &["peer-0", "peer-1"])
+            .into_iter()
+            .map(|s| at(s, 5_000, 6_000))
+            .collect()
+    }
+
+    fn degraded_window() -> Vec<Event> {
+        vec![
+            ev(1_000, events::DFS_FALLBACK_ENGAGE, "app/f", 2, ""),
+            ev(9_000, events::NCL_REATTACH, "app/f", 3, ""),
+        ]
+    }
+
+    fn replay_span() -> Span {
+        at(
+            sp(0, 500, 0, spans::FS_REATTACH_REPLAY, "app/f"),
+            4_000,
+            8_000,
+        )
+    }
+
+    struct Case {
+        name: &'static str,
+        spans: Vec<Span>,
+        events: Vec<Event>,
+        acked_writes: u64,
+        open_writes: u64,
+        /// `(invariant code, message substring)` per expected violation, in
+        /// the order the engine confirms them.
+        expect: Vec<(&'static str, &'static str)>,
+    }
+
+    fn cases() -> Vec<Case> {
+        let case = |name, spans, events, acked_writes, expect| Case {
+            name,
+            spans,
+            events,
+            acked_writes,
+            open_writes: 0,
+            expect,
+        };
+        let both = ["peer-0", "peer-1"];
+        let mut late_credit = acked_write(10, &["peer-0"]);
+        late_credit.push(sp(10, 99, 10, spans::NCL_CATCHUP_PEER, "peer-2"));
+        // Recorded before the root, like every child: a live checker has
+        // settled a clean trace by the time a post-root straggler shows up.
+        let mut orphaned = acked_write(10, &both);
+        orphaned.insert(0, sp(10, 999, 555, spans::NCL_ACK, "app/f"));
+        let mut replayed = acked_write_at_5000(10);
+        replayed.push(replay_span());
+        // What a flight dump holds: spans sorted by (start, id), so the
+        // replay span and the root come before the root's children.
+        let mut dump_order = replayed.clone();
+        dump_order.sort_by_key(|s| (s.start_ns, s.id));
+        assert!(dump_order[1].is_root());
+        // A write whose coverage children fell off the ring: under-quorum
+        // AND orphaned if judged naively.
+        let beheaded = vec![
+            sp(10, 99, 55, spans::NCL_ACK, "app/f"), // parent 55 was dropped
+            sp(10, 10, 0, spans::NCL_WRITE, "app/f"),
+        ];
+        vec![
+            case("clean write", acked_write(10, &both), vec![], 1, vec![]),
+            case(
+                "under-quorum coverage",
+                acked_write(10, &["peer-0"]),
+                vec![],
+                1,
+                vec![(invariant::ACK_COVERAGE, "reconstruction quorum is 2")],
+            ),
+            case("catch-up credit counts", late_credit, vec![], 1, vec![]),
+            case(
+                "erasure-coded scope needs its declared k",
+                acked_write(10, &both),
+                vec![ev(1, events::DURABILITY_MODE, "app/f", 1, "ec k=3 n=4")],
+                1,
+                vec![(invariant::ACK_COVERAGE, "reconstruction quorum is 3")],
+            ),
+            case(
+                "orphan in a rooted trace",
+                orphaned,
+                vec![],
+                1,
+                vec![(invariant::ORPHAN_SPAN, "has unresolved parent 555")],
+            ),
+            Case {
+                // Crash mid-write: no root, so nothing to be orphaned from.
+                name: "rootless trace is open, not orphaned",
+                spans: vec![sp(20, 21, 20, spans::NCL_STAGE, "app/f")],
+                events: vec![],
+                acked_writes: 0,
+                open_writes: 1,
+                expect: vec![],
+            },
+            case(
+                "write inside a degraded window",
+                acked_write_at_5000(10),
+                degraded_window(),
+                1,
+                vec![(
+                    invariant::DEGRADED_WRITE,
+                    "inside degraded window [1000ns, 9000ns) of app/f",
+                )],
+            ),
+            case(
+                "write inside a window that never closed",
+                acked_write_at_5000(10),
+                degraded_window()[..1].to_vec(),
+                1,
+                vec![(
+                    invariant::DEGRADED_WRITE,
+                    "[1000ns, 18446744073709551615ns)",
+                )],
+            ),
+            case(
+                "degraded-window write under a replay span",
+                replayed,
+                degraded_window(),
+                1,
+                vec![],
+            ),
+            case(
+                "the same in flight-dump order",
+                dump_order,
+                degraded_window(),
+                1,
+                vec![],
+            ),
+            case(
+                "ap-map epoch goes backwards",
+                vec![],
+                vec![
+                    ev(1, events::AP_MAP_UPDATE, "app/f", 3, ""),
+                    ev(2, events::AP_MAP_UPDATE, "app/f", 2, ""),
+                ],
+                0,
+                vec![(invariant::AP_MAP_MONOTONE, "went backwards (2 after 3)")],
+            ),
+            case(
+                // Replace-start carries the new epoch; catch-up events are
+                // scoped to peer names.
+                "ap-map update without catch-up",
+                vec![],
+                vec![
+                    ev(1, events::PEER_REPLACE_START, "app/f", 2, ""),
+                    ev(5, events::AP_MAP_UPDATE, "app/f", 2, ""),
+                ],
+                0,
+                vec![(
+                    invariant::AP_MAP_ORDER,
+                    "moved to epoch 2 before catch-up finished",
+                )],
+            ),
+            case(
+                "proper replacement ordering",
+                vec![],
+                vec![
+                    ev(1, events::PEER_REPLACE_START, "app/f", 2, ""),
+                    ev(3, events::CATCH_UP_FINISH, "peer-7", 2, ""),
+                    ev(5, events::AP_MAP_UPDATE, "app/f", 2, ""),
+                ],
+                0,
+                vec![],
+            ),
+            case(
+                "ap-map update before its replace-start",
+                vec![],
+                vec![
+                    ev(1, events::AP_MAP_UPDATE, "app/f", 2, ""),
+                    ev(3, events::PEER_REPLACE_START, "app/f", 2, ""),
+                ],
+                0,
+                vec![(invariant::AP_MAP_ORDER, "precedes its replace-start")],
+            ),
+            case(
+                "beheaded write judged naively",
+                beheaded.clone(),
+                vec![],
+                1,
+                vec![
+                    (invariant::ORPHAN_SPAN, "has unresolved parent 55"),
+                    (invariant::ACK_COVERAGE, "missing ncl.stage"),
+                    (invariant::ACK_COVERAGE, "missing ncl.doorbell"),
+                    (invariant::ACK_COVERAGE, "covered by 0 peers"),
+                ],
+            ),
+            case(
+                // Told about the truncation, only the event-order rules run
+                // (and the acked count is still reported).
+                "beheaded write in a truncated window",
+                beheaded,
+                vec![
+                    ev(1, events::TRACE_TRUNCATED, "telemetry", 0, ""),
+                    ev(2, events::AP_MAP_UPDATE, "app/f", 3, ""),
+                    ev(3, events::AP_MAP_UPDATE, "app/f", 2, ""),
+                ],
+                1,
+                vec![(invariant::AP_MAP_MONOTONE, "went backwards")],
+            ),
+        ]
+    }
+
+    /// One engine, two front ends: every case must read the same through
+    /// the offline replay and through a live monitor.
+    #[test]
+    fn case_table_reads_the_same_offline_and_live() {
+        for case in cases() {
+            let name = case.name;
+            let offline = analyze(&case.spans, &case.events, 2);
+
+            let tel = Telemetry::new();
+            let mon = OnlineMonitor::attach_with_limits(&tel, 2, 0, 0);
+            for ev in &case.events {
+                mon.core.on_event(ev);
+            }
+            for span in &case.spans {
+                mon.core.on_span(span);
+            }
+            let live = mon.finalize();
+
+            assert_eq!(offline.violations, live.violations, "{name}");
+            let got: Vec<(&str, &str)> = live
+                .violations
+                .iter()
+                .map(|v| (v.invariant, v.message.as_str()))
+                .collect();
+            assert_eq!(got.len(), case.expect.len(), "{name}: {got:?}");
+            for ((code, message), (want_code, want)) in got.iter().zip(&case.expect) {
+                assert_eq!(code, want_code, "{name}: {message}");
+                assert!(message.contains(want), "{name}: {message}");
+            }
+            assert_eq!(live.acked_writes, case.acked_writes, "{name}");
+            assert_eq!(offline.acked_writes as u64, case.acked_writes, "{name}");
+            assert_eq!(live.open_writes, case.open_writes, "{name}");
+            assert_eq!(offline.open_writes as u64, case.open_writes, "{name}");
+            assert_eq!(offline.truncated, live.truncated, "{name}");
+            assert_eq!(live.open_traces, 0, "{name}");
+            assert_eq!(
+                tel.counter_value("invariant.violations.total"),
+                case.expect.len() as u64,
+                "{name}"
+            );
+        }
+    }
 
     fn attached() -> (Telemetry, OnlineMonitor) {
         let tel = Telemetry::new();
@@ -1179,10 +716,12 @@ mod tests {
     }
 
     fn emit_write(tel: &Telemetry, peers: &[&str]) -> u64 {
-        let t0 = Instant::now();
+        emit_write_scoped(tel, crate::intern_scope("app/mon"), peers, Instant::now())
+    }
+
+    fn emit_write_scoped(tel: &Telemetry, scope: &'static str, peers: &[&str], t0: Instant) -> u64 {
         let t1 = t0 + Duration::from_micros(50);
         let trace = tel.next_trace_id();
-        let scope = crate::intern_scope("app/mon");
         tel.span_auto(trace, trace, spans::NCL_STAGE, scope, 1, t0, t1);
         tel.span_auto(trace, trace, spans::NCL_DOORBELL, scope, 1, t0, t1);
         for p in peers {
@@ -1201,27 +740,16 @@ mod tests {
     }
 
     #[test]
-    fn clean_writes_retire_without_violations() {
+    fn clean_writes_settle_at_root_arrival() {
         let (tel, mon) = attached();
         for _ in 0..4 {
             emit_write(&tel, &["peer-0", "peer-1"]);
         }
-        let report = mon.finalize();
-        assert!(report.ok(), "{:?}", report.violations);
-        assert_eq!(report.acked_writes, 4);
+        let report = mon.report();
+        assert_eq!(report.retired_clean, 4, "no finalize needed");
         assert_eq!(report.open_traces, 0);
-        assert_eq!(report.retired_clean, 4);
-    }
-
-    #[test]
-    fn under_coverage_is_confirmed_after_grace() {
-        let (tel, mon) = attached();
-        emit_write(&tel, &["peer-0"]);
-        let report = mon.finalize();
-        assert!(!report.ok());
-        assert!(report.violations[0].message.contains("quorum"));
-        assert_eq!(mon.violation_count(), 1);
-        assert_eq!(tel.counter_value("invariant.violations.total"), 1);
+        assert_eq!(tel.counter_value("invariant.retired.total"), 4);
+        assert!(mon.finalize().ok());
     }
 
     #[test]
@@ -1235,6 +763,7 @@ mod tests {
             emit_write(&tel, &["peer-0", "peer-1"]);
         }
         assert_eq!(mon.violation_count(), 0, "suspect, not yet a violation");
+        assert_eq!(mon.report().suspects, 1);
         // The repair catches peer-2 up over the old record.
         let t0 = Instant::now();
         tel.span_auto(
@@ -1251,49 +780,18 @@ mod tests {
     }
 
     #[test]
-    fn ap_map_before_catchup_is_flagged_live() {
-        let (tel, mon) = attached();
-        tel.event(events::PEER_REPLACE_START, "app/f", 2, "");
-        tel.event(events::AP_MAP_UPDATE, "app/f", 2, "");
-        assert_eq!(mon.violation_count(), 1, "flagged at event arrival");
-        let report = mon.report();
-        assert!(report.violations[0].message.contains("catch-up"));
-        assert_eq!(report.violations[0].invariant, "ap-map-order");
-    }
-
-    #[test]
-    fn proper_replace_ordering_is_clean_and_monotone_epochs_enforced() {
-        let (tel, mon) = attached();
-        tel.event(events::PEER_REPLACE_START, "app/f", 2, "");
-        tel.event(events::CATCH_UP_FINISH, "peer-7", 2, "");
-        tel.event(events::AP_MAP_UPDATE, "app/f", 2, "");
-        assert_eq!(mon.violation_count(), 0);
-        tel.event(events::AP_MAP_UPDATE, "app/f", 1, "");
-        assert_eq!(mon.violation_count(), 1);
-        assert!(mon.report().violations[0].message.contains("backwards"));
-    }
-
-    #[test]
-    fn update_before_replace_start_is_flagged() {
-        let (tel, mon) = attached();
-        tel.event(events::AP_MAP_UPDATE, "app/f", 2, "");
-        tel.event(events::PEER_REPLACE_START, "app/f", 2, "");
-        assert!(mon
-            .report()
-            .violations
-            .iter()
-            .any(|v| v.message.contains("precedes")));
-    }
-
-    #[test]
     fn degraded_write_defers_until_reattach_then_exempts_replay() {
         let (tel, mon) = attached();
         let scope = crate::intern_scope("app/deg");
         tel.event(events::DFS_FALLBACK_ENGAGE, "app/deg", 2, "");
-        // A write inside the window — and the replay span that exempts it,
-        // recorded (as in splitfs) just before the reattach event.
+        // A write inside the still-open window is held, not flagged...
         let origin = Instant::now();
-        emit_write_scoped(&tel, scope, origin);
+        emit_write_scoped(&tel, scope, &["peer-0", "peer-1"], origin);
+        let held = mon.report();
+        assert!(held.ok(), "{:?}", held.violations);
+        assert_eq!(held.open_traces, 1);
+        // ...until the replay span that exempts it lands, recorded (as in
+        // splitfs) just before the reattach event.
         tel.span(
             tel.next_trace_id(),
             0,
@@ -1307,60 +805,6 @@ mod tests {
         tel.event(events::NCL_REATTACH, "app/deg", 3, "");
         let report = mon.finalize();
         assert!(report.ok(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn degraded_write_without_replay_is_flagged() {
-        let (tel, mon) = attached();
-        let scope = crate::intern_scope("app/deg2");
-        tel.event(events::DFS_FALLBACK_ENGAGE, "app/deg2", 2, "");
-        emit_write_scoped(&tel, scope, Instant::now());
-        tel.event(events::NCL_REATTACH, "app/deg2", 3, "");
-        let report = mon.finalize();
-        assert!(!report.ok());
-        assert!(report.violations[0].message.contains("degraded window"));
-    }
-
-    fn emit_write_scoped(tel: &Telemetry, scope: &'static str, t0: Instant) {
-        let t1 = t0 + Duration::from_micros(50);
-        let trace = tel.next_trace_id();
-        tel.span_auto(trace, trace, spans::NCL_STAGE, scope, 1, t0, t1);
-        tel.span_auto(trace, trace, spans::NCL_DOORBELL, scope, 1, t0, t1);
-        for p in ["peer-0", "peer-1"] {
-            tel.span_auto(
-                trace,
-                trace,
-                spans::NCL_WIRE_PEER,
-                crate::intern_scope(p),
-                1,
-                t0,
-                t1,
-            );
-        }
-        tel.span(trace, trace, 0, spans::NCL_WRITE, scope, 1, t0, t1);
-    }
-
-    #[test]
-    fn orphan_child_in_rooted_trace_is_flagged_rootless_is_open() {
-        let (tel, mon) = attached();
-        let scope = crate::intern_scope("app/orph");
-        let t0 = Instant::now();
-        let trace = tel.next_trace_id();
-        emit_write(&tel, &["peer-0", "peer-1"]); // keep the stream flowing
-        tel.span_auto(trace, trace, spans::NCL_STAGE, scope, 1, t0, t0);
-        tel.span(trace, trace, 0, spans::NCL_WRITE, scope, 1, t0, t0);
-        // A child referencing a parent that never existed.
-        let stray = tel.next_span_id();
-        tel.span(trace, stray, 999_999_999, spans::NCL_ACK, scope, 1, t0, t0);
-        // And a rootless (open) write on its own trace.
-        let open = tel.next_trace_id();
-        tel.span_auto(open, open, spans::NCL_STAGE, scope, 1, t0, t0);
-        let report = mon.finalize();
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.invariant == "orphan-span"));
-        assert_eq!(report.open_writes, 1);
     }
 
     #[test]
@@ -1388,7 +832,7 @@ mod tests {
         });
         tel.event(events::PEER_REPLACE_START, "app/f", 2, "");
         tel.event(events::AP_MAP_UPDATE, "app/f", 2, "");
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "flagged at event arrival");
         assert!(tel
             .events()
             .iter()
@@ -1396,14 +840,24 @@ mod tests {
     }
 
     #[test]
-    fn detached_monitor_stops_receiving() {
+    fn detached_monitor_stops_receiving_and_reattach_starts_fresh() {
         let tel = Telemetry::new();
         {
             let _mon = OnlineMonitor::attach_with_limits(&tel, 2, 0, 0);
+            emit_write(&tel, &["peer-0"]);
         }
-        // Monitor dropped: the weak upgrade fails, recording still works.
+        // Monitor dropped: recording still works, nobody is checking.
         emit_write(&tel, &["peer-0"]);
-        assert_eq!(tel.spans().len(), 4);
+        assert_eq!(tel.spans().len(), 8);
+        assert!(tel.online_monitor().is_none());
+
+        // A later attach revives the core with its own configuration and
+        // none of the first attachment's state.
+        let mon = OnlineMonitor::attach_with_limits(&tel, 1, 0, 0);
+        emit_write(&tel, &["peer-0"]);
+        let report = mon.finalize();
+        assert!(report.ok(), "{:?}", report.violations);
+        assert_eq!(report.acked_writes, 1);
     }
 
     #[test]

@@ -145,6 +145,11 @@ impl Span {
         self.end_ns.saturating_sub(self.start_ns)
     }
 
+    /// True for the root of its trace (`id == trace`, no parent).
+    pub fn is_root(&self) -> bool {
+        self.id == self.trace && self.parent == 0
+    }
+
     /// Renders the span as one JSON object (one JSONL line, sans newline).
     pub fn to_json(&self) -> String {
         format!(

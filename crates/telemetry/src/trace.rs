@@ -87,14 +87,14 @@ pub mod events {
     /// An in-memory trace ring (events or spans) overflowed and dropped its
     /// oldest entries; emitted once, on the first drop, so consumers of the
     /// rings know the window is no longer complete (the JSONL sink never
-    /// drops). The analyzer and the online monitor downgrade span-
-    /// completeness checks to "truncated window" once this fires.
+    /// drops). The invariant engine downgrades its span-completeness rules
+    /// to "truncated window" once this fires.
     pub const TRACE_TRUNCATED: &str = "trace-truncated";
     /// A shard reactor stopped heartbeating past the stall watchdog's
     /// threshold (detail carries the shard index and silent duration).
     pub const REACTOR_STALL: &str = "reactor-stall";
     /// The online invariant monitor flagged a violation; the detail carries
-    /// the human-readable message (same format as the offline analyzer's).
+    /// `[<invariant code>] <message>`.
     pub const INVARIANT_VIOLATION: &str = "invariant-violation";
 
     /// Every well-known kind, used by the JSONL replay path to intern parsed
