@@ -47,7 +47,7 @@
 //! pipeline window, when a barrier needs it, or when the application rings
 //! the doorbell explicitly ([`NclFile::submit`]). Within a burst,
 //! remotely-contiguous data WRs are merged into scatter-gather WRs, and
-//! only the burst-final record's header WR is posted: all headers
+//! only the burst-final record's header is encoded and posted: all headers
 //! overwrite the same fixed location, recovery reads only the latest one,
 //! and the prefix rule above needs only the highest sequence number per
 //! barrier. A crash mid-burst can therefore lose records whose data landed

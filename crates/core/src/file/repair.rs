@@ -10,7 +10,7 @@ use rdma::{CompletionQueue, RemoteMr, WcStatus, WrId};
 use sim::Stopwatch;
 use telemetry::{events, spans};
 
-use super::slots::{PeerSlot, RepWait, WcWait};
+use super::slots::{Flight, PeerSlot, RepWait, WcWait};
 use super::staging::{FlushReason, Stage};
 use super::{fan_out, Ctx, NclFile};
 use crate::detector::Backoff;
@@ -153,9 +153,8 @@ impl NclFile {
         let image = stage.scheme.ships_image().then(|| stage.image.valid());
         let results = fan_out(fresh.iter_mut(), |slot| {
             let start = Instant::now();
-            let peer = telemetry::intern_scope(&slot.name);
             let result = catch_up_fresh(ctx, &wait, slot, epoch, &header, image);
-            phase(spans::NCL_REPAIR_CATCHUP, peer, epoch, start);
+            phase(spans::NCL_REPAIR_CATCHUP, slot.scope, epoch, start);
             result
         });
         stats.catch_up += sw.elapsed();
@@ -219,28 +218,20 @@ impl NclFile {
         // were in flight when they joined — the catch-up copy is what made
         // those records durable on them. Credit each such flight with a
         // catch-up coverage span so its quorum is reconstructible from the
-        // trace alone.
-        let fresh_info: Vec<(&'static str, u32)> = fresh
-            .iter()
-            .map(|s| (telemetry::intern_scope(&s.name), s.qp.qp_num()))
-            .collect();
-        for (&fseq, flight) in rep.flights.iter_mut() {
-            if fseq > header.seq || flight.trace == 0 {
-                continue;
-            }
-            for &(peer, qp_num) in &fresh_info {
-                if !flight.covered.contains(&qp_num) {
-                    flight.covered.push(qp_num);
-                    tel.span_auto(
-                        flight.trace,
-                        flight.trace,
-                        spans::NCL_CATCHUP_PEER,
-                        peer,
-                        epoch,
-                        catchup_start,
-                        catchup_end,
-                    );
-                }
+        // trace alone. (Their own wire spans start above `header.seq`, where
+        // catch-up left their `completed_seq`.)
+        let credited = |f: &&Flight| f.seq <= header.seq && f.trace != 0;
+        for flight in rep.flights.iter().filter(credited) {
+            for slot in &fresh {
+                tel.span_auto(
+                    flight.trace,
+                    flight.trace,
+                    spans::NCL_CATCHUP_PEER,
+                    slot.scope,
+                    epoch,
+                    catchup_start,
+                    catchup_end,
+                );
             }
         }
         rep.peers.extend(fresh);
@@ -273,7 +264,7 @@ impl NclFile {
         // the flag set so the next barrier repairs again.
         rep.failure_seen = rep.peers.iter().any(|s| !s.alive);
         rep.last_repair = stats;
-        rep.refresh_durable(&ctx.config);
+        rep.refresh_durable(&ctx.config, Instant::now());
         close_root(epoch);
         Ok(())
     }
@@ -283,8 +274,8 @@ impl NclFile {
     pub fn maintain(&self) -> Result<bool, NclError> {
         {
             let mut rep = self.rep_guard();
-            rep.drain();
-            rep.refresh_durable(&self.ctx.config);
+            let now = rep.drain();
+            rep.refresh_durable(&self.ctx.config, now);
             if !rep.repair_pending && rep.peers.iter().all(|s| s.alive) {
                 return Ok(false);
             }

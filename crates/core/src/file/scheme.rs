@@ -160,11 +160,12 @@ struct PendingSpill {
 }
 
 /// One flushed burst, encoded once and then translated into each peer's
-/// work requests. The replicated variant carries nothing, so the full-copy
-/// hot path allocates nothing per doorbell.
+/// work requests.
 pub(super) enum Burst {
-    /// Each peer gets the pending records themselves.
-    Replicated,
+    /// Each peer gets the pending records themselves, then the plain header
+    /// at the burst's tip — the only header of the burst that is ever
+    /// posted, so the only one that is ever encoded.
+    Replicated { header: Bytes },
     /// Each peer gets its row of the burst's stripe.
     Ec {
         /// Burst-final sequence number.
@@ -192,7 +193,7 @@ impl Burst {
         row: u32,
     ) {
         match self {
-            Burst::Replicated => replicated_wrs(wrs, pending, mr),
+            Burst::Replicated { header } => replicated_wrs(wrs, pending, mr, header),
             Burst::Ec {
                 seq,
                 burst_len,
@@ -229,7 +230,7 @@ impl Burst {
     /// Bytes [`Burst::peer_wrs`] puts on the wire per peer.
     pub fn wire_bytes(&self, pending: &[PendingRecord]) -> u64 {
         let body: usize = match self {
-            Burst::Replicated => pending.iter().map(|r| r.payload.len()).sum(),
+            Burst::Replicated { .. } => pending.iter().map(|r| r.payload.len()).sum(),
             Burst::Ec { units, .. } => FRAG_ENTRY_SIZE + units[0].len(),
         };
         (body + HEADER_WIRE_SIZE) as u64
@@ -245,7 +246,12 @@ impl Burst {
 /// burst-final record's header follows — every header overwrites the same
 /// fixed location and the prefix rule needs only the highest sequence
 /// number per barrier.
-fn replicated_wrs(wrs: &mut Vec<WorkRequest>, pending: &[PendingRecord], mr: &RemoteMr) {
+fn replicated_wrs(
+    wrs: &mut Vec<WorkRequest>,
+    pending: &[PendingRecord],
+    mr: &RemoteMr,
+    header: &Bytes,
+) {
     let mut i = 0;
     while i < pending.len() {
         let start = pending[i].offset;
@@ -281,7 +287,7 @@ fn replicated_wrs(wrs: &mut Vec<WorkRequest>, pending: &[PendingRecord], mr: &Re
         wr_id: WrId(2 * last.seq + 1),
         mr: *mr,
         offset: 0,
-        data: last.header.clone(),
+        data: header.clone(),
     });
 }
 
@@ -381,10 +387,13 @@ impl Scheme {
     }
 
     /// Encodes the pending burst, staged on top of `image`, once for all
-    /// peers.
+    /// peers. The caller holds the staging lock, so `image` is exactly the
+    /// file as of the burst's last record.
     pub fn begin_burst(&mut self, image: &Image, pending: &[PendingRecord]) -> Burst {
         match self {
-            Scheme::Replicated => Burst::Replicated,
+            Scheme::Replicated => Burst::Replicated {
+                header: Bytes::copy_from_slice(&image.header().encode()),
+            },
             Scheme::Ec(ec) => ec.begin_burst(image, pending),
         }
     }

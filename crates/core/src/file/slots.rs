@@ -4,7 +4,7 @@
 //! failure handling lives, and the targeted completion waits the catch-up
 //! and recovery transfers use.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -13,7 +13,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use rdma::{
     CompletionQueue, CqWaker, QueuePair, RemoteMr, WcStatus, WorkCompletion, WorkRequest, WrId,
 };
-use telemetry::{events, spans};
+use telemetry::{events, spans, Span};
 
 use super::recovery::RecoveryStats;
 use super::repair::RepairStats;
@@ -106,10 +106,11 @@ impl AckedState {
     }
 }
 
-/// Lifecycle timestamps of one posted-but-not-yet-acked record; keyed by
-/// sequence number in [`Rep::flights`] and retired when the durability
+/// Lifecycle timestamps of one posted-but-not-yet-acked record; queued in
+/// sequence order in [`Rep::flights`] and retired when the durability
 /// watermark passes it. Bounded by the pipeline window.
 pub(super) struct Flight {
+    pub seq: u64,
     /// `record_nowait` entry.
     pub t0: Instant,
     /// Doorbell time (posted to the peers).
@@ -118,10 +119,6 @@ pub(super) struct Flight {
     pub first_peer: Option<Instant>,
     /// Trace id assigned at `record_nowait` (0 when tracing is off).
     pub trace: u64,
-    /// QP numbers of peers already credited with a wire/catch-up span for
-    /// this record, so a burst of coalesced headers from one peer produces
-    /// one child span. Bounded by the peer count.
-    pub covered: Vec<u32>,
 }
 
 /// Recovery responders: each peer that answered, with the region header it
@@ -132,10 +129,15 @@ pub(super) type Responders = Vec<(PeerSlot, RegionHeader)>;
 /// the completions so far say about it.
 pub(super) struct PeerSlot {
     pub name: String,
+    /// `name`, interned once so the per-peer spans of the completion path
+    /// never touch the interner.
+    pub scope: &'static str,
     pub endpoint: PeerEndpoint,
     pub mr: RemoteMr,
     pub qp: QueuePair,
     /// Highest sequence number whose data + header completed on this peer.
+    /// Also what its wire spans go by: a header completing `s` credits this
+    /// peer with the flights in `(completed_seq, s]`, once each.
     pub completed_seq: u64,
     /// Position in the file's peer set, which the scheme addresses per-peer
     /// encodings by. Stable across the slot's lifetime; a replacement
@@ -170,6 +172,7 @@ impl PeerSlot {
             qp.set_wire_hist(ctx.config.telemetry.histogram("rdma.wr.wire"));
         }
         PeerSlot {
+            scope: telemetry::intern_scope(&name),
             name,
             endpoint,
             mr,
@@ -187,10 +190,11 @@ impl PeerSlot {
 /// completion queue with no lock held. Lock order is `stage` before `rep`.
 pub(super) struct Rep {
     pub peers: Vec<PeerSlot>,
-    /// `qp_num → index into peers`, so absorbing a completion is a hash
-    /// lookup rather than a linear scan; rebuilt whenever slots change.
-    /// Completions from replaced peers simply miss the map.
-    slot_of_qp: HashMap<u32, usize>,
+    /// `qp_num → index into peers`, so absorbing a completion is a map
+    /// lookup rather than a linear scan (ordered: with a handful of peers a
+    /// few key compares beat hashing the number); rebuilt whenever slots
+    /// change. Completions from replaced peers simply miss the map.
+    slot_of_qp: BTreeMap<u32, usize>,
     pub cq: CompletionQueue,
     pub epoch: u64,
     /// Highest sequence number acknowledged durable (prefix on a quorum).
@@ -210,21 +214,26 @@ pub(super) struct Rep {
     /// inline-NIC flush path allocates nothing per doorbell.
     pub wr_scratch: Vec<WorkRequest>,
     /// Posted-but-not-durable records being timed (empty with telemetry
-    /// disabled). Entries retire in [`Rep::refresh_durable`]; size is
-    /// bounded by the pipeline window. Ordered by sequence number so the
-    /// completion path touches only the flights a header newly covers —
-    /// a full scan per completion is O(window) under the `rep` lock and
-    /// visibly stalls concurrent doorbells at deep windows.
-    pub flights: BTreeMap<u64, Flight>,
+    /// disabled). Registered at the back in sequence order, retired from
+    /// the front in [`Rep::refresh_durable`]; size is bounded by the
+    /// pipeline window. A header completion finds the flights it newly
+    /// covers by binary search — a full scan per completion is O(window)
+    /// under the `rep` lock and visibly stalls concurrent doorbells at deep
+    /// windows.
+    pub flights: VecDeque<Flight>,
     /// Every flight at or below this sequence number has had its wire
     /// span closed by some peer's header completion. Advanced monotonically
     /// in [`Rep::absorb`]; flights are registered in sequence order before
     /// their headers can complete, so nothing is ever inserted below it.
     wire_covered_seq: u64,
-    /// Flights carrying a nonzero trace id. The per-peer coverage pass in
-    /// `absorb` scans flights only while this is nonzero, so untraced
-    /// steady-state runs skip it entirely.
-    pub traced_flights: usize,
+    /// Spans closed since the last [`Rep::refresh_durable`], which hands
+    /// them to the telemetry ring in one piece: a record's stage, doorbell,
+    /// per-peer wire, ack and root spans cost one ring lock, not seven.
+    pub span_buf: Vec<Span>,
+    /// Reused by [`Rep::drain`] and [`Rep::refresh_durable`], so the
+    /// steady-state completion path allocates nothing.
+    wc_buf: Vec<(u32, WorkCompletion)>,
+    seq_scratch: Vec<u64>,
     metrics: Arc<FileMetrics>,
     /// Shared with the owning [`NclFile`]; republished after every
     /// watermark refresh so the barrier fast path stays current.
@@ -247,7 +256,7 @@ impl Rep {
     ) -> Self {
         let mut rep = Rep {
             peers,
-            slot_of_qp: HashMap::new(),
+            slot_of_qp: BTreeMap::new(),
             cq,
             epoch,
             durable_seq,
@@ -256,9 +265,11 @@ impl Rep {
             expecting: HashSet::new(),
             repair_pending,
             wr_scratch: Vec::new(),
-            flights: BTreeMap::new(),
+            flights: VecDeque::new(),
             wire_covered_seq: 0,
-            traced_flights: 0,
+            span_buf: Vec::new(),
+            wc_buf: Vec::new(),
+            seq_scratch: Vec::new(),
             metrics,
             acked,
             last_recovery,
@@ -292,12 +303,12 @@ impl Rep {
             .event(events::PEER_FAILURE, name, self.epoch, why);
     }
 
-    /// Applies completions to the slots. Unattributable completions with a
-    /// registered waiter are parked in `stray`; everything else (stale
-    /// completions from replaced peers) is dropped.
-    pub fn absorb(&mut self, wcs: Vec<(u32, WorkCompletion)>) {
-        let now = Instant::now();
-        for (qp_num, wc) in wcs {
+    /// Applies the completions in `wcs` (emptying it) to the slots, as of
+    /// `now`, the instant they were taken off the queue. Unattributable
+    /// completions with a registered waiter are parked in `stray`;
+    /// everything else (stale completions from replaced peers) is dropped.
+    pub fn absorb(&mut self, wcs: &mut Vec<(u32, WorkCompletion)>, now: Instant) {
+        for (qp_num, wc) in wcs.drain(..) {
             if wc.wr_id.0 >= u64::MAX - 2 {
                 // One-off RDMA read (recovery lookup / read_remote): a
                 // failure still means the peer died; the data (or error) is
@@ -326,62 +337,10 @@ impl Rep {
                     // Header writes carry odd ids 2s+1; data writes even 2s.
                     if wc.wr_id.0 % 2 == 1 {
                         let seq = wc.wr_id.0 / 2;
-                        slot.completed_seq = slot.completed_seq.max(seq);
-                        // Wire histogram closes at the first peer whose
-                        // header covers the record; a coalesced header for
-                        // `seq` acknowledges every flight at or below it.
-                        // Each peer additionally closes a per-peer wire
-                        // child span, reconstructed from the NIC's own
-                        // post→completion measurement.
+                        let prev = slot.completed_seq;
+                        slot.completed_seq = prev.max(seq);
                         if self.metrics.enabled && !self.flights.is_empty() {
-                            let now = Instant::now();
-                            let wire_start = now
-                                .checked_sub(Duration::from_nanos(wc.wire_ns))
-                                .unwrap_or(now);
-                            let peer_name = &self.peers[idx].name;
-                            // Interned on first use only: one lookup per
-                            // completion, nothing when no flight is traced.
-                            let mut peer_scope: Option<&'static str> = None;
-                            let epoch = self.epoch;
-                            let metrics = &self.metrics;
-                            // Wire spans close at the first covering header.
-                            // Every flight at or below `wire_covered_seq`
-                            // was closed by an earlier header, so this
-                            // header only touches the flights it newly
-                            // covers — never the whole in-flight window.
-                            if seq > self.wire_covered_seq {
-                                let newly = (
-                                    std::ops::Bound::Excluded(self.wire_covered_seq),
-                                    std::ops::Bound::Included(seq),
-                                );
-                                for (_, flight) in self.flights.range_mut(newly) {
-                                    flight.first_peer = Some(now);
-                                    let wire = now.duration_since(flight.posted);
-                                    metrics.stamp(|s| s.wire.record_duration(wire));
-                                }
-                                self.wire_covered_seq = seq;
-                            }
-                            // Per-peer coverage spans exist per traced
-                            // flight; benches trace nothing and skip this.
-                            if self.traced_flights > 0 {
-                                for (_, flight) in self.flights.range_mut(..=seq) {
-                                    if flight.trace != 0 && !flight.covered.contains(&qp_num) {
-                                        flight.covered.push(qp_num);
-                                        let peer = *peer_scope.get_or_insert_with(|| {
-                                            telemetry::intern_scope(peer_name)
-                                        });
-                                        metrics.tel.span_auto(
-                                            flight.trace,
-                                            flight.trace,
-                                            spans::NCL_WIRE_PEER,
-                                            peer,
-                                            epoch,
-                                            wire_start.max(flight.posted),
-                                            now,
-                                        );
-                                    }
-                                }
-                            }
+                            self.credit_wire(idx, prev, seq, wc.wire_ns, now);
                         }
                     }
                 }
@@ -390,21 +349,77 @@ impl Rep {
         }
     }
 
+    /// Closes the wire spans a header completion for `seq` from peer `idx`
+    /// (whose headers had completed through `prev`) is the end of. A
+    /// coalesced header acknowledges every flight at or below it.
+    fn credit_wire(&mut self, idx: usize, prev: u64, seq: u64, wire_ns: u64, now: Instant) {
+        let Rep {
+            flights,
+            wire_covered_seq,
+            span_buf,
+            metrics,
+            peers,
+            epoch,
+            ..
+        } = self;
+        let through =
+            |flights: &VecDeque<Flight>, seq: u64| flights.partition_point(|f| f.seq <= seq);
+        // The wire histogram closes at the first peer whose header covers
+        // the record. Every flight at or below `wire_covered_seq` was closed
+        // by an earlier header, so this one only touches the flights it
+        // newly covers — never the whole in-flight window.
+        if seq > *wire_covered_seq {
+            let newly = through(flights, *wire_covered_seq)..through(flights, seq);
+            for flight in flights.range_mut(newly) {
+                flight.first_peer = Some(now);
+                let wire = now.duration_since(flight.posted);
+                metrics.stamp(|s| s.wire.record_duration(wire));
+            }
+            *wire_covered_seq = seq;
+        }
+        // Each peer additionally closes one wire child span per traced
+        // flight it newly covers, reconstructed from the NIC's own
+        // post→completion measurement.
+        if seq > prev {
+            let wire_start = now
+                .checked_sub(Duration::from_nanos(wire_ns))
+                .unwrap_or(now);
+            let newly = through(flights, prev)..through(flights, seq);
+            for flight in flights.range(newly).filter(|f| f.trace != 0) {
+                span_buf.push(metrics.tel.closed_span(
+                    flight.trace,
+                    metrics.tel.next_span_id(),
+                    flight.trace,
+                    spans::NCL_WIRE_PEER,
+                    peers[idx].scope,
+                    *epoch,
+                    wire_start.max(flight.posted),
+                    now,
+                ));
+            }
+        }
+    }
+
     /// Drains the completion queue without blocking and applies the result.
-    pub fn drain(&mut self) {
-        let wcs = self.cq.poll();
-        self.absorb(wcs);
+    /// Returns the instant of the drain, which the refresh that follows
+    /// closes its spans with: one clock read per drain, not per completion.
+    pub fn drain(&mut self) -> Instant {
+        let mut wcs = std::mem::take(&mut self.wc_buf);
+        self.cq.poll_into(&mut wcs);
+        let now = Instant::now();
+        self.absorb(&mut wcs, now);
+        self.wc_buf = wcs;
+        now
     }
 
     /// Declares alive-but-silent peers holding back `awaited_seq` suspect,
     /// per the adaptive phi detector, so a gray peer stalls a barrier for
     /// the detector's horizon instead of the full record deadline. Suspects
     /// go through the normal dead-peer path (replacement at the next epoch).
-    fn suspect_stalled(&mut self, config: &NclConfig, awaited_seq: u64) {
+    fn suspect_stalled(&mut self, config: &NclConfig, awaited_seq: u64, now: Instant) {
         if config.detect_timeout.is_zero() {
             return;
         }
-        let now = Instant::now();
         let epoch = self.epoch;
         for slot in self.peers.iter_mut() {
             if slot.alive
@@ -428,73 +443,68 @@ impl Rep {
     }
 
     /// Advances `durable_seq` to the highest sequence number complete on the
-    /// acknowledgement quorum. Monotonic: peer replacement catches fresh
-    /// peers up to the full staged image before they join, so the watermark
-    /// never has to move backwards.
-    pub fn refresh_durable(&mut self, config: &NclConfig) {
-        let mut seqs: Vec<u64> = self
-            .peers
-            .iter()
-            .filter(|s| s.alive)
-            .map(|s| s.completed_seq)
-            .collect();
+    /// acknowledgement quorum, as of `now`. Monotonic: peer replacement
+    /// catches fresh peers up to the full staged image before they join, so
+    /// the watermark never has to move backwards.
+    pub fn refresh_durable(&mut self, config: &NclConfig, now: Instant) {
+        let mut seqs = std::mem::take(&mut self.seq_scratch);
+        seqs.clear();
+        seqs.extend(
+            self.peers
+                .iter()
+                .filter(|s| s.alive)
+                .map(|s| s.completed_seq),
+        );
         // `All` waits for every live peer, never for fewer than the quorum.
         let quorum = match config.ack_policy {
             AckPolicy::Majority => config.quorum(),
             AckPolicy::All => seqs.len().max(config.quorum()),
         };
-        let Some(candidate) = scheme::ack_watermark(&mut seqs, quorum) else {
-            self.publish_acked(config);
-            return;
-        };
+        let candidate = scheme::ack_watermark(&mut seqs, quorum);
+        self.seq_scratch = seqs;
         let prev = self.durable_seq;
-        self.durable_seq = self.durable_seq.max(candidate);
-        // Retire flights the watermark just passed: close their ack and
-        // end-to-end spans.
-        if self.metrics.enabled && self.durable_seq > prev && !self.flights.is_empty() {
-            let now = Instant::now();
-            let durable = self.durable_seq;
-            let epoch = self.epoch;
-            let metrics = &self.metrics;
-            // Ordered map: retiring pops from the front until the first
-            // flight still above the watermark — O(retired), not O(window).
-            while let Some(entry) = self.flights.first_entry() {
-                if *entry.key() > durable {
-                    break;
-                }
-                let flight = entry.remove();
-                if flight.trace != 0 {
-                    self.traced_flights -= 1;
-                }
-                let first = flight.first_peer.unwrap_or(flight.posted);
-                metrics.stamp(|s| {
-                    s.ack.record_duration(now.duration_since(first));
-                    s.e2e.record_duration(now.duration_since(flight.t0));
-                });
-                if flight.trace != 0 {
-                    metrics.tel.span_auto(
-                        flight.trace,
-                        flight.trace,
+        self.durable_seq = prev.max(candidate.unwrap_or(prev));
+        // Retire flights the watermark just passed, oldest first: close
+        // their ack and end-to-end spans.
+        let metrics = &self.metrics;
+        while self
+            .flights
+            .front()
+            .is_some_and(|f| f.seq <= self.durable_seq)
+        {
+            let flight = self.flights.pop_front().expect("front just seen");
+            let first = flight.first_peer.unwrap_or(flight.posted);
+            metrics.stamp(|s| {
+                s.ack.record_duration(now.duration_since(first));
+                s.e2e.record_duration(now.duration_since(flight.t0));
+            });
+            if flight.trace != 0 {
+                // Root last: a write's chain is complete exactly when its
+                // root span (id = trace id, no parent) exists.
+                for (name, id, parent, start) in [
+                    (
                         spans::NCL_ACK,
-                        metrics.scope,
-                        epoch,
+                        metrics.tel.next_span_id(),
+                        flight.trace,
                         first,
-                        now,
-                    );
-                    // Root last: a write's chain is complete exactly when
-                    // its root span exists.
-                    metrics.tel.span(
+                    ),
+                    (spans::NCL_WRITE, flight.trace, 0, flight.t0),
+                ] {
+                    self.span_buf.push(metrics.tel.closed_span(
                         flight.trace,
-                        flight.trace,
-                        0,
-                        spans::NCL_WRITE,
+                        id,
+                        parent,
+                        name,
                         metrics.scope,
-                        epoch,
-                        flight.t0,
+                        self.epoch,
+                        start,
                         now,
-                    );
+                    ));
                 }
             }
+        }
+        if !self.span_buf.is_empty() {
+            metrics.tel.record_spans(&mut self.span_buf);
         }
         self.publish_acked(config);
     }
@@ -559,8 +569,8 @@ impl NclFile {
     pub(crate) fn reactor_poll(&self) -> bool {
         if let Some(mut rep) = self.rep.try_lock() {
             let before = self.durable_seq();
-            rep.drain();
-            rep.refresh_durable(&self.ctx.config);
+            let now = rep.drain();
+            rep.refresh_durable(&self.ctx.config, now);
             self.durable_seq() > before
         } else {
             false
@@ -658,9 +668,9 @@ impl NclFile {
         loop {
             let (next, cq) = {
                 let mut rep = self.rep_guard();
-                rep.drain();
-                rep.suspect_stalled(&ctx.config, seq);
-                rep.refresh_durable(&ctx.config);
+                let now = rep.drain();
+                rep.suspect_stalled(&ctx.config, seq, now);
+                rep.refresh_durable(&ctx.config, now);
                 let next = if rep.durable_seq >= seq {
                     if rep.failure_seen {
                         Next::Repair { must: false }
@@ -756,7 +766,7 @@ impl NclFile {
                         wcs = cq.wait(remaining.min(Duration::from_millis(50)));
                     }
                     if !wcs.is_empty() {
-                        self.rep_guard().absorb(wcs);
+                        self.rep_guard().absorb(&mut wcs, Instant::now());
                     }
                 }
             }
@@ -848,10 +858,10 @@ impl WcWait for RepWait<'_> {
                 }
                 rep.cq.clone()
             };
-            let wcs = cq.wait(Duration::from_millis(2));
+            let mut wcs = cq.wait(Duration::from_millis(2));
             if !wcs.is_empty() {
                 let mut rep = self.file.rep_guard();
-                rep.absorb(wcs);
+                rep.absorb(&mut wcs, Instant::now());
                 if let Some(wc) = take(&mut rep) {
                     return Some(wc);
                 }

@@ -13,7 +13,7 @@ use telemetry::{spans, Counter, HistHandle, Telemetry};
 use super::scheme::Scheme;
 use super::slots::{Flight, Rep};
 use super::NclFile;
-use crate::layout::{RegionHeader, HEADER_WIRE_SIZE};
+use crate::layout::RegionHeader;
 use crate::lockaudit;
 use crate::NclError;
 
@@ -135,14 +135,12 @@ impl FileMetrics {
     }
 }
 
-/// One staged-but-unposted record: its slice of the shared wire image plus
-/// the plain header encoded when it was staged. A run of these is a burst,
-/// posted as one doorbell batch per peer at flush time.
+/// One staged-but-unposted record: its wire image. A run of these is a
+/// burst, posted as one doorbell batch per peer at flush time.
 pub(super) struct PendingRecord {
     pub seq: u64,
     pub offset: usize,
     pub payload: Bytes,
-    pub header: Bytes,
     /// `record_nowait` entry and staging-complete timestamps; consumed at
     /// flush time to close the stage/doorbell spans and open a [`Flight`].
     pub t0: Instant,
@@ -309,16 +307,10 @@ impl NclFile {
             image.seq += 1;
             seq = image.seq;
             self.issued.store(seq, Ordering::Release);
-            // One wire image per record: the header (encoded into a stack
-            // array) and the payload share a single allocation; the per-peer
-            // copies are refcount bumps (`Bytes::clone`/`slice` do not
-            // copy).
-            let mut wire = Vec::with_capacity(HEADER_WIRE_SIZE + data.len());
-            wire.extend_from_slice(&image.header().encode());
-            wire.extend_from_slice(data);
-            let wire = Bytes::from(wire);
-            let header = wire.slice(..HEADER_WIRE_SIZE);
-            let payload = wire.slice(HEADER_WIRE_SIZE..);
+            // One wire image per record; the per-peer copies are refcount
+            // bumps (`Bytes::clone` does not copy). The header is the
+            // burst's, encoded at flush time.
+            let payload = Bytes::copy_from_slice(data);
             let staged_at = Instant::now();
             self.metrics
                 .stamp(|s| s.stage.record_duration(staged_at - t0));
@@ -329,22 +321,10 @@ impl NclFile {
             } else {
                 0
             };
-            if trace != 0 {
-                self.metrics.tel.span_auto(
-                    trace,
-                    trace,
-                    spans::NCL_STAGE,
-                    self.metrics.scope,
-                    0,
-                    t0,
-                    staged_at,
-                );
-            }
             stage.pending.push(PendingRecord {
                 seq,
                 offset: offset as usize,
                 payload,
-                header,
                 t0,
                 staged_at,
                 trace,
@@ -421,41 +401,45 @@ impl NclFile {
         stage.scheme.end_burst(&stage.image, burst);
     }
 
-    /// Stamps the doorbell spans and opens a [`Flight`] per pending record.
-    /// Must run before the posts: an inline NIC executes the writes during
-    /// `post_many`, so stamping after would misattribute the wire time to
-    /// the doorbell span — and completions cannot be absorbed concurrently
-    /// because the caller holds the replication lock.
+    /// Stamps the doorbell histogram, queues the stage and doorbell spans
+    /// and opens a [`Flight`] per pending record. Must run before the
+    /// posts: an inline NIC executes the writes during `post_many`, so
+    /// stamping after would misattribute the wire time to the doorbell
+    /// span — and completions cannot be absorbed concurrently because the
+    /// caller holds the replication lock.
     fn register_flights(&self, rep: &mut Rep, pending: &[PendingRecord]) {
-        if !self.metrics.enabled {
+        let metrics = &self.metrics;
+        if !metrics.enabled {
             return;
         }
         let posted_at = Instant::now();
         for rec in pending {
             let waited = posted_at.duration_since(rec.staged_at);
-            self.metrics.stamp(|s| s.doorbell.record_duration(waited));
+            metrics.stamp(|s| s.doorbell.record_duration(waited));
             if rec.trace != 0 {
-                self.metrics.tel.span_auto(
-                    rec.trace,
-                    rec.trace,
-                    spans::NCL_DOORBELL,
-                    self.metrics.scope,
-                    0,
-                    rec.staged_at,
-                    posted_at,
-                );
-                rep.traced_flights += 1;
+                for (name, start, end) in [
+                    (spans::NCL_STAGE, rec.t0, rec.staged_at),
+                    (spans::NCL_DOORBELL, rec.staged_at, posted_at),
+                ] {
+                    rep.span_buf.push(metrics.tel.closed_span(
+                        rec.trace,
+                        metrics.tel.next_span_id(),
+                        rec.trace,
+                        name,
+                        metrics.scope,
+                        0,
+                        start,
+                        end,
+                    ));
+                }
             }
-            rep.flights.insert(
-                rec.seq,
-                Flight {
-                    t0: rec.t0,
-                    posted: posted_at,
-                    first_peer: None,
-                    trace: rec.trace,
-                    covered: Vec::new(),
-                },
-            );
+            rep.flights.push_back(Flight {
+                seq: rec.seq,
+                t0: rec.t0,
+                posted: posted_at,
+                first_peer: None,
+                trace: rec.trace,
+            });
         }
     }
 

@@ -50,6 +50,10 @@ impl World {
     fn lib(&self, app_id: &str, node_name: &str, runtime: Option<Arc<NclRuntime>>) -> NclLib {
         let mut config = NclConfig::zero();
         config.runtime = runtime;
+        self.lib_with(app_id, node_name, config)
+    }
+
+    fn lib_with(&self, app_id: &str, node_name: &str, config: NclConfig) -> NclLib {
         let node = self.cluster.add_node(node_name);
         NclLib::new(
             &self.cluster,
@@ -102,6 +106,29 @@ fn lock_audit_counts_locks_on_the_unhosted_path() {
     // record_nowait stages under the stage lock: a known lock-taking call.
     let (_, locks) = lockaudit::audited(|| file.record(32, b"more").unwrap());
     assert!(locks > 0, "the slow path must register lock acquisitions");
+}
+
+/// A count gate, not a timing: with the inline NIC every completion is on
+/// the queue when `post_many` returns, so a steady-state synchronous
+/// `record` takes exactly the same locks every time — `stage` to stage the
+/// record, `stage` then `rep` for the barrier's doorbell, `rep` for the one
+/// drain that finds the quorum. A fifth acquisition is a lock hand-off
+/// added to every acknowledged write.
+#[test]
+fn synchronous_record_takes_four_stage_or_rep_locks() {
+    let world = World::new();
+    let mut config = NclConfig::zero();
+    config.inline_nic = true;
+    let lib = world.lib_with("syncapp", "app", config);
+    let file = lib.create("wal", 1 << 20).unwrap();
+    for i in 0..8u64 {
+        file.record(i * 16, b"warm").unwrap();
+    }
+    for i in 8..16u64 {
+        let (result, locks) = lockaudit::audited(|| file.record(i * 16, b"steady"));
+        result.unwrap();
+        assert_eq!(locks, 4, "record {i}: Stage/Rep acquisitions may not grow");
+    }
 }
 
 /// Hosted creation and recovery feed the operation log in the paper's

@@ -7,7 +7,7 @@
 //! node's crash generation: after a crash the memory — like real DRAM — is
 //! gone, and every previously exported region token is permanently invalid.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -28,7 +28,11 @@ pub(crate) struct MrEntry {
 
 #[derive(Default)]
 pub(crate) struct DeviceState {
-    pub(crate) mrs: RwLock<HashMap<u64, Arc<MrEntry>>>,
+    /// Ordered, not hashed: a device hosts a handful of regions under
+    /// sequential ids, and every remote access looks one up — a few key
+    /// compares, where hashing the id would cost more than the rest of the
+    /// lookup.
+    pub(crate) mrs: RwLock<BTreeMap<u64, Arc<MrEntry>>>,
     next_mr_id: AtomicU64,
     next_rkey: AtomicU64,
 }

@@ -12,7 +12,7 @@
 //! completions carry the `qp_num` so the consumer can attribute them.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -81,7 +81,7 @@ impl WorkRequest {
 }
 
 /// What one channel send to the NIC engine carries: a lone work request or a
-/// doorbell batch. Single posts stay allocation-free; a batch moves its
+/// doorbell batch. A single post allocates no vector; a batch moves its
 /// vector across in one send, which is the whole point of doorbell batching
 /// (one channel operation and one engine wakeup for N requests).
 enum Submission {
@@ -92,6 +92,9 @@ enum Submission {
 #[derive(Default)]
 struct CqInner {
     queue: Mutex<Vec<(u32, WorkCompletion)>>,
+    /// Notified with `queue` held, which is also what [`CompletionQueue::wait`]
+    /// checks emptiness and sleeps under — the discipline the waiter-counted
+    /// `Condvar` needs to skip the wake-up when nobody sleeps.
     available: Condvar,
     /// Reactors watching this CQ (weakly, so a dead reactor never pins the
     /// queue). `watched` mirrors `watchers.is_empty()` so the per-completion
@@ -103,6 +106,9 @@ struct CqInner {
 #[derive(Default)]
 struct CqWakerInner {
     epoch: Mutex<u64>,
+    /// Notified with `epoch` held, by [`CqWaker::signal`] and by the
+    /// completion queues' pushes alike; [`CqWaker::wait`] compares and
+    /// sleeps under the same lock.
     cv: Condvar,
 }
 
@@ -172,18 +178,9 @@ impl CompletionQueue {
         self.inner.watched.store(true, Ordering::Release);
     }
 
-    fn push(&self, qp_num: u32, wc: WorkCompletion) {
-        {
-            let mut q = self.inner.queue.lock();
-            q.push((qp_num, wc));
-            self.inner.available.notify_all();
-        }
-        self.wake_watchers();
-    }
-
-    /// Posts a moderation clump of completions: one queue lock, one
-    /// condvar notify, and one waker signal for the whole clump — the CQ
-    /// half of interrupt moderation (the engine half groups the clump).
+    /// Posts the completions of one doorbell (inline NIC) or one moderation
+    /// clump (engine thread): one queue lock, one condvar notify, and one
+    /// waker signal for all of them — the CQ half of interrupt moderation.
     fn push_batch(&self, qp_num: u32, wcs: impl IntoIterator<Item = WorkCompletion>) {
         {
             let mut q = self.inner.queue.lock();
@@ -214,6 +211,13 @@ impl CompletionQueue {
     /// Drains all available completions without blocking.
     pub fn poll(&self) -> Vec<(u32, WorkCompletion)> {
         std::mem::take(&mut *self.inner.queue.lock())
+    }
+
+    /// [`CompletionQueue::poll`] into a buffer the caller reuses: the
+    /// completions are appended to `out`, and both `out` and the queue keep
+    /// their capacity, so a steady poll loop allocates nothing.
+    pub fn poll_into(&self, out: &mut Vec<(u32, WorkCompletion)>) {
+        out.append(&mut self.inner.queue.lock());
     }
 
     /// Blocks until at least one completion is available (or `timeout`
@@ -261,27 +265,41 @@ enum NicMode {
     /// cross-thread handoffs — used by the calibrated benchmarks, where
     /// scheduler wake-ups on an oversubscribed host would otherwise dwarf
     /// the microsecond-scale latencies being modelled.
-    Inline {
-        cluster: Cluster,
-        remote_dev: RdmaDevice,
-        latency: LatencyModel,
-    },
+    ///
+    /// What is paid once per doorbell: the doorbell fault point, the post
+    /// instant, the send-queue lock (`clump`, which also keeps two threads'
+    /// doorbells from interleaving their requests) and one
+    /// [`CompletionQueue::push_batch`]. What is still paid per request,
+    /// because an armed schedule, a crash or a partition may strike between
+    /// any two of them: the wire fault point, the error-state check, the
+    /// reachability check before and after the modelled flight, the flight
+    /// itself, and the clock read that closes the request's wire span.
+    Inline(InlineNic),
+}
+
+struct InlineNic {
+    remote_dev: RdmaDevice,
+    latency: LatencyModel,
+    /// Completions of the doorbell being executed, delivered together when
+    /// it ends. Reused, so a doorbell allocates nothing.
+    clump: Mutex<Vec<WorkCompletion>>,
 }
 
 pub struct QueuePair {
     qp_num: u32,
     local: NodeId,
     remote: NodeId,
-    /// For the doorbell fault point; the wire fault point lives with the
-    /// engine (threaded) or inline executor, which own their own handles.
+    /// For the doorbell fault point and the inline executor; the engine
+    /// thread owns its own handle.
     cluster: Cluster,
     mode: Option<NicMode>,
     cq: CompletionQueue,
     errored: Arc<AtomicBool>,
     /// Optional wire-span histogram: post→completion nanoseconds per WR.
     /// Installed after connect (the engine thread shares the cell), so the
-    /// QP API stays unchanged for callers that don't measure.
-    wire_hist: Arc<Mutex<Option<HistHandle>>>,
+    /// QP API stays unchanged for callers that don't measure; read with one
+    /// atomic load per doorbell.
+    wire_hist: Arc<OnceLock<HistHandle>>,
 }
 
 impl QueuePair {
@@ -314,13 +332,13 @@ impl QueuePair {
     ) -> Self {
         let qp_num = NEXT_QP_NUM.fetch_add(1, Ordering::Relaxed);
         let errored = Arc::new(AtomicBool::new(false));
-        let wire_hist: Arc<Mutex<Option<HistHandle>>> = Arc::new(Mutex::new(None));
+        let wire_hist = Arc::new(OnceLock::new());
         let mode = if inline {
-            NicMode::Inline {
-                cluster: cluster.clone(),
+            NicMode::Inline(InlineNic {
                 remote_dev: remote_dev.clone(),
                 latency,
-            }
+                clump: Mutex::new(Vec::new()),
+            })
         } else {
             let (tx, rx) = unbounded::<(Instant, Submission)>();
             let engine = spawn_engine(
@@ -350,9 +368,10 @@ impl QueuePair {
 
     /// Installs a histogram recording, per work request, the nanoseconds from
     /// post (doorbell) to completion — the wire span of the record lifecycle.
-    /// Takes effect for all subsequently completed requests.
+    /// Takes effect for all subsequently completed requests; the first
+    /// histogram installed stays for the life of the queue pair.
     pub fn set_wire_hist(&self, hist: HistHandle) {
-        *self.wire_hist.lock() = Some(hist);
+        let _ = self.wire_hist.set(hist);
     }
 
     /// This queue pair's number (used to attribute shared-CQ completions).
@@ -437,22 +456,22 @@ impl QueuePair {
     /// saving is the per-request posting overhead and, on the wire, a single
     /// shared propagation tail (see [`NicMode::Threaded`]).
     pub fn post_many(&self, wrs: &[WorkRequest]) -> Result<(), SimError> {
-        match wrs.len() {
-            0 => Ok(()),
-            1 => self.post(wrs[0].clone()),
-            _ => {
-                self.ring_doorbell();
-                match self.mode.as_ref().expect("mode present until drop") {
-                    NicMode::Threaded { sq, .. } => sq
-                        .send((Instant::now(), Submission::Many(wrs.to_vec())))
-                        .map_err(|_| SimError::ServiceStopped),
-                    NicMode::Inline { .. } => {
-                        for wr in wrs {
-                            self.post_inner(wr.clone())?;
-                        }
-                        Ok(())
-                    }
-                }
+        if wrs.is_empty() {
+            return Ok(());
+        }
+        self.ring_doorbell();
+        match self.mode.as_ref().expect("mode present until drop") {
+            NicMode::Threaded { sq, .. } => {
+                let submission = match wrs {
+                    [wr] => Submission::One(wr.clone()),
+                    _ => Submission::Many(wrs.to_vec()),
+                };
+                sq.send((Instant::now(), submission))
+                    .map_err(|_| SimError::ServiceStopped)
+            }
+            NicMode::Inline(nic) => {
+                self.execute_inline(nic, wrs);
+                Ok(())
             }
         }
     }
@@ -469,51 +488,45 @@ impl QueuePair {
         }
     }
 
+    /// A doorbell of one.
     fn post(&self, wr: WorkRequest) -> Result<(), SimError> {
-        self.ring_doorbell();
-        self.post_inner(wr)
+        self.post_many(std::slice::from_ref(&wr))
     }
 
-    fn post_inner(&self, wr: WorkRequest) -> Result<(), SimError> {
-        match self.mode.as_ref().expect("mode present until drop") {
-            NicMode::Threaded { sq, .. } => sq
-                .send((Instant::now(), Submission::One(wr)))
-                .map_err(|_| SimError::ServiceStopped),
-            NicMode::Inline {
-                cluster,
-                remote_dev,
-                latency,
-            } => {
-                let posted_at = Instant::now();
-                let verdict = wire_verdict(cluster, self.local, remote_dev.node());
-                let (wr_id, status, read_data) = execute(
-                    cluster,
-                    self.local,
-                    remote_dev,
-                    &self.errored,
-                    wr,
-                    |bytes| latency.charge(bytes),
-                );
-                if status != WcStatus::Success {
-                    self.errored.store(true, Ordering::SeqCst);
-                }
-                let wire_ns = posted_at.elapsed().as_nanos() as u64;
-                if let Some(hist) = self.wire_hist.lock().as_ref() {
-                    hist.record(wire_ns);
-                }
-                deliver(
-                    &self.cq,
-                    self.qp_num,
-                    WorkCompletion {
-                        wr_id,
-                        status,
-                        read_data,
-                        wire_ns,
-                    },
-                    verdict,
-                );
-                Ok(())
+    /// The inline NIC: executes one doorbell's requests in order and
+    /// delivers their completions together (see [`NicMode::Inline`] for what
+    /// is per doorbell and what per request).
+    fn execute_inline(&self, nic: &InlineNic, wrs: &[WorkRequest]) {
+        let hist = self.wire_hist.get();
+        let mut clump = nic.clump.lock();
+        let posted_at = Instant::now();
+        for wr in wrs {
+            let verdict = wire_verdict(&self.cluster, self.local, self.remote);
+            let (wr_id, status, read_data) = execute(
+                &self.cluster,
+                self.local,
+                &nic.remote_dev,
+                &self.errored,
+                wr,
+                |bytes| nic.latency.charge(bytes),
+            );
+            if status != WcStatus::Success {
+                self.errored.store(true, Ordering::SeqCst);
             }
+            let wire_ns = posted_at.elapsed().as_nanos() as u64;
+            if let Some(hist) = hist {
+                hist.record(wire_ns);
+            }
+            let wc = WorkCompletion {
+                wr_id,
+                status,
+                read_data,
+                wire_ns,
+            };
+            stage_completion(&mut clump, wc, verdict);
+        }
+        if !clump.is_empty() {
+            self.cq.push_batch(self.qp_num, clump.drain(..));
         }
     }
 }
@@ -528,21 +541,22 @@ fn wire_verdict(cluster: &Cluster, local: NodeId, remote: NodeId) -> WireFault {
     verdict
 }
 
-/// Posts a completion, honouring an injected drop or duplication.
+/// Queues a completion for delivery, honouring an injected drop or
+/// duplication.
 ///
 /// A dropped completion models "write landed, ack lost": the work request
 /// *was* applied, only its completion vanishes — the case the protocol's
 /// prefix-acknowledgement rule must tolerate. Error completions are always
 /// delivered (a real RC QP surfaces retry exhaustion to the requester even
 /// when remote acks are lost).
-fn deliver(cq: &CompletionQueue, qp_num: u32, wc: WorkCompletion, verdict: WireFault) {
+fn stage_completion(clump: &mut Vec<WorkCompletion>, wc: WorkCompletion, verdict: WireFault) {
     match verdict {
         WireFault::DropCompletion if wc.status == WcStatus::Success => {}
         WireFault::DuplicateCompletion => {
-            cq.push(qp_num, wc.clone());
-            cq.push(qp_num, wc);
+            clump.push(wc.clone());
+            clump.push(wc);
         }
-        _ => cq.push(qp_num, wc),
+        _ => clump.push(wc),
     }
 }
 
@@ -566,7 +580,7 @@ fn spawn_engine(
     cq: CompletionQueue,
     errored: Arc<AtomicBool>,
     latency: LatencyModel,
-    wire_hist: Arc<Mutex<Option<HistHandle>>>,
+    wire_hist: Arc<OnceLock<HistHandle>>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("nic-qp{qp_num}"))
@@ -625,7 +639,7 @@ fn spawn_engine(
                         let verdict = wire_verdict(&cluster, local, remote_dev.node());
                         let mut target = wire_free;
                         let (wr_id, status, read_data) =
-                            execute(&cluster, local, &remote_dev, &errored, wr, |bytes| {
+                            execute(&cluster, local, &remote_dev, &errored, &wr, |bytes| {
                                 let ser = Duration::from_nanos(
                                     (latency.per_byte_ns * bytes as f64) as u64,
                                 );
@@ -653,7 +667,7 @@ fn spawn_engine(
                     next = rx.try_recv().ok();
                 }
                 let executed_at = Instant::now();
-                let hist = wire_hist.lock().clone();
+                let hist = wire_hist.get();
                 while !pending.is_empty() {
                     let window_end = pending[0].0 + MODERATION;
                     let mut n = 1;
@@ -677,17 +691,10 @@ fn spawn_engine(
                             wc.read_data = None;
                             errored.store(true, Ordering::SeqCst);
                         }
-                        if let Some(hist) = hist.as_ref() {
+                        if let Some(hist) = hist {
                             hist.record(wc.wire_ns);
                         }
-                        match verdict {
-                            WireFault::DropCompletion if wc.status == WcStatus::Success => {}
-                            WireFault::DuplicateCompletion => {
-                                clump.push(wc.clone());
-                                clump.push(wc);
-                            }
-                            _ => clump.push(wc),
-                        }
+                        stage_completion(&mut clump, wc, verdict);
                     }
                     if !clump.is_empty() {
                         cq.push_batch(qp_num, clump);
@@ -703,7 +710,7 @@ fn execute(
     local: NodeId,
     remote_dev: &RdmaDevice,
     errored: &AtomicBool,
-    wr: WorkRequest,
+    wr: &WorkRequest,
     wait: impl FnOnce(usize),
 ) -> (WrId, WcStatus, Option<Bytes>) {
     let (wr_id, bytes) = (wr.wr_id(), wr.wire_bytes());
@@ -724,15 +731,15 @@ fn execute(
     let result = match wr {
         WorkRequest::Write {
             mr, offset, data, ..
-        } => remote_dev.apply_remote(mr.mr_id, mr.rkey, offset, Some(&data), 0),
+        } => remote_dev.apply_remote(mr.mr_id, mr.rkey, *offset, Some(data), 0),
         WorkRequest::WriteSg {
             mr, offset, slices, ..
         } => remote_dev
-            .apply_remote_sg(mr.mr_id, mr.rkey, offset, &slices)
+            .apply_remote_sg(mr.mr_id, mr.rkey, *offset, slices)
             .map(|()| None),
         WorkRequest::Read {
             mr, offset, len, ..
-        } => remote_dev.apply_remote(mr.mr_id, mr.rkey, offset, None, len),
+        } => remote_dev.apply_remote(mr.mr_id, mr.rkey, *offset, None, *len),
     };
     match result {
         Ok(read_data) => (wr_id, WcStatus::Success, read_data),
@@ -1127,6 +1134,181 @@ mod tests {
             "a dropped completion must not unapply the write"
         );
         cluster.clear_faults();
+    }
+
+    /// Posts one doorbell batch of four 1-byte writes (ids 1..=4; `bad_rkey`
+    /// names the id, if any, that carries a revoked key) under `plan`, on a
+    /// threaded or an inline NIC, and returns the completions in arrival
+    /// order, the consultations the schedule counted, and the peer's bytes.
+    fn doorbell_under_plan(
+        inline: bool,
+        plan: &sim::FaultPlan,
+        bad_rkey: Option<u64>,
+    ) -> (Vec<(u64, WcStatus)>, u64, Option<Vec<u8>>) {
+        use sim::{Binding, FaultScheduler};
+        let (cluster, app, dev, peer) = setup();
+        let (local, mr) = dev.register_mr(64).unwrap();
+        let binding = Binding {
+            peers: vec![peer],
+            controller: app,
+            app,
+        };
+        let scheduler = FaultScheduler::new(plan, binding);
+        cluster.install_faults(scheduler.clone());
+        let cq = CompletionQueue::new();
+        let qp = QueuePair::connect_with_mode(
+            cluster.clone(),
+            app,
+            &dev,
+            cq.clone(),
+            LatencyModel::ZERO,
+            inline,
+        );
+        let wrs: Vec<WorkRequest> = (1..=4u64)
+            .map(|i| WorkRequest::Write {
+                wr_id: WrId(i),
+                mr: if bad_rkey == Some(i) {
+                    RemoteMr {
+                        rkey: RKey(0xdead),
+                        ..mr
+                    }
+                } else {
+                    mr
+                },
+                offset: i as usize - 1,
+                data: Bytes::from(vec![b'a' + i as u8 - 1]),
+            })
+            .collect();
+        qp.post_many(&wrs).unwrap();
+        let mut wcs = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        // Drops and duplicates change the count; wait for the last request's
+        // completion (never dropped below) and one more quiet poll.
+        while !wcs
+            .iter()
+            .any(|(_, wc): &(u32, WorkCompletion)| wc.wr_id == WrId(4))
+            && Instant::now() < deadline
+        {
+            wcs.extend(cq.wait(Duration::from_millis(50)));
+        }
+        wcs.extend(cq.wait(Duration::from_millis(20)));
+        cluster.clear_faults();
+        cluster.restart(peer);
+        (
+            wcs.iter().map(|(_, wc)| (wc.wr_id.0, wc.status)).collect(),
+            scheduler.steps(),
+            local.read_local(0, 4),
+        )
+    }
+
+    #[test]
+    fn inline_batch_failure_mid_batch_flushes_the_rest() {
+        let plan = sim::FaultPlan::new(1);
+        let expect = vec![
+            (1, WcStatus::Success),
+            (2, WcStatus::RemoteAccessErr),
+            (3, WcStatus::FlushErr),
+            (4, WcStatus::FlushErr),
+        ];
+        for inline in [false, true] {
+            let (wcs, steps, mem) = doorbell_under_plan(inline, &plan, Some(2));
+            assert_eq!(wcs, expect, "inline={inline}");
+            assert_eq!(steps, 5, "one doorbell + four wire consultations");
+            assert_eq!(mem.unwrap(), [b'a', 0, 0, 0], "inline={inline}");
+        }
+    }
+
+    #[test]
+    fn inline_batch_meets_an_armed_schedule_at_the_same_request() {
+        use sim::{FaultAction, FaultPlan, Trigger};
+        // Consultation 1 is the doorbell, 2..=5 the four requests. The drop
+        // armed at consultation 3 takes request 2's completion (its byte
+        // still lands), the duplicate armed at 4 doubles request 3's.
+        let wire = FaultPlan::new(1)
+            .push(Trigger::Step(3), FaultAction::DropWr { peer: 0 })
+            .push(Trigger::Step(4), FaultAction::DupWr { peer: 0 });
+        let ok = WcStatus::Success;
+        for inline in [false, true] {
+            let (wcs, steps, mem) = doorbell_under_plan(inline, &wire, None);
+            assert_eq!(
+                wcs,
+                vec![(1, ok), (3, ok), (3, ok), (4, ok)],
+                "inline={inline}"
+            );
+            assert_eq!(steps, 5, "inline={inline}");
+            assert_eq!(mem.unwrap(), *b"abcd", "inline={inline}");
+        }
+        // A crash armed at consultation 4 strikes between requests 2 and 3
+        // of the same doorbell: 3 finds the peer gone, 4 is flushed.
+        let crash = FaultPlan::new(2).push(Trigger::Step(4), FaultAction::CrashPeer(0));
+        for inline in [false, true] {
+            let (wcs, steps, mem) = doorbell_under_plan(inline, &crash, None);
+            assert_eq!(
+                wcs,
+                vec![
+                    (1, ok),
+                    (2, ok),
+                    (3, WcStatus::RetryExceeded),
+                    (4, WcStatus::FlushErr)
+                ],
+                "inline={inline}"
+            );
+            assert_eq!(steps, 5, "inline={inline}");
+            assert!(mem.is_none(), "the peer's memory went with the crash");
+        }
+    }
+
+    #[test]
+    fn a_crash_between_two_posts_fails_the_very_next_request() {
+        // The poster runs on its own thread; channel hand-offs put the crash
+        // strictly between its two posts. The second must not ride a stale
+        // "cluster is healthy" answer.
+        let (cluster, app, dev, peer) = setup();
+        let (_local, mr) = dev.register_mr(64).unwrap();
+        let cq = CompletionQueue::new();
+        let qp = QueuePair::connect_with_mode(
+            cluster.clone(),
+            app,
+            &dev,
+            cq.clone(),
+            LatencyModel::ZERO,
+            true,
+        );
+        let (to_poster, from_main) = std::sync::mpsc::channel();
+        let (to_main, from_poster) = std::sync::mpsc::channel();
+        let poster = std::thread::spawn(move || {
+            qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"a"))
+                .unwrap();
+            to_main.send(()).unwrap();
+            from_main.recv().unwrap();
+            qp.post_write(WrId(2), &mr, 1, Bytes::from_static(b"b"))
+                .unwrap();
+        });
+        from_poster.recv().unwrap();
+        cluster.crash(peer);
+        to_poster.send(()).unwrap();
+        poster.join().unwrap();
+        let wcs = cq.poll();
+        assert_eq!(wcs[0].1.status, WcStatus::Success);
+        assert_eq!(wcs[1].1.status, WcStatus::RetryExceeded);
+    }
+
+    #[test]
+    fn poll_into_appends_and_keeps_the_callers_buffer() {
+        let (cluster, app, dev, _peer) = setup();
+        let (_local, mr) = dev.register_mr(64).unwrap();
+        let cq = CompletionQueue::new();
+        let qp =
+            QueuePair::connect_with_mode(cluster, app, &dev, cq.clone(), LatencyModel::ZERO, true);
+        let mut buf = Vec::new();
+        for round in 0..3u64 {
+            qp.post_write(WrId(round), &mr, 0, Bytes::from_static(b"x"))
+                .unwrap();
+            cq.poll_into(&mut buf);
+        }
+        let ids: Vec<u64> = buf.iter().map(|(_, wc)| wc.wr_id.0).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
+        assert!(cq.poll().is_empty());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! a restarted process would have lost it.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -60,6 +61,61 @@ struct ClusterState {
     pressure: Vec<(NodeId, u8)>,
 }
 
+impl ClusterState {
+    /// # Panics
+    ///
+    /// Panics if `id` was not returned by [`Cluster::add_node`].
+    fn node(&self, id: NodeId) -> &NodeState {
+        self.nodes
+            .get(id.0 as usize)
+            .unwrap_or_else(|| panic!("unknown node {id}"))
+    }
+
+    fn node_mut(&mut self, id: NodeId) -> &mut NodeState {
+        self.nodes
+            .get_mut(id.0 as usize)
+            .unwrap_or_else(|| panic!("unknown node {id}"))
+    }
+}
+
+/// The health word: what every message asks of the cluster, answerable
+/// with one atomic load while nothing is wrong.
+///
+/// The low 32 bits hold the node count (for the unknown-node assert), the
+/// flags above say which questions need the locked tables. With a flag
+/// clear the answer is known without them: every node is up
+/// ([`health::DOWN`]), every pair can talk ([`health::PARTITIONED`]), no
+/// schedule wants consulting ([`health::ARMED`]), every generation is 0
+/// ([`health::CRASHED`]). With it set the caller takes the lock, as every
+/// caller did before the word existed.
+///
+/// Writers recompute the word from the tables while they still hold the
+/// table's write lock, so it never calls a disturbed cluster healthy: a
+/// reader that loads the word after `crash` returned sees `DOWN`, and one
+/// that raced the crash is ordered before it, as a reader holding the read
+/// lock would have been.
+mod health {
+    pub const NODES: u64 = u32::MAX as u64;
+    /// Some node is down right now.
+    pub const DOWN: u64 = 1 << 32;
+    /// Some pair is partitioned right now.
+    pub const PARTITIONED: u64 = 1 << 33;
+    /// A fault schedule is armed. Owned by the `faults` lock; the other
+    /// flags and the count by the `state` lock.
+    pub const ARMED: u64 = 1 << 34;
+    /// Some node has crashed at least once (sticky): generations differ.
+    pub const CRASHED: u64 = 1 << 35;
+}
+
+#[derive(Debug, Default)]
+struct Shared {
+    state: RwLock<ClusterState>,
+    /// Optional armed fault schedule; kept outside `state` so consulting it
+    /// never nests inside the node-table lock.
+    faults: RwLock<Option<FaultScheduler>>,
+    health: AtomicU64,
+}
+
 /// A registry of simulated nodes with injectable crashes and partitions.
 ///
 /// Cloning a `Cluster` is cheap (it is an `Arc` handle); all clones observe
@@ -80,10 +136,7 @@ struct ClusterState {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Cluster {
-    state: Arc<RwLock<ClusterState>>,
-    /// Optional armed fault schedule; kept outside `state` so consulting it
-    /// never nests inside the node-table lock.
-    faults: Arc<RwLock<Option<FaultScheduler>>>,
+    shared: Arc<Shared>,
 }
 
 impl Cluster {
@@ -92,16 +145,53 @@ impl Cluster {
         Cluster::default()
     }
 
+    /// Loads the health word and asserts that `ids` are registered nodes.
+    fn health(&self, ids: &[NodeId]) -> u64 {
+        let health = self.shared.health.load(Ordering::SeqCst);
+        for id in ids {
+            assert!(
+                u64::from(id.0) < health & health::NODES,
+                "unknown node {id}"
+            );
+        }
+        health
+    }
+
+    /// Runs `change` on the tables under the write lock and republishes the
+    /// health word from the result before the lock is released.
+    fn mutate<R>(&self, change: impl FnOnce(&mut ClusterState) -> R) -> R {
+        let mut st = self.shared.state.write();
+        let out = change(&mut st);
+        let mut word = st.nodes.len() as u64;
+        if st.nodes.iter().any(|n| !n.alive) {
+            word |= health::DOWN;
+        }
+        if !st.partitions.is_empty() {
+            word |= health::PARTITIONED;
+        }
+        if st.nodes.iter().any(|n| n.generation > 0) {
+            word |= health::CRASHED;
+        }
+        let _ = self
+            .shared
+            .health
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |old| {
+                Some((old & health::ARMED) | word)
+            });
+        out
+    }
+
     /// Registers a new node and returns its id. Nodes start alive.
     pub fn add_node(&self, name: impl Into<String>) -> NodeId {
-        let mut st = self.state.write();
-        let id = NodeId(st.nodes.len() as u32);
-        st.nodes.push(NodeState {
-            name: name.into(),
-            alive: true,
-            generation: 0,
-        });
-        id
+        self.mutate(|st| {
+            let id = NodeId(st.nodes.len() as u32);
+            st.nodes.push(NodeState {
+                name: name.into(),
+                alive: true,
+                generation: 0,
+            });
+            id
+        })
     }
 
     /// Registers `count` nodes named `{prefix}-{i}`.
@@ -113,18 +203,12 @@ impl Cluster {
 
     /// Number of registered nodes.
     pub fn len(&self) -> usize {
-        self.state.read().nodes.len()
+        (self.health(&[]) & health::NODES) as usize
     }
 
     /// True when no nodes are registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    fn check(&self, id: NodeId) -> usize {
-        let idx = id.0 as usize;
-        assert!(idx < self.state.read().nodes.len(), "unknown node {id}");
-        idx
     }
 
     /// Returns a snapshot of the node's state.
@@ -133,9 +217,8 @@ impl Cluster {
     ///
     /// Panics if `id` was not returned by [`Cluster::add_node`].
     pub fn info(&self, id: NodeId) -> NodeInfo {
-        let idx = self.check(id);
-        let st = self.state.read();
-        let n = &st.nodes[idx];
+        let st = self.shared.state.read();
+        let n = st.node(id);
         NodeInfo {
             id,
             name: n.name.clone(),
@@ -146,34 +229,34 @@ impl Cluster {
 
     /// Whether the node is currently up.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        let idx = self.check(id);
-        self.state.read().nodes[idx].alive
+        self.health(&[id]) & health::DOWN == 0 || self.shared.state.read().node(id).alive
     }
 
     /// The node's crash generation (0 until the first crash).
     pub fn generation(&self, id: NodeId) -> u64 {
-        let idx = self.check(id);
-        self.state.read().nodes[idx].generation
+        if self.health(&[id]) & health::CRASHED == 0 {
+            return 0;
+        }
+        self.shared.state.read().node(id).generation
     }
 
     /// Crashes a node: it loses volatile state (its generation is bumped) and
     /// becomes unreachable until [`Cluster::restart`]. Crashing an already
     /// crashed node is a no-op.
     pub fn crash(&self, id: NodeId) {
-        let idx = self.check(id);
-        let mut st = self.state.write();
-        let n = &mut st.nodes[idx];
-        if n.alive {
-            n.alive = false;
-            n.generation += 1;
-        }
+        self.mutate(|st| {
+            let n = st.node_mut(id);
+            if n.alive {
+                n.alive = false;
+                n.generation += 1;
+            }
+        });
     }
 
     /// Restarts a crashed node. State lost at crash time stays lost — the
     /// generation keeps its post-crash value so services know to reinitialise.
     pub fn restart(&self, id: NodeId) {
-        let idx = self.check(id);
-        self.state.write().nodes[idx].alive = true;
+        self.mutate(|st| st.node_mut(id).alive = true);
     }
 
     fn pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -187,19 +270,20 @@ impl Cluster {
     /// Partitions two nodes from each other: messages between them are
     /// dropped, but neither loses state (the paper's "lagging peer" case).
     pub fn partition(&self, a: NodeId, b: NodeId) {
-        self.check(a);
-        self.check(b);
         let key = Self::pair(a, b);
-        let mut st = self.state.write();
-        if !st.partitions.contains(&key) {
-            st.partitions.push(key);
-        }
+        self.mutate(|st| {
+            st.node(a);
+            st.node(b);
+            if !st.partitions.contains(&key) {
+                st.partitions.push(key);
+            }
+        });
     }
 
     /// Heals a partition between two nodes (no-op if none exists).
     pub fn heal(&self, a: NodeId, b: NodeId) {
         let key = Self::pair(a, b);
-        self.state.write().partitions.retain(|&p| p != key);
+        self.mutate(|st| st.partitions.retain(|&p| p != key));
     }
 
     /// Checks whether `from` can currently exchange messages with `to`.
@@ -207,13 +291,14 @@ impl Cluster {
     /// Returns the specific failure so callers can distinguish a crashed
     /// remote (state lost) from a partition (state retained but unreachable).
     pub fn can_reach(&self, from: NodeId, to: NodeId) -> Result<(), SimError> {
-        self.check(from);
-        self.check(to);
-        let st = self.state.read();
-        if !st.nodes[from.0 as usize].alive {
+        if self.health(&[from, to]) & (health::DOWN | health::PARTITIONED) == 0 {
+            return Ok(());
+        }
+        let st = self.shared.state.read();
+        if !st.node(from).alive {
             return Err(SimError::NodeDown(from));
         }
-        if !st.nodes[to.0 as usize].alive {
+        if !st.node(to).alive {
             return Err(SimError::NodeDown(to));
         }
         if st.partitions.contains(&Self::pair(from, to)) {
@@ -226,8 +311,8 @@ impl Cluster {
     /// node must shrink its used memory to at most `pct` percent of its
     /// budget. Repeated posts before consumption keep the lowest target.
     pub fn set_pressure(&self, id: NodeId, pct: u8) {
-        self.check(id);
-        let mut st = self.state.write();
+        let mut st = self.shared.state.write();
+        st.node(id);
         match st.pressure.iter_mut().find(|(n, _)| *n == id) {
             Some(entry) => entry.1 = entry.1.min(pct),
             None => st.pressure.push((id, pct)),
@@ -236,8 +321,8 @@ impl Cluster {
 
     /// Consumes the pending pressure signal for `id`, if any.
     pub fn take_pressure(&self, id: NodeId) -> Option<u8> {
-        self.check(id);
-        let mut st = self.state.write();
+        let mut st = self.shared.state.write();
+        st.node(id);
         let pos = st.pressure.iter().position(|(n, _)| *n == id)?;
         Some(st.pressure.swap_remove(pos).1)
     }
@@ -245,26 +330,35 @@ impl Cluster {
     /// Arms a fault schedule. Every subsequent [`Cluster::fault_point`]
     /// consultation advances it; replaces any schedule already armed.
     pub fn install_faults(&self, scheduler: FaultScheduler) {
-        *self.faults.write() = Some(scheduler);
+        let mut faults = self.shared.faults.write();
+        *faults = Some(scheduler);
+        self.shared.health.fetch_or(health::ARMED, Ordering::SeqCst);
     }
 
     /// Disarms the fault schedule (subsequent consultations are free).
     pub fn clear_faults(&self) {
-        *self.faults.write() = None;
+        let mut faults = self.shared.faults.write();
+        *faults = None;
+        self.shared
+            .health
+            .fetch_and(!health::ARMED, Ordering::SeqCst);
     }
 
     /// The armed fault schedule, if any.
     pub fn faults(&self) -> Option<FaultScheduler> {
-        self.faults.read().clone()
+        self.shared.faults.read().clone()
     }
 
     /// Consults the armed fault schedule (if any) for the message
     /// `from → to` at decision point `site`: fires due events — applying
     /// their crashes/partitions to this cluster — and returns the wire
-    /// verdict for the message itself. With no schedule armed this is a
-    /// single uncontended read-lock acquisition.
+    /// verdict for the message itself. With no schedule armed this is one
+    /// load of the health word.
     pub fn fault_point(&self, site: FaultSite, from: NodeId, to: NodeId) -> WireFault {
-        let Some(scheduler) = self.faults.read().clone() else {
+        if self.health(&[]) & health::ARMED == 0 {
+            return WireFault::None;
+        }
+        let Some(scheduler) = self.faults() else {
             return WireFault::None;
         };
         let (ops, verdict) = scheduler.advance(site, from, to);
@@ -283,7 +377,7 @@ impl Cluster {
 
     /// Lists all registered nodes.
     pub fn nodes(&self) -> Vec<NodeInfo> {
-        let st = self.state.read();
+        let st = self.shared.state.read();
         st.nodes
             .iter()
             .enumerate()
@@ -382,6 +476,98 @@ mod tests {
     #[should_panic(expected = "unknown node")]
     fn unknown_node_panics() {
         let c = Cluster::new();
+        c.is_alive(NodeId(3));
+    }
+
+    fn flags(c: &Cluster) -> u64 {
+        c.shared.health.load(Ordering::SeqCst) & !health::NODES
+    }
+
+    #[test]
+    fn health_word_follows_every_disturbance_and_its_repair() {
+        use crate::fault::{Binding, FaultPlan, FaultScheduler};
+        let c = Cluster::new();
+        let a = c.add_node("a");
+        let b = c.add_node("b");
+        assert_eq!(
+            c.shared.health.load(Ordering::SeqCst),
+            2,
+            "two nodes, no flag"
+        );
+
+        c.crash(b);
+        assert_eq!(flags(&c), health::DOWN | health::CRASHED);
+        assert_eq!(c.can_reach(a, b), Err(SimError::NodeDown(b)));
+        c.restart(b);
+        assert_eq!(
+            flags(&c),
+            health::CRASHED,
+            "up again; generations stay bumped"
+        );
+        assert!(c.can_reach(a, b).is_ok());
+        assert_eq!((c.generation(a), c.generation(b)), (0, 1));
+
+        c.partition(a, b);
+        assert_eq!(flags(&c), health::PARTITIONED | health::CRASHED);
+        assert!(c.is_alive(b), "a partition takes nobody down");
+        assert_eq!(c.can_reach(b, a), Err(SimError::Partitioned(b, a)));
+        c.heal(a, b);
+        assert_eq!(flags(&c), health::CRASHED);
+
+        let binding = Binding {
+            peers: vec![b],
+            controller: a,
+            app: a,
+        };
+        c.install_faults(FaultScheduler::new(&FaultPlan::new(1), binding));
+        assert_eq!(flags(&c), health::ARMED | health::CRASHED);
+        c.crash(a);
+        assert_eq!(
+            flags(&c),
+            health::ARMED | health::DOWN | health::CRASHED,
+            "a table change keeps the schedule's flag"
+        );
+        c.clear_faults();
+        assert_eq!(flags(&c), health::DOWN | health::CRASHED);
+        c.add_node("late");
+        assert_eq!(c.len(), 3);
+        assert_eq!(flags(&c), health::DOWN | health::CRASHED);
+    }
+
+    #[test]
+    fn a_crash_is_seen_by_the_next_check_on_another_thread() {
+        // Hand-offs, not sleeps, order the two threads: the checker's
+        // second look happens after `crash` returned and must already fail.
+        let c = Cluster::new();
+        let a = c.add_node("a");
+        let b = c.add_node("b");
+        let (to_checker, from_main) = std::sync::mpsc::channel();
+        let (to_main, from_checker) = std::sync::mpsc::channel();
+        let checker = {
+            let c = c.clone();
+            std::thread::spawn(move || {
+                let before = c.can_reach(a, b);
+                to_main.send(()).unwrap();
+                from_main.recv().unwrap();
+                (before, c.can_reach(a, b), c.is_alive(b), c.generation(b))
+            })
+        };
+        from_checker.recv().unwrap();
+        c.crash(b);
+        to_checker.send(()).unwrap();
+        let (before, after, alive, generation) = checker.join().unwrap();
+        assert!(before.is_ok());
+        assert_eq!(after, Err(SimError::NodeDown(b)));
+        assert!(!alive);
+        assert_eq!(generation, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown node")]
+    fn unknown_node_panics_on_the_locked_path_too() {
+        let c = Cluster::new();
+        let a = c.add_node("a");
+        c.crash(a);
         c.is_alive(NodeId(3));
     }
 

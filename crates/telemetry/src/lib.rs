@@ -109,6 +109,20 @@ impl Inner {
         self.monitor.get()
     }
 
+    /// Ring first, monitor second: a violation hook that dumps the flight
+    /// recorder from inside the monitor callback must find the span that
+    /// tripped it already in the ring.
+    fn record_spans(&self, spans: &[Span]) {
+        if self.spans.record(spans) {
+            self.note_ring_drop(spans.last().map_or(0, |s| s.end_ns));
+        }
+        if let Some(m) = self.monitor_sink() {
+            for span in spans {
+                m.on_span(span);
+            }
+        }
+    }
+
     /// Bookkeeping for an in-memory ring drop: on the first one, announce a
     /// `trace-truncated` event (ring + sink) and tell the monitor its
     /// span-completeness checks are no longer sound. The JSONL sink never
@@ -314,9 +328,27 @@ impl Telemetry {
         if trace == 0 || !inner.tracing.load(Ordering::Relaxed) {
             return;
         }
+        inner.record_spans(&[self.closed_span(trace, id, parent, name, scope, epoch, start, end)]);
+    }
+
+    /// Builds the [`Span`] that [`Self::span`] would record, without
+    /// recording it: for callers that queue the spans of one operation and
+    /// hand them over together ([`Self::record_spans`]). `id` is the trace id
+    /// for a root, a [`Self::next_span_id`] otherwise.
+    #[allow(clippy::too_many_arguments)]
+    pub fn closed_span(
+        &self,
+        trace: u64,
+        id: u64,
+        parent: u64,
+        name: &'static str,
+        scope: &'static str,
+        epoch: u64,
+        start: Instant,
+        end: Instant,
+    ) -> Span {
         let start_ns = self.instant_ns(start);
-        let end_ns = self.instant_ns(end).max(start_ns);
-        let span = Span {
+        Span {
             trace,
             id,
             parent,
@@ -324,19 +356,24 @@ impl Telemetry {
             scope,
             epoch,
             start_ns,
-            end_ns,
-        };
-        // Ring first, monitor second: a violation hook that dumps the
-        // flight recorder from inside the monitor callback must find the
-        // span that tripped it already in the ring.
-        let sink = inner.monitor_sink();
-        let forwarded = sink.map(|_| span.clone());
-        if inner.spans.record(span) {
-            inner.note_ring_drop(end_ns);
+            end_ns: self.instant_ns(end).max(start_ns),
         }
-        if let (Some(m), Some(span)) = (sink, forwarded) {
-            m.on_span(&span);
+    }
+
+    /// Records the closed spans in `spans`, in order, and empties it (the
+    /// buffer's capacity stays with the caller). A path that closes several
+    /// spans of one operation together — the seven of an NCL record — hands
+    /// them over in one call and pays the ring lock once, not per span.
+    /// Callers build each one with [`Self::closed_span`]; spans of trace 0
+    /// must not be queued. No-op (but still emptying) when disabled or
+    /// tracing is off.
+    pub fn record_spans(&self, spans: &mut Vec<Span>) {
+        if let Some(inner) = &self.inner {
+            if inner.tracing.load(Ordering::Relaxed) && !spans.is_empty() {
+                inner.record_spans(spans);
+            }
         }
+        spans.clear();
     }
 
     /// Records a closed span with a freshly allocated id and returns it

@@ -45,8 +45,15 @@ impl AtomicHistogram {
             .fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        // The extremes only ever move outwards, so a sample inside them —
+        // nearly every one — needs no read-modify-write (a locked
+        // compare-exchange loop on x86, which has no atomic min/max).
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Materialises an owned [`Histogram`] snapshot.

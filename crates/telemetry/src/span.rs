@@ -196,20 +196,25 @@ impl SpanTrace {
         }
     }
 
-    /// Returns whether the ring had to drop its oldest entry to make room
+    /// Appends `spans` in order under one acquisition of the ring lock.
+    /// Returns whether the ring had to drop an oldest entry to make room
     /// (the JSONL sink, when set, still received every record).
-    pub(crate) fn record(&self, span: Span) -> bool {
+    pub(crate) fn record(&self, spans: &[Span]) -> bool {
         if self.sink.is_set() {
-            self.sink.write_line(&span.to_json());
+            for span in spans {
+                self.sink.write_line(&span.to_json());
+            }
         }
         let mut ring = self.ring.lock().expect("span trace poisoned");
         let mut dropped = false;
-        if ring.buf.len() >= ring.capacity {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-            dropped = true;
+        for span in spans {
+            if ring.buf.len() >= ring.capacity {
+                ring.buf.pop_front();
+                ring.dropped += 1;
+                dropped = true;
+            }
+            ring.buf.push_back(span.clone());
         }
-        ring.buf.push_back(span);
         dropped
     }
 
@@ -258,9 +263,11 @@ mod tests {
     fn spans_keep_order_and_ring_bounds() {
         let t = SpanTrace::new(JsonlSink::default());
         t.set_capacity(2);
-        t.record(span(1, 1, 0, spans::NCL_WRITE));
-        t.record(span(1, 2, 1, spans::NCL_STAGE));
-        t.record(span(1, 3, 1, spans::NCL_DOORBELL));
+        t.record(&[span(1, 1, 0, spans::NCL_WRITE)]);
+        t.record(&[
+            span(1, 2, 1, spans::NCL_STAGE),
+            span(1, 3, 1, spans::NCL_DOORBELL),
+        ]);
         let spans = t.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].id, 2);

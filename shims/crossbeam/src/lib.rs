@@ -13,6 +13,13 @@ pub mod channel {
         cap: Option<usize>,
         senders: usize,
         receivers: usize,
+        /// Receivers asleep on `not_empty` / senders asleep on `not_full`.
+        /// Every wait and every notify happens with `inner` locked, so the
+        /// counts are exact, and a notify with nobody asleep — `futex(WAKE)`
+        /// in `std` — is skipped. `send_waiting` is never raised on an
+        /// unbounded channel, whose senders cannot wait.
+        recv_waiting: usize,
+        send_waiting: usize,
     }
 
     struct Shared<T> {
@@ -21,9 +28,45 @@ pub mod channel {
         not_full: Condvar,
     }
 
+    type Guard<'a, T> = std::sync::MutexGuard<'a, Inner<T>>;
+
     impl<T> Shared<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
+        fn lock(&self) -> Guard<'_, T> {
             self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Sleeps a receiver until notified or, with a `timeout`, until it
+        /// passes.
+        fn wait_not_empty<'a>(
+            &self,
+            mut inner: Guard<'a, T>,
+            timeout: Option<Duration>,
+        ) -> Guard<'a, T> {
+            inner.recv_waiting += 1;
+            let mut inner = match timeout {
+                None => self
+                    .not_empty
+                    .wait(inner)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(t) => {
+                    self.not_empty
+                        .wait_timeout(inner, t)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+            inner.recv_waiting -= 1;
+            inner
+        }
+
+        /// Pops the head, handing the freed slot to a sender blocked on a
+        /// full bounded channel, if there is one.
+        fn pop(&self, inner: &mut Inner<T>) -> Option<T> {
+            let v = inner.queue.pop_front()?;
+            if inner.send_waiting > 0 {
+                self.not_full.notify_one();
+            }
+            Some(v)
         }
     }
 
@@ -87,6 +130,8 @@ pub mod channel {
                 cap,
                 senders: 1,
                 receivers: 1,
+                recv_waiting: 0,
+                send_waiting: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -109,14 +154,18 @@ pub mod channel {
                 let full = inner.cap.is_some_and(|c| inner.queue.len() >= c);
                 if !full {
                     inner.queue.push_back(value);
-                    self.shared.not_empty.notify_one();
+                    if inner.recv_waiting > 0 {
+                        self.shared.not_empty.notify_one();
+                    }
                     return Ok(());
                 }
+                inner.send_waiting += 1;
                 inner = self
                     .shared
                     .not_full
                     .wait(inner)
                     .unwrap_or_else(PoisonError::into_inner);
+                inner.send_waiting -= 1;
             }
         }
     }
@@ -134,7 +183,7 @@ pub mod channel {
         fn drop(&mut self) {
             let mut inner = self.shared.lock();
             inner.senders -= 1;
-            if inner.senders == 0 {
+            if inner.senders == 0 && inner.recv_waiting > 0 {
                 // Wake blocked receivers so they observe the disconnect.
                 self.shared.not_empty.notify_all();
             }
@@ -145,18 +194,13 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut inner = self.shared.lock();
             loop {
-                if let Some(v) = inner.queue.pop_front() {
-                    self.shared.not_full.notify_one();
+                if let Some(v) = self.shared.pop(&mut inner) {
                     return Ok(v);
                 }
                 if inner.senders == 0 {
                     return Err(RecvError);
                 }
-                inner = self
-                    .shared
-                    .not_empty
-                    .wait(inner)
-                    .unwrap_or_else(PoisonError::into_inner);
+                inner = self.shared.wait_not_empty(inner, None);
             }
         }
 
@@ -164,8 +208,7 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut inner = self.shared.lock();
             loop {
-                if let Some(v) = inner.queue.pop_front() {
-                    self.shared.not_full.notify_one();
+                if let Some(v) = self.shared.pop(&mut inner) {
                     return Ok(v);
                 }
                 if inner.senders == 0 {
@@ -175,19 +218,13 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (g, _) = self
-                    .shared
-                    .not_empty
-                    .wait_timeout(inner, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                inner = g;
+                inner = self.shared.wait_not_empty(inner, Some(deadline - now));
             }
         }
 
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut inner = self.shared.lock();
-            if let Some(v) = inner.queue.pop_front() {
-                self.shared.not_full.notify_one();
+            if let Some(v) = self.shared.pop(&mut inner) {
                 return Ok(v);
             }
             if inner.senders == 0 {
@@ -219,7 +256,7 @@ pub mod channel {
         fn drop(&mut self) {
             let mut inner = self.shared.lock();
             inner.receivers -= 1;
-            if inner.receivers == 0 {
+            if inner.receivers == 0 && inner.send_waiting > 0 {
                 // Wake blocked senders so they observe the disconnect.
                 self.shared.not_full.notify_all();
             }
@@ -279,6 +316,50 @@ pub mod channel {
             assert_eq!(rx.recv(), Ok(1));
             assert_eq!(rx.recv(), Ok(2));
             t.join().unwrap();
+        }
+
+        #[test]
+        fn bounded_senders_and_receivers_never_strand_each_other() {
+            // Capacity 1 with two producers and two consumers: every send
+            // after the first and most receives sleep, so each hand-off
+            // depends on a counted notify reaching a real sleeper.
+            const PER_PRODUCER: u32 = 5_000;
+            let (tx, rx) = bounded(1);
+            let producers: Vec<_> = (0..2)
+                .map(|p| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..PER_PRODUCER {
+                            tx.send(p * PER_PRODUCER + i).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || {
+                        let mut got = Vec::new();
+                        loop {
+                            match rx.recv_timeout(Duration::from_secs(120)) {
+                                Ok(v) => got.push(v),
+                                Err(RecvTimeoutError::Disconnected) => return got,
+                                Err(RecvTimeoutError::Timeout) => panic!("a wake-up was lost"),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for p in producers {
+                p.join().unwrap();
+            }
+            let mut all: Vec<u32> = consumers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..2 * PER_PRODUCER).collect::<Vec<_>>());
         }
 
         #[test]

@@ -5,6 +5,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::PoisonError;
 use std::time::Duration;
 
@@ -173,24 +174,45 @@ impl WaitTimeoutResult {
     }
 }
 
+/// A condition variable that makes no system call unless a thread sleeps on
+/// it: `std`'s futex condvar issues `futex(WAKE)` on every notify, upstream
+/// parking_lot returns from `notify_*` after one load when its queue is
+/// empty. The shim gets the same property by counting its waiters.
+///
+/// The count is exact for every caller that follows the one rule any
+/// condition variable needs: the state a waiter checks is changed with the
+/// waiter's mutex held (or the notifier takes and releases that mutex between
+/// changing the state and notifying). A waiter increments the count while it
+/// still holds the mutex, before `std` releases it to sleep. A notifier that
+/// took the mutex after the waiter's check therefore finds the count raised
+/// (the mutex hand-over orders the increment before the load); a notifier
+/// that took it before the check changed the state first, so the waiter sees
+/// the change and never sleeps. Skipping the wake-up on a zero count loses
+/// nothing either way. A stale *high* count (a woken waiter that has not yet
+/// decremented) only costs the system call this type otherwise saves.
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
+    /// Threads between the increment in `wait`/`wait_for` and their return.
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard present");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let inner = self
             .inner
             .wait(inner)
             .unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
     }
 
@@ -200,10 +222,12 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let inner = guard.inner.take().expect("guard present");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (inner, result) = self
             .inner
             .wait_timeout(inner, timeout)
             .unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
         WaitTimeoutResult {
             timed_out: result.timed_out(),
@@ -211,11 +235,15 @@ impl Condvar {
     }
 
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_one();
+        }
     }
 
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -271,5 +299,75 @@ mod tests {
         *m.lock() = true;
         cv.notify_all();
         h.join().unwrap();
+    }
+
+    /// Lost-wakeup stress for the waiter-counted notify. `THREADS` threads
+    /// pass a turn counter round a ring: each sleeps until the turn is its
+    /// own, advances it under the mutex, and notifies *after* unlocking —
+    /// the order in which a skipped wake-up would strand the next thread.
+    /// Every sleep has a timeout far beyond the test's run time and must end
+    /// by notification, so one lost wake-up fails the test instead of
+    /// hanging it. Even threads sleep in `wait_for`, odd ones in `wait`
+    /// (guarded by a watchdog on the turn counter).
+    #[test]
+    fn condvar_never_loses_a_wakeup_under_contention() {
+        const THREADS: u64 = 8;
+        const TURNS: u64 = 40_000;
+        let ring = Arc::new((Mutex::new(0u64), Condvar::new()));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|me| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    let (turn, cv) = &*ring;
+                    loop {
+                        let mut t = turn.lock();
+                        while *t < TURNS && *t % THREADS != me {
+                            if me % 2 == 0 {
+                                let r = cv.wait_for(&mut t, Duration::from_secs(120));
+                                assert!(!r.timed_out(), "thread {me} lost a wake-up at {}", *t);
+                            } else {
+                                cv.wait(&mut t);
+                            }
+                        }
+                        if *t >= TURNS {
+                            return;
+                        }
+                        *t += 1;
+                        drop(t);
+                        cv.notify_all();
+                    }
+                })
+            })
+            .collect();
+        // Watchdog for the untimed `wait` sleepers: the turn must keep
+        // advancing. It polls with the mutex, never the condvar, so it cannot
+        // mask a lost wake-up by notifying.
+        let (turn, _) = &*ring;
+        let mut last = 0;
+        let mut stalled = 0;
+        while last < TURNS {
+            std::thread::sleep(Duration::from_millis(50));
+            let now = *turn.lock();
+            stalled = if now == last { stalled + 1 } else { 0 };
+            assert!(
+                stalled < 600,
+                "ring stalled at turn {now}: a wake-up was lost"
+            );
+            last = now;
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn notify_without_waiters_leaves_no_stale_wakeup() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        let mut g = m.lock();
+        let r = cv.wait_for(&mut g, Duration::from_millis(5));
+        assert!(r.timed_out(), "a notify before the wait must not wake it");
     }
 }
