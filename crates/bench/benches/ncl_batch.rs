@@ -13,11 +13,13 @@
 //! (100 ns/B) so serialization dominates host scheduler jitter. Appends are
 //! contiguous, so each burst's data WRs merge into one scatter-gather WR.
 //!
-//! Two telemetry measurements ride along: an on/off overhead gate (the
-//! instrumented record path must keep ≥90% of the uninstrumented
-//! throughput) and a per-stage latency breakdown at burst 16 emitted as
-//! `stage_breakdown`. Emits `BENCH_ncl_batch.json` at the repo root for CI
-//! trend tracking.
+//! A per-stage latency breakdown at burst 16 rides along as
+//! `stage_breakdown`, and a durability axis (replicated / ec-2of3 /
+//! ec-4of6) as `durability`. Emits `BENCH_ncl_batch.json` at the repo root
+//! for CI trend tracking. Rates, ratios and percentiles are printed and
+//! recorded, never asserted: splitbench is the repository's only judge of
+//! time (its `telemetry.on_over_off` and `bench.trace_overhead` carry the
+//! instrumentation cost this bench used to sweep).
 
 use std::sync::Arc;
 
@@ -25,7 +27,7 @@ use bench::{BenchJson, NCL_STAGES};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ncl::{Durability, MemSpillSink, NclLib, NclRuntime};
 use splitfs::{Testbed, TestbedConfig};
-use telemetry::{OnlineMonitor, Telemetry};
+use telemetry::Telemetry;
 
 const RECORD_SIZE: usize = 32;
 const BATCH: u64 = 64;
@@ -45,24 +47,7 @@ fn batch_lib(
     telemetry: Telemetry,
     runtime: Option<Arc<NclRuntime>>,
 ) -> NclLib {
-    batch_lib_with(tb, tag, telemetry, runtime, false)
-}
-
-fn batch_lib_with(
-    tb: &Testbed,
-    tag: &str,
-    telemetry: Telemetry,
-    runtime: Option<Arc<NclRuntime>>,
-    zero_staging: bool,
-) -> NclLib {
     let mut config = tb.config().ncl.clone();
-    if zero_staging {
-        // The stage-breakdown run zeroes the modelled local-copy spin: the
-        // doorbell bar holds the *runtime's* stage-to-flush path to 20 µs,
-        // and the calibrated ~4 µs-per-record staging model alone would put
-        // a 16-record burst far past it.
-        config.local_copy = sim::LatencyModel::ZERO;
-    }
     // Threaded NIC with a slow fabric (100 µs propagation, 100 ns/B): work
     // requests spend their modelled latency genuinely on the wire, and the
     // per-byte term is large enough that header bytes are resolvable above
@@ -127,136 +112,27 @@ fn burst_sweep(c: &mut Criterion) {
     );
 }
 
-/// The telemetry-overhead smoke gate, a four-mode sweep of the same
-/// burst-16 workload:
-///
-/// * `telemetry_off` — every handle dead, no flights kept (baseline);
-/// * `telemetry_on`  — counters/histograms live, causal tracing off;
-/// * `tracing_on`    — full causal tracing: trace ids allocated and
-///   stage/doorbell/wire/ack span trees recorded per write;
-/// * `monitor_on`    — tracing plus the streaming invariant monitor
-///   subscribed to the live span/event stream (always-on verification).
-///
-/// Three gates CI holds the line on: metrics must keep ≥90% of the
-/// uninstrumented throughput, tracing must keep ≥90% of the metrics-only
-/// throughput (the issue's ≤10%-on-batched-hot-path budget), and the online
-/// monitor must keep ≥95% of the tracing throughput — verification is
-/// supposed to ride the existing stream, not tax the hot path.
-fn telemetry_overhead(c: &mut Criterion) {
-    let tb = Testbed::start(TestbedConfig::calibrated(3));
-    // Hosted on a single-shard runtime: window stalls park on the published
-    // watermark and wake exactly when the reactor publishes a completion
-    // clump. The legacy self-drain path wakes on its own backoff schedule,
-    // whose phase against the NIC's moderation clumps adds mode-to-mode
-    // variance far larger than the instrumentation cost under test.
-    let runtime = NclRuntime::start(1);
-    let mut group = c.benchmark_group("ncl_batch");
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    let data = vec![0x5Au8; RECORD_SIZE];
-    for mode in ["telemetry_off", "telemetry_on", "tracing_on", "monitor_on"] {
-        let telemetry = if mode == "telemetry_off" {
-            Telemetry::disabled()
-        } else {
-            Telemetry::new()
-        };
-        telemetry.set_tracing(mode == "tracing_on" || mode == "monitor_on");
-        let monitor = (mode == "monitor_on")
-            .then(|| OnlineMonitor::attach(&telemetry, tb.config().ncl.quorum()));
-        let tag = format!("bench-batch-{mode}");
-        let lib = batch_lib(&tb, &tag, telemetry, Some(Arc::clone(&runtime)));
-        let file = lib.create("wal", CAPACITY).unwrap();
-        let mut offset = 0usize;
-        group.throughput(Throughput::Elements(BATCH));
-        group.bench_function(mode, |b| {
-            b.iter(|| {
-                for i in 0..BATCH {
-                    if offset + RECORD_SIZE > CAPACITY {
-                        offset = 0;
-                    }
-                    file.record_nowait(offset as u64, &data).unwrap();
-                    offset += RECORD_SIZE;
-                    if (i + 1) % 16 == 0 {
-                        file.submit();
-                    }
-                }
-            });
-        });
-        file.fsync().unwrap();
-        file.release().unwrap();
-        if let Some(monitor) = monitor {
-            let verdict = monitor.finalize();
-            assert!(
-                verdict.violations.is_empty(),
-                "online monitor flagged the healthy bench workload: {}",
-                verdict.to_json()
-            );
-        }
-    }
-    group.finish();
-
-    // Mean-based: the workload is pipelined and wire-bound, so individual
-    // samples are bimodal — an iteration either absorbs a window stall
-    // (wire time) or only stages. The median flips between the two modes
-    // with phase, while the mean is the aggregate throughput; at ~200 µs
-    // per sample, scheduler hiccups are a rounding error on it.
-    let per_second = |mode: &str| -> f64 {
-        c.measurements()
-            .iter()
-            .find(|m| m.id == format!("ncl_batch/{mode}"))
-            .and_then(|m| m.per_second())
-            .expect("measurement present")
-    };
-    let ratio = per_second("telemetry_on") / per_second("telemetry_off");
-    println!("ncl_batch: telemetry on/off throughput ratio = {ratio:.3}");
-    assert!(
-        ratio >= 0.9,
-        "telemetry overhead gate: instrumented throughput fell below 90% of \
-         the uninstrumented baseline (ratio {ratio:.3})"
-    );
-    let tracing_ratio = per_second("tracing_on") / per_second("telemetry_on");
-    println!("ncl_batch: tracing/metrics-only throughput ratio = {tracing_ratio:.3}");
-    assert!(
-        tracing_ratio >= 0.9,
-        "tracing overhead gate: span-tree recording cost more than 10% of \
-         the batched hot path (ratio {tracing_ratio:.3})"
-    );
-    let monitor_ratio = per_second("monitor_on") / per_second("tracing_on");
-    println!("ncl_batch: monitor/tracing throughput ratio = {monitor_ratio:.3}");
-    assert!(
-        monitor_ratio >= 0.95,
-        "online-monitor overhead gate: streaming invariant checks cost more \
-         than 5% of the traced hot path (ratio {monitor_ratio:.3})"
-    );
-}
-
 /// One clean burst-16 run against a private telemetry handle, returning the
 /// per-stage latency snapshot for the `stage_breakdown` JSON section. The
 /// file is hosted on a single-shard [`NclRuntime`], so the breakdown
 /// reflects the sharded configuration CI actually ships: the reactor drains
-/// completions in the background and the doorbell wait is bounded by burst
-/// staging time alone.
+/// completions in the background.
 fn collect_stage_breakdown(tb: &Testbed) -> telemetry::TelemetrySnapshot {
     let telemetry = Telemetry::new();
     let runtime = NclRuntime::start_with_telemetry(1, telemetry.clone());
-    let lib = batch_lib_with(
+    let lib = batch_lib(
         tb,
         "bench-batch-breakdown",
         telemetry.clone(),
         Some(runtime),
-        true,
     );
     let file = lib.create("wal", CAPACITY).unwrap();
     let data = vec![0x5Au8; RECORD_SIZE];
     let mut offset = 0usize;
     // Group commit: each burst is staged, submitted, and fsynced durable
-    // before the next begins. A record staged while the window
-    // back-pressures correctly waits out the stall *in the staged burst*
-    // (its doorbell wait is wire time, by design), so the doorbell bar is
-    // only meaningful on a run that never stalls mid-burst.
-    // 4096 records = 256 group-commits: enough samples that the p99 is a
-    // real tail, not the worst handful of bursts.
+    // before the next begins, so no record waits out a window stall inside
+    // its staged burst (that wait would be wire time booked as doorbell).
+    // 4096 records = 256 group-commits.
     for i in 0..(BATCH * 64) {
         if offset + RECORD_SIZE > CAPACITY {
             offset = 0;
@@ -293,20 +169,6 @@ fn collect_stage_breakdown(tb: &Testbed) -> telemetry::TelemetrySnapshot {
         "stage means must re-add to the e2e mean within 20% \
          (sum {sum:.0} ns, e2e {e2e:.0} ns)"
     );
-    // Post-sharding doorbell bar: with completions reaped by the reactor,
-    // a staged record only ever waits for the rest of its burst to stage —
-    // never for an application thread stuck reaping the CQ. 20 µs is a
-    // generous ceiling for staging a 16-record burst of 32 B writes.
-    let doorbell_p99 = snap
-        .summary("ncl.record.doorbell")
-        .expect("doorbell histogram populated")
-        .p99_ns;
-    println!("ncl_batch: doorbell p99 = {doorbell_p99} ns");
-    assert!(
-        doorbell_p99 < 20_000,
-        "doorbell p99 must stay under 20 µs on the sharded runtime \
-         (got {doorbell_p99} ns)"
-    );
     snap
 }
 
@@ -314,8 +176,9 @@ fn collect_stage_breakdown(tb: &Testbed) -> telemetry::TelemetrySnapshot {
 
 /// Record size for the durability axis. Large enough (256 B) that the
 /// per-burst framing (fragment entry + 64 B header) does not dominate: the
-/// regime where the EC wire saving is attributable to striping, which is
-/// what the ≤0.6x wire-bytes acceptance bar measures.
+/// regime where the EC wire saving is attributable to striping (the ≤0.6x
+/// wire-bytes bar is the tier-1 count test
+/// `ec_2of3_ships_at_most_0_6x_the_replicated_wire_bytes`).
 const DUR_RECORD_SIZE: usize = 256;
 const DUR_BURST: u64 = 16;
 const DUR_CAPACITY: usize = 8 << 20;
@@ -346,10 +209,9 @@ fn dur_lib(tb: &Testbed, tag: &str, telemetry: Telemetry, ec: Option<(usize, usi
     NclLib::new(&tb.cluster, node, tag, config, &tb.controller, &tb.registry).unwrap()
 }
 
-/// Burst-16 append throughput for each durability mode. ec-2of3 must keep
-/// at least 0.85x the replicated rate (the acceptance bar); on this
-/// wire-bound config it should in fact win, since each peer serializes
-/// `1/k` of the burst instead of all of it.
+/// Burst-16 append throughput for each durability mode. On this wire-bound
+/// config ec-2of3 should beat replicated, since each peer serializes `1/k`
+/// of the burst instead of all of it.
 fn durability_axis(c: &mut Criterion) {
     let tb = Testbed::start(TestbedConfig::calibrated(8));
     let mut group = c.benchmark_group("ncl_batch");
@@ -395,19 +257,15 @@ fn durability_axis(c: &mut Criterion) {
             per_second(mode)
         );
     }
-    let ratio = per_second("ec_2of3") / per_second("replicated");
-    println!("ncl_batch: ec-2of3 / replicated throughput = {ratio:.2}x");
-    assert!(
-        ratio >= 0.85,
-        "ec-2of3 must sustain >=0.85x replicated throughput at burst 16 \
-         (got {ratio:.2}x)"
+    println!(
+        "ncl_batch: ec-2of3 / replicated throughput = {:.2}x",
+        per_second("ec_2of3") / per_second("replicated")
     );
 }
 
 /// One deterministic pass per durability mode: wire bytes per record (from
 /// the `ncl.wire.bytes` counter), peer-memory copies, and timed post-crash
-/// recovery. Holds the wire acceptance bar: ec-2of3 writes at most 0.6x
-/// the replicated bytes per record.
+/// recovery.
 fn collect_durability(tb: &Testbed) -> Vec<(String, f64, f64, f64)> {
     let data = vec![0xC3u8; DUR_RECORD_SIZE];
     let mut rows = Vec::new();
@@ -465,19 +323,6 @@ fn collect_durability(tb: &Testbed) -> Vec<(String, f64, f64, f64)> {
         );
         rows.push((mode.to_string(), copies, wire_per_record, recovery_ms));
     }
-    let wire = |mode: &str| {
-        rows.iter()
-            .find(|r| r.0 == mode)
-            .map(|r| r.2)
-            .expect("mode measured")
-    };
-    let wire_ratio = wire("ec_2of3") / wire("replicated");
-    println!("ncl_batch: ec-2of3 / replicated wire bytes per record = {wire_ratio:.3}x");
-    assert!(
-        wire_ratio <= 0.6,
-        "ec-2of3 must write <=0.6x the replicated wire bytes per record \
-         (got {wire_ratio:.3}x)"
-    );
     rows
 }
 
@@ -513,11 +358,5 @@ fn emit_json(c: &mut Criterion) {
     json.write();
 }
 
-criterion_group!(
-    benches,
-    burst_sweep,
-    telemetry_overhead,
-    durability_axis,
-    emit_json
-);
+criterion_group!(benches, burst_sweep, durability_axis, emit_json);
 criterion_main!(benches);

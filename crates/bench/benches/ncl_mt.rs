@@ -10,15 +10,13 @@
 //! The wire model matches `ncl_batch` (100 µs propagation, 100 ns/B): each
 //! shard's throughput is serialization-bound on its own private QPs, so the
 //! sweep measures how well the runtime lets independent shards overlap —
-//! not how fast one mutex can hand off. Asserts ≥3x aggregate at 4 shards
-//! over 1, and (full runs only) ≥1M records/s aggregate at 4 shards. A
-//! separate instrumented 4-shard run collects the per-shard stage breakdown
-//! for `BENCH_ncl_mt.json` and holds the post-sharding doorbell bar:
-//! p99 < 20 µs, per shard.
+//! not how fast one mutex can hand off. A separate instrumented 4-shard run
+//! collects the per-shard stage breakdown for `BENCH_ncl_mt.json`. Rates,
+//! ratios and percentiles are printed and recorded, never asserted:
+//! splitbench is the repository's only judge of time.
 //!
 //! The sweep itself runs with telemetry disabled: the scaling number must
-//! not include histogram stamping, which `ncl_batch` already gates
-//! separately.
+//! not include histogram stamping.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,9 +29,7 @@ use splitfs::{Testbed, TestbedConfig};
 use telemetry::Telemetry;
 
 const RECORD_SIZE: usize = 32;
-/// Records per doorbell in the instrumented breakdown run. Small enough
-/// that a staged record's doorbell wait (the rest of its burst staging)
-/// stays well under the 20 µs bar.
+/// Records per doorbell in the instrumented breakdown run.
 const BURST: u64 = 16;
 /// Records per doorbell in the scaling sweep. Larger than the breakdown
 /// burst: on a single core every engine wakeup is a context switch, and the
@@ -167,28 +163,16 @@ fn shard_sweep(c: &mut Criterion) {
             per_second(shards)
         );
     }
-    let ratio = per_second(4) / per_second(1);
-    println!("ncl_mt: 4-shard / 1-shard aggregate = {ratio:.2}x");
-    assert!(
-        ratio >= 3.0,
-        "4 shards must deliver >=3x the 1-shard aggregate on the threaded \
-         NIC (got {ratio:.2}x)"
+    println!(
+        "ncl_mt: 4-shard / 1-shard aggregate = {:.2}x",
+        per_second(4) / per_second(1)
     );
-    // The absolute bar is a full-run gate only: CRITERION_FAST clamps the
-    // measurement window below what a stable absolute number needs.
-    if std::env::var("CRITERION_FAST").is_err() {
-        let agg4 = per_second(4);
-        assert!(
-            agg4 >= 1_000_000.0,
-            "4-shard aggregate must reach 1M records/s (got {agg4:.0})"
-        );
-    }
 }
 
 /// Instrumented 4-shard run against a private telemetry handle: returns the
 /// snapshot carrying both the fleet-wide stage histograms and their
-/// `ncl.shard-<i>.record.*` twins, after validating the post-sharding
-/// doorbell bar on every shard.
+/// `ncl.shard-<i>.record.*` twins, after checking every shard stamped its
+/// own.
 fn collect_stage_breakdown(tb: &Testbed) -> telemetry::TelemetrySnapshot {
     let telemetry = Telemetry::new();
     let runtime = NclRuntime::start_with_telemetry(BREAKDOWN_SHARDS, telemetry.clone());
@@ -222,9 +206,7 @@ fn collect_stage_breakdown(tb: &Testbed) -> telemetry::TelemetrySnapshot {
         let count = snap.summary(stage).map(|s| s.count).unwrap_or(0);
         assert!(count > 0, "stage histogram {stage} is empty");
     }
-    // Post-sharding doorbell bar, held per shard: with the reactor reaping
-    // completions, a staged record's doorbell wait is bounded by the rest
-    // of its burst staging — 20 µs covers a 16-record burst with margin.
+    // A shard whose twin histogram is empty was never hosted.
     for i in 0..BREAKDOWN_SHARDS {
         let name = format!("ncl.shard-{i}.record.doorbell");
         let s = snap
@@ -232,11 +214,6 @@ fn collect_stage_breakdown(tb: &Testbed) -> telemetry::TelemetrySnapshot {
             .unwrap_or_else(|| panic!("{name} histogram is empty"));
         assert!(s.count > 0, "{name} recorded no samples");
         println!("ncl_mt: shard-{i} doorbell p99 = {} ns", s.p99_ns);
-        assert!(
-            s.p99_ns < 20_000,
-            "shard-{i} doorbell p99 must stay under 20 µs (got {} ns)",
-            s.p99_ns
-        );
     }
     snap
 }

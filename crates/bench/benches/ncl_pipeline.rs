@@ -10,8 +10,8 @@
 //!    above host scheduler jitter (see `pipeline_lib`). Depth 1 is the
 //!    paper's baseline protocol (synchronous `record`); deeper windows post
 //!    batches through `record_nowait` and fence once with `fsync`. The
-//!    bench asserts the ≥2x throughput win at window ≥ 4 the pipelining is
-//!    for.
+//!    window-4-over-1 speedup is printed and recorded, not asserted:
+//!    splitbench is the repository's only judge of time.
 //! 2. **Allocation count** — the record hot path assembles one shared wire
 //!    image per record and one header per burst, so posting to any number
 //!    of peers costs a constant number of heap allocations, and absorbing
@@ -127,14 +127,9 @@ fn window_sweep(c: &mut Criterion) {
             .and_then(|m| m.per_second())
             .expect("measurement present")
     };
-    let baseline = per_second("1");
-    let deep = per_second("4");
-    let speedup = deep / baseline;
-    println!("ncl_pipeline: window 4 vs 1 speedup = {speedup:.2}x");
-    assert!(
-        speedup >= 2.0,
-        "pipelining must be >=2x over the synchronous baseline at window 4 \
-         (got {speedup:.2}x: {baseline:.0} vs {deep:.0} records/s)"
+    println!(
+        "ncl_pipeline: window 4 vs 1 speedup = {:.2}x",
+        per_second("4") / per_second("1")
     );
 }
 

@@ -1,10 +1,11 @@
 //! CI gate for the `BENCH_*.json` trend files.
 //!
 //! Validates each file against the schema the `bench` crate itself defines
-//! ([`bench::validate_bench_json`]): current `schema_version`, non-empty
-//! `results`, and a `stage_breakdown` carrying every NCL stage histogram
-//! with samples. Keeping the check next to the emitter means a schema bump
-//! updates the writer, the validator and CI in one place.
+//! ([`bench::validate_bench_json`]): current `schema_version`, a `results`
+//! array holding every row its bench is expected to emit, and a
+//! `stage_breakdown` carrying every NCL stage histogram with samples. No
+//! rule reads a timing. Keeping the check next to the emitter means a
+//! schema bump updates the writer, the validator and CI in one place.
 //!
 //! Usage: `cargo run -p bench --bin validate_bench_json [paths…]`
 //! (defaults to the checked-in trend files at the repo root).

@@ -374,13 +374,53 @@ pub const NCL_STAGES: [&str; 5] = [
     "ncl.record.e2e",
 ];
 
+/// Result rows each criterion bench must emit. A bench that silently
+/// stopped measuring a row is worse than a slow one, so a missing id fails
+/// validation; rows not listed here are accepted but never required.
+const EXPECTED_ROWS: [(&str, &[&str]); 3] = [
+    (
+        "ncl_pipeline",
+        &[
+            "ncl_pipeline/1",
+            "ncl_pipeline/2",
+            "ncl_pipeline/4",
+            "ncl_pipeline/8",
+            "ncl_pipeline/16",
+        ],
+    ),
+    (
+        "ncl_batch",
+        &[
+            "ncl_batch/coalesced/1",
+            "ncl_batch/coalesced/4",
+            "ncl_batch/coalesced/16",
+            "ncl_batch/coalesced/64",
+            "ncl_batch/durability/replicated",
+            "ncl_batch/durability/ec_2of3",
+            "ncl_batch/durability/ec_4of6",
+        ],
+    ),
+    (
+        "ncl_mt",
+        &[
+            "ncl_mt/shards/1",
+            "ncl_mt/shards/2",
+            "ncl_mt/shards/4",
+            "ncl_mt/shards/8",
+        ],
+    ),
+];
+
 /// Validates one `BENCH_*.json` trend file: current schema version, a
-/// non-empty `results` array, a `stage_breakdown` section carrying every
-/// [`NCL_STAGES`] histogram with a non-zero sample count, and an
-/// untruncated document. This is the single source of truth for what CI
-/// accepts (`cargo run -p bench --bin validate_bench_json`); the format is
-/// the line-oriented JSON [`BenchJson`] emits, so the checks are
-/// line-structural and dependency-free.
+/// non-empty `results` array holding every [`EXPECTED_ROWS`] id of its
+/// bench, a `stage_breakdown` section carrying every [`NCL_STAGES`]
+/// histogram with a non-zero sample count, and an untruncated document.
+/// Nothing here looks at a timing: splitbench (`benchmark/`, bounds in
+/// `BENCHMARK.json`) is the judge of time. This is the single source of
+/// truth for what CI accepts (`cargo run -p bench --bin
+/// validate_bench_json`); the format is the line-oriented JSON
+/// [`BenchJson`] emits, so the checks are line-structural and
+/// dependency-free.
 pub fn validate_bench_json(body: &str) -> Result<(), String> {
     if !body.trim_end().ends_with('}') {
         return Err("document truncated (no closing brace)".to_string());
@@ -395,6 +435,16 @@ pub fn validate_bench_json(body: &str) -> Result<(), String> {
     }
     if !body.contains("\"mean_ns\"") {
         return Err("results array is empty".to_string());
+    }
+    for (bench, ids) in EXPECTED_ROWS {
+        if !body.contains(&format!("\"bench\": \"{bench}\"")) {
+            continue;
+        }
+        for id in ids {
+            if !body.contains(&format!("\"id\": \"{id}\"")) {
+                return Err(format!("{bench} stopped emitting result row {id}"));
+            }
+        }
     }
     if !body.contains("\"stage_breakdown\"") {
         return Err("no stage_breakdown section".to_string());
@@ -671,8 +721,19 @@ mod tests {
     }
 
     fn valid_bench_doc() -> String {
-        let mut json = BenchJson::new("demo");
+        valid_doc_of("demo")
+    }
+
+    /// A complete document for `bench`: one free row plus every row the
+    /// validator expects of that bench.
+    fn valid_doc_of(bench: &str) -> String {
+        let mut json = BenchJson::new(bench);
         json.result("demo/1", 1234.5, 1_000_000.0);
+        for (_, ids) in EXPECTED_ROWS.iter().filter(|(b, _)| *b == bench) {
+            for id in *ids {
+                json.result(id, 1.0, 1.0);
+            }
+        }
         let stages: Vec<String> = NCL_STAGES
             .iter()
             .map(|s| format!("    \"{s}\": {{\"count\": 10, \"mean_ns\": 5.0}}"))
@@ -716,13 +777,27 @@ mod tests {
         assert!(validate_bench_json(&no_results.render()).is_err());
     }
 
+    /// A criterion bench's document that lost one of its expected rows must
+    /// fail by row id (the rule `bench_diff` used to carry); an id that is a
+    /// prefix of a present one does not count as present.
+    #[test]
+    fn validator_requires_every_expected_result_row() {
+        let full = valid_doc_of("ncl_pipeline");
+        validate_bench_json(&full).expect("every expected row present");
+        let lost = full.replace("\"id\": \"ncl_pipeline/1\"", "\"id\": \"ncl_pipeline/one\"");
+        assert!(lost.contains("\"id\": \"ncl_pipeline/16\""));
+        assert!(validate_bench_json(&lost)
+            .unwrap_err()
+            .contains("result row ncl_pipeline/1"));
+    }
+
     /// An `ncl_mt` document without the per-shard dimension must fail; the
     /// same document under another bench name passes (the rule is scoped).
     #[test]
     fn validator_requires_shard_dimension_for_ncl_mt() {
         let flat = valid_bench_doc();
         assert!(validate_bench_json(&flat).is_ok());
-        let mt = flat.replace("\"bench\": \"demo\"", "\"bench\": \"ncl_mt\"");
+        let mt = valid_doc_of("ncl_mt");
         assert!(validate_bench_json(&mt)
             .unwrap_err()
             .contains("per-shard dimension"));
@@ -804,7 +879,7 @@ mod tests {
     fn validator_requires_durability_axis_for_ncl_batch() {
         let flat = valid_bench_doc();
         assert!(validate_bench_json(&flat).is_ok());
-        let batch = flat.replace("\"bench\": \"demo\"", "\"bench\": \"ncl_batch\"");
+        let batch = valid_doc_of("ncl_batch");
         assert!(validate_bench_json(&batch)
             .unwrap_err()
             .contains("durability"));

@@ -10,19 +10,6 @@ use crate::ec::SpillSink;
 use crate::file::scheme;
 use crate::runtime::NclRuntime;
 
-/// How many peers must complete a record before it is acknowledged.
-///
-/// The paper's protocol acknowledges at a majority (`f + 1`); waiting for
-/// all `2f + 1` peers is the classic latency/availability trade-off and is
-/// provided as an ablation (`bench/ncl_acks`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckPolicy {
-    /// Acknowledge once `f + 1` peers hold the write (the paper's design).
-    Majority,
-    /// Acknowledge only when every live peer holds the write.
-    All,
-}
-
 /// How a file's log is made durable across peers.
 ///
 /// Replicated mode (the paper's protocol) writes every byte to all
@@ -80,10 +67,6 @@ pub struct NclConfig {
     /// which an async spill of the acked prefix is kicked off. `0` selects
     /// the default: ¾ of the half capacity.
     pub spill_watermark: usize,
-    /// Default region capacity per ncl file (bytes of log data, excluding
-    /// the header). Applications usually size this from their configured
-    /// log size; the paper's experiments use logs up to ~100 MB.
-    pub default_capacity: usize,
     /// One-sided RDMA write/read cost.
     pub rdma: LatencyModel,
     /// Control-plane RPC cost (controller and peer setup traffic).
@@ -107,14 +90,8 @@ pub struct NclConfig {
     /// While splitfs is degraded to direct-dfs after a quorum loss, how
     /// often it probes the controller for a fresh peer set to re-attach to.
     pub reattach_probe: Duration,
-    /// Ship only the missing log tail during recovery catch-up when the file
-    /// is append-only (the §6 byte-diff optimisation); full-region copy
-    /// otherwise.
-    pub tail_diff_catchup: bool,
     /// Local buffer memcpy cost per record (the in-memory staging write).
     pub local_copy: LatencyModel,
-    /// Acknowledgement quorum policy.
-    pub ack_policy: AckPolicy,
     /// Maximum records a [`record_nowait`](crate::NclFile::record_nowait)
     /// caller may have posted but not yet durable before the next post
     /// blocks draining the window. `record` (the synchronous path) ignores
@@ -159,7 +136,6 @@ impl NclConfig {
             durability: Durability::Replicated,
             spill: None,
             spill_watermark: 0,
-            default_capacity: 64 << 20,
             rdma: LatencyModel::rdma_write(),
             control: LatencyModel::rpc(),
             mr_register: LatencyModel::mr_register(),
@@ -168,9 +144,7 @@ impl NclConfig {
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(100),
             reattach_probe: Duration::from_millis(250),
-            tail_diff_catchup: true,
             local_copy: LatencyModel::from_nanos(250, 120.0, 0.0),
-            ack_policy: AckPolicy::Majority,
             pipeline_window: 8,
             inline_nic: true,
             peer_lease: Duration::from_secs(120),
@@ -186,7 +160,6 @@ impl NclConfig {
             durability: Durability::Replicated,
             spill: None,
             spill_watermark: 0,
-            default_capacity: 1 << 20,
             rdma: LatencyModel::ZERO,
             control: LatencyModel::ZERO,
             mr_register: LatencyModel::ZERO,
@@ -195,9 +168,7 @@ impl NclConfig {
             backoff_base: Duration::from_micros(500),
             backoff_cap: Duration::from_millis(50),
             reattach_probe: Duration::from_millis(50),
-            tail_diff_catchup: true,
             local_copy: LatencyModel::ZERO,
-            ack_policy: AckPolicy::Majority,
             pipeline_window: 8,
             inline_nic: false,
             peer_lease: Duration::from_secs(30),
@@ -281,6 +252,5 @@ mod tests {
     fn calibrated_is_nonzero() {
         let c = NclConfig::calibrated();
         assert!(!c.rdma.is_zero());
-        assert!(c.tail_diff_catchup);
     }
 }

@@ -16,7 +16,6 @@ use super::slots::{PeerSlot, Responders, WcRouter, WcWait};
 use super::{fan_out, NclFile, NclLib};
 use crate::layout::{RegionHeader, HEADER_WIRE_SIZE};
 use crate::peer::{PeerReq, PeerResp};
-use crate::runtime::ShardOp;
 use crate::NclError;
 
 /// Phase timings of the last recovery (Figure 11b's breakdown).
@@ -233,15 +232,6 @@ impl NclLib {
             recover_start,
             Instant::now(),
         );
-        // Cross-shard visibility of the recovery: shard reactors learn the
-        // new epoch through the operation log, in the same order everywhere
-        // — catch-up logged before the ap-map update, mirroring the wire
-        // protocol's ordering rule.
-        if let Some(runtime) = &ctx.config.runtime {
-            runtime.log_op(ShardOp::EpochBump { scope, epoch });
-            runtime.log_op(ShardOp::CatchUp { scope, epoch, seq });
-            runtime.log_op(ShardOp::ApMapUpdate { scope, epoch });
-        }
         Ok(NclFile::open(
             &self.ctx, file, scope, image, scheme, slots, cq, epoch, stats,
         ))

@@ -16,7 +16,6 @@ use super::{fan_out, Ctx, NclFile};
 use crate::detector::Backoff;
 use crate::layout::{RegionHeader, HEADER_SIZE};
 use crate::peer::{PeerReq, PeerResp};
-use crate::runtime::ShardOp;
 use crate::NclError;
 
 /// Phase timings of the last peer replacement (Table 3's breakdown).
@@ -194,26 +193,6 @@ impl NclFile {
             repair_trace,
             format!("bumped {} survivors", rep.peers.len()),
         );
-        // Cross-shard ordering: every shard reactor observes the bump, the
-        // catch-up, and the ap-map rewrite in this exact sequence — the log
-        // is appended in protocol order and applied in log order.
-        if let Some(runtime) = &ctx.config.runtime {
-            runtime.log_op(ShardOp::EpochBump { scope, epoch });
-            runtime.log_op(ShardOp::CatchUp {
-                scope,
-                epoch,
-                seq: header.seq,
-            });
-            runtime.log_op(ShardOp::PeerReplace {
-                scope,
-                epoch,
-                peers: fresh
-                    .iter()
-                    .map(|s| s.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            });
-        }
         // Replaced-in peers never produced wire completions for records that
         // were in flight when they joined — the catch-up copy is what made
         // those records durable on them. Credit each such flight with a
@@ -239,9 +218,6 @@ impl NclFile {
         let names: Vec<String> = rep.peers.iter().map(|s| s.name.clone()).collect();
         ctx.controller
             .set_ap_entry(ctx.node, &ctx.app_id, &self.name, names.clone(), epoch)?;
-        if let Some(runtime) = &ctx.config.runtime {
-            runtime.log_op(ShardOp::ApMapUpdate { scope, epoch });
-        }
         stats.update_ap_map = sw.elapsed();
         phase(spans::NCL_REPAIR_COMMIT, scope, epoch, commit_start);
         tel.event_traced(
@@ -443,7 +419,6 @@ pub(super) fn catch_up_existing(
     image: Option<&[u8]>,
 ) -> Result<PeerSlot, NclError> {
     let tail_only = image.is_some()
-        && ctx.config.tail_diff_catchup
         && !header.overwritten
         && !peer_header.overwritten
         && peer_header.len <= header.len;

@@ -20,7 +20,7 @@ use super::repair::RepairStats;
 use super::scheme;
 use super::staging::{FileMetrics, FlushReason};
 use super::{Ctx, NclFile};
-use crate::config::{AckPolicy, NclConfig};
+use crate::config::NclConfig;
 use crate::detector::{Backoff, PhiDetector};
 use crate::layout::{RegionHeader, HEADER_SIZE};
 use crate::lockaudit;
@@ -455,12 +455,7 @@ impl Rep {
                 .filter(|s| s.alive)
                 .map(|s| s.completed_seq),
         );
-        // `All` waits for every live peer, never for fewer than the quorum.
-        let quorum = match config.ack_policy {
-            AckPolicy::Majority => config.quorum(),
-            AckPolicy::All => seqs.len().max(config.quorum()),
-        };
-        let candidate = scheme::ack_watermark(&mut seqs, quorum);
+        let candidate = scheme::ack_watermark(&mut seqs, config.quorum());
         self.seq_scratch = seqs;
         let prev = self.durable_seq;
         self.durable_seq = prev.max(candidate.unwrap_or(prev));

@@ -42,7 +42,7 @@ pub mod registry;
 pub mod runtime;
 pub mod slab;
 
-pub use config::{AckPolicy, Durability, NclConfig};
+pub use config::{Durability, NclConfig};
 pub use controller::{ApEntry, Controller, ControllerClient, PeerInfo};
 pub use detector::{Backoff, PhiDetector};
 pub use ec::{MemSpillSink, SpillSink, SpillSnapshot};
@@ -50,7 +50,7 @@ pub use file::{NclFile, NclLib};
 pub use layout::{RegionHeader, HEADER_SIZE};
 pub use peer::Peer;
 pub use registry::{NclRegistry, PeerEndpoint};
-pub use runtime::{NclRuntime, OpLog, ShardOp};
+pub use runtime::NclRuntime;
 pub use slab::{SlabAllocator, SlabError, TenantUsage};
 
 use std::fmt;

@@ -12,258 +12,43 @@
 //!   load (see `lockaudit`);
 //! * the reactor sleeps on a [`CqWaker`] registered with every hosted
 //!   file's completion queue — completion-driven polling, no blocking
-//!   per-file `cq.wait` threads;
-//! * cross-shard control operations (epoch bumps, peer replacement,
-//!   catch-up, ap-map updates) flow through a single ordered [`OpLog`] that
-//!   every reactor applies at poll boundaries, in the style of
-//!   node-replicated-kernel's NR log: one append order, per-shard cursors,
-//!   identical apply order on every shard by construction.
+//!   per-file `cq.wait` threads.
 //!
-//! The log is deliberately *observational* for data-plane correctness —
-//! each file's `rep` state remains the authority for its own peers — but it
-//! is the ordering spine for anything that crosses shards: a reactor never
-//! sees epoch 7's ap-map update before epoch 7's bump, because appends are
-//! totally ordered and cursors only move forward.
+//! Control operations (epoch bumps, peer replacement, catch-up, ap-map
+//! updates) do not pass through the runtime: each file's `rep` state is the
+//! authority for its own peers, and the controller orders what crosses files.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rdma::CqWaker;
-use telemetry::{intern_scope, ReactorProfiler, ShardProfile, Telemetry};
+use telemetry::{ReactorProfiler, ShardProfile, Telemetry};
 
 use crate::file::NclFile;
-
-/// Event kind emitted once per operation per shard when a reactor applies a
-/// log entry; the chaos trace analyzer treats it as informational.
-pub const SHARD_APPLY: &str = "shard.apply";
-
-/// Default operation-log capacity. Control operations are rare (one entry
-/// per epoch bump / peer replacement / ap-map update), so this covers any
-/// realistic session; on overflow the append is dropped best-effort and
-/// counted, never blocking the failure plane.
-const OPLOG_CAPACITY: usize = 8192;
 
 /// How long a reactor sleeps when no waker signal arrives. Bounds the lag
 /// between a completion landing and the watermark publishing even if a
 /// waker registration is missed.
 const REACTOR_IDLE: Duration = Duration::from_millis(1);
 
-/// A cross-shard control operation, appended once and applied by every
-/// shard reactor in log order.
-///
-/// `scope` is the owning file's interned telemetry scope (`app/file`), so
-/// cloning an op never allocates for the common variants.
-#[derive(Debug, Clone)]
-pub enum ShardOp {
-    /// A replication epoch advanced for `scope` (peer replacement or
-    /// recovery).
-    EpochBump { scope: &'static str, epoch: u64 },
-    /// The controller's ap-map entry for `scope` was rewritten after a
-    /// membership change. Always follows the `EpochBump` of the same epoch
-    /// in the log — appended after catch-up completes, per the paper's
-    /// catch-up-before-ap-map rule.
-    ApMapUpdate { scope: &'static str, epoch: u64 },
-    /// Fresh peers joined `scope`'s replica set at `epoch`.
-    PeerReplace {
-        scope: &'static str,
-        epoch: u64,
-        peers: String,
-    },
-    /// A fresh peer was caught up to `seq` before entering the ap-map.
-    CatchUp {
-        scope: &'static str,
-        epoch: u64,
-        seq: u64,
-    },
-}
-
-impl ShardOp {
-    /// The owning file's telemetry scope.
-    pub fn scope(&self) -> &'static str {
-        match self {
-            ShardOp::EpochBump { scope, .. }
-            | ShardOp::ApMapUpdate { scope, .. }
-            | ShardOp::PeerReplace { scope, .. }
-            | ShardOp::CatchUp { scope, .. } => scope,
-        }
-    }
-
-    /// The replication epoch the operation belongs to.
-    pub fn epoch(&self) -> u64 {
-        match self {
-            ShardOp::EpochBump { epoch, .. }
-            | ShardOp::ApMapUpdate { epoch, .. }
-            | ShardOp::PeerReplace { epoch, .. }
-            | ShardOp::CatchUp { epoch, .. } => *epoch,
-        }
-    }
-
-    fn detail(&self) -> String {
-        match self {
-            ShardOp::EpochBump { .. } => "epoch-bump".to_string(),
-            ShardOp::ApMapUpdate { .. } => "ap-map-update".to_string(),
-            ShardOp::PeerReplace { peers, .. } => format!("peer-replace {peers}"),
-            ShardOp::CatchUp { seq, .. } => format!("catch-up seq={seq}"),
-        }
-    }
-}
-
-/// A bounded, append-only, totally ordered operation log.
-///
-/// Appends serialize on one mutex (control plane only — never on the record
-/// path); reads are lock-free: a shard reactor loads the published length
-/// with `Acquire` and reads slots through `OnceLock::get`, so applying the
-/// log at a poll boundary costs no lock and cannot observe a half-written
-/// entry.
-pub struct OpLog {
-    slots: Box<[OnceLock<ShardOp>]>,
-    len: AtomicUsize,
-    append: Mutex<()>,
-    dropped: AtomicU64,
-    wakers: Mutex<Vec<CqWaker>>,
-}
-
-impl OpLog {
-    /// Creates a log holding at most `capacity` operations.
-    pub fn with_capacity(capacity: usize) -> Self {
-        OpLog {
-            slots: (0..capacity.max(1)).map(|_| OnceLock::new()).collect(),
-            len: AtomicUsize::new(0),
-            append: Mutex::new(()),
-            dropped: AtomicU64::new(0),
-            wakers: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Appends `op`, returning its log position, or `None` if the log is
-    /// full (the op is dropped and counted; shards simply won't see it,
-    /// which is safe because the log is observational ordering, not the
-    /// data-plane authority).
-    pub fn append(&self, op: ShardOp) -> Option<u64> {
-        let pos = {
-            let _order = self.append.lock();
-            let n = self.len.load(Ordering::Relaxed);
-            if n == self.slots.len() {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            self.slots[n]
-                .set(op)
-                .expect("slot past published len is unwritten");
-            // Publish the entry *after* the slot is populated: readers that
-            // observe the new length are guaranteed to see the op.
-            self.len.store(n + 1, Ordering::Release);
-            n as u64
-        };
-        for w in self.wakers.lock().iter() {
-            w.signal();
-        }
-        Some(pos)
-    }
-
-    /// Number of published operations. `Acquire`: entries below this index
-    /// are fully visible.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// True when nothing has been appended yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Reads the operation at `idx` (lock-free). `None` past the published
-    /// length.
-    pub fn get(&self, idx: usize) -> Option<&ShardOp> {
-        if idx >= self.len() {
-            return None;
-        }
-        self.slots[idx].get()
-    }
-
-    /// Operations dropped due to a full log.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Signals `waker` on every append (used by reactors so a control op is
-    /// applied promptly even when no completions are flowing).
-    pub fn subscribe(&self, waker: &CqWaker) {
-        self.wakers.lock().push(waker.clone());
-    }
-}
-
-impl Default for OpLog {
-    fn default() -> Self {
-        OpLog::with_capacity(OPLOG_CAPACITY)
-    }
-}
-
-/// Per-shard reactor state. Single-writer by convention: only the shard's
-/// reactor thread advances `cursor` and mutates `epoch_view`/`applied`;
-/// `host_on` appends to `files` under its mutex.
+/// Per-shard reactor state: the reactor thread polls `files`; `host_on`
+/// appends to it under the mutex.
 struct Shard {
     index: usize,
-    scope: &'static str,
     waker: CqWaker,
     files: Mutex<Vec<Weak<NclFile>>>,
-    cursor: AtomicUsize,
-    /// Log positions applied, in apply order — the observable the ordering
-    /// tests compare across shards.
-    applied: Mutex<Vec<u64>>,
-    /// Last epoch applied per file scope, in log order.
-    epoch_view: Mutex<HashMap<&'static str, u64>>,
 }
 
 impl Shard {
     fn new(index: usize) -> Self {
         Shard {
             index,
-            scope: intern_scope(&format!("ncl.shard-{index}")),
             waker: CqWaker::new(),
             files: Mutex::new(Vec::new()),
-            cursor: AtomicUsize::new(0),
-            applied: Mutex::new(Vec::new()),
-            epoch_view: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Applies every published-but-unapplied log entry, in order.
-    fn apply_log(&self, log: &OpLog, tel: &Telemetry) {
-        let end = log.len();
-        let mut cur = self.cursor.load(Ordering::Relaxed);
-        if cur >= end {
-            return;
-        }
-        let mut applied = self.applied.lock();
-        let mut view = self.epoch_view.lock();
-        while cur < end {
-            let op = log.get(cur).expect("entry below published len");
-            let slot = view.entry(op.scope()).or_insert(0);
-            *slot = (*slot).max(op.epoch());
-            applied.push(cur as u64);
-            if tel.is_enabled() {
-                tel.event(
-                    SHARD_APPLY,
-                    self.scope,
-                    op.epoch(),
-                    format!("pos={cur} scope={} {}", op.scope(), op.detail()),
-                );
-            }
-            cur += 1;
-        }
-        self.cursor.store(cur, Ordering::Release);
-    }
-
-    /// One poll round: apply the op log, then drain and publish every
-    /// hosted file, pruning files that have been dropped.
-    fn poll(&self, log: &OpLog, tel: &Telemetry) {
-        self.apply_log(log, tel);
-        self.poll_files();
     }
 
     /// Drains and publishes every hosted file, pruning dropped ones.
@@ -284,41 +69,31 @@ impl Shard {
     }
 
     /// One instrumented reactor loop iteration: the profiler attributes
-    /// apply-oplog, publish-vs-poll, and park time at the loop's natural
-    /// boundaries (no sampling inside the hot drain itself).
-    fn timed_round(&self, log: &OpLog, tel: &Telemetry, prof: &ShardProfile, stop: &AtomicBool) {
+    /// publish-vs-poll and park time at the loop's natural boundaries (no
+    /// sampling inside the hot drain itself).
+    fn timed_round(&self, tel: &Telemetry, prof: &ShardProfile, stop: &AtomicBool) {
         let seen = self.waker.epoch();
         let t0 = Instant::now();
-        self.apply_log(log, tel);
-        let t1 = Instant::now();
         let (progressed, depth) = self.poll_files();
-        let t2 = Instant::now();
-        prof.on_apply(t1 - t0);
-        prof.on_poll(t2 - t1, progressed);
-        prof.set_oplog_lag(
-            log.len()
-                .saturating_sub(self.cursor.load(Ordering::Relaxed)) as u64,
-        );
+        prof.on_poll(t0.elapsed(), progressed);
         prof.set_queue_depth(depth);
         prof.beat(tel.now_ns());
         if !stop.load(Ordering::Acquire) {
-            let t3 = Instant::now();
+            let t1 = Instant::now();
             self.waker.wait(seen, REACTOR_IDLE);
-            prof.on_park(t3.elapsed());
+            prof.on_park(t1.elapsed());
         }
     }
 }
 
 /// The sharded runtime: N reactor threads, each servicing the files hashed
-/// to its shard, coordinated by one [`OpLog`].
+/// to its shard.
 ///
 /// Plumbed into [`NclConfig::runtime`](crate::NclConfig); when present,
 /// `NclLib::create`/`recover` host new files automatically. Dropping the
 /// last `Arc` stops and joins the reactors.
 pub struct NclRuntime {
     shards: Vec<Arc<Shard>>,
-    log: Arc<OpLog>,
-    tel: Telemetry,
     profiler: ReactorProfiler,
     stop: Arc<AtomicBool>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -328,7 +103,6 @@ impl std::fmt::Debug for NclRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NclRuntime")
             .field("shards", &self.shards.len())
-            .field("ops", &self.log.len())
             .finish()
     }
 }
@@ -339,21 +113,18 @@ impl NclRuntime {
         NclRuntime::start_with_telemetry(shards, Telemetry::disabled())
     }
 
-    /// Starts `shards` reactor threads; shard-apply events land in `tel`,
-    /// and each reactor reports time-in-state into a [`ReactorProfiler`]
-    /// (inert — no sampling, no watchdog thread — when `tel` is disabled).
+    /// Starts `shards` reactor threads; each reactor reports time-in-state
+    /// into a [`ReactorProfiler`] registered with `tel` (inert — no sampling,
+    /// no watchdog thread — when `tel` is disabled).
     pub fn start_with_telemetry(shards: usize, tel: Telemetry) -> Arc<Self> {
         let shards: Vec<Arc<Shard>> = (0..shards.max(1))
             .map(|i| Arc::new(Shard::new(i)))
             .collect();
-        let log = Arc::new(OpLog::default());
         let profiler = ReactorProfiler::new(&tel, shards.len());
         let stop = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::with_capacity(shards.len());
         for shard in &shards {
-            log.subscribe(&shard.waker);
             let shard = Arc::clone(shard);
-            let log = Arc::clone(&log);
             let tel = tel.clone();
             let stop = Arc::clone(&stop);
             let prof = profiler.shard(shard.index);
@@ -363,37 +134,35 @@ impl NclRuntime {
                     .spawn(move || {
                         if prof.enabled() {
                             while !stop.load(Ordering::Acquire) {
-                                shard.timed_round(&log, &tel, &prof, &stop);
+                                shard.timed_round(&tel, &prof, &stop);
                             }
                         } else {
                             while !stop.load(Ordering::Acquire) {
                                 let seen = shard.waker.epoch();
-                                shard.poll(&log, &tel);
+                                shard.poll_files();
                                 if stop.load(Ordering::Acquire) {
                                     break;
                                 }
                                 shard.waker.wait(seen, REACTOR_IDLE);
                             }
                         }
-                        // Final round so nothing drained after the stop
-                        // flag is left unapplied.
-                        shard.poll(&log, &tel);
+                        // Final round so nothing that completed before the
+                        // stop flag is left unpublished.
+                        shard.poll_files();
                     })
                     .expect("spawn shard reactor"),
             );
         }
         Arc::new(NclRuntime {
             shards,
-            log,
-            tel,
             profiler,
             stop,
             handles: Mutex::new(handles),
         })
     }
 
-    /// The reactor profiler: per-shard time-in-state, queue depth, op-log
-    /// lag, and the stall watchdog. Serve it on `/profile` via
+    /// The reactor profiler: per-shard time-in-state, queue depth and
+    /// the stall watchdog. Serve it on `/profile` via
     /// `ScrapeServer::start_with_observability`.
     pub fn profiler(&self) -> &ReactorProfiler {
         &self.profiler
@@ -428,52 +197,6 @@ impl NclRuntime {
         shard.files.lock().push(Arc::downgrade(file));
         shard.waker.signal();
     }
-
-    /// Appends a control operation to the shared log.
-    pub fn log_op(&self, op: ShardOp) {
-        if self.log.append(op).is_none() && self.tel.is_enabled() {
-            self.tel
-                .event(SHARD_APPLY, "ncl.runtime", 0, "op-log full; entry dropped");
-        }
-    }
-
-    /// The shared operation log (test observability).
-    pub fn op_log(&self) -> &Arc<OpLog> {
-        &self.log
-    }
-
-    /// Log positions shard `i` has applied, in apply order.
-    pub fn applied_ops(&self, shard: usize) -> Vec<u64> {
-        self.shards[shard].applied.lock().clone()
-    }
-
-    /// Shard `i`'s view of the last epoch applied for `scope`.
-    pub fn epoch_view(&self, shard: usize, scope: &str) -> Option<u64> {
-        self.shards[shard].epoch_view.lock().get(scope).copied()
-    }
-
-    /// Blocks until every shard's cursor reaches the current log length (or
-    /// `timeout`). Returns whether all shards caught up.
-    pub fn sync(&self, timeout: Duration) -> bool {
-        let target = self.log.len();
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self
-                .shards
-                .iter()
-                .all(|s| s.cursor.load(Ordering::Acquire) >= target)
-            {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            for s in &self.shards {
-                s.waker.signal();
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
 }
 
 impl Drop for NclRuntime {
@@ -493,92 +216,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn oplog_appends_are_totally_ordered_and_lock_free_to_read() {
-        let log = OpLog::with_capacity(16);
-        let a = intern_scope("app/a");
-        assert_eq!(
-            log.append(ShardOp::EpochBump { scope: a, epoch: 1 }),
-            Some(0)
-        );
-        assert_eq!(
-            log.append(ShardOp::ApMapUpdate { scope: a, epoch: 1 }),
-            Some(1)
-        );
-        assert_eq!(log.len(), 2);
-        assert!(matches!(
-            log.get(0),
-            Some(ShardOp::EpochBump { epoch: 1, .. })
-        ));
-        assert!(matches!(
-            log.get(1),
-            Some(ShardOp::ApMapUpdate { epoch: 1, .. })
-        ));
-        assert!(log.get(2).is_none());
-    }
-
-    #[test]
-    fn oplog_overflow_drops_and_counts() {
-        let log = OpLog::with_capacity(1);
-        let a = intern_scope("app/overflow");
-        assert!(log
-            .append(ShardOp::EpochBump { scope: a, epoch: 1 })
-            .is_some());
-        assert!(log
-            .append(ShardOp::EpochBump { scope: a, epoch: 2 })
-            .is_none());
-        assert_eq!(log.dropped(), 1);
-        assert_eq!(log.len(), 1);
-    }
-
-    #[test]
-    fn reactors_apply_ops_in_identical_order() {
-        let rt = NclRuntime::start(4);
-        let a = intern_scope("app/ordered");
-        for epoch in 1..=8 {
-            rt.log_op(ShardOp::EpochBump { scope: a, epoch });
-            rt.log_op(ShardOp::ApMapUpdate { scope: a, epoch });
-        }
-        assert!(rt.sync(Duration::from_secs(5)), "reactors caught up");
-        let reference = rt.applied_ops(0);
-        assert_eq!(reference, (0..16).collect::<Vec<u64>>());
-        for shard in 1..rt.shards() {
-            assert_eq!(rt.applied_ops(shard), reference, "shard {shard} order");
-            assert_eq!(rt.epoch_view(shard, a), Some(8));
-        }
-    }
-
-    #[test]
     fn reactor_profiler_observes_loop_activity() {
         let tel = Telemetry::new();
         let rt = NclRuntime::start_with_telemetry(2, tel.clone());
-        let a = intern_scope("app/profiled");
-        for epoch in 1..=4 {
-            rt.log_op(ShardOp::EpochBump { scope: a, epoch });
+        // An idle reactor parks for `REACTOR_IDLE` per round; wait until
+        // every shard has been through a few.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while rt.profiler().report().shards.iter().any(|r| r.loops < 3) {
+            assert!(Instant::now() < deadline, "reactors never looped");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(rt.sync(Duration::from_secs(5)));
-        // Let the reactors run a few park cycles.
-        std::thread::sleep(Duration::from_millis(10));
         let report = rt.profiler().report();
         assert_eq!(report.shards.len(), 2);
         for row in &report.shards {
-            assert!(row.loops > 0, "shard {} never looped", row.shard);
             assert!(row.park_ns > 0, "shard {} never parked", row.shard);
             assert!(row.beat_age_ns < 1_000_000_000, "heartbeat stale");
             assert!(!row.stalled);
-            assert_eq!(row.oplog_lag, 0, "caught-up reactor shows no lag");
         }
         // The per-shard counters land in the shared registry for /metrics.
         assert!(tel.counter_value("ncl.reactor.shard-0.loops") > 0);
         assert_eq!(rt.profiler().check_stalls(), 0);
-        drop(rt);
     }
 
     #[test]
     fn disabled_telemetry_runtime_has_inert_profiler() {
         let rt = NclRuntime::start(2);
-        let a = intern_scope("app/unprofiled");
-        rt.log_op(ShardOp::EpochBump { scope: a, epoch: 1 });
-        assert!(rt.sync(Duration::from_secs(5)));
+        std::thread::sleep(Duration::from_millis(5));
         let report = rt.profiler().report();
         assert!(report.shards.iter().all(|r| r.loops == 0));
     }

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use ncl::{Controller, Durability, MemSpillSink, NclConfig, NclError, NclLib, NclRegistry, Peer};
 use sim::Cluster;
+use telemetry::events;
 
 struct Harness {
     cluster: Cluster,
@@ -324,76 +325,86 @@ fn circular_log_overwrite_recovers_current_image() {
     assert_eq!(file.contents(), b"EEEEFFFFCCCCDDDD");
 }
 
+/// Recovery catch-up of a lagging peer picks its path from the two region
+/// headers alone: an append-only log ships only the tail the peer misses
+/// (§6 byte-diff), while a lagging circular region's bytes are not a prefix
+/// of the recovered image (Figure 7(ii)), so the full image is installed.
+/// Either way the once-lagging peer must end up holding the whole image.
 #[test]
-fn circular_log_with_lagging_peer_uses_full_region_catchup() {
-    // Figure 7(ii): a lagging peer of a circular log cannot be caught up by
-    // tail transfer; the full image must be installed.
-    let h = Harness::new(3);
-    let app_node;
-    let lagging;
-    {
-        let lib = h.app("a1");
-        app_node = lib.node();
-        let file = lib.create("wal", 8).unwrap();
-        file.record(0, b"AAAABBBB").unwrap();
-        lagging = file.peer_names()[2].clone();
-        let lag_node = h.peer_named(&lagging).node();
-        h.cluster.partition(app_node, lag_node);
-        file.record(0, b"CCCC").unwrap(); // Overwrites the first half.
-        h.cluster.heal(app_node, lag_node);
+fn lagging_peer_catch_up_picks_its_path_from_the_headers() {
+    struct Case {
+        capacity: usize,
+        first: &'static [u8],
+        /// Written while one peer is partitioned away.
+        second: (u64, &'static [u8]),
+        image: &'static [u8],
+        path: &'static str,
     }
-    h.cluster.crash(app_node);
-    let lib2 = h.app("a2");
-    let file = lib2.recover("wal").unwrap();
-    assert_eq!(file.contents(), b"CCCCBBBB");
-    drop(file);
-    // Every peer (including the previously lagging one) must now hold the
-    // correct image: crash the two peers that were always up to date.
-    drop(lib2);
-    let up_to_date: Vec<&str> = ["p0", "p1", "p2"]
-        .into_iter()
-        .filter(|n| *n != lagging)
-        .collect();
-    h.cluster.crash(h.peer_named(up_to_date[0]).node());
-    let lib3 = h.app("a3");
-    let file = lib3.recover("wal").unwrap();
-    assert_eq!(file.contents(), b"CCCCBBBB");
-}
-
-#[test]
-fn tail_diff_and_full_catchup_agree() {
-    for tail_diff in [false, true] {
+    let cases = [
+        Case {
+            capacity: 4096,
+            first: b"start...",
+            second: (8, b"tail-data-only-on-majority"),
+            image: b"start...tail-data-only-on-majority",
+            path: "tail-diff",
+        },
+        Case {
+            capacity: 8,
+            first: b"AAAABBBB",
+            second: (0, b"CCCC"), // Overwrites the first half.
+            image: b"CCCCBBBB",
+            path: "full copy",
+        },
+    ];
+    for case in cases {
+        // Inline NIC: the partitioned peer's work requests fail at post
+        // time, inside the partition, instead of racing the heal on an
+        // engine thread — the peer really is one record behind.
         let mut config = NclConfig::zero();
-        config.tail_diff_catchup = tail_diff;
+        config.inline_nic = true;
         let h = Harness::with_config(3, config);
         let app_node;
         let lagging;
         {
             let lib = h.app("a1");
             app_node = lib.node();
-            let file = lib.create("wal", 4096).unwrap();
-            file.record(0, b"start...").unwrap();
+            let file = lib.create("wal", case.capacity).unwrap();
+            file.record(0, case.first).unwrap();
             lagging = file.peer_names()[2].clone();
             let lag_node = h.peer_named(&lagging).node();
             h.cluster.partition(app_node, lag_node);
-            file.record(8, b"tail-data-only-on-majority").unwrap();
+            file.record(case.second.0, case.second.1).unwrap();
             h.cluster.heal(app_node, lag_node);
         }
         h.cluster.crash(app_node);
         let lib2 = h.app("a2");
         let file = lib2.recover("wal").unwrap();
+        assert_eq!(file.contents(), case.image, "{}", case.path);
+        let starts: Vec<String> = h
+            .config
+            .telemetry
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == events::CATCH_UP_START && e.scope == lagging)
+            .map(|e| e.detail)
+            .collect();
         assert_eq!(
-            file.contents(),
-            b"start...tail-data-only-on-majority",
-            "tail_diff={tail_diff}"
+            starts,
+            [format!("existing peer at seq=1, {}", case.path)],
+            "chosen catch-up path of the lagging peer"
         );
-        // All three peers must hold the full image after catch-up.
+        // Every peer (including the previously lagging one) must now hold
+        // the correct image: crash a peer that was always up to date.
         drop(file);
         drop(lib2);
-        h.cluster.crash(h.peer_named("p0").node());
+        let up_to_date = ["p0", "p1", "p2"]
+            .into_iter()
+            .find(|n| *n != lagging)
+            .expect("two peers never lagged");
+        h.cluster.crash(h.peer_named(up_to_date).node());
         let lib3 = h.app("a3");
         let file = lib3.recover("wal").unwrap();
-        assert_eq!(file.contents(), b"start...tail-data-only-on-majority");
+        assert_eq!(file.contents(), case.image, "{}", case.path);
     }
 }
 
@@ -786,6 +797,82 @@ fn submit_and_barrier_flushes_are_counted_separately() {
     assert_eq!(tel.counter_value("ncl.flush.submit"), 1);
     assert_eq!(tel.counter_value("ncl.flush.barrier"), 1);
     assert_eq!(tel.counter_value("ncl.flush.window_full"), 0);
+}
+
+/// The count behind the deleted `ncl_batch` burst-sweep timing gate: a
+/// submitted burst of 16 contiguous records is one doorbell and, per peer,
+/// exactly two work requests — the scatter-gather data write and the one
+/// coalesced header — however many records it carries.
+#[test]
+fn a_burst_of_16_is_one_doorbell_and_two_wrs_per_peer() {
+    const BURSTS: u64 = 4;
+    const BURST: u64 = 16;
+    let mut config = NclConfig::zero();
+    config.pipeline_window = 2 * BURST;
+    // Inline NIC: every WR has been on the wire when `submit` returns, so
+    // the sample count below is exact, not a race with an engine thread.
+    config.inline_nic = true;
+    let h = Harness::with_config(3, config);
+    let lib = h.app("a1");
+    let file = lib.create("wal", 1 << 16).unwrap();
+    let tel = file.telemetry();
+    let wire_wrs = || {
+        tel.snapshot()
+            .summary("rdma.wr.wire")
+            .map_or(0, |s| s.count)
+    };
+    let before = wire_wrs();
+    for i in 0..BURSTS * BURST {
+        file.record_nowait(i * 32, &[i as u8; 32]).unwrap();
+        if (i + 1) % BURST == 0 {
+            file.submit();
+        }
+    }
+    file.fsync().unwrap();
+    assert_eq!(file.durable_seq(), BURSTS * BURST);
+    assert_eq!(tel.counter_value("ncl.flush.submit"), BURSTS);
+    assert_eq!(tel.counter_value("ncl.flush.window_full"), 0);
+    assert_eq!(tel.counter_value("ncl.flush.barrier"), 0);
+    let peers = h.config.replicas() as u64;
+    assert_eq!(
+        wire_wrs() - before,
+        BURSTS * peers * 2,
+        "one data WR + one header WR per peer per burst"
+    );
+}
+
+/// The count behind the deleted `ncl_batch` durability-axis gate: at burst
+/// 16 with 256-B records, ec-2of3 puts at most 0.6x the replicated bytes
+/// per record on the wire (each peer carries half of the burst plus
+/// framing, instead of all of it).
+#[test]
+fn ec_2of3_ships_at_most_0_6x_the_replicated_wire_bytes() {
+    const RECORDS: u64 = 2048;
+    const RECORD: usize = 256;
+    let wire_per_record = |durability: Durability| {
+        let mut config = NclConfig::zero();
+        config.durability = durability;
+        config.spill = Some(Arc::new(MemSpillSink::new()));
+        config.pipeline_window = 64;
+        let h = Harness::with_config(3, config);
+        let lib = h.app("a1");
+        let file = lib.create("wal", 8 << 20).unwrap();
+        let data = [0xC3u8; RECORD];
+        for i in 0..RECORDS {
+            file.record_nowait(i * RECORD as u64, &data).unwrap();
+            if (i + 1) % 16 == 0 {
+                file.submit();
+            }
+        }
+        file.fsync().unwrap();
+        file.telemetry().counter_value("ncl.wire.bytes") as f64 / RECORDS as f64
+    };
+    let replicated = wire_per_record(Durability::Replicated);
+    let ec = wire_per_record(Durability::Ec { k: 2, n: 3 });
+    assert!(
+        ec <= 0.6 * replicated,
+        "ec-2of3 {ec:.0} B/record vs replicated {replicated:.0} B/record"
+    );
 }
 
 #[test]

@@ -1,16 +1,11 @@
 //! Integration tests of the thread-per-core sharded runtime: the zero-lock
-//! acked fast path, cross-shard control-op ordering under seeded
-//! interleavings, and the hosted lifecycle (create / recover) feeding the
-//! operation log.
+//! acked fast path, the record path's lock count, and the hosted lifecycle
+//! (create / recover).
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use ncl::{
-    lockaudit, Controller, NclConfig, NclFile, NclLib, NclRegistry, NclRuntime, Peer, ShardOp,
-};
-use sim::{Cluster, SplitMix64};
-use telemetry::intern_scope;
+use ncl::{lockaudit, Controller, NclConfig, NclFile, NclLib, NclRegistry, NclRuntime, Peer};
+use sim::Cluster;
 
 /// A minimal live deployment: controller, registry, and peers are held so
 /// their services keep running for the duration of a test.
@@ -131,11 +126,11 @@ fn synchronous_record_takes_four_stage_or_rep_locks() {
     }
 }
 
-/// Hosted creation and recovery feed the operation log in the paper's
-/// order: the recovery's epoch bump lands before its catch-up, which lands
-/// before the ap-map update, and every shard applies them identically.
+/// A hosted file that dies with its application recovers, hosted again,
+/// under the same runtime: the acked bytes come back and the recovered file
+/// is on the reactor's fast path like its first life was.
 #[test]
-fn hosted_recovery_logs_bump_catchup_apmap_in_order() {
+fn hosted_file_recovers_onto_the_same_runtime() {
     let rt = NclRuntime::start(4);
     let world = World::new();
     let lib = world.lib("recapp", "app-1", Some(Arc::clone(&rt)));
@@ -150,133 +145,9 @@ fn hosted_recovery_logs_bump_catchup_apmap_in_order() {
     let file2 = lib2.recover("wal").unwrap();
     assert_eq!(&file2.contents()[..8], b"survives");
 
-    let log = rt.op_log();
-    let ops: Vec<&ShardOp> = (0..log.len()).map(|i| log.get(i).unwrap()).collect();
-    let scope = file2.scope();
-    let bump = ops
-        .iter()
-        .position(|op| matches!(op, ShardOp::EpochBump { scope: s, .. } if *s == scope))
-        .expect("recovery logs an epoch bump");
-    let catchup = ops
-        .iter()
-        .position(|op| matches!(op, ShardOp::CatchUp { scope: s, .. } if *s == scope))
-        .expect("recovery logs a catch-up");
-    let apmap = ops
-        .iter()
-        .position(|op| matches!(op, ShardOp::ApMapUpdate { scope: s, .. } if *s == scope))
-        .expect("recovery logs an ap-map update");
-    assert!(
-        bump < catchup && catchup < apmap,
-        "order must be bump ({bump}) < catch-up ({catchup}) < ap-map ({apmap})"
-    );
-
-    assert!(rt.sync(Duration::from_secs(5)), "reactors caught up");
-    let reference = rt.applied_ops(0);
-    for shard in 1..rt.shards() {
-        assert_eq!(
-            rt.applied_ops(shard),
-            reference,
-            "shard {shard} apply order"
-        );
-    }
-}
-
-/// Seeded-interleaving property: four appender threads race epoch bumps,
-/// catch-ups, and ap-map updates for their own scopes with seeded yield
-/// points; every one of a handful of seeds must end with all four shards
-/// having applied the identical sequence, with per-scope entries ordered
-/// bump ≤ catch-up ≤ ap-map within each epoch.
-#[test]
-fn interleaved_control_ops_apply_in_one_order_on_every_shard() {
-    const EPOCHS: u64 = 8;
-    const WRITERS: usize = 4;
-    for seed in [1u64, 7, 42, 0xDEAD_BEEF] {
-        let rt = NclRuntime::start(4);
-        let scopes: Vec<&'static str> = (0..WRITERS)
-            .map(|i| intern_scope(&format!("app/seed{seed}-f{i}")))
-            .collect();
-        std::thread::scope(|s| {
-            for (t, &scope) in scopes.iter().enumerate() {
-                let rt = &rt;
-                s.spawn(move || {
-                    let mut rng = SplitMix64::new(seed ^ (t as u64) << 32);
-                    for epoch in 1..=EPOCHS {
-                        rt.log_op(ShardOp::EpochBump { scope, epoch });
-                        if rng.next_u64().is_multiple_of(2) {
-                            std::thread::yield_now();
-                        }
-                        rt.log_op(ShardOp::CatchUp {
-                            scope,
-                            epoch,
-                            seq: epoch * 10,
-                        });
-                        if rng.next_u64().is_multiple_of(3) {
-                            std::thread::yield_now();
-                        }
-                        rt.log_op(ShardOp::ApMapUpdate { scope, epoch });
-                    }
-                });
-            }
-        });
-        assert!(
-            rt.sync(Duration::from_secs(5)),
-            "seed {seed}: reactors caught up"
-        );
-
-        let reference = rt.applied_ops(0);
-        assert_eq!(
-            reference.len(),
-            WRITERS * EPOCHS as usize * 3,
-            "seed {seed}: every append applied"
-        );
-        for shard in 1..rt.shards() {
-            assert_eq!(
-                rt.applied_ops(shard),
-                reference,
-                "seed {seed}: shard {shard} diverged from shard 0's apply order"
-            );
-        }
-
-        // Per-scope protocol order within the single log order: within each
-        // epoch, the bump precedes the catch-up precedes the ap-map update
-        // (guaranteed by each writer being sequential; the log must not
-        // reorder), and epochs are monotone per scope.
-        let log = rt.op_log();
-        for &scope in &scopes {
-            let mut last = (0u64, 0u8); // (epoch, phase) with bump=0, catchup=1, apmap=2
-            for idx in 0..log.len() {
-                let op = log.get(idx).unwrap();
-                if op.scope() != scope {
-                    continue;
-                }
-                let phase = match op {
-                    ShardOp::EpochBump { .. } => 0,
-                    ShardOp::CatchUp { .. } => 1,
-                    ShardOp::ApMapUpdate { .. } => 2,
-                    ShardOp::PeerReplace { .. } => continue,
-                };
-                let cur = (op.epoch(), phase);
-                assert!(
-                    cur > last,
-                    "seed {seed}: {scope} saw {cur:?} after {last:?} in log order"
-                );
-                last = cur;
-            }
-            assert_eq!(
-                last,
-                (EPOCHS, 2),
-                "seed {seed}: {scope} completed all epochs"
-            );
-        }
-        // Every shard's epoch view converged to the final epoch.
-        for shard in 0..rt.shards() {
-            for &scope in &scopes {
-                assert_eq!(
-                    rt.epoch_view(shard, scope),
-                    Some(EPOCHS),
-                    "seed {seed}: shard {shard} epoch view for {scope}"
-                );
-            }
-        }
-    }
+    file2.record(8, b" twice").unwrap();
+    let seq = file2.seq();
+    let (result, locks) = lockaudit::audited(|| file2.wait_durable(seq));
+    result.unwrap();
+    assert_eq!(locks, 0, "a recovered file is hosted like a created one");
 }

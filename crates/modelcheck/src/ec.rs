@@ -34,12 +34,10 @@
 //! peer crashes violates it; both seeded bugs produce shortest-trace
 //! counterexamples.
 
-use std::collections::{HashMap, VecDeque};
-
 use ncl::file::scheme;
 use ncl::Durability;
 
-use crate::model::{CheckResult, Violation};
+use crate::model::CheckResult;
 
 /// Seeded bugs for the erasure-coded durability model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,28 +202,8 @@ fn check_recovery(config: &EcModelConfig, st: &EcState) -> Option<String> {
         // `QuorumUnavailable` — outside the durability contract.
         return None;
     }
-    let mut combos: Vec<Vec<usize>> = Vec::new();
-    fn rec(
-        live: &[usize],
-        k: usize,
-        start: usize,
-        cur: &mut Vec<usize>,
-        out: &mut Vec<Vec<usize>>,
-    ) {
-        if cur.len() == k {
-            out.push(cur.clone());
-            return;
-        }
-        for i in start..live.len() {
-            cur.push(live[i]);
-            rec(live, k, i + 1, cur, out);
-            cur.pop();
-        }
-    }
-    let mut cur = Vec::new();
-    rec(&live, k, 0, &mut cur, &mut combos);
-
-    for responders in &combos {
+    for combo in crate::k_subsets(live.len(), k) {
+        let responders: Vec<usize> = combo.iter().map(|&i| live[i]).collect();
         let gmax = responders
             .iter()
             .map(|&p| st.header_gen(p))
@@ -368,57 +346,9 @@ fn successors(config: &EcModelConfig, st: &EcState) -> Vec<Successor> {
 /// its shortest trace.
 pub fn check_ec(config: &EcModelConfig) -> CheckResult {
     assert!(config.k >= 1 && config.n > config.k, "need 1 <= k < n");
-    let initial = EcState::initial(config);
-    let mut index: HashMap<EcState, usize> = HashMap::new();
-    let mut parents: Vec<(usize, String)> = Vec::new();
-    let mut states: Vec<EcState> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    index.insert(initial.clone(), 0);
-    states.push(initial);
-    parents.push((usize::MAX, String::new()));
-    queue.push_back(0);
-    let mut transitions = 0usize;
-
-    while let Some(cur) = queue.pop_front() {
-        if config.max_states > 0 && states.len() >= config.max_states {
-            break;
-        }
-        let st = states[cur].clone();
-        // The application can crash at any reachable state; recovery is
-        // the terminal check, so it is evaluated inline rather than as a
-        // transition.
-        if let Some(reason) = check_recovery(config, &st) {
-            let mut trace = vec!["crash_app_and_recover".to_string()];
-            let mut at = cur;
-            while at != 0 {
-                let (parent, label) = &parents[at];
-                trace.push(label.clone());
-                at = *parent;
-            }
-            trace.reverse();
-            return CheckResult {
-                states_explored: states.len(),
-                transitions,
-                violation: Some(Violation { reason, trace }),
-            };
-        }
-        for (label, next) in successors(config, &st) {
-            transitions += 1;
-            if !index.contains_key(&next) {
-                let id = states.len();
-                index.insert(next.clone(), id);
-                states.push(next);
-                parents.push((cur, label));
-                queue.push_back(id);
-            }
-        }
-    }
-
-    CheckResult {
-        states_explored: states.len(),
-        transitions,
-        violation: None,
-    }
+    crate::explore(EcState::initial(config), config.max_states, |st| {
+        crate::recovery_checked(st, check_recovery(config, st), || successors(config, st))
+    })
 }
 
 #[cfg(test)]

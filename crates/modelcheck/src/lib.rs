@@ -54,3 +54,126 @@ pub mod revoke;
 pub use ec::{check_ec, EcBugMode, EcModelConfig};
 pub use model::{check, BugMode, CheckResult, ModelConfig};
 pub use revoke::{check_revoke, RevokeBugMode, RevokeModelConfig};
+
+use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
+
+use model::Violation;
+
+/// One edge out of a state: its event label, the state it reaches, and —
+/// when taking it breaks the invariant — why.
+type Edge<S> = (String, S, Option<String>);
+
+/// The one explorer behind [`check`], [`check_ec`] and [`check_revoke`]:
+/// breadth-first from `initial`, asking `step` for each state's edges in
+/// order, until an edge violates (reported with its shortest trace), the
+/// frontier empties, or `max_states` distinct states exist (0 = no cap).
+fn explore<S: Clone + Eq + Hash>(
+    initial: S,
+    max_states: usize,
+    mut step: impl FnMut(&S) -> Vec<Edge<S>>,
+) -> CheckResult {
+    let mut index: HashMap<S, usize> = HashMap::new();
+    let mut parents: Vec<(usize, String)> = Vec::new();
+    let mut states: Vec<S> = Vec::new();
+    let mut queue: VecDeque<usize> = VecDeque::new();
+    index.insert(initial.clone(), 0);
+    states.push(initial);
+    parents.push((usize::MAX, String::new()));
+    queue.push_back(0);
+    let mut transitions = 0usize;
+
+    while let Some(cur) = queue.pop_front() {
+        if max_states > 0 && states.len() >= max_states {
+            break;
+        }
+        for (label, next, violation) in step(&states[cur]) {
+            transitions += 1;
+            if let Some(reason) = violation {
+                let mut trace = vec![label];
+                let mut at = cur;
+                while at != 0 {
+                    let (parent, l) = &parents[at];
+                    trace.push(l.clone());
+                    at = *parent;
+                }
+                trace.reverse();
+                return CheckResult {
+                    states_explored: states.len(),
+                    transitions,
+                    violation: Some(Violation { reason, trace }),
+                };
+            }
+            if !index.contains_key(&next) {
+                let id = states.len();
+                index.insert(next.clone(), id);
+                states.push(next);
+                parents.push((cur, label));
+                queue.push_back(id);
+            }
+        }
+    }
+
+    CheckResult {
+        states_explored: states.len(),
+        transitions,
+        violation: None,
+    }
+}
+
+/// The edges of a state in the models whose invariant is a terminal
+/// recovery check ([`check_ec`], [`check_revoke`]): the application can
+/// crash at any reachable state, so a failing check (`lost`) is the state's
+/// only edge; otherwise the model's own successors, none of which violates.
+fn recovery_checked<S: Clone>(
+    st: &S,
+    lost: Option<String>,
+    successors: impl FnOnce() -> Vec<(String, S)>,
+) -> Vec<Edge<S>> {
+    match lost {
+        Some(reason) => vec![(
+            "crash_app_and_recover".to_string(),
+            st.clone(),
+            Some(reason),
+        )],
+        None => successors()
+            .into_iter()
+            .map(|(label, next)| (label, next, None))
+            .collect(),
+    }
+}
+
+/// Every `k`-subset of `0..n`, as ascending index lists in lexicographic
+/// order (the order the recovery checks report their first failing subset
+/// in).
+fn k_subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+    fn rec(n: usize, k: usize, start: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if cur.len() == k {
+            out.push(cur.clone());
+            return;
+        }
+        for i in start..n {
+            cur.push(i);
+            rec(n, k, i + 1, cur, out);
+            cur.pop();
+        }
+    }
+    let mut out = Vec::new();
+    rec(n, k, 0, &mut Vec::new(), &mut out);
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn k_subsets_are_lexicographic_and_complete() {
+        assert_eq!(
+            k_subsets(4, 2),
+            [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        );
+        assert_eq!(k_subsets(3, 3), [[0, 1, 2]]);
+        assert!(k_subsets(2, 3).is_empty());
+    }
+}

@@ -23,8 +23,6 @@
 //! and the checker explores every partition of the issue stream into bursts
 //! alongside every crash point.
 
-use std::collections::{HashMap, VecDeque};
-
 use ncl::file::scheme;
 use ncl::Durability;
 
@@ -209,7 +207,7 @@ impl State {
     }
 }
 
-type Successor = (String, State, Option<String>);
+type Successor = crate::Edge<State>;
 
 fn successors(config: &ModelConfig, st: &State) -> Vec<Successor> {
     let mut out: Vec<Successor> = Vec::new();
@@ -497,54 +495,9 @@ fn finish_replacement(st: &mut State) {
 /// Explores the model breadth-first and reports the first violation (with
 /// its shortest trace) or the full state count.
 pub fn check(config: &ModelConfig) -> CheckResult {
-    let initial = State::initial(config);
-    let mut index: HashMap<State, usize> = HashMap::new();
-    let mut parents: Vec<(usize, String)> = Vec::new();
-    let mut states: Vec<State> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    index.insert(initial.clone(), 0);
-    states.push(initial);
-    parents.push((usize::MAX, String::new()));
-    queue.push_back(0);
-    let mut transitions = 0usize;
-
-    while let Some(cur) = queue.pop_front() {
-        if config.max_states > 0 && states.len() >= config.max_states {
-            break;
-        }
-        let st = states[cur].clone();
-        for (label, next, violation) in successors(config, &st) {
-            transitions += 1;
-            if let Some(reason) = violation {
-                let mut trace = vec![label];
-                let mut at = cur;
-                while at != 0 {
-                    let (parent, l) = &parents[at];
-                    trace.push(l.clone());
-                    at = *parent;
-                }
-                trace.reverse();
-                return CheckResult {
-                    states_explored: states.len(),
-                    transitions,
-                    violation: Some(Violation { reason, trace }),
-                };
-            }
-            if !index.contains_key(&next) {
-                let id = states.len();
-                index.insert(next.clone(), id);
-                states.push(next);
-                parents.push((cur, label));
-                queue.push_back(id);
-            }
-        }
-    }
-
-    CheckResult {
-        states_explored: states.len(),
-        transitions,
-        violation: None,
-    }
+    crate::explore(State::initial(config), config.max_states, |st| {
+        successors(config, st)
+    })
 }
 
 #[cfg(test)]

@@ -28,12 +28,10 @@
 //! sequence-number-without-data). Both seeded [`RevokeBugMode`]s produce
 //! shortest-trace counterexamples within the down budget.
 
-use std::collections::{HashMap, VecDeque};
-
 use ncl::file::scheme;
 use ncl::Durability;
 
-use crate::model::{CheckResult, Violation};
+use crate::model::CheckResult;
 
 /// Seeded bugs for the revocation model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,22 +184,7 @@ fn check_recovery(config: &RevokeModelConfig, st: &RevokeState) -> Option<String
         // the down budget enforced, unreachable without a stale daemon).
         return None;
     }
-    let mut combos: Vec<Vec<usize>> = Vec::new();
-    fn rec(len: usize, k: usize, start: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == k {
-            out.push(cur.clone());
-            return;
-        }
-        for i in start..len {
-            cur.push(i);
-            rec(len, k, i + 1, cur, out);
-            cur.pop();
-        }
-    }
-    let mut cur = Vec::new();
-    rec(responders.len(), quorum, 0, &mut cur, &mut combos);
-
-    for combo in &combos {
+    for combo in crate::k_subsets(responders.len(), quorum) {
         let subset: Vec<&(usize, u8, u8)> = combo.iter().map(|&i| &responders[i]).collect();
         let recovered = subset
             .iter()
@@ -353,54 +336,9 @@ fn successors(config: &RevokeModelConfig, st: &RevokeState) -> Vec<Successor> {
 /// its shortest trace.
 pub fn check_revoke(config: &RevokeModelConfig) -> CheckResult {
     assert!(config.f >= 1, "need f >= 1");
-    let initial = RevokeState::initial(config);
-    let mut index: HashMap<RevokeState, usize> = HashMap::new();
-    let mut parents: Vec<(usize, String)> = Vec::new();
-    let mut states: Vec<RevokeState> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    index.insert(initial.clone(), 0);
-    states.push(initial);
-    parents.push((usize::MAX, String::new()));
-    queue.push_back(0);
-    let mut transitions = 0usize;
-
-    while let Some(cur) = queue.pop_front() {
-        if config.max_states > 0 && states.len() >= config.max_states {
-            break;
-        }
-        let st = states[cur].clone();
-        if let Some(reason) = check_recovery(config, &st) {
-            let mut trace = vec!["crash_app_and_recover".to_string()];
-            let mut at = cur;
-            while at != 0 {
-                let (parent, label) = &parents[at];
-                trace.push(label.clone());
-                at = *parent;
-            }
-            trace.reverse();
-            return CheckResult {
-                states_explored: states.len(),
-                transitions,
-                violation: Some(Violation { reason, trace }),
-            };
-        }
-        for (label, next) in successors(config, &st) {
-            transitions += 1;
-            if !index.contains_key(&next) {
-                let id = states.len();
-                index.insert(next.clone(), id);
-                states.push(next);
-                parents.push((cur, label));
-                queue.push_back(id);
-            }
-        }
-    }
-
-    CheckResult {
-        states_explored: states.len(),
-        transitions,
-        violation: None,
-    }
+    crate::explore(RevokeState::initial(config), config.max_states, |st| {
+        crate::recovery_checked(st, check_recovery(config, st), || successors(config, st))
+    })
 }
 
 #[cfg(test)]

@@ -33,7 +33,10 @@ type Envelope<Req, Resp> = (Req, Sender<Resp>);
 /// Dropping the handle stops the service and joins its thread. While the
 /// service's node is crashed, requests are drained and dropped without
 /// executing the handler — mimicking a dead process whose clients observe
-/// connection failures.
+/// connection failures. A request still queued when the thread exits is
+/// discarded with the thread's receiver (the channel drops what nobody can
+/// receive), so its caller sees the same disconnect instead of waiting out
+/// its timeout.
 pub struct RpcServer<Req, Resp> {
     cluster: Cluster,
     node: NodeId,
@@ -286,5 +289,52 @@ mod tests {
         let mut results: Vec<u32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         results.sort_unstable();
         assert_eq!(results, (1..=8).collect::<Vec<_>>());
+    }
+
+    /// A request enqueued between the service thread's last `recv` and its
+    /// exit is never handled. Its caller must see the service die, not wait
+    /// out the 30 s default timeout: the caller's own `tx` clone keeps the
+    /// request channel alive, so the disconnect has to come from the queued
+    /// envelope (and its reply sender) being dropped with the receiver.
+    #[test]
+    fn call_racing_server_shutdown_fails_promptly() {
+        let c = Cluster::new();
+        let client_node = c.add_node("client");
+        let server_node = c.add_node("server");
+        let (entered_tx, entered_rx) = unbounded();
+        let (go_tx, go_rx) = unbounded::<()>();
+        let srv = RpcServer::spawn(c.clone(), server_node, "slow", move |x: u32| {
+            entered_tx.send(()).unwrap();
+            let _ = go_rx.recv();
+            x
+        });
+        let cli = srv.client(LatencyModel::ZERO);
+        std::thread::scope(|s| {
+            let first = s.spawn(|| cli.call(client_node, 1));
+            entered_rx.recv().unwrap();
+            // The service thread is inside the handler: a second call
+            // queues behind it.
+            let racer = s.spawn(|| {
+                let t0 = std::time::Instant::now();
+                (cli.call(client_node, 2), t0.elapsed())
+            });
+            while srv.tx.is_empty() {
+                std::thread::yield_now();
+            }
+            // Stop first, then let the handler return: the loop exits
+            // without another `recv`, with the racer's envelope queued.
+            srv.stop.store(true, Ordering::Relaxed);
+            go_tx.send(()).unwrap();
+            assert_eq!(first.join().unwrap().unwrap(), 1);
+            let (result, took) = racer.join().unwrap();
+            match result {
+                Err(SimError::NodeDown(n)) => assert_eq!(n, server_node),
+                other => panic!("expected NodeDown, got {other:?}"),
+            }
+            assert!(
+                took < Duration::from_secs(1),
+                "stranded call waited {took:?}"
+            );
+        });
     }
 }

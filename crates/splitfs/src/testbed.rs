@@ -447,7 +447,7 @@ mod tests {
         stream.read_to_string(&mut text).unwrap();
         assert!(text.contains("200"), "{text}");
         assert!(text.contains("\"shards\""), "{text}");
-        assert!(text.contains("\"apply_ns\""), "{text}");
+        assert!(text.contains("\"park_ns\""), "{text}");
     }
 
     #[test]

@@ -369,13 +369,13 @@ mod tests {
 
         let tel = Telemetry::new();
         let profiler = ReactorProfiler::new(&tel, 2);
-        profiler.shard(0).on_apply(Duration::from_micros(7));
+        profiler.shard(0).on_park(Duration::from_micros(7));
         let server =
             ScrapeServer::start_with_observability(tel, "127.0.0.1:0", None, Some(profiler))
                 .unwrap();
         let (status, body) = get(server.addr(), "/profile");
         assert!(status.contains("200"), "{status}");
-        assert!(body.contains("\"apply_ns\": 7000"), "{body}");
+        assert!(body.contains("\"park_ns\": 7000"), "{body}");
         assert!(body.contains("\"shard\": 1"), "{body}");
         drop(server);
     }

@@ -1,19 +1,18 @@
 //! Per-shard reactor time-in-state profiling and a stall watchdog.
 //!
-//! The sharded NCL runtime's reactors loop `apply-oplog → poll → park`
+//! The sharded NCL runtime's reactors loop `poll → park`
 //! (`core/src/runtime.rs`). This module gives each shard a
 //! [`ShardProfile`] handle the reactor samples at its poll boundaries:
 //!
-//! * **apply-oplog** — time applying the shared control-operation log;
 //! * **publish** — poll rounds that advanced at least one hosted file's
 //!   durable watermark (productive completion reaping);
 //! * **poll** — poll rounds that found nothing to publish;
 //! * **park** — time blocked in the idle wait.
 //!
-//! All four are monotone nanosecond counters in the owning
+//! All three are monotone nanosecond counters in the owning
 //! [`Telemetry`]'s registry (`ncl.reactor.shard-<i>.poll_ns`, …), so they
-//! flow to `/metrics` with no extra plumbing; per-shard `oplog_lag` and
-//! `queue_depth` gauges ride along. `/profile` serves [`ProfileReport`] as
+//! flow to `/metrics` with no extra plumbing; a per-shard
+//! `queue_depth` gauge rides along. `/profile` serves [`ProfileReport`] as
 //! JSON.
 //!
 //! The **stall watchdog** is a single low-frequency thread that checks each
@@ -44,13 +43,11 @@ pub const STALL_TOTAL: &str = "ncl.reactor.stall.total";
 
 struct ShardProf {
     index: usize,
-    apply_ns: Counter,
     poll_ns: Counter,
     publish_ns: Counter,
     park_ns: Counter,
     loops: Counter,
     publishes: Counter,
-    oplog_lag: Gauge,
     queue_depth: Gauge,
     /// Stream-clock (`Telemetry::now_ns`) heartbeat, stamped per loop.
     last_beat_ns: AtomicU64,
@@ -73,12 +70,6 @@ impl ShardProfile {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Time spent applying the shared op log this round.
-    #[inline]
-    pub fn on_apply(&self, d: Duration) {
-        self.prof.apply_ns.add(d.as_nanos() as u64);
     }
 
     /// Time spent draining hosted files this round; `progressed` is whether
@@ -107,12 +98,6 @@ impl ShardProfile {
         self.prof.last_beat_ns.store(now_ns, Ordering::Relaxed);
     }
 
-    /// Published-but-unapplied op-log entries for this shard.
-    #[inline]
-    pub fn set_oplog_lag(&self, lag: u64) {
-        self.prof.oplog_lag.set(lag as i64);
-    }
-
     /// Files currently hosted on this shard.
     #[inline]
     pub fn set_queue_depth(&self, depth: usize) {
@@ -125,8 +110,6 @@ impl ShardProfile {
 pub struct ShardRow {
     /// Shard index.
     pub shard: usize,
-    /// Nanoseconds applying the op log.
-    pub apply_ns: u64,
     /// Nanoseconds in empty poll rounds.
     pub poll_ns: u64,
     /// Nanoseconds in poll rounds that advanced a watermark.
@@ -137,8 +120,6 @@ pub struct ShardRow {
     pub loops: u64,
     /// Loops that advanced a watermark.
     pub publishes: u64,
-    /// Current op-log lag.
-    pub oplog_lag: i64,
     /// Current hosted-file count.
     pub queue_depth: i64,
     /// Stream-clock heartbeat age when the report was taken.
@@ -150,7 +131,7 @@ pub struct ShardRow {
 impl ShardRow {
     /// Share of non-parked time, in percent (0 when nothing recorded).
     pub fn busy_pct(&self) -> f64 {
-        let busy = self.apply_ns + self.poll_ns + self.publish_ns;
+        let busy = self.poll_ns + self.publish_ns;
         let total = busy + self.park_ns;
         if total == 0 {
             0.0
@@ -161,16 +142,14 @@ impl ShardRow {
 
     fn to_json(&self) -> String {
         format!(
-            "{{\"shard\": {}, \"apply_ns\": {}, \"poll_ns\": {}, \"publish_ns\": {}, \"park_ns\": {}, \"loops\": {}, \"publishes\": {}, \"busy_pct\": {:.3}, \"oplog_lag\": {}, \"queue_depth\": {}, \"beat_age_ns\": {}, \"stalled\": {}}}",
+            "{{\"shard\": {}, \"poll_ns\": {}, \"publish_ns\": {}, \"park_ns\": {}, \"loops\": {}, \"publishes\": {}, \"busy_pct\": {:.3}, \"queue_depth\": {}, \"beat_age_ns\": {}, \"stalled\": {}}}",
             self.shard,
-            self.apply_ns,
             self.poll_ns,
             self.publish_ns,
             self.park_ns,
             self.loops,
             self.publishes,
             self.busy_pct(),
-            self.oplog_lag,
             self.queue_depth,
             self.beat_age_ns,
             self.stalled
@@ -248,13 +227,11 @@ impl ReactorProfiler {
                 let n = |metric: &str| format!("ncl.reactor.shard-{i}.{metric}");
                 Arc::new(ShardProf {
                     index: i,
-                    apply_ns: tel.counter(&n("apply_ns")),
                     poll_ns: tel.counter(&n("poll_ns")),
                     publish_ns: tel.counter(&n("publish_ns")),
                     park_ns: tel.counter(&n("park_ns")),
                     loops: tel.counter(&n("loops")),
                     publishes: tel.counter(&n("publishes")),
-                    oplog_lag: tel.gauge(&n("oplog_lag")),
                     queue_depth: tel.gauge(&n("queue_depth")),
                     last_beat_ns: AtomicU64::new(now),
                     stalled: AtomicBool::new(false),
@@ -356,13 +333,11 @@ impl ReactorProfiler {
                 .iter()
                 .map(|s| ShardRow {
                     shard: s.index,
-                    apply_ns: s.apply_ns.get(),
                     poll_ns: s.poll_ns.get(),
                     publish_ns: s.publish_ns.get(),
                     park_ns: s.park_ns.get(),
                     loops: s.loops.get(),
                     publishes: s.publishes.get(),
-                    oplog_lag: s.oplog_lag.get(),
                     queue_depth: s.queue_depth.get(),
                     beat_age_ns: now.saturating_sub(s.last_beat_ns.load(Ordering::Relaxed)),
                     stalled: s.stalled.load(Ordering::Relaxed),
@@ -398,27 +373,23 @@ mod tests {
         let prof = ReactorProfiler::new(&tel, 2);
         let s0 = prof.shard(0);
         assert!(s0.enabled());
-        s0.on_apply(Duration::from_micros(5));
         s0.on_poll(Duration::from_micros(10), true);
         s0.on_poll(Duration::from_micros(3), false);
         s0.on_park(Duration::from_millis(1));
-        s0.set_oplog_lag(4);
         s0.set_queue_depth(2);
         let report = prof.report();
         assert_eq!(report.shards.len(), 2);
         let row = &report.shards[0];
-        assert_eq!(row.apply_ns, 5_000);
         assert_eq!(row.publish_ns, 10_000);
         assert_eq!(row.poll_ns, 3_000);
         assert_eq!(row.park_ns, 1_000_000);
         assert_eq!(row.loops, 2);
         assert_eq!(row.publishes, 1);
-        assert_eq!(row.oplog_lag, 4);
         assert_eq!(row.queue_depth, 2);
         assert!(row.busy_pct() > 0.0 && row.busy_pct() < 100.0);
         // The counters flow into the shared registry (→ /metrics).
-        assert_eq!(tel.counter_value("ncl.reactor.shard-0.apply_ns"), 5_000);
-        assert_eq!(tel.gauge_value("ncl.reactor.shard-0.oplog_lag"), 4);
+        assert_eq!(tel.counter_value("ncl.reactor.shard-0.publish_ns"), 10_000);
+        assert_eq!(tel.gauge_value("ncl.reactor.shard-0.queue_depth"), 2);
         let json = prof.render_json();
         assert!(json.contains("\"shard\": 1"));
         assert!(json.contains("\"busy_pct\""));
@@ -452,9 +423,9 @@ mod tests {
         let prof = ReactorProfiler::new(&tel, 4);
         let s = prof.shard(3);
         assert!(!s.enabled());
-        s.on_apply(Duration::from_micros(5));
+        s.on_poll(Duration::from_micros(5), true);
         let report = prof.report();
-        assert_eq!(report.shards[3].apply_ns, 0);
+        assert_eq!(report.shards[3].publish_ns, 0);
         assert_eq!(
             prof.check_stalls(),
             0,

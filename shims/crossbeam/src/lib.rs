@@ -168,6 +168,10 @@ pub mod channel {
                 inner.send_waiting -= 1;
             }
         }
+
+        pub fn is_empty(&self) -> bool {
+            self.shared.lock().queue.is_empty()
+        }
     }
 
     impl<T> Clone for Sender<T> {
@@ -256,10 +260,22 @@ pub mod channel {
         fn drop(&mut self) {
             let mut inner = self.shared.lock();
             inner.receivers -= 1;
-            if inner.receivers == 0 && inner.send_waiting > 0 {
+            if inner.receivers > 0 {
+                return;
+            }
+            if inner.send_waiting > 0 {
                 // Wake blocked senders so they observe the disconnect.
                 self.shared.not_full.notify_all();
             }
+            // Nobody can receive what is queued, and `send` refuses from
+            // here on: discard it now, as upstream does, rather than when
+            // the last `Sender` goes. A queued message may own the only
+            // route to its sender's wake-up (a reply channel, say), so the
+            // messages are dropped after the lock is released — their own
+            // `Drop`s may take other locks, or this one.
+            let stranded = std::mem::take(&mut inner.queue);
+            drop(inner);
+            drop(stranded);
         }
     }
 
@@ -303,6 +319,27 @@ pub mod channel {
             let (tx, rx) = unbounded();
             drop(rx);
             assert!(tx.send(1u8).is_err());
+        }
+
+        /// A message owns a reply sender; its author waits on the reply
+        /// while still holding a sender of the request channel (the RPC
+        /// client's shape). When the last receiver goes, the queued message
+        /// must go with it, or the author never sees a disconnect.
+        #[test]
+        fn last_receiver_drop_discards_queued_messages() {
+            let (req_tx, req_rx) = unbounded::<Sender<u8>>();
+            let (reply_tx, reply_rx) = unbounded::<u8>();
+            req_tx.send(reply_tx).unwrap();
+            let other_rx = req_rx.clone();
+            drop(req_rx);
+            assert_eq!(other_rx.len(), 1, "a receiver is left: nothing discarded");
+            drop(other_rx);
+            assert_eq!(
+                reply_rx.recv_timeout(Duration::from_secs(10)),
+                Err(RecvTimeoutError::Disconnected),
+                "the queued request kept its reply sender alive"
+            );
+            assert!(req_tx.send(unbounded().0).is_err());
         }
 
         #[test]

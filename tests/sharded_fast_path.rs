@@ -3,8 +3,8 @@
 //! `fsync` behind it) on an already-acked record holds **zero** mutexes —
 //! the caller observes the published watermark atomics and returns.
 //!
-//! The deeper version of this test (seeded interleavings, op-log ordering,
-//! the unhosted contrast case) lives in `crates/core/tests/shard_runtime.rs`;
+//! The deeper version of this test (the unhosted contrast case, the record
+//! path's lock count, hosted recovery) lives in `crates/core/tests/shard_runtime.rs`;
 //! this one exists so the property is checked by the root-package suite the
 //! CI tier-1 step runs.
 
