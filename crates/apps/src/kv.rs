@@ -93,30 +93,46 @@ impl Entry {
 /// atomicity mechanism the paper notes POSIX applications already have
 /// (§4.5.1).
 pub fn encode_record(seq: u64, entries: &[Entry]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64 * entries.len() + 16);
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    let mut out = Vec::new();
+    encode_record_into(&mut out, seq, entries);
+    out
+}
+
+/// [`encode_record`] into a buffer the caller keeps from record to record
+/// (cleared first): every key and value is copied once, straight into the
+/// frame, and the length, CRC and entry count are patched in afterwards.
+pub fn encode_record_into<'a>(
+    out: &mut Vec<u8>,
+    seq: u64,
+    entries: impl IntoIterator<Item = &'a Entry>,
+) {
+    out.clear();
+    out.extend_from_slice(&[0; 8]); // len | crc
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // count
+    let mut count = 0u32;
     for e in entries {
+        count += 1;
         match e {
             Entry::Put { key, value } => {
-                body.push(1);
-                body.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                body.extend_from_slice(key);
-                body.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                body.extend_from_slice(value);
+                out.push(1);
+                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+                out.extend_from_slice(key);
+                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+                out.extend_from_slice(value);
             }
             Entry::Delete { key } => {
-                body.push(0);
-                body.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                body.extend_from_slice(key);
+                out.push(0);
+                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+                out.extend_from_slice(key);
             }
         }
     }
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32c(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    out[16..20].copy_from_slice(&count.to_le_bytes());
+    let len = (out.len() - 8) as u32;
+    out[0..4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32c(&out[8..]);
+    out[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Decodes one record at `buf[offset..]`.
@@ -304,6 +320,34 @@ mod tests {
         let n = buf.len();
         buf[n - 2] ^= 0x40;
         assert!(matches!(decode_record(&buf, 0), Err(AppError::Corrupt(_))));
+    }
+
+    #[test]
+    fn reused_buffer_encodes_the_same_bytes_as_a_framed_body() {
+        let groups = [
+            vec![put("k1", "v1"), put("key-two", "")],
+            vec![Entry::Delete {
+                key: b"k1".to_vec(),
+            }],
+            vec![],
+        ];
+        let mut out = vec![0xEE; 3]; // Stale bytes of an earlier record.
+        for (seq, entries) in groups.iter().enumerate() {
+            let mut body = (seq as u64).to_le_bytes().to_vec();
+            body.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            for e in entries {
+                body.push(matches!(e, Entry::Put { .. }) as u8);
+                body.extend_from_slice(&(e.key().len() as u32).to_le_bytes());
+                body.extend_from_slice(e.key());
+                if let Entry::Put { value, .. } = e {
+                    body.extend_from_slice(&(value.len() as u32).to_le_bytes());
+                    body.extend_from_slice(value);
+                }
+            }
+            encode_record_into(&mut out, seq as u64, entries);
+            assert_eq!(out, encode_frame(&body));
+            assert_eq!(out, encode_record(seq as u64, entries));
+        }
     }
 
     #[test]

@@ -9,24 +9,39 @@
 //! **deleted** (Table 2's reclaim policy). L0 tables are compacted into the
 //! sorted L1 run when they pile up.
 //!
+//! **Write groups.** There is no commit thread: like RocksDB's
+//! `WriteThread::JoinBatchGroup`, a writer enqueues its request
+//! (`WriteQueue`) and the one that finds no group in flight *leads*. It
+//! takes its own request plus whatever is queued (up to `batch_max`), lets
+//! go of the queue and commits the group on its own thread
+//! (`Inner::commit`). It then files the result for every follower and wakes
+//! the head of the queue, the next leader, *before* its followers: the WAL
+//! idles for one wake-up, not for a group's worth. One group is in flight at
+//! a time — a barrier must not cover the next group's record, and a
+//! rotation must not run under an unsettled one — so writers that arrive
+//! while a group replicates form the next one; that is the group commit. A
+//! single writer runs the same code and finds nobody to wait for or wake:
+//! no channel, no sleep, no system call of the store's own (DESIGN.md §5).
+//!
 //! In SplitFT mode the WAL is opened with `O_NCL`, so every group commit is
 //! a microsecond-scale replicated record instead of a millisecond-scale DFS
 //! flush; nothing else changes — that is the entire port, exactly as in the
 //! paper (10 LOC for RocksDB).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use splitfs::{File, OpenOptions, SplitFs};
 
 use super::manifest::{Edit, Manifest};
 use super::memtable::MemTable;
 use super::sstable::{SstBuilder, SstReader};
-use crate::kv::{encode_record, replay_records, AppError, Entry, KvApp};
+use crate::kv::{encode_record_into, replay_records, AppError, Entry, KvApp};
 
 /// Tuning knobs for [`MiniRocks`].
 #[derive(Debug, Clone)]
@@ -46,13 +61,14 @@ pub struct RocksOptions {
     pub l0_stall_trigger: usize,
     /// Target size of compacted L1 files.
     pub target_sst_bytes: usize,
-    /// Maximum requests folded into one group commit.
+    /// Maximum requests a leader takes into one write group (its own
+    /// included); the rest of the queue leads the group after.
     pub batch_max: usize,
-    /// Open the WAL in pipelined mode: the commit thread posts a batch's
-    /// WAL record without waiting and folds the next batch while it
-    /// replicates, settling (durability barrier + memtable apply + ack)
-    /// just before the next batch is posted. Only changes behaviour on an
-    /// NCL-backed WAL; batches are still acknowledged strictly in order.
+    /// Open the WAL in pipelined mode: the leader's `write_at` only stages
+    /// the group's record, `submit` rings one doorbell per peer and `fsync`
+    /// is the barrier, instead of a `write_at` that replicates before it
+    /// returns. Only changes behaviour on an NCL-backed WAL; either way one
+    /// group is in flight at a time and groups are acknowledged in order.
     pub pipelined_wal: bool,
 }
 
@@ -87,14 +103,120 @@ impl RocksOptions {
     }
 }
 
-struct CommitReq {
-    entries: Vec<Entry>,
-    reply: Sender<Result<(), AppError>>,
+/// The queue of the leader–follower group commit as a pure state machine:
+/// no thread, lock or clock in it — [`MiniRocks::write_batch`] brings those.
+/// Writers are known by *tickets*, handed out in arrival order, so a group
+/// is a run of consecutive tickets starting at its leader's.
+struct WriteQueue<T> {
+    batch_max: usize,
+    next_ticket: u64,
+    /// Who leads the group in flight, or has been promoted to lead the next
+    /// one. `None` exactly while nothing is queued and nothing in flight.
+    leader: Option<u64>,
+    /// Size of the group in flight, its leader included.
+    in_flight: usize,
+    /// Requests no group has taken yet, oldest first; the last one holds
+    /// ticket `next_ticket - 1`.
+    queued: VecDeque<T>,
+    /// Results of finished groups their followers have yet to collect.
+    results: Vec<(u64, Result<(), AppError>)>,
 }
 
+/// What a writer does next.
+#[derive(Debug, PartialEq)]
+enum Turn {
+    /// Take a batch, commit it, `finish` it.
+    Lead,
+    /// A group this request belongs to, or queues behind, is in flight.
+    Wait,
+    /// The leader of this request's group finished it.
+    Done(Result<(), AppError>),
+}
+
+impl<T> WriteQueue<T> {
+    fn new(batch_max: usize) -> Self {
+        WriteQueue {
+            batch_max: batch_max.max(1),
+            next_ticket: 0,
+            leader: None,
+            in_flight: 0,
+            queued: VecDeque::new(),
+            results: Vec::new(),
+        }
+    }
+
+    /// Enqueues a request; with no group in flight its writer leads.
+    fn join(&mut self, req: T) -> u64 {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        self.queued.push_back(req);
+        self.leader.get_or_insert(ticket);
+        ticket
+    }
+
+    fn turn(&mut self, ticket: u64) -> Turn {
+        if let Some(i) = self.results.iter().position(|(t, _)| *t == ticket) {
+            Turn::Done(self.results.swap_remove(i).1)
+        } else if self.leader == Some(ticket) {
+            Turn::Lead
+        } else {
+            Turn::Wait
+        }
+    }
+
+    /// Moves the leader's group — its own request first, then the queue up
+    /// to `batch_max` — onto `batch`.
+    fn take_batch(&mut self, batch: &mut Vec<T>) {
+        self.in_flight = self.queued.len().min(self.batch_max);
+        batch.extend(self.queued.drain(..self.in_flight));
+    }
+
+    /// Ends the group in flight: files `result` for each follower and
+    /// promotes the head of the queue, if there is one. Returns whom to
+    /// wake, in that order: the promoted leader, then the followers.
+    fn finish(&mut self, result: &Result<(), AppError>) -> impl Iterator<Item = u64> {
+        let leader = self.leader.take().expect("a group is in flight");
+        let followers = leader + 1..leader + self.in_flight as u64;
+        self.in_flight = 0;
+        self.results
+            .extend(followers.clone().map(|t| (t, result.clone())));
+        if !self.queued.is_empty() {
+            self.leader = Some(self.next_ticket - self.queued.len() as u64);
+        }
+        self.leader.into_iter().chain(followers)
+    }
+}
+
+/// The queue and the sleepers on it.
+struct Writers {
+    queue: WriteQueue<Vec<Entry>>,
+    /// Every writer asleep in `write_batch`, by ticket.
+    parked: Vec<(u64, Thread)>,
+}
+
+/// The active WAL and the leader's scratch: touched only by the leader of
+/// the group in flight, so its lock never waits.
+struct Wal {
+    file: File,
+    number: u64,
+    written: usize,
+    /// The group's requests and its encoded record; both keep their
+    /// capacity from group to group.
+    batch: Vec<Vec<Entry>>,
+    record: Vec<u8>,
+    /// Taken on drop, so the flush thread sees its channel close.
+    flush_tx: Option<Sender<FlushJob>>,
+}
+
+/// A leader's request to rotate away from WAL `wal_number`. The flush thread
+/// creates the next WAL, freezes the memtable, answers with the new WAL and
+/// then flushes what it froze: every WAL image is allocated by the store's
+/// one thread, not left in the malloc arena of whichever client led. Served
+/// in order, so at most one frozen memtable waits: a leader that fills the
+/// next one meanwhile waits too, RocksDB's default write-buffer limit.
 struct FlushJob {
     wal_number: u64,
-    mem: Arc<MemTable>,
+    next_wal: Sender<Result<(u64, File), AppError>>,
 }
 
 struct State {
@@ -113,8 +235,8 @@ struct Inner {
     manifest: Mutex<Manifest>,
     next_file: AtomicU64,
     seq: AtomicU64,
-    closed: AtomicBool,
-    commit_tx: Mutex<Option<Sender<CommitReq>>>,
+    writers: Mutex<Writers>,
+    wal: Mutex<Wal>,
     stalls: AtomicU64,
     compactions: AtomicU64,
     flushes: AtomicU64,
@@ -123,9 +245,7 @@ struct Inner {
 /// A RocksDB-style LSM key-value store over the SplitFT facade.
 pub struct MiniRocks {
     inner: Arc<Inner>,
-    commit_thread: Option<JoinHandle<()>>,
     flush_thread: Option<JoinHandle<()>>,
-    flush_tx: Option<Sender<FlushJob>>,
 }
 
 impl MiniRocks {
@@ -150,7 +270,7 @@ impl MiniRocks {
 
         // Replay WALs, oldest first.
         let mut recovered = MemTable::new();
-        let mut replayed_wals = Vec::new();
+        let mut max_seq = 0;
         let mut wals = version.wals.clone();
         wals.sort_unstable();
         for wal in &wals {
@@ -164,16 +284,12 @@ impl MiniRocks {
             )?;
             let size = file.size()? as usize;
             let buf = file.read(0, size)?;
-            let (max_seq, batches) = replay_records(&buf);
-            for batch in &batches {
-                for entry in batch {
-                    recovered.apply(entry);
-                }
+            let (seq, batches) = replay_records(&buf);
+            for entry in batches.into_iter().flatten() {
+                recovered.apply(entry);
             }
-            let cur = self_seq_max(&recovered, max_seq);
-            replayed_wals.push((*wal, cur));
+            max_seq = max_seq.max(seq);
         }
-        let max_seq = replayed_wals.iter().map(|&(_, s)| s).max().unwrap_or(0);
 
         // Flush the recovered memtable so the old WALs can be dropped.
         if !recovered.is_empty() {
@@ -216,10 +332,10 @@ impl MiniRocks {
         )?;
         manifest.log(&[Edit::AddWal { file: wal_number }])?;
 
+        let (flush_tx, flush_rx) = unbounded::<FlushJob>();
         let inner = Arc::new(Inner {
             fs,
             prefix: prefix.to_string(),
-            opts,
             state: RwLock::new(State {
                 mem: MemTable::new(),
                 frozen: Vec::new(),
@@ -228,50 +344,74 @@ impl MiniRocks {
             manifest: Mutex::new(manifest),
             next_file: AtomicU64::new(next_file),
             seq: AtomicU64::new(max_seq + 1),
-            closed: AtomicBool::new(false),
-            commit_tx: Mutex::new(None),
+            writers: Mutex::new(Writers {
+                queue: WriteQueue::new(opts.batch_max),
+                parked: Vec::new(),
+            }),
+            wal: Mutex::new(Wal {
+                file: wal_file,
+                number: wal_number,
+                written: 0,
+                batch: Vec::new(),
+                record: Vec::new(),
+                flush_tx: Some(flush_tx),
+            }),
             stalls: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
+            opts,
         });
-
-        let (flush_tx, flush_rx) = unbounded::<FlushJob>();
-        let flush_thread = spawn_flush_thread(Arc::clone(&inner), flush_rx);
-        let (commit_tx, commit_rx) = unbounded::<CommitReq>();
-        *inner.commit_tx.lock() = Some(commit_tx);
-        let commit_thread = spawn_commit_thread(
-            Arc::clone(&inner),
-            commit_rx,
-            flush_tx.clone(),
-            wal_file,
-            wal_number,
-        );
-
+        let flush_thread = Some(spawn_flush_thread(Arc::clone(&inner), flush_rx));
         Ok(MiniRocks {
             inner,
-            commit_thread: Some(commit_thread),
-            flush_thread: Some(flush_thread),
-            flush_tx: Some(flush_tx),
+            flush_thread,
         })
     }
 
     /// Applies a batch of entries atomically and durably (per the mounted
-    /// mode's guarantee).
+    /// mode's guarantee): on this thread if it leads the batch's write
+    /// group, on the leader's otherwise.
     pub fn write_batch(&self, entries: Vec<Entry>) -> Result<(), AppError> {
-        let (reply_tx, reply_rx) = bounded(1);
-        let tx = {
-            let guard = self.inner.commit_tx.lock();
-            match guard.as_ref() {
-                Some(tx) => tx.clone(),
-                None => return Err(AppError::Closed),
+        let inner = &*self.inner;
+        let mut writers = inner.writers.lock();
+        let me = writers.queue.join(entries);
+        let mut parked = false;
+        loop {
+            match writers.queue.turn(me) {
+                Turn::Done(result) => return result,
+                Turn::Lead => break,
+                Turn::Wait => {
+                    if !parked {
+                        writers.parked.push((me, std::thread::current()));
+                        parked = true;
+                    }
+                    drop(writers);
+                    std::thread::park();
+                    writers = inner.writers.lock();
+                }
             }
-        };
-        tx.send(CommitReq {
-            entries,
-            reply: reply_tx,
-        })
-        .map_err(|_| AppError::Closed)?;
-        reply_rx.recv().map_err(|_| AppError::Closed)?
+        }
+        // The last leader let go of the WAL before it promoted this one.
+        let mut wal = inner.wal.lock();
+        writers.queue.take_batch(&mut wal.batch);
+        drop(writers);
+        let result = inner.commit(&mut wal);
+        wal.batch.clear();
+        drop(wal);
+
+        let mut writers = inner.writers.lock();
+        // The next leader first: the WAL idles until it runs, a follower
+        // only has to return. (Nobody to wake allocates nothing.)
+        let sleepers: Vec<Thread> = (writers.queue.finish(&result))
+            .filter_map(|ticket| {
+                let i = writers.parked.iter().position(|(t, _)| *t == ticket)?;
+                Some(writers.parked.swap_remove(i).1)
+            })
+            .collect();
+        // Woken with the queue free: each of them takes it first thing.
+        drop(writers);
+        sleepers.iter().for_each(Thread::unpark);
+        result
     }
 
     /// Inserts or overwrites one key.
@@ -396,13 +536,8 @@ impl MiniRocks {
 
 impl Drop for MiniRocks {
     fn drop(&mut self) {
-        self.inner.closed.store(true, Ordering::SeqCst);
-        // Stop accepting writes and let the commit thread drain.
-        self.inner.commit_tx.lock().take();
-        if let Some(t) = self.commit_thread.take() {
-            let _ = t.join();
-        }
-        self.flush_tx.take();
+        // `&mut self`: no write is in flight. Let the flush thread drain.
+        self.inner.wal.lock().flush_tx.take();
         if let Some(t) = self.flush_thread.take() {
             let _ = t.join();
         }
@@ -454,265 +589,131 @@ fn open_wal_opts(capacity: usize, create: bool, pipelined: bool) -> OpenOptions 
     }
 }
 
-fn self_seq_max(_m: &MemTable, seq: u64) -> u64 {
-    seq
-}
+impl Inner {
+    /// Commits the write group in `wal.batch` on the calling thread, the
+    /// group's leader; no other group is in flight.
+    fn commit(&self, wal: &mut Wal) -> Result<(), AppError> {
+        let seq = self.seq.fetch_add(1, Ordering::SeqCst);
+        encode_record_into(&mut wal.record, seq, wal.batch.iter().flatten());
 
-/// A group commit whose WAL record has been posted but not yet settled
-/// (durability barrier, memtable apply, acknowledgement).
-struct PendingBatch {
-    reqs: Vec<CommitReq>,
-    entries: Vec<Entry>,
-}
-
-fn spawn_commit_thread(
-    inner: Arc<Inner>,
-    rx: Receiver<CommitReq>,
-    flush_tx: Sender<FlushJob>,
-    mut wal_file: File,
-    mut wal_number: u64,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("rocks-commit".to_string())
-        .spawn(move || {
-            let mut wal_written = 0usize;
-            // The pipelined group commit: batch k's WAL record is posted,
-            // then batch k+1 is folded from the request channel while k
-            // replicates, then k is settled — durability barrier, memtable
-            // apply, acknowledgement — just before k+1 is posted (the
-            // barrier must not cover k+1). On a synchronous (non-pipelined)
-            // WAL the same loop degenerates to the classic
-            // write+fsync+ack-per-batch, since the posted write is already
-            // durable when settle runs.
-            let mut pending: Option<PendingBatch> = None;
-            loop {
-                let first = if pending.is_some() {
-                    // A batch is replicating: fold whatever is already
-                    // queued, but don't block holding back its settle.
-                    rx.try_recv().ok()
-                } else {
-                    match rx.recv_timeout(Duration::from_millis(50)) {
-                        Ok(req) => Some(req),
-                        Err(RecvTimeoutError::Timeout) => {
-                            if inner.closed.load(Ordering::SeqCst) && rx.is_empty() {
-                                break;
-                            }
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                };
-                let Some(first) = first else {
-                    // Nothing new arrived while the batch replicated.
-                    if let Some(batch) = pending.take() {
-                        settle(
-                            &inner,
-                            &flush_tx,
-                            &mut wal_file,
-                            &mut wal_number,
-                            &mut wal_written,
-                            batch,
-                        );
-                    }
-                    continue;
-                };
-                // Group commit: fold waiting requests into this batch.
-                let mut reqs = vec![first];
-                while reqs.len() < inner.opts.batch_max {
-                    match rx.try_recv() {
-                        Ok(req) => reqs.push(req),
-                        Err(_) => break,
-                    }
-                }
-                let entries: Vec<Entry> = reqs
-                    .iter()
-                    .flat_map(|r| r.entries.iter().cloned())
-                    .collect();
-                let seq = inner.seq.fetch_add(1, Ordering::SeqCst);
-                let record = encode_record(seq, &entries);
-
-                // L0 back-pressure: stall writers while compaction is behind.
-                while inner.state.read().levels[0].len() >= inner.opts.l0_stall_trigger {
-                    inner.stalls.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-
-                // Settle the in-flight batch before this one is posted: its
-                // fsync barrier may not cover the new record, and a WAL
-                // rotation must never run with an unsettled batch pending.
-                if let Some(batch) = pending.take() {
-                    settle(
-                        &inner,
-                        &flush_tx,
-                        &mut wal_file,
-                        &mut wal_number,
-                        &mut wal_written,
-                        batch,
-                    );
-                }
-
-                // Rotate first if this record would overflow the WAL region.
-                if wal_written + record.len() > inner.opts.wal_capacity * 9 / 10 {
-                    if let Err(e) = rotate(
-                        &inner,
-                        &flush_tx,
-                        &mut wal_file,
-                        &mut wal_number,
-                        &mut wal_written,
-                    ) {
-                        for req in reqs {
-                            let _ = req.reply.send(Err(e.clone()));
-                        }
-                        continue;
-                    }
-                }
-
-                // One write system call for the whole group; on a pipelined
-                // WAL this returns with the record merely staged. Ring the
-                // doorbell now — one batched post per peer — so the group's
-                // replication runs while the next batch is folded, instead
-                // of waiting for the fsync barrier to flush the stage.
-                match wal_file
-                    .write_at(wal_written as u64, &record)
-                    .map_err(AppError::from)
-                {
-                    Ok(()) => {
-                        wal_file.submit();
-                        wal_written += record.len();
-                        pending = Some(PendingBatch { reqs, entries });
-                    }
-                    Err(e) => {
-                        for req in reqs {
-                            let _ = req.reply.send(Err(e.clone()));
-                        }
-                    }
-                }
-            }
-            // Shutdown: settle the last posted batch.
-            if let Some(batch) = pending.take() {
-                settle(
-                    &inner,
-                    &flush_tx,
-                    &mut wal_file,
-                    &mut wal_number,
-                    &mut wal_written,
-                    batch,
-                );
-            }
-        })
-        .expect("spawn commit thread")
-}
-
-/// Settles a posted group commit: one durability barrier, memtable apply,
-/// acknowledgement, and the memtable-full rotation check. Runs with no
-/// other batch in flight.
-fn settle(
-    inner: &Arc<Inner>,
-    flush_tx: &Sender<FlushJob>,
-    wal_file: &mut File,
-    wal_number: &mut u64,
-    wal_written: &mut usize,
-    batch: PendingBatch,
-) {
-    match wal_file.fsync().map_err(AppError::from) {
-        Ok(()) => {
-            {
-                let mut st = inner.state.write();
-                for e in &batch.entries {
-                    st.mem.apply(e);
-                }
-            }
-            for req in batch.reqs {
-                let _ = req.reply.send(Ok(()));
-            }
-            // Memtable full → freeze and hand to the flusher.
-            let needs_rotate = {
-                let st = inner.state.read();
-                st.mem.approx_bytes() >= inner.opts.memtable_bytes
-            };
-            if needs_rotate {
-                let _ = rotate(inner, flush_tx, wal_file, wal_number, wal_written);
-            }
+        // L0 back-pressure: stall writers while compaction is behind.
+        while self.state.read().levels[0].len() >= self.opts.l0_stall_trigger {
+            self.stalls.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(1));
         }
-        Err(e) => {
-            for req in batch.reqs {
-                let _ = req.reply.send(Err(e.clone()));
-            }
+        // Rotate first if this record would overflow the WAL region.
+        if wal.written + wal.record.len() > self.opts.wal_capacity * 9 / 10 {
+            self.rotate(wal)?;
         }
+        // One write system call for the whole group; on a pipelined WAL it
+        // returns with the record merely staged, `submit` rings the doorbell
+        // — one batched post per peer — and `fsync` is the barrier.
+        wal.file.write_at(wal.written as u64, &wal.record)?;
+        wal.file.submit();
+        wal.written += wal.record.len();
+        wal.file.fsync()?;
+        let full = {
+            let mut st = self.state.write();
+            for entry in wal.batch.drain(..).flatten() {
+                st.mem.apply(entry);
+            }
+            st.mem.approx_bytes() >= self.opts.memtable_bytes
+        };
+        // Memtable full → freeze and hand to the flusher. The group is
+        // durable and applied: a failed rotation fails the next group.
+        if full {
+            let _ = self.rotate(wal);
+        }
+        Ok(())
     }
-}
 
-/// Freezes the memtable, creates a fresh WAL, and queues the flush.
-fn rotate(
-    inner: &Arc<Inner>,
-    flush_tx: &Sender<FlushJob>,
-    wal_file: &mut File,
-    wal_number: &mut u64,
-    wal_written: &mut usize,
-) -> Result<(), AppError> {
-    let new_number = inner.next_file.fetch_add(1, Ordering::SeqCst);
-    let new_file = inner.fs.open(
-        &wal_name(&inner.prefix, new_number),
-        open_wal_opts(inner.opts.wal_capacity, true, inner.opts.pipelined_wal),
-    )?;
-    inner
-        .manifest
-        .lock()
-        .log(&[Edit::AddWal { file: new_number }])?;
-    let frozen_mem = {
-        let mut st = inner.state.write();
-        let mem = std::mem::take(&mut st.mem);
-        let mem = Arc::new(mem);
-        st.frozen.push((*wal_number, Arc::clone(&mem)));
-        mem
-    };
-    let _ = flush_tx.send(FlushJob {
-        wal_number: *wal_number,
-        mem: frozen_mem,
-    });
-    *wal_file = new_file;
-    *wal_number = new_number;
-    *wal_written = 0;
-    Ok(())
+    /// Has the flush thread rotate ([`FlushJob`]); adopts the WAL it answers.
+    fn rotate(&self, wal: &mut Wal) -> Result<(), AppError> {
+        let (next_wal, answer) = bounded(1);
+        let job = FlushJob {
+            wal_number: wal.number,
+            next_wal,
+        };
+        let jobs = wal.flush_tx.as_ref().ok_or(AppError::Closed)?;
+        jobs.send(job).map_err(|_| AppError::Closed)?;
+        (wal.number, wal.file) = answer.recv().map_err(|_| AppError::Closed)??;
+        wal.written = 0;
+        Ok(())
+    }
+
+    /// The flush thread's half of a rotation, up to its answer. The asking
+    /// leader holds the WAL meanwhile, so no write is in flight.
+    fn freeze(&self, wal_number: u64) -> Result<(u64, File, Arc<MemTable>), AppError> {
+        let new_number = self.next_file.fetch_add(1, Ordering::SeqCst);
+        let new_file = self.fs.open(
+            &wal_name(&self.prefix, new_number),
+            open_wal_opts(self.opts.wal_capacity, true, self.opts.pipelined_wal),
+        )?;
+        self.manifest
+            .lock()
+            .log(&[Edit::AddWal { file: new_number }])?;
+        let mut st = self.state.write();
+        let mem = Arc::new(std::mem::take(&mut st.mem));
+        st.frozen.push((wal_number, Arc::clone(&mem)));
+        Ok((new_number, new_file, mem))
+    }
 }
 
 fn spawn_flush_thread(inner: Arc<Inner>, rx: Receiver<FlushJob>) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("rocks-flush".to_string())
         .spawn(move || {
+            // Recovery adds an L0 table per reopen and no flush job follows
+            // it: check once before waiting for the first one.
+            compact_if_due(&inner);
             while let Ok(job) = rx.recv() {
-                if let Err(e) = run_flush(&inner, &job) {
+                let mem = match inner.freeze(job.wal_number) {
+                    Ok((number, file, mem)) => {
+                        let _ = job.next_wal.send(Ok((number, file)));
+                        mem
+                    }
+                    Err(e) => {
+                        let _ = job.next_wal.send(Err(e));
+                        continue;
+                    }
+                };
+                if let Err(e) = run_flush(&inner, job.wal_number, &mem) {
                     // A failed flush keeps the frozen memtable and WAL; data
                     // stays durable in the WAL. Log-and-retry semantics.
                     eprintln!("minirocks: flush failed: {e}");
                     continue;
                 }
-                let l0_len = inner.state.read().levels[0].len();
-                if l0_len >= inner.opts.l0_compaction_trigger {
-                    if let Err(e) = run_compaction(&inner) {
-                        eprintln!("minirocks: compaction failed: {e}");
-                    }
-                }
+                compact_if_due(&inner);
             }
         })
         .expect("spawn flush thread")
 }
 
-fn run_flush(inner: &Arc<Inner>, job: &FlushJob) -> Result<(), AppError> {
-    if job.mem.is_empty() {
+fn compact_if_due(inner: &Arc<Inner>) {
+    let l0_len = inner.state.read().levels[0].len();
+    if l0_len >= inner.opts.l0_compaction_trigger {
+        if let Err(e) = run_compaction(inner) {
+            eprintln!("minirocks: compaction failed: {e}");
+        }
+    }
+}
+
+fn run_flush(inner: &Arc<Inner>, wal_number: u64, mem: &MemTable) -> Result<(), AppError> {
+    if mem.is_empty() {
         // Nothing to write; just retire the WAL.
-        inner.manifest.lock().log(&[Edit::RemoveWal {
-            file: job.wal_number,
-        }])?;
+        inner
+            .manifest
+            .lock()
+            .log(&[Edit::RemoveWal { file: wal_number }])?;
         let mut st = inner.state.write();
-        st.frozen.retain(|(w, _)| *w != job.wal_number);
+        st.frozen.retain(|(w, _)| *w != wal_number);
         drop(st);
-        let _ = inner.fs.unlink(&wal_name(&inner.prefix, job.wal_number));
+        let _ = inner.fs.unlink(&wal_name(&inner.prefix, wal_number));
         return Ok(());
     }
     let file_no = inner.next_file.fetch_add(1, Ordering::SeqCst);
     let mut builder = SstBuilder::new(inner.opts.block_size, inner.opts.bloom_bits_per_key);
-    for (k, v) in job.mem.iter() {
+    for (k, v) in mem.iter() {
         builder.add(k, v);
     }
     // Large background write + fsync to the DFS.
@@ -722,17 +723,15 @@ fn run_flush(inner: &Arc<Inner>, job: &FlushJob) -> Result<(), AppError> {
             level: 0,
             file: file_no,
         },
-        Edit::RemoveWal {
-            file: job.wal_number,
-        },
+        Edit::RemoveWal { file: wal_number },
     ])?;
     {
         let mut st = inner.state.write();
         st.levels[0].push(Arc::new(reader));
-        st.frozen.retain(|(w, _)| *w != job.wal_number);
+        st.frozen.retain(|(w, _)| *w != wal_number);
     }
     // The log is now redundant: garbage-collect it by deletion (Table 2).
-    let _ = inner.fs.unlink(&wal_name(&inner.prefix, job.wal_number));
+    let _ = inner.fs.unlink(&wal_name(&inner.prefix, wal_number));
     inner.flushes.fetch_add(1, Ordering::Relaxed);
     Ok(())
 }
@@ -795,11 +794,12 @@ fn run_compaction(inner: &Arc<Inner>) -> Result<(), AppError> {
         st.levels[0].retain(|r| !consumed.contains(&r.path().to_string()));
         st.levels[1] = outputs.iter().map(|(_, r)| Arc::clone(r)).collect();
         st.levels[1].sort_by(|a, b| a.first_key().cmp(b.first_key()));
+        // Counted under the lock: whoever sees the new levels sees the count.
+        inner.compactions.fetch_add(1, Ordering::Relaxed);
     }
     for r in l0.iter().chain(l1.iter()) {
         let _ = inner.fs.unlink(r.path());
     }
-    inner.compactions.fetch_add(1, Ordering::Relaxed);
     Ok(())
 }
 
@@ -810,4 +810,137 @@ fn file_number_of(path: &str) -> u64 {
         .trim_end_matches(".log")
         .parse()
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Joins `n` requests numbered from `from` and returns their tickets.
+    fn join_all(q: &mut WriteQueue<u32>, from: u32, n: u32) -> Vec<u64> {
+        (from..from + n).map(|req| q.join(req)).collect()
+    }
+
+    /// Finishes the group in flight; whom to wake, in order.
+    fn finish(q: &mut WriteQueue<u32>, result: Result<(), AppError>) -> Vec<u64> {
+        q.finish(&result).collect()
+    }
+
+    /// Leads as `ticket`: asserts the turn, takes and returns the batch.
+    fn lead(q: &mut WriteQueue<u32>, ticket: u64) -> Vec<u32> {
+        assert_eq!(q.turn(ticket), Turn::Lead);
+        let mut batch = Vec::new();
+        q.take_batch(&mut batch);
+        batch
+    }
+
+    #[test]
+    fn a_single_writer_leads_a_group_of_one_and_wakes_nobody() {
+        let mut q = WriteQueue::new(64);
+        for req in 0..3 {
+            let me = q.join(req);
+            assert_eq!(lead(&mut q, me), vec![req]);
+            assert_eq!(finish(&mut q, Ok(())), [], "nobody to wake");
+            assert!(q.leader.is_none() && q.queued.is_empty() && q.results.is_empty());
+        }
+    }
+
+    #[test]
+    fn joins_during_a_group_follow_and_form_the_next_group() {
+        let mut q = WriteQueue::new(64);
+        let first = q.join(0);
+        assert_eq!(lead(&mut q, first), vec![0]);
+        let late = join_all(&mut q, 1, 5);
+        for t in &late {
+            assert_eq!(q.turn(*t), Turn::Wait, "a group is in flight");
+        }
+
+        assert_eq!(finish(&mut q, Ok(())), [late[0]], "the head of the queue");
+        for t in &late[1..] {
+            assert_eq!(q.turn(*t), Turn::Wait, "queued behind a promoted leader");
+        }
+        assert_eq!(lead(&mut q, late[0]), vec![1, 2, 3, 4, 5]);
+
+        assert_eq!(finish(&mut q, Ok(())), late[1..], "followers only");
+        for t in &late[1..] {
+            assert_eq!(q.turn(*t), Turn::Done(Ok(())));
+        }
+        assert!(q.leader.is_none() && q.results.is_empty());
+    }
+
+    #[test]
+    fn batch_max_is_honoured_and_the_remainder_leads_the_group_after() {
+        let mut q = WriteQueue::new(3);
+        let first = q.join(0);
+        assert_eq!(lead(&mut q, first), vec![0]);
+        let late = join_all(&mut q, 1, 5);
+        assert_eq!(finish(&mut q, Ok(())), [late[0]]);
+
+        assert_eq!(lead(&mut q, late[0]), vec![1, 2, 3]);
+        let woken = finish(&mut q, Ok(()));
+        assert_eq!(woken, [late[3], late[1], late[2]], "next leader first");
+        assert_eq!(q.turn(late[4]), Turn::Wait);
+
+        assert_eq!(lead(&mut q, late[3]), vec![4, 5]);
+        assert_eq!(finish(&mut q, Ok(())), [late[4]]);
+    }
+
+    #[test]
+    fn an_error_reaches_every_member_and_no_one_else() {
+        let mut q = WriteQueue::new(4);
+        let first = q.join(0);
+        assert_eq!(lead(&mut q, first), vec![0]);
+        let late = join_all(&mut q, 1, 5);
+        finish(&mut q, Ok(()));
+        assert_eq!(lead(&mut q, late[0]).len(), 4);
+
+        let failed = Err(AppError::Storage("wal write failed".into()));
+        assert_eq!(finish(&mut q, failed.clone())[0], late[4]);
+        for t in &late[1..4] {
+            assert_eq!(q.turn(*t), Turn::Done(failed.clone()));
+        }
+        // The writer behind the failed group leads its own and succeeds.
+        assert_eq!(lead(&mut q, late[4]), vec![5]);
+        finish(&mut q, Ok(()));
+        assert!(q.results.is_empty());
+    }
+
+    #[test]
+    fn leadership_is_held_exactly_while_work_is_queued_or_in_flight() {
+        // A seeded walk over join / lead / finish, checking after every step.
+        let mut q = WriteQueue::new(3);
+        let mut rng = sim::Xoshiro256StarStar::new(17);
+        let mut committing = false;
+        let mut grouped = 0;
+        for _ in 0..2_000 {
+            if rng.next_below(3) > 0 {
+                q.join(q.next_ticket as u32); // A request is its own ticket.
+            }
+            match q.leader {
+                Some(leader) if !committing => {
+                    let batch = lead(&mut q, leader);
+                    assert!((1..=3).contains(&batch.len()));
+                    let tickets = leader as u32..leader as u32 + batch.len() as u32;
+                    assert_eq!(batch, tickets.collect::<Vec<_>>(), "own request first");
+                    grouped += batch.len() as u64;
+                    committing = true;
+                }
+                Some(_) if rng.next_below(2) == 0 => {
+                    let woken = finish(&mut q, Ok(()));
+                    assert_eq!(q.leader.is_some(), !q.queued.is_empty());
+                    assert!(q.leader.is_none() || woken.first() == q.leader.as_ref());
+                    committing = false;
+                }
+                _ => {}
+            }
+            assert_eq!(
+                q.leader.is_some(),
+                committing || !q.queued.is_empty(),
+                "leader {:?}, committing {committing}, queued {}",
+                q.leader,
+                q.queued.len()
+            );
+        }
+        assert_eq!(grouped + q.queued.len() as u64, q.next_ticket);
+    }
 }

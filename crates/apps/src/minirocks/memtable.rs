@@ -17,16 +17,16 @@ impl MemTable {
         MemTable::default()
     }
 
-    /// Applies one log entry.
-    pub fn apply(&mut self, entry: &Entry) {
+    /// Applies one log entry, taking its key and value as they are.
+    pub fn apply(&mut self, entry: Entry) {
         match entry {
             Entry::Put { key, value } => {
                 self.approx_bytes += key.len() + value.len() + 32;
-                self.map.insert(key.clone(), Some(value.clone()));
+                self.map.insert(key, Some(value));
             }
             Entry::Delete { key } => {
                 self.approx_bytes += key.len() + 32;
-                self.map.insert(key.clone(), None);
+                self.map.insert(key, None);
             }
         }
     }
@@ -80,9 +80,9 @@ mod tests {
     #[test]
     fn put_get_delete_cycle() {
         let mut m = MemTable::new();
-        m.apply(&put("a", "1"));
+        m.apply(put("a", "1"));
         assert_eq!(m.get(b"a"), Some(Some(&b"1"[..])));
-        m.apply(&Entry::Delete { key: b"a".to_vec() });
+        m.apply(Entry::Delete { key: b"a".to_vec() });
         assert_eq!(m.get(b"a"), Some(None), "tombstone is visible");
         assert_eq!(m.get(b"b"), None);
     }
@@ -90,8 +90,8 @@ mod tests {
     #[test]
     fn overwrite_replaces_value() {
         let mut m = MemTable::new();
-        m.apply(&put("k", "old"));
-        m.apply(&put("k", "new"));
+        m.apply(put("k", "old"));
+        m.apply(put("k", "new"));
         assert_eq!(m.get(b"k"), Some(Some(&b"new"[..])));
         assert_eq!(m.len(), 1);
     }
@@ -100,7 +100,7 @@ mod tests {
     fn iteration_is_sorted() {
         let mut m = MemTable::new();
         for k in ["c", "a", "b"] {
-            m.apply(&put(k, "v"));
+            m.apply(put(k, "v"));
         }
         let keys: Vec<&[u8]> = m.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![&b"a"[..], b"b", b"c"]);
@@ -110,17 +110,17 @@ mod tests {
     fn size_grows_with_entries() {
         let mut m = MemTable::new();
         assert_eq!(m.approx_bytes(), 0);
-        m.apply(&put("key", "value"));
+        m.apply(put("key", "value"));
         assert!(m.approx_bytes() > 0);
     }
 
     #[test]
     fn absorb_older_keeps_newer_values() {
         let mut newer = MemTable::new();
-        newer.apply(&put("k", "new"));
+        newer.apply(put("k", "new"));
         let mut older = MemTable::new();
-        older.apply(&put("k", "old"));
-        older.apply(&put("only-old", "x"));
+        older.apply(put("k", "old"));
+        older.apply(put("only-old", "x"));
         newer.absorb_older(older);
         assert_eq!(newer.get(b"k"), Some(Some(&b"new"[..])));
         assert_eq!(newer.get(b"only-old"), Some(Some(&b"x"[..])));

@@ -176,28 +176,164 @@ fn rocks_weak_mode_loses_unflushed_tail() {
     assert_eq!(survivors, 0, "weak mode must lose the unflushed tail");
 }
 
+/// Eight writers share write groups: every put is readable, on the slow
+/// commits of strong mode they need fewer WAL barriers than puts, and every
+/// acknowledged key survives a crash.
 #[test]
 fn rocks_concurrent_writers_group_commit() {
-    let tb = Testbed::start(TestbedConfig::zero(3));
-    let (fs, _) = tb.mount(Mode::SplitFt, "rocks-mt");
-    let db = std::sync::Arc::new(MiniRocks::open(fs, "db/", RocksOptions::tiny()).unwrap());
-    let mut handles = Vec::new();
-    for t in 0..8 {
-        let db = std::sync::Arc::clone(&db);
-        handles.push(std::thread::spawn(move || {
-            for i in 0..100u32 {
-                db.put(format!("t{t}-k{i:04}").as_bytes(), &value_of(i))
-                    .unwrap();
+    for (config, mode) in [
+        (TestbedConfig::zero(3), Mode::SplitFt),
+        (TestbedConfig::calibrated(3), Mode::StrongDft),
+    ] {
+        let tb = Testbed::start(config);
+        let (fs, node) = tb.mount(mode, "rocks-mt");
+        let trace = dfs::IoTrace::new();
+        fs.set_trace(std::sync::Arc::clone(&trace));
+        trace.enable();
+        let db = MiniRocks::open(fs, "db/", RocksOptions::tiny()).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let db = &db;
+                s.spawn(move || {
+                    for i in 0..100u32 {
+                        db.put(format!("t{t}-k{i:04}").as_bytes(), &value_of(i))
+                            .unwrap();
+                    }
+                });
             }
-        }));
+        });
+        let all_present = |db: &MiniRocks| {
+            for t in 0..8 {
+                for i in 0..100u32 {
+                    assert_eq!(
+                        db.get(format!("t{t}-k{i:04}").as_bytes()).unwrap(),
+                        Some(value_of(i)),
+                        "mode {mode:?} t{t}-k{i:04}"
+                    );
+                }
+            }
+        };
+        all_present(&db);
+        if mode == Mode::StrongDft {
+            // A strong-mode barrier is a ~2 ms DFS flush of the WAL: the
+            // writers that arrive during one share the next.
+            let barriers = trace
+                .events()
+                .iter()
+                .filter(|e| e.path.contains("wal-") && e.kind == dfs::IoKind::FlushWrite)
+                .count();
+            assert!(
+                (1..800).contains(&barriers),
+                "{barriers} WAL barriers for 800 puts: no group had a follower"
+            );
+        }
+        tb.cluster.crash(node);
+        drop(db);
+        let (fs, _) = tb.mount(mode, "rocks-mt");
+        all_present(&MiniRocks::open(fs, "db/", RocksOptions::tiny()).unwrap());
     }
-    for h in handles {
-        h.join().unwrap();
+}
+
+/// A leader whose commit fails strands nobody: when the application node
+/// dies under four writers, each gets an error and returns, and every put
+/// that was acknowledged before is there after the remount.
+#[test]
+fn rocks_failed_commit_strands_no_follower() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
+    for mode in [Mode::SplitFt, Mode::StrongDft] {
+        let mut config = TestbedConfig::calibrated(3);
+        // How long a barrier waits on a dead node's queue pairs: the failed
+        // leader's, then that of the one it promoted.
+        config.ncl.write_timeout = std::time::Duration::from_millis(200);
+        let tb = Testbed::start(config);
+        let (fs, node) = tb.mount(mode, "rocks-strand");
+        let db = Arc::new(MiniRocks::open(fs, "db/", RocksOptions::default()).unwrap());
+        let acked_total = Arc::new(AtomicU32::new(0));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let writers: Vec<_> = (0..4)
+            .map(|t| {
+                let (db, acked_total, done_tx) =
+                    (Arc::clone(&db), Arc::clone(&acked_total), done_tx.clone());
+                std::thread::spawn(move || {
+                    let mut acked = Vec::new();
+                    for i in 0u32.. {
+                        if db
+                            .put(format!("t{t}-k{i:06}").as_bytes(), &value_of(i))
+                            .is_err()
+                        {
+                            break;
+                        }
+                        acked.push(i);
+                        acked_total.fetch_add(1, Ordering::SeqCst);
+                    }
+                    done_tx.send((t, acked)).unwrap();
+                })
+            })
+            .collect();
+        while acked_total.load(Ordering::SeqCst) < 40 {
+            std::thread::yield_now();
+        }
+        tb.cluster.crash(node);
+        // A stranded writer would hang a join: wait for the lists first.
+        let mut acked = vec![Vec::new(); 4];
+        for _ in 0..4 {
+            let (t, keys): (usize, _) = done_rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a writer is stranded in write_batch");
+            acked[t] = keys;
+        }
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        drop(db);
+        let (fs, _) = tb.mount(mode, "rocks-strand");
+        let db = MiniRocks::open(fs, "db/", RocksOptions::default()).unwrap();
+        for (t, keys) in acked.iter().enumerate() {
+            for i in keys {
+                assert_eq!(
+                    db.get(format!("t{t}-k{i:06}").as_bytes()).unwrap(),
+                    Some(value_of(*i)),
+                    "mode {mode:?}: acked t{t}-k{i:06} is missing"
+                );
+            }
+        }
     }
-    for t in 0..8 {
-        for i in 0..100u32 {
+}
+
+/// Recovery adds an L0 table per reopen and queues no flush job behind it:
+/// the compaction it makes due must run anyway, or `quiesce` waits out its
+/// deadline on a store that will never settle.
+#[test]
+fn rocks_quiesce_compacts_what_recovery_left_in_l0() {
+    let tb = Testbed::start(TestbedConfig::zero(3));
+    let opts = RocksOptions::tiny();
+    // Crash and reopen until recovery alone has left L0 at the trigger:
+    // a handful of puts never fills even the tiny memtable.
+    for round in 0..opts.l0_compaction_trigger as u32 {
+        let (fs, node) = tb.mount(Mode::SplitFt, "rocks-quiesce");
+        let db = MiniRocks::open(fs, "db/", opts.clone()).unwrap();
+        assert_eq!(db.flush_count() + db.compaction_count(), 0);
+        for i in 0..5u32 {
+            db.put(format!("r{round}-k{i}").as_bytes(), &value_of(i))
+                .unwrap();
+        }
+        tb.cluster.crash(node);
+    }
+    let (fs, _) = tb.mount(Mode::SplitFt, "rocks-quiesce");
+    let db = MiniRocks::open(fs, "db/", opts.clone()).unwrap();
+    db.quiesce();
+    assert_eq!(db.flush_count(), 0, "no memtable ever filled");
+    assert!(db.compaction_count() >= 1, "recovery's L0 tables compact");
+    let (l0, l1) = db.level_file_counts();
+    assert!(
+        l0 < opts.l0_compaction_trigger && l1 >= 1,
+        "L0 {l0}, L1 {l1}"
+    );
+    for round in 0..opts.l0_compaction_trigger as u32 {
+        for i in 0..5u32 {
             assert_eq!(
-                db.get(format!("t{t}-k{i:04}").as_bytes()).unwrap(),
+                db.get(format!("r{round}-k{i}").as_bytes()).unwrap(),
                 Some(value_of(i))
             );
         }
