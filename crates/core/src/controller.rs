@@ -219,7 +219,7 @@ impl Controller {
             locks: HashMap::new(),
             telemetry,
         };
-        let server = RpcServer::spawn(cluster.clone(), node, "controller", move |req| {
+        let server = RpcServer::new(cluster.clone(), node, move |req| {
             handle(&cluster2, &mut st, req)
         });
         Controller { server, node }

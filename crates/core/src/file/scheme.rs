@@ -83,6 +83,31 @@ pub fn ack_watermark<T: Ord + Copy>(completed: &mut [T], quorum: usize) -> Optio
     Some(completed[completed.len() - quorum])
 }
 
+// --- The EC serve rule, as a pure function of two generations. ---
+
+/// How far into a generation's fragment log a responder's header vouches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServedThrough {
+    /// The responder's active half, through its header's `frag_tail`.
+    FragTail,
+    /// A generation the responder has moved past, through `prev_tail`:
+    /// all of it, since QP order applied every burst of a generation
+    /// before the header that left it.
+    PrevTail,
+}
+
+/// The fragment logs a responder whose header is at `peer_gen` serves to a
+/// decode walk that targets `gmax`, the highest generation any responder
+/// reached: at `gmax`, its active half plus the whole previous generation;
+/// one generation behind, its active half only. Anything older is covered
+/// by the snapshot of `gmax`.
+pub fn served_logs(peer_gen: u64, gmax: u64) -> impl Iterator<Item = (u64, ServedThrough)> {
+    let at_max = peer_gen == gmax;
+    let active = (at_max || peer_gen + 1 == gmax).then_some((peer_gen, ServedThrough::FragTail));
+    let previous = (at_max && gmax > 0).then(|| (gmax - 1, ServedThrough::PrevTail));
+    active.into_iter().chain(previous)
+}
+
 /// Bytes of peer memory one region occupies for a file with `capacity`
 /// data bytes: header + full copy replicated, header + two fragment halves
 /// (≈ `capacity · n / k` aggregated across `n` peers) erasure-coded.
@@ -701,26 +726,17 @@ impl EcState {
             None
         };
 
-        // Fetch the fragment logs a responder can serve: a peer at the max
-        // generation serves its active half plus (having necessarily
-        // applied all of the previous generation — QP order) the full
-        // previous half; a peer one generation behind serves its active
-        // half for that generation. Anything older is covered by the
-        // snapshot.
+        // Fetch the fragment logs each responder serves ([`served_logs`]),
+        // skipping empty ones.
         let fetched: Vec<FetchedResponder> = fan_out(responders, |(slot, header)| {
-            let mut wants: Vec<(u64, u64)> = Vec::new();
-            if header.gen == gmax {
-                if header.frag_tail > 0 {
-                    wants.push((gmax, header.frag_tail));
-                }
-                if gmax > 0 && header.prev_tail > 0 {
-                    wants.push((gmax - 1, header.prev_tail));
-                }
-            } else if gmax > 0 && header.gen + 1 == gmax && header.frag_tail > 0 {
-                wants.push((header.gen, header.frag_tail));
-            }
+            let wants = served_logs(header.gen, gmax)
+                .map(|(gen, through)| match through {
+                    ServedThrough::FragTail => (gen, header.frag_tail),
+                    ServedThrough::PrevTail => (gen, header.prev_tail),
+                })
+                .filter(|&(_, tail)| tail > 0);
             let mut logs = Vec::new();
-            for (i, (gen, tail)) in wants.into_iter().enumerate() {
+            for (i, (gen, tail)) in wants.enumerate() {
                 let len = (tail as usize).min(half_cap);
                 let wr = WrId(u64::MAX - i as u64);
                 slot.qp
@@ -807,6 +823,16 @@ mod tests {
         assert_eq!(ack_watermark(&mut [5u64, 9, 7], 1), Some(9));
         assert_eq!(ack_watermark(&mut [5u64], 2), None, "below quorum");
         assert_eq!(ack_watermark::<u64>(&mut [], 0), None);
+    }
+
+    #[test]
+    fn a_responder_serves_its_active_half_and_the_generation_it_left() {
+        use ServedThrough::{FragTail, PrevTail};
+        let served = |peer_gen, gmax| served_logs(peer_gen, gmax).collect::<Vec<_>>();
+        assert_eq!(served(0, 0), [(0, FragTail)], "no generation before 0");
+        assert_eq!(served(2, 2), [(2, FragTail), (1, PrevTail)]);
+        assert_eq!(served(1, 2), [(1, FragTail)], "one behind");
+        assert_eq!(served(0, 2), [], "older: the snapshot covers it");
     }
 
     #[test]

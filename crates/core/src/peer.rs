@@ -265,7 +265,7 @@ impl Peer {
             let ctrl2 = controller_client.clone();
             let state2 = Arc::clone(&state);
             let name2 = name.to_string();
-            RpcServer::spawn(cluster.clone(), node, &format!("peer-{name}"), move |req| {
+            RpcServer::new(cluster.clone(), node, move |req| {
                 let mut guard = state2.lock();
                 let st = &mut *guard;
                 ensure_generation(&cluster2, node, &name2, &device2, &ctrl2, st);
@@ -455,9 +455,13 @@ impl Peer {
     /// for each memory region ... it queries the controller", §4.5.1).
     /// The thread also drains pending memory-pressure signals every tick.
     /// The thread stops when the `Peer` is dropped. Calling this twice
-    /// replaces the previous schedule.
+    /// replaces the previous schedule; a zero `interval` is no schedule
+    /// (GC stays caller-driven), not a sweep in a busy loop.
     pub fn spawn_gc(&mut self, interval: std::time::Duration) {
         self.stop_gc();
+        if interval.is_zero() {
+            return;
+        }
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let cluster = self.cluster.clone();
         let node = self.node;

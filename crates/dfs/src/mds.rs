@@ -58,11 +58,11 @@ pub enum MdsResp {
     Exists,
 }
 
-/// Spawns the MDS service on `node` and returns its server handle.
-pub fn spawn_mds(cluster: Cluster, node: NodeId) -> RpcServer<MdsReq, MdsResp> {
+/// Starts the MDS service on `node` and returns its server handle.
+pub fn start_mds(cluster: Cluster, node: NodeId) -> RpcServer<MdsReq, MdsResp> {
     let mut files: HashMap<String, FileMeta> = HashMap::new();
     let mut next_id: u64 = 1;
-    RpcServer::spawn(cluster, node, "mds", move |req| match req {
+    RpcServer::new(cluster, node, move |req| match req {
         MdsReq::Create(path) => {
             if files.contains_key(&path) {
                 return MdsResp::Exists;
@@ -131,7 +131,7 @@ mod tests {
         let cluster = Cluster::new();
         let mds_node = cluster.add_node("mds");
         let app = cluster.add_node("app");
-        let srv = spawn_mds(cluster, mds_node);
+        let srv = start_mds(cluster, mds_node);
         let cli = srv.client(LatencyModel::ZERO);
         (cli, app, srv)
     }

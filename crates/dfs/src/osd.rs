@@ -56,65 +56,55 @@ pub enum OsdResp {
     Data(Vec<u8>),
 }
 
-fn spawn_osd(
-    cluster: Cluster,
-    node: NodeId,
-    index: usize,
-    config: &DfsConfig,
-) -> RpcServer<OsdReq, OsdResp> {
+fn start_osd(cluster: Cluster, node: NodeId, config: &DfsConfig) -> RpcServer<OsdReq, OsdResp> {
     let commit = config.commit;
     let read = config.osd_read;
     let hop = config.hop;
     let object_size = config.object_size;
     let mut objects: HashMap<(u64, u64), Vec<u8>> = HashMap::new();
-    RpcServer::spawn(
-        cluster,
-        node,
-        &format!("osd-{index}"),
-        move |req| match req {
-            OsdReq::Put {
-                file,
-                obj,
-                offset,
-                data,
-                forwarded,
-            } => {
-                if forwarded {
-                    // Primary → replica forwarding hop.
-                    hop.charge(data.len());
-                }
-                commit.charge(data.len());
-                let buf = objects.entry((file, obj)).or_default();
-                let end = offset + data.len();
-                debug_assert!(end <= object_size, "write exceeds object size");
-                if buf.len() < end {
-                    buf.resize(end, 0);
-                }
-                buf[offset..end].copy_from_slice(&data);
-                OsdResp::Ok
+    RpcServer::new(cluster, node, move |req| match req {
+        OsdReq::Put {
+            file,
+            obj,
+            offset,
+            data,
+            forwarded,
+        } => {
+            if forwarded {
+                // Primary → replica forwarding hop.
+                hop.charge(data.len());
             }
-            OsdReq::Get {
-                file,
-                obj,
-                offset,
-                len,
-            } => {
-                read.charge(len);
-                let mut out = vec![0u8; len];
-                if let Some(buf) = objects.get(&(file, obj)) {
-                    if offset < buf.len() {
-                        let n = (buf.len() - offset).min(len);
-                        out[..n].copy_from_slice(&buf[offset..offset + n]);
-                    }
+            commit.charge(data.len());
+            let buf = objects.entry((file, obj)).or_default();
+            let end = offset + data.len();
+            debug_assert!(end <= object_size, "write exceeds object size");
+            if buf.len() < end {
+                buf.resize(end, 0);
+            }
+            buf[offset..end].copy_from_slice(&data);
+            OsdResp::Ok
+        }
+        OsdReq::Get {
+            file,
+            obj,
+            offset,
+            len,
+        } => {
+            read.charge(len);
+            let mut out = vec![0u8; len];
+            if let Some(buf) = objects.get(&(file, obj)) {
+                if offset < buf.len() {
+                    let n = (buf.len() - offset).min(len);
+                    out[..n].copy_from_slice(&buf[offset..offset + n]);
                 }
-                OsdResp::Data(out)
             }
-            OsdReq::DeleteFile(file) => {
-                objects.retain(|&(f, _), _| f != file);
-                OsdResp::Ok
-            }
-        },
-    )
+            OsdResp::Data(out)
+        }
+        OsdReq::DeleteFile(file) => {
+            objects.retain(|&(f, _), _| f != file);
+            OsdResp::Ok
+        }
+    })
 }
 
 /// The server side of the simulated DFS: one MDS plus `replicas` OSDs.
@@ -148,12 +138,12 @@ impl DfsCluster {
     /// and starts their services.
     pub fn start(cluster: &Cluster, config: DfsConfig) -> Self {
         let mds_node = cluster.add_node("dfs-mds");
-        let mds = crate::mds::spawn_mds(cluster.clone(), mds_node);
+        let mds = crate::mds::start_mds(cluster.clone(), mds_node);
         let mut osds = Vec::new();
         let mut osd_nodes = Vec::new();
         for i in 0..config.replicas {
             let node = cluster.add_node(format!("dfs-osd-{i}"));
-            osds.push(spawn_osd(cluster.clone(), node, i, &config));
+            osds.push(start_osd(cluster.clone(), node, &config));
             osd_nodes.push(node);
         }
         DfsCluster {

@@ -14,7 +14,8 @@
 //!   A peer *serves* during recovery exactly what its **header** covers:
 //!   the active-half fragments of bursts `<= headers` in the header's
 //!   generation, plus (once flipped) every fragment of the previous
-//!   generation via `prev_tail`.
+//!   generation via `prev_tail` — the production rule,
+//!   `scheme::served_logs`, called here rather than restated.
 //! * The spill tier is a three-step protocol: `spill_start` snapshots the
 //!   acked prefix at a burst boundary, `snap_durable` lands it in the sink,
 //!   and `gen_switch` flips the fragment area to the next generation —
@@ -34,7 +35,7 @@
 //! peer crashes violates it; both seeded bugs produce shortest-trace
 //! counterexamples.
 
-use ncl::file::scheme;
+use ncl::file::scheme::{self, ServedThrough};
 use ncl::Durability;
 
 use crate::model::CheckResult;
@@ -170,21 +171,18 @@ impl EcState {
     }
 
     /// Does responder `p` serve burst `b` when the decode walk targets
-    /// `gmax`? Mirrors the serve rule of `ncl::file::scheme`'s EC
-    /// reconstruction: a responder at generation `gmax` serves its active
-    /// half up to its *header* tail plus all of the previous generation
-    /// via `prev_tail`; a responder one generation behind serves only its
-    /// active half.
+    /// `gmax`? The production serve rule ([`scheme::served_logs`]) says
+    /// which generations' logs `p` serves and through which tail; the
+    /// model's `frag_tail` is the responder's applied-header count.
     fn serves(&self, p: usize, b: u8, gmax: u8) -> bool {
-        let bg = self.gen_of[b as usize - 1];
-        let pg = self.header_gen(p);
-        if pg == gmax {
-            (bg == gmax && b <= self.peers[p].headers) || (gmax > 0 && bg == gmax - 1)
-        } else if pg + 1 == gmax {
-            bg == gmax - 1 && b <= self.peers[p].headers
-        } else {
-            false
-        }
+        let bg = u64::from(self.gen_of[b as usize - 1]);
+        scheme::served_logs(u64::from(self.header_gen(p)), u64::from(gmax)).any(|(gen, through)| {
+            gen == bg
+                && match through {
+                    ServedThrough::FragTail => b <= self.peers[p].headers,
+                    ServedThrough::PrevTail => true,
+                }
+        })
     }
 }
 

@@ -5,9 +5,9 @@
 //! [`NodeId`] at construction and consult the cluster before delivering any
 //! message. Failure injection therefore composes across all layers: crashing
 //! a node makes its RDMA memory unreachable, its RPC services unresponsive,
-//! and — because the crash bumps the node's *generation* — lets long-running
-//! service threads detect that they must discard volatile state, exactly as
-//! a restarted process would have lost it.
+//! and — because the crash bumps the node's *generation* — lets long-lived
+//! services detect that they must discard volatile state, exactly as a
+//! restarted process would have lost it.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

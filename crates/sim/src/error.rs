@@ -17,10 +17,8 @@ pub enum SimError {
     /// The two nodes are partitioned from each other; state is retained but
     /// messages are dropped.
     Partitioned(NodeId, NodeId),
-    /// The remote service exists but has shut down (channel closed).
+    /// The remote service has shut down (its server handle was dropped).
     ServiceStopped,
-    /// A call did not complete within the caller-supplied timeout.
-    Timeout,
     /// Catch-all for invalid requests rejected by a simulated service.
     Rejected(String),
 }
@@ -31,7 +29,6 @@ impl fmt::Display for SimError {
             SimError::NodeDown(n) => write!(f, "node {n} is down"),
             SimError::Partitioned(a, b) => write!(f, "nodes {a} and {b} are partitioned"),
             SimError::ServiceStopped => write!(f, "service stopped"),
-            SimError::Timeout => write!(f, "request timed out"),
             SimError::Rejected(msg) => write!(f, "request rejected: {msg}"),
         }
     }

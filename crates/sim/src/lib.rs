@@ -19,9 +19,10 @@
 //!   [`FaultScheduler`] the wire model and control plane consult at decision
 //!   points: crashes, partitions, delayed/dropped/duplicated completions,
 //!   stalled doorbells and gray peers, all replayable from a `u64` seed.
-//! * [`rpc`] — a typed request/response service abstraction over crossbeam
-//!   channels used for *control-plane* traffic (controller RPCs, peer setup,
-//!   DFS client/OSD messages). Data-plane RDMA lives in the `rdma` crate.
+//! * [`rpc`] — a typed request/response service abstraction for
+//!   *control-plane* traffic (controller RPCs, peer setup, DFS client/OSD
+//!   messages): a service is a handler behind a mutex that runs on its
+//!   caller's thread. Data-plane RDMA lives in the `rdma` crate.
 //! * [`stats`] — log-bucketed latency histograms and a windowed throughput
 //!   sampler (used to regenerate Figure 12 of the paper).
 //!

@@ -32,7 +32,7 @@ pub struct TestbedConfig {
     pub peer_mem: u64,
     /// When set, every peer runs its periodic GC/pressure thread at this
     /// interval (epoch leak GC, lease expiry, pressure-signal draining).
-    /// `None` leaves GC caller-driven via [`ncl::Peer::gc_sweep`].
+    /// `None` (or zero) leaves GC caller-driven via [`ncl::Peer::gc_sweep`].
     /// Overridden by the `SPLITFT_PEER_GC_MS` environment variable
     /// (milliseconds; `0` disables) at [`Testbed::start`].
     pub peer_gc_interval: Option<Duration>,
@@ -139,7 +139,7 @@ impl Testbed {
         }
         if let Ok(v) = std::env::var("SPLITFT_PEER_GC_MS") {
             if let Ok(ms) = v.trim().parse::<u64>() {
-                config.peer_gc_interval = (ms > 0).then(|| Duration::from_millis(ms));
+                config.peer_gc_interval = Some(Duration::from_millis(ms));
             }
         }
         if let Ok(v) = std::env::var("SPLITFT_ONLINE_MONITOR") {
@@ -333,18 +333,6 @@ impl Testbed {
     }
 }
 
-impl Drop for Testbed {
-    /// Stops the peer GC threads while the controller is still there: the
-    /// controller field drops before the peers, and a GC sweep caught
-    /// mid-RPC to a controller that is already gone would keep its peer's
-    /// drop waiting out the 30 s RPC timeout.
-    fn drop(&mut self) {
-        for peer in &mut self.peers {
-            peer.stop_gc();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,31 +436,6 @@ mod tests {
         assert!(text.contains("200"), "{text}");
         assert!(text.contains("\"shards\""), "{text}");
         assert!(text.contains("\"park_ns\""), "{text}");
-    }
-
-    #[test]
-    fn calibrated_testbed_with_peer_gc_drops_promptly() {
-        let mut cfg = TestbedConfig::calibrated(3);
-        // Keep every GC thread inside a sweep, i.e. inside controller RPCs,
-        // nearly all the time: many regions, back-to-back sweeps, and no
-        // modelled RPC latency to idle in.
-        cfg.peer_gc_interval = Some(Duration::from_millis(1));
-        cfg.ncl.control = sim::LatencyModel::ZERO;
-        let tb = Testbed::start(cfg);
-        let (fs, _node) = tb.mount(Mode::SplitFt, "app-drop");
-        let files: Vec<_> = (0..32)
-            .map(|i| {
-                fs.open(&format!("wal-{i}"), OpenOptions::create_ncl(1 << 12))
-                    .unwrap()
-            })
-            .collect();
-        std::thread::sleep(Duration::from_millis(50));
-        drop(files);
-        drop(fs);
-        let t0 = std::time::Instant::now();
-        drop(tb);
-        let took = t0.elapsed();
-        assert!(took < Duration::from_secs(2), "testbed drop took {took:?}");
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! percentiles that can be plotted as p50/p99-over-time. The ring is bounded;
 //! old windows fall off the front.
 
-use std::collections::VecDeque;
-
+use crate::ring::Ring;
 use crate::{Histogram, Telemetry};
 
 /// One window's worth of samples, summarized.
@@ -30,9 +29,8 @@ pub struct WindowPoint {
 /// Tracks one named histogram across tick-driven windows.
 pub struct PercentileSeries {
     name: String,
-    capacity: usize,
     last: Histogram,
-    points: VecDeque<WindowPoint>,
+    points: Ring<WindowPoint>,
 }
 
 impl PercentileSeries {
@@ -40,9 +38,8 @@ impl PercentileSeries {
     pub fn new(name: impl Into<String>, capacity: usize) -> Self {
         PercentileSeries {
             name: name.into(),
-            capacity: capacity.max(1),
             last: Histogram::new(),
-            points: VecDeque::new(),
+            points: Ring::new(capacity),
         }
     }
 
@@ -69,10 +66,7 @@ impl PercentileSeries {
             p99_ns: window.percentile(99.0),
             max_ns: window.max(),
         };
-        if self.points.len() >= self.capacity {
-            self.points.pop_front();
-        }
-        self.points.push_back(point.clone());
+        self.points.push(point.clone());
         Some(point)
     }
 

@@ -30,12 +30,13 @@
 //! Dump files are named `trace-flight-<tag>.jsonl` so a directory of them is
 //! checkable with `trace_analyzer --check <dir>`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::checker::Checker;
+use crate::ring::Ring;
 use crate::{Event, Span, Telemetry};
 
 /// Event kind of the dump's header line.
@@ -53,8 +54,7 @@ struct CounterTick {
 
 struct CounterState {
     last: BTreeMap<String, u64>,
-    ticks: VecDeque<CounterTick>,
-    capacity: usize,
+    ticks: Ring<CounterTick>,
 }
 
 struct Inner {
@@ -143,8 +143,7 @@ impl FlightRecorder {
                 quorum,
                 counters: Mutex::new(CounterState {
                     last: BTreeMap::new(),
-                    ticks: VecDeque::new(),
-                    capacity: counter_ticks.max(1),
+                    ticks: Ring::new(counter_ticks),
                 }),
             }),
         }
@@ -171,10 +170,7 @@ impl FlightRecorder {
         if deltas.is_empty() {
             return;
         }
-        if state.ticks.len() >= state.capacity {
-            state.ticks.pop_front();
-        }
-        state.ticks.push_back(CounterTick {
+        state.ticks.push(CounterTick {
             t_ns: self.inner.tel.now_ns(),
             deltas,
         });

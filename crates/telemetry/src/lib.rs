@@ -45,6 +45,7 @@ mod hist;
 mod metrics;
 pub mod monitor;
 pub mod profile;
+mod ring;
 mod slo;
 mod snapshot;
 mod span;

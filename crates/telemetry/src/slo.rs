@@ -29,10 +29,10 @@
 //! extra plumbing, and `/health` (see [`crate::export::http`]) serves the
 //! JSON report.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use crate::ring::Ring;
 use crate::snapshot::json_escape;
 use crate::{Histogram, Telemetry};
 
@@ -175,16 +175,16 @@ struct WindowSample {
 pub struct SloTracker {
     spec: SloSpec,
     last: Histogram,
-    windows: VecDeque<WindowSample>,
+    windows: Ring<WindowSample>,
 }
 
 impl SloTracker {
     /// A tracker with no history.
     pub fn new(spec: SloSpec) -> Self {
         SloTracker {
+            windows: Ring::new(spec.slow_windows),
             spec,
             last: Histogram::new(),
-            windows: VecDeque::new(),
         }
     }
 
@@ -200,10 +200,7 @@ impl SloTracker {
         self.last = current.clone();
         let total = window.count();
         let bad = total.saturating_sub(window.count_at_most(self.spec.threshold_ns));
-        if self.windows.len() >= self.spec.slow_windows {
-            self.windows.pop_front();
-        }
-        self.windows.push_back(WindowSample { total, bad });
+        self.windows.push(WindowSample { total, bad });
 
         let fast_burn = self.burn_over(self.spec.fast_windows);
         let slow_burn = self.burn_over(self.spec.slow_windows);

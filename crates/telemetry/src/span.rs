@@ -16,9 +16,10 @@
 //!   per-peer children);
 //! * `epoch` is the epoch in force when the span *closed* (0 if unknown).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
 
+use crate::ring::Ring;
 use crate::snapshot::json_escape;
 use crate::trace::JsonlSink;
 
@@ -171,27 +172,17 @@ impl Span {
 /// analyzed from the JSONL sink, not the ring.
 const DEFAULT_CAPACITY: usize = 65536;
 
-struct Ring {
-    buf: VecDeque<Span>,
-    capacity: usize,
-    dropped: u64,
-}
-
 /// Bounded in-memory span buffer with an optional JSONL mirror (shared with
 /// the event trace).
 pub(crate) struct SpanTrace {
-    ring: Mutex<Ring>,
+    ring: Mutex<Ring<Span>>,
     sink: JsonlSink,
 }
 
 impl SpanTrace {
     pub(crate) fn new(sink: JsonlSink) -> Self {
         SpanTrace {
-            ring: Mutex::new(Ring {
-                buf: VecDeque::new(),
-                capacity: DEFAULT_CAPACITY,
-                dropped: 0,
-            }),
+            ring: Mutex::new(Ring::new(DEFAULT_CAPACITY)),
             sink,
         }
     }
@@ -208,12 +199,7 @@ impl SpanTrace {
         let mut ring = self.ring.lock().expect("span trace poisoned");
         let mut dropped = false;
         for span in spans {
-            if ring.buf.len() >= ring.capacity {
-                ring.buf.pop_front();
-                ring.dropped += 1;
-                dropped = true;
-            }
-            ring.buf.push_back(span.clone());
+            dropped |= ring.push(span.clone());
         }
         dropped
     }
@@ -222,23 +208,20 @@ impl SpanTrace {
         self.ring
             .lock()
             .expect("span trace poisoned")
-            .buf
             .iter()
             .cloned()
             .collect()
     }
 
     pub(crate) fn dropped(&self) -> u64 {
-        self.ring.lock().expect("span trace poisoned").dropped
+        self.ring.lock().expect("span trace poisoned").dropped()
     }
 
     pub(crate) fn set_capacity(&self, capacity: usize) {
-        let mut ring = self.ring.lock().expect("span trace poisoned");
-        ring.capacity = capacity.max(1);
-        while ring.buf.len() > ring.capacity {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-        }
+        self.ring
+            .lock()
+            .expect("span trace poisoned")
+            .set_capacity(capacity);
     }
 }
 

@@ -14,12 +14,12 @@
 //! `{"type": "event"|"span", ...}` lines into one file, so a single trace
 //! file replays the whole causal story.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use crate::ring::Ring;
 use crate::snapshot::json_escape;
 
 /// Well-known event kinds, shared by emitters and tests so the two cannot
@@ -202,26 +202,16 @@ impl JsonlSink {
     }
 }
 
-struct Ring {
-    buf: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
 /// Bounded in-memory event buffer with an optional JSONL mirror.
 pub(crate) struct EventTrace {
-    ring: Mutex<Ring>,
+    ring: Mutex<Ring<Event>>,
     sink: JsonlSink,
 }
 
 impl EventTrace {
     pub(crate) fn new(sink: JsonlSink) -> Self {
         EventTrace {
-            ring: Mutex::new(Ring {
-                buf: VecDeque::new(),
-                capacity: DEFAULT_CAPACITY,
-                dropped: 0,
-            }),
+            ring: Mutex::new(Ring::new(DEFAULT_CAPACITY)),
             sink,
         }
     }
@@ -250,38 +240,27 @@ impl EventTrace {
             // complete JSONL file behind.
             self.sink.write_line(&ev.to_json());
         }
-        let mut ring = self.ring.lock().expect("trace poisoned");
-        let mut dropped = false;
-        if ring.buf.len() >= ring.capacity {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-            dropped = true;
-        }
-        ring.buf.push_back(ev);
-        dropped
+        self.ring.lock().expect("trace poisoned").push(ev)
     }
 
     pub(crate) fn events(&self) -> Vec<Event> {
         self.ring
             .lock()
             .expect("trace poisoned")
-            .buf
             .iter()
             .cloned()
             .collect()
     }
 
     pub(crate) fn dropped(&self) -> u64 {
-        self.ring.lock().expect("trace poisoned").dropped
+        self.ring.lock().expect("trace poisoned").dropped()
     }
 
     pub(crate) fn set_capacity(&self, capacity: usize) {
-        let mut ring = self.ring.lock().expect("trace poisoned");
-        ring.capacity = capacity.max(1);
-        while ring.buf.len() > ring.capacity {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-        }
+        self.ring
+            .lock()
+            .expect("trace poisoned")
+            .set_capacity(capacity);
     }
 }
 

@@ -322,7 +322,7 @@ pub mod channel {
         }
 
         /// A message owns a reply sender; its author waits on the reply
-        /// while still holding a sender of the request channel (the RPC
+        /// while still holding a sender of the request channel (a request/reply
         /// client's shape). When the last receiver goes, the queued message
         /// must go with it, or the author never sees a disconnect.
         #[test]

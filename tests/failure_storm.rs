@@ -81,11 +81,13 @@ fn acked_writes_survive_a_peer_failure_storm() {
             "seed {seed}: post-storm settle write never succeeded"
         );
 
-        // Crash the application; recover on a fresh node; audit. Recovery
-        // reads carry wall-clock RPC deadlines, so on an oversubscribed
-        // host a quorum can look unavailable even with every peer alive;
-        // retry the remount like a real recovering client would, bounded
-        // so a genuine loss of quorum still fails the test.
+        // Crash the application; recover on a fresh node; audit. Control
+        // RPCs run on their caller and carry no deadline; the one wall-clock
+        // deadline left on this path is `write_timeout` on the header reads
+        // the threaded NIC engine completes, so on an oversubscribed host a
+        // quorum can look unavailable even with every peer alive; retry the
+        // remount like a real recovering client would, bounded so a genuine
+        // loss of quorum still fails the test.
         tb.cluster.crash(app_node);
         drop(db);
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
