@@ -346,14 +346,15 @@ impl SstReader {
             let value = if tag == 1 {
                 let vlen = u32::from_le_bytes(block[pos..pos + 4].try_into().expect("4")) as usize;
                 pos += 4;
-                let v = block[pos..pos + vlen].to_vec();
+                let v = &block[pos..pos + vlen];
                 pos += vlen;
                 Some(v)
             } else {
                 None
             };
+            // Only the match is copied out of the block.
             match k.cmp(key) {
-                std::cmp::Ordering::Equal => return Ok(Some(value)),
+                std::cmp::Ordering::Equal => return Ok(Some(value.map(<[u8]>::to_vec))),
                 std::cmp::Ordering::Greater => return Ok(None),
                 std::cmp::Ordering::Less => continue,
             }

@@ -101,9 +101,11 @@ pub struct NclConfig {
     /// Execute RDMA work requests inline at post time instead of on NIC
     /// engine threads. Semantically equivalent (ordering, permissions,
     /// failures) but avoids cross-thread handoffs whose scheduler cost
-    /// dwarfs microsecond latencies on oversubscribed hosts. The calibrated
-    /// profile enables it; the zero (testing) profile keeps the more
-    /// adversarial threaded NIC.
+    /// dwarfs microsecond latencies on oversubscribed hosts. The poster
+    /// waits out the modelled flights: those of one flush's peers together
+    /// (one instant per flush), those of one queue pair one after another.
+    /// The calibrated profile enables it; the zero (testing) profile keeps
+    /// the more adversarial threaded NIC.
     pub inline_nic: bool,
     /// Epoch lease granted to every region a peer allocates. A region whose
     /// lease has run out — no control-plane activity renewed it — is only

@@ -360,8 +360,12 @@ impl NclFile {
     /// each. The scheme encodes the burst once ([`Scheme::begin_burst`])
     /// and then translates it into each peer's work requests — QP order
     /// makes "header completed" imply "everything before it landed" under
-    /// every scheme. Post errors are left to the completion path, like
-    /// every other posting site.
+    /// every scheme. Every peer's doorbell is rung at the one instant this
+    /// flush reads ([`rdma::QueuePair::post_many_at`]), so the peers'
+    /// modelled flights overlap although the posts are made in a loop; on
+    /// the inline NIC the first post waits out its flights and the others
+    /// find theirs landed. Post errors are left to the completion path,
+    /// like every other posting site.
     pub(super) fn flush_staged(&self, stage: &mut Stage, reason: FlushReason) {
         let Some(last) = stage.pending.last() else {
             return;
@@ -388,7 +392,7 @@ impl NclFile {
             }
             wrs.clear();
             burst.peer_wrs(&mut wrs, &stage.pending, &slot.mr, slot.row);
-            let _ = slot.qp.post_many(&wrs);
+            let _ = slot.qp.post_many_at(now, &wrs);
             if self.metrics.enabled {
                 self.metrics.wire_bytes.add(per_peer_bytes);
             }

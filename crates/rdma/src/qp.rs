@@ -266,23 +266,28 @@ enum NicMode {
     /// scheduler wake-ups on an oversubscribed host would otherwise dwarf
     /// the microsecond-scale latencies being modelled.
     ///
-    /// What is paid once per doorbell: the doorbell fault point, the post
-    /// instant, the send-queue lock (`clump`, which also keeps two threads'
-    /// doorbells from interleaving their requests) and one
-    /// [`CompletionQueue::push_batch`]. What is still paid per request,
+    /// Paid once per doorbell: the doorbell fault point, the send-queue lock
+    /// (`sq`, which also keeps two threads' doorbells from interleaving their
+    /// requests) and one [`CompletionQueue::push_batch`]. Paid per request,
     /// because an armed schedule, a crash or a partition may strike between
-    /// any two of them: the wire fault point, the error-state check, the
-    /// reachability check before and after the modelled flight, the flight
-    /// itself, and the clock read that closes the request's wire span.
+    /// any two: the wire fault point, the error-state check, the reachability
+    /// check before and after the modelled flight, and the flight itself.
+    ///
+    /// A flight is a deadline, not a sleep: a doorbell starts at
+    /// `max(wire_free, posted_at)`, each request lands one full
+    /// [`LatencyModel::cost`] (plus any injected wire delay) after the one
+    /// before it, and the poster waits for that instant. Queue pairs rung at
+    /// one instant fly together, none flies two doorbells at once.
     Inline(InlineNic),
 }
 
 struct InlineNic {
     remote_dev: RdmaDevice,
     latency: LatencyModel,
-    /// Completions of the doorbell being executed, delivered together when
-    /// it ends. Reused, so a doorbell allocates nothing.
-    clump: Mutex<Vec<WorkCompletion>>,
+    /// The send queue: `wire_free`, the instant the last doorbell's last
+    /// request landed, and the completions of the doorbell being executed,
+    /// delivered together when it ends (reused: a doorbell allocates nothing).
+    sq: Mutex<(Instant, Vec<WorkCompletion>)>,
 }
 
 pub struct QueuePair {
@@ -337,7 +342,7 @@ impl QueuePair {
             NicMode::Inline(InlineNic {
                 remote_dev: remote_dev.clone(),
                 latency,
-                clump: Mutex::new(Vec::new()),
+                sq: Mutex::new((Instant::now(), Vec::new())),
             })
         } else {
             let (tx, rx) = unbounded::<(Instant, Submission)>();
@@ -456,21 +461,28 @@ impl QueuePair {
     /// saving is the per-request posting overhead and, on the wire, a single
     /// shared propagation tail (see [`NicMode::Threaded`]).
     pub fn post_many(&self, wrs: &[WorkRequest]) -> Result<(), SimError> {
+        self.post_many_at(Instant::now(), wrs)
+    }
+
+    /// [`QueuePair::post_many`] for a doorbell rung at `posted_at`, a past
+    /// instant several queue pairs may share: the wire model starts the
+    /// flights (and `wire_ns`) there, not when this call happens to run, so
+    /// one caller's doorbells to different peers overlap.
+    pub fn post_many_at(&self, posted_at: Instant, wrs: &[WorkRequest]) -> Result<(), SimError> {
         if wrs.is_empty() {
             return Ok(());
         }
-        self.ring_doorbell();
         match self.mode.as_ref().expect("mode present until drop") {
             NicMode::Threaded { sq, .. } => {
                 let submission = match wrs {
                     [wr] => Submission::One(wr.clone()),
                     _ => Submission::Many(wrs.to_vec()),
                 };
-                sq.send((Instant::now(), submission))
+                sq.send((self.ring_doorbell(posted_at), submission))
                     .map_err(|_| SimError::ServiceStopped)
             }
             NicMode::Inline(nic) => {
-                self.execute_inline(nic, wrs);
+                self.execute_inline(nic, posted_at, wrs);
                 Ok(())
             }
         }
@@ -478,14 +490,15 @@ impl QueuePair {
 
     /// Doorbell fault point: an injected stall delays the submission itself
     /// (the requester-side "NIC didn't see the doorbell" case), before any
-    /// work request reaches the engine or executes inline.
-    fn ring_doorbell(&self) {
-        if let WireFault::Delay(d) =
-            self.cluster
-                .fault_point(FaultSite::Doorbell, self.local, self.remote)
-        {
+    /// work request reaches the engine or executes inline. Returns the
+    /// instant the flights start: `posted_at`, or the end of the stall.
+    fn ring_doorbell(&self, posted_at: Instant) -> Instant {
+        let site = FaultSite::Doorbell;
+        if let WireFault::Delay(d) = self.cluster.fault_point(site, self.local, self.remote) {
             sim::delay(d);
+            return Instant::now();
         }
+        posted_at
     }
 
     /// A doorbell of one.
@@ -493,27 +506,44 @@ impl QueuePair {
         self.post_many(std::slice::from_ref(&wr))
     }
 
-    /// The inline NIC: executes one doorbell's requests in order and
-    /// delivers their completions together (see [`NicMode::Inline`] for what
-    /// is per doorbell and what per request).
-    fn execute_inline(&self, nic: &InlineNic, wrs: &[WorkRequest]) {
+    /// The inline NIC: executes one doorbell's requests in order, each
+    /// landing at its deadline `due` (so `wire_ns` is the model's number, as
+    /// on the engine thread), and delivers their completions together (see
+    /// [`NicMode::Inline`] for what is per doorbell and what per request).
+    fn execute_inline(&self, nic: &InlineNic, posted_at: Instant, wrs: &[WorkRequest]) {
+        let start = self.ring_doorbell(posted_at);
         let hist = self.wire_hist.get();
-        let mut clump = nic.clump.lock();
-        let posted_at = Instant::now();
+        let mut sq = nic.sq.lock();
+        let (wire_free, clump) = &mut *sq;
+        let mut due = (*wire_free).max(start);
         for wr in wrs {
-            let verdict = wire_verdict(&self.cluster, self.local, self.remote);
+            let verdict = self
+                .cluster
+                .fault_point(FaultSite::Wire, self.local, self.remote);
+            // An injected delay holds back this request and all behind it.
+            if let WireFault::Delay(d) = verdict {
+                due += d;
+                sim::delay_until(due);
+            }
             let (wr_id, status, read_data) = execute(
                 &self.cluster,
                 self.local,
                 &nic.remote_dev,
                 &self.errored,
                 wr,
-                |bytes| nic.latency.charge(bytes),
+                |bytes| {
+                    // A flight that takes no modelled time reads no clock.
+                    let cost = nic.latency.cost(bytes);
+                    if !cost.is_zero() {
+                        due += cost;
+                        sim::delay_until(due);
+                    }
+                },
             );
             if status != WcStatus::Success {
                 self.errored.store(true, Ordering::SeqCst);
             }
-            let wire_ns = posted_at.elapsed().as_nanos() as u64;
+            let wire_ns = due.duration_since(posted_at).as_nanos() as u64;
             if let Some(hist) = hist {
                 hist.record(wire_ns);
             }
@@ -523,22 +553,13 @@ impl QueuePair {
                 read_data,
                 wire_ns,
             };
-            stage_completion(&mut clump, wc, verdict);
+            stage_completion(clump, wc, verdict);
         }
+        *wire_free = due;
         if !clump.is_empty() {
             self.cq.push_batch(self.qp_num, clump.drain(..));
         }
     }
-}
-
-/// Consults the wire fault point for one work request, realising any
-/// injected delay immediately (the request sits on the wire longer).
-fn wire_verdict(cluster: &Cluster, local: NodeId, remote: NodeId) -> WireFault {
-    let verdict = cluster.fault_point(FaultSite::Wire, local, remote);
-    if let WireFault::Delay(d) = verdict {
-        sim::delay(d);
-    }
-    verdict
 }
 
 /// Queues a completion for delivery, honouring an injected drop or
@@ -636,7 +657,11 @@ fn spawn_engine(
                     };
                     pending.reserve(wrs.len());
                     for wr in wrs {
-                        let verdict = wire_verdict(&cluster, local, remote_dev.node());
+                        let verdict =
+                            cluster.fault_point(FaultSite::Wire, local, remote_dev.node());
+                        if let WireFault::Delay(d) = verdict {
+                            sim::delay(d);
+                        }
                         let mut target = wire_free;
                         let (wr_id, status, read_data) =
                             execute(&cluster, local, &remote_dev, &errored, &wr, |bytes| {
@@ -720,10 +745,10 @@ fn execute(
     if cluster.can_reach(local, remote_dev.node()).is_err() {
         return (wr_id, WcStatus::RetryExceeded, None);
     }
-    // Time on the wire (serial charge in inline mode, an absolute completion
-    // target in the pipelined threaded engine). A crash or partition during
-    // flight means the operation is not applied. A scatter-gather write is
-    // one request: its slices serialize as one contiguous wire occupancy.
+    // Time on the wire (a serial deadline on the inline NIC, an absolute
+    // completion target in the pipelined threaded engine). A crash or
+    // partition during flight means the operation is not applied. A gathered
+    // write is one request: its slices serialize as one wire occupancy.
     wait(bytes);
     if cluster.can_reach(local, remote_dev.node()).is_err() {
         return (wr_id, WcStatus::RetryExceeded, None);
@@ -1355,5 +1380,157 @@ mod tests {
         let wcs = wait_n(&cq, 1);
         assert!(wcs[0].1.is_success());
         assert!(sw.elapsed() >= Duration::from_micros(200));
+    }
+
+    /// `n` inline queue pairs from one node to `n` peers, sharing one CQ, on
+    /// the calibrated fabric. Its `cost` carries no jitter: a 128-B write
+    /// lands 1,540 ns after its doorbell starts, a 64-B one behind it at
+    /// 3,060 — numbers the model assigns, so the tests compare them exactly.
+    fn calibrated_inline_qps(
+        n: usize,
+    ) -> (
+        Cluster,
+        sim::Binding,
+        Vec<(QueuePair, RemoteMr)>,
+        CompletionQueue,
+    ) {
+        let cluster = Cluster::new();
+        let app = cluster.add_node("app");
+        let cq = CompletionQueue::new();
+        let mut peers = Vec::new();
+        let qps = (0..n)
+            .map(|i| {
+                let peer = cluster.add_node(format!("peer{i}"));
+                peers.push(peer);
+                let dev = RdmaDevice::new(cluster.clone(), peer, LatencyModel::ZERO);
+                let (_local, mr) = dev.register_mr(256).unwrap();
+                let lat = LatencyModel::rdma_write();
+                let qp =
+                    QueuePair::connect_with_mode(cluster.clone(), app, &dev, cq.clone(), lat, true);
+                (qp, mr)
+            })
+            .collect();
+        let binding = sim::Binding {
+            peers,
+            controller: app,
+            app,
+        };
+        (cluster, binding, qps, cq)
+    }
+
+    /// An NCL record as one peer sees it: 128 B of data, then a 64-B header.
+    fn data_then_header(mr: RemoteMr) -> [WorkRequest; 2] {
+        [128usize, 64].map(|len| WorkRequest::Write {
+            wr_id: WrId(len as u64),
+            mr,
+            offset: 0,
+            data: Bytes::from(vec![7u8; len]),
+        })
+    }
+
+    fn wire_ns_on(qp: &QueuePair, wcs: &[(u32, WorkCompletion)]) -> Vec<u64> {
+        wcs.iter()
+            .filter(|(qp_num, _)| *qp_num == qp.qp_num())
+            .map(|(_, wc)| wc.wire_ns)
+            .collect()
+    }
+
+    #[test]
+    fn inline_qps_rung_at_one_instant_fly_together() {
+        let (_cluster, _binding, qps, cq) = calibrated_inline_qps(3);
+        let t = Instant::now();
+        for (qp, mr) in &qps {
+            qp.post_many_at(t, &data_then_header(*mr)).unwrap();
+        }
+        // The poster waited out every flight: nothing lands after the post.
+        let wcs = cq.poll();
+        assert_eq!(wcs.len(), 6);
+        assert!(t.elapsed() >= Duration::from_nanos(3_060));
+        for (qp, _) in &qps {
+            assert_eq!(wire_ns_on(qp, &wcs), [1_540, 3_060]);
+        }
+    }
+
+    #[test]
+    fn an_inline_qp_never_flies_two_doorbells_at_once() {
+        let (_cluster, _binding, qps, cq) = calibrated_inline_qps(1);
+        let (qp, mr) = &qps[0];
+        let t = Instant::now();
+        qp.post_many_at(t, &data_then_header(*mr)).unwrap();
+        qp.post_many_at(t, &data_then_header(*mr)).unwrap();
+        assert_eq!(wire_ns_on(qp, &cq.poll()), [1_540, 3_060, 4_600, 6_120]);
+    }
+
+    #[test]
+    fn an_injected_wire_delay_holds_back_its_own_queue_pair_only() {
+        use sim::{FaultAction, FaultPlan, FaultScheduler, Trigger};
+        let (cluster, binding, qps, cq) = calibrated_inline_qps(2);
+        // Armed by the first doorbell, taken by the first request behind it.
+        let delay = FaultAction::DelayWr { peer: 0, by_us: 50 };
+        let plan = FaultPlan::new(1).push(Trigger::Step(1), delay);
+        cluster.install_faults(FaultScheduler::new(&plan, binding));
+        let t = Instant::now();
+        for (qp, mr) in &qps {
+            qp.post_many_at(t, &data_then_header(*mr)).unwrap();
+        }
+        let wcs = cq.poll();
+        assert_eq!(wire_ns_on(&qps[0].0, &wcs), [51_540, 53_060]);
+        assert_eq!(wire_ns_on(&qps[1].0, &wcs), [1_540, 3_060]);
+        cluster.clear_faults();
+    }
+
+    #[test]
+    fn inline_flights_start_when_a_stalled_doorbell_ends() {
+        use sim::{FaultAction, FaultPlan, FaultScheduler, Trigger};
+        let (cluster, binding, qps, cq) = calibrated_inline_qps(1);
+        let stall = FaultAction::StallDoorbell { peer: 0, by_us: 50 };
+        let plan = FaultPlan::new(1).push(Trigger::Step(1), stall);
+        cluster.install_faults(FaultScheduler::new(&plan, binding));
+        let (qp, mr) = &qps[0];
+        qp.post_many(&data_then_header(*mr)).unwrap();
+        let wire = wire_ns_on(qp, &cq.poll());
+        assert!(wire[0] >= 51_540, "stall + data flight, got {wire:?}");
+        assert_eq!(wire[1] - wire[0], 1_520);
+        cluster.clear_faults();
+    }
+
+    #[test]
+    fn a_crash_between_two_flights_of_a_doorbell_fails_the_second() {
+        use sim::{Binding, FaultAction, FaultPlan, FaultScheduler, Trigger};
+        // Consultation 1 is the doorbell, 2 and 3 the two requests: the peer
+        // dies after the first has flown and landed. The latency is all base
+        // (no serialization), so on the engine thread the failed request's
+        // target is never ahead of the clock and delivery re-checks nothing.
+        let plan = FaultPlan::new(1).push(Trigger::Step(3), FaultAction::CrashPeer(0));
+        for inline in [false, true] {
+            let (cluster, app, dev, peer) = setup();
+            let (_local, mr) = dev.register_mr(256).unwrap();
+            let binding = Binding {
+                peers: vec![peer],
+                controller: app,
+                app,
+            };
+            cluster.install_faults(FaultScheduler::new(&plan, binding));
+            let cq = CompletionQueue::new();
+            let lat = LatencyModel::from_nanos(1_500, 0.0, 0.0);
+            let qp =
+                QueuePair::connect_with_mode(cluster.clone(), app, &dev, cq.clone(), lat, inline);
+            qp.post_many(&data_then_header(mr)).unwrap();
+            let status: Vec<WcStatus> = wait_n(&cq, 2).iter().map(|(_, wc)| wc.status).collect();
+            assert_eq!(
+                status,
+                [WcStatus::Success, WcStatus::RetryExceeded],
+                "inline={inline}"
+            );
+            assert!(qp.is_errored(), "inline={inline}");
+            qp.post_write(WrId(9), &mr, 0, Bytes::from_static(b"x"))
+                .unwrap();
+            assert_eq!(
+                wait_n(&cq, 1)[0].1.status,
+                WcStatus::FlushErr,
+                "inline={inline}"
+            );
+            cluster.clear_faults();
+        }
     }
 }
