@@ -102,8 +102,10 @@ pub struct NclConfig {
     /// engine threads. Semantically equivalent (ordering, permissions,
     /// failures) but avoids cross-thread handoffs whose scheduler cost
     /// dwarfs microsecond latencies on oversubscribed hosts. The poster
-    /// waits out the modelled flights: those of one flush's peers together
-    /// (one instant per flush), those of one queue pair one after another.
+    /// waits out the modelled flights, priced exactly as the engine thread
+    /// prices them: those of one flush's peers together (one instant per
+    /// flush), those of one queue pair's doorbell back to back on the wire
+    /// behind one propagation.
     /// The calibrated profile enables it; the zero (testing) profile keeps
     /// the more adversarial threaded NIC.
     pub inline_nic: bool,

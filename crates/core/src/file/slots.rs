@@ -406,7 +406,7 @@ impl Rep {
     pub fn drain(&mut self) -> Instant {
         let mut wcs = std::mem::take(&mut self.wc_buf);
         self.cq.poll_into(&mut wcs);
-        let now = Instant::now();
+        let now = sim::time::now();
         self.absorb(&mut wcs, now);
         self.wc_buf = wcs;
         now
@@ -575,8 +575,7 @@ impl NclFile {
     /// Names of the currently assigned peers (alive ones first-class; dead
     /// ones pending replacement are excluded).
     pub fn peer_names(&self) -> Vec<String> {
-        self.rep
-            .lock()
+        self.rep_guard()
             .peers
             .iter()
             .filter(|s| s.alive)
@@ -640,7 +639,7 @@ impl NclFile {
         enum Next {
             Done,
             Repair { must: bool },
-            Wait,
+            Wait(CompletionQueue),
         }
         // Fast path: the record is already acked and nothing needs
         // attention. Two atomic loads, zero mutexes — the property the
@@ -650,7 +649,15 @@ impl NclFile {
             return Ok(());
         }
         let ctx = &self.ctx;
-        let deadline = Instant::now() + ctx.config.write_timeout;
+        // The write timeout runs from the first time the barrier has to
+        // wait; one the first drain satisfies never asks the clock for it.
+        let mut deadline = None;
+        let mut time_left = || {
+            let now = sim::time::now();
+            deadline
+                .get_or_insert(now + ctx.config.write_timeout)
+                .saturating_duration_since(now)
+        };
         let mut backoff = Backoff::new(ctx.config.backoff_base, ctx.config.backoff_cap, seq);
         // A barrier on a record still sitting in the staged burst must ring
         // the doorbell first, or it would wait on never-posted requests.
@@ -661,12 +668,12 @@ impl NclFile {
             }
         }
         loop {
-            let (next, cq) = {
+            let next = {
                 let mut rep = self.rep_guard();
                 let now = rep.drain();
                 rep.suspect_stalled(&ctx.config, seq, now);
                 rep.refresh_durable(&ctx.config, now);
-                let next = if rep.durable_seq >= seq {
+                if rep.durable_seq >= seq {
                     if rep.failure_seen {
                         Next::Repair { must: false }
                     } else {
@@ -675,9 +682,8 @@ impl NclFile {
                 } else if rep.alive() < ctx.config.quorum() {
                     Next::Repair { must: true }
                 } else {
-                    Next::Wait
-                };
-                (next, rep.cq.clone())
+                    Next::Wait(rep.cq.clone())
+                }
             };
             match next {
                 Next::Done => return Ok(()),
@@ -698,7 +704,7 @@ impl NclFile {
                                 rep.publish_acked(&ctx.config);
                                 return Ok(());
                             }
-                            if Instant::now() >= deadline {
+                            if time_left().is_zero() {
                                 return Err(e);
                             }
                             drop(stage);
@@ -709,8 +715,9 @@ impl NclFile {
                         }
                     }
                 }
-                Next::Wait => {
-                    if Instant::now() >= deadline {
+                Next::Wait(cq) => {
+                    let left = time_left();
+                    if left.is_zero() {
                         return Err(NclError::QuorumUnavailable(format!(
                             "record {seq} not durable within timeout"
                         )));
@@ -733,9 +740,8 @@ impl NclFile {
                                 continue;
                             }
                         }
-                        let remaining = deadline.saturating_duration_since(Instant::now());
                         self.acked
-                            .park_until(seq, remaining.min(Duration::from_millis(50)));
+                            .park_until(seq, left.min(Duration::from_millis(50)));
                         continue;
                     }
                     // NCL polls the completion queues (§4.4). With NIC
@@ -757,11 +763,10 @@ impl NclFile {
                         }
                     }
                     if wcs.is_empty() {
-                        let remaining = deadline.saturating_duration_since(Instant::now());
-                        wcs = cq.wait(remaining.min(Duration::from_millis(50)));
+                        wcs = cq.wait(left.min(Duration::from_millis(50)));
                     }
                     if !wcs.is_empty() {
-                        self.rep_guard().absorb(&mut wcs, Instant::now());
+                        self.rep_guard().absorb(&mut wcs, sim::time::now());
                     }
                 }
             }

@@ -143,8 +143,8 @@ pub(super) struct PendingRecord {
     pub payload: Bytes,
     /// `record_nowait` entry and staging-complete timestamps; consumed at
     /// flush time to close the stage/doorbell spans and open a [`Flight`].
-    pub t0: Instant,
-    pub staged_at: Instant,
+    /// Taken only for an enabled metrics handle: nothing else reads them.
+    pub stamps: Option<(Instant, Instant)>,
     /// Trace id assigned at `record_nowait` (0 when tracing is off); the
     /// root span id of this record's causal chain.
     pub trace: u64,
@@ -281,7 +281,7 @@ impl NclFile {
     pub fn record_nowait(&self, offset: u64, data: &[u8]) -> Result<u64, NclError> {
         let ctx = &self.ctx;
         let window = ctx.config.pipeline_window.max(1);
-        let t0 = Instant::now();
+        let t0 = self.metrics.enabled.then(sim::time::now);
         let seq;
         {
             let mut stage = self.stage_guard();
@@ -311,9 +311,12 @@ impl NclFile {
             // bumps (`Bytes::clone` does not copy). The header is the
             // burst's, encoded at flush time.
             let payload = Bytes::copy_from_slice(data);
-            let staged_at = Instant::now();
-            self.metrics
-                .stamp(|s| s.stage.record_duration(staged_at - t0));
+            let stamps = t0.map(|t0| {
+                let staged_at = sim::time::now();
+                self.metrics
+                    .stamp(|s| s.stage.record_duration(staged_at - t0));
+                (t0, staged_at)
+            });
             // Root of this record's causal chain; 0 (and therefore span-free)
             // when telemetry is disabled or tracing is switched off.
             let trace = if self.metrics.enabled {
@@ -325,8 +328,7 @@ impl NclFile {
                 seq,
                 offset: offset as usize,
                 payload,
-                t0,
-                staged_at,
+                stamps,
                 trace,
             });
             // Window-full: ring the doorbell for the accumulated burst.
@@ -360,12 +362,13 @@ impl NclFile {
     /// each. The scheme encodes the burst once ([`Scheme::begin_burst`])
     /// and then translates it into each peer's work requests — QP order
     /// makes "header completed" imply "everything before it landed" under
-    /// every scheme. Every peer's doorbell is rung at the one instant this
-    /// flush reads ([`rdma::QueuePair::post_many_at`]), so the peers'
-    /// modelled flights overlap although the posts are made in a loop; on
-    /// the inline NIC the first post waits out its flights and the others
-    /// find theirs landed. Post errors are left to the completion path,
-    /// like every other posting site.
+    /// every scheme. The flush reads the clock once: that instant closes the
+    /// doorbell spans, restarts idle peers' silence clocks and is when every
+    /// peer's doorbell is rung ([`rdma::QueuePair::post_many_at`]), so the
+    /// peers' modelled flights overlap although the posts are made in a
+    /// loop; on the inline NIC the first post waits out its flights and the
+    /// others find theirs landed. Post errors are left to the completion
+    /// path, like every other posting site.
     pub(super) fn flush_staged(&self, stage: &mut Stage, reason: FlushReason) {
         let Some(last) = stage.pending.last() else {
             return;
@@ -374,14 +377,14 @@ impl NclFile {
         self.metrics.count_flush(reason);
         let burst = stage.scheme.begin_burst(&stage.image, &stage.pending);
         let mut rep = self.rep_guard();
-        self.register_flights(&mut rep, &stage.pending);
+        let now = sim::time::now();
+        self.register_flights(&mut rep, &stage.pending, now);
         let per_peer_bytes = if self.metrics.enabled {
             burst.wire_bytes(&stage.pending)
         } else {
             0
         };
         let idle_below = stage.flushed_seq;
-        let now = Instant::now();
         let mut wrs = std::mem::take(&mut rep.wr_scratch);
         for slot in rep.peers.iter_mut().filter(|s| s.alive) {
             // A peer with nothing outstanding was silent because nothing was
@@ -406,24 +409,24 @@ impl NclFile {
     }
 
     /// Stamps the doorbell histogram, queues the stage and doorbell spans
-    /// and opens a [`Flight`] per pending record. Must run before the
+    /// and opens a [`Flight`] per pending record, all posted at the flush's
+    /// instant `posted_at`. Must run before the
     /// posts: an inline NIC executes the writes during `post_many`, so
     /// stamping after would misattribute the wire time to the doorbell
     /// span — and completions cannot be absorbed concurrently because the
     /// caller holds the replication lock.
-    fn register_flights(&self, rep: &mut Rep, pending: &[PendingRecord]) {
+    fn register_flights(&self, rep: &mut Rep, pending: &[PendingRecord], posted_at: Instant) {
         let metrics = &self.metrics;
-        if !metrics.enabled {
-            return;
-        }
-        let posted_at = Instant::now();
         for rec in pending {
-            let waited = posted_at.duration_since(rec.staged_at);
+            let Some((t0, staged_at)) = rec.stamps else {
+                continue;
+            };
+            let waited = posted_at.duration_since(staged_at);
             metrics.stamp(|s| s.doorbell.record_duration(waited));
             if rec.trace != 0 {
                 for (name, start, end) in [
-                    (spans::NCL_STAGE, rec.t0, rec.staged_at),
-                    (spans::NCL_DOORBELL, rec.staged_at, posted_at),
+                    (spans::NCL_STAGE, t0, staged_at),
+                    (spans::NCL_DOORBELL, staged_at, posted_at),
                 ] {
                     rep.span_buf.push(metrics.tel.closed_span(
                         rec.trace,
@@ -439,7 +442,7 @@ impl NclFile {
             }
             rep.flights.push_back(Flight {
                 seq: rec.seq,
-                t0: rec.t0,
+                t0,
                 posted: posted_at,
                 first_peer: None,
                 trace: rec.trace,

@@ -242,20 +242,13 @@ enum NicMode {
     /// the most adversarial model (work requests can be in flight when the
     /// application "crashes"). Default for correctness tests.
     ///
-    /// The engine models the wire as a *pipe*, the way a real RC QP behaves:
-    /// each request occupies the link for its serialization time (the
-    /// per-byte term), while the propagation delay (the base term) overlaps
-    /// across back-to-back requests. A request posted at `t` completes at
-    /// `max(wire_free, t) + serialization + base`, which keeps completions
-    /// in post order but lets a deep send queue achieve far higher
-    /// throughput than one request per round trip — the behaviour NCL's
-    /// pipelined `record_nowait` path exists to exploit.
-    /// A doorbell batch posted via [`QueuePair::post_many`] arrives as one
-    /// channel send: every request in the batch shares the batch's post
-    /// instant, each is charged its own serialization time back to back on
-    /// the wire, and the propagation delay overlaps across the whole batch —
-    /// so N batched requests cost N serializations but a single propagation
-    /// tail, while completions still appear one per request, in post order.
+    /// The wire is a [`Pipe`], which lets a deep send queue achieve far
+    /// higher throughput than one request per round trip — the behaviour
+    /// NCL's pipelined `record_nowait` path exists to exploit. A doorbell
+    /// batch posted via [`QueuePair::post_many`] arrives as one channel send
+    /// and every request in it shares the batch's post instant: N batched
+    /// requests cost N serializations but a single propagation tail, while
+    /// completions still appear one per request, in post order.
     Threaded {
         sq: Sender<(Instant, Submission)>,
         engine: JoinHandle<()>,
@@ -273,21 +266,47 @@ enum NicMode {
     /// any two: the wire fault point, the error-state check, the reachability
     /// check before and after the modelled flight, and the flight itself.
     ///
-    /// A flight is a deadline, not a sleep: a doorbell starts at
-    /// `max(wire_free, posted_at)`, each request lands one full
-    /// [`LatencyModel::cost`] (plus any injected wire delay) after the one
-    /// before it, and the poster waits for that instant. Queue pairs rung at
-    /// one instant fly together, none flies two doorbells at once.
+    /// A flight is a deadline, not a sleep: the same [`Pipe`] prices each
+    /// request, and the poster waits for that instant before it applies the
+    /// request. Queue pairs rung at one instant fly together; a second
+    /// doorbell queues behind the first's bytes, not its landing. An injected
+    /// wire delay occupies the pipe, so it holds back its own request and
+    /// everything behind it on this queue pair only.
     Inline(InlineNic),
+}
+
+/// The wire of one queue pair, as a real RC QP behaves and as both engines
+/// price it: a request occupies the link for its serialization time (the
+/// per-byte term) from `max(free, posted_at)`, and lands one propagation
+/// delay (the base term) after its last byte has left — so back-to-back
+/// requests share one propagation and stay in post order (`free` is monotone).
+struct Pipe {
+    latency: LatencyModel,
+    /// When the last byte sent so far has left the wire (not when it lands).
+    free: Instant,
+}
+
+impl Pipe {
+    /// Occupies the wire for `d`; returns the instant it is free again.
+    fn occupy(&mut self, posted_at: Instant, d: Duration) -> Instant {
+        self.free = self.free.max(posted_at) + d;
+        self.free
+    }
+
+    /// Sends `bytes` for a request posted at `posted_at`; returns the
+    /// instant it lands.
+    fn send(&mut self, posted_at: Instant, bytes: usize) -> Instant {
+        let ser = Duration::from_nanos((self.latency.per_byte_ns * bytes as f64) as u64);
+        self.occupy(posted_at, ser) + self.latency.base
+    }
 }
 
 struct InlineNic {
     remote_dev: RdmaDevice,
-    latency: LatencyModel,
-    /// The send queue: `wire_free`, the instant the last doorbell's last
-    /// request landed, and the completions of the doorbell being executed,
-    /// delivered together when it ends (reused: a doorbell allocates nothing).
-    sq: Mutex<(Instant, Vec<WorkCompletion>)>,
+    /// The send queue: the wire, and the completions of the doorbell being
+    /// executed, delivered together when it ends (reused: a doorbell
+    /// allocates nothing).
+    sq: Mutex<(Pipe, Vec<WorkCompletion>)>,
 }
 
 pub struct QueuePair {
@@ -313,7 +332,7 @@ impl QueuePair {
     ///
     /// `latency` is charged per work request: the per-byte term serializes
     /// on the wire, the base term is propagation that overlaps across
-    /// back-to-back requests (see [`NicMode::Threaded`]). Connection setup
+    /// back-to-back requests (see [`Pipe`]). Connection setup
     /// itself is control-plane work and is charged by the caller.
     pub fn connect(
         cluster: Cluster,
@@ -338,11 +357,14 @@ impl QueuePair {
         let qp_num = NEXT_QP_NUM.fetch_add(1, Ordering::Relaxed);
         let errored = Arc::new(AtomicBool::new(false));
         let wire_hist = Arc::new(OnceLock::new());
+        let pipe = Pipe {
+            latency,
+            free: sim::time::now(),
+        };
         let mode = if inline {
             NicMode::Inline(InlineNic {
                 remote_dev: remote_dev.clone(),
-                latency,
-                sq: Mutex::new((Instant::now(), Vec::new())),
+                sq: Mutex::new((pipe, Vec::new())),
             })
         } else {
             let (tx, rx) = unbounded::<(Instant, Submission)>();
@@ -354,7 +376,7 @@ impl QueuePair {
                 rx,
                 cq.clone(),
                 Arc::clone(&errored),
-                latency,
+                pipe,
                 Arc::clone(&wire_hist),
             );
             NicMode::Threaded { sq: tx, engine }
@@ -461,13 +483,15 @@ impl QueuePair {
     /// saving is the per-request posting overhead and, on the wire, a single
     /// shared propagation tail (see [`NicMode::Threaded`]).
     pub fn post_many(&self, wrs: &[WorkRequest]) -> Result<(), SimError> {
-        self.post_many_at(Instant::now(), wrs)
+        self.post_many_at(sim::time::now(), wrs)
     }
 
     /// [`QueuePair::post_many`] for a doorbell rung at `posted_at`, a past
     /// instant several queue pairs may share: the wire model starts the
     /// flights (and `wire_ns`) there, not when this call happens to run, so
-    /// one caller's doorbells to different peers overlap.
+    /// one caller's doorbells to different peers overlap — on the inline NIC
+    /// the first post waits its flights out and the others, finding their
+    /// deadlines behind that wait's last clock reading, read no clock.
     pub fn post_many_at(&self, posted_at: Instant, wrs: &[WorkRequest]) -> Result<(), SimError> {
         if wrs.is_empty() {
             return Ok(());
@@ -496,7 +520,7 @@ impl QueuePair {
         let site = FaultSite::Doorbell;
         if let WireFault::Delay(d) = self.cluster.fault_point(site, self.local, self.remote) {
             sim::delay(d);
-            return Instant::now();
+            return sim::time::now();
         }
         posted_at
     }
@@ -514,16 +538,15 @@ impl QueuePair {
         let start = self.ring_doorbell(posted_at);
         let hist = self.wire_hist.get();
         let mut sq = nic.sq.lock();
-        let (wire_free, clump) = &mut *sq;
-        let mut due = (*wire_free).max(start);
+        let (pipe, clump) = &mut *sq;
+        let mut due = start;
         for wr in wrs {
             let verdict = self
                 .cluster
                 .fault_point(FaultSite::Wire, self.local, self.remote);
             // An injected delay holds back this request and all behind it.
             if let WireFault::Delay(d) = verdict {
-                due += d;
-                sim::delay_until(due);
+                pipe.occupy(start, d);
             }
             let (wr_id, status, read_data) = execute(
                 &self.cluster,
@@ -532,10 +555,9 @@ impl QueuePair {
                 &self.errored,
                 wr,
                 |bytes| {
+                    due = pipe.send(start, bytes);
                     // A flight that takes no modelled time reads no clock.
-                    let cost = nic.latency.cost(bytes);
-                    if !cost.is_zero() {
-                        due += cost;
+                    if due > start {
                         sim::delay_until(due);
                     }
                 },
@@ -555,7 +577,6 @@ impl QueuePair {
             };
             stage_completion(clump, wc, verdict);
         }
-        *wire_free = due;
         if !clump.is_empty() {
             self.cq.push_batch(self.qp_num, clump.drain(..));
         }
@@ -600,28 +621,18 @@ fn spawn_engine(
     rx: Receiver<(Instant, Submission)>,
     cq: CompletionQueue,
     errored: Arc<AtomicBool>,
-    latency: LatencyModel,
+    mut pipe: Pipe,
     wire_hist: Arc<OnceLock<HistHandle>>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("nic-qp{qp_num}"))
         .spawn(move || {
-            // The instant the wire becomes idle. A request posted at `t`
-            // starts serializing at `max(wire_free, t)` and completes one
-            // propagation delay after it leaves the wire, so back-to-back
-            // requests overlap their propagation (pipelining) while staying
-            // in post order (`wire_free` is monotone). A doorbell batch is
-            // one channel entry: its requests share the batch's post
-            // instant, serialize back to back, and each completes at its own
-            // point on the wire — N serializations, one overlapped
-            // propagation tail.
-            let mut wire_free = Instant::now();
             // Completion moderation window for doorbell batches. Back-to-back
             // requests in a batch complete microseconds apart — below the
             // sleep threshold of `sim::delay`, so waiting out each gap
             // individually realises the whole batch's serialization as a
             // busy-spin, monopolising a core per QP at line rate. Instead the
-            // engine executes the batch up front (`wire_free` keeps every
+            // engine executes the batch up front (the pipe keeps every
             // request's modelled completion target exact) and delivers
             // completions in clumps whose targets fall within this window:
             // one sleep per clump, the way a real NIC's interrupt moderation
@@ -662,14 +673,10 @@ fn spawn_engine(
                         if let WireFault::Delay(d) = verdict {
                             sim::delay(d);
                         }
-                        let mut target = wire_free;
+                        let mut target = pipe.free;
                         let (wr_id, status, read_data) =
                             execute(&cluster, local, &remote_dev, &errored, &wr, |bytes| {
-                                let ser = Duration::from_nanos(
-                                    (latency.per_byte_ns * bytes as f64) as u64,
-                                );
-                                wire_free = wire_free.max(posted_at) + ser;
-                                target = wire_free + latency.base;
+                                target = pipe.send(posted_at, bytes);
                             });
                         if status != WcStatus::Success {
                             errored.store(true, Ordering::SeqCst);
@@ -691,7 +698,7 @@ fn spawn_engine(
                     }
                     next = rx.try_recv().ok();
                 }
-                let executed_at = Instant::now();
+                let executed_at = sim::time::now();
                 let hist = wire_hist.get();
                 while !pending.is_empty() {
                     let window_end = pending[0].0 + MODERATION;
@@ -745,10 +752,10 @@ fn execute(
     if cluster.can_reach(local, remote_dev.node()).is_err() {
         return (wr_id, WcStatus::RetryExceeded, None);
     }
-    // Time on the wire (a serial deadline on the inline NIC, an absolute
-    // completion target in the pipelined threaded engine). A crash or
-    // partition during flight means the operation is not applied. A gathered
-    // write is one request: its slices serialize as one wire occupancy.
+    // Time on the wire (a deadline the inline NIC waits out, a completion
+    // target the engine thread delivers at). A crash or partition during
+    // flight means the operation is not applied. A gathered write is one
+    // request: its slices serialize as one wire occupancy.
     wait(bytes);
     if cluster.can_reach(local, remote_dev.node()).is_err() {
         return (wr_id, WcStatus::RetryExceeded, None);
@@ -1383,9 +1390,9 @@ mod tests {
     }
 
     /// `n` inline queue pairs from one node to `n` peers, sharing one CQ, on
-    /// the calibrated fabric. Its `cost` carries no jitter: a 128-B write
+    /// the calibrated fabric. The pipe carries no jitter: a 128-B write
     /// lands 1,540 ns after its doorbell starts, a 64-B one behind it at
-    /// 3,060 — numbers the model assigns, so the tests compare them exactly.
+    /// 1,560 — numbers the model assigns, so the tests compare them exactly.
     fn calibrated_inline_qps(
         n: usize,
     ) -> (
@@ -1445,20 +1452,22 @@ mod tests {
         // The poster waited out every flight: nothing lands after the post.
         let wcs = cq.poll();
         assert_eq!(wcs.len(), 6);
-        assert!(t.elapsed() >= Duration::from_nanos(3_060));
+        assert!(t.elapsed() >= Duration::from_nanos(1_560));
         for (qp, _) in &qps {
-            assert_eq!(wire_ns_on(qp, &wcs), [1_540, 3_060]);
+            assert_eq!(wire_ns_on(qp, &wcs), [1_540, 1_560]);
         }
     }
 
     #[test]
     fn an_inline_qp_never_flies_two_doorbells_at_once() {
+        // A second doorbell of the same instant queues behind the first's
+        // bytes (60 ns of wire), not behind its landing.
         let (_cluster, _binding, qps, cq) = calibrated_inline_qps(1);
         let (qp, mr) = &qps[0];
         let t = Instant::now();
         qp.post_many_at(t, &data_then_header(*mr)).unwrap();
         qp.post_many_at(t, &data_then_header(*mr)).unwrap();
-        assert_eq!(wire_ns_on(qp, &cq.poll()), [1_540, 3_060, 4_600, 6_120]);
+        assert_eq!(wire_ns_on(qp, &cq.poll()), [1_540, 1_560, 1_600, 1_620]);
     }
 
     #[test]
@@ -1474,8 +1483,8 @@ mod tests {
             qp.post_many_at(t, &data_then_header(*mr)).unwrap();
         }
         let wcs = cq.poll();
-        assert_eq!(wire_ns_on(&qps[0].0, &wcs), [51_540, 53_060]);
-        assert_eq!(wire_ns_on(&qps[1].0, &wcs), [1_540, 3_060]);
+        assert_eq!(wire_ns_on(&qps[0].0, &wcs), [51_540, 51_560]);
+        assert_eq!(wire_ns_on(&qps[1].0, &wcs), [1_540, 1_560]);
         cluster.clear_faults();
     }
 
@@ -1490,8 +1499,34 @@ mod tests {
         qp.post_many(&data_then_header(*mr)).unwrap();
         let wire = wire_ns_on(qp, &cq.poll());
         assert!(wire[0] >= 51_540, "stall + data flight, got {wire:?}");
-        assert_eq!(wire[1] - wire[0], 1_520);
+        assert_eq!(wire[1] - wire[0], 20);
         cluster.clear_faults();
+    }
+
+    #[test]
+    fn both_engines_price_a_doorbell_by_one_formula() {
+        let (cluster, app, dev, _peer) = setup();
+        let (_local, mr) = dev.register_mr(2048).unwrap();
+        let gather = WorkRequest::WriteSg {
+            wr_id: WrId(1),
+            mr,
+            offset: 0,
+            slices: vec![Bytes::from(vec![7u8; 64]); 16],
+        };
+        let [_, header] = data_then_header(mr);
+        let doorbells = [data_then_header(mr), [gather, header]];
+        let [threaded, inline] = [false, true].map(|inline| {
+            let cq = CompletionQueue::new();
+            let lat = LatencyModel::rdma_write();
+            let qp =
+                QueuePair::connect_with_mode(cluster.clone(), app, &dev, cq.clone(), lat, inline);
+            doorbells.each_ref().map(|wrs| {
+                qp.post_many(wrs).unwrap();
+                wire_ns_on(&qp, &wait_n(&cq, 2))
+            })
+        });
+        assert_eq!(threaded, inline);
+        assert_eq!(inline, [[1_540, 1_560], [1_827, 1_847]]);
     }
 
     #[test]

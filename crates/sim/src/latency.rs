@@ -5,8 +5,9 @@
 //! optional multiplicative jitter. The calibrated defaults in
 //! [`LatencyModel::rdma_write`], [`LatencyModel::dfs_hop`], etc. were chosen
 //! so the reproduction matches the *shape* of the paper's numbers (§5):
-//! ~4.6 µs 128-B NCL writes (3.06 µs of it modelled: a 128-B data write
-//! and the 64-B header behind it on one queue pair, the peers in parallel),
+//! ~4.6 µs 128-B NCL writes (1.56 µs of it modelled: a 128-B data write
+//! and the 64-B header behind it sharing one propagation on one queue pair,
+//! the peers in parallel),
 //! ~2 ms small synchronous CephFS writes, and a three-orders-of-magnitude
 //! gap between 512-B and 64-MB DFS write throughput (Figure 1d).
 
@@ -71,8 +72,9 @@ impl LatencyModel {
     ///
     /// Calibration: the paper reports a 4.6 µs NCL latency for a 128-B
     /// application write, which NCL turns into a data WR plus a sequence
-    /// number WR replicated to three peers with a majority wait — roughly two
-    /// NIC round trips on the critical path.
+    /// number WR replicated to three peers with a majority wait — one
+    /// propagation behind two serializations on the critical path, which is
+    /// what back-to-back WRs on an RC queue pair cost.
     pub fn rdma_write() -> Self {
         LatencyModel::from_nanos(1_500, 25.0, 0.05)
     }

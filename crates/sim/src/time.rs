@@ -6,6 +6,7 @@
 //! far coarser granularity than the ~1.5 µs RDMA latencies we model); longer
 //! delays fall back to `thread::sleep`.
 
+use std::cell::Cell;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Delays at or below this poll the clock in a tight loop — short enough
@@ -14,6 +15,40 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// even when other simulation threads are CPU-bound (a yield-based wait can
 /// balloon by whole timeslices per yield under such co-runners).
 const SPIN_THRESHOLD: Duration = Duration::from_micros(20);
+
+thread_local! {
+    /// The clock reading the last wait on this thread ended on. Time is
+    /// monotone, so it is a lower bound on "now" for as long as the thread
+    /// lives: a deadline at or before it has passed, whatever the clock says.
+    static LAST_WAIT_END: Cell<Option<Instant>> = const { Cell::new(None) };
+    /// Reads counted so far by the audit armed on this thread, if one is.
+    static AUDIT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// `Instant::now()`, counted while the calling thread runs under
+/// [`audited`]: the one door the record path's clock reads go through, so a
+/// test can pin how many a record costs. One TLS read when no audit is
+/// armed. The polls *inside* a wait loop are the wait itself and are not
+/// counted; a wait's entry read is.
+#[inline]
+pub fn now() -> Instant {
+    AUDIT.with(|a| {
+        if let Some(reads) = a.get() {
+            a.set(Some(reads + 1));
+        }
+    });
+    Instant::now()
+}
+
+/// Runs `f` with the clock audit armed on the calling thread and returns
+/// `(f(), reads)`: how many times `f` went through [`now`] on this thread.
+/// Not reentrant.
+pub fn audited<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    AUDIT.with(|a| a.set(Some(0)));
+    let out = f();
+    let reads = AUDIT.with(|a| a.take()).unwrap_or_default();
+    (out, reads)
+}
 
 /// Waits for `d`: a tight clock poll for RDMA-scale micro-delays, `sleep`
 /// otherwise (see [`SPIN_THRESHOLD`]).
@@ -24,22 +59,8 @@ pub fn delay(d: Duration) {
     if d.is_zero() {
         return;
     }
-    let deadline = Instant::now() + d;
-    if d > SPIN_THRESHOLD {
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            std::thread::sleep(deadline - now);
-        }
-    } else {
-        // Micro-delays (RDMA-scale): a tight clock poll. Sleeping or
-        // yielding here would cost (far) more than the modelled latency.
-        while Instant::now() < deadline {
-            std::hint::spin_loop();
-        }
-    }
+    let start = now();
+    wait(start, start + d);
 }
 
 /// Waits until `deadline` (a no-op if it has already passed), with the same
@@ -47,11 +68,35 @@ pub fn delay(d: Duration) {
 /// pipelined resource — e.g. a NIC engine completing work requests at
 /// absolute target instants so that the propagation delays of back-to-back
 /// requests overlap instead of accumulating serially.
+///
+/// A deadline at or before the reading this thread's last wait ended on has
+/// passed already and returns without reading the clock: of three doorbells
+/// rung at one instant, the second and third find their flights landed for
+/// the price of a comparison.
 pub fn delay_until(deadline: Instant) {
-    let now = Instant::now();
-    if deadline > now {
-        delay(deadline - now);
+    if LAST_WAIT_END.with(|t| t.get().is_some_and(|t| deadline <= t)) {
+        return;
     }
+    wait(now(), deadline);
+}
+
+/// The one wait loop: from the reading `now` until `deadline`, remembering
+/// the reading it exits on.
+fn wait(mut now: Instant, deadline: Instant) {
+    if deadline.saturating_duration_since(now) > SPIN_THRESHOLD {
+        while now < deadline {
+            std::thread::sleep(deadline - now);
+            now = Instant::now();
+        }
+    } else {
+        // Micro-delays (RDMA-scale): a tight clock poll. Sleeping or
+        // yielding here would cost (far) more than the modelled latency.
+        while now < deadline {
+            std::hint::spin_loop();
+            now = Instant::now();
+        }
+    }
+    LAST_WAIT_END.with(|t| t.set(Some(now)));
 }
 
 /// Nanoseconds since the Unix epoch; used for coarse event timestamps in
@@ -127,6 +172,62 @@ mod tests {
         assert!(sw.elapsed() >= want);
         // Not absurdly longer either (sleep + spin tail should be tight).
         assert!(sw.elapsed() < want + Duration::from_millis(20));
+    }
+
+    #[test]
+    fn delay_until_never_returns_early_over_rising_and_falling_deadlines() {
+        let base = Instant::now();
+        // Rising, falling back below what has been waited out, rising again.
+        for us in [30u64, 5, 60, 60, 10, 90, 0, 120] {
+            let deadline = base + Duration::from_micros(us);
+            delay_until(deadline);
+            assert!(Instant::now() >= deadline, "returned before +{us} us");
+        }
+    }
+
+    #[test]
+    fn a_deadline_the_last_wait_already_passed_reads_no_clock() {
+        let t = Instant::now();
+        delay_until(t + Duration::from_micros(40));
+        let ((), reads) = audited(|| {
+            delay_until(t + Duration::from_micros(40));
+            delay_until(t + Duration::from_micros(10));
+            delay_until(t);
+        });
+        assert_eq!(reads, 0);
+        // One past the cached reading has to ask: the entry read, once.
+        let far = Instant::now() + Duration::from_micros(5);
+        let ((), reads) = audited(|| delay_until(far));
+        assert_eq!(reads, 1);
+        assert!(Instant::now() >= far);
+    }
+
+    #[test]
+    fn a_fresh_thread_with_no_reading_asks_the_clock() {
+        std::thread::spawn(|| {
+            // Even a deadline long past is not known to be past here.
+            let past = Instant::now();
+            let ((), reads) = audited(|| delay_until(past));
+            assert_eq!(reads, 1);
+            let want = Duration::from_micros(50);
+            let sw = Stopwatch::start();
+            let ((), reads) = audited(|| delay(want));
+            assert_eq!(reads, 1, "the entry read; the polls are the wait");
+            assert!(sw.elapsed() >= want);
+            let ((), reads) = audited(|| delay(Duration::ZERO));
+            assert_eq!(reads, 0);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn audit_counts_only_while_armed() {
+        let _ = now(); // Unarmed: must not leak into the next audit.
+        let (_, reads) = audited(|| (now(), now()));
+        assert_eq!(reads, 2);
+        let ((), reads) = audited(|| {});
+        assert_eq!(reads, 0);
     }
 
     #[test]
