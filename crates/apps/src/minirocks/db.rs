@@ -219,12 +219,17 @@ struct FlushJob {
     next_wal: Sender<Result<(u64, File), AppError>>,
 }
 
+/// `[0]`: L0, newest last. `[1]`: L1, disjoint, sorted by first key.
+type Levels = [Vec<Arc<SstReader>>; 2];
+
 struct State {
     mem: MemTable,
     /// Frozen memtables awaiting flush, oldest first, with their WALs.
     frozen: Vec<(u64, Arc<MemTable>)>,
-    /// `levels[0]`: newest last. `levels[1]`: disjoint, sorted by first key.
-    levels: [Vec<Arc<SstReader>>; 2],
+    /// The live tables, published whole: a flush or compaction installs a
+    /// new `Levels` under the write lock, a reader that misses the
+    /// memtables takes the `Arc` and searches with no lock held.
+    levels: Arc<Levels>,
 }
 
 struct Inner {
@@ -261,7 +266,7 @@ impl MiniRocks {
         let mut next_file = version.max_file_number() + 1;
 
         // Load live tables.
-        let mut levels: [Vec<Arc<SstReader>>; 2] = [Vec::new(), Vec::new()];
+        let mut levels: Levels = [Vec::new(), Vec::new()];
         for &(level, file) in &version.ssts {
             let reader = SstReader::open(&fs, &sst_name(prefix, file))?;
             levels[level.min(1) as usize].push(Arc::new(reader));
@@ -339,7 +344,7 @@ impl MiniRocks {
             state: RwLock::new(State {
                 mem: MemTable::new(),
                 frozen: Vec::new(),
-                levels,
+                levels: Arc::new(levels),
             }),
             manifest: Mutex::new(manifest),
             next_file: AtomicU64::new(next_file),
@@ -435,43 +440,20 @@ impl MiniRocks {
         // guaranteed to observe a consistent newer state.
         let mut attempts = 0;
         loop {
-            // Snapshot the lookup candidates, then search without the lock.
-            let (mem_hit, frozen_hit, candidates) = {
+            // The memtables under the lock, the tables without it.
+            let levels = {
                 let st = self.inner.state.read();
-                if let Some(v) = st.mem.get(key) {
-                    (Some(v.map(|b| b.to_vec())), None, Vec::new())
-                } else {
-                    let mut frozen_hit = None;
-                    for (_, m) in st.frozen.iter().rev() {
-                        if let Some(v) = m.get(key) {
-                            frozen_hit = Some(v.map(|b| b.to_vec()));
-                            break;
-                        }
+                let memtables =
+                    std::iter::once(&st.mem).chain(st.frozen.iter().rev().map(|(_, m)| &**m));
+                for mem in memtables {
+                    if let Some(v) = mem.get(key) {
+                        return Ok(v.map(<[u8]>::to_vec));
                     }
-                    let mut candidates = Vec::new();
-                    if frozen_hit.is_none() {
-                        for r in st.levels[0].iter().rev() {
-                            if r.covers(key) {
-                                candidates.push(Arc::clone(r));
-                            }
-                        }
-                        for r in st.levels[1].iter() {
-                            if r.covers(key) {
-                                candidates.push(Arc::clone(r));
-                            }
-                        }
-                    }
-                    (None, frozen_hit, candidates)
                 }
+                Arc::clone(&st.levels)
             };
-            if let Some(v) = mem_hit {
-                return Ok(v);
-            }
-            if let Some(v) = frozen_hit {
-                return Ok(v);
-            }
             let mut raced = false;
-            'tables: for reader in candidates {
+            for reader in levels[0].iter().rev().chain(levels[1].iter()) {
                 match reader.get(key) {
                     Ok(Some(v)) => return Ok(v),
                     Ok(None) => {}
@@ -481,7 +463,7 @@ impl MiniRocks {
                             return Err(e);
                         }
                         raced = true;
-                        break 'tables;
+                        break;
                     }
                 }
             }
@@ -727,7 +709,7 @@ fn run_flush(inner: &Arc<Inner>, wal_number: u64, mem: &MemTable) -> Result<(), 
     ])?;
     {
         let mut st = inner.state.write();
-        st.levels[0].push(Arc::new(reader));
+        Arc::make_mut(&mut st.levels)[0].push(Arc::new(reader));
         st.frozen.retain(|(w, _)| *w != wal_number);
     }
     // The log is now redundant: garbage-collect it by deletion (Table 2).
@@ -738,10 +720,8 @@ fn run_flush(inner: &Arc<Inner>, wal_number: u64, mem: &MemTable) -> Result<(), 
 
 fn run_compaction(inner: &Arc<Inner>) -> Result<(), AppError> {
     // Inputs: every L0 table plus all L1 tables (single-run L1).
-    let (l0, l1) = {
-        let st = inner.state.read();
-        (st.levels[0].clone(), st.levels[1].clone())
-    };
+    let inputs = Arc::clone(&inner.state.read().levels);
+    let [l0, l1] = &*inputs;
     if l0.is_empty() {
         return Ok(());
     }
@@ -791,9 +771,10 @@ fn run_compaction(inner: &Arc<Inner>) -> Result<(), AppError> {
         let mut st = inner.state.write();
         // Keep any L0 files that were flushed while we compacted.
         let consumed: Vec<String> = l0.iter().map(|r| r.path().to_string()).collect();
-        st.levels[0].retain(|r| !consumed.contains(&r.path().to_string()));
-        st.levels[1] = outputs.iter().map(|(_, r)| Arc::clone(r)).collect();
-        st.levels[1].sort_by(|a, b| a.first_key().cmp(b.first_key()));
+        let levels = Arc::make_mut(&mut st.levels);
+        levels[0].retain(|r| !consumed.contains(&r.path().to_string()));
+        levels[1] = outputs.iter().map(|(_, r)| Arc::clone(r)).collect();
+        levels[1].sort_by(|a, b| a.first_key().cmp(b.first_key()));
         // Counted under the lock: whoever sees the new levels sees the count.
         inner.compactions.fetch_add(1, Ordering::Relaxed);
     }

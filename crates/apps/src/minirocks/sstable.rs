@@ -92,12 +92,78 @@ impl Bloom {
     }
 }
 
-/// One index entry: the block's last key and extent.
+/// One index entry as the builder collects it: the block's last key and
+/// extent.
 #[derive(Debug, Clone)]
 struct IndexEntry {
     last_key: Vec<u8>,
     offset: u64,
     len: u32,
+}
+
+/// The reader's block index, flat: a binary search touches `ends` and one
+/// run of `keys`, not a heap allocation per probe.
+#[derive(Default)]
+struct BlockIndex {
+    /// Every block's last key, end to end.
+    keys: Vec<u8>,
+    /// `ends[i]`: where block `i`'s last key ends in `keys`.
+    ends: Vec<u32>,
+    /// `blocks[i]`: the block's `(offset, len)` in the file.
+    blocks: Vec<(u64, u32)>,
+}
+
+impl BlockIndex {
+    fn push(&mut self, last_key: &[u8], offset: u64, len: u32) {
+        self.keys.extend_from_slice(last_key);
+        self.ends.push(self.keys.len() as u32);
+        self.blocks.push((offset, len));
+    }
+
+    fn last_key(&self, block: usize) -> &[u8] {
+        let start = block.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.keys[start as usize..self.ends[block] as usize]
+    }
+
+    /// The first block whose last key is `>= key`: the only one that can
+    /// hold it.
+    fn find(&self, key: &[u8]) -> Option<(u64, u32)> {
+        let (mut lo, mut hi) = (0, self.blocks.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.last_key(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.blocks.get(lo).copied()
+    }
+}
+
+/// The `(key, value)` entries of one data block, in key order; `None` is a
+/// tombstone.
+fn entries(block: &[u8]) -> impl Iterator<Item = (&[u8], Option<&[u8]>)> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        if pos + 4 > block.len() {
+            return None;
+        }
+        let klen = u32::from_le_bytes(block[pos..pos + 4].try_into().expect("4")) as usize;
+        pos += 4;
+        let key = &block[pos..pos + klen];
+        pos += klen;
+        let tag = block[pos];
+        pos += 1;
+        let value = (tag == 1).then(|| {
+            let vlen = u32::from_le_bytes(block[pos..pos + 4].try_into().expect("4")) as usize;
+            pos += 4;
+            let value = &block[pos..pos + vlen];
+            pos += vlen;
+            value
+        });
+        Some((key, value))
+    })
 }
 
 /// Streaming SSTable builder.
@@ -211,10 +277,14 @@ impl SstBuilder {
 
         let first_key = self.first_key.clone().unwrap_or_default();
         let last_key = self.block_last_key.clone();
+        let mut index = BlockIndex::default();
+        for e in &self.index {
+            index.push(&e.last_key, e.offset, e.len);
+        }
         Ok(SstReader {
             file,
             path: path.to_string(),
-            index: self.index,
+            index,
             bloom,
             first_key,
             last_key,
@@ -227,7 +297,7 @@ impl SstBuilder {
 pub struct SstReader {
     file: File,
     path: String,
-    index: Vec<IndexEntry>,
+    index: BlockIndex,
     bloom: Bloom,
     first_key: Vec<u8>,
     last_key: Vec<u8>,
@@ -257,33 +327,34 @@ impl SstReader {
         let bloom_len = u32::from_le_bytes(footer[20..24].try_into().expect("4")) as usize;
         let count = u64::from_le_bytes(footer[24..32].try_into().expect("8"));
 
-        let index_buf = file.read(index_off, index_len)?;
-        let mut index = Vec::new();
-        let mut pos = 0;
-        while pos + 4 <= index_buf.len() {
-            let klen = u32::from_le_bytes(index_buf[pos..pos + 4].try_into().expect("4")) as usize;
-            pos += 4;
-            let last_key = index_buf[pos..pos + klen].to_vec();
-            pos += klen;
-            let offset = u64::from_le_bytes(index_buf[pos..pos + 8].try_into().expect("8"));
-            pos += 8;
-            let len = u32::from_le_bytes(index_buf[pos..pos + 4].try_into().expect("4"));
-            pos += 4;
-            index.push(IndexEntry {
-                last_key,
-                offset,
-                len,
-            });
-        }
-        let bloom = Bloom::decode(&file.read(bloom_off, bloom_len)?)?;
-        let last_key = index.last().map(|e| e.last_key.clone()).unwrap_or_default();
+        let index = file.read_with(index_off, index_len, |index_buf| {
+            let mut index = BlockIndex::default();
+            let mut pos = 0;
+            while pos + 4 <= index_buf.len() {
+                let klen =
+                    u32::from_le_bytes(index_buf[pos..pos + 4].try_into().expect("4")) as usize;
+                pos += 4;
+                let last_key = &index_buf[pos..pos + klen];
+                pos += klen;
+                let offset = u64::from_le_bytes(index_buf[pos..pos + 8].try_into().expect("8"));
+                pos += 8;
+                let len = u32::from_le_bytes(index_buf[pos..pos + 4].try_into().expect("4"));
+                pos += 4;
+                index.push(last_key, offset, len);
+            }
+            index
+        })?;
+        let bloom = file.read_with(bloom_off, bloom_len, Bloom::decode)??;
+        let last_block = index.blocks.len().checked_sub(1);
+        let last_key = last_block.map_or(Vec::new(), |b| index.last_key(b).to_vec());
         // First key needs the first block's first entry.
-        let first_key = if let Some(first_block) = index.first() {
-            let block = file.read(first_block.offset, first_block.len as usize)?;
-            let klen = u32::from_le_bytes(block[0..4].try_into().expect("4")) as usize;
-            block[4..4 + klen].to_vec()
-        } else {
-            Vec::new()
+        let first_key = match index.blocks.first() {
+            Some(&(offset, len)) => file.read_with(offset, len as usize, |block| {
+                entries(block)
+                    .next()
+                    .map_or(Vec::new(), |(k, _)| k.to_vec())
+            })?,
+            None => Vec::new(),
         };
         Ok(SstReader {
             file,
@@ -318,7 +389,7 @@ impl SstReader {
 
     /// True when `key` falls inside the table's key range.
     pub fn covers(&self, key: &[u8]) -> bool {
-        !self.index.is_empty()
+        !self.index.blocks.is_empty()
             && key >= self.first_key.as_slice()
             && key <= self.last_key.as_slice()
     }
@@ -328,66 +399,31 @@ impl SstReader {
         if !self.covers(key) || !self.bloom.may_contain(key) {
             return Ok(None);
         }
-        // Binary search for the first block whose last key >= key.
-        let idx = self.index.partition_point(|e| e.last_key.as_slice() < key);
-        if idx >= self.index.len() {
+        let Some((offset, len)) = self.index.find(key) else {
             return Ok(None);
-        }
-        let e = &self.index[idx];
-        let block = self.file.read(e.offset, e.len as usize)?;
-        let mut pos = 0;
-        while pos + 4 <= block.len() {
-            let klen = u32::from_le_bytes(block[pos..pos + 4].try_into().expect("4")) as usize;
-            pos += 4;
-            let k = &block[pos..pos + klen];
-            pos += klen;
-            let tag = block[pos];
-            pos += 1;
-            let value = if tag == 1 {
-                let vlen = u32::from_le_bytes(block[pos..pos + 4].try_into().expect("4")) as usize;
-                pos += 4;
-                let v = &block[pos..pos + vlen];
-                pos += vlen;
-                Some(v)
-            } else {
-                None
-            };
-            // Only the match is copied out of the block.
-            match k.cmp(key) {
-                std::cmp::Ordering::Equal => return Ok(Some(value.map(<[u8]>::to_vec))),
-                std::cmp::Ordering::Greater => return Ok(None),
-                std::cmp::Ordering::Less => continue,
+        };
+        // The block is searched where the file system holds it; only the
+        // match is copied out.
+        Ok(self.file.read_with(offset, len as usize, |block| {
+            for (k, value) in entries(block) {
+                match k.cmp(key) {
+                    std::cmp::Ordering::Equal => return Some(value.map(<[u8]>::to_vec)),
+                    std::cmp::Ordering::Greater => return None,
+                    std::cmp::Ordering::Less => continue,
+                }
             }
-        }
-        Ok(None)
+            None
+        })?)
     }
 
     /// Streams every entry in key order (used by compaction).
     #[allow(clippy::type_complexity)] // `(key, Option<value>)` rows; a named type would obscure it.
     pub fn scan_all(&self) -> Result<Vec<(Vec<u8>, Option<Vec<u8>>)>, AppError> {
         let mut out = Vec::with_capacity(self.count as usize);
-        for e in &self.index {
-            let block = self.file.read(e.offset, e.len as usize)?;
-            let mut pos = 0;
-            while pos + 4 <= block.len() {
-                let klen = u32::from_le_bytes(block[pos..pos + 4].try_into().expect("4")) as usize;
-                pos += 4;
-                let k = block[pos..pos + klen].to_vec();
-                pos += klen;
-                let tag = block[pos];
-                pos += 1;
-                let value = if tag == 1 {
-                    let vlen =
-                        u32::from_le_bytes(block[pos..pos + 4].try_into().expect("4")) as usize;
-                    pos += 4;
-                    let v = block[pos..pos + vlen].to_vec();
-                    pos += vlen;
-                    Some(v)
-                } else {
-                    None
-                };
-                out.push((k, value));
-            }
+        for &(offset, len) in &self.index.blocks {
+            self.file.read_with(offset, len as usize, |block| {
+                out.extend(entries(block).map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec))));
+            })?;
         }
         Ok(out)
     }
@@ -507,5 +543,30 @@ mod tests {
         assert_eq!(r.get(b"anything").unwrap(), None);
         let r2 = SstReader::open(&fs, "sst-6").unwrap();
         assert_eq!(r2.count(), 0);
+    }
+
+    /// The reader changed, the format did not: the bytes a builder writes
+    /// for a fixed input, by length and CRC as this test read them at the
+    /// commit before the reader's index went flat.
+    #[test]
+    fn table_bytes_on_the_file_system_are_unchanged() {
+        let fs = local_fs();
+        let mut b = SstBuilder::new(256, 10);
+        for i in 0..200u32 {
+            let k = format!("key{i:05}");
+            let v = (i % 7 != 0).then(|| format!("value-{i}-{}", "x".repeat(i as usize % 40)));
+            b.add(k.as_bytes(), v.as_deref().map(str::as_bytes));
+        }
+        let built = b.finish(&fs, "sst-golden").unwrap();
+        let f = fs.open("sst-golden", OpenOptions::plain()).unwrap();
+        let bytes = f.read(0, f.size().unwrap() as usize).unwrap();
+        assert_eq!((bytes.len(), checksum(&bytes)), (9259, 151_272_950));
+        // And both ways to a reader agree on every key.
+        let opened = SstReader::open(&fs, "sst-golden").unwrap();
+        assert_eq!(opened.scan_all().unwrap(), built.scan_all().unwrap());
+        for (k, v) in built.scan_all().unwrap() {
+            assert_eq!(opened.get(&k).unwrap(), Some(v.clone()));
+            assert_eq!(built.get(&k).unwrap(), Some(v));
+        }
     }
 }

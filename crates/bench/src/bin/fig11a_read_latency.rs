@@ -6,7 +6,9 @@
 //!
 //! * `NCL`            — the recovered local image (the prefetch cost — the
 //!   recovery's RDMA read of the whole region — is amortised over the
-//!   reads, as in the paper);
+//!   reads, as in the paper). Its two addends are printed beside it:
+//!   `local` is `NclFile::read` alone, `prefetch` the amortised
+//!   `rdma_read`;
 //! * `NCL no prefetch`— a 1-sided RDMA read per application read;
 //! * `DFS`            — CephFS-style client with sequential readahead;
 //! * `DFS direct IO`  — cache and readahead bypassed.
@@ -83,6 +85,8 @@ fn main() {
     row(&[
         "size".into(),
         "NCL".into(),
+        "= local".into(),
+        "+ prefetch".into(),
         "NCL no-prefetch".into(),
         "DFS".into(),
         "DFS direct".into(),
@@ -99,8 +103,8 @@ fn main() {
         // Amortise the prefetch over the number of reads a full-file pass
         // at this size would make (as the paper does).
         let full_pass_reads = (file_bytes / size).max(1);
-        let ncl_us = sw.elapsed_micros_f64() / ops as f64
-            + prefetch_total.as_secs_f64() * 1e6 / full_pass_reads as f64;
+        let local_us = sw.elapsed_micros_f64() / ops as f64;
+        let prefetch_us = prefetch_total.as_secs_f64() * 1e6 / full_pass_reads as f64;
 
         // NCL without prefetch: one RDMA read per application read.
         let remote_ops = ops.min(1_000);
@@ -133,7 +137,9 @@ fn main() {
 
         row(&[
             format!("{size}B"),
-            f1(ncl_us),
+            f1(local_us + prefetch_us),
+            format!("{local_us:.2}"),
+            format!("{prefetch_us:.2}"),
             f1(ncl_np_us),
             f1(dfs_us),
             f1(direct_us),

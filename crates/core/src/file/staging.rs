@@ -239,20 +239,24 @@ impl NclFile {
 
     /// Reads from the local buffer (logs are only read during recovery; this
     /// serves the application's replay pass from the prefetched image). A
-    /// range running past the valid length is a short read.
+    /// range running past the valid length is a short read. A copy of what
+    /// [`NclFile::read_with`] lends.
     pub fn read(&self, offset: u64, len: usize) -> Vec<u8> {
+        self.read_with(offset, len, <[u8]>::to_vec)
+    }
+
+    /// Runs `f` over up to `len` bytes at `offset` of the local buffer
+    /// itself. `f` runs under the staging lock: it must not call back into
+    /// this file.
+    pub fn read_with<R>(&self, offset: u64, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         let stage = self.stage_guard();
         let valid = stage.image.valid();
-        if offset >= valid.len() as u64 {
-            return Vec::new();
-        }
-        let start = offset as usize;
-        valid[start..start.saturating_add(len).min(valid.len())].to_vec()
+        f(&valid[sim::short_read(valid.len(), offset, len)])
     }
 
     /// Returns the full valid contents (`[0, len)`).
     pub fn contents(&self) -> Vec<u8> {
-        self.stage_guard().image.valid().to_vec()
+        self.read(0, usize::MAX)
     }
 
     /// Records a write at `offset` — the paper's `record(offset, data)`.

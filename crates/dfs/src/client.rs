@@ -11,7 +11,8 @@
 //! * `read` is served from the cache with sequential readahead (CephFS
 //!   clients prefetch aggressively, which Figure 11 highlights), or can
 //!   bypass the cache entirely (`read_direct`, the paper's "DFS direct IO"
-//!   comparison line);
+//!   comparison line); `read_with` through an open [`DfsFile`] lends the
+//!   cached bytes to its caller instead of copying them out;
 //! * dropping the client models an application-server crash: clean and
 //!   dirty cached state disappears, but everything fsynced survives in the
 //!   [`crate::DfsCluster`].
@@ -23,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use sim::{Cluster, NodeId, RpcClient};
 
 use crate::config::DfsConfig;
@@ -100,6 +101,8 @@ impl IoTrace {
 }
 
 struct FileEntry {
+    /// Current name, for the IO trace (a rename moves it).
+    path: String,
     meta: FileMeta,
     /// Local view of the size including buffered writes.
     size: u64,
@@ -109,11 +112,49 @@ struct FileEntry {
     last_read_end: u64,
     /// A flush is in progress; its data is already in `cached`.
     flushing: bool,
+    /// Unlinked: the OSDs hold no object of it any more (they would answer
+    /// a fetch with a hole's zeros), so only what is cached can be read.
+    deleted: bool,
+}
+
+impl FileEntry {
+    fn new(path: &str, meta: FileMeta) -> Arc<Mutex<FileEntry>> {
+        Arc::new(Mutex::new(FileEntry {
+            path: path.to_string(),
+            meta,
+            size: meta.size,
+            dirty: ExtentMap::new(),
+            cached: ExtentMap::new(),
+            last_read_end: 0,
+            flushing: false,
+            deleted: false,
+        }))
+    }
+}
+
+/// An open file of one [`DfsClient`]: what [`DfsClient::open`] resolves a
+/// path to, once. Like a POSIX descriptor it names the file, not the path:
+/// it stays valid across [`DfsClient::rename`], and after
+/// [`DfsClient::delete`] it still serves what the page cache holds (a read
+/// that would have to fetch fails with [`DfsError::NotFound`]).
+#[derive(Clone)]
+pub struct DfsFile {
+    entry: Arc<Mutex<FileEntry>>,
 }
 
 struct Shared {
     files: Mutex<HashMap<String, Arc<Mutex<FileEntry>>>>,
     trace: Mutex<Option<Arc<IoTrace>>>,
+}
+
+impl Shared {
+    /// The path map, every acquisition of it: tests count them, the way
+    /// `ncl::lockaudit` counts the record path's.
+    fn files(&self) -> MutexGuard<'_, HashMap<String, Arc<Mutex<FileEntry>>>> {
+        #[cfg(test)]
+        tests::FILES_LOCKS.with(|n| n.set(n.get() + 1));
+        self.files.lock()
+    }
 }
 
 /// A mounted DFS client (see module docs).
@@ -179,18 +220,9 @@ impl DfsClient {
     pub fn create(&self, path: &str) -> Result<(), DfsError> {
         match self.mds_call(MdsReq::Create(path.to_string()))? {
             MdsResp::Meta(meta) => {
-                let entry = FileEntry {
-                    meta,
-                    size: 0,
-                    dirty: ExtentMap::new(),
-                    cached: ExtentMap::new(),
-                    last_read_end: 0,
-                    flushing: false,
-                };
                 self.shared
-                    .files
-                    .lock()
-                    .insert(path.to_string(), Arc::new(Mutex::new(entry)));
+                    .files()
+                    .insert(path.to_string(), FileEntry::new(path, meta));
                 Ok(())
             }
             MdsResp::Exists => Err(DfsError::AlreadyExists(path.to_string())),
@@ -198,14 +230,15 @@ impl DfsClient {
         }
     }
 
-    /// Opens an existing file (no-op if already in the cache map).
-    pub fn open(&self, path: &str) -> Result<(), DfsError> {
-        self.entry(path).map(|_| ())
+    /// Opens an existing file: one path lookup, after which
+    /// [`DfsClient::read_with`] needs none.
+    pub fn open(&self, path: &str) -> Result<DfsFile, DfsError> {
+        self.entry(path).map(|entry| DfsFile { entry })
     }
 
     /// True when the path exists.
     pub fn exists(&self, path: &str) -> bool {
-        if self.shared.files.lock().contains_key(path) {
+        if self.shared.files().contains_key(path) {
             return true;
         }
         matches!(
@@ -215,26 +248,16 @@ impl DfsClient {
     }
 
     fn entry(&self, path: &str) -> Result<Arc<Mutex<FileEntry>>, DfsError> {
-        if let Some(e) = self.shared.files.lock().get(path) {
+        if let Some(e) = self.shared.files().get(path) {
             return Ok(Arc::clone(e));
         }
         match self.mds_call(MdsReq::Lookup(path.to_string()))? {
-            MdsResp::Meta(meta) => {
-                let entry = Arc::new(Mutex::new(FileEntry {
-                    meta,
-                    size: meta.size,
-                    dirty: ExtentMap::new(),
-                    cached: ExtentMap::new(),
-                    last_read_end: 0,
-                    flushing: false,
-                }));
+            MdsResp::Meta(meta) => Ok(Arc::clone(
                 self.shared
-                    .files
-                    .lock()
+                    .files()
                     .entry(path.to_string())
-                    .or_insert_with(|| Arc::clone(&entry));
-                Ok(entry)
-            }
+                    .or_insert_with(|| FileEntry::new(path, meta)),
+            )),
             _ => Err(DfsError::NotFound(path.to_string())),
         }
     }
@@ -373,81 +396,109 @@ impl DfsClient {
 
     /// Reads up to `len` bytes at `offset`, returning fewer at end of file.
     /// Served from the page cache; misses fetch whole readahead windows.
+    /// A caller that reads a file more than once, or needs only part of
+    /// what it reads, wants [`DfsClient::read_with`].
     pub fn read(&self, path: &str, offset: u64, len: usize) -> Result<Vec<u8>, DfsError> {
-        self.read_inner(path, offset, len, true)
+        self.fill(&mut self.entry(path)?.lock(), offset, len, true)
     }
 
     /// Direct IO read: bypasses the cache and readahead, always fetching
     /// from the OSDs (the paper's "DFS direct IO" line in Figure 11a).
     pub fn read_direct(&self, path: &str, offset: u64, len: usize) -> Result<Vec<u8>, DfsError> {
-        self.read_inner(path, offset, len, false)
+        self.fill(&mut self.entry(path)?.lock(), offset, len, false)
     }
 
-    fn read_inner(
+    /// [`DfsClient::read`] without the copy: runs `f` over up to `len`
+    /// bytes at `offset` of an open file and returns what it returns.
+    ///
+    /// When the range lies in one cached extent and no unsynced write
+    /// overlaps it, `f` sees the page cache's own bytes — no path lookup,
+    /// no allocation, no copy. Otherwise the range is assembled once, as
+    /// `read` would (fetch with readahead, dirty data on top), and `f` sees
+    /// that. Either way `f` runs under the file's lock: it must not call
+    /// back into this file.
+    pub fn read_with<R>(
         &self,
-        path: &str,
+        file: &DfsFile,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, DfsError> {
+        let mut e = file.entry.lock();
+        let span = sim::short_read(e.size as usize, offset, len);
+        if !span.is_empty() && !e.dirty.overlaps(span.start as u64, span.len()) {
+            if let Some(bytes) = e.cached.slice(span.start as u64, span.len()) {
+                let out = f(bytes);
+                e.last_read_end = span.end as u64;
+                return Ok(out);
+            }
+        }
+        Ok(f(&self.fill(&mut e, offset, len, true)?))
+    }
+
+    /// Up to `len` bytes at `offset`, short at end of file, as one buffer:
+    /// from the page cache (fetching what it lacks) or, with `use_cache`
+    /// off, straight from the OSDs; unsynced writes on top.
+    fn fill(
+        &self,
+        e: &mut FileEntry,
         offset: u64,
         len: usize,
         use_cache: bool,
     ) -> Result<Vec<u8>, DfsError> {
-        let entry = self.entry(path)?;
-        let mut e = entry.lock();
-        let size = e.size;
-        if offset >= size {
+        let span = sim::short_read(e.size as usize, offset, len);
+        let (offset, len) = (span.start as u64, span.len());
+        if len == 0 {
             return Ok(Vec::new());
         }
-        let len = len.min((size - offset) as usize);
-        let mut buf = vec![0u8; len];
-
+        let mut buf;
         if use_cache {
+            buf = Vec::with_capacity(len);
             // Readahead only helps sequential streams (log replay, scans);
             // a random page read fetches just its page-aligned window, like
             // the kernel's readahead heuristic.
             let sequential = offset == e.last_read_end;
-            let missing = e.cached.read_into(offset, &mut buf);
-            for (miss_off, miss_len) in missing {
-                let window = if sequential {
-                    self.config.readahead.max(miss_len)
-                } else {
-                    miss_len.max(4096)
-                };
-                let fetch_len = window.min((size - miss_off) as usize);
-                let data = self.fetch(path, e.meta.id, miss_off, fetch_len)?;
-                e.cached.insert(miss_off, &data);
+            let missing = e.cached.append_to(offset, len, &mut buf);
+            if !missing.is_empty() {
+                for (miss_off, miss_len) in missing {
+                    let window = if sequential {
+                        self.config.readahead.max(miss_len)
+                    } else {
+                        miss_len.max(4096)
+                    };
+                    let fetch_len = window.min((e.size - miss_off) as usize);
+                    let data = self.fetch(e, miss_off, fetch_len)?;
+                    e.cached.insert(miss_off, &data);
+                }
+                buf.clear();
+                let still_missing = e.cached.append_to(offset, len, &mut buf);
+                debug_assert!(still_missing.is_empty(), "fetch must fill cache");
             }
-            let still_missing = e.cached.read_into(offset, &mut buf);
-            debug_assert!(still_missing.is_empty(), "fetch must fill cache");
             e.last_read_end = offset + len as u64;
         } else {
-            let data = self.fetch(path, e.meta.id, offset, len)?;
-            buf.copy_from_slice(&data);
+            buf = self.fetch(e, offset, len)?;
         }
         // Dirty data overlays whatever came from the OSDs.
-        e.dirty.read_into(offset, &mut buf);
+        if e.dirty.overlaps(offset, len) {
+            e.dirty.read_into(offset, &mut buf);
+        }
         Ok(buf)
     }
 
     /// Fetches `[offset, offset+len)` from the OSDs (no cache interaction).
-    fn fetch(
-        &self,
-        path: &str,
-        file_id: u64,
-        offset: u64,
-        len: usize,
-    ) -> Result<Vec<u8>, DfsError> {
-        let osz = self.config.object_size as u64;
-        let mut out = vec![0u8; len];
-        let mut cursor = 0usize;
-        while cursor < len {
-            let abs = offset + cursor as u64;
-            let obj = abs / osz;
-            let in_obj = (abs % osz) as usize;
-            let n = (osz as usize - in_obj).min(len - cursor);
-            let data = self.fetch_object(file_id, obj, in_obj, n)?;
-            out[cursor..cursor + n].copy_from_slice(&data);
-            cursor += n;
+    fn fetch(&self, e: &FileEntry, offset: u64, len: usize) -> Result<Vec<u8>, DfsError> {
+        if e.deleted {
+            return Err(DfsError::NotFound(e.path.clone()));
         }
-        self.trace(path, IoKind::FetchRead, len);
+        let osz = self.config.object_size as u64;
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let abs = offset + out.len() as u64;
+            let in_obj = (abs % osz) as usize;
+            let n = (osz as usize - in_obj).min(len - out.len());
+            out.extend_from_slice(&self.fetch_object(e.meta.id, abs / osz, in_obj, n)?);
+        }
+        self.trace(&e.path, IoKind::FetchRead, len);
         Ok(out)
     }
 
@@ -496,7 +547,11 @@ impl DfsClient {
             MdsResp::Meta(meta) => meta,
             _ => return Err(DfsError::NotFound(path.to_string())),
         };
-        self.shared.files.lock().remove(path);
+        let unlinked = self.shared.files().remove(path);
+        if let Some(entry) = unlinked {
+            // Open handles keep the entry: see `DfsFile`.
+            entry.lock().deleted = true;
+        }
         for osd in &self.osds {
             // Deleting on a down OSD is best-effort; its objects are orphaned
             // (real systems run scrub/GC for this).
@@ -509,8 +564,9 @@ impl DfsClient {
     pub fn rename(&self, old: &str, new: &str) -> Result<(), DfsError> {
         match self.mds_call(MdsReq::Rename(old.to_string(), new.to_string()))? {
             MdsResp::Ok => {
-                let mut files = self.shared.files.lock();
+                let mut files = self.shared.files();
                 if let Some(e) = files.remove(old) {
+                    e.lock().path = new.to_string();
                     files.insert(new.to_string(), e);
                 }
                 Ok(())
@@ -530,7 +586,7 @@ impl DfsClient {
 
     /// Drops clean cached data for `path` (dirty data is preserved).
     pub fn drop_cache(&self, path: &str) {
-        if let Some(e) = self.shared.files.lock().get(path) {
+        if let Some(e) = self.shared.files().get(path) {
             e.lock().cached.clear();
         }
     }
@@ -539,7 +595,7 @@ impl DfsClient {
     /// background flusher).
     pub fn flush_all(&self) -> Result<(), DfsError> {
         let paths: Vec<String> = {
-            let files = self.shared.files.lock();
+            let files = self.shared.files();
             files
                 .iter()
                 .filter(|(_, e)| !e.lock().dirty.is_empty())
@@ -554,7 +610,7 @@ impl DfsClient {
 
     /// Total dirty bytes currently buffered (for tests and the flusher).
     pub fn dirty_bytes(&self) -> usize {
-        let files = self.shared.files.lock();
+        let files = self.shared.files();
         files.values().map(|e| e.lock().dirty.byte_len()).sum()
     }
 }
@@ -569,6 +625,51 @@ impl FileEntry {
 mod tests {
     use super::*;
     use crate::osd::DfsCluster;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Acquisitions of the path map by the calling thread.
+        pub(super) static FILES_LOCKS: Cell<u64> = const { Cell::new(0) };
+        /// Heap allocations (and reallocations) by the calling thread.
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts per thread, so tests running beside this one do not show.
+    struct CountingAlloc;
+
+    fn count_alloc() {
+        // A `const` thread-local of a `Cell<u64>` has no destructor and
+        // allocates nothing itself; a thread past its teardown is not
+        // counted.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds `GlobalAlloc`'s contract; the counter touches no memory
+    // the allocator hands out.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count_alloc();
+            // SAFETY: the caller's `layout`, as `alloc` requires.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count_alloc();
+            // SAFETY: `ptr` came from `System` with `layout` (this type
+            // allocates nowhere else) and `new_size` is the caller's.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` with `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAlloc = CountingAlloc;
 
     fn setup() -> (Cluster, DfsCluster, DfsClient) {
         let cluster = Cluster::new();
@@ -762,5 +863,81 @@ mod tests {
         client.fsync("f").unwrap();
         let head = client.read("f", 0, 4).unwrap();
         assert_eq!(head, vec![0; 4]);
+    }
+
+    #[test]
+    fn a_cached_read_with_borrows_the_page_cache() {
+        let (_c, _dfs, client) = setup();
+        client.create("f").unwrap();
+        let data: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
+        client.write("f", 0, &data).unwrap();
+        client.fsync("f").unwrap();
+        let file = client.open("f").unwrap();
+
+        // No path lookup and no allocation: not the map's lock, not a
+        // buffer. Counts of this thread, so they repeat exactly.
+        let (locks, allocs) = (FILES_LOCKS.get(), ALLOCS.get());
+        let sum = client
+            .read_with(&file, 4096, 4096, |block| {
+                assert_eq!(block, &data[4096..]);
+                block.iter().map(|b| *b as u64).sum::<u64>()
+            })
+            .unwrap();
+        assert_eq!(FILES_LOCKS.get() - locks, 0, "`files` mutex acquisitions");
+        assert_eq!(ALLOCS.get() - allocs, 0, "allocations");
+        assert_eq!(sum, data[4096..].iter().map(|b| *b as u64).sum::<u64>());
+
+        // An unsynced write over the range takes the assembling arm, which
+        // allocates its one buffer.
+        client.write("f", 5000, b"dirty").unwrap();
+        let allocs = ALLOCS.get();
+        client
+            .read_with(&file, 4096, 4096, |block| {
+                assert_eq!(&block[904..909], b"dirty");
+                assert_eq!(&block[..904], &data[4096..5000]);
+            })
+            .unwrap();
+        assert!(ALLOCS.get() - allocs >= 1);
+        assert_eq!(
+            client.read("f", 4096, 4096).unwrap()[904..909],
+            *b"dirty",
+            "by path, the same bytes"
+        );
+    }
+
+    #[test]
+    fn a_handle_survives_rename() {
+        let (_c, _dfs, client) = setup();
+        client.create("a").unwrap();
+        client.write("a", 0, b"data").unwrap();
+        client.fsync("a").unwrap();
+        let file = client.open("a").unwrap();
+        client.rename("a", "b").unwrap();
+        let read = |c: &DfsClient| c.read_with(&file, 0, 4, <[u8]>::to_vec);
+        assert_eq!(read(&client).unwrap(), b"data");
+        // And cold: the fetch goes by file id, the trace by the new name.
+        let trace = IoTrace::new();
+        trace.enable();
+        client.set_trace(Arc::clone(&trace));
+        client.drop_cache("b");
+        assert_eq!(read(&client).unwrap(), b"data");
+        assert_eq!(trace.events()[0].path, "b");
+    }
+
+    #[test]
+    fn a_handle_to_a_deleted_file_serves_what_is_cached_and_nothing_else() {
+        let (_c, _dfs, client) = setup();
+        client.create("f").unwrap();
+        client.write("f", 0, &[7u8; 8192]).unwrap();
+        client.fsync("f").unwrap();
+        let file = client.open("f").unwrap();
+        client.delete("f").unwrap();
+        let read = |offset| client.read_with(&file, offset, 4096, <[u8]>::to_vec);
+        assert_eq!(read(4096).unwrap(), vec![7u8; 4096]);
+        assert!(matches!(client.open("f"), Err(DfsError::NotFound(_))));
+
+        // Cold, the OSDs would answer with a hole's zeros: an error instead.
+        file.entry.lock().cached.clear();
+        assert_eq!(read(4096), Err(DfsError::NotFound("f".to_string())));
     }
 }

@@ -124,11 +124,16 @@ impl ExtentMap {
         }
     }
 
-    /// Copies available bytes for `[offset, offset + buf.len())` into `buf`
-    /// and returns the uncovered sub-ranges as `(offset, len)` pairs.
-    pub fn read_into(&self, offset: u64, buf: &mut [u8]) -> Vec<(u64, usize)> {
-        let mut missing = Vec::new();
-        let end = offset + buf.len() as u64;
+    /// Visits `[offset, offset + len)` in offset order as maximal runs:
+    /// `visit(at, Ok(bytes))` where an extent covers the run starting at
+    /// `at`, `visit(at, Err(n))` for a gap of `n` bytes.
+    fn walk<'a>(
+        &'a self,
+        offset: u64,
+        len: usize,
+        mut visit: impl FnMut(u64, Result<&'a [u8], usize>),
+    ) {
+        let end = offset + len as u64;
         let mut cursor = offset;
         // Start from the extent that could cover `offset`.
         let start_key = self
@@ -143,23 +148,64 @@ impl ExtentMap {
                 continue;
             }
             if s > cursor {
-                missing.push((cursor, (s.min(end) - cursor) as usize));
+                visit(cursor, Err((s - cursor) as usize));
                 cursor = s;
             }
-            if cursor >= end {
-                break;
-            }
-            let copy_start = (cursor - s) as usize;
-            let copy_end = ((e.min(end)) - s) as usize;
-            let dst_start = (cursor - offset) as usize;
-            let n = copy_end - copy_start;
-            buf[dst_start..dst_start + n].copy_from_slice(&d[copy_start..copy_end]);
-            cursor += n as u64;
+            let run = &d[(cursor - s) as usize..(e.min(end) - s) as usize];
+            visit(cursor, Ok(run));
+            cursor += run.len() as u64;
         }
         if cursor < end {
-            missing.push((cursor, (end - cursor) as usize));
+            visit(cursor, Err((end - cursor) as usize));
         }
+    }
+
+    /// Copies available bytes for `[offset, offset + buf.len())` into `buf`
+    /// and returns the uncovered sub-ranges as `(offset, len)` pairs.
+    pub fn read_into(&self, offset: u64, buf: &mut [u8]) -> Vec<(u64, usize)> {
+        let mut missing = Vec::new();
+        self.walk(offset, buf.len(), |at, run| match run {
+            Ok(bytes) => buf[(at - offset) as usize..][..bytes.len()].copy_from_slice(bytes),
+            Err(n) => missing.push((at, n)),
+        });
         missing
+    }
+
+    /// [`ExtentMap::read_into`] onto the end of `out`: appends the `len`
+    /// bytes of `[offset, offset + len)`, zeros standing in for the
+    /// uncovered sub-ranges it returns. Nothing is written twice, so a
+    /// caller with an empty `out` of that capacity pays for no zero-fill.
+    pub fn append_to(&self, offset: u64, len: usize, out: &mut Vec<u8>) -> Vec<(u64, usize)> {
+        let mut missing = Vec::new();
+        self.walk(offset, len, |at, run| match run {
+            Ok(bytes) => out.extend_from_slice(bytes),
+            Err(n) => {
+                out.resize(out.len() + n, 0);
+                missing.push((at, n));
+            }
+        });
+        missing
+    }
+
+    /// The bytes of `[offset, offset + len)` where they lie in one extent:
+    /// a borrow of the map's own memory, `None` when any byte of the range
+    /// is uncovered.
+    pub fn slice(&self, offset: u64, len: usize) -> Option<&[u8]> {
+        let (s, d) = self.extents.range(..=offset).next_back()?;
+        let start = usize::try_from(offset - s).ok()?;
+        d.get(start..start.checked_add(len)?)
+    }
+
+    /// True when any byte of `[offset, offset + len)` is covered.
+    pub fn overlaps(&self, offset: u64, len: usize) -> bool {
+        // Extents are disjoint and sorted: of those starting before the
+        // range's end, the last one reaches furthest.
+        len > 0
+            && self
+                .extents
+                .range(..offset + len as u64)
+                .next_back()
+                .is_some_and(|(s, d)| s + d.len() as u64 > offset)
     }
 
     /// Removes all data in `[offset, offset + len)`, splitting extents that

@@ -17,7 +17,8 @@
 //! * [`DfsClient`] — a per-application-server mount. Writes are buffered in
 //!   the client page cache (cheap); `fsync` pushes dirty ranges to the OSDs
 //!   and waits for all replicas to commit (expensive). Reads are served from
-//!   the cache with sequential readahead, or can bypass it (direct IO).
+//!   the cache with sequential readahead — lent to the caller in place
+//!   through an open [`DfsFile`] — or can bypass it (direct IO).
 //! * [`LocalFs`] — an `ext4`-on-local-SSD stand-in used as the comparison
 //!   point in Figure 11(b). It offers the same interface with local-latency
 //!   models and, critically, *does not survive* application-server crashes
@@ -36,7 +37,7 @@ pub mod localfs;
 pub mod mds;
 pub mod osd;
 
-pub use client::{DfsClient, IoEvent, IoKind, IoTrace};
+pub use client::{DfsClient, DfsFile, IoEvent, IoKind, IoTrace};
 pub use config::DfsConfig;
 pub use extent::ExtentMap;
 pub use localfs::LocalFs;

@@ -114,23 +114,34 @@ impl LocalFs {
     /// Reads up to `len` bytes at `offset` (short at end of file). Cold files
     /// charge media read latency once, then are page-cache resident.
     pub fn read(&self, path: &str, offset: u64, len: usize) -> Result<Vec<u8>, DfsError> {
-        let (data, cold, file_len) = {
+        self.read_with(path, offset, len, <[u8]>::to_vec)
+    }
+
+    /// [`LocalFs::read`] without the copy: `f` runs over the file's own
+    /// bytes, under the store's lock — it must not call back into this
+    /// file system.
+    pub fn read_with<R>(
+        &self,
+        path: &str,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, DfsError> {
+        let (out, cold_bytes) = {
             let mut files = self.files.lock();
-            let f = files
+            let file = files
                 .get_mut(path)
                 .ok_or_else(|| DfsError::NotFound(path.to_string()))?;
-            let start = (offset as usize).min(f.data.len());
-            let end = (start + len).min(f.data.len());
-            let cold = !f.in_page_cache;
-            f.in_page_cache = true;
-            (f.data[start..end].to_vec(), cold, f.data.len())
+            let cold = !std::mem::replace(&mut file.in_page_cache, true);
+            let span = sim::short_read(file.data.len(), offset, len);
+            (f(&file.data[span]), cold.then_some(file.data.len()))
         };
-        if cold {
+        if let Some(file_len) = cold_bytes {
             // Media read of the whole file (ext4 readahead on sequential log
             // recovery effectively streams it in).
             self.read_model.charge(file_len);
         }
-        Ok(data)
+        Ok(out)
     }
 
     /// File size in bytes.

@@ -45,6 +45,25 @@ impl Flat {
     }
 }
 
+/// The map and the model after `ops`.
+fn replay(ops: &[Op]) -> (ExtentMap, Flat) {
+    let mut map = ExtentMap::new();
+    let mut flat = Flat::default();
+    for op in ops {
+        match op {
+            Op::Insert { offset, data } => {
+                map.insert(*offset as u64, data);
+                flat.insert(*offset as usize, data);
+            }
+            Op::Remove { offset, len } => {
+                map.remove_range(*offset as u64, *len as u64);
+                flat.remove(*offset as usize, *len as usize);
+            }
+        }
+    }
+    (map, flat)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -91,5 +110,48 @@ proptest! {
         // byte_len equals occupied count.
         let occupied = flat.bytes.iter().filter(|(_, c)| *c).count();
         prop_assert_eq!(map.byte_len(), occupied);
+    }
+
+    /// The borrowing reads against the same model: `slice` lends exactly
+    /// the ranges that are covered end to end, `overlaps` sees exactly the
+    /// ranges with a covered byte, and `append_to` is `read_into` onto the
+    /// end of a vector.
+    #[test]
+    fn borrowed_reads_match_flat_model(
+        case in (
+            prop::collection::vec(op_strategy(), 1..60),
+            prop::collection::vec((0u64..640, 0usize..160), 1..40),
+        )
+    ) {
+        let (ops, probes) = &case;
+        let (map, flat) = replay(ops);
+        for &(offset, len) in probes {
+            let model: Vec<(u8, bool)> = (offset as usize..offset as usize + len)
+                .map(|i| flat.bytes.get(i).copied().unwrap_or((0, false)))
+                .collect();
+            let bytes: Vec<u8> = model.iter().map(|(b, _)| *b).collect();
+
+            prop_assert_eq!(
+                map.overlaps(offset, len),
+                model.iter().any(|(_, covered)| *covered),
+                "overlaps({}, {})", offset, len
+            );
+            match map.slice(offset, len) {
+                Some(lent) => {
+                    prop_assert!(model.iter().all(|(_, covered)| *covered));
+                    prop_assert_eq!(lent, &bytes[..], "slice({}, {})", offset, len);
+                }
+                // An empty range inside a gap has no extent to point into.
+                None => prop_assert!(len == 0 || model.iter().any(|(_, covered)| !*covered)),
+            }
+
+            let mut copied = vec![0u8; len];
+            let missing = map.read_into(offset, &mut copied);
+            let mut appended = vec![0xEE; 3];
+            prop_assert_eq!(map.append_to(offset, len, &mut appended), missing);
+            prop_assert_eq!(&appended[..3], &[0xEE; 3]);
+            prop_assert_eq!(&appended[3..], &copied[..]);
+            prop_assert_eq!(&copied[..], &bytes[..], "holes read as zeros");
+        }
     }
 }

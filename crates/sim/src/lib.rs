@@ -23,6 +23,8 @@
 //!   *control-plane* traffic (controller RPCs, peer setup, DFS client/OSD
 //!   messages): a service is a handler behind a mutex that runs on its
 //!   caller's thread. Data-plane RDMA lives in the `rdma` crate.
+//! * [`short_read`] — the one end-of-file rule every simulated file backend
+//!   (DFS client, local file system, NCL image) clamps a read with.
 //! * [`stats`] — log-bucketed latency histograms and a windowed throughput
 //!   sampler (used to regenerate Figure 12 of the paper).
 //!
@@ -51,3 +53,28 @@ pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use rpc::{RpcClient, RpcServer};
 pub use stats::ThroughputSampler;
 pub use time::{delay, delay_until, now_nanos, Stopwatch};
+
+/// The bytes a read of `len` at `offset` gets from a file of `size` bytes,
+/// as a range into the file: short at end of file, empty at or past it.
+/// `len` may be `usize::MAX` ("to end of file") and `offset` anything.
+pub fn short_read(size: usize, offset: u64, len: usize) -> std::ops::Range<usize> {
+    let start = usize::try_from(offset).map_or(size, |o| o.min(size));
+    start..start + len.min(size - start)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::short_read;
+
+    #[test]
+    fn short_read_clamps_to_the_file() {
+        assert_eq!(short_read(10, 0, 4), 0..4);
+        assert_eq!(short_read(10, 8, 4), 8..10);
+        assert_eq!(short_read(10, 0, usize::MAX), 0..10);
+        assert_eq!(short_read(10, 5, usize::MAX), 5..10);
+        assert_eq!(short_read(10, 10, 1), 10..10);
+        assert_eq!(short_read(10, 11, 1), 10..10);
+        assert_eq!(short_read(10, u64::MAX, usize::MAX), 10..10);
+        assert_eq!(short_read(0, 0, 1), 0..0);
+    }
+}

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dfs::{DfsClient, DfsError, IoKind, IoTrace, LocalFs};
+use dfs::{DfsClient, DfsError, DfsFile, IoKind, IoTrace, LocalFs};
 use fallback::NclRoute;
 use ncl::{NclError, NclFile, NclLib};
 use parking_lot::Mutex;
@@ -403,13 +403,11 @@ impl SplitFs {
                     } else {
                         return Err(FsError::NotFound(path.to_string()));
                     }
-                } else {
-                    dfs.open(path)?;
                 }
                 Ok(File {
                     fs: self.clone(),
                     path: path.to_string(),
-                    backend: Backend::Dfs,
+                    backend: Backend::Dfs(dfs.open(path)?),
                     pipelined: false,
                 })
             }
@@ -768,7 +766,8 @@ impl Drop for FsInner {
 }
 
 enum Backend {
-    Dfs,
+    /// Reads go through the handle; writes, `fsync` and `size` by path.
+    Dfs(DfsFile),
     Local,
     Ncl(Arc<NclRoute>),
 }
@@ -818,7 +817,7 @@ impl File {
                 .as_ref()
                 .expect("local")
                 .write(&self.path, offset, data)?),
-            Backend::Dfs => {
+            Backend::Dfs(_) => {
                 let t0 = self.fs.inner.dfs_write.is_live().then(Instant::now);
                 let dfs = self.fs.inner.dfs.as_ref().expect("dfs");
                 dfs.write(&self.path, offset, data)?;
@@ -852,7 +851,7 @@ impl File {
                 local.write(&self.path, offset, data)?;
                 Ok(offset)
             }
-            Backend::Dfs => {
+            Backend::Dfs(_) => {
                 let t0 = self.fs.inner.dfs_write.is_live().then(Instant::now);
                 let dfs = self.fs.inner.dfs.as_ref().expect("dfs");
                 let offset = dfs.append(&self.path, data)?;
@@ -936,7 +935,7 @@ impl File {
                 .as_ref()
                 .expect("local")
                 .fsync(&self.path)?),
-            Backend::Dfs => match self.fs.inner.mode {
+            Backend::Dfs(_) => match self.fs.inner.mode {
                 Mode::WeakDft => Ok(()), // Lazy: background flusher owns it.
                 _ => Ok(self.fs.inner.dfs.as_ref().expect("dfs").fsync(&self.path)?),
             },
@@ -947,33 +946,42 @@ impl File {
         result
     }
 
-    /// Reads up to `len` bytes at `offset` (short at end of file).
+    /// Reads up to `len` bytes at `offset` (short at end of file): a copy of
+    /// what [`File::read_with`] lends.
     pub fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>, FsError> {
+        self.read_with(offset, len, <[u8]>::to_vec)
+    }
+
+    /// Runs `f` over up to `len` bytes at `offset` (short at end of file,
+    /// empty past it; `len` may be `usize::MAX`) and returns what it
+    /// returns. Where the backend holds the range as one piece of memory —
+    /// the DFS page cache, the NCL image, the local store — `f` sees those
+    /// bytes in place and only what it keeps is copied. `f` runs under the
+    /// backend's lock on the file: it must not call back into the facade.
+    pub fn read_with<R>(
+        &self,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, FsError> {
         match &self.backend {
             Backend::Ncl(route) => {
                 let fb = route.fb.lock();
                 if fb.engaged {
-                    let start = (offset as usize).min(fb.len as usize);
-                    let end = (offset as usize).saturating_add(len).min(fb.len as usize);
-                    Ok(fb.image[start..end.max(start)].to_vec())
+                    let image = &fb.image[..fb.len as usize];
+                    Ok(f(&image[sim::short_read(image.len(), offset, len)]))
                 } else {
-                    Ok(route.file.read(offset, len))
+                    Ok(route.file.read_with(offset, len, f))
                 }
             }
-            Backend::Local => Ok(self
-                .fs
-                .inner
-                .local
-                .as_ref()
-                .expect("local")
-                .read(&self.path, offset, len)?),
-            Backend::Dfs => Ok(self
-                .fs
-                .inner
-                .dfs
-                .as_ref()
-                .expect("dfs")
-                .read(&self.path, offset, len)?),
+            Backend::Local => {
+                let local = self.fs.inner.local.as_ref().expect("local");
+                Ok(local.read_with(&self.path, offset, len, f)?)
+            }
+            Backend::Dfs(file) => {
+                let dfs = self.fs.inner.dfs.as_ref().expect("dfs");
+                Ok(dfs.read_with(file, offset, len, f)?)
+            }
         }
     }
 
@@ -995,7 +1003,7 @@ impl File {
                 .as_ref()
                 .expect("local")
                 .size(&self.path)?),
-            Backend::Dfs => Ok(self.fs.inner.dfs.as_ref().expect("dfs").size(&self.path)?),
+            Backend::Dfs(_) => Ok(self.fs.inner.dfs.as_ref().expect("dfs").size(&self.path)?),
         }
     }
 

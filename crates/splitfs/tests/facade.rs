@@ -6,7 +6,7 @@ use std::time::Duration;
 use dfs::{DfsCluster, DfsConfig, IoTrace, LocalFs};
 use ncl::{Controller, NclConfig, NclLib, NclRegistry, Peer};
 use sim::Cluster;
-use splitfs::{FsError, Mode, OpenOptions, SplitFs};
+use splitfs::{FsError, Mode, OpenOptions, SplitFs, Testbed, TestbedConfig};
 
 struct Harness {
     cluster: Cluster,
@@ -307,4 +307,62 @@ fn append_returns_monotonic_offsets() {
     let sst = fs.open("sst", OpenOptions::create()).unwrap();
     assert_eq!(sst.append(b"xxxx").unwrap(), 0);
     assert_eq!(sst.append(b"y").unwrap(), 4);
+}
+
+#[test]
+fn every_backend_clamps_a_read_the_same_way() {
+    let mut config = TestbedConfig::zero(3);
+    // The fallback handle below should engage quickly, not after 5 s.
+    config.ncl.write_timeout = Duration::from_millis(300);
+    let tb = Testbed::start(config);
+    let local = SplitFs::local(LocalFs::zero());
+    let (dft, _) = tb.mount(Mode::StrongDft, "clamp-dfs");
+    let (split, _) = tb.mount(Mode::SplitFt, "clamp-ncl");
+    let files = [
+        ("local", local.open("f", OpenOptions::create()).unwrap()),
+        ("dfs", dft.open("f", OpenOptions::create()).unwrap()),
+        (
+            "ncl",
+            split.open("wal", OpenOptions::create_ncl(1 << 16)).unwrap(),
+        ),
+        (
+            "ncl fallback",
+            split
+                .open("wal-degraded", OpenOptions::create_ncl(1 << 16))
+                .unwrap(),
+        ),
+    ];
+    let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+    let size = data.len() as u64;
+    for (_, file) in &files[..3] {
+        file.write_at(0, &data).unwrap();
+        file.fsync().unwrap();
+    }
+    // The last handle loses its quorum half way (no spare peers exist) and
+    // takes the rest through the shadow journal: its reads come from the
+    // fallback image. The other log is only read from here on.
+    let degraded = &files[3].1;
+    degraded.write_at(0, &data[..500]).unwrap();
+    for name in degraded.ncl_handle().unwrap().peer_names().iter().skip(1) {
+        tb.cluster.crash(tb.peer_named(name).unwrap().node());
+    }
+    degraded.write_at(500, &data[500..]).unwrap();
+    assert!(degraded.is_degraded() && !files[2].1.is_degraded());
+
+    let cases: [(u64, usize, &[u8]); 5] = [
+        (0, usize::MAX, &data),
+        (size / 2, usize::MAX, &data[500..]),
+        (size - 1, 2, &data[999..]),
+        (size, 1, &[]),
+        (size + 1, 1, &[]),
+    ];
+    for (backend, file) in &files {
+        assert_eq!(file.size().unwrap(), size, "{backend}");
+        for (offset, len, want) in cases {
+            let got = file.read(offset, len).unwrap();
+            assert_eq!(got, want, "{backend}: read({offset}, {len})");
+            let lent = file.read_with(offset, len, |bytes| bytes == want);
+            assert_eq!(lent, Ok(true), "{backend}: read_with({offset}, {len})");
+        }
+    }
 }
