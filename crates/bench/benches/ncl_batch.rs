@@ -1,7 +1,7 @@
 //! Criterion bench: batched NCL submission — doorbell batching with one
 //! coalesced header write per flushed burst.
 //!
-//! Burst-size sweep {1, 4, 16, 64} on the threaded NIC. Records are small
+//! Burst-size sweep {1, 4, 16, 64}, posts not waiting. Records are small
 //! (32 B) so the fixed-location header write (64 wire bytes) is larger than
 //! the data it covers — the regime where batching pays: a flushed burst
 //! posts one scatter-gather data WR plus a **single** header WR with one
@@ -48,8 +48,8 @@ fn batch_lib(
     runtime: Option<Arc<NclRuntime>>,
 ) -> NclLib {
     let mut config = tb.config().ncl.clone();
-    // Threaded NIC with a slow fabric (100 µs propagation, 100 ns/B): work
-    // requests spend their modelled latency genuinely on the wire, and the
+    // Posts that do not wait, on a slow fabric (100 µs propagation, 100 ns/B):
+    // work requests spend their modelled latency on the wire, and the
     // per-byte term is large enough that header bytes are resolvable above
     // scheduler noise. Propagation overlaps within a doorbell batch, so the
     // burst sweep isolates serialized bytes + per-WR overhead.

@@ -1,6 +1,6 @@
 //! Criterion bench: thread-per-core sharded NCL runtime scaling sweep.
 //!
-//! {1, 2, 4, 8} reactor shards on the threaded NIC, one pinned WAL file per
+//! {1, 2, 4, 8} reactor shards, posts not waiting, one pinned WAL file per
 //! shard, every worker staging 32 B records in bursts of [`BURST`] with the
 //! pipeline window bounding the backlog. Completions are reaped by the shard
 //! reactors, so the application threads only stage, ring doorbells, and park
@@ -32,15 +32,15 @@ const RECORD_SIZE: usize = 32;
 /// Records per doorbell in the instrumented breakdown run.
 const BURST: u64 = 16;
 /// Records per doorbell in the scaling sweep. Larger than the breakdown
-/// burst: on a single core every engine wakeup is a context switch, and the
-/// NIC's completion moderation amortises per doorbell batch — big batches
-/// keep the wakeup rate far below the record rate.
+/// burst: on a single core every reactor wakeup is a context switch, and a
+/// doorbell signals the reactor once per batch — big batches keep the wakeup
+/// rate far below the record rate.
 const SWEEP_BURST: u64 = 256;
 /// Records each shard worker stages per measured iteration.
 const BATCH: u64 = 2048;
 const CAPACITY: usize = 32 << 20;
 /// Pipeline depth per file: covers the records in flight at the wire's
-/// bandwidth-delay product plus the moderation clumps the engine delivers
+/// bandwidth-delay product plus what lands between two reactor rounds
 /// behind the serialization front, so the steady state is
 /// serialization-bound, not window-bound.
 const WINDOW: u64 = 1024;
@@ -54,7 +54,7 @@ fn mt_lib(tb: &Testbed, tag: &str, telemetry: Telemetry, window: u64) -> NclLib 
     // record (on one core those spins serialize across shards and would
     // measure the staging model, not the runtime).
     let mut config = NclConfig::zero();
-    // Threaded NIC, slow fabric: 100 µs propagation (overlapped across a
+    // Posts that do not wait, slow fabric: 100 µs propagation (overlapped across a
     // doorbell batch) and 100 ns/B serialization. Per shard the wire frees
     // a 32 B record every ~3.3 µs, so one shard tops out near 300k
     // records/s and the aggregate only grows if shards genuinely overlap.

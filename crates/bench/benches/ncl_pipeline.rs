@@ -3,8 +3,8 @@
 //!
 //! Two measurements:
 //!
-//! 1. **Window sweep** — 128 B records on the calibrated testbed with the
-//!    threaded NIC (`inline_nic = false`, so work requests have a real
+//! 1. **Window sweep** — 128 B records on the calibrated testbed with posts
+//!    that do not wait (`inline_nic = false`, so work requests have an
 //!    in-flight period the pipeline can overlap) and the fabric propagation
 //!    term scaled so the modelled bandwidth-delay product is resolvable
 //!    above host scheduler jitter (see `pipeline_lib`). Depth 1 is the
@@ -65,9 +65,9 @@ const CAPACITY: usize = 32 << 20;
 fn pipeline_lib(tb: &Testbed, window: u64, tag: &str, telemetry: Telemetry) -> NclLib {
     let mut config = tb.config().ncl.clone();
     config.telemetry = telemetry;
-    // Threaded NIC: work requests spend their modelled latency genuinely in
-    // flight, which is what a deeper window overlaps. (The inline NIC
-    // executes at post time, where pipelining cannot help by construction.)
+    // Posts do not wait: work requests spend their modelled latency in
+    // flight, which is what a deeper window overlaps. (A post that waits its
+    // flights out leaves pipelining nothing to overlap, by construction.)
     config.inline_nic = false;
     // The calibrated 1.5 µs fabric latency is charged by spinning, so on an
     // oversubscribed host the measured per-record time is dominated by
@@ -134,7 +134,7 @@ fn window_sweep(c: &mut Criterion) {
 }
 
 fn allocation_count(c: &mut Criterion) {
-    // Zero latencies and the inline NIC: nothing sleeps, so the allocation
+    // Zero latencies and posts that wait: nothing sleeps, so the allocation
     // count per record is stable and dominated by the record path itself.
     let mut config = TestbedConfig::zero(3);
     config.ncl.inline_nic = true;

@@ -11,8 +11,9 @@
 //! NCL tracks the weak configuration while strong is two orders of
 //! magnitude slower.
 //!
-//! A window-depth sweep (`NCL w1` / `w4` / `w16`) rides along on the
-//! threaded NIC, where work requests are genuinely in flight: `w1` issues
+//! A window-depth sweep (`NCL w1` / `w4` / `w16`) rides along with posts
+//! that do not wait for their completions (`inline_nic = false`), so work
+//! requests are in flight when a post returns: `w1` issues
 //! one synchronous `record` at a time (the paper's baseline), deeper
 //! windows post through `record_nowait` and fence once at the end, so the
 //! reported figure is the amortized per-record latency the pipelined path
@@ -85,7 +86,7 @@ fn main() {
         let ncl_us = sw.elapsed_micros_f64() / ncl_ops as f64;
         file.release().unwrap();
 
-        // Window-depth sweep on the threaded NIC: amortized per-record
+        // Window-depth sweep with non-waiting posts: amortized per-record
         // latency at pipeline depth 1 (synchronous baseline), 4, and 16.
         let pipe_ops = ncl_ops.min(2_000);
         let pipelined_us = |window: u64| {
@@ -132,7 +133,7 @@ fn main() {
     }
 
     // Where does an NCL record's latency go? One telemetry-instrumented
-    // 128 B pipelined run (threaded NIC, window 16), decomposed into the
+    // 128 B pipelined run (non-waiting posts, window 16), decomposed into the
     // staging / doorbell / wire / ack spans the record path stamps.
     let telemetry = Telemetry::new();
     let mut config = tb.config().ncl.clone();
@@ -181,7 +182,7 @@ fn main() {
     println!(
         "\npaper reference @128B: strong ≈ 2000 µs | weak ≈ 1.2 µs | NCL ≈ 4.6 µs\n\
          expectation: NCL within ~5x of weak; strong 2+ orders of magnitude above both\n\
-         w-columns: threaded-NIC amortized latency at pipeline window 1/4/16 —\n\
+         w-columns: non-waiting posts at pipeline window 1/4/16, amortized —\n\
          deeper windows overlap the in-flight period and post one doorbell and\n\
          one coalesced header write per window-full burst"
     );

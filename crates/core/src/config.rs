@@ -98,16 +98,18 @@ pub struct NclConfig {
     /// it. Depth 1 allows one outstanding record; the paper's baseline
     /// protocol corresponds to the synchronous `record` call.
     pub pipeline_window: u64,
-    /// Execute RDMA work requests inline at post time instead of on NIC
-    /// engine threads. Semantically equivalent (ordering, permissions,
-    /// failures) but avoids cross-thread handoffs whose scheduler cost
-    /// dwarfs microsecond latencies on oversubscribed hosts. The poster
-    /// waits out the modelled flights, priced exactly as the engine thread
-    /// prices them: those of one flush's peers together (one instant per
-    /// flush), those of one queue pair's doorbell back to back on the wire
-    /// behind one propagation.
-    /// The calibrated profile enables it; the zero (testing) profile keeps
-    /// the more adversarial threaded NIC.
+    /// Whether an RDMA post waits for its own completions. Either way the
+    /// post applies its requests and prices their flights on the caller's
+    /// thread (those of one flush's peers together — one instant per flush —
+    /// those of one doorbell back to back behind one propagation), and no NIC
+    /// owns a thread. Set, the poster waits each flight out and the
+    /// completions are queued when the post returns: nothing is left for a
+    /// later reap, whose wake-up on an oversubscribed host would dwarf
+    /// microsecond latencies. Clear, the completions land when whoever reaps
+    /// the completion queue finds them due, so a pipelined writer's bursts
+    /// overlap their flights. Ordering, permissions and failures are the
+    /// same. The calibrated profile sets it; the zero (testing) profile does
+    /// not.
     pub inline_nic: bool,
     /// Epoch lease granted to every region a peer allocates. A region whose
     /// lease has run out — no control-plane activity renewed it — is only

@@ -331,6 +331,9 @@ pub struct NclFile {
     /// drained in the background and durability waiters park on
     /// [`AckedState`] instead of the completion queue.
     hosted: AtomicBool,
+    /// The queue every peer slot completes into; `rep` holds it too, and
+    /// this handle reaches it without that lock.
+    cq: CompletionQueue,
     stage: Mutex<Stage>,
     rep: Mutex<Rep>,
 }
@@ -369,6 +372,7 @@ impl NclFile {
             acked: Arc::clone(&acked),
             issued: AtomicU64::new(seq),
             hosted: AtomicBool::new(false),
+            cq: cq.clone(),
             stage: Mutex::new(Stage::new(image, scheme)),
             rep: Mutex::new(Rep::new(
                 slots,

@@ -211,7 +211,7 @@ pub(super) struct Rep {
     /// while a quorum was still alive); [`NclFile::maintain`] retries.
     pub repair_pending: bool,
     /// Reusable work-request buffer for burst flushes, so the steady-state
-    /// inline-NIC flush path allocates nothing per doorbell.
+    /// flush path allocates nothing per doorbell.
     pub wr_scratch: Vec<WorkRequest>,
     /// Posted-but-not-durable records being timed (empty with telemetry
     /// disabled). Registered at the back in sequence order, retired from
@@ -552,24 +552,25 @@ impl NclFile {
     /// Called by `NclRuntime::host_on`.
     pub(crate) fn attach_reactor(&self, waker: &CqWaker, shard: usize) {
         self.metrics.bind_shard(shard);
-        self.rep_guard().cq.register_waker(waker);
+        self.cq.register_waker(waker);
         self.hosted.store(true, Ordering::Release);
     }
 
     /// One shard-reactor poll round: drain the completion queue and
     /// republish the acked watermark, without ever blocking on a busy
-    /// file (the lock holder is doing this same work). Returns whether the
-    /// durable watermark advanced — the reactor profiler attributes such
-    /// rounds to publish time rather than empty-poll time.
-    pub(crate) fn reactor_poll(&self) -> bool {
-        if let Some(mut rep) = self.rep.try_lock() {
+    /// file (the lock holder is posting, or doing this same work). Returns
+    /// whether the durable watermark advanced — the reactor profiler
+    /// attributes such rounds to publish time rather than empty-poll time —
+    /// and when the next completion in flight lands, busy or not: no
+    /// doorbell announces a landing, so the reactor must look again then.
+    pub(crate) fn reactor_poll(&self) -> (bool, Option<Instant>) {
+        let advanced = self.rep.try_lock().is_some_and(|mut rep| {
             let before = self.durable_seq();
             let now = rep.drain();
             rep.refresh_durable(&self.ctx.config, now);
             self.durable_seq() > before
-        } else {
-            false
-        }
+        });
+        (advanced, self.cq.next_due())
     }
 
     /// Names of the currently assigned peers (alive ones first-class; dead
@@ -639,7 +640,7 @@ impl NclFile {
         enum Next {
             Done,
             Repair { must: bool },
-            Wait(CompletionQueue),
+            Wait,
         }
         // Fast path: the record is already acked and nothing needs
         // attention. Two atomic loads, zero mutexes — the property the
@@ -682,7 +683,7 @@ impl NclFile {
                 } else if rep.alive() < ctx.config.quorum() {
                     Next::Repair { must: true }
                 } else {
-                    Next::Wait(rep.cq.clone())
+                    Next::Wait
                 }
             };
             match next {
@@ -715,7 +716,7 @@ impl NclFile {
                         }
                     }
                 }
-                Next::Wait(cq) => {
+                Next::Wait => {
                     let left = time_left();
                     if left.is_zero() {
                         return Err(NclError::QuorumUnavailable(format!(
@@ -744,27 +745,11 @@ impl NclFile {
                             .park_until(seq, left.min(Duration::from_millis(50)));
                         continue;
                     }
-                    // NCL polls the completion queues (§4.4). With NIC
-                    // engine threads a short poll-and-yield loop catches the
-                    // microsecond-scale completions; with an inline NIC
-                    // completions only ever appear when another thread
-                    // posts, so spinning is pure waste — go straight to the
-                    // blocking wait, whose timeout is derived from the
-                    // record deadline (the queue wakes on every completion,
-                    // so a long timeout costs nothing in the common case).
-                    let mut wcs = Vec::new();
-                    if !ctx.config.inline_nic {
-                        for _ in 0..64 {
-                            wcs = cq.poll();
-                            if !wcs.is_empty() {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                    if wcs.is_empty() {
-                        wcs = cq.wait(left.min(Duration::from_millis(50)));
-                    }
+                    // NCL polls the completion queue (§4.4): the wait lands
+                    // what is due, sleeps to the earliest flight otherwise
+                    // and wakes on every doorbell, so a timeout derived from
+                    // the record deadline costs nothing in the common case.
+                    let mut wcs = self.cq.wait(left.min(Duration::from_millis(50)));
                     if !wcs.is_empty() {
                         self.rep_guard().absorb(&mut wcs, sim::time::now());
                     }
@@ -850,15 +835,14 @@ impl WcWait for RepWait<'_> {
                 .map(|pos| rep.stray.remove(pos).1)
         };
         loop {
-            let cq = {
+            {
                 let mut rep = self.file.rep_guard();
                 rep.drain();
                 if let Some(wc) = take(&mut rep) {
                     return Some(wc);
                 }
-                rep.cq.clone()
-            };
-            let mut wcs = cq.wait(Duration::from_millis(2));
+            }
+            let mut wcs = self.file.cq.wait(Duration::from_millis(2));
             if !wcs.is_empty() {
                 let mut rep = self.file.rep_guard();
                 rep.absorb(&mut wcs, Instant::now());

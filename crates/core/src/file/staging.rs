@@ -370,9 +370,9 @@ impl NclFile {
     /// doorbell spans, restarts idle peers' silence clocks and is when every
     /// peer's doorbell is rung ([`rdma::QueuePair::post_many_at`]), so the
     /// peers' modelled flights overlap although the posts are made in a
-    /// loop; on the inline NIC the first post waits out its flights and the
-    /// others find theirs landed. Post errors are left to the completion
-    /// path, like every other posting site.
+    /// loop; when posts wait for their completions the first waits its
+    /// flights out and the others find theirs landed. Post errors are left
+    /// to the completion path, like every other posting site.
     pub(super) fn flush_staged(&self, stage: &mut Stage, reason: FlushReason) {
         let Some(last) = stage.pending.last() else {
             return;
@@ -415,10 +415,10 @@ impl NclFile {
     /// Stamps the doorbell histogram, queues the stage and doorbell spans
     /// and opens a [`Flight`] per pending record, all posted at the flush's
     /// instant `posted_at`. Must run before the
-    /// posts: an inline NIC executes the writes during `post_many`, so
-    /// stamping after would misattribute the wire time to the doorbell
-    /// span — and completions cannot be absorbed concurrently because the
-    /// caller holds the replication lock.
+    /// posts: one that waits for its completions spends the flights inside
+    /// `post_many`, so stamping after would misattribute the wire time to the
+    /// doorbell span — and completions cannot be absorbed concurrently
+    /// because the caller holds the replication lock.
     fn register_flights(&self, rep: &mut Rep, pending: &[PendingRecord], posted_at: Instant) {
         let metrics = &self.metrics;
         for rec in pending {

@@ -11,8 +11,9 @@
 //!   the background, making the common `wait_durable` call a pure atomic
 //!   load (see `lockaudit`);
 //! * the reactor sleeps on a [`CqWaker`] registered with every hosted
-//!   file's completion queue — completion-driven polling, no blocking
-//!   per-file `cq.wait` threads.
+//!   file's completion queue, until the next doorbell or the next landing
+//!   ([`rdma::CompletionQueue::next_due`]) — completion-driven polling, no
+//!   blocking per-file `cq.wait` threads.
 //!
 //! Control operations (epoch bumps, peer replacement, catch-up, ap-map
 //! updates) do not pass through the runtime: each file's `rep` state is the
@@ -29,9 +30,9 @@ use telemetry::{ReactorProfiler, ShardProfile, Telemetry};
 
 use crate::file::NclFile;
 
-/// How long a reactor sleeps when no waker signal arrives. Bounds the lag
-/// between a completion landing and the watermark publishing even if a
-/// waker registration is missed.
+/// How long a reactor sleeps when no waker signal arrives and nothing is in
+/// flight. Bounds the lag between a completion landing and the watermark
+/// publishing even if a waker registration is missed.
 const REACTOR_IDLE: Duration = Duration::from_millis(1);
 
 /// Per-shard reactor state: the reactor thread polls `files`; `host_on`
@@ -52,20 +53,35 @@ impl Shard {
     }
 
     /// Drains and publishes every hosted file, pruning dropped ones.
-    /// Returns whether any file's durable watermark advanced and the number
-    /// of files still hosted (the profiler's publish/poll split and
-    /// queue-depth gauge).
-    fn poll_files(&self) -> (bool, usize) {
+    fn poll_files(&self) -> Round {
         let mut files = self.files.lock();
-        let mut progressed = false;
+        let mut round = Round::default();
         files.retain(|weak| match weak.upgrade() {
             Some(file) => {
-                progressed |= file.reactor_poll();
+                let (advanced, due) = file.reactor_poll();
+                round.progressed |= advanced;
+                round.next_due = round.next_due.into_iter().chain(due).min();
                 true
             }
             None => false,
         });
-        (progressed, files.len())
+        round.hosted = files.len();
+        round
+    }
+
+    /// Sleeps until a doorbell moves the waker past `seen`, a completion in
+    /// flight to a hosted file is due, or `REACTOR_IDLE` has passed.
+    fn park(&self, seen: u64, next_due: Option<Instant>) {
+        let idle = next_due.map_or(REACTOR_IDLE, |due| {
+            REACTOR_IDLE.min(due.saturating_duration_since(sim::time::now()))
+        });
+        if idle.is_zero() {
+            // Due already, on a file whose lock a poster or a repair holds:
+            // let the holder run.
+            std::thread::yield_now();
+        } else {
+            self.waker.wait(seen, idle);
+        }
     }
 
     /// One instrumented reactor loop iteration: the profiler attributes
@@ -74,16 +90,27 @@ impl Shard {
     fn timed_round(&self, tel: &Telemetry, prof: &ShardProfile, stop: &AtomicBool) {
         let seen = self.waker.epoch();
         let t0 = Instant::now();
-        let (progressed, depth) = self.poll_files();
-        prof.on_poll(t0.elapsed(), progressed);
-        prof.set_queue_depth(depth);
+        let round = self.poll_files();
+        prof.on_poll(t0.elapsed(), round.progressed);
+        prof.set_queue_depth(round.hosted);
         prof.beat(tel.now_ns());
         if !stop.load(Ordering::Acquire) {
             let t1 = Instant::now();
-            self.waker.wait(seen, REACTOR_IDLE);
+            self.park(seen, round.next_due);
             prof.on_park(t1.elapsed());
         }
     }
+}
+
+/// What one pass over a shard's files found: whether any file's durable
+/// watermark advanced, how many files are still hosted (the profiler's
+/// publish/poll split and queue-depth gauge), and when the earliest
+/// completion in flight to any of them lands.
+#[derive(Default)]
+struct Round {
+    progressed: bool,
+    hosted: usize,
+    next_due: Option<Instant>,
 }
 
 /// The sharded runtime: N reactor threads, each servicing the files hashed
@@ -139,11 +166,11 @@ impl NclRuntime {
                         } else {
                             while !stop.load(Ordering::Acquire) {
                                 let seen = shard.waker.epoch();
-                                shard.poll_files();
+                                let round = shard.poll_files();
                                 if stop.load(Ordering::Acquire) {
                                     break;
                                 }
-                                shard.waker.wait(seen, REACTOR_IDLE);
+                                shard.park(seen, round.next_due);
                             }
                         }
                         // Final round so nothing that completed before the

@@ -580,29 +580,31 @@ fn gc_reclaims_epoch_superseded_regions_after_recovery() {
 }
 
 #[test]
-fn inline_nic_mode_preserves_protocol_guarantees() {
-    // The calibrated profile executes RDMA work requests inline; the full
-    // failure/recovery behaviour must be identical to the threaded NIC.
-    let mut config = NclConfig::zero();
-    config.inline_nic = true;
-    let h = Harness::with_config(5, config);
-    let app_node;
-    {
-        let lib = h.app("a1");
-        app_node = lib.node();
-        let file = lib.create("wal", 4096).unwrap();
-        file.record(0, b"before-").unwrap();
-        // Peer failure mid-stream: inline errors trigger replacement too.
-        let victim = file.peer_names()[0].clone();
-        h.cluster.crash(h.peer_named(&victim).node());
-        file.record(7, b"after").unwrap();
-        assert_eq!(file.peer_names().len(), 3);
-        assert!(!file.peer_names().contains(&victim));
+fn both_nic_settings_preserve_protocol_guarantees() {
+    // The calibrated profile's posts wait for their own completions; the
+    // full failure/recovery behaviour must be identical when they do not.
+    for inline_nic in [false, true] {
+        let mut config = NclConfig::zero();
+        config.inline_nic = inline_nic;
+        let h = Harness::with_config(5, config);
+        let app_node;
+        {
+            let lib = h.app("a1");
+            app_node = lib.node();
+            let file = lib.create("wal", 4096).unwrap();
+            file.record(0, b"before-").unwrap();
+            // Peer failure mid-stream: errors trigger replacement on both.
+            let victim = file.peer_names()[0].clone();
+            h.cluster.crash(h.peer_named(&victim).node());
+            file.record(7, b"after").unwrap();
+            assert_eq!(file.peer_names().len(), 3);
+            assert!(!file.peer_names().contains(&victim));
+        }
+        h.cluster.crash(app_node);
+        let lib2 = h.app("a2");
+        let file = lib2.recover("wal").unwrap();
+        assert_eq!(file.contents(), b"before-after");
     }
-    h.cluster.crash(app_node);
-    let lib2 = h.app("a2");
-    let file = lib2.recover("wal").unwrap();
-    assert_eq!(file.contents(), b"before-after");
 }
 
 #[test]

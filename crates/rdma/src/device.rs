@@ -1,9 +1,9 @@
 //! RDMA devices and memory regions.
 //!
 //! A device belongs to one simulated node and hosts memory regions. Region
-//! contents live behind a lock so the NIC engines of remote queue pairs can
-//! apply one-sided writes without involving the host's "CPU" (i.e. without
-//! any host-side thread participating). Registration is bound to the host
+//! contents live behind a lock so remote queue pairs' posts can apply
+//! one-sided writes without involving the host's "CPU" (i.e. without any
+//! host-side thread participating). Registration is bound to the host
 //! node's crash generation: after a crash the memory — like real DRAM — is
 //! gone, and every previously exported region token is permanently invalid.
 

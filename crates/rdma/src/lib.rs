@@ -9,12 +9,14 @@
 //! * [`RdmaDevice`] — one per node; registers [`MemoryRegion`]s protected by
 //!   an [`RKey`] and identified by a portable [`RemoteMr`] token.
 //! * [`QueuePair`] — a reliable connection to a remote device. Work requests
-//!   are processed **in post order** by a per-QP NIC engine thread (the send
-//!   queue ordering guarantee NCL's protocol leans on, §4.4), each charged
-//!   with the configured [`sim::LatencyModel`].
-//! * [`CompletionQueue`] — per-QP completions, delivered in order. Once a
-//!   work request fails, the QP enters an error state and all subsequent
-//!   requests complete with [`WcStatus::FlushErr`], as real RC QPs do.
+//!   are processed **in post order**, on the poster's thread (the send queue
+//!   ordering guarantee NCL's protocol leans on, §4.4), each charged with
+//!   the configured [`sim::LatencyModel`].
+//! * [`CompletionQueue`] — per-QP completions, delivered in order, each
+//!   landing when its modelled flight is over and someone reaps the queue.
+//!   Once a work request fails, the QP enters an error state and all
+//!   subsequent requests complete with [`WcStatus::FlushErr`], as real RC QPs
+//!   do.
 //!
 //! ## Failure semantics
 //!

@@ -1,24 +1,36 @@
-//! Queue pairs, NIC engines, and completion queues.
+//! Queue pairs and completion queues.
 //!
 //! A [`QueuePair`] models a reliable-connected (RC) queue pair: work requests
-//! posted to its send queue are executed **in order** by a dedicated NIC
-//! engine thread, and their completions appear **in the same order** on the
-//! associated [`CompletionQueue`]. This is the ordering guarantee NCL's
-//! replication protocol relies on (§4.4 of the paper): posting the data WR
-//! before the sequence-number WR ensures the sequence number is never visible
-//! on a peer without its data.
+//! posted to its send queue are executed **in post order**, and their
+//! completions appear **in the same order** on the associated
+//! [`CompletionQueue`]. This is the ordering guarantee NCL's replication
+//! protocol relies on (§4.4 of the paper): posting the data WR before the
+//! sequence-number WR ensures the sequence number is never visible on a peer
+//! without its data.
+//!
+//! The NIC owns no thread. A post applies each request to the peer's region
+//! and prices its flight ([`Pipe::send`]) on the poster's thread; the
+//! completion lands at the instant the model assigns, its `due`. A post that
+//! waits for its own completions (`inline`) waits each `due` out and lands
+//! the completion itself; otherwise the completion flies on the completion
+//! queue, and whoever next reaps that queue lands what is due.
+//!
+//! The rule of landing, on both: a completion whose flight took modelled
+//! time is re-checked against the link when it lands, each on its own `due`.
+//! A link severed by then turns a success into [`WcStatus::RetryExceeded`]
+//! and errors the queue pair, although the bytes are in the peer's region:
+//! "landed, ack lost", which the protocol's prefix rule tolerates.
 //!
 //! Multiple queue pairs may share one completion queue (as in real verbs);
 //! completions carry the `qp_num` so the consumer can attribute them.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use sim::{Cluster, FaultSite, LatencyModel, NodeId, SimError, WireFault};
 use telemetry::HistHandle;
 
@@ -27,13 +39,16 @@ use crate::types::{WcStatus, WorkCompletion, WrId};
 
 static NEXT_QP_NUM: AtomicU32 = AtomicU32::new(1);
 
+/// `sim::time`'s spin range: a deadline this near is waited out by its clock
+/// poll; a condvar's timed sleep would overshoot it by more than a flight.
+const SPIN_RANGE: Duration = Duration::from_micros(20);
+
 /// A work request, built by the caller and posted with
 /// [`QueuePair::post_many`] (or one of the single-WR convenience methods).
 ///
 /// `WriteSg` is a scatter-gather WRITE: the source slices are gathered in
-/// order and applied contiguously starting at `offset`, as one work request
-/// with one completion — the verbs `sg_list` idiom that lets a burst of
-/// adjacent records ride a single WR.
+/// order and applied contiguously from `offset` as one work request with one
+/// completion — the verbs `sg_list` idiom: adjacent records ride a single WR.
 #[derive(Debug, Clone)]
 pub enum WorkRequest {
     /// One-sided RDMA WRITE of `data` at `offset` within `mr`.
@@ -80,24 +95,48 @@ impl WorkRequest {
     }
 }
 
-/// What one channel send to the NIC engine carries: a lone work request or a
-/// doorbell batch. A single post allocates no vector; a batch moves its
-/// vector across in one send, which is the whole point of doorbell batching
-/// (one channel operation and one engine wakeup for N requests).
-enum Submission {
-    One(WorkRequest),
-    Many(Vec<WorkRequest>),
+/// `(qp_num, completion)` pairs, as a completion queue hands them out.
+type Completions = Vec<(u32, WorkCompletion)>;
+
+/// A completion between its request's post and its landing.
+struct Flight {
+    due: Instant,
+    /// Whether the flight took modelled time: only then can the link have
+    /// changed since the post checked it.
+    flew: bool,
+    /// The wire fault point's verdict on the request, honoured at landing.
+    verdict: WireFault,
+    wc: WorkCompletion,
+}
+
+#[derive(Default)]
+struct CqState {
+    /// Landed completions, in landing order.
+    ready: Completions,
+    /// Completions in flight, by `due` with ties in arrival order: a queue
+    /// pair's `due`s are monotone, so each one's completions stay in post
+    /// order however many share the queue.
+    flying: VecDeque<(Arc<Link>, Flight)>,
+}
+
+impl CqState {
+    /// Lands every flight whose `due` has passed.
+    fn land_due(&mut self, now: Instant) {
+        while self.flying.front().is_some_and(|(_, f)| f.due <= now) {
+            let (link, flight) = self.flying.pop_front().expect("front just seen");
+            link.land(flight, &mut self.ready);
+        }
+    }
 }
 
 #[derive(Default)]
 struct CqInner {
-    queue: Mutex<Vec<(u32, WorkCompletion)>>,
-    /// Notified with `queue` held, which is also what [`CompletionQueue::wait`]
-    /// checks emptiness and sleeps under — the discipline the waiter-counted
-    /// `Condvar` needs to skip the wake-up when nobody sleeps.
+    state: Mutex<CqState>,
+    /// Notified with `state` held, which `wait` also checks and sleeps under:
+    /// what the waiter-counted `Condvar` needs to skip an unheard wake-up.
     available: Condvar,
     /// Reactors watching this CQ (weakly, so a dead reactor never pins the
-    /// queue). `watched` mirrors `watchers.is_empty()` so the per-completion
+    /// queue). `watched` mirrors `watchers.is_empty()` so the per-doorbell
     /// fast path costs one relaxed load when nobody is subscribed.
     watchers: Mutex<Vec<std::sync::Weak<CqWakerInner>>>,
     watched: AtomicBool,
@@ -106,20 +145,19 @@ struct CqInner {
 #[derive(Default)]
 struct CqWakerInner {
     epoch: Mutex<u64>,
-    /// Notified with `epoch` held, by [`CqWaker::signal`] and by the
-    /// completion queues' pushes alike; [`CqWaker::wait`] compares and
-    /// sleeps under the same lock.
+    /// Notified with `epoch` held; [`CqWaker::wait`] compares and sleeps
+    /// under the same lock.
     cv: Condvar,
 }
 
 /// An edge-counting wakeup channel for completion-driven polling.
 ///
 /// A shard reactor registers one waker on every completion queue it services
-/// ([`CompletionQueue::register_waker`]); each pushed completion bumps the
-/// waker's epoch and notifies. The reactor sleeps with the standard
-/// capture-then-wait pattern — read [`CqWaker::epoch`], poll all CQs, then
-/// [`CqWaker::wait`] with the captured value — so a completion that lands
-/// between the poll and the wait is never missed.
+/// ([`CompletionQueue::register_waker`]); each doorbell that hands a queue
+/// completions, landed or flying, bumps the epoch and notifies. The reactor
+/// sleeps by capture-then-wait — read [`CqWaker::epoch`], poll all CQs, then
+/// [`CqWaker::wait`] with the captured value, no longer than to
+/// [`CompletionQueue::next_due`] — so it never misses a doorbell.
 #[derive(Clone, Default)]
 pub struct CqWaker {
     inner: Arc<CqWakerInner>,
@@ -144,11 +182,16 @@ impl CqWaker {
         self.inner.cv.notify_all();
     }
 
-    /// Sleeps until the epoch advances past `seen` or `timeout` elapses;
-    /// returns the epoch observed on wakeup.
+    /// Sleeps until the epoch advances past `seen` or `timeout` elapses (one
+    /// inside [`SPIN_RANGE`] on the clock); returns the epoch seen on wakeup.
     pub fn wait(&self, seen: u64, timeout: Duration) -> u64 {
         let mut e = self.inner.epoch.lock();
         if *e == seen {
+            if timeout <= SPIN_RANGE {
+                drop(e);
+                sim::delay(timeout);
+                return self.epoch();
+            }
             self.inner.cv.wait_for(&mut e, timeout);
         }
         *e
@@ -157,7 +200,8 @@ impl CqWaker {
 
 /// A completion queue, shareable across queue pairs.
 ///
-/// Entries are `(qp_num, completion)` pairs in completion order.
+/// Entries are `(qp_num, completion)` pairs in completion order. The queue
+/// holds the completions flying to it too: a reap first lands what is due.
 #[derive(Clone, Default)]
 pub struct CompletionQueue {
     inner: Arc<CqInner>,
@@ -169,38 +213,37 @@ impl CompletionQueue {
         CompletionQueue::default()
     }
 
-    /// Subscribes `waker` to completion arrivals on this queue. Held weakly:
-    /// dropping the waker (reactor shutdown) unsubscribes it on the next
-    /// push. Registering the same waker twice is harmless (double signals).
+    /// Subscribes `waker` to doorbells on this queue. Held weakly: dropping
+    /// the waker (reactor shutdown) unsubscribes it on the next doorbell.
+    /// Registering the same waker twice is harmless (double signals).
     pub fn register_waker(&self, waker: &CqWaker) {
         let mut ws = self.inner.watchers.lock();
         ws.push(Arc::downgrade(&waker.inner));
         self.inner.watched.store(true, Ordering::Release);
     }
 
-    /// Posts the completions of one doorbell (inline NIC) or one moderation
-    /// clump (engine thread): one queue lock, one condvar notify, and one
-    /// waker signal for all of them — the CQ half of interrupt moderation.
-    fn push_batch(&self, qp_num: u32, wcs: impl IntoIterator<Item = WorkCompletion>) {
+    /// Takes one doorbell's completions, `landed` by a post that waited or
+    /// `flying` from one that did not: one queue lock, one condvar notify (a
+    /// sleeper in `wait` re-reads the earliest `due`), one waker signal.
+    fn accept(&self, link: &Arc<Link>, landed: &mut Completions, flying: &mut Vec<Flight>) {
+        if landed.is_empty() && flying.is_empty() {
+            return;
+        }
         {
-            let mut q = self.inner.queue.lock();
-            q.extend(wcs.into_iter().map(|wc| (qp_num, wc)));
+            let mut st = self.inner.state.lock();
+            st.ready.append(landed);
+            for flight in flying.drain(..) {
+                let at = st.flying.partition_point(|(_, f)| f.due <= flight.due);
+                st.flying.insert(at, (Arc::clone(link), flight));
+            }
             self.inner.available.notify_all();
         }
-        self.wake_watchers();
-    }
-
-    fn wake_watchers(&self) {
         if self.inner.watched.load(Ordering::Acquire) {
             let mut ws = self.inner.watchers.lock();
             ws.retain(|w| {
-                let Some(inner) = w.upgrade() else {
-                    return false;
-                };
-                let mut e = inner.epoch.lock();
-                *e += 1;
-                inner.cv.notify_all();
-                true
+                w.upgrade()
+                    .map(|inner| CqWaker { inner }.signal())
+                    .is_some()
             });
             if ws.is_empty() {
                 self.inner.watched.store(false, Ordering::Release);
@@ -208,82 +251,80 @@ impl CompletionQueue {
         }
     }
 
+    /// The queue with every completion whose `due` has passed landed. With
+    /// nothing in flight it reads no clock.
+    fn reaped(&self) -> MutexGuard<'_, CqState> {
+        let mut st = self.inner.state.lock();
+        if !st.flying.is_empty() {
+            st.land_due(sim::time::now());
+        }
+        st
+    }
+
     /// Drains all available completions without blocking.
     pub fn poll(&self) -> Vec<(u32, WorkCompletion)> {
-        std::mem::take(&mut *self.inner.queue.lock())
+        std::mem::take(&mut self.reaped().ready)
     }
 
     /// [`CompletionQueue::poll`] into a buffer the caller reuses: the
     /// completions are appended to `out`, and both `out` and the queue keep
     /// their capacity, so a steady poll loop allocates nothing.
     pub fn poll_into(&self, out: &mut Vec<(u32, WorkCompletion)>) {
-        out.append(&mut self.inner.queue.lock());
+        out.append(&mut self.reaped().ready);
+    }
+
+    /// When the earliest completion in flight lands, if any is: how long a
+    /// reactor that polls this queue may sleep without a doorbell.
+    pub fn next_due(&self) -> Option<Instant> {
+        self.inner.state.lock().flying.front().map(|(_, f)| f.due)
     }
 
     /// Blocks until at least one completion is available (or `timeout`
     /// expires) and drains the queue. Returns an empty vector on timeout.
+    ///
+    /// With nothing in flight this is a sleep a doorbell ends, clock unread.
+    /// Otherwise it sleeps to the earliest `due` and lands it; a doorbell
+    /// ends that sleep too, since its flights may land sooner.
     pub fn wait(&self, timeout: Duration) -> Vec<(u32, WorkCompletion)> {
-        let mut q = self.inner.queue.lock();
-        if q.is_empty() {
-            self.inner.available.wait_for(&mut q, timeout);
+        let mut st = self.inner.state.lock();
+        if st.ready.is_empty() && st.flying.is_empty() {
+            self.inner.available.wait_for(&mut st, timeout);
         }
-        std::mem::take(&mut *q)
+        if !st.flying.is_empty() {
+            let mut now = sim::time::now();
+            let deadline = now + timeout;
+            loop {
+                st.land_due(now);
+                if !st.ready.is_empty() || now >= deadline {
+                    break;
+                }
+                let next = st.flying.front().map_or(deadline, |(_, f)| f.due);
+                let until = next.min(deadline);
+                if until - now <= SPIN_RANGE {
+                    drop(st);
+                    sim::delay_until(until);
+                    st = self.inner.state.lock();
+                } else {
+                    self.inner.available.wait_for(&mut st, until - now);
+                }
+                now = sim::time::now();
+            }
+        }
+        std::mem::take(&mut st.ready)
     }
 }
 
-/// A reliable connection from a local node to a remote device's memory.
-///
-/// Work requests are executed asynchronously in post order; once any request
-/// fails, the QP is in the error state and subsequent requests flush with
-/// [`WcStatus::FlushErr`] (callers reconnect with a fresh QP, which is what
-/// `ncl-lib` does when it replaces a failed peer).
-enum NicMode {
-    /// A dedicated engine thread drains the send queue asynchronously —
-    /// the most adversarial model (work requests can be in flight when the
-    /// application "crashes"). Default for correctness tests.
-    ///
-    /// The wire is a [`Pipe`], which lets a deep send queue achieve far
-    /// higher throughput than one request per round trip — the behaviour
-    /// NCL's pipelined `record_nowait` path exists to exploit. A doorbell
-    /// batch posted via [`QueuePair::post_many`] arrives as one channel send
-    /// and every request in it shares the batch's post instant: N batched
-    /// requests cost N serializations but a single propagation tail, while
-    /// completions still appear one per request, in post order.
-    Threaded {
-        sq: Sender<(Instant, Submission)>,
-        engine: JoinHandle<()>,
-    },
-    /// Work requests execute synchronously at post time, in post order.
-    /// Preserves ordering, failure and permission semantics while avoiding
-    /// cross-thread handoffs — used by the calibrated benchmarks, where
-    /// scheduler wake-ups on an oversubscribed host would otherwise dwarf
-    /// the microsecond-scale latencies being modelled.
-    ///
-    /// Paid once per doorbell: the doorbell fault point, the send-queue lock
-    /// (`sq`, which also keeps two threads' doorbells from interleaving their
-    /// requests) and one [`CompletionQueue::push_batch`]. Paid per request,
-    /// because an armed schedule, a crash or a partition may strike between
-    /// any two: the wire fault point, the error-state check, the reachability
-    /// check before and after the modelled flight, and the flight itself.
-    ///
-    /// A flight is a deadline, not a sleep: the same [`Pipe`] prices each
-    /// request, and the poster waits for that instant before it applies the
-    /// request. Queue pairs rung at one instant fly together; a second
-    /// doorbell queues behind the first's bytes, not its landing. An injected
-    /// wire delay occupies the pipe, so it holds back its own request and
-    /// everything behind it on this queue pair only.
-    Inline(InlineNic),
-}
-
-/// The wire of one queue pair, as a real RC QP behaves and as both engines
-/// price it: a request occupies the link for its serialization time (the
-/// per-byte term) from `max(free, posted_at)`, and lands one propagation
-/// delay (the base term) after its last byte has left — so back-to-back
-/// requests share one propagation and stay in post order (`free` is monotone).
+/// The wire of one queue pair, as a real RC QP behaves: a request occupies
+/// the link for its serialization time (the per-byte term) from
+/// `max(free, posted_at)`, and lands one propagation delay (the base term)
+/// after its last byte has left — so back-to-back requests share one
+/// propagation and stay in post order (`free` and `due` are monotone).
 struct Pipe {
     latency: LatencyModel,
     /// When the last byte sent so far has left the wire (not when it lands).
     free: Instant,
+    /// When the last request sent so far lands.
+    due: Instant,
 }
 
 impl Pipe {
@@ -293,47 +334,99 @@ impl Pipe {
         self.free
     }
 
-    /// Sends `bytes` for a request posted at `posted_at`; returns the
-    /// instant it lands.
+    /// Sends `bytes` for a request posted at `posted_at`; returns its `due`.
     fn send(&mut self, posted_at: Instant, bytes: usize) -> Instant {
         let ser = Duration::from_nanos((self.latency.per_byte_ns * bytes as f64) as u64);
-        self.occupy(posted_at, ser) + self.latency.base
+        self.due = self.occupy(posted_at, ser) + self.latency.base;
+        self.due
+    }
+
+    /// A request posted at `posted_at` that never reaches the wire (flushed,
+    /// or its peer unreachable) completes with the one before it.
+    fn skip(&mut self, posted_at: Instant) -> Instant {
+        self.due = self.due.max(posted_at);
+        self.due
     }
 }
 
-struct InlineNic {
-    remote_dev: RdmaDevice,
-    /// The send queue: the wire, and the completions of the doorbell being
-    /// executed, delivered together when it ends (reused: a doorbell
-    /// allocates nothing).
-    sq: Mutex<(Pipe, Vec<WorkCompletion>)>,
-}
-
-pub struct QueuePair {
+/// What a landing needs of the queue pair that posted the request; shared,
+/// so that a completion in flight outlives its [`QueuePair`].
+struct Link {
     qp_num: u32,
     local: NodeId,
     remote: NodeId,
-    /// For the doorbell fault point and the inline executor; the engine
-    /// thread owns its own handle.
     cluster: Cluster,
-    mode: Option<NicMode>,
-    cq: CompletionQueue,
-    errored: Arc<AtomicBool>,
+    errored: AtomicBool,
     /// Optional wire-span histogram: post→completion nanoseconds per WR.
-    /// Installed after connect (the engine thread shares the cell), so the
-    /// QP API stays unchanged for callers that don't measure; read with one
-    /// atomic load per doorbell.
-    wire_hist: Arc<OnceLock<HistHandle>>,
+    /// Installed after connect: callers that don't measure see no change.
+    wire_hist: OnceLock<HistHandle>,
+}
+
+impl Link {
+    /// Lands one completion into `out`, for a post that waited `due` out and
+    /// for the completion queue's reapers alike: re-checks the link if the
+    /// flight took modelled time (the module doc's rule), then honours an
+    /// injected drop or duplication. A dropped completion is "landed, ack
+    /// lost" again: the request *was* applied. Error completions are always
+    /// delivered (a real RC QP surfaces retry exhaustion to the requester
+    /// even when remote acks are lost).
+    fn land(&self, flight: Flight, out: &mut Completions) {
+        let (verdict, mut wc) = (flight.verdict, flight.wc);
+        let severed = || self.cluster.can_reach(self.local, self.remote).is_err();
+        if flight.flew && wc.status == WcStatus::Success && severed() {
+            wc.status = WcStatus::RetryExceeded;
+            wc.read_data = None;
+            self.errored.store(true, Ordering::SeqCst);
+        }
+        if let Some(hist) = self.wire_hist.get() {
+            hist.record(wc.wire_ns);
+        }
+        match verdict {
+            WireFault::DropCompletion if wc.status == WcStatus::Success => {}
+            WireFault::DuplicateCompletion => {
+                out.push((self.qp_num, wc.clone()));
+                out.push((self.qp_num, wc));
+            }
+            _ => out.push((self.qp_num, wc)),
+        }
+    }
+}
+
+/// A reliable connection from a local node to a remote device's memory.
+///
+/// Work requests are executed in post order; once any request fails, the QP
+/// is in the error state and subsequent requests flush with
+/// [`WcStatus::FlushErr`] (callers reconnect with a fresh QP, as `ncl-lib`
+/// does when it replaces a failed peer).
+///
+/// Paid once per doorbell: the doorbell fault point, the send-queue lock
+/// (which also keeps two threads' doorbells from interleaving their requests)
+/// and one hand-over to the completion queue. Paid per request, because an
+/// armed schedule, a crash or a partition may strike between any two: the
+/// wire fault point, the error-state and reachability checks, the remote
+/// apply and the flight's price. Queue pairs rung at one instant fly
+/// together; a second doorbell queues behind the first's bytes, not its
+/// landing; an injected wire delay occupies the pipe, holding back its own
+/// request and everything behind it on this queue pair only.
+pub struct QueuePair {
+    link: Arc<Link>,
+    remote_dev: RdmaDevice,
+    cq: CompletionQueue,
+    /// Whether a post waits for its own completions.
+    inline: bool,
+    /// The send queue: the wire, and the running doorbell's completions,
+    /// landed and flying, handed to `cq` together (reused: no allocation).
+    sq: Mutex<(Pipe, Completions, Vec<Flight>)>,
 }
 
 impl QueuePair {
-    /// Connects `local_node` to `remote_dev`, posting completions to `cq`,
-    /// with an asynchronous NIC engine thread.
+    /// Connects `local_node` to `remote_dev`, posting completions to `cq`; a
+    /// post returns with its requests applied and their completions flying.
     ///
     /// `latency` is charged per work request: the per-byte term serializes
     /// on the wire, the base term is propagation that overlaps across
-    /// back-to-back requests (see [`Pipe`]). Connection setup
-    /// itself is control-plane work and is charged by the caller.
+    /// back-to-back requests (see [`Pipe`]). Connection setup itself is
+    /// control-plane work and is charged by the caller.
     pub fn connect(
         cluster: Cluster,
         local_node: NodeId,
@@ -344,8 +437,11 @@ impl QueuePair {
         Self::connect_with_mode(cluster, local_node, remote_dev, cq, latency, false)
     }
 
-    /// [`QueuePair::connect`] with an explicit NIC mode: `inline = true`
-    /// executes work requests synchronously at post time (see [`NicMode`]).
+    /// [`QueuePair::connect`] with its one choice spelled out: with `inline`
+    /// a post waits for its own completions, which are on `cq` when it
+    /// returns. Ordering, failure and permission semantics are the same; the
+    /// calibrated benchmarks use it, where a reaper's wake-up on a busy host
+    /// would dwarf the microsecond-scale latencies being modelled.
     pub fn connect_with_mode(
         cluster: Cluster,
         local_node: NodeId,
@@ -354,76 +450,43 @@ impl QueuePair {
         latency: LatencyModel,
         inline: bool,
     ) -> Self {
-        let qp_num = NEXT_QP_NUM.fetch_add(1, Ordering::Relaxed);
-        let errored = Arc::new(AtomicBool::new(false));
-        let wire_hist = Arc::new(OnceLock::new());
+        let now = sim::time::now();
         let pipe = Pipe {
             latency,
-            free: sim::time::now(),
-        };
-        let mode = if inline {
-            NicMode::Inline(InlineNic {
-                remote_dev: remote_dev.clone(),
-                sq: Mutex::new((pipe, Vec::new())),
-            })
-        } else {
-            let (tx, rx) = unbounded::<(Instant, Submission)>();
-            let engine = spawn_engine(
-                qp_num,
-                cluster.clone(),
-                local_node,
-                remote_dev.clone(),
-                rx,
-                cq.clone(),
-                Arc::clone(&errored),
-                pipe,
-                Arc::clone(&wire_hist),
-            );
-            NicMode::Threaded { sq: tx, engine }
+            free: now,
+            due: now,
         };
         QueuePair {
-            qp_num,
-            local: local_node,
-            remote: remote_dev.node(),
-            cluster,
-            mode: Some(mode),
+            link: Arc::new(Link {
+                qp_num: NEXT_QP_NUM.fetch_add(1, Ordering::Relaxed),
+                local: local_node,
+                remote: remote_dev.node(),
+                cluster,
+                errored: AtomicBool::new(false),
+                wire_hist: OnceLock::new(),
+            }),
+            remote_dev: remote_dev.clone(),
             cq,
-            errored,
-            wire_hist,
+            inline,
+            sq: Mutex::new((pipe, Vec::new(), Vec::new())),
         }
     }
 
     /// Installs a histogram recording, per work request, the nanoseconds from
-    /// post (doorbell) to completion — the wire span of the record lifecycle.
-    /// Takes effect for all subsequently completed requests; the first
-    /// histogram installed stays for the life of the queue pair.
+    /// post (doorbell) to completion — the wire span of the record lifecycle —
+    /// from now on; the first one installed stays for the queue pair's life.
     pub fn set_wire_hist(&self, hist: HistHandle) {
-        let _ = self.wire_hist.set(hist);
+        let _ = self.link.wire_hist.set(hist);
     }
 
     /// This queue pair's number (used to attribute shared-CQ completions).
     pub fn qp_num(&self) -> u32 {
-        self.qp_num
-    }
-
-    /// The remote node this QP targets.
-    pub fn remote_node(&self) -> NodeId {
-        self.remote
-    }
-
-    /// The local node this QP belongs to.
-    pub fn local_node(&self) -> NodeId {
-        self.local
-    }
-
-    /// The completion queue completions are posted to.
-    pub fn cq(&self) -> &CompletionQueue {
-        &self.cq
+        self.link.qp_num
     }
 
     /// True once any work request has failed (QP error state).
     pub fn is_errored(&self) -> bool {
-        self.errored.load(Ordering::SeqCst)
+        self.link.errored.load(Ordering::SeqCst)
     }
 
     /// Posts a one-sided RDMA WRITE of `data` at `offset` within `mr`.
@@ -443,8 +506,7 @@ impl QueuePair {
     }
 
     /// Posts a scatter-gather WRITE: `slices` are gathered in order and
-    /// written contiguously starting at `offset` within `mr`, as a single
-    /// work request with a single completion.
+    /// written contiguously from `offset` within `mr`, as one work request.
     pub fn post_write_sg(
         &self,
         wr_id: WrId,
@@ -477,52 +539,75 @@ impl QueuePair {
         })
     }
 
-    /// Posts a doorbell batch: all of `wrs` with one channel send and one
-    /// engine wakeup (one "doorbell ring"). Execution and completions keep
-    /// post order exactly as if the requests had been posted one by one; the
-    /// saving is the per-request posting overhead and, on the wire, a single
-    /// shared propagation tail (see [`NicMode::Threaded`]).
+    /// Posts a doorbell batch: all of `wrs` with one "doorbell ring".
+    /// Execution and completions keep post order exactly as if the requests
+    /// had been posted one by one; the saving is the per-doorbell overhead
+    /// and, on the wire, one shared propagation tail (see [`Pipe`]).
     pub fn post_many(&self, wrs: &[WorkRequest]) -> Result<(), SimError> {
         self.post_many_at(sim::time::now(), wrs)
     }
 
     /// [`QueuePair::post_many`] for a doorbell rung at `posted_at`, a past
-    /// instant several queue pairs may share: the wire model starts the
-    /// flights (and `wire_ns`) there, not when this call happens to run, so
-    /// one caller's doorbells to different peers overlap — on the inline NIC
-    /// the first post waits its flights out and the others, finding their
-    /// deadlines behind that wait's last clock reading, read no clock.
+    /// instant several queue pairs may share: the flights (and `wire_ns`)
+    /// start there, not when this call happens to run, so one caller's
+    /// doorbells to different peers overlap — when posts wait, the first waits
+    /// its flights out and the others find theirs landed, clock unread.
     pub fn post_many_at(&self, posted_at: Instant, wrs: &[WorkRequest]) -> Result<(), SimError> {
         if wrs.is_empty() {
             return Ok(());
         }
-        match self.mode.as_ref().expect("mode present until drop") {
-            NicMode::Threaded { sq, .. } => {
-                let submission = match wrs {
-                    [wr] => Submission::One(wr.clone()),
-                    _ => Submission::Many(wrs.to_vec()),
-                };
-                sq.send((self.ring_doorbell(posted_at), submission))
-                    .map_err(|_| SimError::ServiceStopped)
-            }
-            NicMode::Inline(nic) => {
-                self.execute_inline(nic, posted_at, wrs);
-                Ok(())
-            }
-        }
-    }
-
-    /// Doorbell fault point: an injected stall delays the submission itself
-    /// (the requester-side "NIC didn't see the doorbell" case), before any
-    /// work request reaches the engine or executes inline. Returns the
-    /// instant the flights start: `posted_at`, or the end of the stall.
-    fn ring_doorbell(&self, posted_at: Instant) -> Instant {
-        let site = FaultSite::Doorbell;
-        if let WireFault::Delay(d) = self.cluster.fault_point(site, self.local, self.remote) {
+        let (link, site) = (&*self.link, FaultSite::Doorbell);
+        // Doorbell fault point: an injected stall delays the submission itself
+        // (the requester-side "NIC didn't see the doorbell" case) before any
+        // request executes, and the flights start when it ends.
+        let mut start = posted_at;
+        if let WireFault::Delay(d) = link.cluster.fault_point(site, link.local, link.remote) {
             sim::delay(d);
-            return sim::time::now();
+            start = sim::time::now();
         }
-        posted_at
+        let mut sq = self.sq.lock();
+        let (pipe, landed, flying) = &mut *sq;
+        for wr in wrs {
+            let verdict = link
+                .cluster
+                .fault_point(FaultSite::Wire, link.local, link.remote);
+            // An injected delay holds back this request and all behind it.
+            if let WireFault::Delay(d) = verdict {
+                pipe.occupy(start, d);
+            }
+            let (status, read_data) = self.execute(wr);
+            let due = match status {
+                WcStatus::FlushErr | WcStatus::RetryExceeded => pipe.skip(start),
+                // A gathered write is one request, one wire occupancy.
+                WcStatus::Success | WcStatus::RemoteAccessErr => pipe.send(start, wr.wire_bytes()),
+            };
+            if status != WcStatus::Success {
+                link.errored.store(true, Ordering::SeqCst);
+            }
+            let flight = Flight {
+                due,
+                flew: due > start,
+                verdict,
+                wc: WorkCompletion {
+                    wr_id: wr.wr_id(),
+                    status,
+                    read_data,
+                    wire_ns: due.duration_since(posted_at).as_nanos() as u64,
+                },
+            };
+            if self.inline {
+                // Landed before the next request's fault point runs; a flight
+                // that takes no modelled time reads no clock.
+                if flight.flew {
+                    sim::delay_until(due);
+                }
+                link.land(flight, landed);
+            } else {
+                flying.push(flight);
+            }
+        }
+        self.cq.accept(&self.link, landed, flying);
+        Ok(())
     }
 
     /// A doorbell of one.
@@ -530,252 +615,34 @@ impl QueuePair {
         self.post_many(std::slice::from_ref(&wr))
     }
 
-    /// The inline NIC: executes one doorbell's requests in order, each
-    /// landing at its deadline `due` (so `wire_ns` is the model's number, as
-    /// on the engine thread), and delivers their completions together (see
-    /// [`NicMode::Inline`] for what is per doorbell and what per request).
-    fn execute_inline(&self, nic: &InlineNic, posted_at: Instant, wrs: &[WorkRequest]) {
-        let start = self.ring_doorbell(posted_at);
-        let hist = self.wire_hist.get();
-        let mut sq = nic.sq.lock();
-        let (pipe, clump) = &mut *sq;
-        let mut due = start;
-        for wr in wrs {
-            let verdict = self
-                .cluster
-                .fault_point(FaultSite::Wire, self.local, self.remote);
-            // An injected delay holds back this request and all behind it.
-            if let WireFault::Delay(d) = verdict {
-                pipe.occupy(start, d);
-            }
-            let (wr_id, status, read_data) = execute(
-                &self.cluster,
-                self.local,
-                &nic.remote_dev,
-                &self.errored,
-                wr,
-                |bytes| {
-                    due = pipe.send(start, bytes);
-                    // A flight that takes no modelled time reads no clock.
-                    if due > start {
-                        sim::delay_until(due);
-                    }
-                },
-            );
-            if status != WcStatus::Success {
-                self.errored.store(true, Ordering::SeqCst);
-            }
-            let wire_ns = due.duration_since(posted_at).as_nanos() as u64;
-            if let Some(hist) = hist {
-                hist.record(wire_ns);
-            }
-            let wc = WorkCompletion {
-                wr_id,
-                status,
-                read_data,
-                wire_ns,
-            };
-            stage_completion(clump, wc, verdict);
+    /// Executes one request now: flushed if the queue pair is in the error
+    /// state, failed if the peer cannot be reached, applied to its region
+    /// (the device checks rkey, bounds and revocation) otherwise.
+    fn execute(&self, wr: &WorkRequest) -> (WcStatus, Option<Bytes>) {
+        let (link, dev) = (&self.link, &self.remote_dev);
+        if link.errored.load(Ordering::SeqCst) {
+            return (WcStatus::FlushErr, None);
         }
-        if !clump.is_empty() {
-            self.cq.push_batch(self.qp_num, clump.drain(..));
+        if link.cluster.can_reach(link.local, link.remote).is_err() {
+            return (WcStatus::RetryExceeded, None);
         }
-    }
-}
-
-/// Queues a completion for delivery, honouring an injected drop or
-/// duplication.
-///
-/// A dropped completion models "write landed, ack lost": the work request
-/// *was* applied, only its completion vanishes — the case the protocol's
-/// prefix-acknowledgement rule must tolerate. Error completions are always
-/// delivered (a real RC QP surfaces retry exhaustion to the requester even
-/// when remote acks are lost).
-fn stage_completion(clump: &mut Vec<WorkCompletion>, wc: WorkCompletion, verdict: WireFault) {
-    match verdict {
-        WireFault::DropCompletion if wc.status == WcStatus::Success => {}
-        WireFault::DuplicateCompletion => {
-            clump.push(wc.clone());
-            clump.push(wc);
+        let result = match wr {
+            WorkRequest::Write {
+                mr, offset, data, ..
+            } => dev.apply_remote(mr.mr_id, mr.rkey, *offset, Some(data), 0),
+            WorkRequest::WriteSg {
+                mr, offset, slices, ..
+            } => dev
+                .apply_remote_sg(mr.mr_id, mr.rkey, *offset, slices)
+                .map(|()| None),
+            WorkRequest::Read {
+                mr, offset, len, ..
+            } => dev.apply_remote(mr.mr_id, mr.rkey, *offset, None, *len),
+        };
+        match result {
+            Ok(read_data) => (WcStatus::Success, read_data),
+            Err(()) => (WcStatus::RemoteAccessErr, None),
         }
-        _ => clump.push(wc),
-    }
-}
-
-impl Drop for QueuePair {
-    fn drop(&mut self) {
-        // Close the send queue so the engine drains and exits.
-        if let Some(NicMode::Threaded { sq, engine }) = self.mode.take() {
-            drop(sq);
-            let _ = engine.join();
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_engine(
-    qp_num: u32,
-    cluster: Cluster,
-    local: NodeId,
-    remote_dev: RdmaDevice,
-    rx: Receiver<(Instant, Submission)>,
-    cq: CompletionQueue,
-    errored: Arc<AtomicBool>,
-    mut pipe: Pipe,
-    wire_hist: Arc<OnceLock<HistHandle>>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("nic-qp{qp_num}"))
-        .spawn(move || {
-            // Completion moderation window for doorbell batches. Back-to-back
-            // requests in a batch complete microseconds apart — below the
-            // sleep threshold of `sim::delay`, so waiting out each gap
-            // individually realises the whole batch's serialization as a
-            // busy-spin, monopolising a core per QP at line rate. Instead the
-            // engine executes the batch up front (the pipe keeps every
-            // request's modelled completion target exact) and delivers
-            // completions in clumps whose targets fall within this window:
-            // one sleep per clump, the way a real NIC's interrupt moderation
-            // trades a bounded delivery delay for fewer wakeups. The window
-            // exceeds the spin threshold so inter-clump waits sleep; it only
-            // defers completions *within* one doorbell batch (lone posts and
-            // short batches deliver as before), and it is sized to cover the
-            // span of the largest bursts the protocol posts so a batch
-            // normally delivers as a single clump — per-doorbell completion
-            // coalescing, like a NIC signalling only solicited completions.
-            const MODERATION: Duration = Duration::from_millis(1);
-            loop {
-                let first = match rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok(entry) => entry,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                };
-                // Execute every already-rung submission first, collecting
-                // each request's modelled completion target. Execution
-                // (fault-schedule advance, reachability checks, remote
-                // apply) stays strictly in post order — the channel is the
-                // post order. Moderation coalesces *across* doorbells:
-                // back-to-back small batches complete microseconds apart,
-                // and sleeping out each gap individually would spin
-                // (under `sim::delay`'s threshold) per batch instead of
-                // once per moderation window.
-                let mut pending: Vec<(Instant, WorkCompletion, WireFault)> = Vec::new();
-                let mut next = Some(first);
-                while let Some((posted_at, sub)) = next {
-                    let wrs = match sub {
-                        Submission::One(wr) => vec![wr],
-                        Submission::Many(wrs) => wrs,
-                    };
-                    pending.reserve(wrs.len());
-                    for wr in wrs {
-                        let verdict =
-                            cluster.fault_point(FaultSite::Wire, local, remote_dev.node());
-                        if let WireFault::Delay(d) = verdict {
-                            sim::delay(d);
-                        }
-                        let mut target = pipe.free;
-                        let (wr_id, status, read_data) =
-                            execute(&cluster, local, &remote_dev, &errored, &wr, |bytes| {
-                                target = pipe.send(posted_at, bytes);
-                            });
-                        if status != WcStatus::Success {
-                            errored.store(true, Ordering::SeqCst);
-                        }
-                        // Wire span from the model, not the delivery
-                        // instant: moderation defers delivery, not the
-                        // completion the model assigns.
-                        let wire_ns = target.duration_since(posted_at).as_nanos() as u64;
-                        pending.push((
-                            target,
-                            WorkCompletion {
-                                wr_id,
-                                status,
-                                read_data,
-                                wire_ns,
-                            },
-                            verdict,
-                        ));
-                    }
-                    next = rx.try_recv().ok();
-                }
-                let executed_at = sim::time::now();
-                let hist = wire_hist.get();
-                while !pending.is_empty() {
-                    let window_end = pending[0].0 + MODERATION;
-                    let mut n = 1;
-                    while n < pending.len() && pending[n].0 <= window_end {
-                        n += 1;
-                    }
-                    let last_target = pending[n - 1].0;
-                    sim::delay_until(last_target);
-                    // A partition or crash during the modelled flight
-                    // surfaces as a retry error at delivery — the write may
-                    // have landed, the ack is lost, which the protocol's
-                    // prefix rule already tolerates. Only re-checked when
-                    // the clump actually waited: with a zero-latency model
-                    // nothing is in flight between execution and delivery.
-                    let severed = last_target > executed_at
-                        && cluster.can_reach(local, remote_dev.node()).is_err();
-                    let mut clump: Vec<WorkCompletion> = Vec::with_capacity(n + 1);
-                    for (_, mut wc, verdict) in pending.drain(..n) {
-                        if severed && wc.status == WcStatus::Success {
-                            wc.status = WcStatus::RetryExceeded;
-                            wc.read_data = None;
-                            errored.store(true, Ordering::SeqCst);
-                        }
-                        if let Some(hist) = hist {
-                            hist.record(wc.wire_ns);
-                        }
-                        stage_completion(&mut clump, wc, verdict);
-                    }
-                    if !clump.is_empty() {
-                        cq.push_batch(qp_num, clump);
-                    }
-                }
-            }
-        })
-        .expect("spawn NIC engine")
-}
-
-fn execute(
-    cluster: &Cluster,
-    local: NodeId,
-    remote_dev: &RdmaDevice,
-    errored: &AtomicBool,
-    wr: &WorkRequest,
-    wait: impl FnOnce(usize),
-) -> (WrId, WcStatus, Option<Bytes>) {
-    let (wr_id, bytes) = (wr.wr_id(), wr.wire_bytes());
-    if errored.load(Ordering::SeqCst) {
-        return (wr_id, WcStatus::FlushErr, None);
-    }
-    if cluster.can_reach(local, remote_dev.node()).is_err() {
-        return (wr_id, WcStatus::RetryExceeded, None);
-    }
-    // Time on the wire (a deadline the inline NIC waits out, a completion
-    // target the engine thread delivers at). A crash or partition during
-    // flight means the operation is not applied. A gathered write is one
-    // request: its slices serialize as one wire occupancy.
-    wait(bytes);
-    if cluster.can_reach(local, remote_dev.node()).is_err() {
-        return (wr_id, WcStatus::RetryExceeded, None);
-    }
-    let result = match wr {
-        WorkRequest::Write {
-            mr, offset, data, ..
-        } => remote_dev.apply_remote(mr.mr_id, mr.rkey, *offset, Some(data), 0),
-        WorkRequest::WriteSg {
-            mr, offset, slices, ..
-        } => remote_dev
-            .apply_remote_sg(mr.mr_id, mr.rkey, *offset, slices)
-            .map(|()| None),
-        WorkRequest::Read {
-            mr, offset, len, ..
-        } => remote_dev.apply_remote(mr.mr_id, mr.rkey, *offset, None, *len),
-    };
-    match result {
-        Ok(read_data) => (wr_id, WcStatus::Success, read_data),
-        Err(()) => (wr_id, WcStatus::RemoteAccessErr, None),
     }
 }
 
@@ -930,37 +797,40 @@ mod tests {
     }
 
     #[test]
-    fn inline_mode_matches_threaded_semantics() {
-        let (cluster, app, dev, peer) = setup();
-        let (local, mr) = dev.register_mr(64).unwrap();
-        let cq = CompletionQueue::new();
-        let qp = QueuePair::connect_with_mode(
-            cluster.clone(),
-            app,
-            &dev,
-            cq.clone(),
-            LatencyModel::ZERO,
-            true,
-        );
-        // Writes apply immediately; completions are already queued.
-        qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"inl"))
-            .unwrap();
-        let wcs = cq.poll();
-        assert_eq!(wcs.len(), 1);
-        assert!(wcs[0].1.is_success());
-        assert_eq!(local.read_local(0, 3).unwrap(), b"inl");
-        // Reads carry data.
-        qp.post_read(WrId(2), &mr, 0, 3).unwrap();
-        assert_eq!(cq.poll()[0].1.read_data.as_deref(), Some(&b"inl"[..]));
-        // Errors still transition the QP to the error state and flush.
-        cluster.crash(peer);
-        qp.post_write(WrId(3), &mr, 0, Bytes::from_static(b"x"))
-            .unwrap();
-        assert_eq!(cq.poll()[0].1.status, WcStatus::RetryExceeded);
-        assert!(qp.is_errored());
-        qp.post_write(WrId(4), &mr, 0, Bytes::from_static(b"y"))
-            .unwrap();
-        assert_eq!(cq.poll()[0].1.status, WcStatus::FlushErr);
+    fn waiting_and_non_waiting_posts_share_semantics() {
+        for inline in [false, true] {
+            let (cluster, app, dev, peer) = setup();
+            let (local, mr) = dev.register_mr(64).unwrap();
+            let cq = CompletionQueue::new();
+            let qp = QueuePair::connect_with_mode(
+                cluster.clone(),
+                app,
+                &dev,
+                cq.clone(),
+                LatencyModel::ZERO,
+                inline,
+            );
+            // Writes apply immediately; with no modelled flight the
+            // completions are there for the next poll.
+            qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"inl"))
+                .unwrap();
+            assert_eq!(local.read_local(0, 3).unwrap(), b"inl");
+            let wcs = cq.poll();
+            assert_eq!(wcs.len(), 1);
+            assert!(wcs[0].1.is_success());
+            // Reads carry data.
+            qp.post_read(WrId(2), &mr, 0, 3).unwrap();
+            assert_eq!(cq.poll()[0].1.read_data.as_deref(), Some(&b"inl"[..]));
+            // Errors still transition the QP to the error state and flush.
+            cluster.crash(peer);
+            qp.post_write(WrId(3), &mr, 0, Bytes::from_static(b"x"))
+                .unwrap();
+            assert_eq!(cq.poll()[0].1.status, WcStatus::RetryExceeded);
+            assert!(qp.is_errored());
+            qp.post_write(WrId(4), &mr, 0, Bytes::from_static(b"y"))
+                .unwrap();
+            assert_eq!(cq.poll()[0].1.status, WcStatus::FlushErr);
+        }
     }
 
     #[test]
@@ -1059,31 +929,33 @@ mod tests {
     }
 
     #[test]
-    fn inline_post_many_matches_threaded_semantics() {
-        let (cluster, app, dev, _peer) = setup();
-        let (local, mr) = dev.register_mr(64).unwrap();
-        let cq = CompletionQueue::new();
-        let qp =
-            QueuePair::connect_with_mode(cluster, app, &dev, cq.clone(), LatencyModel::ZERO, true);
-        let wrs = vec![
-            WorkRequest::Write {
-                wr_id: WrId(1),
-                mr,
-                offset: 0,
-                data: Bytes::from_static(b"ab"),
-            },
-            WorkRequest::WriteSg {
-                wr_id: WrId(2),
-                mr,
-                offset: 2,
-                slices: vec![Bytes::from_static(b"cd"), Bytes::from_static(b"ef")],
-            },
-        ];
-        qp.post_many(&wrs).unwrap();
-        let wcs = cq.poll();
-        assert_eq!(wcs.len(), 2);
-        assert!(wcs.iter().all(|(_, wc)| wc.is_success()));
-        assert_eq!(local.read_local(0, 6).unwrap(), b"abcdef");
+    fn post_many_shares_semantics_whether_or_not_it_waits() {
+        for inline in [false, true] {
+            let (cluster, app, dev, _peer) = setup();
+            let (local, mr) = dev.register_mr(64).unwrap();
+            let cq = CompletionQueue::new();
+            let zero = LatencyModel::ZERO;
+            let qp = QueuePair::connect_with_mode(cluster, app, &dev, cq.clone(), zero, inline);
+            let wrs = vec![
+                WorkRequest::Write {
+                    wr_id: WrId(1),
+                    mr,
+                    offset: 0,
+                    data: Bytes::from_static(b"ab"),
+                },
+                WorkRequest::WriteSg {
+                    wr_id: WrId(2),
+                    mr,
+                    offset: 2,
+                    slices: vec![Bytes::from_static(b"cd"), Bytes::from_static(b"ef")],
+                },
+            ];
+            qp.post_many(&wrs).unwrap();
+            assert_eq!(local.read_local(0, 6).unwrap(), b"abcdef");
+            let wcs = cq.poll();
+            assert_eq!(wcs.len(), 2);
+            assert!(wcs.iter().all(|(_, wc)| wc.is_success()));
+        }
     }
 
     #[test]
@@ -1169,8 +1041,8 @@ mod tests {
     }
 
     /// Posts one doorbell batch of four 1-byte writes (ids 1..=4; `bad_rkey`
-    /// names the id, if any, that carries a revoked key) under `plan`, on a
-    /// threaded or an inline NIC, and returns the completions in arrival
+    /// names the id, if any, that carries a revoked key) under `plan`, waiting
+    /// for its completions or not, and returns the completions in arrival
     /// order, the consultations the schedule counted, and the peer's bytes.
     fn doorbell_under_plan(
         inline: bool,
@@ -1504,7 +1376,7 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_price_a_doorbell_by_one_formula() {
+    fn a_doorbell_is_priced_by_one_formula_on_both_settings() {
         let (cluster, app, dev, _peer) = setup();
         let (_local, mr) = dev.register_mr(2048).unwrap();
         let gather = WorkRequest::WriteSg {
@@ -1515,7 +1387,7 @@ mod tests {
         };
         let [_, header] = data_then_header(mr);
         let doorbells = [data_then_header(mr), [gather, header]];
-        let [threaded, inline] = [false, true].map(|inline| {
+        let [flying, waited] = [false, true].map(|inline| {
             let cq = CompletionQueue::new();
             let lat = LatencyModel::rdma_write();
             let qp =
@@ -1525,19 +1397,20 @@ mod tests {
                 wire_ns_on(&qp, &wait_n(&cq, 2))
             })
         });
-        assert_eq!(threaded, inline);
-        assert_eq!(inline, [[1_540, 1_560], [1_827, 1_847]]);
+        assert_eq!(flying, waited);
+        assert_eq!(waited, [[1_540, 1_560], [1_827, 1_847]]);
     }
 
     #[test]
     fn a_crash_between_two_flights_of_a_doorbell_fails_the_second() {
         use sim::{Binding, FaultAction, FaultPlan, FaultScheduler, Trigger};
         // Consultation 1 is the doorbell, 2 and 3 the two requests: the peer
-        // dies after the first has flown and landed. The latency is all base
-        // (no serialization), so on the engine thread the failed request's
-        // target is never ahead of the clock and delivery re-checks nothing.
+        // dies at the second request's fault point. A post that waits has
+        // landed the first by then. One that does not has applied it and its
+        // ack is in flight, and a completion whose flight took modelled time
+        // is re-checked against the link when it lands: the ack is lost.
         let plan = FaultPlan::new(1).push(Trigger::Step(3), FaultAction::CrashPeer(0));
-        for inline in [false, true] {
+        for (inline, first) in [(false, WcStatus::RetryExceeded), (true, WcStatus::Success)] {
             let (cluster, app, dev, peer) = setup();
             let (_local, mr) = dev.register_mr(256).unwrap();
             let binding = Binding {
@@ -1552,11 +1425,7 @@ mod tests {
                 QueuePair::connect_with_mode(cluster.clone(), app, &dev, cq.clone(), lat, inline);
             qp.post_many(&data_then_header(mr)).unwrap();
             let status: Vec<WcStatus> = wait_n(&cq, 2).iter().map(|(_, wc)| wc.status).collect();
-            assert_eq!(
-                status,
-                [WcStatus::Success, WcStatus::RetryExceeded],
-                "inline={inline}"
-            );
+            assert_eq!(status, [first, WcStatus::RetryExceeded], "inline={inline}");
             assert!(qp.is_errored(), "inline={inline}");
             qp.post_write(WrId(9), &mr, 0, Bytes::from_static(b"x"))
                 .unwrap();
@@ -1567,5 +1436,148 @@ mod tests {
             );
             cluster.clear_faults();
         }
+    }
+
+    #[test]
+    fn a_link_severed_under_a_flying_completion_loses_the_ack_not_the_write() {
+        let (cluster, app, dev, peer) = setup();
+        let (local, mr) = dev.register_mr(64).unwrap();
+        let cq = CompletionQueue::new();
+        let lat = LatencyModel::rdma_write();
+        let qp = QueuePair::connect(cluster.clone(), app, &dev, cq.clone(), lat);
+        qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"landed"))
+            .unwrap();
+        // Nobody has reaped the queue: the completion is still in flight.
+        cluster.partition(app, peer);
+        let wcs = wait_n(&cq, 1);
+        assert_eq!(wcs[0].1.status, WcStatus::RetryExceeded);
+        assert!(qp.is_errored());
+        assert_eq!(local.read_local(0, 6).unwrap(), b"landed");
+    }
+
+    #[test]
+    fn queue_pairs_sharing_a_cq_land_in_due_order_and_each_in_post_order() {
+        let cluster = Cluster::new();
+        let app = cluster.add_node("app");
+        let cq = CompletionQueue::new();
+        let [slow, fast] = [2_000_000, 1_000_000].map(|base_ns| {
+            let peer = cluster.add_node(format!("peer-{base_ns}"));
+            let dev = RdmaDevice::new(cluster.clone(), peer, LatencyModel::ZERO);
+            let (_local, mr) = dev.register_mr(64).unwrap();
+            let lat = LatencyModel::from_nanos(base_ns, 0.0, 0.0);
+            (
+                QueuePair::connect(cluster.clone(), app, &dev, cq.clone(), lat),
+                mr,
+            )
+        });
+        // Four doorbells of one instant, slow and fast by turns.
+        let t = Instant::now();
+        for (id, (qp, mr)) in [(1, &slow), (2, &fast), (3, &slow), (4, &fast)] {
+            let write = WorkRequest::Write {
+                wr_id: WrId(id),
+                mr: *mr,
+                offset: 0,
+                data: Bytes::from_static(b"x"),
+            };
+            qp.post_many_at(t, &[write]).unwrap();
+        }
+        assert_eq!(cq.next_due(), Some(t + Duration::from_millis(1)));
+        let landed: Vec<(u32, u64, u64)> = wait_n(&cq, 4)
+            .iter()
+            .map(|(qp_num, wc)| (*qp_num, wc.wr_id.0, wc.wire_ns))
+            .collect();
+        let (s, f) = (slow.0.qp_num(), fast.0.qp_num());
+        assert_eq!(
+            landed,
+            [
+                (f, 2, 1_000_000),
+                (f, 4, 1_000_000),
+                (s, 1, 2_000_000),
+                (s, 3, 2_000_000)
+            ]
+        );
+        assert_eq!(cq.next_due(), None);
+    }
+
+    #[test]
+    fn a_wait_shorter_than_the_flight_times_out_and_a_poll_after_due_delivers() {
+        let (cluster, app, dev, _peer) = setup();
+        let (_local, mr) = dev.register_mr(64).unwrap();
+        let cq = CompletionQueue::new();
+        let flight = Duration::from_millis(100);
+        let lat = LatencyModel::from_nanos(flight.as_nanos() as u64, 0.0, 0.0);
+        let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), lat);
+        let t = Instant::now();
+        qp.post_many_at(t, &data_then_header(mr)).unwrap();
+        let timeout = Duration::from_millis(1);
+        assert!(cq.wait(timeout).is_empty());
+        assert!(t.elapsed() >= timeout);
+        assert!(cq.poll().is_empty(), "still in flight");
+        std::thread::sleep((t + flight).saturating_duration_since(Instant::now()));
+        assert_eq!(cq.poll().len(), 2);
+    }
+
+    #[test]
+    fn a_post_from_another_thread_ends_a_sleep_on_an_empty_cq_at_its_due() {
+        let (cluster, app, dev, _peer) = setup();
+        let (_local, mr) = dev.register_mr(64).unwrap();
+        let cq = CompletionQueue::new();
+        let flight = Duration::from_millis(5);
+        let lat = LatencyModel::from_nanos(flight.as_nanos() as u64, 0.0, 0.0);
+        let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), lat);
+        let (asleep, waiter_ready) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                asleep.send(()).unwrap();
+                // Its own timeout is an hour away.
+                let wcs = cq.wait(Duration::from_secs(3_600));
+                (wcs, Instant::now())
+            });
+            waiter_ready.recv().unwrap();
+            // Either order passes; the pause makes the sleeping waiter likely.
+            std::thread::sleep(Duration::from_millis(2));
+            let t = Instant::now();
+            qp.post_many_at(t, &data_then_header(mr)).unwrap();
+            let (wcs, returned_at) = waiter.join().unwrap();
+            assert_eq!(wcs.len(), 2);
+            assert!(returned_at >= t + flight);
+        });
+    }
+
+    #[test]
+    fn a_dropped_queue_pair_leaves_its_flying_completions_deliverable() {
+        let (cluster, app, dev, _peer) = setup();
+        let (local, mr) = dev.register_mr(64).unwrap();
+        let cq = CompletionQueue::new();
+        let lat = LatencyModel::from_nanos(1_000_000, 0.0, 0.0);
+        let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), lat);
+        let qp_num = qp.qp_num();
+        qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"kept"))
+            .unwrap();
+        drop(qp);
+        let wcs = wait_n(&cq, 1);
+        assert_eq!((wcs[0].0, wcs[0].1.status), (qp_num, WcStatus::Success));
+        assert_eq!(local.read_local(0, 4).unwrap(), b"kept");
+    }
+
+    #[test]
+    fn a_reap_with_nothing_in_flight_reads_no_clock() {
+        let (cluster, app, dev, _peer) = setup();
+        let (_local, mr) = dev.register_mr(64).unwrap();
+        let cq = CompletionQueue::new();
+        let zero = LatencyModel::ZERO;
+        let qp = QueuePair::connect_with_mode(cluster, app, &dev, cq.clone(), zero, true);
+        let ((), reads) = sim::time::audited(|| {
+            assert!(cq.poll().is_empty());
+            assert!(cq.wait(Duration::from_millis(1)).is_empty());
+            assert_eq!(cq.next_due(), None);
+        });
+        assert_eq!(reads, 0, "empty");
+        // What a post that waited has landed is not in flight either.
+        qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"x"))
+            .unwrap();
+        let mut buf = Vec::new();
+        let ((), reads) = sim::time::audited(|| cq.poll_into(&mut buf));
+        assert_eq!((buf.len(), reads), (1, 0));
     }
 }

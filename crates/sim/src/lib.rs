@@ -6,7 +6,7 @@
 //!
 //! * [`Cluster`] — a registry of simulated nodes with liveness, crash
 //!   generations, and pairwise network partitions. Components built on top
-//!   (the RDMA NIC engine, the DFS OSDs, the NCL controller and peers) consult
+//!   (the RDMA queue pairs, the DFS OSDs, the NCL controller and peers) consult
 //!   the cluster before delivering any message, so failure injection composes
 //!   across every layer.
 //! * [`LatencyModel`] — calibrated base + per-byte delays with optional

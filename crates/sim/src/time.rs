@@ -65,7 +65,7 @@ pub fn delay(d: Duration) {
 
 /// Waits until `deadline` (a no-op if it has already passed), with the same
 /// spin-vs-sleep policy as [`delay`]. Used by components that model a
-/// pipelined resource — e.g. a NIC engine completing work requests at
+/// pipelined resource — e.g. a queue pair completing work requests at
 /// absolute target instants so that the propagation delays of back-to-back
 /// requests overlap instead of accumulating serially.
 ///

@@ -400,6 +400,7 @@ fn seeded_ec_spill_schedule_survives_parity_loss_and_spill_replay() {
         .set_jsonl_sink(&trace_path)
         .expect("trace sink");
     let quorum = cfg.ncl.quorum();
+    let tel = cfg.ncl.telemetry.clone();
     let tb = Testbed::start(cfg);
     let (fs, app_node) = tb.mount(Mode::SplitFt, "chaos-ec");
     let file = fs.open("wal", OpenOptions::create_ncl(1 << 16)).unwrap();
@@ -412,12 +413,23 @@ fn seeded_ec_spill_schedule_survives_parity_loss_and_spill_replay() {
     tb.cluster
         .install_faults(FaultScheduler::new(&plan, binding));
 
+    // A demotion finishes in a burst *after* the helper thread's store: the
+    // first to observe it done, or the one that finds its half full and
+    // waits for it. Sixty records, then as many more as it takes to see one
+    // (the file's capacity bounds them).
+    let spilled = || tel.events().iter().any(|e| e.kind == events::SPILL_FINISH);
     let mut expected: Vec<u8> = Vec::new();
-    for i in 0..60 {
+    let mut i = 0;
+    while i < 60 || !spilled() {
         let chunk = format!("ec-record-{i:03}|");
+        assert!(
+            expected.len() + chunk.len() <= 1 << 16,
+            "FAULT_SEED={seed:#x}: file full after {i} records and no spill demotion finished"
+        );
         file.write_at(expected.len() as u64, chunk.as_bytes())
             .unwrap_or_else(|e| panic!("FAULT_SEED={seed:#x}\nwrite {i} failed: {e}"));
         expected.extend_from_slice(chunk.as_bytes());
+        i += 1;
     }
     tb.cluster.clear_faults();
     for peer in &tb.peers {

@@ -1,6 +1,6 @@
-//! Threads a deployment owns, counted: a simulated service is a lock, not a
-//! thread, so with the inline NIC a testbed adds none, and the shipping
-//! configuration adds one GC thread per peer and nothing else.
+//! Threads a deployment owns, counted: a simulated service is a lock and a
+//! queue pair a send queue, neither a thread, so a testbed adds none, and the
+//! shipping configuration adds one GC thread per peer and nothing else.
 //!
 //! One test, alone in its binary: the thread count is the process's. Run it
 //! with none of `Testbed::start`'s environment overrides set.
@@ -30,16 +30,21 @@ fn threads_after_joins(expected: usize) -> usize {
 fn a_testbed_owns_its_gc_threads_and_no_other() {
     let before = threads_of_the_process();
 
-    // Controller, MDS, three OSDs and three peers: eight services.
-    let mut config = TestbedConfig::zero(3);
-    config.ncl.inline_nic = true;
-    let tb = Testbed::start(config);
+    // Controller, MDS, three OSDs and three peers: eight services. A queue
+    // pair owns no thread either, whichever way its posts complete.
+    let tb = Testbed::start(TestbedConfig::zero(3));
     let (fs, _) = tb.mount(Mode::SplitFt, "inventory");
     let file = fs.open("wal", OpenOptions::create_ncl(1 << 12)).unwrap();
     file.write_at(0, b"no thread served this").unwrap();
     file.fsync().unwrap();
-    assert_eq!(threads_of_the_process() - before, 0, "zero(3), inline NIC");
-    drop((file, fs, tb));
+    assert_eq!(threads_of_the_process() - before, 0, "zero(3), one file");
+    let more = ["wal-2", "wal-3"].map(|name| {
+        let file = fs.open(name, OpenOptions::create_ncl(1 << 12)).unwrap();
+        file.write_at(0, b"nor this").unwrap();
+        file
+    });
+    assert_eq!(threads_of_the_process() - before, 0, "zero(3), three files");
+    drop((file, more, fs, tb));
 
     // The shipping shape (zero latencies keep the set-up short): ten
     // services, five peers sweeping every 100 ms.
