@@ -76,11 +76,9 @@ fn voluntary_switches() -> u64 {
 
 #[test]
 fn a_single_writer_commits_on_its_own_thread() {
-    // Zero latencies and the inline NIC: nothing below the store sleeps, so
-    // every sleep and allocation counted here is the write path's own.
-    let mut config = TestbedConfig::zero(3);
-    config.ncl.inline_nic = true;
-    let tb = Testbed::start(config);
+    // Zero latencies: nothing below the store sleeps, so every sleep and
+    // allocation counted here is the write path's own.
+    let tb = Testbed::start(TestbedConfig::zero(3));
     let (fs, _) = tb.mount(Mode::SplitFt, "rocks-counts");
 
     let before = threads_of_the_process();

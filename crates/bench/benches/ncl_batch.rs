@@ -48,12 +48,11 @@ fn batch_lib(
     runtime: Option<Arc<NclRuntime>>,
 ) -> NclLib {
     let mut config = tb.config().ncl.clone();
-    // Posts that do not wait, on a slow fabric (100 µs propagation, 100 ns/B):
-    // work requests spend their modelled latency on the wire, and the
-    // per-byte term is large enough that header bytes are resolvable above
-    // scheduler noise. Propagation overlaps within a doorbell batch, so the
-    // burst sweep isolates serialized bytes + per-WR overhead.
-    config.inline_nic = false;
+    // A slow fabric (100 µs propagation, 100 ns/B): work requests spend
+    // their modelled latency on the wire, and the per-byte term is large
+    // enough that header bytes are resolvable above scheduler noise.
+    // Propagation overlaps within a doorbell batch, so the burst sweep
+    // isolates serialized bytes + per-WR overhead.
     config.rdma = sim::LatencyModel::from_nanos(100_000, 0.08, 0.0);
     config.pipeline_window = WINDOW;
     config.telemetry = telemetry;
@@ -196,7 +195,6 @@ fn dur_lib(tb: &Testbed, tag: &str, telemetry: Telemetry, ec: Option<(usize, usi
     let mut config = tb.config().ncl.clone();
     // Same slow-fabric regime as the burst sweep: serialization-bound, so
     // throughput differences track wire bytes.
-    config.inline_nic = false;
     config.rdma = sim::LatencyModel::from_nanos(100_000, 0.08, 0.0);
     config.pipeline_window = WINDOW;
     config.telemetry = telemetry;

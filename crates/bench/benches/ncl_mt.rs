@@ -54,11 +54,10 @@ fn mt_lib(tb: &Testbed, tag: &str, telemetry: Telemetry, window: u64) -> NclLib 
     // record (on one core those spins serialize across shards and would
     // measure the staging model, not the runtime).
     let mut config = NclConfig::zero();
-    // Posts that do not wait, slow fabric: 100 µs propagation (overlapped across a
-    // doorbell batch) and 100 ns/B serialization. Per shard the wire frees
-    // a 32 B record every ~3.3 µs, so one shard tops out near 300k
-    // records/s and the aggregate only grows if shards genuinely overlap.
-    config.inline_nic = false;
+    // Slow fabric: 100 µs propagation (overlapped across a doorbell batch)
+    // and 100 ns/B serialization. Per shard the wire frees a 32 B record
+    // every ~3.3 µs, so one shard tops out near 300k records/s and the
+    // aggregate only grows if shards genuinely overlap.
     config.rdma = sim::LatencyModel::from_nanos(100_000, 0.08, 0.0);
     config.pipeline_window = window;
     config.telemetry = telemetry;

@@ -3,13 +3,11 @@
 //!
 //! Two measurements:
 //!
-//! 1. **Window sweep** — 128 B records on the calibrated testbed with posts
-//!    that do not wait (`inline_nic = false`, so work requests have an
-//!    in-flight period the pipeline can overlap) and the fabric propagation
-//!    term scaled so the modelled bandwidth-delay product is resolvable
-//!    above host scheduler jitter (see `pipeline_lib`). Depth 1 is the
-//!    paper's baseline protocol (synchronous `record`); deeper windows post
-//!    batches through `record_nowait` and fence once with `fsync`. The
+//! 1. **Window sweep** — 128 B records on the calibrated testbed with the
+//!    fabric propagation term scaled so the modelled bandwidth-delay product
+//!    is resolvable above host scheduler jitter (see `pipeline_lib`). Depth 1
+//!    is the paper's baseline protocol (synchronous `record`); deeper windows
+//!    post batches through `record_nowait` and fence once with `fsync`. The
 //!    window-4-over-1 speedup is printed and recorded, not asserted:
 //!    splitbench is the repository's only judge of time.
 //! 2. **Allocation count** — the record hot path assembles one shared wire
@@ -65,10 +63,6 @@ const CAPACITY: usize = 32 << 20;
 fn pipeline_lib(tb: &Testbed, window: u64, tag: &str, telemetry: Telemetry) -> NclLib {
     let mut config = tb.config().ncl.clone();
     config.telemetry = telemetry;
-    // Posts do not wait: work requests spend their modelled latency in
-    // flight, which is what a deeper window overlaps. (A post that waits its
-    // flights out leaves pipelining nothing to overlap, by construction.)
-    config.inline_nic = false;
     // The calibrated 1.5 µs fabric latency is charged by spinning, so on an
     // oversubscribed host the measured per-record time is dominated by
     // cross-thread scheduler wake-ups, which hit depth 1 and depth 16 alike.
@@ -133,22 +127,13 @@ fn window_sweep(c: &mut Criterion) {
     );
 }
 
-fn allocation_count(c: &mut Criterion) {
-    // Zero latencies and posts that wait: nothing sleeps, so the allocation
-    // count per record is stable and dominated by the record path itself.
-    let mut config = TestbedConfig::zero(3);
-    config.ncl.inline_nic = true;
+/// Heap allocations per steady-state synchronous 128-B `record` on a
+/// three-peer testbed configured by `config`.
+fn allocations_per_record(config: TestbedConfig, tag: &str) -> f64 {
     let tb = Testbed::start(config);
-    let node = tb.add_app_node("bench-pipe-alloc");
-    let lib = NclLib::new(
-        &tb.cluster,
-        node,
-        "bench-pipe-alloc",
-        tb.config().ncl.clone(),
-        &tb.controller,
-        &tb.registry,
-    )
-    .unwrap();
+    let node = tb.add_app_node(tag);
+    let ncl = tb.config().ncl.clone();
+    let lib = NclLib::new(&tb.cluster, node, tag, ncl, &tb.controller, &tb.registry).unwrap();
     let file = lib.create("wal", CAPACITY).unwrap();
     let data = vec![0xA5u8; RECORD_SIZE];
 
@@ -163,17 +148,33 @@ fn allocation_count(c: &mut Criterion) {
     let before = ALLOCS.load(Ordering::Relaxed);
     record_all(rounds);
     let per_record = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / rounds as f64;
-    println!("ncl_pipeline: {per_record:.2} heap allocations per 3-peer record");
+    file.release().unwrap();
+    per_record
+}
+
+fn allocation_count(c: &mut Criterion) {
+    // Zero latencies: nothing sleeps, so the allocation count per record is
+    // stable and dominated by the record path itself.
+    let zero = allocations_per_record(TestbedConfig::zero(3), "bench-pipe-alloc");
+    println!("ncl_pipeline: {zero:.2} heap allocations per 3-peer record");
     // Measured 4.00: the record's wire image and the burst's header, each
     // a Vec plus its Arc. The completion path (queue, poll buffer, watermark
     // scratch, flights, spans) reuses its buffers. The count repeats
     // exactly, so the bound is the measurement plus one: anything above it
     // means a copy or a per-completion buffer crept back in.
     assert!(
-        per_record <= 5.0,
-        "record path allocation regression: {per_record:.2} allocs/record"
+        zero <= 5.0,
+        "record path allocation regression: {zero:.2} allocs/record"
     );
-    file.release().unwrap();
+    // The calibrated twin: there the barrier waits for its flights to land,
+    // and the wait must reuse the drain's buffers like everything else. (Its
+    // peers' GC threads tick meanwhile, hence the hundredth.)
+    let calibrated = allocations_per_record(TestbedConfig::calibrated(3), "bench-pipe-alloc-cal");
+    println!("ncl_pipeline: {calibrated:.2} heap allocations per calibrated 3-peer record");
+    assert!(
+        calibrated <= zero + 0.01,
+        "a record that waits for its flights allocates more: {calibrated:.2} vs {zero:.2}"
+    );
     let _ = c; // Allocation check is an assertion, not a timing measurement.
 }
 

@@ -11,14 +11,12 @@
 //! NCL tracks the weak configuration while strong is two orders of
 //! magnitude slower.
 //!
-//! A window-depth sweep (`NCL w1` / `w4` / `w16`) rides along with posts
-//! that do not wait for their completions (`inline_nic = false`), so work
-//! requests are in flight when a post returns: `w1` issues
-//! one synchronous `record` at a time (the paper's baseline), deeper
-//! windows post through `record_nowait` and fence once at the end, so the
-//! reported figure is the amortized per-record latency the pipelined path
-//! achieves at that depth — window overlap plus one doorbell and one
-//! header write per window-full burst.
+//! A window-depth sweep (`NCL w4` / `w16`) rides along: `NCL` issues one
+//! synchronous `record` at a time (the paper's baseline), the deeper windows
+//! post through `record_nowait` and fence once at the end, so the reported
+//! figure is the amortized per-record latency the pipelined path achieves at
+//! that depth — window overlap plus one doorbell and one header write per
+//! window-full burst.
 
 use bench::{calibrated_testbed, f1, header, quick, row, NCL_STAGES};
 use ncl::NclLib;
@@ -38,7 +36,6 @@ fn main() {
         "strong DFS".into(),
         "weak DFS".into(),
         "NCL".into(),
-        "NCL w1".into(),
         "NCL w4".into(),
         "NCL w16".into(),
     ]);
@@ -86,12 +83,11 @@ fn main() {
         let ncl_us = sw.elapsed_micros_f64() / ncl_ops as f64;
         file.release().unwrap();
 
-        // Window-depth sweep with non-waiting posts: amortized per-record
-        // latency at pipeline depth 1 (synchronous baseline), 4, and 16.
+        // Window-depth sweep: amortized per-record latency at pipeline
+        // depth 4 and 16.
         let pipe_ops = ncl_ops.min(2_000);
         let pipelined_us = |window: u64| {
             let mut config = tb.config().ncl.clone();
-            config.inline_nic = false;
             config.pipeline_window = window;
             let node = tb.add_app_node(&format!("fig8-w{window}-{size}"));
             let ncl = NclLib::new(
@@ -106,18 +102,13 @@ fn main() {
             let file = ncl.create("bench", pipe_ops * size).unwrap();
             let sw = Stopwatch::start();
             for i in 0..pipe_ops {
-                if window == 1 {
-                    file.record((i * size) as u64, &data).unwrap();
-                } else {
-                    file.record_nowait((i * size) as u64, &data).unwrap();
-                }
+                file.record_nowait((i * size) as u64, &data).unwrap();
             }
             file.fsync().unwrap();
             let us = sw.elapsed_micros_f64() / pipe_ops as f64;
             file.release().unwrap();
             us
         };
-        let w1_us = pipelined_us(1);
         let w4_us = pipelined_us(4);
         let w16_us = pipelined_us(16);
 
@@ -126,18 +117,16 @@ fn main() {
             f1(strong_us),
             f1(weak_us),
             f1(ncl_us),
-            f1(w1_us),
             f1(w4_us),
             f1(w16_us),
         ]);
     }
 
     // Where does an NCL record's latency go? One telemetry-instrumented
-    // 128 B pipelined run (non-waiting posts, window 16), decomposed into the
-    // staging / doorbell / wire / ack spans the record path stamps.
+    // 128 B pipelined run (window 16), decomposed into the staging /
+    // doorbell / wire / ack spans the record path stamps.
     let telemetry = Telemetry::new();
     let mut config = tb.config().ncl.clone();
-    config.inline_nic = false;
     config.pipeline_window = 16;
     config.telemetry = telemetry.clone();
     let node = tb.add_app_node("fig8-breakdown");
@@ -182,8 +171,8 @@ fn main() {
     println!(
         "\npaper reference @128B: strong ≈ 2000 µs | weak ≈ 1.2 µs | NCL ≈ 4.6 µs\n\
          expectation: NCL within ~5x of weak; strong 2+ orders of magnitude above both\n\
-         w-columns: non-waiting posts at pipeline window 1/4/16, amortized —\n\
-         deeper windows overlap the in-flight period and post one doorbell and\n\
-         one coalesced header write per window-full burst"
+         w-columns: `record_nowait` at pipeline window 4/16 and one fence at the\n\
+         end, amortized — deeper windows overlap the in-flight period and post one\n\
+         doorbell and one coalesced header write per window-full burst"
     );
 }

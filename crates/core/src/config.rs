@@ -98,18 +98,8 @@ pub struct NclConfig {
     /// it. Depth 1 allows one outstanding record; the paper's baseline
     /// protocol corresponds to the synchronous `record` call.
     pub pipeline_window: u64,
-    /// Whether an RDMA post waits for its own completions. Either way the
-    /// post applies its requests and prices their flights on the caller's
-    /// thread (those of one flush's peers together — one instant per flush —
-    /// those of one doorbell back to back behind one propagation), and no NIC
-    /// owns a thread. Set, the poster waits each flight out and the
-    /// completions are queued when the post returns: nothing is left for a
-    /// later reap, whose wake-up on an oversubscribed host would dwarf
-    /// microsecond latencies. Clear, the completions land when whoever reaps
-    /// the completion queue finds them due, so a pipelined writer's bursts
-    /// overlap their flights. Ordering, permissions and failures are the
-    /// same. The calibrated profile sets it; the zero (testing) profile does
-    /// not.
+    /// Once made an RDMA post wait for its own completions. Kept for source
+    /// compatibility; no effect: no post waits, the durability barrier does.
     pub inline_nic: bool,
     /// Epoch lease granted to every region a peer allocates. A region whose
     /// lease has run out — no control-plane activity renewed it — is only
@@ -152,7 +142,7 @@ impl NclConfig {
             reattach_probe: Duration::from_millis(250),
             local_copy: LatencyModel::from_nanos(250, 120.0, 0.0),
             pipeline_window: 8,
-            inline_nic: true,
+            inline_nic: false,
             peer_lease: Duration::from_secs(120),
             telemetry: Telemetry::new(),
             runtime: None,

@@ -240,7 +240,7 @@ impl NclFile {
         // the flag set so the next barrier repairs again.
         rep.failure_seen = rep.peers.iter().any(|s| !s.alive);
         rep.last_repair = stats;
-        rep.refresh_durable(&ctx.config, Instant::now());
+        rep.refresh_durable(&ctx.config, sim::time::now());
         close_root(epoch);
         Ok(())
     }
@@ -250,7 +250,7 @@ impl NclFile {
     pub fn maintain(&self) -> Result<bool, NclError> {
         {
             let mut rep = self.rep_guard();
-            let now = rep.drain();
+            let now = rep.drain(None);
             rep.refresh_durable(&self.ctx.config, now);
             if !rep.repair_pending && rep.peers.iter().all(|s| s.alive) {
                 return Ok(false);

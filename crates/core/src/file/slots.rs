@@ -180,7 +180,7 @@ impl PeerSlot {
             completed_seq: 0,
             row: 0,
             alive: true,
-            detector: PhiDetector::new(Instant::now()),
+            detector: PhiDetector::new(sim::time::now()),
         }
     }
 }
@@ -307,7 +307,7 @@ impl Rep {
     /// `now`, the instant they were taken off the queue. Unattributable
     /// completions with a registered waiter are parked in `stray`;
     /// everything else (stale completions from replaced peers) is dropped.
-    pub fn absorb(&mut self, wcs: &mut Vec<(u32, WorkCompletion)>, now: Instant) {
+    fn absorb(&mut self, wcs: &mut Vec<(u32, WorkCompletion)>, now: Instant) {
         for (qp_num, wc) in wcs.drain(..) {
             if wc.wr_id.0 >= u64::MAX - 2 {
                 // One-off RDMA read (recovery lookup / read_remote): a
@@ -400,13 +400,15 @@ impl Rep {
         }
     }
 
-    /// Drains the completion queue without blocking and applies the result.
-    /// Returns the instant of the drain, which the refresh that follows
-    /// closes its spans with: one clock read per drain, not per completion.
-    pub fn drain(&mut self) -> Instant {
+    /// Drains the completion queue without blocking and applies the result
+    /// as of `landed_at`, the reading a wait just landed it at, or of a
+    /// reading of its own. Returns that instant, which the refresh that
+    /// follows closes its spans with: one clock read per landing, not per
+    /// completion.
+    pub fn drain(&mut self, landed_at: Option<Instant>) -> Instant {
         let mut wcs = std::mem::take(&mut self.wc_buf);
         self.cq.poll_into(&mut wcs);
-        let now = sim::time::now();
+        let now = landed_at.unwrap_or_else(sim::time::now);
         self.absorb(&mut wcs, now);
         self.wc_buf = wcs;
         now
@@ -566,7 +568,7 @@ impl NclFile {
     pub(crate) fn reactor_poll(&self) -> (bool, Option<Instant>) {
         let advanced = self.rep.try_lock().is_some_and(|mut rep| {
             let before = self.durable_seq();
-            let now = rep.drain();
+            let now = rep.drain(None);
             rep.refresh_durable(&self.ctx.config, now);
             self.durable_seq() > before
         });
@@ -630,6 +632,12 @@ impl NclFile {
     /// Durability barrier: returns once every record up to and including
     /// `seq` is durable on the acknowledgement quorum.
     ///
+    /// This is the only wait on the write path, a straight line when nothing
+    /// fails: ring the doorbell if the record is still staged, wait for a
+    /// landing, drain and refresh at the instant of that landing. It returns
+    /// at the `f + 1`-th header; a slower peer's completions are absorbed by
+    /// whichever drain finds them landed.
+    ///
     /// All failure handling of the write path lives here, in the drain
     /// path: a dead peer is replaced inline once the awaited prefix is
     /// durable on the survivors (the Figure 12 "blip"); a lost majority
@@ -650,11 +658,10 @@ impl NclFile {
             return Ok(());
         }
         let ctx = &self.ctx;
-        // The write timeout runs from the first time the barrier has to
-        // wait; one the first drain satisfies never asks the clock for it.
+        // The write timeout runs from the first drain that leaves the barrier
+        // waiting; one the first landing satisfies never computes it.
         let mut deadline = None;
-        let mut time_left = || {
-            let now = sim::time::now();
+        let mut time_left = |now: Instant| {
             deadline
                 .get_or_insert(now + ctx.config.write_timeout)
                 .saturating_duration_since(now)
@@ -668,13 +675,25 @@ impl NclFile {
                 self.flush_staged(&mut stage, FlushReason::Barrier);
             }
         }
+        // How long to wait for a landing before the next drain, if at all:
+        // with flights in the air a drain now would be in vain.
+        let slice = Duration::from_millis(50);
+        let mut wait = self
+            .cq
+            .next_due()
+            .map(|_| ctx.config.write_timeout.min(slice));
         loop {
-            let next = {
+            // NCL polls the completion queue (§4.4): the wait lands what is
+            // due, sleeps to the earliest flight otherwise and wakes on every
+            // doorbell, so a timeout derived from the record deadline costs
+            // nothing in the common case.
+            let landed_at = wait.take().and_then(|d| self.cq.wait_landed(d));
+            let (next, now) = {
                 let mut rep = self.rep_guard();
-                let now = rep.drain();
+                let now = rep.drain(landed_at);
                 rep.suspect_stalled(&ctx.config, seq, now);
                 rep.refresh_durable(&ctx.config, now);
-                if rep.durable_seq >= seq {
+                let next = if rep.durable_seq >= seq {
                     if rep.failure_seen {
                         Next::Repair { must: false }
                     } else {
@@ -684,7 +703,8 @@ impl NclFile {
                     Next::Repair { must: true }
                 } else {
                     Next::Wait
-                }
+                };
+                (next, now)
             };
             match next {
                 Next::Done => return Ok(()),
@@ -705,7 +725,7 @@ impl NclFile {
                                 rep.publish_acked(&ctx.config);
                                 return Ok(());
                             }
-                            if time_left().is_zero() {
+                            if time_left(sim::time::now()).is_zero() {
                                 return Err(e);
                             }
                             drop(stage);
@@ -717,7 +737,7 @@ impl NclFile {
                     }
                 }
                 Next::Wait => {
-                    let left = time_left();
+                    let left = time_left(now);
                     if left.is_zero() {
                         return Err(NclError::QuorumUnavailable(format!(
                             "record {seq} not durable within timeout"
@@ -741,18 +761,10 @@ impl NclFile {
                                 continue;
                             }
                         }
-                        self.acked
-                            .park_until(seq, left.min(Duration::from_millis(50)));
+                        self.acked.park_until(seq, left.min(slice));
                         continue;
                     }
-                    // NCL polls the completion queue (§4.4): the wait lands
-                    // what is due, sleeps to the earliest flight otherwise
-                    // and wakes on every doorbell, so a timeout derived from
-                    // the record deadline costs nothing in the common case.
-                    let mut wcs = self.cq.wait(left.min(Duration::from_millis(50)));
-                    if !wcs.is_empty() {
-                        self.rep_guard().absorb(&mut wcs, sim::time::now());
-                    }
+                    wait = Some(left.min(slice));
                 }
             }
         }
@@ -784,7 +796,7 @@ impl<'a> WcRouter<'a> {
 
 impl WcWait for WcRouter<'_> {
     fn wait_for(&self, qp_num: u32, wr_id: WrId, timeout: Duration) -> Option<WorkCompletion> {
-        let deadline = Instant::now() + timeout;
+        let deadline = sim::time::now() + timeout;
         loop {
             {
                 let mut stash = self.stash.lock();
@@ -811,7 +823,7 @@ impl WcWait for WcRouter<'_> {
                     return found;
                 }
             }
-            if Instant::now() >= deadline {
+            if sim::time::now() >= deadline {
                 return None;
             }
         }
@@ -827,32 +839,21 @@ pub(super) struct RepWait<'a> {
 
 impl WcWait for RepWait<'_> {
     fn wait_for(&self, qp_num: u32, wr_id: WrId, timeout: Duration) -> Option<WorkCompletion> {
-        let deadline = Instant::now() + timeout;
-        let take = |rep: &mut Rep| -> Option<WorkCompletion> {
-            rep.stray
-                .iter()
-                .position(|(n, wc)| *n == qp_num && wc.wr_id == wr_id)
-                .map(|pos| rep.stray.remove(pos).1)
-        };
+        let deadline = sim::time::now() + timeout;
+        let mut landed_at = None;
         loop {
             {
                 let mut rep = self.file.rep_guard();
-                rep.drain();
-                if let Some(wc) = take(&mut rep) {
-                    return Some(wc);
+                rep.drain(landed_at);
+                let routed = |(n, wc): &(u32, WorkCompletion)| *n == qp_num && wc.wr_id == wr_id;
+                if let Some(pos) = rep.stray.iter().position(routed) {
+                    return Some(rep.stray.remove(pos).1);
                 }
             }
-            let mut wcs = self.file.cq.wait(Duration::from_millis(2));
-            if !wcs.is_empty() {
-                let mut rep = self.file.rep_guard();
-                rep.absorb(&mut wcs, Instant::now());
-                if let Some(wc) = take(&mut rep) {
-                    return Some(wc);
-                }
-            }
-            if Instant::now() >= deadline {
+            if sim::time::now() >= deadline {
                 return None;
             }
+            landed_at = self.file.cq.wait_landed(Duration::from_millis(2));
         }
     }
 }

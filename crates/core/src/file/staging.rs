@@ -369,10 +369,10 @@ impl NclFile {
     /// every scheme. The flush reads the clock once: that instant closes the
     /// doorbell spans, restarts idle peers' silence clocks and is when every
     /// peer's doorbell is rung ([`rdma::QueuePair::post_many_at`]), so the
-    /// peers' modelled flights overlap although the posts are made in a
-    /// loop; when posts wait for their completions the first waits its
-    /// flights out and the others find theirs landed. Post errors are left
-    /// to the completion path, like every other posting site.
+    /// peers' modelled flights overlap, and cover the posts' own CPU,
+    /// although the posts are made in a loop. Nothing here waits. Post
+    /// errors are left to the completion path, like every other posting
+    /// site.
     pub(super) fn flush_staged(&self, stage: &mut Stage, reason: FlushReason) {
         let Some(last) = stage.pending.last() else {
             return;
@@ -414,11 +414,9 @@ impl NclFile {
 
     /// Stamps the doorbell histogram, queues the stage and doorbell spans
     /// and opens a [`Flight`] per pending record, all posted at the flush's
-    /// instant `posted_at`. Must run before the
-    /// posts: one that waits for its completions spends the flights inside
-    /// `post_many`, so stamping after would misattribute the wire time to the
-    /// doorbell span — and completions cannot be absorbed concurrently
-    /// because the caller holds the replication lock.
+    /// instant `posted_at`. Runs before the posts so that a flight is
+    /// registered before its header can land; completions cannot be absorbed
+    /// concurrently because the caller holds the replication lock.
     fn register_flights(&self, rep: &mut Rep, pending: &[PendingRecord], posted_at: Instant) {
         let metrics = &self.metrics;
         for rec in pending {

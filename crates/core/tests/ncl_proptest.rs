@@ -205,10 +205,9 @@ fn burst_op_strategy() -> impl Strategy<Value = BurstOp> {
 
 fn burst_world(capacity: usize) -> (World, NclLib, Arc<NclFile>) {
     let mut config = NclConfig::zero();
-    // Inline NIC: posted requests apply at post time, so the wire state at
-    // every crash point is deterministic. The window exceeds the op count,
-    // so burst boundaries come only from the ops.
-    config.inline_nic = true;
+    // Posted requests apply at post time, so the wire state at every crash
+    // point is deterministic. The window exceeds the op count, so burst
+    // boundaries come only from the ops.
     config.pipeline_window = 64;
     let mut world = World::with_config(config);
     let lib = world.fresh_app();
@@ -242,9 +241,9 @@ proptest! {
     ) {
         let capacity = 8192usize;
         let (mut world, mut lib, mut file) = burst_world(capacity);
-        // Model: all bytes staged, and the prefix flushed to the wire (with
-        // the inline NIC, flushed == durable; staged-but-unflushed records
-        // die with the app).
+        // Model: all bytes staged, and the prefix flushed to the wire (a
+        // post applies its requests, so flushed == on the peers;
+        // staged-but-unflushed records die with the app).
         let mut appended: Vec<u8> = Vec::new();
         let mut flushed_len = 0usize;
         let mut fill: u8 = 0;

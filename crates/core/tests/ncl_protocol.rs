@@ -357,12 +357,9 @@ fn lagging_peer_catch_up_picks_its_path_from_the_headers() {
         },
     ];
     for case in cases {
-        // Inline NIC: the partitioned peer's work requests fail at post
-        // time, inside the partition, instead of racing the heal on an
-        // engine thread — the peer really is one record behind.
-        let mut config = NclConfig::zero();
-        config.inline_nic = true;
-        let h = Harness::with_config(3, config);
+        // The partitioned peer's work requests fail at post time, inside
+        // the partition — the peer really is one record behind.
+        let h = Harness::new(3);
         let app_node;
         let lagging;
         {
@@ -580,31 +577,90 @@ fn gc_reclaims_epoch_superseded_regions_after_recovery() {
 }
 
 #[test]
-fn both_nic_settings_preserve_protocol_guarantees() {
-    // The calibrated profile's posts wait for their own completions; the
-    // full failure/recovery behaviour must be identical when they do not.
-    for inline_nic in [false, true] {
-        let mut config = NclConfig::zero();
-        config.inline_nic = inline_nic;
-        let h = Harness::with_config(5, config);
-        let app_node;
-        {
-            let lib = h.app("a1");
-            app_node = lib.node();
-            let file = lib.create("wal", 4096).unwrap();
-            file.record(0, b"before-").unwrap();
-            // Peer failure mid-stream: errors trigger replacement on both.
-            let victim = file.peer_names()[0].clone();
-            h.cluster.crash(h.peer_named(&victim).node());
-            file.record(7, b"after").unwrap();
-            assert_eq!(file.peer_names().len(), 3);
-            assert!(!file.peer_names().contains(&victim));
-        }
-        h.cluster.crash(app_node);
-        let lib2 = h.app("a2");
-        let file = lib2.recover("wal").unwrap();
-        assert_eq!(file.contents(), b"before-after");
+fn a_peer_failure_mid_stream_preserves_protocol_guarantees() {
+    let h = Harness::new(5);
+    let app_node;
+    {
+        let lib = h.app("a1");
+        app_node = lib.node();
+        let file = lib.create("wal", 4096).unwrap();
+        file.record(0, b"before-").unwrap();
+        // Peer failure mid-stream: errors trigger replacement.
+        let victim = file.peer_names()[0].clone();
+        h.cluster.crash(h.peer_named(&victim).node());
+        file.record(7, b"after").unwrap();
+        assert_eq!(file.peer_names().len(), 3);
+        assert!(!file.peer_names().contains(&victim));
     }
+    h.cluster.crash(app_node);
+    let lib2 = h.app("a2");
+    let file = lib2.recover("wal").unwrap();
+    assert_eq!(file.contents(), b"before-after");
+}
+
+/// The acknowledgement is the paper's: a record returns at the `f + 1`-th
+/// header, not the slowest peer's. Pinned on state, not on wall time: when
+/// `record` returns, the watermark covers it while the slow peer's
+/// completions have not landed, and when they do land they are absorbed as
+/// the successes they are.
+#[test]
+fn a_record_is_acked_at_the_quorums_header_with_the_slow_peers_still_in_flight() {
+    use sim::{Binding, FaultAction, FaultPlan, FaultScheduler, Trigger};
+    const RECORDS: u64 = 8;
+    let h = Harness::with_config(3, NclConfig::calibrated());
+    let lib = h.app("a1");
+    let file = lib.create("wal", 4096).unwrap();
+    let epoch = file.epoch();
+    // Every request to one peer occupies its wire 5 ms longer (not the
+    // 200 us that would show the same: a descheduled test thread must not
+    // be able to sit the delay out). Data and header: that peer's
+    // completions for record `k` land 10 ms * k after the first doorbell.
+    let slow = FaultAction::SlowPeer {
+        peer: 0,
+        per_wr_us: 5_000,
+        wrs: 2 * RECORDS as u32,
+    };
+    let binding = Binding {
+        peers: vec![h.peer_named(&file.peer_names()[0]).node()],
+        controller: h.controller.node(),
+        app: lib.node(),
+    };
+    let plan = FaultPlan::new(1).push(Trigger::Step(1), slow);
+    h.cluster
+        .install_faults(FaultScheduler::new(&plan, binding));
+    // Completions landed so far, by the NIC's own count of them.
+    let tel = file.telemetry().clone();
+    let landed = move || {
+        tel.snapshot()
+            .summary("rdma.wr.wire")
+            .map_or(0, |s| s.count)
+    };
+    let before = landed();
+    for seq in 1..=RECORDS {
+        file.record((seq - 1) * 16, &[seq as u8; 16]).unwrap();
+        assert_eq!(file.durable_seq(), seq);
+        let landed = landed() - before;
+        assert!(
+            (4 * seq..6 * seq).contains(&landed),
+            "record {seq}: {landed} completions landed; two peers' make 4 a record, the third's fly"
+        );
+    }
+    // The delays drain: `maintain` reaps what has landed, like any drain.
+    while landed() - before < 6 * RECORDS {
+        assert!(!file.maintain().unwrap(), "nothing to repair");
+        assert_eq!(file.durable_seq(), RECORDS, "the watermark stays put");
+        std::hint::spin_loop();
+    }
+    h.cluster.clear_faults();
+    assert_eq!(file.peer_names().len(), 3, "late is not dead");
+    assert!(!file.repair_pending());
+    assert_eq!(file.epoch(), epoch);
+    let alarms = [events::PEER_FAILURE, events::PEER_SUSPECT];
+    let raised = h.config.telemetry.events();
+    assert!(!raised.iter().any(|e| alarms.contains(&e.kind)));
+    // And the file writes on.
+    file.record(RECORDS * 16, b"after").unwrap();
+    assert_eq!(file.durable_seq(), RECORDS + 1);
 }
 
 #[test]
@@ -811,9 +867,8 @@ fn a_burst_of_16_is_one_doorbell_and_two_wrs_per_peer() {
     const BURST: u64 = 16;
     let mut config = NclConfig::zero();
     config.pipeline_window = 2 * BURST;
-    // Inline NIC: every WR has been on the wire when `submit` returns, so
-    // the sample count below is exact, not a race with an engine thread.
-    config.inline_nic = true;
+    // A flight of no modelled time lands with its post: every WR has been
+    // on the wire when `submit` returns, so the sample count below is exact.
     let h = Harness::with_config(3, config);
     let lib = h.app("a1");
     let file = lib.create("wal", 1 << 16).unwrap();
@@ -985,7 +1040,6 @@ fn coalesced_header_on_minority_tail_is_not_resurrected() {
     // records must not reappear, and nothing acked may be missing.
     let mut config = NclConfig::zero();
     config.pipeline_window = 64;
-    config.inline_nic = true;
     let h = Harness::with_config(3, config);
     let app_node;
     {

@@ -103,18 +103,16 @@ fn lock_audit_counts_locks_on_the_unhosted_path() {
     assert!(locks > 0, "the slow path must register lock acquisitions");
 }
 
-/// A count gate, not a timing: with the inline NIC every completion is on
-/// the queue when `post_many` returns, so a steady-state synchronous
-/// `record` takes exactly the same locks every time — `stage` to stage the
+/// A count gate, not a timing: a flight that takes no modelled time lands
+/// with its post, so a steady-state synchronous `record` on the zero profile
+/// takes exactly the same locks every time — `stage` to stage the
 /// record, `stage` then `rep` for the barrier's doorbell, `rep` for the one
 /// drain that finds the quorum. A fifth acquisition is a lock hand-off
 /// added to every acknowledged write.
 #[test]
 fn synchronous_record_takes_four_stage_or_rep_locks() {
     let world = World::new();
-    let mut config = NclConfig::zero();
-    config.inline_nic = true;
-    let lib = world.lib_with("syncapp", "app", config);
+    let lib = world.lib_with("syncapp", "app", NclConfig::zero());
     let file = lib.create("wal", 1 << 20).unwrap();
     for i in 0..8u64 {
         file.record(i * 16, b"warm").unwrap();

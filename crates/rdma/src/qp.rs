@@ -8,15 +8,14 @@
 //! sequence-number WR ensures the sequence number is never visible on a peer
 //! without its data.
 //!
-//! The NIC owns no thread. A post applies each request to the peer's region
-//! and prices its flight ([`Pipe::send`]) on the poster's thread; the
-//! completion lands at the instant the model assigns, its `due`. A post that
-//! waits for its own completions (`inline`) waits each `due` out and lands
-//! the completion itself; otherwise the completion flies on the completion
-//! queue, and whoever next reaps that queue lands what is due.
+//! The NIC owns no thread and nobody waits inside a post. A post applies
+//! each request to the peer's region and prices its flight ([`Pipe::send`])
+//! on the poster's thread, hands the completions to the completion queue
+//! with the instant the model assigns each, its `due`, and returns; whoever
+//! next reaps that queue lands what is due.
 //!
-//! The rule of landing, on both: a completion whose flight took modelled
-//! time is re-checked against the link when it lands, each on its own `due`.
+//! The rule of landing: a completion whose flight took modelled time is
+//! re-checked against the link when it lands, each on its own `due`.
 //! A link severed by then turns a success into [`WcStatus::RetryExceeded`]
 //! and errors the queue pair, although the bytes are in the peer's region:
 //! "landed, ack lost", which the protocol's prefix rule tolerates.
@@ -222,19 +221,24 @@ impl CompletionQueue {
         self.inner.watched.store(true, Ordering::Release);
     }
 
-    /// Takes one doorbell's completions, `landed` by a post that waited or
-    /// `flying` from one that did not: one queue lock, one condvar notify (a
-    /// sleeper in `wait` re-reads the earliest `due`), one waker signal.
-    fn accept(&self, link: &Arc<Link>, landed: &mut Completions, flying: &mut Vec<Flight>) {
-        if landed.is_empty() && flying.is_empty() {
+    /// Takes one doorbell's completions: one queue lock, one condvar notify (a
+    /// sleeper in `wait` re-reads the earliest `due`), one waker signal. A
+    /// flight that took no modelled time is due at an instant its poster has
+    /// read: it lands here, behind whatever was due before it, clock unread.
+    fn accept(&self, link: &Arc<Link>, flights: &mut Vec<Flight>) {
+        if flights.is_empty() {
             return;
         }
         {
             let mut st = self.inner.state.lock();
-            st.ready.append(landed);
-            for flight in flying.drain(..) {
-                let at = st.flying.partition_point(|(_, f)| f.due <= flight.due);
-                st.flying.insert(at, (Arc::clone(link), flight));
+            for flight in flights.drain(..) {
+                if flight.flew {
+                    let at = st.flying.partition_point(|(_, f)| f.due <= flight.due);
+                    st.flying.insert(at, (Arc::clone(link), flight));
+                } else {
+                    st.land_due(flight.due);
+                    link.land(flight, &mut st.ready);
+                }
             }
             self.inner.available.notify_all();
         }
@@ -281,36 +285,50 @@ impl CompletionQueue {
 
     /// Blocks until at least one completion is available (or `timeout`
     /// expires) and drains the queue. Returns an empty vector on timeout.
-    ///
-    /// With nothing in flight this is a sleep a doorbell ends, clock unread.
-    /// Otherwise it sleeps to the earliest `due` and lands it; a doorbell
-    /// ends that sleep too, since its flights may land sooner.
     pub fn wait(&self, timeout: Duration) -> Vec<(u32, WorkCompletion)> {
+        std::mem::take(&mut self.awaited(timeout).0.ready)
+    }
+
+    /// [`CompletionQueue::wait`] that leaves what it landed on the queue, for
+    /// a [`CompletionQueue::poll_into`] under the caller's own lock, and
+    /// returns the clock reading it ended on — the instant of that landing —
+    /// or `None` if it read no clock.
+    pub fn wait_landed(&self, timeout: Duration) -> Option<Instant> {
+        self.awaited(timeout).1
+    }
+
+    /// The queue once a completion is available or `timeout` has expired.
+    ///
+    /// With nothing in flight this is a sleep a doorbell ends, and what is
+    /// already landed ends it at once: clock unread either way. Otherwise it
+    /// sleeps to the earliest `due` and lands it; a doorbell ends that sleep
+    /// too, since its flights may land sooner.
+    fn awaited(&self, timeout: Duration) -> (MutexGuard<'_, CqState>, Option<Instant>) {
         let mut st = self.inner.state.lock();
         if st.ready.is_empty() && st.flying.is_empty() {
             self.inner.available.wait_for(&mut st, timeout);
         }
-        if !st.flying.is_empty() {
-            let mut now = sim::time::now();
-            let deadline = now + timeout;
-            loop {
-                st.land_due(now);
-                if !st.ready.is_empty() || now >= deadline {
-                    break;
-                }
-                let next = st.flying.front().map_or(deadline, |(_, f)| f.due);
-                let until = next.min(deadline);
-                if until - now <= SPIN_RANGE {
-                    drop(st);
-                    sim::delay_until(until);
-                    st = self.inner.state.lock();
-                } else {
-                    self.inner.available.wait_for(&mut st, until - now);
-                }
+        if !st.ready.is_empty() || st.flying.is_empty() {
+            return (st, None);
+        }
+        let mut now = sim::time::now();
+        let deadline = now + timeout;
+        loop {
+            st.land_due(now);
+            if !st.ready.is_empty() || now >= deadline {
+                return (st, Some(now));
+            }
+            let next = st.flying.front().map_or(deadline, |(_, f)| f.due);
+            let until = next.min(deadline);
+            if until - now <= SPIN_RANGE {
+                drop(st);
+                now = sim::delay_until(until);
+                st = self.inner.state.lock();
+            } else {
+                self.inner.available.wait_for(&mut st, until - now);
                 now = sim::time::now();
             }
         }
-        std::mem::take(&mut st.ready)
     }
 }
 
@@ -363,9 +381,8 @@ struct Link {
 }
 
 impl Link {
-    /// Lands one completion into `out`, for a post that waited `due` out and
-    /// for the completion queue's reapers alike: re-checks the link if the
-    /// flight took modelled time (the module doc's rule), then honours an
+    /// Lands one completion into `out`: re-checks the link if the flight
+    /// took modelled time (the module doc's rule), then honours an
     /// injected drop or duplication. A dropped completion is "landed, ack
     /// lost" again: the request *was* applied. Error completions are always
     /// delivered (a real RC QP surfaces retry exhaustion to the requester
@@ -412,11 +429,9 @@ pub struct QueuePair {
     link: Arc<Link>,
     remote_dev: RdmaDevice,
     cq: CompletionQueue,
-    /// Whether a post waits for its own completions.
-    inline: bool,
     /// The send queue: the wire, and the running doorbell's completions,
-    /// landed and flying, handed to `cq` together (reused: no allocation).
-    sq: Mutex<(Pipe, Completions, Vec<Flight>)>,
+    /// handed to `cq` together (reused: no allocation).
+    sq: Mutex<(Pipe, Vec<Flight>)>,
 }
 
 impl QueuePair {
@@ -437,18 +452,15 @@ impl QueuePair {
         Self::connect_with_mode(cluster, local_node, remote_dev, cq, latency, false)
     }
 
-    /// [`QueuePair::connect`] with its one choice spelled out: with `inline`
-    /// a post waits for its own completions, which are on `cq` when it
-    /// returns. Ordering, failure and permission semantics are the same; the
-    /// calibrated benchmarks use it, where a reaper's wake-up on a busy host
-    /// would dwarf the microsecond-scale latencies being modelled.
+    /// [`QueuePair::connect`]. `_inline` once made a post wait for its own
+    /// completions; it is kept for source compatibility and has no effect.
     pub fn connect_with_mode(
         cluster: Cluster,
         local_node: NodeId,
         remote_dev: &RdmaDevice,
         cq: CompletionQueue,
         latency: LatencyModel,
-        inline: bool,
+        _inline: bool,
     ) -> Self {
         let now = sim::time::now();
         let pipe = Pipe {
@@ -467,8 +479,7 @@ impl QueuePair {
             }),
             remote_dev: remote_dev.clone(),
             cq,
-            inline,
-            sq: Mutex::new((pipe, Vec::new(), Vec::new())),
+            sq: Mutex::new((pipe, Vec::new())),
         }
     }
 
@@ -550,8 +561,7 @@ impl QueuePair {
     /// [`QueuePair::post_many`] for a doorbell rung at `posted_at`, a past
     /// instant several queue pairs may share: the flights (and `wire_ns`)
     /// start there, not when this call happens to run, so one caller's
-    /// doorbells to different peers overlap — when posts wait, the first waits
-    /// its flights out and the others find theirs landed, clock unread.
+    /// doorbells to different peers overlap, the posts' own CPU under them.
     pub fn post_many_at(&self, posted_at: Instant, wrs: &[WorkRequest]) -> Result<(), SimError> {
         if wrs.is_empty() {
             return Ok(());
@@ -566,7 +576,7 @@ impl QueuePair {
             start = sim::time::now();
         }
         let mut sq = self.sq.lock();
-        let (pipe, landed, flying) = &mut *sq;
+        let (pipe, flying) = &mut *sq;
         for wr in wrs {
             let verdict = link
                 .cluster
@@ -584,7 +594,7 @@ impl QueuePair {
             if status != WcStatus::Success {
                 link.errored.store(true, Ordering::SeqCst);
             }
-            let flight = Flight {
+            flying.push(Flight {
                 due,
                 flew: due > start,
                 verdict,
@@ -594,19 +604,9 @@ impl QueuePair {
                     read_data,
                     wire_ns: due.duration_since(posted_at).as_nanos() as u64,
                 },
-            };
-            if self.inline {
-                // Landed before the next request's fault point runs; a flight
-                // that takes no modelled time reads no clock.
-                if flight.flew {
-                    sim::delay_until(due);
-                }
-                link.land(flight, landed);
-            } else {
-                flying.push(flight);
-            }
+            });
         }
-        self.cq.accept(&self.link, landed, flying);
+        self.cq.accept(&self.link, flying);
         Ok(())
     }
 
@@ -797,40 +797,32 @@ mod tests {
     }
 
     #[test]
-    fn waiting_and_non_waiting_posts_share_semantics() {
-        for inline in [false, true] {
-            let (cluster, app, dev, peer) = setup();
-            let (local, mr) = dev.register_mr(64).unwrap();
-            let cq = CompletionQueue::new();
-            let qp = QueuePair::connect_with_mode(
-                cluster.clone(),
-                app,
-                &dev,
-                cq.clone(),
-                LatencyModel::ZERO,
-                inline,
-            );
-            // Writes apply immediately; with no modelled flight the
-            // completions are there for the next poll.
-            qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"inl"))
-                .unwrap();
-            assert_eq!(local.read_local(0, 3).unwrap(), b"inl");
-            let wcs = cq.poll();
-            assert_eq!(wcs.len(), 1);
-            assert!(wcs[0].1.is_success());
-            // Reads carry data.
-            qp.post_read(WrId(2), &mr, 0, 3).unwrap();
-            assert_eq!(cq.poll()[0].1.read_data.as_deref(), Some(&b"inl"[..]));
-            // Errors still transition the QP to the error state and flush.
-            cluster.crash(peer);
-            qp.post_write(WrId(3), &mr, 0, Bytes::from_static(b"x"))
-                .unwrap();
-            assert_eq!(cq.poll()[0].1.status, WcStatus::RetryExceeded);
-            assert!(qp.is_errored());
-            qp.post_write(WrId(4), &mr, 0, Bytes::from_static(b"y"))
-                .unwrap();
-            assert_eq!(cq.poll()[0].1.status, WcStatus::FlushErr);
-        }
+    fn a_post_applies_at_once_and_a_flight_of_no_time_is_there_for_the_next_poll() {
+        let (cluster, app, dev, peer) = setup();
+        let (local, mr) = dev.register_mr(64).unwrap();
+        let cq = CompletionQueue::new();
+        let zero = LatencyModel::ZERO;
+        let qp = QueuePair::connect(cluster.clone(), app, &dev, cq.clone(), zero);
+        // Writes apply immediately; with no modelled flight the
+        // completions are there for the next poll.
+        qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"inl"))
+            .unwrap();
+        assert_eq!(local.read_local(0, 3).unwrap(), b"inl");
+        let wcs = cq.poll();
+        assert_eq!(wcs.len(), 1);
+        assert!(wcs[0].1.is_success());
+        // Reads carry data.
+        qp.post_read(WrId(2), &mr, 0, 3).unwrap();
+        assert_eq!(cq.poll()[0].1.read_data.as_deref(), Some(&b"inl"[..]));
+        // Errors still transition the QP to the error state and flush.
+        cluster.crash(peer);
+        qp.post_write(WrId(3), &mr, 0, Bytes::from_static(b"x"))
+            .unwrap();
+        assert_eq!(cq.poll()[0].1.status, WcStatus::RetryExceeded);
+        assert!(qp.is_errored());
+        qp.post_write(WrId(4), &mr, 0, Bytes::from_static(b"y"))
+            .unwrap();
+        assert_eq!(cq.poll()[0].1.status, WcStatus::FlushErr);
     }
 
     #[test]
@@ -929,33 +921,30 @@ mod tests {
     }
 
     #[test]
-    fn post_many_shares_semantics_whether_or_not_it_waits() {
-        for inline in [false, true] {
-            let (cluster, app, dev, _peer) = setup();
-            let (local, mr) = dev.register_mr(64).unwrap();
-            let cq = CompletionQueue::new();
-            let zero = LatencyModel::ZERO;
-            let qp = QueuePair::connect_with_mode(cluster, app, &dev, cq.clone(), zero, inline);
-            let wrs = vec![
-                WorkRequest::Write {
-                    wr_id: WrId(1),
-                    mr,
-                    offset: 0,
-                    data: Bytes::from_static(b"ab"),
-                },
-                WorkRequest::WriteSg {
-                    wr_id: WrId(2),
-                    mr,
-                    offset: 2,
-                    slices: vec![Bytes::from_static(b"cd"), Bytes::from_static(b"ef")],
-                },
-            ];
-            qp.post_many(&wrs).unwrap();
-            assert_eq!(local.read_local(0, 6).unwrap(), b"abcdef");
-            let wcs = cq.poll();
-            assert_eq!(wcs.len(), 2);
-            assert!(wcs.iter().all(|(_, wc)| wc.is_success()));
-        }
+    fn post_many_applies_a_write_and_a_gather_before_it_returns() {
+        let (cluster, app, dev, _peer) = setup();
+        let (local, mr) = dev.register_mr(64).unwrap();
+        let cq = CompletionQueue::new();
+        let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), LatencyModel::ZERO);
+        let wrs = vec![
+            WorkRequest::Write {
+                wr_id: WrId(1),
+                mr,
+                offset: 0,
+                data: Bytes::from_static(b"ab"),
+            },
+            WorkRequest::WriteSg {
+                wr_id: WrId(2),
+                mr,
+                offset: 2,
+                slices: vec![Bytes::from_static(b"cd"), Bytes::from_static(b"ef")],
+            },
+        ];
+        qp.post_many(&wrs).unwrap();
+        assert_eq!(local.read_local(0, 6).unwrap(), b"abcdef");
+        let wcs = cq.poll();
+        assert_eq!(wcs.len(), 2);
+        assert!(wcs.iter().all(|(_, wc)| wc.is_success()));
     }
 
     #[test]
@@ -1041,11 +1030,10 @@ mod tests {
     }
 
     /// Posts one doorbell batch of four 1-byte writes (ids 1..=4; `bad_rkey`
-    /// names the id, if any, that carries a revoked key) under `plan`, waiting
-    /// for its completions or not, and returns the completions in arrival
-    /// order, the consultations the schedule counted, and the peer's bytes.
+    /// names the id, if any, that carries a revoked key) under `plan` and
+    /// returns the completions in arrival order, the consultations the
+    /// schedule counted, and the peer's bytes.
     fn doorbell_under_plan(
-        inline: bool,
         plan: &sim::FaultPlan,
         bad_rkey: Option<u64>,
     ) -> (Vec<(u64, WcStatus)>, u64, Option<Vec<u8>>) {
@@ -1060,14 +1048,7 @@ mod tests {
         let scheduler = FaultScheduler::new(plan, binding);
         cluster.install_faults(scheduler.clone());
         let cq = CompletionQueue::new();
-        let qp = QueuePair::connect_with_mode(
-            cluster.clone(),
-            app,
-            &dev,
-            cq.clone(),
-            LatencyModel::ZERO,
-            inline,
-        );
+        let qp = QueuePair::connect(cluster.clone(), app, &dev, cq.clone(), LatencyModel::ZERO);
         let wrs: Vec<WorkRequest> = (1..=4u64)
             .map(|i| WorkRequest::Write {
                 wr_id: WrId(i),
@@ -1106,7 +1087,7 @@ mod tests {
     }
 
     #[test]
-    fn inline_batch_failure_mid_batch_flushes_the_rest() {
+    fn a_batch_failure_mid_batch_under_a_schedule_flushes_the_rest() {
         let plan = sim::FaultPlan::new(1);
         let expect = vec![
             (1, WcStatus::Success),
@@ -1114,16 +1095,14 @@ mod tests {
             (3, WcStatus::FlushErr),
             (4, WcStatus::FlushErr),
         ];
-        for inline in [false, true] {
-            let (wcs, steps, mem) = doorbell_under_plan(inline, &plan, Some(2));
-            assert_eq!(wcs, expect, "inline={inline}");
-            assert_eq!(steps, 5, "one doorbell + four wire consultations");
-            assert_eq!(mem.unwrap(), [b'a', 0, 0, 0], "inline={inline}");
-        }
+        let (wcs, steps, mem) = doorbell_under_plan(&plan, Some(2));
+        assert_eq!(wcs, expect);
+        assert_eq!(steps, 5, "one doorbell + four wire consultations");
+        assert_eq!(mem.unwrap(), [b'a', 0, 0, 0]);
     }
 
     #[test]
-    fn inline_batch_meets_an_armed_schedule_at_the_same_request() {
+    fn a_batch_meets_an_armed_schedule_at_the_same_request() {
         use sim::{FaultAction, FaultPlan, Trigger};
         // Consultation 1 is the doorbell, 2..=5 the four requests. The drop
         // armed at consultation 3 takes request 2's completion (its byte
@@ -1132,34 +1111,25 @@ mod tests {
             .push(Trigger::Step(3), FaultAction::DropWr { peer: 0 })
             .push(Trigger::Step(4), FaultAction::DupWr { peer: 0 });
         let ok = WcStatus::Success;
-        for inline in [false, true] {
-            let (wcs, steps, mem) = doorbell_under_plan(inline, &wire, None);
-            assert_eq!(
-                wcs,
-                vec![(1, ok), (3, ok), (3, ok), (4, ok)],
-                "inline={inline}"
-            );
-            assert_eq!(steps, 5, "inline={inline}");
-            assert_eq!(mem.unwrap(), *b"abcd", "inline={inline}");
-        }
+        let (wcs, steps, mem) = doorbell_under_plan(&wire, None);
+        assert_eq!(wcs, vec![(1, ok), (3, ok), (3, ok), (4, ok)]);
+        assert_eq!(steps, 5);
+        assert_eq!(mem.unwrap(), *b"abcd");
         // A crash armed at consultation 4 strikes between requests 2 and 3
         // of the same doorbell: 3 finds the peer gone, 4 is flushed.
         let crash = FaultPlan::new(2).push(Trigger::Step(4), FaultAction::CrashPeer(0));
-        for inline in [false, true] {
-            let (wcs, steps, mem) = doorbell_under_plan(inline, &crash, None);
-            assert_eq!(
-                wcs,
-                vec![
-                    (1, ok),
-                    (2, ok),
-                    (3, WcStatus::RetryExceeded),
-                    (4, WcStatus::FlushErr)
-                ],
-                "inline={inline}"
-            );
-            assert_eq!(steps, 5, "inline={inline}");
-            assert!(mem.is_none(), "the peer's memory went with the crash");
-        }
+        let (wcs, steps, mem) = doorbell_under_plan(&crash, None);
+        assert_eq!(
+            wcs,
+            vec![
+                (1, ok),
+                (2, ok),
+                (3, WcStatus::RetryExceeded),
+                (4, WcStatus::FlushErr)
+            ]
+        );
+        assert_eq!(steps, 5);
+        assert!(mem.is_none(), "the peer's memory went with the crash");
     }
 
     #[test]
@@ -1170,14 +1140,7 @@ mod tests {
         let (cluster, app, dev, peer) = setup();
         let (_local, mr) = dev.register_mr(64).unwrap();
         let cq = CompletionQueue::new();
-        let qp = QueuePair::connect_with_mode(
-            cluster.clone(),
-            app,
-            &dev,
-            cq.clone(),
-            LatencyModel::ZERO,
-            true,
-        );
+        let qp = QueuePair::connect(cluster.clone(), app, &dev, cq.clone(), LatencyModel::ZERO);
         let (to_poster, from_main) = std::sync::mpsc::channel();
         let (to_main, from_poster) = std::sync::mpsc::channel();
         let poster = std::thread::spawn(move || {
@@ -1202,8 +1165,7 @@ mod tests {
         let (cluster, app, dev, _peer) = setup();
         let (_local, mr) = dev.register_mr(64).unwrap();
         let cq = CompletionQueue::new();
-        let qp =
-            QueuePair::connect_with_mode(cluster, app, &dev, cq.clone(), LatencyModel::ZERO, true);
+        let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), LatencyModel::ZERO);
         let mut buf = Vec::new();
         for round in 0..3u64 {
             qp.post_write(WrId(round), &mr, 0, Bytes::from_static(b"x"))
@@ -1261,11 +1223,11 @@ mod tests {
         assert!(sw.elapsed() >= Duration::from_micros(200));
     }
 
-    /// `n` inline queue pairs from one node to `n` peers, sharing one CQ, on
-    /// the calibrated fabric. The pipe carries no jitter: a 128-B write
+    /// `n` queue pairs from one node to `n` peers, sharing one CQ, on the
+    /// calibrated fabric. The pipe carries no jitter: a 128-B write
     /// lands 1,540 ns after its doorbell starts, a 64-B one behind it at
     /// 1,560 — numbers the model assigns, so the tests compare them exactly.
-    fn calibrated_inline_qps(
+    fn calibrated_qps(
         n: usize,
     ) -> (
         Cluster,
@@ -1284,8 +1246,7 @@ mod tests {
                 let dev = RdmaDevice::new(cluster.clone(), peer, LatencyModel::ZERO);
                 let (_local, mr) = dev.register_mr(256).unwrap();
                 let lat = LatencyModel::rdma_write();
-                let qp =
-                    QueuePair::connect_with_mode(cluster.clone(), app, &dev, cq.clone(), lat, true);
+                let qp = QueuePair::connect(cluster.clone(), app, &dev, cq.clone(), lat);
                 (qp, mr)
             })
             .collect();
@@ -1315,14 +1276,15 @@ mod tests {
     }
 
     #[test]
-    fn inline_qps_rung_at_one_instant_fly_together() {
-        let (_cluster, _binding, qps, cq) = calibrated_inline_qps(3);
+    fn qps_rung_at_one_instant_fly_together() {
+        let (_cluster, _binding, qps, cq) = calibrated_qps(3);
         let t = Instant::now();
         for (qp, mr) in &qps {
             qp.post_many_at(t, &data_then_header(*mr)).unwrap();
         }
-        // The poster waited out every flight: nothing lands after the post.
-        let wcs = cq.poll();
+        // Nobody waited inside a post: every flight is still in the air.
+        assert_eq!(cq.next_due(), Some(t + Duration::from_nanos(1_540)));
+        let wcs = wait_n(&cq, 6);
         assert_eq!(wcs.len(), 6);
         assert!(t.elapsed() >= Duration::from_nanos(1_560));
         for (qp, _) in &qps {
@@ -1331,21 +1293,24 @@ mod tests {
     }
 
     #[test]
-    fn an_inline_qp_never_flies_two_doorbells_at_once() {
+    fn a_qp_never_flies_two_doorbells_at_once() {
         // A second doorbell of the same instant queues behind the first's
         // bytes (60 ns of wire), not behind its landing.
-        let (_cluster, _binding, qps, cq) = calibrated_inline_qps(1);
+        let (_cluster, _binding, qps, cq) = calibrated_qps(1);
         let (qp, mr) = &qps[0];
         let t = Instant::now();
         qp.post_many_at(t, &data_then_header(*mr)).unwrap();
         qp.post_many_at(t, &data_then_header(*mr)).unwrap();
-        assert_eq!(wire_ns_on(qp, &cq.poll()), [1_540, 1_560, 1_600, 1_620]);
+        assert_eq!(
+            wire_ns_on(qp, &wait_n(&cq, 4)),
+            [1_540, 1_560, 1_600, 1_620]
+        );
     }
 
     #[test]
     fn an_injected_wire_delay_holds_back_its_own_queue_pair_only() {
         use sim::{FaultAction, FaultPlan, FaultScheduler, Trigger};
-        let (cluster, binding, qps, cq) = calibrated_inline_qps(2);
+        let (cluster, binding, qps, cq) = calibrated_qps(2);
         // Armed by the first doorbell, taken by the first request behind it.
         let delay = FaultAction::DelayWr { peer: 0, by_us: 50 };
         let plan = FaultPlan::new(1).push(Trigger::Step(1), delay);
@@ -1354,29 +1319,29 @@ mod tests {
         for (qp, mr) in &qps {
             qp.post_many_at(t, &data_then_header(*mr)).unwrap();
         }
-        let wcs = cq.poll();
+        let wcs = wait_n(&cq, 4);
         assert_eq!(wire_ns_on(&qps[0].0, &wcs), [51_540, 51_560]);
         assert_eq!(wire_ns_on(&qps[1].0, &wcs), [1_540, 1_560]);
         cluster.clear_faults();
     }
 
     #[test]
-    fn inline_flights_start_when_a_stalled_doorbell_ends() {
+    fn flights_start_when_a_stalled_doorbell_ends() {
         use sim::{FaultAction, FaultPlan, FaultScheduler, Trigger};
-        let (cluster, binding, qps, cq) = calibrated_inline_qps(1);
+        let (cluster, binding, qps, cq) = calibrated_qps(1);
         let stall = FaultAction::StallDoorbell { peer: 0, by_us: 50 };
         let plan = FaultPlan::new(1).push(Trigger::Step(1), stall);
         cluster.install_faults(FaultScheduler::new(&plan, binding));
         let (qp, mr) = &qps[0];
         qp.post_many(&data_then_header(*mr)).unwrap();
-        let wire = wire_ns_on(qp, &cq.poll());
+        let wire = wire_ns_on(qp, &wait_n(&cq, 2));
         assert!(wire[0] >= 51_540, "stall + data flight, got {wire:?}");
         assert_eq!(wire[1] - wire[0], 20);
         cluster.clear_faults();
     }
 
     #[test]
-    fn a_doorbell_is_priced_by_one_formula_on_both_settings() {
+    fn a_doorbell_is_priced_by_one_formula() {
         let (cluster, app, dev, _peer) = setup();
         let (_local, mr) = dev.register_mr(2048).unwrap();
         let gather = WorkRequest::WriteSg {
@@ -1387,55 +1352,44 @@ mod tests {
         };
         let [_, header] = data_then_header(mr);
         let doorbells = [data_then_header(mr), [gather, header]];
-        let [flying, waited] = [false, true].map(|inline| {
-            let cq = CompletionQueue::new();
-            let lat = LatencyModel::rdma_write();
-            let qp =
-                QueuePair::connect_with_mode(cluster.clone(), app, &dev, cq.clone(), lat, inline);
-            doorbells.each_ref().map(|wrs| {
-                qp.post_many(wrs).unwrap();
-                wire_ns_on(&qp, &wait_n(&cq, 2))
-            })
+        let cq = CompletionQueue::new();
+        let lat = LatencyModel::rdma_write();
+        let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), lat);
+        let wire = doorbells.each_ref().map(|wrs| {
+            qp.post_many(wrs).unwrap();
+            wire_ns_on(&qp, &wait_n(&cq, 2))
         });
-        assert_eq!(flying, waited);
-        assert_eq!(waited, [[1_540, 1_560], [1_827, 1_847]]);
+        assert_eq!(wire, [[1_540, 1_560], [1_827, 1_847]]);
     }
 
     #[test]
     fn a_crash_between_two_flights_of_a_doorbell_fails_the_second() {
         use sim::{Binding, FaultAction, FaultPlan, FaultScheduler, Trigger};
         // Consultation 1 is the doorbell, 2 and 3 the two requests: the peer
-        // dies at the second request's fault point. A post that waits has
-        // landed the first by then. One that does not has applied it and its
-        // ack is in flight, and a completion whose flight took modelled time
-        // is re-checked against the link when it lands: the ack is lost.
+        // dies at the second request's fault point. The post has applied the
+        // first and its ack is in flight, and a completion whose flight took
+        // modelled time is re-checked against the link when it lands: the
+        // ack is lost.
         let plan = FaultPlan::new(1).push(Trigger::Step(3), FaultAction::CrashPeer(0));
-        for (inline, first) in [(false, WcStatus::RetryExceeded), (true, WcStatus::Success)] {
-            let (cluster, app, dev, peer) = setup();
-            let (_local, mr) = dev.register_mr(256).unwrap();
-            let binding = Binding {
-                peers: vec![peer],
-                controller: app,
-                app,
-            };
-            cluster.install_faults(FaultScheduler::new(&plan, binding));
-            let cq = CompletionQueue::new();
-            let lat = LatencyModel::from_nanos(1_500, 0.0, 0.0);
-            let qp =
-                QueuePair::connect_with_mode(cluster.clone(), app, &dev, cq.clone(), lat, inline);
-            qp.post_many(&data_then_header(mr)).unwrap();
-            let status: Vec<WcStatus> = wait_n(&cq, 2).iter().map(|(_, wc)| wc.status).collect();
-            assert_eq!(status, [first, WcStatus::RetryExceeded], "inline={inline}");
-            assert!(qp.is_errored(), "inline={inline}");
-            qp.post_write(WrId(9), &mr, 0, Bytes::from_static(b"x"))
-                .unwrap();
-            assert_eq!(
-                wait_n(&cq, 1)[0].1.status,
-                WcStatus::FlushErr,
-                "inline={inline}"
-            );
-            cluster.clear_faults();
-        }
+        let (cluster, app, dev, peer) = setup();
+        let (_local, mr) = dev.register_mr(256).unwrap();
+        let binding = Binding {
+            peers: vec![peer],
+            controller: app,
+            app,
+        };
+        cluster.install_faults(FaultScheduler::new(&plan, binding));
+        let cq = CompletionQueue::new();
+        let lat = LatencyModel::from_nanos(1_500, 0.0, 0.0);
+        let qp = QueuePair::connect(cluster.clone(), app, &dev, cq.clone(), lat);
+        qp.post_many(&data_then_header(mr)).unwrap();
+        let status: Vec<WcStatus> = wait_n(&cq, 2).iter().map(|(_, wc)| wc.status).collect();
+        assert_eq!(status, [WcStatus::RetryExceeded; 2]);
+        assert!(qp.is_errored());
+        qp.post_write(WrId(9), &mr, 0, Bytes::from_static(b"x"))
+            .unwrap();
+        assert_eq!(wait_n(&cq, 1)[0].1.status, WcStatus::FlushErr);
+        cluster.clear_faults();
     }
 
     #[test]
@@ -1565,19 +1519,57 @@ mod tests {
         let (cluster, app, dev, _peer) = setup();
         let (_local, mr) = dev.register_mr(64).unwrap();
         let cq = CompletionQueue::new();
-        let zero = LatencyModel::ZERO;
-        let qp = QueuePair::connect_with_mode(cluster, app, &dev, cq.clone(), zero, true);
+        let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), LatencyModel::ZERO);
         let ((), reads) = sim::time::audited(|| {
             assert!(cq.poll().is_empty());
             assert!(cq.wait(Duration::from_millis(1)).is_empty());
             assert_eq!(cq.next_due(), None);
         });
         assert_eq!(reads, 0, "empty");
-        // What a post that waited has landed is not in flight either.
+        // A flight that took no modelled time landed with its post: not in
+        // flight either, and a wait finds it without asking when.
         qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"x"))
             .unwrap();
         let mut buf = Vec::new();
         let ((), reads) = sim::time::audited(|| cq.poll_into(&mut buf));
         assert_eq!((buf.len(), reads), (1, 0));
+        qp.post_write(WrId(2), &mr, 0, Bytes::from_static(b"y"))
+            .unwrap();
+        let (landed_at, reads) = sim::time::audited(|| cq.wait_landed(Duration::from_secs(5)));
+        assert_eq!((landed_at, reads), (None, 0));
+        assert_eq!(cq.poll().len(), 1);
+    }
+
+    #[test]
+    fn a_completion_of_no_flight_lands_behind_the_flights_due_before_it() {
+        let (cluster, app, dev, peer) = setup();
+        let (_local, mr) = dev.register_mr(64).unwrap();
+        let cq = CompletionQueue::new();
+        let lat = LatencyModel::rdma_write();
+        let qp = QueuePair::connect(cluster.clone(), app, &dev, cq.clone(), lat);
+        qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"x"))
+            .unwrap();
+        let due = cq.next_due().expect("in flight: nobody has reaped");
+        sim::delay_until(due);
+        // Unreachable: the request never reaches the wire, its completion
+        // takes no flight and lands with the post, the first ahead of it.
+        cluster.partition(app, peer);
+        qp.post_write(WrId(2), &mr, 0, Bytes::from_static(b"y"))
+            .unwrap();
+        assert_eq!(cq.next_due(), None);
+        let ids: Vec<u64> = cq.poll().iter().map(|(_, wc)| wc.wr_id.0).collect();
+        assert_eq!(ids, [1, 2]);
+    }
+
+    #[test]
+    fn wait_landed_says_when_and_leaves_the_completions_for_a_poll() {
+        let (_cluster, _binding, qps, cq) = calibrated_qps(1);
+        let (qp, mr) = &qps[0];
+        let t = Instant::now();
+        qp.post_many_at(t, &data_then_header(*mr)).unwrap();
+        let landed_at = cq.wait_landed(Duration::from_secs(5)).expect("a flight");
+        assert!(landed_at >= t + Duration::from_nanos(1_540));
+        assert!(landed_at <= Instant::now());
+        assert_eq!(wait_n(&cq, 2).len(), 2);
     }
 }

@@ -17,10 +17,6 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 const SPIN_THRESHOLD: Duration = Duration::from_micros(20);
 
 thread_local! {
-    /// The clock reading the last wait on this thread ended on. Time is
-    /// monotone, so it is a lower bound on "now" for as long as the thread
-    /// lives: a deadline at or before it has passed, whatever the clock says.
-    static LAST_WAIT_END: Cell<Option<Instant>> = const { Cell::new(None) };
     /// Reads counted so far by the audit armed on this thread, if one is.
     static AUDIT: Cell<Option<u64>> = const { Cell::new(None) };
 }
@@ -69,20 +65,15 @@ pub fn delay(d: Duration) {
 /// absolute target instants so that the propagation delays of back-to-back
 /// requests overlap instead of accumulating serially.
 ///
-/// A deadline at or before the reading this thread's last wait ended on has
-/// passed already and returns without reading the clock: of three doorbells
-/// rung at one instant, the second and third find their flights landed for
-/// the price of a comparison.
-pub fn delay_until(deadline: Instant) {
-    if LAST_WAIT_END.with(|t| t.get().is_some_and(|t| deadline <= t)) {
-        return;
-    }
-    wait(now(), deadline);
+/// Returns the clock reading the wait ended on, at or after `deadline`: what
+/// the caller does next happens at that instant and need not ask again.
+pub fn delay_until(deadline: Instant) -> Instant {
+    wait(now(), deadline)
 }
 
-/// The one wait loop: from the reading `now` until `deadline`, remembering
-/// the reading it exits on.
-fn wait(mut now: Instant, deadline: Instant) {
+/// The one wait loop: from the reading `now` until `deadline`; returns the
+/// reading it exits on.
+fn wait(mut now: Instant, deadline: Instant) -> Instant {
     if deadline.saturating_duration_since(now) > SPIN_THRESHOLD {
         while now < deadline {
             std::thread::sleep(deadline - now);
@@ -96,7 +87,7 @@ fn wait(mut now: Instant, deadline: Instant) {
             now = Instant::now();
         }
     }
-    LAST_WAIT_END.with(|t| t.set(Some(now)));
+    now
 }
 
 /// Nanoseconds since the Unix epoch; used for coarse event timestamps in
@@ -186,39 +177,19 @@ mod tests {
     }
 
     #[test]
-    fn a_deadline_the_last_wait_already_passed_reads_no_clock() {
-        let t = Instant::now();
-        delay_until(t + Duration::from_micros(40));
-        let ((), reads) = audited(|| {
-            delay_until(t + Duration::from_micros(40));
-            delay_until(t + Duration::from_micros(10));
-            delay_until(t);
-        });
-        assert_eq!(reads, 0);
-        // One past the cached reading has to ask: the entry read, once.
-        let far = Instant::now() + Duration::from_micros(5);
-        let ((), reads) = audited(|| delay_until(far));
+    fn a_wait_counts_its_entry_read_only_and_returns_the_reading_it_ended_on() {
+        let far = Instant::now() + Duration::from_micros(50);
+        let (ended, reads) = audited(|| delay_until(far));
+        assert_eq!(reads, 1, "the entry read; the polls are the wait");
+        assert!(far <= ended && ended <= Instant::now());
+        // A deadline long past still asks once: nothing is remembered.
+        let (ended, reads) = audited(|| delay_until(far));
         assert_eq!(reads, 1);
-        assert!(Instant::now() >= far);
-    }
-
-    #[test]
-    fn a_fresh_thread_with_no_reading_asks_the_clock() {
-        std::thread::spawn(|| {
-            // Even a deadline long past is not known to be past here.
-            let past = Instant::now();
-            let ((), reads) = audited(|| delay_until(past));
-            assert_eq!(reads, 1);
-            let want = Duration::from_micros(50);
-            let sw = Stopwatch::start();
-            let ((), reads) = audited(|| delay(want));
-            assert_eq!(reads, 1, "the entry read; the polls are the wait");
-            assert!(sw.elapsed() >= want);
-            let ((), reads) = audited(|| delay(Duration::ZERO));
-            assert_eq!(reads, 0);
-        })
-        .join()
-        .unwrap();
+        assert!(ended >= far);
+        let ((), reads) = audited(|| delay(Duration::from_micros(50)));
+        assert_eq!(reads, 1);
+        let ((), reads) = audited(|| delay(Duration::ZERO));
+        assert_eq!(reads, 0);
     }
 
     #[test]
