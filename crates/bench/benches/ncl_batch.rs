@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use bench::{BenchJson, NCL_STAGES};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ncl::{Durability, MemSpillSink, NclLib, NclRuntime};
+use ncl::{Durability, MemSpillSink, NclLib};
 use splitfs::{Testbed, TestbedConfig};
 use telemetry::Telemetry;
 
@@ -41,12 +41,7 @@ const CAPACITY: usize = 32 << 20;
 /// period instead of the wire's serialization rate.
 const WINDOW: u64 = 1024;
 
-fn batch_lib(
-    tb: &Testbed,
-    tag: &str,
-    telemetry: Telemetry,
-    runtime: Option<Arc<NclRuntime>>,
-) -> NclLib {
+fn batch_lib(tb: &Testbed, tag: &str, telemetry: Telemetry) -> NclLib {
     let mut config = tb.config().ncl.clone();
     // A slow fabric (100 µs propagation, 100 ns/B): work requests spend
     // their modelled latency on the wire, and the per-byte term is large
@@ -56,7 +51,6 @@ fn batch_lib(
     config.rdma = sim::LatencyModel::from_nanos(100_000, 0.08, 0.0);
     config.pipeline_window = WINDOW;
     config.telemetry = telemetry;
-    config.runtime = runtime;
     let node = tb.add_app_node(tag);
     NclLib::new(&tb.cluster, node, tag, config, &tb.controller, &tb.registry).unwrap()
 }
@@ -70,7 +64,7 @@ fn burst_sweep(c: &mut Criterion) {
     let data = vec![0x5Au8; RECORD_SIZE];
     for burst in [1u64, 4, 16, 64] {
         let tag = format!("bench-batch-{burst}");
-        let lib = batch_lib(&tb, &tag, tb.config().ncl.telemetry.clone(), None);
+        let lib = batch_lib(&tb, &tag, tb.config().ncl.telemetry.clone());
         let file = lib.create("wal", CAPACITY).unwrap();
         let mut offset = 0usize;
         group.throughput(Throughput::Elements(BATCH));
@@ -113,18 +107,10 @@ fn burst_sweep(c: &mut Criterion) {
 
 /// One clean burst-16 run against a private telemetry handle, returning the
 /// per-stage latency snapshot for the `stage_breakdown` JSON section. The
-/// file is hosted on a single-shard [`NclRuntime`], so the breakdown
-/// reflects the sharded configuration CI actually ships: the reactor drains
-/// completions in the background.
+/// barrier reaps its own completions, as on every deployment.
 fn collect_stage_breakdown(tb: &Testbed) -> telemetry::TelemetrySnapshot {
     let telemetry = Telemetry::new();
-    let runtime = NclRuntime::start_with_telemetry(1, telemetry.clone());
-    let lib = batch_lib(
-        tb,
-        "bench-batch-breakdown",
-        telemetry.clone(),
-        Some(runtime),
-    );
+    let lib = batch_lib(tb, "bench-batch-breakdown", telemetry.clone());
     let file = lib.create("wal", CAPACITY).unwrap();
     let data = vec![0x5Au8; RECORD_SIZE];
     let mut offset = 0usize;
@@ -198,7 +184,6 @@ fn dur_lib(tb: &Testbed, tag: &str, telemetry: Telemetry, ec: Option<(usize, usi
     config.rdma = sim::LatencyModel::from_nanos(100_000, 0.08, 0.0);
     config.pipeline_window = WINDOW;
     config.telemetry = telemetry;
-    config.runtime = None;
     if let Some((k, n)) = ec {
         config.durability = Durability::Ec { k, n };
         config.spill = Some(Arc::new(MemSpillSink::new()));

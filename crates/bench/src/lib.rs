@@ -247,48 +247,6 @@ impl BenchJson {
         );
     }
 
-    /// Adds a `stage_breakdown` section carrying the per-shard dimension:
-    /// the fleet-wide [`NCL_STAGES`] summaries first, then a `"shards"`
-    /// object with one `"shard-<i>"` entry per reactor shard summarizing
-    /// the `ncl.shard-<i>.record.*` twin histograms a hosted file stamps.
-    pub fn shard_stage_breakdown(
-        &mut self,
-        snap: &telemetry::TelemetrySnapshot,
-        names: &[&str],
-        shards: usize,
-    ) {
-        let mut entries: Vec<String> = names
-            .iter()
-            .filter_map(|name| {
-                snap.summary(name)
-                    .map(|s| format!("    \"{}\": {}", telemetry::json_escape(name), s.to_json()))
-            })
-            .collect();
-        let shard_lines: Vec<String> = (0..shards)
-            .map(|i| {
-                let stages: Vec<String> = names
-                    .iter()
-                    .filter_map(|name| {
-                        let short = name.strip_prefix("ncl.record.").unwrap_or(name);
-                        snap.summary(&format!("ncl.shard-{i}.record.{short}"))
-                            .map(|s| {
-                                format!("\"{}\": {}", telemetry::json_escape(name), s.to_json())
-                            })
-                    })
-                    .collect();
-                format!("      \"shard-{i}\": {{{}}}", stages.join(", "))
-            })
-            .collect();
-        entries.push(format!(
-            "    \"shards\": {{\n{}\n    }}",
-            shard_lines.join(",\n")
-        ));
-        self.section(
-            "stage_breakdown",
-            format!("{{\n{}\n  }}", entries.join(",\n")),
-        );
-    }
-
     /// Renders the complete JSON document.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -377,7 +335,7 @@ pub const NCL_STAGES: [&str; 5] = [
 /// Result rows each criterion bench must emit. A bench that silently
 /// stopped measuring a row is worse than a slow one, so a missing id fails
 /// validation; rows not listed here are accepted but never required.
-const EXPECTED_ROWS: [(&str, &[&str]); 3] = [
+const EXPECTED_ROWS: [(&str, &[&str]); 2] = [
     (
         "ncl_pipeline",
         &[
@@ -398,15 +356,6 @@ const EXPECTED_ROWS: [(&str, &[&str]); 3] = [
             "ncl_batch/durability/replicated",
             "ncl_batch/durability/ec_2of3",
             "ncl_batch/durability/ec_4of6",
-        ],
-    ),
-    (
-        "ncl_mt",
-        &[
-            "ncl_mt/shards/1",
-            "ncl_mt/shards/2",
-            "ncl_mt/shards/4",
-            "ncl_mt/shards/8",
         ],
     ),
 ];
@@ -457,16 +406,6 @@ pub fn validate_bench_json(body: &str) -> Result<(), String> {
         if line.contains("\"count\": 0,") {
             return Err(format!("{stage} summary is empty: {}", line.trim()));
         }
-    }
-    // The multi-shard bench must report the per-shard dimension: a sweep
-    // that silently stopped hosting files on the sharded runtime would
-    // otherwise still validate on its aggregate histograms alone.
-    if body.contains("\"bench\": \"ncl_mt\"") && !body.contains("\"shard-0\":") {
-        return Err("ncl_mt stage_breakdown is missing the per-shard dimension".to_string());
-    }
-    // ... and the scaling-efficiency trend CI warns on.
-    if body.contains("\"bench\": \"ncl_mt\"") && !body.contains("\"scaling_efficiency\"") {
-        return Err("ncl_mt is missing the scaling_efficiency section".to_string());
     }
     // The open-loop sweep must carry both applications' load curves with a
     // strictly monotone offered-load axis and the p999 tails — the whole
@@ -704,7 +643,6 @@ mod tests {
         for bench in [
             "ncl_pipeline",
             "ncl_batch",
-            "ncl_mt",
             "latency_under_load",
             "fig10_ycsb",
             "fig11b_recovery_time",
@@ -789,31 +727,6 @@ mod tests {
         assert!(validate_bench_json(&lost)
             .unwrap_err()
             .contains("result row ncl_pipeline/1"));
-    }
-
-    /// An `ncl_mt` document without the per-shard dimension must fail; the
-    /// same document under another bench name passes (the rule is scoped).
-    #[test]
-    fn validator_requires_shard_dimension_for_ncl_mt() {
-        let flat = valid_bench_doc();
-        assert!(validate_bench_json(&flat).is_ok());
-        let mt = valid_doc_of("ncl_mt");
-        assert!(validate_bench_json(&mt)
-            .unwrap_err()
-            .contains("per-shard dimension"));
-        let sharded = mt.replace(
-            "\"stage_breakdown\": {",
-            "\"stage_breakdown\": {\n    \"shards\": {\"shard-0\": {}},",
-        );
-        // Still short one dimension: the scaling-efficiency trend.
-        assert!(validate_bench_json(&sharded)
-            .unwrap_err()
-            .contains("scaling_efficiency"));
-        let efficient = sharded.replace(
-            "\"stage_breakdown\": {",
-            "\"scaling_efficiency\": {\"1\": 1.0, \"4\": 0.9},\n  \"stage_breakdown\": {",
-        );
-        assert!(validate_bench_json(&efficient).is_ok());
     }
 
     /// A `latency_under_load` document must carry both applications'

@@ -8,7 +8,6 @@ use telemetry::Telemetry;
 
 use crate::ec::SpillSink;
 use crate::file::scheme;
-use crate::runtime::NclRuntime;
 
 /// How a file's log is made durable across peers.
 ///
@@ -115,13 +114,6 @@ pub struct NclConfig {
     /// config shares the handle. [`Telemetry::disabled`] turns all
     /// instrumentation into no-ops (the overhead-gate baseline).
     pub telemetry: Telemetry,
-    /// The thread-per-core shard runtime. When set, files opened through
-    /// `NclLib` are hosted on a shard reactor: completions are reaped in
-    /// the background, the acked watermark is published lock-free, and
-    /// cross-file control operations are ordered through the runtime's
-    /// operation log. `None` (the default) preserves the caller-drained
-    /// single-file behaviour.
-    pub runtime: Option<Arc<NclRuntime>>,
 }
 
 impl NclConfig {
@@ -145,7 +137,6 @@ impl NclConfig {
             inline_nic: false,
             peer_lease: Duration::from_secs(120),
             telemetry: Telemetry::new(),
-            runtime: None,
         }
     }
 
@@ -169,7 +160,6 @@ impl NclConfig {
             inline_nic: false,
             peer_lease: Duration::from_secs(30),
             telemetry: Telemetry::new(),
-            runtime: None,
         }
     }
 

@@ -99,7 +99,7 @@ mod staging;
 pub use recovery::RecoveryStats;
 pub use repair::RepairStats;
 
-use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -327,10 +327,6 @@ pub struct NclFile {
     /// staged image under the staging lock so `seq()`/`fsync()` read it
     /// without locking.
     issued: AtomicU64,
-    /// Set when a shard reactor services this file: completions are
-    /// drained in the background and durability waiters park on
-    /// [`AckedState`] instead of the completion queue.
-    hosted: AtomicBool,
     /// The queue every peer slot completes into; `rep` holds it too, and
     /// this handle reaches it without that lock.
     cq: CompletionQueue,
@@ -341,8 +337,7 @@ pub struct NclFile {
 impl NclFile {
     /// The one construction site, shared by create and recovery: `image`
     /// is what every slot in `slots` (in ap-map order) already holds
-    /// through `image.seq` under `epoch`. Announces the durability scheme
-    /// and hosts the file on the configured shard runtime, if any.
+    /// through `image.seq` under `epoch`. Announces the durability scheme.
     #[allow(clippy::too_many_arguments)]
     fn open(
         ctx: &Arc<Ctx>,
@@ -364,14 +359,13 @@ impl NclFile {
         let metrics = FileMetrics::new(&ctx.config.telemetry, scope);
         let acked = AckedState::new(seq);
         let repair_pending = slots.len() < ctx.config.replicas();
-        let file = Arc::new(NclFile {
+        Arc::new(NclFile {
             ctx: Arc::clone(ctx),
             name: name.to_string(),
             capacity: image.buffer.len(),
             metrics: Arc::clone(&metrics),
             acked: Arc::clone(&acked),
             issued: AtomicU64::new(seq),
-            hosted: AtomicBool::new(false),
             cq: cq.clone(),
             stage: Mutex::new(Stage::new(image, scheme)),
             rep: Mutex::new(Rep::new(
@@ -384,22 +378,12 @@ impl NclFile {
                 acked,
                 recovery,
             )),
-        });
-        if let Some(runtime) = &ctx.config.runtime {
-            runtime.host(&file);
-        }
-        file
+        })
     }
 
     /// The file's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The file's interned telemetry scope (`app/file`); also its shard
-    /// routing key under the sharded runtime.
-    pub fn scope(&self) -> &'static str {
-        self.metrics.scope
     }
 
     /// Data capacity fixed at allocation time.

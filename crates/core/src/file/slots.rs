@@ -9,10 +9,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use rdma::{
-    CompletionQueue, CqWaker, QueuePair, RemoteMr, WcStatus, WorkCompletion, WorkRequest, WrId,
-};
+use parking_lot::{Mutex, MutexGuard};
+use rdma::{CompletionQueue, QueuePair, RemoteMr, WcStatus, WorkCompletion, WorkRequest, WrId};
 use telemetry::{events, spans, Span};
 
 use super::recovery::RecoveryStats;
@@ -34,14 +32,11 @@ const ATTN_NO_QUORUM: u32 = 2;
 
 /// The lock-free published acknowledgement state of one file.
 ///
-/// `refresh_durable` (under the `rep` lock, on whichever thread ran it —
-/// a durability waiter or a shard reactor) publishes the quorum watermark
-/// and the attention bits here; [`NclFile::wait_durable`] observes them
-/// with two atomic loads and returns without touching a mutex when the
-/// awaited record is already acked and nothing needs attention. Hosted
-/// files also park durability waiters on `parked` instead of draining the
-/// completion queue themselves — the shard reactor drains, publishes, and
-/// notifies.
+/// `refresh_durable` (under the `rep` lock, on the durability waiter that
+/// ran it) publishes the quorum watermark and the attention bits here;
+/// [`NclFile::wait_durable`] observes them with two atomic loads and
+/// returns without touching a mutex when the awaited record is already
+/// acked and nothing needs attention.
 ///
 /// The attention bits may lag a failure absorbed-but-not-yet-refreshed by
 /// at most one `refresh_durable` call. That is sound: a fast-path return
@@ -56,9 +51,6 @@ pub(super) struct AckedState {
     /// [`ATTN_FAILURE`] | [`ATTN_NO_QUORUM`]; non-zero sends every barrier
     /// down the slow path where repair lives.
     attention: AtomicU32,
-    /// Parking lot for hosted durability waiters.
-    park: Mutex<()>,
-    parked: Condvar,
 }
 
 impl AckedState {
@@ -66,8 +58,6 @@ impl AckedState {
         Arc::new(AckedState {
             watermark: AtomicU64::new(durable),
             attention: AtomicU32::new(0),
-            park: Mutex::new(()),
-            parked: Condvar::new(),
         })
     }
 
@@ -77,32 +67,13 @@ impl AckedState {
         self.attention.load(Ordering::Acquire) == 0 && self.watermark.load(Ordering::Acquire) >= seq
     }
 
-    /// Publishes a new watermark/attention pair and wakes parked waiters if
-    /// anything changed. Callers hold the `rep` lock, so publications are
-    /// serialized; the brief `park` lock before notifying closes the
-    /// check-then-sleep race with [`AckedState::park_until`].
+    /// Publishes a new watermark/attention pair. Callers hold the `rep`
+    /// lock, so publications are serialized. The `Release` store pairs
+    /// with `fast_acked`'s `Acquire` load: a barrier that reads these
+    /// attention bits also reads a watermark at least this new.
     fn publish(&self, durable: u64, attention: u32) {
-        let prev_mark = self.watermark.fetch_max(durable, Ordering::AcqRel);
-        let prev_attn = self.attention.swap(attention, Ordering::AcqRel);
-        if prev_mark < durable || prev_attn != attention {
-            let _guard = self.park.lock();
-            self.parked.notify_all();
-        }
-    }
-
-    /// Sleeps until `seq` is acked, attention is raised, or `timeout`
-    /// passes. The watermark re-check under the `park` lock pairs with the
-    /// lock in [`AckedState::publish`]: a publication either lands before
-    /// the re-check (observed) or blocks on the lock until the waiter is
-    /// parked (notified).
-    fn park_until(&self, seq: u64, timeout: Duration) {
-        lockaudit::note_lock();
-        let mut guard = self.park.lock();
-        if self.watermark.load(Ordering::Acquire) < seq
-            && self.attention.load(Ordering::Acquire) == 0
-        {
-            self.parked.wait_for(&mut guard, timeout);
-        }
+        self.watermark.fetch_max(durable, Ordering::AcqRel);
+        self.attention.store(attention, Ordering::Release);
     }
 }
 
@@ -373,7 +344,7 @@ impl Rep {
             for flight in flights.range_mut(newly) {
                 flight.first_peer = Some(now);
                 let wire = now.duration_since(flight.posted);
-                metrics.stamp(|s| s.wire.record_duration(wire));
+                metrics.stages.wire.record_duration(wire);
             }
             *wire_covered_seq = seq;
         }
@@ -471,10 +442,9 @@ impl Rep {
         {
             let flight = self.flights.pop_front().expect("front just seen");
             let first = flight.first_peer.unwrap_or(flight.posted);
-            metrics.stamp(|s| {
-                s.ack.record_duration(now.duration_since(first));
-                s.e2e.record_duration(now.duration_since(flight.t0));
-            });
+            let stages = &metrics.stages;
+            stages.ack.record_duration(now.duration_since(first));
+            stages.e2e.record_duration(now.duration_since(flight.t0));
             if flight.trace != 0 {
                 // Root last: a write's chain is complete exactly when its
                 // root span (id = trace id, no parent) exists.
@@ -507,8 +477,8 @@ impl Rep {
     }
 
     /// Republishes the lock-free acked state from the authoritative `rep`
-    /// fields. Called under the `rep` lock (waiter loop, shard reactor,
-    /// repair commit), so publications never race each other.
+    /// fields. Called under the `rep` lock (waiter loop, repair commit), so
+    /// publications never race each other.
     pub fn publish_acked(&self, config: &NclConfig) {
         let mut attention = 0;
         if self.failure_seen {
@@ -538,8 +508,7 @@ impl NclFile {
     }
 
     /// Highest sequence number known durable on an acknowledgement quorum.
-    /// Reads the published watermark — lock-free, and kept fresh in the
-    /// background when the file is hosted on a shard reactor.
+    /// Reads the published watermark: lock-free.
     pub fn durable_seq(&self) -> u64 {
         self.acked.watermark.load(Ordering::Acquire)
     }
@@ -547,32 +516,6 @@ impl NclFile {
     /// Current ap-map epoch.
     pub fn epoch(&self) -> u64 {
         self.rep_guard().epoch
-    }
-
-    /// Registers `waker` with this file's completion queue, binds the
-    /// per-shard stage histograms, and flips the file into hosted mode.
-    /// Called by `NclRuntime::host_on`.
-    pub(crate) fn attach_reactor(&self, waker: &CqWaker, shard: usize) {
-        self.metrics.bind_shard(shard);
-        self.cq.register_waker(waker);
-        self.hosted.store(true, Ordering::Release);
-    }
-
-    /// One shard-reactor poll round: drain the completion queue and
-    /// republish the acked watermark, without ever blocking on a busy
-    /// file (the lock holder is posting, or doing this same work). Returns
-    /// whether the durable watermark advanced — the reactor profiler
-    /// attributes such rounds to publish time rather than empty-poll time —
-    /// and when the next completion in flight lands, busy or not: no
-    /// doorbell announces a landing, so the reactor must look again then.
-    pub(crate) fn reactor_poll(&self) -> (bool, Option<Instant>) {
-        let advanced = self.rep.try_lock().is_some_and(|mut rep| {
-            let before = self.durable_seq();
-            let now = rep.drain(None);
-            rep.refresh_durable(&self.ctx.config, now);
-            self.durable_seq() > before
-        });
-        (advanced, self.cq.next_due())
     }
 
     /// Names of the currently assigned peers (alive ones first-class; dead
@@ -652,8 +595,7 @@ impl NclFile {
         }
         // Fast path: the record is already acked and nothing needs
         // attention. Two atomic loads, zero mutexes — the property the
-        // lock-audit tests pin. With a shard reactor publishing the
-        // watermark in the background this is the steady-state barrier.
+        // lock-audit tests pin.
         if self.acked.fast_acked(seq) {
             return Ok(());
         }
@@ -742,27 +684,6 @@ impl NclFile {
                         return Err(NclError::QuorumUnavailable(format!(
                             "record {seq} not durable within timeout"
                         )));
-                    }
-                    if self.hosted.load(Ordering::Acquire) {
-                        // Hosted file: the shard reactor drains the
-                        // completion queue and publishes the watermark.
-                        // Never park while the awaited record is still in
-                        // the staged burst — that doorbell tail would wait
-                        // on never-posted requests. Records staged *beyond*
-                        // the awaited one keep accumulating toward their
-                        // natural burst boundary: flushing them here would
-                        // fragment the doorbell batches of a pipelined
-                        // writer every time the window back-pressures
-                        // mid-burst.
-                        {
-                            let mut stage = self.stage_guard();
-                            if stage.flushed_seq < seq {
-                                self.flush_staged(&mut stage, FlushReason::Barrier);
-                                continue;
-                            }
-                        }
-                        self.acked.park_until(seq, left.min(slice));
-                        continue;
                     }
                     wait = Some(left.min(slice));
                 }

@@ -3,7 +3,7 @@
 //! every burst goes through, and the per-record stage metrics.
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -45,9 +45,9 @@ pub(super) struct Stages {
 }
 
 impl Stages {
-    /// Interns `<prefix>.record.<stage>` for the five stages.
-    fn new(tel: &Telemetry, prefix: &str) -> Self {
-        let hist = |stage: &str| tel.histogram(&format!("{prefix}.record.{stage}"));
+    /// Interns `ncl.record.<stage>` for the five stages.
+    fn new(tel: &Telemetry) -> Self {
+        let hist = |stage: &str| tel.histogram(&format!("ncl.record.{stage}"));
         Stages {
             stage: hist("stage"),
             doorbell: hist("doorbell"),
@@ -68,14 +68,8 @@ pub(super) struct FileMetrics {
     /// `app/file`, the scope every span and event of this file carries.
     /// Interned so span recording on the hot path never allocates.
     pub scope: &'static str,
-    /// The fleet-wide stage histograms (`ncl.record.<stage>`).
-    fleet: Stages,
-    /// Their per-shard twins (`ncl.shard-<i>.record.<stage>`), bound once
-    /// when the file is hosted on a reactor shard. Hot-path recording reads
-    /// them through `OnceLock::get` — one atomic load, no allocation — and
-    /// stamps every sample into both, so bench reports get a per-shard
-    /// dimension for free.
-    shard: OnceLock<Stages>,
+    /// The stage histograms (`ncl.record.<stage>`).
+    pub stages: Stages,
     flush_submit: Counter,
     flush_window_full: Counter,
     flush_barrier: Counter,
@@ -95,8 +89,7 @@ impl FileMetrics {
             enabled: tel.is_enabled(),
             tel: tel.clone(),
             scope,
-            fleet: Stages::new(tel, "ncl"),
-            shard: OnceLock::new(),
+            stages: Stages::new(tel),
             flush_submit: tel.counter("ncl.flush.submit"),
             flush_window_full: tel.counter("ncl.flush.window_full"),
             flush_barrier: tel.counter("ncl.flush.barrier"),
@@ -104,25 +97,6 @@ impl FileMetrics {
             window_stall: tel.counter("ncl.window.stall"),
             wire_bytes: tel.counter("ncl.wire.bytes"),
         })
-    }
-
-    /// Binds the per-shard histogram twins (idempotent; first shard wins,
-    /// matching a file hosted exactly once). Cold path: runs at hosting
-    /// time, never while recording.
-    pub fn bind_shard(&self, shard: usize) {
-        let _ = self
-            .shard
-            .set(Stages::new(&self.tel, &format!("ncl.shard-{shard}")));
-    }
-
-    /// Stamps one stage sample into the fleet-wide histogram and, when the
-    /// file is hosted, its shard twin.
-    #[inline]
-    pub fn stamp(&self, sample: impl Fn(&Stages)) {
-        sample(&self.fleet);
-        if let Some(shard) = self.shard.get() {
-            sample(shard);
-        }
     }
 
     fn count_flush(&self, reason: FlushReason) {
@@ -317,8 +291,7 @@ impl NclFile {
             let payload = Bytes::copy_from_slice(data);
             let stamps = t0.map(|t0| {
                 let staged_at = sim::time::now();
-                self.metrics
-                    .stamp(|s| s.stage.record_duration(staged_at - t0));
+                self.metrics.stages.stage.record_duration(staged_at - t0);
                 (t0, staged_at)
             });
             // Root of this record's causal chain; 0 (and therefore span-free)
@@ -424,7 +397,7 @@ impl NclFile {
                 continue;
             };
             let waited = posted_at.duration_since(staged_at);
-            metrics.stamp(|s| s.doorbell.record_duration(waited));
+            metrics.stages.doorbell.record_duration(waited);
             if rec.trace != 0 {
                 for (name, start, end) in [
                     (spans::NCL_STAGE, t0, staged_at),

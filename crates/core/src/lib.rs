@@ -39,7 +39,6 @@ pub mod layout;
 pub mod lockaudit;
 pub mod peer;
 pub mod registry;
-pub mod runtime;
 pub mod slab;
 
 pub use config::{Durability, NclConfig};
@@ -50,7 +49,6 @@ pub use file::{NclFile, NclLib};
 pub use layout::{RegionHeader, HEADER_SIZE};
 pub use peer::Peer;
 pub use registry::{NclRegistry, PeerEndpoint};
-pub use runtime::NclRuntime;
 pub use slab::{SlabAllocator, SlabError, TenantUsage};
 
 use std::fmt;

@@ -1,11 +1,11 @@
 //! Lock audit for the acked-record fast path.
 //!
-//! The sharded runtime's headline guarantee is that `wait_durable` on an
-//! already-acked record holds **zero** mutexes: it observes the published
-//! acked-sequence watermark (an `AtomicU64`) and the attention bits (an
-//! `AtomicU32`) and returns. That property is easy to regress silently — one
-//! innocent-looking `self.rep.lock()` added to the entry path and every
-//! fsync of durable data pays a lock handoff again.
+//! `wait_durable` (and `fsync` behind it) on an already-acked record holds
+//! **zero** mutexes: it observes the acked-sequence watermark (an
+//! `AtomicU64`) and the attention bits (an `AtomicU32`) that the last
+//! barrier published, and returns. That property is easy to regress
+//! silently — one innocent-looking `self.rep.lock()` added to the entry
+//! path and every fsync of durable data pays a lock handoff again.
 //!
 //! This module pins the property in tier-1 tests. Every `Stage`/`Rep` lock
 //! acquisition inside `ncl` goes through a helper that calls [`note_lock`];
@@ -34,8 +34,7 @@ pub fn note_lock() {
 
 /// Runs `f` with the lock audit armed on the calling thread and returns
 /// `(f(), locks_taken)`. Not reentrant; audits only locks taken by the
-/// calling thread (reactor threads draining in the background are exactly
-/// the point — their locks are not the caller's locks).
+/// calling thread.
 pub fn audited<R>(f: impl FnOnce() -> R) -> (R, u64) {
     ARMED.with(|a| a.set(true));
     COUNT.with(|c| c.set(0));

@@ -8,7 +8,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ncl::{Controller, Durability, MemSpillSink, NclConfig, NclError, NclLib, NclRegistry, Peer};
+use ncl::{
+    lockaudit, Controller, Durability, MemSpillSink, NclConfig, NclError, NclFile, NclLib,
+    NclRegistry, Peer,
+};
 use sim::Cluster;
 use telemetry::events;
 
@@ -1178,5 +1181,88 @@ fn every_scheme_survives_peer_loss_mid_burst_then_app_crash() {
         // And the recovered handle keeps working under the same scheme.
         file.record(len as u64, b"after-recovery").unwrap();
         assert_eq!(file.read(len as u64, 14), b"after-recovery", "{label}");
+    }
+}
+
+/// Once a record is acked, `wait_durable` (and `fsync` behind it) observes
+/// the watermark the acking barrier published and returns without acquiring
+/// a single mutex.
+fn assert_acked_barriers_take_no_lock(file: &NclFile, what: &str) {
+    let seq = file.seq();
+    assert!(
+        file.durable_seq() >= seq,
+        "{what}: record() returns only once durable"
+    );
+    let (result, locks) = lockaudit::audited(|| file.wait_durable(seq));
+    result.unwrap();
+    assert_eq!(locks, 0, "{what}: wait_durable on an acked record");
+    let (result, locks) = lockaudit::audited(|| file.fsync());
+    result.unwrap();
+    assert_eq!(locks, 0, "{what}: fsync with nothing staged");
+}
+
+#[test]
+fn acked_fast_path_holds_zero_locks() {
+    let h = Harness::new(3);
+    let lib = h.app("a1");
+    let file = lib.create("wal", 1 << 20).unwrap();
+    file.record(0, b"hello acked world").unwrap();
+    assert_acked_barriers_take_no_lock(&file, "created file");
+}
+
+/// A file that dies with its application recovers onto the same fast path:
+/// the acked bytes come back, and a record on the recovered file leaves its
+/// barriers lock-free like its first life did.
+#[test]
+fn recovered_file_keeps_the_acked_fast_path() {
+    let h = Harness::new(3);
+    let app_node;
+    {
+        let lib = h.app("a1");
+        app_node = lib.node();
+        let file = lib.create("wal", 1 << 20).unwrap();
+        file.record(0, b"survives").unwrap();
+    }
+    h.cluster.crash(app_node);
+
+    let lib2 = h.app("a2");
+    let file = lib2.recover("wal").unwrap();
+    assert_eq!(&file.contents()[..8], b"survives");
+    assert_acked_barriers_take_no_lock(&file, "recovered file");
+    file.record(8, b" twice").unwrap();
+    assert_acked_barriers_take_no_lock(&file, "recovered file after a record");
+}
+
+/// The record path takes locks — the audit itself must be able to tell the
+/// difference, or the zero assertions above are vacuous.
+#[test]
+fn lock_audit_counts_locks_on_the_record_path() {
+    let h = Harness::new(3);
+    let lib = h.app("a1");
+    let file = lib.create("wal", 1 << 20).unwrap();
+    file.record(0, b"data").unwrap();
+    // record_nowait stages under the stage lock: a known lock-taking call.
+    let (_, locks) = lockaudit::audited(|| file.record(32, b"more").unwrap());
+    assert!(locks > 0, "the record path must register lock acquisitions");
+}
+
+/// A count gate, not a timing: a flight that takes no modelled time lands
+/// with its post, so a steady-state synchronous `record` on the zero profile
+/// takes exactly the same locks every time — `stage` to stage the
+/// record, `stage` then `rep` for the barrier's doorbell, `rep` for the one
+/// drain that finds the quorum. A fifth acquisition is a lock hand-off
+/// added to every acknowledged write.
+#[test]
+fn synchronous_record_takes_four_stage_or_rep_locks() {
+    let h = Harness::new(3);
+    let lib = h.app("a1");
+    let file = lib.create("wal", 1 << 20).unwrap();
+    for i in 0..8u64 {
+        file.record(i * 16, b"warm").unwrap();
+    }
+    for i in 8..16u64 {
+        let (result, locks) = lockaudit::audited(|| file.record(i * 16, b"steady"));
+        result.unwrap();
+        assert_eq!(locks, 4, "record {i}: Stage/Rep acquisitions may not grow");
     }
 }

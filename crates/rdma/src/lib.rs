@@ -34,5 +34,5 @@ pub mod qp;
 pub mod types;
 
 pub use device::{LocalMr, RdmaDevice, RemoteMr};
-pub use qp::{CompletionQueue, CqWaker, QueuePair, WorkRequest};
+pub use qp::{CompletionQueue, QueuePair, WorkRequest};
 pub use types::{RKey, WcStatus, WorkCompletion, WrId};

@@ -134,67 +134,6 @@ struct CqInner {
     /// Notified with `state` held, which `wait` also checks and sleeps under:
     /// what the waiter-counted `Condvar` needs to skip an unheard wake-up.
     available: Condvar,
-    /// Reactors watching this CQ (weakly, so a dead reactor never pins the
-    /// queue). `watched` mirrors `watchers.is_empty()` so the per-doorbell
-    /// fast path costs one relaxed load when nobody is subscribed.
-    watchers: Mutex<Vec<std::sync::Weak<CqWakerInner>>>,
-    watched: AtomicBool,
-}
-
-#[derive(Default)]
-struct CqWakerInner {
-    epoch: Mutex<u64>,
-    /// Notified with `epoch` held; [`CqWaker::wait`] compares and sleeps
-    /// under the same lock.
-    cv: Condvar,
-}
-
-/// An edge-counting wakeup channel for completion-driven polling.
-///
-/// A shard reactor registers one waker on every completion queue it services
-/// ([`CompletionQueue::register_waker`]); each doorbell that hands a queue
-/// completions, landed or flying, bumps the epoch and notifies. The reactor
-/// sleeps by capture-then-wait — read [`CqWaker::epoch`], poll all CQs, then
-/// [`CqWaker::wait`] with the captured value, no longer than to
-/// [`CompletionQueue::next_due`] — so it never misses a doorbell.
-#[derive(Clone, Default)]
-pub struct CqWaker {
-    inner: Arc<CqWakerInner>,
-}
-
-impl CqWaker {
-    /// Creates an unregistered waker.
-    pub fn new() -> Self {
-        CqWaker::default()
-    }
-
-    /// Current signal count. Capture this *before* polling.
-    pub fn epoch(&self) -> u64 {
-        *self.inner.epoch.lock()
-    }
-
-    /// Bumps the epoch and wakes sleepers. Also usable by non-CQ producers
-    /// (e.g. an operation log) that share the reactor's sleep.
-    pub fn signal(&self) {
-        let mut e = self.inner.epoch.lock();
-        *e += 1;
-        self.inner.cv.notify_all();
-    }
-
-    /// Sleeps until the epoch advances past `seen` or `timeout` elapses (one
-    /// inside [`SPIN_RANGE`] on the clock); returns the epoch seen on wakeup.
-    pub fn wait(&self, seen: u64, timeout: Duration) -> u64 {
-        let mut e = self.inner.epoch.lock();
-        if *e == seen {
-            if timeout <= SPIN_RANGE {
-                drop(e);
-                sim::delay(timeout);
-                return self.epoch();
-            }
-            self.inner.cv.wait_for(&mut e, timeout);
-        }
-        *e
-    }
 }
 
 /// A completion queue, shareable across queue pairs.
@@ -212,47 +151,25 @@ impl CompletionQueue {
         CompletionQueue::default()
     }
 
-    /// Subscribes `waker` to doorbells on this queue. Held weakly: dropping
-    /// the waker (reactor shutdown) unsubscribes it on the next doorbell.
-    /// Registering the same waker twice is harmless (double signals).
-    pub fn register_waker(&self, waker: &CqWaker) {
-        let mut ws = self.inner.watchers.lock();
-        ws.push(Arc::downgrade(&waker.inner));
-        self.inner.watched.store(true, Ordering::Release);
-    }
-
     /// Takes one doorbell's completions: one queue lock, one condvar notify (a
-    /// sleeper in `wait` re-reads the earliest `due`), one waker signal. A
+    /// sleeper in `wait` re-reads the earliest `due`). A
     /// flight that took no modelled time is due at an instant its poster has
     /// read: it lands here, behind whatever was due before it, clock unread.
     fn accept(&self, link: &Arc<Link>, flights: &mut Vec<Flight>) {
         if flights.is_empty() {
             return;
         }
-        {
-            let mut st = self.inner.state.lock();
-            for flight in flights.drain(..) {
-                if flight.flew {
-                    let at = st.flying.partition_point(|(_, f)| f.due <= flight.due);
-                    st.flying.insert(at, (Arc::clone(link), flight));
-                } else {
-                    st.land_due(flight.due);
-                    link.land(flight, &mut st.ready);
-                }
-            }
-            self.inner.available.notify_all();
-        }
-        if self.inner.watched.load(Ordering::Acquire) {
-            let mut ws = self.inner.watchers.lock();
-            ws.retain(|w| {
-                w.upgrade()
-                    .map(|inner| CqWaker { inner }.signal())
-                    .is_some()
-            });
-            if ws.is_empty() {
-                self.inner.watched.store(false, Ordering::Release);
+        let mut st = self.inner.state.lock();
+        for flight in flights.drain(..) {
+            if flight.flew {
+                let at = st.flying.partition_point(|(_, f)| f.due <= flight.due);
+                st.flying.insert(at, (Arc::clone(link), flight));
+            } else {
+                st.land_due(flight.due);
+                link.land(flight, &mut st.ready);
             }
         }
+        self.inner.available.notify_all();
     }
 
     /// The queue with every completion whose `due` has passed landed. With
@@ -277,8 +194,8 @@ impl CompletionQueue {
         out.append(&mut self.reaped().ready);
     }
 
-    /// When the earliest completion in flight lands, if any is: how long a
-    /// reactor that polls this queue may sleep without a doorbell.
+    /// When the earliest completion in flight lands, if any is: whether a
+    /// reap now would be in vain.
     pub fn next_due(&self) -> Option<Instant> {
         self.inner.state.lock().flying.front().map(|(_, f)| f.due)
     }

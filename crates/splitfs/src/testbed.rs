@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dfs::{DfsCluster, DfsConfig, LocalFs};
-use ncl::{Controller, NclConfig, NclLib, NclRegistry, NclRuntime, Peer};
+use ncl::{Controller, NclConfig, NclLib, NclRegistry, Peer};
 use sim::{Cluster, NodeId};
 use telemetry::export::http::ScrapeServer;
 use telemetry::{FlightRecorder, OnlineMonitor, SloPlane};
@@ -42,12 +42,6 @@ pub struct TestbedConfig {
     /// address (`/metrics` Prometheus text, `/snapshot` JSON, `/trace`
     /// Chrome trace). Use `"127.0.0.1:0"` to let the OS pick a port.
     pub scrape_addr: Option<String>,
-    /// Reactor shards for the thread-per-core NCL runtime. `0` (the
-    /// default) keeps the classic waiter-driven completion path; any
-    /// positive count starts an [`ncl::NclRuntime`] and hosts every NCL
-    /// file opened through this testbed on one of its shards. Overridden
-    /// by the `NCL_SHARDS` environment variable at [`Testbed::start`].
-    pub shards: usize,
     /// When true, attach a streaming [`telemetry::OnlineMonitor`] to the
     /// shared telemetry handle: the invariant engine's rules
     /// ([`telemetry::checker`]) are verified live against the span/event
@@ -71,7 +65,6 @@ impl TestbedConfig {
             peer_gc_interval: None,
             weak_flush_interval: Duration::from_millis(100),
             scrape_addr: None,
-            shards: 0,
             online_monitor: false,
         }
     }
@@ -86,7 +79,6 @@ impl TestbedConfig {
             peer_gc_interval: Some(Duration::from_millis(100)),
             weak_flush_interval: Duration::from_secs(1),
             scrape_addr: None,
-            shards: 0,
             online_monitor: false,
         }
     }
@@ -121,17 +113,7 @@ pub struct Testbed {
 
 impl Testbed {
     /// Starts every service described by `config`.
-    ///
-    /// The `NCL_SHARDS` environment variable, when set to a positive
-    /// integer, overrides [`TestbedConfig::shards`] — handy for running an
-    /// existing test or bench binary against the sharded runtime without
-    /// recompiling.
     pub fn start(mut config: TestbedConfig) -> Self {
-        if let Ok(v) = std::env::var("NCL_SHARDS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                config.shards = n;
-            }
-        }
         if let Ok(v) = std::env::var("SPLITFT_PEER_MEM") {
             if let Ok(bytes) = v.trim().parse::<u64>() {
                 config.peer_mem = bytes;
@@ -154,12 +136,6 @@ impl Testbed {
         let monitor = config
             .online_monitor
             .then(|| OnlineMonitor::attach(&config.ncl.telemetry, config.ncl.quorum()));
-        if config.shards > 0 && config.ncl.runtime.is_none() {
-            config.ncl.runtime = Some(NclRuntime::start_with_telemetry(
-                config.shards,
-                config.ncl.telemetry.clone(),
-            ));
-        }
         let cluster = Cluster::new();
         let dfs = DfsCluster::start(&cluster, config.dfs.clone());
         // Erasure-coded durability needs a spill tier; unless the caller
@@ -223,15 +199,9 @@ impl Testbed {
             }
             flight.install_panic_hook(dir);
         }
-        let profiler = config.ncl.runtime.as_ref().map(|rt| rt.profiler().clone());
         let scrape = config.scrape_addr.as_deref().map(|addr| {
-            ScrapeServer::start_with_observability(
-                config.ncl.telemetry.clone(),
-                addr,
-                Some(slo.clone()),
-                profiler,
-            )
-            .expect("scrape endpoint binds")
+            ScrapeServer::start_with_health(config.ncl.telemetry.clone(), addr, Some(slo.clone()))
+                .expect("scrape endpoint binds")
         });
         Testbed {
             cluster,
@@ -351,19 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_testbed_hosts_ncl_files() {
-        let mut cfg = TestbedConfig::zero(3);
-        cfg.shards = 2;
-        let tb = Testbed::start(cfg);
-        assert!(tb.config().ncl.runtime.is_some());
-        let (fs, _node) = tb.mount(Mode::SplitFt, "app-sharded");
-        let f = fs.open("probe", OpenOptions::create()).unwrap();
-        f.write_at(0, b"sharded").unwrap();
-        f.fsync().unwrap();
-        assert_eq!(f.read(0, 7).unwrap(), b"sharded");
-    }
-
-    #[test]
     fn ec_testbed_wires_a_dfs_spill_sink() {
         let mut cfg = TestbedConfig::zero(4);
         cfg.ncl.durability = ncl::Durability::Ec { k: 2, n: 3 };
@@ -413,29 +370,6 @@ mod tests {
         assert!(report.ok(), "violations: {:?}", report.violations);
         assert!(report.acked_writes > 0, "monitor saw the write stream");
         assert_eq!(report.violations.len(), 0);
-    }
-
-    #[test]
-    fn sharded_testbed_serves_profile_endpoint() {
-        use std::io::{Read as _, Write as _};
-
-        let mut cfg = TestbedConfig::zero(3);
-        cfg.shards = 2;
-        cfg.scrape_addr = Some("127.0.0.1:0".into());
-        let tb = Testbed::start(cfg);
-        let (fs, _node) = tb.mount(Mode::SplitFt, "app-profiled");
-        let f = fs.open("probe", OpenOptions::create_ncl(1 << 16)).unwrap();
-        f.write_at(0, b"profiled").unwrap();
-        f.fsync().unwrap();
-
-        let addr = tb.scrape_addr().unwrap();
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        write!(stream, "GET /profile HTTP/1.0\r\n\r\n").unwrap();
-        let mut text = String::new();
-        stream.read_to_string(&mut text).unwrap();
-        assert!(text.contains("200"), "{text}");
-        assert!(text.contains("\"shards\""), "{text}");
-        assert!(text.contains("\"park_ns\""), "{text}");
     }
 
     #[test]

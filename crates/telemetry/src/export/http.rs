@@ -1,6 +1,6 @@
 //! Tiny std-only blocking HTTP scrape endpoint.
 //!
-//! One accept-loop thread, one request per connection, six routes:
+//! One accept-loop thread, one request per connection, five routes:
 //!
 //! * `GET /metrics`  — Prometheus text exposition (for a scrape job);
 //! * `GET /snapshot` — the full [`crate::TelemetrySnapshot`] as JSON;
@@ -14,9 +14,7 @@
 //!   an invariant violation also flips `/health` to 503 — durability-
 //!   promise breaks outrank latency in a health check;
 //! * `GET /invariants` — the online monitor's [`crate::MonitorReport`] as
-//!   JSON (200 clean, 503 violating, 404 when no monitor is attached);
-//! * `GET /profile`  — the reactor profiler's per-shard time-in-state
-//!   report as JSON (404 when no profiler was passed at start).
+//!   JSON (200 clean, 503 violating, 404 when no monitor is attached).
 //!
 //! This is deliberately not a real HTTP server: no keep-alive, no TLS, no
 //! chunking — a Prometheus scraper and `curl` both speak enough HTTP/1.0 for
@@ -32,7 +30,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::export::{chrome, prometheus};
-use crate::{ReactorProfiler, SloPlane, Telemetry};
+use crate::{SloPlane, Telemetry};
 
 /// A running scrape endpoint; dropping it stops the accept loop.
 pub struct ScrapeServer {
@@ -50,23 +48,13 @@ impl ScrapeServer {
     }
 
     /// Like [`Self::start`], but `/health` serves `plane`'s report.
+    /// `/invariants` serves whatever [`crate::OnlineMonitor`] is attached to
+    /// `tel` at request time (the monitor rides on the telemetry handle, so
+    /// it needs no parameter here).
     pub fn start_with_health(
         tel: Telemetry,
         addr: &str,
         plane: Option<SloPlane>,
-    ) -> std::io::Result<ScrapeServer> {
-        Self::start_with_observability(tel, addr, plane, None)
-    }
-
-    /// Full wiring: `/health` serves `plane`, `/profile` serves `profiler`,
-    /// and `/invariants` serves whatever [`crate::OnlineMonitor`] is
-    /// attached to `tel` at request time (the monitor rides on the
-    /// telemetry handle, so it needs no parameter here).
-    pub fn start_with_observability(
-        tel: Telemetry,
-        addr: &str,
-        plane: Option<SloPlane>,
-        profiler: Option<ReactorProfiler>,
     ) -> std::io::Result<ScrapeServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -82,7 +70,7 @@ impl ScrapeServer {
                     if let Ok(stream) = conn {
                         // Serve inline: scrapes are rare and tiny, and one
                         // thread keeps the footprint honest.
-                        let _ = serve_one(stream, &tel, plane.as_ref(), profiler.as_ref());
+                        let _ = serve_one(stream, &tel, plane.as_ref());
                     }
                 }
             })?;
@@ -114,7 +102,6 @@ fn serve_one(
     mut stream: TcpStream,
     tel: &Telemetry,
     plane: Option<&SloPlane>,
-    profiler: Option<&ReactorProfiler>,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     // Read until the end of the request head (or the buffer fills); only the
@@ -198,19 +185,10 @@ fn serve_one(
                 "no online monitor attached\n".to_string(),
             ),
         },
-        "/profile" => match profiler {
-            Some(p) => ("200 OK", "application/json", p.render_json()),
-            None => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "no reactor profiler attached\n".to_string(),
-            ),
-        },
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            "not found; try /metrics, /snapshot, /trace, /health, /invariants, /profile\n"
-                .to_string(),
+            "not found; try /metrics, /snapshot, /trace, /health, /invariants\n".to_string(),
         ),
     };
     write!(
@@ -308,11 +286,9 @@ mod tests {
         use crate::{events, OnlineMonitor};
 
         let tel = Telemetry::new();
-        // Without a monitor both routes 404 (and /profile too).
+        // Without a monitor /invariants is a 404.
         let bare = ScrapeServer::start(tel.clone(), "127.0.0.1:0").unwrap();
         let (status, _) = get(bare.addr(), "/invariants");
-        assert!(status.contains("404"), "{status}");
-        let (status, _) = get(bare.addr(), "/profile");
         assert!(status.contains("404"), "{status}");
         drop(bare);
 
@@ -363,43 +339,20 @@ mod tests {
         drop(server);
     }
 
-    #[test]
-    fn profile_endpoint_serves_reactor_report() {
-        use crate::ReactorProfiler;
-
-        let tel = Telemetry::new();
-        let profiler = ReactorProfiler::new(&tel, 2);
-        profiler.shard(0).on_park(Duration::from_micros(7));
-        let server =
-            ScrapeServer::start_with_observability(tel, "127.0.0.1:0", None, Some(profiler))
-                .unwrap();
-        let (status, body) = get(server.addr(), "/profile");
-        assert!(status.contains("200"), "{status}");
-        assert!(body.contains("\"park_ns\": 7000"), "{body}");
-        assert!(body.contains("\"shard\": 1"), "{body}");
-        drop(server);
-    }
-
-    /// Satellite: every observability route scraped concurrently while the
+    /// Every observability route scraped concurrently while the
     /// telemetry handle is under churn — no torn JSON, no deadlock, every
     /// request answered.
     #[test]
     fn concurrent_scrapes_of_all_routes_stay_consistent() {
-        use crate::{events, spans, OnlineMonitor, ReactorProfiler, SloPlane};
+        use crate::{events, spans, OnlineMonitor, SloPlane};
         use std::sync::atomic::AtomicBool;
         use std::time::Instant;
 
         let tel = Telemetry::new();
         let plane = SloPlane::new(tel.clone());
         let monitor = OnlineMonitor::attach(&tel, 2);
-        let profiler = ReactorProfiler::new(&tel, 2);
-        let server = ScrapeServer::start_with_observability(
-            tel.clone(),
-            "127.0.0.1:0",
-            Some(plane),
-            Some(profiler.clone()),
-        )
-        .unwrap();
+        let server =
+            ScrapeServer::start_with_health(tel.clone(), "127.0.0.1:0", Some(plane)).unwrap();
         let addr = server.addr();
 
         // Writer thread: emit clean write traces + control-plane events,
@@ -460,35 +413,29 @@ mod tests {
             })
         };
 
-        let scrapers: Vec<_> = [
-            "/metrics",
-            "/health",
-            "/invariants",
-            "/profile",
-            "/snapshot",
-        ]
-        .into_iter()
-        .map(|path| {
-            std::thread::spawn(move || {
-                for _ in 0..20 {
-                    let (status, body) = get(addr, path);
-                    assert!(
-                        status.contains("200") || status.contains("503"),
-                        "{path}: {status}"
-                    );
-                    if path == "/metrics" {
-                        prometheus::validate(&body).unwrap();
-                    } else {
-                        // Untorn JSON: one object, braces balance.
+        let scrapers: Vec<_> = ["/metrics", "/health", "/invariants", "/snapshot"]
+            .into_iter()
+            .map(|path| {
+                std::thread::spawn(move || {
+                    for _ in 0..20 {
+                        let (status, body) = get(addr, path);
                         assert!(
-                            body.starts_with('{') && body.trim_end().ends_with('}'),
-                            "{path}: torn body {body:?}"
+                            status.contains("200") || status.contains("503"),
+                            "{path}: {status}"
                         );
+                        if path == "/metrics" {
+                            prometheus::validate(&body).unwrap();
+                        } else {
+                            // Untorn JSON: one object, braces balance.
+                            assert!(
+                                body.starts_with('{') && body.trim_end().ends_with('}'),
+                                "{path}: torn body {body:?}"
+                            );
+                        }
                     }
-                }
+                })
             })
-        })
-        .collect();
+            .collect();
         for s in scrapers {
             s.join().unwrap();
         }

@@ -8,9 +8,8 @@
 //! [`crate::analyze`]) ingests as-is. [`FlightRecorder`] provides that:
 //!
 //! * **Bounded per-scope retention** — the dump keeps the most recent
-//!   `per_scope` traces for each root scope (the sharded runtime maps scopes
-//!   onto shards, so this bounds the dump per shard and a noisy shard cannot
-//!   evict the others' history);
+//!   `per_scope` traces for each root scope (one file per scope, so a noisy
+//!   file cannot evict the others' history);
 //! * **Complete traces only** — ring eviction can behead a trace (children
 //!   are recorded before their root, so the oldest spans of a rooted trace
 //!   go first). A dump containing a beheaded acked write would *manufacture*

@@ -44,7 +44,6 @@ pub mod flight;
 mod hist;
 mod metrics;
 pub mod monitor;
-pub mod profile;
 mod ring;
 mod slo;
 mod snapshot;
@@ -56,10 +55,8 @@ pub use flight::FlightRecorder;
 pub use hist::{Histogram, Summary, OVERFLOW_LIMIT};
 pub use metrics::{Counter, Gauge, HistHandle};
 pub use monitor::OnlineMonitor;
-pub use profile::{ProfileReport, ReactorProfiler, ShardProfile};
 pub use slo::{
-    HealthReport, SaturationSnapshot, ShardSaturation, SloPlane, SloSpec, SloState, SloStatus,
-    SloTracker,
+    HealthReport, SaturationSnapshot, SloPlane, SloSpec, SloState, SloStatus, SloTracker,
 };
 pub use snapshot::{json_escape, TelemetrySnapshot};
 pub use span::{intern_scope, intern_span_name, spans, Span};

@@ -21,10 +21,9 @@
 //!
 //! [`SloPlane`] bundles trackers with saturation signals that lead the
 //! latency cliff rather than trail it: window-stall occupancy (writers
-//! blocked on a full in-flight window), per-shard doorbell latency from the
-//! sharded runtime's `ncl.shard-<i>.record.doorbell` histograms (a queue-
-//! depth proxy — doorbell wait grows with the submit queue), and shard
-//! imbalance (max/mean of per-shard window throughput). Every tick exports
+//! blocked on a full in-flight window), the windowed p99 of the
+//! `ncl.record.doorbell` histogram (a queue-depth proxy — doorbell wait
+//! grows with the submit queue), and peer memory pressure. Every tick exports
 //! the lot as gauges (`slo.*`), so `/metrics` scrapes see burn rates without
 //! extra plumbing, and `/health` (see [`crate::export::http`]) serves the
 //! JSON report.
@@ -242,29 +241,14 @@ impl SloTracker {
     }
 }
 
-/// Per-shard saturation read of the sharded NCL runtime.
-#[derive(Debug, Clone)]
-pub struct ShardSaturation {
-    /// Shard index (from the `ncl.shard-<i>.*` metric names).
-    pub shard: usize,
-    /// Windowed p99 of the shard's doorbell stage (queue-depth proxy), 0
-    /// when idle.
-    pub doorbell_p99_ns: u64,
-    /// Records the shard completed during the window.
-    pub window_count: u64,
-}
-
 /// Saturation signals for one tick.
 #[derive(Debug, Clone, Default)]
 pub struct SaturationSnapshot {
     /// `ncl.window.stall` growth during the tick: how often writers found
     /// the in-flight window full.
     pub window_stall_delta: u64,
-    /// Worst per-shard windowed doorbell p99 (0 when no sharded runtime).
+    /// Windowed p99 of the `ncl.record.doorbell` stage (0 when idle).
     pub doorbell_p99_ns: u64,
-    /// `1000 * max / mean` of per-shard window throughput; 1000 means
-    /// perfectly balanced, 0 means idle or unsharded.
-    pub shard_imbalance_milli: u64,
     /// Fleet-wide peer memory utilisation in percent (from the
     /// `peer.mem.used_bytes` / `peer.mem.total_bytes` gauges; 0 when no
     /// peer daemon shares the registry).
@@ -273,37 +257,16 @@ pub struct SaturationSnapshot {
     /// non-zero values mean tenants are being forced through replace/
     /// catch-up and the peer plane is undersized.
     pub peer_mem_revoked_delta: u64,
-    /// Reactors the profiler's stall watchdog currently flags as silent
-    /// (from the [`crate::profile::STALLED_GAUGE`] gauge; 0 when no
-    /// profiler shares the registry). A stalled reactor stops publishing
-    /// durable watermarks, so this leads the latency cliff the way the
-    /// other saturation signals do.
-    pub reactor_stalled: u64,
-    /// Per-shard detail, ordered by shard index.
-    pub shards: Vec<ShardSaturation>,
 }
 
 impl SaturationSnapshot {
     fn to_json(&self) -> String {
-        let shards = self
-            .shards
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"shard\": {}, \"doorbell_p99_ns\": {}, \"window_count\": {}}}",
-                    s.shard, s.doorbell_p99_ns, s.window_count
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
         format!(
-            "{{\"window_stall_delta\": {}, \"doorbell_p99_ns\": {}, \"shard_imbalance_milli\": {}, \"peer_mem_used_pct\": {}, \"peer_mem_revoked_delta\": {}, \"reactor_stalled\": {}, \"shards\": [{shards}]}}",
+            "{{\"window_stall_delta\": {}, \"doorbell_p99_ns\": {}, \"peer_mem_used_pct\": {}, \"peer_mem_revoked_delta\": {}}}",
             self.window_stall_delta,
             self.doorbell_p99_ns,
-            self.shard_imbalance_milli,
             self.peer_mem_used_pct,
-            self.peer_mem_revoked_delta,
-            self.reactor_stalled
+            self.peer_mem_revoked_delta
         )
     }
 }
@@ -313,8 +276,8 @@ impl SaturationSnapshot {
 struct SaturationTracker {
     last_stall: u64,
     last_revoked: u64,
-    /// Last cumulative snapshot per shard metric name.
-    last_hists: std::collections::BTreeMap<String, Histogram>,
+    /// Last cumulative snapshot of `ncl.record.doorbell`.
+    last_doorbell: Histogram,
 }
 
 impl SaturationTracker {
@@ -334,60 +297,21 @@ impl SaturationTracker {
             (mem_used as u128 * 100 / mem_total as u128) as u64
         };
 
-        let mut shards: Vec<ShardSaturation> = Vec::new();
-        for (name, hist) in hists {
-            let Some(shard) = shard_of(name, ".record.doorbell") else {
-                continue;
-            };
-            let last = self.last_hists.entry(name.clone()).or_default();
-            let window = hist.diff(last);
-            *last = hist.clone();
-            let count_name = name.replace(".record.doorbell", ".record.e2e");
-            let window_count = hists
-                .iter()
-                .find(|(n, _)| *n == count_name)
-                .map(|(n, h)| {
-                    let last = self.last_hists.entry(n.clone()).or_default();
-                    let w = h.diff(last);
-                    *last = h.clone();
-                    w.count()
-                })
-                .unwrap_or_else(|| window.count());
-            shards.push(ShardSaturation {
-                shard,
-                doorbell_p99_ns: window.percentile(99.0).unwrap_or(0),
-                window_count,
-            });
-        }
-        shards.sort_by_key(|s| s.shard);
-
-        let doorbell_p99_ns = shards.iter().map(|s| s.doorbell_p99_ns).max().unwrap_or(0);
-        let counts: Vec<u64> = shards.iter().map(|s| s.window_count).collect();
-        let total: u64 = counts.iter().sum();
-        let shard_imbalance_milli = if counts.is_empty() || total == 0 {
-            0
-        } else {
-            let mean = total as f64 / counts.len() as f64;
-            let max = *counts.iter().max().unwrap() as f64;
-            (1000.0 * max / mean).round() as u64
+        let doorbell_p99_ns = match hists.iter().find(|(n, _)| n == "ncl.record.doorbell") {
+            Some((_, current)) => {
+                let window = current.diff(&self.last_doorbell);
+                self.last_doorbell = current.clone();
+                window.percentile(99.0).unwrap_or(0)
+            }
+            None => 0,
         };
         SaturationSnapshot {
             window_stall_delta,
             doorbell_p99_ns,
-            shard_imbalance_milli,
             peer_mem_used_pct,
             peer_mem_revoked_delta,
-            reactor_stalled: tel.gauge_value(crate::profile::STALLED_GAUGE).max(0) as u64,
-            shards,
         }
     }
-}
-
-/// Parses a shard index out of `ncl.shard-<i><suffix>` metric names.
-fn shard_of(name: &str, suffix: &str) -> Option<usize> {
-    let rest = name.strip_prefix("ncl.shard-")?;
-    let idx = rest.strip_suffix(suffix)?;
-    idx.parse().ok()
 }
 
 /// One tick's full health evaluation.
@@ -599,17 +523,11 @@ impl SloPlane {
             .gauge("slo.saturation.doorbell_p99_ns")
             .set(sat.doorbell_p99_ns.min(i64::MAX as u64) as i64);
         self.tel
-            .gauge("slo.saturation.shard_imbalance_milli")
-            .set(sat.shard_imbalance_milli.min(i64::MAX as u64) as i64);
-        self.tel
             .gauge("slo.saturation.peer_mem_used_pct")
             .set(sat.peer_mem_used_pct.min(i64::MAX as u64) as i64);
         self.tel
             .gauge("slo.saturation.peer_mem_revoked")
             .set(sat.peer_mem_revoked_delta.min(i64::MAX as u64) as i64);
-        self.tel
-            .gauge("slo.saturation.reactor_stalled")
-            .set(sat.reactor_stalled.min(i64::MAX as u64) as i64);
     }
 }
 
@@ -785,36 +703,30 @@ mod tests {
     }
 
     #[test]
-    fn saturation_reads_stall_shards_and_imbalance() {
+    fn saturation_reads_stall_and_the_doorbell_p99() {
         let tel = Telemetry::new();
         let plane = SloPlane::new(tel.clone());
         tel.counter("ncl.window.stall").add(7);
-        let d0 = tel.histogram("ncl.shard-0.record.doorbell");
-        let d1 = tel.histogram("ncl.shard-1.record.doorbell");
-        let e0 = tel.histogram("ncl.shard-0.record.e2e");
-        let e1 = tel.histogram("ncl.shard-1.record.e2e");
+        let doorbell = tel.histogram("ncl.record.doorbell");
         for _ in 0..300 {
-            d0.record(1_000);
-            e0.record(5_000);
+            doorbell.record(1_000);
         }
-        for _ in 0..100 {
-            d1.record(100_000);
-            e1.record(5_000);
+        for _ in 0..10 {
+            doorbell.record(100_000);
         }
         let report = plane.tick();
         let sat = &report.saturation;
         assert_eq!(sat.window_stall_delta, 7);
-        assert_eq!(sat.shards.len(), 2);
-        assert_eq!(sat.shards[0].shard, 0);
-        assert_eq!(sat.shards[0].window_count, 300);
-        // Worst doorbell p99 comes from the slow shard (~3% buckets).
+        // 10 of 310 samples are slow, so the p99 is theirs (~3% buckets).
         assert!(sat.doorbell_p99_ns >= 95_000, "{}", sat.doorbell_p99_ns);
-        // Imbalance: counts [300, 100] → mean 200, max 300 → 1500.
-        assert_eq!(sat.shard_imbalance_milli, 1500);
-        // A second, idle tick: stall delta and imbalance return to zero.
+        assert_eq!(
+            tel.gauge_value("slo.saturation.doorbell_p99_ns"),
+            sat.doorbell_p99_ns as i64
+        );
+        // A second, idle tick: the window is empty, so both read zero.
         let report = plane.tick();
         assert_eq!(report.saturation.window_stall_delta, 0);
-        assert_eq!(report.saturation.shard_imbalance_milli, 0);
+        assert_eq!(report.saturation.doorbell_p99_ns, 0);
     }
 
     #[test]
@@ -832,17 +744,6 @@ mod tests {
         let report = plane.tick();
         assert_eq!(report.saturation.peer_mem_revoked_delta, 0);
         assert_eq!(report.saturation.peer_mem_used_pct, 80);
-    }
-
-    #[test]
-    fn saturation_reads_reactor_stalls() {
-        let tel = Telemetry::new();
-        let plane = SloPlane::new(tel.clone());
-        tel.gauge(crate::profile::STALLED_GAUGE).set(2);
-        let report = plane.tick();
-        assert_eq!(report.saturation.reactor_stalled, 2);
-        assert!(report.to_json().contains("\"reactor_stalled\": 2"));
-        assert_eq!(tel.gauge_value("slo.saturation.reactor_stalled"), 2);
     }
 
     #[test]

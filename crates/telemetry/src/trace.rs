@@ -90,16 +90,13 @@ pub mod events {
     /// drops). The invariant engine downgrades its span-completeness rules
     /// to "truncated window" once this fires.
     pub const TRACE_TRUNCATED: &str = "trace-truncated";
-    /// A shard reactor stopped heartbeating past the stall watchdog's
-    /// threshold (detail carries the shard index and silent duration).
-    pub const REACTOR_STALL: &str = "reactor-stall";
     /// The online invariant monitor flagged a violation; the detail carries
     /// `[<invariant code>] <message>`.
     pub const INVARIANT_VIOLATION: &str = "invariant-violation";
 
     /// Every well-known kind, used by the JSONL replay path to intern parsed
     /// kind strings back to the canonical `&'static str` values.
-    pub const ALL: [&str; 27] = [
+    pub const ALL: [&str; 26] = [
         PEER_FAILURE,
         PEER_REPLACE_START,
         PEER_REPLACE_FINISH,
@@ -125,7 +122,6 @@ pub mod events {
         PEER_PRESSURE,
         LEASE_EXPIRE,
         TRACE_TRUNCATED,
-        REACTOR_STALL,
         INVARIANT_VIOLATION,
     ];
 }

@@ -25,10 +25,6 @@
 //! * `FAULT_SEED=<u64>` — run exactly one seed (printed by any failure).
 //! * `CHAOS_SEEDS=<n>` — how many seeds to run (default 32).
 //! * `CHAOS_SHARD=<i>/<n>` — run the i-th of n shards of the seed list.
-//! * `CHAOS_SHARDS=<n>` — run every schedule on an `n`-shard NCL runtime
-//!   (thread-per-core reactors reaping completions); default 0 keeps the
-//!   classic waiter-driven completion path. The safety properties and trace
-//!   invariants are identical on both paths.
 //! * `CHAOS_TRACE_DIR=<dir>` — keep the per-seed JSONL traces here (plus a
 //!   `FAILED_SEED` marker when a schedule fails) instead of a temp dir;
 //!   `trace_analyzer --check` consumes the same files in CI.
@@ -169,9 +165,6 @@ fn run_schedule(seed: u64, plan: &FaultPlan) {
     let mut cfg = TestbedConfig::zero(6);
     // Chaos runs should degrade (and re-attach) quickly, not after 5 s.
     cfg.ncl.write_timeout = Duration::from_secs(2);
-    if let Ok(v) = env::var("CHAOS_SHARDS") {
-        cfg.shards = v.parse().expect("CHAOS_SHARDS must be a usize");
-    }
     let trace_path = sink_dir().join(format!("trace-{seed}.jsonl"));
     cfg.ncl
         .telemetry
