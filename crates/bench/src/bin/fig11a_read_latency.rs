@@ -16,9 +16,10 @@
 //! Paper shape: NCL (with prefetch) beats DFS (4x at 128 B); without
 //! prefetch it is worse than DFS (4.5x at 128 B); direct IO is far worse.
 
+use std::time::Instant;
+
 use bench::{calibrated_testbed, f1, header, quick, row};
 use ncl::NclLib;
-use sim::Stopwatch;
 use splitfs::Mode;
 
 fn main() {
@@ -96,36 +97,36 @@ fn main() {
         let ops = (file_bytes / size).min(max_ops);
 
         // NCL with prefetch: local buffer reads + amortised prefetch.
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         for i in 0..ops {
             let _ = recovered.read((i * size) as u64, size);
         }
         // Amortise the prefetch over the number of reads a full-file pass
         // at this size would make (as the paper does).
         let full_pass_reads = (file_bytes / size).max(1);
-        let local_us = sw.elapsed_micros_f64() / ops as f64;
+        let local_us = sw.elapsed().as_secs_f64() * 1e6 / ops as f64;
         let prefetch_us = prefetch_total.as_secs_f64() * 1e6 / full_pass_reads as f64;
 
         // NCL without prefetch: one RDMA read per application read.
         let remote_ops = ops.min(1_000);
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         for i in 0..remote_ops {
             let _ = recovered.read_remote((i * size) as u64, size).unwrap();
         }
-        let ncl_np_us = sw.elapsed_micros_f64() / remote_ops as f64;
+        let ncl_np_us = sw.elapsed().as_secs_f64() * 1e6 / remote_ops as f64;
 
         // DFS with readahead: fresh mount per size (cold cache).
         let (fs, _) = tb.mount(Mode::StrongDft, &format!("fig11a-dfs-{size}"));
         let f = fs.open("log", splitfs::OpenOptions::plain()).unwrap();
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         for i in 0..ops {
             let _ = f.read((i * size) as u64, size).unwrap();
         }
-        let dfs_us = sw.elapsed_micros_f64() / ops as f64;
+        let dfs_us = sw.elapsed().as_secs_f64() * 1e6 / ops as f64;
 
         // DFS direct IO (no cache, no readahead).
         let direct_ops = ops.min(200);
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         for i in 0..direct_ops {
             let _ = fs
                 .dfs()
@@ -133,7 +134,7 @@ fn main() {
                 .read_direct("log", (i * size) as u64, size)
                 .unwrap();
         }
-        let direct_us = sw.elapsed_micros_f64() / direct_ops as f64;
+        let direct_us = sw.elapsed().as_secs_f64() * 1e6 / direct_ops as f64;
 
         row(&[
             format!("{size}B"),

@@ -28,7 +28,7 @@
 //! [`RecoveryStats::catch_up`]: ncl::file::RecoveryStats::catch_up
 //! [`RecoveryStats::update_ap_map`]: ncl::file::RecoveryStats::update_ap_map
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use apps::miniredis::{Command, MiniRedis, RedisOptions};
 use apps::minirocks::{MiniRocks, RocksOptions};
@@ -36,7 +36,6 @@ use apps::minisql::{MiniSql, SqlOptions};
 use bench::{
     calibrated_testbed, f1, header, quick, row, AppKind, BenchJson, RecoveryPhases, NCL_STAGES,
 };
-use sim::Stopwatch;
 use splitfs::{Mode, SplitFs, Testbed};
 
 /// Writes roughly `target_bytes` of per-key payload into the app's log
@@ -90,7 +89,7 @@ fn build_log(app: AppKind, fs: SplitFs, target_bytes: usize) {
 
 /// Reopens the application, timing the recovery.
 fn recover(app: AppKind, fs: SplitFs, target_bytes: usize) -> Duration {
-    let sw = Stopwatch::start();
+    let sw = Instant::now();
     match app {
         AppKind::Rocks => {
             let opts = RocksOptions {
@@ -176,7 +175,7 @@ fn main() {
             tb.cluster.crash(node);
             // The crash-to-remount interval is the breakdown's detect
             // phase: noticing the dead server and re-establishing a mount.
-            let sw = Stopwatch::start();
+            let sw = Instant::now();
             let (fs2, _) = tb.mount(mode, &app_id);
             let detect = sw.elapsed();
             let total = recover(kind, fs2.clone(), target);
@@ -242,7 +241,7 @@ fn main() {
         let (fs, _) = tb.mount(Mode::Local, &format!("f11b-{}-local", kind.name()));
         build_log(kind, fs.clone(), target);
         // Evict the page cache to model a reboot.
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         for path in fs.list("").unwrap() {
             if let Some(local) = fs_local(&fs) {
                 local.drop_cache(&path);

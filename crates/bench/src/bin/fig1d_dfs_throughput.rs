@@ -5,9 +5,11 @@
 //! more at 64 MB on CephFS; small synchronous writes are catastrophically
 //! slow, which is the asymmetry SplitFT's split design exploits.
 
+use std::time::Instant;
+
 use bench::{header, human_bytes, quick, row};
 use dfs::{DfsCluster, DfsConfig};
-use sim::{Cluster, Stopwatch};
+use sim::Cluster;
 
 fn main() {
     let cluster = Cluster::new();
@@ -32,7 +34,7 @@ fn main() {
         let client = dfs.client(app);
         client.create("stream").unwrap();
         let data = vec![0x5Au8; size];
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         for i in 0..ops {
             client.write("stream", (i * size) as u64, &data).unwrap();
             client.fsync("stream").unwrap();

@@ -18,9 +18,10 @@
 //! that depth — window overlap plus one doorbell and one header write per
 //! window-full burst.
 
+use std::time::Instant;
+
 use bench::{calibrated_testbed, f1, header, quick, row, NCL_STAGES};
 use ncl::NclLib;
-use sim::Stopwatch;
 use splitfs::{Mode, OpenOptions};
 use telemetry::Telemetry;
 
@@ -46,22 +47,22 @@ fn main() {
         // Strong: write + fsync to the DFS per op.
         let (fs, _) = tb.mount(Mode::StrongDft, &format!("fig8-strong-{size}"));
         let f = fs.open("bench", OpenOptions::create()).unwrap();
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         for i in 0..ops_strong {
             f.write_at((i * size) as u64, &data).unwrap();
             f.fsync().unwrap();
         }
-        let strong_us = sw.elapsed_micros_f64() / ops_strong as f64;
+        let strong_us = sw.elapsed().as_secs_f64() * 1e6 / ops_strong as f64;
 
         // Weak: buffered write only.
         let (fs, _) = tb.mount(Mode::WeakDft, &format!("fig8-weak-{size}"));
         let f = fs.open("bench", OpenOptions::create()).unwrap();
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         for i in 0..ops_fast {
             f.write_at((i * size) as u64, &data).unwrap();
             f.fsync().unwrap(); // No-op in the weak configuration.
         }
-        let weak_us = sw.elapsed_micros_f64() / ops_fast as f64;
+        let weak_us = sw.elapsed().as_secs_f64() * 1e6 / ops_fast as f64;
 
         // NCL: synchronous replication per write, embedded (no server hop).
         let node = tb.add_app_node(&format!("fig8-ncl-{size}"));
@@ -76,11 +77,11 @@ fn main() {
         .unwrap();
         let ncl_ops = ops_fast.min(4_000);
         let file = ncl.create("bench", ncl_ops * size).unwrap();
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         for i in 0..ncl_ops {
             file.record((i * size) as u64, &data).unwrap();
         }
-        let ncl_us = sw.elapsed_micros_f64() / ncl_ops as f64;
+        let ncl_us = sw.elapsed().as_secs_f64() * 1e6 / ncl_ops as f64;
         file.release().unwrap();
 
         // Window-depth sweep: amortized per-record latency at pipeline
@@ -100,12 +101,12 @@ fn main() {
             )
             .unwrap();
             let file = ncl.create("bench", pipe_ops * size).unwrap();
-            let sw = Stopwatch::start();
+            let sw = Instant::now();
             for i in 0..pipe_ops {
                 file.record_nowait((i * size) as u64, &data).unwrap();
             }
             file.fsync().unwrap();
-            let us = sw.elapsed_micros_f64() / pipe_ops as f64;
+            let us = sw.elapsed().as_secs_f64() * 1e6 / pipe_ops as f64;
             file.release().unwrap();
             us
         };

@@ -22,7 +22,6 @@
 
 use bench::{calibrated_testbed, f1, header, quick, row, BenchJson, RecoveryPhases, NCL_STAGES};
 use ncl::NclLib;
-use sim::Stopwatch;
 use telemetry::spans;
 
 /// Reconstructs the detect and first-ack edges of the five-phase breakdown
@@ -112,7 +111,7 @@ fn main() {
         let victim_node = tb.peer_named(&victim).unwrap().node();
         tb.cluster.crash(victim_node);
         tel.set_tracing(true);
-        let sw = Stopwatch::start();
+        let sw = std::time::Instant::now();
         file.record(0, b"trigger-repair").unwrap();
         let wall = sw.elapsed();
         let stats = file.repair_stats();

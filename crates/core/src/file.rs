@@ -12,6 +12,7 @@
 //! | `slots` | peer slots, completion absorption, the acknowledgement watermark and the durability barrier (`wait_durable`) |
 //! | `repair` | inline peer replacement, peer acquisition and the two catch-up transfers |
 //! | `recovery` | `NclLib::recover`: the quorum read front half and the shared catch-up → rearm → ap-map → open epilogue |
+//! | `phases` | the control path's one clock: each phase of create / recover / repair is one child span, and the stats are read off them |
 //! | [`scheme`] | everything that differs between `Replicated` and `Ec { k, n }` |
 //!
 //! ## Replication (§4.4)
@@ -90,6 +91,7 @@
 //! only then swing the ap-map. If a majority is lost, the record blocks
 //! until replacement restores a quorum.
 
+mod phases;
 mod recovery;
 mod repair;
 pub mod scheme;
@@ -105,8 +107,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rdma::CompletionQueue;
 use sim::{Cluster, NodeId};
-use telemetry::Telemetry;
+use telemetry::{spans, Telemetry};
 
+use self::phases::Phases;
 use self::scheme::Scheme;
 use self::slots::{AckedState, PeerSlot, Rep, WcRouter};
 use self::staging::{FileMetrics, Image, Stage};
@@ -225,19 +228,22 @@ impl NclLib {
 
     /// Creates a new ncl file with the given data capacity, allocating
     /// regions on the scheme's peer set ( `2f + 1` replicated, `n` under
-    /// erasure coding) and publishing the ap-map entry.
+    /// erasure coding) and publishing the ap-map entry, under one
+    /// `ncl.create` span tree.
     pub fn create(&self, file: &str, capacity: usize) -> Result<Arc<NclFile>, NclError> {
+        let ctx = &self.ctx;
+        let scope = telemetry::intern_scope(&format!("{}/{}", ctx.app_id, file));
+        let mut phases = Phases::start(&ctx.config.telemetry, scope);
         if self.exists(file)? {
             return Err(NclError::AlreadyExists(file.to_string()));
         }
-        let ctx = &self.ctx;
-        let scope = telemetry::intern_scope(&format!("{}/{}", ctx.app_id, file));
         let scheme = Scheme::new(&ctx.config, capacity, scope)?;
         let epoch = ctx.controller.get_app_epoch(ctx.node, &ctx.app_id, file)? + 1;
         let cq = CompletionQueue::new();
         let mut slots: Vec<PeerSlot> = Vec::new();
         let mut exclude: Vec<String> = Vec::new();
         let region_data = scheme.region_data(capacity);
+        let names = [spans::NCL_CREATE_GET_PEER, spans::NCL_CREATE_CONNECT_MR];
         while slots.len() < ctx.config.replicas() {
             slots.push(repair::acquire_peer(
                 ctx,
@@ -246,7 +252,8 @@ impl NclLib {
                 region_data,
                 &cq,
                 &mut exclude,
-                &mut RepairStats::default(),
+                &mut phases,
+                names,
             )?);
         }
         if let Some(header) = scheme.initial_header() {
@@ -254,10 +261,13 @@ impl NclLib {
             for slot in &slots {
                 repair::ship(ctx, &router, slot, &slot.mr, &header, None)?;
             }
+            phases.close(spans::NCL_CREATE_SEED, epoch);
         }
         let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
         ctx.controller
             .set_ap_entry(ctx.node, &ctx.app_id, file, names, epoch)?;
+        phases.close(spans::NCL_CREATE_AP_MAP, epoch);
+        phases.finish(spans::NCL_CREATE, epoch);
         let image = Image::empty(capacity);
         let stats = RecoveryStats::default();
         Ok(NclFile::open(

@@ -4,13 +4,13 @@
 //! re-arm the peer set, and only then advance the ap-map and open the file.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rdma::{CompletionQueue, WcStatus, WrId};
-use sim::Stopwatch;
 use telemetry::{events, spans};
 
-use super::repair::{acquire_peer, catch_up_existing, catch_up_fresh, RepairStats};
+use super::phases::Phases;
+use super::repair::{acquire_peer, catch_up_existing, catch_up_fresh};
 use super::scheme::Scheme;
 use super::slots::{PeerSlot, Responders, WcRouter, WcWait};
 use super::{fan_out, NclFile, NclLib};
@@ -18,17 +18,19 @@ use crate::layout::{RegionHeader, HEADER_WIRE_SIZE};
 use crate::peer::{PeerReq, PeerResp};
 use crate::NclError;
 
-/// Phase timings of the last recovery (Figure 11b's breakdown).
+/// Phase timings of the last recovery (Figure 11b's breakdown): the sums
+/// of the `ncl.recover` root's same-named children.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecoveryStats {
-    /// Fetching peer information from the controller.
+    /// The ap-map lookup, and each controller round for a replacement of a
+    /// peer that did not respond.
     pub get_peer: Duration,
-    /// Connecting to peers and reading region headers.
+    /// Connecting to peers and reading region headers, and each
+    /// replacement's region allocation and connect.
     pub connect: Duration,
     /// RDMA-reading the recovered data image.
     pub rdma_read: Duration,
-    /// Catching the peers up to the recovered image under the new epoch,
-    /// including replacing the ones that did not respond.
+    /// Catching the peers up to the recovered image under the new epoch.
     pub catch_up: Duration,
     /// Updating the ap-map on the controller.
     pub update_ap_map: Duration,
@@ -50,43 +52,26 @@ impl NclLib {
     pub fn recover(&self, file: &str) -> Result<Arc<NclFile>, NclError> {
         let ctx = &*self.ctx;
         let tel = &ctx.config.telemetry;
-        let mut stats = RecoveryStats::default();
         let scope = telemetry::intern_scope(&format!("{}/{}", ctx.app_id, file));
-        let recover_trace = tel.next_trace_id();
-        let recover_start = Instant::now();
-        // Closes one child span of the recovery root, ending now.
-        let phase = |name: &'static str, epoch: u64, start: Instant| {
-            tel.span_auto(
-                recover_trace,
-                recover_trace,
-                name,
-                scope,
-                epoch,
-                start,
-                Instant::now(),
-            );
-        };
+        let mut phases = Phases::start(tel, scope);
 
         // Phase 1: ap-map from the controller.
-        let sw = Stopwatch::start();
         let entry = ctx
             .controller
             .get_ap_entry(ctx.node, &ctx.app_id, file)?
             .ok_or_else(|| NclError::NotFound(file.to_string()))?;
-        stats.get_peer = sw.elapsed();
+        phases.close(spans::NCL_RECOVER_GET_PEER, entry.epoch);
         tel.event_traced(
             events::RECOVERY_START,
             scope,
             entry.epoch,
-            recover_trace,
+            phases.trace,
             format!("{} ap-map peers", entry.peers.len()),
         );
 
         // Phase 2: contact peers, connect, read headers — one thread per
         // peer; the connect RPC and the header-read latency of the ap-map
         // peers overlap instead of accumulating.
-        let sw = Stopwatch::start();
-        let fetch_start = Instant::now();
         let cq = CompletionQueue::new();
         let router = WcRouter::new(&cq);
         let responders: Responders = fan_out(&entry.peers, |name| {
@@ -128,50 +113,47 @@ impl NclLib {
                 ctx.config.recovery_quorum()
             )));
         }
-        stats.connect = sw.elapsed();
+        phases.close(spans::NCL_RECOVER_CONNECT, entry.epoch);
 
         // Phase 3: reconstruct the acked prefix from the responders, by the
         // scheme's decode rule.
-        let sw = Stopwatch::start();
         let (mut scheme, image, responders) = Scheme::reconstruct(ctx, scope, responders, &router)?;
-        stats.rdma_read = sw.elapsed();
-        phase(spans::NCL_RECOVER_FETCH, entry.epoch, fetch_start);
+        phases.close(spans::NCL_RECOVER_RDMA_READ, entry.epoch);
 
         // Phase 4: catch every peer up to the recovered image under a new
         // epoch, then (and only then) advance the ap-map. The per-peer
         // prepare/copy/commit pipelines are independent — run them in
         // parallel, dropping any peer that dies mid-catch-up.
-        let sw = Stopwatch::start();
-        let replay_start = Instant::now();
         let epoch = entry.epoch + 1;
         let header = scheme.reset_header(&image)?;
         scheme.adopt_reset(&header);
         let region_data = scheme.region_data(image.buffer.len());
         let shipped = scheme.ships_image().then(|| image.valid());
+        let peer_span = spans::NCL_RECOVER_CATCH_UP_PEER;
         let mut slots: Vec<PeerSlot> = fan_out(responders, |(slot, peer_header)| {
-            catch_up_existing(
-                ctx,
-                file,
-                epoch,
-                region_data,
-                &router,
-                slot,
-                peer_header,
-                &header,
-                shipped,
-            )
-            .ok()
+            phases
+                .peer(peer_span, slot.scope, epoch, || {
+                    catch_up_existing(
+                        ctx,
+                        file,
+                        epoch,
+                        region_data,
+                        &router,
+                        slot,
+                        peer_header,
+                        &header,
+                        shipped,
+                    )
+                })
+                .ok()
         })
         .into_iter()
         .flatten()
         .collect();
-        phase(spans::NCL_RECOVER_REPLAY, epoch, replay_start);
+        phases.close(spans::NCL_RECOVER_CATCH_UP, epoch);
         // Replace unreachable/failed peers to restore the FT level.
-        let rearm_start = Instant::now();
-        let mut exclude: Vec<String> = entry.peers.clone();
-        exclude.extend(slots.iter().map(|s| s.name.clone()));
-        exclude.sort();
-        exclude.dedup();
+        let mut exclude = entry.peers.clone();
+        let names = [spans::NCL_RECOVER_GET_PEER, spans::NCL_RECOVER_CONNECT];
         while slots.len() < ctx.config.replicas() {
             let acquired = acquire_peer(
                 ctx,
@@ -180,12 +162,17 @@ impl NclLib {
                 region_data,
                 &cq,
                 &mut exclude,
-                &mut RepairStats::default(),
+                &mut phases,
+                names,
             );
             let Ok(mut slot) = acquired else {
                 break; // No spare peers; proceed degraded if quorate.
             };
-            if catch_up_fresh(ctx, &router, &mut slot, epoch, &header, shipped).is_ok() {
+            let caught_up = phases.peer(peer_span, slot.scope, epoch, || {
+                catch_up_fresh(ctx, &router, &mut slot, epoch, &header, shipped)
+            });
+            phases.close(spans::NCL_RECOVER_CATCH_UP, epoch);
+            if caught_up.is_ok() {
                 slots.push(slot);
             }
         }
@@ -196,42 +183,23 @@ impl NclLib {
                 ctx.config.quorum()
             )));
         }
-        stats.catch_up = sw.elapsed();
-        let sw = Stopwatch::start();
         let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
         ctx.controller
             .set_ap_entry(ctx.node, &ctx.app_id, file, names, epoch)?;
-        stats.update_ap_map = sw.elapsed();
+        phases.close(spans::NCL_RECOVER_AP_MAP, epoch);
+        let total = |name| phases.total(name);
+        let mut stats = RecoveryStats {
+            get_peer: total(spans::NCL_RECOVER_GET_PEER),
+            connect: total(spans::NCL_RECOVER_CONNECT),
+            rdma_read: total(spans::NCL_RECOVER_RDMA_READ),
+            catch_up: total(spans::NCL_RECOVER_CATCH_UP),
+            update_ap_map: total(spans::NCL_RECOVER_AP_MAP),
+            ..RecoveryStats::default()
+        };
         stats.sync_peer = stats.catch_up + stats.update_ap_map;
-        phase(spans::NCL_RECOVER_REARM, epoch, rearm_start);
-
-        let seq = image.seq;
-        tel.event_traced(
-            events::RECOVERY_FINISH,
-            scope,
-            epoch,
-            recover_trace,
-            format!(
-                "seq={seq} peers={} get_peer={:?} connect={:?} rdma_read={:?} catch_up={:?} \
-                 update_ap_map={:?}",
-                slots.len(),
-                stats.get_peer,
-                stats.connect,
-                stats.rdma_read,
-                stats.catch_up,
-                stats.update_ap_map
-            ),
-        );
-        tel.span(
-            recover_trace,
-            recover_trace,
-            0,
-            spans::NCL_RECOVER,
-            scope,
-            epoch,
-            recover_start,
-            Instant::now(),
-        );
+        let detail = format!("seq={} peers={} {stats:?}", image.seq, slots.len());
+        tel.event_traced(events::RECOVERY_FINISH, scope, epoch, phases.trace, detail);
+        phases.finish(spans::NCL_RECOVER, epoch);
         Ok(NclFile::open(
             &self.ctx, file, scope, image, scheme, slots, cq, epoch, stats,
         ))

@@ -3,13 +3,13 @@
 //! peer's stage-fill-switch — that recovery's rearm shares.
 
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use rdma::{CompletionQueue, RemoteMr, WcStatus, WrId};
-use sim::Stopwatch;
 use telemetry::{events, spans};
 
+use super::phases::Phases;
 use super::slots::{Flight, PeerSlot, RepWait, WcWait};
 use super::staging::{FlushReason, Stage};
 use super::{fan_out, Ctx, NclFile};
@@ -18,7 +18,8 @@ use crate::layout::{RegionHeader, HEADER_SIZE};
 use crate::peer::{PeerReq, PeerResp};
 use crate::NclError;
 
-/// Phase timings of the last peer replacement (Table 3's breakdown).
+/// Phase timings of the last peer replacement (Table 3's breakdown): the
+/// sums of the `ncl.repair` root's same-named children.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RepairStats {
     /// Getting a new peer from the controller.
@@ -53,34 +54,7 @@ impl NclFile {
         let ctx = &*self.ctx;
         let tel = &ctx.config.telemetry;
         let scope = self.metrics.scope;
-        let repair_trace = tel.next_trace_id();
-        let repair_start = Instant::now();
-        let mut stats = RepairStats::default();
-        // Closes one child span of the repair root, ending now.
-        let phase = |name: &'static str, scope: &'static str, epoch: u64, start: Instant| {
-            tel.span_auto(
-                repair_trace,
-                repair_trace,
-                name,
-                scope,
-                epoch,
-                start,
-                Instant::now(),
-            );
-        };
-        // Closes the repair root itself.
-        let close_root = |epoch: u64| {
-            tel.span(
-                repair_trace,
-                repair_trace,
-                0,
-                spans::NCL_REPAIR,
-                scope,
-                epoch,
-                repair_start,
-                Instant::now(),
-            );
-        };
+        let mut phases = Phases::start(tel, scope);
         // Catch-up stamps the image's tip, which covers any records still in
         // the pending burst (the staged image already contains their bytes).
         // Post the burst to the survivors first so the flush boundary and
@@ -111,18 +85,19 @@ impl NclFile {
                 events::PEER_REPLACE_START,
                 scope,
                 epoch,
-                repair_trace,
+                phases.trace,
                 format!("replacing [{}]", dead.join(", ")),
             );
             rep.peers.retain(|s| s.alive);
             rep.rebuild_qp_map();
-            let acquire_start = Instant::now();
+            phases.close(spans::NCL_REPAIR_FLUSH, epoch);
             let region_data = stage.scheme.region_data(self.capacity);
             // Each fresh peer inherits a dead slot's row — what the scheme
             // addresses its share of every burst by.
             let used: HashSet<u32> = rep.peers.iter().map(|s| s.row).collect();
             let mut free = (0..ctx.config.replicas() as u32).filter(|r| !used.contains(r));
             let mut fresh: Vec<PeerSlot> = Vec::new();
+            let names = [spans::NCL_REPAIR_GET_PEER, spans::NCL_REPAIR_CONNECT_MR];
             while rep.peers.len() + fresh.len() < ctx.config.replicas() {
                 let mut slot = acquire_peer(
                     ctx,
@@ -131,12 +106,12 @@ impl NclFile {
                     region_data,
                     &rep.cq,
                     &mut exclude,
-                    &mut stats,
+                    &mut phases,
+                    names,
                 )?;
                 slot.row = free.next().expect("one free row per fresh peer");
                 fresh.push(slot);
             }
-            phase(spans::NCL_REPAIR_ACQUIRE, scope, epoch, acquire_start);
             for s in &fresh {
                 rep.expecting.insert(s.qp.qp_num());
             }
@@ -146,18 +121,16 @@ impl NclFile {
         // Phase B (replication lock released): catch the fresh peers up in
         // parallel — each copy is a bulk RDMA write whose latency would
         // otherwise serialise.
-        let sw = Stopwatch::start();
-        let catchup_start = Instant::now();
         let wait = RepWait { file: self };
         let image = stage.scheme.ships_image().then(|| stage.image.valid());
         let results = fan_out(fresh.iter_mut(), |slot| {
-            let start = Instant::now();
-            let result = catch_up_fresh(ctx, &wait, slot, epoch, &header, image);
-            phase(spans::NCL_REPAIR_CATCHUP, slot.scope, epoch, start);
-            result
+            phases.peer(spans::NCL_REPAIR_CATCH_UP_PEER, slot.scope, epoch, || {
+                catch_up_fresh(ctx, &wait, slot, epoch, &header, image)
+            })
         });
-        stats.catch_up += sw.elapsed();
-        let catchup_end = Instant::now();
+        let catchup_start = phases.mark;
+        phases.close(spans::NCL_REPAIR_CATCH_UP, epoch);
+        let catchup_end = phases.mark;
 
         // Phase C: commit.
         let mut rep = self.rep_guard();
@@ -169,11 +142,9 @@ impl NclFile {
             // Survivors are kept; the fresh regions are abandoned (their
             // peers GC them by epoch). The caller defers or retries. Close
             // the repair root so its child spans stay reachable.
-            close_root(epoch);
+            phases.finish(spans::NCL_REPAIR, epoch);
             return Err(e);
         }
-        let sw = Stopwatch::start();
-        let commit_start = Instant::now();
         // Survivors first: bump their region epochs so e_r stays ≥ the
         // ap-map epoch (see peer::PeerReq::BumpEpoch).
         for slot in rep.peers.iter() {
@@ -186,13 +157,8 @@ impl NclFile {
                 },
             );
         }
-        tel.event_traced(
-            events::EPOCH_BUMP,
-            scope,
-            epoch,
-            repair_trace,
-            format!("bumped {} survivors", rep.peers.len()),
-        );
+        let detail = format!("bumped {} survivors", rep.peers.len());
+        tel.event_traced(events::EPOCH_BUMP, scope, epoch, phases.trace, detail);
         // Replaced-in peers never produced wire completions for records that
         // were in flight when they joined — the catch-up copy is what made
         // those records durable on them. Credit each such flight with a
@@ -218,19 +184,19 @@ impl NclFile {
         let names: Vec<String> = rep.peers.iter().map(|s| s.name.clone()).collect();
         ctx.controller
             .set_ap_entry(ctx.node, &ctx.app_id, &self.name, names.clone(), epoch)?;
-        stats.update_ap_map = sw.elapsed();
-        phase(spans::NCL_REPAIR_COMMIT, scope, epoch, commit_start);
+        phases.close(spans::NCL_REPAIR_AP_MAP, epoch);
+        let stats = RepairStats {
+            get_peer: phases.total(spans::NCL_REPAIR_GET_PEER),
+            connect_mr: phases.total(spans::NCL_REPAIR_CONNECT_MR),
+            catch_up: phases.total(spans::NCL_REPAIR_CATCH_UP),
+            update_ap_map: phases.total(spans::NCL_REPAIR_AP_MAP),
+        };
         tel.event_traced(
             events::PEER_REPLACE_FINISH,
             scope,
             epoch,
-            repair_trace,
-            format!(
-                "peers=[{}] catch_up={:?} update_ap_map={:?}",
-                names.join(", "),
-                stats.catch_up,
-                stats.update_ap_map
-            ),
+            phases.trace,
+            format!("peers=[{}] {stats:?}", names.join(", ")),
         );
 
         stage.scheme.adopt_reset(&header);
@@ -241,7 +207,7 @@ impl NclFile {
         rep.failure_seen = rep.peers.iter().any(|s| !s.alive);
         rep.last_repair = stats;
         rep.refresh_durable(&ctx.config, sim::time::now());
-        close_root(epoch);
+        phases.finish(spans::NCL_REPAIR, epoch);
         Ok(())
     }
 
@@ -269,7 +235,10 @@ impl NclFile {
 
 /// Obtains one fresh peer: ask the controller for candidates (their
 /// availability is only a hint), try to allocate `capacity` data bytes,
-/// connect a QP. The get-peer and connect phases accumulate into `stats`.
+/// connect a QP. On the caller's clock, each controller round closes a
+/// `get_peer` phase (a backoff wait counts toward the next round) and each
+/// allocation attempt a `connect` one.
+#[allow(clippy::too_many_arguments)]
 pub(super) fn acquire_peer(
     ctx: &Ctx,
     file: &str,
@@ -277,16 +246,16 @@ pub(super) fn acquire_peer(
     capacity: usize,
     cq: &CompletionQueue,
     exclude: &mut Vec<String>,
-    stats: &mut RepairStats,
+    phases: &mut Phases<'_>,
+    [get_peer, connect]: [&'static str; 2],
 ) -> Result<PeerSlot, NclError> {
     let need = (HEADER_SIZE + capacity) as u64;
     let mut backoff = Backoff::new(ctx.config.backoff_base, ctx.config.backoff_cap, epoch);
     loop {
-        let sw = Stopwatch::start();
         let candidates = ctx
             .controller
             .get_peers(ctx.node, &ctx.app_id, need, 4, exclude)?;
-        stats.get_peer += sw.elapsed();
+        phases.close(get_peer, epoch);
         if candidates.is_empty() {
             return Err(NclError::QuorumUnavailable(
                 "controller has no eligible peers".to_string(),
@@ -297,7 +266,6 @@ pub(super) fn acquire_peer(
             let Some(endpoint) = ctx.registry.lookup(&cand.name) else {
                 continue;
             };
-            let sw = Stopwatch::start();
             let resp = endpoint.rpc.call(
                 ctx.node,
                 PeerReq::Alloc {
@@ -308,13 +276,13 @@ pub(super) fn acquire_peer(
                 },
             );
             let Ok(PeerResp::Mr(mr)) = resp else {
-                stats.connect_mr += sw.elapsed();
+                phases.close(connect, epoch);
                 continue; // The hint was stale or the peer is down: retry.
             };
             // Connection setup is one more control round trip.
             ctx.config.control.charge(0);
             let slot = PeerSlot::connect(ctx, cand.name, endpoint, mr, cq);
-            stats.connect_mr += sw.elapsed();
+            phases.close(connect, epoch);
             return Ok(slot);
         }
         // Every candidate of this round was stale or down; back off before
@@ -336,7 +304,7 @@ pub(super) fn ship(
     body: Option<(usize, &[u8])>,
 ) -> Result<(), NclError> {
     let unavailable = |e: sim::SimError| NclError::Unavailable(e.to_string());
-    let seq = header.seq;
+    let (seq, id) = (header.seq, WrId(2 * header.seq + 1));
     if let Some((start, bytes)) = body.filter(|(_, bytes)| !bytes.is_empty()) {
         let data = Bytes::copy_from_slice(bytes);
         slot.qp
@@ -344,14 +312,8 @@ pub(super) fn ship(
             .map_err(unavailable)?;
     }
     let data = Bytes::copy_from_slice(&header.encode());
-    slot.qp
-        .post_write(WrId(2 * seq + 1), mr, 0, data)
-        .map_err(unavailable)?;
-    match wait.wait_for(
-        slot.qp.qp_num(),
-        WrId(2 * seq + 1),
-        ctx.config.write_timeout,
-    ) {
+    slot.qp.post_write(id, mr, 0, data).map_err(unavailable)?;
+    match wait.wait_for(slot.qp.qp_num(), id, ctx.config.write_timeout) {
         Some(wc) if wc.status == WcStatus::Success => Ok(()),
         _ => Err(NclError::Unavailable(format!(
             "header write to {} failed",
@@ -371,28 +333,14 @@ pub(super) fn catch_up_fresh(
     header: &RegionHeader,
     image: Option<&[u8]>,
 ) -> Result<(), NclError> {
-    let seq = header.seq;
-    ctx.config.telemetry.event(
-        events::CATCH_UP_START,
-        &slot.name,
-        epoch,
-        format!("fresh peer, {} bytes", image.map_or(0, <[u8]>::len)),
-    );
-    ship(
-        ctx,
-        wait,
-        slot,
-        &slot.mr,
-        header,
-        image.map(|bytes| (0, bytes)),
-    )?;
+    let (tel, seq) = (&ctx.config.telemetry, header.seq);
+    let detail = format!("fresh peer, {} bytes", image.map_or(0, <[u8]>::len));
+    tel.event(events::CATCH_UP_START, &slot.name, epoch, detail);
+    let body = image.map(|bytes| (0, bytes));
+    ship(ctx, wait, slot, &slot.mr, header, body)?;
     slot.completed_seq = seq;
-    ctx.config.telemetry.event(
-        events::CATCH_UP_FINISH,
-        &slot.name,
-        epoch,
-        format!("fresh peer caught up to seq={seq}"),
-    );
+    let detail = format!("fresh peer caught up to seq={seq}");
+    tel.event(events::CATCH_UP_FINISH, &slot.name, epoch, detail);
     Ok(())
 }
 
@@ -422,16 +370,10 @@ pub(super) fn catch_up_existing(
         && !header.overwritten
         && !peer_header.overwritten
         && peer_header.len <= header.len;
-    ctx.config.telemetry.event(
-        events::CATCH_UP_START,
-        &slot.name,
-        epoch,
-        format!(
-            "existing peer at seq={}, {}",
-            peer_header.seq,
-            if tail_only { "tail-diff" } else { "full copy" }
-        ),
-    );
+    let tel = &ctx.config.telemetry;
+    let copy = if tail_only { "tail-diff" } else { "full copy" };
+    let detail = format!("existing peer at seq={}, {copy}", peer_header.seq);
+    tel.event(events::CATCH_UP_START, &slot.name, epoch, detail);
     let resp = slot.endpoint.rpc.call(
         ctx.node,
         PeerReq::Prepare {
@@ -465,12 +407,8 @@ pub(super) fn catch_up_existing(
     );
     match resp {
         Ok(PeerResp::Ok) => {
-            ctx.config.telemetry.event(
-                events::CATCH_UP_FINISH,
-                &slot.name,
-                epoch,
-                format!("existing peer caught up to seq={}", header.seq),
-            );
+            let detail = format!("existing peer caught up to seq={}", header.seq);
+            tel.event(events::CATCH_UP_FINISH, &slot.name, epoch, detail);
             Ok(PeerSlot {
                 mr: staged,
                 completed_seq: header.seq,

@@ -158,8 +158,10 @@ fn peer_kill_mid_burst_traces_detect_catchup_apmap_in_order() {
         "replacement leaves a repair root span"
     );
     assert!(
-        spans.iter().any(|s| s.name == spans::NCL_REPAIR_CATCHUP),
-        "repair catch-up child span present"
+        spans
+            .iter()
+            .any(|s| s.name == spans::NCL_REPAIR_CATCH_UP_PEER && s.scope != "traced/wal"),
+        "per-peer repair catch-up span present"
     );
 }
 
@@ -218,9 +220,9 @@ fn recovery_after_app_crash_traces_start_and_finish() {
         .take(finish - start)
         .any(|e| e.kind == events::CATCH_UP_START));
 
-    // Recovery leaves a span tree of its own: a root with the fetch /
-    // replay / rearm phase children, all under one trace id, clean under
-    // the analyzer.
+    // Recovery leaves a span tree of its own: a root with the get-peer /
+    // connect / rdma-read / catch-up / ap-map phase children, all under one
+    // trace id, clean under the analyzer.
     let spans = config.telemetry.spans();
     let root = spans
         .iter()
@@ -230,9 +232,11 @@ fn recovery_after_app_crash_traces_start_and_finish() {
     assert_eq!(root.parent, 0);
     assert_eq!(root.scope, "traced/wal");
     for child in [
-        spans::NCL_RECOVER_FETCH,
-        spans::NCL_RECOVER_REPLAY,
-        spans::NCL_RECOVER_REARM,
+        spans::NCL_RECOVER_GET_PEER,
+        spans::NCL_RECOVER_CONNECT,
+        spans::NCL_RECOVER_RDMA_READ,
+        spans::NCL_RECOVER_CATCH_UP,
+        spans::NCL_RECOVER_AP_MAP,
     ] {
         let c = spans
             .iter()

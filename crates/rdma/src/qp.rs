@@ -882,7 +882,7 @@ mod tests {
                 data: Bytes::from(i.to_le_bytes().to_vec()),
             })
             .collect();
-        let sw = sim::Stopwatch::start();
+        let sw = Instant::now();
         qp.post_many(&wrs).unwrap();
         let wcs = wait_n(&cq, 8);
         let elapsed = sw.elapsed();
@@ -1114,7 +1114,7 @@ mod tests {
         cluster.install_faults(FaultScheduler::new(&plan, binding));
         let cq = CompletionQueue::new();
         let qp = QueuePair::connect(cluster.clone(), app, &dev, cq.clone(), LatencyModel::ZERO);
-        let sw = sim::Stopwatch::start();
+        let sw = Instant::now();
         qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"x"))
             .unwrap();
         assert!(
@@ -1132,7 +1132,7 @@ mod tests {
         let cq = CompletionQueue::new();
         let lat = LatencyModel::from_nanos(200_000, 0.0, 0.0);
         let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), lat);
-        let sw = sim::Stopwatch::start();
+        let sw = Instant::now();
         qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"x"))
             .unwrap();
         let wcs = wait_n(&cq, 1);

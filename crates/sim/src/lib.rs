@@ -52,7 +52,7 @@ pub use latency::LatencyModel;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use rpc::{RpcClient, RpcServer};
 pub use stats::ThroughputSampler;
-pub use time::{delay, delay_until, now_nanos, Stopwatch};
+pub use time::{delay, delay_until};
 
 /// The bytes a read of `len` at `offset` gets from a file of `size` bytes,
 /// as a range into the file: short at end of file, empty at or past it.

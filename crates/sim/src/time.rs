@@ -1,4 +1,9 @@
-//! Wall-clock helpers and calibrated delay primitives.
+//! The clock door and calibrated delay primitives.
+//!
+//! [`now`] is the clock door: the record path's instants and the control
+//! path's phase boundaries are read through it, so an audit can count
+//! them. Benches and tests that time an interval of their own read
+//! `Instant::now()` directly.
 //!
 //! The simulation charges latencies by actually waiting, so that throughput
 //! and latency measured by the benchmark harnesses reflect the configured
@@ -7,7 +12,7 @@
 //! delays fall back to `thread::sleep`.
 
 use std::cell::Cell;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 /// Delays at or below this poll the clock in a tight loop — short enough
 /// that the burned CPU is negligible, and exact even on a loaded host.
@@ -90,59 +95,13 @@ fn wait(mut now: Instant, deadline: Instant) -> Instant {
     now
 }
 
-/// Nanoseconds since the Unix epoch; used for coarse event timestamps in
-/// traces and logs (monotonic measurement uses [`Stopwatch`]).
-pub fn now_nanos() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0)
-}
-
-/// A small monotonic stopwatch for measuring elapsed intervals.
-///
-/// # Examples
-///
-/// ```
-/// let sw = sim::Stopwatch::start();
-/// let _elapsed = sw.elapsed();
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Starts a new stopwatch at the current instant.
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed time since [`Stopwatch::start`].
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Elapsed time in whole nanoseconds (saturating).
-    pub fn elapsed_nanos(&self) -> u64 {
-        self.elapsed().as_nanos() as u64
-    }
-
-    /// Elapsed time in microseconds as a float, convenient for reporting.
-    pub fn elapsed_micros_f64(&self) -> f64 {
-        self.elapsed().as_secs_f64() * 1e6
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn zero_delay_returns_immediately() {
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         delay(Duration::ZERO);
         assert!(sw.elapsed() < Duration::from_millis(5));
     }
@@ -150,7 +109,7 @@ mod tests {
     #[test]
     fn short_delay_is_at_least_requested() {
         let want = Duration::from_micros(50);
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         delay(want);
         assert!(sw.elapsed() >= want);
     }
@@ -158,7 +117,7 @@ mod tests {
     #[test]
     fn long_delay_is_at_least_requested() {
         let want = Duration::from_millis(2);
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         delay(want);
         assert!(sw.elapsed() >= want);
         // Not absurdly longer either (sleep + spin tail should be tight).
@@ -199,18 +158,5 @@ mod tests {
         assert_eq!(reads, 2);
         let ((), reads) = audited(|| {});
         assert_eq!(reads, 0);
-    }
-
-    #[test]
-    fn stopwatch_monotonic() {
-        let sw = Stopwatch::start();
-        let a = sw.elapsed_nanos();
-        let b = sw.elapsed_nanos();
-        assert!(b >= a);
-    }
-
-    #[test]
-    fn now_nanos_nonzero() {
-        assert!(now_nanos() > 0);
     }
 }

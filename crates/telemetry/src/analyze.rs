@@ -211,18 +211,23 @@ impl TraceReport {
     /// children indented, each line showing count / total / mean / share of
     /// its root's total time.
     pub fn render_flame(&self) -> String {
-        // Indentation by well-known parentage; unknown names sit at depth 0.
+        // Indentation by well-known parentage: roots, their phases, and
+        // the per-peer catch-ups under a control path's `catch_up` phase.
         fn depth(name: &str) -> usize {
             match name {
                 spans::NCL_WRITE
+                | spans::NCL_CREATE
                 | spans::NCL_REPAIR
                 | spans::NCL_RECOVER
                 | spans::FS_REATTACH_REPLAY => 0,
+                spans::NCL_RECOVER_CATCH_UP_PEER | spans::NCL_REPAIR_CATCH_UP_PEER => 2,
                 _ => 1,
             }
         }
         fn root_of(name: &str) -> &'static str {
-            if name.starts_with("ncl.repair") {
+            if name.starts_with("ncl.create") {
+                spans::NCL_CREATE
+            } else if name.starts_with("ncl.repair") {
                 spans::NCL_REPAIR
             } else if name.starts_with("ncl.recover") {
                 spans::NCL_RECOVER
@@ -373,6 +378,37 @@ mod tests {
         let report = analyze(&spans, &truncated, 2);
         assert!(report.ok() && report.truncated);
         assert!(report.render().contains("truncated window"));
+    }
+
+    #[test]
+    fn flame_places_control_roots_their_phases_and_per_peer_catch_ups() {
+        let spans = vec![
+            sp(30, 31, 30, spans::NCL_REPAIR_GET_PEER, "app/f"),
+            sp(30, 33, 32, spans::NCL_REPAIR_CATCH_UP_PEER, "peer-3"),
+            sp(30, 32, 30, spans::NCL_REPAIR_CATCH_UP, "app/f"),
+            sp(30, 30, 0, spans::NCL_REPAIR, "app/f"),
+            sp(40, 41, 40, spans::NCL_CREATE_CONNECT_MR, "app/f"),
+            sp(40, 40, 0, spans::NCL_CREATE, "app/f"),
+        ];
+        let report = analyze(&spans, &[], 2);
+        assert!(report.ok(), "{}", report.render());
+        let flame = report.render_flame();
+        let line = |name: &str| {
+            let at = |l: &&str| l.trim_start().starts_with(&format!("{name} "));
+            let (i, l) = flame.lines().enumerate().find(|(_, l)| at(l)).unwrap();
+            (i, l.len() - l.trim_start().len())
+        };
+        let (root, phase, peer) = (
+            line(spans::NCL_REPAIR),
+            line(spans::NCL_REPAIR_CATCH_UP),
+            line(spans::NCL_REPAIR_CATCH_UP_PEER),
+        );
+        assert!(root.0 < phase.0 && phase.0 < peer.0, "{flame}");
+        assert_eq!((phase.1 - root.1, peer.1 - root.1), (2, 4), "{flame}");
+        assert!(line(spans::NCL_CREATE).0 < line(spans::NCL_CREATE_CONNECT_MR).0);
+        // A phase's share is of its own root: 100 of the repair's 100 ns.
+        let get_peer = flame.lines().find(|l| l.contains("ncl.repair.get_peer"));
+        assert!(get_peer.unwrap().ends_with("100.0%"), "{flame}");
     }
 
     #[test]

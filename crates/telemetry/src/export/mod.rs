@@ -7,11 +7,8 @@
 //! * [`http`] — a tiny std-only blocking HTTP server exposing `/metrics`
 //!   (Prometheus), `/snapshot` (full JSON), and `/trace` (Chrome trace);
 //! * [`chrome`] — Chrome trace event format (`chrome://tracing`, Perfetto)
-//!   for span trees;
-//! * [`series`] — a bounded ring of per-window percentile snapshots so
-//!   p50/p99-over-time can be plotted across a chaos schedule.
+//!   for span trees.
 
 pub mod chrome;
 pub mod http;
 pub mod prometheus;
-pub mod series;

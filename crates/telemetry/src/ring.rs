@@ -1,6 +1,6 @@
 //! The crate's one bounded buffer: the event and span traces, the flight
-//! recorder's counter ticks, the SLO windows and the percentile series all
-//! keep "the last N" of something and let the oldest fall off the front.
+//! recorder's counter ticks and the SLO windows all keep "the last N" of
+//! something and let the oldest fall off the front.
 
 use std::collections::{vec_deque, VecDeque};
 

@@ -3,10 +3,10 @@
 //!
 //! A latency SLO here is "at most `budget` of samples may exceed
 //! `threshold_ns`". Each [`SloTracker`] snapshots its histogram at
-//! caller-driven ticks (the same windowing discipline as
-//! [`crate::export::series::PercentileSeries`]) and classifies the window's
-//! samples as good/bad via [`Histogram::count_at_most`] (bucket granularity,
-//! ~3%). The **burn rate** of a window span is
+//! caller-driven ticks, differences consecutive snapshots into one window
+//! ([`Histogram::diff`]; the crate's one window type) and classifies the
+//! window's samples as good/bad via [`Histogram::count_at_most`] (bucket
+//! granularity, ~3%). The **burn rate** of a window span is
 //!
 //! ```text
 //! burn = (bad samples / total samples) / budget
@@ -634,6 +634,39 @@ mod tests {
             last = tracker.observe(&advance(&mut cum, 0, 100));
         }
         assert_eq!(last.status, SloStatus::Breached);
+    }
+
+    /// Ticks race live writers: each window is a diff of cumulative
+    /// snapshots, so samples must be conserved — every sample lands in
+    /// exactly one window, none double-counted, none lost — no matter how
+    /// ticks interleave with recording.
+    #[test]
+    fn concurrent_writers_conserve_samples_across_windows() {
+        const WRITERS: usize = 4;
+        const PER_WRITER: u64 = 5_000;
+        let tel = Telemetry::new();
+        let h = tel.histogram("lat");
+        let mut tracker = SloTracker::new(SloSpec::new("t", "lat", 1_500, 0.1));
+        let mut seen = 0;
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let h = h.clone();
+                s.spawn(move || {
+                    for i in 0..PER_WRITER {
+                        h.record(1_000 + (w as u64 * PER_WRITER + i) % 977);
+                    }
+                });
+            }
+            // Tick concurrently with the writers from the scope's own
+            // thread; windows close at arbitrary interleavings.
+            for _ in 0..50 {
+                seen += tracker.observe(&h.load()).window_total;
+                std::thread::yield_now();
+            }
+        });
+        // One final tick drains whatever the racing ticks missed.
+        seen += tracker.observe(&h.load()).window_total;
+        assert_eq!(seen, WRITERS as u64 * PER_WRITER);
     }
 
     #[test]

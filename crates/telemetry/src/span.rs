@@ -2,11 +2,12 @@
 //!
 //! Every NCL record gets a `trace` id at `record_nowait`; each stage of its
 //! life (local staging, doorbell, per-peer wire flight, quorum ack) closes a
-//! [`Span`] carrying that id. Control-plane operations (repair, recovery,
-//! fallback replay) get their own trace ids so their child RPCs group the
-//! same way. Spans are recorded *complete* — at close, with both endpoints —
-//! which keeps the hot path to one ring push and makes the JSONL stream
-//! trivially replayable: no open/close pairing is needed by consumers.
+//! [`Span`] carrying that id. Control-plane operations (create, repair,
+//! recovery, fallback replay) get their own trace ids so their phases
+//! group the same way. Spans are recorded *complete* — at close, with both
+//! endpoints — which keeps the hot path to one ring push and makes the
+//! JSONL stream trivially replayable: no open/close pairing is needed by
+//! consumers.
 //!
 //! Conventions:
 //! * the **root** span of a trace has `id == trace` and `parent == 0`;
@@ -39,26 +40,54 @@ pub mod spans {
     /// credits replaced-in peers with coverage the wire span cannot see.
     pub const NCL_CATCHUP_PEER: &str = "ncl.catchup.peer";
 
-    /// Root span of one peer-replacement (repair) operation.
-    pub const NCL_REPAIR: &str = "ncl.repair";
-    /// Repair child: acquiring fresh peers from the controller.
-    pub const NCL_REPAIR_ACQUIRE: &str = "ncl.repair.acquire";
-    /// Repair child: catch-up of one fresh peer (scope = peer).
-    pub const NCL_REPAIR_CATCHUP: &str = "ncl.repair.catchup";
-    /// Repair child: epoch bump + ap-map update round-trip.
-    pub const NCL_REPAIR_COMMIT: &str = "ncl.repair.commit";
+    // The control-path roots. Each one's direct children are consecutive
+    // phases sharing their boundary instants, so they partition the root
+    // exactly, and `RecoveryStats` / `RepairStats` are their per-name sums.
+
+    /// Root span of one `NclLib::create`.
+    pub const NCL_CREATE: &str = "ncl.create";
+    /// Create child: a controller round for candidate peers (the first
+    /// one also covers the existence and epoch lookups).
+    pub const NCL_CREATE_GET_PEER: &str = "ncl.create.get_peer";
+    /// Create child: one region allocation and connect.
+    pub const NCL_CREATE_CONNECT_MR: &str = "ncl.create.connect_mr";
+    /// Create child (erasure coding): seeding every peer's initial header.
+    pub const NCL_CREATE_SEED: &str = "ncl.create.seed";
+    /// Create child: publishing the ap-map entry.
+    pub const NCL_CREATE_AP_MAP: &str = "ncl.create.ap_map";
 
     /// Root span of one post-crash recovery.
     pub const NCL_RECOVER: &str = "ncl.recover";
-    /// Recovery child: contacting the ap-map peers and RDMA-reading the
-    /// winning (max-sequence) image back.
-    pub const NCL_RECOVER_FETCH: &str = "ncl.recover.fetch";
-    /// Recovery child: replaying the recovered image onto lagging surviving
-    /// peers (catch-up-existing, tail-diff when eligible).
-    pub const NCL_RECOVER_REPLAY: &str = "ncl.recover.replay";
-    /// Recovery child: restoring the FT level with fresh peers and swinging
-    /// the ap-map to the new epoch.
-    pub const NCL_RECOVER_REARM: &str = "ncl.recover.rearm";
+    /// Recovery child: the ap-map lookup, or a controller round for a
+    /// replacement of a peer that did not respond.
+    pub const NCL_RECOVER_GET_PEER: &str = "ncl.recover.get_peer";
+    /// Recovery child: connecting to the ap-map peers and reading their
+    /// headers, or a replacement's region allocation and connect.
+    pub const NCL_RECOVER_CONNECT: &str = "ncl.recover.connect";
+    /// Recovery child: reconstructing the acked image from the responders.
+    pub const NCL_RECOVER_RDMA_READ: &str = "ncl.recover.rdma_read";
+    /// Recovery child: catching peers up to the image under the new epoch.
+    pub const NCL_RECOVER_CATCH_UP: &str = "ncl.recover.catch_up";
+    /// One peer's catch-up (scope = peer), a child of `catch_up`.
+    pub const NCL_RECOVER_CATCH_UP_PEER: &str = "ncl.recover.catch_up.peer";
+    /// Recovery child: the ap-map update to the new epoch.
+    pub const NCL_RECOVER_AP_MAP: &str = "ncl.recover.ap_map";
+
+    /// Root span of one peer-replacement (repair) operation.
+    pub const NCL_REPAIR: &str = "ncl.repair";
+    /// Repair child: flushing the pending burst and building the reset
+    /// header (with erasure coding, the spill snapshot) before acquiring.
+    pub const NCL_REPAIR_FLUSH: &str = "ncl.repair.flush";
+    /// Repair child: a controller round.
+    pub const NCL_REPAIR_GET_PEER: &str = "ncl.repair.get_peer";
+    /// Repair child: one region allocation and connect.
+    pub const NCL_REPAIR_CONNECT_MR: &str = "ncl.repair.connect_mr";
+    /// Repair child: catching the fresh peers up from the local image.
+    pub const NCL_REPAIR_CATCH_UP: &str = "ncl.repair.catch_up";
+    /// One fresh peer's catch-up (scope = peer), a child of `catch_up`.
+    pub const NCL_REPAIR_CATCH_UP_PEER: &str = "ncl.repair.catch_up.peer";
+    /// Repair child: survivors' epoch bump and the ap-map update.
+    pub const NCL_REPAIR_AP_MAP: &str = "ncl.repair.ap_map";
 
     /// Splitfs replaying fallback-journal records through NCL on reattach;
     /// root writes that start inside this span are replay traffic, exempt
@@ -67,21 +96,32 @@ pub mod spans {
 
     /// Every well-known name, used by the JSONL replay path to intern parsed
     /// name strings back to the canonical `&'static str` values.
-    pub const ALL: [&str; 15] = [
+    pub const ALL: [&str; 26] = [
         NCL_WRITE,
         NCL_STAGE,
         NCL_DOORBELL,
         NCL_WIRE_PEER,
         NCL_ACK,
         NCL_CATCHUP_PEER,
-        NCL_REPAIR,
-        NCL_REPAIR_ACQUIRE,
-        NCL_REPAIR_CATCHUP,
-        NCL_REPAIR_COMMIT,
+        NCL_CREATE,
+        NCL_CREATE_GET_PEER,
+        NCL_CREATE_CONNECT_MR,
+        NCL_CREATE_SEED,
+        NCL_CREATE_AP_MAP,
         NCL_RECOVER,
-        NCL_RECOVER_FETCH,
-        NCL_RECOVER_REPLAY,
-        NCL_RECOVER_REARM,
+        NCL_RECOVER_GET_PEER,
+        NCL_RECOVER_CONNECT,
+        NCL_RECOVER_RDMA_READ,
+        NCL_RECOVER_CATCH_UP,
+        NCL_RECOVER_CATCH_UP_PEER,
+        NCL_RECOVER_AP_MAP,
+        NCL_REPAIR,
+        NCL_REPAIR_FLUSH,
+        NCL_REPAIR_GET_PEER,
+        NCL_REPAIR_CONNECT_MR,
+        NCL_REPAIR_CATCH_UP,
+        NCL_REPAIR_CATCH_UP_PEER,
+        NCL_REPAIR_AP_MAP,
         FS_REATTACH_REPLAY,
     ];
 }

@@ -203,6 +203,105 @@ impl OpenLoopReport {
 /// Drives a [`KvApp`] with YCSB workloads.
 pub struct Runner;
 
+/// One client thread's seeded generator state and tallies. `run` and
+/// `run_open_loop` differ only in when they call [`Client::issue`] and
+/// which latency they tally.
+struct Client {
+    rng: Xoshiro256StarStar,
+    /// Updates must write *fresh* values (YCSB generates a new random field
+    /// per update); a counter salt keeps the generation deterministic
+    /// without repeating bytes.
+    update_salt: u64,
+    tally: Tally,
+}
+
+impl Client {
+    fn new(seed: u64, t: usize) -> Self {
+        Client {
+            rng: Xoshiro256StarStar::new(seed ^ (t as u64).wrapping_mul(0x9E37_79B9)),
+            update_salt: (t as u64) << 48,
+            tally: Tally::default(),
+        }
+    }
+
+    /// Draws the next operation of `workload` and issues it against `app`:
+    /// returns its kind, whether it failed, and its service time in ns.
+    /// Inserts extend `key_count` atomically across threads.
+    fn issue(
+        &mut self,
+        app: &dyn KvApp,
+        workload: &Workload,
+        key_count: &AtomicU64,
+        value_size: usize,
+    ) -> (OpKind, bool, u64) {
+        let rng = &mut self.rng;
+        let op = workload.next_op(rng);
+        let current = key_count.load(Ordering::Relaxed);
+        let sw = Instant::now();
+        let result = match op {
+            OpKind::Read => {
+                let k = workload.chooser.next(rng, current);
+                app.read(&key_of(k)).map(|_| ())
+            }
+            OpKind::Update => {
+                let k = workload.chooser.next(rng, current);
+                self.update_salt += 1;
+                app.update(&key_of(k), &value_of(k ^ self.update_salt, value_size))
+            }
+            OpKind::Insert => {
+                let k = key_count.fetch_add(1, Ordering::Relaxed);
+                app.insert(&key_of(k), &value_of(k, value_size))
+            }
+            OpKind::ReadModifyWrite => {
+                let k = workload.chooser.next(rng, current);
+                self.update_salt += 1;
+                app.read_modify_write(&key_of(k), &value_of(k ^ self.update_salt, value_size))
+            }
+        };
+        (op, result.is_err(), sw.elapsed().as_nanos() as u64)
+    }
+}
+
+/// Per-thread tallies, merged once the threads join.
+#[derive(Default)]
+struct Tally {
+    /// Every op's latency: service time closed-loop, corrected open-loop.
+    all: Histogram,
+    /// Service time, kept apart open-loop only.
+    service: Histogram,
+    reads: Histogram,
+    writes: Histogram,
+    ops: u64,
+    errors: u64,
+    abandoned: u64,
+}
+
+impl Tally {
+    fn record(&mut self, op: OpKind, failed: bool, ns: u64) {
+        self.all.record(ns);
+        match op {
+            OpKind::Read => self.reads.record(ns),
+            _ => self.writes.record(ns),
+        }
+        self.ops += 1;
+        self.errors += u64::from(failed);
+    }
+
+    fn merge(tallies: Vec<Tally>) -> Tally {
+        let mut sum = Tally::default();
+        for t in tallies {
+            sum.all.merge(&t.all);
+            sum.service.merge(&t.service);
+            sum.reads.merge(&t.reads);
+            sum.writes.merge(&t.writes);
+            sum.ops += t.ops;
+            sum.errors += t.errors;
+            sum.abandoned += t.abandoned;
+        }
+        sum
+    }
+}
+
 impl Runner {
     /// Loads `spec.record_count` records (`user…` keys, fixed-size values).
     pub fn load(app: &dyn KvApp, spec: &LoadSpec) -> Result<(), apps::AppError> {
@@ -241,76 +340,24 @@ impl Runner {
                 spec.duration + Duration::from_secs(1),
             ))
         });
-        struct ThreadOut {
-            all: Histogram,
-            reads: Histogram,
-            writes: Histogram,
-            ops: u64,
-            errors: u64,
-        }
         let start = Instant::now();
-        let outs: Vec<ThreadOut> = std::thread::scope(|scope| {
+        let tallies: Vec<Tally> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..spec.threads.max(1) {
                 let stop = &stop;
                 let key_count = &key_count;
                 let sampler = sampler.clone();
                 handles.push(scope.spawn(move || {
-                    let mut rng =
-                        Xoshiro256StarStar::new(spec.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-                    let mut out = ThreadOut {
-                        all: Histogram::new(),
-                        reads: Histogram::new(),
-                        writes: Histogram::new(),
-                        ops: 0,
-                        errors: 0,
-                    };
-                    // Updates must write *fresh* values (YCSB generates a
-                    // new random field per update); a counter salt keeps the
-                    // generation deterministic without repeating bytes.
-                    let mut update_salt: u64 = (t as u64) << 48;
+                    let mut client = Client::new(spec.seed, t);
                     while !stop.load(Ordering::Relaxed) {
-                        let op = workload.next_op(&mut rng);
-                        let current = key_count.load(Ordering::Relaxed);
-                        let sw = Instant::now();
-                        let result = match op {
-                            OpKind::Read => {
-                                let k = workload.chooser.next(&mut rng, current);
-                                app.read(&key_of(k)).map(|_| ())
-                            }
-                            OpKind::Update => {
-                                let k = workload.chooser.next(&mut rng, current);
-                                update_salt += 1;
-                                app.update(&key_of(k), &value_of(k ^ update_salt, spec.value_size))
-                            }
-                            OpKind::Insert => {
-                                let k = key_count.fetch_add(1, Ordering::Relaxed);
-                                app.insert(&key_of(k), &value_of(k, spec.value_size))
-                            }
-                            OpKind::ReadModifyWrite => {
-                                let k = workload.chooser.next(&mut rng, current);
-                                update_salt += 1;
-                                app.read_modify_write(
-                                    &key_of(k),
-                                    &value_of(k ^ update_salt, spec.value_size),
-                                )
-                            }
-                        };
-                        let elapsed = sw.elapsed().as_nanos() as u64;
-                        out.all.record(elapsed);
-                        match op {
-                            OpKind::Read => out.reads.record(elapsed),
-                            _ => out.writes.record(elapsed),
-                        }
-                        out.ops += 1;
-                        if result.is_err() {
-                            out.errors += 1;
-                        }
+                        let (op, failed, ns) =
+                            client.issue(app, workload, key_count, spec.value_size);
+                        client.tally.record(op, failed, ns);
                         if let Some(s) = &sampler {
                             s.record();
                         }
                     }
-                    out
+                    client.tally
                 }));
             }
             // Timekeeper.
@@ -322,27 +369,15 @@ impl Runner {
                 .collect()
         });
         let elapsed = start.elapsed();
-
-        let mut all = Histogram::new();
-        let mut reads = Histogram::new();
-        let mut writes = Histogram::new();
-        let mut ops = 0;
-        let mut errors = 0;
-        for o in outs {
-            all.merge(&o.all);
-            reads.merge(&o.reads);
-            writes.merge(&o.writes);
-            ops += o.ops;
-            errors += o.errors;
-        }
+        let sum = Tally::merge(tallies);
         Report {
             workload: workload.name.to_string(),
-            ops,
-            errors,
+            ops: sum.ops,
+            errors: sum.errors,
             elapsed,
-            latency: all.summary(),
-            read_latency: reads.summary(),
-            write_latency: writes.summary(),
+            latency: sum.all.summary(),
+            read_latency: sum.reads.summary(),
+            write_latency: sum.writes.summary(),
             series: sampler.map(|s| s.series()).unwrap_or_default(),
         }
     }
@@ -375,97 +410,44 @@ impl Runner {
         let horizon_ns = spec.duration.as_nanos() as u64;
         let overrun_deadline = spec.duration + spec.max_overrun;
 
-        struct ThreadOut {
-            corrected: Histogram,
-            service: Histogram,
-            reads: Histogram,
-            writes: Histogram,
-            ops: u64,
-            errors: u64,
-            abandoned: u64,
-        }
         let start = Instant::now();
-        let outs: Vec<ThreadOut> = std::thread::scope(|scope| {
+        let tallies: Vec<Tally> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..clients {
                 let key_count = &key_count;
                 let sink = spec.sink.clone();
                 handles.push(scope.spawn(move || {
-                    let mut rng =
-                        Xoshiro256StarStar::new(spec.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-                    let mut out = ThreadOut {
-                        corrected: Histogram::new(),
-                        service: Histogram::new(),
-                        reads: Histogram::new(),
-                        writes: Histogram::new(),
-                        ops: 0,
-                        errors: 0,
-                        abandoned: 0,
-                    };
-                    let mut update_salt: u64 = (t as u64) << 48;
+                    let mut client = Client::new(spec.seed, t);
                     let gap = |rng: &mut Xoshiro256StarStar| {
                         per_client.next_gap_ns(rng).expect("open-loop schedule")
                     };
-                    let mut intended_ns = gap(&mut rng);
+                    let mut intended_ns = gap(&mut client.rng);
                     while intended_ns < horizon_ns {
                         if start.elapsed() > overrun_deadline {
                             // Hopelessly behind the schedule: stop issuing
                             // and count the rest of the horizon honestly.
-                            out.abandoned += 1;
+                            client.tally.abandoned += 1;
                             while {
-                                intended_ns = intended_ns.saturating_add(gap(&mut rng));
+                                intended_ns = intended_ns.saturating_add(gap(&mut client.rng));
                                 intended_ns < horizon_ns
                             } {
-                                out.abandoned += 1;
+                                client.tally.abandoned += 1;
                             }
                             break;
                         }
                         wait_until(start, Duration::from_nanos(intended_ns));
-                        let op = workload.next_op(&mut rng);
-                        let current = key_count.load(Ordering::Relaxed);
-                        let sw = Instant::now();
-                        let result = match op {
-                            OpKind::Read => {
-                                let k = workload.chooser.next(&mut rng, current);
-                                app.read(&key_of(k)).map(|_| ())
-                            }
-                            OpKind::Update => {
-                                let k = workload.chooser.next(&mut rng, current);
-                                update_salt += 1;
-                                app.update(&key_of(k), &value_of(k ^ update_salt, spec.value_size))
-                            }
-                            OpKind::Insert => {
-                                let k = key_count.fetch_add(1, Ordering::Relaxed);
-                                app.insert(&key_of(k), &value_of(k, spec.value_size))
-                            }
-                            OpKind::ReadModifyWrite => {
-                                let k = workload.chooser.next(&mut rng, current);
-                                update_salt += 1;
-                                app.read_modify_write(
-                                    &key_of(k),
-                                    &value_of(k ^ update_salt, spec.value_size),
-                                )
-                            }
-                        };
-                        let service_ns = sw.elapsed().as_nanos() as u64;
+                        let (op, failed, service_ns) =
+                            client.issue(app, workload, key_count, spec.value_size);
                         let done_ns = start.elapsed().as_nanos() as u64;
                         let corrected_ns = done_ns.saturating_sub(intended_ns);
-                        out.corrected.record(corrected_ns);
-                        out.service.record(service_ns);
-                        match op {
-                            OpKind::Read => out.reads.record(corrected_ns),
-                            _ => out.writes.record(corrected_ns),
-                        }
+                        client.tally.record(op, failed, corrected_ns);
+                        client.tally.service.record(service_ns);
                         if let Some(sink) = &sink {
                             sink.record(corrected_ns);
                         }
-                        out.ops += 1;
-                        if result.is_err() {
-                            out.errors += 1;
-                        }
-                        intended_ns = intended_ns.saturating_add(gap(&mut rng));
+                        intended_ns = intended_ns.saturating_add(gap(&mut client.rng));
                     }
-                    out
+                    client.tally
                 }));
             }
             handles
@@ -474,32 +456,18 @@ impl Runner {
                 .collect()
         });
         let elapsed = start.elapsed();
-
-        let mut corrected = Histogram::new();
-        let mut service = Histogram::new();
-        let mut reads = Histogram::new();
-        let mut writes = Histogram::new();
-        let (mut ops, mut errors, mut abandoned) = (0, 0, 0);
-        for o in outs {
-            corrected.merge(&o.corrected);
-            service.merge(&o.service);
-            reads.merge(&o.reads);
-            writes.merge(&o.writes);
-            ops += o.ops;
-            errors += o.errors;
-            abandoned += o.abandoned;
-        }
+        let sum = Tally::merge(tallies);
         OpenLoopReport {
             workload: workload.name.to_string(),
-            ops,
-            errors,
-            abandoned,
+            ops: sum.ops,
+            errors: sum.errors,
+            abandoned: sum.abandoned,
             elapsed,
-            offered_rate: (ops + abandoned) as f64 / spec.duration.as_secs_f64().max(1e-9),
-            corrected,
-            service,
-            corrected_reads: reads,
-            corrected_writes: writes,
+            offered_rate: (sum.ops + sum.abandoned) as f64 / spec.duration.as_secs_f64().max(1e-9),
+            corrected: sum.all,
+            service: sum.service,
+            corrected_reads: sum.reads,
+            corrected_writes: sum.writes,
         }
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --release --example kvstore_failover`
 
+use std::time::Instant;
+
 use splitft::apps::minirocks::{MiniRocks, RocksOptions};
-use splitft::sim::Stopwatch;
 use splitft::splitfs::{Mode, Testbed, TestbedConfig};
 
 fn main() {
@@ -26,12 +27,12 @@ fn main() {
         let (fs, node) = tb.mount(mode, &app_id);
         let db = MiniRocks::open(fs, &prefix, RocksOptions::default()).unwrap();
 
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         for i in 0..writes {
             db.put(format!("key{i:06}").as_bytes(), b"acknowledged-to-client")
                 .unwrap();
         }
-        let per_op_us = sw.elapsed_micros_f64() / writes as f64;
+        let per_op_us = sw.elapsed().as_secs_f64() * 1e6 / writes as f64;
 
         // Crash the application server without a clean shutdown.
         tb.cluster.crash(node);

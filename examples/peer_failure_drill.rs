@@ -68,7 +68,7 @@ fn main() {
     tb.cluster.crash(tb.peer_named(&names[0]).unwrap().node());
     tb.cluster.crash(tb.peer_named(&names[1]).unwrap().node());
     tb.add_peer("reinforcement");
-    let sw = splitft::sim::Stopwatch::start();
+    let sw = std::time::Instant::now();
     file.record(37, b"fourth-batch;").unwrap();
     println!(
         "write blocked {:?} while NCL restored a quorum; peers now {:?}",
