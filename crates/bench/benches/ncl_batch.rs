@@ -4,14 +4,14 @@
 //! Burst-size sweep {1, 4, 16, 64}, posts not waiting. Records are small
 //! (32 B) so the fixed-location header write (64 wire bytes) is larger than
 //! the data it covers — the regime where batching pays: a flushed burst
-//! posts one scatter-gather data WR plus a **single** header WR with one
+//! posts one data WR cut from the image plus a **single** header WR with one
 //! doorbell (`post_many`), so header traffic and doorbells amortize over
 //! the burst.
 //!
 //! The wire model charges serialization per byte with one propagation
 //! overlap per doorbell batch, and the fabric bandwidth is scaled down
 //! (100 ns/B) so serialization dominates host scheduler jitter. Appends are
-//! contiguous, so each burst's data WRs merge into one scatter-gather WR.
+//! contiguous, so each burst is one run: one data WR.
 //!
 //! A per-stage latency breakdown at burst 16 rides along as
 //! `stage_breakdown`, and a durability axis (replicated / ec-2of3 /

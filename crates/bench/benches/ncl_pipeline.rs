@@ -10,12 +10,12 @@
 //!    post batches through `record_nowait` and fence once with `fsync`. The
 //!    window-4-over-1 speedup is printed and recorded, not asserted:
 //!    splitbench is the repository's only judge of time.
-//! 2. **Allocation count** — the record hot path assembles one shared wire
-//!    image per record and one header per burst, so posting to any number
-//!    of peers costs a constant number of heap allocations, and absorbing
-//!    their completions none. A counting global allocator holds the line
-//!    against regressions such as re-introducing per-peer, per-WR or
-//!    per-completion buffers.
+//! 2. **Allocation count** — the record hot path copies a record once, into
+//!    the staging image, and every post borrows from there, so posting to
+//!    any number of peers allocates nothing, and absorbing their
+//!    completions nothing either. A counting global allocator holds the
+//!    line against regressions such as re-introducing a payload copy or
+//!    per-peer, per-WR or per-completion buffers.
 //!
 //! Emits `BENCH_ncl_pipeline.json` for CI trend tracking.
 
@@ -157,13 +157,15 @@ fn allocation_count(c: &mut Criterion) {
     // stable and dominated by the record path itself.
     let zero = allocations_per_record(TestbedConfig::zero(3), "bench-pipe-alloc");
     println!("ncl_pipeline: {zero:.2} heap allocations per 3-peer record");
-    // Measured 4.00: the record's wire image and the burst's header, each
-    // a Vec plus its Arc. The completion path (queue, poll buffer, watermark
-    // scratch, flights, spans) reuses its buffers. The count repeats
-    // exactly, so the bound is the measurement plus one: anything above it
-    // means a copy or a per-completion buffer crept back in.
+    // Measured 0.00: nothing is left. The record is staged into the image
+    // and every post borrows from it, the header is encoded on the stack,
+    // a doorbell's requests are built as they are posted, and the
+    // completion path (queue, poll buffer, watermark scratch, flights,
+    // spans) reuses its buffers. The count repeats exactly, so the bound is
+    // the measurement plus one: anything above it means a copy or a
+    // per-completion buffer crept back in.
     assert!(
-        zero <= 5.0,
+        zero <= 1.0,
         "record path allocation regression: {zero:.2} allocs/record"
     );
     // The calibrated twin: there the barrier waits for its flights to land,

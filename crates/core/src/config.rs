@@ -92,10 +92,14 @@ pub struct NclConfig {
     /// Local buffer memcpy cost per record (the in-memory staging write).
     pub local_copy: LatencyModel,
     /// Maximum records a [`record_nowait`](crate::NclFile::record_nowait)
-    /// caller may have posted but not yet durable before the next post
-    /// blocks draining the window. `record` (the synchronous path) ignores
-    /// it. Depth 1 allows one outstanding record; the paper's baseline
-    /// protocol corresponds to the synchronous `record` call.
+    /// caller may have staged or posted but not yet durable before the next
+    /// one blocks draining the window, and the longest burst: a burst that
+    /// reaches it is posted. `record` (the synchronous path) ignores it.
+    /// Depth 1 allows one outstanding record; the paper's baseline protocol
+    /// corresponds to the synchronous `record` call. A pending record is a
+    /// range of the staging image, not a copy, so a deep window costs no
+    /// memory: both profiles default to 64, which holds a 16-record group
+    /// commit in one burst and one barrier.
     pub pipeline_window: u64,
     /// Once made an RDMA post wait for its own completions. Kept for source
     /// compatibility; no effect: no post waits, the durability barrier does.
@@ -133,7 +137,7 @@ impl NclConfig {
             backoff_cap: Duration::from_millis(100),
             reattach_probe: Duration::from_millis(250),
             local_copy: LatencyModel::from_nanos(250, 120.0, 0.0),
-            pipeline_window: 8,
+            pipeline_window: 64,
             inline_nic: false,
             peer_lease: Duration::from_secs(120),
             telemetry: Telemetry::new(),
@@ -156,7 +160,7 @@ impl NclConfig {
             backoff_cap: Duration::from_millis(50),
             reattach_probe: Duration::from_millis(50),
             local_copy: LatencyModel::ZERO,
-            pipeline_window: 8,
+            pipeline_window: 64,
             inline_nic: false,
             peer_lease: Duration::from_secs(30),
             telemetry: Telemetry::new(),

@@ -42,12 +42,13 @@
 //!
 //! ## Batched submission
 //!
-//! `record_nowait` does not post to the NIC at all: it stages the record
-//! into a pending burst, and the whole burst is posted with **one doorbell
-//! per peer** ([`rdma::QueuePair::post_many`]) when the burst reaches the
-//! pipeline window, when a barrier needs it, or when the application rings
-//! the doorbell explicitly ([`NclFile::submit`]). Within a burst,
-//! remotely-contiguous data WRs are merged into scatter-gather WRs, and
+//! `record_nowait` does not post to the NIC at all: it copies the record
+//! into the staging image, its only copy, and adds the range it wrote to a
+//! pending burst. The whole burst is posted with **one doorbell per peer**
+//! ([`rdma::QueuePair::post_many_at`]) when the burst reaches the pipeline
+//! window, when a barrier needs it, or when the application rings the
+//! doorbell explicitly ([`NclFile::submit`]). Within a burst, each run of
+//! remotely-contiguous ranges is one write borrowed from the image, and
 //! only the burst-final record's header is encoded and posted: all headers
 //! overwrite the same fixed location, recovery reads only the latest one,
 //! and the prefix rule above needs only the highest sequence number per

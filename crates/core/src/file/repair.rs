@@ -5,8 +5,7 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use bytes::Bytes;
-use rdma::{CompletionQueue, RemoteMr, WcStatus, WrId};
+use rdma::{CompletionQueue, RemoteMr, WcStatus, WorkRequest, WrId};
 use telemetry::{events, spans};
 
 use super::phases::Phases;
@@ -293,8 +292,9 @@ pub(super) fn acquire_peer(
 
 /// Writes `body` (bytes to place at data offset `.0`) and then `header`
 /// into `mr` over the slot's queue pair and waits for the header to
-/// complete. The WR ids are the header sequence's, so on a live file the
-/// normal completion path credits the peer with `header.seq`.
+/// complete. Both writes borrow: the body from the caller's image, the
+/// header from the stack. The WR ids are the header sequence's, so on a
+/// live file the normal completion path credits the peer with `header.seq`.
 pub(super) fn ship(
     ctx: &Ctx,
     wait: &dyn WcWait,
@@ -303,16 +303,22 @@ pub(super) fn ship(
     header: &RegionHeader,
     body: Option<(usize, &[u8])>,
 ) -> Result<(), NclError> {
-    let unavailable = |e: sim::SimError| NclError::Unavailable(e.to_string());
+    let write = |wr_id, offset, data: &[u8]| {
+        let wr = WorkRequest::Write {
+            wr_id,
+            mr: *mr,
+            offset,
+            data: data.into(),
+        };
+        slot.qp
+            .post_many(&[wr])
+            .map_err(|e| NclError::Unavailable(e.to_string()))
+    };
     let (seq, id) = (header.seq, WrId(2 * header.seq + 1));
     if let Some((start, bytes)) = body.filter(|(_, bytes)| !bytes.is_empty()) {
-        let data = Bytes::copy_from_slice(bytes);
-        slot.qp
-            .post_write(WrId(2 * seq), mr, HEADER_SIZE + start, data)
-            .map_err(unavailable)?;
+        write(WrId(2 * seq), HEADER_SIZE + start, bytes)?;
     }
-    let data = Bytes::copy_from_slice(&header.encode());
-    slot.qp.post_write(id, mr, 0, data).map_err(unavailable)?;
+    write(id, 0, &header.encode())?;
     match wait.wait_for(slot.qp.qp_num(), id, ctx.config.write_timeout) {
         Some(wc) if wc.status == WcStatus::Success => Ok(()),
         _ => Err(NclError::Unavailable(format!(

@@ -7,15 +7,16 @@
 //! pipeline that asks it three things:
 //!
 //! 1. **How is a burst encoded into per-peer work requests**
-//!    ([`Scheme::begin_burst`] / [`Burst::peer_wrs`]), how large a region
+//!    ([`Scheme::begin_burst`] / [`Burst::post`]), how large a region
 //!    a peer lends ([`Scheme::region_data`]), and what a fresh or caught-up
 //!    peer receives ([`Scheme::initial_header`], [`Scheme::reset_header`],
-//!    [`Scheme::ships_image`]). Replicated: merged data WRs plus the
-//!    burst-final header, and a full copy of the image. Erasure-coded: one
-//!    fragment entry (this peer's row of the stripe) appended to the
-//!    active generation half plus the header, and — because a fresh peer's
-//!    row of every past stripe is gone — a spill snapshot followed by a
-//!    generation-reset header instead of a copy. The generation/spill
+//!    [`Scheme::ships_image`]). Replicated: one data WR per contiguous run
+//!    of the image plus the burst-final header, and a full copy of the
+//!    image. Erasure-coded: one fragment entry (this peer's row of the
+//!    stripe) appended to the active generation half plus the header, and
+//!    — because a fresh peer's row of every past stripe is gone — a spill
+//!    snapshot followed by a generation-reset header instead of a copy.
+//!    The generation/spill
 //!    state this needs lives inside the `Ec` variant.
 //! 2. **When is a prefix acked**: the pure functions [`peers_per_file`],
 //!    [`ack_quorum`], [`recovery_quorum`] and [`ack_watermark`].
@@ -28,10 +29,10 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use rdma::{RemoteMr, WcStatus, WorkRequest, WrId};
+use rdma::{WcStatus, WorkRequest, WrId};
+use sim::SimError;
 use telemetry::{events, Counter, Telemetry};
 
 use super::slots::{PeerSlot, Responders, WcRouter, WcWait};
@@ -184,13 +185,12 @@ struct PendingSpill {
     failed: Arc<AtomicBool>,
 }
 
-/// One flushed burst, encoded once and then translated into each peer's
-/// work requests.
+/// One flushed burst, encoded once and then posted to each peer.
 pub(super) enum Burst {
-    /// Each peer gets the pending records themselves, then the plain header
+    /// Each peer gets the pending ranges of the image, then the plain header
     /// at the burst's tip — the only header of the burst that is ever
     /// posted, so the only one that is ever encoded.
-    Replicated { header: Bytes },
+    Replicated { header: [u8; HEADER_WIRE_SIZE] },
     /// Each peer gets its row of the burst's stripe.
     Ec {
         /// Burst-final sequence number.
@@ -202,23 +202,47 @@ pub(super) enum Burst {
         /// Offset of this burst's fragment entry within every region.
         entry_off: usize,
         /// The region header every peer receives after its entry.
-        header: Bytes,
+        header: [u8; HEADER_WIRE_SIZE],
     },
 }
 
 impl Burst {
-    /// Appends this burst's work requests for the peer holding `row` whose
-    /// region is `mr`: everything the peer must apply, then the header — QP
-    /// order makes "header completed" imply "the rest landed".
-    pub fn peer_wrs(
+    /// Rings `slot`'s doorbell at `posted_at` for this burst of `pending`,
+    /// staged on top of `image`: everything the peer must apply, then the
+    /// header — QP order makes "header completed" imply "the rest landed".
+    /// Every request borrows its bytes, from the image or from this burst.
+    ///
+    /// Replicated, each run of remotely-contiguous pending ranges is one
+    /// write cut from the image (a pure append burst is a single data WR);
+    /// runs keep sequence order, so overlapping overwrites still apply in
+    /// order. Only the burst-final header follows — every header overwrites
+    /// the same fixed location and the prefix rule needs only the highest
+    /// sequence number per barrier.
+    pub fn post(
         &self,
-        wrs: &mut Vec<WorkRequest>,
+        slot: &PeerSlot,
+        posted_at: Instant,
+        image: &Image,
         pending: &[PendingRecord],
-        mr: &RemoteMr,
-        row: u32,
-    ) {
+    ) -> Result<(), SimError> {
+        let mr = slot.mr;
         match self {
-            Burst::Replicated { header } => replicated_wrs(wrs, pending, mr, header),
+            Burst::Replicated { header } => {
+                let last = pending.last().expect("burst nonempty");
+                let data = runs(pending).map(|(start, end, seq)| WorkRequest::Write {
+                    wr_id: WrId(2 * seq),
+                    mr,
+                    offset: HEADER_SIZE + start,
+                    data: image.buffer[start..end].into(),
+                });
+                let header = WorkRequest::Write {
+                    wr_id: WrId(2 * last.seq + 1),
+                    mr,
+                    offset: 0,
+                    data: header[..].into(),
+                };
+                slot.qp.post_many_at(posted_at, data.chain([header]))
+            }
             Burst::Ec {
                 seq,
                 burst_len,
@@ -226,94 +250,62 @@ impl Burst {
                 entry_off,
                 header,
             } => {
-                let unit = &units[row as usize];
+                let unit = &units[slot.row as usize];
                 let entry = FragEntry {
                     burst_seq: *seq,
                     burst_len: *burst_len,
                     unit_len: unit.len() as u32,
-                    shard: row,
+                    shard: slot.row,
                 };
                 // The row index travels inside the entry, so recovery never
                 // depends on peer order.
                 let frame = entry.encode(unit);
-                wrs.push(WorkRequest::WriteSg {
-                    wr_id: WrId(2 * seq),
-                    mr: *mr,
-                    offset: *entry_off,
-                    slices: vec![Bytes::copy_from_slice(&frame), Bytes::copy_from_slice(unit)],
-                });
-                wrs.push(WorkRequest::Write {
-                    wr_id: WrId(2 * seq + 1),
-                    mr: *mr,
-                    offset: 0,
-                    data: header.clone(),
-                });
+                let gathered: [&[u8]; 2] = [&frame, unit];
+                let wrs = [
+                    WorkRequest::WriteSg {
+                        wr_id: WrId(2 * seq),
+                        mr,
+                        offset: *entry_off,
+                        slices: &gathered,
+                    },
+                    WorkRequest::Write {
+                        wr_id: WrId(2 * seq + 1),
+                        mr,
+                        offset: 0,
+                        data: header[..].into(),
+                    },
+                ];
+                slot.qp.post_many_at(posted_at, &wrs)
             }
         }
     }
 
-    /// Bytes [`Burst::peer_wrs`] puts on the wire per peer.
+    /// Bytes [`Burst::post`] puts on the wire per peer.
     pub fn wire_bytes(&self, pending: &[PendingRecord]) -> u64 {
         let body: usize = match self {
-            Burst::Replicated { .. } => pending.iter().map(|r| r.payload.len()).sum(),
+            Burst::Replicated { .. } => pending.iter().map(|r| r.len).sum(),
             Burst::Ec { units, .. } => FRAG_ENTRY_SIZE + units[0].len(),
         };
         (body + HEADER_WIRE_SIZE) as u64
     }
 }
 
-/// The full-copy translation of a burst.
-///
-/// Data WRs come first in sequence order, with remotely-contiguous
-/// neighbours merged into scatter-gather WRs (a pure append burst collapses
-/// into a single data WR); ordering between non-contiguous runs is kept, so
-/// overlapping overwrites still apply in sequence order. Only the
-/// burst-final record's header follows — every header overwrites the same
-/// fixed location and the prefix rule needs only the highest sequence
-/// number per barrier.
-fn replicated_wrs(
-    wrs: &mut Vec<WorkRequest>,
-    pending: &[PendingRecord],
-    mr: &RemoteMr,
-    header: &Bytes,
-) {
-    let mut i = 0;
-    while i < pending.len() {
-        let start = pending[i].offset;
-        let mut end = start + pending[i].payload.len();
-        let mut j = i + 1;
-        while j < pending.len() && pending[j].offset == end {
-            end += pending[j].payload.len();
-            j += 1;
+/// The runs of remotely-contiguous records in `pending`, in sequence order:
+/// `(start, end, seq)` per run, `seq` its last record's. A run's write takes
+/// that record's data id; data ids never drive acknowledgement (only odd
+/// header ids do), they only have to stay unique per QP.
+fn runs(pending: &[PendingRecord]) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+    let mut rest = pending;
+    std::iter::from_fn(move || {
+        let first = rest.first()?;
+        let mut n = 1;
+        while rest.get(n).is_some_and(|r| r.offset == rest[n - 1].end()) {
+            n += 1;
         }
-        // The merged WR borrows the run-final record's data id; data ids
-        // never drive acknowledgement (only odd header ids do), they only
-        // have to stay unique per QP.
-        let wr_id = WrId(2 * pending[j - 1].seq);
-        if j - i == 1 {
-            wrs.push(WorkRequest::Write {
-                wr_id,
-                mr: *mr,
-                offset: HEADER_SIZE + start,
-                data: pending[i].payload.clone(),
-            });
-        } else {
-            wrs.push(WorkRequest::WriteSg {
-                wr_id,
-                mr: *mr,
-                offset: HEADER_SIZE + start,
-                slices: pending[i..j].iter().map(|r| r.payload.clone()).collect(),
-            });
-        }
-        i = j;
-    }
-    let last = pending.last().expect("burst nonempty");
-    wrs.push(WorkRequest::Write {
-        wr_id: WrId(2 * last.seq + 1),
-        mr: *mr,
-        offset: 0,
-        data: header.clone(),
-    });
+        let run = (first.offset, rest[n - 1].end(), rest[n - 1].seq);
+        rest = &rest[n..];
+        Some(run)
+    })
 }
 
 impl Scheme {
@@ -417,7 +409,7 @@ impl Scheme {
     pub fn begin_burst(&mut self, image: &Image, pending: &[PendingRecord]) -> Burst {
         match self {
             Scheme::Replicated => Burst::Replicated {
-                header: Bytes::copy_from_slice(&image.header().encode()),
+                header: image.header().encode(),
             },
             Scheme::Ec(ec) => ec.begin_burst(image, pending),
         }
@@ -570,7 +562,7 @@ impl EcState {
         let burst_image = {
             let records: Vec<(u64, u64, &[u8])> = pending
                 .iter()
-                .map(|r| (r.seq, r.offset as u64, &r.payload[..]))
+                .map(|r| (r.seq, r.offset as u64, &image.buffer[r.offset..r.end()]))
                 .collect();
             ec::encode_burst(&records)
         };
@@ -602,7 +594,7 @@ impl EcState {
             burst_len: burst_image.len() as u32,
             units: data_units.into_iter().chain(parity).collect(),
             entry_off: half_offset(self.half_cap, self.gen) + self.frag_tail as usize,
-            header: Bytes::copy_from_slice(&header.encode()),
+            header: header.encode(),
         }
     }
 

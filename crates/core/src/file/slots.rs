@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
-use rdma::{CompletionQueue, QueuePair, RemoteMr, WcStatus, WorkCompletion, WorkRequest, WrId};
+use rdma::{CompletionQueue, QueuePair, RemoteMr, WcStatus, WorkCompletion, WrId};
 use telemetry::{events, spans, Span};
 
 use super::recovery::RecoveryStats;
@@ -181,9 +181,6 @@ pub(super) struct Rep {
     /// A peer failed but replacement was deferred (no spare peer available
     /// while a quorum was still alive); [`NclFile::maintain`] retries.
     pub repair_pending: bool,
-    /// Reusable work-request buffer for burst flushes, so the steady-state
-    /// flush path allocates nothing per doorbell.
-    pub wr_scratch: Vec<WorkRequest>,
     /// Posted-but-not-durable records being timed (empty with telemetry
     /// disabled). Registered at the back in sequence order, retired from
     /// the front in [`Rep::refresh_durable`]; size is bounded by the
@@ -235,7 +232,6 @@ impl Rep {
             stray: Vec::new(),
             expecting: HashSet::new(),
             repair_pending,
-            wr_scratch: Vec::new(),
             flights: VecDeque::new(),
             wire_covered_seq: 0,
             span_buf: Vec::new(),

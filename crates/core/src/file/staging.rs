@@ -6,7 +6,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::Bytes;
 use parking_lot::MutexGuard;
 use telemetry::{spans, Counter, HistHandle, Telemetry};
 
@@ -32,10 +31,10 @@ pub(super) enum FlushReason {
 }
 
 /// The span histograms that decompose a record's lifetime into consecutive
-/// segments — `stage` (staging the wire image) → `doorbell` (staged,
-/// waiting for a flush) → `wire` (posted until the first peer completes
-/// it) → `ack` (first peer until the quorum watermark passes it) — so
-/// their means sum to the `e2e` mean by construction.
+/// segments — `stage` (copying the record into the image) → `doorbell`
+/// (staged, waiting for a flush) → `wire` (posted until the first peer
+/// completes it) → `ack` (first peer until the quorum watermark passes
+/// it) — so their means sum to the `e2e` mean by construction.
 pub(super) struct Stages {
     pub stage: HistHandle,
     pub doorbell: HistHandle,
@@ -109,12 +108,19 @@ impl FileMetrics {
     }
 }
 
-/// One staged-but-unposted record: its wire image. A run of these is a
-/// burst, posted as one doorbell batch per peer at flush time.
+/// One staged-but-unposted record: the range `[offset, offset + len)` of the
+/// image it wrote. The image is the record's only copy: every post borrows
+/// its bytes from there. A run of these is a burst, posted as one doorbell
+/// batch per peer at flush time.
+///
+/// A later record may overwrite a pending range before the flush, and the
+/// range then carries the later bytes. No peer can observe the state in
+/// between: a replicated burst posts only its final header, and an
+/// erasure-coded burst's entry decodes whole (DESIGN.md, "Stage once").
 pub(super) struct PendingRecord {
     pub seq: u64,
     pub offset: usize,
-    pub payload: Bytes,
+    pub len: usize,
     /// `record_nowait` entry and staging-complete timestamps; consumed at
     /// flush time to close the stage/doorbell spans and open a [`Flight`].
     /// Taken only for an enabled metrics handle: nothing else reads them.
@@ -122,6 +128,13 @@ pub(super) struct PendingRecord {
     /// Trace id assigned at `record_nowait` (0 when tracing is off); the
     /// root span id of this record's causal chain.
     pub trace: u64,
+}
+
+impl PendingRecord {
+    /// One past the last image byte this record wrote.
+    pub fn end(&self) -> usize {
+        self.offset + self.len
+    }
 }
 
 /// The file image and its tip: what staging mutates, what recovery
@@ -285,10 +298,6 @@ impl NclFile {
             image.seq += 1;
             seq = image.seq;
             self.issued.store(seq, Ordering::Release);
-            // One wire image per record; the per-peer copies are refcount
-            // bumps (`Bytes::clone` does not copy). The header is the
-            // burst's, encoded at flush time.
-            let payload = Bytes::copy_from_slice(data);
             let stamps = t0.map(|t0| {
                 let staged_at = sim::time::now();
                 self.metrics.stages.stage.record_duration(staged_at - t0);
@@ -304,7 +313,7 @@ impl NclFile {
             stage.pending.push(PendingRecord {
                 seq,
                 offset: offset as usize,
-                payload,
+                len: data.len(),
                 stamps,
                 trace,
             });
@@ -337,9 +346,9 @@ impl NclFile {
 
     /// Posts the pending burst to every live peer as one doorbell batch
     /// each. The scheme encodes the burst once ([`Scheme::begin_burst`])
-    /// and then translates it into each peer's work requests — QP order
-    /// makes "header completed" imply "everything before it landed" under
-    /// every scheme. The flush reads the clock once: that instant closes the
+    /// and then translates it into each peer's work requests, which borrow
+    /// their bytes from the image — QP order makes "header completed" imply
+    /// "everything before it landed" under every scheme. The flush reads the clock once: that instant closes the
     /// doorbell spans, restarts idle peers' silence clocks and is when every
     /// peer's doorbell is rung ([`rdma::QueuePair::post_many_at`]), so the
     /// peers' modelled flights overlap, and cover the posts' own CPU,
@@ -362,7 +371,6 @@ impl NclFile {
             0
         };
         let idle_below = stage.flushed_seq;
-        let mut wrs = std::mem::take(&mut rep.wr_scratch);
         for slot in rep.peers.iter_mut().filter(|s| s.alive) {
             // A peer with nothing outstanding was silent because nothing was
             // asked of it: restart its silence clock as the new work posts,
@@ -370,15 +378,11 @@ impl NclFile {
             if slot.completed_seq >= idle_below {
                 slot.detector.touch(now);
             }
-            wrs.clear();
-            burst.peer_wrs(&mut wrs, &stage.pending, &slot.mr, slot.row);
-            let _ = slot.qp.post_many_at(now, &wrs);
+            let _ = burst.post(slot, now, &stage.image, &stage.pending);
             if self.metrics.enabled {
                 self.metrics.wire_bytes.add(per_peer_bytes);
             }
         }
-        wrs.clear();
-        rep.wr_scratch = wrs;
         drop(rep);
         stage.flushed_seq = flushed;
         stage.pending.clear();

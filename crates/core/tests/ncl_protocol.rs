@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use ncl::{
     lockaudit, Controller, Durability, MemSpillSink, NclConfig, NclError, NclFile, NclLib,
-    NclRegistry, Peer,
+    NclRegistry, Peer, RegionHeader, HEADER_SIZE,
 };
 use sim::Cluster;
 use telemetry::events;
@@ -326,6 +326,70 @@ fn circular_log_overwrite_recovers_current_image() {
     let lib2 = h.app("a2");
     let file = lib2.recover("wal").unwrap();
     assert_eq!(file.contents(), b"EEEEFFFFCCCCDDDD");
+}
+
+/// A pending record is a range of the staging image, not a copy: a range
+/// overwritten before its flush is posted with the later bytes. Whether the
+/// overwrite lands in the same burst or while its predecessor is still in
+/// flight, the peers and a recovery see the image and nothing in between:
+/// the burst's one header names its final state (replicated) and its
+/// fragment entry decodes whole (erasure-coded).
+#[test]
+fn overwrites_inside_a_burst_and_under_a_flight_ship_the_image() {
+    // A = [0, 4096) of 0xAA, B = [2048, 6144) of 0xBB over half of it,
+    // C = [6144, 8192) of 0xCC right behind B.
+    let records = [
+        (0usize, 4096usize, 0xAAu8),
+        (2048, 4096, 0xBB),
+        (6144, 2048, 0xCC),
+    ];
+    for durability in [Durability::Replicated, Durability::Ec { k: 2, n: 3 }] {
+        for under_a_flight in [false, true] {
+            let label = format!("{} under_a_flight={under_a_flight}", durability.label());
+            let mut config = NclConfig::zero();
+            config.durability = durability;
+            config.spill = Some(Arc::new(MemSpillSink::new()));
+            let h = Harness::with_config(3, config);
+            let mut model = vec![0u8; 8192];
+            let app_node;
+            {
+                let lib = h.app("a1");
+                app_node = lib.node();
+                let file = lib.create("wal", 8192).unwrap();
+                for (i, &(at, len, byte)) in records.iter().enumerate() {
+                    file.record_nowait(at as u64, &vec![byte; len]).unwrap();
+                    model[at..at + len].fill(byte);
+                    if under_a_flight && i == 0 {
+                        // A is posted; no barrier has seen it durable yet.
+                        file.submit();
+                        assert_eq!(file.durable_seq(), 0, "{label}");
+                    }
+                }
+                file.fsync().unwrap();
+                assert_eq!(file.contents(), model, "{label}");
+                if !durability.is_ec() {
+                    assert_eq!(file.read_remote(0, 8192).unwrap(), model, "{label}");
+                }
+            }
+            h.cluster.crash(app_node);
+            let lib2 = h.app("a2");
+            let file = lib2.recover("wal").unwrap();
+            assert_eq!((file.seq(), file.len()), (3, 8192), "{label}");
+            assert_eq!(file.contents(), model, "{label}");
+            for name in file.peer_names() {
+                let bytes = h
+                    .peer_named(&name)
+                    .inspect_region("testapp", "wal", 0, HEADER_SIZE)
+                    .unwrap();
+                let header = RegionHeader::decode(&bytes).unwrap();
+                assert_eq!(
+                    (header.seq, header.len, header.overwritten),
+                    (3, 8192, true),
+                    "{label}: {name}"
+                );
+            }
+        }
+    }
 }
 
 /// Recovery catch-up of a lagging peer picks its path from the two region
@@ -781,7 +845,9 @@ fn large_records_replicate_correctly() {
 
 #[test]
 fn pipelined_records_are_durable_at_the_barrier() {
-    let h = Harness::new(3);
+    let mut config = NclConfig::zero();
+    config.pipeline_window = 8;
+    let h = Harness::with_config(3, config);
     let lib = h.app("a1");
     let file = lib.create("wal", 4096).unwrap();
     let mut last = 0;
@@ -799,7 +865,7 @@ fn pipelined_records_are_durable_at_the_barrier() {
     }
     // A barrier on an already-durable prefix returns immediately.
     file.wait_durable(1).unwrap();
-    // Flush-reason telemetry: 20 records at the default window of 8 ring
+    // Flush-reason telemetry: 20 records at a window of 8 ring
     // the doorbell twice on window-full (records 8 and 16) and once at the
     // fsync barrier (records 17..=20); nothing called submit().
     let tel = file.telemetry();
@@ -862,8 +928,8 @@ fn submit_and_barrier_flushes_are_counted_separately() {
 
 /// The count behind the deleted `ncl_batch` burst-sweep timing gate: a
 /// submitted burst of 16 contiguous records is one doorbell and, per peer,
-/// exactly two work requests — the scatter-gather data write and the one
-/// coalesced header — however many records it carries.
+/// exactly two work requests — one data write cut from the image and the
+/// one coalesced header — however many records it carries.
 #[test]
 fn a_burst_of_16_is_one_doorbell_and_two_wrs_per_peer() {
     const BURSTS: u64 = 4;

@@ -300,12 +300,12 @@ impl RdmaDevice {
     /// All-or-nothing: bounds are checked against the gathered length
     /// before any byte is written.
     #[allow(clippy::result_unit_err)] // Same contract as `apply_remote`.
-    pub fn apply_remote_sg(
+    pub fn apply_remote_sg<S: AsRef<[u8]>>(
         &self,
         mr_id: u64,
         rkey: RKey,
         offset: usize,
-        slices: &[Bytes],
+        slices: &[S],
     ) -> Result<(), ()> {
         if !self.cluster.is_alive(self.node) {
             return Err(());
@@ -316,13 +316,14 @@ impl RdmaDevice {
         if entry.rkey.load(Ordering::SeqCst) != rkey.0 || rkey.0 == 0 {
             return Err(());
         }
-        let total: usize = slices.iter().map(Bytes::len).sum();
+        let total: usize = slices.iter().map(|s| s.as_ref().len()).sum();
         let mut buf = entry.buf.lock();
         if offset + total > buf.len() {
             return Err(());
         }
         let mut at = offset;
         for slice in slices {
+            let slice = slice.as_ref();
             buf[at..at + slice.len()].copy_from_slice(slice);
             at += slice.len();
         }

@@ -23,6 +23,7 @@
 //! Multiple queue pairs may share one completion queue (as in real verbs);
 //! completions carry the `qp_num` so the consumer can attribute them.
 
+use std::borrow::{Borrow, Cow};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -43,26 +44,33 @@ static NEXT_QP_NUM: AtomicU32 = AtomicU32::new(1);
 const SPIN_RANGE: Duration = Duration::from_micros(20);
 
 /// A work request, built by the caller and posted with
-/// [`QueuePair::post_many`] (or one of the single-WR convenience methods).
+/// [`QueuePair::post_many_at`] (or one of the single-WR convenience methods).
+///
+/// A write borrows its source bytes, as a verbs WR names a registered local
+/// buffer instead of carrying a copy: NCL posts straight from its staging
+/// image. A post applies every request before it returns, so no borrow
+/// outlives the call that posts it. (`Write`'s `data` also takes an owned
+/// buffer, for callers that have nothing to borrow from.)
 ///
 /// `WriteSg` is a scatter-gather WRITE: the source slices are gathered in
 /// order and applied contiguously from `offset` as one work request with one
-/// completion — the verbs `sg_list` idiom: adjacent records ride a single WR.
+/// completion — the verbs `sg_list` idiom. `S` is a gather element: a
+/// borrowed slice, or the caller's `Bytes` for [`QueuePair::post_write_sg`].
 #[derive(Debug, Clone)]
-pub enum WorkRequest {
+pub enum WorkRequest<'a, S = &'a [u8]> {
     /// One-sided RDMA WRITE of `data` at `offset` within `mr`.
     Write {
         wr_id: WrId,
         mr: RemoteMr,
         offset: usize,
-        data: Bytes,
+        data: Cow<'a, [u8]>,
     },
     /// One-sided RDMA WRITE gathering `slices` contiguously at `offset`.
     WriteSg {
         wr_id: WrId,
         mr: RemoteMr,
         offset: usize,
-        slices: Vec<Bytes>,
+        slices: &'a [S],
     },
     /// One-sided RDMA READ of `len` bytes at `offset` within `mr`; the data
     /// arrives in the completion's `read_data`.
@@ -74,7 +82,7 @@ pub enum WorkRequest {
     },
 }
 
-impl WorkRequest {
+impl<S: AsRef<[u8]>> WorkRequest<'_, S> {
     /// The caller-assigned identifier echoed in the completion.
     pub fn wr_id(&self) -> WrId {
         match self {
@@ -88,7 +96,7 @@ impl WorkRequest {
     fn wire_bytes(&self) -> usize {
         match self {
             WorkRequest::Write { data, .. } => data.len(),
-            WorkRequest::WriteSg { slices, .. } => slices.iter().map(Bytes::len).sum(),
+            WorkRequest::WriteSg { slices, .. } => slices.iter().map(|s| s.as_ref().len()).sum(),
             WorkRequest::Read { len, .. } => *len,
         }
     }
@@ -429,7 +437,7 @@ impl QueuePair {
             wr_id,
             mr: *mr,
             offset,
-            data,
+            data: Cow::Borrowed(&data),
         })
     }
 
@@ -442,12 +450,13 @@ impl QueuePair {
         offset: usize,
         slices: Vec<Bytes>,
     ) -> Result<(), SimError> {
-        self.post(WorkRequest::WriteSg {
+        let gather = WorkRequest::WriteSg {
             wr_id,
             mr: *mr,
             offset,
-            slices,
-        })
+            slices: &slices[..],
+        };
+        self.ring(sim::time::now(), [gather])
     }
 
     /// Posts a one-sided RDMA READ of `len` bytes at `offset` within `mr`.
@@ -471,7 +480,7 @@ impl QueuePair {
     /// Execution and completions keep post order exactly as if the requests
     /// had been posted one by one; the saving is the per-doorbell overhead
     /// and, on the wire, one shared propagation tail (see [`Pipe`]).
-    pub fn post_many(&self, wrs: &[WorkRequest]) -> Result<(), SimError> {
+    pub fn post_many(&self, wrs: &[WorkRequest<'_>]) -> Result<(), SimError> {
         self.post_many_at(sim::time::now(), wrs)
     }
 
@@ -479,8 +488,30 @@ impl QueuePair {
     /// instant several queue pairs may share: the flights (and `wire_ns`)
     /// start there, not when this call happens to run, so one caller's
     /// doorbells to different peers overlap, the posts' own CPU under them.
-    pub fn post_many_at(&self, posted_at: Instant, wrs: &[WorkRequest]) -> Result<(), SimError> {
-        if wrs.is_empty() {
+    /// `wrs` may be a slice or requests built as they are posted, so a
+    /// doorbell of any length needs no buffer.
+    pub fn post_many_at<'a, W: Borrow<WorkRequest<'a>>>(
+        &self,
+        posted_at: Instant,
+        wrs: impl IntoIterator<Item = W>,
+    ) -> Result<(), SimError> {
+        self.ring(posted_at, wrs)
+    }
+
+    /// Rings one doorbell for `wrs`, whatever a gather's elements are:
+    /// `post_many_at` fixes them to borrowed slices, so a caller's requests
+    /// need no type annotation, and `post_write_sg` gathers `Bytes`.
+    fn ring<'a, S, W>(
+        &self,
+        posted_at: Instant,
+        wrs: impl IntoIterator<Item = W>,
+    ) -> Result<(), SimError>
+    where
+        S: AsRef<[u8]> + 'a,
+        W: Borrow<WorkRequest<'a, S>>,
+    {
+        let mut wrs = wrs.into_iter().peekable();
+        if wrs.peek().is_none() {
             return Ok(());
         }
         let (link, site) = (&*self.link, FaultSite::Doorbell);
@@ -495,6 +526,7 @@ impl QueuePair {
         let mut sq = self.sq.lock();
         let (pipe, flying) = &mut *sq;
         for wr in wrs {
+            let wr = wr.borrow();
             let verdict = link
                 .cluster
                 .fault_point(FaultSite::Wire, link.local, link.remote);
@@ -528,14 +560,14 @@ impl QueuePair {
     }
 
     /// A doorbell of one.
-    fn post(&self, wr: WorkRequest) -> Result<(), SimError> {
-        self.post_many(std::slice::from_ref(&wr))
+    fn post(&self, wr: WorkRequest<'_>) -> Result<(), SimError> {
+        self.ring(sim::time::now(), [wr])
     }
 
     /// Executes one request now: flushed if the queue pair is in the error
     /// state, failed if the peer cannot be reached, applied to its region
     /// (the device checks rkey, bounds and revocation) otherwise.
-    fn execute(&self, wr: &WorkRequest) -> (WcStatus, Option<Bytes>) {
+    fn execute<S: AsRef<[u8]>>(&self, wr: &WorkRequest<'_, S>) -> (WcStatus, Option<Bytes>) {
         let (link, dev) = (&self.link, &self.remote_dev);
         if link.errored.load(Ordering::SeqCst) {
             return (WcStatus::FlushErr, None);
@@ -753,7 +785,7 @@ mod tests {
                 wr_id: WrId(i),
                 mr,
                 offset: (i as usize) * 8,
-                data: Bytes::from(i.to_le_bytes().to_vec()),
+                data: i.to_le_bytes().to_vec().into(),
             })
             .chain(std::iter::once(WorkRequest::Read {
                 wr_id: WrId(99),
@@ -814,19 +846,19 @@ mod tests {
                 wr_id: WrId(1),
                 mr,
                 offset: 0,
-                data: Bytes::from_static(b"a"),
+                data: b"a"[..].into(),
             },
             WorkRequest::Write {
                 wr_id: WrId(2),
                 mr: bad,
                 offset: 0,
-                data: Bytes::from_static(b"b"),
+                data: b"b"[..].into(),
             },
             WorkRequest::Write {
                 wr_id: WrId(3),
                 mr,
                 offset: 0,
-                data: Bytes::from_static(b"c"),
+                data: b"c"[..].into(),
             },
         ];
         qp.post_many(&wrs).unwrap();
@@ -843,18 +875,19 @@ mod tests {
         let (local, mr) = dev.register_mr(64).unwrap();
         let cq = CompletionQueue::new();
         let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), LatencyModel::ZERO);
-        let wrs = vec![
+        let gathered: [&[u8]; 2] = [b"cd", b"ef"];
+        let wrs = [
             WorkRequest::Write {
                 wr_id: WrId(1),
                 mr,
                 offset: 0,
-                data: Bytes::from_static(b"ab"),
+                data: b"ab"[..].into(),
             },
             WorkRequest::WriteSg {
                 wr_id: WrId(2),
                 mr,
                 offset: 2,
-                slices: vec![Bytes::from_static(b"cd"), Bytes::from_static(b"ef")],
+                slices: &gathered,
             },
         ];
         qp.post_many(&wrs).unwrap();
@@ -879,7 +912,7 @@ mod tests {
                 wr_id: WrId(i),
                 mr,
                 offset: (i as usize) * 8,
-                data: Bytes::from(i.to_le_bytes().to_vec()),
+                data: i.to_le_bytes().to_vec().into(),
             })
             .collect();
         let sw = Instant::now();
@@ -978,7 +1011,7 @@ mod tests {
                     mr
                 },
                 offset: i as usize - 1,
-                data: Bytes::from(vec![b'a' + i as u8 - 1]),
+                data: vec![b'a' + i as u8 - 1].into(),
             })
             .collect();
         qp.post_many(&wrs).unwrap();
@@ -1176,12 +1209,12 @@ mod tests {
     }
 
     /// An NCL record as one peer sees it: 128 B of data, then a 64-B header.
-    fn data_then_header(mr: RemoteMr) -> [WorkRequest; 2] {
+    fn data_then_header(mr: RemoteMr) -> [WorkRequest<'static>; 2] {
         [128usize, 64].map(|len| WorkRequest::Write {
             wr_id: WrId(len as u64),
             mr,
             offset: 0,
-            data: Bytes::from(vec![7u8; len]),
+            data: vec![7u8; len].into(),
         })
     }
 
@@ -1197,7 +1230,7 @@ mod tests {
         let (_cluster, _binding, qps, cq) = calibrated_qps(3);
         let t = Instant::now();
         for (qp, mr) in &qps {
-            qp.post_many_at(t, &data_then_header(*mr)).unwrap();
+            qp.post_many_at(t, data_then_header(*mr)).unwrap();
         }
         // Nobody waited inside a post: every flight is still in the air.
         assert_eq!(cq.next_due(), Some(t + Duration::from_nanos(1_540)));
@@ -1216,8 +1249,8 @@ mod tests {
         let (_cluster, _binding, qps, cq) = calibrated_qps(1);
         let (qp, mr) = &qps[0];
         let t = Instant::now();
-        qp.post_many_at(t, &data_then_header(*mr)).unwrap();
-        qp.post_many_at(t, &data_then_header(*mr)).unwrap();
+        qp.post_many_at(t, data_then_header(*mr)).unwrap();
+        qp.post_many_at(t, data_then_header(*mr)).unwrap();
         assert_eq!(
             wire_ns_on(qp, &wait_n(&cq, 4)),
             [1_540, 1_560, 1_600, 1_620]
@@ -1234,7 +1267,7 @@ mod tests {
         cluster.install_faults(FaultScheduler::new(&plan, binding));
         let t = Instant::now();
         for (qp, mr) in &qps {
-            qp.post_many_at(t, &data_then_header(*mr)).unwrap();
+            qp.post_many_at(t, data_then_header(*mr)).unwrap();
         }
         let wcs = wait_n(&cq, 4);
         assert_eq!(wire_ns_on(&qps[0].0, &wcs), [51_540, 51_560]);
@@ -1265,7 +1298,7 @@ mod tests {
             wr_id: WrId(1),
             mr,
             offset: 0,
-            slices: vec![Bytes::from(vec![7u8; 64]); 16],
+            slices: &[&[7u8; 64][..]; 16],
         };
         let [_, header] = data_then_header(mr);
         let doorbells = [data_then_header(mr), [gather, header]];
@@ -1348,7 +1381,7 @@ mod tests {
                 wr_id: WrId(id),
                 mr: *mr,
                 offset: 0,
-                data: Bytes::from_static(b"x"),
+                data: b"x"[..].into(),
             };
             qp.post_many_at(t, &[write]).unwrap();
         }
@@ -1379,7 +1412,7 @@ mod tests {
         let lat = LatencyModel::from_nanos(flight.as_nanos() as u64, 0.0, 0.0);
         let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), lat);
         let t = Instant::now();
-        qp.post_many_at(t, &data_then_header(mr)).unwrap();
+        qp.post_many_at(t, data_then_header(mr)).unwrap();
         let timeout = Duration::from_millis(1);
         assert!(cq.wait(timeout).is_empty());
         assert!(t.elapsed() >= timeout);
@@ -1408,7 +1441,7 @@ mod tests {
             // Either order passes; the pause makes the sleeping waiter likely.
             std::thread::sleep(Duration::from_millis(2));
             let t = Instant::now();
-            qp.post_many_at(t, &data_then_header(mr)).unwrap();
+            qp.post_many_at(t, data_then_header(mr)).unwrap();
             let (wcs, returned_at) = waiter.join().unwrap();
             assert_eq!(wcs.len(), 2);
             assert!(returned_at >= t + flight);
@@ -1483,7 +1516,7 @@ mod tests {
         let (_cluster, _binding, qps, cq) = calibrated_qps(1);
         let (qp, mr) = &qps[0];
         let t = Instant::now();
-        qp.post_many_at(t, &data_then_header(*mr)).unwrap();
+        qp.post_many_at(t, data_then_header(*mr)).unwrap();
         let landed_at = cq.wait_landed(Duration::from_secs(5)).expect("a flight");
         assert!(landed_at >= t + Duration::from_nanos(1_540));
         assert!(landed_at <= Instant::now());
