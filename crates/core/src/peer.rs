@@ -25,9 +25,17 @@
 //! via the cluster crash generation, wipes its state, and re-registers with
 //! the controller. Recovery lookups for pre-crash regions are rejected —
 //! the behaviour §4.5.1 relies on to keep quorum reasoning sound.
+//!
+//! Shape: all of the above is one `Daemon` value behind [`Peer`]'s mutex.
+//! Every entry point — a request, a GC tick, an operator call — is one
+//! `Daemon::step`, and the lease clock is an input: a request or tick reads
+//! `sim::time::now()` once and passes it down.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -120,6 +128,9 @@ pub enum PeerResp {
     Rejected(String),
 }
 
+/// A region's `(app, file)`.
+type Key = (String, String);
+
 struct Region {
     epoch: u64,
     local: LocalMr,
@@ -129,6 +140,14 @@ struct Region {
     /// the configured lease, and even then reclaims only with the
     /// controller's confirmation that the owner is dead.
     lease: Instant,
+}
+
+/// Which of a file's two regions: the one in the mr-map, or the one staged
+/// for a catch-up's switch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Live,
+    Staged,
 }
 
 /// Gauge/counter handles for the `splitft_peer_mem_*` observability plane.
@@ -169,9 +188,14 @@ impl MemGauges {
         }
     }
 
-    fn publish(&mut self, alloc: &SlabAllocator, live: usize) {
-        let used = alloc.used() as i64;
-        let regions = live as i64;
+    /// Sets the gauges to the ledger's figures. Returns false, setting
+    /// nothing, when neither the bytes nor the region count moved since the
+    /// last publish.
+    fn publish(&mut self, alloc: &SlabAllocator, regions: usize) -> bool {
+        let (used, regions) = (alloc.used() as i64, regions as i64);
+        if (used, regions) == (self.last_used, self.last_regions) {
+            return false;
+        }
         self.used.set(used);
         self.regions.set(regions);
         self.tenants.set(alloc.tenant_count() as i64);
@@ -179,34 +203,443 @@ impl MemGauges {
         self.fleet_regions.adjust(regions - self.last_regions);
         self.last_used = used;
         self.last_regions = regions;
+        true
     }
 }
 
-struct PeerState {
-    gen: u64,
-    /// Budget, tenant ledger, and recycled-region free lists.
-    alloc: SlabAllocator,
-    mr_map: HashMap<(String, String), Region>,
-    staged: HashMap<(String, String), Region>,
+/// The daemon: its context, its ledger and its two region maps (see module
+/// docs). Every operation is a `&mut self` method run inside [`Self::step`].
+struct Daemon {
+    name: String,
+    node: NodeId,
+    cluster: Cluster,
+    device: RdmaDevice,
+    controller: ControllerClient,
     /// Event trace for region lifecycle transitions (shared via the config).
     telemetry: Telemetry,
     /// [`NclConfig::peer_lease`], copied out at start.
     lease: Duration,
     gauges: MemGauges,
+    /// The node's crash generation this state belongs to.
+    gen: u64,
+    /// Budget, tenant ledger, and recycled-region free lists.
+    alloc: SlabAllocator,
+    live: HashMap<Key, Region>,
+    staged: HashMap<Key, Region>,
+}
+
+impl Daemon {
+    /// The one sequence every entry point runs under [`Peer`]'s lock:
+    /// restart if the node crashed since the last step, drain a pending
+    /// memory-pressure signal when `drain`, run `op`, then publish the
+    /// gauges and `UpdateAvail` once if the ledger moved.
+    fn step<R>(&mut self, drain: bool, op: impl FnOnce(&mut Self) -> R) -> R {
+        let gen = self.cluster.generation(self.node);
+        if gen != self.gen {
+            // DRAM contents are gone: drop the mr-map, staged regions, free
+            // lists and tenant ledger, and re-announce to the controller.
+            self.gen = gen;
+            self.live.clear();
+            self.staged.clear();
+            self.alloc.wipe();
+            self.device.reap_stale();
+            let total = self.alloc.total();
+            let _ = self
+                .controller
+                .register_peer(self.node, &self.name, self.node, total);
+        }
+        if drain {
+            self.drain_pressure();
+        }
+        let out = op(self);
+        let regions = self.live.len() + self.staged.len();
+        if self.gauges.publish(&self.alloc, regions) {
+            let avail = self.alloc.avail();
+            let _ = self
+                .controller
+                .update_avail(self.node, &self.name, avail, regions as u64);
+        }
+        out
+    }
+
+    /// Serves one request at `now`, the instant every lease it touches is
+    /// renewed to.
+    fn handle(&mut self, now: Instant, req: PeerReq) -> PeerResp {
+        self.step(true, |d| {
+            d.serve(now, req).unwrap_or_else(PeerResp::Rejected)
+        })
+    }
+
+    fn serve(&mut self, now: Instant, req: PeerReq) -> Result<PeerResp, String> {
+        match req {
+            PeerReq::Alloc {
+                app,
+                file,
+                epoch,
+                capacity,
+            } => {
+                let key = (app, file);
+                if let Some(existing) = self.live.get(&key) {
+                    if existing.epoch >= epoch {
+                        return Err(format!(
+                            "region exists at epoch {} >= {epoch}",
+                            existing.epoch
+                        ));
+                    }
+                    // A newer epoch supersedes the old allocation.
+                    let old = self.live.remove(&key).expect("present");
+                    self.release(&key.0, old);
+                }
+                let len = HEADER_SIZE + capacity;
+                let (local, remote) = self.allocate(&key, len)?;
+                self.telemetry.event(
+                    events::REGION_ALLOC,
+                    &self.name,
+                    epoch,
+                    format!("{}/{}: {len} bytes", key.0, key.1),
+                );
+                let region = Region {
+                    epoch,
+                    local,
+                    remote,
+                    lease: now,
+                };
+                self.live.insert(key, region);
+                Ok(PeerResp::Mr(remote))
+            }
+            PeerReq::Free { app, file, epoch } => {
+                let key = (app, file);
+                if let Some(region) = self.live.get(&key).filter(|r| r.epoch > epoch) {
+                    return Err(format!(
+                        "free at epoch {epoch} older than region epoch {}",
+                        region.epoch
+                    ));
+                }
+                self.reclaim(
+                    Slot::Live,
+                    &key,
+                    events::REGION_FREE,
+                    "released by application",
+                );
+                // A Free racing a replace: the application deleted the file
+                // while a catch-up had a region staged for it. The staged slot
+                // would otherwise never leave the tenant ledger — the
+                // double-release leak. Dropping it here keeps Free idempotent
+                // (repeats find both maps empty and change nothing).
+                if self.staged.get(&key).is_some_and(|s| s.epoch <= epoch) {
+                    let why = "staged region dropped by free";
+                    self.reclaim(Slot::Staged, &key, events::REGION_FREE, why);
+                }
+                Ok(PeerResp::Ok)
+            }
+            PeerReq::RecoveryLookup { app, file } => {
+                // The peer crashed and recovered (mr-map lost) or never had
+                // the region: it must reject so recovery quorum logic treats
+                // it as data-less.
+                let region = self
+                    .live
+                    .get_mut(&(app, file))
+                    .ok_or("no region for file")?;
+                region.lease = now;
+                Ok(PeerResp::Mr(region.remote))
+            }
+            PeerReq::Prepare {
+                app,
+                file,
+                epoch,
+                capacity,
+                copy_current,
+            } => {
+                let key = (app, file);
+                let len = HEADER_SIZE + capacity;
+                // Drop any previous staging for this file (aborted recovery).
+                if let Some(old) = self.staged.remove(&key) {
+                    self.release(&key.0, old);
+                }
+                let (local, remote) = self.allocate(&key, len)?;
+                if let Some(cur) = self.live.get(&key).filter(|_| copy_current) {
+                    if let Some(bytes) = cur.local.read_local(0, cur.remote.len.min(len)) {
+                        local.write_local(0, &bytes);
+                    }
+                }
+                let region = Region {
+                    epoch,
+                    local,
+                    remote,
+                    lease: now,
+                };
+                self.staged.insert(key, region);
+                Ok(PeerResp::Mr(remote))
+            }
+            PeerReq::Commit { app, file, epoch } => {
+                let key = (app, file);
+                match self.staged.get(&key).map(|s| s.epoch) {
+                    None => Err("nothing staged".to_string()),
+                    Some(staged) if staged != epoch => Err(format!(
+                        "staged epoch {staged} does not match commit epoch {epoch}"
+                    )),
+                    Some(_) => {
+                        let mut region = self.staged.remove(&key).expect("present");
+                        if let Some(old) = self.live.remove(&key) {
+                            self.release(&key.0, old);
+                        }
+                        region.lease = now;
+                        self.live.insert(key, region);
+                        Ok(PeerResp::Ok)
+                    }
+                }
+            }
+            PeerReq::BumpEpoch { app, file, epoch } => {
+                let key = (app, file);
+                let region = self.live.get_mut(&key).ok_or("no region for file")?;
+                region.epoch = region.epoch.max(epoch);
+                region.lease = now;
+                let bumped = region.epoch;
+                self.telemetry.event(
+                    events::EPOCH_BUMP,
+                    &self.name,
+                    bumped,
+                    format!("{}/{}: survivor region epoch raised", key.0, key.1),
+                );
+                Ok(PeerResp::Ok)
+            }
+        }
+    }
+
+    /// Allocates a region of `len` bytes for `key`'s app, preferring the
+    /// recycled free list (cheap re-key) over fresh registration (charged
+    /// with page-pinning cost). When the budget is short and the request
+    /// could ever fit, evicts the coldest regions (never `key`'s own live
+    /// region — catch-up may still read it) and charges once more. On `Err`
+    /// nothing is charged.
+    fn allocate(&mut self, key: &Key, len: usize) -> Result<(LocalMr, RemoteMr), String> {
+        let pooled = match self.alloc.charge(&key.0, len) {
+            Ok(pooled) => pooled,
+            Err(e) => {
+                let shortfall = (len as u64).saturating_sub(self.alloc.avail());
+                if len as u64 > self.alloc.total() || self.evict(shortfall, Some(key)) == 0 {
+                    return Err(e.to_string());
+                }
+                self.alloc.charge(&key.0, len).map_err(|e| e.to_string())?
+            }
+        };
+        if let Some(local) = pooled {
+            if let Some(rkey) = self.device.rekey(local.mr_id()) {
+                let remote = RemoteMr {
+                    node: self.device.node(),
+                    mr_id: local.mr_id(),
+                    rkey,
+                    len,
+                };
+                return Ok((local, remote));
+            }
+            // Pooled region vanished (shouldn't happen outside a crash); fall
+            // through to fresh registration.
+        }
+        self.device.register_mr(len).map_err(|e| {
+            self.alloc.uncharge(&key.0, len);
+            format!("registration failed: {e}")
+        })
+    }
+
+    /// Invalidates a region's token and returns its memory to the tenant
+    /// ledger + size-class free list.
+    fn release(&mut self, app: &str, region: Region) {
+        self.device.invalidate(region.remote.mr_id);
+        self.alloc.release(app, region.remote.len, region.local);
+    }
+
+    /// Drops `key`'s region in `slot` for good, recording `event` with
+    /// `why`. Returns false when there was none.
+    fn reclaim(&mut self, slot: Slot, key: &Key, event: &'static str, why: &str) -> bool {
+        let Some(region) = self.slot(slot).remove(key) else {
+            return false;
+        };
+        let detail = format!("{}/{}: {why}", key.0, key.1);
+        self.telemetry
+            .event(event, &self.name, region.epoch, detail);
+        self.release(&key.0, region);
+        true
+    }
+
+    /// Unilaterally revokes `key`'s live region (§4.5.2): the rkey is reset,
+    /// later application writes fail, and the controller hears who shed it.
+    /// Returns the bytes freed, 0 when there was no region.
+    fn revoke(&mut self, key: &Key) -> u64 {
+        let Some(region) = self.live.remove(key) else {
+            return 0;
+        };
+        let (epoch, len) = (region.epoch, region.remote.len as u64);
+        self.telemetry.event(
+            events::REGION_REVOKE,
+            &self.name,
+            epoch,
+            format!(
+                "{}/{}: revoked under memory pressure ({len} bytes)",
+                key.0, key.1
+            ),
+        );
+        self.gauges.revoked_regions.inc();
+        self.gauges.revoked_bytes.add(len);
+        self.release(&key.0, region);
+        let _ = self
+            .controller
+            .report_revocation(self.node, &self.name, &key.0, &key.1, epoch);
+        len
+    }
+
+    /// Voluntary revocation (§4.5.2): revokes the coldest live regions (see
+    /// [`region_coldness`]) until at least `need` bytes are reclaimed. Files
+    /// with a staged region (in-flight catch-up) and `protect` are never
+    /// victims. Returns the bytes reclaimed.
+    fn evict(&mut self, need: u64, protect: Option<&Key>) -> u64 {
+        // Coldest first; bigger regions break ties so fewer files are
+        // disturbed; the key keeps the order deterministic.
+        let mut victims: Vec<(u64, Reverse<usize>, Key)> = self
+            .live
+            .iter()
+            .filter(|(key, _)| Some(*key) != protect && !self.staged.contains_key(*key))
+            .map(|(key, r)| (region_coldness(r), Reverse(r.remote.len), key.clone()))
+            .collect();
+        victims.sort_unstable();
+        let mut reclaimed = 0;
+        for (_, _, key) in victims {
+            if reclaimed >= need {
+                break;
+            }
+            reclaimed += self.revoke(&key);
+        }
+        reclaimed
+    }
+
+    /// Drains a pending memory-pressure signal: shrink used memory to at
+    /// most `pct` percent of the budget by revoking the coldest regions.
+    fn drain_pressure(&mut self) {
+        let Some(pct) = self.cluster.take_pressure(self.node) else {
+            return;
+        };
+        let total = self.alloc.total();
+        self.telemetry.event(
+            events::PEER_PRESSURE,
+            &self.name,
+            0,
+            format!("shrink to {pct}% of {total}-byte budget"),
+        );
+        let target = ((total as u128 * pct as u128) / 100) as u64;
+        let excess = self.alloc.used().saturating_sub(target);
+        if excess > 0 {
+            self.evict(excess, None);
+        }
+    }
+
+    fn slot(&mut self, slot: Slot) -> &mut HashMap<Key, Region> {
+        match slot {
+            Slot::Live => &mut self.live,
+            Slot::Staged => &mut self.staged,
+        }
+    }
+
+    /// Every region held, live then staged: what a GC pass visits.
+    fn held(&self) -> Vec<(Slot, Key)> {
+        let live = self.live.keys().map(|k| (Slot::Live, k.clone()));
+        let staged = self.staged.keys().map(|k| (Slot::Staged, k.clone()));
+        live.chain(staged).collect()
+    }
+
+    /// One GC sweep at `now` (see [`Peer::gc_sweep`]): the epoch pass, then
+    /// the lease pass. Returns the number of regions reclaimed.
+    fn gc(&mut self, now: Instant) -> usize {
+        let freed = self.epoch_pass() + self.lease_pass(now);
+        self.gauges.gc_reclaimed.add(freed as u64);
+        freed
+    }
+
+    /// Reclaims every region whose epoch `e_r` the application's epoch
+    /// high-water mark `e` at the controller has superseded (`e > e_r`), and
+    /// every live region that lost its ap-map membership at the same epoch.
+    /// `e < e_r` is an allocation still in progress, and a staged region at
+    /// the committed epoch is left to its commit.
+    fn epoch_pass(&mut self) -> usize {
+        let mut freed = 0;
+        for (slot, key) in self.held() {
+            let Some(e_r) = self.slot(slot).get(&key).map(|r| r.epoch) else {
+                continue;
+            };
+            let Ok(e) = self.controller.get_app_epoch(self.node, &key.0, &key.1) else {
+                continue;
+            };
+            let reclaim = e > e_r || (e == e_r && slot == Slot::Live && !self.member(&key));
+            if reclaim {
+                let why = format!("leak GC (app epoch {e})");
+                freed += self.reclaim(slot, &key, events::REGION_FREE, &why) as usize;
+            }
+        }
+        freed
+    }
+
+    /// Whether the controller's ap-map entry for `key` lists this peer (no
+    /// answer counts as no).
+    fn member(&self, key: &Key) -> bool {
+        self.controller
+            .get_ap_entry(self.node, &key.0, &key.1)
+            .ok()
+            .flatten()
+            .is_some_and(|entry| entry.peers.contains(&self.name))
+    }
+
+    /// A region idle for the lease window or longer may belong to an
+    /// application that crashed for good and will never free it. The
+    /// controller confirms (instance lock held by a live node) before
+    /// anything is reclaimed; a merely-idle live tenant gets its lease
+    /// renewed to `now` instead, and an unreachable controller means no
+    /// confirmation and no reclaim.
+    fn lease_pass(&mut self, now: Instant) -> usize {
+        let (lease, mut freed) = (self.lease, 0);
+        for (slot, key) in self.held() {
+            let expired = self
+                .slot(slot)
+                .get(&key)
+                .is_some_and(|r| now.saturating_duration_since(r.lease) >= lease);
+            if !expired {
+                continue;
+            }
+            match self.controller.app_live(self.node, &key.0) {
+                Ok(true) => {
+                    if let Some(region) = self.slot(slot).get_mut(&key) {
+                        region.lease = now;
+                    }
+                }
+                Ok(false) => {
+                    let why = "lease expired, app confirmed dead";
+                    freed += self.reclaim(slot, &key, events::LEASE_EXPIRE, why) as usize;
+                }
+                Err(_) => {}
+            }
+        }
+        freed
+    }
+}
+
+/// How expendable a region is under memory pressure: the unspilled part of
+/// its acked prefix (`seq - spill_seq`). A region whose acked bytes are all
+/// on the spill tier (PR 7) loses nothing when revoked — catch-up rebuilds
+/// it from the DFS snapshot — so it is the coldest possible victim. An
+/// uninitialised header reads as 0: an empty region is also free to lose.
+fn region_coldness(region: &Region) -> u64 {
+    region
+        .local
+        .read_local(0, HEADER_WIRE_SIZE)
+        .and_then(|bytes| RegionHeader::decode(&bytes))
+        .map(|h| h.seq.saturating_sub(h.spill_seq))
+        .unwrap_or(0)
 }
 
 /// A running log-peer daemon (see module docs).
 pub struct Peer {
     name: String,
-    cluster: Cluster,
     node: NodeId,
-    device: RdmaDevice,
-    controller: ControllerClient,
-    state: Arc<Mutex<PeerState>>,
-    gc: Option<(
-        Arc<std::sync::atomic::AtomicBool>,
-        std::thread::JoinHandle<()>,
-    )>,
+    daemon: Arc<Mutex<Daemon>>,
+    gc: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
     _server: RpcServer<PeerReq, PeerResp>,
 }
 
@@ -231,65 +664,38 @@ impl Peer {
         registry: &Arc<NclRegistry>,
     ) -> Self {
         let node = cluster.add_node(format!("peer-{name}"));
-        Self::start_on(cluster, node, name, lend_mem, config, controller, registry)
-    }
-
-    /// Starts a peer daemon on an existing node (for co-location scenarios).
-    pub fn start_on(
-        cluster: &Cluster,
-        node: NodeId,
-        name: &str,
-        lend_mem: u64,
-        config: &NclConfig,
-        controller: &Controller,
-        registry: &Arc<NclRegistry>,
-    ) -> Self {
         let device = RdmaDevice::new(cluster.clone(), node, config.mr_register);
-        let controller_client = controller.client(config.control);
-        controller_client
+        let controller = controller.client(config.control);
+        controller
             .register_peer(node, name, node, lend_mem)
             .expect("controller reachable at peer start");
-        let state = Arc::new(Mutex::new(PeerState {
-            gen: cluster.generation(node),
-            alloc: SlabAllocator::new(lend_mem),
-            mr_map: HashMap::new(),
-            staged: HashMap::new(),
+        let daemon = Arc::new(Mutex::new(Daemon {
+            name: name.to_string(),
+            node,
+            cluster: cluster.clone(),
+            device: device.clone(),
+            controller,
             telemetry: config.telemetry.clone(),
             lease: config.peer_lease,
             gauges: MemGauges::new(&config.telemetry, name, lend_mem),
+            gen: cluster.generation(node),
+            alloc: SlabAllocator::new(lend_mem),
+            live: HashMap::new(),
+            staged: HashMap::new(),
         }));
-
         let server = {
-            let cluster2 = cluster.clone();
-            let device2 = device.clone();
-            let ctrl2 = controller_client.clone();
-            let state2 = Arc::clone(&state);
-            let name2 = name.to_string();
+            let daemon = Arc::clone(&daemon);
             RpcServer::new(cluster.clone(), node, move |req| {
-                let mut guard = state2.lock();
-                let st = &mut *guard;
-                ensure_generation(&cluster2, node, &name2, &device2, &ctrl2, st);
-                consume_pressure(&cluster2, node, &name2, &device2, &ctrl2, st);
-                handle(node, &name2, &device2, &ctrl2, st, req)
+                let mut daemon = daemon.lock();
+                daemon.handle(sim::time::now(), req)
             })
         };
-
-        registry.publish(
-            name,
-            PeerEndpoint {
-                rpc: server.client(config.control),
-                device: device.clone(),
-                node,
-            },
-        );
-
+        let rpc = server.client(config.control);
+        registry.publish(name, PeerEndpoint { rpc, device, node });
         Peer {
             name: name.to_string(),
-            cluster: cluster.clone(),
             node,
-            device,
-            controller: controller_client,
-            state,
+            daemon,
             gc: None,
             _server: server,
         }
@@ -307,52 +713,42 @@ impl Peer {
 
     /// Currently advertised available memory.
     pub fn avail(&self) -> u64 {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        ensure_generation(
-            &self.cluster,
-            self.node,
-            &self.name,
-            &self.device,
-            &self.controller,
-            st,
-        );
-        st.alloc.avail()
+        self.daemon.lock().step(false, |d| d.alloc.avail())
     }
 
     /// Bytes currently charged to tenants (live + staged regions).
     pub fn mem_used(&self) -> u64 {
-        self.state.lock().alloc.used()
+        self.daemon.lock().alloc.used()
     }
 
     /// The configured memory budget in bytes.
     pub fn mem_total(&self) -> u64 {
-        self.state.lock().alloc.total()
+        self.daemon.lock().alloc.total()
     }
 
     /// What a single tenant currently holds on this peer.
     pub fn tenant_usage(&self, app: &str) -> TenantUsage {
-        self.state.lock().alloc.tenant(app)
+        self.daemon.lock().alloc.tenant(app)
     }
 
     /// Every tenant with a non-zero charge, sorted by name.
     pub fn tenants(&self) -> Vec<(String, TenantUsage)> {
-        self.state.lock().alloc.tenants()
+        self.daemon.lock().alloc.tenants()
     }
 
     /// Number of live regions in the mr-map.
     pub fn region_count(&self) -> usize {
-        self.state.lock().mr_map.len()
+        self.daemon.lock().live.len()
     }
 
     /// Number of regions staged for an in-flight catch-up switch.
     pub fn staged_count(&self) -> usize {
-        self.state.lock().staged.len()
+        self.daemon.lock().staged.len()
     }
 
     /// Number of recycled regions waiting on the size-class free lists.
     pub fn pooled_regions(&self) -> usize {
-        self.state.lock().alloc.pooled_regions()
+        self.daemon.lock().alloc.pooled_regions()
     }
 
     /// Host-side read of a region's bytes (test/model-checker introspection;
@@ -364,8 +760,8 @@ impl Peer {
         offset: usize,
         len: usize,
     ) -> Option<Vec<u8>> {
-        let st = self.state.lock();
-        let region = st.mr_map.get(&(app.to_string(), file.to_string()))?;
+        let daemon = self.daemon.lock();
+        let region = daemon.live.get(&(app.to_string(), file.to_string()))?;
         region.local.read_local(offset, len)
     }
 
@@ -375,62 +771,15 @@ impl Peer {
     /// application handles it as a peer failure. The controller is notified
     /// so operators can see who is shedding load.
     pub fn revoke(&self, app: &str, file: &str) -> bool {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        ensure_generation(
-            &self.cluster,
-            self.node,
-            &self.name,
-            &self.device,
-            &self.controller,
-            st,
-        );
         let key = (app.to_string(), file.to_string());
-        if let Some(region) = st.mr_map.remove(&key) {
-            let epoch = region.epoch;
-            let len = region.remote.len as u64;
-            st.telemetry.event(
-                events::REGION_REVOKE,
-                &self.name,
-                epoch,
-                format!("{app}/{file}: revoked under memory pressure ({len} bytes)"),
-            );
-            st.gauges.revoked_regions.inc();
-            st.gauges.revoked_bytes.add(len);
-            release_region(&self.device, st, app, region);
-            let _ = self
-                .controller
-                .report_revocation(self.node, &self.name, app, file, epoch);
-            sync_gauges(self.node, &self.name, &self.controller, st);
-            true
-        } else {
-            false
-        }
+        self.daemon.lock().step(false, |d| d.revoke(&key) > 0)
     }
 
     /// Voluntarily sheds at least `need` bytes by revoking the coldest
     /// regions (see [`region_coldness`]). Returns the bytes reclaimed,
     /// which may fall short when everything left is staged.
     pub fn revoke_for_pressure(&self, need: u64) -> u64 {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        ensure_generation(
-            &self.cluster,
-            self.node,
-            &self.name,
-            &self.device,
-            &self.controller,
-            st,
-        );
-        evict_bytes(
-            self.node,
-            &self.name,
-            &self.device,
-            &self.controller,
-            st,
-            need,
-            None,
-        )
+        self.daemon.lock().step(false, |d| d.evict(need, None))
     }
 
     /// Runs one pass of the epoch-based leak GC (§4.5.1): for every region
@@ -441,14 +790,9 @@ impl Peer {
     /// expired with the owner confirmed dead at the controller. Returns the
     /// number of regions freed.
     pub fn gc_sweep(&self) -> usize {
-        run_gc_sweep(
-            &self.cluster,
-            self.node,
-            &self.name,
-            &self.device,
-            &self.controller,
-            &self.state,
-        )
+        let mut daemon = self.daemon.lock();
+        let now = sim::time::now();
+        daemon.step(false, |d| d.gc(now))
     }
 
     /// Spawns the periodic GC thread the paper describes ("periodically,
@@ -457,38 +801,29 @@ impl Peer {
     /// The thread stops when the `Peer` is dropped. Calling this twice
     /// replaces the previous schedule; a zero `interval` is no schedule
     /// (GC stays caller-driven), not a sweep in a busy loop.
-    pub fn spawn_gc(&mut self, interval: std::time::Duration) {
+    pub fn spawn_gc(&mut self, interval: Duration) {
         self.stop_gc();
         if interval.is_zero() {
             return;
         }
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let cluster = self.cluster.clone();
-        let node = self.node;
-        let name = self.name.clone();
-        let device = self.device.clone();
-        let controller = self.controller.clone();
-        let state = Arc::clone(&self.state);
-        let stop2 = Arc::clone(&stop);
+        let stop = Arc::new(AtomicBool::new(false));
+        let (daemon, stop2) = (Arc::clone(&self.daemon), Arc::clone(&stop));
         let handle = std::thread::Builder::new()
-            .name(format!("peer-gc-{name}"))
+            .name(format!("peer-gc-{}", self.name))
             .spawn(move || {
-                let tick = std::time::Duration::from_millis(20).min(interval);
-                let mut since = std::time::Duration::ZERO;
-                while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
+                let tick = Duration::from_millis(20).min(interval);
+                let mut since = Duration::ZERO;
+                while !stop2.load(Ordering::Relaxed) {
                     std::thread::sleep(tick);
                     since += tick;
-                    if cluster.is_alive(node) {
-                        let mut guard = state.lock();
-                        let st = &mut *guard;
-                        ensure_generation(&cluster, node, &name, &device, &controller, st);
-                        consume_pressure(&cluster, node, &name, &device, &controller, st);
+                    let due = since >= interval;
+                    if due {
+                        since = Duration::ZERO;
                     }
-                    if since >= interval {
-                        since = std::time::Duration::ZERO;
-                        if cluster.is_alive(node) {
-                            run_gc_sweep(&cluster, node, &name, &device, &controller, &state);
-                        }
+                    let mut daemon = daemon.lock();
+                    let now = sim::time::now();
+                    if daemon.cluster.is_alive(daemon.node) {
+                        daemon.step(true, |d| due.then(|| d.gc(now)));
                     }
                 }
             })
@@ -499,530 +834,8 @@ impl Peer {
     /// Stops the periodic GC thread (no-op if none is running).
     pub fn stop_gc(&mut self) {
         if let Some((stop, handle)) = self.gc.take() {
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            stop.store(true, Ordering::Relaxed);
             let _ = handle.join();
-        }
-    }
-}
-
-/// Detects a restart (crash generation moved) and reinitialises: DRAM
-/// contents are gone, so the mr-map, staged regions, free lists and tenant
-/// ledger are dropped, and the daemon re-announces itself to the controller.
-fn ensure_generation(
-    cluster: &Cluster,
-    node: NodeId,
-    name: &str,
-    device: &RdmaDevice,
-    controller: &ControllerClient,
-    st: &mut PeerState,
-) {
-    let gen = cluster.generation(node);
-    if gen == st.gen {
-        return;
-    }
-    st.gen = gen;
-    st.mr_map.clear();
-    st.staged.clear();
-    st.alloc.wipe();
-    st.gauges.publish(&st.alloc, 0);
-    device.reap_stale();
-    let _ = controller.register_peer(node, name, node, st.alloc.total());
-}
-
-/// Re-publishes the memory gauges and pushes availability + load to the
-/// controller's placement plane.
-fn sync_gauges(node: NodeId, name: &str, controller: &ControllerClient, st: &mut PeerState) {
-    let live = st.mr_map.len() + st.staged.len();
-    st.gauges.publish(&st.alloc, live);
-    let _ = controller.update_avail(node, name, st.alloc.avail(), live as u64);
-}
-
-/// One GC pass over a peer's regions (see [`Peer::gc_sweep`]).
-fn run_gc_sweep(
-    cluster: &Cluster,
-    node: NodeId,
-    name: &str,
-    device: &RdmaDevice,
-    controller: &ControllerClient,
-    state: &Arc<Mutex<PeerState>>,
-) -> usize {
-    let mut guard = state.lock();
-    let st = &mut *guard;
-    ensure_generation(cluster, node, name, device, controller, st);
-    let mut freed = 0;
-    for map_kind in 0..2 {
-        let keys: Vec<(String, String)> = if map_kind == 0 {
-            st.mr_map.keys().cloned().collect()
-        } else {
-            st.staged.keys().cloned().collect()
-        };
-        for key in keys {
-            let e_r = {
-                let map = if map_kind == 0 {
-                    &st.mr_map
-                } else {
-                    &st.staged
-                };
-                map.get(&key).map(|r| r.epoch)
-            };
-            let Some(e_r) = e_r else { continue };
-            let Ok(e) = controller.get_app_epoch(node, &key.0, &key.1) else {
-                continue;
-            };
-            let reclaim = if e > e_r {
-                true
-            } else if e == e_r {
-                // Same epoch: keep only if this peer is a member of the
-                // entry (staged regions at the committed epoch have been
-                // superseded by their committed twin and can go too).
-                let member = controller
-                    .get_ap_entry(node, &key.0, &key.1)
-                    .ok()
-                    .flatten()
-                    .map(|entry| entry.peers.contains(&name.to_string()))
-                    .unwrap_or(false);
-                if map_kind == 0 {
-                    !member
-                } else {
-                    false
-                }
-            } else {
-                // e < e_r: allocation might still be in progress.
-                false
-            };
-            if reclaim {
-                let region = if map_kind == 0 {
-                    st.mr_map.remove(&key)
-                } else {
-                    st.staged.remove(&key)
-                }
-                .expect("checked above");
-                st.telemetry.event(
-                    events::REGION_FREE,
-                    name,
-                    region.epoch,
-                    format!("{}/{}: leak GC (app epoch {e})", key.0, key.1),
-                );
-                st.gauges.gc_reclaimed.inc();
-                release_region(device, st, &key.0, region);
-                freed += 1;
-            }
-        }
-    }
-    // Lease pass: a region idle past the lease window may belong to an
-    // application that crashed for good and will never free it. The
-    // controller confirms (instance lock held by a live node) before
-    // anything is reclaimed; a merely-idle live tenant gets its lease
-    // renewed instead, and an unreachable controller means no confirmation
-    // and no reclaim.
-    let now = Instant::now();
-    let lease = st.lease;
-    for map_kind in 0..2 {
-        let keys: Vec<(String, String)> = if map_kind == 0 {
-            st.mr_map.keys().cloned().collect()
-        } else {
-            st.staged.keys().cloned().collect()
-        };
-        for key in keys {
-            let expired = {
-                let map = if map_kind == 0 {
-                    &st.mr_map
-                } else {
-                    &st.staged
-                };
-                map.get(&key)
-                    .map(|r| now.saturating_duration_since(r.lease) >= lease)
-                    .unwrap_or(false)
-            };
-            if !expired {
-                continue;
-            }
-            match controller.app_live(node, &key.0) {
-                Ok(true) => {
-                    let map = if map_kind == 0 {
-                        &mut st.mr_map
-                    } else {
-                        &mut st.staged
-                    };
-                    if let Some(region) = map.get_mut(&key) {
-                        region.lease = now;
-                    }
-                }
-                Ok(false) => {
-                    let region = if map_kind == 0 {
-                        st.mr_map.remove(&key)
-                    } else {
-                        st.staged.remove(&key)
-                    };
-                    let Some(region) = region else { continue };
-                    st.telemetry.event(
-                        events::LEASE_EXPIRE,
-                        name,
-                        region.epoch,
-                        format!("{}/{}: lease expired, app confirmed dead", key.0, key.1),
-                    );
-                    st.gauges.gc_reclaimed.inc();
-                    release_region(device, st, &key.0, region);
-                    freed += 1;
-                }
-                Err(_) => {}
-            }
-        }
-    }
-    if freed > 0 {
-        sync_gauges(node, name, controller, st);
-    }
-    freed
-}
-
-/// Invalidates a region's token and returns its memory to the tenant
-/// ledger + size-class free list.
-fn release_region(device: &RdmaDevice, st: &mut PeerState, app: &str, region: Region) {
-    device.invalidate(region.remote.mr_id);
-    st.alloc.release(app, region.remote.len, region.local);
-}
-
-/// How expendable a region is under memory pressure: the unspilled part of
-/// its acked prefix (`seq - spill_seq`). A region whose acked bytes are all
-/// on the spill tier (PR 7) loses nothing when revoked — catch-up rebuilds
-/// it from the DFS snapshot — so it is the coldest possible victim. An
-/// uninitialised header reads as 0: an empty region is also free to lose.
-fn region_coldness(region: &Region) -> u64 {
-    region
-        .local
-        .read_local(0, HEADER_WIRE_SIZE)
-        .and_then(|bytes| RegionHeader::decode(&bytes))
-        .map(|h| h.seq.saturating_sub(h.spill_seq))
-        .unwrap_or(0)
-}
-
-/// Voluntary revocation (§4.5.2): revokes the coldest regions until at
-/// least `need` bytes are reclaimed. Files with a staged region (in-flight
-/// catch-up) and the protected key are never victims. Each victim's owner
-/// is reported to the controller so the app learns to replace the peer.
-fn evict_bytes(
-    node: NodeId,
-    name: &str,
-    device: &RdmaDevice,
-    controller: &ControllerClient,
-    st: &mut PeerState,
-    need: u64,
-    protect: Option<&(String, String)>,
-) -> u64 {
-    let mut victims: Vec<((String, String), u64, usize)> = st
-        .mr_map
-        .iter()
-        .filter(|(key, _)| Some(*key) != protect && !st.staged.contains_key(*key))
-        .map(|(key, region)| (key.clone(), region_coldness(region), region.remote.len))
-        .collect();
-    // Coldest first; bigger regions break ties so fewer files are disturbed;
-    // the key keeps the order deterministic.
-    victims.sort_by(|a, b| a.1.cmp(&b.1).then(b.2.cmp(&a.2)).then(a.0.cmp(&b.0)));
-    let mut reclaimed = 0u64;
-    for (key, _, _) in victims {
-        if reclaimed >= need {
-            break;
-        }
-        let Some(region) = st.mr_map.remove(&key) else {
-            continue;
-        };
-        let epoch = region.epoch;
-        let len = region.remote.len as u64;
-        st.telemetry.event(
-            events::REGION_REVOKE,
-            name,
-            epoch,
-            format!(
-                "{}/{}: revoked under memory pressure ({len} bytes)",
-                key.0, key.1
-            ),
-        );
-        st.gauges.revoked_regions.inc();
-        st.gauges.revoked_bytes.add(len);
-        release_region(device, st, &key.0, region);
-        let _ = controller.report_revocation(node, name, &key.0, &key.1, epoch);
-        reclaimed += len;
-    }
-    if reclaimed > 0 {
-        sync_gauges(node, name, controller, st);
-    }
-    reclaimed
-}
-
-/// Drains a pending memory-pressure signal: shrink used memory to at most
-/// `pct` percent of the budget by revoking the coldest regions.
-fn consume_pressure(
-    cluster: &Cluster,
-    node: NodeId,
-    name: &str,
-    device: &RdmaDevice,
-    controller: &ControllerClient,
-    st: &mut PeerState,
-) {
-    let Some(pct) = cluster.take_pressure(node) else {
-        return;
-    };
-    st.telemetry.event(
-        events::PEER_PRESSURE,
-        name,
-        0,
-        format!("shrink to {pct}% of {}-byte budget", st.alloc.total()),
-    );
-    let target = ((st.alloc.total() as u128 * pct as u128) / 100) as u64;
-    let used = st.alloc.used();
-    if used > target {
-        evict_bytes(node, name, device, controller, st, used - target, None);
-    }
-}
-
-/// Allocates a region of `region_len` bytes for `app`, preferring the
-/// recycled free list (cheap re-key) over fresh registration (charged with
-/// page-pinning cost). On `Err` the charge has been reverted.
-fn allocate_region(
-    device: &RdmaDevice,
-    st: &mut PeerState,
-    app: &str,
-    region_len: usize,
-) -> Result<(LocalMr, RemoteMr), String> {
-    let pooled = match st.alloc.charge(app, region_len) {
-        Ok(pooled) => pooled,
-        Err(e) => return Err(e.to_string()),
-    };
-    if let Some(local) = pooled {
-        if let Some(rkey) = device.rekey(local.mr_id()) {
-            let remote = RemoteMr {
-                node: device.node(),
-                mr_id: local.mr_id(),
-                rkey,
-                len: region_len,
-            };
-            return Ok((local, remote));
-        }
-        // Pooled region vanished (shouldn't happen outside a crash); fall
-        // through to fresh registration.
-    }
-    match device.register_mr(region_len) {
-        Ok(pair) => Ok(pair),
-        Err(e) => {
-            st.alloc.uncharge(app, region_len);
-            Err(format!("registration failed: {e}"))
-        }
-    }
-}
-
-/// [`allocate_region`] with the voluntary-revocation retry: when the budget
-/// is exhausted and the request could ever fit, evict the coldest regions
-/// (never the file's own current region — catch-up may still read it) and
-/// try once more.
-fn allocate_with_eviction(
-    node: NodeId,
-    name: &str,
-    device: &RdmaDevice,
-    controller: &ControllerClient,
-    st: &mut PeerState,
-    key: &(String, String),
-    region_len: usize,
-) -> Result<(LocalMr, RemoteMr), String> {
-    match allocate_region(device, st, &key.0, region_len) {
-        Ok(pair) => Ok(pair),
-        Err(msg) => {
-            if region_len as u64 > st.alloc.total() {
-                return Err(msg);
-            }
-            let shortfall = (region_len as u64).saturating_sub(st.alloc.avail());
-            if evict_bytes(node, name, device, controller, st, shortfall, Some(key)) == 0 {
-                return Err(msg);
-            }
-            allocate_region(device, st, &key.0, region_len)
-        }
-    }
-}
-
-fn handle(
-    node: NodeId,
-    name: &str,
-    device: &RdmaDevice,
-    controller: &ControllerClient,
-    st: &mut PeerState,
-    req: PeerReq,
-) -> PeerResp {
-    match req {
-        PeerReq::Alloc {
-            app,
-            file,
-            epoch,
-            capacity,
-        } => {
-            let key = (app, file);
-            if let Some(existing) = st.mr_map.get(&key) {
-                if existing.epoch >= epoch {
-                    return PeerResp::Rejected(format!(
-                        "region exists at epoch {} >= {epoch}",
-                        existing.epoch
-                    ));
-                }
-                // A newer epoch supersedes the old allocation.
-                let old = st.mr_map.remove(&key).expect("present");
-                release_region(device, st, &key.0, old);
-            }
-            let region_len = HEADER_SIZE + capacity;
-            match allocate_with_eviction(node, name, device, controller, st, &key, region_len) {
-                Ok((local, remote)) => {
-                    st.telemetry.event(
-                        events::REGION_ALLOC,
-                        name,
-                        epoch,
-                        format!("{}/{}: {region_len} bytes", key.0, key.1),
-                    );
-                    st.mr_map.insert(
-                        key,
-                        Region {
-                            epoch,
-                            local,
-                            remote,
-                            lease: Instant::now(),
-                        },
-                    );
-                    sync_gauges(node, name, controller, st);
-                    PeerResp::Mr(remote)
-                }
-                Err(msg) => PeerResp::Rejected(msg),
-            }
-        }
-        PeerReq::Free { app, file, epoch } => {
-            let key = (app, file);
-            if let Some(region) = st.mr_map.get(&key) {
-                if region.epoch > epoch {
-                    return PeerResp::Rejected(format!(
-                        "free at epoch {epoch} older than region epoch {}",
-                        region.epoch
-                    ));
-                }
-            }
-            let mut freed = false;
-            if let Some(region) = st.mr_map.remove(&key) {
-                st.telemetry.event(
-                    events::REGION_FREE,
-                    name,
-                    region.epoch,
-                    format!("{}/{}: released by application", key.0, key.1),
-                );
-                release_region(device, st, &key.0, region);
-                freed = true;
-            }
-            // A Free racing a replace: the application deleted the file
-            // while a catch-up had a region staged for it. The staged slot
-            // would otherwise never leave the tenant ledger — the
-            // double-release leak. Dropping it here keeps Free idempotent
-            // (repeats find both maps empty and change nothing).
-            if st
-                .staged
-                .get(&key)
-                .is_some_and(|staged| staged.epoch <= epoch)
-            {
-                let staged = st.staged.remove(&key).expect("present");
-                st.telemetry.event(
-                    events::REGION_FREE,
-                    name,
-                    staged.epoch,
-                    format!("{}/{}: staged region dropped by free", key.0, key.1),
-                );
-                release_region(device, st, &key.0, staged);
-                freed = true;
-            }
-            if freed {
-                sync_gauges(node, name, controller, st);
-            }
-            PeerResp::Ok
-        }
-        PeerReq::RecoveryLookup { app, file } => {
-            match st.mr_map.get_mut(&(app, file)) {
-                Some(region) => {
-                    region.lease = Instant::now();
-                    PeerResp::Mr(region.remote)
-                }
-                // The peer crashed and recovered (mr-map lost) or never had
-                // the region: it must reject so recovery quorum logic treats
-                // it as data-less.
-                None => PeerResp::Rejected("no region for file".to_string()),
-            }
-        }
-        PeerReq::Prepare {
-            app,
-            file,
-            epoch,
-            capacity,
-            copy_current,
-        } => {
-            let key = (app, file);
-            let region_len = HEADER_SIZE + capacity;
-            // Drop any previous staging for this file (aborted recovery).
-            if let Some(old) = st.staged.remove(&key) {
-                release_region(device, st, &key.0, old);
-            }
-            match allocate_with_eviction(node, name, device, controller, st, &key, region_len) {
-                Ok((local, remote)) => {
-                    if copy_current {
-                        if let Some(cur) = st.mr_map.get(&key) {
-                            let n = cur.remote.len.min(region_len);
-                            if let Some(bytes) = cur.local.read_local(0, n) {
-                                local.write_local(0, &bytes);
-                            }
-                        }
-                    }
-                    st.staged.insert(
-                        key,
-                        Region {
-                            epoch,
-                            local,
-                            remote,
-                            lease: Instant::now(),
-                        },
-                    );
-                    PeerResp::Mr(remote)
-                }
-                Err(msg) => PeerResp::Rejected(msg),
-            }
-        }
-        PeerReq::Commit { app, file, epoch } => {
-            let key = (app, file);
-            match st.staged.remove(&key) {
-                Some(mut staged) if staged.epoch == epoch => {
-                    if let Some(old) = st.mr_map.remove(&key) {
-                        release_region(device, st, &key.0, old);
-                    }
-                    staged.lease = Instant::now();
-                    st.mr_map.insert(key, staged);
-                    sync_gauges(node, name, controller, st);
-                    PeerResp::Ok
-                }
-                Some(staged) => {
-                    let msg = format!(
-                        "staged epoch {} does not match commit epoch {epoch}",
-                        staged.epoch
-                    );
-                    st.staged.insert(key, staged);
-                    PeerResp::Rejected(msg)
-                }
-                None => PeerResp::Rejected("nothing staged".to_string()),
-            }
-        }
-        PeerReq::BumpEpoch { app, file, epoch } => {
-            match st.mr_map.get_mut(&(app.clone(), file.clone())) {
-                Some(region) => {
-                    region.epoch = region.epoch.max(epoch);
-                    region.lease = Instant::now();
-                    let bumped = region.epoch;
-                    st.telemetry.event(
-                        events::EPOCH_BUMP,
-                        name,
-                        bumped,
-                        format!("{app}/{file}: survivor region epoch raised"),
-                    );
-                    PeerResp::Ok
-                }
-                None => PeerResp::Rejected("no region for file".to_string()),
-            }
         }
     }
 }
@@ -1062,33 +875,75 @@ mod tests {
         setup_with(lend, NclConfig::zero())
     }
 
-    fn alloc(fx: &Fixture, app: &str, file: &str, epoch: u64, cap: usize) -> PeerResp {
+    fn key(app: &str, file: &str) -> Key {
+        (app.into(), file.into())
+    }
+
+    fn alloc_req(app: &str, file: &str, epoch: u64, capacity: usize) -> PeerReq {
+        PeerReq::Alloc {
+            app: app.into(),
+            file: file.into(),
+            epoch,
+            capacity,
+        }
+    }
+
+    /// Stages a 128-byte region for `(app, file)` at `epoch`.
+    fn prepare_req(app: &str, file: &str, epoch: u64, copy_current: bool) -> PeerReq {
+        PeerReq::Prepare {
+            app: app.into(),
+            file: file.into(),
+            epoch,
+            capacity: 128,
+            copy_current,
+        }
+    }
+
+    fn commit_req(app: &str, file: &str, epoch: u64) -> PeerReq {
+        PeerReq::Commit {
+            app: app.into(),
+            file: file.into(),
+            epoch,
+        }
+    }
+
+    fn lookup_req(app: &str, file: &str) -> PeerReq {
+        PeerReq::RecoveryLookup {
+            app: app.into(),
+            file: file.into(),
+        }
+    }
+
+    fn bump_req(app: &str, file: &str, epoch: u64) -> PeerReq {
+        PeerReq::BumpEpoch {
+            app: app.into(),
+            file: file.into(),
+            epoch,
+        }
+    }
+
+    /// Sends `req` over the peer's RPC endpoint, as an application would.
+    fn call(fx: &Fixture, req: PeerReq) -> PeerResp {
         let ep = fx.registry.lookup("p1").unwrap();
-        ep.rpc
-            .call(
-                fx.app_node,
-                PeerReq::Alloc {
-                    app: app.into(),
-                    file: file.into(),
-                    epoch,
-                    capacity: cap,
-                },
-            )
-            .unwrap()
+        ep.rpc.call(fx.app_node, req).unwrap()
+    }
+
+    fn alloc(fx: &Fixture, app: &str, file: &str, epoch: u64, cap: usize) -> PeerResp {
+        call(fx, alloc_req(app, file, epoch, cap))
     }
 
     fn free(fx: &Fixture, app: &str, file: &str, epoch: u64) -> PeerResp {
-        let ep = fx.registry.lookup("p1").unwrap();
-        ep.rpc
-            .call(
-                fx.app_node,
-                PeerReq::Free {
-                    app: app.into(),
-                    file: file.into(),
-                    epoch,
-                },
-            )
-            .unwrap()
+        let req = PeerReq::Free {
+            app: app.into(),
+            file: file.into(),
+            epoch,
+        };
+        call(fx, req)
+    }
+
+    /// One GC sweep at `now`, run on the daemon directly.
+    fn sweep(daemon: &mut Daemon, now: Instant) -> usize {
+        daemon.step(false, |d| d.gc(now))
     }
 
     #[test]
@@ -1166,32 +1021,14 @@ mod tests {
     fn recovery_lookup_found_and_rejected_after_crash() {
         let fx = setup(1 << 20);
         alloc(&fx, "a", "wal", 1, 128);
-        let ep = fx.registry.lookup("p1").unwrap();
-        let resp = ep
-            .rpc
-            .call(
-                fx.app_node,
-                PeerReq::RecoveryLookup {
-                    app: "a".into(),
-                    file: "wal".into(),
-                },
-            )
-            .unwrap();
-        assert!(matches!(resp, PeerResp::Mr(_)));
+        assert!(matches!(call(&fx, lookup_req("a", "wal")), PeerResp::Mr(_)));
         // Crash + restart loses the mr-map: lookups must be rejected.
         fx.cluster.crash(fx.peer.node());
         fx.cluster.restart(fx.peer.node());
-        let resp = ep
-            .rpc
-            .call(
-                fx.app_node,
-                PeerReq::RecoveryLookup {
-                    app: "a".into(),
-                    file: "wal".into(),
-                },
-            )
-            .unwrap();
-        assert!(matches!(resp, PeerResp::Rejected(_)));
+        assert!(matches!(
+            call(&fx, lookup_req("a", "wal")),
+            PeerResp::Rejected(_)
+        ));
         assert_eq!(fx.peer.avail(), 1 << 20, "memory recovered after restart");
         assert_eq!(fx.peer.mem_used(), 0, "ledger wiped after restart");
     }
@@ -1204,45 +1041,15 @@ mod tests {
         };
         // Write something into the old region via host access (stand-in for
         // RDMA writes from the app).
-        {
-            let st = fx.peer.state.lock();
-            st.mr_map
-                .get(&("a".into(), "wal".into()))
-                .unwrap()
-                .local
-                .write_local(HEADER_SIZE, b"old!");
-        }
-        let ep = fx.registry.lookup("p1").unwrap();
-        let PeerResp::Mr(new_mr) = ep
-            .rpc
-            .call(
-                fx.app_node,
-                PeerReq::Prepare {
-                    app: "a".into(),
-                    file: "wal".into(),
-                    epoch: 2,
-                    capacity: 128,
-                    copy_current: true,
-                },
-            )
-            .unwrap()
-        else {
+        fx.peer.daemon.lock().live[&key("a", "wal")]
+            .local
+            .write_local(HEADER_SIZE, b"old!");
+        let PeerResp::Mr(new_mr) = call(&fx, prepare_req("a", "wal", 2, true)) else {
             panic!("prepare failed")
         };
         assert_ne!(new_mr.mr_id, old_mr.mr_id);
         // The staged copy carried the old contents.
-        let resp = ep
-            .rpc
-            .call(
-                fx.app_node,
-                PeerReq::Commit {
-                    app: "a".into(),
-                    file: "wal".into(),
-                    epoch: 2,
-                },
-            )
-            .unwrap();
-        assert!(matches!(resp, PeerResp::Ok));
+        assert!(matches!(call(&fx, commit_req("a", "wal", 2)), PeerResp::Ok));
         assert_eq!(
             fx.peer.inspect_region("a", "wal", HEADER_SIZE, 4).unwrap(),
             b"old!"
@@ -1258,44 +1065,13 @@ mod tests {
     fn commit_with_wrong_epoch_rejected() {
         let fx = setup(1 << 20);
         alloc(&fx, "a", "wal", 1, 128);
-        let ep = fx.registry.lookup("p1").unwrap();
-        ep.rpc
-            .call(
-                fx.app_node,
-                PeerReq::Prepare {
-                    app: "a".into(),
-                    file: "wal".into(),
-                    epoch: 2,
-                    capacity: 128,
-                    copy_current: false,
-                },
-            )
-            .unwrap();
-        let resp = ep
-            .rpc
-            .call(
-                fx.app_node,
-                PeerReq::Commit {
-                    app: "a".into(),
-                    file: "wal".into(),
-                    epoch: 3,
-                },
-            )
-            .unwrap();
-        assert!(matches!(resp, PeerResp::Rejected(_)));
+        call(&fx, prepare_req("a", "wal", 2, false));
+        assert!(matches!(
+            call(&fx, commit_req("a", "wal", 3)),
+            PeerResp::Rejected(_)
+        ));
         // Staging survives a mismatched commit and can be committed later.
-        let resp = ep
-            .rpc
-            .call(
-                fx.app_node,
-                PeerReq::Commit {
-                    app: "a".into(),
-                    file: "wal".into(),
-                    epoch: 2,
-                },
-            )
-            .unwrap();
-        assert!(matches!(resp, PeerResp::Ok));
+        assert!(matches!(call(&fx, commit_req("a", "wal", 2)), PeerResp::Ok));
     }
 
     #[test]
@@ -1363,17 +1139,7 @@ mod tests {
             .unwrap();
         // Simulate a peer-replacement: the app bumps the survivor's epoch
         // BEFORE writing the new ap-map entry.
-        let ep = fx.registry.lookup("p1").unwrap();
-        ep.rpc
-            .call(
-                fx.app_node,
-                PeerReq::BumpEpoch {
-                    app: "a".into(),
-                    file: "wal".into(),
-                    epoch: 2,
-                },
-            )
-            .unwrap();
+        call(&fx, bump_req("a", "wal", 2));
         fx.ctrl_client
             .set_ap_entry(
                 fx.app_node,
@@ -1415,19 +1181,7 @@ mod tests {
     fn free_is_idempotent_and_drops_replace_race_staging() {
         let fx = setup(1 << 20);
         alloc(&fx, "a", "wal", 1, 128);
-        let ep = fx.registry.lookup("p1").unwrap();
-        ep.rpc
-            .call(
-                fx.app_node,
-                PeerReq::Prepare {
-                    app: "a".into(),
-                    file: "wal".into(),
-                    epoch: 2,
-                    capacity: 128,
-                    copy_current: false,
-                },
-            )
-            .unwrap();
+        call(&fx, prepare_req("a", "wal", 2, false));
         assert_eq!(fx.peer.staged_count(), 1);
         assert_eq!(fx.peer.mem_used(), 2 * (HEADER_SIZE + 128) as u64);
         // The app deletes the file while the catch-up has a region staged:
@@ -1452,27 +1206,17 @@ mod tests {
         // wal1's acked prefix is fully spilled (seq == spill_seq): coldest.
         // wal2 still holds 10 unspilled records: hotter.
         {
-            let st = fx.peer.state.lock();
-            let h1 = RegionHeader {
-                seq: 10,
-                spill_seq: 10,
-                ..Default::default()
-            };
-            st.mr_map
-                .get(&("a".into(), "wal1".into()))
-                .unwrap()
-                .local
-                .write_local(0, &h1.encode());
-            let h2 = RegionHeader {
-                seq: 10,
-                spill_seq: 0,
-                ..Default::default()
-            };
-            st.mr_map
-                .get(&("a".into(), "wal2".into()))
-                .unwrap()
-                .local
-                .write_local(0, &h2.encode());
+            let daemon = fx.peer.daemon.lock();
+            for (file, spill_seq) in [("wal1", 10), ("wal2", 0)] {
+                let header = RegionHeader {
+                    seq: 10,
+                    spill_seq,
+                    ..Default::default()
+                };
+                daemon.live[&key("a", file)]
+                    .local
+                    .write_local(0, &header.encode());
+            }
         }
         // The budget is full; the third allocation forces a voluntary
         // revocation and must pick the spilled (cold) region.
@@ -1489,9 +1233,8 @@ mod tests {
 
     #[test]
     fn lease_gc_reclaims_regions_of_dead_apps() {
-        let mut config = NclConfig::zero();
-        config.peer_lease = Duration::ZERO;
-        let fx = setup_with(1 << 20, config);
+        let fx = setup(1 << 20);
+        let lease = NclConfig::zero().peer_lease;
         // "live" holds its instance lock from a live node: lease renewed.
         fx.ctrl_client
             .acquire_instance(fx.app_node, "live", fx.app_node)
@@ -1499,15 +1242,70 @@ mod tests {
         alloc(&fx, "live", "wal", 1, 128);
         // "dead" never held (or lost) its lock: confirmed dead → reclaim.
         alloc(&fx, "dead", "wal", 1, 128);
-        let freed = fx.peer.gc_sweep();
-        assert_eq!(freed, 1);
+        let later = Instant::now() + lease;
+        assert_eq!(sweep(&mut fx.peer.daemon.lock(), later), 1);
         assert!(fx.peer.inspect_region("live", "wal", 0, 1).is_some());
         assert!(fx.peer.inspect_region("dead", "wal", 0, 1).is_none());
         assert_eq!(fx.peer.tenant_usage("dead").regions, 0);
-        // The lock holder crashes: the next sweep reclaims "live" too.
+        // The lock holder crashes: the next expiry reclaims "live" too.
         fx.cluster.crash(fx.app_node);
-        assert_eq!(fx.peer.gc_sweep(), 1);
+        assert_eq!(sweep(&mut fx.peer.daemon.lock(), later + lease), 1);
         assert_eq!(fx.peer.mem_used(), 0);
+    }
+
+    #[test]
+    fn leases_expire_at_the_boundary_and_every_request_renews_them() {
+        let mut config = NclConfig::zero();
+        config.telemetry = Telemetry::new();
+        let tel = config.telemetry.clone();
+        let lease = config.peer_lease;
+        let fx = setup_with(1 << 20, config);
+        fx.ctrl_client
+            .acquire_instance(fx.app_node, "live", fx.app_node)
+            .unwrap();
+        let ns = Duration::from_nanos(1);
+        let mut d = fx.peer.daemon.lock();
+        let ok = |resp: PeerResp| assert!(!matches!(resp, PeerResp::Rejected(_)), "{resp:?}");
+
+        // The boundary: touched at t, a region is still leased a nanosecond
+        // before t + lease and expired at t + lease exactly.
+        let t = Instant::now();
+        ok(d.handle(t, alloc_req("live", "wal", 1, 128)));
+        ok(d.handle(t, alloc_req("dead", "wal", 1, 128)));
+        assert_eq!(sweep(&mut d, t + lease - ns), 0);
+        assert_eq!(sweep(&mut d, t + lease), 1, "the dead app's region goes");
+        assert!(!d.live.contains_key(&key("dead", "wal")));
+        assert!(tel
+            .events()
+            .iter()
+            .any(|e| e.kind == events::LEASE_EXPIRE && e.detail.starts_with("dead/wal")));
+        // The live app's region was re-leased at t + lease, so once its app
+        // dies it lasts a whole lease from then.
+        fx.cluster.crash(fx.app_node);
+        assert_eq!(sweep(&mut d, t + 2 * lease - ns), 0);
+        assert_eq!(sweep(&mut d, t + 2 * lease), 1);
+        assert_eq!(d.alloc.used(), 0);
+
+        // Renewal: every file is allocated at u, and one request of each
+        // kind touches its file at v. The only region left at u is
+        // "prepare"'s live one: `Prepare` leases the region it stages.
+        let u = t + 3 * lease;
+        let v = u + Duration::from_secs(1);
+        for file in ["alloc", "lookup", "prepare", "commit", "bump"] {
+            ok(d.handle(u, alloc_req("dead", file, 1, 128)));
+        }
+        ok(d.handle(u, prepare_req("dead", "commit", 2, false)));
+        ok(d.handle(v, alloc_req("dead", "alloc", 2, 128)));
+        ok(d.handle(v, lookup_req("dead", "lookup")));
+        ok(d.handle(v, prepare_req("dead", "prepare", 2, false)));
+        ok(d.handle(v, commit_req("dead", "commit", 2)));
+        ok(d.handle(v, bump_req("dead", "bump", 2)));
+        assert_eq!(sweep(&mut d, u + lease), 1);
+        assert!(!d.live.contains_key(&key("dead", "prepare")));
+        assert_eq!((d.live.len(), d.staged.len()), (4, 1));
+        assert_eq!(sweep(&mut d, v + lease - ns), 0);
+        assert_eq!(sweep(&mut d, v + lease), 5);
+        assert_eq!(d.alloc.used(), 0);
     }
 
     #[test]
@@ -1515,18 +1313,54 @@ mod tests {
         let mut config = NclConfig::zero();
         config.telemetry = Telemetry::new();
         let tel = config.telemetry.clone();
-        let fx = setup_with(1 << 20, config);
-        assert_eq!(tel.gauge_value("peer.mem.p1.total_bytes"), 1 << 20);
-        assert_eq!(tel.gauge_value("peer.mem.total_bytes"), 1 << 20);
-        alloc(&fx, "a", "wal", 1, 4096);
-        let used = (HEADER_SIZE + 4096) as i64;
-        assert_eq!(tel.gauge_value("peer.mem.p1.used_bytes"), used);
-        assert_eq!(tel.gauge_value("peer.mem.used_bytes"), used);
+        let region = (HEADER_SIZE + 128) as i64;
+        let fx = setup_with(2 * region as u64, config);
+        assert_eq!(tel.gauge_value("peer.mem.p1.total_bytes"), 2 * region);
+        assert_eq!(tel.gauge_value("peer.mem.total_bytes"), 2 * region);
+        alloc(&fx, "a", "wal", 1, 128);
+        assert_eq!(tel.gauge_value("peer.mem.p1.used_bytes"), region);
+        assert_eq!(tel.gauge_value("peer.mem.used_bytes"), region);
         assert_eq!(tel.gauge_value("peer.mem.p1.regions"), 1);
         assert_eq!(tel.gauge_value("peer.mem.p1.tenants"), 1);
         free(&fx, "a", "wal", 1);
         assert_eq!(tel.gauge_value("peer.mem.p1.used_bytes"), 0);
         assert_eq!(tel.gauge_value("peer.mem.used_bytes"), 0);
         assert_eq!(tel.gauge_value("peer.mem.p1.tenants"), 0);
+
+        // Whatever request moved the ledger, the gauges and the controller's
+        // placement hint agree with it afterwards. (Read through the plain
+        // accessors: `Peer::avail` would publish by itself.)
+        let published = |step: &str| {
+            let regions = fx.peer.region_count() + fx.peer.staged_count();
+            let avail = fx.peer.mem_total() - fx.peer.mem_used();
+            let hint = fx.ctrl_client.get_peers(fx.app_node, "a", 0, 10, &[]);
+            assert_eq!(
+                tel.gauge_value("peer.mem.p1.used_bytes"),
+                fx.peer.mem_used() as i64,
+                "{step}"
+            );
+            assert_eq!(
+                tel.gauge_value("peer.mem.p1.regions"),
+                regions as i64,
+                "{step}"
+            );
+            assert_eq!(hint.unwrap()[0].avail, avail, "{step}");
+        };
+        alloc(&fx, "a", "wal", 1, 128);
+        assert!(matches!(
+            call(&fx, prepare_req("a", "wal", 2, true)),
+            PeerResp::Mr(_)
+        ));
+        assert_eq!(fx.peer.mem_used(), 2 * region as u64);
+        published("after Prepare");
+        assert!(matches!(call(&fx, commit_req("a", "wal", 2)), PeerResp::Ok));
+        // A superseding Alloc releases the old region, then fails: it does
+        // not fit the budget.
+        assert!(matches!(
+            alloc(&fx, "a", "wal", 3, 10_000),
+            PeerResp::Rejected(_)
+        ));
+        assert_eq!(fx.peer.mem_used(), 0);
+        published("after a failed superseding Alloc");
     }
 }
