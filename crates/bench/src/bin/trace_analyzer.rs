@@ -94,20 +94,51 @@ fn analyze_file(path: &Path, quorum: usize) -> Result<TraceReport, String> {
     Ok(analyze(&spans, &events, quorum))
 }
 
-/// Builds a tiny synthetic span tree through a real `Telemetry` handle and
-/// round-trips it through both exporters: the Chrome trace must validate
-/// and the analyzer must see one clean acked write. Guards the export
-/// schema without needing a workload.
-fn selfcheck() -> Result<(), String> {
-    let tel = Telemetry::new();
+/// Records one synthetic acked write through `tel`, the record-path chain
+/// of one burst about the records `seq` (`(0, 0)`: no range), and returns
+/// its trace id.
+fn synthetic_write(tel: &Telemetry, seq: (u64, u64)) -> u64 {
     let t0 = std::time::Instant::now();
     let trace = tel.next_trace_id();
-    tel.span_auto(trace, trace, spans::NCL_STAGE, "self/wal", 1, t0, t0);
-    tel.span_auto(trace, trace, spans::NCL_DOORBELL, "self/wal", 1, t0, t0);
-    tel.span_auto(trace, trace, spans::NCL_WIRE_PEER, "peer-0", 1, t0, t0);
-    tel.span_auto(trace, trace, spans::NCL_WIRE_PEER, "peer-1", 1, t0, t0);
-    tel.span_auto(trace, trace, spans::NCL_ACK, "self/wal", 1, t0, t0);
-    tel.span(trace, trace, 0, spans::NCL_WRITE, "self/wal", 1, t0, t0);
+    let mut chain: Vec<_> = [
+        (spans::NCL_STAGE, "self/wal"),
+        (spans::NCL_DOORBELL, "self/wal"),
+        (spans::NCL_WIRE_PEER, "peer-0"),
+        (spans::NCL_WIRE_PEER, "peer-1"),
+        (spans::NCL_ACK, "self/wal"),
+    ]
+    .into_iter()
+    .map(|(name, scope)| {
+        let id = tel.next_span_id();
+        tel.closed_span(trace, id, trace, name, scope, 1, seq, t0, t0)
+    })
+    .collect();
+    chain.push(tel.closed_span(
+        trace,
+        trace,
+        0,
+        spans::NCL_WRITE,
+        "self/wal",
+        1,
+        seq,
+        t0,
+        t0,
+    ));
+    tel.record_spans(&mut chain);
+    trace
+}
+
+/// Builds tiny synthetic span trees through a real `Telemetry` handle — a
+/// single record without a range and a 3-record burst — and round-trips
+/// them through both exporters: the Chrome trace must validate, and the
+/// analyzer must see each write clean and count its records. Guards the
+/// export schema without needing a workload.
+fn selfcheck() -> Result<(), String> {
+    let tel = Telemetry::new();
+    let writes = [((0, 0), 1), ((1, 3), 3)].map(|(seq, records)| {
+        let trace = synthetic_write(&tel, seq);
+        (trace, records)
+    });
 
     let all = tel.spans();
     let doc = chrome::render(&all);
@@ -115,9 +146,15 @@ fn selfcheck() -> Result<(), String> {
     if n < all.len() {
         return Err(format!("chrome trace dropped spans: {n} < {}", all.len()));
     }
-    let report = analyze(&all, &tel.events(), 2);
-    if !report.ok() || report.acked_writes != 1 || report.orphan_spans != 0 {
-        return Err(format!("analyzer selfcheck failed:\n{}", report.render()));
+    for (trace, records) in writes {
+        let spans: Vec<_> = all.iter().filter(|s| s.trace == trace).cloned().collect();
+        let report = analyze(&spans, &tel.events(), 2);
+        if !report.ok() || report.acked_writes != records || report.orphan_spans != 0 {
+            return Err(format!(
+                "analyzer selfcheck failed on a {records}-record write:\n{}",
+                report.render()
+            ));
+        }
     }
     println!("selfcheck ok: {} spans exported and verified", all.len());
     Ok(())

@@ -9,7 +9,7 @@ use rdma::{CompletionQueue, RemoteMr, WcStatus, WorkRequest, WrId};
 use telemetry::{events, spans};
 
 use super::phases::Phases;
-use super::slots::{Flight, PeerSlot, RepWait, WcWait};
+use super::slots::{Flight, PeerSlot, Rep, RepWait, WcWait};
 use super::staging::{FlushReason, Stage};
 use super::{fan_out, Ctx, NclFile};
 use crate::detector::Backoff;
@@ -158,24 +158,30 @@ impl NclFile {
         }
         let detail = format!("bumped {} survivors", rep.peers.len());
         tel.event_traced(events::EPOCH_BUMP, scope, epoch, phases.trace, detail);
-        // Replaced-in peers never produced wire completions for records that
+        // Replaced-in peers never produced wire completions for bursts that
         // were in flight when they joined — the catch-up copy is what made
         // those records durable on them. Credit each such flight with a
-        // catch-up coverage span so its quorum is reconstructible from the
-        // trace alone. (Their own wire spans start above `header.seq`, where
-        // catch-up left their `completed_seq`.)
-        let credited = |f: &&Flight| f.seq <= header.seq && f.trace != 0;
-        for flight in rep.flights.iter().filter(credited) {
+        // catch-up coverage span over its range so its quorum is
+        // reconstructible from the trace alone; the refresh below records
+        // them ahead of any root it closes. (Their own wire spans start
+        // above `header.seq`, where catch-up left their `completed_seq`.)
+        let Rep {
+            flights, span_buf, ..
+        } = &mut *rep;
+        let credited = |f: &&Flight| f.hi <= header.seq && f.trace != 0;
+        for flight in flights.iter().filter(credited) {
             for slot in &fresh {
-                tel.span_auto(
+                span_buf.push(tel.closed_span(
                     flight.trace,
+                    tel.next_span_id(),
                     flight.trace,
                     spans::NCL_CATCHUP_PEER,
                     slot.scope,
                     epoch,
+                    (flight.lo, flight.hi),
                     catchup_start,
                     catchup_end,
-                );
+                ));
             }
         }
         rep.peers.extend(fresh);

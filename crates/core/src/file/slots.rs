@@ -16,7 +16,7 @@ use telemetry::{events, spans, Span};
 use super::recovery::RecoveryStats;
 use super::repair::RepairStats;
 use super::scheme;
-use super::staging::{FileMetrics, FlushReason};
+use super::staging::{ns_between, FileMetrics, FlushReason};
 use super::{Ctx, NclFile};
 use crate::config::NclConfig;
 use crate::detector::{Backoff, PhiDetector};
@@ -77,19 +77,32 @@ impl AckedState {
     }
 }
 
-/// Lifecycle timestamps of one posted-but-not-yet-acked record; queued in
-/// sequence order in [`Rep::flights`] and retired when the durability
-/// watermark passes it. Bounded by the pipeline window.
+/// Lifecycle timestamps of one posted-but-not-yet-acked burst, the records
+/// `lo..=hi`; queued in sequence order in [`Rep::flights`] and retired when
+/// the durability watermark passes `hi`. Bounded by the pipeline window.
 pub(super) struct Flight {
-    pub seq: u64,
-    /// `record_nowait` entry.
+    pub lo: u64,
+    /// The burst's last record: a header completion covers the burst, and
+    /// the watermark retires it, once it reaches this one.
+    pub hi: u64,
+    /// The earliest `record_nowait` entry among the burst's records.
     pub t0: Instant,
+    /// Σ(entry − `t0`) over the burst's records, ns: what the `e2e` stamp
+    /// subtracts from `records() · (durable − t0)`.
+    pub entry_ns: u64,
     /// Doorbell time (posted to the peers).
     pub posted: Instant,
-    /// First peer whose header completion covered this record.
+    /// First peer whose header completion covered this burst.
     pub first_peer: Option<Instant>,
-    /// Trace id assigned at `record_nowait` (0 when tracing is off).
+    /// The burst's trace id (0 when tracing is off).
     pub trace: u64,
+}
+
+impl Flight {
+    /// Records in the burst: its sequence numbers are consecutive.
+    fn records(&self) -> u64 {
+        self.hi - self.lo + 1
+    }
 }
 
 /// Recovery responders: each peer that answered, with the region header it
@@ -181,21 +194,22 @@ pub(super) struct Rep {
     /// A peer failed but replacement was deferred (no spare peer available
     /// while a quorum was still alive); [`NclFile::maintain`] retries.
     pub repair_pending: bool,
-    /// Posted-but-not-durable records being timed (empty with telemetry
-    /// disabled). Registered at the back in sequence order, retired from
-    /// the front in [`Rep::refresh_durable`]; size is bounded by the
-    /// pipeline window. A header completion finds the flights it newly
-    /// covers by binary search — a full scan per completion is O(window)
-    /// under the `rep` lock and visibly stalls concurrent doorbells at deep
-    /// windows.
+    /// Posted-but-not-durable bursts being timed, one flight each (empty
+    /// with telemetry disabled). Registered at the back in sequence order,
+    /// retired from the front in [`Rep::refresh_durable`]; size is bounded
+    /// by the pipeline window. A header completion finds the flights it
+    /// newly covers by binary search on [`Flight::hi`] — a full scan per
+    /// completion is O(window) under the `rep` lock and visibly stalls
+    /// concurrent doorbells at deep windows.
     pub flights: VecDeque<Flight>,
-    /// Every flight at or below this sequence number has had its wire
-    /// span closed by some peer's header completion. Advanced monotonically
-    /// in [`Rep::absorb`]; flights are registered in sequence order before
-    /// their headers can complete, so nothing is ever inserted below it.
+    /// Every flight whose last record is at or below this sequence number
+    /// has had its wire stamp taken by some peer's header completion.
+    /// Advanced monotonically in [`Rep::absorb`]; flights are registered in
+    /// sequence order before their headers can complete, so nothing is ever
+    /// inserted below it.
     wire_covered_seq: u64,
     /// Spans closed since the last [`Rep::refresh_durable`], which hands
-    /// them to the telemetry ring in one piece: a record's stage, doorbell,
+    /// them to the telemetry ring in one piece: a burst's stage, doorbell,
     /// per-peer wire, ack and root spans cost one ring lock, not seven.
     pub span_buf: Vec<Span>,
     /// Reused by [`Rep::drain`] and [`Rep::refresh_durable`], so the
@@ -330,17 +344,18 @@ impl Rep {
             ..
         } = self;
         let through =
-            |flights: &VecDeque<Flight>, seq: u64| flights.partition_point(|f| f.seq <= seq);
+            |flights: &VecDeque<Flight>, seq: u64| flights.partition_point(|f| f.hi <= seq);
         // The wire histogram closes at the first peer whose header covers
-        // the record. Every flight at or below `wire_covered_seq` was closed
+        // the burst. Every flight at or below `wire_covered_seq` was closed
         // by an earlier header, so this one only touches the flights it
         // newly covers — never the whole in-flight window.
         if seq > *wire_covered_seq {
             let newly = through(flights, *wire_covered_seq)..through(flights, seq);
             for flight in flights.range_mut(newly) {
                 flight.first_peer = Some(now);
-                let wire = now.duration_since(flight.posted);
-                metrics.stages.wire.record_duration(wire);
+                let n = flight.records();
+                let wire = n * ns_between(flight.posted, now);
+                metrics.stages.wire.record_n(wire, n);
             }
             *wire_covered_seq = seq;
         }
@@ -360,6 +375,7 @@ impl Rep {
                     spans::NCL_WIRE_PEER,
                     peers[idx].scope,
                     *epoch,
+                    (flight.lo, flight.hi),
                     wire_start.max(flight.posted),
                     now,
                 ));
@@ -434,15 +450,17 @@ impl Rep {
         while self
             .flights
             .front()
-            .is_some_and(|f| f.seq <= self.durable_seq)
+            .is_some_and(|f| f.hi <= self.durable_seq)
         {
             let flight = self.flights.pop_front().expect("front just seen");
             let first = flight.first_peer.unwrap_or(flight.posted);
-            let stages = &metrics.stages;
-            stages.ack.record_duration(now.duration_since(first));
-            stages.e2e.record_duration(now.duration_since(flight.t0));
+            let (stages, n) = (&metrics.stages, flight.records());
+            stages.ack.record_n(n * ns_between(first, now), n);
+            // Σ(durable − entry) = n·(durable − t0) − Σ(entry − t0).
+            let e2e = n * ns_between(flight.t0, now) - flight.entry_ns;
+            stages.e2e.record_n(e2e, n);
             if flight.trace != 0 {
-                // Root last: a write's chain is complete exactly when its
+                // Root last: a burst's chain is complete exactly when its
                 // root span (id = trace id, no parent) exists.
                 for (name, id, parent, start) in [
                     (
@@ -460,6 +478,7 @@ impl Rep {
                         name,
                         metrics.scope,
                         self.epoch,
+                        (flight.lo, flight.hi),
                         start,
                         now,
                     ));

@@ -1,6 +1,6 @@
 //! Staging and the pipeline window: the local image, the pending burst,
 //! the `record_nowait` / `submit` entry points, the one flush function
-//! every burst goes through, and the per-record stage metrics.
+//! every burst goes through, and the stage metrics, stamped once per burst.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -34,7 +34,9 @@ pub(super) enum FlushReason {
 /// segments — `stage` (copying the record into the image) → `doorbell`
 /// (staged, waiting for a flush) → `wire` (posted until the first peer
 /// completes it) → `ack` (first peer until the quorum watermark passes
-/// it) — so their means sum to the `e2e` mean by construction.
+/// it) — so their means sum to the `e2e` mean by construction. Each takes
+/// one stamp per burst, its records' summed time
+/// ([`HistHandle::record_n`]): counts are records, sums are exact.
 pub(super) struct Stages {
     pub stage: HistHandle,
     pub doorbell: HistHandle,
@@ -60,8 +62,8 @@ impl Stages {
 /// Per-file metric handles, interned once at open so the record hot path
 /// never touches the registry.
 pub(super) struct FileMetrics {
-    /// Cached `telemetry.is_enabled()`: gates the per-record timestamping
-    /// and flight bookkeeping behind one branch.
+    /// Cached `telemetry.is_enabled()`: gates the staging timestamps, the
+    /// burst accumulator and the flight bookkeeping behind one branch.
     pub enabled: bool,
     pub tel: Telemetry,
     /// `app/file`, the scope every span and event of this file carries.
@@ -121,19 +123,58 @@ pub(super) struct PendingRecord {
     pub seq: u64,
     pub offset: usize,
     pub len: usize,
-    /// `record_nowait` entry and staging-complete timestamps; consumed at
-    /// flush time to close the stage/doorbell spans and open a [`Flight`].
-    /// Taken only for an enabled metrics handle: nothing else reads them.
-    pub stamps: Option<(Instant, Instant)>,
-    /// Trace id assigned at `record_nowait` (0 when tracing is off); the
-    /// root span id of this record's causal chain.
-    pub trace: u64,
 }
 
 impl PendingRecord {
     /// One past the last image byte this record wrote.
     pub fn end(&self) -> usize {
         self.offset + self.len
+    }
+}
+
+/// Nanoseconds from `from` to `to`, 0 if `to` is earlier.
+pub(super) fn ns_between(from: Instant, to: Instant) -> u64 {
+    to.saturating_duration_since(from).as_nanos() as u64
+}
+
+/// The pending burst's telemetry, accumulated as its records are staged and
+/// spent by the flush that posts them: the burst's stage and doorbell spans
+/// and stamps, and what its [`Flight`] carries on to the wire, ack and
+/// end-to-end stamps. A record's instants are kept only as sums of offsets
+/// from `first`, so the burst costs the same whatever its length.
+struct BurstStamps {
+    /// The earliest `record_nowait` entry among the burst's records.
+    first: Instant,
+    /// The last record's staging-complete instant.
+    last_staged: Instant,
+    /// Records stamped so far.
+    n: u64,
+    /// Σ(entry − first), ns.
+    entry_ns: u64,
+    /// Σ(staged − first), ns; less `entry_ns`, the records' summed stage.
+    staged_ns: u64,
+    /// Root span id of the burst's causal chain, taken when its first
+    /// record is staged (0 when tracing is off).
+    trace: u64,
+}
+
+impl BurstStamps {
+    /// Adds a record that entered `record_nowait` at `entry` and was staged
+    /// at `staged`.
+    fn add(&mut self, entry: Instant, staged: Instant) {
+        if entry < self.first {
+            // A writer that read the clock before the first record's did but
+            // staged after it: move the origin back, so every offset stays
+            // non-negative and every sum exact.
+            let back = ns_between(entry, self.first);
+            self.entry_ns += self.n * back;
+            self.staged_ns += self.n * back;
+            self.first = entry;
+        }
+        self.n += 1;
+        self.entry_ns += ns_between(self.first, entry);
+        self.staged_ns += ns_between(self.first, staged);
+        self.last_staged = staged;
     }
 }
 
@@ -181,6 +222,9 @@ pub(super) struct Stage {
     pub image: Image,
     /// Records staged by `record_nowait` but not yet posted to the peers.
     pending: Vec<PendingRecord>,
+    /// The pending records' telemetry (`None` with telemetry disabled or
+    /// nothing pending).
+    stamps: Option<BurstStamps>,
     /// Highest sequence number whose work requests have been posted.
     pub flushed_seq: u64,
     pub scheme: Scheme,
@@ -193,8 +237,23 @@ impl Stage {
             flushed_seq: image.seq,
             image,
             pending: Vec::new(),
+            stamps: None,
             scheme,
         }
+    }
+
+    /// Adds the record just staged to the pending burst's telemetry; its
+    /// first record also takes the burst's trace id from `tel`.
+    fn stamp(&mut self, entry: Instant, staged: Instant, tel: &Telemetry) {
+        let burst = self.stamps.get_or_insert_with(|| BurstStamps {
+            first: entry,
+            last_staged: staged,
+            n: 0,
+            entry_ns: 0,
+            staged_ns: 0,
+            trace: tel.next_trace_id(),
+        });
+        burst.add(entry, staged);
     }
 }
 
@@ -298,24 +357,13 @@ impl NclFile {
             image.seq += 1;
             seq = image.seq;
             self.issued.store(seq, Ordering::Release);
-            let stamps = t0.map(|t0| {
-                let staged_at = sim::time::now();
-                self.metrics.stages.stage.record_duration(staged_at - t0);
-                (t0, staged_at)
-            });
-            // Root of this record's causal chain; 0 (and therefore span-free)
-            // when telemetry is disabled or tracing is switched off.
-            let trace = if self.metrics.enabled {
-                self.metrics.tel.next_trace_id()
-            } else {
-                0
-            };
+            if let Some(t0) = t0 {
+                stage.stamp(t0, sim::time::now(), &self.metrics.tel);
+            }
             stage.pending.push(PendingRecord {
                 seq,
                 offset: offset as usize,
                 len: data.len(),
-                stamps,
-                trace,
             });
             // Window-full: ring the doorbell for the accumulated burst.
             if stage.pending.len() as u64 >= window {
@@ -356,15 +404,18 @@ impl NclFile {
     /// errors are left to the completion path, like every other posting
     /// site.
     pub(super) fn flush_staged(&self, stage: &mut Stage, reason: FlushReason) {
-        let Some(last) = stage.pending.last() else {
+        let (Some(first), Some(last)) = (stage.pending.first(), stage.pending.last()) else {
             return;
         };
+        let records = (first.seq, last.seq);
         let flushed = last.seq;
         self.metrics.count_flush(reason);
         let burst = stage.scheme.begin_burst(&stage.image, &stage.pending);
         let mut rep = self.rep_guard();
         let now = sim::time::now();
-        self.register_flights(&mut rep, &stage.pending, now);
+        if let Some(stamps) = stage.stamps.take() {
+            self.register_flight(&mut rep, stamps, records, now);
+        }
         let per_peer_bytes = if self.metrics.enabled {
             burst.wire_bytes(&stage.pending)
         } else {
@@ -389,44 +440,54 @@ impl NclFile {
         stage.scheme.end_burst(&stage.image, burst);
     }
 
-    /// Stamps the doorbell histogram, queues the stage and doorbell spans
-    /// and opens a [`Flight`] per pending record, all posted at the flush's
-    /// instant `posted_at`. Runs before the posts so that a flight is
-    /// registered before its header can land; completions cannot be absorbed
-    /// concurrently because the caller holds the replication lock.
-    fn register_flights(&self, rep: &mut Rep, pending: &[PendingRecord], posted_at: Instant) {
-        let metrics = &self.metrics;
-        for rec in pending {
-            let Some((t0, staged_at)) = rec.stamps else {
-                continue;
-            };
-            let waited = posted_at.duration_since(staged_at);
-            metrics.stages.doorbell.record_duration(waited);
-            if rec.trace != 0 {
-                for (name, start, end) in [
-                    (spans::NCL_STAGE, t0, staged_at),
-                    (spans::NCL_DOORBELL, staged_at, posted_at),
-                ] {
-                    rep.span_buf.push(metrics.tel.closed_span(
-                        rec.trace,
-                        metrics.tel.next_span_id(),
-                        rec.trace,
-                        name,
-                        metrics.scope,
-                        0,
-                        start,
-                        end,
-                    ));
-                }
+    /// Stamps the stage and doorbell histograms, queues the stage and
+    /// doorbell spans and opens the [`Flight`] of the burst of `records`
+    /// (inclusive), posted at the flush's instant `posted_at`. Runs before
+    /// the posts so that the flight is registered before its header can
+    /// land; completions cannot be absorbed concurrently because the caller
+    /// holds the replication lock.
+    fn register_flight(
+        &self,
+        rep: &mut Rep,
+        burst: BurstStamps,
+        records: (u64, u64),
+        posted_at: Instant,
+    ) {
+        let (metrics, n) = (&self.metrics, burst.n);
+        metrics
+            .stages
+            .stage
+            .record_n(burst.staged_ns - burst.entry_ns, n);
+        // Σ(posted − staged) = n·(posted − first) − Σ(staged − first).
+        let waited = n * ns_between(burst.first, posted_at) - burst.staged_ns;
+        metrics.stages.doorbell.record_n(waited, n);
+        if burst.trace != 0 {
+            for (name, start, end) in [
+                (spans::NCL_STAGE, burst.first, burst.last_staged),
+                (spans::NCL_DOORBELL, burst.last_staged, posted_at),
+            ] {
+                rep.span_buf.push(metrics.tel.closed_span(
+                    burst.trace,
+                    metrics.tel.next_span_id(),
+                    burst.trace,
+                    name,
+                    metrics.scope,
+                    0,
+                    records,
+                    start,
+                    end,
+                ));
             }
-            rep.flights.push_back(Flight {
-                seq: rec.seq,
-                t0,
-                posted: posted_at,
-                first_peer: None,
-                trace: rec.trace,
-            });
         }
+        rep.flights.push_back(Flight {
+            lo: records.0,
+            hi: records.1,
+            t0: burst.first,
+            entry_ns: burst.entry_ns,
+            posted: posted_at,
+            first_peer: None,
+            trace: burst.trace,
+        });
     }
 
     /// Durability barrier over everything issued so far: waits until the

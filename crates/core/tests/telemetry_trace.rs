@@ -152,7 +152,8 @@ fn peer_kill_mid_burst_traces_detect_catchup_apmap_in_order() {
         report.render()
     );
     assert_eq!(report.orphan_spans, 0);
-    assert!(report.acked_writes >= 7, "all 7 acked writes leave roots");
+    // One root for `base`, one for the six-record burst, counted by range.
+    assert!(report.acked_writes >= 7, "all 7 acked records leave roots");
     assert!(
         spans.iter().any(|s| s.name == spans::NCL_REPAIR),
         "replacement leaves a repair root span"
@@ -280,45 +281,103 @@ fn every_acked_write_leaves_a_complete_span_chain() {
         .iter()
         .filter(|s| s.name == spans::NCL_WRITE)
         .collect();
-    assert_eq!(roots.len(), 4, "one root per acked record");
-    for root in roots {
-        assert_eq!(root.id, root.trace);
-        assert_eq!(root.parent, 0);
-        assert_eq!(root.scope, "chain/wal");
-        let children: Vec<_> = spans
-            .iter()
-            .filter(|s| s.trace == root.trace && s.id != root.id)
-            .collect();
-        // Stage and doorbell are on the serial path; every child hangs off
-        // the root and nests inside it.
-        for required in [spans::NCL_STAGE, spans::NCL_DOORBELL, spans::NCL_ACK] {
-            assert!(
-                children.iter().any(|s| s.name == required),
-                "trace {} missing {required}",
-                root.trace
-            );
-        }
-        for c in &children {
-            assert_eq!(c.parent, root.id, "flat tree: children parent the root");
-        }
-        // Wire children cover at least the write quorum, one per peer.
-        let peers: std::collections::BTreeSet<&str> = children
-            .iter()
-            .filter(|s| s.name == spans::NCL_WIRE_PEER)
-            .map(|s| s.scope)
-            .collect();
+    assert_eq!(roots.len(), 1, "one root for the burst");
+    let root = roots[0];
+    assert_eq!(root.id, root.trace);
+    assert_eq!(root.parent, 0);
+    assert_eq!(root.scope, "chain/wal");
+    assert_eq!(root.seq, (last - 3, last), "the root spans all 4 records");
+    let children: Vec<_> = spans
+        .iter()
+        .filter(|s| s.trace == root.trace && s.id != root.id)
+        .collect();
+    // Stage and doorbell are on the serial path; every child hangs off the
+    // root, nests inside it and carries the burst's range.
+    for required in [spans::NCL_STAGE, spans::NCL_DOORBELL, spans::NCL_ACK] {
         assert!(
-            peers.len() >= config.quorum(),
-            "trace {}: wire coverage {peers:?} below quorum",
+            children.iter().any(|s| s.name == required),
+            "trace {} missing {required}",
             root.trace
         );
     }
+    for c in &children {
+        assert_eq!(c.parent, root.id, "flat tree: children parent the root");
+        assert_eq!(c.seq, root.seq, "{} carries the burst's range", c.name);
+    }
+    // Wire children cover at least the write quorum, one per peer.
+    let peers: std::collections::BTreeSet<&str> = children
+        .iter()
+        .filter(|s| s.name == spans::NCL_WIRE_PEER)
+        .map(|s| s.scope)
+        .collect();
+    assert!(
+        peers.len() >= config.quorum(),
+        "trace {}: wire coverage {peers:?} below quorum",
+        root.trace
+    );
     let report = analyze(&spans, &config.telemetry.events(), config.quorum());
     assert!(
         report.ok(),
         "trace invariants violated:\n{}",
         report.render()
     );
-    assert_eq!(report.acked_writes, 4);
+    assert_eq!(report.acked_writes, 4, "counted by the root's range");
     assert_eq!(report.open_writes, 0);
+}
+
+#[test]
+fn a_committed_burst_is_one_trace_of_seven_spans_and_one_stamp_per_stage() {
+    let config = NclConfig::zero();
+    let (cluster, controller, registry, _peers) = harness(3, &config);
+    let node = cluster.add_node("app");
+    let lib = NclLib::new(
+        &cluster,
+        node,
+        "burst",
+        config.clone(),
+        &controller,
+        &registry,
+    )
+    .expect("instance lock");
+    let file = lib.create("wal", 1 << 16).unwrap();
+    // A group commit: 16 records, one doorbell, one barrier.
+    let seqs: Vec<u64> = (0..16u64)
+        .map(|i| file.record_nowait(i * 1024, &[i as u8; 1024]).unwrap())
+        .collect();
+    file.submit();
+    file.wait_durable(seqs[15]).unwrap();
+
+    let spans = config.telemetry.spans();
+    let roots: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == spans::NCL_WRITE)
+        .collect();
+    assert_eq!(roots.len(), 1, "one root per burst");
+    let (lo, root) = (seqs[0], roots[0]);
+    assert_eq!(root.seq, (lo, lo + 15));
+    let trace: Vec<_> = spans.iter().filter(|s| s.trace == root.trace).collect();
+    let names: Vec<&str> = trace.iter().map(|s| s.name).collect();
+    assert_eq!(
+        names.len(),
+        7,
+        "stage, doorbell, 3 wire, ack, root: {names:?}"
+    );
+    assert_eq!(names.last(), Some(&spans::NCL_WRITE), "root recorded last");
+
+    // Every stage histogram counts records, and the stages' sums partition
+    // the end-to-end sum.
+    let hist = |stage: &str| {
+        let h = config
+            .telemetry
+            .histogram(&format!("ncl.record.{stage}"))
+            .load();
+        assert_eq!(h.count(), 16, "ncl.record.{stage} counts records");
+        h.sum()
+    };
+    let parts: u64 = ["stage", "doorbell", "wire", "ack"].map(hist).iter().sum();
+    let e2e = hist("e2e");
+    assert!(
+        parts.abs_diff(e2e) <= 16,
+        "Σ stages {parts} ns vs Σ e2e {e2e} ns"
+    );
 }

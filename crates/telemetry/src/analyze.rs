@@ -73,16 +73,30 @@ fn str_field(line: &str, key: &str) -> Option<String> {
     None
 }
 
-/// Extracts `"key": 123` from a flat JSON object line.
-fn u64_field(line: &str, key: &str) -> Option<u64> {
+/// What follows `"key":` in a flat JSON object line.
+fn value_of<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let needle = format!("\"{key}\":");
     let at = line.find(&needle)? + needle.len();
-    let digits: String = line[at..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+    Some(&line[at..])
+}
+
+/// The unsigned integer `s` starts with (after whitespace), and the rest.
+fn leading_u64(s: &str) -> Option<(u64, &str)> {
+    let s = s.trim_start();
+    let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+    Some((s[..end].parse().ok()?, &s[end..]))
+}
+
+/// Extracts `"key": 123` from a flat JSON object line.
+fn u64_field(line: &str, key: &str) -> Option<u64> {
+    leading_u64(value_of(line, key)?).map(|(v, _)| v)
+}
+
+/// The `[lo, hi]` pair `s` starts with (after whitespace).
+fn leading_range(s: &str) -> Option<(u64, u64)> {
+    let (lo, rest) = leading_u64(s.trim_start().strip_prefix('[')?)?;
+    let (hi, rest) = leading_u64(rest.trim_start().strip_prefix(',')?)?;
+    rest.trim_start().starts_with(']').then_some((lo, hi))
 }
 
 /// Parses a telemetry JSONL document back into spans and events. Lines that
@@ -106,6 +120,11 @@ pub fn parse_jsonl(text: &str) -> Result<(Vec<Span>, Vec<Event>), String> {
                         name: intern_span_name(&str_field(line, "name")?),
                         scope: intern_scope(&str_field(line, "scope")?),
                         epoch: u64_field(line, "epoch")?,
+                        // Files written before spans had a range have none.
+                        seq: match value_of(line, "seq") {
+                            Some(value) => leading_range(value)?,
+                            None => (0, 0),
+                        },
                         start_ns: u64_field(line, "start_ns")?,
                         end_ns: u64_field(line, "end_ns")?,
                     })
@@ -158,7 +177,8 @@ pub struct TraceReport {
     pub total_events: usize,
     /// Distinct trace ids seen in spans.
     pub traces: usize,
-    /// Write traces with an `ncl.write` root (i.e. acked writes).
+    /// Acked records, counted by the range of every `ncl.write` root (see
+    /// [`crate::MonitorReport::acked_writes`]).
     pub acked_writes: usize,
     /// Write traces with staging activity but no root: submitted, never
     /// acked. Expected under chaos (crashes mid-flight); not a violation.
@@ -339,6 +359,7 @@ mod tests {
             name,
             scope,
             epoch: 1,
+            seq: (0, 0),
             start_ns: 100,
             end_ns: 200,
         }
@@ -413,7 +434,10 @@ mod tests {
 
     #[test]
     fn jsonl_round_trip() {
-        let span = sp(7, 7, 0, spans::NCL_WRITE, "app/\"quoted\"");
+        let span = Span {
+            seq: (3, 18),
+            ..sp(7, 7, 0, spans::NCL_WRITE, "app/\"quoted\"")
+        };
         let event = Event {
             ts_ns: 11,
             kind: events::EPOCH_BUMP,
@@ -424,14 +448,26 @@ mod tests {
         };
         let text = format!("{}\n{}\n", span.to_json(), event.to_json());
         let (spans, events) = parse_jsonl(&text).unwrap();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].scope, "app/\"quoted\"");
-        assert_eq!(spans[0].name, spans::NCL_WRITE);
+        assert_eq!(spans, [span]);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].trace, 7);
         assert_eq!(events[0].detail, "tab\there");
 
         assert!(parse_jsonl("{\"type\": \"span\"}\n").is_err());
         assert!(parse_jsonl("garbage\n").is_err());
+    }
+
+    #[test]
+    fn a_span_line_without_a_range_reads_as_none() {
+        // What a sink wrote before spans carried their record range.
+        let old = "{\"type\": \"span\", \"trace\": 7, \"id\": 7, \"parent\": 0, \"name\": \"ncl.write\", \"scope\": \"app/f\", \"epoch\": 1, \"start_ns\": 100, \"end_ns\": 200}";
+        let (spans, _) = parse_jsonl(old).unwrap();
+        assert_eq!(spans, [sp(7, 7, 0, spans::NCL_WRITE, "app/f")]);
+        assert_eq!(spans[0].records(), 1);
+        let torn = old.replace("\"start_ns\"", "\"seq\": [1, \"start_ns\"");
+        assert!(
+            parse_jsonl(&torn).is_err(),
+            "a range that is there must parse"
+        );
     }
 }

@@ -18,6 +18,11 @@
 //! | 4 | a replacement's `ap-map-update` follows its `peer-replace-start` and a `catch-up-finish` at the same epoch | §4.5 no-lost-prefix ordering | [`invariant::AP_MAP_ORDER`] | `Checker::ap_map_order` |
 //! | 5 | per scope, published ap-map epochs never go backwards | §4.5 fencing | [`invariant::AP_MAP_MONOTONE`] | `Checker::ap_map_monotone` |
 //!
+//! A write trace is one burst: every span of it carries the burst's record
+//! range ([`Span::seq`]), and rule 2 judges the range as a whole — its
+//! records share one doorbell, and a peer's header that covers the last of
+//! them covers them all.
+//!
 //! Rules 4 and 5 are judged at event arrival, in *given* event order (not by
 //! timestamp). Rules 1–3 are judged per trace, and only once the trace has
 //! *retired*: the stream's high-water end timestamp (the watermark) has
@@ -138,7 +143,8 @@ impl Violation {
 /// checks.
 #[derive(Debug, Default, Clone)]
 pub struct MonitorReport {
-    /// Rooted `ncl.write` traces seen, i.e. acked writes.
+    /// Acked records: the [`Span::records`] of every `ncl.write` root seen,
+    /// i.e. its burst's range, or 1 for a root without one.
     pub acked_writes: u64,
     /// Rootless write traces retired open: submitted, never acked. Expected
     /// under chaos (crashes mid-flight); not a violation.
@@ -395,7 +401,7 @@ impl Checker {
         acc.root = Some(span.clone());
         let quiet_at = acc.max_end_ns;
         if span.name == spans::NCL_WRITE {
-            self.tally.acked_writes += 1;
+            self.tally.acked_writes = self.tally.acked_writes.saturating_add(span.records());
         }
         // The root is recorded LAST (repo-wide convention): on a live stream
         // the chain is complete right now, so judge immediately. A clean

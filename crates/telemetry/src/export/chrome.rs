@@ -5,9 +5,9 @@
 //! span, with microsecond `ts`/`dur` as the format requires. Spans are
 //! grouped so each trace id renders as its own track: `pid` is the span name
 //! category hash-free constant 1 (one process), `tid` is the trace id, which
-//! makes every write's causal chain a separate row with its stage, doorbell,
+//! makes every burst's causal chain a separate row with its stage, doorbell,
 //! wire, and ack children nested by time. Tree structure (`span`/`parent`
-//! ids), scope, and epoch travel in `args`.
+//! ids), scope, epoch and the record range `seq` travel in `args`.
 //!
 //! The rendering is line-structural — header line, one event per line, footer
 //! line — so [`validate`] can check exported files without a JSON parser.
@@ -23,7 +23,7 @@ pub fn render(spans: &[Span]) -> String {
         let sep = if i + 1 == spans.len() { "" } else { "," };
         // ts/dur are microseconds (f64) in the trace event format.
         out.push_str(&format!(
-            "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{\"scope\": \"{}\", \"epoch\": {}, \"span\": {}, \"parent\": {}}}}}{sep}\n",
+            "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{\"scope\": \"{}\", \"epoch\": {}, \"seq\": [{}, {}], \"span\": {}, \"parent\": {}}}}}{sep}\n",
             json_escape(s.name),
             json_escape(s.name.split('.').next().unwrap_or("span")),
             s.trace,
@@ -31,6 +31,8 @@ pub fn render(spans: &[Span]) -> String {
             s.duration_ns() as f64 / 1e3,
             json_escape(s.scope),
             s.epoch,
+            s.seq.0,
+            s.seq.1,
             s.id,
             s.parent,
         ));
@@ -95,6 +97,7 @@ mod tests {
             name,
             scope: "app/f",
             epoch: 2,
+            seq: (0, 0),
             start_ns: start,
             end_ns: end,
         }

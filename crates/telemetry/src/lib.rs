@@ -6,25 +6,27 @@
 //!
 //! * a lock-free **metrics registry** ([`Counter`], [`Gauge`], [`HistHandle`])
 //!   whose handles are interned by name at component construction and cost a
-//!   few relaxed atomic ops per record on the hot path;
+//!   few relaxed atomic ops per stamp on the hot path;
 //! * **per-stage latency histograms** ([`Histogram`], promoted from
 //!   `sim::stats`): record lifecycles are timestamped at stage → doorbell →
-//!   wire → ack boundaries and aggregated, never logged per event;
+//!   wire → ack boundaries and aggregated, one stamp per burst of records
+//!   ([`HistHandle::record_n`]), never logged per event;
 //! * a **structured event trace** ([`Event`], ring buffer + optional JSONL
 //!   sink) for control-plane transitions, from which Table 3-style recovery
 //!   timelines can be reconstructed;
-//! * **causal spans** ([`Span`], same ring + sink machinery): every NCL write
-//!   gets a `trace` id at `record_nowait` whose span tree reconstructs the
-//!   full durability chain (stage → doorbell → per-peer wire → quorum ack),
-//!   consumed by the exporters in [`export`] and by the invariant engine in
-//!   [`checker`], live through [`monitor`] and offline through [`analyze`].
+//! * **causal spans** ([`Span`], same ring + sink machinery): every NCL burst
+//!   gets a `trace` id when its first record is staged, whose span tree
+//!   reconstructs the full durability chain of its record range (stage →
+//!   doorbell → per-peer wire → quorum ack), consumed by the exporters in
+//!   [`export`] and by the invariant engine in [`checker`], live through
+//!   [`monitor`] and offline through [`analyze`].
 //!
 //! A [`Telemetry`] value is a cheap cloneable handle; all clones share one
 //! registry and one trace. [`Telemetry::disabled`] yields a handle whose
-//! metric handles are no-ops and whose event recording returns immediately —
-//! the CI overhead gate holds the enabled path to ≤10% of throughput against
-//! this baseline, and a second gate holds span emission (which can be turned
-//! off separately via [`Telemetry::set_tracing`]) to the same budget.
+//! metric handles are no-ops and whose event recording returns immediately.
+//! What the enabled path costs against it is measured, not gated: splitbench
+//! reports it per workload as `telemetry.on_over_off`, and span emission can
+//! be turned off separately via [`Telemetry::set_tracing`].
 //!
 //! ```
 //! let tel = telemetry::Telemetry::new();
@@ -153,8 +155,11 @@ pub struct Telemetry {
 }
 
 impl Default for Telemetry {
-    /// Enabled. Overhead with nobody reading is a few atomics per record, so
-    /// instrumentation is on unless explicitly opted out.
+    /// Enabled, so instrumentation is on unless explicitly opted out. It is
+    /// not free: a burst of records closes seven spans on three peers and
+    /// stamps each stage histogram once, and what that costs a write is
+    /// measured per workload as splitbench's `telemetry.on_over_off`
+    /// (DESIGN.md §6c).
     fn default() -> Self {
         Self::new()
     }
@@ -326,13 +331,15 @@ impl Telemetry {
         if trace == 0 || !inner.tracing.load(Ordering::Relaxed) {
             return;
         }
-        inner.record_spans(&[self.closed_span(trace, id, parent, name, scope, epoch, start, end)]);
+        let span = self.closed_span(trace, id, parent, name, scope, epoch, (0, 0), start, end);
+        inner.record_spans(&[span]);
     }
 
-    /// Builds the [`Span`] that [`Self::span`] would record, without
-    /// recording it: for callers that queue the spans of one operation and
-    /// hand them over together ([`Self::record_spans`]). `id` is the trace id
-    /// for a root, a [`Self::next_span_id`] otherwise.
+    /// Builds the [`Span`] that [`Self::span`] would record, about the
+    /// records `seq` (see [`Span::seq`]), without recording it: for callers
+    /// that queue the spans of one operation and hand them over together
+    /// ([`Self::record_spans`]). `id` is the trace id for a root, a
+    /// [`Self::next_span_id`] otherwise.
     #[allow(clippy::too_many_arguments)]
     pub fn closed_span(
         &self,
@@ -342,6 +349,7 @@ impl Telemetry {
         name: &'static str,
         scope: &'static str,
         epoch: u64,
+        seq: (u64, u64),
         start: Instant,
         end: Instant,
     ) -> Span {
@@ -353,6 +361,7 @@ impl Telemetry {
             name,
             scope,
             epoch,
+            seq,
             start_ns,
             end_ns: self.instant_ns(end).max(start_ns),
         }
@@ -360,7 +369,7 @@ impl Telemetry {
 
     /// Records the closed spans in `spans`, in order, and empties it (the
     /// buffer's capacity stays with the caller). A path that closes several
-    /// spans of one operation together — the seven of an NCL record — hands
+    /// spans together — the seven of an NCL burst on three peers — hands
     /// them over in one call and pays the ring lock once, not per span.
     /// Callers build each one with [`Self::closed_span`]; spans of trace 0
     /// must not be queued. No-op (but still emptying) when disabled or

@@ -37,14 +37,23 @@ impl AtomicHistogram {
         }
     }
 
-    fn record(&self, value: u64) {
+    /// Adds `n` samples whose sum is `total`, all at their mean: count and
+    /// sum stay exact, the buckets and extremes see the mean. `n == 1` is
+    /// one plain sample, and skips the division.
+    #[inline]
+    fn record_n(&self, total: u64, n: u64) {
+        let value = match n {
+            0 => return,
+            1 => total,
+            _ => total / n,
+        };
         if value > OVERFLOW_LIMIT {
-            self.overflow.fetch_add(1, Ordering::Relaxed);
+            self.overflow.fetch_add(n, Ordering::Relaxed);
         }
         self.buckets[Histogram::bucket_index(value.min(OVERFLOW_LIMIT))]
-            .fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+            .fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(total, Ordering::Relaxed);
         // The extremes only ever move outwards, so a sample inside them —
         // nearly every one — needs no read-modify-write (a locked
         // compare-exchange loop on x86, which has no atomic min/max).
@@ -155,8 +164,16 @@ impl HistHandle {
     /// Records one nanosecond sample.
     #[inline]
     pub fn record(&self, ns: u64) {
+        self.record_n(ns, 1);
+    }
+
+    /// Records `n` samples that sum to `total_ns`, e.g. one stage of every
+    /// record of a burst, in one stamp. Count and sum (so the mean) are
+    /// exact; the distribution sees `n` samples at the mean.
+    #[inline]
+    pub fn record_n(&self, total_ns: u64, n: u64) {
         if let Some(h) = &self.0 {
-            h.record(ns);
+            h.record_n(total_ns, n);
         }
     }
 
@@ -315,5 +332,37 @@ mod tests {
         assert_eq!(snap.max(), 3_999);
         // Sum is exact, so the mean is too.
         assert!((snap.mean() - 1_999.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn record_n_keeps_count_and_sum_exact_beside_record() {
+        let reg = Registry::default();
+        let h = reg.histogram("burst");
+        std::thread::scope(|s| {
+            let bursts = h.clone();
+            // 1,000 bursts of 16 samples summing to 16·i + 7: the mean
+            // rounds down, the sum does not.
+            s.spawn(move || {
+                for i in 0..1_000u64 {
+                    bursts.record_n(16 * i + 7, 16);
+                }
+            });
+            let singles = h.clone();
+            s.spawn(move || {
+                for i in 0..1_000u64 {
+                    singles.record(i);
+                }
+            });
+        });
+        let snap = h.load();
+        let burst_sum: u64 = (0..1_000u64).map(|i| 16 * i + 7).sum();
+        let single_sum: u64 = (0..1_000u64).sum();
+        assert_eq!(snap.count(), 17_000);
+        assert_eq!(snap.sum(), burst_sum + single_sum);
+        // The extremes see the means: 7 / 16 and 15,991 / 16, rounded down.
+        assert_eq!((snap.min(), snap.max()), (0, 999));
+        // A zero-sample stamp adds nothing.
+        h.record_n(5, 0);
+        assert_eq!(h.load().count(), 17_000);
     }
 }

@@ -425,6 +425,7 @@ mod tests {
             name,
             scope,
             epoch: 1,
+            seq: (0, 0),
             start_ns: 100,
             end_ns: 200,
         }
@@ -459,6 +460,13 @@ mod tests {
         }
         spans.push(sp(trace, trace, 0, spans::NCL_WRITE, "app/f"));
         spans
+    }
+
+    /// The same write as one burst of the records `seq`: every span of the
+    /// trace carries the range.
+    fn acked_burst(trace: u64, seq: (u64, u64), peers: &[&'static str]) -> Vec<Span> {
+        let spans = acked_write(trace, peers).into_iter();
+        spans.map(|s| Span { seq, ..s }).collect()
     }
 
     /// The same write moved to `[5_000, 6_000]`.
@@ -524,8 +532,40 @@ mod tests {
             sp(10, 99, 55, spans::NCL_ACK, "app/f"), // parent 55 was dropped
             sp(10, 10, 0, spans::NCL_WRITE, "app/f"),
         ];
+        // A replacement caught peer-2 up over a burst in flight: its credit
+        // carries the burst's range and lands before the root, as in repair.
+        let mut burst_credit = acked_burst(10, (5, 7), &["peer-0"]);
+        let credit = sp(10, 99, 10, spans::NCL_CATCHUP_PEER, "peer-2");
+        burst_credit.insert(
+            3,
+            Span {
+                seq: (5, 7),
+                ..credit
+            },
+        );
         vec![
             case("clean write", acked_write(10, &both), vec![], 1, vec![]),
+            case(
+                "clean 3-record burst",
+                acked_burst(10, (5, 7), &both),
+                vec![],
+                3,
+                vec![],
+            ),
+            case(
+                "3-record burst missing a wire span",
+                acked_burst(10, (5, 7), &["peer-0"]),
+                vec![],
+                3,
+                vec![(invariant::ACK_COVERAGE, "reconstruction quorum is 2")],
+            ),
+            case(
+                "3-record burst credited by catch-up",
+                burst_credit,
+                vec![],
+                3,
+                vec![],
+            ),
             case(
                 "under-quorum coverage",
                 acked_write(10, &["peer-0"]),

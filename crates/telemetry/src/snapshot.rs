@@ -217,6 +217,7 @@ mod tests {
                 name: "ncl.write",
                 scope: "app/f",
                 epoch: 7,
+                seq: (1, 4),
                 start_ns: 40,
                 end_ns: 90,
             }],
@@ -231,6 +232,7 @@ mod tests {
         assert!(json.contains("\"overflow\": 1"));
         assert!(text.contains("ovfl"));
         assert!(json.contains("\"epoch\": 7"));
+        assert!(json.contains("\"seq\": [1, 4]"));
         assert!(json.contains("\"spans_dropped\": 1"));
         assert_eq!(snap.counter("ncl.flush.submit"), 4);
         assert_eq!(snap.counter("missing"), 0);
@@ -273,6 +275,7 @@ mod tests {
                 name: "ncl.write",
                 scope: "peer\\0",
                 epoch: 1,
+                seq: (0, 0),
                 start_ns: 0,
                 end_ns: 1,
             }],

@@ -1,8 +1,11 @@
 //! Causal spans: timed intervals linked into per-write trace trees.
 //!
-//! Every NCL record gets a `trace` id at `record_nowait`; each stage of its
-//! life (local staging, doorbell, per-peer wire flight, quorum ack) closes a
-//! [`Span`] carrying that id. Control-plane operations (create, repair,
+//! The unit of the NCL record path is a *burst*, the records one doorbell
+//! posts (a synchronous record is a burst of one). A burst gets a `trace` id
+//! when its first record is staged; each stage of its life (local staging,
+//! doorbell, per-peer wire flight, quorum ack) closes one [`Span`] carrying
+//! that id and the burst's record range [`Span::seq`], and the `ncl.write`
+//! root closes last. Control-plane operations (create, repair,
 //! recovery, fallback replay) get their own trace ids so their phases
 //! group the same way. Spans are recorded *complete* — at close, with both
 //! endpoints — which keeps the hot path to one ring push and makes the
@@ -26,7 +29,8 @@ use crate::trace::JsonlSink;
 
 /// Well-known span names, shared by emitters, the analyzer, and tests.
 pub mod spans {
-    /// Root span of one NCL write: `record_nowait` → quorum-durable.
+    /// Root span of one NCL burst: its first `record_nowait` → its last
+    /// record quorum-durable.
     pub const NCL_WRITE: &str = "ncl.write";
     /// Local staging: payload + header copied into the staging buffer.
     pub const NCL_STAGE: &str = "ncl.stage";
@@ -158,7 +162,7 @@ pub fn intern_scope(scope: &str) -> &'static str {
 }
 
 /// One closed interval in a trace tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Trace this span belongs to; the root span has `id == trace`.
     pub trace: u64,
@@ -174,6 +178,10 @@ pub struct Span {
     pub scope: &'static str,
     /// Epoch in force when the span closed (0 when unknown).
     pub epoch: u64,
+    /// Inclusive range `(lo, hi)` of the record sequence numbers the span
+    /// is about: the burst's, on every record-path span; `(0, 0)` on spans
+    /// that are not about records.
+    pub seq: (u64, u64),
     /// Start, nanoseconds since the owning [`crate::Telemetry`] was created.
     pub start_ns: u64,
     /// End, same clock; `end_ns >= start_ns`.
@@ -191,16 +199,27 @@ impl Span {
         self.id == self.trace && self.parent == 0
     }
 
+    /// How many records the span is about: `hi − lo + 1` for a range, and 1
+    /// for a span without one (`(0, 0)`).
+    pub fn records(&self) -> u64 {
+        match self.seq {
+            (0, 0) => 1,
+            (lo, hi) => hi.saturating_sub(lo).saturating_add(1),
+        }
+    }
+
     /// Renders the span as one JSON object (one JSONL line, sans newline).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"type\": \"span\", \"trace\": {}, \"id\": {}, \"parent\": {}, \"name\": \"{}\", \"scope\": \"{}\", \"epoch\": {}, \"start_ns\": {}, \"end_ns\": {}}}",
+            "{{\"type\": \"span\", \"trace\": {}, \"id\": {}, \"parent\": {}, \"name\": \"{}\", \"scope\": \"{}\", \"epoch\": {}, \"seq\": [{}, {}], \"start_ns\": {}, \"end_ns\": {}}}",
             self.trace,
             self.id,
             self.parent,
             json_escape(self.name),
             json_escape(self.scope),
             self.epoch,
+            self.seq.0,
+            self.seq.1,
             self.start_ns,
             self.end_ns
         )
@@ -277,6 +296,7 @@ mod tests {
             name,
             scope: "app/f",
             epoch: 1,
+            seq: (0, 0),
             start_ns: 10,
             end_ns: 40,
         }
@@ -305,7 +325,20 @@ mod tests {
         assert!(j.contains("\"trace\": 7"));
         assert!(j.contains("\"parent\": 7"));
         assert!(j.contains("ncl.wire.peer"));
+        assert!(j.contains("\"seq\": [0, 0]"));
         assert_eq!(s.duration_ns(), 30);
+    }
+
+    #[test]
+    fn a_span_counts_the_records_of_its_range() {
+        let mut s = span(7, 7, 0, spans::NCL_WRITE);
+        assert_eq!(s.records(), 1, "no range: one record");
+        s.seq = (5, 5);
+        assert_eq!(s.records(), 1);
+        s.seq = (1, 16);
+        assert_eq!(s.records(), 16);
+        s.seq = (0, u64::MAX);
+        assert_eq!(s.records(), u64::MAX, "saturates");
     }
 
     #[test]
