@@ -18,7 +18,6 @@ fn main() {
         [
             "ncl_pipeline",
             "ncl_batch",
-            "latency_under_load",
             "fig10_ycsb",
             "fig11b_recovery_time",
             "table3_peer_recovery",

@@ -407,51 +407,6 @@ pub fn validate_bench_json(body: &str) -> Result<(), String> {
             return Err(format!("{stage} summary is empty: {}", line.trim()));
         }
     }
-    // The open-loop sweep must carry both applications' load curves with a
-    // strictly monotone offered-load axis and the p999 tails — the whole
-    // point of the harness is the tail-vs-load shape, so a file that lost
-    // either dimension is not a valid trend point.
-    if body.contains("\"bench\": \"latency_under_load\"") {
-        if !body.contains("\"load_curves\"") {
-            return Err("latency_under_load is missing the load_curves section".to_string());
-        }
-        for app in ["rocksdb", "redis"] {
-            if !body.contains(&format!("\"{app}\": [")) {
-                return Err(format!("load_curves is missing the {app} sweep"));
-            }
-        }
-        if !body.contains("\"corrected_p999_ns\"") {
-            return Err("load-curve points are missing the corrected p999 tail".to_string());
-        }
-        let mut prev = 0.0f64;
-        let mut points = 0usize;
-        for line in body.lines() {
-            if line.trim_end().ends_with(": [") {
-                // A new curve starts; the axis resets per application.
-                prev = 0.0;
-                continue;
-            }
-            if let Some(rest) = line.split("\"offered_per_sec\": ").nth(1) {
-                let offered: f64 = rest
-                    .split([',', '}'])
-                    .next()
-                    .and_then(|s| s.trim().parse().ok())
-                    .ok_or_else(|| format!("unparseable offered_per_sec: {}", line.trim()))?;
-                if offered <= prev {
-                    return Err(format!(
-                        "offered-load axis not monotone: {offered} after {prev}"
-                    ));
-                }
-                prev = offered;
-                points += 1;
-            }
-        }
-        if points < 4 {
-            return Err(format!(
-                "latency_under_load needs at least 2 points per app, found {points} total"
-            ));
-        }
-    }
     // The peer-memory smoke bench must carry its three trend dimensions —
     // fleet population, allocator throughput and GC reclamation — with
     // sane floors, so a run that silently stopped hosting multi-tenant
@@ -643,7 +598,6 @@ mod tests {
         for bench in [
             "ncl_pipeline",
             "ncl_batch",
-            "latency_under_load",
             "fig10_ycsb",
             "fig11b_recovery_time",
             "table3_peer_recovery",
@@ -727,63 +681,6 @@ mod tests {
         assert!(validate_bench_json(&lost)
             .unwrap_err()
             .contains("result row ncl_pipeline/1"));
-    }
-
-    /// A `latency_under_load` document must carry both applications'
-    /// curves, the p999 tails, and a monotone offered-load axis.
-    #[test]
-    fn validator_enforces_load_curve_shape() {
-        let flat = valid_bench_doc();
-        let lul = flat.replace("\"bench\": \"demo\"", "\"bench\": \"latency_under_load\"");
-        assert!(validate_bench_json(&lul)
-            .unwrap_err()
-            .contains("load_curves"));
-
-        let point = |offered: f64| {
-            format!("      {{\"offered_per_sec\": {offered:.1}, \"corrected_p999_ns\": 9000}}")
-        };
-        let curves = format!(
-            "\"load_curves\": {{\n    \"rocksdb\": [\n{},\n{}\n    ],\n    \"redis\": [\n{},\n{}\n    ]\n  }},",
-            point(1000.0),
-            point(2000.0),
-            point(900.0),
-            point(1800.0)
-        );
-        let with_curves = lul.replace(
-            "\"stage_breakdown\": {",
-            &format!("{curves}\n  \"stage_breakdown\": {{"),
-        );
-        validate_bench_json(&with_curves).expect("complete sweep must validate");
-
-        // The axis resets between apps (redis starting below rocksdb's top
-        // is fine), but must be strictly increasing within one app.
-        let shuffled =
-            with_curves.replace("\"offered_per_sec\": 1800.0", "\"offered_per_sec\": 900.0");
-        assert!(validate_bench_json(&shuffled)
-            .unwrap_err()
-            .contains("not monotone"));
-
-        // Losing one app's sweep fails by name.
-        let one_app = with_curves.replace("\"redis\": [", "\"other\": [");
-        assert!(validate_bench_json(&one_app).unwrap_err().contains("redis"));
-
-        // Losing the tail percentiles fails.
-        let no_tail = with_curves.replace("corrected_p999_ns", "corrected_p42_ns");
-        assert!(validate_bench_json(&no_tail).unwrap_err().contains("p999"));
-
-        // Too few points (a sweep that collapsed to one rate) fails.
-        let mut short = lul.replace(
-            "\"stage_breakdown\": {",
-            &format!(
-                "\"load_curves\": {{\n    \"rocksdb\": [\n{}\n    ],\n    \"redis\": [\n{}\n    ]\n  }},\n  \"stage_breakdown\": {{",
-                point(1000.0),
-                point(900.0)
-            ),
-        );
-        short.truncate(short.len());
-        assert!(validate_bench_json(&short)
-            .unwrap_err()
-            .contains("at least 2 points"));
     }
 
     /// An `ncl_batch` document must carry the durability axis with every

@@ -23,11 +23,15 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use dfs::{DfsClient, DfsError};
 use ncl::NclFile;
 use parking_lot::Mutex;
 
 /// Fixed bytes before each frame's data: offset + length + checksum.
 const FRAME_HEADER: usize = 8 + 4 + 4;
+
+/// One journaled write: `(offset, data)`.
+pub(crate) type Record = (u64, Vec<u8>);
 
 /// One `O_NCL` file's route: the NCL handle plus the degradation state that
 /// lets the facade fall back to direct-DFS strong mode on quorum loss.
@@ -61,7 +65,7 @@ pub(crate) struct Fallback {
     pub(crate) len: u64,
     /// Records accepted while degraded, in issue order, pending replay
     /// through NCL on re-attach.
-    pub(crate) records: Vec<(u64, Vec<u8>)>,
+    pub(crate) records: Vec<Record>,
     /// When the controller was last probed for a fresh peer set.
     pub(crate) last_probe: Instant,
 }
@@ -73,7 +77,7 @@ impl Fallback {
             image: Vec::new(),
             len: 0,
             records: Vec::new(),
-            last_probe: Instant::now(),
+            last_probe: sim::time::now(),
         }
     }
 
@@ -89,9 +93,25 @@ impl Fallback {
     }
 }
 
+/// End offset of a `len`-byte record at `offset`, or `None` when it does
+/// not fit `usize` (and so cannot fit any log).
+pub(crate) fn frame_end(offset: u64, len: usize) -> Option<usize> {
+    usize::try_from(offset).ok()?.checked_add(len)
+}
+
 /// The DFS path of a route's shadow journal.
 pub(crate) fn shadow_path(path: &str) -> String {
     format!("{path}.fallback")
+}
+
+/// The decoded frames of `path`'s shadow journal, if it has one.
+pub(crate) fn read_journal(dfs: &DfsClient, path: &str) -> Result<Option<Vec<Record>>, DfsError> {
+    let shadow = shadow_path(path);
+    if !dfs.exists(&shadow) {
+        return Ok(None);
+    }
+    let raw = dfs.read(&shadow, 0, dfs.size(&shadow)? as usize)?;
+    Ok(Some(decode_frames(&raw)))
 }
 
 /// Encodes one journal frame.
@@ -106,7 +126,7 @@ pub(crate) fn encode_frame(offset: u64, data: &[u8]) -> Vec<u8> {
 
 /// Decodes a journal back into `(offset, data)` records, stopping at the
 /// first truncated or corrupt frame (the crash-interrupted tail).
-pub(crate) fn decode_frames(raw: &[u8]) -> Vec<(u64, Vec<u8>)> {
+pub(crate) fn decode_frames(raw: &[u8]) -> Vec<Record> {
     let mut out = Vec::new();
     let mut at = 0usize;
     while raw.len() - at >= FRAME_HEADER {
@@ -141,6 +161,7 @@ fn frame_crc(offset: u64, data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn frames_round_trip() {
@@ -180,5 +201,47 @@ mod tests {
         assert_eq!(fb.len, 6);
         assert_eq!(&fb.image, b"aabbbb");
         assert_eq!(fb.records.len(), 2);
+    }
+
+    /// Journal records: an offset anywhere in `u64` and up to 40 bytes.
+    fn records() -> impl Strategy<Value = Vec<Record>> {
+        let data = prop::collection::vec(any::<u8>(), 0..40);
+        prop::collection::vec((any::<u64>(), data), 0..6)
+    }
+
+    // `decode_frames` reads bytes a crashed process may have torn, so no
+    // input may panic it, and damage must never let a frame through.
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic(raw in prop::collection::vec(any::<u8>(), 0..256)) {
+            let _ = decode_frames(&raw);
+        }
+
+        #[test]
+        fn encoded_records_decode_as_written(written in records()) {
+            let raw: Vec<u8> = written.iter().flat_map(|(o, d)| encode_frame(*o, d)).collect();
+            prop_assert_eq!(decode_frames(&raw), written);
+        }
+
+        #[test]
+        fn a_flipped_bit_truncates_at_or_before_its_frame(case in (records(), any::<u64>())) {
+            let (written, pick) = case;
+            let frames: Vec<Vec<u8>> = written.iter().map(|(o, d)| encode_frame(*o, d)).collect();
+            let mut raw = frames.concat();
+            if raw.is_empty() {
+                return Ok(());
+            }
+            let bit = pick as usize % (raw.len() * 8);
+            raw[bit / 8] ^= 1 << (bit % 8);
+            // The frame holding the flipped byte: the first one ending past it.
+            let ends = frames.iter().scan(0, |end, f| {
+                *end += f.len();
+                Some(*end)
+            });
+            let hit = ends.take_while(|&end| end <= bit / 8).count();
+            let read = decode_frames(&raw);
+            prop_assert!(read.len() <= hit, "frame {hit} damaged, {} decoded", read.len());
+            prop_assert_eq!(&read[..], &written[..read.len()]);
+        }
     }
 }

@@ -32,10 +32,10 @@ pub use testbed::{Testbed, TestbedConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dfs::{DfsClient, DfsError, DfsFile, IoKind, IoTrace, LocalFs};
-use fallback::NclRoute;
+use fallback::{Fallback, NclRoute};
 use ncl::{NclError, NclFile, NclLib};
 use parking_lot::Mutex;
 use telemetry::{events, spans, Counter, HistHandle, Telemetry};
@@ -143,9 +143,7 @@ impl OpenOptions {
     pub fn create() -> Self {
         OpenOptions {
             create: true,
-            ncl: false,
-            capacity: 0,
-            pipelined: false,
+            ..Self::plain()
         }
     }
 
@@ -153,10 +151,9 @@ impl OpenOptions {
     /// synchronously durable (the paper's baseline semantics).
     pub fn create_ncl(capacity: usize) -> Self {
         OpenOptions {
-            create: true,
             ncl: true,
             capacity,
-            pipelined: false,
+            ..Self::create()
         }
     }
 
@@ -165,10 +162,8 @@ impl OpenOptions {
     /// overlap.
     pub fn create_ncl_pipelined(capacity: usize) -> Self {
         OpenOptions {
-            create: true,
-            ncl: true,
-            capacity,
             pipelined: true,
+            ..Self::create_ncl(capacity)
         }
     }
 }
@@ -361,12 +356,15 @@ impl SplitFs {
             } else {
                 return Err(FsError::NotFound(path.to_string()));
             };
-            let route = NclRoute::new(file);
             if exists {
                 // A crash while degraded left a shadow journal behind; bring
                 // the recovered log up to date before serving the handle.
-                self.replay_shadow(path, &route)?;
+                let dfs = self.inner.dfs.as_ref().expect("splitft mode has dfs");
+                if let Some(frames) = fallback::read_journal(dfs, path)? {
+                    self.replay_journal(path, &file, &frames, "at open")?;
+                }
             }
+            let route = NclRoute::new(file);
             self.inner
                 .ncl_files
                 .lock()
@@ -539,7 +537,7 @@ impl SplitFs {
         fb.image = image;
         fb.records.clear();
         fb.engaged = true;
-        fb.last_probe = Instant::now();
+        fb.last_probe = sim::time::now();
         self.inner.fallback_engaged.inc();
         self.inner.telemetry.event(
             events::DFS_FALLBACK_ENGAGE,
@@ -552,7 +550,9 @@ impl SplitFs {
 
     /// Accepts one record while degraded: append a journal frame, `fsync`
     /// it (strong-mode semantics — the record is durable on the DFS before
-    /// the call returns), and update the read overlay.
+    /// the call returns), and update the read overlay. A record past the
+    /// log's capacity is refused, as NCL would refuse it: the journal only
+    /// holds what a re-attach can replay.
     fn degraded_write(
         &self,
         path: &str,
@@ -565,6 +565,11 @@ impl SplitFs {
             // Re-attached under our feet; the caller retries through NCL.
             return Err(FsError::Unavailable("fallback disengaged".to_string()));
         }
+        let capacity = route.file.capacity();
+        let needed = fallback::frame_end(offset, data.len()).unwrap_or(usize::MAX);
+        if needed > capacity {
+            return Err(NclError::CapacityExceeded { capacity, needed }.into());
+        }
         let dfs = self.inner.dfs.as_ref().expect("splitft mode has dfs");
         let shadow = fallback::shadow_path(path);
         dfs.append(&shadow, &fallback::encode_frame(offset, data))?;
@@ -575,77 +580,33 @@ impl SplitFs {
     }
 
     /// While degraded, periodically retries NCL maintenance; once a fresh
-    /// peer set is published (bumped epoch), replays the journal through the
-    /// log, deletes it, and disengages. Returns `true` when the route is
-    /// attached to NCL (i.e. not, or no longer, degraded).
+    /// peer set is published (bumped epoch), replays the queued records
+    /// through the log, deletes the journal, and disengages. Returns `true`
+    /// when the route is attached to NCL (i.e. not, or no longer, degraded).
     fn probe_reattach(&self, path: &str, route: &NclRoute) -> bool {
         let mut fb = route.fb.lock();
         if !fb.engaged {
             return true;
         }
-        let interval = self
-            .inner
-            .ncl
-            .as_ref()
-            .map(|n| n.config().reattach_probe)
-            .unwrap_or(Duration::from_millis(250));
-        if fb.last_probe.elapsed() < interval {
+        let ncl = self.inner.ncl.as_ref().expect("splitft mode has ncl");
+        let now = sim::time::now();
+        if now.duration_since(fb.last_probe) < ncl.config().reattach_probe {
             return false;
         }
-        fb.last_probe = Instant::now();
+        fb.last_probe = now;
         // Repair the peer set (replacement + catch-up of the pre-degradation
         // image happens inside `maintain`). Failure means the cluster still
-        // cannot host a quorum: stay degraded.
-        if route.file.maintain().is_err() || route.file.repair_pending() {
+        // cannot host a quorum: stay degraded. A failed replay keeps every
+        // record queued and the journal intact for the next probe.
+        if route.file.maintain().is_err()
+            || route.file.repair_pending()
+            || self
+                .replay_journal(path, &route.file, &fb.records, "on re-attach")
+                .is_err()
+        {
             return false;
         }
-        // Replay the degraded records in issue order. A mid-replay failure
-        // keeps the rest queued (and the journal intact) for the next probe;
-        // replaying a record twice is harmless (same offset, same bytes).
-        // The replay span marks these root writes as replay traffic so the
-        // trace analyzer can exempt them from "no new acks while degraded".
-        let tel = &self.inner.telemetry;
-        let replay_trace = tel.next_trace_id();
-        let replay_start = Instant::now();
-        let close_replay = |epoch: u64| {
-            tel.span(
-                replay_trace,
-                replay_trace,
-                0,
-                spans::FS_REATTACH_REPLAY,
-                telemetry::intern_scope(&self.ncl_scope(path)),
-                epoch,
-                replay_start,
-                Instant::now(),
-            );
-        };
-        let mut replayed = 0;
-        for (offset, data) in fb.records.iter() {
-            if route.file.record(*offset, data).is_err() {
-                fb.records.drain(..replayed);
-                close_replay(route.file.epoch());
-                return false;
-            }
-            replayed += 1;
-        }
-        close_replay(route.file.epoch());
-        fb.records.clear();
-        fb.image = Vec::new();
-        fb.len = 0;
-        fb.engaged = false;
-        if let Some(dfs) = &self.inner.dfs {
-            let shadow = fallback::shadow_path(path);
-            if dfs.exists(&shadow) {
-                let _ = dfs.delete(&shadow);
-            }
-        }
-        self.inner.fallback_reattach.inc();
-        self.inner.telemetry.event(
-            events::NCL_REATTACH,
-            &self.ncl_scope(path),
-            route.file.epoch(),
-            format!("replayed {replayed} fallback records; resuming NCL"),
-        );
+        *fb = Fallback::new();
         true
     }
 
@@ -660,90 +621,51 @@ impl SplitFs {
         path: &str,
         capacity: usize,
     ) -> Result<Option<Arc<NclFile>>, FsError> {
-        let Some(dfs) = &self.inner.dfs else {
+        let dfs = self.inner.dfs.as_ref().expect("splitft mode has dfs");
+        let Some(frames) = fallback::read_journal(dfs, path)? else {
             return Ok(None);
         };
-        let shadow = fallback::shadow_path(path);
-        if !dfs.exists(&shadow) {
-            return Ok(None);
-        }
-        let size = dfs.size(&shadow)? as usize;
-        let raw = dfs.read(&shadow, 0, size)?;
-        let frames = fallback::decode_frames(&raw);
-        let needed = frames
-            .iter()
-            .map(|(o, d)| *o as usize + d.len())
-            .max()
-            .unwrap_or(0);
+        let mut ends = frames.iter().map(|(o, d)| fallback::frame_end(*o, d.len()));
+        let needed = ends
+            .try_fold(capacity, |cap, end| Some(cap.max(end?)))
+            .ok_or_else(|| FsError::CapacityExceeded("journal frame ends past usize".into()))?;
         let ncl = self.inner.ncl.as_ref().expect("splitft mode has ncl");
         ncl.delete(path)?;
-        let file = ncl.create(path, capacity.max(needed))?;
-        let n = frames.len();
-        let tel = &self.inner.telemetry;
-        let replay_trace = tel.next_trace_id();
-        let replay_start = Instant::now();
-        for (offset, data) in frames {
-            file.record(offset, &data)?;
-        }
-        tel.span(
-            replay_trace,
-            replay_trace,
-            0,
-            spans::FS_REATTACH_REPLAY,
-            telemetry::intern_scope(&self.ncl_scope(path)),
-            file.epoch(),
-            replay_start,
-            Instant::now(),
-        );
-        dfs.delete(&shadow)?;
-        self.inner.fallback_reattach.inc();
-        self.inner.telemetry.event(
-            events::NCL_REATTACH,
-            &self.ncl_scope(path),
-            file.epoch(),
-            format!("rebuilt from shadow journal ({n} records) after quorum-loss recovery"),
-        );
+        let file = ncl.create(path, needed)?;
+        self.replay_journal(path, &file, &frames, "into a log rebuilt after quorum loss")?;
         Ok(Some(file))
     }
 
-    /// Replays a leftover shadow journal (a crash while degraded) into a
-    /// freshly recovered log, then deletes it.
-    fn replay_shadow(&self, path: &str, route: &NclRoute) -> Result<(), FsError> {
-        let Some(dfs) = &self.inner.dfs else {
-            return Ok(());
-        };
-        let shadow = fallback::shadow_path(path);
-        if !dfs.exists(&shadow) {
-            return Ok(());
-        }
-        let size = dfs.size(&shadow)? as usize;
-        let raw = dfs.read(&shadow, 0, size)?;
-        let frames = fallback::decode_frames(&raw);
-        let n = frames.len();
+    /// The one journal replay: stages every frame into `file`, waits once,
+    /// and closes one `splitfs.reattach.replay` span over it all, which exempts
+    /// the replay's root writes from "no new acks while degraded". Then
+    /// deletes the journal and reports the re-attach. A failure (a frame
+    /// past the log's capacity included) leaves the journal to be replayed
+    /// whole next time: a frame replayed twice lands the same bytes.
+    fn replay_journal(
+        &self,
+        path: &str,
+        file: &NclFile,
+        frames: &[fallback::Record],
+        why: &str,
+    ) -> Result<(), FsError> {
         let tel = &self.inner.telemetry;
-        let replay_trace = tel.next_trace_id();
-        let replay_start = Instant::now();
-        for (offset, data) in frames {
-            route.file.record(offset, &data)?;
-        }
-        tel.span(
-            replay_trace,
-            replay_trace,
-            0,
-            spans::FS_REATTACH_REPLAY,
-            telemetry::intern_scope(&self.ncl_scope(path)),
-            route.file.epoch(),
-            replay_start,
-            Instant::now(),
-        );
-        dfs.delete(&shadow)?;
+        let scope = self.ncl_scope(path);
+        let start = sim::time::now();
+        let replayed = frames
+            .iter()
+            .try_for_each(|(offset, data)| file.record_nowait(*offset, data).map(drop))
+            .and_then(|()| file.fsync());
+        let (trace, epoch, end) = (tel.next_trace_id(), file.epoch(), sim::time::now());
+        let (name, interned) = (spans::FS_REATTACH_REPLAY, telemetry::intern_scope(&scope));
+        tel.span(trace, trace, 0, name, interned, epoch, start, end);
+        replayed?;
+        let dfs = self.inner.dfs.as_ref().expect("splitft mode has dfs");
+        dfs.delete(&fallback::shadow_path(path))?;
         self.inner.fallback_reattach.inc();
-        self.inner.telemetry.event(
-            events::NCL_REATTACH,
-            &self.ncl_scope(path),
-            route.file.epoch(),
-            format!("replayed {n} shadow-journal records at open"),
-        );
+        let n = frames.len();
+        let message = format!("replayed {n} shadow-journal records {why}; resuming NCL");
+        tel.event(events::NCL_REATTACH, &scope, epoch, message);
         Ok(())
     }
 
@@ -818,7 +740,7 @@ impl File {
                 .expect("local")
                 .write(&self.path, offset, data)?),
             Backend::Dfs(_) => {
-                let t0 = self.fs.inner.dfs_write.is_live().then(Instant::now);
+                let t0 = self.fs.inner.dfs_write.is_live().then(sim::time::now);
                 let dfs = self.fs.inner.dfs.as_ref().expect("dfs");
                 dfs.write(&self.path, offset, data)?;
                 if let Some(t0) = t0 {
@@ -852,7 +774,7 @@ impl File {
                 Ok(offset)
             }
             Backend::Dfs(_) => {
-                let t0 = self.fs.inner.dfs_write.is_live().then(Instant::now);
+                let t0 = self.fs.inner.dfs_write.is_live().then(sim::time::now);
                 let dfs = self.fs.inner.dfs.as_ref().expect("dfs");
                 let offset = dfs.append(&self.path, data)?;
                 if let Some(t0) = t0 {
@@ -905,7 +827,7 @@ impl File {
     /// every issued record is durable — a no-op after synchronous writes,
     /// the real barrier for pipelined handles.
     pub fn fsync(&self) -> Result<(), FsError> {
-        let t0 = self.fs.inner.fsync_barrier.is_live().then(Instant::now);
+        let t0 = self.fs.inner.fsync_barrier.is_live().then(sim::time::now);
         let result = match &self.backend {
             Backend::Ncl(route) => {
                 if route.engaged() {

@@ -1,5 +1,4 @@
-//! Request-distribution generators (uniform, zipfian, scrambled, latest)
-//! and arrival schedules (closed-loop, fixed-rate, Poisson).
+//! Request-distribution generators (uniform, zipfian, scrambled, latest).
 
 use sim::Xoshiro256StarStar;
 
@@ -114,87 +113,6 @@ pub fn fnv64(v: u64) -> u64 {
     h
 }
 
-/// When requests are *issued*, independent of when they complete.
-///
-/// Closed-loop clients send the next request the moment the previous one
-/// returns, so a slow server silently throttles the offered load and the
-/// measured latency distribution suffers from coordinated omission. The two
-/// open-loop variants instead draw inter-arrival gaps from the deterministic
-/// sim RNG: the schedule — not the server — decides when each request
-/// leaves, and latency can be measured from the *intended* arrival time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalSchedule {
-    /// Back-to-back requests; the server's speed sets the rate.
-    ClosedLoop,
-    /// Deterministic arrivals every `1/rate_per_sec` seconds.
-    FixedRate {
-        /// Arrivals per second.
-        rate_per_sec: f64,
-    },
-    /// Poisson process: exponentially distributed inter-arrival gaps with
-    /// mean `1/rate_per_sec` (the standard open-system model).
-    Poisson {
-        /// Mean arrivals per second.
-        rate_per_sec: f64,
-    },
-}
-
-impl ArrivalSchedule {
-    /// Whether arrivals are scheduled independently of completions.
-    pub fn is_open_loop(&self) -> bool {
-        !matches!(self, ArrivalSchedule::ClosedLoop)
-    }
-
-    /// The aggregate offered rate, when one is defined.
-    pub fn rate_per_sec(&self) -> Option<f64> {
-        match *self {
-            ArrivalSchedule::ClosedLoop => None,
-            ArrivalSchedule::FixedRate { rate_per_sec }
-            | ArrivalSchedule::Poisson { rate_per_sec } => Some(rate_per_sec),
-        }
-    }
-
-    /// Splits an aggregate schedule evenly across `clients` threads (the
-    /// superposition of independent Poisson streams is Poisson, so per-client
-    /// thinning preserves the aggregate process).
-    pub fn per_client(&self, clients: usize) -> ArrivalSchedule {
-        let clients = clients.max(1) as f64;
-        match *self {
-            ArrivalSchedule::ClosedLoop => ArrivalSchedule::ClosedLoop,
-            ArrivalSchedule::FixedRate { rate_per_sec } => ArrivalSchedule::FixedRate {
-                rate_per_sec: rate_per_sec / clients,
-            },
-            ArrivalSchedule::Poisson { rate_per_sec } => ArrivalSchedule::Poisson {
-                rate_per_sec: rate_per_sec / clients,
-            },
-        }
-    }
-
-    /// Draws the next inter-arrival gap in nanoseconds (`None` for
-    /// closed-loop, where the previous completion is the trigger).
-    pub fn next_gap_ns(&self, rng: &mut Xoshiro256StarStar) -> Option<u64> {
-        match *self {
-            ArrivalSchedule::ClosedLoop => None,
-            ArrivalSchedule::FixedRate { rate_per_sec } => Some(gap_ns(1.0, rate_per_sec)),
-            ArrivalSchedule::Poisson { rate_per_sec } => {
-                // Inverse-CDF sample of Exp(rate): gap = -ln(1-u)/rate.
-                // `next_f64` is in [0, 1), so 1-u is in (0, 1] and the log
-                // is finite.
-                let u = rng.next_f64();
-                Some(gap_ns(-(1.0 - u).ln(), rate_per_sec))
-            }
-        }
-    }
-}
-
-fn gap_ns(units: f64, rate_per_sec: f64) -> u64 {
-    assert!(
-        rate_per_sec > 0.0 && rate_per_sec.is_finite(),
-        "open-loop rate must be positive and finite, got {rate_per_sec}"
-    );
-    (units * 1e9 / rate_per_sec).round() as u64
-}
-
 /// How request keys are chosen.
 #[derive(Debug, Clone)]
 pub enum KeyChooser {
@@ -301,61 +219,5 @@ mod tests {
         let z = Zipfian::new(1);
         let mut r = rng();
         assert_eq!(z.next(&mut r), 0);
-    }
-
-    #[test]
-    fn fixed_rate_gaps_are_exact() {
-        let s = ArrivalSchedule::FixedRate {
-            rate_per_sec: 2_000.0,
-        };
-        let mut r = rng();
-        for _ in 0..10 {
-            assert_eq!(s.next_gap_ns(&mut r), Some(500_000));
-        }
-        assert!(s.is_open_loop());
-        assert_eq!(s.rate_per_sec(), Some(2_000.0));
-    }
-
-    #[test]
-    fn poisson_gaps_have_the_right_mean() {
-        let rate = 10_000.0;
-        let s = ArrivalSchedule::Poisson { rate_per_sec: rate };
-        let mut r = rng();
-        let n = 100_000;
-        let total: u64 = (0..n).map(|_| s.next_gap_ns(&mut r).unwrap()).sum();
-        let mean = total as f64 / n as f64;
-        let expected = 1e9 / rate;
-        // 100k exponential samples: the sample mean is within a few percent.
-        assert!(
-            (mean - expected).abs() / expected < 0.05,
-            "mean gap {mean} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn poisson_gaps_are_deterministic_per_seed() {
-        let s = ArrivalSchedule::Poisson {
-            rate_per_sec: 500.0,
-        };
-        let mut a = Xoshiro256StarStar::new(9);
-        let mut b = Xoshiro256StarStar::new(9);
-        for _ in 0..100 {
-            assert_eq!(s.next_gap_ns(&mut a), s.next_gap_ns(&mut b));
-        }
-    }
-
-    #[test]
-    fn per_client_splits_the_aggregate_rate() {
-        let s = ArrivalSchedule::Poisson {
-            rate_per_sec: 8_000.0,
-        };
-        assert_eq!(s.per_client(4).rate_per_sec(), Some(2_000.0));
-        assert_eq!(s.per_client(0).rate_per_sec(), Some(8_000.0));
-        assert_eq!(
-            ArrivalSchedule::ClosedLoop.per_client(4),
-            ArrivalSchedule::ClosedLoop
-        );
-        assert_eq!(ArrivalSchedule::ClosedLoop.next_gap_ns(&mut rng()), None);
-        assert!(!ArrivalSchedule::ClosedLoop.is_open_loop());
     }
 }

@@ -1,4 +1,4 @@
-//! YCSB workload generation with closed-loop and open-loop runners.
+//! YCSB workload generation and a closed-loop runner.
 //!
 //! Reimplements the slice of the Yahoo! Cloud Serving Benchmark the paper
 //! evaluates with (§5.3): workloads A (update-heavy), B (read-mostly),
@@ -6,25 +6,16 @@
 //! client threads against any [`apps::KvApp`]. Workload E (scans) is
 //! omitted, as in the paper.
 //!
-//! Two measurement modes:
-//!
-//! * **Closed-loop** ([`Runner::run`]): each thread sends back-to-back
-//!   requests; throughput is the output. This is how the paper's figures
-//!   are produced.
-//! * **Open-loop** ([`Runner::run_open_loop`]): an [`ArrivalSchedule`]
-//!   (fixed-rate or Poisson, drawn from the deterministic sim RNG) decides
-//!   when requests leave; offered load is the input and latency — measured
-//!   from the *intended* arrival time, correcting for coordinated
-//!   omission — is the output. This is what latency-under-load curves need.
-//!
-//! Key/value shapes follow the paper's setup: 24-byte keys and 100-byte
-//! values, zipfian request distributions, and per-thread latency histograms
-//! merged into a [`Report`] / [`OpenLoopReport`].
+//! Measurement is closed-loop ([`Runner::run`]): each client thread sends
+//! back-to-back requests and throughput is the output, which is how the
+//! paper's figures are produced. Key/value shapes follow the paper's setup:
+//! 24-byte keys and 100-byte values, zipfian request distributions, and
+//! per-thread latency histograms merged into a [`Report`].
 
 pub mod generator;
 pub mod runner;
 pub mod workload;
 
-pub use generator::{ArrivalSchedule, KeyChooser, ScrambledZipfian, Zipfian};
-pub use runner::{LoadSpec, OpenLoopReport, OpenLoopSpec, Report, RunSpec, Runner};
+pub use generator::{KeyChooser, ScrambledZipfian, Zipfian};
+pub use runner::{LoadSpec, Report, RunSpec, Runner};
 pub use workload::{OpKind, Workload, WorkloadMix};

@@ -1,5 +1,4 @@
-//! Benchmark runners: load phase, closed-loop run phase, and an open-loop
-//! run phase with coordinated-omission-corrected latencies.
+//! Benchmark runners: load phase and closed-loop run phase.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -7,9 +6,8 @@ use std::time::{Duration, Instant};
 
 use apps::KvApp;
 use sim::{ThroughputSampler, Xoshiro256StarStar};
-use telemetry::{HistHandle, Histogram, Summary};
+use telemetry::{Histogram, Summary};
 
-use crate::generator::ArrivalSchedule;
 use crate::workload::{key_of, value_of, OpKind, Workload};
 
 /// Parameters of the load phase.
@@ -101,111 +99,10 @@ impl Report {
     }
 }
 
-/// Parameters of an open-loop run.
-///
-/// Unlike [`RunSpec`], the offered load is an input: `schedule` carries the
-/// aggregate arrival rate, split evenly across `clients` threads. Each
-/// client draws its own inter-arrival gaps from the deterministic sim RNG
-/// and issues every scheduled request even when it is already late — a
-/// request that had to wait behind a slow predecessor is charged that wait
-/// in its *corrected* latency, which is what closed-loop measurement omits.
-#[derive(Clone)]
-pub struct OpenLoopSpec {
-    /// Concurrent client threads sharing the offered load.
-    pub clients: usize,
-    /// Scheduling horizon: arrivals are generated for this long.
-    pub duration: Duration,
-    /// Value size for updates/inserts.
-    pub value_size: usize,
-    /// Aggregate arrival schedule (must be open-loop).
-    pub schedule: ArrivalSchedule,
-    /// RNG seed (arrival gaps and key choices are deterministic given it).
-    pub seed: u64,
-    /// Extra wall-clock grace past `duration` to drain the backlog before
-    /// the remaining scheduled requests are counted as abandoned. Keeps a
-    /// hopelessly overloaded run from running forever while still reporting
-    /// honestly that it could not serve the offered load.
-    pub max_overrun: Duration,
-    /// Optional telemetry histogram that also receives every corrected
-    /// latency (so an SLO can watch the client-observed distribution live).
-    pub sink: Option<HistHandle>,
-}
-
-impl Default for OpenLoopSpec {
-    fn default() -> Self {
-        OpenLoopSpec {
-            clients: 4,
-            duration: Duration::from_secs(1),
-            value_size: 100,
-            schedule: ArrivalSchedule::Poisson {
-                rate_per_sec: 10_000.0,
-            },
-            seed: 0xC0FFEE,
-            max_overrun: Duration::from_secs(2),
-            sink: None,
-        }
-    }
-}
-
-/// Results of an open-loop run.
-///
-/// Latencies are kept as full [`Histogram`]s (not [`Summary`]s) so callers
-/// can extract arbitrary quantiles — p999 tails are the entire point of
-/// latency-under-load measurement.
-#[derive(Debug, Clone)]
-pub struct OpenLoopReport {
-    /// Workload name.
-    pub workload: String,
-    /// Operations issued and completed.
-    pub ops: u64,
-    /// Failed operations (should be 0).
-    pub errors: u64,
-    /// Requests scheduled before the horizon but never issued because the
-    /// run overran `duration + max_overrun`. Non-zero means the offered
-    /// load exceeded capacity by more than the grace period could drain.
-    pub abandoned: u64,
-    /// Wall-clock time from start to last completion.
-    pub elapsed: Duration,
-    /// Offered load actually scheduled, in ops/sec.
-    pub offered_rate: f64,
-    /// Coordinated-omission-corrected latency: completion minus *intended*
-    /// arrival, including any wait behind earlier requests.
-    pub corrected: Histogram,
-    /// Service latency: completion minus actual issue time.
-    pub service: Histogram,
-    /// Corrected latency of reads only.
-    pub corrected_reads: Histogram,
-    /// Corrected latency of writes (update/insert/RMW) only.
-    pub corrected_writes: Histogram,
-}
-
-impl OpenLoopReport {
-    /// Completions per second over the run.
-    pub fn achieved_rate(&self) -> f64 {
-        self.ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// One-line summary for harness output.
-    pub fn line(&self) -> String {
-        format!(
-            "{:<12} offered {:>9.0}/s achieved {:>9.0}/s  corrected p50 {:>8.1} µs p99 {:>9.1} µs  service p99 {:>9.1} µs  abandoned {}",
-            self.workload,
-            self.offered_rate,
-            self.achieved_rate(),
-            self.corrected.percentile(50.0).unwrap_or(0) as f64 / 1e3,
-            self.corrected.percentile(99.0).unwrap_or(0) as f64 / 1e3,
-            self.service.percentile(99.0).unwrap_or(0) as f64 / 1e3,
-            self.abandoned,
-        )
-    }
-}
-
 /// Drives a [`KvApp`] with YCSB workloads.
 pub struct Runner;
 
-/// One client thread's seeded generator state and tallies. `run` and
-/// `run_open_loop` differ only in when they call [`Client::issue`] and
-/// which latency they tally.
+/// One client thread's seeded generator state and tallies.
 struct Client {
     rng: Xoshiro256StarStar,
     /// Updates must write *fresh* values (YCSB generates a new random field
@@ -265,15 +162,12 @@ impl Client {
 /// Per-thread tallies, merged once the threads join.
 #[derive(Default)]
 struct Tally {
-    /// Every op's latency: service time closed-loop, corrected open-loop.
+    /// Every op's service time.
     all: Histogram,
-    /// Service time, kept apart open-loop only.
-    service: Histogram,
     reads: Histogram,
     writes: Histogram,
     ops: u64,
     errors: u64,
-    abandoned: u64,
 }
 
 impl Tally {
@@ -291,12 +185,10 @@ impl Tally {
         let mut sum = Tally::default();
         for t in tallies {
             sum.all.merge(&t.all);
-            sum.service.merge(&t.service);
             sum.reads.merge(&t.reads);
             sum.writes.merge(&t.writes);
             sum.ops += t.ops;
             sum.errors += t.errors;
-            sum.abandoned += t.abandoned;
         }
         sum
     }
@@ -379,115 +271,6 @@ impl Runner {
             read_latency: sum.reads.summary(),
             write_latency: sum.writes.summary(),
             series: sampler.map(|s| s.series()).unwrap_or_default(),
-        }
-    }
-
-    /// Runs `workload` open-loop at the offered rate in `spec.schedule`.
-    ///
-    /// Each client thread walks its own intended-arrival clock: gaps come
-    /// from the schedule, late requests are issued immediately (never
-    /// skipped), and every corrected latency is measured from the intended
-    /// arrival — the coordinated-omission correction. The per-thread
-    /// backlog models a FIFO queue in front of the server.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec.schedule` is [`ArrivalSchedule::ClosedLoop`]; use
-    /// [`Runner::run`] for closed-loop measurement.
-    pub fn run_open_loop(
-        app: &dyn KvApp,
-        workload: &Workload,
-        loaded: u64,
-        spec: &OpenLoopSpec,
-    ) -> OpenLoopReport {
-        assert!(
-            spec.schedule.is_open_loop(),
-            "run_open_loop needs a FixedRate or Poisson schedule"
-        );
-        let clients = spec.clients.max(1);
-        let per_client = spec.schedule.per_client(clients);
-        let key_count = AtomicU64::new(loaded);
-        let horizon_ns = spec.duration.as_nanos() as u64;
-        let overrun_deadline = spec.duration + spec.max_overrun;
-
-        let start = Instant::now();
-        let tallies: Vec<Tally> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..clients {
-                let key_count = &key_count;
-                let sink = spec.sink.clone();
-                handles.push(scope.spawn(move || {
-                    let mut client = Client::new(spec.seed, t);
-                    let gap = |rng: &mut Xoshiro256StarStar| {
-                        per_client.next_gap_ns(rng).expect("open-loop schedule")
-                    };
-                    let mut intended_ns = gap(&mut client.rng);
-                    while intended_ns < horizon_ns {
-                        if start.elapsed() > overrun_deadline {
-                            // Hopelessly behind the schedule: stop issuing
-                            // and count the rest of the horizon honestly.
-                            client.tally.abandoned += 1;
-                            while {
-                                intended_ns = intended_ns.saturating_add(gap(&mut client.rng));
-                                intended_ns < horizon_ns
-                            } {
-                                client.tally.abandoned += 1;
-                            }
-                            break;
-                        }
-                        wait_until(start, Duration::from_nanos(intended_ns));
-                        let (op, failed, service_ns) =
-                            client.issue(app, workload, key_count, spec.value_size);
-                        let done_ns = start.elapsed().as_nanos() as u64;
-                        let corrected_ns = done_ns.saturating_sub(intended_ns);
-                        client.tally.record(op, failed, corrected_ns);
-                        client.tally.service.record(service_ns);
-                        if let Some(sink) = &sink {
-                            sink.record(corrected_ns);
-                        }
-                        intended_ns = intended_ns.saturating_add(gap(&mut client.rng));
-                    }
-                    client.tally
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("open-loop client"))
-                .collect()
-        });
-        let elapsed = start.elapsed();
-        let sum = Tally::merge(tallies);
-        OpenLoopReport {
-            workload: workload.name.to_string(),
-            ops: sum.ops,
-            errors: sum.errors,
-            abandoned: sum.abandoned,
-            elapsed,
-            offered_rate: (sum.ops + sum.abandoned) as f64 / spec.duration.as_secs_f64().max(1e-9),
-            corrected: sum.all,
-            service: sum.service,
-            corrected_reads: sum.reads,
-            corrected_writes: sum.writes,
-        }
-    }
-}
-
-/// Sleeps (coarsely) then spins (precisely) until `start + intended`.
-///
-/// OS sleep overshoots by tens of microseconds; raw spinning burns a core
-/// per client. Sleeping short of the target and spinning the rest keeps
-/// intended arrival times accurate without pegging the CPU between them.
-fn wait_until(start: Instant, intended: Duration) {
-    loop {
-        let now = start.elapsed();
-        if now >= intended {
-            return;
-        }
-        let remaining = intended - now;
-        if remaining > Duration::from_micros(200) {
-            std::thread::sleep(remaining - Duration::from_micros(100));
-        } else {
-            std::hint::spin_loop();
         }
     }
 }
@@ -618,176 +401,5 @@ mod tests {
         assert!(!report.series.is_empty());
         let total: f64 = report.series.iter().map(|(_, ops)| ops * 0.01).sum();
         assert!((total - report.ops as f64).abs() < report.ops as f64 * 0.1 + 10.0);
-    }
-
-    /// A KvApp that takes a fixed amount of wall-clock time per operation —
-    /// a server with a known capacity, for overload tests.
-    struct SlowApp {
-        inner: MemApp,
-        per_op: Duration,
-    }
-
-    impl KvApp for SlowApp {
-        fn insert(&self, key: &str, value: &[u8]) -> Result<(), AppError> {
-            std::thread::sleep(self.per_op);
-            self.inner.insert(key, value)
-        }
-        fn update(&self, key: &str, value: &[u8]) -> Result<(), AppError> {
-            std::thread::sleep(self.per_op);
-            self.inner.update(key, value)
-        }
-        fn read(&self, key: &str) -> Result<Option<Vec<u8>>, AppError> {
-            std::thread::sleep(self.per_op);
-            self.inner.read(key)
-        }
-    }
-
-    #[test]
-    fn open_loop_tracks_the_offered_rate() {
-        let app = MemApp::new();
-        Runner::load(
-            &app,
-            &LoadSpec {
-                record_count: 100,
-                value_size: 16,
-                threads: 2,
-            },
-        )
-        .unwrap();
-        let w = Workload::a(100);
-        let spec = OpenLoopSpec {
-            clients: 2,
-            duration: Duration::from_millis(250),
-            value_size: 16,
-            schedule: ArrivalSchedule::FixedRate {
-                rate_per_sec: 2_000.0,
-            },
-            seed: 5,
-            ..OpenLoopSpec::default()
-        };
-        let report = Runner::run_open_loop(&app, &w, 100, &spec);
-        // 2000/s for 250ms ≈ 500 ops; the app is near-instant, so nothing
-        // is abandoned and the achieved rate tracks the offered rate.
-        assert_eq!(report.abandoned, 0);
-        assert_eq!(report.errors, 0);
-        assert!(
-            (400..=520).contains(&report.ops),
-            "ops={} not near 500",
-            report.ops
-        );
-        assert_eq!(report.corrected.count(), report.ops);
-        assert_eq!(report.service.count(), report.ops);
-        assert_eq!(
-            report.corrected_reads.count() + report.corrected_writes.count(),
-            report.ops
-        );
-        assert!(report.offered_rate > 1_500.0, "{}", report.offered_rate);
-        assert!(!report.line().is_empty());
-    }
-
-    #[test]
-    fn open_loop_schedule_is_deterministic_per_seed() {
-        let app = MemApp::new();
-        Runner::load(
-            &app,
-            &LoadSpec {
-                record_count: 50,
-                value_size: 8,
-                threads: 1,
-            },
-        )
-        .unwrap();
-        let w = Workload::c(50);
-        let spec = OpenLoopSpec {
-            clients: 3,
-            duration: Duration::from_millis(120),
-            value_size: 8,
-            schedule: ArrivalSchedule::Poisson {
-                rate_per_sec: 5_000.0,
-            },
-            seed: 77,
-            ..OpenLoopSpec::default()
-        };
-        let a = Runner::run_open_loop(&app, &w, 50, &spec);
-        let b = Runner::run_open_loop(&app, &w, 50, &spec);
-        // Arrival gaps come only from the seeded RNG, so the number of
-        // *scheduled* requests (issued + abandoned) is timing-independent.
-        assert_eq!(a.ops + a.abandoned, b.ops + b.abandoned);
-    }
-
-    #[test]
-    fn overload_shows_up_in_corrected_latency_not_service_latency() {
-        let app = SlowApp {
-            inner: MemApp::new(),
-            per_op: Duration::from_millis(2),
-        };
-        Runner::load(
-            &app.inner,
-            &LoadSpec {
-                record_count: 50,
-                value_size: 8,
-                threads: 1,
-            },
-        )
-        .unwrap();
-        let w = Workload::c(50);
-        // One client at 2ms/op serves ≤500/s; offer 4× that.
-        let spec = OpenLoopSpec {
-            clients: 1,
-            duration: Duration::from_millis(300),
-            value_size: 8,
-            schedule: ArrivalSchedule::FixedRate {
-                rate_per_sec: 2_000.0,
-            },
-            seed: 13,
-            max_overrun: Duration::from_secs(5),
-            sink: None,
-        };
-        let report = Runner::run_open_loop(&app, &w, 50, &spec);
-        assert!(report.ops > 50);
-        let service_p99 = report.service.percentile(99.0).unwrap();
-        let corrected_p99 = report.corrected.percentile(99.0).unwrap();
-        // Service time stays ~2ms; the corrected tail carries the queueing
-        // delay of a 4×-overloaded server and must be far larger.
-        assert!(service_p99 < 20_000_000, "service p99 {service_p99}");
-        assert!(
-            corrected_p99 > 4 * service_p99,
-            "corrected p99 {corrected_p99} vs service {service_p99}"
-        );
-        assert!(report.achieved_rate() < report.offered_rate * 0.75);
-    }
-
-    #[test]
-    fn open_loop_sink_receives_every_corrected_latency() {
-        let tel = telemetry::Telemetry::new();
-        let app = MemApp::new();
-        Runner::load(
-            &app,
-            &LoadSpec {
-                record_count: 20,
-                value_size: 8,
-                threads: 1,
-            },
-        )
-        .unwrap();
-        let w = Workload::c(20);
-        let spec = OpenLoopSpec {
-            clients: 2,
-            duration: Duration::from_millis(100),
-            value_size: 8,
-            schedule: ArrivalSchedule::Poisson {
-                rate_per_sec: 3_000.0,
-            },
-            seed: 3,
-            sink: Some(tel.histogram("client.corrected")),
-            ..OpenLoopSpec::default()
-        };
-        let report = Runner::run_open_loop(&app, &w, 20, &spec);
-        let (_, h) = tel
-            .histograms_full()
-            .into_iter()
-            .find(|(n, _)| n == "client.corrected")
-            .unwrap();
-        assert_eq!(h.count(), report.ops);
     }
 }

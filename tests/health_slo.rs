@@ -1,25 +1,33 @@
-//! End-to-end SLO/health plane test: an open-loop overload run must flip
-//! the testbed's `/health` endpoint to 503/breached, trip the flight
-//! recorder, and leave an analyzer-clean black-box dump — while a
-//! comfortable load stays 200/healthy.
+//! End-to-end SLO/health plane test: closed-loop load on a server with a
+//! known per-op service time must flip the testbed's `/health` endpoint to
+//! 503/breached, trip the flight recorder, and leave an analyzer-clean
+//! black-box dump — while the same load on the plain app stays 200/healthy.
 //!
 //! The pipeline under test spans every layer this repo's observability
-//! stack has: the ycsb open-loop runner records coordinated-omission-
-//! corrected latencies into a telemetry histogram, the SLO plane windows
-//! that histogram into multi-window burn rates, the scrape server serves
-//! the verdict over plain HTTP, and the breach hook preserves the last N
-//! spans/events as a `trace_analyzer --check`-compatible JSONL dump.
+//! stack has: a client-side wrapper times every op of the closed-loop ycsb
+//! runner into a telemetry histogram, the SLO plane windows that histogram
+//! into multi-window burn rates, the scrape server serves the verdict over
+//! plain HTTP, and the breach hook preserves the last N spans/events as a
+//! `trace_analyzer --check`-compatible JSONL dump.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use splitft::apps::minirocks::{MiniRocks, RocksOptions};
 use splitft::apps::{AppError, KvApp};
 use splitft::splitfs::{Mode, Testbed, TestbedConfig};
 use telemetry::analyze::{analyze, parse_jsonl};
-use telemetry::SloSpec;
-use ycsb::{ArrivalSchedule, LoadSpec, OpenLoopSpec, Runner, Workload};
+use telemetry::{HistHandle, SloSpec};
+use ycsb::{LoadSpec, RunSpec, Runner, Workload};
+
+/// The client-facing objective both tests watch: at most 10% of ops may
+/// take longer than 2 ms, judged over the single window since the last
+/// `/health` read. A zero-latency testbed serves an op in microseconds; a
+/// 5 ms/op server misses it on every op.
+fn client_objective() -> SloSpec {
+    SloSpec::new("client-op", "client.op", 2_000_000, 0.1).windows(1, 1)
+}
 
 fn get(addr: SocketAddr, path: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).expect("scrape endpoint reachable");
@@ -30,26 +38,37 @@ fn get(addr: SocketAddr, path: &str) -> (String, String) {
     (head.lines().next().unwrap().to_string(), body.to_string())
 }
 
-/// Wraps an app with a fixed per-op service time: a server with known
-/// capacity, so "overload" is a property of the seeded schedule, not of
-/// the machine running the test.
+/// Wraps an app with a fixed per-op service time and times every op, that
+/// wait included, into the client's histogram: a server with known
+/// capacity, so "overload" is a property of the test, not of the machine
+/// running it.
 struct SlowApp<'a> {
     inner: &'a dyn KvApp,
     per_op: Duration,
+    ops: HistHandle,
+}
+
+impl SlowApp<'_> {
+    fn timed<R>(&self, op: impl FnOnce(&dyn KvApp) -> R) -> R {
+        let t0 = Instant::now();
+        if !self.per_op.is_zero() {
+            std::thread::sleep(self.per_op);
+        }
+        let out = op(self.inner);
+        self.ops.record_since(t0);
+        out
+    }
 }
 
 impl KvApp for SlowApp<'_> {
     fn insert(&self, key: &str, value: &[u8]) -> Result<(), AppError> {
-        std::thread::sleep(self.per_op);
-        self.inner.insert(key, value)
+        self.timed(|app| app.insert(key, value))
     }
     fn update(&self, key: &str, value: &[u8]) -> Result<(), AppError> {
-        std::thread::sleep(self.per_op);
-        self.inner.update(key, value)
+        self.timed(|app| app.update(key, value))
     }
     fn read(&self, key: &str) -> Result<Option<Vec<u8>>, AppError> {
-        std::thread::sleep(self.per_op);
-        self.inner.read(key)
+        self.timed(|app| app.read(key))
     }
 }
 
@@ -62,13 +81,9 @@ fn health_flips_to_breached_under_seeded_overload() {
     let tb = Testbed::start(cfg);
     let addr = tb.scrape_addr().expect("scrape endpoint requested");
 
-    // Client-facing objective on the open-loop runner's corrected-latency
-    // sink: ≤10% of requests may exceed 25 ms. The threshold is far above
-    // anything a zero-latency testbed serves in-capacity and far below
-    // what an overloaded queue produces, so both phases are deterministic.
     let plane = tb.slo_plane();
     plane.set_min_tick_gap(Duration::ZERO);
-    plane.add(SloSpec::new("client-corrected", "client.corrected", 25_000_000, 0.1).windows(1, 1));
+    plane.add(client_objective());
 
     // Arm the black box: on the first transition into Breached, dump the
     // flight recorder where the chaos artifacts would go.
@@ -99,58 +114,43 @@ fn health_flips_to_breached_under_seeded_overload() {
     )
     .expect("load");
 
-    // Phase 1 — comfortable offered load: /health answers 200/healthy.
+    // Phase 1 — closed-loop load on the plain app: /health answers
+    // 200/healthy.
     let workload = Workload::a(200);
-    let sink = tel.histogram("client.corrected");
-    let report = Runner::run_open_loop(
-        &app,
-        &workload,
-        200,
-        &OpenLoopSpec {
-            clients: 2,
-            duration: Duration::from_millis(250),
-            value_size: 64,
-            schedule: ArrivalSchedule::Poisson {
-                rate_per_sec: 200.0,
-            },
-            seed: 0x5105_0001,
-            sink: Some(sink.clone()),
-            ..OpenLoopSpec::default()
-        },
-    );
+    let spec = |seed| RunSpec {
+        threads: 2,
+        duration: Duration::from_millis(250),
+        value_size: 64,
+        sample_window: None,
+        seed,
+    };
+    let ops = tel.histogram("client.op");
+    let plain = SlowApp {
+        inner: &app,
+        per_op: Duration::ZERO,
+        ops: ops.clone(),
+    };
+    let report = Runner::run(&plain, &workload, 200, &spec(0x5105_0001));
     assert_eq!(report.errors, 0);
     let (status, body) = get(addr, "/health");
     assert!(status.contains("200"), "healthy phase: {status}\n{body}");
     assert!(body.contains("\"status\": \"healthy\""), "{body}");
-    assert!(body.contains("\"client-corrected\""), "{body}");
+    assert!(body.contains("\"client-op\""), "{body}");
     assert!(!dump_dir.exists(), "no flight dump may fire while healthy");
 
-    // Phase 2 — seeded overload: a 5 ms/op server (≤400/s with 2 clients)
-    // offered 4× its capacity. Corrected latencies grow with the backlog,
-    // the error budget burns >1× on both windows, and /health flips.
+    // Phase 2 — the same load on a 5 ms/op server: every op misses the
+    // 2 ms objective, the error budget burns 10× on both windows, and
+    // /health flips.
     let slow = SlowApp {
         inner: &app,
         per_op: Duration::from_millis(5),
+        ops,
     };
-    let report = Runner::run_open_loop(
-        &slow,
-        &workload,
-        200,
-        &OpenLoopSpec {
-            clients: 2,
-            duration: Duration::from_millis(400),
-            value_size: 64,
-            schedule: ArrivalSchedule::Poisson {
-                rate_per_sec: 1_600.0,
-            },
-            seed: 0x5105_0002,
-            max_overrun: Duration::from_secs(10),
-            sink: Some(sink),
-        },
-    );
+    let report = Runner::run(&slow, &workload, 200, &spec(0x5105_0002));
+    assert_eq!(report.errors, 0);
     assert!(
-        report.corrected.percentile(99.0).unwrap() > 25_000_000,
-        "overload must push corrected tail past the objective"
+        report.latency.p50_ns > 2_000_000,
+        "a 5 ms/op server must miss the objective on the median op"
     );
     let (status, body) = get(addr, "/health");
     assert!(status.contains("503"), "overload phase: {status}\n{body}");
@@ -186,9 +186,9 @@ fn health_flips_to_breached_under_seeded_overload() {
     let _ = std::fs::remove_dir_all(&dump_dir);
 }
 
-/// A second run at low rate against the same objective stays healthy end
-/// to end — the breach path above is the schedule's fault, not the
-/// plane's default verdict.
+/// Rounds of closed-loop load on the plain app against the same objective
+/// stay healthy end to end — the breach path above is the slow server's
+/// fault, not the plane's default verdict.
 #[test]
 fn health_stays_200_at_low_offered_load() {
     let mut cfg = TestbedConfig::zero(3);
@@ -197,8 +197,7 @@ fn health_stays_200_at_low_offered_load() {
     let tb = Testbed::start(cfg);
     let addr = tb.scrape_addr().unwrap();
     tb.slo_plane().set_min_tick_gap(Duration::ZERO);
-    tb.slo_plane()
-        .add(SloSpec::new("client-corrected", "client.corrected", 25_000_000, 0.1).windows(1, 1));
+    tb.slo_plane().add(client_objective());
 
     let (fs, _node) = tb.mount(Mode::SplitFt, "health-low");
     let app = MiniRocks::open(fs, "db/", RocksOptions::tiny()).expect("minirocks open");
@@ -211,24 +210,25 @@ fn health_stays_200_at_low_offered_load() {
         },
     )
     .expect("load");
+    let plain = SlowApp {
+        inner: &app,
+        per_op: Duration::ZERO,
+        ops: tel.histogram("client.op"),
+    };
     for round in 0..3 {
-        let report = Runner::run_open_loop(
-            &app,
+        let report = Runner::run(
+            &plain,
             &Workload::b(100),
             100,
-            &OpenLoopSpec {
-                clients: 2,
+            &RunSpec {
+                threads: 2,
                 duration: Duration::from_millis(150),
                 value_size: 64,
-                schedule: ArrivalSchedule::FixedRate {
-                    rate_per_sec: 300.0,
-                },
+                sample_window: None,
                 seed: 0xB00 + round,
-                sink: Some(tel.histogram("client.corrected")),
-                ..OpenLoopSpec::default()
             },
         );
-        assert_eq!(report.abandoned, 0);
+        assert_eq!(report.errors, 0);
         let (status, body) = get(addr, "/health");
         assert!(status.contains("200"), "round {round}: {status}\n{body}");
         assert!(!body.contains("\"status\": \"breached\""), "{body}");
