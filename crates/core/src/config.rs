@@ -71,7 +71,10 @@ pub struct NclConfig {
     /// Control-plane RPC cost (controller and peer setup traffic).
     pub control: LatencyModel,
     /// Memory-region registration cost on peers (fresh allocations only;
-    /// recycled pool regions skip it).
+    /// recycled pool regions skip it). Registrations on one peer queue
+    /// behind each other on its registration pipe; registrations on
+    /// different peers overlap, and the application waits once for all of
+    /// a file's.
     pub mr_register: LatencyModel,
     /// How long `record` keeps retrying to assemble a majority (waiting for
     /// peer replacement) before giving up.

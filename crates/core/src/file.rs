@@ -81,16 +81,28 @@
 //! demonstrates both seeded bugs. The per-peer header reads and catch-up
 //! transfers are independent, so both phases fan out across the peers with
 //! scoped threads instead of paying one peer round trip after another.
+//! Peers that did not respond are replaced together: one controller round,
+//! one `Alloc` per replacement, one wait for their registrations, and one
+//! parallel catch-up.
 //!
 //! ## Peer replacement (§4.5.2)
 //!
 //! When a work request fails, the peer is declared dead. If a majority is
 //! still alive the current record completes first; replacement then runs
-//! inline (the paper's Figure 12 "blip"): allocate on a fresh peer at the
+//! inline (the paper's Figure 12 "blip"): allocate on fresh peers at the
 //! next epoch, copy the local buffer (all replacements in parallel), wait
 //! for the copies to complete, bump the surviving peers' region epochs, and
 //! only then swing the ap-map. If a majority is lost, the record blocks
 //! until replacement restores a quorum.
+//!
+//! Create, repair and recovery acquire their peers the same way: the
+//! `Alloc`s of one controller round go out one after another on the
+//! caller's thread, each peer prices its region's registration on its own
+//! registration pipe and answers with the instant it completes, and the
+//! caller waits once, for the latest, before its first post — so the
+//! registrations of different peers overlap. A control operation that fails
+//! after allocating frees what it allocated, so a retry at the same epoch
+//! finds the peers clean.
 
 mod phases;
 mod recovery;
@@ -117,7 +129,7 @@ use self::staging::{FileMetrics, Image, Stage};
 use crate::config::NclConfig;
 use crate::controller::{Controller, ControllerClient};
 use crate::peer::PeerReq;
-use crate::registry::NclRegistry;
+use crate::registry::{NclRegistry, PeerEndpoint};
 use crate::NclError;
 
 /// Shared context of one application instance.
@@ -151,6 +163,26 @@ fn fan_out<T: Send, R: Send>(
             .map(|h| h.join().expect("per-peer worker thread"))
             .collect()
     })
+}
+
+/// Frees `file`'s regions on `endpoints` at `epoch`, best effort: a peer
+/// that does not answer reclaims its region later, by epoch or by lease.
+fn free_regions<'a>(
+    ctx: &Ctx,
+    file: &str,
+    epoch: u64,
+    endpoints: impl IntoIterator<Item = &'a PeerEndpoint>,
+) {
+    for endpoint in endpoints {
+        let _ = endpoint.rpc.call(
+            ctx.node,
+            PeerReq::Free {
+                app: ctx.app_id.clone(),
+                file: file.to_string(),
+                epoch,
+            },
+        );
+    }
 }
 
 /// Handle to the NCL layer for one application instance.
@@ -241,32 +273,39 @@ impl NclLib {
         let scheme = Scheme::new(&ctx.config, capacity, scope)?;
         let epoch = ctx.controller.get_app_epoch(ctx.node, &ctx.app_id, file)? + 1;
         let cq = CompletionQueue::new();
-        let mut slots: Vec<PeerSlot> = Vec::new();
-        let mut exclude: Vec<String> = Vec::new();
-        let region_data = scheme.region_data(capacity);
-        let names = [spans::NCL_CREATE_GET_PEER, spans::NCL_CREATE_CONNECT_MR];
-        while slots.len() < ctx.config.replicas() {
-            slots.push(repair::acquire_peer(
-                ctx,
-                file,
-                epoch,
-                region_data,
-                &cq,
-                &mut exclude,
-                &mut phases,
-                names,
-            )?);
-        }
-        if let Some(header) = scheme.initial_header() {
-            let router = WcRouter::new(&cq);
-            for slot in &slots {
-                repair::ship(ctx, &router, slot, &slot.mr, &header, None)?;
+        let n = ctx.config.replicas();
+        let slots = repair::acquire_peers(
+            ctx,
+            file,
+            epoch,
+            scheme.region_data(capacity),
+            [n, n],
+            &cq,
+            &mut Vec::new(),
+            &mut phases,
+            [spans::NCL_CREATE_GET_PEER, spans::NCL_CREATE_CONNECT_MR],
+        )?;
+        let published = (|| {
+            if let Some(header) = scheme.initial_header() {
+                // Post every peer's initial header, then wait for them once.
+                let router = WcRouter::new(&cq);
+                let posted = slots.iter().map(|s| repair::post(s, &s.mr, &header, None));
+                let ids = posted.collect::<Result<Vec<_>, _>>()?;
+                for (slot, id) in slots.iter().zip(ids) {
+                    repair::landed(ctx, &router, slot, id)?;
+                }
+                phases.close(spans::NCL_CREATE_SEED, epoch);
             }
-            phases.close(spans::NCL_CREATE_SEED, epoch);
+            let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
+            ctx.controller
+                .set_ap_entry(ctx.node, &ctx.app_id, file, names, epoch)
+        })();
+        if let Err(e) = published {
+            // Free what this attempt allocated, so a retry at the same epoch
+            // finds the peers clean.
+            free_regions(ctx, file, epoch, slots.iter().map(|s| &s.endpoint));
+            return Err(e);
         }
-        let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
-        ctx.controller
-            .set_ap_entry(ctx.node, &ctx.app_id, file, names, epoch)?;
         phases.close(spans::NCL_CREATE_AP_MAP, epoch);
         phases.finish(spans::NCL_CREATE, epoch);
         let image = Image::empty(capacity);
@@ -295,19 +334,12 @@ impl NclLib {
             .controller
             .get_ap_entry(ctx.node, &ctx.app_id, file)?
             .ok_or_else(|| NclError::NotFound(file.to_string()))?;
-        for name in &entry.peers {
-            let Some(endpoint) = ctx.registry.lookup(name) else {
-                continue;
-            };
-            let _ = endpoint.rpc.call(
-                ctx.node,
-                PeerReq::Free {
-                    app: ctx.app_id.clone(),
-                    file: file.to_string(),
-                    epoch: entry.epoch,
-                },
-            );
-        }
+        let endpoints: Vec<_> = entry
+            .peers
+            .iter()
+            .filter_map(|name| ctx.registry.lookup(name))
+            .collect();
+        free_regions(ctx, file, entry.epoch, &endpoints);
         ctx.controller.delete_ap_entry(ctx.node, &ctx.app_id, file)
     }
 }
@@ -415,16 +447,8 @@ impl NclFile {
         let ctx = &self.ctx;
         let _stage = self.stage_guard();
         let mut rep = self.rep_guard();
-        for slot in rep.peers.iter().filter(|s| s.alive) {
-            let _ = slot.endpoint.rpc.call(
-                ctx.node,
-                PeerReq::Free {
-                    app: ctx.app_id.clone(),
-                    file: self.name.clone(),
-                    epoch: rep.epoch,
-                },
-            );
-        }
+        let alive = rep.peers.iter().filter(|s| s.alive);
+        free_regions(ctx, &self.name, rep.epoch, alive.map(|s| &s.endpoint));
         // Drop the peer slots so any later use fails fast instead of writing
         // to freed regions.
         rep.peers.clear();

@@ -10,10 +10,10 @@ use rdma::{CompletionQueue, WcStatus, WrId};
 use telemetry::{events, spans};
 
 use super::phases::Phases;
-use super::repair::{acquire_peer, catch_up_existing, catch_up_fresh};
+use super::repair::{acquire_peers, catch_up_existing, catch_up_fresh};
 use super::scheme::Scheme;
 use super::slots::{PeerSlot, Responders, WcRouter, WcWait};
-use super::{fan_out, NclFile, NclLib};
+use super::{fan_out, free_regions, NclFile, NclLib};
 use crate::layout::{RegionHeader, HEADER_WIRE_SIZE};
 use crate::peer::{PeerReq, PeerResp};
 use crate::NclError;
@@ -83,7 +83,7 @@ impl NclLib {
                     file: file.to_string(),
                 },
             );
-            let Ok(PeerResp::Mr(mr)) = resp else {
+            let Ok(PeerResp::Mr(mr, _)) = resp else {
                 return None;
             };
             let slot = PeerSlot::connect(ctx, name.clone(), endpoint, mr, &cq);
@@ -151,32 +151,48 @@ impl NclLib {
         .flatten()
         .collect();
         phases.close(spans::NCL_RECOVER_CATCH_UP, epoch);
-        // Replace unreachable/failed peers to restore the FT level.
+        // Replace unreachable/failed peers to restore the FT level: acquire
+        // the replacements together (one wait for their registrations) and
+        // catch them up in parallel. Another round runs only for
+        // replacements whose catch-up failed; their regions are freed.
         let mut exclude = entry.peers.clone();
         let names = [spans::NCL_RECOVER_GET_PEER, spans::NCL_RECOVER_CONNECT];
+        let survivors = slots.len();
         while slots.len() < ctx.config.replicas() {
-            let acquired = acquire_peer(
+            let missing = ctx.config.replicas() - slots.len();
+            let acquired = acquire_peers(
                 ctx,
                 file,
                 epoch,
                 region_data,
+                [missing, 0],
                 &cq,
                 &mut exclude,
                 &mut phases,
                 names,
             );
-            let Ok(mut slot) = acquired else {
-                break; // No spare peers; proceed degraded if quorate.
-            };
-            let caught_up = phases.peer(peer_span, slot.scope, epoch, || {
-                catch_up_fresh(ctx, &router, &mut slot, epoch, &header, shipped)
+            // No spare peers: proceed degraded if quorate.
+            let fresh = acquired.unwrap_or_default();
+            if fresh.is_empty() {
+                break;
+            }
+            let caught_up = fan_out(fresh, |mut slot| {
+                let done = phases.peer(peer_span, slot.scope, epoch, || {
+                    catch_up_fresh(ctx, &router, &mut slot, epoch, &header, shipped)
+                });
+                (slot, done)
             });
             phases.close(spans::NCL_RECOVER_CATCH_UP, epoch);
-            if caught_up.is_ok() {
-                slots.push(slot);
+            for (slot, done) in caught_up {
+                match done {
+                    Ok(()) => slots.push(slot),
+                    Err(_) => free_regions(ctx, file, epoch, [&slot.endpoint]),
+                }
             }
         }
         if slots.len() < ctx.config.quorum() {
+            let fresh = slots[survivors..].iter().map(|s| &s.endpoint);
+            free_regions(ctx, file, epoch, fresh);
             return Err(NclError::QuorumUnavailable(format!(
                 "caught up {} peers during recovery, the acknowledgement quorum is {}",
                 slots.len(),

@@ -3,7 +3,7 @@
 //! peer's stage-fill-switch — that recovery's rearm shares.
 
 use std::collections::HashSet;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rdma::{CompletionQueue, RemoteMr, WcStatus, WorkRequest, WrId};
 use telemetry::{events, spans};
@@ -11,7 +11,7 @@ use telemetry::{events, spans};
 use super::phases::Phases;
 use super::slots::{Flight, PeerSlot, Rep, RepWait, WcWait};
 use super::staging::{FlushReason, Stage};
-use super::{fan_out, Ctx, NclFile};
+use super::{fan_out, free_regions, Ctx, NclFile};
 use crate::detector::Backoff;
 use crate::layout::{RegionHeader, HEADER_SIZE};
 use crate::peer::{PeerReq, PeerResp};
@@ -94,22 +94,21 @@ impl NclFile {
             // Each fresh peer inherits a dead slot's row — what the scheme
             // addresses its share of every burst by.
             let used: HashSet<u32> = rep.peers.iter().map(|s| s.row).collect();
-            let mut free = (0..ctx.config.replicas() as u32).filter(|r| !used.contains(r));
-            let mut fresh: Vec<PeerSlot> = Vec::new();
-            let names = [spans::NCL_REPAIR_GET_PEER, spans::NCL_REPAIR_CONNECT_MR];
-            while rep.peers.len() + fresh.len() < ctx.config.replicas() {
-                let mut slot = acquire_peer(
-                    ctx,
-                    &self.name,
-                    epoch,
-                    region_data,
-                    &rep.cq,
-                    &mut exclude,
-                    &mut phases,
-                    names,
-                )?;
-                slot.row = free.next().expect("one free row per fresh peer");
-                fresh.push(slot);
+            let free = (0..ctx.config.replicas() as u32).filter(|r| !used.contains(r));
+            let missing = ctx.config.replicas() - rep.peers.len();
+            let mut fresh = acquire_peers(
+                ctx,
+                &self.name,
+                epoch,
+                region_data,
+                [missing, missing],
+                &rep.cq,
+                &mut exclude,
+                &mut phases,
+                [spans::NCL_REPAIR_GET_PEER, spans::NCL_REPAIR_CONNECT_MR],
+            )?;
+            for (slot, row) in fresh.iter_mut().zip(free) {
+                slot.row = row;
             }
             for s in &fresh {
                 rep.expecting.insert(s.qp.qp_num());
@@ -138,9 +137,11 @@ impl NclFile {
         }
         rep.prune_stray();
         if let Some(e) = results.into_iter().find_map(|r| r.err()) {
-            // Survivors are kept; the fresh regions are abandoned (their
-            // peers GC them by epoch). The caller defers or retries. Close
-            // the repair root so its child spans stay reachable.
+            // Survivors are kept; the fresh regions are freed, so a retry at
+            // this epoch finds the peers clean. The caller defers or
+            // retries. Close the repair root so its child spans stay
+            // reachable.
+            free_regions(ctx, &self.name, epoch, fresh.iter().map(|s| &s.endpoint));
             phases.finish(spans::NCL_REPAIR, epoch);
             return Err(e);
         }
@@ -238,35 +239,61 @@ impl NclFile {
     }
 }
 
-/// Obtains one fresh peer: ask the controller for candidates (their
-/// availability is only a hint), try to allocate `capacity` data bytes,
-/// connect a QP. On the caller's clock, each controller round closes a
-/// `get_peer` phase (a backoff wait counts toward the next round) and each
-/// allocation attempt a `connect` one.
+/// Obtains up to `n` fresh peers for `file` at `epoch`, each lending a
+/// region of `capacity` data bytes: one controller round asks for the
+/// candidates (their availability is only a hint) and the `Alloc`s go out
+/// in placement order on the caller's thread. A peer prices its
+/// registration and answers at once, so the regions register side by side
+/// and the caller waits once, for the last of them, before it returns —
+/// every returned slot can be posted to. Another round runs only for
+/// candidates that were stale or down, after a backoff when a whole round
+/// came to nothing.
+///
+/// Returns fewer than `n` only when the controller runs out of eligible
+/// peers or stops answering; fewer than `at_least` is an error, and then
+/// the regions already allocated are freed again. On the caller's clock,
+/// each controller round closes a `get_peer` phase (a backoff wait counts
+/// toward the next round), each allocation attempt a `connect` one, and the
+/// wait closes the last `connect` phase.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn acquire_peer(
+pub(super) fn acquire_peers(
     ctx: &Ctx,
     file: &str,
     epoch: u64,
     capacity: usize,
+    [n, at_least]: [usize; 2],
     cq: &CompletionQueue,
     exclude: &mut Vec<String>,
     phases: &mut Phases<'_>,
     [get_peer, connect]: [&'static str; 2],
-) -> Result<PeerSlot, NclError> {
+) -> Result<Vec<PeerSlot>, NclError> {
     let need = (HEADER_SIZE + capacity) as u64;
     let mut backoff = Backoff::new(ctx.config.backoff_base, ctx.config.backoff_cap, epoch);
-    loop {
-        let candidates = ctx
+    let mut slots: Vec<PeerSlot> = Vec::with_capacity(n);
+    let mut ready: Option<Instant> = None;
+    let mut refused = None;
+    while slots.len() < n {
+        // A few spares per round, so one stale hint costs no extra round.
+        let count = n - slots.len() + 3;
+        let candidates = match ctx
             .controller
-            .get_peers(ctx.node, &ctx.app_id, need, 4, exclude)?;
+            .get_peers(ctx.node, &ctx.app_id, need, count, exclude)
+        {
+            Ok(candidates) => candidates,
+            Err(e) => {
+                refused = Some(e);
+                break;
+            }
+        };
         phases.close(get_peer, epoch);
         if candidates.is_empty() {
-            return Err(NclError::QuorumUnavailable(
-                "controller has no eligible peers".to_string(),
-            ));
+            break;
         }
+        let before = slots.len();
         for cand in candidates {
+            if slots.len() == n {
+                break;
+            }
             exclude.push(cand.name.clone());
             let Some(endpoint) = ctx.registry.lookup(&cand.name) else {
                 continue;
@@ -280,35 +307,50 @@ pub(super) fn acquire_peer(
                     capacity,
                 },
             );
-            let Ok(PeerResp::Mr(mr)) = resp else {
+            let Ok(PeerResp::Mr(mr, at)) = resp else {
                 phases.close(connect, epoch);
-                continue; // The hint was stale or the peer is down: retry.
+                continue; // The hint was stale or the peer is down.
             };
             // Connection setup is one more control round trip.
             ctx.config.control.charge(0);
-            let slot = PeerSlot::connect(ctx, cand.name, endpoint, mr, cq);
-            phases.close(connect, epoch);
-            return Ok(slot);
+            slots.push(PeerSlot::connect(ctx, cand.name, endpoint, mr, cq));
+            ready = ready.max(Some(at));
+            if slots.len() < n {
+                phases.close(connect, epoch);
+            }
         }
-        // Every candidate of this round was stale or down; back off before
-        // asking the controller again so a flapping cluster is not hammered.
-        sim::delay(backoff.next_delay());
+        if slots.len() == before {
+            // Every candidate of this round was stale or down; back off
+            // before asking the controller again so a flapping cluster is
+            // not hammered.
+            sim::delay(backoff.next_delay());
+        }
     }
+    if slots.len() < at_least {
+        free_regions(ctx, file, epoch, slots.iter().map(|s| &s.endpoint));
+        return Err(refused.unwrap_or_else(|| {
+            NclError::QuorumUnavailable("controller has no eligible peers".to_string())
+        }));
+    }
+    if let Some(ready) = ready {
+        sim::delay_until(ready);
+        phases.close(connect, epoch);
+    }
+    Ok(slots)
 }
 
-/// Writes `body` (bytes to place at data offset `.0`) and then `header`
-/// into `mr` over the slot's queue pair and waits for the header to
-/// complete. Both writes borrow: the body from the caller's image, the
-/// header from the stack. The WR ids are the header sequence's, so on a
-/// live file the normal completion path credits the peer with `header.seq`.
-pub(super) fn ship(
-    ctx: &Ctx,
-    wait: &dyn WcWait,
+/// Posts `body` (bytes to place at data offset `.0`) and then `header`
+/// into `mr` over the slot's queue pair without waiting, and returns the
+/// header write's id, what [`landed`] waits for. Both writes borrow: the
+/// body from the caller's image, the header from the stack. The WR ids are
+/// the header sequence's, so on a live file the normal completion path
+/// credits the peer with `header.seq`.
+pub(super) fn post(
     slot: &PeerSlot,
     mr: &RemoteMr,
     header: &RegionHeader,
     body: Option<(usize, &[u8])>,
-) -> Result<(), NclError> {
+) -> Result<WrId, NclError> {
     let write = |wr_id, offset, data: &[u8]| {
         let wr = WorkRequest::Write {
             wr_id,
@@ -320,11 +362,23 @@ pub(super) fn ship(
             .post_many(&[wr])
             .map_err(|e| NclError::Unavailable(e.to_string()))
     };
-    let (seq, id) = (header.seq, WrId(2 * header.seq + 1));
+    let seq = header.seq;
     if let Some((start, bytes)) = body.filter(|(_, bytes)| !bytes.is_empty()) {
         write(WrId(2 * seq), HEADER_SIZE + start, bytes)?;
     }
+    let id = WrId(2 * seq + 1);
     write(id, 0, &header.encode())?;
+    Ok(id)
+}
+
+/// Waits for the header write `id` that [`post`] put on the slot's queue
+/// pair to complete.
+pub(super) fn landed(
+    ctx: &Ctx,
+    wait: &dyn WcWait,
+    slot: &PeerSlot,
+    id: WrId,
+) -> Result<(), NclError> {
     match wait.wait_for(slot.qp.qp_num(), id, ctx.config.write_timeout) {
         Some(wc) if wc.status == WcStatus::Success => Ok(()),
         _ => Err(NclError::Unavailable(format!(
@@ -332,6 +386,19 @@ pub(super) fn ship(
             slot.name
         ))),
     }
+}
+
+/// [`post`], then [`landed`].
+pub(super) fn ship(
+    ctx: &Ctx,
+    wait: &dyn WcWait,
+    slot: &PeerSlot,
+    mr: &RemoteMr,
+    header: &RegionHeader,
+    body: Option<(usize, &[u8])>,
+) -> Result<(), NclError> {
+    let id = post(slot, mr, header, body)?;
+    landed(ctx, wait, slot, id)
 }
 
 /// Catches a freshly allocated peer up: the scheme's reset `header`,
@@ -396,12 +463,14 @@ pub(super) fn catch_up_existing(
             copy_current: tail_only,
         },
     );
-    let Ok(PeerResp::Mr(staged)) = resp else {
+    let Ok(PeerResp::Mr(staged, ready)) = resp else {
         return Err(NclError::Unavailable(format!(
             "peer {} rejected prepare",
             slot.name
         )));
     };
+    // The staged region registers on the peer's pipe; post no earlier.
+    sim::delay_until(ready);
     let start = if tail_only {
         peer_header.len as usize
     } else {

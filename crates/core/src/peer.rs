@@ -122,8 +122,10 @@ pub enum PeerReq {
 pub enum PeerResp {
     /// Success without payload.
     Ok,
-    /// The requested/staged region token.
-    Mr(RemoteMr),
+    /// The requested/staged region token, and the instant its registration
+    /// completes: the application posts to it no earlier. A recycled region
+    /// and a recovery lookup are ready when asked for.
+    Mr(RemoteMr, Instant),
     /// Request refused (insufficient memory, stale epoch, lost region, ...).
     Rejected(String),
 }
@@ -291,7 +293,7 @@ impl Daemon {
                     self.release(&key.0, old);
                 }
                 let len = HEADER_SIZE + capacity;
-                let (local, remote) = self.allocate(&key, len)?;
+                let (local, remote, ready) = self.allocate(now, &key, len)?;
                 self.telemetry.event(
                     events::REGION_ALLOC,
                     &self.name,
@@ -305,7 +307,7 @@ impl Daemon {
                     lease: now,
                 };
                 self.live.insert(key, region);
-                Ok(PeerResp::Mr(remote))
+                Ok(PeerResp::Mr(remote, ready))
             }
             PeerReq::Free { app, file, epoch } => {
                 let key = (app, file);
@@ -341,7 +343,7 @@ impl Daemon {
                     .get_mut(&(app, file))
                     .ok_or("no region for file")?;
                 region.lease = now;
-                Ok(PeerResp::Mr(region.remote))
+                Ok(PeerResp::Mr(region.remote, now))
             }
             PeerReq::Prepare {
                 app,
@@ -356,7 +358,7 @@ impl Daemon {
                 if let Some(old) = self.staged.remove(&key) {
                     self.release(&key.0, old);
                 }
-                let (local, remote) = self.allocate(&key, len)?;
+                let (local, remote, ready) = self.allocate(now, &key, len)?;
                 if let Some(cur) = self.live.get(&key).filter(|_| copy_current) {
                     if let Some(bytes) = cur.local.read_local(0, cur.remote.len.min(len)) {
                         local.write_local(0, &bytes);
@@ -369,7 +371,7 @@ impl Daemon {
                     lease: now,
                 };
                 self.staged.insert(key, region);
-                Ok(PeerResp::Mr(remote))
+                Ok(PeerResp::Mr(remote, ready))
             }
             PeerReq::Commit { app, file, epoch } => {
                 let key = (app, file);
@@ -406,13 +408,19 @@ impl Daemon {
         }
     }
 
-    /// Allocates a region of `len` bytes for `key`'s app, preferring the
-    /// recycled free list (cheap re-key) over fresh registration (charged
-    /// with page-pinning cost). When the budget is short and the request
-    /// could ever fit, evicts the coldest regions (never `key`'s own live
-    /// region — catch-up may still read it) and charges once more. On `Err`
-    /// nothing is charged.
-    fn allocate(&mut self, key: &Key, len: usize) -> Result<(LocalMr, RemoteMr), String> {
+    /// Allocates a region of `len` bytes for `key`'s app at `now`, preferring
+    /// the recycled free list (cheap re-key, ready at `now`) over fresh
+    /// registration, which is priced on the device's registration pipe and
+    /// not waited for here: the third value is when the region is ready.
+    /// When the budget is short and the request could ever fit, evicts the
+    /// coldest regions (never `key`'s own live region — catch-up may still
+    /// read it) and charges once more. On `Err` nothing is charged.
+    fn allocate(
+        &mut self,
+        now: Instant,
+        key: &Key,
+        len: usize,
+    ) -> Result<(LocalMr, RemoteMr, Instant), String> {
         let pooled = match self.alloc.charge(&key.0, len) {
             Ok(pooled) => pooled,
             Err(e) => {
@@ -431,12 +439,12 @@ impl Daemon {
                     rkey,
                     len,
                 };
-                return Ok((local, remote));
+                return Ok((local, remote, now));
             }
             // Pooled region vanished (shouldn't happen outside a crash); fall
             // through to fresh registration.
         }
-        self.device.register_mr(len).map_err(|e| {
+        self.device.register_mr_at(now, len).map_err(|e| {
             self.alloc.uncharge(&key.0, len);
             format!("registration failed: {e}")
         })
@@ -950,7 +958,7 @@ mod tests {
     fn alloc_returns_region_and_decrements_avail() {
         let fx = setup(1 << 20);
         let resp = alloc(&fx, "a", "wal", 1, 4096);
-        let PeerResp::Mr(mr) = resp else {
+        let PeerResp::Mr(mr, _) = resp else {
             panic!("expected Mr, got {resp:?}")
         };
         assert_eq!(mr.len, HEADER_SIZE + 4096);
@@ -975,7 +983,7 @@ mod tests {
     #[test]
     fn realloc_requires_newer_epoch() {
         let fx = setup(1 << 20);
-        assert!(matches!(alloc(&fx, "a", "wal", 2, 128), PeerResp::Mr(_)));
+        assert!(matches!(alloc(&fx, "a", "wal", 2, 128), PeerResp::Mr(..)));
         assert!(matches!(
             alloc(&fx, "a", "wal", 2, 128),
             PeerResp::Rejected(_)
@@ -984,7 +992,7 @@ mod tests {
             alloc(&fx, "a", "wal", 1, 128),
             PeerResp::Rejected(_)
         ));
-        assert!(matches!(alloc(&fx, "a", "wal", 3, 128), PeerResp::Mr(_)));
+        assert!(matches!(alloc(&fx, "a", "wal", 3, 128), PeerResp::Mr(..)));
         assert_eq!(
             fx.peer.region_count(),
             1,
@@ -995,13 +1003,13 @@ mod tests {
     #[test]
     fn free_recycles_into_pool_and_pool_is_reused() {
         let fx = setup(1 << 20);
-        let PeerResp::Mr(mr1) = alloc(&fx, "a", "wal", 1, 4096) else {
+        let PeerResp::Mr(mr1, _) = alloc(&fx, "a", "wal", 1, 4096) else {
             panic!()
         };
         free(&fx, "a", "wal", 1);
         assert_eq!(fx.peer.avail(), 1 << 20);
         // Same-size reallocation reuses the pooled region with a fresh rkey.
-        let PeerResp::Mr(mr2) = alloc(&fx, "a", "wal2", 1, 4096) else {
+        let PeerResp::Mr(mr2, _) = alloc(&fx, "a", "wal2", 1, 4096) else {
             panic!()
         };
         assert_eq!(mr2.mr_id, mr1.mr_id, "pooled region reused");
@@ -1021,7 +1029,10 @@ mod tests {
     fn recovery_lookup_found_and_rejected_after_crash() {
         let fx = setup(1 << 20);
         alloc(&fx, "a", "wal", 1, 128);
-        assert!(matches!(call(&fx, lookup_req("a", "wal")), PeerResp::Mr(_)));
+        assert!(matches!(
+            call(&fx, lookup_req("a", "wal")),
+            PeerResp::Mr(..)
+        ));
         // Crash + restart loses the mr-map: lookups must be rejected.
         fx.cluster.crash(fx.peer.node());
         fx.cluster.restart(fx.peer.node());
@@ -1036,7 +1047,7 @@ mod tests {
     #[test]
     fn prepare_commit_switches_region_atomically() {
         let fx = setup(1 << 20);
-        let PeerResp::Mr(old_mr) = alloc(&fx, "a", "wal", 1, 128) else {
+        let PeerResp::Mr(old_mr, _) = alloc(&fx, "a", "wal", 1, 128) else {
             panic!()
         };
         // Write something into the old region via host access (stand-in for
@@ -1044,7 +1055,7 @@ mod tests {
         fx.peer.daemon.lock().live[&key("a", "wal")]
             .local
             .write_local(HEADER_SIZE, b"old!");
-        let PeerResp::Mr(new_mr) = call(&fx, prepare_req("a", "wal", 2, true)) else {
+        let PeerResp::Mr(new_mr, _) = call(&fx, prepare_req("a", "wal", 2, true)) else {
             panic!("prepare failed")
         };
         assert_ne!(new_mr.mr_id, old_mr.mr_id);
@@ -1077,7 +1088,7 @@ mod tests {
     #[test]
     fn revoke_frees_memory_and_invalidate_token() {
         let fx = setup(1 << 20);
-        let PeerResp::Mr(mr) = alloc(&fx, "a", "wal", 1, 128) else {
+        let PeerResp::Mr(mr, _) = alloc(&fx, "a", "wal", 1, 128) else {
             panic!()
         };
         assert!(fx.peer.revoke("a", "wal"));
@@ -1220,7 +1231,7 @@ mod tests {
         }
         // The budget is full; the third allocation forces a voluntary
         // revocation and must pick the spilled (cold) region.
-        assert!(matches!(alloc(&fx, "a", "wal3", 1, 128), PeerResp::Mr(_)));
+        assert!(matches!(alloc(&fx, "a", "wal3", 1, 128), PeerResp::Mr(..)));
         assert!(fx.peer.inspect_region("a", "wal1", 0, 1).is_none());
         assert!(fx.peer.inspect_region("a", "wal2", 0, 1).is_some());
         assert!(fx.peer.inspect_region("a", "wal3", 0, 1).is_some());
@@ -1349,7 +1360,7 @@ mod tests {
         alloc(&fx, "a", "wal", 1, 128);
         assert!(matches!(
             call(&fx, prepare_req("a", "wal", 2, true)),
-            PeerResp::Mr(_)
+            PeerResp::Mr(..)
         ));
         assert_eq!(fx.peer.mem_used(), 2 * region as u64);
         published("after Prepare");

@@ -13,7 +13,7 @@ use ncl::{
     NclRegistry, Peer, RegionHeader, HEADER_SIZE,
 };
 use sim::Cluster;
-use telemetry::events;
+use telemetry::{events, spans};
 
 struct Harness {
     cluster: Cluster,
@@ -306,6 +306,116 @@ fn release_frees_peer_state() {
     let file = lib.create("wal", 1024).unwrap();
     file.record(0, b"new").unwrap();
     assert_eq!(file.contents(), b"new");
+}
+
+#[test]
+fn a_create_that_fails_part_way_frees_its_regions_and_its_retry_succeeds() {
+    let h = Harness::new(3);
+    let lib = h.app("a1");
+    let down = h.peer_named("p2").node();
+    h.cluster.crash(down);
+    assert!(matches!(
+        lib.create("wal", 1024),
+        Err(NclError::QuorumUnavailable(_))
+    ));
+    let counts: Vec<usize> = h.peers.iter().map(|p| p.region_count()).collect();
+    assert_eq!(counts, [0, 0, 0], "the failed create left no region behind");
+    // The retry runs at the same epoch; no peer may refuse it.
+    h.cluster.restart(down);
+    let file = lib.create("wal", 1024).unwrap();
+    file.record(0, b"second try").unwrap();
+    assert_eq!(file.peer_names().len(), 3);
+    let counts: Vec<usize> = h.peers.iter().map(|p| p.region_count()).collect();
+    assert_eq!(counts, [1, 1, 1]);
+}
+
+/// Σ of the direct children named `name` of the root named `root`, and the
+/// root's own length, in that trace's spans.
+fn phase_sum(h: &Harness, root: &str, name: &str) -> (Duration, Duration) {
+    let spans = h.config.telemetry.spans();
+    let roots: Vec<_> = spans.iter().filter(|s| s.name == root).collect();
+    assert_eq!(roots.len(), 1, "one {root} root");
+    let sum = spans
+        .iter()
+        .filter(|s| s.trace == roots[0].trace && s.parent == roots[0].id && s.name == name)
+        .map(|s| s.duration_ns())
+        .sum();
+    (
+        Duration::from_nanos(sum),
+        Duration::from_nanos(roots[0].duration_ns()),
+    )
+}
+
+/// `NclConfig::zero()` but for a 5 ms registration on every fresh region.
+fn registering_5ms(f: usize, peers: usize) -> Harness {
+    let mut config = NclConfig::zero();
+    config.f = f;
+    config.mr_register = sim::LatencyModel::from_nanos(5_000_000, 0.0, 0.0);
+    config.telemetry.set_span_capacity(1 << 16);
+    Harness::with_config(peers, config)
+}
+
+#[test]
+fn a_create_waits_once_for_its_peers_registrations() {
+    let h = registering_5ms(1, 3);
+    let lib = h.app("a1");
+    let file = lib.create("wal", 4096).unwrap();
+    file.record(0, b"registered").unwrap();
+    let (connect, root) = phase_sum(&h, spans::NCL_CREATE, spans::NCL_CREATE_CONNECT_MR);
+    // Three registrations on three peers overlap: one wait of one, not
+    // three one after another.
+    assert!(connect >= Duration::from_millis(5), "{connect:?}");
+    assert!(root < Duration::from_millis(10), "{root:?}");
+}
+
+#[test]
+fn a_recovery_replaces_two_non_responders_with_one_round_and_one_registration_wait() {
+    let h = registering_5ms(2, 7);
+    let app_node;
+    let victims: Vec<String>;
+    {
+        let lib = h.app("a1");
+        app_node = lib.node();
+        let file = lib.create("wal", 4096).unwrap();
+        file.record(0, b"five-way replicated").unwrap();
+        victims = file.peer_names()[..2].to_vec();
+    }
+    h.cluster.crash(app_node);
+    for v in &victims {
+        h.cluster.crash(h.peer_named(v).node());
+    }
+    let lib2 = h.app("a2");
+    let file = lib2.recover("wal").unwrap();
+    assert_eq!(file.contents(), b"five-way replicated");
+    assert_eq!(file.peer_names().len(), 5);
+    // The phases after the replacement's controller round: the two
+    // allocations and their one wait.
+    let spans = h.config.telemetry.spans();
+    let root = spans
+        .iter()
+        .find(|s| s.name == spans::NCL_RECOVER)
+        .expect("recover root");
+    let mut children: Vec<_> = spans
+        .iter()
+        .filter(|s| s.trace == root.trace && s.parent == root.id)
+        .collect();
+    children.sort_by_key(|s| s.start_ns);
+    let rounds: Vec<usize> = (0..children.len())
+        .filter(|&i| children[i].name == spans::NCL_RECOVER_GET_PEER)
+        .collect();
+    assert_eq!(
+        rounds.len(),
+        2,
+        "the ap-map lookup and one replacement round"
+    );
+    let replace: u64 = children[rounds[1] + 1..]
+        .iter()
+        .take_while(|s| s.name == spans::NCL_RECOVER_CONNECT)
+        .map(|s| s.duration_ns())
+        .sum();
+    let replace = Duration::from_nanos(replace);
+    assert!(replace >= Duration::from_millis(5), "{replace:?}");
+    assert!(replace < Duration::from_millis(10), "{replace:?}");
 }
 
 #[test]
@@ -753,7 +863,7 @@ fn background_gc_thread_reclaims_leaks() {
             },
         )
         .unwrap();
-    assert!(matches!(resp, ncl::peer::PeerResp::Mr(_)));
+    assert!(matches!(resp, ncl::peer::PeerResp::Mr(..)));
     h.controller
         .client(sim::LatencyModel::ZERO)
         .set_ap_entry(app_node, "testapp", "leaked", vec!["p-elsewhere".into()], 2)

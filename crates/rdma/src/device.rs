@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -35,6 +36,9 @@ pub(crate) struct DeviceState {
     pub(crate) mrs: RwLock<BTreeMap<u64, Arc<MrEntry>>>,
     next_mr_id: AtomicU64,
     next_rkey: AtomicU64,
+    /// The registration pipe: when the last registration priced so far
+    /// completes. Registrations on one device queue behind each other.
+    registered_by: Mutex<Option<Instant>>,
 }
 
 /// Portable token identifying a memory region on a remote device.
@@ -139,9 +143,13 @@ pub struct RdmaDevice {
 }
 
 impl RdmaDevice {
-    /// Creates a device on `node`. `register_latency` is charged by
-    /// [`RdmaDevice::register_mr`] (see Table 3 of the paper: registering a
-    /// 60 MB region costs ~50 ms).
+    /// Creates a device on `node`. `register_latency` prices each
+    /// registration on the device's one registration pipe (see Table 3 of
+    /// the paper: registering a 60 MB region costs ~50 ms): a registration
+    /// starts when the one before it on this device completes, or when it
+    /// is asked for if later, and takes `register_latency.cost(len)`.
+    /// [`RdmaDevice::register_mr_at`] prices one and returns;
+    /// [`RdmaDevice::register_mr`] also waits it out.
     pub fn new(cluster: Cluster, node: NodeId, register_latency: LatencyModel) -> Self {
         RdmaDevice {
             cluster,
@@ -156,15 +164,41 @@ impl RdmaDevice {
         self.node
     }
 
-    /// Registers a zero-initialised region of `len` bytes and returns the
-    /// host handle plus the remote-access token.
+    /// Registers a zero-initialised region of `len` bytes, waits until the
+    /// registration completes, and returns the host handle plus the
+    /// remote-access token.
     ///
     /// Fails if the host node is currently crashed.
     pub fn register_mr(&self, len: usize) -> Result<(LocalMr, RemoteMr), SimError> {
+        let (local, remote, ready) = self.register_mr_at(sim::time::now(), len)?;
+        sim::delay_until(ready);
+        Ok((local, remote))
+    }
+
+    /// Registers a zero-initialised region of `len` bytes asked for at
+    /// `now` without waiting for it: returns the host handle, the
+    /// remote-access token and the instant the registration completes on
+    /// this device's registration pipe, `max(previous completion, now) +
+    /// cost(len)` (`now` itself under a zero cost model). Whoever receives
+    /// the token posts to the region no earlier than that instant.
+    ///
+    /// Fails if the host node is currently crashed.
+    pub fn register_mr_at(
+        &self,
+        now: Instant,
+        len: usize,
+    ) -> Result<(LocalMr, RemoteMr, Instant), SimError> {
         if !self.cluster.is_alive(self.node) {
             return Err(SimError::NodeDown(self.node));
         }
-        self.register_latency.charge(len);
+        let ready = if self.register_latency.is_zero() {
+            now
+        } else {
+            let mut pipe = self.state.registered_by.lock();
+            let ready = pipe.map_or(now, |free| free.max(now)) + self.register_latency.cost(len);
+            *pipe = Some(ready);
+            ready
+        };
         let mr_id = self.state.next_mr_id.fetch_add(1, Ordering::Relaxed);
         let rkey = RKey(self.state.next_rkey.fetch_add(1, Ordering::Relaxed) + 1);
         let entry = Arc::new(MrEntry {
@@ -185,6 +219,7 @@ impl RdmaDevice {
                 rkey,
                 len,
             },
+            ready,
         ))
     }
 
@@ -439,6 +474,34 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(data.len(), 8);
+    }
+
+    #[test]
+    fn registrations_queue_on_one_device_and_overlap_across_devices() {
+        let cluster = Cluster::new();
+        let model = LatencyModel::from_nanos(1_000_000, 0.0, 0.0);
+        let cost = model.cost(64);
+        let (a, b) = (cluster.add_node("a"), cluster.add_node("b"));
+        let one = RdmaDevice::new(cluster.clone(), a, model);
+        let two = RdmaDevice::new(cluster.clone(), b, model);
+        let t = Instant::now();
+        let (_, _, r1) = one.register_mr_at(t, 64).unwrap();
+        let (_, _, r2) = one.register_mr_at(t, 64).unwrap();
+        assert_eq!(r1, t + cost);
+        assert_eq!(r2, r1 + cost, "the second queues behind the first");
+        // Another device's pipe is its own: its registration overlaps.
+        let (_, _, other) = two.register_mr_at(t, 64).unwrap();
+        assert_eq!(other, t + cost);
+        // Asked for after the pipe drained, a registration starts then.
+        let later = r2 + cost;
+        let (_, _, r3) = one.register_mr_at(later, 64).unwrap();
+        assert_eq!(r3, later + cost);
+        // A zero model is ready the instant it is asked for.
+        let (_c, zero, _n) = setup();
+        let (_, _, ready) = zero.register_mr_at(t, 64).unwrap();
+        assert_eq!(ready, t);
+        let (_, _, ready) = zero.register_mr_at(t, 64).unwrap();
+        assert_eq!(ready, t);
     }
 
     #[test]
