@@ -18,10 +18,6 @@
 //!   to the slab as one bulk ascending-offset pass**, fsynced, and the
 //!   buffer is reset;
 //! * recovery replays the staging buffer over the slab.
-//!
-//! With the NCL tier disabled ([`KvellOptions::ncl_tier`] = false) the
-//! store degrades to the DFT strawman — every random write is a synchronous
-//! DFS flush — which `tests` and the ablation bench use as the comparison.
 
 pub mod store;
 

@@ -18,9 +18,6 @@ pub struct KvellOptions {
     pub staging_capacity: usize,
     /// Staging fill level that triggers a bulk flush to the slab.
     pub flush_threshold: usize,
-    /// Use the NCL absorption tier (false = synchronous DFS writes, the
-    /// strawman the paper's §6 discussion improves on).
-    pub ncl_tier: bool,
 }
 
 impl Default for KvellOptions {
@@ -30,7 +27,6 @@ impl Default for KvellOptions {
             slots: 64 << 10,
             staging_capacity: 8 << 20,
             flush_threshold: 4 << 20,
-            ncl_tier: true,
         }
     }
 }
@@ -43,14 +39,13 @@ impl KvellOptions {
             slots: 256,
             staging_capacity: 16 << 10,
             flush_threshold: 8 << 10,
-            ncl_tier: true,
         }
     }
 }
 
 struct Inner {
     slab: File,
-    staging: Option<File>,
+    staging: File,
     staging_used: u64,
     /// slot → serialised record, pending bulk flush.
     pending: HashMap<u32, Vec<u8>>,
@@ -110,6 +105,17 @@ fn decode_slot(slot: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
     ))
 }
 
+/// Opens (creating or recovering) the NCL staging file of the store `prefix`.
+fn open_staging(fs: &SplitFs, prefix: &str, capacity: usize) -> Result<File, AppError> {
+    let opts = OpenOptions {
+        create: true,
+        ncl: true,
+        capacity,
+        pipelined: false,
+    };
+    Ok(fs.open(&format!("{prefix}staging"), opts)?)
+}
+
 impl MiniKvell {
     /// Opens (creating or recovering) a store named `prefix` on `fs`.
     ///
@@ -133,51 +139,36 @@ impl MiniKvell {
             }
         }
 
-        let staging = if opts.ncl_tier {
-            Some(fs.open(
-                &format!("{prefix}staging"),
-                OpenOptions {
-                    create: true,
-                    ncl: true,
-                    capacity: opts.staging_capacity,
-                    pipelined: false,
-                },
-            )?)
-        } else {
-            None
-        };
+        let staging = open_staging(&fs, prefix, opts.staging_capacity)?;
 
         // Replay the staging buffer: newest record per slot wins.
         let mut pending: HashMap<u32, Vec<u8>> = HashMap::new();
-        let mut staging_used = 0u64;
-        if let Some(staging) = &staging {
-            let image = staging.read(0, staging.size()? as usize)?;
-            let mut pos = 0usize;
-            while pos + 8 + opts.slot_size <= image.len() {
-                let slot = u32::from_le_bytes(image[pos..pos + 4].try_into().expect("4"));
-                let crc = u32::from_le_bytes(image[pos + 4..pos + 8].try_into().expect("4"));
-                let rec = &image[pos + 8..pos + 8 + opts.slot_size];
-                if slot == u32::MAX || checksum(rec) != crc || slot >= opts.slots {
-                    break;
-                }
-                match decode_slot(rec) {
-                    Some((key, _)) => {
-                        index.insert(key, slot);
-                        used[slot as usize] = true;
-                    }
-                    None => {
-                        // A validly framed zero record is a staged tombstone:
-                        // drop whatever key the slab scan attributed to the
-                        // slot and free it.
-                        index.retain(|_, &mut s| s != slot);
-                        used[slot as usize] = false;
-                    }
-                }
-                pending.insert(slot, rec.to_vec());
-                pos += 8 + opts.slot_size;
+        let image = staging.read(0, staging.size()? as usize)?;
+        let mut pos = 0usize;
+        while pos + 8 + opts.slot_size <= image.len() {
+            let slot = u32::from_le_bytes(image[pos..pos + 4].try_into().expect("4"));
+            let crc = u32::from_le_bytes(image[pos + 4..pos + 8].try_into().expect("4"));
+            let rec = &image[pos + 8..pos + 8 + opts.slot_size];
+            if slot == u32::MAX || checksum(rec) != crc || slot >= opts.slots {
+                break;
             }
-            staging_used = pos as u64;
+            match decode_slot(rec) {
+                Some((key, _)) => {
+                    index.insert(key, slot);
+                    used[slot as usize] = true;
+                }
+                None => {
+                    // A validly framed zero record is a staged tombstone:
+                    // drop whatever key the slab scan attributed to the
+                    // slot and free it.
+                    index.retain(|_, &mut s| s != slot);
+                    used[slot as usize] = false;
+                }
+            }
+            pending.insert(slot, rec.to_vec());
+            pos += 8 + opts.slot_size;
         }
+        let staging_used = pos as u64;
 
         let free: Vec<u32> = (0..opts.slots)
             .rev()
@@ -214,24 +205,21 @@ impl MiniKvell {
                 s
             }
         };
-        if let Some(staging) = &inner.staging {
-            // NCL tier: one microsecond-scale durable append.
-            let mut frame = Vec::with_capacity(8 + record.len());
-            frame.extend_from_slice(&slot.to_le_bytes());
-            frame.extend_from_slice(&checksum(&record).to_le_bytes());
-            frame.extend_from_slice(&record);
-            staging.write_at(inner.staging_used, &frame)?;
-            inner.staging_used += frame.len() as u64;
-            inner.pending.insert(slot, record);
-            if inner.staging_used as usize >= self.opts.flush_threshold {
-                self.flush_locked(&mut inner)?;
-            }
-        } else {
-            // Strawman: the random write goes straight to the DFS, fsynced.
-            inner
-                .slab
-                .write_at(slot as u64 * self.opts.slot_size as u64, &record)?;
-            inner.slab.fsync()?;
+        self.stage_locked(&mut inner, slot, record)
+    }
+
+    /// Stages `record` for `slot`: one microsecond-scale durable append to
+    /// the NCL tier, and a bulk flush once the tier is full enough.
+    fn stage_locked(&self, inner: &mut Inner, slot: u32, record: Vec<u8>) -> Result<(), AppError> {
+        let mut frame = Vec::with_capacity(8 + record.len());
+        frame.extend_from_slice(&slot.to_le_bytes());
+        frame.extend_from_slice(&checksum(&record).to_le_bytes());
+        frame.extend_from_slice(&record);
+        inner.staging.write_at(inner.staging_used, &frame)?;
+        inner.staging_used += frame.len() as u64;
+        inner.pending.insert(slot, record);
+        if inner.staging_used as usize >= self.opts.flush_threshold {
+            self.flush_locked(inner)?;
         }
         Ok(())
     }
@@ -260,25 +248,7 @@ impl MiniKvell {
         };
         inner.free.push(slot);
         let zero = vec![0u8; self.opts.slot_size];
-        if inner.staging.is_some() {
-            let staging_used = inner.staging_used;
-            let staging = inner.staging.as_ref().expect("checked");
-            let mut frame = Vec::with_capacity(8 + zero.len());
-            frame.extend_from_slice(&slot.to_le_bytes());
-            frame.extend_from_slice(&checksum(&zero).to_le_bytes());
-            frame.extend_from_slice(&zero);
-            staging.write_at(staging_used, &frame)?;
-            inner.staging_used += frame.len() as u64;
-            inner.pending.insert(slot, zero);
-            if inner.staging_used as usize >= self.opts.flush_threshold {
-                self.flush_locked(&mut inner)?;
-            }
-        } else {
-            inner
-                .slab
-                .write_at(slot as u64 * self.opts.slot_size as u64, &zero)?;
-            inner.slab.fsync()?;
-        }
+        self.stage_locked(&mut inner, slot, zero)?;
         Ok(true)
     }
 
@@ -315,21 +285,11 @@ impl MiniKvell {
         inner.slab.fsync()?;
         // Reset the staging file: release the region and start fresh (the
         // delete-reclaim pattern, like RocksDB's WAL).
-        if inner.staging.is_some() {
-            self.fs
-                .unlink(&format!("{}staging", self.prefix))
-                .map_err(AppError::from)?;
-            inner.staging = Some(self.fs.open(
-                &format!("{}staging", self.prefix),
-                OpenOptions {
-                    create: true,
-                    ncl: true,
-                    capacity: self.opts.staging_capacity,
-                    pipelined: false,
-                },
-            )?);
-            inner.staging_used = 0;
-        }
+        self.fs
+            .unlink(&format!("{}staging", self.prefix))
+            .map_err(AppError::from)?;
+        inner.staging = open_staging(&self.fs, &self.prefix, self.opts.staging_capacity)?;
+        inner.staging_used = 0;
         inner.flushes += 1;
         Ok(())
     }

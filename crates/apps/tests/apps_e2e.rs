@@ -30,7 +30,7 @@ fn rocks_workload_leaves_complete_causal_traces() {
     }
 
     let tel = &tb.config().ncl.telemetry;
-    let report = telemetry::analyze::analyze(&tel.spans(), &tel.events(), tb.config().ncl.quorum());
+    let report = telemetry::analyze::analyze(&tel.spans(), tb.config().ncl.quorum());
     assert!(
         report.ok(),
         "trace invariants violated:\n{}",

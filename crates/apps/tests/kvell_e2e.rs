@@ -153,19 +153,3 @@ fn oversized_record_rejected() {
     let huge = vec![0u8; 10_000];
     assert!(db.put(b"big", &huge).is_err());
 }
-
-#[test]
-fn strawman_mode_works_without_ncl_tier() {
-    let (tb, fs, node) = setup();
-    let mut opts = KvellOptions::tiny();
-    opts.ncl_tier = false;
-    {
-        let db = MiniKvell::open(fs, "kv/", opts.clone()).unwrap();
-        db.put(b"sync", b"to-dfs").unwrap();
-        assert_eq!(db.staged_bytes(), 0);
-    }
-    tb.cluster.crash(node);
-    let (fs2, _) = tb.mount(Mode::SplitFt, "kvell");
-    let db = MiniKvell::open(fs2, "kv/", opts).unwrap();
-    assert_eq!(db.get(b"sync").unwrap(), Some(b"to-dfs".to_vec()));
-}

@@ -1,11 +1,12 @@
 //! Offline causal-trace analyzer for NCL JSONL trace files.
 //!
-//! Replays the `{"type":"span"}` / `{"type":"event"}` JSONL stream a run
-//! wrote through `Telemetry::set_jsonl_sink` (the chaos harness and the
-//! splitfs testbed both emit this format) through `telemetry::analyze`,
-//! i.e. through the invariant engine (`telemetry::checker`, whose module
-//! docs hold the table of rules) that the online monitor runs live and the
-//! integration tests assert with in-process. Each violation is printed
+//! Replays the `{"type": "span"}` JSONL stream (record-path spans, control
+//! phases and facts) a run wrote through `Telemetry::set_jsonl_sink` (the
+//! chaos harness and the splitfs testbed both emit this format) through
+//! `telemetry::analyze`, i.e. through the invariant engine
+//! (`telemetry::checker`, whose module docs hold the table of rules) that
+//! the online monitor runs live and the integration tests assert with
+//! in-process. Each violation is printed
 //! with its invariant code:
 //!
 //! * `orphan-span` — a span in a rooted trace does not resolve its parent;
@@ -13,7 +14,8 @@
 //!   doorbell, or wire/catch-up coverage on a write quorum of peers;
 //! * `degraded-write` — a write roots inside a degraded window outside
 //!   reattach replay;
-//! * `ap-map-order` — the ap-map moved before its epoch's catch-up finished;
+//! * `ap-map-order` — a recovery or repair moved the ap-map before its
+//!   catch-up finished;
 //! * `ap-map-monotone` — ap-map epochs went backwards for a file.
 //!
 //! Usage:
@@ -90,22 +92,27 @@ fn parse_args() -> Result<Options, String> {
 /// artifact must not pass as "no violations found").
 fn analyze_file(path: &Path, quorum: usize) -> Result<TraceReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let (spans, events) = parse_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(analyze(&spans, &events, quorum))
+    let spans = parse_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(analyze(&spans, quorum))
 }
 
 /// Records one synthetic acked write through `tel`, the record-path chain
 /// of one burst about the records `seq` (`(0, 0)`: no range), and returns
 /// its trace id.
 fn synthetic_write(tel: &Telemetry, seq: (u64, u64)) -> u64 {
+    synthetic_write_to(tel, "self/wal", seq)
+}
+
+/// [`synthetic_write`] to the file `scope`, covered by two peers.
+fn synthetic_write_to(tel: &Telemetry, scope: &'static str, seq: (u64, u64)) -> u64 {
     let t0 = std::time::Instant::now();
     let trace = tel.next_trace_id();
     let mut chain: Vec<_> = [
-        (spans::NCL_STAGE, "self/wal"),
-        (spans::NCL_DOORBELL, "self/wal"),
+        (spans::NCL_STAGE, scope),
+        (spans::NCL_DOORBELL, scope),
         (spans::NCL_WIRE_PEER, "peer-0"),
         (spans::NCL_WIRE_PEER, "peer-1"),
-        (spans::NCL_ACK, "self/wal"),
+        (spans::NCL_ACK, scope),
     ]
     .into_iter()
     .map(|(name, scope)| {
@@ -113,32 +120,56 @@ fn synthetic_write(tel: &Telemetry, seq: (u64, u64)) -> u64 {
         tel.closed_span(trace, id, trace, name, scope, 1, seq, t0, t0)
     })
     .collect();
-    chain.push(tel.closed_span(
-        trace,
-        trace,
-        0,
-        spans::NCL_WRITE,
-        "self/wal",
-        1,
-        seq,
-        t0,
-        t0,
-    ));
+    chain.push(tel.closed_span(trace, trace, 0, spans::NCL_WRITE, scope, 1, seq, t0, t0));
     tel.record_spans(&mut chain);
     trace
 }
 
+/// Records one synthetic repair of `self/wal` through `tel` whose ap-map
+/// phase runs before its catch-up, and returns its trace id.
+fn misordered_repair(tel: &Telemetry) -> u64 {
+    let t0 = std::time::Instant::now();
+    let at = |us| t0 + std::time::Duration::from_micros(us);
+    let trace = tel.next_trace_id();
+    tel.span_auto(
+        trace,
+        trace,
+        spans::NCL_REPAIR_AP_MAP,
+        "self/wal",
+        2,
+        t0,
+        at(1),
+    );
+    tel.span_auto(
+        trace,
+        trace,
+        spans::NCL_REPAIR_CATCH_UP,
+        "self/wal",
+        2,
+        at(1),
+        at(2),
+    );
+    tel.span(trace, trace, 0, spans::NCL_REPAIR, "self/wal", 2, t0, at(2));
+    trace
+}
+
 /// Builds tiny synthetic span trees through a real `Telemetry` handle — a
-/// single record without a range and a 3-record burst — and round-trips
-/// them through both exporters: the Chrome trace must validate, and the
-/// analyzer must see each write clean and count its records. Guards the
-/// export schema without needing a workload.
+/// single record without a range, a 3-record burst, a repair whose ap-map
+/// precedes its catch-up and a write to an `ec k=3 n=4` file covered by 2
+/// peers — and round-trips them through both exporters: the Chrome trace
+/// must validate, and the analyzer must see each write clean and count its
+/// records, and flag the repair and the under-covered write. Guards the
+/// export schema and the checker's reading of a file without needing a
+/// workload.
 fn selfcheck() -> Result<(), String> {
     let tel = Telemetry::new();
     let writes = [((0, 0), 1), ((1, 3), 3)].map(|(seq, records)| {
         let trace = synthetic_write(&tel, seq);
         (trace, records)
     });
+    let repair = misordered_repair(&tel);
+    tel.fact(spans::DURABILITY_MODE, "self/ec", 1, "ec k=3 n=4");
+    let ec_write = synthetic_write_to(&tel, "self/ec", (4, 4));
 
     let all = tel.spans();
     let doc = chrome::render(&all);
@@ -146,12 +177,42 @@ fn selfcheck() -> Result<(), String> {
     if n < all.len() {
         return Err(format!("chrome trace dropped spans: {n} < {}", all.len()));
     }
+    let text: String = all.iter().map(|s| s.to_json() + "\n").collect();
+    let read = parse_jsonl(&text).map_err(|e| format!("jsonl export unreadable: {e}"))?;
+    if read != all {
+        return Err("jsonl export does not read back as written".into());
+    }
+    let facts: Vec<_> = all.iter().filter(|s| s.is_fact()).cloned().collect();
+    let of = |trace: u64| -> Vec<_> {
+        let spans = all.iter().filter(|s| s.trace == trace).cloned();
+        facts.iter().cloned().chain(spans).collect()
+    };
     for (trace, records) in writes {
-        let spans: Vec<_> = all.iter().filter(|s| s.trace == trace).cloned().collect();
-        let report = analyze(&spans, &tel.events(), 2);
+        let report = analyze(&of(trace), 2);
         if !report.ok() || report.acked_writes != records || report.orphan_spans != 0 {
             return Err(format!(
                 "analyzer selfcheck failed on a {records}-record write:\n{}",
+                report.render()
+            ));
+        }
+    }
+    for (trace, code, what) in [
+        (
+            repair,
+            "ap-map-order",
+            "a repair whose ap-map precedes its catch-up",
+        ),
+        (
+            ec_write,
+            "ack-coverage",
+            "an ec k=3 write covered by 2 peers",
+        ),
+    ] {
+        let report = analyze(&of(trace), 2);
+        let flagged = report.violations.iter().map(|v| (v.invariant, v.trace));
+        if !flagged.eq([(code, trace)]) {
+            return Err(format!(
+                "analyzer selfcheck did not flag {what} as {code} alone:\n{}",
                 report.render()
             ));
         }
@@ -226,7 +287,7 @@ fn main() -> ExitCode {
                 }
                 if let Some(out) = &opts.chrome_out {
                     let text = std::fs::read_to_string(path).expect("already read once");
-                    let (spans, _) = parse_jsonl(&text).expect("already parsed once");
+                    let spans = parse_jsonl(&text).expect("already parsed once");
                     let doc = chrome::render(&spans);
                     if let Err(e) = chrome::validate(&doc) {
                         eprintln!("{}: chrome export invalid: {e}", out.display());

@@ -117,7 +117,7 @@ pub struct NclConfig {
     pub peer_lease: Duration,
     /// Observability handle. Every component wired from one config — files,
     /// peers, controller, registry — reports into the same registry and
-    /// event trace, so one snapshot covers a whole deployment. Cloning the
+    /// span trace, so one snapshot covers a whole deployment. Cloning the
     /// config shares the handle. [`Telemetry::disabled`] turns all
     /// instrumentation into no-ops (the overhead-gate baseline).
     pub telemetry: Telemetry,

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use sim::{Cluster, NodeId, RpcClient, RpcServer, SimError};
-use telemetry::{events, Telemetry};
+use telemetry::{spans, Telemetry};
 
 use crate::NclError;
 
@@ -186,8 +186,8 @@ struct CtrlState {
     /// Epoch high-water marks, surviving entry deletion.
     epochs: HashMap<(String, String), u64>,
     locks: HashMap<String, NodeId>,
-    /// Event trace for ap-map transitions (the control-plane history the
-    /// paper reads off ZooKeeper's znode log).
+    /// Where ap-map deletions and revocation reports are recorded as facts
+    /// (an update is its caller's `*.ap_map` span).
     telemetry: Telemetry,
 }
 
@@ -206,9 +206,9 @@ impl Controller {
         Self::start_with_telemetry(cluster, Telemetry::disabled())
     }
 
-    /// Starts the controller with an explicit telemetry handle, so ap-map
-    /// transitions land in the same event trace as the application's file
-    /// and peer events (pass the deployment's shared handle).
+    /// Starts the controller with an explicit telemetry handle, so its
+    /// facts land in the same span trace as the application's file and peer
+    /// spans (pass the deployment's shared handle).
     pub fn start_with_telemetry(cluster: &Cluster, telemetry: Telemetry) -> Self {
         let node = cluster.add_node("ncl-controller");
         let cluster2 = cluster.clone();
@@ -308,8 +308,8 @@ fn handle(cluster: &Cluster, st: &mut CtrlState, req: CtrlReq) -> CtrlResp {
             file,
             epoch,
         } => {
-            st.telemetry.event(
-                events::REGION_REVOKE,
+            st.telemetry.fact(
+                spans::REGION_REVOKE,
                 &format!("{app}/{file}"),
                 epoch,
                 format!("revoked by {peer} under memory pressure"),
@@ -338,12 +338,6 @@ fn handle(cluster: &Cluster, st: &mut CtrlState, req: CtrlReq) -> CtrlResp {
             if epoch <= hw {
                 return CtrlResp::Rejected(format!("stale epoch {epoch} (high-water {hw})"));
             }
-            st.telemetry.event(
-                events::AP_MAP_UPDATE,
-                &format!("{}/{}", key.0, key.1),
-                epoch,
-                format!("peers=[{}]", peers.join(", ")),
-            );
             st.epochs.insert(key.clone(), epoch);
             st.entries.insert(key, ApEntry { peers, epoch });
             CtrlResp::Ok
@@ -351,8 +345,8 @@ fn handle(cluster: &Cluster, st: &mut CtrlState, req: CtrlReq) -> CtrlResp {
         CtrlReq::GetApEntry { app, file } => CtrlResp::Entry(st.entries.get(&(app, file)).cloned()),
         CtrlReq::DeleteApEntry { app, file } => {
             if let Some(old) = st.entries.remove(&(app.clone(), file.clone())) {
-                st.telemetry.event(
-                    events::AP_MAP_DELETE,
+                st.telemetry.fact(
+                    spans::AP_MAP_DELETE,
                     &format!("{app}/{file}"),
                     old.epoch,
                     "entry removed (epoch high-water retained)",

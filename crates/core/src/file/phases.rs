@@ -13,8 +13,8 @@ use telemetry::Telemetry;
 /// id 0) no span is recorded, but every duration is still kept.
 pub(super) struct Phases<'t> {
     tel: &'t Telemetry,
-    /// The trace id (0 when tracing is off) the operation's events carry.
-    pub trace: u64,
+    /// The trace id (0 when tracing is off).
+    trace: u64,
     scope: &'static str,
     start: Instant,
     /// Where the open phase began: the previous phase's end.
@@ -61,12 +61,13 @@ impl<'t> Phases<'t> {
     }
 
     /// Runs one peer's share of the open phase under a span of its own
-    /// (scope = the peer), parented to that phase. Reads the clock only
-    /// when tracing.
+    /// (scope = the peer, `detail` = how it was done), parented to that
+    /// phase. Reads the clock only when tracing.
     pub(super) fn peer<R>(
         &self,
         name: &'static str,
         scope: &'static str,
+        detail: &str,
         epoch: u64,
         work: impl FnOnce() -> R,
     ) -> R {
@@ -75,9 +76,21 @@ impl<'t> Phases<'t> {
         }
         let start = sim::time::now();
         let out = work();
-        let end = sim::time::now();
-        self.tel
-            .span_auto(self.trace, self.open, name, scope, epoch, start, end);
+        let (tel, end) = (self.tel, sim::time::now());
+        let id = tel.next_span_id();
+        let mut span = tel.closed_span(
+            self.trace,
+            id,
+            self.open,
+            name,
+            scope,
+            epoch,
+            (0, 0),
+            start,
+            end,
+        );
+        span.detail = Some(detail.into());
+        tel.record_spans(&mut vec![span]);
         out
     }
 

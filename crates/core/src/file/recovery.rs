@@ -7,10 +7,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rdma::{CompletionQueue, WcStatus, WrId};
-use telemetry::{events, spans};
+use telemetry::spans;
 
 use super::phases::Phases;
-use super::repair::{acquire_peers, catch_up_existing, catch_up_fresh};
+use super::repair::{acquire_peers, catch_up_existing, catch_up_fresh, copy_kind, FRESH};
 use super::scheme::Scheme;
 use super::slots::{PeerSlot, Responders, WcRouter, WcWait};
 use super::{fan_out, free_regions, NclFile, NclLib};
@@ -61,13 +61,6 @@ impl NclLib {
             .get_ap_entry(ctx.node, &ctx.app_id, file)?
             .ok_or_else(|| NclError::NotFound(file.to_string()))?;
         phases.close(spans::NCL_RECOVER_GET_PEER, entry.epoch);
-        tel.event_traced(
-            events::RECOVERY_START,
-            scope,
-            entry.epoch,
-            phases.trace,
-            format!("{} ap-map peers", entry.peers.len()),
-        );
 
         // Phase 2: contact peers, connect, read headers — one thread per
         // peer; the connect RPC and the header-read latency of the ap-map
@@ -131,8 +124,9 @@ impl NclLib {
         let shipped = scheme.ships_image().then(|| image.valid());
         let peer_span = spans::NCL_RECOVER_CATCH_UP_PEER;
         let mut slots: Vec<PeerSlot> = fan_out(responders, |(slot, peer_header)| {
+            let copy = copy_kind(&peer_header, &header, shipped);
             phases
-                .peer(peer_span, slot.scope, epoch, || {
+                .peer(peer_span, slot.scope, copy, epoch, || {
                     catch_up_existing(
                         ctx,
                         file,
@@ -177,8 +171,8 @@ impl NclLib {
                 break;
             }
             let caught_up = fan_out(fresh, |mut slot| {
-                let done = phases.peer(peer_span, slot.scope, epoch, || {
-                    catch_up_fresh(ctx, &router, &mut slot, epoch, &header, shipped)
+                let done = phases.peer(peer_span, slot.scope, FRESH, epoch, || {
+                    catch_up_fresh(ctx, &router, &mut slot, &header, shipped)
                 });
                 (slot, done)
             });
@@ -213,8 +207,6 @@ impl NclLib {
             ..RecoveryStats::default()
         };
         stats.sync_peer = stats.catch_up + stats.update_ap_map;
-        let detail = format!("seq={} peers={} {stats:?}", image.seq, slots.len());
-        tel.event_traced(events::RECOVERY_FINISH, scope, epoch, phases.trace, detail);
         phases.finish(spans::NCL_RECOVER, epoch);
         Ok(NclFile::open(
             &self.ctx, file, scope, image, scheme, slots, cq, epoch, stats,

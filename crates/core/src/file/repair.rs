@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use rdma::{CompletionQueue, RemoteMr, WcStatus, WorkRequest, WrId};
-use telemetry::{events, spans};
+use telemetry::spans;
 
 use super::phases::Phases;
 use super::slots::{Flight, PeerSlot, Rep, RepWait, WcWait};
@@ -74,19 +74,6 @@ impl NclFile {
             }
             let epoch = rep.epoch + 1;
             let mut exclude: Vec<String> = rep.peers.iter().map(|s| s.name.clone()).collect();
-            let dead: Vec<String> = rep
-                .peers
-                .iter()
-                .filter(|s| !s.alive)
-                .map(|s| s.name.clone())
-                .collect();
-            tel.event_traced(
-                events::PEER_REPLACE_START,
-                scope,
-                epoch,
-                phases.trace,
-                format!("replacing [{}]", dead.join(", ")),
-            );
             rep.peers.retain(|s| s.alive);
             rep.rebuild_qp_map();
             phases.close(spans::NCL_REPAIR_FLUSH, epoch);
@@ -122,8 +109,9 @@ impl NclFile {
         let wait = RepWait { file: self };
         let image = stage.scheme.ships_image().then(|| stage.image.valid());
         let results = fan_out(fresh.iter_mut(), |slot| {
-            phases.peer(spans::NCL_REPAIR_CATCH_UP_PEER, slot.scope, epoch, || {
-                catch_up_fresh(ctx, &wait, slot, epoch, &header, image)
+            let name = spans::NCL_REPAIR_CATCH_UP_PEER;
+            phases.peer(name, slot.scope, FRESH, epoch, || {
+                catch_up_fresh(ctx, &wait, slot, &header, image)
             })
         });
         let catchup_start = phases.mark;
@@ -157,8 +145,6 @@ impl NclFile {
                 },
             );
         }
-        let detail = format!("bumped {} survivors", rep.peers.len());
-        tel.event_traced(events::EPOCH_BUMP, scope, epoch, phases.trace, detail);
         // Replaced-in peers never produced wire completions for bursts that
         // were in flight when they joined — the catch-up copy is what made
         // those records durable on them. Credit each such flight with a
@@ -189,7 +175,7 @@ impl NclFile {
         rep.rebuild_qp_map();
         let names: Vec<String> = rep.peers.iter().map(|s| s.name.clone()).collect();
         ctx.controller
-            .set_ap_entry(ctx.node, &ctx.app_id, &self.name, names.clone(), epoch)?;
+            .set_ap_entry(ctx.node, &ctx.app_id, &self.name, names, epoch)?;
         phases.close(spans::NCL_REPAIR_AP_MAP, epoch);
         let stats = RepairStats {
             get_peer: phases.total(spans::NCL_REPAIR_GET_PEER),
@@ -197,13 +183,6 @@ impl NclFile {
             catch_up: phases.total(spans::NCL_REPAIR_CATCH_UP),
             update_ap_map: phases.total(spans::NCL_REPAIR_AP_MAP),
         };
-        tel.event_traced(
-            events::PEER_REPLACE_FINISH,
-            scope,
-            epoch,
-            phases.trace,
-            format!("peers=[{}] {stats:?}", names.join(", ")),
-        );
 
         stage.scheme.adopt_reset(&header);
         rep.epoch = epoch;
@@ -401,6 +380,11 @@ pub(super) fn ship(
     landed(ctx, wait, slot, id)
 }
 
+/// The detail of a per-peer catch-up span: how the peer was caught up.
+pub(super) const FRESH: &str = "fresh peer";
+const TAIL_DIFF: &str = "tail-diff";
+const FULL_COPY: &str = "full copy";
+
 /// Catches a freshly allocated peer up: the scheme's reset `header`,
 /// preceded by one bulk copy of `image` when the scheme ships the file
 /// image to peers.
@@ -408,19 +392,33 @@ pub(super) fn catch_up_fresh(
     ctx: &Ctx,
     wait: &dyn WcWait,
     slot: &mut PeerSlot,
-    epoch: u64,
     header: &RegionHeader,
     image: Option<&[u8]>,
 ) -> Result<(), NclError> {
-    let (tel, seq) = (&ctx.config.telemetry, header.seq);
-    let detail = format!("fresh peer, {} bytes", image.map_or(0, <[u8]>::len));
-    tel.event(events::CATCH_UP_START, &slot.name, epoch, detail);
     let body = image.map(|bytes| (0, bytes));
     ship(ctx, wait, slot, &slot.mr, header, body)?;
-    slot.completed_seq = seq;
-    let detail = format!("fresh peer caught up to seq={seq}");
-    tel.event(events::CATCH_UP_FINISH, &slot.name, epoch, detail);
+    slot.completed_seq = header.seq;
     Ok(())
+}
+
+/// How [`catch_up_existing`] ships `image` to a peer whose region holds
+/// `peer_header`: only the missing tail when both sides are append-only
+/// and the peer's bytes are a prefix (the §6 byte-diff optimisation), else
+/// the whole image.
+pub(super) fn copy_kind(
+    peer_header: &RegionHeader,
+    header: &RegionHeader,
+    image: Option<&[u8]>,
+) -> &'static str {
+    let tail_only = image.is_some()
+        && !header.overwritten
+        && !peer_header.overwritten
+        && peer_header.len <= header.len;
+    if tail_only {
+        TAIL_DIFF
+    } else {
+        FULL_COPY
+    }
 }
 
 /// Recovery catch-up of a peer that still holds a (possibly lagging) region:
@@ -429,9 +427,9 @@ pub(super) fn catch_up_fresh(
 ///
 /// For append-only files (`overwritten == false`) the staged region is
 /// pre-filled from the peer's current one and only the missing tail is
-/// shipped — the §6 byte-diff optimisation. Circular logs always ship the
-/// full image, because a lagging circular region's bytes are not a prefix of
-/// the recovered image (Figure 7ii). When the scheme ships no image
+/// shipped ([`copy_kind`]). Circular logs always ship the full image,
+/// because a lagging circular region's bytes are not a prefix of the
+/// recovered image (Figure 7ii). When the scheme ships no image
 /// (`image == None`) only the reset header goes into an empty region.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn catch_up_existing(
@@ -445,14 +443,7 @@ pub(super) fn catch_up_existing(
     header: &RegionHeader,
     image: Option<&[u8]>,
 ) -> Result<PeerSlot, NclError> {
-    let tail_only = image.is_some()
-        && !header.overwritten
-        && !peer_header.overwritten
-        && peer_header.len <= header.len;
-    let tel = &ctx.config.telemetry;
-    let copy = if tail_only { "tail-diff" } else { "full copy" };
-    let detail = format!("existing peer at seq={}, {copy}", peer_header.seq);
-    tel.event(events::CATCH_UP_START, &slot.name, epoch, detail);
+    let tail_only = copy_kind(&peer_header, header, image) == TAIL_DIFF;
     let resp = slot.endpoint.rpc.call(
         ctx.node,
         PeerReq::Prepare {
@@ -487,15 +478,11 @@ pub(super) fn catch_up_existing(
         },
     );
     match resp {
-        Ok(PeerResp::Ok) => {
-            let detail = format!("existing peer caught up to seq={}", header.seq);
-            tel.event(events::CATCH_UP_FINISH, &slot.name, epoch, detail);
-            Ok(PeerSlot {
-                mr: staged,
-                completed_seq: header.seq,
-                ..slot
-            })
-        }
+        Ok(PeerResp::Ok) => Ok(PeerSlot {
+            mr: staged,
+            completed_seq: header.seq,
+            ..slot
+        }),
         _ => Err(NclError::Unavailable(format!(
             "peer {} rejected commit",
             slot.name

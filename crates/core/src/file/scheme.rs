@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use rdma::{WcStatus, WorkRequest, WrId};
 use sim::SimError;
-use telemetry::{events, Counter, Telemetry};
+use telemetry::{spans, Counter, Telemetry};
 
 use super::slots::{PeerSlot, Responders, WcRouter, WcWait};
 use super::staging::{Image, PendingRecord};
@@ -389,9 +389,9 @@ impl Scheme {
         }
     }
 
-    /// Publishes the scheme: a [`events::DURABILITY_MODE`] event (the trace
-    /// analyzer parses `k=` out of it to pick the coverage an acked write
-    /// must have) and, erasure-coded, the effective spill watermark.
+    /// Publishes the scheme: a [`spans::DURABILITY_MODE`] fact (the checker
+    /// parses `k=` out of it to pick the coverage an acked write must
+    /// have) and, erasure-coded, the effective spill watermark.
     pub fn announce(&self, tel: &Telemetry, scope: &str, epoch: u64) {
         let detail = match self {
             Scheme::Replicated => "replicated".to_string(),
@@ -400,7 +400,7 @@ impl Scheme {
                 format!("ec k={} n={}", ec.k, ec.n)
             }
         };
-        tel.event(events::DURABILITY_MODE, scope, epoch, detail);
+        tel.fact(spans::DURABILITY_MODE, scope, epoch, detail);
     }
 
     /// Encodes the pending burst, staged on top of `image`, once for all
@@ -612,16 +612,16 @@ impl EcState {
         }
         let sp = self.spill.take().expect("spill present");
         let kind = if failed {
-            events::SPILL_FAIL
+            spans::SPILL_FAIL
         } else {
             self.prev_tail = self.frag_tail;
             self.frag_tail = 0;
             self.gen = sp.gen;
             self.spill_seq = sp.seq;
-            events::SPILL_FINISH
+            spans::SPILL_FINISH
         };
         let detail = format!("gen={} seq={}", sp.gen, sp.seq);
-        self.tel.event(kind, self.scope, 0, detail);
+        self.tel.fact(kind, self.scope, 0, detail);
     }
 
     /// Starts demoting the current image to the spill sink as the snapshot
@@ -634,8 +634,8 @@ impl EcState {
         let done = Arc::new(AtomicBool::new(false));
         let failed = Arc::new(AtomicBool::new(false));
         self.spills.inc();
-        self.tel.event(
-            events::SPILL_START,
+        self.tel.fact(
+            spans::SPILL_START,
             self.scope,
             0,
             format!("gen={gen} seq={seq} bytes={} sync={sync}", snap.len),

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
 use rdma::{CompletionQueue, QueuePair, RemoteMr, WcStatus, WorkCompletion, WrId};
-use telemetry::{events, spans, Span};
+use telemetry::{spans, Span};
 
 use super::recovery::RecoveryStats;
 use super::repair::RepairStats;
@@ -281,7 +281,7 @@ impl Rep {
         let name = &self.peers[idx].name;
         self.metrics
             .tel
-            .event(events::PEER_FAILURE, name, self.epoch, why);
+            .fact(spans::PEER_FAILURE, name, self.epoch, why);
     }
 
     /// Applies the completions in `wcs` (emptying it) to the slots, as of
@@ -413,8 +413,8 @@ impl Rep {
             {
                 slot.alive = false;
                 self.failure_seen = true;
-                self.metrics.tel.event(
-                    events::PEER_SUSPECT,
+                self.metrics.tel.fact(
+                    spans::PEER_SUSPECT,
                     &slot.name,
                     epoch,
                     format!(

@@ -66,7 +66,7 @@ pub(super) struct FileMetrics {
     /// burst accumulator and the flight bookkeeping behind one branch.
     pub enabled: bool,
     pub tel: Telemetry,
-    /// `app/file`, the scope every span and event of this file carries.
+    /// `app/file`, the scope every span of this file carries.
     /// Interned so span recording on the hot path never allocates.
     pub scope: &'static str,
     /// The stage histograms (`ncl.record.<stage>`).

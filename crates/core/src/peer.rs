@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use rdma::{LocalMr, RdmaDevice, RemoteMr};
 use sim::{Cluster, NodeId, RpcServer};
-use telemetry::{events, Counter, Gauge, Telemetry};
+use telemetry::{spans, Counter, Gauge, Telemetry};
 
 use crate::config::NclConfig;
 use crate::controller::{Controller, ControllerClient};
@@ -217,7 +217,7 @@ struct Daemon {
     cluster: Cluster,
     device: RdmaDevice,
     controller: ControllerClient,
-    /// Event trace for region lifecycle transitions (shared via the config).
+    /// Where region lifecycle facts are recorded (shared via the config).
     telemetry: Telemetry,
     /// [`NclConfig::peer_lease`], copied out at start.
     lease: Duration,
@@ -294,8 +294,8 @@ impl Daemon {
                 }
                 let len = HEADER_SIZE + capacity;
                 let (local, remote, ready) = self.allocate(now, &key, len)?;
-                self.telemetry.event(
-                    events::REGION_ALLOC,
+                self.telemetry.fact(
+                    spans::REGION_ALLOC,
                     &self.name,
                     epoch,
                     format!("{}/{}: {len} bytes", key.0, key.1),
@@ -320,7 +320,7 @@ impl Daemon {
                 self.reclaim(
                     Slot::Live,
                     &key,
-                    events::REGION_FREE,
+                    spans::REGION_FREE,
                     "released by application",
                 );
                 // A Free racing a replace: the application deleted the file
@@ -330,7 +330,7 @@ impl Daemon {
                 // (repeats find both maps empty and change nothing).
                 if self.staged.get(&key).is_some_and(|s| s.epoch <= epoch) {
                     let why = "staged region dropped by free";
-                    self.reclaim(Slot::Staged, &key, events::REGION_FREE, why);
+                    self.reclaim(Slot::Staged, &key, spans::REGION_FREE, why);
                 }
                 Ok(PeerResp::Ok)
             }
@@ -397,8 +397,8 @@ impl Daemon {
                 region.epoch = region.epoch.max(epoch);
                 region.lease = now;
                 let bumped = region.epoch;
-                self.telemetry.event(
-                    events::EPOCH_BUMP,
+                self.telemetry.fact(
+                    spans::EPOCH_BUMP,
                     &self.name,
                     bumped,
                     format!("{}/{}: survivor region epoch raised", key.0, key.1),
@@ -457,15 +457,14 @@ impl Daemon {
         self.alloc.release(app, region.remote.len, region.local);
     }
 
-    /// Drops `key`'s region in `slot` for good, recording `event` with
-    /// `why`. Returns false when there was none.
-    fn reclaim(&mut self, slot: Slot, key: &Key, event: &'static str, why: &str) -> bool {
+    /// Drops `key`'s region in `slot` for good, recording the fact `name`
+    /// with `why`. Returns false when there was none.
+    fn reclaim(&mut self, slot: Slot, key: &Key, name: &'static str, why: &str) -> bool {
         let Some(region) = self.slot(slot).remove(key) else {
             return false;
         };
         let detail = format!("{}/{}: {why}", key.0, key.1);
-        self.telemetry
-            .event(event, &self.name, region.epoch, detail);
+        self.telemetry.fact(name, &self.name, region.epoch, detail);
         self.release(&key.0, region);
         true
     }
@@ -478,8 +477,8 @@ impl Daemon {
             return 0;
         };
         let (epoch, len) = (region.epoch, region.remote.len as u64);
-        self.telemetry.event(
-            events::REGION_REVOKE,
+        self.telemetry.fact(
+            spans::REGION_REVOKE,
             &self.name,
             epoch,
             format!(
@@ -527,8 +526,8 @@ impl Daemon {
             return;
         };
         let total = self.alloc.total();
-        self.telemetry.event(
-            events::PEER_PRESSURE,
+        self.telemetry.fact(
+            spans::PEER_PRESSURE,
             &self.name,
             0,
             format!("shrink to {pct}% of {total}-byte budget"),
@@ -579,7 +578,7 @@ impl Daemon {
             let reclaim = e > e_r || (e == e_r && slot == Slot::Live && !self.member(&key));
             if reclaim {
                 let why = format!("leak GC (app epoch {e})");
-                freed += self.reclaim(slot, &key, events::REGION_FREE, &why) as usize;
+                freed += self.reclaim(slot, &key, spans::REGION_FREE, &why) as usize;
             }
         }
         freed
@@ -619,7 +618,7 @@ impl Daemon {
                 }
                 Ok(false) => {
                     let why = "lease expired, app confirmed dead";
-                    freed += self.reclaim(slot, &key, events::LEASE_EXPIRE, why) as usize;
+                    freed += self.reclaim(slot, &key, spans::LEASE_EXPIRE, why) as usize;
                 }
                 Err(_) => {}
             }
@@ -1286,10 +1285,10 @@ mod tests {
         assert_eq!(sweep(&mut d, t + lease - ns), 0);
         assert_eq!(sweep(&mut d, t + lease), 1, "the dead app's region goes");
         assert!(!d.live.contains_key(&key("dead", "wal")));
-        assert!(tel
-            .events()
-            .iter()
-            .any(|e| e.kind == events::LEASE_EXPIRE && e.detail.starts_with("dead/wal")));
+        assert!(tel.spans().iter().any(|s| s.name == spans::LEASE_EXPIRE
+            && s.detail
+                .as_deref()
+                .is_some_and(|d| d.starts_with("dead/wal"))));
         // The live app's region was re-leased at t + lease, so once its app
         // dies it lasts a whole lease from then.
         fx.cluster.crash(fx.app_node);

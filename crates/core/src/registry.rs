@@ -11,7 +11,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use rdma::RdmaDevice;
 use sim::{NodeId, RpcClient};
-use telemetry::{events, Telemetry};
+use telemetry::{spans, Telemetry};
 
 use crate::peer::{PeerReq, PeerResp};
 
@@ -34,13 +34,13 @@ pub struct NclRegistry {
 }
 
 impl NclRegistry {
-    /// Creates an empty registry with no event tracing.
+    /// Creates an empty registry that records nothing.
     pub fn new() -> Arc<Self> {
         Self::with_telemetry(Telemetry::disabled())
     }
 
-    /// Creates an empty registry that traces membership changes into the
-    /// deployment's shared event trace.
+    /// Creates an empty registry that records membership changes as facts
+    /// into the deployment's shared span trace.
     pub fn with_telemetry(telemetry: Telemetry) -> Arc<Self> {
         Arc::new(NclRegistry {
             peers: RwLock::new(HashMap::new()),
@@ -53,7 +53,7 @@ impl NclRegistry {
         let node = endpoint.node;
         self.peers.write().insert(name.to_string(), endpoint);
         self.telemetry
-            .event(events::PEER_PUBLISH, name, 0, format!("on {node}"));
+            .fact(spans::PEER_PUBLISH, name, 0, format!("on {node}"));
     }
 
     /// Resolves a peer name to its endpoint.
@@ -65,7 +65,7 @@ impl NclRegistry {
     pub fn withdraw(&self, name: &str) {
         if self.peers.write().remove(name).is_some() {
             self.telemetry
-                .event(events::PEER_WITHDRAW, name, 0, "decommissioned");
+                .fact(spans::PEER_WITHDRAW, name, 0, "decommissioned");
         }
     }
 

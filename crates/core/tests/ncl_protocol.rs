@@ -13,7 +13,7 @@ use ncl::{
     NclRegistry, Peer, RegionHeader, HEADER_SIZE,
 };
 use sim::Cluster;
-use telemetry::{events, spans};
+use telemetry::spans;
 
 struct Harness {
     cluster: Cluster,
@@ -30,8 +30,8 @@ impl Harness {
 
     fn with_config(num_peers: usize, config: NclConfig) -> Self {
         let cluster = Cluster::new();
-        // Share the config's telemetry handle so controller ap-map events
-        // and peer region events land in the same trace as file events.
+        // Share the config's telemetry handle so controller and peer facts
+        // land in the same trace as the files' spans.
         let controller = Controller::start_with_telemetry(&cluster, config.telemetry.clone());
         let registry = NclRegistry::with_telemetry(config.telemetry.clone());
         let peers = (0..num_peers)
@@ -554,17 +554,17 @@ fn lagging_peer_catch_up_picks_its_path_from_the_headers() {
         let lib2 = h.app("a2");
         let file = lib2.recover("wal").unwrap();
         assert_eq!(file.contents(), case.image, "{}", case.path);
-        let starts: Vec<String> = h
+        let copies: Vec<Box<str>> = h
             .config
             .telemetry
-            .events()
+            .spans()
             .into_iter()
-            .filter(|e| e.kind == events::CATCH_UP_START && e.scope == lagging)
-            .map(|e| e.detail)
+            .filter(|s| s.name == spans::NCL_RECOVER_CATCH_UP_PEER && s.scope == lagging)
+            .filter_map(|s| s.detail)
             .collect();
         assert_eq!(
-            starts,
-            [format!("existing peer at seq=1, {}", case.path)],
+            copies,
+            [case.path.into()],
             "chosen catch-up path of the lagging peer"
         );
         // Every peer (including the previously lagging one) must now hold
@@ -832,9 +832,9 @@ fn a_record_is_acked_at_the_quorums_header_with_the_slow_peers_still_in_flight()
     assert_eq!(file.peer_names().len(), 3, "late is not dead");
     assert!(!file.repair_pending());
     assert_eq!(file.epoch(), epoch);
-    let alarms = [events::PEER_FAILURE, events::PEER_SUSPECT];
-    let raised = h.config.telemetry.events();
-    assert!(!raised.iter().any(|e| alarms.contains(&e.kind)));
+    let alarms = [spans::PEER_FAILURE, spans::PEER_SUSPECT];
+    let raised = h.config.telemetry.spans();
+    assert!(!raised.iter().any(|s| alarms.contains(&s.name)));
     // And the file writes on.
     file.record(RECORDS * 16, b"after").unwrap();
     assert_eq!(file.durable_seq(), RECORDS + 1);

@@ -1,6 +1,6 @@
 //! Fault-injection test of the causal trace: a peer killed mid-burst must
-//! leave a failure-detect → catch-up → ap-map-update trail in the shared
-//! telemetry trace (verified through `telemetry::analyze`, the same checker
+//! leave a failure-detect fact and a repair whose catch-up ends before its
+//! ap-map phase starts in the shared telemetry trace (verified through `telemetry::analyze`, the same checker
 //! `trace_analyzer --check` runs in CI), and every acknowledged write must
 //! carry a complete span chain — stage → doorbell → per-peer wire/catch-up
 //! coverage → quorum ack under one root span.
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use ncl::{Controller, NclConfig, NclLib, NclRegistry, Peer};
 use sim::Cluster;
 use telemetry::analyze::analyze;
-use telemetry::{events, spans};
+use telemetry::spans;
 
 fn harness(
     num_peers: usize,
@@ -80,72 +80,66 @@ fn peer_kill_mid_burst_traces_detect_catchup_apmap_in_order() {
     }
     assert!(!file.peer_names().contains(&victim), "victim replaced");
 
-    let trace = config.telemetry.events();
-    let pos = |kind: &str| {
-        trace
-            .iter()
-            .position(|e| e.kind == kind)
-            .unwrap_or_else(|| panic!("no {kind} event in trace: {trace:?}"))
-    };
-    // The victim's failure is detected before its replacement is caught up,
-    // and the ap-map only moves after catch-up finished (§4.5.2 ordering).
-    let failure = pos(events::PEER_FAILURE);
-    let catch_up_start = pos(events::CATCH_UP_START);
-    let catch_up_finish = pos(events::CATCH_UP_FINISH);
-    assert!(failure < catch_up_start, "failure detected before catch-up");
-    assert!(catch_up_start < catch_up_finish);
-    let ap_map_after_catchup = trace
+    let spans = config.telemetry.spans();
+    // The victim's failure is detected before its replacement began, and
+    // the repair moved the ap-map only after its catch-up ended (§4.5.2
+    // ordering).
+    let failure = spans
         .iter()
-        .enumerate()
-        .any(|(i, e)| e.kind == events::AP_MAP_UPDATE && i > catch_up_finish);
+        .find(|s| s.name == spans::PEER_FAILURE)
+        .unwrap_or_else(|| panic!("no failure fact in trace: {spans:?}"));
+    assert_eq!(failure.scope, victim);
+    let repair = spans
+        .iter()
+        .rfind(|s| s.name == spans::NCL_REPAIR)
+        .expect("repair root");
     assert!(
-        ap_map_after_catchup,
-        "ap-map update must follow catch-up: {trace:?}"
+        failure.start_ns <= repair.start_ns,
+        "failure detected first"
     );
-    assert_eq!(trace[failure].scope, victim);
+    let phase = |name: &str| {
+        let of_repair = |s: &&telemetry::Span| s.trace == repair.trace && s.name == name;
+        spans
+            .iter()
+            .find(of_repair)
+            .unwrap_or_else(|| panic!("no {name}"))
+    };
+    let (catch_up, ap_map) = (
+        phase(spans::NCL_REPAIR_CATCH_UP),
+        phase(spans::NCL_REPAIR_AP_MAP),
+    );
+    assert!(
+        catch_up.end_ns <= ap_map.start_ns,
+        "ap-map must follow catch-up"
+    );
 
-    // The replacement epoch trail: every epoch-carrying replacement event
-    // is monotonically non-decreasing in trace order, and the final ap-map
-    // entry carries the bumped epoch.
-    let epochs: Vec<u64> = trace
+    // The epoch trail: the ap-map phases, in recording order, never go
+    // backwards, and the last carries the bumped epoch the file runs at;
+    // the survivors' peers fenced their regions to it.
+    let epochs: Vec<u64> = spans
         .iter()
-        .filter(|e| {
-            matches!(
-                e.kind,
-                "peer-replace-start"
-                    | "peer-replace-finish"
-                    | "catch-up-start"
-                    | "catch-up-finish"
-                    | "epoch-bump"
-                    | "ap-map-update"
-            )
-        })
-        .map(|e| e.epoch)
+        .filter(|s| s.name.ends_with(".ap_map"))
+        .map(|s| s.epoch)
         .collect();
     assert!(
         epochs.windows(2).all(|w| w[0] <= w[1]),
         "epochs must be monotonic: {epochs:?}"
     );
-    let last_ap = trace
+    assert_eq!(ap_map.epoch, file.epoch());
+    assert!(ap_map.epoch > 1, "replacement bumped the epoch");
+    assert!(spans
         .iter()
-        .rev()
-        .find(|e| e.kind == events::AP_MAP_UPDATE)
-        .expect("ap-map update present");
-    assert_eq!(last_ap.epoch, file.epoch());
-    assert!(last_ap.epoch > 1, "replacement bumped the epoch");
+        .any(|s| s.name == spans::EPOCH_BUMP && s.epoch == ap_map.epoch));
 
-    // Region lifecycle events from the peers share the same trace.
-    assert!(trace.iter().any(|e| e.kind == events::REGION_ALLOC));
-    assert!(trace.iter().any(|e| e.kind == events::PEER_PUBLISH));
-    // Timestamps are monotone (ring preserves append order).
-    assert!(trace.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+    // Region lifecycle facts from the peers share the same trace.
+    assert!(spans.iter().any(|s| s.name == spans::REGION_ALLOC));
+    assert!(spans.iter().any(|s| s.name == spans::PEER_PUBLISH));
 
     // The analyzer agrees: complete span chains for every acked write, and
     // the catch-up/ap-map ordering holds — including the writes that were in
     // flight when the victim died, whose quorum coverage must include
     // `ncl.catchup.peer` credit for the replacement.
-    let spans = config.telemetry.spans();
-    let report = analyze(&spans, &trace, config.quorum());
+    let report = analyze(&spans, config.quorum());
     assert!(
         report.ok(),
         "trace invariants violated:\n{}",
@@ -199,31 +193,11 @@ fn recovery_after_app_crash_traces_start_and_finish() {
     let file = lib2.recover("wal").unwrap();
     assert_eq!(file.contents(), b"persisted");
 
-    let trace = config.telemetry.events();
-    let start = trace
-        .iter()
-        .position(|e| e.kind == events::RECOVERY_START)
-        .expect("recovery start traced");
-    let finish = trace
-        .iter()
-        .position(|e| e.kind == events::RECOVERY_FINISH)
-        .expect("recovery finish traced");
-    assert!(start < finish);
-    assert_eq!(trace[finish].scope, "traced/wal");
-    assert!(
-        trace[finish].epoch > trace[start].epoch,
-        "recovery re-publishes the ap-map under a higher epoch"
-    );
-    // Recovery catch-up of the existing peers is traced between the two.
-    assert!(trace
-        .iter()
-        .skip(start)
-        .take(finish - start)
-        .any(|e| e.kind == events::CATCH_UP_START));
-
     // Recovery leaves a span tree of its own: a root with the get-peer /
     // connect / rdma-read / catch-up / ap-map phase children, all under one
-    // trace id, clean under the analyzer.
+    // trace id, clean under the analyzer; the root closes at a higher epoch
+    // than the ap-map lookup read, and each peer's catch-up says how it
+    // was caught up.
     let spans = config.telemetry.spans();
     let root = spans
         .iter()
@@ -246,8 +220,19 @@ fn recovery_after_app_crash_traces_start_and_finish() {
         assert_eq!(c.trace, root.trace, "{child} belongs to the recovery trace");
         assert_eq!(c.parent, root.id);
         assert!(c.start_ns >= root.start_ns && c.end_ns <= root.end_ns);
+        if child == spans::NCL_RECOVER_GET_PEER {
+            assert!(root.epoch > c.epoch, "recovery publishes a higher epoch");
+        }
     }
-    let report = analyze(&spans, &trace, config.quorum());
+    let per_peer = spans
+        .iter()
+        .filter(|s| s.name == spans::NCL_RECOVER_CATCH_UP_PEER);
+    let copies: Vec<&str> = per_peer.filter_map(|s| s.detail.as_deref()).collect();
+    assert_eq!(
+        copies, ["tail-diff"; 3],
+        "append-only peers ship their tails"
+    );
+    let report = analyze(&spans, config.quorum());
     assert!(
         report.ok(),
         "trace invariants violated:\n{}",
@@ -315,7 +300,7 @@ fn every_acked_write_leaves_a_complete_span_chain() {
         "trace {}: wire coverage {peers:?} below quorum",
         root.trace
     );
-    let report = analyze(&spans, &config.telemetry.events(), config.quorum());
+    let report = analyze(&spans, config.quorum());
     assert!(
         report.ok(),
         "trace invariants violated:\n{}",

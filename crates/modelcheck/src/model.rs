@@ -104,7 +104,7 @@ pub struct CheckResult {
 pub struct Violation {
     /// Which invariant clause failed.
     pub reason: String,
-    /// Event labels from the initial state to the violation.
+    /// Transition labels from the initial state to the violation.
     pub trace: Vec<String>,
 }
 

@@ -38,7 +38,7 @@ use dfs::{DfsClient, DfsError, DfsFile, IoKind, IoTrace, LocalFs};
 use fallback::{Fallback, NclRoute};
 use ncl::{NclError, NclFile, NclLib};
 use parking_lot::Mutex;
-use telemetry::{events, spans, Counter, HistHandle, Telemetry};
+use telemetry::{spans, Counter, HistHandle, Telemetry};
 
 /// How the facade maps file operations onto storage tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,7 +291,7 @@ impl SplitFs {
         self.inner.ncl.as_ref()
     }
 
-    /// The facade's telemetry handle — the same registry and event trace
+    /// The facade's telemetry handle — the same registry and span trace
     /// the NCL library records into (disabled outside SplitFT mode).
     pub fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
@@ -539,8 +539,8 @@ impl SplitFs {
         fb.engaged = true;
         fb.last_probe = sim::time::now();
         self.inner.fallback_engaged.inc();
-        self.inner.telemetry.event(
-            events::DFS_FALLBACK_ENGAGE,
+        self.inner.telemetry.fact(
+            spans::DFS_FALLBACK_ENGAGE,
             &self.ncl_scope(path),
             route.file.epoch(),
             format!("quorum unreachable ({cause}); new records go direct-dfs"),
@@ -665,11 +665,11 @@ impl SplitFs {
         self.inner.fallback_reattach.inc();
         let n = frames.len();
         let message = format!("replayed {n} shadow-journal records {why}; resuming NCL");
-        tel.event(events::NCL_REATTACH, &scope, epoch, message);
+        tel.fact(spans::NCL_REATTACH, &scope, epoch, message);
         Ok(())
     }
 
-    /// Event scope of an ncl route, matching the NCL layer's `app/file`.
+    /// Span scope of an ncl route, matching the NCL layer's `app/file`.
     fn ncl_scope(&self, path: &str) -> String {
         match &self.inner.ncl {
             Some(n) => format!("{}/{}", n.app_id(), path),

@@ -44,7 +44,7 @@ pub struct TestbedConfig {
     pub scrape_addr: Option<String>,
     /// When true, attach a streaming [`telemetry::OnlineMonitor`] to the
     /// shared telemetry handle: the invariant engine's rules
-    /// ([`telemetry::checker`]) are verified live against the span/event
+    /// ([`telemetry::checker`]) are verified live against the span
     /// stream, violations increment
     /// `invariant.violations.total`, flip the scrape endpoint's `/health`
     /// to 503, and (when `FLIGHT_DUMP_DIR` is set) dump the flight
@@ -132,7 +132,7 @@ impl Testbed {
             }
         }
         // Attach the monitor before any service starts so the very first
-        // span/event is already streamed through it.
+        // span is already streamed through it.
         let monitor = config
             .online_monitor
             .then(|| OnlineMonitor::attach(&config.ncl.telemetry, config.ncl.quorum()));
@@ -145,7 +145,7 @@ impl Testbed {
             config.ncl.spill = Some(Arc::new(crate::DfsSpillSink::new(dfs.client(node))));
         }
         // Control-plane services share the application's telemetry handle so
-        // ap-map updates and peer membership land in one event trace.
+        // their facts and the files' spans land in one trace.
         let controller = Controller::start_with_telemetry(&cluster, config.ncl.telemetry.clone());
         let registry = NclRegistry::with_telemetry(config.ncl.telemetry.clone());
         let mut peers: Vec<Peer> = (0..config.peers)
@@ -169,7 +169,7 @@ impl Testbed {
         let flight =
             FlightRecorder::with_limits(config.ncl.telemetry.clone(), 32, 64, config.ncl.quorum());
         // `FLIGHT_DUMP_DIR` arms the black box: on the first transition into
-        // Breached (and on panic) the last N spans/events/counter deltas are
+        // Breached (and on panic) the last N spans and counter deltas are
         // preserved as an analyzer-readable JSONL dump.
         if let Ok(dir) = std::env::var("FLIGHT_DUMP_DIR") {
             let recorder = flight.clone();

@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use splitfs::{FsError, Mode, OpenOptions, Testbed, TestbedConfig};
-use telemetry::{events, spans, Telemetry};
+use telemetry::{spans, Telemetry};
 
 fn quick_timeout_config(peers: usize) -> TestbedConfig {
     let mut cfg = TestbedConfig::zero(peers);
@@ -114,23 +114,23 @@ fn quorum_loss_degrades_and_reattaches_with_fresh_peers() {
     let degraded = fs.telemetry().counter_value("splitfs.fallback.records");
     assert_one_replay_burst(fs.telemetry(), degraded);
 
-    // Event-trace ordering: engage strictly before re-attach, and the
-    // re-attach runs at a bumped epoch (the replacement's fence).
-    let evs = fs.telemetry().events();
-    let engage = evs
+    // Fact ordering: engage strictly before re-attach, and the re-attach
+    // runs at a bumped epoch (the replacement's fence).
+    let facts = fs.telemetry().spans();
+    let engage = facts
         .iter()
-        .position(|e| e.kind == events::DFS_FALLBACK_ENGAGE)
-        .expect("engage event");
-    let reattach = evs
+        .position(|s| s.name == spans::DFS_FALLBACK_ENGAGE)
+        .expect("engage fact");
+    let reattach = facts
         .iter()
-        .position(|e| e.kind == events::NCL_REATTACH)
-        .expect("re-attach event");
+        .position(|s| s.name == spans::NCL_REATTACH)
+        .expect("re-attach fact");
     assert!(engage < reattach, "engage must precede re-attach");
     assert!(
-        evs[reattach].epoch > evs[engage].epoch,
+        facts[reattach].epoch > facts[engage].epoch,
         "re-attach must carry a bumped epoch ({} vs {})",
-        evs[reattach].epoch,
-        evs[engage].epoch
+        facts[reattach].epoch,
+        facts[engage].epoch
     );
 
     // Everything acknowledged — through NCL or the fallback — survives an
@@ -182,9 +182,9 @@ fn crash_while_degraded_replays_the_shadow_journal_at_open() {
     // The replay is reported as a re-attach on the recovering mount's trace.
     assert!(fs2
         .telemetry()
-        .events()
+        .spans()
         .iter()
-        .any(|e| e.kind == events::NCL_REATTACH));
+        .any(|s| s.name == spans::NCL_REATTACH));
     // The engage-time snapshot and the one degraded record.
     assert_one_replay_burst(fs2.telemetry(), 2);
 }

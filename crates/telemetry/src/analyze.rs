@@ -1,47 +1,26 @@
-//! Causal-trace analysis: JSONL replay, offline invariant checking, and a
-//! stage-aggregated flamegraph-style breakdown.
+//! Offline analysis of a span stream: JSONL replay through the invariant
+//! engine, and a stage-aggregated flamegraph-style breakdown.
 //!
-//! A telemetry JSONL file (from [`crate::Telemetry::set_jsonl_sink`])
-//! interleaves `"type": "span"` and `"type": "event"` lines. This module
-//! parses them back ([`parse_jsonl`]) and replays them ([`analyze`]) through
-//! the invariant engine: the rules, their codes and their messages are
-//! [`crate::checker`]'s and nobody else's; what is added here is the stage
-//! aggregation and the report rendering. The same call backs
-//! `trace_analyzer --check` in CI and the integration tests' trace
-//! assertions.
-//!
-//! # Replay semantics
-//!
-//! [`analyze`] builds a [`Checker::replay`] (every lag unbounded, no
-//! violation cap), feeds it **all events in the order given, then all spans
-//! in the order given**, and finalizes it. Consequences:
-//!
-//! * The event-order rules (catch-up before ap-map, monotone epochs) and the
-//!   pairing of degraded windows follow the *given* event order, never the
-//!   timestamps: a JSONL sink file and an in-memory ring both hold events
-//!   in emission order, and a flight dump writes its events first.
-//! * The per-trace rules are insensitive to span order. Nothing is
-//!   confirmed before `finalize`: a verdict taken when a root arrives is
-//!   never final, so coverage, a catch-up credit or a
-//!   `splitfs.reattach.replay` span that shows up later in the feed still
-//!   counts. The three sources therefore read alike: a sink file (spans and
-//!   events interleaved, children before their root), a ring pair
-//!   `analyze(&tel.spans(), &tel.events(), q)`, and a flight dump (events
-//!   first, spans sorted by start, roots before their children).
-//! * Feeding the events first means a `trace-truncated` event anywhere in
-//!   the input downgrades the span-completeness rules for the whole input
-//!   ([`TraceReport::truncated`]); the in-memory rings announce their first
-//!   overflow with that event, and a JSONL sink never drops.
-//! * Event kinds the engine does not know (`flight-dump`,
-//!   `flight-counter-delta`, `invariant-violation`, …) pass through
-//!   untouched.
+//! A telemetry JSONL file (from [`crate::Telemetry::set_jsonl_sink`]) holds
+//! one span per line — record-path spans, control phases and facts alike.
+//! This module owns three things: reading such a file back
+//! ([`parse_jsonl`]), the stage aggregation, and the rendering of a
+//! [`TraceReport`]. The rules, their codes and their messages are
+//! [`crate::checker`]'s and nobody else's: [`analyze`] builds a
+//! [`Checker::replay`] (every lag unbounded, no violation cap), feeds it the
+//! spans in the order given and finalizes it. Rules 1–3 are therefore
+//! insensitive to span order, and rules 4 and 5 read the given order, which
+//! a sink file, [`crate::Telemetry::spans`] and a flight dump all keep as
+//! recorded. A `trace-truncated` fact anywhere in the input downgrades the
+//! span-completeness rules for the whole input ([`TraceReport::truncated`]).
+//! The same call backs `trace_analyzer --check` in CI and the integration
+//! tests' trace assertions.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::checker::{invariant, Checker, Violation};
-use crate::span::{intern_scope, intern_span_name};
-use crate::trace::intern_kind;
-use crate::{spans, Event, Span};
+use crate::span::intern_scope;
+use crate::{spans, Span};
 
 /// Extracts `"key": "string"` from a flat JSON object line, unescaping.
 fn str_field(line: &str, key: &str) -> Option<String> {
@@ -99,58 +78,45 @@ fn leading_range(s: &str) -> Option<(u64, u64)> {
     rest.trim_start().starts_with(']').then_some((lo, hi))
 }
 
-/// Parses a telemetry JSONL document back into spans and events. Lines that
-/// are empty are skipped; structurally broken lines are errors (a truncated
-/// final line from a crashed process is reported, not silently dropped).
-pub fn parse_jsonl(text: &str) -> Result<(Vec<Span>, Vec<Event>), String> {
+/// Parses a telemetry JSONL document back into spans. Lines that are empty
+/// are skipped; structurally broken lines and lines of any other type are
+/// errors (a truncated final line from a crashed process is reported, not
+/// silently dropped).
+pub fn parse_jsonl(text: &str) -> Result<Vec<Span>, String> {
     let mut spans = Vec::new();
-    let mut evs = Vec::new();
     for (ln, line) in text.lines().enumerate() {
         let ln = ln + 1;
         if line.trim().is_empty() {
             continue;
         }
         match str_field(line, "type").as_deref() {
-            Some("span") => {
-                let parse = || -> Option<Span> {
-                    Some(Span {
-                        trace: u64_field(line, "trace")?,
-                        id: u64_field(line, "id")?,
-                        parent: u64_field(line, "parent")?,
-                        name: intern_span_name(&str_field(line, "name")?),
-                        scope: intern_scope(&str_field(line, "scope")?),
-                        epoch: u64_field(line, "epoch")?,
-                        // Files written before spans had a range have none.
-                        seq: match value_of(line, "seq") {
-                            Some(value) => leading_range(value)?,
-                            None => (0, 0),
-                        },
-                        start_ns: u64_field(line, "start_ns")?,
-                        end_ns: u64_field(line, "end_ns")?,
-                    })
-                };
-                spans.push(parse().ok_or_else(|| format!("line {ln}: malformed span"))?);
-            }
-            Some("event") => {
-                let parse = || -> Option<Event> {
-                    Some(Event {
-                        ts_ns: u64_field(line, "ts_ns")?,
-                        kind: intern_kind(&str_field(line, "kind")?),
-                        scope: str_field(line, "scope")?,
-                        epoch: u64_field(line, "epoch")?,
-                        // Pre-tracing JSONL files have no trace field.
-                        trace: u64_field(line, "trace").unwrap_or(0),
-                        detail: str_field(line, "detail").unwrap_or_default(),
-                    })
-                };
-                evs.push(parse().ok_or_else(|| format!("line {ln}: malformed event"))?);
-            }
-            other => {
-                return Err(format!("line {ln}: unknown record type {other:?}"));
-            }
+            Some("span") => {}
+            other => return Err(format!("line {ln}: unknown record type {other:?}")),
         }
+        let parse = || -> Option<Span> {
+            Some(Span {
+                trace: u64_field(line, "trace")?,
+                id: u64_field(line, "id")?,
+                parent: u64_field(line, "parent")?,
+                name: intern_scope(&str_field(line, "name")?),
+                scope: intern_scope(&str_field(line, "scope")?),
+                epoch: u64_field(line, "epoch")?,
+                // Files written before spans had a range have none.
+                seq: match value_of(line, "seq") {
+                    Some(value) => leading_range(value)?,
+                    None => (0, 0),
+                },
+                start_ns: u64_field(line, "start_ns")?,
+                end_ns: u64_field(line, "end_ns")?,
+                detail: match value_of(line, "detail") {
+                    Some(_) => Some(str_field(line, "detail")?.into()),
+                    None => None,
+                },
+            })
+        };
+        spans.push(parse().ok_or_else(|| format!("line {ln}: malformed span"))?);
     }
-    Ok((spans, evs))
+    Ok(spans)
 }
 
 /// Aggregated timing for one span name.
@@ -171,10 +137,8 @@ pub struct StageAgg {
 /// Outcome of analyzing one trace file (or one in-process ring pair).
 #[derive(Debug, Default)]
 pub struct TraceReport {
-    /// Spans consumed.
+    /// Spans consumed, facts included.
     pub total_spans: usize,
-    /// Events consumed.
-    pub total_events: usize,
     /// Distinct trace ids seen in spans.
     pub traces: usize,
     /// Acked records, counted by the range of every `ncl.write` root (see
@@ -191,7 +155,7 @@ pub struct TraceReport {
     /// Per-span-name aggregation, flamegraph ordering.
     pub stages: Vec<StageAgg>,
     /// True when the window under analysis is known incomplete: a
-    /// `trace-truncated` event appears in the stream. Span-completeness
+    /// `trace-truncated` fact appears in the stream. Span-completeness
     /// invariants (tree integrity, ack coverage) are skipped rather than
     /// reported as false positives; the other invariants still run.
     pub truncated: bool,
@@ -206,9 +170,8 @@ impl TraceReport {
     /// One-paragraph summary plus the stage breakdown.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "{} spans / {} events across {} traces: {} acked writes, {} open, {} orphan spans, {} violations\n",
+            "{} spans across {} traces: {} acked writes, {} open, {} orphan spans, {} violations\n",
             self.total_spans,
-            self.total_events,
             self.traces,
             self.acked_writes,
             self.open_writes,
@@ -292,20 +255,19 @@ fn flame_order(name: &str) -> (usize, &str) {
     (rank, name)
 }
 
-/// Replays the given events, then the given spans, through a
-/// [`Checker::replay`] (see the module docs) and adds the stage aggregation.
-/// `quorum` is the f+1 write quorum the deployment ran with (2 for the
-/// default 3-replica set).
-pub fn analyze(spans_in: &[Span], events_in: &[Event], quorum: usize) -> TraceReport {
+/// Replays the given spans through a [`Checker::replay`] (see the module
+/// docs) and aggregates them by name, facts aside. `quorum` is the f+1
+/// write quorum the deployment ran with (2 for the default 3-replica set).
+pub fn analyze(spans_in: &[Span], quorum: usize) -> TraceReport {
     let mut checker = Checker::replay(quorum);
-    for ev in events_in {
-        checker.feed_event(ev);
-    }
     let mut traces: BTreeSet<u64> = BTreeSet::new();
     let mut agg: BTreeMap<&'static str, (u64, u64, u64)> = BTreeMap::new();
     for s in spans_in {
         checker.feed_span(s);
         traces.insert(s.trace);
+        if s.is_fact() {
+            continue;
+        }
         let e = agg.entry(s.name).or_insert((0, 0, 0));
         e.0 += 1;
         e.1 += s.duration_ns();
@@ -328,7 +290,6 @@ pub fn analyze(spans_in: &[Span], events_in: &[Event], quorum: usize) -> TraceRe
 
     TraceReport {
         total_spans: spans_in.len(),
-        total_events: events_in.len(),
         traces: traces.len(),
         acked_writes: verdict.acked_writes as usize,
         open_writes: verdict.open_writes as usize,
@@ -346,7 +307,6 @@ pub fn analyze(spans_in: &[Span], events_in: &[Event], quorum: usize) -> TraceRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events;
 
     // What the engine makes of a feed is tested once, for this front end and
     // the live one together, by the case table in `crate::monitor`'s tests.
@@ -362,6 +322,7 @@ mod tests {
             seq: (0, 0),
             start_ns: 100,
             end_ns: 200,
+            detail: None,
         }
     }
 
@@ -375,7 +336,7 @@ mod tests {
             sp(10, 10, 0, spans::NCL_WRITE, "app/f"),
             sp(20, 21, 20, spans::NCL_STAGE, "app/f"),
         ];
-        let report = analyze(&spans, &[], 2);
+        let report = analyze(&spans, 2);
         assert_eq!((report.total_spans, report.traces), (6, 2));
         assert_eq!((report.acked_writes, report.open_writes), (1, 1));
         assert_eq!(report.orphan_spans, 1);
@@ -388,17 +349,17 @@ mod tests {
         let flame = report.render_flame();
         assert!(flame.find("ncl.write").unwrap() < flame.find("ncl.wire.peer").unwrap());
 
-        let truncated = vec![Event {
-            ts_ns: 1,
-            kind: events::TRACE_TRUNCATED,
-            scope: "telemetry".into(),
-            epoch: 0,
-            trace: 0,
-            detail: String::new(),
-        }];
-        let report = analyze(&spans, &truncated, 2);
+        let truncated = sp(1, 1, 0, spans::TRACE_TRUNCATED, "telemetry");
+        let report = analyze(&[&[truncated][..], &spans].concat(), 2);
         assert!(report.ok() && report.truncated);
         assert!(report.render().contains("truncated window"));
+        assert!(
+            report
+                .stages
+                .iter()
+                .all(|s| s.name != spans::TRACE_TRUNCATED),
+            "a fact is not a stage"
+        );
     }
 
     #[test]
@@ -411,7 +372,7 @@ mod tests {
             sp(40, 41, 40, spans::NCL_CREATE_CONNECT_MR, "app/f"),
             sp(40, 40, 0, spans::NCL_CREATE, "app/f"),
         ];
-        let report = analyze(&spans, &[], 2);
+        let report = analyze(&spans, 2);
         assert!(report.ok(), "{}", report.render());
         let flame = report.render_flame();
         let line = |name: &str| {
@@ -438,30 +399,24 @@ mod tests {
             seq: (3, 18),
             ..sp(7, 7, 0, spans::NCL_WRITE, "app/\"quoted\"")
         };
-        let event = Event {
-            ts_ns: 11,
-            kind: events::EPOCH_BUMP,
-            scope: "app/f".into(),
-            epoch: 4,
-            trace: 7,
-            detail: "tab\there".into(),
+        let fact = Span {
+            detail: Some("tab\there".into()),
+            ..sp(8, 8, 0, spans::EPOCH_BUMP, "peer-0")
         };
-        let text = format!("{}\n{}\n", span.to_json(), event.to_json());
-        let (spans, events) = parse_jsonl(&text).unwrap();
-        assert_eq!(spans, [span]);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].trace, 7);
-        assert_eq!(events[0].detail, "tab\there");
+        let text = format!("{}\n{}\n", span.to_json(), fact.to_json());
+        assert_eq!(parse_jsonl(&text).unwrap(), [span, fact]);
 
         assert!(parse_jsonl("{\"type\": \"span\"}\n").is_err());
         assert!(parse_jsonl("garbage\n").is_err());
+        let other = "{\"type\": \"counter\", \"name\": \"x\"}";
+        assert!(parse_jsonl(other).is_err(), "one record type");
     }
 
     #[test]
     fn a_span_line_without_a_range_reads_as_none() {
         // What a sink wrote before spans carried their record range.
         let old = "{\"type\": \"span\", \"trace\": 7, \"id\": 7, \"parent\": 0, \"name\": \"ncl.write\", \"scope\": \"app/f\", \"epoch\": 1, \"start_ns\": 100, \"end_ns\": 200}";
-        let (spans, _) = parse_jsonl(old).unwrap();
+        let spans = parse_jsonl(old).unwrap();
         assert_eq!(spans, [sp(7, 7, 0, spans::NCL_WRITE, "app/f")]);
         assert_eq!(spans[0].records(), 1);
         let torn = old.replace("\"start_ns\"", "\"seq\": [1, \"start_ns\"");

@@ -1,13 +1,13 @@
-//! The invariant engine: the one place that states what a correct span/event
+//! The invariant engine: the one place that states what a correct span
 //! stream looks like.
 //!
 //! [`Checker`] is single-threaded and knows nothing about
-//! [`crate::Telemetry`]: spans and events go in ([`Checker::feed_span`],
-//! [`Checker::feed_event`]), confirmed [`Violation`]s and a
-//! [`MonitorReport`] come out. Everything else is a front end around one:
-//! [`crate::monitor::OnlineMonitor`] feeds it the live stream,
-//! [`crate::analyze::analyze`] replays a finished trace through it, and
-//! [`crate::FlightRecorder`] asks it which traces are complete enough to
+//! [`crate::Telemetry`]: spans go in ([`Checker::feed_span`]) — facts and
+//! control phases as much as record-path spans — and confirmed
+//! [`Violation`]s and a [`MonitorReport`] come out. Everything else is a
+//! front end around one: [`crate::monitor::OnlineMonitor`] feeds it the live
+//! stream, [`crate::analyze::analyze`] replays a finished trace through it,
+//! and [`crate::FlightRecorder`] asks it which traces are complete enough to
 //! dump ([`Checker::is_complete`]).
 //!
 //! | # | rule | paper | [`Violation::invariant`] | checked by |
@@ -15,35 +15,39 @@
 //! | 1 | in a rooted trace every child's parent id resolves | span-tree form of §4.3's record chain | [`invariant::ORPHAN_SPAN`] | `Checker::tree_integrity` |
 //! | 2 | an acked write (`ncl.write` root) has its `ncl.stage` + `ncl.doorbell` children and ≥ quorum — or the scope's declared EC `k` — distinct peers covering it through `ncl.wire.peer` / `ncl.catchup.peer` | §4.3 ack at f+1 of 2f+1 (any k of n) | [`invariant::ACK_COVERAGE`] | `Checker::ack_coverage` |
 //! | 3 | no write root starts inside a `dfs-fallback-engage` → `ncl-reattach` window of its scope, unless a `splitfs.reattach.replay` span covers it | degraded mode (DESIGN.md §7c) | [`invariant::DEGRADED_WRITE`] | `Checker::degraded_window` |
-//! | 4 | a replacement's `ap-map-update` follows its `peer-replace-start` and a `catch-up-finish` at the same epoch | §4.5 no-lost-prefix ordering | [`invariant::AP_MAP_ORDER`] | `Checker::ap_map_order` |
-//! | 5 | per scope, published ap-map epochs never go backwards | §4.5 fencing | [`invariant::AP_MAP_MONOTONE`] | `Checker::ap_map_monotone` |
+//! | 4 | an `ncl.recover` / `ncl.repair` trace with an `*.ap_map` child has a `*.catch_up` child that ended no later than the `*.ap_map` child started | §4.5 no-lost-prefix ordering | [`invariant::AP_MAP_ORDER`] | `Checker::ap_map_order` |
+//! | 5 | per scope, the epochs of the `*.ap_map` spans never go backwards | §4.5 fencing | [`invariant::AP_MAP_MONOTONE`] | `Checker::ap_map_monotone` |
 //!
 //! A write trace is one burst: every span of it carries the burst's record
 //! range ([`Span::seq`]), and rule 2 judges the range as a whole — its
 //! records share one doorbell, and a peer's header that covers the last of
-//! them covers them all.
+//! them covers them all. The facts rules 2 and 3 read (`durability-mode`,
+//! `dfs-fallback-engage`, `ncl-reattach`) and `trace-truncated` update the
+//! checker's state when they arrive.
 //!
-//! Rules 4 and 5 are judged at event arrival, in *given* event order (not by
-//! timestamp). Rules 1–3 are judged per trace, and only once the trace has
-//! *retired*: the stream's high-water end timestamp (the watermark) has
-//! moved the retirement lag past the trace's last span, so stragglers
-//! (minority wire spans closing after the root, catch-up credits landing
-//! during a later repair) have had their window. A trace failing at
+//! Rules 4 and 5 are judged at arrival, in *given* order: rule 4 when the
+//! `ncl.recover` / `ncl.repair` root arrives (a control trace records its
+//! root after every phase, so it is complete then), rule 5 when each
+//! `*.ap_map` span does. Rules 1–3 are judged per trace, and only once the
+//! trace has *retired*: the stream's high-water end timestamp (the
+//! watermark) has moved the retirement lag past the trace's last span, so
+//! stragglers (minority wire spans closing after the root, catch-up credits
+//! landing during a later repair) have had their window. A trace failing at
 //! retirement is first parked as a *suspect* for a grace period and becomes
 //! a violation only when that expires too — or at [`Checker::finalize`],
 //! which judges everything still open. State is O(open traces), never
-//! O(history).
+//! O(history): a live checker also forgets a closed degraded window once
+//! nothing can be judged against it.
 //!
-//! Once a trace ring has overflowed ([`Checker::note_truncated`], or a
-//! `trace-truncated` event in the feed) rules 1 and 2 would only report
-//! artifacts of the missing prefix, so they are skipped and the report says
-//! `truncated` instead; rules 3–5 still run.
+//! Once a trace ring has overflowed (a `trace-truncated` fact in the feed)
+//! rules 1 and 2 would only report artifacts of the missing prefix, so they
+//! are skipped and the report says `truncated` instead; rules 3–5 still run.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 
 use crate::snapshot::json_escape;
-use crate::{events, spans, Event, Span};
+use crate::{spans, Span};
 
 /// The [`Violation::invariant`] codes, one per rule of the module table.
 pub mod invariant {
@@ -53,7 +57,7 @@ pub mod invariant {
     pub const ACK_COVERAGE: &str = "ack-coverage";
     /// Rule 3: a write started inside a degraded window.
     pub const DEGRADED_WRITE: &str = "degraded-write";
-    /// Rule 4: ap-map published before replace-start or catch-up.
+    /// Rule 4: a recovery or repair moved the ap-map before its catch-up.
     pub const AP_MAP_ORDER: &str = "ap-map-order";
     /// Rule 5: ap-map epoch went backwards.
     pub const AP_MAP_MONOTONE: &str = "ap-map-monotone";
@@ -116,8 +120,7 @@ pub struct Violation {
     pub t_ns: u64,
     /// Short invariant code, one of [`invariant`]'s constants.
     pub invariant: &'static str,
-    /// Trace id the violation is about (the event's trace for event-order
-    /// violations, 0 when unattributed).
+    /// Trace id the violation is about.
     pub trace: u64,
     /// Scope the violation is about.
     pub scope: String,
@@ -203,7 +206,7 @@ impl MonitorReport {
 }
 
 /// Coverage an erasure-coded scope declares through the detail of its
-/// `durability-mode` event (`ec k=<k> n=<n>`): any `k` of the `n` fragments
+/// `durability-mode` fact (`ec k=<k> n=<n>`): any `k` of the `n` fragments
 /// reconstruct the stripe, so such a scope needs `k` covering peers where a
 /// replicated one needs the write quorum.
 fn required_coverage(detail: &str) -> Option<usize> {
@@ -228,6 +231,13 @@ struct TraceAcc {
     has_stage: bool,
     has_doorbell: bool,
     is_write: bool,
+    /// Earliest start among the children: a control trace whose children
+    /// start after its root lost its oldest phases to ring eviction.
+    first_child_ns: Option<u64>,
+    /// Earliest end among the `*.catch_up` children (rule 4).
+    catch_up_end_ns: Option<u64>,
+    /// Start of the `*.ap_map` child (rule 4).
+    ap_map_start_ns: Option<u64>,
     /// Last end timestamp seen for this trace (quiescence reference).
     max_end_ns: u64,
     /// Set when the trace failed its first judgment: its due time is now
@@ -241,7 +251,7 @@ struct TraceAcc {
 /// One `dfs-fallback-engage` → `ncl-reattach` window.
 #[derive(Debug, Clone)]
 struct DegradeWindow {
-    scope: String,
+    scope: &'static str,
     engage_ns: u64,
     /// `u64::MAX` while the window is still open.
     reattach_ns: u64,
@@ -292,19 +302,12 @@ pub struct Checker {
     settled_count: usize,
     watermark_ns: u64,
     spans_since_sweep: u32,
-    /// Per-scope coverage requirement from `durability-mode` events.
-    required_coverage: BTreeMap<String, usize>,
-    last_ap_epoch: BTreeMap<String, u64>,
-    /// Epochs with a `catch-up-finish` seen (catch-up events are scoped to
-    /// peer names, so rule 4 matches them by epoch alone).
-    catchup_epochs: BTreeSet<u64>,
-    /// `(scope, epoch)` of replace-starts awaiting their ap-map update.
-    replace_pending: BTreeSet<(String, u64)>,
-    /// `(scope, epoch)` pairs that already published an ap-map update.
-    ap_updated: BTreeSet<(String, u64)>,
+    /// Per-scope coverage requirement from `durability-mode` facts.
+    required_coverage: BTreeMap<&'static str, usize>,
+    last_ap_epoch: BTreeMap<&'static str, u64>,
     degrade_windows: Vec<DegradeWindow>,
-    /// The `splitfs.reattach.replay` spans seen (they exempt in-window
-    /// writes from rule 3).
+    /// The `splitfs.reattach.replay` spans that may still exempt an
+    /// in-window write from rule 3.
     replay_spans: Vec<Span>,
     /// The running report; `open_traces` is brought up to date after every
     /// feed and sweep.
@@ -316,7 +319,7 @@ impl Checker {
     /// `retirement_lag_ns` of stream time after their last span, failures
     /// are confirmed `suspect_grace_ns` later, the violation list is capped.
     /// `quorum` is the deployment's f+1 write quorum; erasure-coded scopes
-    /// override it through their `durability-mode` events.
+    /// override it through their `durability-mode` facts.
     pub fn live(quorum: usize, retirement_lag_ns: u64, suspect_grace_ns: u64) -> Self {
         Checker {
             quorum,
@@ -329,8 +332,9 @@ impl Checker {
     }
 
     /// A checker for a finished trace: every lag is unbounded, so nothing
-    /// is judged before [`finalize`](Self::finalize) and the verdict does
-    /// not depend on the order spans are fed in; no violation is dropped.
+    /// is judged before [`finalize`](Self::finalize) and the verdict on
+    /// rules 1–3 does not depend on the order spans are fed in; no violation
+    /// is dropped.
     pub fn replay(quorum: usize) -> Self {
         Checker {
             open_write_lag_ns: u64::MAX,
@@ -339,26 +343,55 @@ impl Checker {
         }
     }
 
-    /// Feeds one closed span. Returns the violations this confirmed (a
-    /// retirement sweep runs every `SWEEP_EVERY` spans).
+    /// Feeds one closed span. Returns the violations this confirmed: rules
+    /// 4 and 5 at arrival, and whatever the retirement sweep that runs every
+    /// `SWEEP_EVERY` spans confirmed.
     pub fn feed_span(&mut self, span: &Span) -> Vec<Violation> {
         if self.tally.finalized {
             return Vec::new();
         }
         self.watermark_ns = self.watermark_ns.max(span.end_ns);
-        if span.name == spans::FS_REATTACH_REPLAY {
-            self.replay_spans.push(span.clone());
+        let mut fresh = Vec::new();
+        match span.name {
+            spans::TRACE_TRUNCATED => self.tally.truncated = true,
+            spans::DURABILITY_MODE => {
+                if let Some(k) = span.detail.as_deref().and_then(required_coverage) {
+                    self.required_coverage.insert(span.scope, k);
+                }
+            }
+            spans::DFS_FALLBACK_ENGAGE => self.degrade_windows.push(DegradeWindow {
+                scope: span.scope,
+                engage_ns: span.start_ns,
+                reattach_ns: u64::MAX,
+            }),
+            spans::NCL_REATTACH => {
+                for w in self.degrade_windows.iter_mut().filter(|w| {
+                    w.scope == span.scope
+                        && w.reattach_ns == u64::MAX
+                        && w.engage_ns <= span.start_ns
+                }) {
+                    w.reattach_ns = span.start_ns;
+                }
+            }
+            spans::FS_REATTACH_REPLAY => self.replay_spans.push(span.clone()),
+            spans::NCL_CREATE_AP_MAP | spans::NCL_RECOVER_AP_MAP | spans::NCL_REPAIR_AP_MAP => {
+                fresh.extend(self.ap_map_monotone(span));
+            }
+            _ => {}
         }
-        self.accumulate(span);
+        fresh.extend(self.accumulate(span));
+        let mut fresh = self.confirm(fresh);
         self.spans_since_sweep += 1;
         if self.spans_since_sweep >= SWEEP_EVERY {
-            return self.sweep();
+            fresh.extend(self.sweep());
         }
         self.tally.open_traces = self.traces.len() - self.settled_count;
-        Vec::new()
+        fresh
     }
 
-    fn accumulate(&mut self, span: &Span) {
+    /// Adds `span` to its trace; at the root's arrival, judges rule 4 and,
+    /// on a live stream, settles a clean trace.
+    fn accumulate(&mut self, span: &Span) -> Option<Violation> {
         let slot = self
             .traces
             .entry(span.trace)
@@ -366,7 +399,7 @@ impl Checker {
         let Slot::Live(acc) = slot else {
             // Post-ack straggler (minority wire credit landing after the
             // root): the trace's verdict is already in — ignore.
-            return;
+            return None;
         };
         if acc.due_ns == 0 {
             // First span of the trace: index it once with the rootless lag.
@@ -378,6 +411,8 @@ impl Checker {
         acc.max_end_ns = acc.max_end_ns.max(span.end_ns);
         if span.parent != 0 {
             acc.children.push((span.id, span.parent, span.name));
+            let first = acc.first_child_ns.get_or_insert(span.start_ns);
+            *first = (*first).min(span.start_ns);
         }
         match span.name {
             spans::NCL_WIRE_PEER | spans::NCL_CATCHUP_PEER
@@ -387,6 +422,13 @@ impl Checker {
             }
             spans::NCL_STAGE => acc.has_stage = true,
             spans::NCL_DOORBELL => acc.has_doorbell = true,
+            spans::NCL_RECOVER_CATCH_UP | spans::NCL_REPAIR_CATCH_UP => {
+                let end = acc.catch_up_end_ns.get_or_insert(span.end_ns);
+                *end = (*end).min(span.end_ns);
+            }
+            spans::NCL_RECOVER_AP_MAP | spans::NCL_REPAIR_AP_MAP => {
+                acc.ap_map_start_ns = Some(span.start_ns);
+            }
             _ => {}
         }
         if matches!(
@@ -396,13 +438,17 @@ impl Checker {
             acc.is_write = true;
         }
         if !span.is_root() || acc.root.is_some() {
-            return;
+            return None;
         }
         acc.root = Some(span.clone());
         let quiet_at = acc.max_end_ns;
         if span.name == spans::NCL_WRITE {
             self.tally.acked_writes = self.tally.acked_writes.saturating_add(span.records());
         }
+        let Some(Slot::Live(acc)) = self.traces.get(&span.trace) else {
+            unreachable!("live slot was just written");
+        };
+        let misordered = self.ap_map_order(acc, span);
         // The root is recorded LAST (repo-wide convention): on a live stream
         // the chain is complete right now, so judge immediately. A clean
         // verdict retires the trace on the spot — its accumulator is
@@ -410,10 +456,8 @@ impl Checker {
         // post-ack stragglers — keeping the live set O(in-flight + failing)
         // instead of O(throughput × retirement lag). Under an unbounded lag
         // nothing retires before `finalize`, this shortcut included: that is
-        // what makes a replay's verdict independent of span order.
-        let Some(Slot::Live(acc)) = self.traces.get(&span.trace) else {
-            unreachable!("live slot was just written");
-        };
+        // what makes a replay's verdict on rules 1–3 independent of span
+        // order.
         if self.retirement_lag_ns != u64::MAX
             && matches!(self.judge(acc, span, false), Judgment::Clean)
         {
@@ -429,53 +473,7 @@ impl Checker {
             // as a suspect.
             self.requeue(span.trace, quiet_at.saturating_add(self.retirement_lag_ns));
         }
-    }
-
-    /// Feeds one event. Rules 4 and 5 are judged right here, so their
-    /// violations are returned with zero latency; the other kinds only
-    /// update what rules 2 and 3 will need.
-    pub fn feed_event(&mut self, ev: &Event) -> Vec<Violation> {
-        if self.tally.finalized {
-            return Vec::new();
-        }
-        self.watermark_ns = self.watermark_ns.max(ev.ts_ns);
-        let mut fresh = Vec::new();
-        match ev.kind {
-            events::TRACE_TRUNCATED => self.note_truncated(),
-            events::DURABILITY_MODE => {
-                if let Some(k) = required_coverage(&ev.detail) {
-                    self.required_coverage.insert(ev.scope.clone(), k);
-                }
-            }
-            events::CATCH_UP_FINISH => {
-                self.catchup_epochs.insert(ev.epoch);
-            }
-            events::PEER_REPLACE_START => fresh.extend(self.ap_map_order(ev)),
-            events::AP_MAP_UPDATE => {
-                fresh.extend(self.ap_map_monotone(ev));
-                fresh.extend(self.ap_map_order(ev));
-            }
-            events::DFS_FALLBACK_ENGAGE => self.degrade_windows.push(DegradeWindow {
-                scope: ev.scope.clone(),
-                engage_ns: ev.ts_ns,
-                reattach_ns: u64::MAX,
-            }),
-            events::NCL_REATTACH => {
-                for w in self.degrade_windows.iter_mut().filter(|w| {
-                    w.scope == ev.scope && w.reattach_ns == u64::MAX && w.engage_ns <= ev.ts_ns
-                }) {
-                    w.reattach_ns = ev.ts_ns;
-                }
-            }
-            _ => {}
-        }
-        self.confirm(fresh)
-    }
-
-    /// Records that an in-memory trace ring overflowed: from here on rules
-    /// 1 and 2 are skipped and the report is marked truncated.
-    pub fn note_truncated(&mut self) {
-        self.tally.truncated = true;
+        misordered
     }
 
     fn violation(
@@ -591,44 +589,38 @@ impl Checker {
         false
     }
 
-    /// Rule 4, at both of its events. A `peer-replace-start` carries the
-    /// new (fenced) epoch and its commit is the *first* `ap-map-update` at
-    /// that scope + epoch: the start must come first, and a catch-up must
-    /// have finished at that epoch by the time of the update. A replacement
-    /// that never republishes (crash mid-repair) promised nothing.
-    fn ap_map_order(&mut self, ev: &Event) -> Option<Violation> {
-        let (scope, epoch) = (&ev.scope, ev.epoch);
-        let key = (scope.clone(), epoch);
-        let message = if ev.kind == events::PEER_REPLACE_START {
-            if !self.ap_updated.contains(&key) {
-                self.replace_pending.insert(key);
-                return None;
-            }
-            format!("scope {scope}: ap-map update at epoch {epoch} precedes its replace-start")
-        } else {
-            let commits_replacement =
-                self.ap_updated.insert(key.clone()) && self.replace_pending.remove(&key);
-            if !commits_replacement || self.catchup_epochs.contains(&epoch) {
-                return None;
-            }
-            format!("scope {scope}: ap-map moved to epoch {epoch} before catch-up finished")
-        };
-        Some(self.violation(invariant::AP_MAP_ORDER, ev.trace, scope, message))
+    /// Rule 4, when the root `root` of `acc` arrives. A recovery or repair
+    /// that never reached its ap-map (it failed part-way) promised nothing.
+    fn ap_map_order(&self, acc: &TraceAcc, root: &Span) -> Option<Violation> {
+        if !matches!(root.name, spans::NCL_RECOVER | spans::NCL_REPAIR) {
+            return None;
+        }
+        let ap_map = acc.ap_map_start_ns?;
+        if acc.catch_up_end_ns.is_some_and(|end| end <= ap_map) {
+            return None;
+        }
+        let (scope, epoch) = (root.scope, root.epoch);
+        Some(self.violation(
+            invariant::AP_MAP_ORDER,
+            root.trace,
+            scope,
+            format!("scope {scope}: ap-map moved to epoch {epoch} before catch-up finished"),
+        ))
     }
 
-    /// Rule 5.
-    fn ap_map_monotone(&mut self, ev: &Event) -> Option<Violation> {
-        let prev = self.last_ap_epoch.entry(ev.scope.clone()).or_insert(0);
+    /// Rule 5, when an `*.ap_map` span arrives.
+    fn ap_map_monotone(&mut self, span: &Span) -> Option<Violation> {
+        let prev = self.last_ap_epoch.entry(span.scope).or_insert(0);
         let seen = *prev;
-        *prev = seen.max(ev.epoch);
-        (ev.epoch < seen).then(|| {
+        *prev = seen.max(span.epoch);
+        (span.epoch < seen).then(|| {
             self.violation(
                 invariant::AP_MAP_MONOTONE,
-                ev.trace,
-                &ev.scope,
+                span.trace,
+                span.scope,
                 format!(
                     "scope {}: ap-map epoch went backwards ({} after {seen})",
-                    ev.scope, ev.epoch
+                    span.scope, span.epoch
                 ),
             )
         })
@@ -650,15 +642,21 @@ impl Checker {
         }
     }
 
-    /// True unless `trace` is rooted, still open, and fails rule 1 or 2 on
-    /// the spans fed so far — whether or not the stream is truncated. A
-    /// flight dump keeps only traces for which this holds, so it cannot
-    /// manufacture violations out of ring eviction.
+    /// True unless `trace` is rooted, still open, and either fails rule 1
+    /// or 2 on the spans fed so far — whether or not the stream is
+    /// truncated — or is a recovery or repair whose phases no longer reach
+    /// back to its start (rule 4 would judge what is left). A flight dump
+    /// keeps only traces for which this holds, so it cannot manufacture
+    /// violations out of ring eviction.
     pub fn is_complete(&self, trace: u64) -> bool {
         let Some(Slot::Live(acc)) = self.traces.get(&trace) else {
             return true;
         };
         let Some(root) = &acc.root else { return true };
+        let control = matches!(root.name, spans::NCL_RECOVER | spans::NCL_REPAIR);
+        if control && acc.first_child_ns.is_some_and(|t| t > root.start_ns) {
+            return false;
+        }
         let mut fails = Vec::new();
         self.tree_integrity(acc, root, &mut fails);
         self.ack_coverage(acc, root, &mut fails);
@@ -672,7 +670,7 @@ impl Checker {
     }
 
     /// Judges every open trace now (watermark → ∞), settles suspects, and
-    /// freezes the checker: later spans and events are ignored. Idempotent.
+    /// freezes the checker: later spans are ignored. Idempotent.
     pub fn finalize(&mut self) -> Vec<Violation> {
         if self.tally.finalized {
             return Vec::new();
@@ -765,8 +763,32 @@ impl Checker {
             self.traces.remove(&trace);
             self.tally.suspects -= usize::from(was_suspect);
         }
+        if !draining {
+            self.forget_closed_windows();
+        }
         self.tally.open_traces = self.traces.len() - self.settled_count;
         self.confirm(fresh)
+    }
+
+    /// Live streams only: drops each degraded window whose reattach the
+    /// watermark has passed by the retirement lag plus the suspect grace,
+    /// and every replay span that no remaining window can use. A write that
+    /// started inside a window has been judged by then, unless it failed and
+    /// is still waiting in the slow queue, so nothing is dropped while that
+    /// queue holds a trace. A replay keeps everything.
+    fn forget_closed_windows(&mut self) {
+        let horizon = self.retirement_lag_ns.saturating_add(self.suspect_grace_ns);
+        if horizon == u64::MAX || !self.due_slow.is_empty() {
+            return;
+        }
+        let watermark = self.watermark_ns;
+        let windows = &mut self.degrade_windows;
+        windows.retain(|w| w.reattach_ns.saturating_add(horizon) >= watermark);
+        self.replay_spans.retain(|r| {
+            windows.iter().any(|w| {
+                w.scope == r.scope && r.end_ns >= w.engage_ns && r.start_ns < w.reattach_ns
+            })
+        });
     }
 
     /// Re-indexes a live trace in the slow queue at `due`.
@@ -782,5 +804,101 @@ impl Checker {
     /// The running report: counts and the violation list so far.
     pub fn report(&self) -> &MonitorReport {
         &self.tally
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fact(trace: u64, at: u64, name: &'static str) -> Span {
+        Span {
+            trace,
+            id: trace,
+            name,
+            scope: "app/f",
+            start_ns: at,
+            end_ns: at,
+            ..Span::default()
+        }
+    }
+
+    /// Feeds `pairs` degraded windows of `app/f`, each closed 10 ns after it
+    /// opened and each with the replay span that exempts its writes, 100 ns
+    /// apart.
+    fn degrade_and_reattach(checker: &mut Checker, pairs: u64) {
+        for i in 0..pairs {
+            let (at, trace) = (i * 100, 3 * i + 1);
+            checker.feed_span(&fact(trace, at, spans::DFS_FALLBACK_ENGAGE));
+            let replay = Span {
+                id: trace + 1,
+                name: spans::FS_REATTACH_REPLAY,
+                end_ns: at + 9,
+                ..fact(trace + 1, at + 1, spans::FS_REATTACH_REPLAY)
+            };
+            checker.feed_span(&replay);
+            checker.feed_span(&fact(trace + 2, at + 10, spans::NCL_REATTACH));
+        }
+    }
+
+    #[test]
+    fn a_live_checker_forgets_closed_windows() {
+        let mut live = Checker::live(2, 1_000, 1_000);
+        degrade_and_reattach(&mut live, 100_000);
+        // Within the 2 µs horizon: ≈20 windows, plus those fed since the
+        // last sweep.
+        let bound = 20 + SWEEP_EVERY as usize;
+        assert!(
+            live.degrade_windows.len() <= bound,
+            "{}",
+            live.degrade_windows.len()
+        );
+        assert!(
+            live.replay_spans.len() <= bound,
+            "{}",
+            live.replay_spans.len()
+        );
+        assert!(live.finalize().is_empty());
+    }
+
+    #[test]
+    fn a_window_outlives_the_horizon_while_a_failing_write_waits() {
+        let mut live = Checker::live(2, 1_000, 1_000);
+        degrade_and_reattach(&mut live, 1);
+        // A write that started as the window opened, outside its replay
+        // span, and was acked after the reattach: it fails at root arrival,
+        // then waits a lag and a grace, well past the window's horizon.
+        let write = [
+            (51, 50, spans::NCL_STAGE, "app/f"),
+            (52, 50, spans::NCL_DOORBELL, "app/f"),
+            (53, 50, spans::NCL_WIRE_PEER, "peer-0"),
+            (54, 50, spans::NCL_WIRE_PEER, "peer-1"),
+            (50, 0, spans::NCL_WRITE, "app/f"),
+        ];
+        for (id, parent, name, scope) in write {
+            let span = Span {
+                id,
+                parent,
+                scope,
+                end_ns: 20,
+                ..fact(50, 0, name)
+            };
+            live.feed_span(&span);
+        }
+        let mut confirmed = Vec::new();
+        for i in 1..400 {
+            confirmed.extend(live.feed_span(&fact(1_000 + i, 100 * i, spans::PEER_PUBLISH)));
+        }
+        assert_eq!(confirmed.len(), 1, "{confirmed:?}");
+        assert_eq!(confirmed[0].invariant, invariant::DEGRADED_WRITE);
+        assert!(live.degrade_windows.is_empty(), "forgotten once judged");
+    }
+
+    #[test]
+    fn a_replay_keeps_every_window() {
+        let mut replay = Checker::replay(2);
+        degrade_and_reattach(&mut replay, 1_000);
+        assert_eq!(replay.degrade_windows.len(), 1_000);
+        assert_eq!(replay.replay_spans.len(), 1_000);
     }
 }

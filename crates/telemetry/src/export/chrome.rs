@@ -1,4 +1,4 @@
-//! Chrome trace event format (Trace Event Format) for span trees.
+//! Chrome's JSON trace format (`traceEvents`) for span trees.
 //!
 //! The output loads directly into `chrome://tracing` or
 //! [Perfetto](https://ui.perfetto.dev): one complete event (`"ph": "X"`) per
@@ -100,6 +100,7 @@ mod tests {
             seq: (0, 0),
             start_ns: start,
             end_ns: end,
+            detail: None,
         }
     }
 

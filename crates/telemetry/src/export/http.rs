@@ -202,6 +202,7 @@ fn serve_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spans;
     use std::io::BufRead;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -283,7 +284,7 @@ mod tests {
 
     #[test]
     fn invariants_endpoint_reflects_monitor_verdict() {
-        use crate::{events, OnlineMonitor};
+        use crate::OnlineMonitor;
 
         let tel = Telemetry::new();
         // Without a monitor /invariants is a 404.
@@ -301,9 +302,11 @@ mod tests {
         let (status, _) = get(server.addr(), "/health");
         assert!(status.contains("200"), "{status}");
 
-        // Seed an ap-map-before-catch-up ordering break.
-        tel.event(events::PEER_REPLACE_START, "app/f", 2, "");
-        tel.event(events::AP_MAP_UPDATE, "app/f", 2, "");
+        // Seed an ap-map-before-catch-up ordering break: a repair whose
+        // ap-map phase has no catch-up before it.
+        let (now, trace) = (std::time::Instant::now(), tel.next_trace_id());
+        tel.span_auto(trace, trace, spans::NCL_REPAIR_AP_MAP, "app/f", 2, now, now);
+        tel.span(trace, trace, 0, spans::NCL_REPAIR, "app/f", 2, now, now);
         assert!(monitor.violating());
         let (status, body) = get(server.addr(), "/invariants");
         assert!(status.contains("503"), "{status}");
@@ -315,8 +318,8 @@ mod tests {
 
     #[test]
     fn monitor_violation_flips_health_despite_healthy_slos() {
-        use crate::{events, OnlineMonitor, SloSpec};
-        use std::time::Duration;
+        use crate::{OnlineMonitor, SloSpec};
+        use std::time::{Duration, Instant};
 
         let tel = Telemetry::new();
         let plane = SloPlane::new(tel.clone());
@@ -329,8 +332,20 @@ mod tests {
         let (status, _) = get(server.addr(), "/health");
         assert!(status.contains("200"), "{status}");
 
-        tel.event(events::AP_MAP_UPDATE, "app/f", 5, "");
-        tel.event(events::AP_MAP_UPDATE, "app/f", 3, "");
+        // The ap-map of one scope published at epoch 5, then at 3.
+        for epoch in [5, 3] {
+            let (now, trace) = (Instant::now(), tel.next_trace_id());
+            tel.span_auto(
+                trace,
+                trace,
+                spans::NCL_CREATE_AP_MAP,
+                "app/f",
+                epoch,
+                now,
+                now,
+            );
+            tel.span(trace, trace, 0, spans::NCL_CREATE, "app/f", epoch, now, now);
+        }
         assert!(monitor.violating());
         let (status, body) = get(server.addr(), "/health");
         assert!(status.contains("503"), "{status}");
@@ -344,7 +359,7 @@ mod tests {
     /// request answered.
     #[test]
     fn concurrent_scrapes_of_all_routes_stay_consistent() {
-        use crate::{events, spans, OnlineMonitor, SloPlane};
+        use crate::{OnlineMonitor, SloPlane};
         use std::sync::atomic::AtomicBool;
         use std::time::Instant;
 
@@ -355,7 +370,7 @@ mod tests {
             ScrapeServer::start_with_health(tel.clone(), "127.0.0.1:0", Some(plane)).unwrap();
         let addr = server.addr();
 
-        // Writer thread: emit clean write traces + control-plane events,
+        // Writer thread: emit clean write traces + facts,
         // exercising monitor, rings, and registry while scrapes run.
         let stop = Arc::new(AtomicBool::new(false));
         let writer = {
@@ -407,7 +422,7 @@ mod tests {
                         Instant::now(),
                     );
                     epoch += 1;
-                    tel.event(events::EPOCH_BUMP, "app/f", epoch, "");
+                    tel.fact(spans::EPOCH_BUMP, "peer-0", epoch, "");
                     tel.histogram("ncl.record.e2e").record(1_000);
                 }
             })

@@ -58,14 +58,13 @@ fn render_histogram(out: &mut String, name: &str, h: &Histogram) {
 /// Renders the full registry in Prometheus text exposition format.
 ///
 /// One synthetic series rides along: `splitft_trace_dropped_total`, the
-/// number of in-memory ring entries (events + spans) evicted before being
-/// read. It comes from the rings' own drop accounting rather than a
+/// number of span-ring entries evicted before being read. It comes from the rings' own drop accounting rather than a
 /// registry counter, so it is authoritative and always present — a scrape
 /// can alert on trace loss even when nothing else incremented.
 pub fn render(tel: &Telemetry) -> String {
     let snap = tel.snapshot();
     let mut out = String::new();
-    let dropped = snap.events_dropped + snap.spans_dropped;
+    let dropped = snap.spans_dropped;
     out.push_str(&format!(
         "# TYPE splitft_trace_dropped_total counter\nsplitft_trace_dropped_total {dropped}\n"
     ));
@@ -163,11 +162,12 @@ mod tests {
     fn trace_dropped_total_tracks_ring_evictions() {
         let tel = Telemetry::new();
         assert!(render(&tel).contains("splitft_trace_dropped_total 0"));
-        tel.set_event_capacity(1);
-        tel.event(crate::events::EPOCH_BUMP, "x", 1, "");
-        tel.event(crate::events::EPOCH_BUMP, "x", 2, "");
-        // Second event evicts the first, plus the trace-truncated
-        // announcement itself churns the 1-slot ring.
+        tel.set_span_capacity(1);
+        let now = std::time::Instant::now();
+        for trace in [1, 2] {
+            tel.span(trace, trace, 0, crate::spans::NCL_WRITE, "x", 1, now, now);
+        }
+        // The second write evicts the first from the 1-slot record ring.
         let text = render(&tel);
         let line = text
             .lines()

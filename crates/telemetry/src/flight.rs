@@ -1,59 +1,55 @@
-//! Black-box flight recorder: a bounded capture of recent spans, events,
-//! and counter deltas, dumped to JSONL when something goes wrong.
+//! Black-box flight recorder: a bounded capture of recent spans and counter
+//! deltas, dumped to JSONL when something goes wrong.
 //!
-//! The in-memory rings ([`crate::Telemetry`]'s span and event buffers)
-//! already retain recent history; what they lack is a *disciplined exit*: a
-//! crashing or breaching process should leave behind a file that the
-//! existing offline tooling (`trace_analyzer --check`, i.e.
-//! [`crate::analyze`]) ingests as-is. [`FlightRecorder`] provides that:
+//! The in-memory span rings ([`crate::Telemetry`]'s) already retain recent
+//! history; what they lack is a *disciplined exit*: a crashing or breaching
+//! process should leave behind a file that the existing offline tooling
+//! (`trace_analyzer --check`, i.e. [`crate::analyze`]) ingests as-is.
+//! [`FlightRecorder`] provides that:
 //!
-//! * **Bounded per-scope retention** — the dump keeps the most recent
-//!   `per_scope` traces for each root scope (one file per scope, so a noisy
-//!   file cannot evict the others' history);
+//! * **Every fact and control trace** — the fact-and-control ring is
+//!   bounded and record traffic never evicts it, so it goes into the dump
+//!   whole: a dump taken after the record ring wrapped still knows each
+//!   file's durability scheme and judges its writes at the right coverage;
+//! * **Bounded per-scope retention** of record-path traces — the dump keeps
+//!   the most recent `per_scope` write traces for each root scope (one file
+//!   per scope, so a noisy file cannot evict the others' history);
 //! * **Complete traces only** — ring eviction can behead a trace (children
 //!   are recorded before their root, so the oldest spans of a rooted trace
 //!   go first). A dump containing a beheaded acked write would *manufacture*
-//!   invariant violations, so the rings are run through a
-//!   [`Checker`] and every rooted trace its span-completeness rules reject
+//!   invariant violations, so the rings are run through a [`Checker`] and
+//!   every rooted trace it does not find complete
 //!   ([`Checker::is_complete`]) is dropped from the dump and counted
 //!   instead — the predicate that filters the dump is the one that will
 //!   judge it;
 //! * **Counter deltas** — [`FlightRecorder::tick`] snapshots every counter
-//!   and retains a bounded ring of per-tick deltas, encoded in the dump as
-//!   `flight-counter-delta` events (unknown kinds pass [`crate::analyze`]
-//!   untouched), so the last seconds of rate information survive the crash;
+//!   and retains a bounded ring of per-tick deltas, written into the dump as
+//!   `flight-counter-delta` facts, so the last seconds of rate information
+//!   survive the crash;
 //! * **Trigger plumbing** — [`FlightRecorder::dump`] for explicit triggers
 //!   (SLO breach hooks, chaos-assert failures) and
 //!   [`FlightRecorder::install_panic_hook`] for panics.
 //!
-//! Dump files are named `trace-flight-<tag>.jsonl` so a directory of them is
-//! checkable with `trace_analyzer --check <dir>`.
+//! A dump is a `flight-dump` fact (the reason and the counts), then the
+//! spans in the order the rings recorded them. Dump files are named
+//! `trace-flight-<tag>.jsonl` so a directory of them is checkable with
+//! `trace_analyzer --check <dir>`.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::checker::Checker;
 use crate::ring::Ring;
-use crate::{Event, Span, Telemetry};
-
-/// Event kind of the dump's header line.
-pub const FLIGHT_DUMP_KIND: &str = "flight-dump";
-/// Event kind carrying one counter's delta for one tick.
-pub const FLIGHT_COUNTER_KIND: &str = "flight-counter-delta";
-
-/// One counter-tick: deltas of every counter that moved since the previous
-/// tick.
-#[derive(Debug, Clone)]
-struct CounterTick {
-    t_ns: u64,
-    deltas: Vec<(String, u64)>,
-}
+use crate::{spans, Span, Telemetry};
 
 struct CounterState {
     last: BTreeMap<String, u64>,
-    ticks: Ring<CounterTick>,
+    /// Per tick, a `flight-counter-delta` fact for every counter that moved
+    /// since the previous one.
+    ticks: Ring<Vec<Span>>,
 }
 
 struct Inner {
@@ -66,12 +62,10 @@ struct Inner {
 /// The filtered content of one capture, ready to serialize.
 #[derive(Debug, Default)]
 pub struct FlightDump {
-    /// Spans that survived completeness filtering, start-ordered.
+    /// The complete facts and control traces, then the counter deltas (as
+    /// `flight-counter-delta` facts), then the retained record-path traces,
+    /// each part in recording order.
     pub spans: Vec<Span>,
-    /// Control-plane events, time-ordered.
-    pub events: Vec<Event>,
-    /// Counter-delta events (kind [`FLIGHT_COUNTER_KIND`]), time-ordered.
-    pub counter_events: Vec<Event>,
     /// Rooted traces dropped because eviction left them incomplete.
     pub dropped_traces: usize,
     /// Traces trimmed by the per-scope retention bound.
@@ -80,32 +74,18 @@ pub struct FlightDump {
 
 impl FlightDump {
     /// Serializes the dump as a `trace_analyzer`-compatible JSONL document:
-    /// a header event, then events + counter deltas, then spans.
+    /// a `flight-dump` fact, then the spans.
     pub fn to_jsonl(&self, tel: &Telemetry, reason: &str) -> String {
-        let header = Event {
-            ts_ns: tel.now_ns(),
-            kind: FLIGHT_DUMP_KIND,
-            scope: "flight".into(),
-            epoch: 0,
-            trace: 0,
-            detail: format!(
-                "reason={reason} spans={} events={} counter_ticks_events={} dropped_traces={} trimmed_traces={}",
-                self.spans.len(),
-                self.events.len(),
-                self.counter_events.len(),
-                self.dropped_traces,
-                self.trimmed_traces
-            ),
-        };
+        let detail = format!(
+            "reason={reason} spans={} dropped_traces={} trimmed_traces={}",
+            self.spans.len(),
+            self.dropped_traces,
+            self.trimmed_traces
+        );
+        let header = tel.fact_span(spans::FLIGHT_DUMP, "flight", 0, &detail);
         let mut out = String::new();
-        out.push_str(&header.to_json());
-        out.push('\n');
-        for ev in self.events.iter().chain(self.counter_events.iter()) {
-            out.push_str(&ev.to_json());
-            out.push('\n');
-        }
-        for sp in &self.spans {
-            out.push_str(&sp.to_json());
+        for span in header.iter().chain(&self.spans) {
+            out.push_str(&span.to_json());
             out.push('\n');
         }
         out
@@ -128,7 +108,7 @@ impl FlightRecorder {
 
     /// A recorder with explicit bounds. `quorum` is the coverage required of
     /// an acked write for it to be considered complete (erasure-coded scopes
-    /// override it via their `durability-mode` events).
+    /// override it via their `durability-mode` facts).
     pub fn with_limits(
         tel: Telemetry,
         per_scope: usize,
@@ -156,102 +136,72 @@ impl FlightRecorder {
     /// Snapshots counter deltas since the previous tick into the bounded
     /// ring. Call periodically (the SLO plane's tick cadence is natural).
     pub fn tick(&self) {
-        let snap = self.inner.tel.snapshot();
+        let tel = &self.inner.tel;
         let mut state = self.inner.counters.lock().expect("flight poisoned");
         let mut deltas = Vec::new();
-        for (name, value) in &snap.counters {
-            let prev = state.last.get(name).copied().unwrap_or(0);
-            if *value > prev {
-                deltas.push((name.clone(), value - prev));
+        for (name, value) in tel.snapshot().counters {
+            let delta = value.saturating_sub(state.last.insert(name.clone(), value).unwrap_or(0));
+            if delta > 0 {
+                let detail = format!("delta={delta}");
+                deltas.extend(tel.fact_span(spans::FLIGHT_COUNTER_DELTA, &name, 0, &detail));
             }
-            state.last.insert(name.clone(), *value);
         }
-        if deltas.is_empty() {
-            return;
+        if !deltas.is_empty() {
+            state.ticks.push(deltas);
         }
-        state.ticks.push(CounterTick {
-            t_ns: self.inner.tel.now_ns(),
-            deltas,
-        });
     }
 
     /// Captures and filters the current rings into a [`FlightDump`].
     pub fn capture(&self) -> FlightDump {
-        let events = self.inner.tel.events();
-        let all_spans = self.inner.tel.spans();
-
+        let tel = &self.inner.tel;
+        let (control, record) = tel.span_rings();
         let mut checker = Checker::replay(self.inner.quorum);
-        for ev in &events {
-            checker.feed_event(ev);
+        for s in control.iter().chain(&record) {
+            checker.feed_span(s);
         }
-        let mut by_trace: BTreeMap<u64, Vec<Span>> = BTreeMap::new();
-        for s in all_spans {
-            checker.feed_span(&s);
-            by_trace.entry(s.trace).or_default().push(s);
-        }
+        let incomplete: BTreeSet<u64> = control
+            .iter()
+            .chain(&record)
+            .map(|s| s.trace)
+            .filter(|&trace| !checker.is_complete(trace))
+            .collect();
 
-        let mut dropped_traces = 0usize;
-        // Complete traces grouped by their root (or first) scope, each with
-        // its recency key (latest end_ns, trace id as tiebreak — ids are
-        // allocation-ordered, so ties on a coarse clock still rank newest
-        // last-allocated).
-        type RankedTrace = ((u64, u64), Vec<Span>);
-        let mut per_scope: BTreeMap<&str, Vec<RankedTrace>> = BTreeMap::new();
-        for (trace, group) in &by_trace {
-            if !checker.is_complete(*trace) {
-                dropped_traces += 1;
-                continue;
+        // Per complete record-path trace: its root's (or first span's)
+        // scope, and its recency — latest end, trace id as tiebreak (ids
+        // are allocation-ordered, so ties on a coarse clock still rank the
+        // last-allocated newest).
+        let mut traces: BTreeMap<u64, (&str, u64)> = BTreeMap::new();
+        for s in record.iter().filter(|s| !incomplete.contains(&s.trace)) {
+            let entry = traces.entry(s.trace).or_insert((s.scope, 0));
+            if s.is_root() {
+                entry.0 = s.scope;
             }
-            let scope = group
-                .iter()
-                .find(|s| s.is_root())
-                .unwrap_or(&group[0])
-                .scope;
-            let recency = group.iter().map(|s| s.end_ns).max().unwrap_or(0);
-            per_scope
-                .entry(scope)
-                .or_default()
-                .push(((recency, *trace), group.clone()));
+            entry.1 = entry.1.max(s.end_ns);
         }
-
         // Per-scope retention: newest `per_scope` traces each.
-        let mut trimmed_traces = 0usize;
-        let mut spans = Vec::new();
-        for (_, mut traces) in per_scope {
-            traces.sort_by_key(|(recency, _)| std::cmp::Reverse(*recency));
-            if traces.len() > self.inner.per_scope {
-                trimmed_traces += traces.len() - self.inner.per_scope;
-                traces.truncate(self.inner.per_scope);
-            }
-            for (_, group) in traces {
-                spans.extend(group);
-            }
+        let mut ranked: Vec<_> = traces
+            .into_iter()
+            .map(|(trace, (scope, end))| (scope, Reverse((end, trace))))
+            .collect();
+        ranked.sort_unstable();
+        let (mut kept, mut trimmed_traces) = (BTreeSet::new(), 0);
+        for newest in ranked.chunk_by(|a, b| a.0 == b.0) {
+            trimmed_traces += newest.len().saturating_sub(self.inner.per_scope);
+            let newest = newest.iter().take(self.inner.per_scope);
+            kept.extend(newest.map(|(_, Reverse((_, trace)))| *trace));
         }
-        spans.sort_by_key(|s| (s.start_ns, s.id));
 
-        let counter_events = {
-            let state = self.inner.counters.lock().expect("flight poisoned");
-            state
-                .ticks
-                .iter()
-                .flat_map(|tick| {
-                    tick.deltas.iter().map(|(name, delta)| Event {
-                        ts_ns: tick.t_ns,
-                        kind: FLIGHT_COUNTER_KIND,
-                        scope: name.clone(),
-                        epoch: 0,
-                        trace: 0,
-                        detail: format!("delta={delta}"),
-                    })
-                })
-                .collect()
-        };
-
+        let state = self.inner.counters.lock().expect("flight poisoned");
+        let deltas = state.ticks.iter().flatten().cloned();
+        let spans = control
+            .into_iter()
+            .filter(|s| !incomplete.contains(&s.trace))
+            .chain(deltas)
+            .chain(record.into_iter().filter(|s| kept.contains(&s.trace)))
+            .collect();
         FlightDump {
             spans,
-            events,
-            counter_events,
-            dropped_traces,
+            dropped_traces: incomplete.len(),
             trimmed_traces,
         }
     }
@@ -296,19 +246,22 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::analyze::{analyze, parse_jsonl};
-    use crate::{events, spans};
-    use std::collections::BTreeSet;
     use std::time::Instant;
 
     /// Emits one complete acked write (root + stage + doorbell + 2 wire
     /// peers) on `tel` under `scope`, returning its trace id.
     fn acked_write(tel: &Telemetry, scope: &'static str) -> u64 {
+        acked_write_on(tel, scope, &["peer-0", "peer-1"])
+    }
+
+    /// The same write, covered by `peers`.
+    fn acked_write_on(tel: &Telemetry, scope: &'static str, peers: &[&str]) -> u64 {
         let t0 = Instant::now();
         let trace = tel.next_trace_id();
         for name in [spans::NCL_STAGE, spans::NCL_DOORBELL] {
             tel.span_auto(trace, trace, name, scope, 1, t0, Instant::now());
         }
-        for peer in ["peer-0", "peer-1"] {
+        for peer in peers {
             tel.span_auto(
                 trace,
                 trace,
@@ -336,7 +289,7 @@ mod tests {
     fn dump_round_trips_through_the_analyzer() {
         let tel = Telemetry::new();
         let rec = FlightRecorder::new(tel.clone());
-        tel.event(events::DURABILITY_MODE, "app/f", 1, "replicated");
+        tel.fact(spans::DURABILITY_MODE, "app/f", 1, "replicated");
         for _ in 0..5 {
             acked_write(&tel, "app/f");
         }
@@ -347,14 +300,15 @@ mod tests {
         let path = rec.dump_into(&dir, "test", "unit-test").unwrap();
         assert!(path.ends_with("trace-flight-test.jsonl"));
         let text = std::fs::read_to_string(&path).unwrap();
-        let (spans, events) = parse_jsonl(&text).unwrap();
-        assert_eq!(spans.len(), 25, "5 writes x 5 spans");
-        // Header + durability-mode + one counter delta.
-        assert!(events.iter().any(|e| e.kind == FLIGHT_DUMP_KIND));
-        assert!(events.iter().any(|e| e.kind == FLIGHT_COUNTER_KIND
-            && e.scope == "ncl.flush.submit"
-            && e.detail == "delta=17"));
-        let report = analyze(&spans, &events, 2);
+        let spans = parse_jsonl(&text).unwrap();
+        // Header + durability-mode + one counter delta + 5 writes x 5 spans.
+        assert_eq!(spans.len(), 28);
+        assert_eq!(spans[0].name, spans::FLIGHT_DUMP);
+        assert_eq!(spans[1].name, spans::DURABILITY_MODE);
+        assert!(spans.iter().any(|s| s.name == spans::FLIGHT_COUNTER_DELTA
+            && s.scope == "ncl.flush.submit"
+            && s.detail.as_deref() == Some("delta=17")));
+        let report = analyze(&spans, 2);
         assert!(report.ok(), "{:?}", report.violations);
         assert_eq!(report.acked_writes, 5);
         std::fs::remove_dir_all(&dir).ok();
@@ -375,8 +329,36 @@ mod tests {
         let dump = rec.capture();
         assert_eq!(dump.dropped_traces, 1);
         assert!(dump.spans.iter().all(|s| s.scope != "app/beheaded"));
-        let report = analyze(&dump.spans, &dump.events, 2);
+        let report = analyze(&dump.spans, 2);
         assert!(report.ok(), "{:?}", report.violations);
+    }
+
+    /// The record ring wraps many times over; the erasure-coded file's
+    /// `durability-mode` fact stays, so its writes are still judged at
+    /// coverage k = 3 rather than at the replicated quorum of 2.
+    #[test]
+    fn a_dump_after_the_record_ring_wrapped_judges_ec_writes_at_k() {
+        let tel = Telemetry::new();
+        let rec = FlightRecorder::new(tel.clone());
+        tel.fact(spans::DURABILITY_MODE, "app/ec", 1, "ec k=3 n=4");
+        tel.set_span_capacity(64);
+        for _ in 0..100 {
+            acked_write_on(&tel, "app/ec", &["peer-0", "peer-1", "peer-2"]);
+        }
+        let short = acked_write_on(&tel, "app/ec", &["peer-0", "peer-1"]);
+        assert!(tel.trace_dropped() > 400, "the record ring wrapped");
+        let dump = rec.capture();
+        assert!(dump.spans.iter().any(|s| s.name == spans::DURABILITY_MODE));
+        assert!(
+            dump.spans.iter().all(|s| s.trace != short),
+            "a write on 2 of k = 3 peers is not complete"
+        );
+        let report = analyze(&dump.spans, 2);
+        assert!(
+            report.ok() && report.acked_writes > 0,
+            "{}",
+            report.render()
+        );
     }
 
     #[test]
@@ -406,17 +388,16 @@ mod tests {
             c.add(i);
             rec.tick();
         }
-        let dump = rec.capture();
+        let deltas = |dump: FlightDump| -> Vec<Box<str>> {
+            let facts = dump.spans.into_iter();
+            let deltas = facts.filter(|s| s.name == spans::FLIGHT_COUNTER_DELTA);
+            deltas.filter_map(|s| s.detail).collect()
+        };
         // Capacity 2: only the last two ticks' deltas survive.
-        let deltas: Vec<&str> = dump
-            .counter_events
-            .iter()
-            .map(|e| e.detail.as_str())
-            .collect();
-        assert_eq!(deltas, vec!["delta=3", "delta=4"]);
+        assert_eq!(deltas(rec.capture()), ["delta=3".into(), "delta=4".into()]);
         // An idle tick adds nothing.
         rec.tick();
-        assert_eq!(rec.capture().counter_events.len(), 2);
+        assert_eq!(deltas(rec.capture()).len(), 2);
     }
 
     #[test]
@@ -430,11 +411,10 @@ mod tests {
         let _ = std::panic::catch_unwind(|| panic!("boom"));
         let path = dir.join(format!("trace-flight-panic-{}.jsonl", std::process::id()));
         let text = std::fs::read_to_string(&path).unwrap();
-        let (spans, events) = parse_jsonl(&text).unwrap();
-        assert!(!spans.is_empty());
-        assert!(events
-            .iter()
-            .any(|e| e.kind == FLIGHT_DUMP_KIND && e.detail.contains("reason=panic")));
+        let spans = parse_jsonl(&text).unwrap();
+        assert_eq!(spans.len(), 6, "the header and one write");
+        let header = spans[0].detail.as_deref().unwrap_or_default();
+        assert!(header.starts_with("reason=panic"), "{header}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

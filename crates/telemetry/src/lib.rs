@@ -2,7 +2,7 @@
 //!
 //! Zero dependencies (std only), so every layer — the simulated RDMA verbs,
 //! the NCL core, splitfs, the apps, the benches — can depend on it without
-//! cycles. Four pieces:
+//! cycles. Three pieces:
 //!
 //! * a lock-free **metrics registry** ([`Counter`], [`Gauge`], [`HistHandle`])
 //!   whose handles are interned by name at component construction and cost a
@@ -10,20 +10,21 @@
 //! * **per-stage latency histograms** ([`Histogram`], promoted from
 //!   `sim::stats`): record lifecycles are timestamped at stage → doorbell →
 //!   wire → ack boundaries and aggregated, one stamp per burst of records
-//!   ([`HistHandle::record_n`]), never logged per event;
-//! * a **structured event trace** ([`Event`], ring buffer + optional JSONL
-//!   sink) for control-plane transitions, from which Table 3-style recovery
-//!   timelines can be reconstructed;
-//! * **causal spans** ([`Span`], same ring + sink machinery): every NCL burst
-//!   gets a `trace` id when its first record is staged, whose span tree
-//!   reconstructs the full durability chain of its record range (stage →
-//!   doorbell → per-peer wire → quorum ack), consumed by the exporters in
+//!   ([`HistHandle::record_n`]);
+//! * **causal spans** ([`Span`], two bounded rings + an optional JSONL
+//!   sink), the one record of what happened: every NCL burst gets a `trace`
+//!   id when its first record is staged, whose span tree reconstructs the
+//!   full durability chain of its record range (stage → doorbell → per-peer
+//!   wire → quorum ack); every control operation is a tree of phases under
+//!   an `ncl.{create,recover,repair}` root, from which Table 3-style
+//!   timelines fall out; and every point transition is a zero-length *fact*
+//!   ([`Telemetry::fact`]). Spans are consumed by the exporters in
 //!   [`export`] and by the invariant engine in [`checker`], live through
 //!   [`monitor`] and offline through [`analyze`].
 //!
 //! A [`Telemetry`] value is a cheap cloneable handle; all clones share one
-//! registry and one trace. [`Telemetry::disabled`] yields a handle whose
-//! metric handles are no-ops and whose event recording returns immediately.
+//! registry and one pair of rings. [`Telemetry::disabled`] yields a handle
+//! whose metric handles are no-ops and which records no span.
 //! What the enabled path costs against it is measured, not gated: splitbench
 //! reports it per workload as `telemetry.on_over_off`, and span emission can
 //! be turned off separately via [`Telemetry::set_tracing`].
@@ -50,7 +51,6 @@ mod ring;
 mod slo;
 mod snapshot;
 mod span;
-mod trace;
 
 pub use checker::{MonitorReport, Violation};
 pub use flight::FlightRecorder;
@@ -61,8 +61,7 @@ pub use slo::{
     HealthReport, SaturationSnapshot, SloPlane, SloSpec, SloState, SloStatus, SloTracker,
 };
 pub use snapshot::{json_escape, TelemetrySnapshot};
-pub use span::{intern_scope, intern_span_name, spans, Span};
-pub use trace::{events, intern_kind, Event};
+pub use span::{intern_scope, spans, Span};
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,15 +70,14 @@ use std::time::Instant;
 
 struct Inner {
     registry: metrics::Registry,
-    trace: trace::EventTrace,
     spans: span::SpanTrace,
-    sink: trace::JsonlSink,
-    /// Zero point of every `ts_ns` in this handle's events and spans.
+    /// Zero point of every timestamp in this handle's spans.
     origin: Instant,
     /// Shared generator for trace ids AND span ids; starts at 1 so id 0 can
     /// mean "none" everywhere.
     ids: AtomicU64,
-    /// Span emission switch; metrics and events stay on when this is off.
+    /// Span emission switch (facts included); metrics stay on when this is
+    /// off.
     tracing: AtomicBool,
     /// Fast-path gate for the online monitor: one relaxed load per record
     /// when nothing is attached.
@@ -93,7 +91,7 @@ struct Inner {
     /// weakly, so the strong slot here is not a cycle.
     monitor: OnceLock<Arc<monitor::MonitorCore>>,
     /// Latched on the first in-memory ring drop (the `trace-truncated`
-    /// event is announced exactly once).
+    /// fact is recorded exactly once).
     truncated: AtomicBool,
 }
 
@@ -108,43 +106,9 @@ impl Inner {
         }
         self.monitor.get()
     }
-
-    /// Ring first, monitor second: a violation hook that dumps the flight
-    /// recorder from inside the monitor callback must find the span that
-    /// tripped it already in the ring.
-    fn record_spans(&self, spans: &[Span]) {
-        if self.spans.record(spans) {
-            self.note_ring_drop(spans.last().map_or(0, |s| s.end_ns));
-        }
-        if let Some(m) = self.monitor_sink() {
-            for span in spans {
-                m.on_span(span);
-            }
-        }
-    }
-
-    /// Bookkeeping for an in-memory ring drop: on the first one, announce a
-    /// `trace-truncated` event (ring + sink) and tell the monitor its
-    /// span-completeness checks are no longer sound. The JSONL sink never
-    /// drops, so offline analysis of a sink file is unaffected.
-    fn note_ring_drop(&self, now_ns: u64) {
-        if !self.truncated.swap(true, Ordering::Relaxed) {
-            self.trace.record(
-                now_ns,
-                events::TRACE_TRUNCATED,
-                "telemetry",
-                0,
-                0,
-                "trace ring overflow; oldest entries dropped".to_string(),
-            );
-            if let Some(m) = self.monitor_sink() {
-                m.note_truncated();
-            }
-        }
-    }
 }
 
-/// Shared handle to one metrics registry + event/span trace.
+/// Shared handle to one metrics registry + span trace.
 ///
 /// Cloning is an `Arc` bump; a disabled handle carries no storage at all.
 /// Embedded in `NclConfig`, so every component wired from one config reports
@@ -190,13 +154,10 @@ impl std::fmt::Debug for Telemetry {
 impl Telemetry {
     /// A fresh, enabled handle with its own registry and trace.
     pub fn new() -> Self {
-        let sink = trace::JsonlSink::default();
         Telemetry {
             inner: Some(Arc::new(Inner {
                 registry: metrics::Registry::default(),
-                trace: trace::EventTrace::new(sink.clone()),
-                spans: span::SpanTrace::new(sink.clone()),
-                sink,
+                spans: span::SpanTrace::default(),
                 origin: Instant::now(),
                 ids: AtomicU64::new(1),
                 tracing: AtomicBool::new(true),
@@ -207,7 +168,7 @@ impl Telemetry {
         }
     }
 
-    /// A handle that records nothing: metric handles are no-ops, events are
+    /// A handle that records nothing: metric handles are no-ops, spans are
     /// discarded. Used as the baseline of the overhead gate.
     pub fn disabled() -> Self {
         Telemetry { inner: None }
@@ -258,8 +219,8 @@ impl Telemetry {
             .map_or_else(Vec::new, |i| i.registry.histogram_values())
     }
 
-    /// Nanoseconds since this handle was created — the clock every event and
-    /// span timestamp is expressed in. Returns 0 when disabled.
+    /// Nanoseconds since this handle was created — the clock every span
+    /// timestamp is expressed in. Returns 0 when disabled.
     #[inline]
     pub fn now_ns(&self) -> u64 {
         self.inner
@@ -294,7 +255,8 @@ impl Telemetry {
         self.next_trace_id()
     }
 
-    /// Turns span emission on or off. Metrics and events are unaffected.
+    /// Turns span emission, facts included, on or off. Metrics are
+    /// unaffected.
     /// Defaults to on; the bench overhead gate measures both settings.
     pub fn set_tracing(&self, on: bool) {
         if let Some(inner) = &self.inner {
@@ -308,6 +270,25 @@ impl Telemetry {
         self.inner
             .as_ref()
             .is_some_and(|i| i.tracing.load(Ordering::Relaxed))
+    }
+
+    /// Moves `spans` into `inner`'s rings, then hands copies to the attached
+    /// monitor, if any (a hook that dumps the flight recorder must find the
+    /// span that tripped it in the ring). The first ring drop records the
+    /// `trace-truncated` fact: the rings no longer show span completeness
+    /// (the JSONL sink never drops).
+    fn record(&self, inner: &Inner, spans: &mut Vec<Span>) {
+        let monitored = inner.monitor_sink().map(|m| (m, spans.clone()));
+        if inner.spans.record(spans)
+            && !inner.truncated.load(Ordering::Relaxed)
+            && !inner.truncated.swap(true, Ordering::Relaxed)
+        {
+            let detail = "span ring overflow; oldest entries dropped";
+            self.fact(spans::TRACE_TRUNCATED, "telemetry", 0, detail);
+        }
+        if let Some((m, copies)) = monitored {
+            copies.into_iter().for_each(|span| m.on_span(span));
+        }
     }
 
     /// Records a closed span. No-op when disabled, when tracing is off, or
@@ -332,7 +313,7 @@ impl Telemetry {
             return;
         }
         let span = self.closed_span(trace, id, parent, name, scope, epoch, (0, 0), start, end);
-        inner.record_spans(&[span]);
+        self.record(inner, &mut vec![span]);
     }
 
     /// Builds the [`Span`] that [`Self::span`] would record, about the
@@ -364,6 +345,7 @@ impl Telemetry {
             seq,
             start_ns,
             end_ns: self.instant_ns(end).max(start_ns),
+            detail: None,
         }
     }
 
@@ -377,7 +359,7 @@ impl Telemetry {
     pub fn record_spans(&self, spans: &mut Vec<Span>) {
         if let Some(inner) = &self.inner {
             if inner.tracing.load(Ordering::Relaxed) && !spans.is_empty() {
-                inner.record_spans(spans);
+                self.record(inner, spans);
             }
         }
         spans.clear();
@@ -404,80 +386,66 @@ impl Telemetry {
         id
     }
 
-    /// The span ring's contents, oldest first (empty when disabled).
-    pub fn spans(&self) -> Vec<Span> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.spans.spans())
+    /// Records a fact: a zero-length span stamped now, the root of a trace
+    /// of its own, whose `detail` (none when empty) says what happened. Like
+    /// every span, nothing is recorded when disabled or tracing is off.
+    pub fn fact(&self, name: &'static str, scope: &str, epoch: u64, detail: impl AsRef<str>) {
+        if let Some(fact) = self.fact_span(name, scope, epoch, detail.as_ref()) {
+            self.record(self.inner.as_ref().expect("enabled"), &mut vec![fact]);
+        }
     }
 
-    /// Caps the span ring at `capacity` entries (oldest evicted first).
+    /// The span [`Self::fact`] would record, not recorded: `None` when
+    /// disabled or tracing is off.
+    pub(crate) fn fact_span(
+        &self,
+        name: &'static str,
+        scope: &str,
+        epoch: u64,
+        detail: &str,
+    ) -> Option<Span> {
+        let trace = self.next_trace_id();
+        let now_ns = self.now_ns();
+        (trace != 0).then(|| Span {
+            trace,
+            id: trace,
+            name,
+            scope: intern_scope(scope),
+            epoch,
+            start_ns: now_ns,
+            end_ns: now_ns,
+            detail: (!detail.is_empty()).then(|| detail.into()),
+            ..Span::default()
+        })
+    }
+
+    /// Every retained span: the fact-and-control ring, then the record
+    /// ring, each oldest first (empty when disabled).
+    pub fn spans(&self) -> Vec<Span> {
+        let (mut control, record) = self.span_rings();
+        control.extend(record);
+        control
+    }
+
+    /// The two rings' contents, fact-and-control first, each oldest first.
+    pub(crate) fn span_rings(&self) -> (Vec<Span>, Vec<Span>) {
+        self.inner
+            .as_ref()
+            .map_or_else(Default::default, |i| i.spans.rings())
+    }
+
+    /// Caps the record ring at `capacity` entries (oldest evicted first).
+    /// Facts and control-path spans keep a ring of their own, 4,096 entries.
     pub fn set_span_capacity(&self, capacity: usize) {
         if let Some(inner) = &self.inner {
             inner.spans.set_capacity(capacity);
         }
     }
 
-    /// Appends a control-plane event to the trace (and the JSONL sink, when
-    /// one is installed). No-op when disabled.
-    pub fn event(&self, kind: &'static str, scope: &str, epoch: u64, detail: impl Into<String>) {
-        self.event_traced(kind, scope, epoch, 0, detail);
-    }
-
-    /// Like [`Self::event`], but attributes the event to the operation
-    /// `trace` (a repair, recovery, or write trace id; 0 = unattributed).
-    pub fn event_traced(
-        &self,
-        kind: &'static str,
-        scope: &str,
-        epoch: u64,
-        trace: u64,
-        detail: impl Into<String>,
-    ) {
-        if let Some(inner) = &self.inner {
-            let ts_ns = self.now_ns();
-            let detail = detail.into();
-            // Ring first, monitor second: see `span` — hook-time flight
-            // dumps must contain the event that tripped the monitor.
-            let forwarded = inner.monitor_sink();
-            if inner
-                .trace
-                .record(ts_ns, kind, scope, epoch, trace, detail.clone())
-            {
-                inner.note_ring_drop(ts_ns);
-            }
-            if let Some(m) = forwarded {
-                m.on_event(&Event {
-                    ts_ns,
-                    kind,
-                    scope: scope.to_string(),
-                    epoch,
-                    trace,
-                    detail,
-                });
-            }
-        }
-    }
-
-    /// The trace contents, oldest first (empty when disabled).
-    pub fn events(&self) -> Vec<Event> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.trace.events())
-    }
-
-    /// Caps the event ring at `capacity` entries (oldest evicted first).
-    pub fn set_event_capacity(&self, capacity: usize) {
-        if let Some(inner) = &self.inner {
-            inner.trace.set_capacity(capacity);
-        }
-    }
-
-    /// Mirrors every subsequent event AND span to `path`, one JSON object per
-    /// line, discriminated by a `"type"` field (`"event"` / `"span"`).
+    /// Mirrors every subsequent span to `path`, one JSON object per line.
     pub fn set_jsonl_sink(&self, path: &Path) -> std::io::Result<()> {
         match &self.inner {
-            Some(inner) => inner.sink.set_path(path),
+            Some(inner) => inner.spans.set_sink(path),
             None => Ok(()),
         }
     }
@@ -519,7 +487,7 @@ impl Telemetry {
 
     /// A weak form of this handle that does not keep the registry alive.
     /// Used by the monitor core to reach back into its `Telemetry` (for
-    /// violation events and gate clearing) without forming a cycle with the
+    /// violation facts and gate clearing) without forming a cycle with the
     /// strong monitor slot.
     pub(crate) fn downgrade(&self) -> WeakTelemetry {
         WeakTelemetry(self.inner.as_ref().map(Arc::downgrade).unwrap_or_default())
@@ -533,13 +501,11 @@ impl Telemetry {
             .map(OnlineMonitor::from_core)
     }
 
-    /// Total in-memory ring entries dropped (events + spans). The JSONL
-    /// sink never drops; this counts only the bounded rings, and is what
-    /// `/metrics` exports as `splitft_trace_dropped_total`.
+    /// Total entries dropped by the two span rings. The JSONL sink never
+    /// drops; this counts only the bounded rings, and is what `/metrics`
+    /// exports as `splitft_trace_dropped_total`.
     pub fn trace_dropped(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.trace.dropped() + i.spans.dropped())
+        self.inner.as_ref().map_or(0, |i| i.spans.dropped())
     }
 
     /// Freezes everything into a [`TelemetrySnapshot`].
@@ -550,9 +516,7 @@ impl Telemetry {
                 counters: inner.registry.counter_values(),
                 gauges: inner.registry.gauge_values(),
                 histograms: inner.registry.histogram_summaries(),
-                events: inner.trace.events(),
-                events_dropped: inner.trace.dropped(),
-                spans: inner.spans.spans(),
+                spans: self.spans(),
                 spans_dropped: inner.spans.dropped(),
             },
         }
@@ -570,8 +534,8 @@ mod tests {
         a.counter("c").inc();
         b.counter("c").inc();
         assert_eq!(a.counter_value("c"), 2);
-        b.event(events::EPOCH_BUMP, "x", 1, "");
-        assert_eq!(a.events().len(), 1);
+        b.fact(spans::EPOCH_BUMP, "x", 1, "");
+        assert_eq!(a.spans().len(), 1);
     }
 
     #[test]
@@ -580,14 +544,13 @@ mod tests {
         assert!(!t.is_enabled());
         t.counter("c").inc();
         t.histogram("h").record(1);
-        t.event(events::PEER_FAILURE, "p", 0, "");
+        t.fact(spans::PEER_FAILURE, "p", 0, "");
         assert_eq!(t.next_trace_id(), 0);
         let now = Instant::now();
         t.span(1, 1, 0, spans::NCL_WRITE, "x", 0, now, now);
         let snap = t.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.histograms.is_empty());
-        assert!(snap.events.is_empty());
         assert!(snap.spans.is_empty());
     }
 
@@ -604,9 +567,9 @@ mod tests {
         let t = Telemetry::new();
         t.gauge("g").set(5);
         t.histogram("h").record(1_000);
-        t.event(events::AP_MAP_UPDATE, "app/f", 2, "peers=[a,b,c]");
+        t.fact(spans::REGION_ALLOC, "app/f", 2, "peers=[a,b,c]");
         let snap = t.snapshot();
-        assert!(snap.render_text().contains("ap-map-update"));
+        assert!(snap.render_text().contains("region-alloc"));
         let json = snap.render_json();
         assert!(json.contains("\"g\": 5"));
         assert!(json.contains("\"count\": 1"));
@@ -664,13 +627,18 @@ mod tests {
             start,
             Instant::now(),
         );
-        assert_eq!(t.spans().len(), 2, "no spans while tracing is off");
+        t.fact(spans::PEER_SUSPECT, "peer-0", 1, "silent");
+        assert_eq!(
+            t.spans().len(),
+            2,
+            "no spans, facts included, while tracing is off"
+        );
         t.set_tracing(true);
         assert!(t.next_trace_id() > 0);
     }
 
     #[test]
-    fn jsonl_sink_interleaves_events_and_spans() {
+    fn jsonl_sink_mirrors_spans_and_facts_in_order() {
         let dir = std::env::temp_dir().join(format!("telemetry-lib-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mixed.jsonl");
@@ -687,7 +655,7 @@ mod tests {
             start,
             Instant::now(),
         );
-        t.event_traced(events::EPOCH_BUMP, "app/f", 2, trace, "");
+        t.fact(spans::DURABILITY_MODE, "app/\"f\"", 2, "ec k=2 n=3");
         t.span(
             trace,
             trace,
@@ -701,9 +669,10 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"type\": \"span\""));
-        assert!(lines[1].contains("\"type\": \"event\""));
-        assert!(lines[1].contains(&format!("\"trace\": {trace}")));
+        assert!(lines.iter().all(|l| l.contains("\"type\": \"span\"")));
+        assert!(lines[1].contains("\"name\": \"durability-mode\""));
+        assert!(lines[1].contains("app/\\\"f\\\""), "escaped scope");
+        assert!(lines[1].ends_with(", \"detail\": \"ec k=2 n=3\"}"));
         assert!(lines[2].contains("\"name\": \"ncl.write\""));
         std::fs::remove_dir_all(&dir).ok();
     }

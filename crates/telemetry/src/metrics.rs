@@ -65,16 +65,19 @@ impl AtomicHistogram {
         }
     }
 
-    /// Materialises an owned [`Histogram`] snapshot.
+    /// Materialises an owned [`Histogram`] snapshot. A sample recorded
+    /// while this reads can reach its bucket before its count, so the count
+    /// is at least the buckets' sum: cumulative exports stay cumulative.
     pub(crate) fn load(&self) -> Histogram {
-        let buckets = self
+        let buckets: Vec<u64> = self
             .buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
+        let count = self.count.load(Ordering::Relaxed).max(buckets.iter().sum());
         Histogram::from_parts(
             buckets,
-            self.count.load(Ordering::Relaxed),
+            count,
             self.sum.load(Ordering::Relaxed),
             self.min.load(Ordering::Relaxed),
             self.max.load(Ordering::Relaxed),

@@ -2,26 +2,26 @@
 //! [`Checker`].
 //!
 //! [`crate::analyze`] replays a finished JSONL artifact through a checker;
-//! this module subscribes one to the live span/event stream inside a
+//! this module subscribes one to the live span stream inside a
 //! [`crate::Telemetry`] handle ([`OnlineMonitor::attach`]), so the rules of
 //! [`crate::checker`] are verified *as traces complete*, with bounded
 //! memory. What lives here is only the plumbing around the checker:
 //!
 //! * recording threads pay one `Vec` push per span; the checker is fed in
-//!   batches by the `ncl-invmon` drainer thread (or by the next event,
-//!   report or [`finalize`]);
+//!   batches by the `ncl-invmon` drainer thread (or by the next report or
+//!   [`finalize`]);
 //! * traces retire after the
 //!   [retirement lag](OnlineMonitor::attach_with_limits) and failures are
 //!   confirmed after the suspect grace, both in stream time;
 //! * confirmed violations increment `invariant.violations.total` (exported
-//!   as `splitft_invariant_violations_total`), emit an
-//!   `invariant-violation` event, fire the registered
+//!   as `splitft_invariant_violations_total`), record an
+//!   `invariant-violation` fact, fire the registered
 //!   [`on_violation`](OnlineMonitor::on_violation) hook (the testbed wires a
 //!   flight-recorder dump there), and flip `/health` to 503 via
 //!   [`OnlineMonitor::violating`];
-//! * a trace-ring overflow ([`crate::Telemetry`] reports it via
-//!   `note_truncated`) reaches the checker, which downgrades its
-//!   span-completeness rules to a "truncated window" note.
+//! * a span-ring overflow reaches the checker as the `trace-truncated` fact,
+//!   and it downgrades its span-completeness rules to a "truncated window"
+//!   note.
 //!
 //! [`finalize`]: OnlineMonitor::finalize
 
@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::checker::{Checker, MonitorReport, Violation};
-use crate::{events, Counter, Event, Gauge, Span, Telemetry, WeakTelemetry};
+use crate::{spans, Counter, Gauge, Span, Telemetry, WeakTelemetry};
 
 /// Watermark distance a rooted trace must be quiet for before it is judged.
 /// Large enough for minority wire spans closing at peer timeouts.
@@ -87,14 +87,14 @@ pub(crate) struct MonitorCore {
 }
 
 impl MonitorCore {
-    /// Called by `Telemetry::span` with the monitor's state lock NOT held by
-    /// anyone up-stack. The span is only buffered here; the checker is fed
-    /// by the drainer thread (or on the next report / event / finalize),
+    /// Called for every recorded span with the monitor's state lock NOT
+    /// held by anyone up-stack. The span is only buffered here; the checker
+    /// is fed by the drainer thread (or on the next report / finalize),
     /// keeping the recording threads' critical section to a `Vec` push.
-    pub(crate) fn on_span(&self, span: &Span) {
+    pub(crate) fn on_span(&self, span: Span) {
         let len = {
             let mut buf = self.pending.lock().expect("monitor buffer poisoned");
-            buf.push(span.clone());
+            buf.push(span);
             buf.len()
         };
         if len >= DRAIN_HARD_CAP {
@@ -103,20 +103,6 @@ impl MonitorCore {
         } else if len % DRAIN_BATCH == 0 {
             self.gate.1.notify_one();
         }
-    }
-
-    pub(crate) fn on_event(&self, ev: &Event) {
-        // Self-emitted from `publish`; must not feed back into the checks.
-        if ev.kind == events::INVARIANT_VIOLATION {
-            return;
-        }
-        self.with_checker(|checker, fresh| fresh.extend(checker.feed_event(ev)));
-    }
-
-    /// Records that an in-memory trace ring overflowed.
-    pub(crate) fn note_truncated(&self) {
-        let mut live = self.state.lock().expect("monitor poisoned");
-        live.checker.note_truncated();
     }
 
     /// Feeds the buffered spans to the checker.
@@ -151,17 +137,17 @@ impl MonitorCore {
         out
     }
 
-    /// Emits counters / events / the hook for freshly confirmed violations.
-    /// MUST be called with the state lock released: the event emission
-    /// re-enters `Telemetry` (harmless — `on_event` ignores the kind), and
-    /// the hook may capture a flight recorder that snapshots the rings.
+    /// Emits counters / facts / the hook for freshly confirmed violations.
+    /// MUST be called with the state lock released: the fact re-enters
+    /// `Telemetry` (harmless — it is only buffered, and no rule reads it),
+    /// and the hook may capture a flight recorder that snapshots the rings.
     fn publish(&self, fresh: &[Violation]) {
         let tel = (!fresh.is_empty()).then(|| self.tel.upgrade()).flatten();
         for v in fresh {
             self.violations_total.inc();
             if let Some(tel) = &tel {
-                tel.event(
-                    events::INVARIANT_VIOLATION,
+                tel.fact(
+                    spans::INVARIANT_VIOLATION,
                     &v.scope,
                     0,
                     format!("[{}] {}", v.invariant, v.message),
@@ -210,7 +196,7 @@ impl std::fmt::Debug for OnlineMonitor {
 impl OnlineMonitor {
     /// Attaches a monitor with default retirement/grace windows. `quorum` is
     /// the deployment's f+1 write quorum (EC scopes override it per scope
-    /// via their `durability-mode` events).
+    /// via their `durability-mode` facts).
     ///
     /// A `Telemetry` accepts one attachment for its lifetime; later calls
     /// return a handle to the already-attached monitor.
@@ -289,8 +275,8 @@ impl OnlineMonitor {
     }
 
     /// Drains every open trace (watermark → ∞), settles suspects, and
-    /// freezes the monitor: subsequent spans/events are ignored, so the
-    /// returned report is stable. Idempotent.
+    /// freezes the monitor: subsequent spans are ignored, so the returned
+    /// report is stable. Idempotent.
     pub fn finalize(&self) -> MonitorReport {
         self.core.with_checker(|checker, fresh| {
             fresh.extend(checker.finalize());
@@ -428,6 +414,7 @@ mod tests {
             seq: (0, 0),
             start_ns: 100,
             end_ns: 200,
+            detail: None,
         }
     }
 
@@ -437,15 +424,70 @@ mod tests {
         span
     }
 
-    fn ev(ts_ns: u64, kind: &'static str, scope: &str, epoch: u64, detail: &str) -> Event {
-        Event {
-            ts_ns,
-            kind,
-            scope: scope.into(),
+    /// A fact at `ts_ns`, alone in trace `trace`.
+    fn fact(trace: u64, ts_ns: u64, name: &'static str, epoch: u64, detail: &str) -> Span {
+        Span {
             epoch,
-            trace: 0,
-            detail: detail.into(),
+            detail: (!detail.is_empty()).then(|| detail.into()),
+            ..at(sp(trace, trace, 0, name, "app/f"), ts_ns, ts_ns)
         }
+    }
+
+    /// A control trace `trace` rooted at `root` over `scope` at `epoch`: its
+    /// phases `(name, start, end)` in order, then the root over all of them.
+    fn control(
+        trace: u64,
+        root: &'static str,
+        scope: &'static str,
+        epoch: u64,
+        phases: &[(&'static str, u64, u64)],
+    ) -> Vec<Span> {
+        let mut out: Vec<Span> = phases
+            .iter()
+            .enumerate()
+            .map(|(i, &(name, start, end))| {
+                let phase = sp(trace, trace + 1 + i as u64, trace, name, scope);
+                Span {
+                    epoch,
+                    ..at(phase, start, end)
+                }
+            })
+            .collect();
+        let start = phases.iter().map(|p| p.1).min().unwrap_or(0);
+        let end = phases.iter().map(|p| p.2).max().unwrap_or(0);
+        let root = sp(trace, trace, 0, root, scope);
+        out.push(Span {
+            epoch,
+            ..at(root, start, end)
+        });
+        out
+    }
+
+    /// A repair of `scope` to `epoch` whose catch-up and ap-map phases run
+    /// `[catch_up, ap_map]`, each a `(start, end)`.
+    fn repair(
+        trace: u64,
+        scope: &'static str,
+        epoch: u64,
+        catch_up: (u64, u64),
+        ap_map: (u64, u64),
+    ) -> Vec<Span> {
+        control(
+            trace,
+            spans::NCL_REPAIR,
+            scope,
+            epoch,
+            &[
+                (spans::NCL_REPAIR_CATCH_UP, catch_up.0, catch_up.1),
+                (spans::NCL_REPAIR_AP_MAP, ap_map.0, ap_map.1),
+            ],
+        )
+    }
+
+    /// A create of `app/f` that publishes `epoch`.
+    fn create(trace: u64, epoch: u64) -> Vec<Span> {
+        let ap_map = [(spans::NCL_CREATE_AP_MAP, trace, trace + 1)];
+        control(trace, spans::NCL_CREATE, "app/f", epoch, &ap_map)
     }
 
     /// One acked write on `app/f` in emission order: children, root last.
@@ -477,11 +519,16 @@ mod tests {
             .collect()
     }
 
-    fn degraded_window() -> Vec<Event> {
+    fn degraded_window() -> Vec<Span> {
         vec![
-            ev(1_000, events::DFS_FALLBACK_ENGAGE, "app/f", 2, ""),
-            ev(9_000, events::NCL_REATTACH, "app/f", 3, ""),
+            fact(700, 1_000, spans::DFS_FALLBACK_ENGAGE, 2, ""),
+            fact(701, 9_000, spans::NCL_REATTACH, 3, ""),
         ]
+    }
+
+    /// `facts` fed ahead of `spans`, as a reader of the rings sees them.
+    fn after(facts: Vec<Span>, spans: Vec<Span>) -> Vec<Span> {
+        facts.into_iter().chain(spans).collect()
     }
 
     fn replay_span() -> Span {
@@ -495,7 +542,6 @@ mod tests {
     struct Case {
         name: &'static str,
         spans: Vec<Span>,
-        events: Vec<Event>,
         acked_writes: u64,
         open_writes: u64,
         /// `(invariant code, message substring)` per expected violation, in
@@ -504,10 +550,9 @@ mod tests {
     }
 
     fn cases() -> Vec<Case> {
-        let case = |name, spans, events, acked_writes, expect| Case {
+        let case = |name, spans, acked_writes, expect| Case {
             name,
             spans,
-            events,
             acked_writes,
             open_writes: 0,
             expect,
@@ -543,48 +588,45 @@ mod tests {
                 ..credit
             },
         );
+        let ec = fact(700, 1, spans::DURABILITY_MODE, 1, "ec k=3 n=4");
+        let truncated = fact(700, 1, spans::TRACE_TRUNCATED, 0, "");
+        let backwards = || after(create(800, 3), create(810, 2));
         vec![
-            case("clean write", acked_write(10, &both), vec![], 1, vec![]),
+            case("clean write", acked_write(10, &both), 1, vec![]),
             case(
                 "clean 3-record burst",
                 acked_burst(10, (5, 7), &both),
-                vec![],
                 3,
                 vec![],
             ),
             case(
                 "3-record burst missing a wire span",
                 acked_burst(10, (5, 7), &["peer-0"]),
-                vec![],
                 3,
                 vec![(invariant::ACK_COVERAGE, "reconstruction quorum is 2")],
             ),
             case(
                 "3-record burst credited by catch-up",
                 burst_credit,
-                vec![],
                 3,
                 vec![],
             ),
             case(
                 "under-quorum coverage",
                 acked_write(10, &["peer-0"]),
-                vec![],
                 1,
                 vec![(invariant::ACK_COVERAGE, "reconstruction quorum is 2")],
             ),
-            case("catch-up credit counts", late_credit, vec![], 1, vec![]),
+            case("catch-up credit counts", late_credit, 1, vec![]),
             case(
                 "erasure-coded scope needs its declared k",
-                acked_write(10, &both),
-                vec![ev(1, events::DURABILITY_MODE, "app/f", 1, "ec k=3 n=4")],
+                after(vec![ec], acked_write(10, &both)),
                 1,
                 vec![(invariant::ACK_COVERAGE, "reconstruction quorum is 3")],
             ),
             case(
                 "orphan in a rooted trace",
                 orphaned,
-                vec![],
                 1,
                 vec![(invariant::ORPHAN_SPAN, "has unresolved parent 555")],
             ),
@@ -592,15 +634,13 @@ mod tests {
                 // Crash mid-write: no root, so nothing to be orphaned from.
                 name: "rootless trace is open, not orphaned",
                 spans: vec![sp(20, 21, 20, spans::NCL_STAGE, "app/f")],
-                events: vec![],
                 acked_writes: 0,
                 open_writes: 1,
                 expect: vec![],
             },
             case(
                 "write inside a degraded window",
-                acked_write_at_5000(10),
-                degraded_window(),
+                after(degraded_window(), acked_write_at_5000(10)),
                 1,
                 vec![(
                     invariant::DEGRADED_WRITE,
@@ -609,8 +649,7 @@ mod tests {
             ),
             case(
                 "write inside a window that never closed",
-                acked_write_at_5000(10),
-                degraded_window()[..1].to_vec(),
+                after(degraded_window()[..1].to_vec(), acked_write_at_5000(10)),
                 1,
                 vec![(
                     invariant::DEGRADED_WRITE,
@@ -619,37 +658,31 @@ mod tests {
             ),
             case(
                 "degraded-window write under a replay span",
-                replayed,
-                degraded_window(),
+                after(degraded_window(), replayed),
                 1,
                 vec![],
             ),
             case(
                 "the same in flight-dump order",
-                dump_order,
-                degraded_window(),
+                after(degraded_window(), dump_order),
                 1,
                 vec![],
             ),
             case(
                 "ap-map epoch goes backwards",
-                vec![],
-                vec![
-                    ev(1, events::AP_MAP_UPDATE, "app/f", 3, ""),
-                    ev(2, events::AP_MAP_UPDATE, "app/f", 2, ""),
-                ],
+                backwards(),
                 0,
                 vec![(invariant::AP_MAP_MONOTONE, "went backwards (2 after 3)")],
             ),
             case(
-                // Replace-start carries the new epoch; catch-up events are
-                // scoped to peer names.
                 "ap-map update without catch-up",
-                vec![],
-                vec![
-                    ev(1, events::PEER_REPLACE_START, "app/f", 2, ""),
-                    ev(5, events::AP_MAP_UPDATE, "app/f", 2, ""),
-                ],
+                control(
+                    800,
+                    spans::NCL_REPAIR,
+                    "app/f",
+                    2,
+                    &[(spans::NCL_REPAIR_AP_MAP, 1, 5)],
+                ),
                 0,
                 vec![(
                     invariant::AP_MAP_ORDER,
@@ -658,29 +691,59 @@ mod tests {
             ),
             case(
                 "proper replacement ordering",
-                vec![],
-                vec![
-                    ev(1, events::PEER_REPLACE_START, "app/f", 2, ""),
-                    ev(3, events::CATCH_UP_FINISH, "peer-7", 2, ""),
-                    ev(5, events::AP_MAP_UPDATE, "app/f", 2, ""),
-                ],
+                repair(800, "app/f", 2, (1, 3), (3, 5)),
                 0,
                 vec![],
             ),
             case(
+                // The ap-map phase runs before anything else of its repair.
                 "ap-map update before its replace-start",
-                vec![],
-                vec![
-                    ev(1, events::AP_MAP_UPDATE, "app/f", 2, ""),
-                    ev(3, events::PEER_REPLACE_START, "app/f", 2, ""),
-                ],
+                repair(800, "app/f", 2, (3, 5), (0, 1)),
                 0,
-                vec![(invariant::AP_MAP_ORDER, "precedes its replace-start")],
+                vec![(invariant::AP_MAP_ORDER, "before catch-up finished")],
+            ),
+            case(
+                // One scope's catch-up does not cover another's ap-map
+                // move at the same epoch.
+                "two scopes at one epoch, one caught up",
+                after(
+                    repair(800, "app/a", 2, (1, 3), (3, 5)),
+                    control(
+                        810,
+                        spans::NCL_REPAIR,
+                        "app/b",
+                        2,
+                        &[(spans::NCL_REPAIR_AP_MAP, 6, 8)],
+                    ),
+                ),
+                0,
+                vec![(
+                    invariant::AP_MAP_ORDER,
+                    "scope app/b: ap-map moved to epoch 2 before catch-up finished",
+                )],
+            ),
+            case(
+                "recovery whose ap-map precedes its catch-up",
+                control(
+                    800,
+                    spans::NCL_RECOVER,
+                    "app/f",
+                    3,
+                    &[
+                        (spans::NCL_RECOVER_GET_PEER, 1, 2),
+                        (spans::NCL_RECOVER_AP_MAP, 2, 3),
+                        (spans::NCL_RECOVER_CATCH_UP, 3, 5),
+                    ],
+                ),
+                0,
+                vec![(
+                    invariant::AP_MAP_ORDER,
+                    "moved to epoch 3 before catch-up finished",
+                )],
             ),
             case(
                 "beheaded write judged naively",
                 beheaded.clone(),
-                vec![],
                 1,
                 vec![
                     (invariant::ORPHAN_SPAN, "has unresolved parent 55"),
@@ -690,15 +753,10 @@ mod tests {
                 ],
             ),
             case(
-                // Told about the truncation, only the event-order rules run
-                // (and the acked count is still reported).
+                // Told about the truncation, only the arrival-order rules
+                // run (and the acked count is still reported).
                 "beheaded write in a truncated window",
-                beheaded,
-                vec![
-                    ev(1, events::TRACE_TRUNCATED, "telemetry", 0, ""),
-                    ev(2, events::AP_MAP_UPDATE, "app/f", 3, ""),
-                    ev(3, events::AP_MAP_UPDATE, "app/f", 2, ""),
-                ],
+                after(vec![truncated], after(backwards(), beheaded)),
                 1,
                 vec![(invariant::AP_MAP_MONOTONE, "went backwards")],
             ),
@@ -711,15 +769,12 @@ mod tests {
     fn case_table_reads_the_same_offline_and_live() {
         for case in cases() {
             let name = case.name;
-            let offline = analyze(&case.spans, &case.events, 2);
+            let offline = analyze(&case.spans, 2);
 
             let tel = Telemetry::new();
             let mon = OnlineMonitor::attach_with_limits(&tel, 2, 0, 0);
-            for ev in &case.events {
-                mon.core.on_event(ev);
-            }
             for span in &case.spans {
-                mon.core.on_span(span);
+                mon.core.on_span(span.clone());
             }
             let live = mon.finalize();
 
@@ -799,7 +854,7 @@ mod tests {
         let trace = emit_write(&tel, &["peer-0"]);
         // Force a sweep: the under-covered write becomes a suspect.
         for _ in 0..SWEEP_EVERY {
-            tel.event(events::EPOCH_BUMP, "app/mon", 1, "");
+            tel.fact(spans::EPOCH_BUMP, "peer-0", 1, "");
             emit_write(&tel, &["peer-0", "peer-1"]);
         }
         assert_eq!(mon.violation_count(), 0, "suspect, not yet a violation");
@@ -823,7 +878,7 @@ mod tests {
     fn degraded_write_defers_until_reattach_then_exempts_replay() {
         let (tel, mon) = attached();
         let scope = crate::intern_scope("app/deg");
-        tel.event(events::DFS_FALLBACK_ENGAGE, "app/deg", 2, "");
+        tel.fact(spans::DFS_FALLBACK_ENGAGE, "app/deg", 2, "");
         // A write inside the still-open window is held, not flagged...
         let origin = Instant::now();
         emit_write_scoped(&tel, scope, &["peer-0", "peer-1"], origin);
@@ -831,7 +886,7 @@ mod tests {
         assert!(held.ok(), "{:?}", held.violations);
         assert_eq!(held.open_traces, 1);
         // ...until the replay span that exempts it lands, recorded (as in
-        // splitfs) just before the reattach event.
+        // splitfs) just before the reattach fact.
         tel.span(
             tel.next_trace_id(),
             0,
@@ -842,7 +897,7 @@ mod tests {
             origin - Duration::from_millis(1),
             origin + Duration::from_millis(1),
         );
-        tel.event(events::NCL_REATTACH, "app/deg", 3, "");
+        tel.fact(spans::NCL_REATTACH, "app/deg", 3, "");
         let report = mon.finalize();
         assert!(report.ok(), "{:?}", report.violations);
     }
@@ -861,22 +916,34 @@ mod tests {
         assert!(report.ok(), "{:?}", report.violations);
     }
 
+    /// Records a repair of `app/f` whose ap-map phase has no catch-up
+    /// before it.
+    fn emit_misordered_repair(tel: &Telemetry) {
+        let (t0, scope) = (Instant::now(), crate::intern_scope("app/f"));
+        let trace = tel.next_trace_id();
+        let t1 = t0 + Duration::from_micros(5);
+        tel.span_auto(trace, trace, spans::NCL_REPAIR_AP_MAP, scope, 2, t0, t1);
+        tel.span(trace, trace, 0, spans::NCL_REPAIR, scope, 2, t0, t1);
+    }
+
     #[test]
-    fn violation_hook_fires_and_event_is_emitted() {
+    fn violation_hook_fires_and_a_fact_is_recorded() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let (tel, mon) = attached();
+        let tel = Telemetry::new();
+        // Default windows: only a verdict taken at root arrival is in yet.
+        let mon = OnlineMonitor::attach(&tel, 2);
         let fired = Arc::new(AtomicUsize::new(0));
         let fired2 = Arc::clone(&fired);
         mon.on_violation(move |_| {
             fired2.fetch_add(1, Ordering::SeqCst);
         });
-        tel.event(events::PEER_REPLACE_START, "app/f", 2, "");
-        tel.event(events::AP_MAP_UPDATE, "app/f", 2, "");
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "flagged at event arrival");
-        assert!(tel
-            .events()
-            .iter()
-            .any(|e| e.kind == events::INVARIANT_VIOLATION));
+        emit_misordered_repair(&tel);
+        assert!(mon.violating(), "flagged at root arrival");
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        let facts = tel.spans();
+        let fact = facts.iter().find(|s| s.name == spans::INVARIANT_VIOLATION);
+        let detail = fact.and_then(|s| s.detail.as_deref()).unwrap_or_default();
+        assert!(detail.starts_with("[ap-map-order] scope app/f"), "{detail}");
     }
 
     #[test]
@@ -903,8 +970,7 @@ mod tests {
     #[test]
     fn report_json_is_structured() {
         let (tel, mon) = attached();
-        tel.event(events::PEER_REPLACE_START, "app/f", 2, "");
-        tel.event(events::AP_MAP_UPDATE, "app/f", 2, "");
+        emit_misordered_repair(&tel);
         let json = mon.render_json();
         assert!(json.contains("\"status\": \"violating\""));
         assert!(json.contains("\"violations_total\": 1"));

@@ -1,4 +1,4 @@
-//! The crate's one bounded buffer: the event and span traces, the flight
+//! The crate's one bounded buffer: the two span rings, the flight
 //! recorder's counter ticks and the SLO windows all keep "the last N" of
 //! something and let the oldest fall off the front.
 

@@ -3,7 +3,6 @@
 
 use crate::hist::Summary;
 use crate::span::Span;
-use crate::trace::Event;
 
 /// Escapes a string for embedding inside a JSON string literal.
 ///
@@ -35,13 +34,9 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<(String, i64)>,
     /// Histogram summaries, sorted by name.
     pub histograms: Vec<(String, Summary)>,
-    /// The event ring's contents, oldest first.
-    pub events: Vec<Event>,
-    /// Events evicted from the ring before this snapshot.
-    pub events_dropped: u64,
-    /// The span ring's contents, oldest first.
+    /// The span rings' contents, as [`crate::Telemetry::spans`] lists them.
     pub spans: Vec<Span>,
-    /// Spans evicted from the ring before this snapshot.
+    /// Spans evicted from the rings before this snapshot.
     pub spans_dropped: u64,
 }
 
@@ -97,23 +92,6 @@ impl TelemetrySnapshot {
                 ));
             }
         }
-        if !self.events.is_empty() || self.events_dropped > 0 {
-            out.push_str(&format!(
-                "events ({} shown, {} dropped):\n",
-                self.events.len(),
-                self.events_dropped
-            ));
-            for ev in &self.events {
-                out.push_str(&format!(
-                    "  [{:>12.3} ms] {:<22} {:<28} epoch={} {}\n",
-                    ev.ts_ns as f64 / 1e6,
-                    ev.kind,
-                    ev.scope,
-                    ev.epoch,
-                    ev.detail
-                ));
-            }
-        }
         if !self.spans.is_empty() || self.spans_dropped > 0 {
             out.push_str(&format!(
                 "spans ({} shown, {} dropped):\n",
@@ -122,13 +100,14 @@ impl TelemetrySnapshot {
             ));
             for sp in &self.spans {
                 out.push_str(&format!(
-                    "  [{:>12.3} ms] {:<22} {:<28} trace={} dur={:.1}µs epoch={}\n",
+                    "  [{:>12.3} ms] {:<22} {:<28} trace={} dur={:.1}µs epoch={} {}\n",
                     sp.start_ns as f64 / 1e6,
                     sp.name,
                     sp.scope,
                     sp.trace,
                     sp.duration_ns() as f64 / 1e3,
                     sp.epoch,
+                    sp.detail.as_deref().unwrap_or_default(),
                 ));
             }
         }
@@ -155,12 +134,6 @@ impl TelemetrySnapshot {
             .map(|(n, s)| format!("\"{}\": {}", json_escape(n), s.to_json()))
             .collect::<Vec<_>>()
             .join(", ");
-        let events = self
-            .events
-            .iter()
-            .map(Event::to_json)
-            .collect::<Vec<_>>()
-            .join(", ");
         let spans = self
             .spans
             .iter()
@@ -168,8 +141,8 @@ impl TelemetrySnapshot {
             .collect::<Vec<_>>()
             .join(", ");
         format!(
-            "{{\"counters\": {{{counters}}}, \"gauges\": {{{gauges}}}, \"histograms\": {{{hists}}}, \"events\": [{events}], \"events_dropped\": {}, \"spans\": [{spans}], \"spans_dropped\": {}}}",
-            self.events_dropped, self.spans_dropped
+            "{{\"counters\": {{{counters}}}, \"gauges\": {{{gauges}}}, \"histograms\": {{{hists}}}, \"spans\": [{spans}], \"spans_dropped\": {}}}",
+            self.spans_dropped
         )
     }
 }
@@ -201,26 +174,30 @@ mod tests {
                     overflow: 1,
                 },
             )],
-            events: vec![Event {
-                ts_ns: 42,
-                kind: "epoch-bump",
-                scope: "app/f".into(),
-                epoch: 7,
-                trace: 3,
-                detail: String::new(),
-            }],
-            events_dropped: 0,
-            spans: vec![Span {
-                trace: 3,
-                id: 3,
-                parent: 0,
-                name: "ncl.write",
-                scope: "app/f",
-                epoch: 7,
-                seq: (1, 4),
-                start_ns: 40,
-                end_ns: 90,
-            }],
+            spans: vec![
+                Span {
+                    trace: 2,
+                    id: 2,
+                    name: "epoch-bump",
+                    scope: "peer-0",
+                    epoch: 7,
+                    start_ns: 42,
+                    end_ns: 42,
+                    ..Span::default()
+                },
+                Span {
+                    trace: 3,
+                    id: 3,
+                    parent: 0,
+                    name: "ncl.write",
+                    scope: "app/f",
+                    epoch: 7,
+                    seq: (1, 4),
+                    start_ns: 40,
+                    end_ns: 90,
+                    detail: None,
+                },
+            ],
             spans_dropped: 1,
         };
         let text = snap.render_text();
@@ -239,7 +216,7 @@ mod tests {
         assert_eq!(snap.summary("ncl.record.wire").unwrap().count, 2);
     }
 
-    /// Regression test: metric names, event scopes, and details containing
+    /// Regression test: metric names, span scopes, and details containing
     /// JSON-special characters must render as *valid* JSON, with quotes,
     /// backslashes, and control chars escaped in every string position.
     #[test]
@@ -259,26 +236,29 @@ mod tests {
                     overflow: 0,
                 },
             )],
-            events: vec![Event {
-                ts_ns: 1,
-                kind: "epoch-bump",
-                scope: "app/\"weird\\path".into(),
-                epoch: 1,
-                trace: 0,
-                detail: "ctrl\u{1}char and \"quotes\"".into(),
-            }],
-            events_dropped: 0,
-            spans: vec![Span {
-                trace: 1,
-                id: 1,
-                parent: 0,
-                name: "ncl.write",
-                scope: "peer\\0",
-                epoch: 1,
-                seq: (0, 0),
-                start_ns: 0,
-                end_ns: 1,
-            }],
+            spans: vec![
+                Span {
+                    trace: 2,
+                    id: 2,
+                    name: "epoch-bump",
+                    scope: "app/\"weird\\path",
+                    epoch: 1,
+                    detail: Some("ctrl\u{1}char and \"quotes\"".into()),
+                    ..Span::default()
+                },
+                Span {
+                    trace: 1,
+                    id: 1,
+                    parent: 0,
+                    name: "ncl.write",
+                    scope: "peer\\0",
+                    epoch: 1,
+                    seq: (0, 0),
+                    start_ns: 0,
+                    end_ns: 1,
+                    detail: None,
+                },
+            ],
             spans_dropped: 0,
         };
         let json = snap.render_json();

@@ -1,4 +1,4 @@
-//! Causal spans: timed intervals linked into per-write trace trees.
+//! Causal spans: the one record of what happened.
 //!
 //! The unit of the NCL record path is a *burst*, the records one doorbell
 //! posts (a synchronous record is a burst of one). A burst gets a `trace` id
@@ -12,20 +12,33 @@
 //! JSONL stream trivially replayable: no open/close pairing is needed by
 //! consumers.
 //!
+//! A point transition (a peer declared suspect, a region revoked, a file's
+//! durability scheme) is a *fact*: a zero-length span, alone in a trace of
+//! its own, whose [`Span::detail`] says what happened (see
+//! [`spans::FACTS`]). One type, one JSONL line and one checker feed carry
+//! all three kinds.
+//!
 //! Conventions:
 //! * the **root** span of a trace has `id == trace` and `parent == 0`;
 //! * child spans get fresh ids from the same generator as trace ids, so ids
 //!   are unique across a process regardless of kind;
-//! * `scope` follows the event convention (`app/file`, or a peer name for
-//!   per-peer children);
+//! * `scope` is `app/file`, or a peer name for per-peer children and peer
+//!   facts;
 //! * `epoch` is the epoch in force when the span *closed* (0 if unknown).
+//!
+//! Two bounded rings hold what was recorded: record-path spans (the
+//! `ncl.write` trees, [`Span::on_record_path`]) in one, facts and
+//! control-path spans in the other, so record traffic never evicts the
+//! facts a reader needs to judge it, such as each file's durability scheme.
 
 use std::collections::BTreeSet;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
 use crate::ring::Ring;
 use crate::snapshot::json_escape;
-use crate::trace::JsonlSink;
 
 /// Well-known span names, shared by emitters, the analyzer, and tests.
 pub mod spans {
@@ -98,8 +111,7 @@ pub mod spans {
     /// from the "no ack while degraded" invariant.
     pub const FS_REATTACH_REPLAY: &str = "splitfs.reattach.replay";
 
-    /// Every well-known name, used by the JSONL replay path to intern parsed
-    /// name strings back to the canonical `&'static str` values.
+    /// Every well-known span name that is not a fact, in flame order.
     pub const ALL: [&str; 26] = [
         NCL_WRITE,
         NCL_STAGE,
@@ -128,25 +140,93 @@ pub mod spans {
         NCL_REPAIR_AP_MAP,
         FS_REATTACH_REPLAY,
     ];
+
+    // Facts: zero-length spans, each the root of a trace of its own.
+
+    /// A live peer stopped completing work requests (scope = peer).
+    pub const PEER_FAILURE: &str = "peer-failure-detect";
+    /// A peer fenced a file's region to a new epoch (scope = peer).
+    pub const EPOCH_BUMP: &str = "epoch-bump";
+    /// The controller's availability map dropped an entry.
+    pub const AP_MAP_DELETE: &str = "ap-map-delete";
+    /// The phi-style detector declared a silent-but-live peer suspect.
+    pub const PEER_SUSPECT: &str = "peer-suspect";
+    /// Splitfs lost its durable quorum and fell back to the DFS (opens a
+    /// degraded window).
+    pub const DFS_FALLBACK_ENGAGE: &str = "dfs-fallback-engage";
+    /// Splitfs replayed its fallback journal and resumed NCL logging
+    /// (closes the degraded window).
+    pub const NCL_REATTACH: &str = "ncl-reattach";
+    /// A peer published its endpoint in the registry.
+    pub const PEER_PUBLISH: &str = "peer-publish";
+    /// A peer withdrew from the registry.
+    pub const PEER_WITHDRAW: &str = "peer-withdraw";
+    /// A peer allocated + registered a log region.
+    pub const REGION_ALLOC: &str = "region-alloc";
+    /// A peer freed a log region.
+    pub const REGION_FREE: &str = "region-free";
+    /// A file declared its durability scheme when it opened; the detail is
+    /// `replicated` or `ec k=<k> n=<n>`, from which the checker takes the
+    /// coverage an acked write of that scope needs.
+    pub const DURABILITY_MODE: &str = "durability-mode";
+    /// An erasure-coded file started demoting its acked prefix to the spill
+    /// tier.
+    pub const SPILL_START: &str = "ncl-spill-start";
+    /// The spill snapshot became durable; fragments flipped generation.
+    pub const SPILL_FINISH: &str = "ncl-spill-finish";
+    /// The spill sink rejected a snapshot store; the demotion is retried.
+    pub const SPILL_FAIL: &str = "ncl-spill-fail";
+    /// A peer revoked a region under memory pressure (§4.5.2).
+    pub const REGION_REVOKE: &str = "region-revoke";
+    /// Memory pressure was applied to a peer (detail: target utilisation).
+    pub const PEER_PRESSURE: &str = "peer-pressure";
+    /// The leak GC reclaimed a region whose lease expired, its app dead.
+    pub const LEASE_EXPIRE: &str = "lease-expire";
+    /// A span ring dropped its oldest entries (recorded once, at the first
+    /// drop): the rings no longer hold a complete window, so the checker
+    /// stops judging span completeness. The JSONL sink never drops.
+    pub const TRACE_TRUNCATED: &str = "trace-truncated";
+    /// The online invariant monitor flagged a violation; the detail carries
+    /// `[<invariant code>] <message>`.
+    pub const INVARIANT_VIOLATION: &str = "invariant-violation";
+    /// The first line of a flight-recorder dump (detail: reason and counts).
+    pub const FLIGHT_DUMP: &str = "flight-dump";
+    /// One counter's delta over one flight-recorder tick (scope = counter).
+    pub const FLIGHT_COUNTER_DELTA: &str = "flight-counter-delta";
+
+    /// Every well-known fact name.
+    pub const FACTS: [&str; 21] = [
+        PEER_FAILURE,
+        EPOCH_BUMP,
+        AP_MAP_DELETE,
+        PEER_SUSPECT,
+        DFS_FALLBACK_ENGAGE,
+        NCL_REATTACH,
+        PEER_PUBLISH,
+        PEER_WITHDRAW,
+        REGION_ALLOC,
+        REGION_FREE,
+        DURABILITY_MODE,
+        SPILL_START,
+        SPILL_FINISH,
+        SPILL_FAIL,
+        REGION_REVOKE,
+        PEER_PRESSURE,
+        LEASE_EXPIRE,
+        TRACE_TRUNCATED,
+        INVARIANT_VIOLATION,
+        FLIGHT_DUMP,
+        FLIGHT_COUNTER_DELTA,
+    ];
 }
 
-/// Maps a parsed span name to its canonical constant (see
-/// [`crate::trace::intern_kind`] for the interning rationale).
-pub fn intern_span_name(name: &str) -> &'static str {
-    for n in spans::ALL {
-        if n == name {
-            return n;
-        }
-    }
-    Box::leak(name.to_string().into_boxed_str())
-}
-
-/// Interns a span scope (`app/file` or a peer name), returning a canonical
-/// `&'static str`. Scopes recur constantly — every span of a file carries
-/// the same one — so [`crate::Telemetry::span`] takes `&'static str` and
-/// hot call sites intern once (per file / per peer), making span recording
-/// allocation-free. The backing set deduplicates, so the leak is bounded by
-/// the number of *distinct* scopes ever seen, not by call volume.
+/// Interns a span scope (`app/file` or a peer name) or a parsed span name,
+/// returning a canonical `&'static str`. Scopes recur constantly — every
+/// span of a file carries the same one — so [`crate::Telemetry::span`]
+/// takes `&'static str` and hot call sites intern once (per file / per
+/// peer), making span recording allocation-free. The backing set
+/// deduplicates, so the leak is bounded by the number of *distinct* strings
+/// ever seen, not by call volume.
 pub fn intern_scope(scope: &str) -> &'static str {
     static SCOPES: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
     let mut set = SCOPES
@@ -161,8 +241,8 @@ pub fn intern_scope(scope: &str) -> &'static str {
     leaked
 }
 
-/// One closed interval in a trace tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One closed interval in a trace tree, or a fact (see the module docs).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Span {
     /// Trace this span belongs to; the root span has `id == trace`.
     pub trace: u64,
@@ -186,6 +266,10 @@ pub struct Span {
     pub start_ns: u64,
     /// End, same clock; `end_ns >= start_ns`.
     pub end_ns: u64,
+    /// What a fact or a control phase adds in words (a durability scheme, a
+    /// catch-up's copy kind). `None` on every record-path span, so recording
+    /// one allocates nothing.
+    pub detail: Option<Box<str>>,
 }
 
 impl Span {
@@ -208,10 +292,32 @@ impl Span {
         }
     }
 
+    /// True for a span of an `ncl.write` tree, which goes to the record
+    /// ring; facts and control-path spans go to the other one. Every span
+    /// the record path closes carries its burst's range (sequence numbers
+    /// start at 1), so only a span built without one is told by its name.
+    pub fn on_record_path(&self) -> bool {
+        use spans::*;
+        self.seq != (0, 0)
+            || matches!(
+                self.name,
+                NCL_WRITE | NCL_STAGE | NCL_DOORBELL | NCL_WIRE_PEER | NCL_ACK | NCL_CATCHUP_PEER
+            )
+    }
+
+    /// True for a fact: one of [`spans::FACTS`].
+    pub fn is_fact(&self) -> bool {
+        spans::FACTS.contains(&self.name)
+    }
+
     /// Renders the span as one JSON object (one JSONL line, sans newline).
+    /// The detail, when there is one, comes last.
     pub fn to_json(&self) -> String {
+        let detail = self.detail.as_deref().map_or_else(String::new, |d| {
+            format!(", \"detail\": \"{}\"", json_escape(d))
+        });
         format!(
-            "{{\"type\": \"span\", \"trace\": {}, \"id\": {}, \"parent\": {}, \"name\": \"{}\", \"scope\": \"{}\", \"epoch\": {}, \"seq\": [{}, {}], \"start_ns\": {}, \"end_ns\": {}}}",
+            "{{\"type\": \"span\", \"trace\": {}, \"id\": {}, \"parent\": {}, \"name\": \"{}\", \"scope\": \"{}\", \"epoch\": {}, \"seq\": [{}, {}], \"start_ns\": {}, \"end_ns\": {}{detail}}}",
             self.trace,
             self.id,
             self.parent,
@@ -226,61 +332,90 @@ impl Span {
     }
 }
 
-/// Spans are ~an order of magnitude denser than events (several per write),
-/// so the ring defaults much larger; a full chaos schedule's spans should be
-/// analyzed from the JSONL sink, not the ring.
-const DEFAULT_CAPACITY: usize = 65536;
+/// Entries the record ring keeps by default: a full chaos schedule's writes
+/// should be analyzed from the JSONL sink, not the ring.
+const RECORD_CAPACITY: usize = 65536;
+/// Entries the fact-and-control ring keeps: enough for thousands of
+/// recoveries, and never evicted by record traffic.
+const CONTROL_CAPACITY: usize = 4096;
 
-/// Bounded in-memory span buffer with an optional JSONL mirror (shared with
-/// the event trace).
+struct Rings {
+    record: Ring<Span>,
+    control: Ring<Span>,
+}
+
+/// The two bounded span rings (see the module docs) and the JSONL sink
+/// that mirrors them.
 pub(crate) struct SpanTrace {
-    ring: Mutex<Ring<Span>>,
-    sink: JsonlSink,
+    rings: Mutex<Rings>,
+    /// Every recorded span appends one line here and flushes, so a crashed
+    /// process leaves a complete file behind.
+    sink: Mutex<Option<BufWriter<File>>>,
+}
+
+impl Default for SpanTrace {
+    fn default() -> Self {
+        SpanTrace {
+            rings: Mutex::new(Rings {
+                record: Ring::new(RECORD_CAPACITY),
+                control: Ring::new(CONTROL_CAPACITY),
+            }),
+            sink: Mutex::new(None),
+        }
+    }
 }
 
 impl SpanTrace {
-    pub(crate) fn new(sink: JsonlSink) -> Self {
-        SpanTrace {
-            ring: Mutex::new(Ring::new(DEFAULT_CAPACITY)),
-            sink,
-        }
+    fn lock(&self) -> std::sync::MutexGuard<'_, Rings> {
+        self.rings.lock().expect("span trace poisoned")
     }
 
-    /// Appends `spans` in order under one acquisition of the ring lock.
-    /// Returns whether the ring had to drop an oldest entry to make room
-    /// (the JSONL sink, when set, still received every record).
-    pub(crate) fn record(&self, spans: &[Span]) -> bool {
-        if self.sink.is_set() {
-            for span in spans {
-                self.sink.write_line(&span.to_json());
+    pub(crate) fn set_sink(&self, path: &Path) -> std::io::Result<()> {
+        let file = BufWriter::new(File::create(path)?);
+        *self.sink.lock().expect("sink poisoned") = Some(file);
+        Ok(())
+    }
+
+    /// Moves `spans` into the rings in order, under one acquisition of the
+    /// ring lock, and leaves the vector empty. Returns whether a ring had to
+    /// drop an oldest entry to make room (the JSONL sink, when set, still
+    /// received every record).
+    pub(crate) fn record(&self, spans: &mut Vec<Span>) -> bool {
+        if let Some(w) = self.sink.lock().expect("sink poisoned").as_mut() {
+            for span in spans.iter() {
+                let _ = writeln!(w, "{}", span.to_json());
             }
+            let _ = w.flush();
         }
-        let mut ring = self.ring.lock().expect("span trace poisoned");
+        let mut rings = self.lock();
         let mut dropped = false;
-        for span in spans {
-            dropped |= ring.push(span.clone());
+        for span in spans.drain(..) {
+            let ring = if span.on_record_path() {
+                &mut rings.record
+            } else {
+                &mut rings.control
+            };
+            dropped |= ring.push(span);
         }
         dropped
     }
 
-    pub(crate) fn spans(&self) -> Vec<Span> {
-        self.ring
-            .lock()
-            .expect("span trace poisoned")
-            .iter()
-            .cloned()
-            .collect()
+    /// The fact-and-control ring's contents and the record ring's, each
+    /// oldest first.
+    pub(crate) fn rings(&self) -> (Vec<Span>, Vec<Span>) {
+        let rings = self.lock();
+        let all = |ring: &Ring<Span>| ring.iter().cloned().collect();
+        (all(&rings.control), all(&rings.record))
     }
 
     pub(crate) fn dropped(&self) -> u64 {
-        self.ring.lock().expect("span trace poisoned").dropped()
+        let rings = self.lock();
+        rings.record.dropped() + rings.control.dropped()
     }
 
+    /// Caps the record ring.
     pub(crate) fn set_capacity(&self, capacity: usize) {
-        self.ring
-            .lock()
-            .expect("span trace poisoned")
-            .set_capacity(capacity);
+        self.lock().record.set_capacity(capacity);
     }
 }
 
@@ -299,22 +434,43 @@ mod tests {
             seq: (0, 0),
             start_ns: 10,
             end_ns: 40,
+            detail: None,
         }
     }
 
     #[test]
     fn spans_keep_order_and_ring_bounds() {
-        let t = SpanTrace::new(JsonlSink::default());
+        let t = SpanTrace::default();
         t.set_capacity(2);
-        t.record(&[span(1, 1, 0, spans::NCL_WRITE)]);
-        t.record(&[
+        t.record(&mut vec![span(1, 1, 0, spans::NCL_WRITE)]);
+        t.record(&mut vec![
             span(1, 2, 1, spans::NCL_STAGE),
             span(1, 3, 1, spans::NCL_DOORBELL),
         ]);
-        let spans = t.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].id, 2);
+        let (control, record) = t.rings();
+        assert!(control.is_empty());
+        assert_eq!(record.len(), 2);
+        assert_eq!(record[0].id, 2);
         assert_eq!(t.dropped(), 1);
+    }
+
+    #[test]
+    fn record_traffic_never_evicts_facts_or_control_spans() {
+        let t = SpanTrace::default();
+        t.set_capacity(1);
+        t.record(&mut vec![Span {
+            detail: Some("ec k=3 n=4".into()),
+            ..span(1, 1, 0, spans::DURABILITY_MODE)
+        }]);
+        t.record(&mut vec![span(2, 2, 0, spans::NCL_REPAIR)]);
+        for i in 10..20 {
+            t.record(&mut vec![span(i, i, 0, spans::NCL_WRITE)]);
+        }
+        let (control, record) = t.rings();
+        let names: Vec<&str> = control.iter().map(|s| s.name).collect();
+        assert_eq!(names, [spans::DURABILITY_MODE, spans::NCL_REPAIR]);
+        assert_eq!(record.len(), 1);
+        assert_eq!(t.dropped(), 9);
     }
 
     #[test]
@@ -326,7 +482,14 @@ mod tests {
         assert!(j.contains("\"parent\": 7"));
         assert!(j.contains("ncl.wire.peer"));
         assert!(j.contains("\"seq\": [0, 0]"));
+        assert!(!j.contains("detail"), "no detail, no field");
         assert_eq!(s.duration_ns(), 30);
+        let fact = Span {
+            detail: Some("gen=\"2\"".into()),
+            ..span(8, 8, 0, spans::SPILL_START)
+        };
+        assert!(fact.is_fact() && !fact.on_record_path());
+        assert!(fact.to_json().ends_with(", \"detail\": \"gen=\\\"2\\\"\"}"));
     }
 
     #[test]
@@ -342,8 +505,10 @@ mod tests {
     }
 
     #[test]
-    fn intern_span_name_returns_canonical_constants() {
+    fn interning_deduplicates() {
         let parsed = String::from("ncl.write");
-        assert_eq!(intern_span_name(&parsed), spans::NCL_WRITE);
+        let once = intern_scope(&parsed);
+        assert_eq!(once, spans::NCL_WRITE);
+        assert!(std::ptr::eq(once, intern_scope("ncl.write")));
     }
 }

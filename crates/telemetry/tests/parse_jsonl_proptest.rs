@@ -5,16 +5,17 @@
 //! * no input makes it panic — arbitrary bytes, and valid span lines with
 //!   bytes overwritten or cut off, parse or are reported malformed;
 //! * every span it is handed back reads exactly as written, whatever its
-//!   scope and name hold (quotes, backslashes, control characters, text
-//!   that looks like another field) and whatever its record range.
+//!   scope, name and detail hold (quotes, backslashes, control characters,
+//!   multi-byte text, text that looks like another field) and whatever its
+//!   record range — a fact's detail included.
 
 use proptest::prelude::*;
 use telemetry::analyze::parse_jsonl;
-use telemetry::{intern_scope, intern_span_name, spans, Span};
+use telemetry::{intern_scope, spans, Span};
 
 /// Pieces of span text: JSON specials, look-alikes of other fields, and
 /// multi-byte characters. Odd draws are arbitrary scalar values instead.
-const TOKENS: [&str; 18] = [
+const TOKENS: [&str; 19] = [
     "\"",
     "\\",
     "\n",
@@ -27,6 +28,7 @@ const TOKENS: [&str; 18] = [
     "]",
     "\"seq\": [1, 2]",
     "\"trace\": 9",
+    "\"detail\": \"x\"",
     "\\u00",
     "é",
     "🦀",
@@ -54,17 +56,28 @@ fn span() -> impl Strategy<Value = Span> {
         (any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u32>(), text(), text()),
         (any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u64>(), text()),
     )
         .prop_map(
-            |((trace, id, parent), (pick, name, scope), (epoch, lo, hi), (start_ns, end_ns))| {
-                // Mostly the well-known names, sometimes anything at all.
-                let name = match spans::ALL.get(pick as usize % (2 * spans::ALL.len())) {
+            |(
+                (trace, id, parent),
+                (pick, name, scope),
+                (epoch, lo, hi),
+                (start_ns, end_ns, detail),
+            )| {
+                // Mostly the well-known names, facts included, sometimes
+                // anything at all.
+                let mut known = spans::ALL.iter().chain(&spans::FACTS);
+                let name = match known
+                    .nth(pick as usize % (2 * (spans::ALL.len() + spans::FACTS.len())))
+                {
                     Some(known) => known,
-                    None => intern_span_name(&name),
+                    None => intern_scope(&name),
                 };
-                // Half the spans are about no records, as off the record path.
+                // Half the spans are about no records, as off the record path,
+                // and half carry a detail.
                 let seq = if pick % 2 == 0 { (0, 0) } else { (lo, hi) };
+                let detail = (pick & 4 != 0).then(|| detail.into());
                 Span {
                     trace,
                     id,
@@ -75,9 +88,27 @@ fn span() -> impl Strategy<Value = Span> {
                     seq,
                     start_ns,
                     end_ns,
+                    detail,
                 }
             },
         )
+}
+
+/// A fact: a zero-length root of a trace of its own, with a detail.
+fn fact() -> impl Strategy<Value = Span> {
+    (any::<u64>(), any::<u32>(), text(), text()).prop_map(|(trace, pick, scope, detail)| {
+        let at = trace / 2;
+        Span {
+            trace,
+            id: trace,
+            name: spans::FACTS[pick as usize % spans::FACTS.len()],
+            scope: intern_scope(&scope),
+            start_ns: at,
+            end_ns: at,
+            detail: Some(detail.into()),
+            ..Span::default()
+        }
+    })
 }
 
 /// A valid span line with `edits` applied: each overwrites one byte, and
@@ -114,8 +145,14 @@ proptest! {
     #[test]
     fn arbitrary_spans_round_trip_exactly(written in prop::collection::vec(span(), 0..6)) {
         let doc: String = written.iter().map(|s| s.to_json() + "\n").collect();
-        let (read, events) = parse_jsonl(&doc).map_err(TestCaseError::fail)?;
-        prop_assert!(events.is_empty());
+        let read = parse_jsonl(&doc).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(read, written);
+    }
+
+    #[test]
+    fn a_facts_detail_round_trips_exactly(written in prop::collection::vec(fact(), 1..6)) {
+        let doc: String = written.iter().map(|s| s.to_json() + "\n").collect();
+        let read = parse_jsonl(&doc).map_err(TestCaseError::fail)?;
         prop_assert_eq!(read, written);
     }
 }

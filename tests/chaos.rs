@@ -35,14 +35,14 @@ use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use splitft::apps::miniredis::{Command, MiniRedis, Query, RedisOptions, Reply};
 use splitft::apps::minirocks::{MiniRocks, RocksOptions};
 use splitft::sim::{Binding, FaultAction, FaultPlan, FaultScheduler, PlanParams, Trigger};
 use splitft::splitfs::{Mode, OpenOptions, SplitFs, Testbed, TestbedConfig};
 use telemetry::analyze::{analyze, parse_jsonl, TraceReport};
-use telemetry::{events, FlightRecorder, Telemetry};
+use telemetry::{spans, FlightRecorder, Telemetry};
 
 const VALUE: &[u8] = b"chaos-value";
 const PUTS: usize = 100;
@@ -90,8 +90,8 @@ fn sink_dir() -> PathBuf {
 /// for a flight-recorder dump after a panic unwound through the harness.
 static LIVE_TELEMETRY: Mutex<Option<(Telemetry, usize)>> = Mutex::new(None);
 
-/// Black-box preservation on a failed schedule: captures the last spans,
-/// events and counter deltas into `sink_dir()/flight/` — a subdirectory so
+/// Black-box preservation on a failed schedule: captures the last spans
+/// (facts included) and counter deltas into `sink_dir()/flight/` — a subdirectory so
 /// `trace_analyzer --check` on the main trace dir is not double-reading
 /// them — as the same analyzer-readable JSONL a breach dump uses.
 fn dump_flight(tel: Telemetry, quorum: usize, seed: u64) -> Option<PathBuf> {
@@ -227,11 +227,10 @@ fn run_schedule(seed: u64, plan: &FaultPlan) {
     // Replay the JSONL trace through the analyzer, exactly like
     // `trace_analyzer --check` does offline: full causal chains for every
     // acked write, no writes inside a degraded window (unless replay), the
-    // catch-up-before-ap-map-update ordering, monotone epochs.
+    // catch-up-before-ap-map ordering, monotone epochs.
     let text = std::fs::read_to_string(&trace_path).expect("trace file readable");
-    let (spans, events) =
-        parse_jsonl(&text).unwrap_or_else(|e| panic!("seed {seed}: malformed trace: {e}"));
-    let report = analyze(&spans, &events, quorum);
+    let spans = parse_jsonl(&text).unwrap_or_else(|e| panic!("seed {seed}: malformed trace: {e}"));
+    let report = analyze(&spans, quorum);
     assert_report_clean(&report, seed);
     assert!(
         report.acked_writes > 0,
@@ -268,7 +267,7 @@ fn assert_report_clean(report: &TraceReport, seed: u64) {
 /// A seeded schedule that deliberately exceeds the `f` budget: 2 of the 3
 /// assigned peers crash back-to-back, so the durable quorum is gone and the
 /// facade must degrade to the DFS shadow journal, then re-attach once fresh
-/// peers are published — with the event trace proving the ordering.
+/// peers are published — with the span trace proving the ordering.
 #[test]
 fn seeded_quorum_loss_schedule_degrades_and_reattaches() {
     let seed: u64 = 0xFA11_BACC;
@@ -325,27 +324,27 @@ fn seeded_quorum_loss_schedule_degrades_and_reattaches() {
 
     // Trace ordering: engage strictly precedes re-attach, and the re-attach
     // runs at a bumped epoch (the replacement's fence).
-    let evs = fs.telemetry().events();
-    let engage = evs
+    let all = fs.telemetry().spans();
+    let engage = all
         .iter()
-        .position(|e| e.kind == events::DFS_FALLBACK_ENGAGE)
-        .expect("engage event");
-    let reattach = evs
+        .position(|s| s.name == spans::DFS_FALLBACK_ENGAGE)
+        .expect("engage fact");
+    let reattach = all
         .iter()
-        .position(|e| e.kind == events::NCL_REATTACH)
-        .expect("re-attach event");
+        .position(|s| s.name == spans::NCL_REATTACH)
+        .expect("re-attach fact");
     assert!(
         engage < reattach,
         "FAULT_SEED={seed}: engage after re-attach"
     );
     assert!(
-        evs[reattach].epoch > evs[engage].epoch,
+        all[reattach].epoch > all[engage].epoch,
         "FAULT_SEED={seed}: re-attach must carry a bumped epoch"
     );
     // The in-memory rings hold this run's full causal story; the analyzer
     // must find complete chains, replay-covered degraded-window writes, and
     // the catch-up/ap-map ordering.
-    let report = analyze(&fs.telemetry().spans(), &evs, tb.config().ncl.quorum());
+    let report = analyze(&all, tb.config().ncl.quorum());
     assert_report_clean(&report, seed);
     assert!(
         report.acked_writes > 0,
@@ -374,7 +373,7 @@ fn seeded_quorum_loss_schedule_degrades_and_reattaches() {
 /// the crashed application replays a spill snapshot plus fragments from
 /// exactly `k` survivors. Every acknowledged byte must come back and the
 /// JSONL trace must stay `trace_analyzer --check` green: the analyzer reads
-/// `k` from the durability-mode event, so the acked⇒quorum-coverage
+/// `k` from the durability-mode fact, so the acked⇒quorum-coverage
 /// invariant generalizes to acked⇒reconstructible-fragment-coverage.
 #[test]
 fn seeded_ec_spill_schedule_survives_parity_loss_and_spill_replay() {
@@ -410,7 +409,7 @@ fn seeded_ec_spill_schedule_survives_parity_loss_and_spill_replay() {
     // first to observe it done, or the one that finds its half full and
     // waits for it. Sixty records, then as many more as it takes to see one
     // (the file's capacity bounds them).
-    let spilled = || tel.events().iter().any(|e| e.kind == events::SPILL_FINISH);
+    let spilled = || tel.spans().iter().any(|s| s.name == spans::SPILL_FINISH);
     let mut expected: Vec<u8> = Vec::new();
     let mut i = 0;
     while i < 60 || !spilled() {
@@ -461,9 +460,9 @@ fn seeded_ec_spill_schedule_survives_parity_loss_and_spill_replay() {
     // chains for every acked write with the EC coverage requirement, the
     // catch-up/ap-map ordering, monotone epochs, spill bookkeeping intact.
     let text = std::fs::read_to_string(&trace_path).expect("trace file readable");
-    let (spans, events) =
+    let all =
         parse_jsonl(&text).unwrap_or_else(|e| panic!("FAULT_SEED={seed:#x}: malformed trace: {e}"));
-    let report = analyze(&spans, &events, quorum);
+    let report = analyze(&all, quorum);
     assert_report_clean(&report, seed);
     assert!(
         report.acked_writes > 0,
@@ -471,7 +470,7 @@ fn seeded_ec_spill_schedule_survives_parity_loss_and_spill_replay() {
     );
     // The schedule must actually have exercised the spill tier.
     assert!(
-        events.iter().any(|e| e.kind == events::SPILL_FINISH),
+        all.iter().any(|s| s.name == spans::SPILL_FINISH),
         "FAULT_SEED={seed:#x}: no spill demotion fired — watermark too high?"
     );
 }
@@ -496,8 +495,8 @@ fn chaos_style_flight_dump_passes_the_analyzer() {
     let path = dump_flight(tel, quorum, 0xF11).expect("flight dump written");
     let text = std::fs::read_to_string(&path).expect("flight dump readable");
     assert!(text.contains("chaos-assert"), "dump records its reason");
-    let (spans, events) = parse_jsonl(&text).expect("flight dump parses as a trace");
-    let report = analyze(&spans, &events, quorum);
+    let all = parse_jsonl(&text).expect("flight dump parses as a trace");
+    let report = analyze(&all, quorum);
     assert_report_clean(&report, 0xF11);
     assert!(
         report.acked_writes > 0,
@@ -569,11 +568,18 @@ fn online_monitor_catches_seeded_apmap_violation_live() {
         });
     }
 
-    // Seed the ordering violation: a replacement announces itself, then the
-    // ap-map for the same scope+epoch is published with no catch-up finish
-    // in between — the exact bug class §4.5's ordering forbids.
-    tel.event(events::PEER_REPLACE_START, "chaos-monitor/seeded", 7, "");
-    tel.event(events::AP_MAP_UPDATE, "chaos-monitor/seeded", 7, "");
+    // Seed the ordering violation: a repair that moves the ap-map to its
+    // epoch before its catch-up has finished — the exact bug class §4.5's
+    // ordering forbids.
+    let scope = telemetry::intern_scope("chaos-monitor/seeded");
+    let (t0, trace) = (Instant::now(), tel.next_trace_id());
+    let (t1, t2) = (
+        t0 + Duration::from_micros(10),
+        t0 + Duration::from_micros(20),
+    );
+    tel.span_auto(trace, trace, spans::NCL_REPAIR_AP_MAP, scope, 7, t0, t1);
+    tel.span_auto(trace, trace, spans::NCL_REPAIR_CATCH_UP, scope, 7, t1, t2);
+    tel.span(trace, trace, 0, spans::NCL_REPAIR, scope, 7, t0, t2);
 
     assert!(
         monitor.violating(),
@@ -606,8 +612,8 @@ fn online_monitor_catches_seeded_apmap_violation_live() {
         text.contains("invariant-violation"),
         "dump records its reason"
     );
-    let (spans, evs) = parse_jsonl(&text).expect("flight dump parses as a trace");
-    let report = analyze(&spans, &evs, quorum);
+    let all = parse_jsonl(&text).expect("flight dump parses as a trace");
+    let report = analyze(&all, quorum);
     assert_eq!(
         report.orphan_spans,
         0,

@@ -20,7 +20,6 @@ struct Drill {
     repair: RepairStats,
     recovery: RecoveryStats,
     spans: Vec<Span>,
-    events: Vec<telemetry::Event>,
 }
 
 /// create → records → one assigned peer crashes → inline repair → the app
@@ -88,7 +87,6 @@ fn drill(durability: Durability, config: NclConfig) -> Drill {
         repair,
         recovery: file.recovery_stats(),
         spans: config.telemetry.spans(),
-        events: config.telemetry.events(),
     }
 }
 
@@ -210,7 +208,7 @@ fn control_path_spans_partition_their_roots_and_are_the_stats() {
                 assert!(s.scope.starts_with('p'), "{label}: scope is the peer");
             }
         }
-        let report = analyze(&d.spans, &d.events, 2);
+        let report = analyze(&d.spans, 2);
         assert!(report.ok(), "{label}:\n{}", report.render());
         assert_eq!(report.orphan_spans, 0, "{label}");
     }

@@ -7,7 +7,7 @@
 //! stack has: a client-side wrapper times every op of the closed-loop ycsb
 //! runner into a telemetry histogram, the SLO plane windows that histogram
 //! into multi-window burn rates, the scrape server serves the verdict over
-//! plain HTTP, and the breach hook preserves the last N spans/events as a
+//! plain HTTP, and the breach hook preserves the last N spans as a
 //! `trace_analyzer --check`-compatible JSONL dump.
 
 use std::io::{Read, Write};
@@ -172,8 +172,8 @@ fn health_flips_to_breached_under_seeded_overload() {
         .expect("flight dump file written on breach");
     let text = std::fs::read_to_string(&dump).unwrap();
     assert!(text.contains("slo-breach"), "dump records its reason");
-    let (spans, events) = parse_jsonl(&text).expect("flight dump parses as a trace");
-    let trace_report = analyze(&spans, &events, quorum);
+    let spans = parse_jsonl(&text).expect("flight dump parses as a trace");
+    let trace_report = analyze(&spans, quorum);
     assert!(
         trace_report.ok() && trace_report.orphan_spans == 0,
         "flight dump must pass the analyzer\n{}",

@@ -16,7 +16,7 @@
 //!
 //! * every acknowledged byte/key is recovered (zero acked-prefix loss);
 //! * the shared JSONL trace passes `telemetry::analyze` — complete span
-//!   chains, monotone epochs, catch-up-before-ap-map-update ordering;
+//!   chains, monotone epochs, catch-up-before-ap-map ordering;
 //! * peer memory accounting balances: what the tenants free comes back.
 //!
 //! Environment knobs mirror `tests/chaos.rs`: `FAULT_SEED`, `CHAOS_SEEDS`
@@ -279,12 +279,11 @@ fn run_tenant_schedule(seed: u64, plan: &FaultPlan) {
 
     // Offline replay of the shared trace, exactly like `trace_analyzer
     // --check` in CI: complete chains, monotone per-file epochs, and the
-    // catch-up-before-ap-map-update ordering across every replace the
-    // revocation storm forced.
+    // catch-up-before-ap-map ordering across every repair the revocation
+    // storm forced.
     let text = std::fs::read_to_string(&trace_path).expect("trace file readable");
-    let (spans, events) =
-        parse_jsonl(&text).unwrap_or_else(|e| panic!("seed {seed}: malformed trace: {e}"));
-    let report = analyze(&spans, &events, quorum);
+    let spans = parse_jsonl(&text).unwrap_or_else(|e| panic!("seed {seed}: malformed trace: {e}"));
+    let report = analyze(&spans, quorum);
     assert_report_clean(&report, seed);
     assert!(
         report.acked_writes > 0,
