@@ -22,7 +22,10 @@
 //! the controller write alone ([`RecoveryStats::update_ap_map`]), and
 //! first-ack the application-level parse until it serves again. Non-NCL
 //! configs recover from a file image, so everything lands in detect +
-//! first-ack.
+//! first-ack. A `catch_up_kinds` section lists, per SplitFT row, how the
+//! recovery caught each peer up (the details of its
+//! `ncl.recover.catch_up.peer` spans); the validator requires rocksdb and
+//! redis, whose logs are append-only, to have taken every tail in place.
 //!
 //! [`RecoveryStats::rdma_read`]: ncl::file::RecoveryStats::rdma_read
 //! [`RecoveryStats::catch_up`]: ncl::file::RecoveryStats::catch_up
@@ -37,6 +40,7 @@ use bench::{
     calibrated_testbed, f1, header, quick, row, AppKind, BenchJson, RecoveryPhases, NCL_STAGES,
 };
 use splitfs::{Mode, SplitFs, Testbed};
+use telemetry::spans;
 
 /// Writes roughly `target_bytes` of per-key payload into the app's log
 /// without triggering flush/checkpoint (options sized generously).
@@ -150,6 +154,7 @@ fn main() {
 
     let mut json = BenchJson::new("fig11b_recovery_time");
     let mut phase_rows: Vec<(String, RecoveryPhases)> = Vec::new();
+    let mut kind_rows: Vec<(String, Vec<String>)> = Vec::new();
     // Snapshot of the last SplitFT testbed: its log build ran through the
     // full NCL record pipeline, populating every stage histogram for the
     // trend file's schema gate.
@@ -197,6 +202,7 @@ fn main() {
                     f1(ms(stats.update_ap_map)),
                     f1(ms(parse)),
                 ]);
+                kind_rows.push((label.clone(), catch_up_kinds(&tb)));
                 emit(
                     &mut json,
                     label,
@@ -276,6 +282,11 @@ fn main() {
          local ext4; application-level parse dominates"
     );
 
+    println!("\nhow recovery caught each peer up:");
+    for (label, kinds) in &kind_rows {
+        println!("  {label}: {}", kinds.join(", "));
+    }
+
     let rendered: Vec<String> = phase_rows
         .iter()
         .map(|(label, phases)| {
@@ -290,6 +301,24 @@ fn main() {
         "recovery_phases",
         format!("{{\n{}\n  }}", rendered.join(",\n")),
     );
+    let rendered: Vec<String> = kind_rows
+        .iter()
+        .map(|(label, kinds)| {
+            let kinds: Vec<String> = kinds
+                .iter()
+                .map(|k| format!("\"{}\"", telemetry::json_escape(k)))
+                .collect();
+            format!(
+                "    \"{}\": [{}]",
+                telemetry::json_escape(label),
+                kinds.join(", ")
+            )
+        })
+        .collect();
+    json.section(
+        "catch_up_kinds",
+        format!("{{\n{}\n  }}", rendered.join(",\n")),
+    );
     json.stage_breakdown(
         stage_snap
             .as_ref()
@@ -297,6 +326,16 @@ fn main() {
         &NCL_STAGES,
     );
     json.write();
+}
+
+/// How the testbed's recoveries caught each peer up, in record order: the
+/// details of its `ncl.recover.catch_up.peer` spans.
+fn catch_up_kinds(tb: &Testbed) -> Vec<String> {
+    let spans = tb.config().ncl.telemetry.spans().into_iter();
+    spans
+        .filter(|s| s.name == spans::NCL_RECOVER_CATCH_UP_PEER)
+        .filter_map(|s| s.detail.map(String::from))
+        .collect()
 }
 
 /// The Local mode facade shares one LocalFs; reach it for cache eviction.

@@ -501,6 +501,26 @@ pub fn validate_bench_json(body: &str) -> Result<(), String> {
             }
         }
     }
+    // An append-only log's recovery catches every responder up in place
+    // (span detail "tail in place"). A rocksdb or redis row that took a
+    // staged full copy, or recorded no catch-up at all, lost that path,
+    // whatever its timing says.
+    if body.contains("\"bench\": \"fig11b_recovery_time\"") {
+        for key in ["rocksdb/SplitFT", "redis/SplitFT"] {
+            let line = body
+                .lines()
+                .find(|l| l.trim_start().starts_with(&format!("\"{key}\": [")))
+                .ok_or_else(|| format!("catch_up_kinds is missing the {key} row"))?;
+            let kinds = line.split_once('[').map_or("", |(_, rest)| rest);
+            let mut kinds = kinds.trim_end_matches([']', ',']).split(", ");
+            if kinds.any(|k| k != "\"tail in place\"") {
+                return Err(format!(
+                    "{key} did not catch every peer up in place: {}",
+                    line.trim()
+                ));
+            }
+        }
+    }
     Ok(())
 }
 
@@ -773,10 +793,30 @@ mod tests {
             "\"stage_breakdown\": {",
             &format!("{section}\n  \"stage_breakdown\": {{"),
         );
-        validate_bench_json(&with_rows).expect("complete fig11b breakdown must validate");
-        let lost_app = with_rows.replace("\"sqlite/SplitFT\":", "\"sqlite/Splat\":");
+        assert!(validate_bench_json(&with_rows)
+            .unwrap_err()
+            .contains("catch_up_kinds is missing the rocksdb/SplitFT row"));
+        let kinds = |rocks: &str| {
+            let section = format!(
+                "\"catch_up_kinds\": {{\n    \"rocksdb/SplitFT\": [{rocks}],\n    \
+                 \"redis/SplitFT\": [\"tail in place\", \"tail in place\"],\n    \
+                 \"sqlite/SplitFT\": [\"full copy\"]\n  }},"
+            );
+            with_rows.replace(
+                "\"stage_breakdown\": {",
+                &format!("{section}\n  \"stage_breakdown\": {{"),
+            )
+        };
+        let in_place = kinds("\"tail in place\", \"tail in place\", \"tail in place\"");
+        validate_bench_json(&in_place).expect("complete fig11b breakdown must validate");
+        let lost_app = in_place.replace("\"sqlite/SplitFT\": {", "\"sqlite/Splat\": {");
         assert!(validate_bench_json(&lost_app)
             .unwrap_err()
             .contains("sqlite/SplitFT"));
+        // A staged copy, or no catch-up at all, on rocksdb fails by row.
+        for rocks in ["\"tail in place\", \"full copy\"", ""] {
+            let err = validate_bench_json(&kinds(rocks)).unwrap_err();
+            assert!(err.contains("rocksdb/SplitFT did not catch"), "{err}");
+        }
     }
 }

@@ -72,10 +72,11 @@
 //! image when replicated — quorum intersection guarantees it covers every
 //! acknowledged record — or a spill snapshot plus a fragment walk over any
 //! `k` holders when erasure-coded), and then **catches up** the peers
-//! before returning data to the application: each peer stages a fresh
-//! region (optionally pre-filled from its current one), the application
-//! writes the recovered image (or just the missing tail, for append-only
-//! files), and the peer atomically switches its mr-map entry. Only then is
+//! before returning data to the application: a peer whose append-only
+//! bytes are a prefix of the recovered image re-keys its region in place
+//! and receives just the missing tail and header; any other peer stages a
+//! fresh region, receives the whole image, and atomically switches its
+//! mr-map entry. Only then is
 //! the ap-map advanced to the new epoch. Doing these steps in the opposite
 //! order loses data — the model checker in `crates/modelcheck`
 //! demonstrates both seeded bugs. The per-peer header reads and catch-up

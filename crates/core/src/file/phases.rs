@@ -61,21 +61,20 @@ impl<'t> Phases<'t> {
     }
 
     /// Runs one peer's share of the open phase under a span of its own
-    /// (scope = the peer, `detail` = how it was done), parented to that
-    /// phase. Reads the clock only when tracing.
+    /// (scope = the peer, detail = how `work` says it was done), parented
+    /// to that phase. Reads the clock only when tracing.
     pub(super) fn peer<R>(
         &self,
         name: &'static str,
         scope: &'static str,
-        detail: &str,
         epoch: u64,
-        work: impl FnOnce() -> R,
+        work: impl FnOnce() -> (R, &'static str),
     ) -> R {
         if self.trace == 0 {
-            return work();
+            return work().0;
         }
         let start = sim::time::now();
-        let out = work();
+        let (out, detail) = work();
         let (tel, end) = (self.tel, sim::time::now());
         let id = tel.next_span_id();
         let mut span = tel.closed_span(

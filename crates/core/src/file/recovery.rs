@@ -10,7 +10,7 @@ use rdma::{CompletionQueue, WcStatus, WrId};
 use telemetry::spans;
 
 use super::phases::Phases;
-use super::repair::{acquire_peers, catch_up_existing, catch_up_fresh, copy_kind, FRESH};
+use super::repair::{acquire_peers, catch_up_existing, catch_up_fresh, FRESH};
 use super::scheme::Scheme;
 use super::slots::{PeerSlot, Responders, WcRouter, WcWait};
 use super::{fan_out, free_regions, NclFile, NclLib};
@@ -115,8 +115,8 @@ impl NclLib {
 
         // Phase 4: catch every peer up to the recovered image under a new
         // epoch, then (and only then) advance the ap-map. The per-peer
-        // prepare/copy/commit pipelines are independent — run them in
-        // parallel, dropping any peer that dies mid-catch-up.
+        // catch-ups (tail in place, or a staged full copy) are independent —
+        // run them in parallel, dropping any peer that dies mid-catch-up.
         let epoch = entry.epoch + 1;
         let header = scheme.reset_header(&image)?;
         scheme.adopt_reset(&header);
@@ -124,9 +124,8 @@ impl NclLib {
         let shipped = scheme.ships_image().then(|| image.valid());
         let peer_span = spans::NCL_RECOVER_CATCH_UP_PEER;
         let mut slots: Vec<PeerSlot> = fan_out(responders, |(slot, peer_header)| {
-            let copy = copy_kind(&peer_header, &header, shipped);
             phases
-                .peer(peer_span, slot.scope, copy, epoch, || {
+                .peer(peer_span, slot.scope, epoch, || {
                     catch_up_existing(
                         ctx,
                         file,
@@ -171,8 +170,11 @@ impl NclLib {
                 break;
             }
             let caught_up = fan_out(fresh, |mut slot| {
-                let done = phases.peer(peer_span, slot.scope, FRESH, epoch, || {
-                    catch_up_fresh(ctx, &router, &mut slot, &header, shipped)
+                let done = phases.peer(peer_span, slot.scope, epoch, || {
+                    (
+                        catch_up_fresh(ctx, &router, &mut slot, &header, shipped),
+                        FRESH,
+                    )
                 });
                 (slot, done)
             });

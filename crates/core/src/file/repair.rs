@@ -1,6 +1,7 @@
 //! Repair: inline peer replacement (§4.5.2), peer acquisition, and the
 //! two catch-up transfers — a fresh peer's bulk copy and an existing
-//! peer's stage-fill-switch — that recovery's rearm shares.
+//! peer's tail in place or staged full copy — that recovery's rearm
+//! shares.
 
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -110,8 +111,8 @@ impl NclFile {
         let image = stage.scheme.ships_image().then(|| stage.image.valid());
         let results = fan_out(fresh.iter_mut(), |slot| {
             let name = spans::NCL_REPAIR_CATCH_UP_PEER;
-            phases.peer(name, slot.scope, FRESH, epoch, || {
-                catch_up_fresh(ctx, &wait, slot, &header, image)
+            phases.peer(name, slot.scope, epoch, || {
+                (catch_up_fresh(ctx, &wait, slot, &header, image), FRESH)
             })
         });
         let catchup_start = phases.mark;
@@ -382,7 +383,7 @@ pub(super) fn ship(
 
 /// The detail of a per-peer catch-up span: how the peer was caught up.
 pub(super) const FRESH: &str = "fresh peer";
-const TAIL_DIFF: &str = "tail-diff";
+const IN_PLACE: &str = "tail in place";
 const FULL_COPY: &str = "full copy";
 
 /// Catches a freshly allocated peer up: the scheme's reset `header`,
@@ -401,36 +402,27 @@ pub(super) fn catch_up_fresh(
     Ok(())
 }
 
-/// How [`catch_up_existing`] ships `image` to a peer whose region holds
-/// `peer_header`: only the missing tail when both sides are append-only
-/// and the peer's bytes are a prefix (the §6 byte-diff optimisation), else
-/// the whole image.
-pub(super) fn copy_kind(
-    peer_header: &RegionHeader,
-    header: &RegionHeader,
-    image: Option<&[u8]>,
-) -> &'static str {
-    let tail_only = image.is_some()
-        && !header.overwritten
-        && !peer_header.overwritten
-        && peer_header.len <= header.len;
-    if tail_only {
-        TAIL_DIFF
-    } else {
-        FULL_COPY
-    }
-}
-
-/// Recovery catch-up of a peer that still holds a (possibly lagging) region:
-/// stage a fresh region of `capacity` data bytes, fill it, and atomically
-/// switch.
+/// Recovery catch-up of a peer that still holds a (possibly lagging)
+/// region, under the new `epoch`. Returns the caught-up slot, and how it
+/// was caught up (the per-peer span's detail).
 ///
-/// For append-only files (`overwritten == false`) the staged region is
-/// pre-filled from the peer's current one and only the missing tail is
-/// shipped ([`copy_kind`]). Circular logs always ship the full image,
-/// because a lagging circular region's bytes are not a prefix of the
-/// recovered image (Figure 7ii). When the scheme ships no image
-/// (`image == None`) only the reset header goes into an empty region.
+/// **In place** (a deviation from the paper's switch, §4.5.1) when the
+/// scheme ships the image, neither header is overwritten and the peer's
+/// length does not exceed the recovered one: the peer's bytes are then a
+/// prefix of the recovered image (§6 byte-diff). One `Adopt` raises the
+/// live region's epoch and re-keys it, fencing any earlier writer as the
+/// switch's invalidate did; then the missing tail and the header go into
+/// that region as one post and one wait. QP order lands the tail before
+/// the header, so a crash mid-way leaves the old prefix or the recovered
+/// header. A refused `Adopt` (a predecessor's recovery or repair already
+/// raised the region to `epoch`) falls back to the full copy.
+///
+/// **Full copy** otherwise: stage a fresh region of `capacity` data bytes,
+/// ship the whole image into it (only the reset header when the scheme
+/// ships none), and atomically switch. A lagging circular region's bytes
+/// are not a prefix of the recovered image (Figure 7ii), and an
+/// erasure-coded reset rewrites the fragment area, so writing those in
+/// place would destroy the only copy.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn catch_up_existing(
     ctx: &Ctx,
@@ -442,50 +434,48 @@ pub(super) fn catch_up_existing(
     peer_header: RegionHeader,
     header: &RegionHeader,
     image: Option<&[u8]>,
-) -> Result<PeerSlot, NclError> {
-    let tail_only = copy_kind(&peer_header, header, image) == TAIL_DIFF;
-    let resp = slot.endpoint.rpc.call(
-        ctx.node,
-        PeerReq::Prepare {
-            app: ctx.app_id.clone(),
-            file: file.to_string(),
-            epoch,
-            capacity,
-            copy_current: tail_only,
-        },
-    );
-    let Ok(PeerResp::Mr(staged, ready)) = resp else {
-        return Err(NclError::Unavailable(format!(
-            "peer {} rejected prepare",
-            slot.name
-        )));
+) -> (Result<PeerSlot, NclError>, &'static str) {
+    let call = |req| slot.endpoint.rpc.call(ctx.node, req);
+    let ids = || (ctx.app_id.clone(), file.to_string());
+    let prefix = !header.overwritten && !peer_header.overwritten && peer_header.len <= header.len;
+    if let Some(bytes) = image.filter(|_| prefix) {
+        let (app, file) = ids();
+        if let Ok(PeerResp::Mr(mr, _)) = call(PeerReq::Adopt { app, file, epoch }) {
+            let start = peer_header.len as usize;
+            let tail = Some((start, &bytes[start..]));
+            let done = ship(ctx, wait, &slot, &mr, header, tail);
+            let slot = PeerSlot {
+                mr,
+                completed_seq: header.seq,
+                ..slot
+            };
+            return (done.map(|()| slot), IN_PLACE);
+        }
+    }
+    let rejected = |what| NclError::Unavailable(format!("peer {} rejected {what}", slot.name));
+    let (app, file) = ids();
+    let Ok(PeerResp::Mr(staged, ready)) = call(PeerReq::Prepare {
+        app,
+        file,
+        epoch,
+        capacity,
+    }) else {
+        return (Err(rejected("prepare")), FULL_COPY);
     };
     // The staged region registers on the peer's pipe; post no earlier.
     sim::delay_until(ready);
-    let start = if tail_only {
-        peer_header.len as usize
-    } else {
-        0
+    let body = image.map(|bytes| (0, bytes));
+    let done = ship(ctx, wait, &slot, &staged, header, body).and_then(|()| {
+        let (app, file) = ids();
+        match call(PeerReq::Commit { app, file, epoch }) {
+            Ok(PeerResp::Ok) => Ok(()),
+            _ => Err(rejected("commit")),
+        }
+    });
+    let slot = PeerSlot {
+        mr: staged,
+        completed_seq: header.seq,
+        ..slot
     };
-    let body = image.map(|bytes| (start, &bytes[start..]));
-    ship(ctx, wait, &slot, &staged, header, body)?;
-    let resp = slot.endpoint.rpc.call(
-        ctx.node,
-        PeerReq::Commit {
-            app: ctx.app_id.clone(),
-            file: file.to_string(),
-            epoch,
-        },
-    );
-    match resp {
-        Ok(PeerResp::Ok) => Ok(PeerSlot {
-            mr: staged,
-            completed_seq: header.seq,
-            ..slot
-        }),
-        _ => Err(NclError::Unavailable(format!(
-            "peer {} rejected commit",
-            slot.name
-        ))),
-    }
+    (done.map(|()| slot), FULL_COPY)
 }

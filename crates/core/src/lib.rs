@@ -16,8 +16,9 @@
 //!   that ensure at most one instance of an application runs at a time.
 //! * [`Peer`] — the log-peer daemon that lends spare memory: it allocates
 //!   RDMA memory regions on request, validates allocations against epochs,
-//!   garbage-collects leaked regions, supports the atomic region switch used
-//!   by recovery catch-up, and can unilaterally revoke memory.
+//!   garbage-collects leaked regions, adopts a region in place or switches
+//!   it atomically for recovery catch-up, and can unilaterally revoke
+//!   memory.
 //! * [`NclLib`] / [`NclFile`] — the application-linked library: local
 //!   buffering, in-order majority replication (one data write-request plus
 //!   one sequence-number write-request per record, in that order), recovery

@@ -2,11 +2,11 @@
 //!
 //! Any compute node with spare memory can run a peer daemon (§4.3). The
 //! daemon is involved only in the control plane: allocating memory regions,
-//! validating recovery lookups, the atomic region switch used by catch-up,
-//! epoch-based garbage collection of leaked regions, and voluntary memory
-//! revocation. The data plane — every log write and recovery read — goes
-//! through 1-sided RDMA against the regions the daemon exported, without
-//! the daemon's participation.
+//! validating recovery lookups, adopting a region in place or switching it
+//! atomically for a recovery's catch-up, epoch-based garbage collection of
+//! leaked regions, and voluntary memory revocation. The data plane — every
+//! log write and recovery read — goes through 1-sided RDMA against the
+//! regions the daemon exported, without the daemon's participation.
 //!
 //! Multi-tenancy: the daemon serves many applications at once from a single
 //! configurable budget. A [`SlabAllocator`] keeps per-tenant accounting and
@@ -80,9 +80,25 @@ pub enum PeerReq {
         /// File name.
         file: String,
     },
-    /// Stage a fresh region for the catch-up's atomic switch, optionally
-    /// pre-filled with the current region's contents (peer-local memcpy —
-    /// the transport saving behind the §6 byte-diff optimisation).
+    /// Recovery of an append-only log whose bytes here are a prefix of the
+    /// recovered image: raise the live region's epoch to `epoch` and fence
+    /// every earlier writer by giving the region a fresh rkey, its bytes
+    /// untouched. Answers `Mr(region, now)`; the recovering application
+    /// then writes only the missing tail and the header into it. Refused
+    /// unless `epoch` is above the region's. Any region still staged for
+    /// the file (an aborted recovery's) is dropped.
+    Adopt {
+        /// Application identifier.
+        app: String,
+        /// File name.
+        file: String,
+        /// Epoch of the in-progress recovery.
+        epoch: u64,
+    },
+    /// Stage a fresh, zeroed region for a full copy's atomic switch: a
+    /// circular or overwritten log, a peer whose bytes are not a prefix of
+    /// the recovered image, or an erasure-coded reset. Writing those in
+    /// place would destroy the only copy.
     Prepare {
         /// Application identifier.
         app: String,
@@ -92,8 +108,6 @@ pub enum PeerReq {
         epoch: u64,
         /// Data capacity in bytes.
         capacity: usize,
-        /// Copy the current region's bytes into the staged one.
-        copy_current: bool,
     },
     /// Atomically switch the mr-map entry to the staged region and recycle
     /// the old one.
@@ -345,25 +359,39 @@ impl Daemon {
                 region.lease = now;
                 Ok(PeerResp::Mr(region.remote, now))
             }
+            PeerReq::Adopt { app, file, epoch } => {
+                let key = (app, file);
+                let region = self.live.get_mut(&key).ok_or("no region for file")?;
+                if region.epoch >= epoch {
+                    return Err(format!("region at epoch {} >= {epoch}", region.epoch));
+                }
+                let rkey = self
+                    .device
+                    .rekey(region.remote.mr_id)
+                    .ok_or("region lost")?;
+                (region.remote.rkey, region.epoch, region.lease) = (rkey, epoch, now);
+                let remote = region.remote;
+                let why = format!("{}/{}: region adopted in place", key.0, key.1);
+                self.telemetry
+                    .fact(spans::EPOCH_BUMP, &self.name, epoch, why);
+                // An aborted full copy's staged region: no commit will come.
+                if let Some(old) = self.staged.remove(&key) {
+                    self.release(&key.0, old);
+                }
+                Ok(PeerResp::Mr(remote, now))
+            }
             PeerReq::Prepare {
                 app,
                 file,
                 epoch,
                 capacity,
-                copy_current,
             } => {
                 let key = (app, file);
-                let len = HEADER_SIZE + capacity;
                 // Drop any previous staging for this file (aborted recovery).
                 if let Some(old) = self.staged.remove(&key) {
                     self.release(&key.0, old);
                 }
-                let (local, remote, ready) = self.allocate(now, &key, len)?;
-                if let Some(cur) = self.live.get(&key).filter(|_| copy_current) {
-                    if let Some(bytes) = cur.local.read_local(0, cur.remote.len.min(len)) {
-                        local.write_local(0, &bytes);
-                    }
-                }
+                let (local, remote, ready) = self.allocate(now, &key, HEADER_SIZE + capacity)?;
                 let region = Region {
                     epoch,
                     local,
@@ -432,7 +460,7 @@ impl Daemon {
             }
         };
         if let Some(local) = pooled {
-            if let Some(rkey) = self.device.rekey(local.mr_id()) {
+            if let Some(rkey) = self.device.recycle(local.mr_id()) {
                 let remote = RemoteMr {
                     node: self.device.node(),
                     mr_id: local.mr_id(),
@@ -563,9 +591,10 @@ impl Daemon {
 
     /// Reclaims every region whose epoch `e_r` the application's epoch
     /// high-water mark `e` at the controller has superseded (`e > e_r`), and
-    /// every live region that lost its ap-map membership at the same epoch.
-    /// `e < e_r` is an allocation still in progress, and a staged region at
-    /// the committed epoch is left to its commit.
+    /// every region, live or staged, that the ap-map entry at its own epoch
+    /// does not list: the recovery that staged it moved on without this
+    /// peer, and no commit will come. `e < e_r` is an allocation still in
+    /// progress.
     fn epoch_pass(&mut self) -> usize {
         let mut freed = 0;
         for (slot, key) in self.held() {
@@ -575,7 +604,7 @@ impl Daemon {
             let Ok(e) = self.controller.get_app_epoch(self.node, &key.0, &key.1) else {
                 continue;
             };
-            let reclaim = e > e_r || (e == e_r && slot == Slot::Live && !self.member(&key));
+            let reclaim = e > e_r || (e == e_r && !self.member(&key));
             if reclaim {
                 let why = format!("leak GC (app epoch {e})");
                 freed += self.reclaim(slot, &key, spans::REGION_FREE, &why) as usize;
@@ -896,13 +925,20 @@ mod tests {
     }
 
     /// Stages a 128-byte region for `(app, file)` at `epoch`.
-    fn prepare_req(app: &str, file: &str, epoch: u64, copy_current: bool) -> PeerReq {
+    fn prepare_req(app: &str, file: &str, epoch: u64) -> PeerReq {
         PeerReq::Prepare {
             app: app.into(),
             file: file.into(),
             epoch,
             capacity: 128,
-            copy_current,
+        }
+    }
+
+    fn adopt_req(app: &str, file: &str, epoch: u64) -> PeerReq {
+        PeerReq::Adopt {
+            app: app.into(),
+            file: file.into(),
+            epoch,
         }
     }
 
@@ -1054,15 +1090,15 @@ mod tests {
         fx.peer.daemon.lock().live[&key("a", "wal")]
             .local
             .write_local(HEADER_SIZE, b"old!");
-        let PeerResp::Mr(new_mr, _) = call(&fx, prepare_req("a", "wal", 2, true)) else {
+        let PeerResp::Mr(new_mr, _) = call(&fx, prepare_req("a", "wal", 2)) else {
             panic!("prepare failed")
         };
         assert_ne!(new_mr.mr_id, old_mr.mr_id);
-        // The staged copy carried the old contents.
+        // The staged region is fresh: the full copy fills it, not the peer.
         assert!(matches!(call(&fx, commit_req("a", "wal", 2)), PeerResp::Ok));
         assert_eq!(
             fx.peer.inspect_region("a", "wal", HEADER_SIZE, 4).unwrap(),
-            b"old!"
+            [0; 4]
         );
         // The old region's token is dead.
         let dev = &fx.registry.lookup("p1").unwrap().device;
@@ -1075,13 +1111,72 @@ mod tests {
     fn commit_with_wrong_epoch_rejected() {
         let fx = setup(1 << 20);
         alloc(&fx, "a", "wal", 1, 128);
-        call(&fx, prepare_req("a", "wal", 2, false));
+        call(&fx, prepare_req("a", "wal", 2));
         assert!(matches!(
             call(&fx, commit_req("a", "wal", 3)),
             PeerResp::Rejected(_)
         ));
         // Staging survives a mismatched commit and can be committed later.
         assert!(matches!(call(&fx, commit_req("a", "wal", 2)), PeerResp::Ok));
+    }
+
+    #[test]
+    fn adopt_rekeys_the_live_region_in_place_at_a_higher_epoch() {
+        let fx = setup(1 << 20);
+        let PeerResp::Mr(old_mr, _) = alloc(&fx, "a", "wal", 1, 128) else {
+            panic!()
+        };
+        fx.peer.daemon.lock().live[&key("a", "wal")]
+            .local
+            .write_local(HEADER_SIZE, b"old!");
+        // An aborted full copy left a region staged.
+        call(&fx, prepare_req("a", "wal", 2));
+        let used = (HEADER_SIZE + 128) as u64;
+        let PeerResp::Mr(mr, _) = call(&fx, adopt_req("a", "wal", 2)) else {
+            panic!("adopt failed")
+        };
+        // Same region, same bytes, a fresh key; the staged region is gone.
+        assert_eq!((mr.mr_id, mr.len), (old_mr.mr_id, old_mr.len));
+        assert_ne!(mr.rkey, old_mr.rkey);
+        assert_eq!(
+            fx.peer.inspect_region("a", "wal", HEADER_SIZE, 4).unwrap(),
+            b"old!"
+        );
+        assert_eq!((fx.peer.staged_count(), fx.peer.mem_used()), (0, used));
+        assert_eq!(fx.peer.daemon.lock().live[&key("a", "wal")].epoch, 2);
+        // The earlier writer is fenced; the new key writes.
+        let dev = &fx.registry.lookup("p1").unwrap().device;
+        assert!(dev
+            .apply_remote(old_mr.mr_id, old_mr.rkey, 0, Some(b"x"), 0)
+            .is_err());
+        assert!(dev
+            .apply_remote(mr.mr_id, mr.rkey, 0, Some(b"x"), 0)
+            .is_ok());
+        // Only a higher epoch adopts, and only a region that exists.
+        for epoch in [1, 2] {
+            let resp = call(&fx, adopt_req("a", "wal", epoch));
+            assert!(matches!(resp, PeerResp::Rejected(_)), "epoch {epoch}");
+        }
+        let resp = call(&fx, adopt_req("a", "other", 3));
+        assert!(matches!(resp, PeerResp::Rejected(_)));
+        assert!(dev
+            .apply_remote(mr.mr_id, mr.rkey, 0, Some(b"y"), 0)
+            .is_ok());
+    }
+
+    #[test]
+    fn gc_reclaims_a_staged_region_the_ap_map_moved_past() {
+        let fx = setup(1 << 20);
+        alloc(&fx, "a", "wal", 1, 128);
+        // A recovery at epoch 2 staged a region here, then set the ap-map at
+        // epoch 2 without this peer (its commit never came).
+        call(&fx, prepare_req("a", "wal", 2));
+        fx.ctrl_client
+            .set_ap_entry(fx.app_node, "a", "wal", vec!["p-other".into()], 2)
+            .unwrap();
+        assert_eq!(fx.peer.gc_sweep(), 2, "the stale live and the staged one");
+        assert_eq!(fx.peer.staged_count(), 0);
+        assert_eq!(fx.peer.mem_used(), 0);
     }
 
     #[test]
@@ -1191,7 +1286,7 @@ mod tests {
     fn free_is_idempotent_and_drops_replace_race_staging() {
         let fx = setup(1 << 20);
         alloc(&fx, "a", "wal", 1, 128);
-        call(&fx, prepare_req("a", "wal", 2, false));
+        call(&fx, prepare_req("a", "wal", 2));
         assert_eq!(fx.peer.staged_count(), 1);
         assert_eq!(fx.peer.mem_used(), 2 * (HEADER_SIZE + 128) as u64);
         // The app deletes the file while the catch-up has a region staged:
@@ -1301,20 +1396,21 @@ mod tests {
         // "prepare"'s live one: `Prepare` leases the region it stages.
         let u = t + 3 * lease;
         let v = u + Duration::from_secs(1);
-        for file in ["alloc", "lookup", "prepare", "commit", "bump"] {
+        for file in ["alloc", "lookup", "prepare", "commit", "bump", "adopt"] {
             ok(d.handle(u, alloc_req("dead", file, 1, 128)));
         }
-        ok(d.handle(u, prepare_req("dead", "commit", 2, false)));
+        ok(d.handle(u, prepare_req("dead", "commit", 2)));
         ok(d.handle(v, alloc_req("dead", "alloc", 2, 128)));
         ok(d.handle(v, lookup_req("dead", "lookup")));
-        ok(d.handle(v, prepare_req("dead", "prepare", 2, false)));
+        ok(d.handle(v, prepare_req("dead", "prepare", 2)));
         ok(d.handle(v, commit_req("dead", "commit", 2)));
         ok(d.handle(v, bump_req("dead", "bump", 2)));
+        ok(d.handle(v, adopt_req("dead", "adopt", 2)));
         assert_eq!(sweep(&mut d, u + lease), 1);
         assert!(!d.live.contains_key(&key("dead", "prepare")));
-        assert_eq!((d.live.len(), d.staged.len()), (4, 1));
+        assert_eq!((d.live.len(), d.staged.len()), (5, 1));
         assert_eq!(sweep(&mut d, v + lease - ns), 0);
-        assert_eq!(sweep(&mut d, v + lease), 5);
+        assert_eq!(sweep(&mut d, v + lease), 6);
         assert_eq!(d.alloc.used(), 0);
     }
 
@@ -1358,7 +1454,7 @@ mod tests {
         };
         alloc(&fx, "a", "wal", 1, 128);
         assert!(matches!(
-            call(&fx, prepare_req("a", "wal", 2, true)),
+            call(&fx, prepare_req("a", "wal", 2)),
             PeerResp::Mr(..)
         ));
         assert_eq!(fx.peer.mem_used(), 2 * region as u64);

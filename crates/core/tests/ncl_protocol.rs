@@ -8,11 +8,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use ncl::peer::{PeerReq, PeerResp};
 use ncl::{
     lockaudit, Controller, Durability, MemSpillSink, NclConfig, NclError, NclFile, NclLib,
     NclRegistry, Peer, RegionHeader, HEADER_SIZE,
 };
-use sim::Cluster;
+use rdma::{CompletionQueue, QueuePair, RemoteMr, WcStatus, WorkRequest, WrId};
+use sim::{Cluster, NodeId};
 use telemetry::spans;
 
 struct Harness {
@@ -73,6 +75,67 @@ impl Harness {
             .iter()
             .find(|p| p.name() == name)
             .expect("peer exists")
+    }
+
+    /// The token `peer` hands out for testapp's `file`, asked from `from`.
+    fn region_of(&self, from: NodeId, peer: &str, file: &str) -> RemoteMr {
+        let req = PeerReq::RecoveryLookup {
+            app: "testapp".into(),
+            file: file.into(),
+        };
+        match self.registry.lookup(peer).unwrap().rpc.call(from, req) {
+            Ok(PeerResp::Mr(mr, _)) => mr,
+            other => panic!("lookup on {peer}: {other:?}"),
+        }
+    }
+
+    /// Posts `writes` (offset, bytes) into `mr` on `peer` from `from` over a
+    /// queue pair of its own, in order, and returns their completions.
+    fn post_from(
+        &self,
+        from: NodeId,
+        peer: &str,
+        mr: RemoteMr,
+        writes: &[(usize, &[u8])],
+    ) -> Vec<WcStatus> {
+        let cq = CompletionQueue::new();
+        let device = &self.registry.lookup(peer).unwrap().device;
+        let qp = QueuePair::connect(
+            self.cluster.clone(),
+            from,
+            device,
+            cq.clone(),
+            self.config.rdma,
+        );
+        let wrs: Vec<WorkRequest> = writes
+            .iter()
+            .enumerate()
+            .map(|(i, (offset, data))| WorkRequest::Write {
+                wr_id: WrId(i as u64),
+                mr,
+                offset: *offset,
+                data: (*data).into(),
+            })
+            .collect();
+        qp.post_many(&wrs).unwrap();
+        let mut done = Vec::new();
+        while done.len() < writes.len() {
+            done.extend(
+                cq.wait(Duration::from_secs(5))
+                    .into_iter()
+                    .map(|(_, wc)| wc.status),
+            );
+        }
+        done
+    }
+
+    /// The details of the per-peer recovery catch-up spans on `peer`.
+    fn copies_on(&self, peer: &str) -> Vec<Box<str>> {
+        let spans = self.config.telemetry.spans().into_iter();
+        spans
+            .filter(|s| s.name == spans::NCL_RECOVER_CATCH_UP_PEER && s.scope == peer)
+            .filter_map(|s| s.detail)
+            .collect()
     }
 }
 
@@ -504,9 +567,11 @@ fn overwrites_inside_a_burst_and_under_a_flight_ship_the_image() {
 
 /// Recovery catch-up of a lagging peer picks its path from the two region
 /// headers alone: an append-only log ships only the tail the peer misses
-/// (§6 byte-diff), while a lagging circular region's bytes are not a prefix
-/// of the recovered image (Figure 7(ii)), so the full image is installed.
-/// Either way the once-lagging peer must end up holding the whole image.
+/// (§6 byte-diff) into the region it already holds, while a lagging
+/// circular region's bytes are not a prefix of the recovered image
+/// (Figure 7(ii)), so the full image is installed in a staged region that
+/// replaces it. Either way the once-lagging peer must end up holding the
+/// whole image.
 #[test]
 fn lagging_peer_catch_up_picks_its_path_from_the_headers() {
     struct Case {
@@ -523,7 +588,7 @@ fn lagging_peer_catch_up_picks_its_path_from_the_headers() {
             first: b"start...",
             second: (8, b"tail-data-only-on-majority"),
             image: b"start...tail-data-only-on-majority",
-            path: "tail-diff",
+            path: "tail in place",
         },
         Case {
             capacity: 8,
@@ -551,22 +616,45 @@ fn lagging_peer_catch_up_picks_its_path_from_the_headers() {
             h.cluster.heal(app_node, lag_node);
         }
         h.cluster.crash(app_node);
+        let probe = h.cluster.add_node("probe");
+        let ledger = |h: &Harness| {
+            let peers = h.peers.iter();
+            let held = peers.map(|p| (p.region_count(), p.staged_count(), p.mem_used()));
+            held.collect::<Vec<_>>()
+        };
+        let allocs = |h: &Harness| {
+            let spans = h.config.telemetry.spans().into_iter();
+            spans.filter(|s| s.name == spans::REGION_ALLOC).count()
+        };
+        let (before, allocs_before) = (ledger(&h), allocs(&h));
+        let region_before = h.region_of(probe, &lagging, "wal");
         let lib2 = h.app("a2");
         let file = lib2.recover("wal").unwrap();
         assert_eq!(file.contents(), case.image, "{}", case.path);
-        let copies: Vec<Box<str>> = h
-            .config
-            .telemetry
-            .spans()
-            .into_iter()
-            .filter(|s| s.name == spans::NCL_RECOVER_CATCH_UP_PEER && s.scope == lagging)
-            .filter_map(|s| s.detail)
-            .collect();
         assert_eq!(
-            copies,
+            h.copies_on(&lagging),
             [case.path.into()],
             "chosen catch-up path of the lagging peer"
         );
+        // A full copy switches the region; in place, recovery allocates,
+        // stages and charges nothing.
+        let region = h.region_of(probe, &lagging, "wal");
+        let in_place = case.path == "tail in place";
+        assert_eq!(
+            region.mr_id == region_before.mr_id,
+            in_place,
+            "{}",
+            case.path
+        );
+        assert_ne!(
+            region.rkey, region_before.rkey,
+            "{}: old token fenced",
+            case.path
+        );
+        assert_eq!(ledger(&h), before, "{}", case.path);
+        if in_place {
+            assert_eq!(allocs(&h), allocs_before, "no region-alloc fact");
+        }
         // Every peer (including the previously lagging one) must now hold
         // the correct image: crash a peer that was always up to date.
         drop(file);
@@ -579,6 +667,124 @@ fn lagging_peer_catch_up_picks_its_path_from_the_headers() {
         let lib3 = h.app("a3");
         let file = lib3.recover("wal").unwrap();
         assert_eq!(file.contents(), case.image, "{}", case.path);
+    }
+}
+
+/// An in-place catch-up fences the crashed instance as the switch did: a
+/// write posted with its pre-recovery token completes with an access error
+/// and changes no byte on the peer.
+#[test]
+fn in_place_recovery_fences_the_crashed_instances_token() {
+    let h = Harness::new(3);
+    let lib = h.app("a1");
+    let file = lib.create("wal", 4096).unwrap();
+    file.record(0, b"acked").unwrap();
+    let peer = file.peer_names()[0].clone();
+    let zombie = lib.node();
+    let stale = h.region_of(zombie, &peer, "wal");
+    drop(file);
+    h.cluster.crash(zombie);
+    let lib2 = h.app("a2");
+    let file = lib2.recover("wal").unwrap();
+    assert_eq!(h.copies_on(&peer), ["tail in place".into()]);
+    let bytes = |h: &Harness| {
+        let peer = h.peer_named(&peer);
+        peer.inspect_region("testapp", "wal", 0, HEADER_SIZE + 16)
+    };
+    let held = bytes(&h).unwrap();
+    // The crashed instance, still running somewhere, posts a header and
+    // data with the token it held before the recovery.
+    let forged = RegionHeader {
+        seq: 9,
+        len: 16,
+        ..Default::default()
+    }
+    .encode();
+    let writer = h.cluster.add_node("zombie");
+    let writes: [(usize, &[u8]); 2] = [(HEADER_SIZE, b"zombie-bytes"), (0, &forged)];
+    let statuses = h.post_from(writer, &peer, stale, &writes);
+    assert!(
+        statuses.contains(&WcStatus::RemoteAccessErr),
+        "{statuses:?}"
+    );
+    assert!(!statuses.contains(&WcStatus::Success), "{statuses:?}");
+    assert_eq!(bytes(&h).unwrap(), held, "the fenced writes landed nowhere");
+    // The recovered instance writes on.
+    file.record(5, b"-more").unwrap();
+    assert_eq!(file.contents(), b"acked-more");
+}
+
+/// The recovering instance dies after one responder's tail and header
+/// landed in place but before the ap-map moved, leaving that peer at the
+/// new epoch under a fresh key. A third instance recovers the acked image
+/// on every peer: the adopted peer refuses a second adoption at the same
+/// epoch and takes a full copy instead, and nothing is left staged.
+#[test]
+fn a_recovery_that_dies_mid_catch_up_is_recovered_again() {
+    let h = Harness::new(3);
+    let image: &[u8] = b"start...tail-only-on-a-majority";
+    let lagging;
+    {
+        let lib = h.app("a1");
+        let file = lib.create("wal", 4096).unwrap();
+        file.record(0, &image[..8]).unwrap();
+        lagging = file.peer_names()[2].clone();
+        let lag_node = h.peer_named(&lagging).node();
+        h.cluster.partition(lib.node(), lag_node);
+        file.record(8, &image[8..]).unwrap();
+        h.cluster.heal(lib.node(), lag_node);
+        h.cluster.crash(lib.node());
+    }
+    let ctl = h.controller.client(h.config.control);
+    let epoch = |node| {
+        let entry = ctl.get_ap_entry(node, "testapp", "wal").unwrap();
+        entry.expect("ap-map entry").epoch
+    };
+    // Instance a2 does what its catch-up of the lagging peer does — adopt,
+    // then the tail and the recovered header — and dies.
+    let lib2 = h.app("a2");
+    let e = epoch(lib2.node());
+    let adopt = PeerReq::Adopt {
+        app: "testapp".into(),
+        file: "wal".into(),
+        epoch: e + 1,
+    };
+    let endpoint = h.registry.lookup(&lagging).unwrap();
+    let Ok(PeerResp::Mr(mr, _)) = endpoint.rpc.call(lib2.node(), adopt) else {
+        panic!("adopt refused")
+    };
+    let up_to_date = ["p0", "p1", "p2"].into_iter().find(|n| *n != lagging);
+    let header = h
+        .peer_named(up_to_date.unwrap())
+        .inspect_region("testapp", "wal", 0, HEADER_SIZE)
+        .unwrap();
+    let writes: [(usize, &[u8]); 2] = [(HEADER_SIZE + 8, &image[8..]), (0, &header)];
+    let statuses = h.post_from(lib2.node(), &lagging, mr, &writes);
+    assert_eq!(statuses, [WcStatus::Success; 2]);
+    h.cluster.crash(lib2.node());
+    assert_eq!(
+        epoch(h.cluster.add_node("probe")),
+        e,
+        "the ap-map never moved"
+    );
+
+    let lib3 = h.app("a3");
+    let file = lib3.recover("wal").unwrap();
+    assert_eq!(file.contents(), image);
+    assert_eq!(file.peer_names().len(), 3);
+    assert_eq!(epoch(lib3.node()), e + 1);
+    for peer in &h.peers {
+        let name = peer.name();
+        let path = if name == lagging {
+            "full copy"
+        } else {
+            "tail in place"
+        };
+        assert_eq!(h.copies_on(name), [path.into()], "{name}");
+        let data = peer.inspect_region("testapp", "wal", HEADER_SIZE, image.len());
+        assert_eq!(data.unwrap(), image, "{name}");
+        assert_eq!(peer.staged_count(), 0, "{name}");
+        assert_eq!(peer.gc_sweep(), 0, "{name}: every region is in the ap-map");
     }
 }
 

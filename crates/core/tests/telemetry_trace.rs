@@ -229,8 +229,8 @@ fn recovery_after_app_crash_traces_start_and_finish() {
         .filter(|s| s.name == spans::NCL_RECOVER_CATCH_UP_PEER);
     let copies: Vec<&str> = per_peer.filter_map(|s| s.detail.as_deref()).collect();
     assert_eq!(
-        copies, ["tail-diff"; 3],
-        "append-only peers ship their tails"
+        copies, ["tail in place"; 3],
+        "append-only peers take their tails in place"
     );
     let report = analyze(&spans, config.quorum());
     assert!(

@@ -237,19 +237,30 @@ impl RdmaDevice {
         self.state.mrs.write().remove(&mr_id);
     }
 
-    /// Recycles a region: zeroes its contents and issues a fresh rkey,
-    /// invalidating every previously exported token. This models the cheap
-    /// path of peer allocation ("in most cases we expect a peer to have a
-    /// memory region that is already allocated and registered", §5.4.3) —
-    /// no page pinning is charged, only the rekey itself.
+    /// Issues a region a fresh rkey and leaves its bytes alone: every
+    /// previously exported token stops granting access, and no access made
+    /// with one lands after this returns (the key is swapped under the
+    /// buffer lock that every access checks it under). No page pinning is
+    /// charged, only the rekey itself.
     ///
     /// Returns `None` if the region no longer exists (host crashed).
     pub fn rekey(&self, mr_id: u64) -> Option<RKey> {
         let entry = self.lookup_live(mr_id)?;
-        entry.buf.lock().fill(0);
+        let _buf = entry.buf.lock();
         let rkey = RKey(self.state.next_rkey.fetch_add(1, Ordering::Relaxed) + 1);
         entry.rkey.store(rkey.0, Ordering::SeqCst);
         Some(rkey)
+    }
+
+    /// Recycles a region for a new owner: zeroes its contents and
+    /// [rekeys](Self::rekey) it. This models the cheap path of peer
+    /// allocation ("in most cases we expect a peer to have a memory region
+    /// that is already allocated and registered", §5.4.3).
+    ///
+    /// Returns `None` if the region no longer exists (host crashed).
+    pub fn recycle(&self, mr_id: u64) -> Option<RKey> {
+        self.lookup_live(mr_id)?.buf.lock().fill(0);
+        self.rekey(mr_id)
     }
 
     /// Number of currently registered regions (including stale ones from
@@ -304,10 +315,10 @@ impl RdmaDevice {
         let Some(entry) = self.lookup_live(mr_id) else {
             return Err(());
         };
+        let mut buf = entry.buf.lock();
         if entry.rkey.load(Ordering::SeqCst) != rkey.0 || rkey.0 == 0 {
             return Err(());
         }
-        let mut buf = entry.buf.lock();
         match write_data {
             Some(data) => {
                 if offset + data.len() > buf.len() {
@@ -348,11 +359,11 @@ impl RdmaDevice {
         let Some(entry) = self.lookup_live(mr_id) else {
             return Err(());
         };
+        let mut buf = entry.buf.lock();
         if entry.rkey.load(Ordering::SeqCst) != rkey.0 || rkey.0 == 0 {
             return Err(());
         }
         let total: usize = slices.iter().map(|s| s.as_ref().len()).sum();
-        let mut buf = entry.buf.lock();
         if offset + total > buf.len() {
             return Err(());
         }
@@ -453,6 +464,28 @@ mod tests {
             .is_err());
         // Host still sees the memory (it reclaims it for other uses).
         assert_eq!(local.read_local(0, 1).unwrap(), b"z");
+    }
+
+    #[test]
+    fn rekey_fences_old_tokens_and_keeps_bytes_while_recycle_zeroes() {
+        let (_c, dev, _n) = setup();
+        let (local, remote) = dev.register_mr(8).unwrap();
+        local.write_local(0, b"kept");
+        let rkey = dev.rekey(remote.mr_id).unwrap();
+        assert_ne!(rkey, remote.rkey);
+        assert!(dev
+            .apply_remote(remote.mr_id, remote.rkey, 0, Some(b"old!"), 0)
+            .is_err());
+        assert_eq!(local.read_local(0, 4).unwrap(), b"kept");
+        assert!(dev
+            .apply_remote(remote.mr_id, rkey, 4, Some(b"tail"), 0)
+            .is_ok());
+        let fresh = dev.recycle(remote.mr_id).unwrap();
+        assert!(dev
+            .apply_remote(remote.mr_id, rkey, 0, Some(b"x"), 0)
+            .is_err());
+        assert_ne!(fresh, rkey);
+        assert_eq!(local.read_local(0, 8).unwrap(), vec![0; 8]);
     }
 
     #[test]
