@@ -310,23 +310,17 @@ impl FragEntry {
     /// Parses and validates the entry at `pos` in `log` (header + unit CRC
     /// + bounds). `None` for torn, truncated, or garbage bytes.
     pub fn decode_at(log: &[u8], pos: usize) -> Option<(FragEntry, &[u8])> {
-        if pos + FRAG_ENTRY_SIZE > log.len() {
-            return None;
-        }
-        let h = &log[pos..pos + FRAG_ENTRY_SIZE];
+        let h = log.get(pos..pos.checked_add(FRAG_ENTRY_SIZE)?)?;
         let burst_seq = u64::from_le_bytes(h[0..8].try_into().expect("8 bytes"));
         let burst_len = u32::from_le_bytes(h[8..12].try_into().expect("4 bytes"));
         let unit_len = u32::from_le_bytes(h[12..16].try_into().expect("4 bytes"));
         let shard = u32::from_le_bytes(h[16..20].try_into().expect("4 bytes"));
         let stored = u32::from_le_bytes(h[20..24].try_into().expect("4 bytes"));
         let unit_end = pos + FRAG_ENTRY_SIZE + unit_len as usize;
-        if unit_len < burst_len.div_ceil(unit_len.max(1)) && unit_len == 0 {
+        if unit_len == 0 && burst_len > 0 {
             return None;
         }
-        if unit_end > log.len() {
-            return None;
-        }
-        let unit = &log[pos + FRAG_ENTRY_SIZE..unit_end];
+        let unit = log.get(pos + FRAG_ENTRY_SIZE..unit_end)?;
         if crc32c(&h[0..20]) ^ crc32c(unit) != stored {
             return None;
         }

@@ -80,21 +80,22 @@
 //! the ap-map advanced to the new epoch. Doing these steps in the opposite
 //! order loses data — the model checker in `crates/modelcheck`
 //! demonstrates both seeded bugs. The per-peer header reads and catch-up
-//! transfers are independent, so both phases fan out across the peers with
-//! scoped threads instead of paying one peer round trip after another.
-//! Peers that did not respond are replaced together: one controller round,
-//! one `Alloc` per replacement, one wait for their registrations, and one
-//! parallel catch-up.
+//! transfers are independent, so each phase prices every peer's RPCs, posts
+//! every peer's requests at one instant and waits once, on the caller's
+//! thread, instead of paying one peer round trip after another. Peers that
+//! did not respond are replaced together: one controller round, one
+//! `Alloc` per replacement, one wait for their registrations, and one
+//! catch-up posted to all of them.
 //!
 //! ## Peer replacement (§4.5.2)
 //!
 //! When a work request fails, the peer is declared dead. If a majority is
 //! still alive the current record completes first; replacement then runs
 //! inline (the paper's Figure 12 "blip"): allocate on fresh peers at the
-//! next epoch, copy the local buffer (all replacements in parallel), wait
-//! for the copies to complete, bump the surviving peers' region epochs, and
-//! only then swing the ap-map. If a majority is lost, the record blocks
-//! until replacement restores a quorum.
+//! next epoch, copy the local buffer (to all replacements at one instant),
+//! wait once for the copies to complete, bump the surviving peers' region
+//! epochs, and only then swing the ap-map. If a majority is lost, the
+//! record blocks until replacement restores a quorum.
 //!
 //! Create, repair and recovery acquire their peers the same way: the
 //! `Alloc`s of one controller round go out one after another on the
@@ -125,11 +126,11 @@ use telemetry::{spans, Telemetry};
 
 use self::phases::Phases;
 use self::scheme::Scheme;
-use self::slots::{AckedState, PeerSlot, Rep, WcRouter};
+use self::slots::{AckedState, PeerSlot, Rep};
 use self::staging::{FileMetrics, Image, Stage};
 use crate::config::NclConfig;
 use crate::controller::{Controller, ControllerClient};
-use crate::peer::PeerReq;
+use crate::peer::{PeerReq, PeerResp};
 use crate::registry::{NclRegistry, PeerEndpoint};
 use crate::NclError;
 
@@ -143,27 +144,26 @@ struct Ctx {
     registry: Arc<NclRegistry>,
 }
 
-/// Runs `work` on one scoped thread per item — the per-peer header reads,
-/// fragment fetches and catch-up transfers are independent, so their round
-/// trips overlap instead of accumulating — and returns the results in item
-/// order.
-fn fan_out<T: Send, R: Send>(
-    items: impl IntoIterator<Item = T>,
-    work: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .into_iter()
-            .map(|item| {
-                let work = &work;
-                scope.spawn(move || work(item))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("per-peer worker thread"))
-            .collect()
-    })
+/// Sends `req()` to each of `endpoints` at one instant and waits once, for
+/// the latest answer, so the round trips overlap. Returns the answers in
+/// order, `None` for a call that failed.
+fn call_all<'a>(
+    ctx: &Ctx,
+    endpoints: impl IntoIterator<Item = &'a PeerEndpoint>,
+    req: impl Fn() -> PeerReq,
+) -> Vec<Option<PeerResp>> {
+    let now = sim::time::now();
+    let mut ready = now;
+    let answers = endpoints
+        .into_iter()
+        .map(|endpoint| {
+            let (resp, back) = endpoint.rpc.call_at(ctx.node, now, req()).ok()?;
+            ready = ready.max(back);
+            Some(resp)
+        })
+        .collect();
+    sim::delay_until(ready);
+    answers
 }
 
 /// Frees `file`'s regions on `endpoints` at `epoch`, best effort: a peer
@@ -174,16 +174,11 @@ fn free_regions<'a>(
     epoch: u64,
     endpoints: impl IntoIterator<Item = &'a PeerEndpoint>,
 ) {
-    for endpoint in endpoints {
-        let _ = endpoint.rpc.call(
-            ctx.node,
-            PeerReq::Free {
-                app: ctx.app_id.clone(),
-                file: file.to_string(),
-                epoch,
-            },
-        );
-    }
+    call_all(ctx, endpoints, || PeerReq::Free {
+        app: ctx.app_id.clone(),
+        file: file.to_string(),
+        epoch,
+    });
 }
 
 /// Handle to the NCL layer for one application instance.
@@ -267,7 +262,7 @@ impl NclLib {
     pub fn create(&self, file: &str, capacity: usize) -> Result<Arc<NclFile>, NclError> {
         let ctx = &self.ctx;
         let scope = telemetry::intern_scope(&format!("{}/{}", ctx.app_id, file));
-        let mut phases = Phases::start(&ctx.config.telemetry, scope);
+        let mut phases = Phases::start(&ctx.config.telemetry, spans::NCL_CREATE, scope);
         if self.exists(file)? {
             return Err(NclError::AlreadyExists(file.to_string()));
         }
@@ -289,11 +284,10 @@ impl NclLib {
         let published = (|| {
             if let Some(header) = scheme.initial_header() {
                 // Post every peer's initial header, then wait for them once.
-                let router = WcRouter::new(&cq);
-                let posted = slots.iter().map(|s| repair::post(s, &s.mr, &header, None));
-                let ids = posted.collect::<Result<Vec<_>, _>>()?;
-                for (slot, id) in slots.iter().zip(ids) {
-                    repair::landed(ctx, &router, slot, id)?;
+                let (_, landed) =
+                    repair::ship_all(ctx, &cq, &header, slots.iter().map(|s| (s, None)));
+                if landed.contains(&None) {
+                    return Err(NclError::Unavailable("initial header not written".into()));
                 }
                 phases.close(spans::NCL_CREATE_SEED, epoch);
             }
@@ -308,21 +302,11 @@ impl NclLib {
             return Err(e);
         }
         phases.close(spans::NCL_CREATE_AP_MAP, epoch);
-        phases.finish(spans::NCL_CREATE, epoch);
         let image = Image::empty(capacity);
         let stats = RecoveryStats::default();
         Ok(NclFile::open(
             ctx, file, scope, image, scheme, slots, cq, epoch, stats,
         ))
-    }
-
-    /// Recovers `file` if it exists, otherwise creates it.
-    pub fn open_or_create(&self, file: &str, capacity: usize) -> Result<Arc<NclFile>, NclError> {
-        if self.exists(file)? {
-            self.recover(file)
-        } else {
-            self.create(file, capacity)
-        }
     }
 
     /// Deletes an ncl file without recovering its contents: frees the peer

@@ -4,6 +4,8 @@ use std::time::{Duration, Instant};
 
 use telemetry::Telemetry;
 
+use super::repair::How;
+
 /// The phases of one control-path operation — `create`, `recover`,
 /// `replace_failed` — closed in order, each as one child span of the
 /// operation's root. Each [`close`](Self::close) records `[previous end,
@@ -11,11 +13,19 @@ use telemetry::Telemetry;
 /// children partition the root exactly; `RecoveryStats` / `RepairStats` are
 /// [`total`](Self::total)s of the same durations. With tracing off (trace
 /// id 0) no span is recorded, but every duration is still kept.
+///
+/// Dropping the clock records the root, on every exit of the operation:
+/// `[start, end of the last phase)`, at the last phase's epoch, last — as
+/// every trace's root is, since the live checker settles a trace when it
+/// arrives. A clock that closed no phase records nothing.
 pub(super) struct Phases<'t> {
     tel: &'t Telemetry,
     /// The trace id (0 when tracing is off).
     trace: u64,
+    root: &'static str,
     scope: &'static str,
+    /// The epoch of the last closed phase.
+    epoch: u64,
     start: Instant,
     /// Where the open phase began: the previous phase's end.
     pub mark: Instant,
@@ -26,13 +36,15 @@ pub(super) struct Phases<'t> {
 }
 
 impl<'t> Phases<'t> {
-    /// Starts the clock of a new trace over `scope`.
-    pub(super) fn start(tel: &'t Telemetry, scope: &'static str) -> Self {
+    /// Starts the clock of a new trace, rooted at `root`, over `scope`.
+    pub(super) fn start(tel: &'t Telemetry, root: &'static str, scope: &'static str) -> Self {
         let start = sim::time::now();
         Phases {
             tel,
             trace: tel.next_trace_id(),
+            root,
             scope,
+            epoch: 0,
             start,
             mark: start,
             open: tel.next_span_id(),
@@ -50,7 +62,7 @@ impl<'t> Phases<'t> {
             self.open = tel.next_span_id();
         }
         self.closed.push((name, end - start));
-        self.mark = end;
+        (self.mark, self.epoch) = (end, epoch);
         end - start
     }
 
@@ -60,43 +72,41 @@ impl<'t> Phases<'t> {
         named.map(|(_, took)| *took).sum()
     }
 
-    /// Runs one peer's share of the open phase under a span of its own
-    /// (scope = the peer, detail = how `work` says it was done), parented
-    /// to that phase. Reads the clock only when tracing.
-    pub(super) fn peer<R>(
+    /// Records one peer's share of the open phase, `[at, at + wire)` —
+    /// posted at `at`, landed `wire` later, if at all — as a span of its
+    /// own (scope = the peer, detail = how it was caught up), parented to
+    /// that phase.
+    pub(super) fn peer(
         &self,
         name: &'static str,
         scope: &'static str,
         epoch: u64,
-        work: impl FnOnce() -> (R, &'static str),
-    ) -> R {
+        (at, wire): (Instant, Option<Duration>),
+        how: How,
+    ) {
         if self.trace == 0 {
-            return work().0;
+            return;
         }
-        let start = sim::time::now();
-        let (out, detail) = work();
-        let (tel, end) = (self.tel, sim::time::now());
+        let (tel, trace, end) = (self.tel, self.trace, at + wire.unwrap_or_default());
         let id = tel.next_span_id();
-        let mut span = tel.closed_span(
-            self.trace,
-            id,
-            self.open,
-            name,
-            scope,
-            epoch,
-            (0, 0),
-            start,
-            end,
-        );
+        let seq = (0, 0);
+        let mut span = tel.closed_span(trace, id, self.open, name, scope, epoch, seq, at, end);
+        let detail = match how {
+            How::Fresh => "fresh peer",
+            How::InPlace => "tail in place",
+            How::FullCopy => "full copy",
+        };
         span.detail = Some(detail.into());
         tel.record_spans(&mut vec![span]);
-        out
     }
+}
 
-    /// Records the root, `[start, end of the last phase)`, last — as every
-    /// trace's root is: the live checker settles a trace when it arrives.
-    pub(super) fn finish(self, root: &'static str, epoch: u64) {
-        let (tel, trace, scope) = (self.tel, self.trace, self.scope);
-        tel.span(trace, trace, 0, root, scope, epoch, self.start, self.mark);
+impl Drop for Phases<'_> {
+    fn drop(&mut self) {
+        if !self.closed.is_empty() {
+            let (tel, trace, scope) = (self.tel, self.trace, self.scope);
+            let (root, epoch) = (self.root, self.epoch);
+            tel.span(trace, trace, 0, root, scope, epoch, self.start, self.mark);
+        }
     }
 }

@@ -6,14 +6,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rdma::{CompletionQueue, WcStatus, WrId};
+use rdma::{CompletionQueue, WrId};
 use telemetry::spans;
 
 use super::phases::Phases;
-use super::repair::{acquire_peers, catch_up_existing, catch_up_fresh, FRESH};
+use super::repair::{acquire_peers, catch_up, plan_existing, How};
 use super::scheme::Scheme;
-use super::slots::{PeerSlot, Responders, WcRouter, WcWait};
-use super::{fan_out, free_regions, NclFile, NclLib};
+use super::slots::{read_all, PeerSlot, Responders};
+use super::{call_all, free_regions, NclFile, NclLib};
 use crate::layout::{RegionHeader, HEADER_WIRE_SIZE};
 use crate::peer::{PeerReq, PeerResp};
 use crate::NclError;
@@ -48,12 +48,13 @@ impl NclFile {
 impl NclLib {
     /// Recovers an existing ncl file after an application restart: returns
     /// the file handle with its contents reconstructed from the peers (read
-    /// them with [`NclFile::contents`] / [`NclFile::read`]).
+    /// them with [`NclFile::contents`] / [`NclFile::read`]). A recovery that
+    /// fails frees the replacements it allocated, so a retry at the same
+    /// epoch finds them clean.
     pub fn recover(&self, file: &str) -> Result<Arc<NclFile>, NclError> {
         let ctx = &*self.ctx;
-        let tel = &ctx.config.telemetry;
         let scope = telemetry::intern_scope(&format!("{}/{}", ctx.app_id, file));
-        let mut phases = Phases::start(tel, scope);
+        let mut phases = Phases::start(&ctx.config.telemetry, spans::NCL_RECOVER, scope);
 
         // Phase 1: ap-map from the controller.
         let entry = ctx
@@ -62,42 +63,40 @@ impl NclLib {
             .ok_or_else(|| NclError::NotFound(file.to_string()))?;
         phases.close(spans::NCL_RECOVER_GET_PEER, entry.epoch);
 
-        // Phase 2: contact peers, connect, read headers — one thread per
-        // peer; the connect RPC and the header-read latency of the ap-map
-        // peers overlap instead of accumulating.
+        // Phase 2: every ap-map peer's `RecoveryLookup` priced at one
+        // instant and waited for once, then every fixed-location header
+        // read posted at one instant and waited for once.
         let cq = CompletionQueue::new();
-        let router = WcRouter::new(&cq);
-        let responders: Responders = fan_out(&entry.peers, |name| {
-            let endpoint = ctx.registry.lookup(name)?;
-            let resp = endpoint.rpc.call(
-                ctx.node,
-                PeerReq::RecoveryLookup {
-                    app: ctx.app_id.clone(),
-                    file: file.to_string(),
-                },
-            );
-            let Ok(PeerResp::Mr(mr, _)) = resp else {
-                return None;
-            };
-            let slot = PeerSlot::connect(ctx, name.clone(), endpoint, mr, &cq);
-            // Read the fixed-location header.
-            slot.qp
-                .post_read(WrId(u64::MAX), &slot.mr, 0, HEADER_WIRE_SIZE)
-                .ok()?;
-            let wc = router.wait_for(slot.qp.qp_num(), WrId(u64::MAX), ctx.config.write_timeout)?;
-            if wc.status != WcStatus::Success {
-                return None;
+        let endpoints: Vec<_> = (entry.peers.iter())
+            .filter_map(|name| Some((ctx.registry.lookup(name)?, name.clone())))
+            .collect();
+        let answers = call_all(ctx, endpoints.iter().map(|(e, _)| e), || {
+            PeerReq::RecoveryLookup {
+                app: ctx.app_id.clone(),
+                file: file.to_string(),
             }
-            let header = wc
-                .read_data
-                .as_deref()
-                .and_then(RegionHeader::decode)
-                .unwrap_or_default();
-            Some((slot, header))
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        });
+        let connected: Vec<PeerSlot> = endpoints
+            .into_iter()
+            .zip(answers)
+            .filter_map(|((endpoint, name), answer)| match answer {
+                Some(PeerResp::Mr(mr, _)) => Some(PeerSlot::connect(ctx, name, endpoint, mr, &cq)),
+                _ => None,
+            })
+            .collect();
+        let reads = connected
+            .iter()
+            .map(|s| (s, WrId(u64::MAX), 0, HEADER_WIRE_SIZE));
+        let headers = read_all(ctx, &cq, reads);
+        let responders: Responders = connected
+            .into_iter()
+            .zip(headers)
+            .filter_map(|(slot, wc)| {
+                let data = wc?.read_data;
+                let header = data.as_deref().and_then(RegionHeader::decode);
+                Some((slot, header.unwrap_or_default()))
+            })
+            .collect();
         if responders.len() < ctx.config.recovery_quorum() {
             return Err(NclError::QuorumUnavailable(format!(
                 "{} of {} peers responded, need {}",
@@ -110,44 +109,28 @@ impl NclLib {
 
         // Phase 3: reconstruct the acked prefix from the responders, by the
         // scheme's decode rule.
-        let (mut scheme, image, responders) = Scheme::reconstruct(ctx, scope, responders, &router)?;
+        let (mut scheme, image, responders) = Scheme::reconstruct(ctx, scope, responders, &cq)?;
         phases.close(spans::NCL_RECOVER_RDMA_READ, entry.epoch);
 
         // Phase 4: catch every peer up to the recovered image under a new
-        // epoch, then (and only then) advance the ap-map. The per-peer
-        // catch-ups (tail in place, or a staged full copy) are independent —
-        // run them in parallel, dropping any peer that dies mid-catch-up.
+        // epoch (tail in place, or a staged full copy), dropping any peer
+        // that fails, then (and only then) advance the ap-map.
         let epoch = entry.epoch + 1;
         let header = scheme.reset_header(&image)?;
         scheme.adopt_reset(&header);
         let region_data = scheme.region_data(image.buffer.len());
         let shipped = scheme.ships_image().then(|| image.valid());
-        let peer_span = spans::NCL_RECOVER_CATCH_UP_PEER;
-        let mut slots: Vec<PeerSlot> = fan_out(responders, |(slot, peer_header)| {
-            phases
-                .peer(peer_span, slot.scope, epoch, || {
-                    catch_up_existing(
-                        ctx,
-                        file,
-                        epoch,
-                        region_data,
-                        &router,
-                        slot,
-                        peer_header,
-                        &header,
-                        shipped,
-                    )
-                })
-                .ok()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let plans = plan_existing(ctx, file, epoch, region_data, responders, &header, shipped);
+        let span = spans::NCL_RECOVER_CATCH_UP_PEER;
+        let caught_up = catch_up(ctx, file, epoch, &cq, &phases, span, &header, plans);
+        let caught_up = caught_up.into_iter().filter_map(|(s, ok)| ok.then_some(s));
+        let mut slots: Vec<PeerSlot> = caught_up.collect();
         phases.close(spans::NCL_RECOVER_CATCH_UP, epoch);
         // Replace unreachable/failed peers to restore the FT level: acquire
         // the replacements together (one wait for their registrations) and
-        // catch them up in parallel. Another round runs only for
-        // replacements whose catch-up failed; their regions are freed.
+        // catch them up together (one wait for their copies). Another round
+        // runs only for replacements whose catch-up failed; their regions
+        // are freed.
         let mut exclude = entry.peers.clone();
         let names = [spans::NCL_RECOVER_GET_PEER, spans::NCL_RECOVER_CONNECT];
         let survivors = slots.len();
@@ -169,35 +152,33 @@ impl NclLib {
             if fresh.is_empty() {
                 break;
             }
-            let caught_up = fan_out(fresh, |mut slot| {
-                let done = phases.peer(peer_span, slot.scope, epoch, || {
-                    (
-                        catch_up_fresh(ctx, &router, &mut slot, &header, shipped),
-                        FRESH,
-                    )
-                });
-                (slot, done)
-            });
+            let body = shipped.map(|bytes| (0, bytes));
+            let plans = fresh.into_iter().map(|s| (s, body, How::Fresh)).collect();
+            let caught_up = catch_up(ctx, file, epoch, &cq, &phases, span, &header, plans);
             phases.close(spans::NCL_RECOVER_CATCH_UP, epoch);
-            for (slot, done) in caught_up {
-                match done {
-                    Ok(()) => slots.push(slot),
-                    Err(_) => free_regions(ctx, file, epoch, [&slot.endpoint]),
-                }
-            }
+            let (caught_up, failed): (Vec<_>, Vec<_>) =
+                caught_up.into_iter().partition(|&(_, ok)| ok);
+            free_regions(ctx, file, epoch, failed.iter().map(|(s, _)| &s.endpoint));
+            slots.extend(caught_up.into_iter().map(|(s, _)| s));
         }
-        if slots.len() < ctx.config.quorum() {
-            let fresh = slots[survivors..].iter().map(|s| &s.endpoint);
-            free_regions(ctx, file, epoch, fresh);
-            return Err(NclError::QuorumUnavailable(format!(
+        let published = if slots.len() < ctx.config.quorum() {
+            Err(NclError::QuorumUnavailable(format!(
                 "caught up {} peers during recovery, the acknowledgement quorum is {}",
                 slots.len(),
                 ctx.config.quorum()
-            )));
+            )))
+        } else {
+            let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
+            ctx.controller
+                .set_ap_entry(ctx.node, &ctx.app_id, file, names, epoch)
+        };
+        if let Err(e) = published {
+            // Free what this attempt allocated, so a retry at the same epoch
+            // finds the peers clean.
+            let fresh = slots[survivors..].iter().map(|s| &s.endpoint);
+            free_regions(ctx, file, epoch, fresh);
+            return Err(e);
         }
-        let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
-        ctx.controller
-            .set_ap_entry(ctx.node, &ctx.app_id, file, names, epoch)?;
         phases.close(spans::NCL_RECOVER_AP_MAP, epoch);
         let total = |name| phases.total(name);
         let mut stats = RecoveryStats {
@@ -209,7 +190,6 @@ impl NclLib {
             ..RecoveryStats::default()
         };
         stats.sync_peer = stats.catch_up + stats.update_ap_map;
-        phases.finish(spans::NCL_RECOVER, epoch);
         Ok(NclFile::open(
             &self.ctx, file, scope, image, scheme, slots, cq, epoch, stats,
         ))

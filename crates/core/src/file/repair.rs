@@ -1,18 +1,18 @@
 //! Repair: inline peer replacement (§4.5.2), peer acquisition, and the
-//! two catch-up transfers — a fresh peer's bulk copy and an existing
-//! peer's tail in place or staged full copy — that recovery's rearm
-//! shares.
+//! catch-up that recovery's rearm shares — a fresh peer's bulk copy, an
+//! existing peer's tail in place or staged full copy — posted to every
+//! peer at once and waited for once.
 
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use rdma::{CompletionQueue, RemoteMr, WcStatus, WorkRequest, WrId};
+use rdma::{CompletionQueue, RemoteMr, WorkRequest, WrId};
 use telemetry::spans;
 
 use super::phases::Phases;
-use super::slots::{Flight, PeerSlot, Rep, RepWait, WcWait};
+use super::slots::{self, Flight, PeerSlot, Rep, RepWait, Responders, WcWait};
 use super::staging::{FlushReason, Stage};
-use super::{fan_out, free_regions, Ctx, NclFile};
+use super::{call_all, free_regions, Ctx, NclFile};
 use crate::detector::Backoff;
 use crate::layout::{RegionHeader, HEADER_SIZE};
 use crate::peer::{PeerReq, PeerResp};
@@ -42,10 +42,13 @@ impl NclFile {
     ///
     /// Steps per the paper (§4.5.2) and Table 3: get new peers from the
     /// controller; connect and set up their memory regions; catch them up
-    /// from the local buffer in parallel (so each holds everything up to
-    /// the current sequence number); and only after that update the ap-map —
-    /// first bumping the surviving peers' region epochs so the leak GC
-    /// cannot misfire.
+    /// from the local buffer, every copy posted at one instant and waited
+    /// for once (so each holds everything up to the current sequence
+    /// number); and only after that update the ap-map — first bumping the
+    /// surviving peers' region epochs so the leak GC cannot misfire. A
+    /// repair that fails after allocating keeps the survivors, frees the
+    /// fresh regions and returns the error, so the caller defers or
+    /// retries it at the same epoch.
     ///
     /// The caller holds the staging lock (freezing the image and blocking
     /// new posts); the replication lock is dropped during the catch-up
@@ -54,7 +57,7 @@ impl NclFile {
         let ctx = &*self.ctx;
         let tel = &ctx.config.telemetry;
         let scope = self.metrics.scope;
-        let mut phases = Phases::start(tel, scope);
+        let mut phases = Phases::start(tel, spans::NCL_REPAIR, scope);
         // Catch-up stamps the image's tip, which covers any records still in
         // the pending burst (the staged image already contains their bytes).
         // Post the burst to the survivors first so the flush boundary and
@@ -65,7 +68,7 @@ impl NclFile {
 
         // Phase A: drop dead slots (their QPs are in error state) and
         // acquire all replacements.
-        let (epoch, mut fresh) = {
+        let (epoch, fresh) = {
             let mut rep = self.rep_guard();
             if rep.peers.iter().all(|s| s.alive) && rep.peers.len() == ctx.config.replicas() {
                 rep.repair_pending = false;
@@ -98,54 +101,50 @@ impl NclFile {
             for (slot, row) in fresh.iter_mut().zip(free) {
                 slot.row = row;
             }
-            for s in &fresh {
-                rep.expecting.insert(s.qp.qp_num());
-            }
             (epoch, fresh)
         };
 
-        // Phase B (replication lock released): catch the fresh peers up in
-        // parallel — each copy is a bulk RDMA write whose latency would
-        // otherwise serialise.
+        // Phase B (replication lock released): catch the fresh peers up —
+        // every bulk copy posted at one instant, one wait for them all.
         let wait = RepWait { file: self };
-        let image = stage.scheme.ships_image().then(|| stage.image.valid());
-        let results = fan_out(fresh.iter_mut(), |slot| {
-            let name = spans::NCL_REPAIR_CATCH_UP_PEER;
-            phases.peer(name, slot.scope, epoch, || {
-                (catch_up_fresh(ctx, &wait, slot, &header, image), FRESH)
-            })
-        });
+        let body = stage.scheme.ships_image().then(|| (0, stage.image.valid()));
+        let plans = fresh.into_iter().map(|s| (s, body, How::Fresh)).collect();
+        let span = spans::NCL_REPAIR_CATCH_UP_PEER;
+        let shipped = catch_up(ctx, &self.name, epoch, &wait, &phases, span, &header, plans);
+        let caught_up = shipped.iter().all(|(_, ok)| *ok);
+        let fresh: Vec<PeerSlot> = shipped.into_iter().map(|(s, _)| s).collect();
         let catchup_start = phases.mark;
         phases.close(spans::NCL_REPAIR_CATCH_UP, epoch);
         let catchup_end = phases.mark;
 
         // Phase C: commit.
         let mut rep = self.rep_guard();
-        for s in &fresh {
-            rep.expecting.remove(&s.qp.qp_num());
-        }
-        rep.prune_stray();
-        if let Some(e) = results.into_iter().find_map(|r| r.err()) {
+        // What the catch-up left parked has no waiter; a one-off read may.
+        rep.stray.retain(|(_, wc)| wc.wr_id.0 >= u64::MAX - 2);
+        let ids = || (ctx.app_id.clone(), self.name.clone());
+        let published = if caught_up {
+            // Survivors first: bump their region epochs so e_r stays ≥ the
+            // ap-map epoch (see peer::PeerReq::BumpEpoch).
+            let bump = || {
+                let (app, file) = ids();
+                PeerReq::BumpEpoch { app, file, epoch }
+            };
+            call_all(ctx, rep.peers.iter().map(|s| &s.endpoint), bump);
+            let names = rep.peers.iter().chain(&fresh).map(|s| s.name.clone());
+            let (app, file) = ids();
+            ctx.controller
+                .set_ap_entry(ctx.node, &app, &file, names.collect(), epoch)
+        } else {
+            Err(NclError::Unavailable("fresh peer not caught up".into()))
+        };
+        if let Err(e) = published {
             // Survivors are kept; the fresh regions are freed, so a retry at
             // this epoch finds the peers clean. The caller defers or
-            // retries. Close the repair root so its child spans stay
-            // reachable.
+            // retries.
             free_regions(ctx, &self.name, epoch, fresh.iter().map(|s| &s.endpoint));
-            phases.finish(spans::NCL_REPAIR, epoch);
             return Err(e);
         }
-        // Survivors first: bump their region epochs so e_r stays ≥ the
-        // ap-map epoch (see peer::PeerReq::BumpEpoch).
-        for slot in rep.peers.iter() {
-            let _ = slot.endpoint.rpc.call(
-                ctx.node,
-                PeerReq::BumpEpoch {
-                    app: ctx.app_id.clone(),
-                    file: self.name.clone(),
-                    epoch,
-                },
-            );
-        }
+        phases.close(spans::NCL_REPAIR_AP_MAP, epoch);
         // Replaced-in peers never produced wire completions for bursts that
         // were in flight when they joined — the catch-up copy is what made
         // those records durable on them. Credit each such flight with a
@@ -174,10 +173,6 @@ impl NclFile {
         }
         rep.peers.extend(fresh);
         rep.rebuild_qp_map();
-        let names: Vec<String> = rep.peers.iter().map(|s| s.name.clone()).collect();
-        ctx.controller
-            .set_ap_entry(ctx.node, &ctx.app_id, &self.name, names, epoch)?;
-        phases.close(spans::NCL_REPAIR_AP_MAP, epoch);
         let stats = RepairStats {
             get_peer: phases.total(spans::NCL_REPAIR_GET_PEER),
             connect_mr: phases.total(spans::NCL_REPAIR_CONNECT_MR),
@@ -193,7 +188,6 @@ impl NclFile {
         rep.failure_seen = rep.peers.iter().any(|s| !s.alive);
         rep.last_repair = stats;
         rep.refresh_durable(&ctx.config, sim::time::now());
-        phases.finish(spans::NCL_REPAIR, epoch);
         Ok(())
     }
 
@@ -319,92 +313,104 @@ pub(super) fn acquire_peers(
     Ok(slots)
 }
 
-/// Posts `body` (bytes to place at data offset `.0`) and then `header`
-/// into `mr` over the slot's queue pair without waiting, and returns the
-/// header write's id, what [`landed`] waits for. Both writes borrow: the
-/// body from the caller's image, the header from the stack. The WR ids are
-/// the header sequence's, so on a live file the normal completion path
-/// credits the peer with `header.seq`.
-pub(super) fn post(
-    slot: &PeerSlot,
-    mr: &RemoteMr,
+/// Posts to every slot at one instant — per peer one doorbell: its body
+/// (bytes for a data offset), if any, then `header`, into the slot's region
+/// — and waits once for the headers to land. Both writes borrow: the body
+/// from the caller's image, the header from the stack. The WR ids are the
+/// header sequence's, so on a live file the normal completion path credits
+/// the peer with `header.seq`. Returns the post instant and, per slot, its
+/// header's wire time if it landed.
+pub(super) fn ship_all<'s, 'b>(
+    ctx: &Ctx,
+    wait: &dyn WcWait,
     header: &RegionHeader,
-    body: Option<(usize, &[u8])>,
-) -> Result<WrId, NclError> {
-    let write = |wr_id, offset, data: &[u8]| {
-        let wr = WorkRequest::Write {
+    transfers: impl IntoIterator<Item = (&'s PeerSlot, Option<(usize, &'b [u8])>)>,
+) -> (Instant, Vec<Option<Duration>>) {
+    fn write(wr_id: u64, mr: RemoteMr, offset: usize, data: &[u8]) -> WorkRequest<'_> {
+        let (wr_id, data) = (WrId(wr_id), data.into());
+        WorkRequest::Write {
             wr_id,
-            mr: *mr,
+            mr,
             offset,
-            data: data.into(),
-        };
-        slot.qp
-            .post_many(&[wr])
-            .map_err(|e| NclError::Unavailable(e.to_string()))
+            data,
+        }
+    }
+    let at = sim::time::now();
+    let (seq, encoded) = (header.seq, header.encode());
+    let want: Vec<_> = transfers
+        .into_iter()
+        .map(|(slot, body)| {
+            let (mr, body) = (slot.mr, body.filter(|(_, bytes)| !bytes.is_empty()));
+            let body = body.map(|(start, bytes)| write(2 * seq, mr, HEADER_SIZE + start, bytes));
+            let wrs = body
+                .into_iter()
+                .chain([write(2 * seq + 1, mr, 0, &encoded)]);
+            let posted = slot.qp.post_many_at(at, wrs);
+            posted.ok().map(|()| (slot.qp.qp_num(), WrId(2 * seq + 1)))
+        })
+        .collect();
+    let landed = slots::landed(ctx, wait, &want).into_iter();
+    let wire = landed.map(|wc| wc.map(|wc| Duration::from_nanos(wc.wire_ns)));
+    (at, wire.collect())
+}
+
+/// How a peer is caught up: into a fresh region, into its live region in
+/// place (only the missing tail), or into a staged region `Commit` switches to.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum How {
+    Fresh,
+    InPlace,
+    FullCopy,
+}
+
+/// One peer's catch-up: its slot, pointed at the region its bytes go into,
+/// the body (bytes for a data offset) ahead of the header, and how it is
+/// caught up.
+pub(super) type Plan<'b> = (PeerSlot, Option<(usize, &'b [u8])>, How);
+
+/// Catches peers up by their `plans` at once: every transfer posted at one
+/// instant and waited for once, then every landed full copy's `Commit`
+/// priced at one instant and waited for once. Records each peer's `span`
+/// and returns each slot with whether it caught up.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn catch_up(
+    ctx: &Ctx,
+    file: &str,
+    epoch: u64,
+    wait: &dyn WcWait,
+    phases: &Phases<'_>,
+    span: &'static str,
+    header: &RegionHeader,
+    plans: Vec<Plan<'_>>,
+) -> Vec<(PeerSlot, bool)> {
+    let transfers = plans.iter().map(|(slot, body, _)| (slot, *body));
+    let (at, landed) = ship_all(ctx, wait, header, transfers);
+    let copies = plans
+        .iter()
+        .zip(&landed)
+        .filter(|((.., how), wire)| *how == How::FullCopy && wire.is_some());
+    let endpoints = copies.map(|((slot, ..), _)| &slot.endpoint);
+    let commit = || {
+        let (app, file) = (ctx.app_id.clone(), file.to_string());
+        PeerReq::Commit { app, file, epoch }
     };
-    let seq = header.seq;
-    if let Some((start, bytes)) = body.filter(|(_, bytes)| !bytes.is_empty()) {
-        write(WrId(2 * seq), HEADER_SIZE + start, bytes)?;
-    }
-    let id = WrId(2 * seq + 1);
-    write(id, 0, &header.encode())?;
-    Ok(id)
+    let mut committed = call_all(ctx, endpoints, commit).into_iter();
+    let plans = plans.into_iter().zip(landed);
+    plans
+        .map(|((mut slot, _, how), wire)| {
+            phases.peer(span, slot.scope, epoch, (at, wire), how);
+            slot.completed_seq = header.seq;
+            let ok = wire.is_some()
+                && (how != How::FullCopy || matches!(committed.next(), Some(Some(PeerResp::Ok))));
+            (slot, ok)
+        })
+        .collect()
 }
 
-/// Waits for the header write `id` that [`post`] put on the slot's queue
-/// pair to complete.
-pub(super) fn landed(
-    ctx: &Ctx,
-    wait: &dyn WcWait,
-    slot: &PeerSlot,
-    id: WrId,
-) -> Result<(), NclError> {
-    match wait.wait_for(slot.qp.qp_num(), id, ctx.config.write_timeout) {
-        Some(wc) if wc.status == WcStatus::Success => Ok(()),
-        _ => Err(NclError::Unavailable(format!(
-            "header write to {} failed",
-            slot.name
-        ))),
-    }
-}
-
-/// [`post`], then [`landed`].
-pub(super) fn ship(
-    ctx: &Ctx,
-    wait: &dyn WcWait,
-    slot: &PeerSlot,
-    mr: &RemoteMr,
-    header: &RegionHeader,
-    body: Option<(usize, &[u8])>,
-) -> Result<(), NclError> {
-    let id = post(slot, mr, header, body)?;
-    landed(ctx, wait, slot, id)
-}
-
-/// The detail of a per-peer catch-up span: how the peer was caught up.
-pub(super) const FRESH: &str = "fresh peer";
-const IN_PLACE: &str = "tail in place";
-const FULL_COPY: &str = "full copy";
-
-/// Catches a freshly allocated peer up: the scheme's reset `header`,
-/// preceded by one bulk copy of `image` when the scheme ships the file
-/// image to peers.
-pub(super) fn catch_up_fresh(
-    ctx: &Ctx,
-    wait: &dyn WcWait,
-    slot: &mut PeerSlot,
-    header: &RegionHeader,
-    image: Option<&[u8]>,
-) -> Result<(), NclError> {
-    let body = image.map(|bytes| (0, bytes));
-    ship(ctx, wait, slot, &slot.mr, header, body)?;
-    slot.completed_seq = header.seq;
-    Ok(())
-}
-
-/// Recovery catch-up of a peer that still holds a (possibly lagging)
-/// region, under the new `epoch`. Returns the caught-up slot, and how it
-/// was caught up (the per-peer span's detail).
+/// Plans the recovery catch-up of the responders, peers that still hold a
+/// (possibly lagging) region, under the new `epoch`: every `Adopt` or
+/// `Prepare` priced at one instant, and one wait. A peer that refuses is
+/// dropped.
 ///
 /// **In place** (a deviation from the paper's switch, §4.5.1) when the
 /// scheme ships the image, neither header is overwritten and the peer's
@@ -412,10 +418,10 @@ pub(super) fn catch_up_fresh(
 /// prefix of the recovered image (§6 byte-diff). One `Adopt` raises the
 /// live region's epoch and re-keys it, fencing any earlier writer as the
 /// switch's invalidate did; then the missing tail and the header go into
-/// that region as one post and one wait. QP order lands the tail before
-/// the header, so a crash mid-way leaves the old prefix or the recovered
-/// header. A refused `Adopt` (a predecessor's recovery or repair already
-/// raised the region to `epoch`) falls back to the full copy.
+/// that region as one post. QP order lands the tail before the header, so
+/// a crash mid-way leaves the old prefix or the recovered header. A refused
+/// `Adopt` (a predecessor's recovery or repair already raised the region to
+/// `epoch`) falls back to the full copy, asked for once the refusal is back.
 ///
 /// **Full copy** otherwise: stage a fresh region of `capacity` data bytes,
 /// ship the whole image into it (only the reset header when the scheme
@@ -423,59 +429,53 @@ pub(super) fn catch_up_fresh(
 /// are not a prefix of the recovered image (Figure 7ii), and an
 /// erasure-coded reset rewrites the fragment area, so writing those in
 /// place would destroy the only copy.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn catch_up_existing(
+pub(super) fn plan_existing<'b>(
     ctx: &Ctx,
     file: &str,
     epoch: u64,
     capacity: usize,
-    wait: &dyn WcWait,
-    slot: PeerSlot,
-    peer_header: RegionHeader,
+    responders: Responders,
     header: &RegionHeader,
-    image: Option<&[u8]>,
-) -> (Result<PeerSlot, NclError>, &'static str) {
-    let call = |req| slot.endpoint.rpc.call(ctx.node, req);
+    image: Option<&'b [u8]>,
+) -> Vec<Plan<'b>> {
     let ids = || (ctx.app_id.clone(), file.to_string());
-    let prefix = !header.overwritten && !peer_header.overwritten && peer_header.len <= header.len;
-    if let Some(bytes) = image.filter(|_| prefix) {
+    let now = sim::time::now();
+    let mut ready = now;
+    let mut plans = Vec::with_capacity(responders.len());
+    for (slot, peer) in responders {
+        let call = |at, req| slot.endpoint.rpc.call_at(ctx.node, at, req);
+        let (mut at, (app, file)) = (now, ids());
+        let prefix = !header.overwritten && !peer.overwritten && peer.len <= header.len;
+        if let Some(bytes) = image.filter(|_| prefix) {
+            match call(now, PeerReq::Adopt { app, file, epoch }) {
+                Ok((PeerResp::Mr(mr, _), back)) => {
+                    ready = ready.max(back);
+                    let start = peer.len as usize;
+                    let tail = Some((start, &bytes[start..]));
+                    plans.push((PeerSlot { mr, ..slot }, tail, How::InPlace));
+                    continue;
+                }
+                Ok((_, back)) => at = back,
+                Err(_) => {}
+            }
+        }
         let (app, file) = ids();
-        if let Ok(PeerResp::Mr(mr, _)) = call(PeerReq::Adopt { app, file, epoch }) {
-            let start = peer_header.len as usize;
-            let tail = Some((start, &bytes[start..]));
-            let done = ship(ctx, wait, &slot, &mr, header, tail);
-            let slot = PeerSlot {
-                mr,
-                completed_seq: header.seq,
-                ..slot
-            };
-            return (done.map(|()| slot), IN_PLACE);
+        let prepare = call(
+            at,
+            PeerReq::Prepare {
+                app,
+                file,
+                epoch,
+                capacity,
+            },
+        );
+        // The staged region registers on the peer's pipe; post no earlier.
+        if let Ok((PeerResp::Mr(staged, registered), back)) = prepare {
+            ready = ready.max(back).max(registered);
+            let copy = image.map(|bytes| (0, bytes));
+            plans.push((PeerSlot { mr: staged, ..slot }, copy, How::FullCopy));
         }
     }
-    let rejected = |what| NclError::Unavailable(format!("peer {} rejected {what}", slot.name));
-    let (app, file) = ids();
-    let Ok(PeerResp::Mr(staged, ready)) = call(PeerReq::Prepare {
-        app,
-        file,
-        epoch,
-        capacity,
-    }) else {
-        return (Err(rejected("prepare")), FULL_COPY);
-    };
-    // The staged region registers on the peer's pipe; post no earlier.
     sim::delay_until(ready);
-    let body = image.map(|bytes| (0, bytes));
-    let done = ship(ctx, wait, &slot, &staged, header, body).and_then(|()| {
-        let (app, file) = ids();
-        match call(PeerReq::Commit { app, file, epoch }) {
-            Ok(PeerResp::Ok) => Ok(()),
-            _ => Err(rejected("commit")),
-        }
-    });
-    let slot = PeerSlot {
-        mr: staged,
-        completed_seq: header.seq,
-        ..slot
-    };
-    (done.map(|()| slot), FULL_COPY)
+    plans
 }

@@ -31,13 +31,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rdma::{WcStatus, WorkRequest, WrId};
+use rdma::{WorkRequest, WrId};
 use sim::SimError;
 use telemetry::{spans, Counter, Telemetry};
 
-use super::slots::{PeerSlot, Responders, WcRouter, WcWait};
+use super::slots::{read_all, PeerSlot, Responders, WcWait};
 use super::staging::{Image, PendingRecord};
-use super::{fan_out, Ctx};
+use super::Ctx;
 use crate::config::{Durability, NclConfig};
 use crate::ec::{self, FragEntry, SpillSink, SpillSnapshot, FRAG_ENTRY_SIZE};
 use crate::layout::{RegionHeader, HEADER_SIZE, HEADER_WIRE_SIZE};
@@ -472,15 +472,15 @@ impl Scheme {
         ctx: &Ctx,
         scope: &'static str,
         responders: Responders,
-        router: &WcRouter<'_>,
+        wait: &dyn WcWait,
     ) -> Result<(Scheme, Image, Responders), NclError> {
         // A full-copy region is as large as the file; any other scheme's
         // headers name the capacity.
         let named = responders.iter().map(|(_, h)| h.capacity).max();
         let mut scheme = Scheme::new(&ctx.config, named.unwrap_or(0) as usize, scope)?;
         let (image, survivors) = match &mut scheme {
-            Scheme::Replicated => (read_back_max_seq(ctx, &responders, router)?, responders),
-            Scheme::Ec(ec) => ec.reconstruct(ctx, responders, router)?,
+            Scheme::Replicated => (read_back_max_seq(ctx, &responders, wait)?, responders),
+            Scheme::Ec(ec) => ec.reconstruct(ctx, responders, wait)?,
         };
         Ok((scheme, image, survivors))
     }
@@ -492,7 +492,7 @@ impl Scheme {
 fn read_back_max_seq(
     ctx: &Ctx,
     responders: &[(PeerSlot, RegionHeader)],
-    router: &WcRouter<'_>,
+    wait: &dyn WcWait,
 ) -> Result<Image, NclError> {
     let (slot, header) = responders
         .iter()
@@ -506,21 +506,13 @@ fn read_back_max_seq(
     };
     if header.len > 0 {
         let len = header.len as usize;
-        let wr = WrId(u64::MAX - 1);
-        slot.qp
-            .post_read(wr, &slot.mr, HEADER_SIZE, len)
-            .map_err(|e| NclError::Unavailable(e.to_string()))?;
-        match router.wait_for(slot.qp.qp_num(), wr, ctx.config.write_timeout) {
-            Some(wc) if wc.status == WcStatus::Success => {
-                let data = wc.read_data.expect("read completion carries data");
-                image.buffer[..len].copy_from_slice(&data);
-            }
-            _ => {
-                return Err(NclError::Unavailable(
-                    "recovery peer failed during data read".to_string(),
-                ))
-            }
-        }
+        let read = [(slot, WrId(u64::MAX - 1), HEADER_SIZE, len)];
+        let data = read_all(ctx, wait, read)
+            .pop()
+            .flatten()
+            .and_then(|wc| wc.read_data);
+        let failed = || NclError::Unavailable("recovery peer failed during data read".into());
+        image.buffer[..len].copy_from_slice(&data.ok_or_else(failed)?);
     }
     Ok(image)
 }
@@ -699,7 +691,7 @@ impl EcState {
         &mut self,
         ctx: &Ctx,
         responders: Responders,
-        router: &WcRouter<'_>,
+        wait: &dyn WcWait,
     ) -> Result<(Image, Responders), NclError> {
         let (k, n, half_cap) = (self.k, self.n, self.half_cap);
         let capacity = self.capacity as usize;
@@ -719,33 +711,37 @@ impl EcState {
         };
 
         // Fetch the fragment logs each responder serves ([`served_logs`]),
-        // skipping empty ones.
-        let fetched: Vec<FetchedResponder> = fan_out(responders, |(slot, header)| {
-            let wants = served_logs(header.gen, gmax)
-                .map(|(gen, through)| match through {
-                    ServedThrough::FragTail => (gen, header.frag_tail),
-                    ServedThrough::PrevTail => (gen, header.prev_tail),
-                })
-                .filter(|&(_, tail)| tail > 0);
-            let mut logs = Vec::new();
-            for (i, (gen, tail)) in wants.enumerate() {
-                let len = (tail as usize).min(half_cap);
-                let wr = WrId(u64::MAX - i as u64);
-                slot.qp
-                    .post_read(wr, &slot.mr, half_offset(half_cap, gen), len)
-                    .ok()?;
-                let wc = router.wait_for(slot.qp.qp_num(), wr, ctx.config.write_timeout)?;
-                if wc.status != WcStatus::Success {
-                    return None;
-                }
-                let data = wc.read_data.expect("read completion carries data");
-                logs.push((gen, data.to_vec()));
-            }
-            Some((slot, header, logs))
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        // skipping empty ones: every read posted at one instant, one wait.
+        // A responder that fails any of its reads is dropped.
+        let logs: Vec<Vec<(u64, usize, usize)>> = responders
+            .iter()
+            .map(|(_, h)| {
+                let tail = |through| match through {
+                    ServedThrough::FragTail => h.frag_tail as usize,
+                    ServedThrough::PrevTail => h.prev_tail as usize,
+                };
+                let served = served_logs(h.gen, gmax).map(|(gen, t)| (gen, tail(t).min(half_cap)));
+                let served = served.filter(|&(_, len)| len > 0);
+                served
+                    .map(|(gen, len)| (gen, half_offset(half_cap, gen), len))
+                    .collect()
+            })
+            .collect();
+        let reads = responders.iter().zip(&logs).flat_map(|((slot, _), logs)| {
+            let logs = (0..).zip(logs);
+            logs.map(move |(i, &(_, offset, len))| (slot, WrId(u64::MAX - i), offset, len))
+        });
+        let mut data = read_all(ctx, wait, reads).into_iter();
+        let fetched: Vec<FetchedResponder> = responders
+            .into_iter()
+            .zip(logs)
+            .filter_map(|((slot, header), logs)| {
+                let read: Vec<_> = data.by_ref().take(logs.len()).collect();
+                let logs = logs.into_iter().zip(read);
+                let logs = logs.map(|((gen, ..), wc)| Some((gen, wc?.read_data?.to_vec())));
+                Some((slot, header, logs.collect::<Option<_>>()?))
+            })
+            .collect();
         if fetched.len() < k {
             return Err(NclError::QuorumUnavailable(format!(
                 "{} fragment holders survived the log fetch, need {k}",

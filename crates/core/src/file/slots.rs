@@ -1,16 +1,16 @@
 //! Peer slots, completion absorption, and the acknowledgement watermark:
 //! the `rep` half of a file's state, the lock-free published acked state,
 //! the durability barrier ([`NclFile::wait_durable`]) where all write-path
-//! failure handling lives, and the targeted completion waits the catch-up
-//! and recovery transfers use.
+//! failure handling lives, and the one wait for a list of completions that
+//! the catch-up and recovery transfers use.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, MutexGuard};
-use rdma::{CompletionQueue, QueuePair, RemoteMr, WcStatus, WorkCompletion, WrId};
+use parking_lot::MutexGuard;
+use rdma::{CompletionQueue, QueuePair, RemoteMr, WcStatus, WorkCompletion, WorkRequest, WrId};
 use telemetry::{spans, Span};
 
 use super::recovery::RecoveryStats;
@@ -185,12 +185,10 @@ pub(super) struct Rep {
     durable_seq: u64,
     /// A completion reported a peer failure that has not been repaired yet.
     pub failure_seen: bool,
-    /// Completions that could not be attributed to a slot but have a
-    /// registered waiter: one-off RDMA reads (`wr_id ≥ u64::MAX - 2`) and
-    /// fresh replacement peers mid-catch-up (`expecting`).
+    /// Completions that could not be attributed to a slot, kept for a
+    /// [`RepWait`]: one-off RDMA reads (`wr_id ≥ u64::MAX - 2`) and fresh
+    /// replacement peers mid-catch-up, until the repair commits.
     pub stray: Vec<(u32, WorkCompletion)>,
-    /// QP numbers of fresh peers whose catch-up is in flight.
-    pub expecting: HashSet<u32>,
     /// A peer failed but replacement was deferred (no spare peer available
     /// while a quorum was still alive); [`NclFile::maintain`] retries.
     pub repair_pending: bool,
@@ -244,7 +242,6 @@ impl Rep {
             durable_seq,
             failure_seen: false,
             stray: Vec::new(),
-            expecting: HashSet::new(),
             repair_pending,
             flights: VecDeque::new(),
             wire_covered_seq: 0,
@@ -286,8 +283,7 @@ impl Rep {
 
     /// Applies the completions in `wcs` (emptying it) to the slots, as of
     /// `now`, the instant they were taken off the queue. Unattributable
-    /// completions with a registered waiter are parked in `stray`;
-    /// everything else (stale completions from replaced peers) is dropped.
+    /// completions are parked in `stray`.
     fn absorb(&mut self, wcs: &mut Vec<(u32, WorkCompletion)>, now: Instant) {
         for (qp_num, wc) in wcs.drain(..) {
             if wc.wr_id.0 >= u64::MAX - 2 {
@@ -303,10 +299,10 @@ impl Rep {
                 continue;
             }
             let Some(&idx) = self.slot_of_qp.get(&qp_num) else {
-                if self.expecting.contains(&qp_num) {
-                    self.stray.push((qp_num, wc));
-                }
-                continue; // Stale completion from a replaced peer.
+                // A fresh peer's catch-up, or a stale completion from a
+                // replaced peer that the next repair's commit drops.
+                self.stray.push((qp_num, wc));
+                continue;
             };
             let slot = &mut self.peers[idx];
             if !slot.alive {
@@ -504,14 +500,6 @@ impl Rep {
         }
         self.acked.publish(self.durable_seq, attention);
     }
-
-    /// Removes routed-but-unclaimed completions whose waiter is gone.
-    pub fn prune_stray(&mut self) {
-        let (map, expecting) = (&self.slot_of_qp, &self.expecting);
-        self.stray.retain(|(qp_num, wc)| {
-            wc.wr_id.0 >= u64::MAX - 2 || map.contains_key(qp_num) || expecting.contains(qp_num)
-        });
-    }
 }
 
 impl NclFile {
@@ -579,11 +567,12 @@ impl NclFile {
             slot.qp.qp_num()
         };
         let wait = RepWait { file: self };
-        match wait.wait_for(qp_num, wr, self.ctx.config.write_timeout) {
-            Some(wc) if wc.status == WcStatus::Success => {
-                Ok(wc.read_data.expect("read data").to_vec())
-            }
-            _ => Err(NclError::Unavailable("remote read failed".to_string())),
+        match landed(&self.ctx, &wait, &[Some((qp_num, wr))])
+            .pop()
+            .flatten()
+        {
+            Some(wc) => Ok(wc.read_data.expect("read data").to_vec()),
+            None => Err(NclError::Unavailable("remote read failed".to_string())),
         }
     }
 
@@ -707,89 +696,110 @@ impl NclFile {
     }
 }
 
-/// Targeted wait for one work completion on a completion queue that other
-/// waiters may be draining concurrently.
-pub(super) trait WcWait: Sync {
-    fn wait_for(&self, qp_num: u32, wr_id: WrId, timeout: Duration) -> Option<WorkCompletion>;
+/// One wait for a list of work completions, each named by `(qp_num, wr
+/// id)`: whoever posted them waits once, on its own thread, for all of them.
+pub(super) trait WcWait {
+    /// Waits until every completion `want` names has landed or `timeout` has
+    /// passed, and returns them in `want`'s order: `None` for one that did
+    /// not land, or that `want` does not name (its post failed).
+    fn wait_all(&self, want: &[Option<(u32, WrId)>], timeout: Duration) -> Completions;
 }
 
-/// [`WcWait`] over a private completion queue (recovery, before the file
-/// handle exists): concurrent per-peer threads share a stash so none of
-/// them loses a completion another thread drained.
-pub(super) struct WcRouter<'a> {
-    cq: &'a CompletionQueue,
-    stash: Mutex<Vec<(u32, WorkCompletion)>>,
-}
+/// Completions in the order a [`WcWait`] was asked for them.
+type Completions = Vec<Option<WorkCompletion>>;
 
-impl<'a> WcRouter<'a> {
-    pub fn new(cq: &'a CompletionQueue) -> Self {
-        WcRouter {
-            cq,
-            stash: Mutex::new(Vec::new()),
+/// How long one reap may block before the wait checks its deadline.
+const REAP_SLICE: Duration = Duration::from_millis(2);
+
+/// Moves each completion of `wcs` that `want` names, and `got` still lacks,
+/// into `got`; leaves the rest in `wcs`. Returns whether `got` still lacks
+/// one.
+fn claim(
+    got: &mut Completions,
+    want: &[Option<(u32, WrId)>],
+    wcs: &mut Vec<(u32, WorkCompletion)>,
+) -> bool {
+    for (qp_num, wc) in std::mem::take(wcs) {
+        let named =
+            (0..want.len()).find(|&i| got[i].is_none() && want[i] == Some((qp_num, wc.wr_id)));
+        match named {
+            Some(i) => got[i] = Some(wc),
+            None => wcs.push((qp_num, wc)),
         }
     }
+    got.iter()
+        .zip(want)
+        .any(|(got, want)| got.is_none() && want.is_some())
 }
 
-impl WcWait for WcRouter<'_> {
-    fn wait_for(&self, qp_num: u32, wr_id: WrId, timeout: Duration) -> Option<WorkCompletion> {
+/// [`WcWait`] over a private completion queue (create and recovery, before
+/// the file handle exists): what nobody named (a catch-up's body writes, a
+/// duplicate) has no reader and is dropped.
+impl WcWait for CompletionQueue {
+    fn wait_all(&self, want: &[Option<(u32, WrId)>], timeout: Duration) -> Completions {
+        let mut got = vec![None; want.len()];
         let deadline = sim::time::now() + timeout;
-        loop {
-            {
-                let mut stash = self.stash.lock();
-                if let Some(pos) = stash
-                    .iter()
-                    .position(|(n, wc)| *n == qp_num && wc.wr_id == wr_id)
-                {
-                    return Some(stash.remove(pos).1);
-                }
-            }
-            let wcs = self.cq.wait(Duration::from_millis(2));
-            if !wcs.is_empty() {
-                let mut found = None;
-                let mut stash = self.stash.lock();
-                for (n, wc) in wcs {
-                    if found.is_none() && n == qp_num && wc.wr_id == wr_id {
-                        found = Some(wc);
-                    } else {
-                        stash.push((n, wc));
-                    }
-                }
-                drop(stash);
-                if found.is_some() {
-                    return found;
-                }
-            }
-            if sim::time::now() >= deadline {
-                return None;
-            }
+        let mut pending = want.iter().any(Option::is_some);
+        while pending && sim::time::now() < deadline {
+            pending = claim(&mut got, want, &mut self.wait(REAP_SLICE));
         }
+        got
     }
 }
 
 /// [`WcWait`] over a live file's shared completion queue: everything drained
-/// is absorbed into the replication state, and the waiter's own completion
-/// comes back out of [`Rep::stray`] where `absorb` parks it.
+/// is absorbed into the replication state, and the waiter's own completions
+/// come back out of [`Rep::stray`] where `absorb` parks them.
 pub(super) struct RepWait<'a> {
     pub file: &'a NclFile,
 }
 
 impl WcWait for RepWait<'_> {
-    fn wait_for(&self, qp_num: u32, wr_id: WrId, timeout: Duration) -> Option<WorkCompletion> {
+    fn wait_all(&self, want: &[Option<(u32, WrId)>], timeout: Duration) -> Completions {
+        let mut got = vec![None; want.len()];
         let deadline = sim::time::now() + timeout;
         let mut landed_at = None;
         loop {
-            {
-                let mut rep = self.file.rep_guard();
-                rep.drain(landed_at);
-                let routed = |(n, wc): &(u32, WorkCompletion)| *n == qp_num && wc.wr_id == wr_id;
-                if let Some(pos) = rep.stray.iter().position(routed) {
-                    return Some(rep.stray.remove(pos).1);
-                }
+            let mut rep = self.file.rep_guard();
+            rep.drain(landed_at);
+            if !claim(&mut got, want, &mut rep.stray) || sim::time::now() >= deadline {
+                return got;
             }
-            if sim::time::now() >= deadline {
-                return None;
-            }
-            landed_at = self.file.cq.wait_landed(Duration::from_millis(2));
+            drop(rep);
+            landed_at = self.file.cq.wait_landed(REAP_SLICE);
         }
     }
+}
+
+/// Posts every read of `reads` — `(slot, wr id, region offset, length)` —
+/// at one instant and waits once for them all. Returns each read's
+/// completion if it succeeded.
+pub(super) fn read_all<'s>(
+    ctx: &Ctx,
+    wait: &dyn WcWait,
+    reads: impl IntoIterator<Item = (&'s PeerSlot, WrId, usize, usize)>,
+) -> Completions {
+    let at = sim::time::now();
+    let want: Vec<_> = reads
+        .into_iter()
+        .map(|(slot, wr_id, offset, len)| {
+            let read = WorkRequest::Read {
+                wr_id,
+                mr: slot.mr,
+                offset,
+                len,
+            };
+            let posted = slot.qp.post_many_at(at, [read]);
+            posted.ok().map(|()| (slot.qp.qp_num(), wr_id))
+        })
+        .collect();
+    landed(ctx, wait, &want)
+}
+
+/// Waits once, up to the write timeout, for the completions `want` names
+/// and returns, in its order, each one that succeeded.
+pub(super) fn landed(ctx: &Ctx, wait: &dyn WcWait, want: &[Option<(u32, WrId)>]) -> Completions {
+    let wcs = wait.wait_all(want, ctx.config.write_timeout).into_iter();
+    wcs.map(|wc| wc.filter(|wc| wc.status == WcStatus::Success))
+        .collect()
 }

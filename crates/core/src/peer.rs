@@ -28,8 +28,9 @@
 //!
 //! Shape: all of the above is one `Daemon` value behind [`Peer`]'s mutex.
 //! Every entry point — a request, a GC tick, an operator call — is one
-//! `Daemon::step`, and the lease clock is an input: a request or tick reads
-//! `sim::time::now()` once and passes it down.
+//! `Daemon::step`, and the lease clock is an input: a request is served at
+//! the instant the RPC layer hands it (its arrival), a tick reads
+//! `sim::time::now()` once, and either passes it down.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -721,9 +722,8 @@ impl Peer {
         }));
         let server = {
             let daemon = Arc::clone(&daemon);
-            RpcServer::new(cluster.clone(), node, move |req| {
-                let mut daemon = daemon.lock();
-                daemon.handle(sim::time::now(), req)
+            RpcServer::timed(cluster.clone(), node, move |served, req| {
+                daemon.lock().handle(served, req)
             })
         };
         let rpc = server.client(config.control);

@@ -1648,3 +1648,175 @@ fn synchronous_record_takes_four_stage_or_rep_locks() {
         assert_eq!(locks, 4, "record {i}: Stage/Rep acquisitions may not grow");
     }
 }
+
+// --- The control path is one sequence of fault points ---
+
+/// Arms `plan` on `h`'s cluster — peer role `k` is `h.peers[k]`, the app
+/// role `app` — and returns the scheduler.
+fn arm(h: &Harness, app: &NclLib, plan: sim::FaultPlan) -> sim::FaultScheduler {
+    let binding = sim::Binding {
+        peers: h.peers.iter().map(Peer::node).collect(),
+        controller: h.controller.node(),
+        app: app.node(),
+    };
+    let sched = sim::FaultScheduler::new(&plan, binding);
+    h.cluster.install_faults(sched.clone());
+    sched
+}
+
+/// The peers and epoch testapp's `wal` has in the ap-map, asked from a
+/// node of its own.
+fn ap_map(h: &Harness) -> (Vec<String>, u64) {
+    let ctl = h.controller.client(h.config.control);
+    let probe = h.cluster.add_node("probe");
+    let entry = ctl.get_ap_entry(probe, "testapp", "wal").unwrap();
+    let entry = entry.expect("ap-map entry");
+    (entry.peers, entry.epoch)
+}
+
+/// Four peers, zero latencies: testapp's `wal` is written on three, then
+/// the application crashes, and one of the three with it. Returns the
+/// deployment, the restarted instance and the spare's name.
+fn app_and_peer_crashed() -> (Harness, NclLib, String) {
+    let h = Harness::new(4);
+    let spare = {
+        let lib = h.app("a1");
+        let file = lib.create("wal", 4096).unwrap();
+        file.record(0, b"acked before the crash").unwrap();
+        let names = file.peer_names();
+        h.cluster.crash(lib.node());
+        h.cluster.crash(h.peer_named(&names[0]).node());
+        let spare = h
+            .peers
+            .iter()
+            .map(Peer::name)
+            .find(|n| !names.iter().any(|m| m == n));
+        spare.expect("a fourth peer").to_string()
+    };
+    let lib = h.app("a2");
+    (h, lib, spare)
+}
+
+/// Three peers, zero latencies: testapp's `wal` loses one with no spare to
+/// replace it, so its repair is deferred; then a spare `p3` joins.
+fn repair_deferred() -> (Harness, NclLib, Arc<NclFile>) {
+    let mut h = Harness::new(3);
+    let lib = h.app("a1");
+    let file = lib.create("wal", 4096).unwrap();
+    file.record(0, b"a").unwrap();
+    h.cluster.crash(h.peer_named(&file.peer_names()[0]).node());
+    file.record(1, b"b").unwrap();
+    assert!(file.repair_pending(), "no spare peer: repair deferred");
+    let spare = Peer::start(
+        &h.cluster,
+        "p3",
+        64 << 20,
+        &h.config,
+        &h.controller,
+        &h.registry,
+    );
+    h.peers.push(spare);
+    (h, lib, file)
+}
+
+/// A repair whose ap-map update fails keeps its survivors, frees the fresh
+/// region and stays pending; the next `maintain` after the controller is
+/// back moves the ap-map to the peers the file writes to.
+#[test]
+fn a_repair_whose_ap_map_update_fails_is_retried() {
+    use sim::{FaultAction, FaultPlan, Trigger};
+    // The ap-map update is the last step of a repair.
+    let steps = {
+        let (h, lib, file) = repair_deferred();
+        let sched = arm(&h, &lib, FaultPlan::new(0));
+        assert!(file.maintain().unwrap());
+        sched.steps()
+    };
+    let (h, lib, file) = repair_deferred();
+    let cut = FaultPlan::new(0).push(Trigger::Step(steps), FaultAction::PartitionController);
+    arm(&h, &lib, cut);
+    assert!(file.maintain().is_err(), "the ap-map update was cut");
+    assert_eq!(h.peer_named("p3").region_count(), 0, "the fresh region");
+    assert!(file.repair_pending());
+    h.cluster.clear_faults();
+    h.cluster.heal(lib.node(), h.controller.node());
+    assert!(file.maintain().unwrap());
+    assert!(file.peer_names().contains(&"p3".to_string()));
+    assert_eq!(ap_map(&h), (file.peer_names(), file.epoch()));
+    file.record(2, b"c").unwrap();
+}
+
+/// A recovery whose ap-map update fails frees the replacement it
+/// allocated, and its retry at the same epoch succeeds.
+#[test]
+fn a_recovery_whose_ap_map_update_fails_frees_its_replacement_and_is_retried() {
+    use sim::{FaultAction, FaultPlan, Trigger};
+    // The ap-map update is the last step of a recovery.
+    let steps = {
+        let (h, lib, _) = app_and_peer_crashed();
+        let sched = arm(&h, &lib, FaultPlan::new(0));
+        lib.recover("wal").unwrap();
+        sched.steps()
+    };
+    let (h, lib, spare) = app_and_peer_crashed();
+    let cut = FaultPlan::new(0).push(Trigger::Step(steps), FaultAction::PartitionController);
+    arm(&h, &lib, cut);
+    assert!(lib.recover("wal").is_err(), "the ap-map update was cut");
+    assert_eq!(h.peer_named(&spare).region_count(), 0, "the fresh region");
+    h.cluster.clear_faults();
+    h.cluster.heal(lib.node(), h.controller.node());
+    let file = lib.recover("wal").unwrap();
+    assert_eq!(file.contents(), b"acked before the crash");
+    assert!(file.peer_names().contains(&spare));
+    assert_eq!(ap_map(&h), (file.peer_names(), file.epoch()));
+    let roots = h.config.telemetry.spans().into_iter();
+    let roots = roots.filter(|s| s.name == spans::NCL_RECOVER).count();
+    assert_eq!(roots, 2, "the failed recovery recorded its root too");
+}
+
+/// `recover` and `replace_failed` run every per-peer step on the caller's
+/// thread, so they consult the fault points in one fixed order: a peer
+/// crash injected at step `k` has one outcome. Repeated, it gives the same
+/// error or the same ap-map, after the same number of steps.
+#[test]
+fn a_crash_at_any_step_of_recovery_or_repair_has_one_outcome() {
+    use sim::{FaultAction, FaultPlan, Trigger};
+    const REPEATS: usize = 20;
+    let recover = |plan: FaultPlan| {
+        let (h, lib, _) = app_and_peer_crashed();
+        let sched = arm(&h, &lib, plan);
+        let result = lib.recover("wal").map(|f| (f.peer_names(), f.epoch()));
+        let steps = sched.steps();
+        h.cluster.clear_faults();
+        (format!("{result:?}, ap-map {:?}", ap_map(&h)), steps)
+    };
+    let repair = |plan: FaultPlan| {
+        let (h, lib, file) = repair_deferred();
+        let sched = arm(&h, &lib, plan);
+        let result = file.maintain();
+        let steps = sched.steps();
+        h.cluster.clear_faults();
+        (format!("{result:?}, ap-map {:?}", ap_map(&h)), steps)
+    };
+    /// A run under a plan: its outcome and its step count.
+    type Run<'a> = &'a dyn Fn(FaultPlan) -> (String, u64);
+    let runs: [(&str, Run); 2] = [("recover", &recover), ("replace_failed", &repair)];
+    for (what, run) in runs {
+        let (_, steps) = run(FaultPlan::new(0));
+        assert!(steps > 0, "{what}");
+        for k in 1..=steps {
+            for role in 0..4 {
+                let plan =
+                    || FaultPlan::new(0).push(Trigger::Step(k), FaultAction::CrashPeer(role));
+                let first = run(plan());
+                for _ in 1..REPEATS {
+                    assert_eq!(
+                        run(plan()),
+                        first,
+                        "{what}: peer {role} crashed at step {k}"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -143,11 +143,6 @@ impl LatencyModel {
         delay(self.cost(bytes));
     }
 
-    /// Charges the jittered cost of an operation by actually waiting.
-    pub fn charge_jittered(&self, bytes: usize, rng: &mut Xoshiro256StarStar) {
-        delay(self.cost_jittered(bytes, rng));
-    }
-
     /// True when this model never waits (all parameters zero).
     pub fn is_zero(&self) -> bool {
         self.base.is_zero() && self.per_byte_ns == 0.0

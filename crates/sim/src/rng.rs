@@ -109,11 +109,6 @@ impl Xoshiro256StarStar {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
-
     /// Fills `buf` with pseudo-random bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         let mut chunks = buf.chunks_exact_mut(8);

@@ -5,22 +5,24 @@
 //! original), peer memory-region setup, and DFS client↔OSD messages — is
 //! modelled as in-process RPC: a service is a handler behind one mutex, and
 //! a call runs that handler on the calling thread. Every call consults the
-//! [`Cluster`] for reachability in both directions and charges the link's
+//! [`Cluster`] for reachability in both directions and prices the link's
 //! [`LatencyModel`], so crashing or partitioning a node transparently fails
 //! its RPCs.
 //!
 //! The mutex is the serial server: handlers of one service never overlap,
-//! so what a handler charges (an OSD commit, a memory registration) queues
-//! the next caller behind it, while different services run in parallel. A
-//! handler must not call a service that may be waiting on its own (peers
-//! call the controller; the controller and the DFS services call nobody).
+//! so what a handler charges on the clock (an OSD commit) queues the next
+//! caller behind it, while different services run in parallel. A handler
+//! must not call a service that may be waiting on its own (peers call the
+//! controller; the controller and the DFS services call nobody).
 //!
-//! Bandwidth-dependent costs are charged by the *caller* via
-//! [`RpcClient::call_sized`]; plain [`RpcClient::call`] charges only the
-//! base round-trip latency. This keeps the request/response types free of a
-//! size-reporting trait.
+//! A call's legs are priced, not slept: [`RpcClient::call_at`] returns the
+//! instant the answer is back — request leg, the server's time on it,
+//! response leg — so a caller of several waits once. `call` and
+//! [`RpcClient::call_sized`] (bandwidth by byte counts, which keeps the types
+//! free of a size-reporting trait) wait for it themselves.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -29,8 +31,9 @@ use crate::error::SimError;
 use crate::fault::{FaultSite, WireFault};
 use crate::latency::LatencyModel;
 
-/// The handler with the state it captured; `None` once the server is gone.
-type Service<Req, Resp> = Mutex<Option<Box<dyn FnMut(Req) -> Resp + Send>>>;
+/// The handler with the state it captured, passed the instant it serves a
+/// request; `None` once the server is gone.
+type Service<Req, Resp> = Mutex<Option<Box<dyn FnMut(Instant, Req) -> Resp + Send>>>;
 
 /// Handle to an RPC service.
 ///
@@ -51,9 +54,19 @@ impl<Req, Resp> RpcServer<Req, Resp> {
     /// dead process whose clients observe connection failures — and the
     /// component is expected to watch [`Cluster::generation`] if it must
     /// discard volatile state after a restart (see the NCL peer daemon).
-    pub fn new<F>(cluster: Cluster, node: NodeId, handler: F) -> Self
+    pub fn new<F>(cluster: Cluster, node: NodeId, mut handler: F) -> Self
     where
         F: FnMut(Req) -> Resp + Send + 'static,
+    {
+        Self::timed(cluster, node, move |_, req| handler(req))
+    }
+
+    /// Starts a service whose handler is also passed the instant it serves
+    /// the request — its arrival, or later if the server was busy — so it
+    /// can price its work from there instead of charging it.
+    pub fn timed<F>(cluster: Cluster, node: NodeId, handler: F) -> Self
+    where
+        F: FnMut(Instant, Req) -> Resp + Send + 'static,
     {
         RpcServer {
             cluster,
@@ -120,7 +133,7 @@ impl<Req, Resp> RpcClient<Req, Resp> {
     }
 
     /// Issues a call charging bandwidth for `req_bytes` on the request leg
-    /// and `resp_bytes` on the response leg.
+    /// and `resp_bytes` on the response leg, and waits for the answer.
     pub fn call_sized(
         &self,
         from: NodeId,
@@ -128,17 +141,34 @@ impl<Req, Resp> RpcClient<Req, Resp> {
         req_bytes: usize,
         resp_bytes: usize,
     ) -> Result<Resp, SimError> {
+        // The request's bytes go out ahead of the call, the response's after.
+        let bandwidth = |bytes| self.latency.cost(bytes) - self.latency.base;
+        let at = crate::time::now() + bandwidth(req_bytes);
+        let (resp, ready) = self.call_at(from, at, req)?;
+        crate::time::delay_until(ready + bandwidth(resp_bytes));
+        Ok(resp)
+    }
+
+    /// Issues a call from `from` at `at` without waiting; returns the answer
+    /// and the instant it is back: `at` + request leg + any delay the fault
+    /// point drew + the server's time on it + response leg.
+    pub fn call_at(
+        &self,
+        from: NodeId,
+        at: Instant,
+        req: Req,
+    ) -> Result<(Resp, Instant), SimError> {
         // Control-plane fault point: advances any armed schedule (which may
         // cut this very link) before the reachability check observes it.
         let verdict = self
             .cluster
             .fault_point(FaultSite::Control, from, self.server_node);
+        let mut arrival = at + self.latency.base;
         if let WireFault::Delay(d) = verdict {
-            crate::time::delay(d);
+            arrival += d;
         }
         self.cluster.can_reach(from, self.server_node)?;
-        self.latency.charge(req_bytes);
-        let resp = {
+        let (resp, done) = {
             let mut service = self.service.lock();
             let handler = service.as_mut().ok_or(SimError::ServiceStopped)?;
             // Under the lock, so a caller queued behind a handler that
@@ -146,13 +176,17 @@ impl<Req, Resp> RpcClient<Req, Resp> {
             if !self.cluster.is_alive(self.server_node) {
                 return Err(SimError::NodeDown(self.server_node));
             }
-            handler(req)
+            // Served once it has arrived and the call before it is done; what
+            // the handler charges on the clock adds to that.
+            let taken = crate::time::now();
+            let served = arrival.max(taken);
+            let resp = handler(served, req);
+            (resp, served + crate::time::now().duration_since(taken))
         };
         // The response must also traverse the network; a server that
         // crashed inside its handler applied the request and lost the reply.
         self.cluster.can_reach(self.server_node, from)?;
-        self.latency.charge(resp_bytes);
-        Ok(resp)
+        Ok((resp, done + self.latency.base))
     }
 }
 
@@ -375,5 +409,44 @@ mod tests {
         );
         assert_eq!(executed.load(Ordering::SeqCst), 1, "the cut call never ran");
         assert_eq!(cli.call(client_node, ()), Ok(2));
+    }
+
+    /// What a handler charges on the clock adds to both legs instead of
+    /// overlapping them, priced or waited for.
+    #[test]
+    fn a_handler_that_charges_adds_its_time_to_both_legs() {
+        let c = Cluster::new();
+        let client_node = c.add_node("client");
+        let server_node = c.add_node("server");
+        let work = std::time::Duration::from_millis(3);
+        let srv = RpcServer::new(c.clone(), server_node, move |x: u32| {
+            crate::time::delay(work);
+            x
+        });
+        let leg = LatencyModel::new(std::time::Duration::from_millis(2), 0.0, 0.0);
+        let cli = srv.client(leg);
+        let at = Instant::now();
+        let (_, ready) = cli.call_at(client_node, at, 1).unwrap();
+        assert!(ready >= at + 2 * leg.base + work);
+        let at = Instant::now();
+        cli.call(client_node, 1).unwrap();
+        assert!(at.elapsed() >= 2 * leg.base + work);
+    }
+
+    /// A timed handler is served at the request's arrival, one leg after
+    /// the instant it was issued at, even one ahead of the clock.
+    #[test]
+    fn a_timed_handler_is_served_at_the_requests_arrival() {
+        let c = Cluster::new();
+        let client_node = c.add_node("client");
+        let server_node = c.add_node("server");
+        let srv = RpcServer::timed(c.clone(), server_node, |served: Instant, ()| served);
+        let leg = LatencyModel::new(std::time::Duration::from_millis(2), 0.0, 0.0);
+        let cli = srv.client(leg);
+        let at = Instant::now() + std::time::Duration::from_secs(1);
+        let (served, ready) = cli.call_at(client_node, at, ()).unwrap();
+        assert_eq!(served, at + leg.base);
+        assert!(ready >= served + leg.base);
+        assert!(ready < served + leg.base + std::time::Duration::from_millis(100));
     }
 }
