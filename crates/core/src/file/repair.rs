@@ -216,12 +216,13 @@ impl NclFile {
 /// Obtains up to `n` fresh peers for `file` at `epoch`, each lending a
 /// region of `capacity` data bytes: one controller round asks for the
 /// candidates (their availability is only a hint) and the `Alloc`s go out
-/// in placement order on the caller's thread. A peer prices its
-/// registration and answers at once, so the regions register side by side
-/// and the caller waits once, for the last of them, before it returns —
-/// every returned slot can be posted to. Another round runs only for
-/// candidates that were stale or down, after a backoff when a whole round
-/// came to nothing.
+/// at one instant, in placement order on the caller's thread. A peer
+/// prices its registration and answers at once, and each connection is one
+/// more control round trip priced after its answer, so the regions
+/// register and connect side by side and the caller waits once, for the
+/// last of them, before it returns — every returned slot can be posted to.
+/// Another round runs only for candidates that were stale or down, after a
+/// backoff when a whole round came to nothing.
 ///
 /// Returns fewer than `n` only when the controller runs out of eligible
 /// peers or stops answering; fewer than `at_least` is an error, and then
@@ -263,7 +264,7 @@ pub(super) fn acquire_peers(
         if candidates.is_empty() {
             break;
         }
-        let before = slots.len();
+        let (before, at) = (slots.len(), sim::time::now());
         for cand in candidates {
             if slots.len() == n {
                 break;
@@ -272,8 +273,9 @@ pub(super) fn acquire_peers(
             let Some(endpoint) = ctx.registry.lookup(&cand.name) else {
                 continue;
             };
-            let resp = endpoint.rpc.call(
+            let resp = endpoint.rpc.call_at(
                 ctx.node,
+                at,
                 PeerReq::Alloc {
                     app: ctx.app_id.clone(),
                     file: file.to_string(),
@@ -281,14 +283,14 @@ pub(super) fn acquire_peers(
                     capacity,
                 },
             );
-            let Ok(PeerResp::Mr(mr, at)) = resp else {
+            let Ok((PeerResp::Mr(mr, registered), back)) = resp else {
                 phases.close(connect, epoch);
                 continue; // The hint was stale or the peer is down.
             };
             // Connection setup is one more control round trip.
-            ctx.config.control.charge(0);
+            let connected = back + ctx.config.control.base;
             slots.push(PeerSlot::connect(ctx, cand.name, endpoint, mr, cq));
-            ready = ready.max(Some(at));
+            ready = ready.max(Some(registered.max(connected)));
             if slots.len() < n {
                 phases.close(connect, epoch);
             }

@@ -20,12 +20,12 @@
 //! An optional [`IoTrace`] records the sizes of data submitted to the DFS —
 //! exactly the quantity plotted in Figure 1(a–c) of the paper.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
-use sim::{Cluster, NodeId, RpcClient};
+use sim::{NodeId, RpcClient};
 
 use crate::config::DfsConfig;
 use crate::extent::ExtentMap;
@@ -164,8 +164,6 @@ impl Shared {
 /// client via [`crate::DfsCluster::client`].
 #[derive(Clone)]
 pub struct DfsClient {
-    #[allow(dead_code)]
-    cluster: Cluster,
     node: NodeId,
     config: DfsConfig,
     mds: RpcClient<MdsReq, MdsResp>,
@@ -175,14 +173,12 @@ pub struct DfsClient {
 
 impl DfsClient {
     pub(crate) fn new(
-        cluster: Cluster,
         node: NodeId,
         config: DfsConfig,
         mds: RpcClient<MdsReq, MdsResp>,
         osds: Vec<RpcClient<OsdReq, OsdResp>>,
     ) -> Self {
         DfsClient {
-            cluster,
             node,
             config,
             mds,
@@ -299,7 +295,7 @@ impl DfsClient {
                 std::thread::sleep(std::time::Duration::from_micros(50));
                 continue;
             }
-            let extents = e.drain_dirty();
+            let extents = e.dirty.drain();
             if extents.is_empty() && e.size == e.meta.size {
                 return Ok(());
             }
@@ -335,63 +331,56 @@ impl DfsClient {
         Ok(())
     }
 
+    /// Writes every extent to every replica of its object and waits once.
+    /// Objects go in ascending order and replicas in index order, each
+    /// (object, replica) chain of Puts priced from one post instant: the
+    /// replicas commit side by side, as a client → primary write with
+    /// parallel forwarding does, while each OSD's commits queue on it.
+    /// Every replica is attempted even after a failure; any failure fails
+    /// the flush (CephFS acks after full replication).
     fn flush_extents(&self, file_id: u64, extents: &[(u64, Vec<u8>)]) -> Result<(), DfsError> {
         // Split extents on object boundaries and group per object.
         let osz = self.config.object_size as u64;
-        let mut per_object: HashMap<u64, Vec<(usize, Vec<u8>)>> = HashMap::new();
+        let mut per_object: BTreeMap<u64, Vec<(usize, &[u8])>> = BTreeMap::new();
         for (off, data) in extents {
             let mut cursor = 0usize;
             while cursor < data.len() {
                 let abs = off + cursor as u64;
-                let obj = abs / osz;
                 let in_obj = (abs % osz) as usize;
-                let room = osz as usize - in_obj;
-                let n = room.min(data.len() - cursor);
-                per_object
-                    .entry(obj)
-                    .or_default()
-                    .push((in_obj, data[cursor..cursor + n].to_vec()));
+                let n = (osz as usize - in_obj).min(data.len() - cursor);
+                let writes = per_object.entry(abs / osz).or_default();
+                writes.push((in_obj, &data[cursor..cursor + n]));
                 cursor += n;
             }
         }
-        // Write each object to every OSD; the fan-out is parallel, matching
-        // a client→primary write with parallel replica forwarding.
+        let post = sim::time::now();
+        let (mut ready, mut failed) = (post, None);
         let replicas = self.osds.len();
-        let results: Mutex<Vec<Result<(), DfsError>>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for (obj, writes) in &per_object {
-                for r in 0..replicas {
-                    let osd = &self.osds[r];
-                    let results = &results;
-                    let primary = (*obj % replicas as u64) as usize == r;
-                    scope.spawn(move || {
-                        for (in_obj, data) in writes {
-                            let res = osd
-                                .call_sized(
-                                    self.node,
-                                    OsdReq::Put {
-                                        file: file_id,
-                                        obj: *obj,
-                                        offset: *in_obj,
-                                        data: data.clone(),
-                                        forwarded: !primary,
-                                    },
-                                    data.len(),
-                                    0,
-                                )
-                                .map(|_| ())
-                                .map_err(|err| DfsError::Unavailable(err.to_string()));
-                            results.lock().push(res);
+        for (&obj, writes) in &per_object {
+            for (r, osd) in self.osds.iter().enumerate() {
+                let mut at = post;
+                for &(offset, data) in writes {
+                    let put = OsdReq::Put {
+                        file: file_id,
+                        obj,
+                        offset,
+                        data: data.to_vec(),
+                        forwarded: (obj % replicas as u64) as usize != r,
+                    };
+                    // The data goes out ahead of the request leg.
+                    let sent = at + (self.config.hop.cost(data.len()) - self.config.hop.base);
+                    match osd.call_at(self.node, sent, put) {
+                        Ok((_, back)) => at = back,
+                        Err(e) => {
+                            failed.get_or_insert(DfsError::Unavailable(e.to_string()));
                         }
-                    });
+                    }
                 }
+                ready = ready.max(at);
             }
-        });
-        // Require all replicas to commit (CephFS acks after full replication).
-        for res in results.into_inner() {
-            res?;
         }
-        Ok(())
+        sim::delay_until(ready);
+        failed.map_or(Ok(()), Err)
     }
 
     /// Reads up to `len` bytes at `offset`, returning fewer at end of file.
@@ -527,8 +516,7 @@ impl DfsClient {
                 len,
             ) {
                 Ok(OsdResp::Data(data)) => return Ok(data),
-                Ok(_) => continue,
-                Err(_) => continue,
+                _ => continue, // Down, or not an answer to a read.
             }
         }
         Err(DfsError::Unavailable(format!(
@@ -552,11 +540,16 @@ impl DfsClient {
             // Open handles keep the entry: see `DfsFile`.
             entry.lock().deleted = true;
         }
-        for osd in &self.osds {
-            // Deleting on a down OSD is best-effort; its objects are orphaned
-            // (real systems run scrub/GC for this).
-            let _ = osd.call(self.node, OsdReq::DeleteFile(meta.id));
-        }
+        // One round to every OSD, best-effort: a down OSD's objects are
+        // orphaned (real systems run scrub/GC for this).
+        let at = sim::time::now();
+        let ready = self.osds.iter().filter_map(|osd| {
+            let (_, back) = osd
+                .call_at(self.node, at, OsdReq::DeleteFile(meta.id))
+                .ok()?;
+            Some(back)
+        });
+        sim::delay_until(ready.max().unwrap_or(at));
         Ok(())
     }
 
@@ -615,16 +608,11 @@ impl DfsClient {
     }
 }
 
-impl FileEntry {
-    fn drain_dirty(&mut self) -> Vec<(u64, Vec<u8>)> {
-        self.dirty.drain()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::osd::DfsCluster;
+    use sim::Cluster;
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
 
@@ -903,6 +891,26 @@ mod tests {
             *b"dirty",
             "by path, the same bytes"
         );
+    }
+
+    /// A one-object fsync costs its slowest replica's chain: the data and
+    /// request leg, the primary's forwarding hop, the commit and the
+    /// response leg.
+    #[test]
+    fn a_one_object_fsync_costs_the_forwarded_replicas_chain() {
+        let cluster = Cluster::new();
+        let config = crate::osd::tests::slow();
+        let dfs = DfsCluster::start(&cluster, config.clone());
+        let client = dfs.client(cluster.add_node("app"));
+        let data = vec![7u8; 4096];
+        let (hop, commit) = (config.hop.cost(data.len()), config.commit.cost(data.len()));
+        client.create("f").unwrap();
+        client.write("f", 0, &data).unwrap();
+        let t = std::time::Instant::now();
+        client.fsync("f").unwrap();
+        let (took, chain) = (t.elapsed(), 2 * hop + commit + config.hop.base);
+        assert!(took >= chain, "{took:?}");
+        assert!(took < chain + chain / 4, "{took:?}");
     }
 
     #[test]

@@ -2,15 +2,19 @@
 //!
 //! Files are striped into fixed-size objects addressed by `(file_id,
 //! object_index)`. Every object is replicated on all OSDs; the *primary* for
-//! an object is `object_index % replicas`, and the other replicas charge an
-//! extra forwarding hop per write to model primary-copy replication (the
-//! client fans the write out in parallel, so wall-clock latency matches the
-//! client → primary → replica chain while each OSD's commit cost still
-//! serialises on that OSD's disk queue).
+//! an object is `object_index % replicas`, and a write to any other replica
+//! costs one more forwarding hop, modelling primary-copy replication. An OSD
+//! is a `sim::rpc` service that prices its work — the hop, the commit, the
+//! media read — instead of sleeping it, and a service is a serial server in
+//! modelled time, so each OSD's commits queue on its own disk: two writes
+//! to one OSD issued at one instant are done a whole commit apart, while the
+//! client posts the replicas' writes side by side and waits once, so an
+//! `fsync` costs the client → primary → replica chain, not their sum.
 
 use std::collections::HashMap;
+use std::time::Duration;
 
-use sim::{Cluster, LatencyModel, NodeId, RpcClient, RpcServer};
+use sim::{Cluster, NodeId, RpcServer};
 
 use crate::client::DfsClient;
 use crate::config::DfsConfig;
@@ -57,12 +61,9 @@ pub enum OsdResp {
 }
 
 fn start_osd(cluster: Cluster, node: NodeId, config: &DfsConfig) -> RpcServer<OsdReq, OsdResp> {
-    let commit = config.commit;
-    let read = config.osd_read;
-    let hop = config.hop;
-    let object_size = config.object_size;
+    let config = config.clone();
     let mut objects: HashMap<(u64, u64), Vec<u8>> = HashMap::new();
-    RpcServer::new(cluster, node, move |req| match req {
+    RpcServer::priced(cluster, node, move |_, req| match req {
         OsdReq::Put {
             file,
             obj,
@@ -70,19 +71,18 @@ fn start_osd(cluster: Cluster, node: NodeId, config: &DfsConfig) -> RpcServer<Os
             data,
             forwarded,
         } => {
-            if forwarded {
-                // Primary → replica forwarding hop.
-                hop.charge(data.len());
-            }
-            commit.charge(data.len());
             let buf = objects.entry((file, obj)).or_default();
             let end = offset + data.len();
-            debug_assert!(end <= object_size, "write exceeds object size");
+            debug_assert!(end <= config.object_size, "write exceeds object size");
             if buf.len() < end {
                 buf.resize(end, 0);
             }
             buf[offset..end].copy_from_slice(&data);
-            OsdResp::Ok
+            let mut work = config.commit.cost(data.len());
+            if forwarded {
+                work += config.hop.cost(data.len()); // Primary → replica.
+            }
+            (OsdResp::Ok, work)
         }
         OsdReq::Get {
             file,
@@ -90,7 +90,6 @@ fn start_osd(cluster: Cluster, node: NodeId, config: &DfsConfig) -> RpcServer<Os
             offset,
             len,
         } => {
-            read.charge(len);
             let mut out = vec![0u8; len];
             if let Some(buf) = objects.get(&(file, obj)) {
                 if offset < buf.len() {
@@ -98,11 +97,11 @@ fn start_osd(cluster: Cluster, node: NodeId, config: &DfsConfig) -> RpcServer<Os
                     out[..n].copy_from_slice(&buf[offset..offset + n]);
                 }
             }
-            OsdResp::Data(out)
+            (OsdResp::Data(out), config.osd_read.cost(len))
         }
         OsdReq::DeleteFile(file) => {
             objects.retain(|&(f, _), _| f != file);
-            OsdResp::Ok
+            (OsdResp::Ok, Duration::ZERO)
         }
     })
 }
@@ -126,7 +125,6 @@ fn start_osd(cluster: Cluster, node: NodeId, config: &DfsConfig) -> RpcServer<Os
 /// assert_eq!(client.read("f", 0, 5).unwrap(), b"hello");
 /// ```
 pub struct DfsCluster {
-    cluster: Cluster,
     config: DfsConfig,
     mds: RpcServer<crate::mds::MdsReq, crate::mds::MdsResp>,
     osds: Vec<RpcServer<OsdReq, OsdResp>>,
@@ -147,7 +145,6 @@ impl DfsCluster {
             osd_nodes.push(node);
         }
         DfsCluster {
-            cluster: cluster.clone(),
             config,
             mds,
             osds,
@@ -168,26 +165,61 @@ impl DfsCluster {
     /// Mounts the file system on `client_node`, returning a fresh client
     /// with cold caches (a restarted application server).
     pub fn client(&self, client_node: NodeId) -> DfsClient {
-        let mds_client: RpcClient<crate::mds::MdsReq, crate::mds::MdsResp> =
-            self.mds.client(self.config.mds);
-        let osd_clients: Vec<RpcClient<OsdReq, OsdResp>> = self
-            .osds
-            .iter()
-            .map(|o| o.client(self.config.hop))
-            .collect();
-        DfsClient::new(
-            self.cluster.clone(),
-            client_node,
-            self.config.clone(),
-            mds_client,
-            osd_clients,
-        )
+        let (mds, config) = (self.mds.client(self.config.mds), self.config.clone());
+        let osds = self.osds.iter().map(|o| o.client(config.hop)).collect();
+        DfsClient::new(client_node, config, mds, osds)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use std::time::Instant;
+
+    use sim::LatencyModel;
+
+    use super::*;
+
+    /// Millisecond hops and commits with a bandwidth term; priced calls
+    /// sleep none of it.
+    pub(crate) fn slow() -> DfsConfig {
+        let model = |ms| LatencyModel::new(Duration::from_millis(ms), 1_000.0, 0.0);
+        DfsConfig {
+            hop: model(20),
+            commit: model(50),
+            ..DfsConfig::zero()
+        }
     }
 
-    /// Charges the latency of one hop without sending anything — used by the
-    /// client for modelling costs that have no message (e.g. cache hits need
-    /// none; this is a convenience for tests).
-    pub fn hop_model(&self) -> LatencyModel {
-        self.config.hop
+    /// A lone Put is back after the request leg, the forwarding hop on a
+    /// replica, the commit and the response leg; a second Put priced at the
+    /// same instant on the same OSD waits out the first's whole work.
+    #[test]
+    fn puts_to_one_osd_queue_a_whole_commit_apart() {
+        let cluster = Cluster::new();
+        let config = slow();
+        let dfs = DfsCluster::start(&cluster, config.clone());
+        let app = cluster.add_node("app");
+        let data = vec![7u8; 4096];
+        let (hop, commit) = (config.hop.cost(data.len()), config.commit.cost(data.len()));
+        assert!(hop > config.hop.base && commit > config.commit.base);
+        let slack = Duration::from_millis(10);
+        // Object 0's primary is OSD 0; OSD 1 holds a forwarded replica.
+        for (osd, work) in [(0, commit), (1, hop + commit)] {
+            let client = dfs.osds[osd].client(config.hop);
+            let put = || OsdReq::Put {
+                file: 1,
+                obj: 0,
+                offset: 0,
+                data: data.clone(),
+                forwarded: osd != 0,
+            };
+            let at = Instant::now();
+            let (_, first) = client.call_at(app, at, put()).unwrap();
+            let (_, second) = client.call_at(app, at, put()).unwrap();
+            let lone = at + config.hop.base + work + config.hop.base;
+            assert!(first >= lone && first < lone + slack, "osd {osd}");
+            let gap = second - first;
+            assert!(gap >= work && gap < work + slack, "osd {osd}: {gap:?}");
+        }
     }
 }

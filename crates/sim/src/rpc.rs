@@ -9,20 +9,23 @@
 //! [`LatencyModel`], so crashing or partitioning a node transparently fails
 //! its RPCs.
 //!
-//! The mutex is the serial server: handlers of one service never overlap,
-//! so what a handler charges on the clock (an OSD commit) queues the next
-//! caller behind it, while different services run in parallel. A handler
-//! must not call a service that may be waiting on its own (peers call the
-//! controller; the controller and the DFS services call nobody).
+//! A service is a serial server in modelled time: a request is served at
+//! its arrival, or once the service is done with the request before it if
+//! that is later, and is done when the handler's work is — what it prices
+//! ([`RpcServer::priced`]: an OSD's hop, commit or read) plus the real time
+//! it ran. A handler prices its work instead of sleeping it under the mutex,
+//! which only keeps one service's handlers from overlapping; different
+//! services run in parallel. A handler must not call a service that may be
+//! waiting on its own (peers call the controller; the controller and the
+//! DFS services call nobody).
 //!
 //! A call's legs are priced, not slept: [`RpcClient::call_at`] returns the
-//! instant the answer is back — request leg, the server's time on it,
-//! response leg — so a caller of several waits once. `call` and
-//! [`RpcClient::call_sized`] (bandwidth by byte counts, which keeps the types
-//! free of a size-reporting trait) wait for it themselves.
+//! instant the answer is back, so a caller of several waits once. `call`
+//! and [`RpcClient::call_sized`] (bandwidth by byte counts, which keeps the
+//! types free of a size-reporting trait) wait for it themselves.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -31,9 +34,11 @@ use crate::error::SimError;
 use crate::fault::{FaultSite, WireFault};
 use crate::latency::LatencyModel;
 
-/// The handler with the state it captured, passed the instant it serves a
-/// request; `None` once the server is gone.
-type Service<Req, Resp> = Mutex<Option<Box<dyn FnMut(Instant, Req) -> Resp + Send>>>;
+/// The handler with the state it captured — passed the instant it serves a
+/// request, it answers with what its work costs — and the instant the
+/// service is done with its last request; `None` once the server is gone.
+type Service<Req, Resp> = Mutex<Option<(Handler<Req, Resp>, Instant)>>;
+type Handler<Req, Resp> = Box<dyn FnMut(Instant, Req) -> (Resp, Duration) + Send>;
 
 /// Handle to an RPC service.
 ///
@@ -62,16 +67,28 @@ impl<Req, Resp> RpcServer<Req, Resp> {
     }
 
     /// Starts a service whose handler is also passed the instant it serves
-    /// the request — its arrival, or later if the server was busy — so it
-    /// can price its work from there instead of charging it.
-    pub fn timed<F>(cluster: Cluster, node: NodeId, handler: F) -> Self
+    /// the request — its arrival, or later if the server was busy.
+    pub fn timed<F>(cluster: Cluster, node: NodeId, mut handler: F) -> Self
     where
         F: FnMut(Instant, Req) -> Resp + Send + 'static,
     {
+        Self::priced(cluster, node, move |served, req| {
+            (handler(served, req), Duration::ZERO)
+        })
+    }
+
+    /// Starts a service whose handler answers with what its work costs, so
+    /// the service is busy for that long after it served the request.
+    pub fn priced<F>(cluster: Cluster, node: NodeId, handler: F) -> Self
+    where
+        F: FnMut(Instant, Req) -> (Resp, Duration) + Send + 'static,
+    {
+        // Idle since it started.
+        let service = Some((Box::new(handler) as Handler<_, _>, crate::time::now()));
         RpcServer {
             cluster,
             node,
-            service: Arc::new(Mutex::new(Some(Box::new(handler)))),
+            service: Arc::new(Mutex::new(service)),
         }
     }
 
@@ -150,8 +167,9 @@ impl<Req, Resp> RpcClient<Req, Resp> {
     }
 
     /// Issues a call from `from` at `at` without waiting; returns the answer
-    /// and the instant it is back: `at` + request leg + any delay the fault
-    /// point drew + the server's time on it + response leg.
+    /// and the instant it is back: served at `at` + request leg + any delay
+    /// the fault point drew (or once the service is free), then the
+    /// handler's work and the response leg.
     pub fn call_at(
         &self,
         from: NodeId,
@@ -170,18 +188,20 @@ impl<Req, Resp> RpcClient<Req, Resp> {
         self.cluster.can_reach(from, self.server_node)?;
         let (resp, done) = {
             let mut service = self.service.lock();
-            let handler = service.as_mut().ok_or(SimError::ServiceStopped)?;
+            let (handler, free) = service.as_mut().ok_or(SimError::ServiceStopped)?;
             // Under the lock, so a caller queued behind a handler that
             // crashed its own node is dropped with the dead process.
             if !self.cluster.is_alive(self.server_node) {
                 return Err(SimError::NodeDown(self.server_node));
             }
-            // Served once it has arrived and the call before it is done; what
-            // the handler charges on the clock adds to that.
+            // Served once it has arrived and the request before it is done;
+            // what the handler prices, and any time it charges on the clock,
+            // add to that.
+            let served = arrival.max(*free);
             let taken = crate::time::now();
-            let served = arrival.max(taken);
-            let resp = handler(served, req);
-            (resp, served + crate::time::now().duration_since(taken))
+            let (resp, work) = handler(served, req);
+            *free = served + work + crate::time::now().duration_since(taken);
+            (resp, *free)
         };
         // The response must also traverse the network; a server that
         // crashed inside its handler applied the request and lost the reply.
@@ -431,6 +451,45 @@ mod tests {
         let at = Instant::now();
         cli.call(client_node, 1).unwrap();
         assert!(at.elapsed() >= 2 * leg.base + work);
+    }
+
+    /// A serial server: two requests priced at one instant queue in
+    /// modelled time, so the second is served once the first is done, and
+    /// its answer is back a whole handler time after the first's.
+    #[test]
+    fn a_request_queued_behind_a_busy_handler_waits_out_its_whole_work() {
+        let c = Cluster::new();
+        let client_node = c.add_node("client");
+        let server_node = c.add_node("server");
+        let work = Duration::from_millis(9);
+        let srv = RpcServer::new(c.clone(), server_node, move |x: u32| {
+            crate::time::delay(work);
+            x
+        });
+        let leg = LatencyModel::new(Duration::from_millis(4), 0.0, 0.0);
+        let cli = srv.client(leg);
+        let at = Instant::now();
+        let (_, first) = cli.call_at(client_node, at, 1).unwrap();
+        let (_, second) = cli.call_at(client_node, at, 2).unwrap();
+        assert!(first >= at + 2 * leg.base + work);
+        assert!(second >= first + work, "{:?} apart", second - first);
+    }
+
+    /// What a priced handler reports keeps its service busy on the clock,
+    /// and nobody sleeps it.
+    #[test]
+    fn a_priced_handler_queues_the_next_request_without_sleeping() {
+        let c = Cluster::new();
+        let client_node = c.add_node("client");
+        let server_node = c.add_node("server");
+        let work = Duration::from_secs(5);
+        let srv = RpcServer::priced(c.clone(), server_node, move |_, x: u32| (x, work));
+        let cli = srv.client(LatencyModel::ZERO);
+        let at = Instant::now();
+        let (_, first) = cli.call_at(client_node, at, 1).unwrap();
+        let (_, second) = cli.call_at(client_node, at, 2).unwrap();
+        assert!(first >= at + work && second >= first + work);
+        assert!(at.elapsed() < Duration::from_secs(1));
     }
 
     /// A timed handler is served at the request's arrival, one leg after

@@ -21,11 +21,9 @@
 //!   `ext4` reference of Figure 11b).
 
 pub mod fallback;
-pub mod hybrid;
 pub mod spill;
 pub mod testbed;
 
-pub use hybrid::{HybridFile, HybridOptions};
 pub use spill::DfsSpillSink;
 pub use testbed::{Testbed, TestbedConfig};
 
