@@ -24,20 +24,14 @@
 //! its modes; "porting" to SplitFT is exactly the paper's experience — the
 //! one `open` flag on the log file.
 //!
-//! A fourth store, [`minikvell`], implements the paper's §6 extension: a
-//! KVell-style *no-log* store whose random slot writes are absorbed by an
-//! NCL staging tier and flushed to the DFS in bulk.
-//!
 //! [`KvApp`] is the uniform key-value surface the YCSB harness drives.
 
 pub mod kv;
-pub mod minikvell;
 pub mod miniredis;
 pub mod minirocks;
 pub mod minisql;
 
 pub use kv::{AppError, Entry, KvApp};
-pub use minikvell::{KvellOptions, MiniKvell};
 pub use miniredis::{MiniRedis, RedisOptions};
 pub use minirocks::{MiniRocks, RocksOptions};
 pub use minisql::{MiniSql, SqlOptions};

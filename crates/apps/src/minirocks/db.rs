@@ -711,10 +711,11 @@ fn run_flush(inner: &Arc<Inner>, wal_number: u64, mem: &MemTable) -> Result<(), 
         let mut st = inner.state.write();
         Arc::make_mut(&mut st.levels)[0].push(Arc::new(reader));
         st.frozen.retain(|(w, _)| *w != wal_number);
+        // Counted before the flush is seen done (`wait_for_flushes`).
+        inner.flushes.fetch_add(1, Ordering::Relaxed);
     }
     // The log is now redundant: garbage-collect it by deletion (Table 2).
     let _ = inner.fs.unlink(&wal_name(&inner.prefix, wal_number));
-    inner.flushes.fetch_add(1, Ordering::Relaxed);
     Ok(())
 }
 

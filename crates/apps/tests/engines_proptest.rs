@@ -4,7 +4,6 @@
 
 use std::collections::HashMap;
 
-use apps::minikvell::{KvellOptions, MiniKvell};
 use apps::minirocks::{MiniRocks, RocksOptions};
 use apps::minisql::{MiniSql, SqlOptions};
 use proptest::prelude::*;
@@ -120,17 +119,6 @@ proptest! {
             |fs| MiniSql::open(fs, "db/", SqlOptions::tiny()).unwrap(),
             |e, k, v| e.put(k.as_bytes(), v).is_ok(),
             |e, k| { e.delete(k.as_bytes()).unwrap(); },
-            |e, k| e.get(k.as_bytes()).unwrap(),
-        )?;
-    }
-
-    #[test]
-    fn minikvell_matches_model(ops in prop::collection::vec(op_strategy(), 1..40)) {
-        drive(
-            &ops,
-            |fs| MiniKvell::open(fs, "db/", KvellOptions::tiny()).unwrap(),
-            |e, k, v| e.put(k.as_bytes(), v).is_ok(),
-            |e, k| { e.remove(k.as_bytes()).unwrap(); },
             |e, k| e.get(k.as_bytes()).unwrap(),
         )?;
     }

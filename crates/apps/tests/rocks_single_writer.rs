@@ -50,10 +50,9 @@ fn threads_of_the_process() -> usize {
     std::fs::read_dir("/proc/self/task").unwrap().count()
 }
 
-/// The count once joined threads have left `/proc` (as in
-/// `tests/thread_inventory.rs`): the WAL's open sets its peers up on one
-/// scoped thread each, and a join returns when the kernel clears the
-/// thread's id, a moment before its task is unlisted.
+/// The count once joined threads have left `/proc`: a join returns when
+/// the kernel clears the thread's id, a moment before its task is
+/// unlisted.
 fn threads_after_joins(expected: usize) -> usize {
     for _ in 0..1_000 {
         if threads_of_the_process() == expected {

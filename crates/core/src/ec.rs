@@ -32,6 +32,7 @@
 
 use std::collections::HashMap;
 use std::sync::Mutex;
+use std::time::Instant;
 
 use sim::crc32c;
 
@@ -415,16 +416,24 @@ pub struct SpillSnapshot {
 }
 
 /// Durable store for spilled log prefixes, keyed by `(scope, generation)`.
-/// The engine stores generation `g + 1`'s snapshot *before* any peer's
-/// region header may advance to generation `g + 1` — the ordering the
+/// A store is posted on the writer's thread, and no peer's region header
+/// may advance to generation `g + 1` before `g + 1`'s is durable — the ordering the
 /// recovery rule "a responder at generation G implies snapshot(G) is
 /// loadable" rests on. Implementations must be durable across application
 /// crashes for that guarantee to hold end-to-end ([`MemSpillSink`] is
 /// process-local and meant for tests; the DFS-backed sink in `splitfs` is
 /// the production tier).
 pub trait SpillSink: Send + Sync + std::fmt::Debug {
-    /// Stores (or overwrites) the snapshot for `(scope, gen)`.
-    fn store(&self, scope: &str, gen: u64, snap: &SpillSnapshot) -> Result<(), String>;
+    /// Stores (or overwrites) the snapshot for `(scope, gen)`, posted at
+    /// `at`: it has landed, behind every earlier store, when this returns
+    /// the instant it is durable.
+    fn store(
+        &self,
+        scope: &str,
+        gen: u64,
+        snap: &SpillSnapshot,
+        at: Instant,
+    ) -> Result<Instant, String>;
     /// Loads the snapshot for `(scope, gen)`, `Ok(None)` when absent.
     fn load(&self, scope: &str, gen: u64) -> Result<Option<SpillSnapshot>, String>;
 }
@@ -449,12 +458,18 @@ impl MemSpillSink {
 }
 
 impl SpillSink for MemSpillSink {
-    fn store(&self, scope: &str, gen: u64, snap: &SpillSnapshot) -> Result<(), String> {
+    fn store(
+        &self,
+        scope: &str,
+        gen: u64,
+        snap: &SpillSnapshot,
+        at: Instant,
+    ) -> Result<Instant, String> {
         self.store
             .lock()
             .expect("spill sink poisoned")
             .insert((scope.to_string(), gen), snap.clone());
-        Ok(())
+        Ok(at)
     }
 
     fn load(&self, scope: &str, gen: u64) -> Result<Option<SpillSnapshot>, String> {
@@ -646,7 +661,8 @@ mod tests {
             capacity: 4096,
             data: vec![3u8; 128],
         };
-        sink.store("app/wal", 2, &snap).unwrap();
+        let at = Instant::now();
+        assert_eq!(sink.store("app/wal", 2, &snap, at), Ok(at));
         assert_eq!(sink.load("app/wal", 2).unwrap(), Some(snap.clone()));
         assert_eq!(sink.load("app/wal", 1).unwrap(), None);
         assert_eq!(sink.load("other/wal", 2).unwrap(), None);
@@ -656,7 +672,7 @@ mod tests {
             spill_seq: 11,
             ..snap
         };
-        sink.store("app/wal", 2, &snap2).unwrap();
+        sink.store("app/wal", 2, &snap2, at).unwrap();
         assert_eq!(sink.load("app/wal", 2).unwrap(), Some(snap2));
     }
 }

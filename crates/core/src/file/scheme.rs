@@ -16,8 +16,9 @@
 //!    stripe) appended to the active generation half plus the header, and
 //!    — because a fresh peer's row of every past stripe is gone — a spill
 //!    snapshot followed by a generation-reset header instead of a copy.
-//!    The generation/spill
-//!    state this needs lives inside the `Ec` variant.
+//!    The generation/spill state this needs lives inside the `Ec` variant:
+//!    a spill is a store posted at a burst's instant, and the first burst
+//!    past its durable instant flips the generation.
 //! 2. **When is a prefix acked**: the pure functions [`peers_per_file`],
 //!    [`ack_quorum`], [`recovery_quorum`] and [`ack_watermark`].
 //!    `crates/modelcheck` calls the same functions, so the checked model
@@ -27,9 +28,8 @@
 //!    read back whole, or the highest generation's spill snapshot plus a
 //!    lockstep fragment walk over any `k` holders.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rdma::{WorkRequest, WrId};
 use sim::SimError;
@@ -150,7 +150,7 @@ pub(super) struct EcState {
     capacity: u32,
     /// Bytes per generation half of a peer's fragment area.
     half_cap: usize,
-    /// Fragment-tail fill past which an async spill demotion starts.
+    /// Fragment-tail fill past which a posted spill demotion starts.
     watermark: usize,
     sink: Arc<dyn SpillSink>,
     /// Fragment-area generation; bursts land in half `gen % 2`.
@@ -169,20 +169,18 @@ pub(super) struct EcState {
     spills: Counter,
 }
 
-/// An in-flight demotion of the acked prefix to the spill sink. The store
-/// runs on a background thread; the next flush observes `done` and flips
-/// the fragment area to `gen` — the snapshot is guaranteed durable before
-/// any header carrying the new generation is posted, which is the ordering
-/// the recovery rule rests on.
+/// A posted demotion of the acked prefix to the spill sink. The first
+/// burst whose instant has passed `durable` flips the fragment area to
+/// `gen` — the snapshot is durable before any header carrying the new
+/// generation is posted, which is the ordering the recovery rule rests on.
 struct PendingSpill {
     /// Generation the snapshot is keyed under (current generation + 1).
     gen: u64,
     /// Highest sequence number the snapshot covers.
     seq: u64,
-    /// Set by the store thread on success.
-    done: Arc<AtomicBool>,
-    /// Set by the store thread on sink error; the demotion is retried.
-    failed: Arc<AtomicBool>,
+    /// When the snapshot is durable, or the sink's error (the demotion is
+    /// then dropped and retried).
+    durable: Result<Instant, String>,
 }
 
 /// One flushed burst, encoded once and then posted to each peer.
@@ -404,23 +402,30 @@ impl Scheme {
     }
 
     /// Encodes the pending burst, staged on top of `image`, once for all
-    /// peers. The caller holds the staging lock, so `image` is exactly the
-    /// file as of the burst's last record.
-    pub fn begin_burst(&mut self, image: &Image, pending: &[PendingRecord]) -> Burst {
+    /// peers, at the burst's instant `now`. The caller holds the staging
+    /// lock, so `image` is exactly the file as of the burst's last record.
+    /// An erasure-coded overflow that waits out a spill moves `now` to the
+    /// wait's end.
+    pub fn begin_burst(
+        &mut self,
+        now: &mut Instant,
+        image: &Image,
+        pending: &[PendingRecord],
+    ) -> Burst {
         match self {
             Scheme::Replicated => Burst::Replicated {
                 header: image.header().encode(),
             },
-            Scheme::Ec(ec) => ec.begin_burst(image, pending),
+            Scheme::Ec(ec) => ec.begin_burst(now, image, pending),
         }
     }
 
-    /// Accounts for a burst whose work requests have been posted.
-    pub fn end_burst(&mut self, image: &Image, burst: Burst) {
+    /// Accounts for a burst whose work requests were posted at `now`.
+    pub fn end_burst(&mut self, now: Instant, image: &Image, burst: Burst) {
         if let (Scheme::Ec(ec), Burst::Ec { units, .. }) = (self, burst) {
             ec.frag_tail += (FRAG_ENTRY_SIZE + units[0].len()) as u64;
             if ec.spill.is_none() && ec.frag_tail as usize > ec.watermark {
-                ec.start_spill(image, false);
+                ec.start_spill(now, image);
             }
         }
     }
@@ -429,9 +434,9 @@ impl Scheme {
     /// `image` through `image.seq`. Replicated, the plain header — the
     /// image itself is copied in front of it. Erasure-coded, a peer cannot
     /// be caught up from fragment history, so the image is stored as the
-    /// next generation's spill snapshot — synchronously, and only after
-    /// waiting out any in-flight demotion that shares the sink key, because
-    /// no peer may observe a generation whose snapshot is not durable — and
+    /// next generation's spill snapshot — synchronously, and after any
+    /// posted demotion that shares the sink key, because no peer may
+    /// observe a generation whose snapshot is not durable — and
     /// the header carries that generation with empty fragment tails.
     /// Survivors of a replacement need no reset write of their own: after
     /// [`Scheme::adopt_reset`] the next flush posts this same header,
@@ -440,11 +445,15 @@ impl Scheme {
         let Scheme::Ec(ec) = self else {
             return Ok(image.header());
         };
-        ec.wait_out_pending_spill();
+        // A posted store has landed, in order, ahead of this one under the
+        // same key: forgetting it is enough.
+        ec.spill = None;
         let gen = ec.gen + 1;
-        ec.sink
-            .store(ec.scope, gen, &ec.snapshot(image))
+        let durable = ec
+            .sink
+            .store(ec.scope, gen, &ec.snapshot(image), sim::time::now())
             .map_err(NclError::Unavailable)?;
+        sim::delay_until(durable);
         Ok(RegionHeader {
             gen,
             spill_seq: image.seq,
@@ -545,12 +554,18 @@ impl EcState {
     /// each peer holds a fragment no other peer can substitute.
     ///
     /// Spill demotion hangs off this path: when the fragment tail crosses
-    /// the watermark an async snapshot store starts, and a later burst that
-    /// observes it durable flips the generation — the flip rides in that
-    /// burst's (atomic) header write, so no extra WR and no barrier is
-    /// needed. An overflow of the half forces the flip synchronously.
-    fn begin_burst(&mut self, image: &Image, pending: &[PendingRecord]) -> Burst {
-        self.try_finalize_spill();
+    /// the watermark a snapshot store is posted, and the first burst whose
+    /// instant has passed its durable instant flips the generation — the
+    /// flip rides in that burst's (atomic) header write, so no extra WR and
+    /// no barrier is needed. An overflow of the half forces the flip,
+    /// waiting once.
+    fn begin_burst(
+        &mut self,
+        now: &mut Instant,
+        image: &Image,
+        pending: &[PendingRecord],
+    ) -> Burst {
+        self.try_finalize_spill(*now);
         let burst_image = {
             let records: Vec<(u64, u64, &[u8])> = pending
                 .iter()
@@ -562,8 +577,8 @@ impl EcState {
         let entry_len = FRAG_ENTRY_SIZE + unit_len;
         if self.frag_tail as usize + entry_len > self.half_cap {
             // The active half cannot take this entry: demote and flip now,
-            // waiting out any in-flight demotion first.
-            self.wait_spill_and_flip(image);
+            // waiting out any posted demotion first.
+            self.wait_spill_and_flip(now, image);
             assert!(
                 entry_len <= self.half_cap,
                 "one burst entry ({entry_len} B) exceeds the fragment half ({} B)",
@@ -590,20 +605,19 @@ impl EcState {
         }
     }
 
-    /// Observes a finished spill demotion, if any: on success the fragment
-    /// area flips to the spilled generation — the *next* burst's header
-    /// carries the flip, atomically with its tail reset. On sink failure
-    /// the demotion is dropped and retried by a later burst.
-    fn try_finalize_spill(&mut self) {
+    /// Observes a posted spill demotion durable at `now`, if any: the
+    /// fragment area flips to the spilled generation — the *next* burst's
+    /// header carries the flip, atomically with its tail reset. A store the
+    /// sink refused is dropped and retried by a later burst.
+    fn try_finalize_spill(&mut self, now: Instant) {
         let Some(sp) = &self.spill else {
             return;
         };
-        let failed = sp.failed.load(Ordering::Acquire);
-        if !failed && !sp.done.load(Ordering::Acquire) {
+        if sp.durable.as_ref().is_ok_and(|&t| now < t) {
             return;
         }
         let sp = self.spill.take().expect("spill present");
-        let kind = if failed {
+        let kind = if sp.durable.is_err() {
             spans::SPILL_FAIL
         } else {
             self.prev_tail = self.frag_tail;
@@ -616,69 +630,35 @@ impl EcState {
         self.tel.fact(kind, self.scope, 0, detail);
     }
 
-    /// Starts demoting the current image to the spill sink as the snapshot
-    /// of generation `gen + 1`. Synchronous stores complete inline
-    /// (overflow handling); asynchronous ones run on a helper thread and
-    /// are observed by [`EcState::try_finalize_spill`].
-    fn start_spill(&mut self, image: &Image, sync: bool) {
+    /// Posts the current image to the spill sink at `now` as the snapshot
+    /// of generation `gen + 1`; [`EcState::try_finalize_spill`] observes it.
+    fn start_spill(&mut self, now: Instant, image: &Image) {
         let snap = self.snapshot(image);
         let (gen, seq) = (self.gen + 1, image.seq);
-        let done = Arc::new(AtomicBool::new(false));
-        let failed = Arc::new(AtomicBool::new(false));
         self.spills.inc();
         self.tel.fact(
             spans::SPILL_START,
             self.scope,
             0,
-            format!("gen={gen} seq={seq} bytes={} sync={sync}", snap.len),
+            format!("gen={gen} seq={seq} bytes={}", snap.len),
         );
-        self.spill = Some(PendingSpill {
-            gen,
-            seq,
-            done: Arc::clone(&done),
-            failed: Arc::clone(&failed),
-        });
-        let (sink, scope) = (Arc::clone(&self.sink), self.scope);
-        let store = move || match sink.store(scope, gen, &snap) {
-            Ok(()) => done.store(true, Ordering::Release),
-            Err(_) => failed.store(true, Ordering::Release),
-        };
-        if sync {
-            store();
-        } else {
-            std::thread::spawn(store);
-        }
+        let durable = self.sink.store(self.scope, gen, &snap, now);
+        self.spill = Some(PendingSpill { gen, seq, durable });
     }
 
-    /// Forces a generation flip: waits for the in-flight demotion (starting
-    /// a synchronous one if none is running) and finalizes it, leaving the
-    /// active half empty. Called when a burst entry cannot fit.
-    fn wait_spill_and_flip(&mut self, image: &Image) {
+    /// Forces a generation flip at `now`: posts a demotion if none is
+    /// pending, waits once for it to be durable, moving `now` to the wait's
+    /// end, and finalizes it, leaving the active half empty. A refused store
+    /// is posted again. Called when a burst entry cannot fit.
+    fn wait_spill_and_flip(&mut self, now: &mut Instant, image: &Image) {
         let g0 = self.gen;
-        loop {
-            self.try_finalize_spill();
-            if self.gen > g0 {
-                return;
+        while self.gen == g0 {
+            match self.spill.as_ref().map(|sp| &sp.durable) {
+                None => self.start_spill(*now, image),
+                Some(Ok(durable)) => *now = sim::delay_until(*durable),
+                Some(Err(_)) => {}
             }
-            if self.spill.is_none() {
-                self.start_spill(image, true);
-            } else {
-                sim::delay(Duration::from_micros(50));
-            }
-        }
-    }
-
-    /// Waits out an in-flight spill demotion *without* flipping, then
-    /// forgets it. A reset stores its own snapshot under the same
-    /// `(scope, gen + 1)` key; letting the async store land afterwards
-    /// would overwrite it with a stale image.
-    fn wait_out_pending_spill(&mut self) {
-        while let Some(sp) = &self.spill {
-            if sp.done.load(Ordering::Acquire) || sp.failed.load(Ordering::Acquire) {
-                self.spill = None;
-                return;
-            }
-            sim::delay(Duration::from_micros(50));
+            self.try_finalize_spill(*now);
         }
     }
 

@@ -396,13 +396,15 @@ impl NclFile {
     /// each. The scheme encodes the burst once ([`Scheme::begin_burst`])
     /// and then translates it into each peer's work requests, which borrow
     /// their bytes from the image — QP order makes "header completed" imply
-    /// "everything before it landed" under every scheme. The flush reads the clock once: that instant closes the
-    /// doorbell spans, restarts idle peers' silence clocks and is when every
-    /// peer's doorbell is rung ([`rdma::QueuePair::post_many_at`]), so the
-    /// peers' modelled flights overlap, and cover the posts' own CPU,
-    /// although the posts are made in a loop. Nothing here waits. Post
-    /// errors are left to the completion path, like every other posting
-    /// site.
+    /// "everything before it landed" under every scheme. The flush reads
+    /// the clock once: that instant is the burst's (an EC spill is posted or
+    /// seen durable at it), closes the doorbell spans, restarts idle peers'
+    /// silence clocks and is when every peer's doorbell is rung
+    /// ([`rdma::QueuePair::post_many_at`]), so the peers' modelled flights
+    /// overlap, and cover the posts' own CPU, although the posts are made in
+    /// a loop. Only an EC overflow waits (its spill, once, moving the
+    /// instant). Post errors are left to the completion path, like every
+    /// other posting site.
     pub(super) fn flush_staged(&self, stage: &mut Stage, reason: FlushReason) {
         let (Some(first), Some(last)) = (stage.pending.first(), stage.pending.last()) else {
             return;
@@ -410,9 +412,11 @@ impl NclFile {
         let records = (first.seq, last.seq);
         let flushed = last.seq;
         self.metrics.count_flush(reason);
-        let burst = stage.scheme.begin_burst(&stage.image, &stage.pending);
         let mut rep = self.rep_guard();
-        let now = sim::time::now();
+        let mut now = sim::time::now();
+        let burst = stage
+            .scheme
+            .begin_burst(&mut now, &stage.image, &stage.pending);
         if let Some(stamps) = stage.stamps.take() {
             self.register_flight(&mut rep, stamps, records, now);
         }
@@ -437,7 +441,7 @@ impl NclFile {
         drop(rep);
         stage.flushed_seq = flushed;
         stage.pending.clear();
-        stage.scheme.end_burst(&stage.image, burst);
+        stage.scheme.end_burst(now, &stage.image, burst);
     }
 
     /// Stamps the stage and doorbell histograms, queues the stage and

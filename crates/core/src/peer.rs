@@ -27,21 +27,21 @@
 //! the behaviour §4.5.1 relies on to keep quorum reasoning sound.
 //!
 //! Shape: all of the above is one `Daemon` value behind [`Peer`]'s mutex.
-//! Every entry point — a request, a GC tick, an operator call — is one
-//! `Daemon::step`, and the lease clock is an input: a request is served at
-//! the instant the RPC layer hands it (its arrival), a tick reads
-//! `sim::time::now()` once, and either passes it down.
+//! Every entry point — a request, a scheduled GC pass, an operator call — is
+//! one `Daemon::step`, and the lease clock is an input: a request is served
+//! at the instant the RPC layer hands it (its arrival), a scheduled pass at
+//! the instant of the control-plane call its timer ran on
+//! ([`Peer::schedule_gc`]), an operator sweep reads `sim::time::now()`
+//! once, and each passes it down. The daemon owns no thread.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rdma::{LocalMr, RdmaDevice, RemoteMr};
-use sim::{Cluster, NodeId, RpcServer};
+use sim::{Cluster, NodeId, RpcServer, TimerGuard};
 use telemetry::{spans, Counter, Gauge, Telemetry};
 
 use crate::config::NclConfig;
@@ -671,19 +671,17 @@ fn region_coldness(region: &Region) -> u64 {
         .unwrap_or(0)
 }
 
+/// How often a scheduled daemon steps between GC passes.
+const GC_TICK: Duration = Duration::from_millis(20);
+
 /// A running log-peer daemon (see module docs).
 pub struct Peer {
     name: String,
     node: NodeId,
     daemon: Arc<Mutex<Daemon>>,
-    gc: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
+    /// The GC schedule, when one is set; dropping it cancels the timer.
+    gc: Option<TimerGuard>,
     _server: RpcServer<PeerReq, PeerResp>,
-}
-
-impl Drop for Peer {
-    fn drop(&mut self) {
-        self.stop_gc();
-    }
 }
 
 impl Peer {
@@ -831,48 +829,44 @@ impl Peer {
         daemon.step(false, |d| d.gc(now))
     }
 
-    /// Spawns the periodic GC thread the paper describes ("periodically,
-    /// for each memory region ... it queries the controller", §4.5.1).
-    /// The thread also drains pending memory-pressure signals every tick.
-    /// The thread stops when the `Peer` is dropped. Calling this twice
-    /// replaces the previous schedule; a zero `interval` is no schedule
-    /// (GC stays caller-driven), not a sweep in a busy loop.
-    pub fn spawn_gc(&mut self, interval: Duration) {
+    /// Schedules the periodic GC the paper describes ("periodically, for
+    /// each memory region ... it queries the controller", §4.5.1) as a
+    /// timer ([`Cluster::every`]). Every 20 ms (or `interval`, if shorter)
+    /// the next top-level control-plane call steps the daemon — a
+    /// restart wipes what the crash lost, a pending pressure signal is
+    /// drained — and every `interval` it also runs [`Peer::gc_sweep`]'s
+    /// passes, at that call's instant. A daemon busy then (on this thread
+    /// too) waits for the next tick. A second call replaces the schedule; a
+    /// zero `interval` is none.
+    pub fn schedule_gc(&mut self, interval: Duration) {
         self.stop_gc();
         if interval.is_zero() {
             return;
         }
-        let stop = Arc::new(AtomicBool::new(false));
-        let (daemon, stop2) = (Arc::clone(&self.daemon), Arc::clone(&stop));
-        let handle = std::thread::Builder::new()
-            .name(format!("peer-gc-{}", self.name))
-            .spawn(move || {
-                let tick = Duration::from_millis(20).min(interval);
-                let mut since = Duration::ZERO;
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick);
-                    since += tick;
-                    let due = since >= interval;
-                    if due {
-                        since = Duration::ZERO;
-                    }
-                    let mut daemon = daemon.lock();
-                    let now = sim::time::now();
-                    if daemon.cluster.is_alive(daemon.node) {
-                        daemon.step(true, |d| due.then(|| d.gc(now)));
-                    }
-                }
-            })
-            .expect("spawn gc thread");
-        self.gc = Some((stop, handle));
+        let daemon = Arc::downgrade(&self.daemon);
+        let cluster = self.daemon.lock().cluster.clone();
+        let mut sweep_at = sim::time::now() + interval;
+        let timer = cluster.every(interval.min(GC_TICK), move |now| {
+            let Some(daemon) = daemon.upgrade() else {
+                return;
+            };
+            let Some(mut daemon) = daemon.try_lock() else {
+                return;
+            };
+            let sweep = now >= sweep_at;
+            if sweep {
+                sweep_at = now + interval;
+            }
+            if daemon.cluster.is_alive(daemon.node) {
+                daemon.step(true, |d| sweep.then(|| d.gc(now)));
+            }
+        });
+        self.gc = Some(timer);
     }
 
-    /// Stops the periodic GC thread (no-op if none is running).
+    /// Cancels the GC schedule (no-op if none is set).
     pub fn stop_gc(&mut self) {
-        if let Some((stop, handle)) = self.gc.take() {
-            stop.store(true, Ordering::Relaxed);
-            let _ = handle.join();
-        }
+        self.gc = None;
     }
 }
 

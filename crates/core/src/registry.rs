@@ -61,14 +61,6 @@ impl NclRegistry {
         self.peers.read().get(name).cloned()
     }
 
-    /// Removes a peer from the directory (decommissioned machine).
-    pub fn withdraw(&self, name: &str) {
-        if self.peers.write().remove(name).is_some() {
-            self.telemetry
-                .fact(spans::PEER_WITHDRAW, name, 0, "decommissioned");
-        }
-    }
-
     /// Names of all published peers, sorted.
     pub fn names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.peers.read().keys().cloned().collect();

@@ -1047,7 +1047,7 @@ fn a_record_is_acked_at_the_quorums_header_with_the_slow_peers_still_in_flight()
 }
 
 #[test]
-fn background_gc_thread_reclaims_leaks() {
+fn scheduled_gc_reclaims_leaks_on_the_next_control_call() {
     let mut h = Harness::new(3);
     // Leak: a region allocated at an epoch the app then abandoned.
     let lib = h.app("a1");
@@ -1076,14 +1076,21 @@ fn background_gc_thread_reclaims_leaks() {
         .unwrap();
 
     let before = h.peer_named("p0").region_count();
-    h.peers[0].spawn_gc(std::time::Duration::from_millis(30));
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while h.peer_named("p0").region_count() >= before && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert!(
-        h.peer_named("p0").region_count() < before,
-        "background GC should reclaim the leaked region"
+    let interval = std::time::Duration::from_millis(100);
+    h.peers[0].schedule_gc(interval);
+    // The GC owns no thread: it runs on the first top-level control call
+    // once its interval is up, and only then.
+    let ctrl = h.controller.client(sim::LatencyModel::ZERO);
+    let call = || ctrl.get_app_epoch(app_node, "testapp", "wal").unwrap();
+    call();
+    assert_eq!(h.peer_named("p0").region_count(), before, "not due yet");
+    std::thread::sleep(interval);
+    assert_eq!(h.peer_named("p0").region_count(), before, "nobody called");
+    call();
+    assert_eq!(
+        h.peer_named("p0").region_count(),
+        before - 1,
+        "the scheduled GC should reclaim the leaked region"
     );
     // The live file's region must be untouched.
     assert!(h

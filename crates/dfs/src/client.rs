@@ -7,7 +7,8 @@
 //! * `fsync` pushes dirty ranges to the OSDs (striped into objects, each
 //!   replicated on every OSD) and waits for all replicas — this is the
 //!   expensive, milliseconds-scale operation that forces the paper's
-//!   strong/weak dilemma;
+//!   strong/weak dilemma. `fsync_at` posts the same flush without waiting
+//!   and returns the instant it is durable;
 //! * `read` is served from the cache with sequential readahead (CephFS
 //!   clients prefetch aggressively, which Figure 11 highlights), or can
 //!   bypass the cache entirely (`read_direct`, the paper's "DFS direct IO"
@@ -23,6 +24,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard};
 use sim::{NodeId, RpcClient};
@@ -110,8 +112,8 @@ struct FileEntry {
     cached: ExtentMap,
     /// End offset of the last read, for sequential-readahead detection.
     last_read_end: u64,
-    /// A flush is in progress; its data is already in `cached`.
-    flushing: bool,
+    /// When the last flush posted for this file is durable.
+    flushed: Option<Instant>,
     /// Unlinked: the OSDs hold no object of it any more (they would answer
     /// a fetch with a hole's zeros), so only what is cached can be read.
     deleted: bool,
@@ -126,7 +128,7 @@ impl FileEntry {
             dirty: ExtentMap::new(),
             cached: ExtentMap::new(),
             last_read_end: 0,
-            flushing: false,
+            flushed: None,
             deleted: false,
         }))
     }
@@ -212,17 +214,31 @@ impl DfsClient {
             .map_err(|e| DfsError::Unavailable(e.to_string()))
     }
 
+    /// [`Self::mds_call`] posted at `at`: the answer and when it is back.
+    fn mds_call_at(&self, at: Instant, req: MdsReq) -> Result<(MdsResp, Instant), DfsError> {
+        self.mds
+            .call_at(self.node, at, req)
+            .map_err(|e| DfsError::Unavailable(e.to_string()))
+    }
+
     /// Creates a new empty file.
     pub fn create(&self, path: &str) -> Result<(), DfsError> {
-        match self.mds_call(MdsReq::Create(path.to_string()))? {
-            MdsResp::Meta(meta) => {
+        sim::delay_until(self.create_at(path, sim::time::now())?);
+        Ok(())
+    }
+
+    /// [`DfsClient::create`] posted at `at` without waiting: returns the
+    /// instant the MDS's answer is back. The file is usable at once.
+    pub fn create_at(&self, path: &str, at: Instant) -> Result<Instant, DfsError> {
+        match self.mds_call_at(at, MdsReq::Create(path.to_string()))? {
+            (MdsResp::Meta(meta), ready) => {
                 self.shared
                     .files()
                     .insert(path.to_string(), FileEntry::new(path, meta));
-                Ok(())
+                Ok(ready)
             }
-            MdsResp::Exists => Err(DfsError::AlreadyExists(path.to_string())),
-            other => Err(DfsError::Invalid(format!("unexpected MDS reply {other:?}"))),
+            (MdsResp::Exists, _) => Err(DfsError::AlreadyExists(path.to_string())),
+            (other, _) => Err(DfsError::Invalid(format!("unexpected MDS reply {other:?}"))),
         }
     }
 
@@ -281,64 +297,75 @@ impl DfsClient {
 
     /// Flushes all dirty data of `path` to the OSDs and updates the MDS.
     /// Returns only after every replica of every touched object has
-    /// committed — the durable point of the DFT paradigm.
-    ///
-    /// Concurrent writers are **not** blocked while the flush is on the
-    /// wire (kernel page-cache writeback behaves the same way); concurrent
-    /// fsyncs serialise against each other.
+    /// committed — the durable point of the DFT paradigm — and after any
+    /// flush of the file posted before it is durable too.
     pub fn fsync(&self, path: &str) -> Result<(), DfsError> {
+        sim::delay_until(self.fsync_at(path, sim::time::now())?);
+        Ok(())
+    }
+
+    /// [`DfsClient::fsync`] posted at `at` without waiting: every Put chain
+    /// is priced from `at` and the MDS `SetSize` from their answers.
+    /// Returns the instant the flush is durable, no earlier than the last
+    /// flush posted for the file. A flush is posted under the file's lock,
+    /// so the OSDs apply one file's flushes in the order they were posted;
+    /// writers wait out the posting only, not the modelled flight.
+    pub fn fsync_at(&self, path: &str, at: Instant) -> Result<Instant, DfsError> {
         let entry = self.entry(path)?;
-        let (extents, file_id, size) = loop {
-            let mut e = entry.lock();
-            if e.flushing {
-                drop(e);
-                std::thread::sleep(std::time::Duration::from_micros(50));
-                continue;
-            }
-            let extents = e.dirty.drain();
-            if extents.is_empty() && e.size == e.meta.size {
-                return Ok(());
-            }
-            // The data stays readable from the clean cache while in flight.
-            for (off, data) in &extents {
-                e.cached.insert(*off, data);
-            }
-            e.flushing = true;
-            break (extents, e.meta.id, e.size);
+        let mut e = entry.lock();
+        let after = e.flushed.map_or(at, |t| t.max(at));
+        let extents = e.dirty.drain();
+        if extents.is_empty() && e.size == e.meta.size {
+            return Ok(after);
+        }
+        // The data stays readable from the clean cache once flushed.
+        for (off, data) in &extents {
+            e.cached.insert(*off, data);
+        }
+        let set_size = MdsReq::SetSize {
+            path: path.to_string(),
+            size: e.size,
+            exact: false,
         };
-        let total: usize = extents.iter().map(|(_, d)| d.len()).sum();
-        let flush_result = self.flush_extents(file_id, &extents);
-        {
-            let mut e = entry.lock();
-            e.flushing = false;
-            if flush_result.is_err() {
+        let durable = self
+            .flush_extents(e.meta.id, &extents, at)
+            .and_then(|puts| self.mds_call_at(puts, set_size));
+        let (meta, ready) = match durable {
+            Ok((MdsResp::Meta(meta), ready)) => (meta, ready),
+            Ok(_) => return Err(DfsError::NotFound(path.to_string())),
+            Err(err) => {
                 // Back to dirty so a retry re-flushes.
                 for (off, data) in &extents {
                     e.dirty.insert(*off, data);
                 }
+                return Err(err);
             }
-        }
-        flush_result?;
-        match self.mds_call(MdsReq::SetSize {
-            path: path.to_string(),
-            size,
-            exact: false,
-        })? {
-            MdsResp::Meta(meta) => entry.lock().meta = meta,
-            _ => return Err(DfsError::NotFound(path.to_string())),
-        }
-        self.trace(path, IoKind::FlushWrite, total);
-        Ok(())
+        };
+        e.meta = meta;
+        let durable = ready.max(after);
+        e.flushed = Some(durable);
+        drop(e);
+        self.trace(
+            path,
+            IoKind::FlushWrite,
+            extents.iter().map(|(_, d)| d.len()).sum(),
+        );
+        Ok(durable)
     }
 
-    /// Writes every extent to every replica of its object and waits once.
-    /// Objects go in ascending order and replicas in index order, each
-    /// (object, replica) chain of Puts priced from one post instant: the
+    /// Writes every extent to every replica of its object and returns when
+    /// the last is committed. Objects go in ascending order and replicas in
+    /// index order, each (object, replica) chain of Puts priced from `post`: the
     /// replicas commit side by side, as a client → primary write with
     /// parallel forwarding does, while each OSD's commits queue on it.
     /// Every replica is attempted even after a failure; any failure fails
     /// the flush (CephFS acks after full replication).
-    fn flush_extents(&self, file_id: u64, extents: &[(u64, Vec<u8>)]) -> Result<(), DfsError> {
+    fn flush_extents(
+        &self,
+        file_id: u64,
+        extents: &[(u64, Vec<u8>)],
+        post: Instant,
+    ) -> Result<Instant, DfsError> {
         // Split extents on object boundaries and group per object.
         let osz = self.config.object_size as u64;
         let mut per_object: BTreeMap<u64, Vec<(usize, &[u8])>> = BTreeMap::new();
@@ -353,7 +380,6 @@ impl DfsClient {
                 cursor += n;
             }
         }
-        let post = sim::time::now();
         let (mut ready, mut failed) = (post, None);
         let replicas = self.osds.len();
         for (&obj, writes) in &per_object {
@@ -379,8 +405,7 @@ impl DfsClient {
                 ready = ready.max(at);
             }
         }
-        sim::delay_until(ready);
-        failed.map_or(Ok(()), Err)
+        failed.map_or(Ok(ready), Err)
     }
 
     /// Reads up to `len` bytes at `offset`, returning fewer at end of file.
@@ -584,9 +609,9 @@ impl DfsClient {
         }
     }
 
-    /// Flushes every file with dirty data (used by the weak mode's periodic
-    /// background flusher).
-    pub fn flush_all(&self) -> Result<(), DfsError> {
+    /// Posts a flush of every file with dirty data at `at` (the weak mode's
+    /// writeback); returns the instant the last is durable.
+    pub fn flush_all_at(&self, at: Instant) -> Result<Instant, DfsError> {
         let paths: Vec<String> = {
             let files = self.shared.files();
             files
@@ -595,10 +620,9 @@ impl DfsClient {
                 .map(|(p, _)| p.clone())
                 .collect()
         };
-        for p in paths {
-            self.fsync(&p)?;
-        }
-        Ok(())
+        paths
+            .iter()
+            .try_fold(at, |ready, p| Ok(ready.max(self.fsync_at(p, at)?)))
     }
 
     /// Total dirty bytes currently buffered (for tests and the flusher).
@@ -831,7 +855,7 @@ mod tests {
         client.write("a", 0, b"1").unwrap();
         client.write("b", 0, b"2").unwrap();
         assert_eq!(client.dirty_bytes(), 2);
-        client.flush_all().unwrap();
+        client.flush_all_at(std::time::Instant::now()).unwrap();
         assert_eq!(client.dirty_bytes(), 0);
     }
 
@@ -911,6 +935,37 @@ mod tests {
         let (took, chain) = (t.elapsed(), 2 * hop + commit + config.hop.base);
         assert!(took >= chain, "{took:?}");
         assert!(took < chain + chain / 4, "{took:?}");
+    }
+
+    /// Two threads fsync one file behind a flush posted for it: neither
+    /// returns before that flush is durable, with no poll, and the OSDs
+    /// hold the later write's bytes.
+    #[test]
+    fn concurrent_fsyncs_wait_out_the_posted_flush_and_keep_the_later_bytes() {
+        let cluster = Cluster::new();
+        let dfs = DfsCluster::start(&cluster, crate::osd::tests::slow());
+        let client = dfs.client(cluster.add_node("app"));
+        client.create("f").unwrap();
+        client.write("f", 0, b"first").unwrap();
+        let first = client.fsync_at("f", std::time::Instant::now()).unwrap();
+        let returned = std::thread::scope(|s| {
+            let idle = s.spawn(|| {
+                client.fsync("f").unwrap();
+                std::time::Instant::now()
+            });
+            let later = s.spawn(|| {
+                client.write("f", 0, b"later").unwrap();
+                client.fsync("f").unwrap();
+                std::time::Instant::now()
+            });
+            [idle.join().unwrap(), later.join().unwrap()]
+        });
+        assert!(
+            returned.iter().all(|&t| t >= first),
+            "{returned:?} < {first:?}"
+        );
+        let fresh = dfs.client(cluster.add_node("app-2"));
+        assert_eq!(fresh.read_direct("f", 0, 5).unwrap(), b"later");
     }
 
     #[test]

@@ -11,9 +11,10 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::error::SimError;
 use crate::fault::{ClusterOp, FaultScheduler, FaultSite, WireFault};
@@ -114,6 +115,38 @@ struct Shared {
     /// never nests inside the node-table lock.
     faults: RwLock<Option<FaultScheduler>>,
     health: AtomicU64,
+    timers: Timers,
+}
+
+/// A periodic callback on the timer list, dropped once its guard is.
+struct Timer {
+    due: Instant,
+    period: Duration,
+    guard: Weak<()>,
+    fire: Box<dyn FnMut(Instant) + Send>,
+}
+
+/// The timer list and its earliest deadline in nanoseconds past `origin`,
+/// set by the first registration: a caller with nothing due pays two
+/// loads and no lock.
+#[derive(Default)]
+struct Timers {
+    origin: OnceLock<Instant>,
+    earliest: AtomicU64,
+    list: Mutex<Vec<Timer>>,
+}
+
+impl fmt::Debug for Timers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Timers").finish_non_exhaustive()
+    }
+}
+
+/// A registration on the cluster's timer list ([`Cluster::every`]);
+/// dropping it cancels the timer.
+#[must_use = "dropping the guard cancels the timer"]
+pub struct TimerGuard {
+    _alive: Arc<()>,
 }
 
 /// A registry of simulated nodes with injectable crashes and partitions.
@@ -192,13 +225,6 @@ impl Cluster {
             });
             id
         })
-    }
-
-    /// Registers `count` nodes named `{prefix}-{i}`.
-    pub fn add_nodes(&self, prefix: &str, count: usize) -> Vec<NodeId> {
-        (0..count)
-            .map(|i| self.add_node(format!("{prefix}-{i}")))
-            .collect()
     }
 
     /// Number of registered nodes.
@@ -375,6 +401,65 @@ impl Cluster {
         verdict
     }
 
+    /// Registers `fire` to run every `period` (non-zero), first one
+    /// `period` from now. A timer owns no thread: the first top-level
+    /// [`crate::RpcClient::call_at`] whose instant has reached its deadline
+    /// runs it first, passing that instant, and it is next due one `period`
+    /// later. Due timers run in deadline order, on one thread at a time,
+    /// never inside an RPC handler and never re-entrantly.
+    pub fn every(
+        &self,
+        period: Duration,
+        fire: impl FnMut(Instant) + Send + 'static,
+    ) -> TimerGuard {
+        assert!(!period.is_zero(), "a timer needs a period");
+        let guard = Arc::new(());
+        let timer = Timer {
+            due: crate::time::now() + period,
+            period,
+            guard: Arc::downgrade(&guard),
+            fire: Box::new(fire),
+        };
+        let mut list = self.shared.timers.list.lock();
+        list.push(timer);
+        self.publish_earliest(&list);
+        TimerGuard { _alive: guard }
+    }
+
+    /// Runs every live timer due at `at`, in deadline order, unless none is
+    /// or another thread — or this one, from inside a timer — is running
+    /// the list.
+    pub(crate) fn run_timers(&self, at: Instant) {
+        let timers = &self.shared.timers;
+        let Some(origin) = timers.origin.get() else {
+            return;
+        };
+        if (at.saturating_duration_since(*origin).as_nanos() as u64)
+            < timers.earliest.load(Ordering::SeqCst)
+        {
+            return;
+        }
+        let Some(mut list) = timers.list.try_lock() else {
+            return;
+        };
+        list.retain(|t| t.guard.strong_count() > 0);
+        list.sort_by_key(|t| t.due);
+        for timer in list.iter_mut().filter(|t| t.due <= at) {
+            timer.due = at + timer.period;
+            (timer.fire)(at);
+        }
+        self.publish_earliest(&list);
+    }
+
+    /// Publishes the earliest deadline in `list`, the locked timer list.
+    fn publish_earliest(&self, list: &[Timer]) {
+        let timers = &self.shared.timers;
+        let origin = *timers.origin.get_or_init(|| list[0].due);
+        let due = list.iter().map(|t| t.due.saturating_duration_since(origin));
+        let earliest = due.min().map_or(u64::MAX, |d| d.as_nanos() as u64);
+        timers.earliest.store(earliest, Ordering::SeqCst);
+    }
+
     /// Lists all registered nodes.
     pub fn nodes(&self) -> Vec<NodeInfo> {
         let st = self.shared.state.read();
@@ -461,15 +546,6 @@ mod tests {
         c.partition(b, a);
         c.heal(a, b);
         assert!(c.can_reach(a, b).is_ok());
-    }
-
-    #[test]
-    fn add_nodes_names_sequentially() {
-        let c = Cluster::new();
-        let ids = c.add_nodes("peer", 3);
-        assert_eq!(ids.len(), 3);
-        assert_eq!(c.info(ids[2]).name, "peer-2");
-        assert_eq!(c.nodes().len(), 3);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -55,14 +55,12 @@ pub enum WireFault {
     DuplicateCompletion,
 }
 
-/// When a planned fault fires: at the Nth consultation overall, or once the
-/// armed schedule is at least this old.
+/// When a planned fault fires: at the Nth consultation overall, the
+/// fail-stop adversary between operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trigger {
     /// Fire at (or after) the given global consultation count.
     Step(u64),
-    /// Fire once the scheduler has been armed for at least this long.
-    Tick(Duration),
 }
 
 /// A role-addressed fault. Peer roles are indices into
@@ -295,10 +293,8 @@ impl FaultPlan {
             self.events.len()
         );
         for ev in &self.events {
-            match ev.trigger {
-                Trigger::Step(s) => out.push_str(&format!("  @step {s:>6}: {}\n", ev.action)),
-                Trigger::Tick(d) => out.push_str(&format!("  @tick {d:>6?}: {}\n", ev.action)),
-            }
+            let Trigger::Step(s) = ev.trigger;
+            out.push_str(&format!("  @step {s:>6}: {}\n", ev.action));
         }
         out
     }
@@ -342,8 +338,6 @@ struct SchedulerState {
     binding: Binding,
     /// Global consultation counter (drives `Trigger::Step`).
     step: u64,
-    /// Arming time (drives `Trigger::Tick`).
-    origin: Instant,
     /// Gray peers: per-destination `(extra per WR, WRs remaining)`.
     slow: HashMap<NodeId, (Duration, u32)>,
     /// One-shot per-destination wire effects, consumed FIFO.
@@ -395,7 +389,6 @@ impl FaultScheduler {
                 events: plan.events.iter().map(|&e| (e, false)).collect(),
                 binding,
                 step: 0,
-                origin: Instant::now(),
                 slow: HashMap::new(),
                 delay_once: HashMap::new(),
                 drop_once: HashMap::new(),
@@ -422,7 +415,6 @@ impl FaultScheduler {
         let mut st = self.inner.lock();
         st.step += 1;
         let step = st.step;
-        let elapsed = st.origin.elapsed();
 
         let mut ops = Vec::new();
         for i in 0..st.events.len() {
@@ -430,16 +422,13 @@ impl FaultScheduler {
             if fired {
                 continue;
             }
-            let due = match ev.trigger {
-                Trigger::Step(s) => step >= s,
-                Trigger::Tick(d) => elapsed >= d,
-            };
-            if !due {
+            let Trigger::Step(s) = ev.trigger;
+            if step < s {
                 continue;
             }
             st.events[i].1 = true;
             st.injected += 1;
-            let line = format!("step {step} {:?}: {}", elapsed, ev.action);
+            let line = format!("step {step}: {}", ev.action);
             st.log.push(line);
             let app = st.binding.app;
             let controller = st.binding.controller;

@@ -8,7 +8,8 @@
 //!   generations, and pairwise network partitions. Components built on top
 //!   (the RDMA queue pairs, the DFS OSDs, the NCL controller and peers) consult
 //!   the cluster before delivering any message, so failure injection composes
-//!   across every layer.
+//!   across every layer. It also holds the one timer list
+//!   ([`Cluster::every`]): periodic work that owns no thread.
 //! * [`LatencyModel`] — calibrated base + per-byte delays with optional
 //!   jitter, realised by [`delay`] (busy-wait below a threshold so that
 //!   microsecond-scale RDMA latencies are actually observable, `sleep`
@@ -22,7 +23,8 @@
 //! * [`rpc`] — a typed request/response service abstraction for
 //!   *control-plane* traffic (controller RPCs, peer setup, DFS client/OSD
 //!   messages): a service is a handler behind a mutex that runs on its
-//!   caller's thread. Data-plane RDMA lives in the `rdma` crate.
+//!   caller's thread, and a top-level call first runs the timers due at its
+//!   instant. Data-plane RDMA lives in the `rdma` crate.
 //! * [`short_read`] — the one end-of-file rule every simulated file backend
 //!   (DFS client, local file system, NCL image) clamps a read with.
 //! * [`stats`] — log-bucketed latency histograms and a windowed throughput
@@ -41,7 +43,7 @@ pub mod rpc;
 pub mod stats;
 pub mod time;
 
-pub use cluster::{Cluster, NodeId, NodeInfo};
+pub use cluster::{Cluster, NodeId, NodeInfo, TimerGuard};
 pub use crc::{crc32c, crc32c_extend};
 pub use error::SimError;
 pub use fault::{

@@ -23,7 +23,12 @@
 //! instant the answer is back, so a caller of several waits once. `call`
 //! and [`RpcClient::call_sized`] (bandwidth by byte counts, which keeps the
 //! types free of a size-reporting trait) wait for it themselves.
+//!
+//! A top-level call — one made outside any handler — first runs the
+//! cluster's timers that are due at its instant ([`Cluster::every`]): the
+//! one drive point of periodic work, which owns no thread.
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,6 +44,13 @@ use crate::latency::LatencyModel;
 /// service is done with its last request; `None` once the server is gone.
 type Service<Req, Resp> = Mutex<Option<(Handler<Req, Resp>, Instant)>>;
 type Handler<Req, Resp> = Box<dyn FnMut(Instant, Req) -> (Resp, Duration) + Send>;
+
+thread_local! {
+    /// Whether this thread is inside a handler: its calls are not top-level
+    /// and run no timers (a peer's handler calls the controller, and a GC
+    /// timer there would nest a second daemon lock).
+    static SERVING: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Handle to an RPC service.
 ///
@@ -176,6 +188,9 @@ impl<Req, Resp> RpcClient<Req, Resp> {
         at: Instant,
         req: Req,
     ) -> Result<(Resp, Instant), SimError> {
+        if !SERVING.get() {
+            self.cluster.run_timers(at);
+        }
         // Control-plane fault point: advances any armed schedule (which may
         // cut this very link) before the reachability check observes it.
         let verdict = self
@@ -199,7 +214,9 @@ impl<Req, Resp> RpcClient<Req, Resp> {
             // add to that.
             let served = arrival.max(*free);
             let taken = crate::time::now();
+            let outer = SERVING.replace(true);
             let (resp, work) = handler(served, req);
+            SERVING.set(outer);
             *free = served + work + crate::time::now().duration_since(taken);
             (resp, *free)
         };
@@ -507,5 +524,103 @@ mod tests {
         assert_eq!(served, at + leg.base);
         assert!(ready >= served + leg.base);
         assert!(ready < served + leg.base + std::time::Duration::from_millis(100));
+    }
+    /// Records which timers fired, in order.
+    fn log_timer(
+        c: &Cluster,
+        log: &Arc<parking_lot::Mutex<Vec<&'static str>>>,
+        name: &'static str,
+        period: Duration,
+    ) -> crate::TimerGuard {
+        let log = Arc::clone(log);
+        c.every(period, move |_| log.lock().push(name))
+    }
+
+    #[test]
+    fn due_timers_fire_in_deadline_order_on_a_top_level_call() {
+        let c = Cluster::new();
+        let client_node = c.add_node("client");
+        let (srv, _) = echo_service(&c);
+        let cli = srv.client(LatencyModel::ZERO);
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let start = Instant::now();
+        let _slow = log_timer(&c, &log, "slow", Duration::from_secs(20));
+        let _fast = log_timer(&c, &log, "fast", Duration::from_secs(10));
+        cli.call_at(client_node, start, 0).unwrap();
+        assert!(log.lock().is_empty(), "nothing is due yet");
+        let at = start + Duration::from_secs(30);
+        cli.call_at(client_node, at, 0).unwrap();
+        assert_eq!(*log.lock(), ["fast", "slow"]);
+        // Each is next due one period after the instant it ran at.
+        cli.call_at(client_node, at + Duration::from_secs(15), 0)
+            .unwrap();
+        assert_eq!(*log.lock(), ["fast", "slow", "fast"]);
+    }
+
+    #[test]
+    fn a_dropped_guard_cancels_its_timer() {
+        let c = Cluster::new();
+        let client_node = c.add_node("client");
+        let (srv, _) = echo_service(&c);
+        let cli = srv.client(LatencyModel::ZERO);
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let kept = log_timer(&c, &log, "kept", Duration::from_secs(1));
+        drop(log_timer(&c, &log, "dropped", Duration::from_secs(1)));
+        let at = Instant::now() + Duration::from_secs(2);
+        cli.call_at(client_node, at, 0).unwrap();
+        drop(kept);
+        cli.call_at(client_node, at + Duration::from_secs(2), 0)
+            .unwrap();
+        assert_eq!(*log.lock(), ["kept"]);
+    }
+
+    /// A timer's own RPCs are not top-level: the list is not run again
+    /// under it, even at an instant where the timer is due once more.
+    #[test]
+    fn a_timers_own_rpcs_do_not_reenter_the_list() {
+        let c = Cluster::new();
+        let client_node = c.add_node("client");
+        let (srv, _, executed) = counting_service(&c);
+        let cli = srv.client(LatencyModel::ZERO);
+        let fired = Arc::new(AtomicU32::new(0));
+        let _timer = {
+            let (cli, fired) = (cli.clone(), Arc::clone(&fired));
+            c.every(Duration::from_secs(1), move |at| {
+                fired.fetch_add(1, Ordering::SeqCst);
+                cli.call_at(client_node, at + Duration::from_secs(10), ())
+                    .unwrap();
+            })
+        };
+        let at = Instant::now() + Duration::from_secs(2);
+        cli.call_at(client_node, at, ()).unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        assert_eq!(executed.load(Ordering::SeqCst), 2, "the timer's call ran");
+    }
+
+    /// A call made from inside a handler runs no timer, however late its
+    /// instant; the next top-level call does.
+    #[test]
+    fn the_timer_list_never_runs_inside_a_handler() {
+        let c = Cluster::new();
+        let client_node = c.add_node("client");
+        let (inner, inner_node) = echo_service(&c);
+        let inner_cli = inner.client(LatencyModel::ZERO);
+        let outer_node = c.add_node("outer");
+        let late = Instant::now() + Duration::from_secs(60);
+        let outer = RpcServer::new(c.clone(), outer_node, move |x: u32| {
+            inner_cli.call_at(inner_node, late, x).unwrap().0
+        });
+        let cli = outer.client(LatencyModel::ZERO);
+        let fired = Arc::new(AtomicU32::new(0));
+        let _timer = {
+            let fired = Arc::clone(&fired);
+            c.every(Duration::from_secs(30), move |_| {
+                fired.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        assert_eq!(cli.call(client_node, 1), Ok(2));
+        assert_eq!(fired.load(Ordering::SeqCst), 0, "fired inside a handler");
+        cli.call_at(client_node, late, 1).unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
     }
 }

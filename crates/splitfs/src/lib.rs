@@ -12,9 +12,10 @@
 //!
 //! * [`Mode::StrongDft`] — every `fsync` flushes to the DFS before
 //!   returning (strong guarantees, milliseconds per flush);
-//! * [`Mode::WeakDft`] — `fsync` is a no-op; dirty data is flushed by a
-//!   background thread, so acknowledged writes are lost if the application
-//!   crashes (the weak configuration the paper's Table 1 contrasts);
+//! * [`Mode::WeakDft`] — `fsync` is a no-op; the mount's own writes and
+//!   `fsync`s post a writeback of its dirty data once per interval, so
+//!   acknowledged writes are lost if the application crashes (the weak
+//!   configuration the paper's Table 1 contrasts);
 //! * [`Mode::SplitFt`] — `O_NCL` files go to near-compute logs (synchronous
 //!   replication, microseconds), the rest to the DFS with real `fsync`s;
 //! * [`Mode::Local`] — everything on a local file system (the unrealistic
@@ -28,9 +29,8 @@ pub use spill::DfsSpillSink;
 pub use testbed::{Testbed, TestbedConfig};
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dfs::{DfsClient, DfsError, DfsFile, IoKind, IoTrace, LocalFs};
 use fallback::{Fallback, NclRoute};
@@ -173,8 +173,8 @@ struct FsInner {
     ncl: Option<NclLib>,
     ncl_files: Mutex<HashMap<String, Arc<NclRoute>>>,
     trace: Mutex<Option<Arc<IoTrace>>>,
-    flusher_stop: Arc<AtomicBool>,
-    flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Weak DFT only: the writeback interval and when the next is due.
+    writeback: Option<(Duration, Mutex<Instant>)>,
     /// Phase breakdown of the most recent NCL file recovery (Figure 11b).
     last_recovery: Mutex<Option<ncl::file::RecoveryStats>>,
     /// Shared telemetry handle (inherited from the NCL library when
@@ -217,8 +217,7 @@ impl SplitFs {
                 ncl,
                 ncl_files: Mutex::new(HashMap::new()),
                 trace: Mutex::new(None),
-                flusher_stop: Arc::new(AtomicBool::new(false)),
-                flusher: Mutex::new(None),
+                writeback: None,
                 last_recovery: Mutex::new(None),
                 dfs_write: telemetry.histogram("splitfs.dfs.write"),
                 fsync_barrier: telemetry.histogram("splitfs.fsync.barrier"),
@@ -235,28 +234,14 @@ impl SplitFs {
         SplitFs::new(Mode::StrongDft, Some(dfs), None, None)
     }
 
-    /// Weak DFT: fsync is a no-op; a background thread flushes dirty data
-    /// every `flush_interval` (1 s is a typical weak-configuration value).
+    /// Weak DFT: fsync is a no-op; once every `flush_interval` (1 s is a
+    /// typical weak-configuration value) the mount's next write or `fsync`
+    /// posts a writeback of its dirty data without waiting. A crash loses
+    /// what no writeback posted.
     pub fn dft_weak(dfs: DfsClient, flush_interval: Duration) -> Self {
-        let fs = SplitFs::new(Mode::WeakDft, Some(dfs), None, None);
-        let stop = Arc::clone(&fs.inner.flusher_stop);
-        let client = fs.inner.dfs.clone().expect("dfs present");
-        let handle = std::thread::Builder::new()
-            .name("weak-flusher".to_string())
-            .spawn(move || {
-                let tick = Duration::from_millis(20);
-                let mut since_flush = Duration::ZERO;
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick);
-                    since_flush += tick;
-                    if since_flush >= flush_interval {
-                        since_flush = Duration::ZERO;
-                        let _ = client.flush_all();
-                    }
-                }
-            })
-            .expect("spawn flusher");
-        *fs.inner.flusher.lock() = Some(handle);
+        let mut fs = SplitFs::new(Mode::WeakDft, Some(dfs), None, None);
+        let due = Mutex::new(sim::time::now() + flush_interval);
+        Arc::get_mut(&mut fs.inner).expect("unshared").writeback = Some((flush_interval, due));
         fs
     }
 
@@ -489,13 +474,19 @@ impl SplitFs {
         Ok(out)
     }
 
-    /// Flushes all dirty DFS data now (weak mode exposes this so tests can
-    /// force the background flush deterministically).
-    pub fn flush_all(&self) -> Result<(), FsError> {
-        if let Some(dfs) = &self.inner.dfs {
-            dfs.flush_all()?;
+    /// Weak DFT, after the mount's own writes and `fsync`s: posts a
+    /// writeback of every dirty file once one is due, unless another thread
+    /// is checking. Best-effort, like a kernel's: a failed flush leaves its
+    /// data dirty for the next.
+    fn writeback_if_due(&self) {
+        let Some((interval, due)) = &self.inner.writeback else {
+            return;
+        };
+        let (now, due) = (sim::time::now(), due.try_lock());
+        if let Some(mut due) = due.filter(|due| now >= **due) {
+            *due = now + *interval;
+            let _ = self.inner.dfs.as_ref().expect("weak DFT").flush_all_at(now);
         }
-        Ok(())
     }
 
     fn trace_ncl_write(&self, path: &str, bytes: usize) {
@@ -676,15 +667,6 @@ impl SplitFs {
     }
 }
 
-impl Drop for FsInner {
-    fn drop(&mut self) {
-        self.flusher_stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.flusher.lock().take() {
-            let _ = h.join();
-        }
-    }
-}
-
 enum Backend {
     /// Reads go through the handle; writes, `fsync` and `size` by path.
     Dfs(DfsFile),
@@ -713,11 +695,6 @@ impl File {
         matches!(self.backend, Backend::Ncl(_))
     }
 
-    /// True when writes through this handle defer durability to `fsync`.
-    pub fn is_pipelined(&self) -> bool {
-        self.pipelined && self.is_ncl()
-    }
-
     /// Writes `data` at `offset`.
     ///
     /// NCL files replicate here — synchronously (acknowledged when a
@@ -744,6 +721,7 @@ impl File {
                 if let Some(t0) = t0 {
                     self.fs.inner.dfs_write.record_since(t0);
                 }
+                self.fs.writeback_if_due();
                 Ok(())
             }
         }
@@ -778,6 +756,7 @@ impl File {
                 if let Some(t0) = t0 {
                     self.fs.inner.dfs_write.record_since(t0);
                 }
+                self.fs.writeback_if_due();
                 Ok(offset)
             }
         }
@@ -856,7 +835,11 @@ impl File {
                 .expect("local")
                 .fsync(&self.path)?),
             Backend::Dfs(_) => match self.fs.inner.mode {
-                Mode::WeakDft => Ok(()), // Lazy: background flusher owns it.
+                Mode::WeakDft => {
+                    // Lazy: at most a posted writeback, once it is due.
+                    self.fs.writeback_if_due();
+                    Ok(())
+                }
                 _ => Ok(self.fs.inner.dfs.as_ref().expect("dfs").fsync(&self.path)?),
             },
         };

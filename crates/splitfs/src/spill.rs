@@ -4,16 +4,19 @@
 //! memory before recycling a fragment generation (see `ncl::ec`). The
 //! snapshot must survive an application crash, so the production tier is
 //! the DFS itself: one file per `(scope, generation)` under
-//! `ncl-spill/<scope>/<gen>`, written and fsynced before the engine is
-//! told the demotion is durable. Recovery loads the snapshot for the
-//! maximum responder generation and replays fragments on top of it.
+//! `ncl-spill/<scope>/<gen>`, created, written and fsynced as one posted
+//! chain whose durable instant the engine waits for before it flips a
+//! generation. Recovery loads the snapshot for the maximum responder
+//! generation and replays fragments on top of it.
 //!
 //! Wire format (little-endian): `[spill_seq u64 | len u64 | capacity u64 |
 //! overwritten u8 | data[..len]]`. A re-stored snapshot for the same key
 //! may shrink the payload; the `len` field bounds the read, so stale tail
 //! bytes from a longer predecessor are harmless.
 
-use dfs::DfsClient;
+use std::time::Instant;
+
+use dfs::{DfsClient, DfsError};
 use ncl::{SpillSink, SpillSnapshot};
 
 /// Fixed-size snapshot header preceding the data image.
@@ -46,13 +49,19 @@ impl DfsSpillSink {
 }
 
 impl SpillSink for DfsSpillSink {
-    fn store(&self, scope: &str, gen: u64, snap: &SpillSnapshot) -> Result<(), String> {
+    fn store(
+        &self,
+        scope: &str,
+        gen: u64,
+        snap: &SpillSnapshot,
+        at: Instant,
+    ) -> Result<Instant, String> {
         let path = Self::path(scope, gen);
-        if !self.client.exists(&path) {
-            self.client
-                .create(&path)
-                .map_err(|e| format!("spill create {path}: {e}"))?;
-        }
+        let created = match self.client.create_at(&path, at) {
+            Ok(ready) => ready,
+            Err(DfsError::AlreadyExists(_)) => at,
+            Err(e) => return Err(format!("spill create {path}: {e}")),
+        };
         let mut buf = Vec::with_capacity(SPILL_HEADER + snap.data.len());
         buf.extend_from_slice(&snap.spill_seq.to_le_bytes());
         buf.extend_from_slice(&snap.len.to_le_bytes());
@@ -62,10 +71,10 @@ impl SpillSink for DfsSpillSink {
         self.client
             .write(&path, 0, &buf)
             .map_err(|e| format!("spill write {path}: {e}"))?;
-        // The engine flips the fragment generation once `store` returns;
-        // the snapshot must be durable, not merely cached, by then.
+        // The engine flips the fragment generation once this instant has
+        // passed; the snapshot must be durable, not merely cached, by then.
         self.client
-            .fsync(&path)
+            .fsync_at(&path, created)
             .map_err(|e| format!("spill fsync {path}: {e}"))
     }
 
@@ -128,7 +137,8 @@ mod tests {
             capacity: 4096,
             data: b"hello".to_vec(),
         };
-        sink.store("app/wal", 1, &snap).unwrap();
+        let at = std::time::Instant::now();
+        assert!(sink.store("app/wal", 1, &snap, at).unwrap() >= at);
         assert_eq!(sink.load("app/wal", 1).unwrap(), Some(snap.clone()));
         // Re-store with a shorter image: the header bounds the read.
         let smaller = SpillSnapshot {
@@ -138,7 +148,7 @@ mod tests {
             capacity: 4096,
             data: b"hi".to_vec(),
         };
-        sink.store("app/wal", 1, &smaller).unwrap();
+        sink.store("app/wal", 1, &smaller, at).unwrap();
         assert_eq!(sink.load("app/wal", 1).unwrap(), Some(smaller));
         // Other generations and scopes are independent keys.
         assert_eq!(sink.load("app/wal", 2).unwrap(), None);

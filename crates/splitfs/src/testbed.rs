@@ -30,13 +30,15 @@ pub struct TestbedConfig {
     /// `SPLITFT_PEER_MEM` environment variable (bytes) at
     /// [`Testbed::start`].
     pub peer_mem: u64,
-    /// When set, every peer runs its periodic GC/pressure thread at this
-    /// interval (epoch leak GC, lease expiry, pressure-signal draining).
+    /// When set, every peer schedules its GC at this interval
+    /// ([`ncl::Peer::schedule_gc`]: pressure-signal draining, epoch leak
+    /// GC, lease expiry, run by the next control-plane call once due).
     /// `None` (or zero) leaves GC caller-driven via [`ncl::Peer::gc_sweep`].
     /// Overridden by the `SPLITFT_PEER_GC_MS` environment variable
     /// (milliseconds; `0` disables) at [`Testbed::start`].
     pub peer_gc_interval: Option<Duration>,
-    /// Weak-mode background flush interval.
+    /// Weak mode's writeback interval: a weak mount's first write or
+    /// `fsync` past it posts a writeback of its dirty data.
     pub weak_flush_interval: Duration,
     /// When set, serve the shared telemetry handle over HTTP at this
     /// address (`/metrics` Prometheus text, `/snapshot` JSON, `/trace`
@@ -162,7 +164,7 @@ impl Testbed {
             .collect();
         if let Some(interval) = config.peer_gc_interval {
             for peer in &mut peers {
-                peer.spawn_gc(interval);
+                peer.schedule_gc(interval);
             }
         }
         let slo = SloPlane::with_ncl_objectives(config.ncl.telemetry.clone());
@@ -296,7 +298,7 @@ impl Testbed {
             &self.registry,
         );
         if let Some(interval) = self.config.peer_gc_interval {
-            peer.spawn_gc(interval);
+            peer.schedule_gc(interval);
         }
         self.peers.push(peer);
         self.peers.last().expect("just pushed")

@@ -226,19 +226,29 @@ fn rename_bulk_ok_ncl_rejected() {
     ));
 }
 
+/// The weak mount writes back on its own calls: the first write or
+/// `fsync` after the interval posts it, and without one a crash loses the
+/// data however long it sat.
 #[test]
 fn weak_flusher_eventually_persists() {
     let h = Harness::new();
-    {
-        let fs = h.weak(Duration::from_millis(50));
-        let f = fs.open("bg.log", OpenOptions::create()).unwrap();
-        f.write_at(0, b"eventually").unwrap();
-        // Wait for at least one flush cycle.
-        std::thread::sleep(Duration::from_millis(300));
+    let interval = Duration::from_millis(50);
+    for (path, call_after) in [("bg.log", true), ("idle.log", false)] {
+        {
+            let fs = h.weak(interval);
+            let f = fs.open(path, OpenOptions::create()).unwrap();
+            f.write_at(0, b"eventually").unwrap();
+            std::thread::sleep(interval);
+            if call_after {
+                f.fsync().unwrap();
+            }
+        } // Application crash: facade dropped.
+        let fs2 = h.strong();
+        let f = fs2.open(path, OpenOptions::plain()).unwrap();
+        let persisted = if call_after { 10 } else { 0 };
+        assert_eq!(f.size().unwrap(), persisted, "{path}");
+        assert_eq!(f.read(0, 10).unwrap(), &b"eventually"[..persisted as usize]);
     }
-    let fs2 = h.strong();
-    let f = fs2.open("bg.log", OpenOptions::plain()).unwrap();
-    assert_eq!(f.read(0, 10).unwrap(), b"eventually");
 }
 
 #[test]

@@ -405,10 +405,10 @@ fn seeded_ec_spill_schedule_survives_parity_loss_and_spill_replay() {
     tb.cluster
         .install_faults(FaultScheduler::new(&plan, binding));
 
-    // A demotion finishes in a burst *after* the helper thread's store: the
-    // first to observe it done, or the one that finds its half full and
-    // waits for it. Sixty records, then as many more as it takes to see one
-    // (the file's capacity bounds them).
+    // A demotion finishes in a burst *after* the one that posted its store:
+    // the first whose instant has passed the store's durable instant, or the
+    // one that finds its half full and waits for it. Sixty records, then as
+    // many more as it takes to see one (the file's capacity bounds them).
     let spilled = || tel.spans().iter().any(|s| s.name == spans::SPILL_FINISH);
     let mut expected: Vec<u8> = Vec::new();
     let mut i = 0;

@@ -1,6 +1,7 @@
-//! Threads a deployment owns, counted: a simulated service is a lock and a
-//! queue pair a send queue, neither a thread, so a testbed adds none, and the
-//! shipping configuration adds one GC thread per peer and nothing else.
+//! Threads a deployment owns, counted: a simulated service is a lock, a
+//! queue pair a send queue, a peer's GC a timer on the cluster's list and an
+//! erasure-coded spill a posted store, none of them a thread, so a testbed
+//! adds none — the shipping configuration included.
 //!
 //! One test, alone in its binary: the thread count is the process's. Run it
 //! with none of `Testbed::start`'s environment overrides set.
@@ -14,20 +15,8 @@ fn threads_of_the_process() -> usize {
     std::fs::read_dir("/proc/self/task").unwrap().count()
 }
 
-/// The count once joined threads have left `/proc`: a join returns when the
-/// kernel clears the thread's id, a moment before its task is unlisted.
-fn threads_after_joins(expected: usize) -> usize {
-    for _ in 0..1_000 {
-        if threads_of_the_process() == expected {
-            break;
-        }
-        std::thread::yield_now();
-    }
-    threads_of_the_process()
-}
-
 #[test]
-fn a_testbed_owns_its_gc_threads_and_no_other() {
+fn a_testbed_owns_no_thread_with_gc_on_and_a_spill_in_flight() {
     let before = threads_of_the_process();
 
     // Controller, MDS, three OSDs and three peers: eight services. A queue
@@ -52,20 +41,40 @@ fn a_testbed_owns_its_gc_threads_and_no_other() {
     config.dfs = splitft::dfs::DfsConfig::zero();
     config.ncl = splitft::ncl::NclConfig::zero();
     let tb = Testbed::start(config.clone());
-    assert_eq!(threads_of_the_process() - before, 5, "calibrated(5)");
+    assert_eq!(threads_of_the_process() - before, 0, "calibrated(5)");
     drop(tb);
-    assert_eq!(threads_after_joins(before), before, "GC threads are joined");
 
-    // A zero interval is no schedule, not a sweep in a busy loop.
+    // A zero interval is no schedule, not a sweep on every call.
     config.peer_gc_interval = Some(Duration::ZERO);
     let tb = Testbed::start(config.clone());
     assert_eq!(threads_of_the_process(), before, "zero GC interval");
     drop(tb);
 
-    // Sweeps back to back over many regions: every GC thread is inside a
-    // controller RPC nearly all the time when the testbed goes, controller
-    // first. Each sweep finds the controller gone and its thread is joined.
+    // GC due on every control call, and an erasure-coded file whose
+    // fragment tail crossed the spill watermark: the demotion is posted to
+    // the DFS on the writer's thread.
     config.peer_gc_interval = Some(Duration::from_millis(1));
+    let mut ec = config.clone();
+    ec.ncl = splitft::ncl::NclConfig::zero();
+    ec.ncl.durability = splitft::ncl::Durability::Ec { k: 2, n: 3 };
+    ec.ncl.spill_watermark = 512;
+    let telemetry = ec.ncl.telemetry.clone();
+    let tb = Testbed::start(ec);
+    let (fs, _) = tb.mount(Mode::SplitFt, "inventory-ec");
+    let file = fs.open("wal", OpenOptions::create_ncl(1 << 16)).unwrap();
+    let mut offset = 0;
+    while telemetry.counter_value("ncl.spill.demotions") == 0 {
+        file.write_at(offset, b"spilled by its own writer|")
+            .unwrap();
+        offset += 26;
+    }
+    std::thread::sleep(Duration::from_millis(1));
+    assert!(fs.exists("wal"), "a control call after the interval");
+    assert_eq!(threads_of_the_process() - before, 0, "GC on, EC spill");
+    drop((file, fs, tb));
+
+    // Sweeps due on every call, over many regions: the opens' own control
+    // calls run them, and the testbed goes with its schedule mid-sweep.
     let tb = Testbed::start(config);
     let (fs, _) = tb.mount(Mode::SplitFt, "inventory-drop");
     let files: Vec<_> = (0..32)
@@ -75,5 +84,5 @@ fn a_testbed_owns_its_gc_threads_and_no_other() {
         })
         .collect();
     drop((files, fs, tb));
-    assert_eq!(threads_after_joins(before), before, "dropped mid-sweep");
+    assert_eq!(threads_of_the_process(), before, "dropped mid-sweep");
 }
