@@ -70,7 +70,6 @@ pub struct MiniRedis {
     tx: Option<Sender<Request>>,
     thread: Option<JoinHandle<()>>,
     rewrites: Arc<AtomicU64>,
-    telemetry: telemetry::Telemetry,
 }
 
 struct Executor {
@@ -149,7 +148,6 @@ impl MiniRedis {
         };
 
         let rewrites = Arc::new(AtomicU64::new(0));
-        let telemetry = fs.telemetry().clone();
         let (tx, rx) = unbounded::<Request>();
         let mut exec = Executor {
             fs,
@@ -171,7 +169,6 @@ impl MiniRedis {
             tx: Some(tx),
             thread: Some(thread),
             rewrites,
-            telemetry,
         })
     }
 
@@ -200,14 +197,6 @@ impl MiniRedis {
     /// Number of completed AOF rewrites.
     pub fn rewrite_count(&self) -> u64 {
         self.rewrites.load(Ordering::Relaxed)
-    }
-
-    /// Point-in-time snapshot of the underlying stack's telemetry —
-    /// per-stage NCL latency histograms, flush-reason counters, and the
-    /// control-plane event trace. Empty when the facade's telemetry is
-    /// disabled (non-SplitFT modes).
-    pub fn telemetry_snapshot(&self) -> telemetry::TelemetrySnapshot {
-        self.telemetry.snapshot()
     }
 }
 

@@ -494,14 +494,6 @@ impl MiniRocks {
         (st.levels[0].len(), st.levels[1].len())
     }
 
-    /// Point-in-time snapshot of the underlying stack's telemetry —
-    /// per-stage NCL latency histograms, flush-reason counters, and the
-    /// control-plane event trace. Empty when the facade's telemetry is
-    /// disabled (non-SplitFT modes).
-    pub fn telemetry_snapshot(&self) -> telemetry::TelemetrySnapshot {
-        self.inner.fs.telemetry().snapshot()
-    }
-
     /// Blocks until no frozen memtable awaits flushing (test determinism).
     pub fn wait_for_flushes(&self) {
         loop {

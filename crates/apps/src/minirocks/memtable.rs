@@ -56,14 +56,6 @@ impl MemTable {
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], Option<&[u8]>)> {
         self.map.iter().map(|(k, v)| (k.as_slice(), v.as_deref()))
     }
-
-    /// Merges another (older) memtable underneath this one: existing keys
-    /// win. Used when recovery replays several WALs.
-    pub fn absorb_older(&mut self, older: MemTable) {
-        for (k, v) in older.map {
-            self.map.entry(k).or_insert(v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -112,17 +104,5 @@ mod tests {
         assert_eq!(m.approx_bytes(), 0);
         m.apply(put("key", "value"));
         assert!(m.approx_bytes() > 0);
-    }
-
-    #[test]
-    fn absorb_older_keeps_newer_values() {
-        let mut newer = MemTable::new();
-        newer.apply(put("k", "new"));
-        let mut older = MemTable::new();
-        older.apply(put("k", "old"));
-        older.apply(put("only-old", "x"));
-        newer.absorb_older(older);
-        assert_eq!(newer.get(b"k"), Some(Some(&b"new"[..])));
-        assert_eq!(newer.get(b"only-old"), Some(Some(&b"x"[..])));
     }
 }

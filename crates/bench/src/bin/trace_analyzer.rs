@@ -116,7 +116,7 @@ fn synthetic_write_to(tel: &Telemetry, scope: &'static str, seq: (u64, u64)) -> 
     ]
     .into_iter()
     .map(|(name, scope)| {
-        let id = tel.next_span_id();
+        let id = tel.next_trace_id();
         tel.closed_span(trace, id, trace, name, scope, 1, seq, t0, t0)
     })
     .collect();

@@ -47,7 +47,7 @@ impl<'t> Phases<'t> {
             epoch: 0,
             start,
             mark: start,
-            open: tel.next_span_id(),
+            open: tel.next_trace_id(),
             closed: Vec::new(),
         }
     }
@@ -59,7 +59,7 @@ impl<'t> Phases<'t> {
         let (tel, trace, scope) = (self.tel, self.trace, self.scope);
         tel.span(trace, self.open, trace, name, scope, epoch, start, end);
         if trace != 0 {
-            self.open = tel.next_span_id();
+            self.open = tel.next_trace_id();
         }
         self.closed.push((name, end - start));
         (self.mark, self.epoch) = (end, epoch);
@@ -88,7 +88,7 @@ impl<'t> Phases<'t> {
             return;
         }
         let (tel, trace, end) = (self.tel, self.trace, at + wire.unwrap_or_default());
-        let id = tel.next_span_id();
+        let id = tel.next_trace_id();
         let seq = (0, 0);
         let mut span = tel.closed_span(trace, id, self.open, name, scope, epoch, seq, at, end);
         let detail = match how {

@@ -160,7 +160,7 @@ impl NclFile {
             for slot in &fresh {
                 span_buf.push(tel.closed_span(
                     flight.trace,
-                    tel.next_span_id(),
+                    tel.next_trace_id(),
                     flight.trace,
                     spans::NCL_CATCHUP_PEER,
                     slot.scope,

@@ -366,7 +366,7 @@ impl Rep {
             for flight in flights.range(newly).filter(|f| f.trace != 0) {
                 span_buf.push(metrics.tel.closed_span(
                     flight.trace,
-                    metrics.tel.next_span_id(),
+                    metrics.tel.next_trace_id(),
                     flight.trace,
                     spans::NCL_WIRE_PEER,
                     peers[idx].scope,
@@ -461,7 +461,7 @@ impl Rep {
                 for (name, id, parent, start) in [
                     (
                         spans::NCL_ACK,
-                        metrics.tel.next_span_id(),
+                        metrics.tel.next_trace_id(),
                         flight.trace,
                         first,
                     ),

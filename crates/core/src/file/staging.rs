@@ -472,7 +472,7 @@ impl NclFile {
             ] {
                 rep.span_buf.push(metrics.tel.closed_span(
                     burst.trace,
-                    metrics.tel.next_span_id(),
+                    metrics.tel.next_trace_id(),
                     burst.trace,
                     name,
                     metrics.scope,

@@ -29,20 +29,6 @@ impl ExtentMap {
         self.extents.values().map(Vec::len).sum()
     }
 
-    /// Number of distinct extents (after coalescing).
-    pub fn extent_count(&self) -> usize {
-        self.extents.len()
-    }
-
-    /// One past the last byte covered by any extent (0 when empty).
-    pub fn covered_end(&self) -> u64 {
-        self.extents
-            .iter()
-            .next_back()
-            .map(|(off, data)| off + data.len() as u64)
-            .unwrap_or(0)
-    }
-
     /// Inserts `data` at `offset`, overwriting any overlapped bytes and
     /// coalescing with contiguous neighbours.
     pub fn insert(&mut self, offset: u64, data: &[u8]) {
@@ -264,7 +250,7 @@ mod tests {
         let m = ExtentMap::new();
         let (_, missing) = read_all(&m, 10, 5);
         assert_eq!(missing, vec![(10, 5)]);
-        assert_eq!(m.covered_end(), 0);
+        assert!(m.is_empty());
     }
 
     #[test]
@@ -273,9 +259,10 @@ mod tests {
         for i in 0..100u64 {
             m.insert(i * 4, &[i as u8; 4]);
         }
-        assert_eq!(m.extent_count(), 1);
+        assert_eq!(m.extents.len(), 1);
         assert_eq!(m.byte_len(), 400);
-        assert_eq!(m.covered_end(), 400);
+        let first = m.extents.first_key_value().map(|(o, d)| (*o, d.len()));
+        assert_eq!(first, Some((0, 400)));
         let (buf, missing) = read_all(&m, 396, 4);
         assert!(missing.is_empty());
         assert_eq!(buf, vec![99u8; 4]);
@@ -289,7 +276,7 @@ mod tests {
         let (buf, missing) = read_all(&m, 0, 10);
         assert!(missing.is_empty());
         assert_eq!(buf, vec![1, 1, 1, 2, 2, 2, 2, 1, 1, 1]);
-        assert_eq!(m.extent_count(), 1, "still contiguous");
+        assert_eq!(m.extents.len(), 1, "still contiguous");
     }
 
     #[test]
@@ -333,7 +320,7 @@ mod tests {
         m.remove_range(3, 4);
         let (_, missing) = read_all(&m, 0, 10);
         assert_eq!(missing, vec![(3, 4)]);
-        assert_eq!(m.extent_count(), 2);
+        assert_eq!(m.extents.len(), 2);
     }
 
     #[test]
@@ -368,7 +355,7 @@ mod tests {
         let mut m = ExtentMap::new();
         m.insert(4, &[2; 4]);
         m.insert(0, &[1; 4]);
-        assert_eq!(m.extent_count(), 1);
+        assert_eq!(m.extents.len(), 1);
         let (buf, missing) = read_all(&m, 0, 8);
         assert!(missing.is_empty());
         assert_eq!(buf, vec![1, 1, 1, 1, 2, 2, 2, 2]);
@@ -379,7 +366,7 @@ mod tests {
         let mut m = ExtentMap::new();
         m.insert(0, &[1; 8]);
         m.insert(0, &[2; 8]);
-        assert_eq!(m.extent_count(), 1);
+        assert_eq!(m.extents.len(), 1);
         let (buf, _) = read_all(&m, 0, 8);
         assert_eq!(buf, vec![2; 8]);
     }

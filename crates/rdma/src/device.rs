@@ -232,11 +232,6 @@ impl RdmaDevice {
         }
     }
 
-    /// Deregisters a region, freeing its memory.
-    pub fn deregister(&self, mr_id: u64) {
-        self.state.mrs.write().remove(&mr_id);
-    }
-
     /// Issues a region a fresh rkey and leaves its bytes alone: every
     /// previously exported token stops granting access, and no access made
     /// with one lands after this returns (the key is swapped under the
@@ -261,12 +256,6 @@ impl RdmaDevice {
     pub fn recycle(&self, mr_id: u64) -> Option<RKey> {
         self.lookup_live(mr_id)?.buf.lock().fill(0);
         self.rekey(mr_id)
-    }
-
-    /// Number of currently registered regions (including stale ones from
-    /// before a crash that have not been reaped).
-    pub fn mr_count(&self) -> usize {
-        self.state.mrs.read().len()
     }
 
     /// Drops every region whose registration predates the node's current
@@ -442,15 +431,15 @@ mod tests {
         let (c, dev, n) = setup();
         dev.register_mr(8).unwrap();
         dev.register_mr(8).unwrap();
-        assert_eq!(dev.mr_count(), 2);
+        assert_eq!(dev.state.mrs.read().len(), 2);
         c.crash(n);
         c.restart(n);
         dev.reap_stale();
-        assert_eq!(dev.mr_count(), 0);
+        assert_eq!(dev.state.mrs.read().len(), 0);
         // Post-restart registrations survive reaping.
         dev.register_mr(8).unwrap();
         dev.reap_stale();
-        assert_eq!(dev.mr_count(), 1);
+        assert_eq!(dev.state.mrs.read().len(), 1);
     }
 
     #[test]
@@ -535,14 +524,5 @@ mod tests {
         assert_eq!(ready, t);
         let (_, _, ready) = zero.register_mr_at(t, 64).unwrap();
         assert_eq!(ready, t);
-    }
-
-    #[test]
-    fn deregister_frees_region() {
-        let (_c, dev, _n) = setup();
-        let (local, remote) = dev.register_mr(8).unwrap();
-        dev.deregister(remote.mr_id);
-        assert!(local.read_local(0, 1).is_none());
-        assert_eq!(dev.mr_count(), 0);
     }
 }

@@ -420,11 +420,6 @@ impl QueuePair {
         self.link.qp_num
     }
 
-    /// True once any work request has failed (QP error state).
-    pub fn is_errored(&self) -> bool {
-        self.link.errored.load(Ordering::SeqCst)
-    }
-
     /// Posts a one-sided RDMA WRITE of `data` at `offset` within `mr`.
     pub fn post_write(
         &self,
@@ -671,7 +666,7 @@ mod tests {
         let wcs = wait_n(&cq, 2);
         assert_eq!(wcs[0].1.status, WcStatus::RemoteAccessErr);
         assert_eq!(wcs[1].1.status, WcStatus::FlushErr);
-        assert!(qp.is_errored());
+        assert!(qp.link.errored.load(Ordering::SeqCst));
     }
 
     #[test]
@@ -768,7 +763,7 @@ mod tests {
         qp.post_write(WrId(3), &mr, 0, Bytes::from_static(b"x"))
             .unwrap();
         assert_eq!(cq.poll()[0].1.status, WcStatus::RetryExceeded);
-        assert!(qp.is_errored());
+        assert!(qp.link.errored.load(Ordering::SeqCst));
         qp.post_write(WrId(4), &mr, 0, Bytes::from_static(b"y"))
             .unwrap();
         assert_eq!(cq.poll()[0].1.status, WcStatus::FlushErr);
@@ -866,7 +861,7 @@ mod tests {
         assert_eq!(wcs[0].1.status, WcStatus::Success);
         assert_eq!(wcs[1].1.status, WcStatus::RemoteAccessErr);
         assert_eq!(wcs[2].1.status, WcStatus::FlushErr);
-        assert!(qp.is_errored());
+        assert!(qp.link.errored.load(Ordering::SeqCst));
     }
 
     #[test]
@@ -1335,7 +1330,7 @@ mod tests {
         qp.post_many(&data_then_header(mr)).unwrap();
         let status: Vec<WcStatus> = wait_n(&cq, 2).iter().map(|(_, wc)| wc.status).collect();
         assert_eq!(status, [WcStatus::RetryExceeded; 2]);
-        assert!(qp.is_errored());
+        assert!(qp.link.errored.load(Ordering::SeqCst));
         qp.post_write(WrId(9), &mr, 0, Bytes::from_static(b"x"))
             .unwrap();
         assert_eq!(wait_n(&cq, 1)[0].1.status, WcStatus::FlushErr);
@@ -1355,7 +1350,7 @@ mod tests {
         cluster.partition(app, peer);
         let wcs = wait_n(&cq, 1);
         assert_eq!(wcs[0].1.status, WcStatus::RetryExceeded);
-        assert!(qp.is_errored());
+        assert!(qp.link.errored.load(Ordering::SeqCst));
         assert_eq!(local.read_local(0, 6).unwrap(), b"landed");
     }
 

@@ -94,16 +94,6 @@ impl Xoshiro256StarStar {
         }
     }
 
-    /// Uniform value in the inclusive-exclusive range `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn gen_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.next_below(hi - lo)
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -119,14 +109,6 @@ impl Xoshiro256StarStar {
         if !rem.is_empty() {
             let bytes = self.next_u64().to_le_bytes();
             rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
         }
     }
 }
@@ -165,15 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn gen_range_within_bounds() {
-        let mut r = Xoshiro256StarStar::new(9);
-        for _ in 0..1000 {
-            let v = r.gen_range(10, 20);
-            assert!((10..20).contains(&v));
-        }
-    }
-
-    #[test]
     fn next_f64_in_unit_interval() {
         let mut r = Xoshiro256StarStar::new(3);
         for _ in 0..1000 {
@@ -194,16 +167,6 @@ mod tests {
                 assert!(buf.iter().any(|&b| b != 0));
             }
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = Xoshiro256StarStar::new(11);
-        let mut v: Vec<u32> = (0..64).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

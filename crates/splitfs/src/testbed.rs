@@ -45,12 +45,13 @@ pub struct TestbedConfig {
     /// Chrome trace). Use `"127.0.0.1:0"` to let the OS pick a port.
     pub scrape_addr: Option<String>,
     /// When true, attach a streaming [`telemetry::OnlineMonitor`] to the
-    /// shared telemetry handle: the invariant engine's rules
-    /// ([`telemetry::checker`]) are verified live against the span
-    /// stream, violations increment
-    /// `invariant.violations.total`, flip the scrape endpoint's `/health`
-    /// to 503, and (when `FLIGHT_DUMP_DIR` is set) dump the flight
-    /// recorder. Overridden by the `SPLITFT_ONLINE_MONITOR` environment
+    /// shared telemetry handle, for the handle's life: the invariant
+    /// engine's rules ([`telemetry::checker`]) are verified against each
+    /// batch of spans by the thread that records it — no thread is
+    /// added. A violation increments `invariant.violations.total`, flips
+    /// the scrape endpoint's `/health` to 503 and (when `FLIGHT_DUMP_DIR`
+    /// is set) dumps the flight recorder, inside the call that confirmed
+    /// it. Overridden by the `SPLITFT_ONLINE_MONITOR` environment
     /// variable (`1`/`true` enables, `0`/`false` disables) at
     /// [`Testbed::start`].
     pub online_monitor: bool,

@@ -266,7 +266,7 @@ enum Judgment {
 }
 
 /// The invariant engine (see the module docs). `Default` is an inert
-/// checker holding no state, what a detached monitor keeps.
+/// checker holding no state, the base of [`Checker::live`].
 #[derive(Default)]
 pub struct Checker {
     /// Coverage a replicated scope's acked write needs (the f+1 quorum).

@@ -19,12 +19,15 @@
 //!   an `ncl.{create,recover,repair}` root, from which Table 3-style
 //!   timelines fall out; and every point transition is a zero-length *fact*
 //!   ([`Telemetry::fact`]). Spans are consumed by the exporters in
-//!   [`export`] and by the invariant engine in [`checker`], live through
-//!   [`monitor`] and offline through [`analyze`].
+//!   [`export`] and by the invariant engine in [`checker`]: live through
+//!   [`monitor`], judged on the thread that records them, and offline
+//!   through [`analyze`].
 //!
 //! A [`Telemetry`] value is a cheap cloneable handle; all clones share one
-//! registry and one pair of rings. [`Telemetry::disabled`] yields a handle
-//! whose metric handles are no-ops and which records no span.
+//! registry, one pair of rings and, once attached, one monitor. Only the
+//! HTTP exporter's accept loop owns a thread. [`Telemetry::disabled`]
+//! yields a handle whose metric handles are no-ops and which records no
+//! span.
 //! What the enabled path costs against it is measured, not gated: splitbench
 //! reports it per workload as `telemetry.on_over_off`, and span emission can
 //! be turned off separately via [`Telemetry::set_tracing`].
@@ -65,7 +68,7 @@ pub use span::{intern_scope, spans, Span};
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 struct Inner {
@@ -79,33 +82,15 @@ struct Inner {
     /// Span emission switch (facts included); metrics stay on when this is
     /// off.
     tracing: AtomicBool,
-    /// Fast-path gate for the online monitor: one relaxed load per record
-    /// when nothing is attached.
-    monitored: AtomicBool,
-    /// The attached [`monitor::OnlineMonitor`]'s core. Installed once for
-    /// this handle's lifetime so the hot path reads it with a single
-    /// `OnceLock` load — no lock, no refcount churn per span. Dropping the
-    /// last `OnlineMonitor` handle *deactivates* the core (clears the
-    /// `monitored` gate, stops the drainer, frees the checker state); a
-    /// later attach revives it in place. The core holds this `Inner` only
-    /// weakly, so the strong slot here is not a cycle.
-    monitor: OnceLock<Arc<monitor::MonitorCore>>,
+    /// The attached [`OnlineMonitor`]'s core, installed by the first attach
+    /// and kept for this handle's life. Every recording call reads it (one
+    /// `OnceLock` load) and, when it is set, feeds the checker itself. The
+    /// core holds no handle back, so there is no cycle unless a violation
+    /// hook captures one.
+    monitor: OnceLock<monitor::MonitorCore>,
     /// Latched on the first in-memory ring drop (the `trace-truncated`
     /// fact is recorded exactly once).
     truncated: AtomicBool,
-}
-
-impl Inner {
-    /// The live monitor, if one is attached: one relaxed load when nothing
-    /// is attached, one `OnceLock` load when something is. The `monitored`
-    /// gate is cleared by the core's own deactivation (last handle dropped),
-    /// never here.
-    fn monitor_sink(&self) -> Option<&Arc<monitor::MonitorCore>> {
-        if !self.monitored.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.monitor.get()
-    }
 }
 
 /// Shared handle to one metrics registry + span trace.
@@ -129,20 +114,6 @@ impl Default for Telemetry {
     }
 }
 
-/// Non-owning [`Telemetry`] handle (see [`Telemetry::downgrade`]). Upgrading
-/// fails once every strong handle is gone; a handle made from a disabled
-/// `Telemetry` never upgrades.
-#[derive(Clone, Default)]
-pub(crate) struct WeakTelemetry(Weak<Inner>);
-
-impl WeakTelemetry {
-    pub(crate) fn upgrade(&self) -> Option<Telemetry> {
-        self.0
-            .upgrade()
-            .map(|inner| Telemetry { inner: Some(inner) })
-    }
-}
-
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
@@ -161,7 +132,6 @@ impl Telemetry {
                 origin: Instant::now(),
                 ids: AtomicU64::new(1),
                 tracing: AtomicBool::new(true),
-                monitored: AtomicBool::new(false),
                 monitor: OnceLock::new(),
                 truncated: AtomicBool::new(false),
             })),
@@ -248,13 +218,6 @@ impl Telemetry {
         }
     }
 
-    /// Allocates a fresh span id. Identical to [`Self::next_trace_id`];
-    /// the alias exists so call sites read correctly.
-    #[inline]
-    pub fn next_span_id(&self) -> u64 {
-        self.next_trace_id()
-    }
-
     /// Turns span emission, facts included, on or off. Metrics are
     /// unaffected.
     /// Defaults to on; the bench overhead gate measures both settings.
@@ -272,13 +235,14 @@ impl Telemetry {
             .is_some_and(|i| i.tracing.load(Ordering::Relaxed))
     }
 
-    /// Moves `spans` into `inner`'s rings, then hands copies to the attached
-    /// monitor, if any (a hook that dumps the flight recorder must find the
-    /// span that tripped it in the ring). The first ring drop records the
-    /// `trace-truncated` fact: the rings no longer show span completeness
-    /// (the JSONL sink never drops).
+    /// Moves `spans` into `inner`'s rings, then feeds copies to the attached
+    /// monitor, if any, on this thread (a hook that dumps the flight recorder
+    /// finds the span that tripped it in the ring). The first ring drop
+    /// records the `trace-truncated` fact, which the monitor sees ahead of
+    /// the batch: the rings no longer show span completeness (the JSONL sink
+    /// never drops).
     fn record(&self, inner: &Inner, spans: &mut Vec<Span>) {
-        let monitored = inner.monitor_sink().map(|m| (m, spans.clone()));
+        let monitored = inner.monitor.get().map(|m| (m, spans.clone()));
         if inner.spans.record(spans)
             && !inner.truncated.load(Ordering::Relaxed)
             && !inner.truncated.swap(true, Ordering::Relaxed)
@@ -287,7 +251,7 @@ impl Telemetry {
             self.fact(spans::TRACE_TRUNCATED, "telemetry", 0, detail);
         }
         if let Some((m, copies)) = monitored {
-            copies.into_iter().for_each(|span| m.on_span(span));
+            m.feed(self, &copies);
         }
     }
 
@@ -320,7 +284,7 @@ impl Telemetry {
     /// records `seq` (see [`Span::seq`]), without recording it: for callers
     /// that queue the spans of one operation and hand them over together
     /// ([`Self::record_spans`]). `id` is the trace id for a root, a
-    /// [`Self::next_span_id`] otherwise.
+    /// [`Self::next_trace_id`] otherwise.
     #[allow(clippy::too_many_arguments)]
     pub fn closed_span(
         &self,
@@ -381,7 +345,7 @@ impl Telemetry {
         if trace == 0 || !self.tracing_enabled() {
             return 0;
         }
-        let id = self.next_span_id();
+        let id = self.next_trace_id();
         self.span(trace, id, parent, name, scope, epoch, start, end);
         id
     }
@@ -450,55 +414,10 @@ impl Telemetry {
         }
     }
 
-    /// Installs `core` as this handle's online monitor. The slot is filled
-    /// once per `Telemetry` lifetime (the recording fast path reads it
-    /// lock-free); a second attach returns the resident core — sharing it if
-    /// it is still live, reviving it with `core`'s configuration if every
-    /// prior handle was dropped. `None` means `core` itself is now attached.
-    /// Called by [`monitor::OnlineMonitor::attach`].
-    pub(crate) fn install_monitor(
-        &self,
-        core: &Arc<monitor::MonitorCore>,
-    ) -> Option<Arc<monitor::MonitorCore>> {
-        let inner = self.inner.as_ref()?;
-        let mut candidate = Some(Arc::clone(core));
-        let resident = inner
-            .monitor
-            .get_or_init(|| candidate.take().expect("init runs at most once"));
-        if candidate.is_none() {
-            inner.monitored.store(true, Ordering::Release);
-            return None;
-        }
-        if !resident.is_active() {
-            resident.reactivate(core);
-            monitor::MonitorCore::respawn_drainer(resident);
-        }
-        inner.monitored.store(true, Ordering::Release);
-        Some(Arc::clone(resident))
-    }
-
-    /// Reverts the recording fast path to a single relaxed load. Called by
-    /// the monitor core when its last public handle is dropped.
-    pub(crate) fn clear_monitor_gate(&self) {
-        if let Some(inner) = &self.inner {
-            inner.monitored.store(false, Ordering::Relaxed);
-        }
-    }
-
-    /// A weak form of this handle that does not keep the registry alive.
-    /// Used by the monitor core to reach back into its `Telemetry` (for
-    /// violation facts and gate clearing) without forming a cycle with the
-    /// strong monitor slot.
-    pub(crate) fn downgrade(&self) -> WeakTelemetry {
-        WeakTelemetry(self.inner.as_ref().map(Arc::downgrade).unwrap_or_default())
-    }
-
     /// The attached online monitor, if any.
     pub fn online_monitor(&self) -> Option<OnlineMonitor> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.monitor_sink().cloned())
-            .map(OnlineMonitor::from_core)
+        self.inner.as_ref()?.monitor.get()?;
+        Some(OnlineMonitor { tel: self.clone() })
     }
 
     /// Total entries dropped by the two span rings. The JSONL sink never

@@ -7,9 +7,9 @@
 //! [`crate::checker`] are verified *as traces complete*, with bounded
 //! memory. What lives here is only the plumbing around the checker:
 //!
-//! * recording threads pay one `Vec` push per span; the checker is fed in
-//!   batches by the `ncl-invmon` drainer thread (or by the next report or
-//!   [`finalize`]);
+//! * the thread that records a batch of spans feeds it to the checker,
+//!   under the checker's mutex, once the batch is in the rings; the monitor
+//!   owns no thread;
 //! * traces retire after the
 //!   [retirement lag](OnlineMonitor::attach_with_limits) and failures are
 //!   confirmed after the suspect grace, both in stream time;
@@ -18,18 +18,18 @@
 //!   `invariant-violation` fact, fire the registered
 //!   [`on_violation`](OnlineMonitor::on_violation) hook (the testbed wires a
 //!   flight-recorder dump there), and flip `/health` to 503 via
-//!   [`OnlineMonitor::violating`];
+//!   [`OnlineMonitor::violating`] — all on the thread whose call confirmed
+//!   them (a recording or a report), once the checker's mutex is released;
 //! * a span-ring overflow reaches the checker as the `trace-truncated` fact,
-//!   and it downgrades its span-completeness rules to a "truncated window"
-//!   note.
+//!   ahead of the batch that overflowed, and it downgrades its
+//!   span-completeness rules to a "truncated window" note.
 //!
-//! [`finalize`]: OnlineMonitor::finalize
+//! A monitor, once attached, checks for the whole life of its `Telemetry`.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::checker::{Checker, MonitorReport, Violation};
-use crate::{spans, Counter, Gauge, Span, Telemetry, WeakTelemetry};
+use crate::{spans, Counter, Gauge, Span, Telemetry};
 
 /// Watermark distance a rooted trace must be quiet for before it is judged.
 /// Large enough for minority wire spans closing at peer timeouts.
@@ -37,92 +37,49 @@ const DEFAULT_RETIREMENT_LAG_NS: u64 = 100_000_000; // 100ms
 /// Extra watermark distance a failing trace is held as a suspect before its
 /// failure becomes a violation (late catch-up credits can still clear it).
 const DEFAULT_SUSPECT_GRACE_NS: u64 = 3_000_000_000; // 3s
-/// Producer buffer length at which the background drainer is nudged awake.
-/// Producers only pay a `Vec` push under a short lock; the full checker
-/// state is touched in batches on the drainer thread, off every recording
-/// thread's critical path (on a saturated core the checker work rides the
-/// pipeline's wire-wait slack instead of stalling submissions).
-const DRAIN_BATCH: usize = 256;
-/// Backpressure bound: a producer finding this many undrained spans pays
-/// for the drain inline instead of growing the buffer without limit.
-const DRAIN_HARD_CAP: usize = 1 << 16;
-/// Drainer thread wake interval when no producer nudges it.
-const DRAIN_INTERVAL: std::time::Duration = std::time::Duration::from_millis(10);
 
 /// The violation hook: fired once per confirmed violation, outside the
-/// state lock (the testbed wires a flight-recorder dump here).
+/// checker's mutex (the testbed wires a flight-recorder dump here).
 type ViolationHook = Arc<dyn Fn(&Violation) + Send + Sync>;
 
-/// The checker of the current attachment plus how much of its retirement
-/// count has reached the `invariant.retired.total` counter.
-#[derive(Default)]
+/// The checker plus how much of its retirement count has reached the
+/// `invariant.retired.total` counter.
 struct Live {
     checker: Checker,
     retired_published: u64,
 }
 
+/// What a `Telemetry` holds once a monitor is attached.
 pub(crate) struct MonitorCore {
-    /// Weak: the owning `Telemetry` holds this core strongly in its monitor
-    /// slot, so a strong handle here would be a cycle.
-    tel: WeakTelemetry,
-    /// Public [`OnlineMonitor`] handles alive. When the count hits zero the
-    /// core deactivates (the allocation stays in the `Telemetry`'s lock-free
-    /// slot and can be revived by a later attach).
-    handles: AtomicUsize,
-    active: AtomicBool,
     violations_total: Counter,
     retired_total: Counter,
     open_traces_gauge: Gauge,
     suspects_gauge: Gauge,
     hook: Mutex<Option<ViolationHook>>,
-    /// Producer-side span buffer. Recording threads only push here (a
-    /// short-lived lock around a `Vec` push); the checker is fed in batches
-    /// on the drainer thread, so threads recording spans at line rate never
-    /// serialize on the full `state` critical section.
-    pending: Mutex<Vec<Span>>,
-    /// Wakes the drainer early when the buffer crosses [`DRAIN_BATCH`].
-    gate: Arc<(Mutex<bool>, std::sync::Condvar)>,
-    drainer: Mutex<Option<std::thread::JoinHandle<()>>>,
     state: Mutex<Live>,
 }
 
 impl MonitorCore {
-    /// Called for every recorded span with the monitor's state lock NOT
-    /// held by anyone up-stack. The span is only buffered here; the checker
-    /// is fed by the drainer thread (or on the next report / finalize),
-    /// keeping the recording threads' critical section to a `Vec` push.
-    pub(crate) fn on_span(&self, span: Span) {
-        let len = {
-            let mut buf = self.pending.lock().expect("monitor buffer poisoned");
-            buf.push(span);
-            buf.len()
-        };
-        if len >= DRAIN_HARD_CAP {
-            // Backpressure: the drainer has fallen behind; pay inline.
-            self.drain();
-        } else if len % DRAIN_BATCH == 0 {
-            self.gate.1.notify_one();
-        }
-    }
-
-    /// Feeds the buffered spans to the checker.
-    fn drain(&self) {
-        self.with_checker(|_, _| ());
-    }
-
-    /// Runs `f` on the checker, under the state lock, after flushing the
-    /// producer buffer into it (buffered spans logically precede whatever
-    /// `f` feeds or reads). Violations confirmed by the flush, plus those
-    /// `f` adds to its second argument, are published once the lock is
-    /// released.
-    fn with_checker<R>(&self, f: impl FnOnce(&mut Checker, &mut Vec<Violation>) -> R) -> R {
-        let (out, fresh) = {
-            let mut live = self.state.lock().expect("monitor poisoned");
-            let batch = std::mem::take(&mut *self.pending.lock().expect("monitor buffer poisoned"));
-            let mut fresh = Vec::new();
-            for span in &batch {
-                fresh.extend(live.checker.feed_span(span));
+    /// Feeds `spans`, just recorded into `tel`'s rings, to the checker.
+    pub(crate) fn feed(&self, tel: &Telemetry, spans: &[Span]) {
+        self.with_checker(tel, |checker, fresh| {
+            for span in spans {
+                fresh.extend(checker.feed_span(span));
             }
+        });
+    }
+
+    /// Runs `f` on the checker under its mutex, brings the retirement
+    /// counter and the gauges up to date, and publishes the violations `f`
+    /// confirmed (its second argument) once the mutex is released.
+    fn with_checker<R>(
+        &self,
+        tel: &Telemetry,
+        f: impl FnOnce(&mut Checker, &mut Vec<Violation>) -> R,
+    ) -> R {
+        let mut fresh = Vec::new();
+        let out = {
+            let mut live = self.state.lock().expect("monitor poisoned");
             let out = f(&mut live.checker, &mut fresh);
             let tally = live.checker.report();
             let (retired, open, suspects) =
@@ -131,58 +88,29 @@ impl MonitorCore {
             live.retired_published = retired;
             self.open_traces_gauge.set(open as i64);
             self.suspects_gauge.set(suspects as i64);
-            (out, fresh)
+            out
         };
-        self.publish(&fresh);
-        out
-    }
-
-    /// Emits counters / facts / the hook for freshly confirmed violations.
-    /// MUST be called with the state lock released: the fact re-enters
-    /// `Telemetry` (harmless — it is only buffered, and no rule reads it),
-    /// and the hook may capture a flight recorder that snapshots the rings.
-    fn publish(&self, fresh: &[Violation]) {
-        let tel = (!fresh.is_empty()).then(|| self.tel.upgrade()).flatten();
-        for v in fresh {
+        for v in &fresh {
             self.violations_total.inc();
-            if let Some(tel) = &tel {
-                tel.fact(
-                    spans::INVARIANT_VIOLATION,
-                    &v.scope,
-                    0,
-                    format!("[{}] {}", v.invariant, v.message),
-                );
-            }
+            // Recorded, and so fed back to the checker, before the hook runs:
+            // a flight dump taken by the hook holds the fact.
+            let detail = format!("[{}] {}", v.invariant, v.message);
+            tel.fact(spans::INVARIANT_VIOLATION, &v.scope, 0, detail);
             let hook = self.hook.lock().expect("monitor hook poisoned").clone();
             if let Some(hook) = hook {
                 hook(v);
             }
         }
+        out
     }
 }
 
-/// Public handle to an attached online monitor. Cloning shares the checker.
-///
-/// Dropping the last clone deactivates the checks: the recording fast path
-/// reverts to a single relaxed load, the drainer thread exits, and the
-/// checker state is freed (the small core allocation stays in the owning
-/// [`Telemetry`]'s lock-free slot, ready to be revived by a later attach).
+/// Public handle to the online monitor of one [`Telemetry`]. Cloning shares
+/// the checker; dropping every handle leaves it attached and checking.
+#[derive(Clone)]
 pub struct OnlineMonitor {
-    core: Arc<MonitorCore>,
-}
-
-impl Clone for OnlineMonitor {
-    fn clone(&self) -> Self {
-        Self::from_core(Arc::clone(&self.core))
-    }
-}
-
-impl Drop for OnlineMonitor {
-    fn drop(&mut self) {
-        if self.core.handles.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.core.deactivate();
-        }
-    }
+    /// Enabled, and holding the attached core.
+    pub(crate) tel: Telemetry,
 }
 
 impl std::fmt::Debug for OnlineMonitor {
@@ -210,53 +138,59 @@ impl OnlineMonitor {
     }
 
     /// [`attach`](Self::attach) with explicit windows, for tests that want
-    /// fast retirement.
+    /// fast retirement. A monitor attached to a disabled handle is never
+    /// fed: it lives on a private handle of its own.
     pub fn attach_with_limits(
         tel: &Telemetry,
         quorum: usize,
         retirement_lag_ns: u64,
         suspect_grace_ns: u64,
     ) -> Self {
-        let core = Arc::new(MonitorCore {
-            tel: tel.downgrade(),
-            handles: AtomicUsize::new(0),
-            active: AtomicBool::new(true),
+        let tel = if tel.is_enabled() {
+            tel.clone()
+        } else {
+            Telemetry::new()
+        };
+        let inner = tel.inner.as_ref().expect("enabled");
+        inner.monitor.get_or_init(|| MonitorCore {
             violations_total: tel.counter("invariant.violations.total"),
             retired_total: tel.counter("invariant.retired.total"),
             open_traces_gauge: tel.gauge("invariant.open_traces"),
             suspects_gauge: tel.gauge("invariant.suspects"),
             hook: Mutex::new(None),
-            pending: Mutex::new(Vec::new()),
-            gate: Arc::new((Mutex::new(false), std::sync::Condvar::new())),
-            drainer: Mutex::new(None),
             state: Mutex::new(Live {
                 checker: Checker::live(quorum, retirement_lag_ns, suspect_grace_ns),
                 retired_published: 0,
             }),
         });
-        match tel.install_monitor(&core) {
-            Some(existing) => Self::from_core(existing),
-            None => {
-                if tel.is_enabled() {
-                    MonitorCore::spawn_drainer(&core);
-                }
-                Self::from_core(core)
-            }
-        }
+        OnlineMonitor { tel }
+    }
+
+    fn core(&self) -> &MonitorCore {
+        let inner = self.tel.inner.as_ref().expect("enabled");
+        inner.monitor.get().expect("attached")
+    }
+
+    fn with_checker<R>(&self, f: impl FnOnce(&mut Checker, &mut Vec<Violation>) -> R) -> R {
+        self.core().with_checker(&self.tel, f)
     }
 
     /// Registers (replacing) the violation hook, fired once per confirmed
     /// violation, outside every monitor lock. The testbed points this at a
     /// flight-recorder dump so the offending window is captured at fault
     /// time.
+    ///
+    /// The hook runs on the thread whose call confirmed the violation,
+    /// usually the one that recorded the deciding span, and NCL records its
+    /// record-path spans under a file's replication lock: a hook must not
+    /// call into `ncl`.
     pub fn on_violation(&self, hook: impl Fn(&Violation) + Send + Sync + 'static) {
-        *self.core.hook.lock().expect("monitor hook poisoned") = Some(Arc::new(hook));
+        *self.core().hook.lock().expect("monitor hook poisoned") = Some(Arc::new(hook));
     }
 
-    /// Total confirmed violations so far (flushes buffered spans first).
+    /// Total confirmed violations so far.
     pub fn violation_count(&self) -> u64 {
-        self.core
-            .with_checker(|checker, _| checker.report().violation_count())
+        self.with_checker(|checker, _| checker.report().violation_count())
     }
 
     /// True when at least one invariant has been violated (`/health` flips
@@ -265,10 +199,10 @@ impl OnlineMonitor {
         self.violation_count() > 0
     }
 
-    /// Point-in-time report without draining open traces (buffered spans
-    /// are flushed and a retirement sweep runs first).
+    /// Point-in-time report without draining open traces (a retirement
+    /// sweep runs first).
     pub fn report(&self) -> MonitorReport {
-        self.core.with_checker(|checker, fresh| {
+        self.with_checker(|checker, fresh| {
             fresh.extend(checker.sweep());
             checker.report().clone()
         })
@@ -278,7 +212,7 @@ impl OnlineMonitor {
     /// freezes the monitor: subsequent spans are ignored, so the returned
     /// report is stable. Idempotent.
     pub fn finalize(&self) -> MonitorReport {
-        self.core.with_checker(|checker, fresh| {
+        self.with_checker(|checker, fresh| {
             fresh.extend(checker.finalize());
             checker.report().clone()
         })
@@ -287,111 +221,6 @@ impl OnlineMonitor {
     /// `/invariants` body: the current report as JSON.
     pub fn render_json(&self) -> String {
         self.report().to_json()
-    }
-
-    pub(crate) fn from_core(core: Arc<MonitorCore>) -> Self {
-        core.handles.fetch_add(1, Ordering::AcqRel);
-        OnlineMonitor { core }
-    }
-}
-
-impl MonitorCore {
-    /// Spawns the background drainer: wakes when a producer crosses
-    /// [`DRAIN_BATCH`] buffered spans (or every [`DRAIN_INTERVAL`]), flushes
-    /// the buffer through the checker, and exits when the gate's stop flag
-    /// is raised (deactivation or core drop). Holding only a `Weak`, it
-    /// never keeps an orphaned core alive.
-    pub(crate) fn spawn_drainer(core: &Arc<MonitorCore>) {
-        let weak = Arc::downgrade(core);
-        let gate = Arc::clone(&core.gate);
-        let handle = std::thread::Builder::new()
-            .name("ncl-invmon".to_string())
-            .spawn(move || loop {
-                {
-                    let stopped = gate.0.lock().expect("monitor gate poisoned");
-                    let (stopped, _) = gate
-                        .1
-                        .wait_timeout(stopped, DRAIN_INTERVAL)
-                        .expect("monitor gate poisoned");
-                    if *stopped {
-                        return;
-                    }
-                }
-                let Some(core) = weak.upgrade() else { return };
-                core.drain();
-            })
-            .expect("spawn invariant-monitor drainer");
-        *core.drainer.lock().expect("monitor drainer poisoned") = Some(handle);
-    }
-
-    pub(crate) fn is_active(&self) -> bool {
-        self.active.load(Ordering::Acquire)
-    }
-
-    /// Revives a deactivated core in place with the fresh checker of a new
-    /// attachment. Called by `Telemetry::install_monitor`, which then
-    /// restarts the drainer.
-    pub(crate) fn reactivate(&self, candidate: &MonitorCore) {
-        let fresh = std::mem::take(&mut *candidate.state.lock().expect("monitor poisoned"));
-        *self.state.lock().expect("monitor poisoned") = fresh;
-        self.pending
-            .lock()
-            .expect("monitor buffer poisoned")
-            .clear();
-        self.active.store(true, Ordering::Release);
-    }
-
-    /// Restarts the drainer after a [`reactivate`](Self::reactivate) (the
-    /// previous one exited at deactivation).
-    pub(crate) fn respawn_drainer(core: &Arc<MonitorCore>) {
-        *core.gate.0.lock().expect("monitor gate poisoned") = false;
-        let running = core
-            .drainer
-            .lock()
-            .expect("monitor drainer poisoned")
-            .is_some();
-        if !running {
-            Self::spawn_drainer(core);
-        }
-    }
-
-    /// Last public handle gone: stop forwarding, stop the drainer, free the
-    /// checker state. The allocation itself stays installed in the owning
-    /// `Telemetry` (its lock-free slot is write-once) until that drops.
-    fn deactivate(&self) {
-        self.active.store(false, Ordering::Release);
-        if let Some(tel) = self.tel.upgrade() {
-            tel.clear_monitor_gate();
-        }
-        self.stop_drainer();
-        self.pending
-            .lock()
-            .expect("monitor buffer poisoned")
-            .clear();
-        *self.state.lock().expect("monitor poisoned") = Live::default();
-    }
-
-    fn stop_drainer(&self) {
-        *self.gate.0.lock().expect("monitor gate poisoned") = true;
-        self.gate.1.notify_all();
-        if let Some(h) = self
-            .drainer
-            .lock()
-            .expect("monitor drainer poisoned")
-            .take()
-        {
-            // Joining from the drainer's own thread (a hook holding the last
-            // handle) would error, not deadlock — skip it instead.
-            if std::thread::current().id() != h.thread().id() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-impl Drop for MonitorCore {
-    fn drop(&mut self) {
-        self.stop_drainer();
     }
 }
 
@@ -773,9 +602,7 @@ mod tests {
 
             let tel = Telemetry::new();
             let mon = OnlineMonitor::attach_with_limits(&tel, 2, 0, 0);
-            for span in &case.spans {
-                mon.core.on_span(span.clone());
-            }
+            mon.core().feed(&tel, &case.spans);
             let live = mon.finalize();
 
             assert_eq!(offline.violations, live.violations, "{name}");
@@ -947,24 +774,43 @@ mod tests {
     }
 
     #[test]
-    fn detached_monitor_stops_receiving_and_reattach_starts_fresh() {
+    fn the_recording_call_that_confirms_a_violation_fires_the_hook() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let tel = Telemetry::new();
+        let mon = OnlineMonitor::attach(&tel, 2);
+        let fired = Arc::new(AtomicUsize::new(0));
+        let fired2 = Arc::clone(&fired);
+        mon.on_violation(move |_| {
+            fired2.fetch_add(1, Ordering::SeqCst);
+        });
+        emit_misordered_repair(&tel);
+        // No monitor method has run since: the root's own recording call
+        // judged the trace, fired the hook and recorded the fact.
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        let ring = tel.spans();
+        assert!(ring.iter().any(|s| s.name == spans::INVARIANT_VIOLATION));
+        assert_eq!(tel.counter_value("invariant.violations.total"), 1);
+    }
+
+    #[test]
+    fn a_monitor_checks_for_its_handles_life_and_reattach_returns_it() {
         let tel = Telemetry::new();
         {
             let _mon = OnlineMonitor::attach_with_limits(&tel, 2, 0, 0);
-            emit_write(&tel, &["peer-0"]);
+            emit_write(&tel, &["peer-0", "peer-1"]);
         }
-        // Monitor dropped: recording still works, nobody is checking.
+        // Every monitor handle dropped: the checking goes on.
         emit_write(&tel, &["peer-0"]);
-        assert_eq!(tel.spans().len(), 8);
-        assert!(tel.online_monitor().is_none());
+        let resident = tel.online_monitor().expect("still attached");
+        assert_eq!(resident.report().acked_writes, 2);
 
-        // A later attach revives the core with its own configuration and
-        // none of the first attachment's state.
+        // A second attach returns the resident monitor: its state, and its
+        // first configuration (quorum 2, not 1).
         let mon = OnlineMonitor::attach_with_limits(&tel, 1, 0, 0);
         emit_write(&tel, &["peer-0"]);
         let report = mon.finalize();
-        assert!(report.ok(), "{:?}", report.violations);
-        assert_eq!(report.acked_writes, 1);
+        assert_eq!(report.acked_writes, 3);
+        assert_eq!(report.violation_count(), 2, "{:?}", report.violations);
     }
 
     #[test]

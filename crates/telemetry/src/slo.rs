@@ -80,12 +80,6 @@ impl SloSpec {
         self.slow_windows = slow.max(self.fast_windows);
         self
     }
-
-    /// Overrides the breach burn threshold.
-    pub fn breach_at(mut self, burn: f64) -> Self {
-        self.breach_burn = burn.max(f64::MIN_POSITIVE);
-        self
-    }
 }
 
 /// Health of one objective (or the whole plane): ordered worst-last.

@@ -14,7 +14,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -36,7 +35,6 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -73,11 +71,6 @@ impl Zipfian {
         }
         let rank = (self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.items - 1)
-    }
-
-    /// The zeta(2, θ) constant (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

@@ -1,15 +1,19 @@
 //! Threads a deployment owns, counted: a simulated service is a lock, a
 //! queue pair a send queue, a peer's GC a timer on the cluster's list and an
-//! erasure-coded spill a posted store, none of them a thread, so a testbed
-//! adds none — the shipping configuration included.
+//! erasure-coded spill a posted store and the online monitor a checker fed
+//! by whoever records, none of them a thread, so a testbed adds none — the
+//! shipping configuration included.
 //!
 //! One test, alone in its binary: the thread count is the process's. Run it
 //! with none of `Testbed::start`'s environment overrides set.
 #![cfg(target_os = "linux")]
 
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use splitft::splitfs::{Mode, OpenOptions, Testbed, TestbedConfig};
+use telemetry::{intern_scope, spans};
 
 fn threads_of_the_process() -> usize {
     std::fs::read_dir("/proc/self/task").unwrap().count()
@@ -85,4 +89,34 @@ fn a_testbed_owns_no_thread_with_gc_on_and_a_spill_in_flight() {
         .collect();
     drop((files, fs, tb));
     assert_eq!(threads_of_the_process(), before, "dropped mid-sweep");
+
+    // The online monitor judges each span on the thread that records it:
+    // attached, fed a write, and tripped by a misordered repair, it has
+    // fired its hook on this thread and added none.
+    let mut config = TestbedConfig::zero(3);
+    config.online_monitor = true;
+    let tel = config.ncl.telemetry.clone();
+    let tb = Testbed::start(config);
+    let fired = Arc::new(AtomicUsize::new(0));
+    let hook = Arc::clone(&fired);
+    let monitor = tb.online_monitor().expect("monitor attached");
+    monitor.on_violation(move |_| {
+        hook.fetch_add(1, Ordering::SeqCst);
+    });
+    let (fs, _) = tb.mount(Mode::SplitFt, "inventory-monitor");
+    let file = fs.open("wal", OpenOptions::create_ncl(1 << 12)).unwrap();
+    file.write_at(0, b"judged by its own writer").unwrap();
+    file.fsync().unwrap();
+    let (scope, t0, trace) = (
+        intern_scope("inventory/seeded"),
+        Instant::now(),
+        tel.next_trace_id(),
+    );
+    tel.span_auto(trace, trace, spans::NCL_REPAIR_AP_MAP, scope, 2, t0, t0);
+    tel.span(trace, trace, 0, spans::NCL_REPAIR, scope, 2, t0, t0);
+    let added = threads_of_the_process() - before;
+    assert_eq!(added, 0, "monitor attached, violation recorded");
+    let fired = fired.load(Ordering::SeqCst);
+    assert_eq!(fired, 1, "the hook ran in the recording call");
+    drop((file, fs, tb));
 }
