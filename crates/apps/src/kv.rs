@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use sim::{crc32c, crc32c_extend};
+use sim::crc32c;
 use splitfs::FsError;
 
 /// Errors surfaced by the applications.
@@ -247,16 +247,6 @@ pub fn decode_frame(buf: &[u8], offset: usize) -> Result<Option<(&[u8], usize)>,
         return Err(AppError::Corrupt("frame crc mismatch".into()));
     }
     Ok(Some((body, start + len)))
-}
-
-/// Incremental CRC helper re-exported for the apps' page formats.
-pub fn checksum(data: &[u8]) -> u32 {
-    crc32c(data)
-}
-
-/// Chunked CRC (page header + body without copying).
-pub fn checksum2(a: &[u8], b: &[u8]) -> u32 {
-    crc32c_extend(crc32c(a), b)
 }
 
 #[cfg(test)]

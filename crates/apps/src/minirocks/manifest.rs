@@ -8,7 +8,8 @@
 
 use splitfs::{File, OpenOptions, SplitFs};
 
-use crate::kv::{checksum, AppError};
+use crate::kv::AppError;
+use sim::crc32c;
 
 /// One version edit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +156,7 @@ impl Manifest {
                     break; // Torn tail: ignore, the edit never committed.
                 }
                 let body = &buf[pos + 8..pos + 8 + len];
-                if checksum(body) != crc {
+                if crc32c(body) != crc {
                     break;
                 }
                 let mut body_pos = 0;
@@ -177,7 +178,7 @@ impl Manifest {
         }
         let mut frame = Vec::with_capacity(body.len() + 8);
         frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&checksum(&body).to_le_bytes());
+        frame.extend_from_slice(&crc32c(&body).to_le_bytes());
         frame.extend_from_slice(&body);
         self.file.write_at(self.offset, &frame)?;
         self.file.fsync()?;
@@ -189,15 +190,20 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfs::LocalFs;
+    use dfs::{DfsCluster, DfsConfig};
 
-    fn fs() -> SplitFs {
-        SplitFs::local(LocalFs::zero())
+    /// A Local mount of a zero-latency DFS, which serves while the returned
+    /// store lives.
+    fn fs() -> (DfsCluster, SplitFs) {
+        let cluster = sim::Cluster::new();
+        let disk = DfsCluster::start(&cluster, DfsConfig::zero());
+        let fs = SplitFs::local(disk.client(cluster.add_node("app")));
+        (disk, fs)
     }
 
     #[test]
     fn fresh_manifest_is_empty() {
-        let fs = fs();
+        let (_disk, fs) = fs();
         let (_m, v) = Manifest::open(&fs, "MANIFEST").unwrap();
         assert!(v.ssts.is_empty());
         assert!(v.wals.is_empty());
@@ -206,7 +212,7 @@ mod tests {
 
     #[test]
     fn edits_replay_across_reopen() {
-        let fs = fs();
+        let (_disk, fs) = fs();
         {
             let (mut m, _) = Manifest::open(&fs, "MANIFEST").unwrap();
             m.log(&[Edit::AddWal { file: 1 }]).unwrap();
@@ -236,7 +242,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_ignored() {
-        let fs = fs();
+        let (_disk, fs) = fs();
         {
             let (mut m, _) = Manifest::open(&fs, "MANIFEST").unwrap();
             m.log(&[Edit::AddWal { file: 1 }]).unwrap();

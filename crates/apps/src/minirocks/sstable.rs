@@ -14,7 +14,8 @@
 
 use splitfs::{File, OpenOptions, SplitFs};
 
-use crate::kv::{checksum, AppError};
+use crate::kv::AppError;
+use sim::crc32c;
 
 /// Footer magic.
 const SST_MAGIC: u32 = 0x5353_5431; // "SST1"
@@ -266,7 +267,7 @@ impl SstBuilder {
         footer.extend_from_slice(&(bloom_buf.len() as u32).to_le_bytes());
         footer.extend_from_slice(&self.count.to_le_bytes());
         footer.extend_from_slice(&SST_MAGIC.to_le_bytes());
-        let crc = checksum(&footer);
+        let crc = crc32c(&footer);
         footer.extend_from_slice(&crc.to_le_bytes());
         debug_assert_eq!(footer.len(), FOOTER_SIZE);
         self.buf.extend_from_slice(&footer);
@@ -314,7 +315,7 @@ impl SstReader {
         }
         let footer = file.read((size - FOOTER_SIZE) as u64, FOOTER_SIZE)?;
         let crc = u32::from_le_bytes(footer[36..40].try_into().expect("4"));
-        if checksum(&footer[..36]) != crc {
+        if crc32c(&footer[..36]) != crc {
             return Err(AppError::Corrupt(format!("{path}: footer crc")));
         }
         let magic = u32::from_le_bytes(footer[32..36].try_into().expect("4"));
@@ -432,15 +433,20 @@ impl SstReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfs::LocalFs;
+    use dfs::{DfsCluster, DfsConfig};
 
-    fn local_fs() -> SplitFs {
-        SplitFs::local(LocalFs::zero())
+    /// A Local mount of a zero-latency DFS, which serves while the returned
+    /// store lives.
+    fn local_fs() -> (DfsCluster, SplitFs) {
+        let cluster = sim::Cluster::new();
+        let disk = DfsCluster::start(&cluster, DfsConfig::zero());
+        let fs = SplitFs::local(disk.client(cluster.add_node("app")));
+        (disk, fs)
     }
 
     #[test]
     fn build_and_read_back() {
-        let fs = local_fs();
+        let (_disk, fs) = local_fs();
         let mut b = SstBuilder::new(64, 10);
         for i in 0..100u32 {
             let k = format!("key{i:04}");
@@ -458,7 +464,7 @@ mod tests {
 
     #[test]
     fn reopen_from_disk() {
-        let fs = local_fs();
+        let (_disk, fs) = local_fs();
         let mut b = SstBuilder::new(64, 10);
         b.add(b"alpha", Some(b"1"));
         b.add(b"beta", None); // Tombstone.
@@ -474,7 +480,7 @@ mod tests {
 
     #[test]
     fn scan_returns_everything_in_order() {
-        let fs = local_fs();
+        let (_disk, fs) = local_fs();
         let mut b = SstBuilder::new(32, 10);
         for i in 0..50u32 {
             b.add(format!("k{i:03}").as_bytes(), Some(b"v"));
@@ -506,7 +512,7 @@ mod tests {
 
     #[test]
     fn corrupt_footer_detected() {
-        let fs = local_fs();
+        let (_disk, fs) = local_fs();
         let mut b = SstBuilder::new(64, 10);
         b.add(b"k", Some(b"v"));
         b.finish(&fs, "sst-4").unwrap();
@@ -522,7 +528,7 @@ mod tests {
 
     #[test]
     fn covers_respects_key_range() {
-        let fs = local_fs();
+        let (_disk, fs) = local_fs();
         let mut b = SstBuilder::new(64, 10);
         b.add(b"m", Some(b"1"));
         b.add(b"p", Some(b"2"));
@@ -536,7 +542,7 @@ mod tests {
 
     #[test]
     fn empty_table_roundtrips() {
-        let fs = local_fs();
+        let (_disk, fs) = local_fs();
         let b = SstBuilder::new(64, 10);
         let r = b.finish(&fs, "sst-6").unwrap();
         assert_eq!(r.count(), 0);
@@ -550,7 +556,7 @@ mod tests {
     /// commit before the reader's index went flat.
     #[test]
     fn table_bytes_on_the_file_system_are_unchanged() {
-        let fs = local_fs();
+        let (_disk, fs) = local_fs();
         let mut b = SstBuilder::new(256, 10);
         for i in 0..200u32 {
             let k = format!("key{i:05}");
@@ -560,7 +566,7 @@ mod tests {
         let built = b.finish(&fs, "sst-golden").unwrap();
         let f = fs.open("sst-golden", OpenOptions::plain()).unwrap();
         let bytes = f.read(0, f.size().unwrap() as usize).unwrap();
-        assert_eq!((bytes.len(), checksum(&bytes)), (9259, 151_272_950));
+        assert_eq!((bytes.len(), crc32c(&bytes)), (9259, 151_272_950));
         // And both ways to a reader agree on every key.
         let opened = SstReader::open(&fs, "sst-golden").unwrap();
         assert_eq!(opened.scan_all().unwrap(), built.scan_all().unwrap());

@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use splitfs::{File, OpenOptions, SplitFs};
 
 use super::pages::{bucket_of, DataPage, Meta};
-use crate::kv::{checksum2, AppError, KvApp};
+use crate::kv::{AppError, KvApp};
 
 /// Tuning knobs for [`MiniSql`].
 #[derive(Debug, Clone)]
@@ -265,7 +265,7 @@ impl Engine {
         let mut hdr = vec![0u8; WAL_HEADER_SIZE];
         hdr[0..4].copy_from_slice(&WAL_MAGIC.to_le_bytes());
         hdr[4..12].copy_from_slice(&self.salt.to_le_bytes());
-        let crc = crate::kv::checksum(&hdr[0..12]);
+        let crc = sim::crc32c(&hdr[0..12]);
         hdr[12..16].copy_from_slice(&crc.to_le_bytes());
         // Offset 0: this is the overwrite that makes the log circular.
         self.wal.write_at(0, &hdr)?;
@@ -279,7 +279,7 @@ impl Engine {
         hdr[0..8].copy_from_slice(&self.salt.to_le_bytes());
         hdr[8..12].copy_from_slice(&page_no.to_le_bytes());
         hdr[12..16].copy_from_slice(&(commit as u32).to_le_bytes());
-        let crc = checksum2(&hdr[0..16], image);
+        let crc = sim::crc32c_extend(sim::crc32c(&hdr[0..16]), image);
         hdr[16..20].copy_from_slice(&crc.to_le_bytes());
         let mut out = Vec::with_capacity(FRAME_HEADER_SIZE + image.len());
         out.extend_from_slice(&hdr);
@@ -365,7 +365,7 @@ impl Engine {
         let magic = u32::from_le_bytes(buf[0..4].try_into().expect("4"));
         let salt = u64::from_le_bytes(buf[4..12].try_into().expect("8"));
         let hdr_crc = u32::from_le_bytes(buf[12..16].try_into().expect("4"));
-        if magic != WAL_MAGIC || crate::kv::checksum(&buf[0..12]) != hdr_crc {
+        if magic != WAL_MAGIC || sim::crc32c(&buf[0..12]) != hdr_crc {
             // Unreadable header: treat the WAL as empty (it was being reset).
             self.salt = 1;
             self.write_wal_header()?;
@@ -388,7 +388,7 @@ impl Engine {
             let commit = u32::from_le_bytes(hdr[12..16].try_into().expect("4")) != 0;
             let crc = u32::from_le_bytes(hdr[16..20].try_into().expect("4"));
             let image = &buf[offset + FRAME_HEADER_SIZE..offset + frame_len];
-            if checksum2(&hdr[0..16], image) != crc {
+            if sim::crc32c_extend(sim::crc32c(&hdr[0..16]), image) != crc {
                 break; // Torn frame: the transaction never committed.
             }
             pending.push((page_no, image.to_vec()));

@@ -6,7 +6,8 @@
 //! bucket outgrows one page. Pages are the atomic unit of the write-ahead
 //! log: a transaction logs full images of every page it touched.
 
-use crate::kv::{checksum, AppError};
+use crate::kv::AppError;
+use sim::crc32c;
 
 /// Magic tag in the meta page.
 pub const META_MAGIC: u32 = 0x4D53_514C; // "MSQL"
@@ -27,7 +28,7 @@ impl Meta {
         page[0..4].copy_from_slice(&META_MAGIC.to_le_bytes());
         page[4..8].copy_from_slice(&self.npages.to_le_bytes());
         page[8..12].copy_from_slice(&self.next_free.to_le_bytes());
-        let crc = checksum(&page[0..12]);
+        let crc = crc32c(&page[0..12]);
         page[12..16].copy_from_slice(&crc.to_le_bytes());
         page
     }
@@ -42,7 +43,7 @@ impl Meta {
             return Err(AppError::Corrupt("meta page magic".into()));
         }
         let crc = u32::from_le_bytes(page[12..16].try_into().expect("4"));
-        if checksum(&page[0..12]) != crc {
+        if crc32c(&page[0..12]) != crc {
             return Err(AppError::Corrupt("meta page crc".into()));
         }
         Ok(Meta {

@@ -48,7 +48,7 @@ fn batch_lib(tb: &Testbed, tag: &str, telemetry: Telemetry) -> NclLib {
     // enough that header bytes are resolvable above scheduler noise.
     // Propagation overlaps within a doorbell batch, so the burst sweep
     // isolates serialized bytes + per-WR overhead.
-    config.rdma = sim::LatencyModel::from_nanos(100_000, 0.08, 0.0);
+    config.rdma = sim::LatencyModel::from_nanos(100_000, 0.08);
     config.pipeline_window = WINDOW;
     config.telemetry = telemetry;
     let node = tb.add_app_node(tag);
@@ -181,7 +181,7 @@ fn dur_lib(tb: &Testbed, tag: &str, telemetry: Telemetry, ec: Option<(usize, usi
     let mut config = tb.config().ncl.clone();
     // Same slow-fabric regime as the burst sweep: serialization-bound, so
     // throughput differences track wire bytes.
-    config.rdma = sim::LatencyModel::from_nanos(100_000, 0.08, 0.0);
+    config.rdma = sim::LatencyModel::from_nanos(100_000, 0.08);
     config.pipeline_window = WINDOW;
     config.telemetry = telemetry;
     if let Some((k, n)) = ec {

@@ -70,7 +70,7 @@ fn pipeline_lib(tb: &Testbed, window: u64, tag: &str, telemetry: Telemetry) -> N
     // the in-flight period is sleep-based and resolvable above that noise:
     // the sweep then measures the modelled bandwidth-delay overlap — the
     // effect pipelining exists to exploit — rather than scheduler jitter.
-    config.rdma = sim::LatencyModel::from_nanos(100_000, 25.0, 0.0);
+    config.rdma = sim::LatencyModel::from_nanos(100_000, 25.0);
     config.pipeline_window = window;
     let node = tb.add_app_node(tag);
     NclLib::new(&tb.cluster, node, tag, config, &tb.controller, &tb.registry).unwrap()

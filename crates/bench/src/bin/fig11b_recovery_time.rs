@@ -248,10 +248,9 @@ fn main() {
         build_log(kind, fs.clone(), target);
         // Evict the page cache to model a reboot.
         let sw = Instant::now();
+        let disk = fs.dfs().expect("every mount has a DFS client");
         for path in fs.list("").unwrap() {
-            if let Some(local) = fs_local(&fs) {
-                local.drop_cache(&path);
-            }
+            disk.drop_cache(&path);
         }
         let detect = sw.elapsed();
         let total = recover(kind, fs, target);
@@ -336,9 +335,4 @@ fn catch_up_kinds(tb: &Testbed) -> Vec<String> {
         .filter(|s| s.name == spans::NCL_RECOVER_CATCH_UP_PEER)
         .filter_map(|s| s.detail.map(String::from))
         .collect()
-}
-
-/// The Local mode facade shares one LocalFs; reach it for cache eviction.
-fn fs_local(fs: &SplitFs) -> Option<dfs::LocalFs> {
-    fs.local_store()
 }

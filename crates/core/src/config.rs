@@ -139,7 +139,7 @@ impl NclConfig {
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(100),
             reattach_probe: Duration::from_millis(250),
-            local_copy: LatencyModel::from_nanos(250, 120.0, 0.0),
+            local_copy: LatencyModel::from_nanos(250, 120.0),
             pipeline_window: 64,
             inline_nic: false,
             peer_lease: Duration::from_secs(120),

@@ -413,7 +413,7 @@ fn phase_sum(h: &Harness, root: &str, name: &str) -> (Duration, Duration) {
 fn registering_5ms(f: usize, peers: usize) -> Harness {
     let mut config = NclConfig::zero();
     config.f = f;
-    config.mr_register = sim::LatencyModel::from_nanos(5_000_000, 0.0, 0.0);
+    config.mr_register = sim::LatencyModel::from_nanos(5_000_000, 0.0);
     config.telemetry.set_span_capacity(1 << 16);
     Harness::with_config(peers, config)
 }
@@ -1332,7 +1332,7 @@ fn peer_crash_mid_pipeline_preserves_acked_prefix() {
     // their data WR and their header WR while later records are already
     // posted behind them.
     let mut config = NclConfig::zero();
-    config.rdma = sim::LatencyModel::from_nanos(150_000, 25.0, 0.0);
+    config.rdma = sim::LatencyModel::from_nanos(150_000, 25.0);
     let h = Harness::with_config(4, config);
     let app_node;
     {
@@ -1389,7 +1389,7 @@ fn peer_crash_between_burst_data_and_coalesced_header() {
     // ~40 ms after the doorbell, its 28-byte header ~180 ms after.
     let mut config = NclConfig::zero();
     config.pipeline_window = 64;
-    config.rdma = sim::LatencyModel::from_nanos(0, 1.6e-6, 0.0);
+    config.rdma = sim::LatencyModel::from_nanos(0, 1.6e-6);
     let h = Harness::with_config(3, config);
     let app_node;
     {
@@ -1517,7 +1517,7 @@ fn every_scheme_survives_peer_loss_mid_burst_then_app_crash() {
         config.durability = durability;
         config.spill = Some(Arc::new(MemSpillSink::new()));
         // A real in-flight period, so the victim dies with work queued.
-        config.rdma = sim::LatencyModel::from_nanos(150_000, 25.0, 0.0);
+        config.rdma = sim::LatencyModel::from_nanos(150_000, 25.0);
         let h = Harness::with_config(5, config);
         let mut model = vec![0u8; 4096];
         let mut len = 0usize;

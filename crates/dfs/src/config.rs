@@ -36,10 +36,25 @@ impl DfsConfig {
             object_size: 4 << 20,
             hop: LatencyModel::dfs_hop(),
             commit: LatencyModel::dfs_commit(),
-            osd_read: LatencyModel::from_nanos(250_000, 8.0, 0.10),
+            osd_read: LatencyModel::from_nanos(250_000, 8.0),
             cache_write: LatencyModel::page_cache_write(),
             mds: LatencyModel::rpc(),
             readahead: 4 << 20,
+        }
+    }
+
+    /// A local `ext4` partition on a SATA SSD (the unrealistic reference of
+    /// Figure 11b): one replica, no network or metadata round trips, and
+    /// local-SSD commits and media reads behind the same page cache.
+    pub fn local_ssd() -> Self {
+        DfsConfig {
+            replicas: 1,
+            hop: LatencyModel::ZERO,
+            commit: LatencyModel::local_ssd_write(),
+            osd_read: LatencyModel::local_ssd_read(),
+            cache_write: LatencyModel::page_cache_write(),
+            mds: LatencyModel::ZERO,
+            ..DfsConfig::calibrated()
         }
     }
 
@@ -91,6 +106,15 @@ mod tests {
     fn zero_config_is_fast() {
         let c = DfsConfig::zero();
         assert!(c.hop.is_zero() && c.commit.is_zero() && c.cache_write.is_zero());
+    }
+
+    #[test]
+    fn local_ssd_is_one_replica_with_no_network() {
+        let c = DfsConfig::local_ssd();
+        assert_eq!(c.replicas, 1);
+        assert!(c.hop.is_zero() && c.mds.is_zero());
+        assert_eq!(c.commit, LatencyModel::local_ssd_write());
+        assert_eq!(c.osd_read, LatencyModel::local_ssd_read());
     }
 
     #[test]

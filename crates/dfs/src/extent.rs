@@ -194,31 +194,6 @@ impl ExtentMap {
                 .is_some_and(|(s, d)| s + d.len() as u64 > offset)
     }
 
-    /// Removes all data in `[offset, offset + len)`, splitting extents that
-    /// straddle the boundary.
-    pub fn remove_range(&mut self, offset: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let end = offset + len;
-        let overlapping: Vec<u64> = self
-            .extents
-            .range(..end)
-            .filter(|(s, d)| **s + d.len() as u64 > offset)
-            .map(|(s, _)| *s)
-            .collect();
-        for s in overlapping {
-            let d = self.extents.remove(&s).expect("extent present");
-            let e = s + d.len() as u64;
-            if s < offset {
-                self.extents.insert(s, d[..(offset - s) as usize].to_vec());
-            }
-            if e > end {
-                self.extents.insert(end, d[(end - s) as usize..].to_vec());
-            }
-        }
-    }
-
     /// Drops everything.
     pub fn clear(&mut self) {
         self.extents.clear();
@@ -311,24 +286,6 @@ mod tests {
         let (buf, missing) = read_all(&m, 50, 10);
         assert!(missing.is_empty());
         assert_eq!(buf, vec![7; 10]);
-    }
-
-    #[test]
-    fn remove_range_splits_extents() {
-        let mut m = ExtentMap::new();
-        m.insert(0, &[1; 10]);
-        m.remove_range(3, 4);
-        let (_, missing) = read_all(&m, 0, 10);
-        assert_eq!(missing, vec![(3, 4)]);
-        assert_eq!(m.extents.len(), 2);
-    }
-
-    #[test]
-    fn remove_range_noop_on_gap() {
-        let mut m = ExtentMap::new();
-        m.insert(0, &[1; 2]);
-        m.remove_range(5, 3);
-        assert_eq!(m.byte_len(), 2);
     }
 
     #[test]

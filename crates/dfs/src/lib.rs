@@ -19,11 +19,10 @@
 //!   and waits for all replicas to commit (expensive). Reads are served from
 //!   the cache with sequential readahead — lent to the caller in place
 //!   through an open [`DfsFile`] — or can bypass it (direct IO).
-//! * [`LocalFs`] — an `ext4`-on-local-SSD stand-in used as the comparison
-//!   point in Figure 11(b). It offers the same interface with local-latency
-//!   models and, critically, *does not survive* application-server crashes
-//!   in the disaggregated setting (a restarted instance lands on different
-//!   hardware).
+//! * [`DfsConfig::local_ssd`] — the same cluster as one replica with no
+//!   network and local-SSD media costs: the `ext4` comparison point of
+//!   Figure 11(b). Its mount loses unsynced writes and keeps fsynced ones,
+//!   as a local file system does across a power loss.
 //!
 //! Crash semantics: the OSD/MDS state lives in the [`DfsCluster`]; client
 //! caches live in the [`DfsClient`]. Dropping a client (application crash)
@@ -33,14 +32,12 @@
 pub mod client;
 pub mod config;
 pub mod extent;
-pub mod localfs;
 pub mod mds;
 pub mod osd;
 
 pub use client::{DfsClient, DfsFile, IoEvent, IoKind, IoTrace};
 pub use config::DfsConfig;
 pub use extent::ExtentMap;
-pub use localfs::LocalFs;
 pub use mds::FileMeta;
 pub use osd::DfsCluster;
 

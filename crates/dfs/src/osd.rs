@@ -182,7 +182,7 @@ pub(crate) mod tests {
     /// Millisecond hops and commits with a bandwidth term; priced calls
     /// sleep none of it.
     pub(crate) fn slow() -> DfsConfig {
-        let model = |ms| LatencyModel::new(Duration::from_millis(ms), 1_000.0, 0.0);
+        let model = |ms| LatencyModel::new(Duration::from_millis(ms), 1_000.0);
         DfsConfig {
             hop: model(20),
             commit: model(50),

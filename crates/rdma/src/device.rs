@@ -501,7 +501,7 @@ mod tests {
     #[test]
     fn registrations_queue_on_one_device_and_overlap_across_devices() {
         let cluster = Cluster::new();
-        let model = LatencyModel::from_nanos(1_000_000, 0.0, 0.0);
+        let model = LatencyModel::from_nanos(1_000_000, 0.0);
         let cost = model.cost(64);
         let (a, b) = (cluster.add_node("a"), cluster.add_node("b"));
         let one = RdmaDevice::new(cluster.clone(), a, model);

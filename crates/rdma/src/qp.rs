@@ -900,7 +900,7 @@ mod tests {
         let (cluster, app, dev, _peer) = setup();
         let (_local, mr) = dev.register_mr(1024).unwrap();
         let cq = CompletionQueue::new();
-        let lat = LatencyModel::from_nanos(200_000, 0.0, 0.0);
+        let lat = LatencyModel::from_nanos(200_000, 0.0);
         let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), lat);
         let wrs: Vec<WorkRequest> = (0..8u64)
             .map(|i| WorkRequest::Write {
@@ -927,7 +927,7 @@ mod tests {
         let (cluster, app, dev, _peer) = setup();
         let (_local, mr) = dev.register_mr(64).unwrap();
         let cq = CompletionQueue::new();
-        let lat = LatencyModel::from_nanos(50_000, 0.0, 0.0);
+        let lat = LatencyModel::from_nanos(50_000, 0.0);
         let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), lat);
         let tel = telemetry::Telemetry::new();
         qp.set_wire_hist(tel.histogram("rdma.wr.wire"));
@@ -1158,7 +1158,7 @@ mod tests {
         let (cluster, app, dev, _peer) = setup();
         let (_local, mr) = dev.register_mr(64).unwrap();
         let cq = CompletionQueue::new();
-        let lat = LatencyModel::from_nanos(200_000, 0.0, 0.0);
+        let lat = LatencyModel::from_nanos(200_000, 0.0);
         let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), lat);
         let sw = Instant::now();
         qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"x"))
@@ -1325,7 +1325,7 @@ mod tests {
         };
         cluster.install_faults(FaultScheduler::new(&plan, binding));
         let cq = CompletionQueue::new();
-        let lat = LatencyModel::from_nanos(1_500, 0.0, 0.0);
+        let lat = LatencyModel::from_nanos(1_500, 0.0);
         let qp = QueuePair::connect(cluster.clone(), app, &dev, cq.clone(), lat);
         qp.post_many(&data_then_header(mr)).unwrap();
         let status: Vec<WcStatus> = wait_n(&cq, 2).iter().map(|(_, wc)| wc.status).collect();
@@ -1363,7 +1363,7 @@ mod tests {
             let peer = cluster.add_node(format!("peer-{base_ns}"));
             let dev = RdmaDevice::new(cluster.clone(), peer, LatencyModel::ZERO);
             let (_local, mr) = dev.register_mr(64).unwrap();
-            let lat = LatencyModel::from_nanos(base_ns, 0.0, 0.0);
+            let lat = LatencyModel::from_nanos(base_ns, 0.0);
             (
                 QueuePair::connect(cluster.clone(), app, &dev, cq.clone(), lat),
                 mr,
@@ -1404,7 +1404,7 @@ mod tests {
         let (_local, mr) = dev.register_mr(64).unwrap();
         let cq = CompletionQueue::new();
         let flight = Duration::from_millis(100);
-        let lat = LatencyModel::from_nanos(flight.as_nanos() as u64, 0.0, 0.0);
+        let lat = LatencyModel::from_nanos(flight.as_nanos() as u64, 0.0);
         let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), lat);
         let t = Instant::now();
         qp.post_many_at(t, data_then_header(mr)).unwrap();
@@ -1422,7 +1422,7 @@ mod tests {
         let (_local, mr) = dev.register_mr(64).unwrap();
         let cq = CompletionQueue::new();
         let flight = Duration::from_millis(5);
-        let lat = LatencyModel::from_nanos(flight.as_nanos() as u64, 0.0, 0.0);
+        let lat = LatencyModel::from_nanos(flight.as_nanos() as u64, 0.0);
         let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), lat);
         let (asleep, waiter_ready) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
@@ -1448,7 +1448,7 @@ mod tests {
         let (cluster, app, dev, _peer) = setup();
         let (local, mr) = dev.register_mr(64).unwrap();
         let cq = CompletionQueue::new();
-        let lat = LatencyModel::from_nanos(1_000_000, 0.0, 0.0);
+        let lat = LatencyModel::from_nanos(1_000_000, 0.0);
         let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), lat);
         let qp_num = qp.qp_num();
         qp.post_write(WrId(1), &mr, 0, Bytes::from_static(b"kept"))

@@ -10,8 +10,8 @@
 //!   the cluster before delivering any message, so failure injection composes
 //!   across every layer. It also holds the one timer list
 //!   ([`Cluster::every`]): periodic work that owns no thread.
-//! * [`LatencyModel`] — calibrated base + per-byte delays with optional
-//!   jitter, realised by [`delay`] (busy-wait below a threshold so that
+//! * [`LatencyModel`] — calibrated base + per-byte delays, realised by
+//!   [`delay`] (busy-wait below a threshold so that
 //!   microsecond-scale RDMA latencies are actually observable, `sleep`
 //!   above it).
 //! * [`rng`] — small deterministic PRNGs (SplitMix64, xoshiro256**) so that
@@ -26,7 +26,7 @@
 //!   caller's thread, and a top-level call first runs the timers due at its
 //!   instant. Data-plane RDMA lives in the `rdma` crate.
 //! * [`short_read`] — the one end-of-file rule every simulated file backend
-//!   (DFS client, local file system, NCL image) clamps a read with.
+//!   (DFS client, NCL image) clamps a read with.
 //! * [`stats`] — log-bucketed latency histograms and a windowed throughput
 //!   sampler (used to regenerate Figure 12 of the paper).
 //!

@@ -460,7 +460,7 @@ mod tests {
             crate::time::delay(work);
             x
         });
-        let leg = LatencyModel::new(std::time::Duration::from_millis(2), 0.0, 0.0);
+        let leg = LatencyModel::new(std::time::Duration::from_millis(2), 0.0);
         let cli = srv.client(leg);
         let at = Instant::now();
         let (_, ready) = cli.call_at(client_node, at, 1).unwrap();
@@ -483,7 +483,7 @@ mod tests {
             crate::time::delay(work);
             x
         });
-        let leg = LatencyModel::new(Duration::from_millis(4), 0.0, 0.0);
+        let leg = LatencyModel::new(Duration::from_millis(4), 0.0);
         let cli = srv.client(leg);
         let at = Instant::now();
         let (_, first) = cli.call_at(client_node, at, 1).unwrap();
@@ -517,7 +517,7 @@ mod tests {
         let client_node = c.add_node("client");
         let server_node = c.add_node("server");
         let srv = RpcServer::timed(c.clone(), server_node, |served: Instant, ()| served);
-        let leg = LatencyModel::new(std::time::Duration::from_millis(2), 0.0, 0.0);
+        let leg = LatencyModel::new(std::time::Duration::from_millis(2), 0.0);
         let cli = srv.client(leg);
         let at = Instant::now() + std::time::Duration::from_secs(1);
         let (served, ready) = cli.call_at(client_node, at, ()).unwrap();

@@ -51,8 +51,8 @@ pub fn audited<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (out, reads)
 }
 
-/// Waits for `d`: a tight clock poll for RDMA-scale micro-delays, `sleep`
-/// otherwise (see [`SPIN_THRESHOLD`]).
+/// Waits for `d`: a tight clock poll for RDMA-scale micro-delays (20 µs
+/// and under), `sleep` otherwise.
 ///
 /// A zero duration returns immediately without touching the clock, so tests
 /// configured with [`crate::LatencyModel::ZERO`] run at full speed.

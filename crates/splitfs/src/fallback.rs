@@ -14,7 +14,7 @@
 //! The shadow journal is a sequence of self-delimiting frames:
 //!
 //! ```text
-//! [offset: u64 LE][len: u32 LE][crc: u32 LE (FNV-1a of offset‖data)][data]
+//! [offset: u64 LE][len: u32 LE][crc: u32 LE (CRC-32C of offset‖data)][data]
 //! ```
 //!
 //! Parsing stops at the first truncated or corrupt frame, so a crash in the
@@ -119,7 +119,8 @@ pub(crate) fn encode_frame(offset: u64, data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER + data.len());
     out.extend_from_slice(&offset.to_le_bytes());
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_crc(offset, data).to_le_bytes());
+    let crc = sim::crc32c_extend(sim::crc32c(&out[..8]), data);
+    out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(data);
     out
 }
@@ -138,24 +139,13 @@ pub(crate) fn decode_frames(raw: &[u8]) -> Vec<Record> {
             break; // Truncated mid-append.
         }
         let data = &raw[data_at..data_at + len];
-        if frame_crc(offset, data) != crc {
+        if sim::crc32c_extend(sim::crc32c(&raw[at..at + 8]), data) != crc {
             break; // Torn or corrupt frame; nothing after it is trusted.
         }
         out.push((offset, data.to_vec()));
         at = data_at + len;
     }
     out
-}
-
-/// FNV-1a over the frame's offset and data — cheap, dependency-free torn
-/// write detection (this guards against partial appends, not adversaries).
-fn frame_crc(offset: u64, data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for b in offset.to_le_bytes().iter().chain(data) {
-        h ^= u32::from(*b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -18,8 +18,9 @@
 //!   configuration the paper's Table 1 contrasts);
 //! * [`Mode::SplitFt`] — `O_NCL` files go to near-compute logs (synchronous
 //!   replication, microseconds), the rest to the DFS with real `fsync`s;
-//! * [`Mode::Local`] — everything on a local file system (the unrealistic
-//!   `ext4` reference of Figure 11b).
+//! * [`Mode::Local`] — everything on a private one-replica DFS charged
+//!   local-SSD costs ([`dfs::DfsConfig::local_ssd`]) with real `fsync`s: the
+//!   unrealistic `ext4` reference of Figure 11b.
 
 pub mod fallback;
 pub mod spill;
@@ -32,7 +33,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dfs::{DfsClient, DfsError, DfsFile, IoKind, IoTrace, LocalFs};
+use dfs::{DfsClient, DfsError, DfsFile, IoKind, IoTrace};
 use fallback::{Fallback, NclRoute};
 use ncl::{NclError, NclFile, NclLib};
 use parking_lot::Mutex;
@@ -48,7 +49,8 @@ pub enum Mode {
     /// The paper's contribution: `O_NCL` files on near-compute logs, bulk
     /// files on the DFS.
     SplitFt,
-    /// Local file system baseline.
+    /// Local file system baseline: a strong mount of a one-replica DFS on
+    /// local-SSD latencies, which loses unsynced writes at a remount.
     Local,
 }
 
@@ -168,8 +170,7 @@ impl OpenOptions {
 
 struct FsInner {
     mode: Mode,
-    dfs: Option<DfsClient>,
-    local: Option<LocalFs>,
+    dfs: DfsClient,
     ncl: Option<NclLib>,
     ncl_files: Mutex<HashMap<String, Arc<NclRoute>>>,
     trace: Mutex<Option<Arc<IoTrace>>>,
@@ -199,12 +200,7 @@ pub struct SplitFs {
 }
 
 impl SplitFs {
-    fn new(
-        mode: Mode,
-        dfs: Option<DfsClient>,
-        local: Option<LocalFs>,
-        ncl: Option<NclLib>,
-    ) -> Self {
+    fn new(mode: Mode, dfs: DfsClient, ncl: Option<NclLib>) -> Self {
         let telemetry = ncl
             .as_ref()
             .map(|n| n.telemetry().clone())
@@ -213,7 +209,6 @@ impl SplitFs {
             inner: Arc::new(FsInner {
                 mode,
                 dfs,
-                local,
                 ncl,
                 ncl_files: Mutex::new(HashMap::new()),
                 trace: Mutex::new(None),
@@ -231,7 +226,7 @@ impl SplitFs {
 
     /// Strong DFT: every fsync is a synchronous replicated flush.
     pub fn dft_strong(dfs: DfsClient) -> Self {
-        SplitFs::new(Mode::StrongDft, Some(dfs), None, None)
+        SplitFs::new(Mode::StrongDft, dfs, None)
     }
 
     /// Weak DFT: fsync is a no-op; once every `flush_interval` (1 s is a
@@ -239,7 +234,7 @@ impl SplitFs {
     /// posts a writeback of its dirty data without waiting. A crash loses
     /// what no writeback posted.
     pub fn dft_weak(dfs: DfsClient, flush_interval: Duration) -> Self {
-        let mut fs = SplitFs::new(Mode::WeakDft, Some(dfs), None, None);
+        let mut fs = SplitFs::new(Mode::WeakDft, dfs, None);
         let due = Mutex::new(sim::time::now() + flush_interval);
         Arc::get_mut(&mut fs.inner).expect("unshared").writeback = Some((flush_interval, due));
         fs
@@ -247,12 +242,13 @@ impl SplitFs {
 
     /// SplitFT: `O_NCL` files on near-compute logs, the rest on the DFS.
     pub fn splitft(dfs: DfsClient, ncl: NclLib) -> Self {
-        SplitFs::new(Mode::SplitFt, Some(dfs), None, Some(ncl))
+        SplitFs::new(Mode::SplitFt, dfs, Some(ncl))
     }
 
-    /// Local file system baseline.
-    pub fn local(local: LocalFs) -> Self {
-        SplitFs::new(Mode::Local, None, Some(local), None)
+    /// Local file system baseline: `dfs` mounts a store started with
+    /// [`dfs::DfsConfig::local_ssd`], and every `fsync` flushes to it.
+    pub fn local(dfs: DfsClient) -> Self {
+        SplitFs::new(Mode::Local, dfs, None)
     }
 
     /// The mounted mode.
@@ -263,9 +259,7 @@ impl SplitFs {
     /// Attaches an IO trace that records NCL record sizes and DFS flush
     /// sizes (the Figure 1 measurement).
     pub fn set_trace(&self, trace: Arc<IoTrace>) {
-        if let Some(dfs) = &self.inner.dfs {
-            dfs.set_trace(Arc::clone(&trace));
-        }
+        self.inner.dfs.set_trace(Arc::clone(&trace));
         *self.inner.trace.lock() = Some(trace);
     }
 
@@ -280,21 +274,16 @@ impl SplitFs {
         &self.inner.telemetry
     }
 
-    /// Access to the DFS client (all modes except Local).
+    /// Access to the DFS client: always `Some`, since every mode mounts one
+    /// (Local's is its private store).
     pub fn dfs(&self) -> Option<&DfsClient> {
-        self.inner.dfs.as_ref()
+        Some(&self.inner.dfs)
     }
 
     /// Phase breakdown of the most recent NCL recovery triggered through
     /// this facade (used by the Figure 11b harness).
     pub fn last_ncl_recovery(&self) -> Option<ncl::file::RecoveryStats> {
         *self.inner.last_recovery.lock()
-    }
-
-    /// The underlying local store ([`Mode::Local`] only) — lets harnesses
-    /// evict its page cache to model a reboot.
-    pub fn local_store(&self) -> Option<LocalFs> {
-        self.inner.local.clone()
     }
 
     fn is_ncl_route(&self, opts: &OpenOptions) -> bool {
@@ -342,8 +331,7 @@ impl SplitFs {
             if exists {
                 // A crash while degraded left a shadow journal behind; bring
                 // the recovered log up to date before serving the handle.
-                let dfs = self.inner.dfs.as_ref().expect("splitft mode has dfs");
-                if let Some(frames) = fallback::read_journal(dfs, path)? {
+                if let Some(frames) = fallback::read_journal(&self.inner.dfs, path)? {
                     self.replay_journal(path, &file, &frames, "at open")?;
                 }
             }
@@ -359,40 +347,20 @@ impl SplitFs {
                 pipelined: opts.pipelined,
             });
         }
-        match self.inner.mode {
-            Mode::Local => {
-                let local = self.inner.local.as_ref().expect("local mode");
-                if !local.exists(path) {
-                    if opts.create {
-                        local.create(path)?;
-                    } else {
-                        return Err(FsError::NotFound(path.to_string()));
-                    }
-                }
-                Ok(File {
-                    fs: self.clone(),
-                    path: path.to_string(),
-                    backend: Backend::Local,
-                    pipelined: false,
-                })
-            }
-            _ => {
-                let dfs = self.inner.dfs.as_ref().expect("dft modes have dfs");
-                if !dfs.exists(path) {
-                    if opts.create {
-                        dfs.create(path)?;
-                    } else {
-                        return Err(FsError::NotFound(path.to_string()));
-                    }
-                }
-                Ok(File {
-                    fs: self.clone(),
-                    path: path.to_string(),
-                    backend: Backend::Dfs(dfs.open(path)?),
-                    pipelined: false,
-                })
+        let dfs = &self.inner.dfs;
+        if !dfs.exists(path) {
+            if opts.create {
+                dfs.create(path)?;
+            } else {
+                return Err(FsError::NotFound(path.to_string()));
             }
         }
+        Ok(File {
+            fs: self.clone(),
+            path: path.to_string(),
+            backend: Backend::Dfs(dfs.open(path)?),
+            pipelined: false,
+        })
     }
 
     /// True when the path exists on any tier.
@@ -402,14 +370,7 @@ impl SplitFs {
                 return true;
             }
         }
-        if let Some(local) = &self.inner.local {
-            return local.exists(path);
-        }
-        self.inner
-            .dfs
-            .as_ref()
-            .map(|d| d.exists(path))
-            .unwrap_or(false)
+        self.inner.dfs.exists(path)
     }
 
     /// Removes a file. For ncl files this is the `release` path: the log
@@ -424,19 +385,14 @@ impl SplitFs {
                     ncl.delete(path)?;
                 }
                 // The log is gone; any shadow journal of it is stale.
-                if let Some(dfs) = &self.inner.dfs {
-                    let shadow = fallback::shadow_path(path);
-                    if dfs.exists(&shadow) {
-                        dfs.delete(&shadow)?;
-                    }
+                let shadow = fallback::shadow_path(path);
+                if self.inner.dfs.exists(&shadow) {
+                    self.inner.dfs.delete(&shadow)?;
                 }
                 return Ok(());
             }
         }
-        if let Some(local) = &self.inner.local {
-            return Ok(local.delete(path)?);
-        }
-        Ok(self.inner.dfs.as_ref().expect("dfs").delete(path)?)
+        Ok(self.inner.dfs.delete(path)?)
     }
 
     /// Renames a bulk file. NCL files cannot be renamed (the applications
@@ -448,10 +404,7 @@ impl SplitFs {
                 return Err(FsError::Unsupported("rename of an ncl file".to_string()));
             }
         }
-        if let Some(local) = &self.inner.local {
-            return Ok(local.rename(old, new)?);
-        }
-        Ok(self.inner.dfs.as_ref().expect("dfs").rename(old, new)?)
+        Ok(self.inner.dfs.rename(old, new)?)
     }
 
     /// Lists files with the given prefix across tiers (sorted, deduped).
@@ -464,11 +417,7 @@ impl SplitFs {
                     .filter(|f| f.starts_with(prefix)),
             );
         }
-        if let Some(local) = &self.inner.local {
-            out.extend(local.list(prefix));
-        } else if let Some(dfs) = &self.inner.dfs {
-            out.extend(dfs.list(prefix)?);
-        }
+        out.extend(self.inner.dfs.list(prefix)?);
         out.sort();
         out.dedup();
         Ok(out)
@@ -485,7 +434,7 @@ impl SplitFs {
         let (now, due) = (sim::time::now(), due.try_lock());
         if let Some(mut due) = due.filter(|due| now >= **due) {
             *due = now + *interval;
-            let _ = self.inner.dfs.as_ref().expect("weak DFT").flush_all_at(now);
+            let _ = self.inner.dfs.flush_all_at(now);
         }
     }
 
@@ -511,7 +460,7 @@ impl SplitFs {
         if fb.engaged {
             return Ok(());
         }
-        let dfs = self.inner.dfs.as_ref().expect("splitft mode has dfs");
+        let dfs = &self.inner.dfs;
         let shadow = fallback::shadow_path(path);
         let image = route.file.contents();
         if dfs.exists(&shadow) {
@@ -559,7 +508,7 @@ impl SplitFs {
         if needed > capacity {
             return Err(NclError::CapacityExceeded { capacity, needed }.into());
         }
-        let dfs = self.inner.dfs.as_ref().expect("splitft mode has dfs");
+        let dfs = &self.inner.dfs;
         let shadow = fallback::shadow_path(path);
         dfs.append(&shadow, &fallback::encode_frame(offset, data))?;
         dfs.fsync(&shadow)?;
@@ -610,8 +559,7 @@ impl SplitFs {
         path: &str,
         capacity: usize,
     ) -> Result<Option<Arc<NclFile>>, FsError> {
-        let dfs = self.inner.dfs.as_ref().expect("splitft mode has dfs");
-        let Some(frames) = fallback::read_journal(dfs, path)? else {
+        let Some(frames) = fallback::read_journal(&self.inner.dfs, path)? else {
             return Ok(None);
         };
         let mut ends = frames.iter().map(|(o, d)| fallback::frame_end(*o, d.len()));
@@ -649,8 +597,7 @@ impl SplitFs {
         let (name, interned) = (spans::FS_REATTACH_REPLAY, telemetry::intern_scope(&scope));
         tel.span(trace, trace, 0, name, interned, epoch, start, end);
         replayed?;
-        let dfs = self.inner.dfs.as_ref().expect("splitft mode has dfs");
-        dfs.delete(&fallback::shadow_path(path))?;
+        self.inner.dfs.delete(&fallback::shadow_path(path))?;
         self.inner.fallback_reattach.inc();
         let n = frames.len();
         let message = format!("replayed {n} shadow-journal records {why}; resuming NCL");
@@ -670,7 +617,6 @@ impl SplitFs {
 enum Backend {
     /// Reads go through the handle; writes, `fsync` and `size` by path.
     Dfs(DfsFile),
-    Local,
     Ncl(Arc<NclRoute>),
 }
 
@@ -707,17 +653,9 @@ impl File {
                 self.fs.trace_ncl_write(&self.path, data.len());
                 Ok(())
             }
-            Backend::Local => Ok(self
-                .fs
-                .inner
-                .local
-                .as_ref()
-                .expect("local")
-                .write(&self.path, offset, data)?),
             Backend::Dfs(_) => {
                 let t0 = self.fs.inner.dfs_write.is_live().then(sim::time::now);
-                let dfs = self.fs.inner.dfs.as_ref().expect("dfs");
-                dfs.write(&self.path, offset, data)?;
+                self.fs.inner.dfs.write(&self.path, offset, data)?;
                 if let Some(t0) = t0 {
                     self.fs.inner.dfs_write.record_since(t0);
                 }
@@ -743,16 +681,9 @@ impl File {
                 self.fs.trace_ncl_write(&self.path, data.len());
                 Ok(offset)
             }
-            Backend::Local => {
-                let local = self.fs.inner.local.as_ref().expect("local");
-                let offset = local.size(&self.path)?;
-                local.write(&self.path, offset, data)?;
-                Ok(offset)
-            }
             Backend::Dfs(_) => {
                 let t0 = self.fs.inner.dfs_write.is_live().then(sim::time::now);
-                let dfs = self.fs.inner.dfs.as_ref().expect("dfs");
-                let offset = dfs.append(&self.path, data)?;
+                let offset = self.fs.inner.dfs.append(&self.path, data)?;
                 if let Some(t0) = t0 {
                     self.fs.inner.dfs_write.record_since(t0);
                 }
@@ -799,8 +730,9 @@ impl File {
         }
     }
 
-    /// Durability barrier. Mode-dependent: strong flushes to the DFS, weak
-    /// is a no-op, local flushes to "disk". For NCL files this waits until
+    /// Durability barrier. Mode-dependent: weak DFT posts at most a due
+    /// writeback, every other mode flushes to its DFS (Local's is the local
+    /// disk). For NCL files this waits until
     /// every issued record is durable — a no-op after synchronous writes,
     /// the real barrier for pipelined handles.
     pub fn fsync(&self) -> Result<(), FsError> {
@@ -827,20 +759,13 @@ impl File {
                     }
                 }
             }
-            Backend::Local => Ok(self
-                .fs
-                .inner
-                .local
-                .as_ref()
-                .expect("local")
-                .fsync(&self.path)?),
             Backend::Dfs(_) => match self.fs.inner.mode {
                 Mode::WeakDft => {
                     // Lazy: at most a posted writeback, once it is due.
                     self.fs.writeback_if_due();
                     Ok(())
                 }
-                _ => Ok(self.fs.inner.dfs.as_ref().expect("dfs").fsync(&self.path)?),
+                _ => Ok(self.fs.inner.dfs.fsync(&self.path)?),
             },
         };
         if let (Some(t0), Ok(())) = (t0, &result) {
@@ -858,7 +783,7 @@ impl File {
     /// Runs `f` over up to `len` bytes at `offset` (short at end of file,
     /// empty past it; `len` may be `usize::MAX`) and returns what it
     /// returns. Where the backend holds the range as one piece of memory —
-    /// the DFS page cache, the NCL image, the local store — `f` sees those
+    /// the DFS page cache or the NCL image — `f` sees those
     /// bytes in place and only what it keeps is copied. `f` runs under the
     /// backend's lock on the file: it must not call back into the facade.
     pub fn read_with<R>(
@@ -877,14 +802,7 @@ impl File {
                     Ok(route.file.read_with(offset, len, f))
                 }
             }
-            Backend::Local => {
-                let local = self.fs.inner.local.as_ref().expect("local");
-                Ok(local.read_with(&self.path, offset, len, f)?)
-            }
-            Backend::Dfs(file) => {
-                let dfs = self.fs.inner.dfs.as_ref().expect("dfs");
-                Ok(dfs.read_with(file, offset, len, f)?)
-            }
+            Backend::Dfs(file) => Ok(self.fs.inner.dfs.read_with(file, offset, len, f)?),
         }
     }
 
@@ -899,14 +817,7 @@ impl File {
                     Ok(route.file.len())
                 }
             }
-            Backend::Local => Ok(self
-                .fs
-                .inner
-                .local
-                .as_ref()
-                .expect("local")
-                .size(&self.path)?),
-            Backend::Dfs(_) => Ok(self.fs.inner.dfs.as_ref().expect("dfs").size(&self.path)?),
+            Backend::Dfs(_) => Ok(self.fs.inner.dfs.size(&self.path)?),
         }
     }
 

@@ -9,8 +9,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dfs::{DfsCluster, DfsConfig, LocalFs};
+use dfs::{DfsCluster, DfsConfig};
 use ncl::{Controller, NclConfig, NclLib, NclRegistry, Peer};
+use parking_lot::Mutex;
 use sim::{Cluster, NodeId};
 use telemetry::export::http::ScrapeServer;
 use telemetry::{FlightRecorder, OnlineMonitor, SloPlane};
@@ -100,6 +101,9 @@ pub struct Testbed {
     /// The running log peers.
     pub peers: Vec<Peer>,
     config: TestbedConfig,
+    /// One private local-SSD store per [`Mode::Local`] mount, kept serving
+    /// for the testbed's life.
+    local_disks: Mutex<Vec<DfsCluster>>,
     /// The operator scrape endpoint, when [`TestbedConfig::scrape_addr`]
     /// asked for one; stops on drop.
     scrape: Option<ScrapeServer>,
@@ -213,6 +217,7 @@ impl Testbed {
             registry,
             peers,
             config,
+            local_disks: Mutex::new(Vec::new()),
             scrape,
             slo,
             flight,
@@ -253,7 +258,8 @@ impl Testbed {
     }
 
     /// Mounts a facade for application `app_id` in `mode` on a fresh node,
-    /// returning the facade and the node (for failure injection).
+    /// returning the facade and the node (for failure injection). A
+    /// [`Mode::Local`] mount gets a fresh local disk of its own.
     ///
     /// # Panics
     ///
@@ -278,7 +284,12 @@ impl Testbed {
                 .expect("NCL instance lock available");
                 SplitFs::splitft(self.dfs.client(node), ncl)
             }
-            Mode::Local => SplitFs::local(LocalFs::new()),
+            Mode::Local => {
+                let disk = DfsCluster::start(&self.cluster, DfsConfig::local_ssd());
+                let fs = SplitFs::local(disk.client(node));
+                self.local_disks.lock().push(disk);
+                fs
+            }
         };
         (fs, node)
     }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dfs::{DfsCluster, DfsConfig, IoTrace, LocalFs};
+use dfs::{DfsCluster, DfsConfig, IoTrace};
 use ncl::{Controller, NclConfig, NclLib, NclRegistry, Peer};
 use sim::Cluster;
 use splitfs::{FsError, Mode, OpenOptions, SplitFs, Testbed, TestbedConfig};
@@ -292,9 +292,22 @@ fn trace_captures_ncl_record_sizes() {
     assert!(events.iter().all(|e| e.bytes == 124 && e.path == "wal"));
 }
 
+/// A zero-latency one-replica DFS for Local mounts: it serves while the
+/// returned store lives, and each `client` is a (re)mount of it.
+fn local_disk() -> (Cluster, DfsCluster) {
+    let cluster = Cluster::new();
+    let config = DfsConfig {
+        replicas: 1,
+        ..DfsConfig::zero()
+    };
+    let disk = DfsCluster::start(&cluster, config);
+    (cluster, disk)
+}
+
 #[test]
 fn local_mode_roundtrip() {
-    let fs = SplitFs::local(LocalFs::zero());
+    let (cluster, disk) = local_disk();
+    let fs = SplitFs::local(disk.client(cluster.add_node("app")));
     assert_eq!(fs.mode(), Mode::Local);
     let f = fs.open("f", OpenOptions::create()).unwrap();
     f.write_at(0, b"local").unwrap();
@@ -305,6 +318,26 @@ fn local_mode_roundtrip() {
     assert!(fs.exists("g"));
     fs.unlink("g").unwrap();
     assert!(!fs.exists("g"));
+}
+
+/// A Local mount's `fsync` is a strong one: after a remount of its disk
+/// (a reboot) the fsynced bytes are there and the unsynced ones are gone,
+/// as on `ext4` after a power loss.
+#[test]
+fn a_local_remount_keeps_fsynced_bytes_and_loses_the_rest() {
+    let (cluster, disk) = local_disk();
+    let fs = SplitFs::local(disk.client(cluster.add_node("app")));
+    let f = fs.open("log", OpenOptions::create()).unwrap();
+    f.append(b"synced").unwrap();
+    f.fsync().unwrap();
+    f.append(b", then lost").unwrap();
+    assert_eq!(f.read(0, usize::MAX).unwrap(), b"synced, then lost");
+    drop((f, fs));
+
+    let fs = SplitFs::local(disk.client(cluster.add_node("app-rebooted")));
+    let f = fs.open("log", OpenOptions::plain()).unwrap();
+    assert_eq!(f.size().unwrap(), 6);
+    assert_eq!(f.read(0, usize::MAX).unwrap(), b"synced");
 }
 
 #[test]
@@ -325,7 +358,8 @@ fn every_backend_clamps_a_read_the_same_way() {
     // The fallback handle below should engage quickly, not after 5 s.
     config.ncl.write_timeout = Duration::from_millis(300);
     let tb = Testbed::start(config);
-    let local = SplitFs::local(LocalFs::zero());
+    let (cluster, disk) = local_disk();
+    let local = SplitFs::local(disk.client(cluster.add_node("clamp-local")));
     let (dft, _) = tb.mount(Mode::StrongDft, "clamp-dfs");
     let (split, _) = tb.mount(Mode::SplitFt, "clamp-ncl");
     let files = [

@@ -217,7 +217,7 @@ fn control_path_spans_partition_their_roots_and_are_the_stats() {
 #[test]
 fn the_stats_do_not_depend_on_the_spans() {
     let mut config = NclConfig::zero();
-    config.control = LatencyModel::from_nanos(200_000, 0.0, 0.0);
+    config.control = LatencyModel::from_nanos(200_000, 0.0);
     let rpc = config.control.cost(0);
     for tel in [Telemetry::disabled(), Telemetry::new()] {
         let traced = tel.is_enabled();
