@@ -166,7 +166,8 @@ pub fn decode_record(
     }
     let seq = u64::from_le_bytes(body[0..8].try_into().expect("8"));
     let count = u32::from_le_bytes(body[8..12].try_into().expect("4")) as usize;
-    let mut entries = Vec::with_capacity(count);
+    // Reserve no more than the body can hold: an entry is at least 5 bytes.
+    let mut entries = Vec::with_capacity(count.min((body.len() - 12) / 5));
     let mut pos = 12;
     for _ in 0..count {
         if pos + 5 > body.len() {

@@ -149,7 +149,9 @@ pub fn replay(buf: &[u8]) -> Vec<Command> {
         };
         pos += 4;
         let mut ok = true;
-        let mut batch = Vec::with_capacity(count);
+        // Reserve no more than the body can hold: a command is at least
+        // 5 bytes, its length and its tag.
+        let mut batch = Vec::with_capacity(count.min((body.len() - pos) / 5));
         for _ in 0..count {
             if pos + 4 > body.len() {
                 ok = false;

@@ -17,11 +17,10 @@
 //! the old AOF is **deleted** (Table 2's reclaim policy).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use splitfs::{File, OpenOptions, SplitFs};
 
 use super::aof;
@@ -61,8 +60,8 @@ impl RedisOptions {
 }
 
 enum Request {
-    Write(Command, Sender<Result<Reply, AppError>>),
-    Read(Query, Sender<Result<Reply, AppError>>),
+    Write(Command, SyncSender<Result<Reply, AppError>>),
+    Read(Query, SyncSender<Result<Reply, AppError>>),
 }
 
 /// A MiniRedis instance (see module docs).
@@ -83,7 +82,8 @@ struct Executor {
     /// Commands applied since the in-flight snapshot started (replayed into
     /// the fresh AOF when the rewrite lands).
     rewrite_tail: Vec<Command>,
-    rewrite_rx: Option<Receiver<Result<(), AppError>>>,
+    /// The snapshot being written in the background, if any.
+    bgsave: Option<JoinHandle<Result<(), AppError>>>,
     rewrites: Arc<AtomicU64>,
 }
 
@@ -148,7 +148,7 @@ impl MiniRedis {
         };
 
         let rewrites = Arc::new(AtomicU64::new(0));
-        let (tx, rx) = unbounded::<Request>();
+        let (tx, rx) = channel::<Request>();
         let mut exec = Executor {
             fs,
             prefix: prefix.to_string(),
@@ -158,7 +158,7 @@ impl MiniRedis {
             aof_size,
             generation,
             rewrite_tail: Vec::new(),
-            rewrite_rx: None,
+            bgsave: None,
             rewrites: Arc::clone(&rewrites),
         };
         let thread = std::thread::Builder::new()
@@ -174,7 +174,7 @@ impl MiniRedis {
 
     /// Executes a mutating command.
     pub fn execute(&self, cmd: Command) -> Result<Reply, AppError> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         self.tx
             .as_ref()
             .ok_or(AppError::Closed)?
@@ -185,7 +185,7 @@ impl MiniRedis {
 
     /// Evaluates a read-only query.
     pub fn query(&self, q: Query) -> Result<Reply, AppError> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         self.tx
             .as_ref()
             .ok_or(AppError::Closed)?
@@ -237,14 +237,9 @@ fn rdb_name(prefix: &str, generation: u64) -> String {
 
 impl Executor {
     fn run(&mut self, rx: Receiver<Request>) {
-        loop {
+        while let Ok(first) = rx.recv() {
             // Land a finished background rewrite first.
-            self.poll_rewrite();
-            let first = match rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(req) => req,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
+            self.land_rewrite();
             let mut batch = vec![first];
             while batch.len() < self.opts.batch_max {
                 match rx.try_recv() {
@@ -254,13 +249,13 @@ impl Executor {
             }
             // Apply in arrival order; collect write commands for the AOF.
             let mut commands = Vec::new();
-            let mut replies: Vec<(Sender<Result<Reply, AppError>>, Reply)> = Vec::new();
+            let mut replies: Vec<(SyncSender<Result<Reply, AppError>>, Reply)> = Vec::new();
             for req in batch {
                 match req {
                     Request::Write(cmd, reply) => {
                         let r = self.store.apply(&cmd);
                         if !matches!(r, Reply::WrongType) {
-                            if self.rewrite_rx.is_some() {
+                            if self.bgsave.is_some() {
                                 self.rewrite_tail.push(cmd.clone());
                             }
                             commands.push(cmd);
@@ -312,41 +307,40 @@ impl Executor {
             }
             self.maybe_start_rewrite();
         }
+        // Closed: finish a save in flight rather than leave it writing behind
+        // an instance that is gone.
+        if let Some(save) = self.bgsave.take() {
+            let _ = save.join();
+        }
     }
 
     fn maybe_start_rewrite(&mut self) {
-        if self.rewrite_rx.is_some() || self.aof_size < self.opts.rewrite_threshold {
+        if self.bgsave.is_some() || self.aof_size < self.opts.rewrite_threshold {
             return;
         }
         // "Fork": snapshot the keyspace and write the RDB in the background.
         let snapshot = self.store.serialize();
         let fs = self.fs.clone();
         let rdb_path = rdb_name(&self.prefix, self.generation + 1);
-        let (done_tx, done_rx) = bounded(1);
-        std::thread::Builder::new()
+        let bgsave = std::thread::Builder::new()
             .name("redis-bgsave".to_string())
             .spawn(move || {
-                let result = (|| -> Result<(), AppError> {
-                    let rdb = fs.open(&rdb_path, OpenOptions::create())?;
-                    rdb.write_at(0, &encode_frame(&snapshot))?;
-                    rdb.fsync()?;
-                    Ok(())
-                })();
-                let _ = done_tx.send(result);
+                let rdb = fs.open(&rdb_path, OpenOptions::create())?;
+                rdb.write_at(0, &encode_frame(&snapshot))?;
+                rdb.fsync()?;
+                Ok(())
             })
             .expect("spawn bgsave");
-        self.rewrite_rx = Some(done_rx);
+        self.bgsave = Some(bgsave);
         self.rewrite_tail.clear();
     }
 
-    fn poll_rewrite(&mut self) {
-        let Some(rx) = &self.rewrite_rx else { return };
-        let result = match rx.try_recv() {
-            Ok(r) => r,
-            Err(_) => return, // Still running (or already consumed).
-        };
-        self.rewrite_rx = None;
-        if result.is_err() {
+    /// Installs the snapshot a finished background save wrote, if one has.
+    fn land_rewrite(&mut self) {
+        if !self.bgsave.as_ref().is_some_and(JoinHandle::is_finished) {
+            return;
+        }
+        if !matches!(self.bgsave.take().expect("finished").join(), Ok(Ok(()))) {
             // Snapshot failed: keep the current AOF, try again later.
             return;
         }

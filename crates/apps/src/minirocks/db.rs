@@ -30,11 +30,11 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use splitfs::{File, OpenOptions, SplitFs};
 
@@ -216,7 +216,7 @@ struct Wal {
 /// next one meanwhile waits too, RocksDB's default write-buffer limit.
 struct FlushJob {
     wal_number: u64,
-    next_wal: Sender<Result<(u64, File), AppError>>,
+    next_wal: SyncSender<Result<(u64, File), AppError>>,
 }
 
 /// `[0]`: L0, newest last. `[1]`: L1, disjoint, sorted by first key.
@@ -337,7 +337,7 @@ impl MiniRocks {
         )?;
         manifest.log(&[Edit::AddWal { file: wal_number }])?;
 
-        let (flush_tx, flush_rx) = unbounded::<FlushJob>();
+        let (flush_tx, flush_rx) = channel::<FlushJob>();
         let inner = Arc::new(Inner {
             fs,
             prefix: prefix.to_string(),
@@ -603,7 +603,7 @@ impl Inner {
 
     /// Has the flush thread rotate ([`FlushJob`]); adopts the WAL it answers.
     fn rotate(&self, wal: &mut Wal) -> Result<(), AppError> {
-        let (next_wal, answer) = bounded(1);
+        let (next_wal, answer) = sync_channel(1);
         let job = FlushJob {
             wal_number: wal.number,
             next_wal,

@@ -404,6 +404,45 @@ fn redis_crash_recovery_replays_aof() {
     }
 }
 
+/// Eight clients' commands share the server's batches on strong mode's
+/// ~2 ms barrier, yet run one at a time: each `INCR` answers its own count,
+/// and every acknowledged one survives a crash.
+#[test]
+fn redis_concurrent_clients_get_their_own_replies() {
+    let tb = Testbed::start(TestbedConfig::calibrated(3));
+    let (fs, node) = tb.mount(Mode::StrongDft, "redis-mt");
+    let r = MiniRedis::open(fs, "r/", RedisOptions::default()).unwrap();
+    let mut counts: Vec<i64> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..8)
+            .map(|_| {
+                let r = &r;
+                s.spawn(move || {
+                    (0..25)
+                        .map(|_| match r.execute(Command::Incr("n".into())).unwrap() {
+                            Reply::Int(n) => n,
+                            other => panic!("INCR answered {other:?}"),
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    counts.sort_unstable();
+    assert_eq!(counts, (1..=200).collect::<Vec<_>>());
+    tb.cluster.crash(node);
+    drop(r);
+    let (fs, _) = tb.mount(Mode::StrongDft, "redis-mt");
+    let r = MiniRedis::open(fs, "r/", RedisOptions::default()).unwrap();
+    assert_eq!(
+        r.query(Query::Get("n".into())).unwrap(),
+        Reply::Bulk(Some(b"200".to_vec()))
+    );
+}
+
 #[test]
 fn redis_rewrite_compacts_and_survives_crash() {
     let tb = Testbed::start(TestbedConfig::zero(3));

@@ -27,16 +27,12 @@ pub struct TestbedConfig {
     pub ncl: NclConfig,
     /// Number of log peers to start.
     pub peers: usize,
-    /// Memory each peer lends, in bytes. Overridden by the
-    /// `SPLITFT_PEER_MEM` environment variable (bytes) at
-    /// [`Testbed::start`].
+    /// Memory each peer lends, in bytes.
     pub peer_mem: u64,
     /// When set, every peer schedules its GC at this interval
     /// ([`ncl::Peer::schedule_gc`]: pressure-signal draining, epoch leak
     /// GC, lease expiry, run by the next control-plane call once due).
     /// `None` (or zero) leaves GC caller-driven via [`ncl::Peer::gc_sweep`].
-    /// Overridden by the `SPLITFT_PEER_GC_MS` environment variable
-    /// (milliseconds; `0` disables) at [`Testbed::start`].
     pub peer_gc_interval: Option<Duration>,
     /// Weak mode's writeback interval: a weak mount's first write or
     /// `fsync` past it posts a writeback of its dirty data.
@@ -121,16 +117,6 @@ pub struct Testbed {
 impl Testbed {
     /// Starts every service described by `config`.
     pub fn start(mut config: TestbedConfig) -> Self {
-        if let Ok(v) = std::env::var("SPLITFT_PEER_MEM") {
-            if let Ok(bytes) = v.trim().parse::<u64>() {
-                config.peer_mem = bytes;
-            }
-        }
-        if let Ok(v) = std::env::var("SPLITFT_PEER_GC_MS") {
-            if let Ok(ms) = v.trim().parse::<u64>() {
-                config.peer_gc_interval = Some(Duration::from_millis(ms));
-            }
-        }
         if let Ok(v) = std::env::var("SPLITFT_ONLINE_MONITOR") {
             match v.trim() {
                 "1" | "true" | "on" => config.online_monitor = true,
