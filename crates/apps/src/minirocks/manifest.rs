@@ -8,8 +8,7 @@
 
 use splitfs::{File, OpenOptions, SplitFs};
 
-use crate::kv::AppError;
-use sim::crc32c;
+use crate::kv::{decode_frame, encode_frame, AppError};
 
 /// One version edit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +61,9 @@ impl Edit {
     }
 
     fn decode(buf: &[u8], pos: &mut usize) -> Result<Edit, AppError> {
-        let tag = buf[*pos];
+        let tag = *buf
+            .get(*pos)
+            .ok_or_else(|| AppError::Corrupt("manifest edit truncated".into()))?;
         *pos += 1;
         let take_u64 = |pos: &mut usize| -> Result<u64, AppError> {
             if *pos + 8 > buf.len() {
@@ -99,7 +100,7 @@ impl Edit {
 }
 
 /// The file set described by a manifest replay.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Version {
     /// `(level, file_number)` pairs of live SSTables, in edit order.
     pub ssts: Vec<(u8, u64)>,
@@ -140,46 +141,21 @@ impl Manifest {
     pub fn open(fs: &SplitFs, path: &str) -> Result<(Self, Version), AppError> {
         let existed = fs.exists(path);
         let file = fs.open(path, OpenOptions::create())?;
-        let mut version = Version::default();
-        let mut offset = 0u64;
-        if existed {
-            let size = file.size()? as usize;
-            let buf = file.read(0, size)?;
-            let mut pos = 0usize;
-            while pos + 8 <= buf.len() {
-                let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4")) as usize;
-                if len == 0 {
-                    break;
-                }
-                let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4"));
-                if pos + 8 + len > buf.len() {
-                    break; // Torn tail: ignore, the edit never committed.
-                }
-                let body = &buf[pos + 8..pos + 8 + len];
-                if crc32c(body) != crc {
-                    break;
-                }
-                let mut body_pos = 0;
-                while body_pos < body.len() {
-                    version.apply(Edit::decode(body, &mut body_pos)?);
-                }
-                pos += 8 + len;
-            }
-            offset = pos as u64;
-        }
+        let (version, offset) = if existed {
+            file.read_with(0, usize::MAX, replay)??
+        } else {
+            (Version::default(), 0)
+        };
         Ok((Manifest { file, offset }, version))
     }
 
-    /// Appends a batch of edits as one fsynced frame.
+    /// Appends a batch of edits as one fsynced frame. An empty batch writes
+    /// nothing: its frame would read as the end of the log.
     pub fn log(&mut self, edits: &[Edit]) -> Result<(), AppError> {
-        let mut body = Vec::new();
-        for e in edits {
-            e.encode_into(&mut body);
+        if edits.is_empty() {
+            return Ok(());
         }
-        let mut frame = Vec::with_capacity(body.len() + 8);
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32c(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
+        let frame = encode_edits(edits);
         self.file.write_at(self.offset, &frame)?;
         self.file.fsync()?;
         self.offset += frame.len() as u64;
@@ -187,10 +163,36 @@ impl Manifest {
     }
 }
 
+/// A batch of edits as one frame (`kv::encode_frame`).
+fn encode_edits(edits: &[Edit]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for e in edits {
+        e.encode_into(&mut body);
+    }
+    encode_frame(&body)
+}
+
+/// Replays manifest bytes: the version its committed frames describe and
+/// where the next frame goes. A torn or corrupt frame ends the log there —
+/// its edits never committed — but a checksummed frame that does not decode
+/// is corruption.
+fn replay(buf: &[u8]) -> Result<(Version, u64), AppError> {
+    let (mut version, mut offset) = (Version::default(), 0);
+    while let Ok(Some((body, next))) = decode_frame(buf, offset) {
+        let mut pos = 0;
+        while pos < body.len() {
+            version.apply(Edit::decode(body, &mut pos)?);
+        }
+        offset = next;
+    }
+    Ok((version, offset as u64))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dfs::{DfsCluster, DfsConfig};
+    use proptest::prelude::*;
 
     /// A Local mount of a zero-latency DFS, which serves while the returned
     /// store lives.
@@ -253,5 +255,67 @@ mod tests {
         f.write_at(size, &[9, 0, 0, 0, 1, 2, 3]).unwrap();
         let (_m, v) = Manifest::open(&fs, "MANIFEST").unwrap();
         assert_eq!(v.wals, vec![1]);
+    }
+
+    fn edit() -> impl Strategy<Value = Edit> {
+        prop_oneof![
+            1 => (any::<u8>(), any::<u64>()).prop_map(|(level, file)| Edit::AddSst { level, file }),
+            1 => any::<u64>().prop_map(|file| Edit::RemoveSst { file }),
+            1 => any::<u64>().prop_map(|file| Edit::AddWal { file }),
+            1 => any::<u64>().prop_map(|file| Edit::RemoveWal { file }),
+        ]
+    }
+
+    /// Logged batches: one to three edits each.
+    fn batches() -> impl Strategy<Value = Vec<Vec<Edit>>> {
+        prop::collection::vec(prop::collection::vec(edit(), 1..4), 0..5)
+    }
+
+    /// The version `batches` describe, applied in order.
+    fn applied<'a>(batches: impl IntoIterator<Item = &'a Vec<Edit>>) -> Version {
+        let mut version = Version::default();
+        batches
+            .into_iter()
+            .flatten()
+            .for_each(|e| version.apply(*e));
+        version
+    }
+
+    // A reopen replays what a crashed process wrote: no bytes may panic the
+    // replay, logged batches replay as written, and a flipped bit keeps a
+    // prefix of them or is reported.
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_replay(raw in prop::collection::vec(any::<u8>(), 0..96)) {
+            let _ = replay(&raw);
+            let mut pos = 0;
+            while pos < raw.len() && Edit::decode(&raw, &mut pos).is_ok() {}
+        }
+
+        #[test]
+        fn logged_edits_replay_as_written(written in batches()) {
+            let raw: Vec<u8> = written.iter().flat_map(|b| encode_edits(b)).collect();
+            prop_assert_eq!(replay(&raw).unwrap(), (applied(&written), raw.len() as u64));
+        }
+
+        #[test]
+        fn a_flipped_bit_keeps_a_prefix(case in (batches(), any::<u64>())) {
+            let (written, pick) = case;
+            let frames: Vec<Vec<u8>> = written.iter().map(|b| encode_edits(b)).collect();
+            let mut raw = frames.concat();
+            if raw.is_empty() {
+                return Ok(());
+            }
+            let bit = pick as usize % (raw.len() * 8);
+            raw[bit / 8] ^= 1 << (bit % 8);
+            let Ok((version, end)) = replay(&raw) else { return Ok(()) };
+            let kept = frames.iter().scan(0, |at, f| {
+                *at += f.len() as u64;
+                Some(*at)
+            });
+            let kept = kept.take_while(|&at| at <= end).count();
+            prop_assert!(end as usize <= bit / 8, "replayed past the flip at byte {}", bit / 8);
+            prop_assert_eq!(version, applied(&written[..kept]));
+        }
     }
 }

@@ -21,6 +21,9 @@ use sim::crc32c;
 const SST_MAGIC: u32 = 0x5353_5431; // "SST1"
 /// Fixed footer size at the end of the file.
 const FOOTER_SIZE: usize = 40;
+/// Most probes a bloom filter makes per key: what the builder clamps to and
+/// the decoder accepts, so a corrupt filter cannot cost 2^32 of them.
+const MAX_PROBES: u32 = 30;
 
 /// Bloom filter over the table's keys.
 #[derive(Debug, Clone)]
@@ -35,7 +38,7 @@ impl Bloom {
         let nbits = (n.max(1) * bits_per_key).max(64);
         let nbits = nbits.next_power_of_two();
         let k = ((bits_per_key as f64) * 0.69) as u32;
-        let k = k.clamp(1, 30);
+        let k = k.clamp(1, MAX_PROBES);
         let mut bits = vec![0u8; nbits / 8];
         for key in keys {
             let (mut h, delta) = Self::hashes(key);
@@ -82,29 +85,32 @@ impl Bloom {
         out
     }
 
-    fn decode(buf: &[u8]) -> Result<Self, AppError> {
-        if buf.len() < 4 {
-            return Err(AppError::Corrupt("bloom too short".into()));
+    fn decode(mut buf: &[u8]) -> Result<Self, AppError> {
+        match take(&mut buf).map(u32::from_le_bytes) {
+            Some(k @ 1..=MAX_PROBES) => Ok(Bloom {
+                k,
+                bits: buf.to_vec(),
+            }),
+            Some(k) => Err(AppError::Corrupt(format!(
+                "bloom probes {k} outside 1..={MAX_PROBES}"
+            ))),
+            None => Err(AppError::Corrupt("bloom too short".into())),
         }
-        Ok(Bloom {
-            k: u32::from_le_bytes(buf[0..4].try_into().expect("4")),
-            bits: buf[4..].to_vec(),
-        })
     }
 }
 
-/// One index entry as the builder collects it: the block's last key and
-/// extent.
-#[derive(Debug, Clone)]
-struct IndexEntry {
-    last_key: Vec<u8>,
-    offset: u64,
-    len: u32,
+/// Takes `N` bytes off the front of `buf`, or `None` when it is shorter.
+fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let whole: &[u8] = buf;
+    let (head, rest) = whole.split_first_chunk()?;
+    *buf = rest;
+    Some(*head)
 }
 
-/// The reader's block index, flat: a binary search touches `ends` and one
-/// run of `keys`, not a heap allocation per probe.
-#[derive(Default)]
+/// The block index, flat: a binary search touches `ends` and one run of
+/// `keys`, not a heap allocation per probe. On disk each block is one
+/// `klen u32 | last key | offset u64 | len u32` entry.
+#[derive(Debug, Default)]
 struct BlockIndex {
     /// Every block's last key, end to end.
     keys: Vec<u8>,
@@ -119,6 +125,35 @@ impl BlockIndex {
         self.keys.extend_from_slice(last_key);
         self.ends.push(self.keys.len() as u32);
         self.blocks.push((offset, len));
+    }
+
+    /// Appends one block's entry to an encoded index.
+    fn encode_entry(out: &mut Vec<u8>, last_key: &[u8], offset: u64, len: u32) {
+        out.extend_from_slice(&(last_key.len() as u32).to_le_bytes());
+        out.extend_from_slice(last_key);
+        out.extend_from_slice(&offset.to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
+    }
+
+    /// Decodes an encoded index. Only the footer carries a CRC, so an entry
+    /// cut short is corruption, not a panic.
+    fn decode(mut buf: &[u8]) -> Result<Self, AppError> {
+        let mut index = BlockIndex::default();
+        while !buf.is_empty() {
+            let (last_key, offset, len) = Self::next_entry(&mut buf)
+                .ok_or_else(|| AppError::Corrupt("sstable index entry cut short".into()))?;
+            index.push(last_key, offset, len);
+        }
+        Ok(index)
+    }
+
+    /// Takes one entry off the front of `buf`.
+    fn next_entry<'a>(buf: &mut &'a [u8]) -> Option<(&'a [u8], u64, u32)> {
+        let klen = u32::from_le_bytes(take(buf)?) as usize;
+        let (last_key, rest) = buf.split_at_checked(klen)?;
+        *buf = rest;
+        let offset = u64::from_le_bytes(take(buf)?);
+        Some((last_key, offset, u32::from_le_bytes(take(buf)?)))
     }
 
     fn last_key(&self, block: usize) -> &[u8] {
@@ -174,7 +209,8 @@ pub struct SstBuilder {
     buf: Vec<u8>,
     block_start: usize,
     block_last_key: Vec<u8>,
-    index: Vec<IndexEntry>,
+    /// The block index, encoded.
+    index: Vec<u8>,
     keys: Vec<Vec<u8>>,
     first_key: Option<Vec<u8>>,
     count: u64,
@@ -229,11 +265,9 @@ impl SstBuilder {
         if self.buf.len() == self.block_start {
             return;
         }
-        self.index.push(IndexEntry {
-            last_key: self.block_last_key.clone(),
-            offset: self.block_start as u64,
-            len: (self.buf.len() - self.block_start) as u32,
-        });
+        let (offset, len) = (self.block_start, self.buf.len() - self.block_start);
+        let last_key = &self.block_last_key;
+        BlockIndex::encode_entry(&mut self.index, last_key, offset as u64, len as u32);
         self.block_start = self.buf.len();
     }
 
@@ -247,51 +281,46 @@ impl SstBuilder {
             self.bits_per_key,
         );
 
-        let index_off = self.buf.len() as u64;
-        let mut index_buf = Vec::new();
-        for e in &self.index {
-            index_buf.extend_from_slice(&(e.last_key.len() as u32).to_le_bytes());
-            index_buf.extend_from_slice(&e.last_key);
-            index_buf.extend_from_slice(&e.offset.to_le_bytes());
-            index_buf.extend_from_slice(&e.len.to_le_bytes());
-        }
-        self.buf.extend_from_slice(&index_buf);
-        let bloom_off = self.buf.len() as u64;
-        let bloom_buf = bloom.encode();
-        self.buf.extend_from_slice(&bloom_buf);
-
-        let mut footer = Vec::with_capacity(FOOTER_SIZE);
-        footer.extend_from_slice(&index_off.to_le_bytes());
-        footer.extend_from_slice(&(index_buf.len() as u32).to_le_bytes());
-        footer.extend_from_slice(&bloom_off.to_le_bytes());
-        footer.extend_from_slice(&(bloom_buf.len() as u32).to_le_bytes());
-        footer.extend_from_slice(&self.count.to_le_bytes());
-        footer.extend_from_slice(&SST_MAGIC.to_le_bytes());
-        let crc = crc32c(&footer);
-        footer.extend_from_slice(&crc.to_le_bytes());
-        debug_assert_eq!(footer.len(), FOOTER_SIZE);
-        self.buf.extend_from_slice(&footer);
+        let mut region = |bytes: &[u8]| {
+            let offset = self.buf.len() as u64;
+            self.buf.extend_from_slice(bytes);
+            (offset, bytes.len() as u32)
+        };
+        let (index, bloom_region) = (region(&self.index), region(&bloom.encode()));
+        self.buf
+            .extend_from_slice(&footer(index, bloom_region, self.count));
 
         let file = fs.open(path, OpenOptions::create())?;
         file.write_at(0, &self.buf)?;
         file.fsync()?;
 
-        let first_key = self.first_key.clone().unwrap_or_default();
-        let last_key = self.block_last_key.clone();
-        let mut index = BlockIndex::default();
-        for e in &self.index {
-            index.push(&e.last_key, e.offset, e.len);
-        }
+        // The reader's index is what an open decodes, allocated once the
+        // table's buffer has stopped growing.
         Ok(SstReader {
             file,
             path: path.to_string(),
-            index,
+            index: BlockIndex::decode(&self.index)?,
             bloom,
-            first_key,
-            last_key,
+            first_key: self.first_key.unwrap_or_default(),
+            last_key: self.block_last_key,
             count: self.count,
         })
     }
+}
+
+/// The footer: where the index and the bloom filter lie, each
+/// `(offset, len)`, the entry count, the magic and a CRC over all of it.
+fn footer(index: (u64, u32), bloom: (u64, u32), count: u64) -> [u8; FOOTER_SIZE] {
+    let mut footer = [0; FOOTER_SIZE];
+    footer[0..8].copy_from_slice(&index.0.to_le_bytes());
+    footer[8..12].copy_from_slice(&index.1.to_le_bytes());
+    footer[12..20].copy_from_slice(&bloom.0.to_le_bytes());
+    footer[20..24].copy_from_slice(&bloom.1.to_le_bytes());
+    footer[24..32].copy_from_slice(&count.to_le_bytes());
+    footer[32..36].copy_from_slice(&SST_MAGIC.to_le_bytes());
+    let crc = crc32c(&footer[..36]);
+    footer[36..].copy_from_slice(&crc.to_le_bytes());
+    footer
 }
 
 /// Read-side handle to an SSTable.
@@ -328,24 +357,20 @@ impl SstReader {
         let bloom_len = u32::from_le_bytes(footer[20..24].try_into().expect("4")) as usize;
         let count = u64::from_le_bytes(footer[24..32].try_into().expect("8"));
 
-        let index = file.read_with(index_off, index_len, |index_buf| {
-            let mut index = BlockIndex::default();
-            let mut pos = 0;
-            while pos + 4 <= index_buf.len() {
-                let klen =
-                    u32::from_le_bytes(index_buf[pos..pos + 4].try_into().expect("4")) as usize;
-                pos += 4;
-                let last_key = &index_buf[pos..pos + klen];
-                pos += klen;
-                let offset = u64::from_le_bytes(index_buf[pos..pos + 8].try_into().expect("8"));
-                pos += 8;
-                let len = u32::from_le_bytes(index_buf[pos..pos + 4].try_into().expect("4"));
-                pos += 4;
-                index.push(last_key, offset, len);
+        // A footer pointing past the end of the file reads short.
+        let whole = |buf: &[u8], len: usize, what: &str| {
+            if buf.len() == len {
+                Ok(())
+            } else {
+                Err(AppError::Corrupt(format!("{path}: {what} cut short")))
             }
-            index
-        })?;
-        let bloom = file.read_with(bloom_off, bloom_len, Bloom::decode)??;
+        };
+        let index = file.read_with(index_off, index_len, |buf| {
+            whole(buf, index_len, "index").and_then(|()| BlockIndex::decode(buf))
+        })??;
+        let bloom = file.read_with(bloom_off, bloom_len, |buf| {
+            whole(buf, bloom_len, "bloom").and_then(|()| Bloom::decode(buf))
+        })??;
         let last_block = index.blocks.len().checked_sub(1);
         let last_key = last_block.map_or(Vec::new(), |b| index.last_key(b).to_vec());
         // First key needs the first block's first entry.
@@ -434,6 +459,7 @@ impl SstReader {
 mod tests {
     use super::*;
     use dfs::{DfsCluster, DfsConfig};
+    use proptest::prelude::*;
 
     /// A Local mount of a zero-latency DFS, which serves while the returned
     /// store lives.
@@ -573,6 +599,128 @@ mod tests {
         for (k, v) in built.scan_all().unwrap() {
             assert_eq!(opened.get(&k).unwrap(), Some(v.clone()));
             assert_eq!(built.get(&k).unwrap(), Some(v));
+        }
+    }
+
+    /// Writes `meta` as a table whose valid footer places the index and the
+    /// bloom filter at `index` and `bloom`, each `(offset, len)`.
+    fn write_meta(fs: &SplitFs, path: &str, meta: &[u8], index: (u64, u32), bloom: (u64, u32)) {
+        let file = fs.open(path, OpenOptions::create()).unwrap();
+        file.write_at(0, &[meta, &footer(index, bloom, 0)].concat())
+            .unwrap();
+    }
+
+    /// Only the footer carries a CRC: an index or bloom region it points at
+    /// that is cut short, or a filter that asks for 2^32 - 1 probes, is
+    /// corruption, not a panic or a hang.
+    #[test]
+    fn corrupt_metadata_behind_a_valid_footer_is_corrupt() {
+        let (_disk, fs) = local_fs();
+        let mut index = Vec::new();
+        BlockIndex::encode_entry(&mut index, b"", 0, 0);
+        let bloom = Bloom::build([&b"k"[..]].into_iter(), 1, 10).encode();
+        let mut wild = bloom.clone();
+        wild[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let (ilen, blen) = (index.len() as u32, bloom.len() as u32);
+        let at_bloom = (ilen as u64, blen);
+        let cases = [
+            ("sound", &bloom, (0, ilen), at_bloom, true),
+            (
+                "index past the end",
+                &bloom,
+                (1 << 20, ilen),
+                at_bloom,
+                false,
+            ),
+            (
+                "index entry cut short",
+                &bloom,
+                (0, ilen - 1),
+                at_bloom,
+                false,
+            ),
+            (
+                "bloom past the end",
+                &bloom,
+                (0, ilen),
+                (1 << 20, blen),
+                false,
+            ),
+            ("2^32 - 1 bloom probes", &wild, (0, ilen), at_bloom, false),
+        ];
+        for (what, bloom, at_index, at_bloom, sound) in cases {
+            write_meta(&fs, what, &[&index[..], bloom].concat(), at_index, at_bloom);
+            match SstReader::open(&fs, what) {
+                Ok(_) => assert!(sound, "{what}"),
+                Err(e) => assert!(!sound && matches!(e, AppError::Corrupt(_)), "{what}: {e}"),
+            }
+        }
+    }
+
+    fn bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(any::<u8>(), 0..max)
+    }
+
+    /// Block index entries: a last key and an extent each.
+    fn entries() -> impl Strategy<Value = Vec<(Vec<u8>, u64, u32)>> {
+        prop::collection::vec((bytes(12), any::<u64>(), any::<u32>()), 0..6)
+    }
+
+    // The index and the bloom filter are read back from the file system
+    // with no checksum of their own, so no bytes may panic their decoders,
+    // and an encoded value decodes as written.
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_metadata_decoders(raw in bytes(96)) {
+            let _ = BlockIndex::decode(&raw);
+            if let Ok(bloom) = Bloom::decode(&raw) {
+                prop_assert!((1..=MAX_PROBES).contains(&bloom.k));
+                let _ = bloom.may_contain(&raw);
+            }
+        }
+
+        #[test]
+        fn an_index_decodes_as_written_and_a_cut_one_is_corrupt(case in (entries(), any::<u16>())) {
+            let (written, cut) = case;
+            let (mut raw, mut ends) = (Vec::new(), vec![0]);
+            for (last_key, offset, len) in &written {
+                BlockIndex::encode_entry(&mut raw, last_key, *offset, *len);
+                ends.push(raw.len());
+            }
+            // A cut between entries is a shorter index; anywhere else it is
+            // corruption.
+            for cut in [raw.len(), cut as usize % (raw.len() + 1)] {
+                match (BlockIndex::decode(&raw[..cut]), ends.iter().position(|&e| e == cut)) {
+                    (Ok(index), Some(n)) => {
+                        let read = (0..index.blocks.len()).map(|b| (index.last_key(b), index.blocks[b]));
+                        let want = written[..n].iter().map(|(k, o, l)| (&k[..], (*o, *l)));
+                        prop_assert!(read.eq(want), "cut at {cut}");
+                    }
+                    (Err(AppError::Corrupt(_)), None) => {}
+                    (read, _) => prop_assert!(false, "cut at {cut} of {ends:?}: {read:?}"),
+                }
+            }
+        }
+
+        #[test]
+        fn a_bloom_filter_decodes_as_written(case in (prop::collection::vec(bytes(12), 0..40), 1..24usize)) {
+            let (keys, bits_per_key) = case;
+            let written = Bloom::build(keys.iter().map(Vec::as_slice), keys.len(), bits_per_key);
+            let read = Bloom::decode(&written.encode()).unwrap();
+            prop_assert_eq!((read.k, &read.bits), (written.k, &written.bits));
+            prop_assert!(keys.iter().all(|k| read.may_contain(k)));
+        }
+
+        #[test]
+        fn a_table_with_arbitrary_metadata_opens_or_is_corrupt(case in (bytes(64), bytes(64))) {
+            let (index, bloom) = case;
+            let (_disk, fs) = local_fs();
+            let (at_index, at_bloom) = ((0, index.len() as u32), (index.len() as u64, bloom.len() as u32));
+            write_meta(&fs, "sst", &[index, bloom].concat(), at_index, at_bloom);
+            match SstReader::open(&fs, "sst") {
+                Ok(_) | Err(AppError::Corrupt(_)) => {}
+                Err(e) => prop_assert!(false, "{e}"),
+            }
         }
     }
 }

@@ -118,10 +118,11 @@ fn a_single_writer_commits_on_its_own_thread() {
     );
     // Measured 3.01 (18.01 with the commit thread, 7.01 while ncl copied
     // each record out of its image): `put`'s key, value and one-entry
-    // batch, which the memtable keeps. ncl's record path adds none
-    // (`ncl_pipeline` gates it), and neither does the store's own path: no
-    // reply channel, no copy of the entries, no record buffer. The count
-    // repeats exactly, so the bound is the measurement plus one.
+    // batch, which the memtable keeps. ncl's record path adds none (the
+    // root `record_allocations` test gates it), and neither does the
+    // store's own path: no reply channel, no copy of the entries, no
+    // record buffer. The count repeats exactly, so the bound is the
+    // measurement plus one.
     assert!(
         per_put <= 4.01,
         "write path allocation regression: {per_put:.2} allocations per put"

@@ -10,8 +10,8 @@
 //!
 //! Besides the console tables, emits `BENCH_fig10_ycsb.json`: one result
 //! row per (app, mode, workload) with throughput and p50/p99 latency, plus
-//! the NCL `stage_breakdown` — the same schema-validated trend format the
-//! criterion benches use, so CI tracks the YCSB matrix too.
+//! the NCL `stage_breakdown` — the schema-validated trend format every
+//! figure bin emits, so CI tracks the YCSB matrix too.
 
 use std::collections::BTreeMap;
 

@@ -1,9 +1,9 @@
 //! CI gate for the `BENCH_*.json` trend files.
 //!
 //! Validates each file against the schema the `bench` crate itself defines
-//! ([`bench::validate_bench_json`]): current `schema_version`, a `results`
-//! array holding every row its bench is expected to emit, and a
-//! `stage_breakdown` carrying every NCL stage histogram with samples. No
+//! ([`bench::validate_bench_json`]): current `schema_version`, a non-empty
+//! `results` array, a `stage_breakdown` carrying every NCL stage histogram
+//! with samples, and the sections each figure bin is expected to emit. No
 //! rule reads a timing. Keeping the check next to the emitter means a
 //! schema bump updates the writer, the validator and CI in one place.
 //!
@@ -15,21 +15,15 @@ use bench::validate_bench_json;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let paths = if args.is_empty() {
-        [
-            "ncl_pipeline",
-            "ncl_batch",
-            "fig10_ycsb",
-            "fig11b_recovery_time",
-            "table3_peer_recovery",
-        ]
-        .iter()
-        .map(|b| {
-            format!(
-                concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_{}.json"),
-                b
-            )
-        })
-        .collect()
+        ["fig10_ycsb", "fig11b_recovery_time", "table3_peer_recovery"]
+            .iter()
+            .map(|b| {
+                format!(
+                    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_{}.json"),
+                    b
+                )
+            })
+            .collect()
     } else {
         args
     };

@@ -329,22 +329,37 @@ impl NclFile {
     ///
     /// [`NclConfig::pipeline_window`]: crate::NclConfig::pipeline_window
     pub fn record_nowait(&self, offset: u64, data: &[u8]) -> Result<u64, NclError> {
+        self.stage_nowait(Some(offset), data).1
+    }
+
+    /// [`NclFile::record_nowait`] at the end of the file: the offset is the
+    /// valid length read under the staging lock that stages the record, so
+    /// concurrent appends never share one. Returns that offset with
+    /// `record_nowait`'s outcome; a failed window wait leaves the record
+    /// staged there.
+    pub fn append_nowait(&self, data: &[u8]) -> (u64, Result<u64, NclError>) {
+        self.stage_nowait(None, data)
+    }
+
+    /// Stages `data` at `at`, or at the valid length when `None`, and
+    /// returns the offset used with the record's sequence number.
+    #[inline(always)]
+    fn stage_nowait(&self, at: Option<u64>, data: &[u8]) -> (u64, Result<u64, NclError>) {
         let ctx = &self.ctx;
         let window = ctx.config.pipeline_window.max(1);
         let t0 = self.metrics.enabled.then(sim::time::now);
-        let seq;
+        let (offset, seq);
         {
             let mut stage = self.stage_guard();
+            offset = at.unwrap_or(stage.image.len);
             // An end offset that does not even fit `usize` cannot fit the file.
             let end = usize::try_from(offset)
                 .ok()
                 .and_then(|start| start.checked_add(data.len()))
                 .unwrap_or(usize::MAX);
             if end > self.capacity {
-                return Err(NclError::CapacityExceeded {
-                    capacity: self.capacity,
-                    needed: end,
-                });
+                let (capacity, needed) = (self.capacity, end);
+                return (offset, Err(NclError::CapacityExceeded { capacity, needed }));
             }
             let image = &mut stage.image;
             // Stage locally.
@@ -376,9 +391,11 @@ impl NclFile {
             if self.metrics.enabled && self.durable_seq() < seq - window {
                 self.metrics.window_stall.inc();
             }
-            self.wait_durable(seq - window)?;
+            if let Err(e) = self.wait_durable(seq - window) {
+                return (offset, Err(e));
+            }
         }
-        Ok(seq)
+        (offset, Ok(seq))
     }
 
     /// Rings the doorbell for the staged burst without waiting: every record

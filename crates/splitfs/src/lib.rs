@@ -486,23 +486,25 @@ impl SplitFs {
         Ok(())
     }
 
-    /// Accepts one record while degraded: append a journal frame, `fsync`
-    /// it (strong-mode semantics — the record is durable on the DFS before
-    /// the call returns), and update the read overlay. A record past the
-    /// log's capacity is refused, as NCL would refuse it: the journal only
-    /// holds what a re-attach can replay.
+    /// Accepts one record while degraded, at `at` or at the end of the file
+    /// when `None`: append a journal frame, `fsync` it (strong-mode
+    /// semantics — the record is durable on the DFS before the call
+    /// returns), and update the read overlay. A record past the log's
+    /// capacity is refused, as NCL would refuse it: the journal only holds
+    /// what a re-attach can replay. Returns the offset written.
     fn degraded_write(
         &self,
         path: &str,
         route: &NclRoute,
-        offset: u64,
+        at: Option<u64>,
         data: &[u8],
-    ) -> Result<(), FsError> {
+    ) -> Result<u64, FsError> {
         let mut fb = route.fb.lock();
         if !fb.engaged {
             // Re-attached under our feet; the caller retries through NCL.
             return Err(FsError::Unavailable("fallback disengaged".to_string()));
         }
+        let offset = at.unwrap_or(fb.len);
         let capacity = route.file.capacity();
         let needed = fallback::frame_end(offset, data.len()).unwrap_or(usize::MAX);
         if needed > capacity {
@@ -514,7 +516,7 @@ impl SplitFs {
         dfs.fsync(&shadow)?;
         fb.apply(offset, data);
         self.inner.fallback_records.inc();
-        Ok(())
+        Ok(offset)
     }
 
     /// While degraded, periodically retries NCL maintenance; once a fresh
@@ -649,7 +651,7 @@ impl File {
     pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
         match &self.backend {
             Backend::Ncl(route) => {
-                self.ncl_write(route, offset, data)?;
+                self.ncl_write(route, Some(offset), data)?;
                 self.fs.trace_ncl_write(&self.path, data.len());
                 Ok(())
             }
@@ -669,15 +671,7 @@ impl File {
     pub fn append(&self, data: &[u8]) -> Result<u64, FsError> {
         match &self.backend {
             Backend::Ncl(route) => {
-                let offset = {
-                    let fb = route.fb.lock();
-                    if fb.engaged {
-                        fb.len
-                    } else {
-                        route.file.len()
-                    }
-                };
-                self.ncl_write(route, offset, data)?;
+                let offset = self.ncl_write(route, None, data)?;
                 self.fs.trace_ncl_write(&self.path, data.len());
                 Ok(offset)
             }
@@ -706,25 +700,38 @@ impl File {
         }
     }
 
-    /// Routes one NCL record, degrading to the DFS shadow journal on quorum
-    /// loss and retrying re-attachment while degraded.
-    fn ncl_write(&self, route: &Arc<NclRoute>, offset: u64, data: &[u8]) -> Result<(), FsError> {
+    /// Routes one NCL record at `at`, or at the end of the file when `None`
+    /// (the offset is chosen where the record is staged or journaled, so
+    /// concurrent appends never share one), degrading to the DFS shadow
+    /// journal on quorum loss and retrying re-attachment while degraded.
+    /// Returns the offset written.
+    fn ncl_write(
+        &self,
+        route: &Arc<NclRoute>,
+        at: Option<u64>,
+        data: &[u8],
+    ) -> Result<u64, FsError> {
         if route.engaged() && !self.fs.probe_reattach(&self.path, route) {
-            return self.fs.degraded_write(&self.path, route, offset, data);
+            return self.fs.degraded_write(&self.path, route, at, data);
         }
-        let result = if self.pipelined {
-            route.file.record_nowait(offset, data).map(|_| ())
-        } else {
-            route.file.record(offset, data)
+        let file = &route.file;
+        let (offset, result) = match at {
+            Some(offset) if self.pipelined => (offset, file.record_nowait(offset, data).map(drop)),
+            Some(offset) => (offset, file.record(offset, data)),
+            None => match file.append_nowait(data) {
+                (offset, staged) if self.pipelined => (offset, staged.map(drop)),
+                (offset, staged) => (offset, staged.and_then(|seq| file.wait_durable(seq))),
+            },
         };
         match result {
-            Ok(()) => Ok(()),
+            Ok(()) => Ok(offset),
             Err(cause @ NclError::QuorumUnavailable(_)) => {
                 // The staged image snapshotted by `engage_fallback` already
                 // holds this record's bytes; the explicit degraded write
                 // keeps the journal frame (and ordering) uniform.
                 self.fs.engage_fallback(&self.path, route, &cause)?;
-                self.fs.degraded_write(&self.path, route, offset, data)
+                self.fs
+                    .degraded_write(&self.path, route, Some(offset), data)
             }
             Err(e) => Err(e.into()),
         }
