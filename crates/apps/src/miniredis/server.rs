@@ -59,9 +59,13 @@ impl RedisOptions {
     }
 }
 
+type ReplyTx = SyncSender<Result<Reply, AppError>>;
+
 enum Request {
-    Write(Command, SyncSender<Result<Reply, AppError>>),
-    Read(Query, SyncSender<Result<Reply, AppError>>),
+    Write(Command, ReplyTx),
+    Read(Query, ReplyTx),
+    /// Join the background save in flight and land its rewrite.
+    Quiesce(ReplyTx),
 }
 
 /// A MiniRedis instance (see module docs).
@@ -174,22 +178,21 @@ impl MiniRedis {
 
     /// Executes a mutating command.
     pub fn execute(&self, cmd: Command) -> Result<Reply, AppError> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.tx
-            .as_ref()
-            .ok_or(AppError::Closed)?
-            .send(Request::Write(cmd, reply_tx))
-            .map_err(|_| AppError::Closed)?;
-        reply_rx.recv().map_err(|_| AppError::Closed)?
+        self.call(|reply| Request::Write(cmd, reply))
     }
 
     /// Evaluates a read-only query.
     pub fn query(&self, q: Query) -> Result<Reply, AppError> {
+        self.call(|reply| Request::Read(q, reply))
+    }
+
+    /// Sends one request to the server thread and waits for its reply.
+    fn call(&self, request: impl FnOnce(ReplyTx) -> Request) -> Result<Reply, AppError> {
         let (reply_tx, reply_rx) = sync_channel(1);
         self.tx
             .as_ref()
             .ok_or(AppError::Closed)?
-            .send(Request::Read(q, reply_tx))
+            .send(request(reply_tx))
             .map_err(|_| AppError::Closed)?;
         reply_rx.recv().map_err(|_| AppError::Closed)?
     }
@@ -225,6 +228,11 @@ impl KvApp for MiniRedis {
             other => Err(AppError::Storage(format!("unexpected reply {other:?}"))),
         }
     }
+
+    /// Joins the background save in flight, if any, and lands its rewrite.
+    fn quiesce(&self) {
+        let _ = self.call(Request::Quiesce);
+    }
 }
 
 fn aof_name(prefix: &str, generation: u64) -> String {
@@ -239,7 +247,7 @@ impl Executor {
     fn run(&mut self, rx: Receiver<Request>) {
         while let Ok(first) = rx.recv() {
             // Land a finished background rewrite first.
-            self.land_rewrite();
+            self.land_rewrite(false);
             let mut batch = vec![first];
             while batch.len() < self.opts.batch_max {
                 match rx.try_recv() {
@@ -249,7 +257,8 @@ impl Executor {
             }
             // Apply in arrival order; collect write commands for the AOF.
             let mut commands = Vec::new();
-            let mut replies: Vec<(SyncSender<Result<Reply, AppError>>, Reply)> = Vec::new();
+            let mut replies: Vec<(ReplyTx, Reply)> = Vec::new();
+            let mut quiescers = Vec::new();
             for req in batch {
                 match req {
                     Request::Write(cmd, reply) => {
@@ -266,6 +275,7 @@ impl Executor {
                         let r = self.store.query(&q);
                         replies.push((reply, r));
                     }
+                    Request::Quiesce(reply) => quiescers.push(reply),
                 }
             }
             // One AOF record per command, staged on the pipelined handle and
@@ -292,20 +302,19 @@ impl Executor {
                     self.aof.fsync().map_err(AppError::from)
                 })
             };
-            match flush_result {
-                Ok(()) => {
-                    for (tx, r) in replies {
-                        let _ = tx.send(Ok(r));
-                    }
-                }
-                Err(e) => {
-                    for (tx, _) in replies {
-                        let _ = tx.send(Err(e.clone()));
-                    }
-                    continue;
-                }
+            for (tx, r) in replies {
+                let _ = tx.send(flush_result.clone().map(|()| r));
             }
-            self.maybe_start_rewrite();
+            if flush_result.is_ok() {
+                self.maybe_start_rewrite();
+            }
+            // After the batch, so a rewrite it started lands too.
+            if !quiescers.is_empty() {
+                self.land_rewrite(true);
+            }
+            for tx in quiescers {
+                let _ = tx.send(Ok(Reply::Ok));
+            }
         }
         // Closed: finish a save in flight rather than leave it writing behind
         // an instance that is gone.
@@ -335,12 +344,13 @@ impl Executor {
         self.rewrite_tail.clear();
     }
 
-    /// Installs the snapshot a finished background save wrote, if one has.
-    fn land_rewrite(&mut self) {
-        if !self.bgsave.as_ref().is_some_and(JoinHandle::is_finished) {
+    /// Installs the snapshot a background save wrote, if one has finished
+    /// or, with `join`, once the one in flight finishes.
+    fn land_rewrite(&mut self, join: bool) {
+        let Some(save) = self.bgsave.take_if(|s| join || s.is_finished()) else {
             return;
-        }
-        if !matches!(self.bgsave.take().expect("finished").join(), Ok(Ok(()))) {
+        };
+        if !matches!(save.join(), Ok(Ok(()))) {
             // Snapshot failed: keep the current AOF, try again later.
             return;
         }

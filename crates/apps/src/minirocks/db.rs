@@ -33,9 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::{JoinHandle, Thread};
-use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use splitfs::{File, OpenOptions, SplitFs};
 
 use super::manifest::{Edit, Manifest};
@@ -219,6 +218,15 @@ struct FlushJob {
     next_wal: SyncSender<Result<(u64, File), AppError>>,
 }
 
+/// The flush thread's ledger. A job — one [`FlushJob`] or, as job 0, the
+/// compaction check after recovery — is done once all of it has ended and
+/// been published, on every path, so a waiter that checks under the lock
+/// misses no wake-up.
+struct Jobs {
+    asked: u64,
+    done: u64,
+}
+
 /// `[0]`: L0, newest last. `[1]`: L1, disjoint, sorted by first key.
 type Levels = [Vec<Arc<SstReader>>; 2];
 
@@ -242,6 +250,9 @@ struct Inner {
     seq: AtomicU64,
     writers: Mutex<Writers>,
     wal: Mutex<Wal>,
+    jobs: Mutex<Jobs>,
+    /// Signalled each time a job ends.
+    job_done: Condvar,
     stalls: AtomicU64,
     compactions: AtomicU64,
     flushes: AtomicU64,
@@ -361,6 +372,8 @@ impl MiniRocks {
                 record: Vec::new(),
                 flush_tx: Some(flush_tx),
             }),
+            jobs: Mutex::new(Jobs { asked: 1, done: 0 }),
+            job_done: Condvar::new(),
             stalls: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
@@ -483,7 +496,9 @@ impl MiniRocks {
         self.inner.compactions.load(Ordering::Relaxed)
     }
 
-    /// Number of write stalls (L0 back-pressure).
+    /// Number of times a leader waited for a flush job to end because L0
+    /// was at the stall trigger (back-pressure): a count of waits, not of
+    /// time stalled.
     pub fn stall_count(&self) -> u64 {
         self.inner.stalls.load(Ordering::Relaxed)
     }
@@ -492,19 +507,6 @@ impl MiniRocks {
     pub fn level_file_counts(&self) -> (usize, usize) {
         let st = self.inner.state.read();
         (st.levels[0].len(), st.levels[1].len())
-    }
-
-    /// Blocks until no frozen memtable awaits flushing (test determinism).
-    pub fn wait_for_flushes(&self) {
-        loop {
-            {
-                let st = self.inner.state.read();
-                if st.frozen.is_empty() {
-                    return;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
     }
 }
 
@@ -531,17 +533,11 @@ impl KvApp for MiniRocks {
         self.get(key.as_bytes())
     }
 
+    /// Waits until every flush job asked for has ended, compaction included.
     fn quiesce(&self) {
-        // Drain flush debt and let the triggered compactions land, so reads
-        // in a following benchmark phase see a settled LSM shape.
-        self.wait_for_flushes();
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while std::time::Instant::now() < deadline {
-            let (l0, _) = self.level_file_counts();
-            if l0 < self.inner.opts.l0_compaction_trigger {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
+        let mut jobs = self.inner.jobs.lock();
+        while jobs.done < jobs.asked {
+            self.inner.job_done.wait(&mut jobs);
         }
     }
 }
@@ -570,11 +566,13 @@ impl Inner {
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);
         encode_record_into(&mut wal.record, seq, wal.batch.iter().flatten());
 
-        // L0 back-pressure: stall writers while compaction is behind.
+        // L0 back-pressure: wait for the flush thread's jobs ([`Jobs`]).
+        let mut jobs = self.jobs.lock();
         while self.state.read().levels[0].len() >= self.opts.l0_stall_trigger {
             self.stalls.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(1));
+            self.job_done.wait(&mut jobs);
         }
+        drop(jobs);
         // Rotate first if this record would overflow the WAL region.
         if wal.written + wal.record.len() > self.opts.wal_capacity * 9 / 10 {
             self.rotate(wal)?;
@@ -609,6 +607,7 @@ impl Inner {
             next_wal,
         };
         let jobs = wal.flush_tx.as_ref().ok_or(AppError::Closed)?;
+        self.jobs.lock().asked += 1;
         jobs.send(job).map_err(|_| AppError::Closed)?;
         (wal.number, wal.file) = answer.recv().map_err(|_| AppError::Closed)??;
         wal.written = 0;
@@ -631,41 +630,42 @@ impl Inner {
         st.frozen.push((wal_number, Arc::clone(&mem)));
         Ok((new_number, new_file, mem))
     }
+
+    fn end_job(&self) {
+        self.jobs.lock().done += 1;
+        self.job_done.notify_all();
+    }
 }
 
 fn spawn_flush_thread(inner: Arc<Inner>, rx: Receiver<FlushJob>) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("rocks-flush".to_string())
         .spawn(move || {
-            // Recovery adds an L0 table per reopen and no flush job follows
-            // it: check once before waiting for the first one.
+            // Job 0: recovery adds an L0 table per reopen and no flush job
+            // follows it, so check once before waiting for the first one.
             compact_if_due(&inner);
+            inner.end_job();
             while let Ok(job) = rx.recv() {
-                let mem = match inner.freeze(job.wal_number) {
+                match inner.freeze(job.wal_number) {
                     Ok((number, file, mem)) => {
                         let _ = job.next_wal.send(Ok((number, file)));
-                        mem
+                        match run_flush(&inner, job.wal_number, &mem) {
+                            Ok(()) => compact_if_due(&inner),
+                            // A failed flush keeps the frozen memtable and
+                            // WAL; data stays durable in the WAL.
+                            Err(e) => eprintln!("minirocks: flush failed: {e}"),
+                        }
                     }
-                    Err(e) => {
-                        let _ = job.next_wal.send(Err(e));
-                        continue;
-                    }
-                };
-                if let Err(e) = run_flush(&inner, job.wal_number, &mem) {
-                    // A failed flush keeps the frozen memtable and WAL; data
-                    // stays durable in the WAL. Log-and-retry semantics.
-                    eprintln!("minirocks: flush failed: {e}");
-                    continue;
+                    Err(e) => _ = job.next_wal.send(Err(e)),
                 }
-                compact_if_due(&inner);
+                inner.end_job();
             }
         })
         .expect("spawn flush thread")
 }
 
 fn compact_if_due(inner: &Arc<Inner>) {
-    let l0_len = inner.state.read().levels[0].len();
-    if l0_len >= inner.opts.l0_compaction_trigger {
+    if inner.state.read().levels[0].len() >= inner.opts.l0_compaction_trigger {
         if let Err(e) = run_compaction(inner) {
             eprintln!("minirocks: compaction failed: {e}");
         }
@@ -703,7 +703,7 @@ fn run_flush(inner: &Arc<Inner>, wal_number: u64, mem: &MemTable) -> Result<(), 
         let mut st = inner.state.write();
         Arc::make_mut(&mut st.levels)[0].push(Arc::new(reader));
         st.frozen.retain(|(w, _)| *w != wal_number);
-        // Counted before the flush is seen done (`wait_for_flushes`).
+        // Counted before the job ends (`quiesce`).
         inner.flushes.fetch_add(1, Ordering::Relaxed);
     }
     // The log is now redundant: garbage-collect it by deletion (Table 2).

@@ -107,6 +107,14 @@ fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
     Some(*head)
 }
 
+/// Takes a `u32` length and that many bytes off the front of `buf`.
+fn take_prefixed<'a>(buf: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let len = u32::from_le_bytes(take(buf)?) as usize;
+    let (run, rest) = buf.split_at_checked(len)?;
+    *buf = rest;
+    Some(run)
+}
+
 /// The block index, flat: a binary search touches `ends` and one run of
 /// `keys`, not a heap allocation per probe. On disk each block is one
 /// `klen u32 | last key | offset u64 | len u32` entry.
@@ -149,9 +157,7 @@ impl BlockIndex {
 
     /// Takes one entry off the front of `buf`.
     fn next_entry<'a>(buf: &mut &'a [u8]) -> Option<(&'a [u8], u64, u32)> {
-        let klen = u32::from_le_bytes(take(buf)?) as usize;
-        let (last_key, rest) = buf.split_at_checked(klen)?;
-        *buf = rest;
+        let last_key = take_prefixed(buf)?;
         let offset = u64::from_le_bytes(take(buf)?);
         Some((last_key, offset, u32::from_le_bytes(take(buf)?)))
     }
@@ -177,29 +183,31 @@ impl BlockIndex {
     }
 }
 
-/// The `(key, value)` entries of one data block, in key order; `None` is a
-/// tombstone.
-fn entries(block: &[u8]) -> impl Iterator<Item = (&[u8], Option<&[u8]>)> {
-    let mut pos = 0;
+/// One data-block entry: a key and its value, `None` for a tombstone.
+type BlockEntry<'a> = (&'a [u8], Option<&'a [u8]>);
+
+/// The entries of one data block, in key order. Blocks carry no checksum
+/// of their own, so an entry that runs past its block (a short read, say)
+/// ends the walk with `Corrupt`, not a panic.
+fn entries(mut block: &[u8]) -> impl Iterator<Item = Result<BlockEntry<'_>, AppError>> {
     std::iter::from_fn(move || {
-        if pos + 4 > block.len() {
-            return None;
-        }
-        let klen = u32::from_le_bytes(block[pos..pos + 4].try_into().expect("4")) as usize;
-        pos += 4;
-        let key = &block[pos..pos + klen];
-        pos += klen;
-        let tag = block[pos];
-        pos += 1;
-        let value = (tag == 1).then(|| {
-            let vlen = u32::from_le_bytes(block[pos..pos + 4].try_into().expect("4")) as usize;
-            pos += 4;
-            let value = &block[pos..pos + vlen];
-            pos += vlen;
-            value
-        });
-        Some((key, value))
+        (!block.is_empty()).then(|| {
+            next_entry(&mut block).ok_or_else(|| {
+                block = &[];
+                AppError::Corrupt("sstable entry runs past its block".into())
+            })
+        })
     })
+}
+
+/// Takes one data-block entry off the front of `buf`.
+fn next_entry<'a>(buf: &mut &'a [u8]) -> Option<BlockEntry<'a>> {
+    let key = take_prefixed(buf)?;
+    match take(buf)? {
+        [0] => Some((key, None)),
+        [1] => Some((key, Some(take_prefixed(buf)?))),
+        _ => None,
+    }
 }
 
 /// Streaming SSTable builder.
@@ -376,10 +384,9 @@ impl SstReader {
         // First key needs the first block's first entry.
         let first_key = match index.blocks.first() {
             Some(&(offset, len)) => file.read_with(offset, len as usize, |block| {
-                entries(block)
-                    .next()
-                    .map_or(Vec::new(), |(k, _)| k.to_vec())
-            })?,
+                let first = entries(block).next().unwrap_or(Ok((&[], None)));
+                first.map(|(k, _)| k.to_vec())
+            })??,
             None => Vec::new(),
         };
         Ok(SstReader {
@@ -430,16 +437,17 @@ impl SstReader {
         };
         // The block is searched where the file system holds it; only the
         // match is copied out.
-        Ok(self.file.read_with(offset, len as usize, |block| {
-            for (k, value) in entries(block) {
+        self.file.read_with(offset, len as usize, |block| {
+            for entry in entries(block) {
+                let (k, value) = entry?;
                 match k.cmp(key) {
-                    std::cmp::Ordering::Equal => return Some(value.map(<[u8]>::to_vec)),
-                    std::cmp::Ordering::Greater => return None,
+                    std::cmp::Ordering::Equal => return Ok(Some(value.map(<[u8]>::to_vec))),
+                    std::cmp::Ordering::Greater => return Ok(None),
                     std::cmp::Ordering::Less => continue,
                 }
             }
-            None
-        })?)
+            Ok(None)
+        })?
     }
 
     /// Streams every entry in key order (used by compaction).
@@ -448,8 +456,12 @@ impl SstReader {
         let mut out = Vec::with_capacity(self.count as usize);
         for &(offset, len) in &self.index.blocks {
             self.file.read_with(offset, len as usize, |block| {
-                out.extend(entries(block).map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec))));
-            })?;
+                for entry in entries(block) {
+                    let (k, v) = entry?;
+                    out.push((k.to_vec(), v.map(<[u8]>::to_vec)));
+                }
+                Ok::<_, AppError>(())
+            })??;
         }
         Ok(out)
     }
@@ -661,8 +673,34 @@ mod tests {
         prop::collection::vec(any::<u8>(), 0..max)
     }
 
+    /// A data block's second entry cut one byte short by its index extent,
+    /// as a short read at the end of the file would cut it: the lookup and
+    /// the scan that reach it fail `Corrupt`, so a compaction keeps its
+    /// inputs.
+    #[test]
+    fn a_cut_data_block_is_corrupt_not_a_panic() {
+        let (_disk, fs) = local_fs();
+        let mut b = SstBuilder::new(usize::MAX, 10);
+        b.add(b"a", Some(b"1"));
+        let first = b.buf.len();
+        b.add(b"k", Some(b"value"));
+        let mut index = Vec::new();
+        BlockIndex::encode_entry(&mut index, b"a", 0, first as u32);
+        let cut = (b.buf.len() - first - 1) as u32;
+        BlockIndex::encode_entry(&mut index, b"k", first as u64, cut);
+        let bloom = Bloom::build([&b"a"[..], b"k"].into_iter(), 2, 10).encode();
+        let at_index = (b.buf.len() as u64, index.len() as u32);
+        let at_bloom = (at_index.0 + index.len() as u64, bloom.len() as u32);
+        let meta = [&b.buf[..], &index, &bloom].concat();
+        write_meta(&fs, "cut", &meta, at_index, at_bloom);
+        let table = SstReader::open(&fs, "cut").unwrap();
+        assert_eq!(table.get(b"a").unwrap(), Some(Some(b"1".to_vec())));
+        assert!(matches!(table.get(b"k"), Err(AppError::Corrupt(_))));
+        assert!(matches!(table.scan_all(), Err(AppError::Corrupt(_))));
+    }
+
     /// Block index entries: a last key and an extent each.
-    fn entries() -> impl Strategy<Value = Vec<(Vec<u8>, u64, u32)>> {
+    fn index_entries() -> impl Strategy<Value = Vec<(Vec<u8>, u64, u32)>> {
         prop::collection::vec((bytes(12), any::<u64>(), any::<u32>()), 0..6)
     }
 
@@ -680,7 +718,7 @@ mod tests {
         }
 
         #[test]
-        fn an_index_decodes_as_written_and_a_cut_one_is_corrupt(case in (entries(), any::<u16>())) {
+        fn an_index_decodes_as_written_and_a_cut_one_is_corrupt(case in (index_entries(), any::<u16>())) {
             let (written, cut) = case;
             let (mut raw, mut ends) = (Vec::new(), vec![0]);
             for (last_key, offset, len) in &written {
@@ -720,6 +758,46 @@ mod tests {
             match SstReader::open(&fs, "sst") {
                 Ok(_) | Err(AppError::Corrupt(_)) => {}
                 Err(e) => prop_assert!(false, "{e}"),
+            }
+        }
+    }
+
+    /// Data-block entries: a key, a value, and whether a tombstone replaces
+    /// the value.
+    fn block_entries() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>, bool)>> {
+        prop::collection::vec((bytes(12), bytes(12), any::<bool>()), 0..6)
+    }
+
+    // A data block has no checksum of its own either.
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_block_decoder(raw in bytes(96)) {
+            let _ = entries(&raw).count();
+        }
+
+        #[test]
+        fn a_block_decodes_as_written_and_a_cut_one_is_corrupt(case in (block_entries(), any::<u16>())) {
+            let (mut written, cut) = case;
+            written.sort_by(|a, b| a.0.cmp(&b.0));
+            written.dedup_by(|a, b| a.0 == b.0);
+            let (mut block, mut ends) = (SstBuilder::new(usize::MAX, 10), vec![0]);
+            for (key, value, tombstone) in &written {
+                block.add(key, (!tombstone).then_some(&value[..]));
+                ends.push(block.buf.len());
+            }
+            let raw = &block.buf;
+            // A cut between entries is a shorter block; anywhere else it is
+            // corruption.
+            for cut in [raw.len(), cut as usize % (raw.len() + 1)] {
+                let read: Result<Vec<_>, _> = entries(&raw[..cut]).collect();
+                match (read, ends.iter().position(|&e| e == cut)) {
+                    (Ok(read), Some(n)) => {
+                        let want = written[..n].iter().map(|(k, v, t)| (&k[..], (!t).then_some(&v[..])));
+                        prop_assert!(read.into_iter().eq(want), "cut at {cut}");
+                    }
+                    (Err(AppError::Corrupt(_)), None) => {}
+                    (read, _) => prop_assert!(false, "cut at {cut} of {ends:?}: {read:?}"),
+                }
             }
         }
     }

@@ -85,7 +85,7 @@ fn rocks_flush_and_compaction_preserve_data() {
     for i in 0..100u32 {
         db.put(format!("key{i:05}").as_bytes(), b"v2").unwrap();
     }
-    db.wait_for_flushes();
+    db.quiesce();
     assert!(db.flush_count() > 0, "expected background flushes");
     for i in 0..100u32 {
         assert_eq!(
@@ -114,14 +114,14 @@ fn rocks_tombstones_survive_flush() {
         db.put(format!("fill{i:04}").as_bytes(), &value_of(i))
             .unwrap();
     }
-    db.wait_for_flushes();
+    db.quiesce();
     db.delete(b"doomed").unwrap();
     // Another wave of flushes puts the tombstone into L0 too.
     for i in 200..400u32 {
         db.put(format!("fill{i:04}").as_bytes(), &value_of(i))
             .unwrap();
     }
-    db.wait_for_flushes();
+    db.quiesce();
     assert_eq!(db.get(b"doomed").unwrap(), None);
 }
 
@@ -453,13 +453,8 @@ fn redis_rewrite_compacts_and_survives_crash() {
         for i in 0..500u32 {
             r.execute(Command::Set("hot".into(), value_of(i))).unwrap();
         }
-        // Give the background save a moment to land, then write more.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while r.rewrite_count() == 0 && std::time::Instant::now() < deadline {
-            r.execute(Command::Set("hot".into(), b"spin".to_vec()))
-                .unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
+        // Land the background save in flight, then write more.
+        r.quiesce();
         assert!(r.rewrite_count() > 0, "rewrite should have triggered");
         r.execute(Command::Set("after".into(), b"rewrite".to_vec()))
             .unwrap();

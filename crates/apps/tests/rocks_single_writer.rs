@@ -10,6 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use apps::minirocks::{MiniRocks, RocksOptions};
+use apps::KvApp;
 use splitfs::{Mode, Testbed, TestbedConfig};
 
 struct CountingAlloc;
@@ -151,7 +152,7 @@ fn a_get_from_an_sstable_copies_one_value(tb: &Testbed) {
     for key in &keys {
         db.put(key.as_bytes(), &[0x5Au8; 100]).unwrap();
     }
-    db.wait_for_flushes();
+    db.quiesce();
     let (l0, l1) = db.level_file_counts();
     assert!((1..4).contains(&l0) && l1 == 0, "L0 {l0}, L1 {l1}");
     assert_eq!(db.flush_count(), 2, "which keys the memtable holds");

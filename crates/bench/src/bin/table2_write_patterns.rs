@@ -11,6 +11,7 @@ use std::sync::Arc;
 use apps::miniredis::{Command, MiniRedis, RedisOptions};
 use apps::minirocks::{MiniRocks, RocksOptions};
 use apps::minisql::{MiniSql, SqlOptions};
+use apps::KvApp;
 use bench::{header, row};
 use dfs::IoTrace;
 use splitfs::{Mode, Testbed, TestbedConfig};
@@ -39,7 +40,7 @@ fn main() {
             db.put(format!("key{i:05}").as_bytes(), &[0x11; 100])
                 .unwrap();
         }
-        db.wait_for_flushes();
+        db.quiesce();
         let flushes = db.flush_count();
         let wals_left = fs.list("r/wal-").unwrap().len();
         row(&[
@@ -59,12 +60,7 @@ fn main() {
             r.execute(Command::Set(format!("k{i}"), vec![0x22; 100]))
                 .unwrap();
         }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while r.rewrite_count() == 0 && std::time::Instant::now() < deadline {
-            r.execute(Command::Set("spin".into(), b"x".to_vec()))
-                .unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
+        r.quiesce();
         let rewrites = r.rewrite_count();
         let aofs_left = fs.list("d/aof-").unwrap().len();
         row(&[

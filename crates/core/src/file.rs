@@ -256,9 +256,11 @@ impl NclLib {
     }
 
     /// Creates a new ncl file with the given data capacity, allocating
-    /// regions on the scheme's peer set ( `2f + 1` replicated, `n` under
+    /// regions on the scheme's peer set (`2f + 1` replicated, `n` under
     /// erasure coding) and publishing the ap-map entry, under one
-    /// `ncl.create` span tree.
+    /// `ncl.create` span tree. Short of live peers it opens on an ack
+    /// quorum, [`NclFile::repair_pending`] set: a deferred replacement, as
+    /// if the missing peers had failed after the create.
     pub fn create(&self, file: &str, capacity: usize) -> Result<Arc<NclFile>, NclError> {
         let ctx = &self.ctx;
         let scope = telemetry::intern_scope(&format!("{}/{}", ctx.app_id, file));
@@ -275,7 +277,7 @@ impl NclLib {
             file,
             epoch,
             scheme.region_data(capacity),
-            [n, n],
+            [n, ctx.config.quorum()],
             &cq,
             &mut Vec::new(),
             &mut phases,

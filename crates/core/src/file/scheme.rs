@@ -1,16 +1,16 @@
 //! The durability-scheme seam: everything that differs between full-copy
 //! replication and `k`-of-`n` erasure coding.
 //!
-//! A [`Scheme`] is chosen **once** per open from
-//! [`NclConfig::durability`] — [`Scheme::new`] at create,
-//! [`Scheme::reconstruct`] at recovery — and the rest of `ncl::file` is one
+//! A `Scheme` is chosen **once** per open from
+//! [`NclConfig::durability`] — `Scheme::new` at create,
+//! `Scheme::reconstruct` at recovery — and the rest of `ncl::file` is one
 //! pipeline that asks it three things:
 //!
 //! 1. **How is a burst encoded into per-peer work requests**
-//!    ([`Scheme::begin_burst`] / [`Burst::post`]), how large a region
-//!    a peer lends ([`Scheme::region_data`]), and what a fresh or caught-up
-//!    peer receives ([`Scheme::initial_header`], [`Scheme::reset_header`],
-//!    [`Scheme::ships_image`]). Replicated: one data WR per contiguous run
+//!    (`Scheme::begin_burst` / `Burst::post`), how large a region
+//!    a peer lends (`Scheme::region_data`), and what a fresh or caught-up
+//!    peer receives (`Scheme::initial_header`, `Scheme::reset_header`,
+//!    `Scheme::ships_image`). Replicated: one data WR per contiguous run
 //!    of the image plus the burst-final header, and a full copy of the
 //!    image. Erasure-coded: one fragment entry (this peer's row of the
 //!    stripe) appended to the active generation half plus the header, and
@@ -24,7 +24,7 @@
 //!    `crates/modelcheck` calls the same functions, so the checked model
 //!    cannot drift from the code that runs.
 //! 3. **What can a set of responders reconstruct**
-//!    ([`Scheme::reconstruct`]): the maximum-sequence responder's image
+//!    (`Scheme::reconstruct`): the maximum-sequence responder's image
 //!    read back whole, or the highest generation's spill snapshot plus a
 //!    lockstep fragment walk over any `k` holders.
 

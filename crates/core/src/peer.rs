@@ -810,7 +810,7 @@ impl Peer {
     }
 
     /// Voluntarily sheds at least `need` bytes by revoking the coldest
-    /// regions (see [`region_coldness`]). Returns the bytes reclaimed,
+    /// regions (see `region_coldness`). Returns the bytes reclaimed,
     /// which may fall short when everything left is staged.
     pub fn revoke_for_pressure(&self, need: u64) -> u64 {
         self.daemon.lock().step(false, |d| d.evict(need, None))

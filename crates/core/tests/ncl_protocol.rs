@@ -375,8 +375,11 @@ fn release_frees_peer_state() {
 fn a_create_that_fails_part_way_frees_its_regions_and_its_retry_succeeds() {
     let h = Harness::new(3);
     let lib = h.app("a1");
-    let down = h.peer_named("p2").node();
-    h.cluster.crash(down);
+    // Two of three down: the live one is allocated, one short of a quorum.
+    let down = ["p1", "p2"].map(|p| h.peer_named(p).node());
+    for node in down {
+        h.cluster.crash(node);
+    }
     assert!(matches!(
         lib.create("wal", 1024),
         Err(NclError::QuorumUnavailable(_))
@@ -384,12 +387,40 @@ fn a_create_that_fails_part_way_frees_its_regions_and_its_retry_succeeds() {
     let counts: Vec<usize> = h.peers.iter().map(|p| p.region_count()).collect();
     assert_eq!(counts, [0, 0, 0], "the failed create left no region behind");
     // The retry runs at the same epoch; no peer may refuse it.
-    h.cluster.restart(down);
+    for node in down {
+        h.cluster.restart(node);
+    }
     let file = lib.create("wal", 1024).unwrap();
     file.record(0, b"second try").unwrap();
     assert_eq!(file.peer_names().len(), 3);
     let counts: Vec<usize> = h.peers.iter().map(|p| p.region_count()).collect();
     assert_eq!(counts, [1, 1, 1]);
+}
+
+#[test]
+fn a_create_with_no_spare_opens_on_an_ack_quorum_and_repairs_later() {
+    let h = Harness::new(3);
+    let lib = h.app("a1");
+    let down = h.peer_named("p2").node();
+    h.cluster.crash(down);
+    let file = lib.create("wal", 1024).unwrap();
+    assert!(file.repair_pending(), "under-replicated until repair");
+    assert_eq!(file.peer_names().len(), 2);
+    file.record(0, b"acked by two").unwrap();
+    h.cluster.restart(down);
+    assert!(file.maintain().unwrap());
+    assert!(!file.repair_pending());
+    assert_eq!(file.peer_names().len(), 3);
+    let counts: Vec<usize> = h.peers.iter().map(|p| p.region_count()).collect();
+    assert_eq!(counts, [1, 1, 1]);
+    // The repaired peer holds the record acked before it joined.
+    let app_node = lib.node();
+    file.record(12, b", then three").unwrap();
+    drop((file, lib));
+    h.cluster.crash(h.peer_named("p0").node());
+    h.cluster.crash(app_node);
+    let file = h.app("a2").recover("wal").unwrap();
+    assert_eq!(file.contents(), b"acked by two, then three");
 }
 
 /// Σ of the direct children named `name` of the root named `root`, and the

@@ -6,8 +6,9 @@
 //! are never involved after setup. This crate reproduces the slice of the
 //! verbs interface that NCL depends on:
 //!
-//! * [`RdmaDevice`] — one per node; registers [`MemoryRegion`]s protected by
-//!   an [`RKey`] and identified by a portable [`RemoteMr`] token.
+//! * [`RdmaDevice`] — one per node; registers memory regions ([`LocalMr`]
+//!   on the host) protected by an [`RKey`] and identified by a portable
+//!   [`RemoteMr`] token.
 //! * [`QueuePair`] — a reliable connection to a remote device. Work requests
 //!   are processed **in post order**, on the poster's thread (the send queue
 //!   ordering guarantee NCL's protocol leans on, §4.4), each charged with

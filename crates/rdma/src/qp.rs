@@ -9,7 +9,7 @@
 //! without its data.
 //!
 //! The NIC owns no thread and nobody waits inside a post. A post applies
-//! each request to the peer's region and prices its flight ([`Pipe::send`])
+//! each request to the peer's region and prices its flight (`Pipe::send`)
 //! on the poster's thread, hands the completions to the completion queue
 //! with the instant the model assigns each, its `due`, and returns; whoever
 //! next reaps that queue lands what is due.
@@ -365,7 +365,7 @@ impl QueuePair {
     ///
     /// `latency` is charged per work request: the per-byte term serializes
     /// on the wire, the base term is propagation that overlaps across
-    /// back-to-back requests (see [`Pipe`]). Connection setup itself is
+    /// back-to-back requests (see `Pipe`). Connection setup itself is
     /// control-plane work and is charged by the caller.
     pub fn connect(
         cluster: Cluster,
@@ -474,7 +474,7 @@ impl QueuePair {
     /// Posts a doorbell batch: all of `wrs` with one "doorbell ring".
     /// Execution and completions keep post order exactly as if the requests
     /// had been posted one by one; the saving is the per-doorbell overhead
-    /// and, on the wire, one shared propagation tail (see [`Pipe`]).
+    /// and, on the wire, one shared propagation tail (see `Pipe`).
     pub fn post_many(&self, wrs: &[WorkRequest<'_>]) -> Result<(), SimError> {
         self.post_many_at(sim::time::now(), wrs)
     }

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 
-/// Remote access key protecting a [`crate::MemoryRegion`].
+/// Remote access key protecting a registered region ([`crate::LocalMr`]).
 ///
 /// A remote operation must present the matching key; a revoked or recycled
 /// region changes its key, so stale holders fail with

@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example session_store`
 
 use splitft::apps::miniredis::{Command, MiniRedis, Query, RedisOptions, Reply};
+use splitft::apps::KvApp;
 use splitft::splitfs::{Mode, Testbed, TestbedConfig};
 
 fn main() {
@@ -15,7 +16,7 @@ fn main() {
     let (fs, node) = tb.mount(Mode::SplitFt, "sessions");
     let opts = RedisOptions {
         aof_capacity: 8 << 20,
-        rewrite_threshold: 256 << 10,
+        rewrite_threshold: 32 << 10,
         ..RedisOptions::default()
     };
     let r = MiniRedis::open(fs, "sess/", opts.clone()).unwrap();
@@ -45,12 +46,8 @@ fn main() {
         .unwrap();
         r.execute(Command::Incr("page-views".into())).unwrap();
     }
-    // Wait for at least one background AOF rewrite to land.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while r.rewrite_count() == 0 && std::time::Instant::now() < deadline {
-        r.execute(Command::Incr("page-views".into())).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
+    // Land the background AOF rewrite in flight.
+    r.quiesce();
     println!(
         "{} keys stored; {} AOF rewrite(s) compacted the log in the background",
         match r.query(Query::DbSize).unwrap() {
