@@ -10,7 +10,7 @@ use rdma::{CompletionQueue, RemoteMr, WorkRequest, WrId};
 use telemetry::spans;
 
 use super::phases::Phases;
-use super::slots::{self, Flight, PeerSlot, Rep, RepWait, Responders, WcWait};
+use super::slots::{self, Flight, PeerSlot, RepWait, Responders, WcWait};
 use super::staging::{FlushReason, Stage};
 use super::{call_all, free_regions, Ctx, NclFile};
 use crate::detector::Backoff;
@@ -149,28 +149,29 @@ impl NclFile {
         // were in flight when they joined — the catch-up copy is what made
         // those records durable on them. Credit each such flight with a
         // catch-up coverage span over its range so its quorum is
-        // reconstructible from the trace alone; the refresh below records
-        // them ahead of any root it closes. (Their own wire spans start
-        // above `header.seq`, where catch-up left their `completed_seq`.)
-        let Rep {
-            flights, span_buf, ..
-        } = &mut *rep;
-        let credited = |f: &&Flight| f.hi <= header.seq && f.trace != 0;
-        for flight in flights.iter().filter(credited) {
+        // reconstructible from the trace alone; they are recorded here,
+        // ahead of any root the refresh below closes. (Their own wire spans
+        // start above `header.seq`, where catch-up left their
+        // `completed_seq`.)
+        let credited = |f: &&Flight| f.hi() <= header.seq && f.burst.trace != 0;
+        let mut credits = Vec::new();
+        for flight in rep.flights.iter().filter(credited) {
+            let (trace, seq) = (flight.burst.trace, flight.burst.seq);
             for slot in &fresh {
-                span_buf.push(tel.closed_span(
-                    flight.trace,
+                credits.push(tel.closed_span(
+                    trace,
                     tel.next_trace_id(),
-                    flight.trace,
+                    trace,
                     spans::NCL_CATCHUP_PEER,
-                    slot.scope,
+                    slot.scope.name(),
                     epoch,
-                    (flight.lo, flight.hi),
+                    seq,
                     catchup_start,
                     catchup_end,
                 ));
             }
         }
+        tel.record_spans(&mut credits);
         rep.peers.extend(fresh);
         rep.rebuild_qp_map();
         let stats = RepairStats {
@@ -400,7 +401,7 @@ pub(super) fn catch_up(
     let plans = plans.into_iter().zip(landed);
     plans
         .map(|((mut slot, _, how), wire)| {
-            phases.peer(span, slot.scope, epoch, (at, wire), how);
+            phases.peer(span, slot.scope.name(), epoch, (at, wire), how);
             slot.completed_seq = header.seq;
             let ok = wire.is_some()
                 && (how != How::FullCopy || matches!(committed.next(), Some(Some(PeerResp::Ok))));

@@ -11,12 +11,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::MutexGuard;
 use rdma::{CompletionQueue, QueuePair, RemoteMr, WcStatus, WorkCompletion, WorkRequest, WrId};
-use telemetry::{spans, Span};
+use telemetry::{spans, Burst, ScopeId};
 
 use super::recovery::RecoveryStats;
 use super::repair::RepairStats;
 use super::scheme;
-use super::staging::{ns_between, FileMetrics, FlushReason};
+use super::staging::{FileMetrics, FlushReason};
 use super::{Ctx, NclFile};
 use crate::config::NclConfig;
 use crate::detector::{Backoff, PhiDetector};
@@ -77,31 +77,28 @@ impl AckedState {
     }
 }
 
-/// Lifecycle timestamps of one posted-but-not-yet-acked burst, the records
-/// `lo..=hi`; queued in sequence order in [`Rep::flights`] and retired when
-/// the durability watermark passes `hi`. Bounded by the pipeline window.
+/// One posted-but-not-yet-acked burst, the records `burst.seq`; queued in
+/// sequence order in [`Rep::flights`] and retired when the durability
+/// watermark passes its last record. Bounded by the pipeline window.
 pub(super) struct Flight {
-    pub lo: u64,
-    /// The burst's last record: a header completion covers the burst, and
-    /// the watermark retires it, once it reaches this one.
-    pub hi: u64,
-    /// The earliest `record_nowait` entry among the burst's records.
-    pub t0: Instant,
-    /// Σ(entry − `t0`) over the burst's records, ns: what the `e2e` stamp
-    /// subtracts from `records() · (durable − t0)`.
+    /// Σ(entry − `burst.entry`) over the burst's records, ns: what the
+    /// `e2e` stamp subtracts from `records() · (durable − burst.entry)`.
     pub entry_ns: u64,
-    /// Doorbell time (posted to the peers).
-    pub posted: Instant,
-    /// First peer whose header completion covered this burst.
-    pub first_peer: Option<Instant>,
-    /// The burst's trace id (0 when tracing is off).
-    pub trace: u64,
+    /// The burst's instants and wire spans as they are observed, recorded
+    /// as one entry when it retires.
+    pub burst: Burst,
 }
 
 impl Flight {
+    /// The burst's last record: a header completion covers the burst, and
+    /// the watermark retires it, once it reaches this one.
+    pub fn hi(&self) -> u64 {
+        self.burst.seq.1
+    }
+
     /// Records in the burst: its sequence numbers are consecutive.
     fn records(&self) -> u64 {
-        self.hi - self.lo + 1
+        self.hi() - self.burst.seq.0 + 1
     }
 }
 
@@ -115,7 +112,7 @@ pub(super) struct PeerSlot {
     pub name: String,
     /// `name`, interned once so the per-peer spans of the completion path
     /// never touch the interner.
-    pub scope: &'static str,
+    pub scope: ScopeId,
     pub endpoint: PeerEndpoint,
     pub mr: RemoteMr,
     pub qp: QueuePair,
@@ -156,7 +153,7 @@ impl PeerSlot {
             qp.set_wire_hist(ctx.config.telemetry.histogram("rdma.wr.wire"));
         }
         PeerSlot {
-            scope: telemetry::intern_scope(&name),
+            scope: ScopeId::of(&name),
             name,
             endpoint,
             mr,
@@ -206,10 +203,6 @@ pub(super) struct Rep {
     /// sequence order before their headers can complete, so nothing is ever
     /// inserted below it.
     wire_covered_seq: u64,
-    /// Spans closed since the last [`Rep::refresh_durable`], which hands
-    /// them to the telemetry ring in one piece: a burst's stage, doorbell,
-    /// per-peer wire, ack and root spans cost one ring lock, not seven.
-    pub span_buf: Vec<Span>,
     /// Reused by [`Rep::drain`] and [`Rep::refresh_durable`], so the
     /// steady-state completion path allocates nothing.
     wc_buf: Vec<(u32, WorkCompletion)>,
@@ -245,7 +238,6 @@ impl Rep {
             repair_pending,
             flights: VecDeque::new(),
             wire_covered_seq: 0,
-            span_buf: Vec::new(),
             wc_buf: Vec::new(),
             seq_scratch: Vec::new(),
             metrics,
@@ -326,55 +318,35 @@ impl Rep {
         }
     }
 
-    /// Closes the wire spans a header completion for `seq` from peer `idx`
-    /// (whose headers had completed through `prev`) is the end of. A
-    /// coalesced header acknowledges every flight at or below it.
+    /// Notes what a header completion for `seq` from peer `idx` (whose
+    /// headers had completed through `prev`), observed at `now`, ends: the
+    /// wire stage of the flights it is the first to cover, and this peer's
+    /// wire span of each flight it newly covers. A coalesced header
+    /// acknowledges every flight at or below it.
     fn credit_wire(&mut self, idx: usize, prev: u64, seq: u64, wire_ns: u64, now: Instant) {
-        let Rep {
-            flights,
-            wire_covered_seq,
-            span_buf,
-            metrics,
-            peers,
-            epoch,
-            ..
-        } = self;
+        let (flights, scope) = (&mut self.flights, self.peers[idx].scope);
         let through =
-            |flights: &VecDeque<Flight>, seq: u64| flights.partition_point(|f| f.hi <= seq);
-        // The wire histogram closes at the first peer whose header covers
-        // the burst. Every flight at or below `wire_covered_seq` was closed
-        // by an earlier header, so this one only touches the flights it
-        // newly covers — never the whole in-flight window.
-        if seq > *wire_covered_seq {
-            let newly = through(flights, *wire_covered_seq)..through(flights, seq);
+            |flights: &VecDeque<Flight>, seq: u64| flights.partition_point(|f| f.hi() <= seq);
+        // The wire stage ends at the first peer whose header covers the
+        // burst. Every flight at or below `wire_covered_seq` was covered by
+        // an earlier header, so this one only touches the flights it newly
+        // covers — never the whole in-flight window.
+        if seq > self.wire_covered_seq {
+            let newly = through(flights, self.wire_covered_seq)..through(flights, seq);
             for flight in flights.range_mut(newly) {
-                flight.first_peer = Some(now);
-                let n = flight.records();
-                let wire = n * ns_between(flight.posted, now);
-                metrics.stages.wire.record_n(wire, n);
+                let at = flight.burst.ns(now);
+                flight.burst.cover(at);
             }
-            *wire_covered_seq = seq;
+            self.wire_covered_seq = seq;
         }
-        // Each peer additionally closes one wire child span per traced
-        // flight it newly covers, reconstructed from the NIC's own
-        // post→completion measurement.
+        // Each peer's wire span of a flight starts at its own post →
+        // completion time, the model's number, back from `now`.
         if seq > prev {
-            let wire_start = now
-                .checked_sub(Duration::from_nanos(wire_ns))
-                .unwrap_or(now);
             let newly = through(flights, prev)..through(flights, seq);
-            for flight in flights.range(newly).filter(|f| f.trace != 0) {
-                span_buf.push(metrics.tel.closed_span(
-                    flight.trace,
-                    metrics.tel.next_trace_id(),
-                    flight.trace,
-                    spans::NCL_WIRE_PEER,
-                    peers[idx].scope,
-                    *epoch,
-                    (flight.lo, flight.hi),
-                    wire_start.max(flight.posted),
-                    now,
-                ));
+            for flight in flights.range_mut(newly) {
+                let end = flight.burst.ns(now);
+                let tel = &self.metrics.tel;
+                tel.add_wire(&mut flight.burst, scope, self.epoch, (wire_ns, end));
             }
         }
     }
@@ -440,50 +412,31 @@ impl Rep {
         self.seq_scratch = seqs;
         let prev = self.durable_seq;
         self.durable_seq = prev.max(candidate.unwrap_or(prev));
-        // Retire flights the watermark just passed, oldest first: close
-        // their ack and end-to-end spans.
+        // Retire flights the watermark just passed, oldest first: one stamp
+        // set and one ring entry each.
         let metrics = &self.metrics;
-        while self
-            .flights
-            .front()
-            .is_some_and(|f| f.hi <= self.durable_seq)
-        {
-            let flight = self.flights.pop_front().expect("front just seen");
-            let first = flight.first_peer.unwrap_or(flight.posted);
-            let (stages, n) = (&metrics.stages, flight.records());
-            stages.ack.record_n(n * ns_between(first, now), n);
-            // Σ(durable − entry) = n·(durable − t0) − Σ(entry − t0).
-            let e2e = n * ns_between(flight.t0, now) - flight.entry_ns;
-            stages.e2e.record_n(e2e, n);
-            if flight.trace != 0 {
-                // Root last: a burst's chain is complete exactly when its
-                // root span (id = trace id, no parent) exists.
-                for (name, id, parent, start) in [
-                    (
-                        spans::NCL_ACK,
-                        metrics.tel.next_trace_id(),
-                        flight.trace,
-                        first,
-                    ),
-                    (spans::NCL_WRITE, flight.trace, 0, flight.t0),
-                ] {
-                    self.span_buf.push(metrics.tel.closed_span(
-                        flight.trace,
-                        id,
-                        parent,
-                        name,
-                        metrics.scope,
-                        self.epoch,
-                        (flight.lo, flight.hi),
-                        start,
-                        now,
-                    ));
-                }
+        let mut retired = 0;
+        for flight in self.flights.iter_mut() {
+            if flight.hi() > self.durable_seq {
+                break;
             }
+            let (n, burst) = (flight.records(), &mut flight.burst);
+            let (posted, durable) = (burst.posted_ns(), burst.ns(now));
+            // A burst no header covered (a repair's catch-up made it
+            // durable) has no wire stage, and its ack runs from the post.
+            let (wire, first) = match burst.first_peer_ns() {
+                Some(first) => ((n * first.saturating_sub(posted), n), first),
+                None => ((0, 0), posted),
+            };
+            // Σ(durable − entry) = n·(durable − t0) − Σ(entry − t0).
+            let e2e = n * durable - flight.entry_ns;
+            let ack = n * durable.saturating_sub(first);
+            metrics.stages.retire.record_n([wire, (ack, n), (e2e, n)]);
+            burst.retire(self.epoch, durable);
+            metrics.tel.record_burst(burst);
+            retired += 1;
         }
-        if !self.span_buf.is_empty() {
-            metrics.tel.record_spans(&mut self.span_buf);
-        }
+        self.flights.drain(..retired);
         self.publish_acked(config);
     }
 

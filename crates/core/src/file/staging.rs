@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::MutexGuard;
-use telemetry::{spans, Counter, HistHandle, Telemetry};
+use telemetry::{Counter, HistSet, ScopeId, Telemetry};
 
 use super::scheme::Scheme;
 use super::slots::{Flight, Rep};
@@ -36,25 +36,22 @@ pub(super) enum FlushReason {
 /// completes it) → `ack` (first peer until the quorum watermark passes
 /// it) — so their means sum to the `e2e` mean by construction. Each takes
 /// one stamp per burst, its records' summed time
-/// ([`HistHandle::record_n`]): counts are records, sums are exact.
+/// ([`HistSet::record_n`]): counts are records, sums are exact. A burst's
+/// stamps are two sets, each one lock: the two it knows at the flush, and
+/// the three it knows at retirement.
 pub(super) struct Stages {
-    pub stage: HistHandle,
-    pub doorbell: HistHandle,
-    pub wire: HistHandle,
-    pub ack: HistHandle,
-    pub e2e: HistHandle,
+    /// `ncl.record.{stage,doorbell}`.
+    pub flush: HistSet<2>,
+    /// `ncl.record.{wire,ack,e2e}`.
+    pub retire: HistSet<3>,
 }
 
 impl Stages {
     /// Interns `ncl.record.<stage>` for the five stages.
     fn new(tel: &Telemetry) -> Self {
-        let hist = |stage: &str| tel.histogram(&format!("ncl.record.{stage}"));
         Stages {
-            stage: hist("stage"),
-            doorbell: hist("doorbell"),
-            wire: hist("wire"),
-            ack: hist("ack"),
-            e2e: hist("e2e"),
+            flush: tel.histograms(["ncl.record.stage", "ncl.record.doorbell"]),
+            retire: tel.histograms(["ncl.record.wire", "ncl.record.ack", "ncl.record.e2e"]),
         }
     }
 }
@@ -69,6 +66,8 @@ pub(super) struct FileMetrics {
     /// `app/file`, the scope every span of this file carries.
     /// Interned so span recording on the hot path never allocates.
     pub scope: &'static str,
+    /// The same scope as a burst names it.
+    scope_id: ScopeId,
     /// The stage histograms (`ncl.record.<stage>`).
     pub stages: Stages,
     flush_submit: Counter,
@@ -90,6 +89,7 @@ impl FileMetrics {
             enabled: tel.is_enabled(),
             tel: tel.clone(),
             scope,
+            scope_id: ScopeId::of(scope),
             stages: Stages::new(tel),
             flush_submit: tel.counter("ncl.flush.submit"),
             flush_window_full: tel.counter("ncl.flush.window_full"),
@@ -133,15 +133,16 @@ impl PendingRecord {
 }
 
 /// Nanoseconds from `from` to `to`, 0 if `to` is earlier.
-pub(super) fn ns_between(from: Instant, to: Instant) -> u64 {
+fn ns_between(from: Instant, to: Instant) -> u64 {
     to.saturating_duration_since(from).as_nanos() as u64
 }
 
 /// The pending burst's telemetry, accumulated as its records are staged and
-/// spent by the flush that posts them: the burst's stage and doorbell spans
-/// and stamps, and what its [`Flight`] carries on to the wire, ack and
-/// end-to-end stamps. A record's instants are kept only as sums of offsets
-/// from `first`, so the burst costs the same whatever its length.
+/// spent by the flush that posts them: the burst's stage and doorbell
+/// stamps, and what its [`Flight`] carries on to the wire, ack and
+/// end-to-end stamps and the burst's spans. A record's instants are kept
+/// only as sums of offsets from `first`, so the burst costs the same
+/// whatever its length.
 struct BurstStamps {
     /// The earliest `record_nowait` entry among the burst's records.
     first: Instant,
@@ -153,9 +154,6 @@ struct BurstStamps {
     entry_ns: u64,
     /// Σ(staged − first), ns; less `entry_ns`, the records' summed stage.
     staged_ns: u64,
-    /// Root span id of the burst's causal chain, taken when its first
-    /// record is staged (0 when tracing is off).
-    trace: u64,
 }
 
 impl BurstStamps {
@@ -242,16 +240,14 @@ impl Stage {
         }
     }
 
-    /// Adds the record just staged to the pending burst's telemetry; its
-    /// first record also takes the burst's trace id from `tel`.
-    fn stamp(&mut self, entry: Instant, staged: Instant, tel: &Telemetry) {
-        let burst = self.stamps.get_or_insert_with(|| BurstStamps {
+    /// Adds the record just staged to the pending burst's telemetry.
+    fn stamp(&mut self, entry: Instant, staged: Instant) {
+        let burst = self.stamps.get_or_insert(BurstStamps {
             first: entry,
             last_staged: staged,
             n: 0,
             entry_ns: 0,
             staged_ns: 0,
-            trace: tel.next_trace_id(),
         });
         burst.add(entry, staged);
     }
@@ -347,7 +343,10 @@ impl NclFile {
     fn stage_nowait(&self, at: Option<u64>, data: &[u8]) -> (u64, Result<u64, NclError>) {
         let ctx = &self.ctx;
         let window = ctx.config.pipeline_window.max(1);
-        let t0 = self.metrics.enabled.then(sim::time::now);
+        // One clock reading per record: the entry, which also starts the
+        // local copy's modelled wait.
+        let copy = ctx.config.local_copy.cost(data.len());
+        let entry = (self.metrics.enabled || !copy.is_zero()).then(sim::time::now);
         let (offset, seq);
         {
             let mut stage = self.stage_guard();
@@ -361,9 +360,17 @@ impl NclFile {
                 let (capacity, needed) = (self.capacity, end);
                 return (offset, Err(NclError::CapacityExceeded { capacity, needed }));
             }
+            // Stage locally. The reading the copy's wait ends on is the
+            // staged instant; a free copy is staged at its entry.
+            let staged = entry.map(|t0| {
+                let staged = if copy.is_zero() {
+                    t0
+                } else {
+                    sim::time::delay_until_from(t0, t0 + copy)
+                };
+                (t0, staged)
+            });
             let image = &mut stage.image;
-            // Stage locally.
-            ctx.config.local_copy.charge(data.len());
             image.buffer[offset as usize..end].copy_from_slice(data);
             if offset < image.len {
                 image.overwritten = true;
@@ -372,8 +379,8 @@ impl NclFile {
             image.seq += 1;
             seq = image.seq;
             self.issued.store(seq, Ordering::Release);
-            if let Some(t0) = t0 {
-                stage.stamp(t0, sim::time::now(), &self.metrics.tel);
+            if let Some((t0, staged)) = staged.filter(|_| self.metrics.enabled) {
+                stage.stamp(t0, staged);
             }
             stage.pending.push(PendingRecord {
                 seq,
@@ -415,7 +422,7 @@ impl NclFile {
     /// their bytes from the image — QP order makes "header completed" imply
     /// "everything before it landed" under every scheme. The flush reads
     /// the clock once: that instant is the burst's (an EC spill is posted or
-    /// seen durable at it), closes the doorbell spans, restarts idle peers'
+    /// seen durable at it), ends its doorbell stage, restarts idle peers'
     /// silence clocks and is when every peer's doorbell is rung
     /// ([`rdma::QueuePair::post_many_at`]), so the peers' modelled flights
     /// overlap, and cover the posts' own CPU, although the posts are made in
@@ -442,7 +449,7 @@ impl NclFile {
         } else {
             0
         };
-        let idle_below = stage.flushed_seq;
+        let (idle_below, mut posted) = (stage.flushed_seq, 0);
         for slot in rep.peers.iter_mut().filter(|s| s.alive) {
             // A peer with nothing outstanding was silent because nothing was
             // asked of it: restart its silence clock as the new work posts,
@@ -451,22 +458,23 @@ impl NclFile {
                 slot.detector.touch(now);
             }
             let _ = burst.post(slot, now, &stage.image, &stage.pending);
-            if self.metrics.enabled {
-                self.metrics.wire_bytes.add(per_peer_bytes);
-            }
+            posted += 1;
         }
         drop(rep);
+        if self.metrics.enabled {
+            self.metrics.wire_bytes.add(posted * per_peer_bytes);
+        }
         stage.flushed_seq = flushed;
         stage.pending.clear();
         stage.scheme.end_burst(now, &stage.image, burst);
     }
 
-    /// Stamps the stage and doorbell histograms, queues the stage and
-    /// doorbell spans and opens the [`Flight`] of the burst of `records`
-    /// (inclusive), posted at the flush's instant `posted_at`. Runs before
-    /// the posts so that the flight is registered before its header can
-    /// land; completions cannot be absorbed concurrently because the caller
-    /// holds the replication lock.
+    /// Stamps the stage and doorbell histograms and opens the [`Flight`] of
+    /// the burst of `records` (inclusive), posted at the flush's instant
+    /// `posted_at`, with its span ids reserved for every peer it may be
+    /// posted to. Runs before the posts so that the flight is registered
+    /// before its header can land; completions cannot be absorbed
+    /// concurrently because the caller holds the replication lock.
     fn register_flight(
         &self,
         rep: &mut Rep,
@@ -475,39 +483,15 @@ impl NclFile {
         posted_at: Instant,
     ) {
         let (metrics, n) = (&self.metrics, burst.n);
-        metrics
-            .stages
-            .stage
-            .record_n(burst.staged_ns - burst.entry_ns, n);
+        let (staged, peers) = ((burst.first, burst.last_staged), rep.peers.len() as u32);
+        let opened = (metrics.tel).open_burst(metrics.scope_id, records, staged, posted_at, peers);
         // Σ(posted − staged) = n·(posted − first) − Σ(staged − first).
-        let waited = n * ns_between(burst.first, posted_at) - burst.staged_ns;
-        metrics.stages.doorbell.record_n(waited, n);
-        if burst.trace != 0 {
-            for (name, start, end) in [
-                (spans::NCL_STAGE, burst.first, burst.last_staged),
-                (spans::NCL_DOORBELL, burst.last_staged, posted_at),
-            ] {
-                rep.span_buf.push(metrics.tel.closed_span(
-                    burst.trace,
-                    metrics.tel.next_trace_id(),
-                    burst.trace,
-                    name,
-                    metrics.scope,
-                    0,
-                    records,
-                    start,
-                    end,
-                ));
-            }
-        }
+        let waited = n * opened.posted_ns() - burst.staged_ns;
+        let staged = burst.staged_ns - burst.entry_ns;
+        metrics.stages.flush.record_n([(staged, n), (waited, n)]);
         rep.flights.push_back(Flight {
-            lo: records.0,
-            hi: records.1,
-            t0: burst.first,
             entry_ns: burst.entry_ns,
-            posted: posted_at,
-            first_peer: None,
-            trace: burst.trace,
+            burst: opened,
         });
     }
 

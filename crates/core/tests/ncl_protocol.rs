@@ -1014,13 +1014,16 @@ fn a_peer_failure_mid_stream_preserves_protocol_guarantees() {
 
 /// The acknowledgement is the paper's: a record returns at the `f + 1`-th
 /// header, not the slowest peer's. Pinned on state, not on wall time: when
-/// `record` returns, the watermark covers it while the slow peer's
-/// completions have not landed, and when they do land they are absorbed as
-/// the successes they are.
+/// `record` returns, the watermark covers it and its trace holds the wire
+/// spans of the two peers whose headers covered it, not the slow peer's,
+/// whose completions are still in the air; when they do land they are
+/// absorbed as the successes they are, and the slow peer covers the next
+/// record.
 #[test]
 fn a_record_is_acked_at_the_quorums_header_with_the_slow_peers_still_in_flight() {
     use sim::{Binding, FaultAction, FaultPlan, FaultScheduler, Trigger};
     const RECORDS: u64 = 8;
+    const SLOW: Duration = Duration::from_millis(5);
     let h = Harness::with_config(3, NclConfig::calibrated());
     let lib = h.app("a1");
     let file = lib.create("wal", 4096).unwrap();
@@ -1031,40 +1034,42 @@ fn a_record_is_acked_at_the_quorums_header_with_the_slow_peers_still_in_flight()
     // completions for record `k` land 10 ms * k after the first doorbell.
     let slow = FaultAction::SlowPeer {
         peer: 0,
-        per_wr_us: 5_000,
+        per_wr_us: SLOW.as_micros() as u64,
         wrs: 2 * RECORDS as u32,
     };
+    let slow_peer = file.peer_names()[0].clone();
     let binding = Binding {
-        peers: vec![h.peer_named(&file.peer_names()[0]).node()],
+        peers: vec![h.peer_named(&slow_peer).node()],
         controller: h.controller.node(),
         app: lib.node(),
     };
     let plan = FaultPlan::new(1).push(Trigger::Step(1), slow);
     h.cluster
         .install_faults(FaultScheduler::new(&plan, binding));
-    // Completions landed so far, by the NIC's own count of them.
+    // The peers whose headers covered record `seq` before it was acked: the
+    // wire spans of its trace.
     let tel = file.telemetry().clone();
-    let landed = move || {
-        tel.snapshot()
-            .summary("rdma.wr.wire")
-            .map_or(0, |s| s.count)
+    let covered = move |seq: u64| -> Vec<String> {
+        let spans = tel.spans();
+        let wire = spans
+            .iter()
+            .filter(|s| s.name == spans::NCL_WIRE_PEER && s.seq == (seq, seq));
+        wire.map(|s| s.scope.to_string()).collect()
     };
-    let before = landed();
     for seq in 1..=RECORDS {
         file.record((seq - 1) * 16, &[seq as u8; 16]).unwrap();
         assert_eq!(file.durable_seq(), seq);
-        let landed = landed() - before;
+        let peers = covered(seq);
         assert!(
-            (4 * seq..6 * seq).contains(&landed),
-            "record {seq}: {landed} completions landed; two peers' make 4 a record, the third's fly"
+            peers.len() == 2 && !peers.contains(&slow_peer),
+            "record {seq}: covered by {peers:?}; the quorum's two headers ack it, {slow_peer}'s fly"
         );
     }
-    // The delays drain: `maintain` reaps what has landed, like any drain.
-    while landed() - before < 6 * RECORDS {
-        assert!(!file.maintain().unwrap(), "nothing to repair");
-        assert_eq!(file.durable_seq(), RECORDS, "the watermark stays put");
-        std::hint::spin_loop();
-    }
+    // A slow request is due at most its delays after the last post: once
+    // they have passed, one drain lands them all.
+    std::thread::sleep(SLOW * 2 * RECORDS as u32 + SLOW);
+    assert!(!file.maintain().unwrap(), "nothing to repair");
+    assert_eq!(file.durable_seq(), RECORDS, "the watermark stays put");
     h.cluster.clear_faults();
     assert_eq!(file.peer_names().len(), 3, "late is not dead");
     assert!(!file.repair_pending());
@@ -1072,9 +1077,10 @@ fn a_record_is_acked_at_the_quorums_header_with_the_slow_peers_still_in_flight()
     let alarms = [spans::PEER_FAILURE, spans::PEER_SUSPECT];
     let raised = h.config.telemetry.spans();
     assert!(!raised.iter().any(|s| alarms.contains(&s.name)));
-    // And the file writes on.
+    // And the file writes on, the late peer among those covering it.
     file.record(RECORDS * 16, b"after").unwrap();
     assert_eq!(file.durable_seq(), RECORDS + 1);
+    assert!(covered(RECORDS + 1).contains(&slow_peer));
 }
 
 #[test]

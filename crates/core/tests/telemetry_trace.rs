@@ -4,13 +4,21 @@
 //! `trace_analyzer --check` runs in CI), and every acknowledged write must
 //! carry a complete span chain — stage → doorbell → per-peer wire/catch-up
 //! coverage → quorum ack under one root span.
+//!
+//! A burst's chain is one record-ring entry that every reader expands:
+//! the cases at the end compare the chains of pipelined, erasure-coded and
+//! late-covered bursts span for span with the JSONL sink's lines and the
+//! Chrome export, and bound the ring by whole bursts.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
-use ncl::{Controller, NclConfig, NclLib, NclRegistry, Peer};
+use ncl::{Controller, Durability, MemSpillSink, NclConfig, NclFile, NclLib, NclRegistry, Peer};
 use sim::Cluster;
-use telemetry::analyze::analyze;
-use telemetry::spans;
+use telemetry::analyze::{analyze, parse_jsonl};
+use telemetry::export::chrome;
+use telemetry::{spans, Span, Telemetry};
 
 fn harness(
     num_peers: usize,
@@ -365,4 +373,216 @@ fn a_committed_burst_is_one_trace_of_seven_spans_and_one_stamp_per_stage() {
         parts.abs_diff(e2e) <= 16,
         "Σ stages {parts} ns vs Σ e2e {e2e} ns"
     );
+}
+
+/// A zero-latency config whose telemetry mirrors every span to a JSONL file
+/// of its own, returned with the file's path.
+fn sunk_config(case: &str) -> (NclConfig, PathBuf) {
+    let config = NclConfig::zero();
+    let dir = std::env::temp_dir().join(format!("ncl-trace-{}-{case}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("spans.jsonl");
+    config.telemetry.set_jsonl_sink(&path).unwrap();
+    (config, path)
+}
+
+/// One file `wal` on a fresh harness of `peers` peers.
+fn one_file(peers: usize, config: &NclConfig) -> (Cluster, Vec<Peer>, Controller, Arc<NclFile>) {
+    let (cluster, controller, registry, peers) = harness(peers, config);
+    let node = cluster.add_node("app");
+    let lib = NclLib::new(
+        &cluster,
+        node,
+        "chains",
+        config.clone(),
+        &controller,
+        &registry,
+    )
+    .expect("instance lock");
+    let file = lib.create("wal", 1 << 16).unwrap();
+    (cluster, peers, controller, file)
+}
+
+/// The record-path spans `tel` holds, once they have been checked span for
+/// span against the JSONL sink's lines at `sink` and the Chrome export.
+fn record_path(tel: &Telemetry, sink: &Path) -> Vec<Span> {
+    let ring: Vec<Span> = tel
+        .spans()
+        .into_iter()
+        .filter(Span::on_record_path)
+        .collect();
+    let text = std::fs::read_to_string(sink).unwrap();
+    let lines = parse_jsonl(&text).unwrap();
+    let sunk: Vec<Span> = lines.into_iter().filter(Span::on_record_path).collect();
+    assert_eq!(sunk, ring, "the sink's lines are the ring's spans");
+    let export = chrome::render(&ring);
+    assert_eq!(chrome::validate(&export), Ok(ring.len()));
+    for (event, s) in export.lines().skip(1).zip(&ring) {
+        let fields = [
+            format!("\"name\": \"{}\"", s.name),
+            format!("\"tid\": {}", s.trace),
+            format!("\"scope\": \"{}\", \"epoch\": {}", s.scope, s.epoch),
+            format!("\"seq\": [{}, {}]", s.seq.0, s.seq.1),
+            format!("\"span\": {}, \"parent\": {}", s.id, s.parent),
+        ];
+        for field in fields {
+            assert!(event.contains(&field), "{event} lacks {field}");
+        }
+    }
+    std::fs::remove_dir_all(sink.parent().unwrap()).ok();
+    ring
+}
+
+/// The names of a burst's chain on `peers` covering peers, in order.
+fn chain_of(peers: usize) -> Vec<&'static str> {
+    let wires = std::iter::repeat_n(spans::NCL_WIRE_PEER, peers);
+    let head = [spans::NCL_STAGE, spans::NCL_DOORBELL].into_iter();
+    head.chain(wires)
+        .chain([spans::NCL_ACK, spans::NCL_WRITE])
+        .collect()
+}
+
+/// Asserts that `chain` is one burst's whole chain, root last, and returns
+/// the scopes of its wire spans.
+fn wires_of(chain: &[Span]) -> Vec<&'static str> {
+    let root = chain.last().expect("a chain");
+    assert!(root.is_root() && root.name == spans::NCL_WRITE, "{chain:?}");
+    for s in chain {
+        assert_eq!((s.trace, s.seq), (root.trace, root.seq), "{s:?}");
+        assert!(s.is_root() || s.parent == root.id, "{s:?}");
+        assert!(
+            root.start_ns <= s.start_ns && s.end_ns <= root.end_ns,
+            "{s:?}"
+        );
+    }
+    let wires = chain.iter().filter(|s| s.name == spans::NCL_WIRE_PEER);
+    wires.map(|s| s.scope).collect()
+}
+
+#[test]
+fn two_pipelined_bursts_retired_by_one_drain_are_two_whole_chains() {
+    let (config, sink) = sunk_config("pipelined");
+    let (_cluster, _peers, _controller, file) = one_file(3, &config);
+    let mut last = 0;
+    for burst in 0..2u64 {
+        for i in 0..4u64 {
+            last = file.record_nowait((burst * 4 + i) * 64, &[7; 64]).unwrap();
+        }
+        file.submit();
+    }
+    // Both bursts landed with their posts; the barrier's one drain retires
+    // them together.
+    file.wait_durable(last).unwrap();
+
+    let spans = record_path(&config.telemetry, &sink);
+    assert_eq!(spans.len(), 14, "{spans:?}");
+    let (first, second) = spans.split_at(7);
+    for (chain, seq) in [(first, (last - 7, last - 4)), (second, (last - 3, last))] {
+        let names: Vec<&str> = chain.iter().map(|s| s.name).collect();
+        assert_eq!(names, chain_of(3));
+        assert_eq!(wires_of(chain).len(), 3);
+        assert_eq!(chain[6].seq, seq);
+    }
+    assert_eq!(first[6].end_ns, second[6].end_ns, "one drain's instant");
+    assert!(first[6].trace < second[6].trace);
+    let report = analyze(&config.telemetry.spans(), config.quorum());
+    assert!(report.ok(), "{}", report.render());
+    assert_eq!(report.acked_writes, 8);
+}
+
+#[test]
+fn an_erasure_coded_burst_has_one_wire_span_per_fragment() {
+    let (mut config, sink) = sunk_config("ec");
+    config.durability = Durability::Ec { k: 4, n: 6 };
+    config.spill = Some(Arc::new(MemSpillSink::new()));
+    let (_cluster, _peers, _controller, file) = one_file(6, &config);
+    let mut last = 0;
+    for i in 0..4u64 {
+        last = file.record_nowait(i * 256, &[i as u8; 256]).unwrap();
+    }
+    file.fsync().unwrap();
+
+    let spans = record_path(&config.telemetry, &sink);
+    let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+    assert_eq!(names, chain_of(6), "acked at all six headers");
+    let mut wires = wires_of(&spans);
+    wires.sort_unstable();
+    wires.dedup();
+    assert_eq!(wires.len(), 6, "six distinct peers");
+    assert_eq!(spans[9].seq, (last - 3, last));
+    let report = analyze(&config.telemetry.spans(), config.quorum());
+    assert!(report.ok(), "{}", report.render());
+}
+
+#[test]
+fn a_header_landing_after_the_quorum_retired_the_burst_leaves_no_wire_span() {
+    use sim::{Binding, FaultAction, FaultPlan, FaultScheduler, Trigger};
+    let (config, sink) = sunk_config("late");
+    let (cluster, peers, controller, file) = one_file(3, &config);
+    file.record(0, b"warm").unwrap();
+    let late = file.peer_names()[2].clone();
+    let node = |name: &str| peers.iter().find(|p| p.name() == name).unwrap().node();
+    let binding = Binding {
+        peers: vec![node(&late)],
+        controller: controller.node(),
+        app: cluster.add_node("fault-app"),
+    };
+    // The next record's data and header to one peer each take 1 ms on its
+    // wire; the other two land with their posts.
+    let slow = FaultAction::SlowPeer {
+        peer: 0,
+        per_wr_us: 1_000,
+        wrs: 2,
+    };
+    let plan = FaultPlan::new(1).push(Trigger::Step(1), slow);
+    cluster.install_faults(FaultScheduler::new(&plan, binding));
+    file.record(4, b"late").unwrap();
+    // Its header lands after the quorum retired the burst, and the drain
+    // that absorbs it records nothing.
+    std::thread::sleep(Duration::from_millis(5));
+    assert!(!file.maintain().unwrap(), "late is not dead");
+    cluster.clear_faults();
+
+    let spans = record_path(&config.telemetry, &sink);
+    let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+    let mut expected = chain_of(3);
+    expected.extend(chain_of(2));
+    assert_eq!(names, expected);
+    let (warm, slowed) = spans.split_at(7);
+    assert!(wires_of(warm).contains(&late.as_str()));
+    let covered = wires_of(slowed);
+    assert!(!covered.contains(&late.as_str()), "{covered:?}");
+    assert_eq!(file.peer_names().len(), 3);
+    let report = analyze(&config.telemetry.spans(), config.quorum());
+    assert!(report.ok(), "{}", report.render());
+}
+
+#[test]
+fn a_span_capacity_evicts_whole_bursts_and_counts_their_spans() {
+    let (config, sink) = sunk_config("capacity");
+    config.telemetry.set_span_capacity(20);
+    let (_cluster, _peers, _controller, file) = one_file(3, &config);
+    for i in 0..5u64 {
+        file.record(i * 8, &[i as u8; 8]).unwrap();
+    }
+    let tel = &config.telemetry;
+    // Seven spans a burst: the third evicts the first whole, and so on.
+    assert_eq!(tel.trace_dropped(), 21);
+    let ring: Vec<Span> = tel
+        .spans()
+        .into_iter()
+        .filter(Span::on_record_path)
+        .collect();
+    assert_eq!(ring.len(), 14);
+    for (chain, seq) in ring.chunks(7).zip([4, 5]) {
+        assert_eq!(wires_of(chain).len(), 3);
+        assert_eq!(chain[6].seq, (seq, seq));
+    }
+    assert!(tel.spans().iter().any(|s| s.name == spans::TRACE_TRUNCATED));
+    // The sink never drops: all five chains are there.
+    let text = std::fs::read_to_string(&sink).unwrap();
+    let sunk = parse_jsonl(&text).unwrap();
+    let roots = sunk.iter().filter(|s| s.name == spans::NCL_WRITE).count();
+    assert_eq!(roots, 5);
+    std::fs::remove_dir_all(sink.parent().unwrap()).ok();
 }

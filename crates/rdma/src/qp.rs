@@ -300,8 +300,9 @@ struct Link {
     remote: NodeId,
     cluster: Cluster,
     errored: AtomicBool,
-    /// Optional wire-span histogram: post→completion nanoseconds per WR.
-    /// Installed after connect: callers that don't measure see no change.
+    /// Optional wire-span histogram: post→completion nanoseconds per WR,
+    /// stamped once per doorbell. Installed after connect: callers that
+    /// don't measure see no change.
     wire_hist: OnceLock<HistHandle>,
 }
 
@@ -319,9 +320,6 @@ impl Link {
             wc.status = WcStatus::RetryExceeded;
             wc.read_data = None;
             self.errored.store(true, Ordering::SeqCst);
-        }
-        if let Some(hist) = self.wire_hist.get() {
-            hist.record(wc.wire_ns);
         }
         match verdict {
             WireFault::DropCompletion if wc.status == WcStatus::Success => {}
@@ -408,9 +406,13 @@ impl QueuePair {
         }
     }
 
-    /// Installs a histogram recording, per work request, the nanoseconds from
-    /// post (doorbell) to completion — the wire span of the record lifecycle —
-    /// from now on; the first one installed stays for the queue pair's life.
+    /// Installs a histogram of the nanoseconds from post (doorbell) to
+    /// completion of every work request — the wire span of the record
+    /// lifecycle — from now on; the first one installed stays for the queue
+    /// pair's life. A request's `wire_ns` is the model's number, known when
+    /// it is posted, so a doorbell stamps its requests there, in one
+    /// [`HistHandle::record_n`]: one sample per request, all at the
+    /// doorbell's mean, sum exact.
     pub fn set_wire_hist(&self, hist: HistHandle) {
         let _ = self.link.wire_hist.set(hist);
     }
@@ -520,6 +522,7 @@ impl QueuePair {
         }
         let mut sq = self.sq.lock();
         let (pipe, flying) = &mut *sq;
+        let mut wire_ns = 0;
         for wr in wrs {
             let wr = wr.borrow();
             let verdict = link
@@ -538,17 +541,22 @@ impl QueuePair {
             if status != WcStatus::Success {
                 link.errored.store(true, Ordering::SeqCst);
             }
+            let wc = WorkCompletion {
+                wr_id: wr.wr_id(),
+                status,
+                read_data,
+                wire_ns: due.duration_since(posted_at).as_nanos() as u64,
+            };
+            wire_ns += wc.wire_ns;
             flying.push(Flight {
                 due,
                 flew: due > start,
                 verdict,
-                wc: WorkCompletion {
-                    wr_id: wr.wr_id(),
-                    status,
-                    read_data,
-                    wire_ns: due.duration_since(posted_at).as_nanos() as u64,
-                },
+                wc,
             });
+        }
+        if let Some(hist) = link.wire_hist.get() {
+            hist.record_n(wire_ns, flying.len() as u64);
         }
         self.cq.accept(&self.link, flying);
         Ok(())

@@ -61,7 +61,7 @@ pub fn delay(d: Duration) {
         return;
     }
     let start = now();
-    wait(start, start + d);
+    delay_until_from(start, start + d);
 }
 
 /// Waits until `deadline` (a no-op if it has already passed), with the same
@@ -73,12 +73,14 @@ pub fn delay(d: Duration) {
 /// Returns the clock reading the wait ended on, at or after `deadline`: what
 /// the caller does next happens at that instant and need not ask again.
 pub fn delay_until(deadline: Instant) -> Instant {
-    wait(now(), deadline)
+    delay_until_from(now(), deadline)
 }
 
-/// The one wait loop: from the reading `now` until `deadline`; returns the
-/// reading it exits on.
-fn wait(mut now: Instant, deadline: Instant) -> Instant {
+/// [`delay_until`] for a caller that has just read the clock: the wait
+/// starts from that reading, `now`, instead of an entry read of its own.
+/// Returns the reading it exits on (`now` itself when `deadline` is not
+/// after it). The one wait loop.
+pub fn delay_until_from(mut now: Instant, deadline: Instant) -> Instant {
     if deadline.saturating_duration_since(now) > SPIN_THRESHOLD {
         while now < deadline {
             std::thread::sleep(deadline - now);
@@ -149,6 +151,13 @@ mod tests {
         assert_eq!(reads, 1);
         let ((), reads) = audited(|| delay(Duration::ZERO));
         assert_eq!(reads, 0);
+        // A wait from a reading the caller holds reads nothing itself.
+        let held = now();
+        let deadline = held + Duration::from_micros(5);
+        let (ended, reads) = audited(|| delay_until_from(held, deadline));
+        assert_eq!(reads, 0);
+        assert!(ended >= deadline);
+        assert_eq!(delay_until_from(ended, held), ended, "nothing to wait");
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! Parsing stops at the first truncated or corrupt frame, so a crash in the
 //! middle of an append loses only that (never-acknowledged) record.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,6 +39,13 @@ pub(crate) type Record = (u64, Vec<u8>);
 pub(crate) struct NclRoute {
     pub(crate) file: Arc<NclFile>,
     pub(crate) fb: Mutex<Fallback>,
+    /// True while the route is degraded to the DFS shadow journal. Written
+    /// only under `fb`'s lock ([`NclRoute::set_engaged`]), so a holder of
+    /// that lock reads it settled; a healthy write reads it with no lock at
+    /// all, and every path that acts on `true` re-checks under the lock. The
+    /// `Release` store pairs with the `Acquire` load, so a reader that sees
+    /// the flag flip also sees the route state written before it.
+    engaged: AtomicBool,
 }
 
 impl NclRoute {
@@ -45,19 +53,26 @@ impl NclRoute {
         Arc::new(NclRoute {
             file,
             fb: Mutex::new(Fallback::new()),
+            engaged: AtomicBool::new(false),
         })
     }
 
-    /// True while the route is degraded to the DFS shadow journal.
+    /// True while the route is degraded to the DFS shadow journal: one
+    /// atomic load.
     pub(crate) fn engaged(&self) -> bool {
-        self.fb.lock().engaged
+        self.engaged.load(Ordering::Acquire)
+    }
+
+    /// Engages or disengages the route. `_fb` is the guard of `fb`, the
+    /// only lock under which the flag may change.
+    pub(crate) fn set_engaged(&self, _fb: &mut Fallback, on: bool) {
+        self.engaged.store(on, Ordering::Release);
     }
 }
 
-/// Degradation state of one route. All fields are meaningful only while
-/// `engaged`.
+/// Degradation state of one route, meaningful only while the route is
+/// engaged.
 pub(crate) struct Fallback {
-    pub(crate) engaged: bool,
     /// Overlay image serving reads while degraded; starts as a snapshot of
     /// the NCL staged image (which includes every issued record).
     pub(crate) image: Vec<u8>,
@@ -73,7 +88,6 @@ pub(crate) struct Fallback {
 impl Fallback {
     pub(crate) fn new() -> Self {
         Fallback {
-            engaged: false,
             image: Vec::new(),
             len: 0,
             records: Vec::new(),

@@ -30,6 +30,7 @@ pub use spill::DfsSpillSink;
 pub use testbed::{Testbed, TestbedConfig};
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -174,6 +175,9 @@ struct FsInner {
     ncl: Option<NclLib>,
     ncl_files: Mutex<HashMap<String, Arc<NclRoute>>>,
     trace: Mutex<Option<Arc<IoTrace>>>,
+    /// Set once `trace` holds a trace, so an NCL write with none attached
+    /// takes no lock.
+    traced: AtomicBool,
     /// Weak DFT only: the writeback interval and when the next is due.
     writeback: Option<(Duration, Mutex<Instant>)>,
     /// Phase breakdown of the most recent NCL file recovery (Figure 11b).
@@ -212,6 +216,7 @@ impl SplitFs {
                 ncl,
                 ncl_files: Mutex::new(HashMap::new()),
                 trace: Mutex::new(None),
+                traced: AtomicBool::new(false),
                 writeback: None,
                 last_recovery: Mutex::new(None),
                 dfs_write: telemetry.histogram("splitfs.dfs.write"),
@@ -261,6 +266,7 @@ impl SplitFs {
     pub fn set_trace(&self, trace: Arc<IoTrace>) {
         self.inner.dfs.set_trace(Arc::clone(&trace));
         *self.inner.trace.lock() = Some(trace);
+        self.inner.traced.store(true, Ordering::Release);
     }
 
     /// Access to the NCL library (SplitFT mode only).
@@ -439,6 +445,9 @@ impl SplitFs {
     }
 
     fn trace_ncl_write(&self, path: &str, bytes: usize) {
+        if !self.inner.traced.load(Ordering::Acquire) {
+            return;
+        }
         if let Some(t) = self.inner.trace.lock().as_ref() {
             t.record(path, IoKind::FlushWrite, bytes);
         }
@@ -457,7 +466,7 @@ impl SplitFs {
         cause: &NclError,
     ) -> Result<(), FsError> {
         let mut fb = route.fb.lock();
-        if fb.engaged {
+        if route.engaged() {
             return Ok(());
         }
         let dfs = &self.inner.dfs;
@@ -474,7 +483,7 @@ impl SplitFs {
         fb.len = image.len() as u64;
         fb.image = image;
         fb.records.clear();
-        fb.engaged = true;
+        route.set_engaged(&mut fb, true);
         fb.last_probe = sim::time::now();
         self.inner.fallback_engaged.inc();
         self.inner.telemetry.fact(
@@ -500,7 +509,7 @@ impl SplitFs {
         data: &[u8],
     ) -> Result<u64, FsError> {
         let mut fb = route.fb.lock();
-        if !fb.engaged {
+        if !route.engaged() {
             // Re-attached under our feet; the caller retries through NCL.
             return Err(FsError::Unavailable("fallback disengaged".to_string()));
         }
@@ -525,7 +534,7 @@ impl SplitFs {
     /// when the route is attached to NCL (i.e. not, or no longer, degraded).
     fn probe_reattach(&self, path: &str, route: &NclRoute) -> bool {
         let mut fb = route.fb.lock();
-        if !fb.engaged {
+        if !route.engaged() {
             return true;
         }
         let ncl = self.inner.ncl.as_ref().expect("splitft mode has ncl");
@@ -547,6 +556,7 @@ impl SplitFs {
             return false;
         }
         *fb = Fallback::new();
+        route.set_engaged(&mut fb, false);
         true
     }
 
@@ -802,7 +812,7 @@ impl File {
         match &self.backend {
             Backend::Ncl(route) => {
                 let fb = route.fb.lock();
-                if fb.engaged {
+                if route.engaged() {
                     let image = &fb.image[..fb.len as usize];
                     Ok(f(&image[sim::short_read(image.len(), offset, len)]))
                 } else {
@@ -818,7 +828,7 @@ impl File {
         match &self.backend {
             Backend::Ncl(route) => {
                 let fb = route.fb.lock();
-                if fb.engaged {
+                if route.engaged() {
                     Ok(fb.len)
                 } else {
                     Ok(route.file.len())

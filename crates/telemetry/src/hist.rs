@@ -1,8 +1,9 @@
 //! Log-linear latency histograms.
 //!
-//! [`Histogram`] is the single-writer variant used by benchmark harnesses
-//! (promoted here from `sim::stats`, which now re-exports it); recording is
-//! O(1) and percentile queries walk the bucket array. Relative error of
+//! [`Histogram`] is plain data: benchmark harnesses own theirs (it was
+//! promoted here from `sim::stats`, which re-exports it), and the registry
+//! keeps each behind a lock ([`crate::HistHandle`]). Recording is O(1) and
+//! percentile queries walk the bucket array. Relative error of
 //! reported values is bounded by `1/SUBBUCKETS` (~3%), and reported
 //! percentiles are always clamped into the exact `[min, max]` sample range so
 //! single-sample and extreme-percentile queries return true values rather
@@ -15,7 +16,7 @@ const SUBBUCKETS: usize = 32;
 const SUBBUCKET_BITS: u32 = 5;
 /// Values below this are counted exactly (one bucket per nanosecond value).
 const LINEAR_LIMIT: u64 = 64;
-pub(crate) const NUM_BUCKETS: usize = LINEAR_LIMIT as usize + SUBBUCKETS * 64;
+const NUM_BUCKETS: usize = LINEAR_LIMIT as usize + SUBBUCKETS * 64;
 
 /// Largest value the bucket ladder tracks with bounded relative error
 /// (~73 minutes in nanoseconds). Samples above this are clipped into the
@@ -56,28 +57,7 @@ impl Histogram {
         }
     }
 
-    /// Rebuilds a histogram from raw parts (used when snapshotting the
-    /// lock-free atomic variant).
-    pub(crate) fn from_parts(
-        buckets: Vec<u64>,
-        count: u64,
-        sum: u64,
-        min: u64,
-        max: u64,
-        overflow: u64,
-    ) -> Self {
-        debug_assert_eq!(buckets.len(), NUM_BUCKETS);
-        Histogram {
-            buckets,
-            count,
-            sum,
-            min,
-            max,
-            overflow,
-        }
-    }
-
-    pub(crate) fn bucket_index(value: u64) -> usize {
+    fn bucket_index(value: u64) -> usize {
         if value < LINEAR_LIMIT {
             return value as usize;
         }
@@ -105,12 +85,24 @@ impl Histogram {
     /// the top tracked bucket (count/sum/max stay exact) and counted in
     /// [`Histogram::overflow`].
     pub fn record(&mut self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples that sum to `total`, e.g. one stage of every
+    /// record of a burst, in one stamp: count and sum (so the mean) stay
+    /// exact, the buckets and extremes see `n` samples at the mean.
+    pub fn record_n(&mut self, total: u64, n: u64) {
+        let value = match n {
+            0 => return,
+            1 => total,
+            _ => total / n,
+        };
         if value > OVERFLOW_LIMIT {
-            self.overflow += 1;
+            self.overflow += n;
         }
-        self.buckets[Self::bucket_index(value.min(OVERFLOW_LIMIT))] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
+        self.buckets[Self::bucket_index(value.min(OVERFLOW_LIMIT))] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(total);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -229,7 +221,14 @@ impl Histogram {
             }
         }
         let overflow = self.overflow.saturating_sub(earlier.overflow);
-        Histogram::from_parts(buckets, count, sum, min, max, overflow)
+        Histogram {
+            buckets,
+            count,
+            sum,
+            min,
+            max,
+            overflow,
+        }
     }
 
     /// Adds all samples of `other` into `self`.

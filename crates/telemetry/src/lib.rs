@@ -4,24 +4,26 @@
 //! the NCL core, splitfs, the apps, the benches — can depend on it without
 //! cycles. Three pieces:
 //!
-//! * a lock-free **metrics registry** ([`Counter`], [`Gauge`], [`HistHandle`])
-//!   whose handles are interned by name at component construction and cost a
-//!   few relaxed atomic ops per stamp on the hot path;
+//! * a **metrics registry** ([`Counter`], [`Gauge`], [`HistHandle`],
+//!   [`HistSet`]) whose handles are interned by name at component
+//!   construction: a counter costs one relaxed atomic op, and histograms
+//!   stamped together share one lock, under which a stamp is plain adds;
 //! * **per-stage latency histograms** ([`Histogram`], promoted from
 //!   `sim::stats`): record lifecycles are timestamped at stage → doorbell →
-//!   wire → ack boundaries and aggregated, one stamp per burst of records
-//!   ([`HistHandle::record_n`]);
+//!   wire → ack boundaries and aggregated, one stamp set per burst of
+//!   records ([`HistSet::record_n`]);
 //! * **causal spans** ([`Span`], two bounded rings + an optional JSONL
 //!   sink), the one record of what happened: every NCL burst gets a `trace`
-//!   id when its first record is staged, whose span tree reconstructs the
-//!   full durability chain of its record range (stage → doorbell → per-peer
-//!   wire → quorum ack); every control operation is a tree of phases under
-//!   an `ncl.{create,recover,repair}` root, from which Table 3-style
-//!   timelines fall out; and every point transition is a zero-length *fact*
-//!   ([`Telemetry::fact`]). Spans are consumed by the exporters in
-//!   [`export`] and by the invariant engine in [`checker`]: live through
-//!   [`monitor`], judged on the thread that records them, and offline
-//!   through [`analyze`].
+//!   id when it is posted, whose span tree reconstructs the full durability
+//!   chain of its record range (stage → doorbell → per-peer wire → quorum
+//!   ack). A burst is recorded as one ring entry ([`Burst`]) that the
+//!   readers expand into that tree; every control operation is a tree of
+//!   phases under an `ncl.{create,recover,repair}` root, from which Table
+//!   3-style timelines fall out; and every point transition is a
+//!   zero-length *fact* ([`Telemetry::fact`]). Spans are consumed by the
+//!   exporters in [`export`] and by the invariant engine in [`checker`]:
+//!   live through [`monitor`], judged on the thread that records them, and
+//!   offline through [`analyze`].
 //!
 //! A [`Telemetry`] value is a cheap cloneable handle; all clones share one
 //! registry, one pair of rings and, once attached, one monitor. Only the
@@ -29,8 +31,9 @@
 //! yields a handle whose metric handles are no-ops and which records no
 //! span.
 //! What the enabled path costs against it is measured, not gated: splitbench
-//! reports it per workload as `telemetry.on_over_off`, and span emission can
-//! be turned off separately via [`Telemetry::set_tracing`].
+//! reports it per workload as `telemetry.on_over_off`, the `telemetry_cost`
+//! probe in `crates/core/tests` reports it for one synchronous record, and
+//! span emission can be turned off separately via [`Telemetry::set_tracing`].
 //!
 //! ```
 //! let tel = telemetry::Telemetry::new();
@@ -44,6 +47,7 @@
 //! ```
 
 pub mod analyze;
+mod burst;
 pub mod checker;
 pub mod export;
 pub mod flight;
@@ -55,21 +59,24 @@ mod slo;
 mod snapshot;
 mod span;
 
+pub use burst::Burst;
 pub use checker::{MonitorReport, Violation};
 pub use flight::FlightRecorder;
 pub use hist::{Histogram, Summary, OVERFLOW_LIMIT};
-pub use metrics::{Counter, Gauge, HistHandle};
+pub use metrics::{Counter, Gauge, HistHandle, HistSet};
 pub use monitor::OnlineMonitor;
 pub use slo::{
     HealthReport, SaturationSnapshot, SloPlane, SloSpec, SloState, SloStatus, SloTracker,
 };
 pub use snapshot::{json_escape, TelemetrySnapshot};
-pub use span::{intern_scope, spans, Span};
+pub use span::{intern_scope, spans, ScopeId, Span};
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+use burst::ns_since;
 
 struct Inner {
     registry: metrics::Registry,
@@ -105,8 +112,9 @@ pub struct Telemetry {
 
 impl Default for Telemetry {
     /// Enabled, so instrumentation is on unless explicitly opted out. It is
-    /// not free: a burst of records closes seven spans on three peers and
-    /// stamps each stage histogram once, and what that costs a write is
+    /// not free: a burst of records is one record-ring entry (its seven
+    /// spans on three peers are built by whoever reads them) and two stamp
+    /// sets of the stage histograms, and what that costs a write is
     /// measured per workload as splitbench's `telemetry.on_over_off`
     /// (DESIGN.md §6c).
     fn default() -> Self {
@@ -171,6 +179,14 @@ impl Telemetry {
             .map_or_else(HistHandle::noop, |i| i.registry.histogram(name))
     }
 
+    /// Interns (or reuses) the histograms `names` as one [`HistSet`], which
+    /// stamps all of them under one lock. Cold path — cache the set.
+    pub fn histograms<const N: usize>(&self, names: [&str; N]) -> HistSet<N> {
+        self.inner
+            .as_ref()
+            .map_or_else(HistSet::noop, |i| i.registry.histograms(names))
+    }
+
     /// Convenience point read of a counter (0 when absent or disabled).
     pub fn counter_value(&self, name: &str) -> u64 {
         self.counter(name).get()
@@ -202,9 +218,7 @@ impl Telemetry {
     /// 0 for instants before the handle was created).
     #[inline]
     pub fn instant_ns(&self, t: Instant) -> u64 {
-        self.inner.as_ref().map_or(0, |i| {
-            t.saturating_duration_since(i.origin).as_nanos() as u64
-        })
+        self.inner.as_ref().map_or(0, |i| ns_since(i.origin, t))
     }
 
     /// Allocates a fresh trace id (also usable as a span id — one generator
@@ -235,23 +249,49 @@ impl Telemetry {
             .is_some_and(|i| i.tracing.load(Ordering::Relaxed))
     }
 
-    /// Moves `spans` into `inner`'s rings, then feeds copies to the attached
-    /// monitor, if any, on this thread (a hook that dumps the flight recorder
-    /// finds the span that tripped it in the ring). The first ring drop
-    /// records the `trace-truncated` fact, which the monitor sees ahead of
-    /// the batch: the rings no longer show span completeness (the JSONL sink
-    /// never drops).
-    fn record(&self, inner: &Inner, spans: &mut Vec<Span>) {
-        let monitored = inner.monitor.get().map(|m| (m, spans.clone()));
-        if inner.spans.record(spans)
-            && !inner.truncated.load(Ordering::Relaxed)
+    /// Moves `spans` into `inner`'s rings, then hands them to the JSONL sink
+    /// and the attached monitor, if any, on this thread (a hook that dumps
+    /// the flight recorder finds the span that tripped it in the ring). The
+    /// first ring drop records the `trace-truncated` fact, which the monitor
+    /// sees ahead of the batch: the rings no longer show span completeness
+    /// (the JSONL sink never drops).
+    fn record(&self, inner: &Inner, spans: impl IntoIterator<Item = Span>) {
+        if !self.watched(inner) {
+            if inner.spans.push_spans(spans) {
+                self.truncated(inner);
+            }
+            return;
+        }
+        let spans: Vec<Span> = spans.into_iter().collect();
+        let overflowed = inner.spans.push_spans(spans.iter().cloned());
+        self.publish(inner, &spans, overflowed);
+    }
+
+    /// True when a sink or a monitor takes what is recorded: only then are
+    /// a burst's spans built on the recording thread.
+    fn watched(&self, inner: &Inner) -> bool {
+        inner.monitor.get().is_some() || inner.spans.sinking()
+    }
+
+    /// Hands `spans`, just moved into the rings, to the sink and the
+    /// monitor; `overflowed` says whether the rings dropped for them.
+    fn publish(&self, inner: &Inner, spans: &[Span], overflowed: bool) {
+        inner.spans.write_sink(spans);
+        if overflowed {
+            self.truncated(inner);
+        }
+        if let Some(m) = inner.monitor.get() {
+            m.feed(self, spans);
+        }
+    }
+
+    /// Records the `trace-truncated` fact at the first ring drop.
+    fn truncated(&self, inner: &Inner) {
+        if !inner.truncated.load(Ordering::Relaxed)
             && !inner.truncated.swap(true, Ordering::Relaxed)
         {
             let detail = "span ring overflow; oldest entries dropped";
             self.fact(spans::TRACE_TRUNCATED, "telemetry", 0, detail);
-        }
-        if let Some((m, copies)) = monitored {
-            m.feed(self, &copies);
         }
     }
 
@@ -277,14 +317,13 @@ impl Telemetry {
             return;
         }
         let span = self.closed_span(trace, id, parent, name, scope, epoch, (0, 0), start, end);
-        self.record(inner, &mut vec![span]);
+        self.record(inner, [span]);
     }
 
     /// Builds the [`Span`] that [`Self::span`] would record, about the
     /// records `seq` (see [`Span::seq`]), without recording it: for callers
-    /// that queue the spans of one operation and hand them over together
-    /// ([`Self::record_spans`]). `id` is the trace id for a root, a
-    /// [`Self::next_trace_id`] otherwise.
+    /// that hand several spans over together ([`Self::record_spans`]). `id`
+    /// is the trace id for a root, a [`Self::next_trace_id`] otherwise.
     #[allow(clippy::too_many_arguments)]
     pub fn closed_span(
         &self,
@@ -314,19 +353,81 @@ impl Telemetry {
     }
 
     /// Records the closed spans in `spans`, in order, and empties it (the
-    /// buffer's capacity stays with the caller). A path that closes several
-    /// spans together — the seven of an NCL burst on three peers — hands
-    /// them over in one call and pays the ring lock once, not per span.
+    /// buffer's capacity stays with the caller), under one ring lock.
     /// Callers build each one with [`Self::closed_span`]; spans of trace 0
     /// must not be queued. No-op (but still emptying) when disabled or
     /// tracing is off.
     pub fn record_spans(&self, spans: &mut Vec<Span>) {
         if let Some(inner) = &self.inner {
             if inner.tracing.load(Ordering::Relaxed) && !spans.is_empty() {
-                self.record(inner, spans);
+                self.record(inner, spans.drain(..));
             }
         }
         spans.clear();
+    }
+
+    /// Opens the telemetry of an NCL burst of the records `seq` on `scope`,
+    /// staged over `staged` (its first record's entry, its last record's
+    /// staging) and posted at `posted` to `peers` peers. With tracing on,
+    /// the burst takes its trace id and its spans' ids in one block;
+    /// otherwise its trace is 0 and it records no span. Either way the
+    /// record path keeps its instants in it until it retires
+    /// ([`Self::record_burst`]).
+    pub fn open_burst(
+        &self,
+        scope: ScopeId,
+        seq: (u64, u64),
+        staged: (Instant, Instant),
+        posted: Instant,
+        peers: u32,
+    ) -> Burst {
+        let trace = match &self.inner {
+            Some(i) if i.tracing.load(Ordering::Relaxed) => {
+                i.ids.fetch_add(Burst::ids(peers), Ordering::Relaxed)
+            }
+            _ => 0,
+        };
+        Burst::new(trace, scope, seq, staged, posted, peers)
+    }
+
+    /// Adds the wire span of peer `scope` to `burst`: its header covering
+    /// the burst was observed `end_ns` after the burst's entry, and its
+    /// flight took `wire_ns`. A burst holds six that end within four
+    /// seconds of its post; any other is recorded on its own now, at
+    /// `epoch`, ahead of the burst's chain.
+    pub fn add_wire(
+        &self,
+        burst: &mut Burst,
+        scope: ScopeId,
+        epoch: u64,
+        (wire_ns, end_ns): (u64, u64),
+    ) {
+        let Some(inner) = &self.inner else { return };
+        if let Some(span) = burst.add_wire(inner.origin, scope, epoch, (wire_ns, end_ns)) {
+            if inner.tracing.load(Ordering::Relaxed) {
+                self.record(inner, [span]);
+            }
+        }
+    }
+
+    /// Records a retired burst's spans (see [`Burst`]) as one record-ring
+    /// entry, which every reader expands into the chain: stage, doorbell,
+    /// one wire span per covering peer, ack, and the root last. With a sink
+    /// or a monitor attached, the spans are built here too, for them.
+    /// No-op for an untraced burst, when disabled, or when tracing is off.
+    pub fn record_burst(&self, burst: &Burst) {
+        let Some(inner) = &self.inner else { return };
+        if burst.trace == 0 || !inner.tracing.load(Ordering::Relaxed) {
+            return;
+        }
+        let overflowed = inner.spans.push_burst(burst);
+        if self.watched(inner) {
+            let mut spans = Vec::new();
+            span::with_scope_names(|names| burst.expand(inner.origin, names, &mut spans));
+            self.publish(inner, &spans, overflowed);
+        } else if overflowed {
+            self.truncated(inner);
+        }
     }
 
     /// Records a closed span with a freshly allocated id and returns it
@@ -355,7 +456,7 @@ impl Telemetry {
     /// every span, nothing is recorded when disabled or tracing is off.
     pub fn fact(&self, name: &'static str, scope: &str, epoch: u64, detail: impl AsRef<str>) {
         if let Some(fact) = self.fact_span(name, scope, epoch, detail.as_ref()) {
-            self.record(self.inner.as_ref().expect("enabled"), &mut vec![fact]);
+            self.record(self.inner.as_ref().expect("enabled"), [fact]);
         }
     }
 
@@ -395,11 +496,13 @@ impl Telemetry {
     pub(crate) fn span_rings(&self) -> (Vec<Span>, Vec<Span>) {
         self.inner
             .as_ref()
-            .map_or_else(Default::default, |i| i.spans.rings())
+            .map_or_else(Default::default, |i| i.spans.rings(i.origin))
     }
 
-    /// Caps the record ring at `capacity` entries (oldest evicted first).
-    /// Facts and control-path spans keep a ring of their own, 4,096 entries.
+    /// Caps the record ring at `capacity` spans, evicting its oldest entries
+    /// first: a burst's spans are one entry and go together, and the ring
+    /// keeps its newest entry whatever its size. Facts and control-path
+    /// spans keep a ring of their own, 4,096 entries.
     pub fn set_span_capacity(&self, capacity: usize) {
         if let Some(inner) = &self.inner {
             inner.spans.set_capacity(capacity);
@@ -420,7 +523,7 @@ impl Telemetry {
         Some(OnlineMonitor { tel: self.clone() })
     }
 
-    /// Total entries dropped by the two span rings. The JSONL sink never
+    /// Total spans dropped by the two span rings. The JSONL sink never
     /// drops; this counts only the bounded rings, and is what `/metrics`
     /// exports as `splitft_trace_dropped_total`.
     pub fn trace_dropped(&self) -> u64 {

@@ -1,89 +1,30 @@
-//! Lock-free metrics: counters, gauges, and concurrent histograms.
+//! Metrics: counters, gauges and histograms.
 //!
 //! Handles are looked up (and interned) by name once, at component
-//! construction time, then used on the hot path where every operation is a
-//! handful of relaxed atomic ops — no locks, no allocation. A handle created
-//! from a disabled [`crate::Telemetry`] is a no-op whose recording methods
-//! compile down to a single branch.
+//! construction time, then used on the hot path without allocating. A
+//! counter or gauge update is one relaxed atomic op. A histogram is a plain
+//! [`Histogram`] behind a mutex, and histograms that are stamped together
+//! ([`HistSet`]) share one: a stamp of all of them is one lock acquisition
+//! and plain adds, where a lock-free histogram pays four or five atomic
+//! read-modify-writes per histogram. A handle created from a disabled
+//! [`crate::Telemetry`] is a no-op whose recording methods compile down to a
+//! single branch.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::hist::{Histogram, NUM_BUCKETS, OVERFLOW_LIMIT};
+use crate::hist::Histogram;
 
-/// Concurrent log-linear histogram: same bucket layout as [`Histogram`] but
-/// every cell is an atomic, so any number of threads can record through a
-/// shared handle without coordination.
-pub(crate) struct AtomicHistogram {
-    buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    overflow: AtomicU64,
-}
+/// Histograms interned together, behind one lock.
+type HistCell = Mutex<Vec<Histogram>>;
 
-impl AtomicHistogram {
-    pub(crate) fn new() -> Self {
-        AtomicHistogram {
-            buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            overflow: AtomicU64::new(0),
-        }
-    }
+/// One interned histogram: its cell and its place in it.
+type HistSlot = (Arc<HistCell>, usize);
 
-    /// Adds `n` samples whose sum is `total`, all at their mean: count and
-    /// sum stay exact, the buckets and extremes see the mean. `n == 1` is
-    /// one plain sample, and skips the division.
-    #[inline]
-    fn record_n(&self, total: u64, n: u64) {
-        let value = match n {
-            0 => return,
-            1 => total,
-            _ => total / n,
-        };
-        if value > OVERFLOW_LIMIT {
-            self.overflow.fetch_add(n, Ordering::Relaxed);
-        }
-        self.buckets[Histogram::bucket_index(value.min(OVERFLOW_LIMIT))]
-            .fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(total, Ordering::Relaxed);
-        // The extremes only ever move outwards, so a sample inside them —
-        // nearly every one — needs no read-modify-write (a locked
-        // compare-exchange loop on x86, which has no atomic min/max).
-        if value < self.min.load(Ordering::Relaxed) {
-            self.min.fetch_min(value, Ordering::Relaxed);
-        }
-        if value > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(value, Ordering::Relaxed);
-        }
-    }
-
-    /// Materialises an owned [`Histogram`] snapshot. A sample recorded
-    /// while this reads can reach its bucket before its count, so the count
-    /// is at least the buckets' sum: cumulative exports stay cumulative.
-    pub(crate) fn load(&self) -> Histogram {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let count = self.count.load(Ordering::Relaxed).max(buckets.iter().sum());
-        Histogram::from_parts(
-            buckets,
-            count,
-            self.sum.load(Ordering::Relaxed),
-            self.min.load(Ordering::Relaxed),
-            self.max.load(Ordering::Relaxed),
-            self.overflow.load(Ordering::Relaxed),
-        )
-    }
+fn lock(cell: &HistCell) -> MutexGuard<'_, Vec<Histogram>> {
+    cell.lock().expect("histogram poisoned")
 }
 
 /// A monotonically increasing counter handle. Cloning shares the cell.
@@ -150,7 +91,7 @@ impl Gauge {
 
 /// A shared histogram handle recording nanosecond samples.
 #[derive(Clone, Default)]
-pub struct HistHandle(Option<Arc<AtomicHistogram>>);
+pub struct HistHandle(Option<HistSlot>);
 
 impl HistHandle {
     /// A detached handle whose samples go nowhere (disabled telemetry).
@@ -175,8 +116,8 @@ impl HistHandle {
     /// exact; the distribution sees `n` samples at the mean.
     #[inline]
     pub fn record_n(&self, total_ns: u64, n: u64) {
-        if let Some(h) = &self.0 {
-            h.record_n(total_ns, n);
+        if let Some((cell, i)) = &self.0 {
+            lock(cell)[*i].record_n(total_ns, n);
         }
     }
 
@@ -198,7 +139,45 @@ impl HistHandle {
 
     /// Materialises an owned snapshot (empty for a no-op handle).
     pub fn load(&self) -> Histogram {
-        self.0.as_ref().map_or_else(Histogram::new, |h| h.load())
+        self.0
+            .as_ref()
+            .map_or_else(Histogram::new, |(cell, i)| lock(cell)[*i].clone())
+    }
+}
+
+/// `N` histograms stamped together: one [`HistSet::record_n`] stamps all of
+/// them under one lock acquisition. Each stays a named histogram of its
+/// own, which [`crate::Telemetry::histogram`] finds and exporters read.
+#[derive(Clone)]
+pub struct HistSet<const N: usize>(Option<[HistSlot; N]>);
+
+impl<const N: usize> HistSet<N> {
+    /// A detached set whose samples go nowhere (disabled telemetry).
+    pub fn noop() -> Self {
+        HistSet(None)
+    }
+
+    /// Stamps histogram `i` with `stamps[i]`, `(total_ns, n)` as in
+    /// [`HistHandle::record_n`]; an `n` of 0 leaves it alone. One lock
+    /// acquisition when the set was interned as one (a name interned
+    /// earlier on its own keeps its own lock).
+    pub fn record_n(&self, stamps: [(u64, u64); N]) {
+        let Some(slots) = &self.0 else { return };
+        let mut held: Option<(&Arc<HistCell>, MutexGuard<'_, Vec<Histogram>>)> = None;
+        for ((cell, i), (total, n)) in slots.iter().zip(stamps) {
+            if n == 0 {
+                continue;
+            }
+            if !held
+                .as_ref()
+                .is_some_and(|(locked, _)| Arc::ptr_eq(locked, cell))
+            {
+                // One lock at a time: release the last before taking the next.
+                drop(held.take());
+                held = Some((cell, lock(cell)));
+            }
+            held.as_mut().expect("just locked").1[*i].record_n(total, n);
+        }
     }
 }
 
@@ -210,7 +189,7 @@ impl HistHandle {
 pub(crate) struct Registry {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
-    hists: Mutex<BTreeMap<String, Arc<AtomicHistogram>>>,
+    hists: Mutex<BTreeMap<String, HistSlot>>,
 }
 
 impl Registry {
@@ -231,11 +210,28 @@ impl Registry {
     }
 
     pub(crate) fn histogram(&self, name: &str) -> HistHandle {
+        let [slot] = self.histogram_slots([name]);
+        HistHandle(Some(slot))
+    }
+
+    pub(crate) fn histograms<const N: usize>(&self, names: [&str; N]) -> HistSet<N> {
+        HistSet(Some(self.histogram_slots(names)))
+    }
+
+    /// The slots of `names`: those not interned yet share one fresh cell,
+    /// in order; the others keep theirs.
+    fn histogram_slots<const N: usize>(&self, names: [&str; N]) -> [HistSlot; N] {
         let mut map = self.hists.lock().expect("registry poisoned");
-        let cell = map
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicHistogram::new()));
-        HistHandle(Some(Arc::clone(cell)))
+        let fresh = names.iter().filter(|n| !map.contains_key(**n)).count();
+        let cell: Arc<HistCell> = Arc::new(Mutex::new(vec![Histogram::new(); fresh]));
+        let mut next = 0;
+        names.map(|name| {
+            let slot = map.entry(name.to_string()).or_insert_with(|| {
+                next += 1;
+                (Arc::clone(&cell), next - 1)
+            });
+            (Arc::clone(&slot.0), slot.1)
+        })
     }
 
     pub(crate) fn counter_values(&self) -> Vec<(String, u64)> {
@@ -261,7 +257,7 @@ impl Registry {
             .lock()
             .expect("registry poisoned")
             .iter()
-            .map(|(k, v)| (k.clone(), v.load().summary()))
+            .map(|(k, (cell, i))| (k.clone(), lock(cell)[*i].summary()))
             .collect()
     }
 
@@ -272,7 +268,7 @@ impl Registry {
             .lock()
             .expect("registry poisoned")
             .iter()
-            .map(|(k, v)| (k.clone(), v.load()))
+            .map(|(k, (cell, i))| (k.clone(), lock(cell)[*i].clone()))
             .collect()
     }
 }
@@ -367,5 +363,23 @@ mod tests {
         // A zero-sample stamp adds nothing.
         h.record_n(5, 0);
         assert_eq!(h.load().count(), 17_000);
+    }
+
+    #[test]
+    fn a_set_stamps_named_histograms_under_one_lock() {
+        let reg = Registry::default();
+        // `b` interned on its own first keeps its own cell; the set still
+        // stamps it, and a zero-sample stamp leaves `c` alone.
+        let alone = reg.histogram("b");
+        let set = reg.histograms(["a", "b", "c"]);
+        set.record_n([(30, 3), (7, 1), (5, 0)]);
+        alone.record(9);
+        let [a, b, c] = ["a", "b", "c"].map(|n| reg.histogram(n).load());
+        assert_eq!((a.count(), a.sum(), a.max()), (3, 30, 10));
+        assert_eq!((b.count(), b.sum()), (2, 16));
+        assert_eq!(c.count(), 0);
+        let names: Vec<String> = reg.histogram_values().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+        HistSet::<2>::noop().record_n([(1, 1), (2, 1)]);
     }
 }

@@ -2,15 +2,16 @@
 //!
 //! The unit of the NCL record path is a *burst*, the records one doorbell
 //! posts (a synchronous record is a burst of one). A burst gets a `trace` id
-//! when its first record is staged; each stage of its life (local staging,
-//! doorbell, per-peer wire flight, quorum ack) closes one [`Span`] carrying
-//! that id and the burst's record range [`Span::seq`], and the `ncl.write`
-//! root closes last. Control-plane operations (create, repair,
-//! recovery, fallback replay) get their own trace ids so their phases
-//! group the same way. Spans are recorded *complete* — at close, with both
-//! endpoints — which keeps the hot path to one ring push and makes the
-//! JSONL stream trivially replayable: no open/close pairing is needed by
-//! consumers.
+//! when it is posted; each stage of its life (local staging, doorbell,
+//! per-peer wire flight, quorum ack) is one [`Span`] carrying that id and
+//! the burst's record range [`Span::seq`], and the `ncl.write` root comes
+//! last. The record path keeps a burst as one ring entry ([`crate::Burst`])
+//! that every reader expands into those spans. Control-plane operations
+//! (create, repair, recovery, fallback replay) get their own trace ids so
+//! their phases group the same way. Spans are recorded *complete* — at
+//! close, with both endpoints — which keeps the hot path to one ring push
+//! and makes the JSONL stream trivially replayable: no open/close pairing
+//! is needed by consumers.
 //!
 //! A point transition (a peer declared suspect, a region revoked, a file's
 //! durability scheme) is a *fact*: a zero-length span, alone in a trace of
@@ -20,23 +21,31 @@
 //!
 //! Conventions:
 //! * the **root** span of a trace has `id == trace` and `parent == 0`;
-//! * child spans get fresh ids from the same generator as trace ids, so ids
-//!   are unique across a process regardless of kind;
+//! * child spans get fresh ids from the same generator as trace ids (a
+//!   burst takes its ids in one block), so ids are unique across a process
+//!   regardless of kind;
 //! * `scope` is `app/file`, or a peer name for per-peer children and peer
 //!   facts;
-//! * `epoch` is the epoch in force when the span *closed* (0 if unknown).
+//! * `epoch` is the epoch in force when the span *closed* (0 if unknown; a
+//!   burst's stage and doorbell carry 0, its other spans the epoch of its
+//!   ack).
 //!
 //! Two bounded rings hold what was recorded: record-path spans (the
 //! `ncl.write` trees, [`Span::on_record_path`]) in one, facts and
 //! control-path spans in the other, so record traffic never evicts the
 //! facts a reader needs to judge it, such as each file's durability scheme.
+//! The record ring is bounded in spans and evicts whole entries: a burst's
+//! chain is kept or dropped as one.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 
+use crate::burst::Burst;
 use crate::ring::Ring;
 use crate::snapshot::json_escape;
 
@@ -220,6 +229,35 @@ pub mod spans {
     ];
 }
 
+/// Every interned scope, once, by name and by [`ScopeId`].
+#[derive(Default)]
+struct Scopes {
+    ids: BTreeMap<&'static str, u32>,
+    names: Vec<&'static str>,
+}
+
+impl Scopes {
+    fn intern(&mut self, scope: &str) -> u32 {
+        if let Some(&id) = self.ids.get(scope) {
+            return id;
+        }
+        let leaked: &'static str = Box::leak(scope.to_string().into_boxed_str());
+        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 scopes");
+        self.names.push(leaked);
+        self.ids.insert(leaked, id);
+        id
+    }
+}
+
+/// The interner behind [`intern_scope`] and [`ScopeId`].
+fn scopes() -> MutexGuard<'static, Scopes> {
+    static SCOPES: OnceLock<Mutex<Scopes>> = OnceLock::new();
+    SCOPES
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("scope interner poisoned")
+}
+
 /// Interns a span scope (`app/file` or a peer name) or a parsed span name,
 /// returning a canonical `&'static str`. Scopes recur constantly — every
 /// span of a file carries the same one — so [`crate::Telemetry::span`]
@@ -228,17 +266,31 @@ pub mod spans {
 /// deduplicates, so the leak is bounded by the number of *distinct* strings
 /// ever seen, not by call volume.
 pub fn intern_scope(scope: &str) -> &'static str {
-    static SCOPES: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let mut set = SCOPES
-        .get_or_init(|| Mutex::new(BTreeSet::new()))
-        .lock()
-        .expect("scope interner poisoned");
-    if let Some(existing) = set.get(scope) {
-        return existing;
+    let mut scopes = scopes();
+    let id = scopes.intern(scope);
+    scopes.names[id as usize]
+}
+
+/// An interned scope in four bytes, where a `&'static str` takes sixteen:
+/// what a [`crate::Burst`] names its file and its peers by, so that the
+/// record ring keeps a burst's entry small.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScopeId(u32);
+
+impl ScopeId {
+    /// Interns `scope` (see [`intern_scope`]). Cold path — keep the id.
+    pub fn of(scope: &str) -> Self {
+        ScopeId(scopes().intern(scope))
     }
-    let leaked: &'static str = Box::leak(scope.to_string().into_boxed_str());
-    set.insert(leaked);
-    leaked
+
+    /// The interned scope.
+    pub fn name(self) -> &'static str {
+        scopes().names[self.index()]
+    }
+
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 /// One closed interval in a trace tree, or a fact (see the module docs).
@@ -332,15 +384,41 @@ impl Span {
     }
 }
 
-/// Entries the record ring keeps by default: a full chaos schedule's writes
+/// Spans the record ring keeps by default: a full chaos schedule's writes
 /// should be analyzed from the JSONL sink, not the ring.
 const RECORD_CAPACITY: usize = 65536;
 /// Entries the fact-and-control ring keeps: enough for thousands of
 /// recoveries, and never evicted by record traffic.
 const CONTROL_CAPACITY: usize = 4096;
 
+/// What the record ring keeps in one piece: a span (boxed, so that a
+/// burst's entry sets the ring's stride), or a burst whose spans the
+/// readers build.
+enum Entry {
+    Span(Box<Span>),
+    Burst(Burst),
+}
+
+impl Entry {
+    /// The spans the entry stands for.
+    fn weight(&self) -> usize {
+        match self {
+            Entry::Span(_) => 1,
+            Entry::Burst(burst) => burst.span_count(),
+        }
+    }
+}
+
+/// Runs `f` over the interned scopes, indexed by [`ScopeId`]: what builds
+/// a burst's spans from its entry.
+pub(crate) fn with_scope_names<R>(f: impl FnOnce(&[&'static str]) -> R) -> R {
+    f(&scopes().names)
+}
+
 struct Rings {
-    record: Ring<Span>,
+    /// Bounded in spans, evicting whole entries (a burst's chain goes at
+    /// once).
+    record: Ring<Entry>,
     control: Ring<Span>,
 }
 
@@ -351,16 +429,20 @@ pub(crate) struct SpanTrace {
     /// Every recorded span appends one line here and flushes, so a crashed
     /// process leaves a complete file behind.
     sink: Mutex<Option<BufWriter<File>>>,
+    /// Set once `sink` holds a file, so recording with none takes no sink
+    /// lock.
+    sinking: AtomicBool,
 }
 
 impl Default for SpanTrace {
     fn default() -> Self {
         SpanTrace {
             rings: Mutex::new(Rings {
-                record: Ring::new(RECORD_CAPACITY),
+                record: Ring::weighted(RECORD_CAPACITY, Entry::weight),
                 control: Ring::new(CONTROL_CAPACITY),
             }),
             sink: Mutex::new(None),
+            sinking: AtomicBool::new(false),
         }
     }
 }
@@ -373,47 +455,70 @@ impl SpanTrace {
     pub(crate) fn set_sink(&self, path: &Path) -> std::io::Result<()> {
         let file = BufWriter::new(File::create(path)?);
         *self.sink.lock().expect("sink poisoned") = Some(file);
+        self.sinking.store(true, Ordering::Release);
         Ok(())
     }
 
-    /// Moves `spans` into the rings in order, under one acquisition of the
-    /// ring lock, and leaves the vector empty. Returns whether a ring had to
-    /// drop an oldest entry to make room (the JSONL sink, when set, still
-    /// received every record).
-    pub(crate) fn record(&self, spans: &mut Vec<Span>) -> bool {
+    /// True once a JSONL sink is set.
+    pub(crate) fn sinking(&self) -> bool {
+        self.sinking.load(Ordering::Acquire)
+    }
+
+    /// Appends one line per span to the sink, if one is set, and flushes.
+    pub(crate) fn write_sink(&self, spans: &[Span]) {
         if let Some(w) = self.sink.lock().expect("sink poisoned").as_mut() {
-            for span in spans.iter() {
+            for span in spans {
                 let _ = writeln!(w, "{}", span.to_json());
             }
             let _ = w.flush();
         }
+    }
+
+    /// Moves `spans` into the rings in order, under one acquisition of the
+    /// ring lock. Returns whether a ring had to drop older entries to make
+    /// room (the JSONL sink, when set, still receives every span).
+    pub(crate) fn push_spans(&self, spans: impl IntoIterator<Item = Span>) -> bool {
         let mut rings = self.lock();
         let mut dropped = false;
-        for span in spans.drain(..) {
-            let ring = if span.on_record_path() {
-                &mut rings.record
+        for span in spans {
+            dropped |= if span.on_record_path() {
+                rings.record.push(Entry::Span(Box::new(span)))
             } else {
-                &mut rings.control
+                rings.control.push(span)
             };
-            dropped |= ring.push(span);
         }
         dropped
     }
 
-    /// The fact-and-control ring's contents and the record ring's, each
-    /// oldest first.
-    pub(crate) fn rings(&self) -> (Vec<Span>, Vec<Span>) {
-        let rings = self.lock();
-        let all = |ring: &Ring<Span>| ring.iter().cloned().collect();
-        (all(&rings.control), all(&rings.record))
+    /// Moves a retired burst into the record ring; returns whether older
+    /// entries were dropped for it.
+    pub(crate) fn push_burst(&self, burst: &Burst) -> bool {
+        self.lock().record.push(Entry::Burst(*burst))
     }
 
+    /// The fact-and-control ring's spans and the record ring's, each oldest
+    /// first, timestamped in nanoseconds since `origin`.
+    pub(crate) fn rings(&self, origin: Instant) -> (Vec<Span>, Vec<Span>) {
+        let rings = self.lock();
+        let mut record = Vec::new();
+        with_scope_names(|names| {
+            for entry in rings.record.iter() {
+                match entry {
+                    Entry::Span(span) => record.push(Span::clone(span)),
+                    Entry::Burst(burst) => burst.expand(origin, names, &mut record),
+                }
+            }
+        });
+        (rings.control.iter().cloned().collect(), record)
+    }
+
+    /// Spans dropped by the two rings.
     pub(crate) fn dropped(&self) -> u64 {
         let rings = self.lock();
         rings.record.dropped() + rings.control.dropped()
     }
 
-    /// Caps the record ring.
+    /// Caps the record ring at `capacity` spans.
     pub(crate) fn set_capacity(&self, capacity: usize) {
         self.lock().record.set_capacity(capacity);
     }
@@ -438,16 +543,23 @@ mod tests {
         }
     }
 
+    fn record(t: &SpanTrace, spans: Vec<Span>) {
+        t.push_spans(spans);
+    }
+
     #[test]
     fn spans_keep_order_and_ring_bounds() {
         let t = SpanTrace::default();
         t.set_capacity(2);
-        t.record(&mut vec![span(1, 1, 0, spans::NCL_WRITE)]);
-        t.record(&mut vec![
-            span(1, 2, 1, spans::NCL_STAGE),
-            span(1, 3, 1, spans::NCL_DOORBELL),
-        ]);
-        let (control, record) = t.rings();
+        record(&t, vec![span(1, 1, 0, spans::NCL_WRITE)]);
+        record(
+            &t,
+            vec![
+                span(1, 2, 1, spans::NCL_STAGE),
+                span(1, 3, 1, spans::NCL_DOORBELL),
+            ],
+        );
+        let (control, record) = t.rings(Instant::now());
         assert!(control.is_empty());
         assert_eq!(record.len(), 2);
         assert_eq!(record[0].id, 2);
@@ -458,15 +570,18 @@ mod tests {
     fn record_traffic_never_evicts_facts_or_control_spans() {
         let t = SpanTrace::default();
         t.set_capacity(1);
-        t.record(&mut vec![Span {
-            detail: Some("ec k=3 n=4".into()),
-            ..span(1, 1, 0, spans::DURABILITY_MODE)
-        }]);
-        t.record(&mut vec![span(2, 2, 0, spans::NCL_REPAIR)]);
+        record(
+            &t,
+            vec![Span {
+                detail: Some("ec k=3 n=4".into()),
+                ..span(1, 1, 0, spans::DURABILITY_MODE)
+            }],
+        );
+        record(&t, vec![span(2, 2, 0, spans::NCL_REPAIR)]);
         for i in 10..20 {
-            t.record(&mut vec![span(i, i, 0, spans::NCL_WRITE)]);
+            record(&t, vec![span(i, i, 0, spans::NCL_WRITE)]);
         }
-        let (control, record) = t.rings();
+        let (control, record) = t.rings(Instant::now());
         let names: Vec<&str> = control.iter().map(|s| s.name).collect();
         assert_eq!(names, [spans::DURABILITY_MODE, spans::NCL_REPAIR]);
         assert_eq!(record.len(), 1);
@@ -502,6 +617,15 @@ mod tests {
         assert_eq!(s.records(), 16);
         s.seq = (0, u64::MAX);
         assert_eq!(s.records(), u64::MAX, "saturates");
+    }
+
+    #[test]
+    fn a_burst_entry_is_under_a_quarter_of_its_seven_spans() {
+        let (entry, span) = (std::mem::size_of::<Entry>(), std::mem::size_of::<Span>());
+        assert!(
+            entry <= 176 && 5 * entry <= 8 * span,
+            "{entry} B vs {span} B a span"
+        );
     }
 
     #[test]

@@ -40,13 +40,14 @@ fn reads_per_record(ncl: NclConfig) -> u64 {
 }
 
 #[test]
-fn a_zero_latency_record_reads_the_clock_four_times() {
-    // Entry, staged, the flush instant (doorbell spans, the detector's
-    // `touch`, every peer's `post_many_at`) and the drain instant. A flight
-    // that takes no modelled time lands with its post, so the barrier finds
-    // nothing in the air, does not wait, and its one drain finds the record
-    // durable: the deadline is never computed.
-    assert_eq!(reads_per_record(NclConfig::zero()), 4);
+fn a_zero_latency_record_reads_the_clock_three_times() {
+    // Entry (a free local copy is staged at its entry reading), the flush
+    // instant (the doorbell stage's end, the detector's `touch`, every
+    // peer's `post_many_at`) and the drain instant. A flight that takes no
+    // modelled time lands with its post, so the barrier finds nothing in
+    // the air, does not wait, and its one drain finds the record durable:
+    // the deadline is never computed.
+    assert_eq!(reads_per_record(NclConfig::zero()), 3);
 }
 
 #[test]
@@ -57,16 +58,18 @@ fn with_telemetry_off_only_the_flush_and_the_drain_read_the_clock() {
 }
 
 #[test]
-fn a_calibrated_record_reads_the_clock_at_most_seven_times() {
-    // Entry, the local copy's `delay`, staged, the flush instant and the
-    // entry read of the barrier's one wait: five. No post reads the clock
-    // (below), and the drain happens at the reading the wait ended on. A
-    // sixth is the entry read of the wait's spin, when the first `due` is
-    // still ahead of the posts' own CPU (an optimised build). The headers
-    // land 20 ns behind the data: a seventh is the drain asking again when
-    // the wait's last reading fell between the two and left them in the air.
+fn a_calibrated_record_reads_the_clock_at_most_five_times() {
+    // Entry, which also starts the local copy's wait (the reading that wait
+    // ends on is the staged instant, and a wait's polls are not counted),
+    // the flush instant and the entry read of the barrier's one wait:
+    // three. No post reads the clock (below), and the drain happens at the
+    // reading the wait ended on. A fourth is the entry read of the wait's
+    // spin, when the first `due` is still ahead of the posts' own CPU (an
+    // optimised build). The headers land 20 ns behind the data: a fifth is
+    // the drain asking again when the wait's last reading fell between the
+    // two and left them in the air.
     let reads = reads_per_record(NclConfig::calibrated());
-    assert!((5..=7).contains(&reads), "{reads} clock reads");
+    assert!((3..=5).contains(&reads), "{reads} clock reads");
 }
 
 #[test]
