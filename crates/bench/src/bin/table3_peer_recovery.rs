@@ -28,7 +28,7 @@ use telemetry::spans;
 /// from the span ring: detect runs from the tripping record's staging until
 /// the repair root opens; first-ack from the repair root closing until the
 /// record's quorum ack (its `ncl.write` root closes). Falls back to the
-/// wall-clock residual when a root is missing (tracing raced the ack).
+/// wall-clock residual when a root is missing.
 fn edge_phases(ring: &[telemetry::Span], wall_ns: u64, middle_ns: u64) -> (u64, u64) {
     let repair = ring
         .iter()
@@ -104,19 +104,16 @@ fn main() {
             warm.release().unwrap();
             let _ = spare;
         }
-        // Crash one assigned peer; the next record performs the repair.
-        // Spans trace only the tripping record (tracing flips on here), so
-        // the ring holds exactly the repair chain the breakdown needs.
+        // Crash one assigned peer; the next record performs the repair. Its
+        // `ncl.repair` root and its `ncl.write` root are the ring's last.
         let victim = file.peer_names()[0].clone();
         let victim_node = tb.peer_named(&victim).unwrap().node();
         tb.cluster.crash(victim_node);
-        tel.set_tracing(true);
         let sw = std::time::Instant::now();
         file.record(0, b"trigger-repair").unwrap();
         let wall = sw.elapsed();
         let stats = file.repair_stats();
         let ring = tel.spans();
-        tel.set_tracing(false);
 
         let ns = |d: std::time::Duration| d.as_nanos() as u64;
         let middle_ns =

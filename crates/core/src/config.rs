@@ -79,18 +79,19 @@ pub struct NclConfig {
     /// How long `record` keeps retrying to assemble a majority (waiting for
     /// peer replacement) before giving up.
     pub write_timeout: Duration,
-    /// Minimum silence before the adaptive failure detector may declare a
-    /// peer with outstanding work suspect. `Duration::ZERO` disables
-    /// suspicion entirely (peers are then only declared dead on an explicit
-    /// error completion).
+    /// The floor of the adaptive failure detector: a peer with outstanding
+    /// work is declared suspect only once it has been silent this long and
+    /// its phi is past the threshold.
     pub detect_timeout: Duration,
     /// First delay of the bounded exponential backoff used on replication
     /// wait loops, peer-acquisition rounds and controller retries.
     pub backoff_base: Duration,
     /// Ceiling of the exponential backoff (full jitter is applied below it).
     pub backoff_cap: Duration,
-    /// While splitfs is degraded to direct-dfs after a quorum loss, how
-    /// often it probes the controller for a fresh peer set to re-attach to.
+    /// How often a file short of peers asks for fresh ones: an NCL file's
+    /// durability barrier retries a pending replacement at most once per
+    /// interval, and a splitfs route degraded to direct DFS after a quorum
+    /// loss probes the controller for a fresh peer set to re-attach to.
     pub reattach_probe: Duration,
     /// Local buffer memcpy cost per record (the in-memory staging write).
     pub local_copy: LatencyModel,

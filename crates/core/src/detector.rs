@@ -104,9 +104,7 @@ impl PhiDetector {
     /// actually has outstanding work — an idle peer is silent because
     /// nothing was asked of it.
     pub fn is_suspect(&self, now: Instant, detect_timeout: Duration) -> bool {
-        !detect_timeout.is_zero()
-            && self.silence(now) >= detect_timeout
-            && self.phi(now) > SUSPICION_THRESHOLD
+        self.silence(now) >= detect_timeout && self.phi(now) > SUSPICION_THRESHOLD
     }
 }
 
@@ -198,14 +196,6 @@ mod tests {
         assert!(!d.is_suspect(after(120), Duration::from_millis(100)));
         // ~4 s of silence is phi ≈ 87 — far over the threshold.
         assert!(d.is_suspect(after(4_000), Duration::from_millis(100)));
-    }
-
-    #[test]
-    fn zero_detect_timeout_disables_suspicion() {
-        let t0 = Instant::now();
-        let d = PhiDetector::new(t0);
-        let later = t0 + Duration::from_secs(3600);
-        assert!(!d.is_suspect(later, Duration::ZERO));
     }
 
     #[test]

@@ -260,7 +260,9 @@ impl NclLib {
     /// erasure coding) and publishing the ap-map entry, under one
     /// `ncl.create` span tree. Short of live peers it opens on an ack
     /// quorum, [`NclFile::repair_pending`] set: a deferred replacement, as
-    /// if the missing peers had failed after the create.
+    /// if the missing peers had failed after the create, which a
+    /// durability barrier retries once per
+    /// [`NclConfig::reattach_probe`](crate::NclConfig::reattach_probe).
     pub fn create(&self, file: &str, capacity: usize) -> Result<Arc<NclFile>, NclError> {
         let ctx = &self.ctx;
         let scope = telemetry::intern_scope(&format!("{}/{}", ctx.app_id, file));
@@ -388,7 +390,8 @@ impl NclFile {
         scheme.announce(&ctx.config.telemetry, scope, epoch);
         let metrics = FileMetrics::new(&ctx.config.telemetry, scope);
         let acked = AckedState::new(seq);
-        let repair_pending = slots.len() < ctx.config.replicas();
+        let short = slots.len() < ctx.config.replicas();
+        let repair_due = short.then(|| sim::time::now() + ctx.config.reattach_probe);
         Arc::new(NclFile {
             ctx: Arc::clone(ctx),
             name: name.to_string(),
@@ -399,14 +402,7 @@ impl NclFile {
             cq: cq.clone(),
             stage: Mutex::new(Stage::new(image, scheme)),
             rep: Mutex::new(Rep::new(
-                slots,
-                cq,
-                epoch,
-                seq,
-                repair_pending,
-                metrics,
-                acked,
-                recovery,
+                slots, cq, epoch, seq, repair_due, metrics, acked, recovery,
             )),
         })
     }

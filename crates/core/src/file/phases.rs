@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use telemetry::Telemetry;
+use telemetry::{Span, Telemetry};
 
 use super::repair::How;
 
@@ -11,8 +11,8 @@ use super::repair::How;
 /// operation's root. Each [`close`](Self::close) records `[previous end,
 /// now)`, so consecutive phases share their boundary instants and the
 /// children partition the root exactly; `RecoveryStats` / `RepairStats` are
-/// [`total`](Self::total)s of the same durations. With tracing off (trace
-/// id 0) no span is recorded, but every duration is still kept.
+/// [`total`](Self::total)s of the same durations. With telemetry disabled
+/// (trace id 0) no span is recorded, but every duration is still kept.
 ///
 /// Dropping the clock records the root, on every exit of the operation:
 /// `[start, end of the last phase)`, at the last phase's epoch, last — as
@@ -20,7 +20,7 @@ use super::repair::How;
 /// arrives. A clock that closed no phase records nothing.
 pub(super) struct Phases<'t> {
     tel: &'t Telemetry,
-    /// The trace id (0 when tracing is off).
+    /// The trace id (0 when telemetry is disabled).
     trace: u64,
     root: &'static str,
     scope: &'static str,
@@ -52,14 +52,38 @@ impl<'t> Phases<'t> {
         }
     }
 
+    /// The span `name` of this trace over `[start, end)`, with the ids
+    /// `(id, parent)`.
+    fn span(
+        &self,
+        (id, parent): (u64, u64),
+        name: &'static str,
+        epoch: u64,
+        at: (Instant, Instant),
+    ) -> Span {
+        let (trace, scope) = (self.trace, self.scope);
+        let (start_ns, end_ns) = (self.tel.instant_ns(at.0), self.tel.instant_ns(at.1));
+        Span {
+            trace,
+            id,
+            parent,
+            name,
+            scope,
+            epoch,
+            start_ns,
+            end_ns,
+            ..Span::default()
+        }
+    }
+
     /// Closes the open phase as the child `name`, ending now, and returns
     /// its length.
     pub(super) fn close(&mut self, name: &'static str, epoch: u64) -> Duration {
         let (start, end) = (self.mark, sim::time::now());
-        let (tel, trace, scope) = (self.tel, self.trace, self.scope);
-        tel.span(trace, self.open, trace, name, scope, epoch, start, end);
-        if trace != 0 {
-            self.open = tel.next_trace_id();
+        let span = self.span((self.open, self.trace), name, epoch, (start, end));
+        self.tel.record_spans([span]);
+        if self.trace != 0 {
+            self.open = self.tel.next_trace_id();
         }
         self.closed.push((name, end - start));
         (self.mark, self.epoch) = (end, epoch);
@@ -87,26 +111,28 @@ impl<'t> Phases<'t> {
         if self.trace == 0 {
             return;
         }
-        let (tel, trace, end) = (self.tel, self.trace, at + wire.unwrap_or_default());
-        let id = tel.next_trace_id();
-        let seq = (0, 0);
-        let mut span = tel.closed_span(trace, id, self.open, name, scope, epoch, seq, at, end);
+        let ids = (self.tel.next_trace_id(), self.open);
+        let span = self.span(ids, name, epoch, (at, at + wire.unwrap_or_default()));
         let detail = match how {
             How::Fresh => "fresh peer",
             How::InPlace => "tail in place",
             How::FullCopy => "full copy",
         };
-        span.detail = Some(detail.into());
-        tel.record_spans(&mut vec![span]);
+        let detail = Some(detail.into());
+        self.tel.record_spans([Span {
+            scope,
+            detail,
+            ..span
+        }]);
     }
 }
 
 impl Drop for Phases<'_> {
     fn drop(&mut self) {
         if !self.closed.is_empty() {
-            let (tel, trace, scope) = (self.tel, self.trace, self.scope);
-            let (root, epoch) = (self.root, self.epoch);
-            tel.span(trace, trace, 0, root, scope, epoch, self.start, self.mark);
+            let at = (self.start, self.mark);
+            let root = self.span((self.trace, 0), self.root, self.epoch, at);
+            self.tel.record_spans([root]);
         }
     }
 }

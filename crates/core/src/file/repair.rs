@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use rdma::{CompletionQueue, RemoteMr, WorkRequest, WrId};
-use telemetry::spans;
+use telemetry::{spans, Span};
 
 use super::phases::Phases;
 use super::slots::{self, Flight, PeerSlot, RepWait, Responders, WcWait};
@@ -71,7 +71,7 @@ impl NclFile {
         let (epoch, fresh) = {
             let mut rep = self.rep_guard();
             if rep.peers.iter().all(|s| s.alive) && rep.peers.len() == ctx.config.replicas() {
-                rep.repair_pending = false;
+                rep.repair_due = None;
                 rep.failure_seen = false;
                 rep.publish_acked(&ctx.config);
                 return Ok(());
@@ -154,24 +154,23 @@ impl NclFile {
         // start above `header.seq`, where catch-up left their
         // `completed_seq`.)
         let credited = |f: &&Flight| f.hi() <= header.seq && f.burst.trace != 0;
-        let mut credits = Vec::new();
-        for flight in rep.flights.iter().filter(credited) {
+        let (start_ns, end_ns) = (tel.instant_ns(catchup_start), tel.instant_ns(catchup_end));
+        let credits = rep.flights.iter().filter(credited).flat_map(|flight| {
             let (trace, seq) = (flight.burst.trace, flight.burst.seq);
-            for slot in &fresh {
-                credits.push(tel.closed_span(
-                    trace,
-                    tel.next_trace_id(),
-                    trace,
-                    spans::NCL_CATCHUP_PEER,
-                    slot.scope.name(),
-                    epoch,
-                    seq,
-                    catchup_start,
-                    catchup_end,
-                ));
-            }
-        }
-        tel.record_spans(&mut credits);
+            fresh.iter().map(move |slot| Span {
+                trace,
+                id: tel.next_trace_id(),
+                parent: trace,
+                name: spans::NCL_CATCHUP_PEER,
+                scope: slot.scope.name(),
+                epoch,
+                seq,
+                start_ns,
+                end_ns,
+                detail: None,
+            })
+        });
+        tel.record_spans(credits);
         rep.peers.extend(fresh);
         rep.rebuild_qp_map();
         let stats = RepairStats {
@@ -183,7 +182,7 @@ impl NclFile {
 
         stage.scheme.adopt_reset(&header);
         rep.epoch = epoch;
-        rep.repair_pending = false;
+        rep.repair_due = None;
         // A survivor may have died while the replacements caught up; leave
         // the flag set so the next barrier repairs again.
         rep.failure_seen = rep.peers.iter().any(|s| !s.alive);
@@ -192,14 +191,18 @@ impl NclFile {
         Ok(())
     }
 
-    /// Retries a deferred peer replacement (call from a background
-    /// maintenance loop; the paper's "maintaining FT level").
+    /// Retries a pending peer replacement now (the paper's "maintaining FT
+    /// level"). The write path needs no caller: its barrier retries one by
+    /// itself at most once per [`NclConfig::reattach_probe`]; splitfs calls
+    /// this from a degraded route's re-attach probe.
+    ///
+    /// [`NclConfig::reattach_probe`]: crate::NclConfig::reattach_probe
     pub fn maintain(&self) -> Result<bool, NclError> {
         {
             let mut rep = self.rep_guard();
             let now = rep.drain(None);
             rep.refresh_durable(&self.ctx.config, now);
-            if !rep.repair_pending && rep.peers.iter().all(|s| s.alive) {
+            if rep.repair_due.is_none() && rep.peers.iter().all(|s| s.alive) {
                 return Ok(false);
             }
         }
@@ -208,9 +211,11 @@ impl NclFile {
         Ok(true)
     }
 
-    /// True when a peer failure is pending replacement.
+    /// True while the file is short of peers and a replacement is pending:
+    /// a failed peer not yet replaced, or a create that opened on an ack
+    /// quorum.
     pub fn repair_pending(&self) -> bool {
-        self.rep_guard().repair_pending
+        self.rep_guard().repair_due.is_some()
     }
 }
 

@@ -186,9 +186,12 @@ pub(super) struct Rep {
     /// [`RepWait`]: one-off RDMA reads (`wr_id ≥ u64::MAX - 2`) and fresh
     /// replacement peers mid-catch-up, until the repair commits.
     pub stray: Vec<(u32, WorkCompletion)>,
-    /// A peer failed but replacement was deferred (no spare peer available
-    /// while a quorum was still alive); [`NclFile::maintain`] retries.
-    pub repair_pending: bool,
+    /// Set while the file is short of peers: a replacement was deferred (no
+    /// spare while a quorum was still alive), or the file opened on an ack
+    /// quorum. The instant is when a barrier next retries it, one
+    /// `reattach_probe` after the open or the last attempt;
+    /// [`NclFile::maintain`] retries at once.
+    pub repair_due: Option<Instant>,
     /// Posted-but-not-durable bursts being timed, one flight each (empty
     /// with telemetry disabled). Registered at the back in sequence order,
     /// retired from the front in [`Rep::refresh_durable`]; size is bounded
@@ -222,7 +225,7 @@ impl Rep {
         cq: CompletionQueue,
         epoch: u64,
         durable_seq: u64,
-        repair_pending: bool,
+        repair_due: Option<Instant>,
         metrics: Arc<FileMetrics>,
         acked: Arc<AckedState>,
         last_recovery: RecoveryStats,
@@ -235,7 +238,7 @@ impl Rep {
             durable_seq,
             failure_seen: false,
             stray: Vec::new(),
-            repair_pending,
+            repair_due,
             flights: VecDeque::new(),
             wire_covered_seq: 0,
             wc_buf: Vec::new(),
@@ -370,9 +373,6 @@ impl Rep {
     /// the detector's horizon instead of the full record deadline. Suspects
     /// go through the normal dead-peer path (replacement at the next epoch).
     fn suspect_stalled(&mut self, config: &NclConfig, awaited_seq: u64, now: Instant) {
-        if config.detect_timeout.is_zero() {
-            return;
-        }
         let epoch = self.epoch;
         for slot in self.peers.iter_mut() {
             if slot.alive
@@ -593,7 +593,10 @@ impl NclFile {
                 rep.suspect_stalled(&ctx.config, seq, now);
                 rep.refresh_durable(&ctx.config, now);
                 let next = if rep.durable_seq >= seq {
-                    if rep.failure_seen {
+                    // A file short of peers asks for fresh ones again once
+                    // its probe interval has passed: no other caller would.
+                    let due = rep.repair_due.is_some_and(|at| now >= at);
+                    if rep.failure_seen || due {
                         Next::Repair { must: false }
                     } else {
                         Next::Done
@@ -614,10 +617,12 @@ impl NclFile {
                         Err(e) => {
                             if !must {
                                 // The awaited prefix is durable on the
-                                // survivors; replacement is deferred to
-                                // `maintain` instead of failing the record.
+                                // survivors; replacement is deferred to a
+                                // later barrier instead of failing the
+                                // record.
                                 let mut rep = self.rep_guard();
-                                rep.repair_pending = true;
+                                let retry = sim::time::now() + ctx.config.reattach_probe;
+                                rep.repair_due = Some(retry);
                                 rep.failure_seen = false;
                                 // Clear the attention bit so fast-path
                                 // barriers resume while repair is deferred.

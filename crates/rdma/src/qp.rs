@@ -411,7 +411,7 @@ impl QueuePair {
     /// lifecycle — from now on; the first one installed stays for the queue
     /// pair's life. A request's `wire_ns` is the model's number, known when
     /// it is posted, so a doorbell stamps its requests there, in one
-    /// [`HistHandle::record_n`]: one sample per request, all at the
+    /// [`HistHandle`] stamp: one sample per request, all at the
     /// doorbell's mean, sum exact.
     pub fn set_wire_hist(&self, hist: HistHandle) {
         let _ = self.link.wire_hist.set(hist);
@@ -556,7 +556,7 @@ impl QueuePair {
             });
         }
         if let Some(hist) = link.wire_hist.get() {
-            hist.record_n(wire_ns, flying.len() as u64);
+            hist.record_n([(wire_ns, flying.len() as u64)]);
         }
         self.cq.accept(&self.link, flying);
         Ok(())

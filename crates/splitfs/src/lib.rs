@@ -38,7 +38,7 @@ use dfs::{DfsClient, DfsError, DfsFile, IoKind, IoTrace};
 use fallback::{Fallback, NclRoute};
 use ncl::{NclError, NclFile, NclLib};
 use parking_lot::Mutex;
-use telemetry::{spans, Counter, HistHandle, Telemetry};
+use telemetry::{spans, Counter, HistHandle, Span, Telemetry};
 
 /// How the facade maps file operations onto storage tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -606,8 +606,16 @@ impl SplitFs {
             .try_for_each(|(offset, data)| file.record_nowait(*offset, data).map(drop))
             .and_then(|()| file.fsync());
         let (trace, epoch, end) = (tel.next_trace_id(), file.epoch(), sim::time::now());
-        let (name, interned) = (spans::FS_REATTACH_REPLAY, telemetry::intern_scope(&scope));
-        tel.span(trace, trace, 0, name, interned, epoch, start, end);
+        tel.record_spans([Span {
+            trace,
+            id: trace,
+            name: spans::FS_REATTACH_REPLAY,
+            scope: telemetry::intern_scope(&scope),
+            epoch,
+            start_ns: tel.instant_ns(start),
+            end_ns: tel.instant_ns(end),
+            ..Span::default()
+        }]);
         replayed?;
         self.inner.dfs.delete(&fallback::shadow_path(path))?;
         self.inner.fallback_reattach.inc();

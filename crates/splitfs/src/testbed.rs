@@ -160,7 +160,7 @@ impl Testbed {
         }
         let slo = SloPlane::with_ncl_objectives(config.ncl.telemetry.clone());
         let flight =
-            FlightRecorder::with_limits(config.ncl.telemetry.clone(), 32, 64, config.ncl.quorum());
+            FlightRecorder::with_limits(config.ncl.telemetry.clone(), 32, config.ncl.quorum());
         // `FLIGHT_DUMP_DIR` arms the black box: on the first transition into
         // Breached (and on panic) the last N spans and counter deltas are
         // preserved as an analyzer-readable JSONL dump.
@@ -168,7 +168,6 @@ impl Testbed {
             let recorder = flight.clone();
             let dump_dir = std::path::PathBuf::from(&dir);
             slo.on_breach(move |report| {
-                recorder.tick();
                 let _ = recorder.dump_into(
                     &dump_dir,
                     "slo-breach",
@@ -182,7 +181,6 @@ impl Testbed {
                 let recorder = flight.clone();
                 let dump_dir = std::path::PathBuf::from(&dir);
                 monitor.on_violation(move |v| {
-                    recorder.tick();
                     let _ = recorder.dump_into(
                         &dump_dir,
                         "invariant",
@@ -193,7 +191,7 @@ impl Testbed {
             flight.install_panic_hook(dir);
         }
         let scrape = config.scrape_addr.as_deref().map(|addr| {
-            ScrapeServer::start_with_health(config.ncl.telemetry.clone(), addr, Some(slo.clone()))
+            ScrapeServer::start(config.ncl.telemetry.clone(), addr, Some(slo.clone()))
                 .expect("scrape endpoint binds")
         });
         Testbed {
@@ -346,7 +344,6 @@ mod tests {
         let f = fs.open("probe", OpenOptions::create_ncl(1 << 16)).unwrap();
         f.write_at(0, b"observed").unwrap();
         f.fsync().unwrap();
-        tb.flight_recorder().tick();
         let dump = tb.flight_recorder().capture();
         assert!(
             !dump.spans.is_empty(),

@@ -47,8 +47,8 @@ struct Wire {
 /// spans.
 #[derive(Clone, Copy)]
 pub struct Burst {
-    /// The burst's trace id, which is also its root span's id; 0 when
-    /// tracing was off when it opened, and then it records no span.
+    /// The burst's trace id, which is also its root span's id; 0 when it
+    /// was opened on a disabled handle, and then it records no span.
     pub trace: u64,
     /// The burst's record range, inclusive.
     pub seq: (u64, u64),

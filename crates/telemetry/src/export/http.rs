@@ -7,8 +7,8 @@
 //! * `GET /trace`    — the span ring rendered as a Chrome trace document;
 //! * `GET /health`   — the SLO plane's [`crate::HealthReport`] as JSON, 200
 //!   while healthy/warning and **503 when breached** (so a plain HTTP
-//!   health check needs no JSON parsing), 404 when the server was started
-//!   without a plane. The handler calls [`SloPlane::maybe_tick`], so the
+//!   health check needs no JSON parsing); without a plane, the monitor's
+//!   verdict, and 404 when there is no monitor either. The handler calls [`SloPlane::maybe_tick`], so the
 //!   report is fresh but hammering the endpoint cannot shrink SLO windows.
 //!   When an [`crate::OnlineMonitor`] is attached to the telemetry handle,
 //!   an invariant violation also flips `/health` to 503 — durability-
@@ -42,16 +42,11 @@ pub struct ScrapeServer {
 impl ScrapeServer {
     /// Binds `addr` (use port 0 for an ephemeral port; see [`Self::addr`])
     /// and serves `tel` until the returned server is dropped. `/health`
-    /// answers 404; use [`Self::start_with_health`] to attach an SLO plane.
-    pub fn start(tel: Telemetry, addr: &str) -> std::io::Result<ScrapeServer> {
-        Self::start_with_health(tel, addr, None)
-    }
-
-    /// Like [`Self::start`], but `/health` serves `plane`'s report.
+    /// serves `plane`'s report, or the monitor's verdict without one.
     /// `/invariants` serves whatever [`crate::OnlineMonitor`] is attached to
     /// `tel` at request time (the monitor rides on the telemetry handle, so
     /// it needs no parameter here).
-    pub fn start_with_health(
+    pub fn start(
         tel: Telemetry,
         addr: &str,
         plane: Option<SloPlane>,
@@ -203,6 +198,7 @@ fn serve_one(
 mod tests {
     use super::*;
     use crate::spans;
+    use crate::tests::record;
     use std::io::BufRead;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -220,7 +216,7 @@ mod tests {
         let tel = Telemetry::new();
         tel.counter("ncl.flush.submit").add(7);
         tel.histogram("ncl.record.e2e").record(123_456);
-        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0").unwrap();
+        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0", None).unwrap();
 
         let (status, body) = get(server.addr(), "/metrics");
         assert!(status.contains("200"), "{status}");
@@ -252,8 +248,8 @@ mod tests {
         use std::time::Duration;
 
         let tel = Telemetry::new();
-        // /health without a plane is a 404, and start() behaves as before.
-        let bare = ScrapeServer::start(tel.clone(), "127.0.0.1:0").unwrap();
+        // /health without a plane (or a monitor) is a 404.
+        let bare = ScrapeServer::start(tel.clone(), "127.0.0.1:0", None).unwrap();
         let (status, _) = get(bare.addr(), "/health");
         assert!(status.contains("404"), "{status}");
         drop(bare);
@@ -261,8 +257,7 @@ mod tests {
         let plane = SloPlane::new(tel.clone());
         plane.set_min_tick_gap(Duration::from_nanos(0));
         plane.add(SloSpec::new("lat", "lat", 50, 0.1).windows(1, 1));
-        let server =
-            ScrapeServer::start_with_health(tel.clone(), "127.0.0.1:0", Some(plane)).unwrap();
+        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0", Some(plane)).unwrap();
 
         let h = tel.histogram("lat");
         h.record(10);
@@ -288,13 +283,13 @@ mod tests {
 
         let tel = Telemetry::new();
         // Without a monitor /invariants is a 404.
-        let bare = ScrapeServer::start(tel.clone(), "127.0.0.1:0").unwrap();
+        let bare = ScrapeServer::start(tel.clone(), "127.0.0.1:0", None).unwrap();
         let (status, _) = get(bare.addr(), "/invariants");
         assert!(status.contains("404"), "{status}");
         drop(bare);
 
         let monitor = OnlineMonitor::attach(&tel, 2);
-        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0").unwrap();
+        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0", None).unwrap();
         let (status, body) = get(server.addr(), "/invariants");
         assert!(status.contains("200"), "{status}");
         assert!(body.contains("\"status\": \"ok\""), "{body}");
@@ -305,8 +300,23 @@ mod tests {
         // Seed an ap-map-before-catch-up ordering break: a repair whose
         // ap-map phase has no catch-up before it.
         let (now, trace) = (std::time::Instant::now(), tel.next_trace_id());
-        tel.span_auto(trace, trace, spans::NCL_REPAIR_AP_MAP, "app/f", 2, now, now);
-        tel.span(trace, trace, 0, spans::NCL_REPAIR, "app/f", 2, now, now);
+        let ap_map = (trace, tel.next_trace_id(), trace);
+        record(
+            &tel,
+            ap_map,
+            spans::NCL_REPAIR_AP_MAP,
+            "app/f",
+            2,
+            (now, now),
+        );
+        record(
+            &tel,
+            (trace, trace, 0),
+            spans::NCL_REPAIR,
+            "app/f",
+            2,
+            (now, now),
+        );
         assert!(monitor.violating());
         let (status, body) = get(server.addr(), "/invariants");
         assert!(status.contains("503"), "{status}");
@@ -327,24 +337,24 @@ mod tests {
         plane.add(SloSpec::new("lat", "lat", 50, 0.1).windows(1, 1));
         tel.histogram("lat").record(10); // comfortably healthy
         let monitor = OnlineMonitor::attach(&tel, 2);
-        let server =
-            ScrapeServer::start_with_health(tel.clone(), "127.0.0.1:0", Some(plane)).unwrap();
+        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0", Some(plane)).unwrap();
         let (status, _) = get(server.addr(), "/health");
         assert!(status.contains("200"), "{status}");
 
         // The ap-map of one scope published at epoch 5, then at 3.
         for epoch in [5, 3] {
             let (now, trace) = (Instant::now(), tel.next_trace_id());
-            tel.span_auto(
-                trace,
-                trace,
+            let ap_map = (trace, tel.next_trace_id(), trace);
+            record(
+                &tel,
+                ap_map,
                 spans::NCL_CREATE_AP_MAP,
                 "app/f",
                 epoch,
-                now,
-                now,
+                (now, now),
             );
-            tel.span(trace, trace, 0, spans::NCL_CREATE, "app/f", epoch, now, now);
+            let root = (trace, trace, 0);
+            record(&tel, root, spans::NCL_CREATE, "app/f", epoch, (now, now));
         }
         assert!(monitor.violating());
         let (status, body) = get(server.addr(), "/health");
@@ -366,8 +376,7 @@ mod tests {
         let tel = Telemetry::new();
         let plane = SloPlane::new(tel.clone());
         let monitor = OnlineMonitor::attach(&tel, 2);
-        let server =
-            ScrapeServer::start_with_health(tel.clone(), "127.0.0.1:0", Some(plane)).unwrap();
+        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0", Some(plane)).unwrap();
         let addr = server.addr();
 
         // Writer thread: emit clean write traces + facts,
@@ -382,44 +391,23 @@ mod tests {
                 while !stop.load(Ordering::Acquire) {
                     let t0 = Instant::now();
                     let trace = tel.next_trace_id();
+                    let child = || (trace, tel.next_trace_id(), trace);
                     for peer in ["peer-0", "peer-1"] {
-                        tel.span_auto(
-                            trace,
-                            trace,
-                            spans::NCL_WIRE_PEER,
-                            crate::intern_scope(peer),
-                            epoch,
-                            t0,
-                            Instant::now(),
-                        );
+                        let peer = crate::intern_scope(peer);
+                        let at = (t0, Instant::now());
+                        record(&tel, child(), spans::NCL_WIRE_PEER, peer, epoch, at);
                     }
-                    tel.span_auto(
-                        trace,
-                        trace,
-                        spans::NCL_STAGE,
-                        scope,
-                        epoch,
-                        t0,
-                        Instant::now(),
-                    );
-                    tel.span_auto(
-                        trace,
-                        trace,
-                        spans::NCL_DOORBELL,
-                        scope,
-                        epoch,
-                        t0,
-                        Instant::now(),
-                    );
-                    tel.span(
-                        trace,
-                        trace,
-                        0,
+                    for name in [spans::NCL_STAGE, spans::NCL_DOORBELL] {
+                        record(&tel, child(), name, scope, epoch, (t0, Instant::now()));
+                    }
+                    let root = (trace, trace, 0);
+                    record(
+                        &tel,
+                        root,
                         spans::NCL_WRITE,
                         scope,
                         epoch,
-                        t0,
-                        Instant::now(),
+                        (t0, Instant::now()),
                     );
                     epoch += 1;
                     tel.fact(spans::EPOCH_BUMP, "peer-0", epoch, "");
@@ -464,7 +452,7 @@ mod tests {
     fn content_length_matches_body() {
         let tel = Telemetry::new();
         tel.counter("c").inc();
-        let server = ScrapeServer::start(tel, "127.0.0.1:0").unwrap();
+        let server = ScrapeServer::start(tel, "127.0.0.1:0", None).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         write!(stream, "GET /metrics HTTP/1.0\r\n\r\n").unwrap();
         let mut reader = std::io::BufReader::new(stream);

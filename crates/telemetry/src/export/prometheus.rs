@@ -165,7 +165,8 @@ mod tests {
         tel.set_span_capacity(1);
         let now = std::time::Instant::now();
         for trace in [1, 2] {
-            tel.span(trace, trace, 0, crate::spans::NCL_WRITE, "x", 1, now, now);
+            let root = (trace, trace, 0);
+            crate::tests::record(&tel, root, crate::spans::NCL_WRITE, "x", 1, (now, now));
         }
         // The second write evicts the first from the 1-slot record ring.
         let text = render(&tel);

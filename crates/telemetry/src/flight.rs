@@ -22,10 +22,10 @@
 //!   ([`Checker::is_complete`]) is dropped from the dump and counted
 //!   instead — the predicate that filters the dump is the one that will
 //!   judge it;
-//! * **Counter deltas** — [`FlightRecorder::tick`] snapshots every counter
-//!   and retains a bounded ring of per-tick deltas, written into the dump as
-//!   `flight-counter-delta` facts, so the last seconds of rate information
-//!   survive the crash;
+//! * **Counter deltas** — each capture writes, as `flight-counter-delta`
+//!   facts, how far every counter moved since the recorder's previous
+//!   capture (since zero, on the first), so the rate information of the
+//!   window before the trigger survives the crash;
 //! * **Trigger plumbing** — [`FlightRecorder::dump`] for explicit triggers
 //!   (SLO breach hooks, chaos-assert failures) and
 //!   [`FlightRecorder::install_panic_hook`] for panics.
@@ -42,21 +42,14 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::checker::Checker;
-use crate::ring::Ring;
 use crate::{spans, Span, Telemetry};
-
-struct CounterState {
-    last: BTreeMap<String, u64>,
-    /// Per tick, a `flight-counter-delta` fact for every counter that moved
-    /// since the previous one.
-    ticks: Ring<Vec<Span>>,
-}
 
 struct Inner {
     tel: Telemetry,
     per_scope: usize,
     quorum: usize,
-    counters: Mutex<CounterState>,
+    /// Every counter's value at the previous capture.
+    counters: Mutex<BTreeMap<String, u64>>,
 }
 
 /// The filtered content of one capture, ready to serialize.
@@ -100,30 +93,22 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder over `tel` with default bounds: 32 traces per scope, 64
-    /// retained counter ticks, write quorum 2 (the 3-replica default).
+    /// A recorder over `tel` with default bounds: 32 traces per scope,
+    /// write quorum 2 (the 3-replica default).
     pub fn new(tel: Telemetry) -> Self {
-        Self::with_limits(tel, 32, 64, 2)
+        Self::with_limits(tel, 32, 2)
     }
 
     /// A recorder with explicit bounds. `quorum` is the coverage required of
     /// an acked write for it to be considered complete (erasure-coded scopes
     /// override it via their `durability-mode` facts).
-    pub fn with_limits(
-        tel: Telemetry,
-        per_scope: usize,
-        counter_ticks: usize,
-        quorum: usize,
-    ) -> Self {
+    pub fn with_limits(tel: Telemetry, per_scope: usize, quorum: usize) -> Self {
         FlightRecorder {
             inner: Arc::new(Inner {
                 tel,
                 per_scope: per_scope.max(1),
                 quorum,
-                counters: Mutex::new(CounterState {
-                    last: BTreeMap::new(),
-                    ticks: Ring::new(counter_ticks),
-                }),
+                counters: Mutex::default(),
             }),
         }
     }
@@ -133,28 +118,27 @@ impl FlightRecorder {
         &self.inner.tel
     }
 
-    /// Snapshots counter deltas since the previous tick into the bounded
-    /// ring. Call periodically (the SLO plane's tick cadence is natural).
-    pub fn tick(&self) {
+    /// A `flight-counter-delta` fact for every counter that moved since
+    /// the previous capture.
+    fn counter_deltas(&self) -> Vec<Span> {
         let tel = &self.inner.tel;
-        let mut state = self.inner.counters.lock().expect("flight poisoned");
+        let mut last = self.inner.counters.lock().expect("flight poisoned");
         let mut deltas = Vec::new();
         for (name, value) in tel.snapshot().counters {
-            let delta = value.saturating_sub(state.last.insert(name.clone(), value).unwrap_or(0));
+            let delta = value.saturating_sub(last.insert(name.clone(), value).unwrap_or(0));
             if delta > 0 {
                 let detail = format!("delta={delta}");
                 deltas.extend(tel.fact_span(spans::FLIGHT_COUNTER_DELTA, &name, 0, &detail));
             }
         }
-        if !deltas.is_empty() {
-            state.ticks.push(deltas);
-        }
+        deltas
     }
 
-    /// Captures and filters the current rings into a [`FlightDump`].
+    /// Captures and filters the current rings into a [`FlightDump`], with
+    /// the counter deltas since the previous capture.
     pub fn capture(&self) -> FlightDump {
-        let tel = &self.inner.tel;
-        let (control, record) = tel.span_rings();
+        let deltas = self.counter_deltas();
+        let (control, record) = self.inner.tel.span_rings();
         let mut checker = Checker::replay(self.inner.quorum);
         for s in control.iter().chain(&record) {
             checker.feed_span(s);
@@ -191,8 +175,6 @@ impl FlightRecorder {
             kept.extend(newest.map(|(_, Reverse((_, trace)))| *trace));
         }
 
-        let state = self.inner.counters.lock().expect("flight poisoned");
-        let deltas = state.ticks.iter().flatten().cloned();
         let spans = control
             .into_iter()
             .filter(|s| !incomplete.contains(&s.trace))
@@ -246,7 +228,6 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::analyze::{analyze, parse_jsonl};
-    use std::time::Instant;
 
     /// Emits one complete acked write (root + stage + doorbell + 2 wire
     /// peers) on `tel` under `scope`, returning its trace id.
@@ -256,32 +237,31 @@ mod tests {
 
     /// The same write, covered by `peers`.
     fn acked_write_on(tel: &Telemetry, scope: &'static str, peers: &[&str]) -> u64 {
-        let t0 = Instant::now();
-        let trace = tel.next_trace_id();
-        for name in [spans::NCL_STAGE, spans::NCL_DOORBELL] {
-            tel.span_auto(trace, trace, name, scope, 1, t0, Instant::now());
-        }
-        for peer in peers {
-            tel.span_auto(
-                trace,
-                trace,
-                spans::NCL_WIRE_PEER,
-                crate::intern_scope(peer),
-                1,
-                t0,
-                Instant::now(),
-            );
-        }
-        tel.span(
+        let (trace, start_ns) = (tel.next_trace_id(), tel.now_ns());
+        let child = |name, scope| Span {
             trace,
-            trace,
-            0,
-            spans::NCL_WRITE,
+            id: tel.next_trace_id(),
+            parent: trace,
+            name,
             scope,
-            1,
-            t0,
-            Instant::now(),
-        );
+            epoch: 1,
+            start_ns,
+            end_ns: tel.now_ns(),
+            ..Span::default()
+        };
+        let mut chain = vec![
+            child(spans::NCL_STAGE, scope),
+            child(spans::NCL_DOORBELL, scope),
+        ];
+        let wires = peers.iter().map(|peer| crate::intern_scope(peer));
+        chain.extend(wires.map(|peer| child(spans::NCL_WIRE_PEER, peer)));
+        let root = child(spans::NCL_WRITE, scope);
+        chain.push(Span {
+            id: trace,
+            parent: 0,
+            ..root
+        });
+        tel.record_spans(chain);
         trace
     }
 
@@ -294,7 +274,6 @@ mod tests {
             acked_write(&tel, "app/f");
         }
         tel.counter("ncl.flush.submit").add(17);
-        rec.tick();
 
         let dir = std::env::temp_dir().join(format!("flight-rt-{}", std::process::id()));
         let path = rec.dump_into(&dir, "test", "unit-test").unwrap();
@@ -364,7 +343,7 @@ mod tests {
     #[test]
     fn per_scope_retention_keeps_newest_and_bounds_each_scope() {
         let tel = Telemetry::new();
-        let rec = FlightRecorder::with_limits(tel.clone(), 2, 4, 2);
+        let rec = FlightRecorder::with_limits(tel.clone(), 2, 2);
         let mut traces_a = Vec::new();
         for _ in 0..4 {
             traces_a.push(acked_write(&tel, "app/a"));
@@ -379,25 +358,29 @@ mod tests {
         assert!(kept.contains(&trace_b));
     }
 
+    /// A recorder's first capture writes every counter's value, as one
+    /// tick before a dump did; each later one, what moved since the
+    /// previous capture; an idle one, nothing.
     #[test]
-    fn counter_ring_is_bounded_and_reports_deltas() {
+    fn each_capture_writes_the_counter_deltas_since_the_previous_one() {
         let tel = Telemetry::new();
-        let rec = FlightRecorder::with_limits(tel.clone(), 8, 2, 2);
-        let c = tel.counter("work");
-        for i in 1..=4u64 {
-            c.add(i);
-            rec.tick();
-        }
-        let deltas = |dump: FlightDump| -> Vec<Box<str>> {
+        let rec = FlightRecorder::new(tel.clone());
+        let deltas = |dump: FlightDump| -> Vec<(&str, Box<str>)> {
             let facts = dump.spans.into_iter();
             let deltas = facts.filter(|s| s.name == spans::FLIGHT_COUNTER_DELTA);
-            deltas.filter_map(|s| s.detail).collect()
+            deltas.map(|s| (s.scope, s.detail.unwrap())).collect()
         };
-        // Capacity 2: only the last two ticks' deltas survive.
-        assert_eq!(deltas(rec.capture()), ["delta=3".into(), "delta=4".into()]);
-        // An idle tick adds nothing.
-        rec.tick();
-        assert_eq!(deltas(rec.capture()).len(), 2);
+        let (work, idle) = (tel.counter("work"), tel.counter("idle"));
+        work.add(5);
+        idle.add(2);
+        let first = [("idle", "delta=2".into()), ("work", "delta=5".into())];
+        assert_eq!(deltas(rec.capture()), first);
+        work.add(3);
+        assert_eq!(deltas(rec.capture()), [("work", "delta=3".into())]);
+        assert_eq!(deltas(rec.capture()), []);
+        let fresh = FlightRecorder::new(tel.clone());
+        let totals = [("idle", "delta=2".into()), ("work", "delta=8".into())];
+        assert_eq!(deltas(fresh.capture()), totals);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`Histogram`] is plain data: benchmark harnesses own theirs (it was
 //! promoted here from `sim::stats`, which re-exports it), and the registry
-//! keeps each behind a lock ([`crate::HistHandle`]). Recording is O(1) and
+//! keeps each behind a lock ([`crate::HistSet`]). Recording is O(1) and
 //! percentile queries walk the bucket array. Relative error of
 //! reported values is bounded by `1/SUBBUCKETS` (~3%), and reported
 //! percentiles are always clamped into the exact `[min, max]` sample range so

@@ -4,10 +4,11 @@
 //! the NCL core, splitfs, the apps, the benches — can depend on it without
 //! cycles. Three pieces:
 //!
-//! * a **metrics registry** ([`Counter`], [`Gauge`], [`HistHandle`],
-//!   [`HistSet`]) whose handles are interned by name at component
-//!   construction: a counter costs one relaxed atomic op, and histograms
-//!   stamped together share one lock, under which a stamp is plain adds;
+//! * a **metrics registry** ([`Counter`], [`Gauge`], [`HistSet`], of which
+//!   [`HistHandle`] is the one-histogram case) whose handles are interned by
+//!   name at component construction: a counter costs one relaxed atomic op,
+//!   and histograms stamped together share one lock, under which a stamp is
+//!   plain adds;
 //! * **per-stage latency histograms** ([`Histogram`], promoted from
 //!   `sim::stats`): record lifecycles are timestamped at stage → doorbell →
 //!   wire → ack boundaries and aggregated, one stamp set per burst of
@@ -20,30 +21,46 @@
 //!   readers expand into that tree; every control operation is a tree of
 //!   phases under an `ncl.{create,recover,repair}` root, from which Table
 //!   3-style timelines fall out; and every point transition is a
-//!   zero-length *fact* ([`Telemetry::fact`]). Spans are consumed by the
+//!   zero-length *fact* ([`Telemetry::fact`]). A control phase is a closed
+//!   [`Span`] handed to [`Telemetry::record_spans`], the one recorder of
+//!   spans that are neither bursts nor facts. Spans are consumed by the
 //!   exporters in [`export`] and by the invariant engine in [`checker`]:
 //!   live through [`monitor`], judged on the thread that records them, and
 //!   offline through [`analyze`].
 //!
 //! A [`Telemetry`] value is a cheap cloneable handle; all clones share one
 //! registry, one pair of rings and, once attached, one monitor. Only the
-//! HTTP exporter's accept loop owns a thread. [`Telemetry::disabled`]
-//! yields a handle whose metric handles are no-ops and which records no
-//! span.
-//! What the enabled path costs against it is measured, not gated: splitbench
-//! reports it per workload as `telemetry.on_over_off`, the `telemetry_cost`
-//! probe in `crates/core/tests` reports it for one synchronous record, and
-//! span emission can be turned off separately via [`Telemetry::set_tracing`].
+//! HTTP exporter's accept loop owns a thread. [`Telemetry::disabled`] is
+//! the one off switch: it yields a handle whose metric handles are no-ops
+//! and which records no span and hands out trace id 0. What the enabled
+//! path costs against it is measured, not gated: splitbench reports it per
+//! workload as `telemetry.on_over_off`, and the `telemetry_cost` probe in
+//! `crates/core/tests` reports it for one synchronous record.
 //!
 //! ```
-//! let tel = telemetry::Telemetry::new();
+//! use telemetry::{spans, Span, Telemetry};
+//!
+//! let tel = Telemetry::new();
 //! let flushes = tel.counter("ncl.flush.submit");   // cache at construction
 //! let wire = tel.histogram("ncl.record.wire");
 //! flushes.inc();                                    // hot path: one atomic
 //! wire.record(1_500);
+//! let trace = tel.next_trace_id();
+//! let at = tel.now_ns();
+//! tel.record_spans([Span {
+//!     trace,
+//!     id: trace,
+//!     name: spans::NCL_CREATE,
+//!     scope: "app/wal",
+//!     start_ns: at,
+//!     end_ns: at + 1_000,
+//!     ..Span::default()
+//! }]);
 //! let snap = tel.snapshot();
 //! assert_eq!(snap.counter("ncl.flush.submit"), 1);
-//! println!("{}", snap.render_text());
+//! assert_eq!(snap.summary("ncl.record.wire").unwrap().count, 1);
+//! assert_eq!(snap.spans[0].duration_ns(), 1_000);
+//! println!("{}", telemetry::export::prometheus::render(&tel));
 //! ```
 
 pub mod analyze;
@@ -86,9 +103,6 @@ struct Inner {
     /// Shared generator for trace ids AND span ids; starts at 1 so id 0 can
     /// mean "none" everywhere.
     ids: AtomicU64,
-    /// Span emission switch (facts included); metrics stay on when this is
-    /// off.
-    tracing: AtomicBool,
     /// The attached [`OnlineMonitor`]'s core, installed by the first attach
     /// and kept for this handle's life. Every recording call reads it (one
     /// `OnceLock` load) and, when it is set, feeds the checker itself. The
@@ -139,7 +153,6 @@ impl Telemetry {
                 spans: span::SpanTrace::default(),
                 origin: Instant::now(),
                 ids: AtomicU64::new(1),
-                tracing: AtomicBool::new(true),
                 monitor: OnceLock::new(),
                 truncated: AtomicBool::new(false),
             })),
@@ -147,7 +160,8 @@ impl Telemetry {
     }
 
     /// A handle that records nothing: metric handles are no-ops, spans are
-    /// discarded. Used as the baseline of the overhead gate.
+    /// discarded and every trace id is 0. The one way to turn telemetry off,
+    /// and the baseline of `telemetry.on_over_off`.
     pub fn disabled() -> Self {
         Telemetry { inner: None }
     }
@@ -176,7 +190,7 @@ impl Telemetry {
     pub fn histogram(&self, name: &str) -> HistHandle {
         self.inner
             .as_ref()
-            .map_or_else(HistHandle::noop, |i| i.registry.histogram(name))
+            .map_or_else(HistHandle::noop, |i| i.registry.histograms([name]))
     }
 
     /// Interns (or reuses) the histograms `names` as one [`HistSet`], which
@@ -222,31 +236,13 @@ impl Telemetry {
     }
 
     /// Allocates a fresh trace id (also usable as a span id — one generator
-    /// backs both, so ids are process-unique). Returns 0 when disabled or
-    /// when tracing is off; callers treat 0 as "don't emit spans".
+    /// backs both, so ids are process-unique). Returns 0 when disabled;
+    /// callers treat 0 as "don't emit spans".
     #[inline]
     pub fn next_trace_id(&self) -> u64 {
-        match &self.inner {
-            Some(i) if i.tracing.load(Ordering::Relaxed) => i.ids.fetch_add(1, Ordering::Relaxed),
-            _ => 0,
-        }
-    }
-
-    /// Turns span emission, facts included, on or off. Metrics are
-    /// unaffected.
-    /// Defaults to on; the bench overhead gate measures both settings.
-    pub fn set_tracing(&self, on: bool) {
-        if let Some(inner) = &self.inner {
-            inner.tracing.store(on, Ordering::Relaxed);
-        }
-    }
-
-    /// True when span emission is active.
-    #[inline]
-    pub fn tracing_enabled(&self) -> bool {
         self.inner
             .as_ref()
-            .is_some_and(|i| i.tracing.load(Ordering::Relaxed))
+            .map_or(0, |i| i.ids.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Moves `spans` into `inner`'s rings, then hands them to the JSONL sink
@@ -295,84 +291,35 @@ impl Telemetry {
         }
     }
 
-    /// Records a closed span. No-op when disabled, when tracing is off, or
-    /// when `trace == 0` (the id a disabled handle hands out), so call sites
-    /// can emit unconditionally. `scope` is `&'static str` on purpose: hot
+    /// Records closed spans, in order, under one ring lock: a control
+    /// phase, a catch-up credit, a replay. Times are on this handle's clock
+    /// ([`Self::instant_ns`]), and an end before its start is read as the
+    /// start. Spans of trace 0 (the id a disabled handle hands out) are
+    /// skipped, and a disabled handle records nothing, so call sites can
+    /// record unconditionally. `scope` is `&'static str` on purpose: hot
     /// call sites intern it once ([`intern_scope`]) and recording stays
     /// allocation-free.
-    #[allow(clippy::too_many_arguments)]
-    pub fn span(
-        &self,
-        trace: u64,
-        id: u64,
-        parent: u64,
-        name: &'static str,
-        scope: &'static str,
-        epoch: u64,
-        start: Instant,
-        end: Instant,
-    ) {
+    pub fn record_spans(&self, spans: impl IntoIterator<Item = Span>) {
         let Some(inner) = &self.inner else { return };
-        if trace == 0 || !inner.tracing.load(Ordering::Relaxed) {
-            return;
+        let mut spans = spans
+            .into_iter()
+            .filter(|s| s.trace != 0)
+            .map(|s| Span {
+                end_ns: s.end_ns.max(s.start_ns),
+                ..s
+            })
+            .peekable();
+        if spans.peek().is_some() {
+            self.record(inner, spans);
         }
-        let span = self.closed_span(trace, id, parent, name, scope, epoch, (0, 0), start, end);
-        self.record(inner, [span]);
-    }
-
-    /// Builds the [`Span`] that [`Self::span`] would record, about the
-    /// records `seq` (see [`Span::seq`]), without recording it: for callers
-    /// that hand several spans over together ([`Self::record_spans`]). `id`
-    /// is the trace id for a root, a [`Self::next_trace_id`] otherwise.
-    #[allow(clippy::too_many_arguments)]
-    pub fn closed_span(
-        &self,
-        trace: u64,
-        id: u64,
-        parent: u64,
-        name: &'static str,
-        scope: &'static str,
-        epoch: u64,
-        seq: (u64, u64),
-        start: Instant,
-        end: Instant,
-    ) -> Span {
-        let start_ns = self.instant_ns(start);
-        Span {
-            trace,
-            id,
-            parent,
-            name,
-            scope,
-            epoch,
-            seq,
-            start_ns,
-            end_ns: self.instant_ns(end).max(start_ns),
-            detail: None,
-        }
-    }
-
-    /// Records the closed spans in `spans`, in order, and empties it (the
-    /// buffer's capacity stays with the caller), under one ring lock.
-    /// Callers build each one with [`Self::closed_span`]; spans of trace 0
-    /// must not be queued. No-op (but still emptying) when disabled or
-    /// tracing is off.
-    pub fn record_spans(&self, spans: &mut Vec<Span>) {
-        if let Some(inner) = &self.inner {
-            if inner.tracing.load(Ordering::Relaxed) && !spans.is_empty() {
-                self.record(inner, spans.drain(..));
-            }
-        }
-        spans.clear();
     }
 
     /// Opens the telemetry of an NCL burst of the records `seq` on `scope`,
     /// staged over `staged` (its first record's entry, its last record's
-    /// staging) and posted at `posted` to `peers` peers. With tracing on,
-    /// the burst takes its trace id and its spans' ids in one block;
-    /// otherwise its trace is 0 and it records no span. Either way the
-    /// record path keeps its instants in it until it retires
-    /// ([`Self::record_burst`]).
+    /// staging) and posted at `posted` to `peers` peers. The burst takes its
+    /// trace id and its spans' ids in one block (trace 0 when disabled, and
+    /// then it records no span); the record path keeps its instants in it
+    /// until it retires ([`Self::record_burst`]).
     pub fn open_burst(
         &self,
         scope: ScopeId,
@@ -381,12 +328,10 @@ impl Telemetry {
         posted: Instant,
         peers: u32,
     ) -> Burst {
-        let trace = match &self.inner {
-            Some(i) if i.tracing.load(Ordering::Relaxed) => {
-                i.ids.fetch_add(Burst::ids(peers), Ordering::Relaxed)
-            }
-            _ => 0,
-        };
+        let trace = self
+            .inner
+            .as_ref()
+            .map_or(0, |i| i.ids.fetch_add(Burst::ids(peers), Ordering::Relaxed));
         Burst::new(trace, scope, seq, staged, posted, peers)
     }
 
@@ -404,9 +349,7 @@ impl Telemetry {
     ) {
         let Some(inner) = &self.inner else { return };
         if let Some(span) = burst.add_wire(inner.origin, scope, epoch, (wire_ns, end_ns)) {
-            if inner.tracing.load(Ordering::Relaxed) {
-                self.record(inner, [span]);
-            }
+            self.record(inner, [span]);
         }
     }
 
@@ -414,10 +357,10 @@ impl Telemetry {
     /// entry, which every reader expands into the chain: stage, doorbell,
     /// one wire span per covering peer, ack, and the root last. With a sink
     /// or a monitor attached, the spans are built here too, for them.
-    /// No-op for an untraced burst, when disabled, or when tracing is off.
+    /// No-op for an untraced burst or when disabled.
     pub fn record_burst(&self, burst: &Burst) {
         let Some(inner) = &self.inner else { return };
-        if burst.trace == 0 || !inner.tracing.load(Ordering::Relaxed) {
+        if burst.trace == 0 {
             return;
         }
         let overflowed = inner.spans.push_burst(burst);
@@ -430,30 +373,9 @@ impl Telemetry {
         }
     }
 
-    /// Records a closed span with a freshly allocated id and returns it
-    /// (0 when nothing was recorded). Convenience for leaf children.
-    #[allow(clippy::too_many_arguments)]
-    pub fn span_auto(
-        &self,
-        trace: u64,
-        parent: u64,
-        name: &'static str,
-        scope: &'static str,
-        epoch: u64,
-        start: Instant,
-        end: Instant,
-    ) -> u64 {
-        if trace == 0 || !self.tracing_enabled() {
-            return 0;
-        }
-        let id = self.next_trace_id();
-        self.span(trace, id, parent, name, scope, epoch, start, end);
-        id
-    }
-
     /// Records a fact: a zero-length span stamped now, the root of a trace
     /// of its own, whose `detail` (none when empty) says what happened. Like
-    /// every span, nothing is recorded when disabled or tracing is off.
+    /// every span, nothing is recorded when disabled.
     pub fn fact(&self, name: &'static str, scope: &str, epoch: u64, detail: impl AsRef<str>) {
         if let Some(fact) = self.fact_span(name, scope, epoch, detail.as_ref()) {
             self.record(self.inner.as_ref().expect("enabled"), [fact]);
@@ -461,7 +383,7 @@ impl Telemetry {
     }
 
     /// The span [`Self::fact`] would record, not recorded: `None` when
-    /// disabled or tracing is off.
+    /// disabled.
     pub(crate) fn fact_span(
         &self,
         name: &'static str,
@@ -568,8 +490,13 @@ mod tests {
         t.histogram("h").record(1);
         t.fact(spans::PEER_FAILURE, "p", 0, "");
         assert_eq!(t.next_trace_id(), 0);
-        let now = Instant::now();
-        t.span(1, 1, 0, spans::NCL_WRITE, "x", 0, now, now);
+        let (trace, id, name) = (1, 1, spans::NCL_WRITE);
+        t.record_spans([Span {
+            trace,
+            id,
+            name,
+            ..Span::default()
+        }]);
         let snap = t.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.histograms.is_empty());
@@ -590,9 +517,8 @@ mod tests {
         t.gauge("g").set(5);
         t.histogram("h").record(1_000);
         t.fact(spans::REGION_ALLOC, "app/f", 2, "peers=[a,b,c]");
-        let snap = t.snapshot();
-        assert!(snap.render_text().contains("region-alloc"));
-        let json = snap.render_json();
+        let json = t.snapshot().render_json();
+        assert!(json.contains("region-alloc"));
         assert!(json.contains("\"g\": 5"));
         assert!(json.contains("\"count\": 1"));
         assert!(json.contains("peers=[a,b,c]"));
@@ -606,57 +532,80 @@ mod tests {
         assert!(a > 0 && b > 0 && a != b);
     }
 
+    /// The span `name` over `[start, end)`, with the ids `(trace, id,
+    /// parent)`, times on `tel`'s clock: what the unit tests record.
+    pub(crate) fn closed(
+        tel: &Telemetry,
+        (trace, id, parent): (u64, u64, u64),
+        name: &'static str,
+        scope: &'static str,
+        epoch: u64,
+        (start, end): (Instant, Instant),
+    ) -> Span {
+        let (start_ns, end_ns) = (tel.instant_ns(start), tel.instant_ns(end));
+        let (seq, detail) = ((0, 0), None);
+        Span {
+            trace,
+            id,
+            parent,
+            name,
+            scope,
+            epoch,
+            seq,
+            start_ns,
+            end_ns,
+            detail,
+        }
+    }
+
+    /// Records [`closed`]'s span on its own.
+    pub(crate) fn record(
+        tel: &Telemetry,
+        ids: (u64, u64, u64),
+        name: &'static str,
+        scope: &'static str,
+        epoch: u64,
+        at: (Instant, Instant),
+    ) {
+        tel.record_spans([closed(tel, ids, name, scope, epoch, at)]);
+    }
+
     #[test]
-    fn spans_record_and_respect_tracing_switch() {
+    fn record_spans_keeps_order_clamps_ends_and_skips_trace_zero() {
         let t = Telemetry::new();
         let start = Instant::now();
         let trace = t.next_trace_id();
-        let child = t.span_auto(
-            trace,
-            trace,
-            spans::NCL_STAGE,
-            "app/f",
-            0,
-            start,
-            Instant::now(),
-        );
-        assert!(child > 0 && child != trace);
-        t.span(
-            trace,
-            trace,
-            0,
-            spans::NCL_WRITE,
-            "app/f",
-            1,
-            start,
-            Instant::now(),
-        );
+        let child = t.next_trace_id();
+        let later = start + std::time::Duration::from_micros(5);
+        t.record_spans([
+            closed(
+                &t,
+                (trace, child, trace),
+                spans::NCL_STAGE,
+                "f",
+                0,
+                (later, start),
+            ),
+            closed(&t, (0, 0, 0), spans::NCL_ACK, "f", 0, (start, later)),
+            closed(
+                &t,
+                (trace, trace, 0),
+                spans::NCL_WRITE,
+                "f",
+                0,
+                (start, later),
+            ),
+        ]);
         let spans = t.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[1].id, trace);
-        assert_eq!(spans[1].parent, 0);
-        assert!(spans[0].end_ns >= spans[0].start_ns);
-
-        t.set_tracing(false);
-        assert_eq!(t.next_trace_id(), 0);
-        t.span(
-            trace,
-            trace,
-            0,
-            spans::NCL_ACK,
-            "app/f",
-            1,
-            start,
-            Instant::now(),
-        );
-        t.fact(spans::PEER_SUSPECT, "peer-0", 1, "silent");
+        assert_eq!(spans.len(), 2, "the trace-0 span is skipped");
+        assert_eq!((spans[0].id, spans[0].parent), (child, trace));
         assert_eq!(
-            t.spans().len(),
-            2,
-            "no spans, facts included, while tracing is off"
+            spans[0].end_ns, spans[0].start_ns,
+            "an end before its start is the start"
         );
-        t.set_tracing(true);
-        assert!(t.next_trace_id() > 0);
+        assert!(spans[1].is_root() && spans[1].duration_ns() >= 5_000);
+        t.record_spans([]);
+        assert_eq!(t.spans().len(), 2);
     }
 
     #[test]
@@ -666,27 +615,25 @@ mod tests {
         let path = dir.join("mixed.jsonl");
         let t = Telemetry::new();
         t.set_jsonl_sink(&path).unwrap();
-        let trace = t.next_trace_id();
-        let start = Instant::now();
-        t.span_auto(
-            trace,
-            trace,
+        let (trace, child, start) = (t.next_trace_id(), t.next_trace_id(), Instant::now());
+        let stage = (trace, child, trace);
+        record(
+            &t,
+            stage,
             spans::NCL_STAGE,
             "app/f",
             0,
-            start,
-            Instant::now(),
+            (start, Instant::now()),
         );
         t.fact(spans::DURABILITY_MODE, "app/\"f\"", 2, "ec k=2 n=3");
-        t.span(
-            trace,
-            trace,
-            0,
+        let root = (trace, trace, 0);
+        record(
+            &t,
+            root,
             spans::NCL_WRITE,
             "app/f",
             2,
-            start,
-            Instant::now(),
+            (start, Instant::now()),
         );
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::hist::Histogram;
 
@@ -89,67 +89,15 @@ impl Gauge {
     }
 }
 
-/// A shared histogram handle recording nanosecond samples.
-#[derive(Clone, Default)]
-pub struct HistHandle(Option<HistSlot>);
-
-impl HistHandle {
-    /// A detached handle whose samples go nowhere (disabled telemetry).
-    pub fn noop() -> Self {
-        HistHandle(None)
-    }
-
-    /// True when samples recorded through this handle are retained.
-    #[inline]
-    pub fn is_live(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Records one nanosecond sample.
-    #[inline]
-    pub fn record(&self, ns: u64) {
-        self.record_n(ns, 1);
-    }
-
-    /// Records `n` samples that sum to `total_ns`, e.g. one stage of every
-    /// record of a burst, in one stamp. Count and sum (so the mean) are
-    /// exact; the distribution sees `n` samples at the mean.
-    #[inline]
-    pub fn record_n(&self, total_ns: u64, n: u64) {
-        if let Some((cell, i)) = &self.0 {
-            lock(cell)[*i].record_n(total_ns, n);
-        }
-    }
-
-    /// Records a [`Duration`].
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        if self.0.is_some() {
-            self.record(d.as_nanos() as u64);
-        }
-    }
-
-    /// Records the time elapsed since `start`.
-    #[inline]
-    pub fn record_since(&self, start: Instant) {
-        if self.0.is_some() {
-            self.record(start.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Materialises an owned snapshot (empty for a no-op handle).
-    pub fn load(&self) -> Histogram {
-        self.0
-            .as_ref()
-            .map_or_else(Histogram::new, |(cell, i)| lock(cell)[*i].clone())
-    }
-}
-
 /// `N` histograms stamped together: one [`HistSet::record_n`] stamps all of
 /// them under one lock acquisition. Each stays a named histogram of its
 /// own, which [`crate::Telemetry::histogram`] finds and exporters read.
 #[derive(Clone)]
 pub struct HistSet<const N: usize>(Option<[HistSlot; N]>);
+
+/// One shared histogram recording nanosecond samples: a set of one, one
+/// lock per stamp.
+pub type HistHandle = HistSet<1>;
 
 impl<const N: usize> HistSet<N> {
     /// A detached set whose samples go nowhere (disabled telemetry).
@@ -157,8 +105,16 @@ impl<const N: usize> HistSet<N> {
         HistSet(None)
     }
 
-    /// Stamps histogram `i` with `stamps[i]`, `(total_ns, n)` as in
-    /// [`HistHandle::record_n`]; an `n` of 0 leaves it alone. One lock
+    /// True when samples recorded through this set are retained.
+    #[inline]
+    pub fn is_live(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Stamps histogram `i` with `stamps[i]`: `(total_ns, n)` is `n`
+    /// samples that sum to `total_ns`, e.g. one stage of every record of a
+    /// burst. Count and sum (so the mean) are exact; the distribution sees
+    /// `n` samples at the mean, and an `n` of 0 leaves it alone. One lock
     /// acquisition when the set was interned as one (a name interned
     /// earlier on its own keeps its own lock).
     pub fn record_n(&self, stamps: [(u64, u64); N]) {
@@ -178,6 +134,29 @@ impl<const N: usize> HistSet<N> {
             }
             held.as_mut().expect("just locked").1[*i].record_n(total, n);
         }
+    }
+}
+
+impl HistHandle {
+    /// Records one nanosecond sample.
+    #[inline]
+    pub fn record(&self, ns: u64) {
+        self.record_n([(ns, 1)]);
+    }
+
+    /// Records the time elapsed since `start`.
+    #[inline]
+    pub fn record_since(&self, start: Instant) {
+        if self.is_live() {
+            self.record(start.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Materialises an owned snapshot (empty for a no-op handle).
+    pub fn load(&self) -> Histogram {
+        self.0
+            .as_ref()
+            .map_or_else(Histogram::new, |[(cell, i)]| lock(cell)[*i].clone())
     }
 }
 
@@ -207,11 +186,6 @@ impl Registry {
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(AtomicI64::new(0)));
         Gauge(Some(Arc::clone(cell)))
-    }
-
-    pub(crate) fn histogram(&self, name: &str) -> HistHandle {
-        let [slot] = self.histogram_slots([name]);
-        HistHandle(Some(slot))
     }
 
     pub(crate) fn histograms<const N: usize>(&self, names: [&str; N]) -> HistSet<N> {
@@ -314,7 +288,7 @@ mod tests {
     #[test]
     fn concurrent_histogram_matches_serial() {
         let reg = Registry::default();
-        let h = reg.histogram("lat");
+        let h = reg.histograms(["lat"]);
         std::thread::scope(|s| {
             for t in 0..4 {
                 let h = h.clone();
@@ -336,14 +310,14 @@ mod tests {
     #[test]
     fn record_n_keeps_count_and_sum_exact_beside_record() {
         let reg = Registry::default();
-        let h = reg.histogram("burst");
+        let h = reg.histograms(["burst"]);
         std::thread::scope(|s| {
             let bursts = h.clone();
             // 1,000 bursts of 16 samples summing to 16·i + 7: the mean
             // rounds down, the sum does not.
             s.spawn(move || {
                 for i in 0..1_000u64 {
-                    bursts.record_n(16 * i + 7, 16);
+                    bursts.record_n([(16 * i + 7, 16)]);
                 }
             });
             let singles = h.clone();
@@ -361,7 +335,7 @@ mod tests {
         // The extremes see the means: 7 / 16 and 15,991 / 16, rounded down.
         assert_eq!((snap.min(), snap.max()), (0, 999));
         // A zero-sample stamp adds nothing.
-        h.record_n(5, 0);
+        h.record_n([(5, 0)]);
         assert_eq!(h.load().count(), 17_000);
     }
 
@@ -370,11 +344,11 @@ mod tests {
         let reg = Registry::default();
         // `b` interned on its own first keeps its own cell; the set still
         // stamps it, and a zero-sample stamp leaves `c` alone.
-        let alone = reg.histogram("b");
+        let alone = reg.histograms(["b"]);
         let set = reg.histograms(["a", "b", "c"]);
         set.record_n([(30, 3), (7, 1), (5, 0)]);
         alone.record(9);
-        let [a, b, c] = ["a", "b", "c"].map(|n| reg.histogram(n).load());
+        let [a, b, c] = ["a", "b", "c"].map(|n| reg.histograms([n]).load());
         assert_eq!((a.count(), a.sum(), a.max()), (3, 30, 10));
         assert_eq!((b.count(), b.sum()), (2, 16));
         assert_eq!(c.count(), 0);

@@ -230,6 +230,7 @@ mod tests {
     use crate::analyze::analyze;
     use crate::checker::{invariant, SWEEP_EVERY};
     use crate::spans;
+    use crate::tests::record;
     use std::time::{Duration, Instant};
 
     fn sp(trace: u64, id: u64, parent: u64, name: &'static str, scope: &'static str) -> Span {
@@ -644,20 +645,14 @@ mod tests {
     fn emit_write_scoped(tel: &Telemetry, scope: &'static str, peers: &[&str], t0: Instant) -> u64 {
         let t1 = t0 + Duration::from_micros(50);
         let trace = tel.next_trace_id();
-        tel.span_auto(trace, trace, spans::NCL_STAGE, scope, 1, t0, t1);
-        tel.span_auto(trace, trace, spans::NCL_DOORBELL, scope, 1, t0, t1);
+        let child = || (trace, tel.next_trace_id(), trace);
+        record(tel, child(), spans::NCL_STAGE, scope, 1, (t0, t1));
+        record(tel, child(), spans::NCL_DOORBELL, scope, 1, (t0, t1));
         for p in peers {
-            tel.span_auto(
-                trace,
-                trace,
-                spans::NCL_WIRE_PEER,
-                crate::intern_scope(p),
-                1,
-                t0,
-                t1,
-            );
+            let peer = crate::intern_scope(p);
+            record(tel, child(), spans::NCL_WIRE_PEER, peer, 1, (t0, t1));
         }
-        tel.span(trace, trace, 0, spans::NCL_WRITE, scope, 1, t0, t1);
+        record(tel, (trace, trace, 0), spans::NCL_WRITE, scope, 1, (t0, t1));
         trace
     }
 
@@ -687,16 +682,9 @@ mod tests {
         assert_eq!(mon.violation_count(), 0, "suspect, not yet a violation");
         assert_eq!(mon.report().suspects, 1);
         // The repair catches peer-2 up over the old record.
-        let t0 = Instant::now();
-        tel.span_auto(
-            trace,
-            trace,
-            spans::NCL_CATCHUP_PEER,
-            crate::intern_scope("peer-2"),
-            2,
-            t0,
-            t0,
-        );
+        let (t0, peer) = (Instant::now(), crate::intern_scope("peer-2"));
+        let credit = (trace, tel.next_trace_id(), trace);
+        record(&tel, credit, spans::NCL_CATCHUP_PEER, peer, 2, (t0, t0));
         let report = mon.finalize();
         assert!(report.ok(), "{:?}", report.violations);
     }
@@ -714,16 +702,10 @@ mod tests {
         assert_eq!(held.open_traces, 1);
         // ...until the replay span that exempts it lands, recorded (as in
         // splitfs) just before the reattach fact.
-        tel.span(
-            tel.next_trace_id(),
-            0,
-            0,
-            spans::FS_REATTACH_REPLAY,
-            scope,
-            3,
-            origin - Duration::from_millis(1),
-            origin + Duration::from_millis(1),
-        );
+        let ms = Duration::from_millis(1);
+        let ids = (tel.next_trace_id(), 0, 0);
+        let at = (origin - ms, origin + ms);
+        record(&tel, ids, spans::FS_REATTACH_REPLAY, scope, 3, at);
         tel.fact(spans::NCL_REATTACH, "app/deg", 3, "");
         let report = mon.finalize();
         assert!(report.ok(), "{:?}", report.violations);
@@ -749,8 +731,16 @@ mod tests {
         let (t0, scope) = (Instant::now(), crate::intern_scope("app/f"));
         let trace = tel.next_trace_id();
         let t1 = t0 + Duration::from_micros(5);
-        tel.span_auto(trace, trace, spans::NCL_REPAIR_AP_MAP, scope, 2, t0, t1);
-        tel.span(trace, trace, 0, spans::NCL_REPAIR, scope, 2, t0, t1);
+        let ap_map = (trace, tel.next_trace_id(), trace);
+        record(tel, ap_map, spans::NCL_REPAIR_AP_MAP, scope, 2, (t0, t1));
+        record(
+            tel,
+            (trace, trace, 0),
+            spans::NCL_REPAIR,
+            scope,
+            2,
+            (t0, t1),
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Point-in-time snapshot of a [`crate::Telemetry`] handle, renderable as
-//! aligned text (for terminal dumps) or JSON (for BENCH files and tooling).
+//! JSON (the scrape endpoint's `/snapshot`). Prometheus text is
+//! [`crate::export::prometheus`].
 
 use crate::hist::Summary;
 use crate::span::Span;
@@ -55,63 +56,6 @@ impl TelemetrySnapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, s)| *s)
-    }
-
-    /// Renders an aligned, human-readable report.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("== telemetry snapshot ==\n");
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (name, v) in &self.counters {
-                out.push_str(&format!("  {name:<40} {v}\n"));
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, v) in &self.gauges {
-                out.push_str(&format!("  {name:<40} {v}\n"));
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms (µs):\n");
-            out.push_str(&format!(
-                "  {:<40} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8}\n",
-                "name", "count", "mean", "p50", "p99", "max", "ovfl"
-            ));
-            for (name, s) in &self.histograms {
-                out.push_str(&format!(
-                    "  {:<40} {:>10} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>8}\n",
-                    name,
-                    s.count,
-                    s.mean_ns / 1e3,
-                    s.p50_ns as f64 / 1e3,
-                    s.p99_ns as f64 / 1e3,
-                    s.max_ns as f64 / 1e3,
-                    s.overflow,
-                ));
-            }
-        }
-        if !self.spans.is_empty() || self.spans_dropped > 0 {
-            out.push_str(&format!(
-                "spans ({} shown, {} dropped):\n",
-                self.spans.len(),
-                self.spans_dropped
-            ));
-            for sp in &self.spans {
-                out.push_str(&format!(
-                    "  [{:>12.3} ms] {:<22} {:<28} trace={} dur={:.1}µs epoch={} {}\n",
-                    sp.start_ns as f64 / 1e6,
-                    sp.name,
-                    sp.scope,
-                    sp.trace,
-                    sp.duration_ns() as f64 / 1e3,
-                    sp.epoch,
-                    sp.detail.as_deref().unwrap_or_default(),
-                ));
-            }
-        }
-        out
     }
 
     /// Renders the full snapshot as one JSON object.
@@ -200,14 +144,12 @@ mod tests {
             ],
             spans_dropped: 1,
         };
-        let text = snap.render_text();
-        assert!(text.contains("ncl.flush.submit"));
-        assert!(text.contains("epoch-bump"));
-        assert!(text.contains("ncl.write"));
         let json = snap.render_json();
+        assert!(json.contains("\"ncl.flush.submit\": 4"));
+        assert!(json.contains("\"name\": \"epoch-bump\""));
+        assert!(json.contains("\"name\": \"ncl.write\""));
         assert!(json.contains("\"ncl.record.wire\""));
         assert!(json.contains("\"overflow\": 1"));
-        assert!(text.contains("ovfl"));
         assert!(json.contains("\"epoch\": 7"));
         assert!(json.contains("\"seq\": [1, 4]"));
         assert!(json.contains("\"spans_dropped\": 1"));

@@ -260,9 +260,9 @@ fn scopes() -> MutexGuard<'static, Scopes> {
 
 /// Interns a span scope (`app/file` or a peer name) or a parsed span name,
 /// returning a canonical `&'static str`. Scopes recur constantly — every
-/// span of a file carries the same one — so [`crate::Telemetry::span`]
-/// takes `&'static str` and hot call sites intern once (per file / per
-/// peer), making span recording allocation-free. The backing set
+/// span of a file carries the same one — so a [`Span`]'s scope is a
+/// `&'static str` and hot call sites intern once (per file / per peer),
+/// making span recording allocation-free. The backing set
 /// deduplicates, so the leak is bounded by the number of *distinct* strings
 /// ever seen, not by call volume.
 pub fn intern_scope(scope: &str) -> &'static str {

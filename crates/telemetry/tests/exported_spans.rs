@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use telemetry::analyze::{analyze, parse_jsonl};
 use telemetry::export::chrome;
-use telemetry::{spans, ScopeId, Telemetry};
+use telemetry::{spans, ScopeId, Span, Telemetry};
 
 const WAL: &str = "app/wal";
 
@@ -37,14 +37,25 @@ fn recorded_spans_export_and_read_back_as_recorded() {
     acked_burst(&tel, (1, 3), at(1));
     tel.fact(spans::EPOCH_BUMP, WAL, 2, "tab\there \"quoted\"");
     let trace = tel.next_trace_id();
+    let phase = |id, parent, name, (start, end)| Span {
+        trace,
+        id,
+        parent,
+        name,
+        scope: WAL,
+        epoch: 2,
+        start_ns: tel.instant_ns(at(start)),
+        end_ns: tel.instant_ns(at(end)),
+        ..Span::default()
+    };
     let phases = [
-        (spans::NCL_REPAIR_CATCH_UP, 2, 3),
-        (spans::NCL_REPAIR_AP_MAP, 3, 4),
+        (spans::NCL_REPAIR_CATCH_UP, (2, 3)),
+        (spans::NCL_REPAIR_AP_MAP, (3, 4)),
     ];
-    for (name, start, end) in phases {
-        tel.span_auto(trace, trace, name, WAL, 2, at(start), at(end));
+    for (name, at) in phases {
+        tel.record_spans([phase(tel.next_trace_id(), trace, name, at)]);
     }
-    tel.span(trace, trace, 0, spans::NCL_REPAIR, WAL, 2, at(2), at(4));
+    tel.record_spans([phase(trace, 0, spans::NCL_REPAIR, (2, 4))]);
 
     let all = tel.spans();
     assert_eq!(all.len(), 16, "{all:?}");
@@ -117,12 +128,11 @@ fn a_burst_expands_into_its_chain_with_ids_from_one_block() {
         "each span between the instants the burst kept"
     );
 
-    // Untraced, it records nothing and takes no id.
-    tel.set_tracing(false);
-    let quiet = tel.open_burst(ScopeId::of(WAL), (9, 9), (t0, t0), t0, 3);
+    // Opened on a disabled handle, it is untraced, records nothing and
+    // takes no id.
+    let quiet = Telemetry::disabled().open_burst(ScopeId::of(WAL), (9, 9), (t0, t0), t0, 3);
     assert_eq!(quiet.trace, 0);
     tel.record_burst(&quiet);
-    tel.set_tracing(true);
     assert_eq!(tel.spans().len(), 7);
     assert_eq!(tel.next_trace_id(), next + 1);
 }

@@ -42,7 +42,7 @@ use splitft::apps::minirocks::{MiniRocks, RocksOptions};
 use splitft::sim::{Binding, FaultAction, FaultPlan, FaultScheduler, PlanParams, Trigger};
 use splitft::splitfs::{Mode, OpenOptions, SplitFs, Testbed, TestbedConfig};
 use telemetry::analyze::{analyze, parse_jsonl, TraceReport};
-use telemetry::{spans, FlightRecorder, Telemetry};
+use telemetry::{spans, FlightRecorder, Span, Telemetry};
 
 const VALUE: &[u8] = b"chaos-value";
 const PUTS: usize = 100;
@@ -95,8 +95,7 @@ static LIVE_TELEMETRY: Mutex<Option<(Telemetry, usize)>> = Mutex::new(None);
 /// `trace_analyzer --check` on the main trace dir is not double-reading
 /// them — as the same analyzer-readable JSONL a breach dump uses.
 fn dump_flight(tel: Telemetry, quorum: usize, seed: u64) -> Option<PathBuf> {
-    let recorder = FlightRecorder::with_limits(tel, 32, 64, quorum);
-    recorder.tick();
+    let recorder = FlightRecorder::with_limits(tel, 32, quorum);
     let dir = sink_dir().join("flight");
     match recorder.dump_into(&dir, &format!("chaos-{seed}"), "chaos-assert") {
         Ok(path) => {
@@ -557,7 +556,6 @@ fn online_monitor_catches_seeded_apmap_violation_live() {
         let dir = dump_dir.clone();
         let slot = Arc::clone(&dumped);
         monitor.on_violation(move |v| {
-            recorder.tick();
             if let Ok(path) = recorder.dump_into(
                 &dir,
                 "invariant",
@@ -577,9 +575,25 @@ fn online_monitor_catches_seeded_apmap_violation_live() {
         t0 + Duration::from_micros(10),
         t0 + Duration::from_micros(20),
     );
-    tel.span_auto(trace, trace, spans::NCL_REPAIR_AP_MAP, scope, 7, t0, t1);
-    tel.span_auto(trace, trace, spans::NCL_REPAIR_CATCH_UP, scope, 7, t1, t2);
-    tel.span(trace, trace, 0, spans::NCL_REPAIR, scope, 7, t0, t2);
+    let phase = |id, parent, name, (start, end): (Instant, Instant)| Span {
+        trace,
+        id,
+        parent,
+        name,
+        scope,
+        epoch: 7,
+        start_ns: tel.instant_ns(start),
+        end_ns: tel.instant_ns(end),
+        ..Span::default()
+    };
+    let children = [
+        (spans::NCL_REPAIR_AP_MAP, (t0, t1)),
+        (spans::NCL_REPAIR_CATCH_UP, (t1, t2)),
+    ];
+    for (name, at) in children {
+        tel.record_spans([phase(tel.next_trace_id(), trace, name, at)]);
+    }
+    tel.record_spans([phase(trace, 0, spans::NCL_REPAIR, (t0, t2))]);
 
     assert!(
         monitor.violating(),

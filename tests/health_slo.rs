@@ -92,7 +92,6 @@ fn health_flips_to_breached_under_seeded_overload() {
     let recorder = tb.flight_recorder().clone();
     let hook_dir = dump_dir.clone();
     plane.on_breach(move |report| {
-        recorder.tick();
         recorder
             .dump_into(
                 &hook_dir,

@@ -10,10 +10,10 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use splitft::splitfs::{Mode, OpenOptions, Testbed, TestbedConfig};
-use telemetry::{intern_scope, spans};
+use telemetry::{intern_scope, spans, Span};
 
 fn threads_of_the_process() -> usize {
     std::fs::read_dir("/proc/self/task").unwrap().count()
@@ -107,13 +107,24 @@ fn a_testbed_owns_no_thread_with_gc_on_and_a_spill_in_flight() {
     let file = fs.open("wal", OpenOptions::create_ncl(1 << 12)).unwrap();
     file.write_at(0, b"judged by its own writer").unwrap();
     file.fsync().unwrap();
-    let (scope, t0, trace) = (
+    let (scope, now, trace) = (
         intern_scope("inventory/seeded"),
-        Instant::now(),
+        tel.now_ns(),
         tel.next_trace_id(),
     );
-    tel.span_auto(trace, trace, spans::NCL_REPAIR_AP_MAP, scope, 2, t0, t0);
-    tel.span(trace, trace, 0, spans::NCL_REPAIR, scope, 2, t0, t0);
+    let phase = |id, parent, name| Span {
+        trace,
+        id,
+        parent,
+        name,
+        scope,
+        epoch: 2,
+        start_ns: now,
+        end_ns: now,
+        ..Span::default()
+    };
+    tel.record_spans([phase(tel.next_trace_id(), trace, spans::NCL_REPAIR_AP_MAP)]);
+    tel.record_spans([phase(trace, 0, spans::NCL_REPAIR)]);
     let added = threads_of_the_process() - before;
     assert_eq!(added, 0, "monitor attached, violation recorded");
     let fired = fired.load(Ordering::SeqCst);
