@@ -1415,17 +1415,17 @@ mod tests {
         let tel = config.telemetry.clone();
         let region = (HEADER_SIZE + 128) as i64;
         let fx = setup_with(2 * region as u64, config);
-        assert_eq!(tel.gauge_value("peer.mem.p1.total_bytes"), 2 * region);
-        assert_eq!(tel.gauge_value("peer.mem.total_bytes"), 2 * region);
+        assert_eq!(tel.gauge("peer.mem.p1.total_bytes").get(), 2 * region);
+        assert_eq!(tel.gauge("peer.mem.total_bytes").get(), 2 * region);
         alloc(&fx, "a", "wal", 1, 128);
-        assert_eq!(tel.gauge_value("peer.mem.p1.used_bytes"), region);
-        assert_eq!(tel.gauge_value("peer.mem.used_bytes"), region);
-        assert_eq!(tel.gauge_value("peer.mem.p1.regions"), 1);
-        assert_eq!(tel.gauge_value("peer.mem.p1.tenants"), 1);
+        assert_eq!(tel.gauge("peer.mem.p1.used_bytes").get(), region);
+        assert_eq!(tel.gauge("peer.mem.used_bytes").get(), region);
+        assert_eq!(tel.gauge("peer.mem.p1.regions").get(), 1);
+        assert_eq!(tel.gauge("peer.mem.p1.tenants").get(), 1);
         free(&fx, "a", "wal", 1);
-        assert_eq!(tel.gauge_value("peer.mem.p1.used_bytes"), 0);
-        assert_eq!(tel.gauge_value("peer.mem.used_bytes"), 0);
-        assert_eq!(tel.gauge_value("peer.mem.p1.tenants"), 0);
+        assert_eq!(tel.gauge("peer.mem.p1.used_bytes").get(), 0);
+        assert_eq!(tel.gauge("peer.mem.used_bytes").get(), 0);
+        assert_eq!(tel.gauge("peer.mem.p1.tenants").get(), 0);
 
         // Whatever request moved the ledger, the gauges and the controller's
         // placement hint agree with it afterwards. (Read through the plain
@@ -1435,12 +1435,12 @@ mod tests {
             let avail = fx.peer.mem_total() - fx.peer.mem_used();
             let hint = fx.ctrl_client.get_peers(fx.app_node, "a", 0, 10, &[]);
             assert_eq!(
-                tel.gauge_value("peer.mem.p1.used_bytes"),
+                tel.gauge("peer.mem.p1.used_bytes").get(),
                 fx.peer.mem_used() as i64,
                 "{step}"
             );
             assert_eq!(
-                tel.gauge_value("peer.mem.p1.regions"),
+                tel.gauge("peer.mem.p1.regions").get(),
                 regions as i64,
                 "{step}"
             );

@@ -1277,9 +1277,9 @@ fn pipelined_records_are_durable_at_the_barrier() {
     // the doorbell twice on window-full (records 8 and 16) and once at the
     // fsync barrier (records 17..=20); nothing called submit().
     let tel = file.telemetry();
-    assert_eq!(tel.counter_value("ncl.flush.window_full"), 2);
-    assert_eq!(tel.counter_value("ncl.flush.barrier"), 1);
-    assert_eq!(tel.counter_value("ncl.flush.submit"), 0);
+    assert_eq!(tel.counter("ncl.flush.window_full").get(), 2);
+    assert_eq!(tel.counter("ncl.flush.barrier").get(), 1);
+    assert_eq!(tel.counter("ncl.flush.submit").get(), 0);
 }
 
 #[test]
@@ -1305,10 +1305,10 @@ fn pipeline_window_bounds_in_flight_records() {
     // two), and the first drain necessarily found its record not yet
     // durable (nothing refreshes the watermark before the first barrier).
     let tel = file.telemetry();
-    assert_eq!(tel.counter_value("ncl.flush.window_full"), 25);
-    assert_eq!(tel.counter_value("ncl.flush.barrier"), 0);
+    assert_eq!(tel.counter("ncl.flush.window_full").get(), 25);
+    assert_eq!(tel.counter("ncl.flush.barrier").get(), 0);
     assert!(
-        tel.counter_value("ncl.window.stall") >= 1,
+        tel.counter("ncl.window.stall").get() >= 1,
         "window drains must count at least one stall"
     );
 }
@@ -1329,9 +1329,9 @@ fn submit_and_barrier_flushes_are_counted_separately() {
     }
     file.fsync().unwrap();
     let tel = file.telemetry();
-    assert_eq!(tel.counter_value("ncl.flush.submit"), 1);
-    assert_eq!(tel.counter_value("ncl.flush.barrier"), 1);
-    assert_eq!(tel.counter_value("ncl.flush.window_full"), 0);
+    assert_eq!(tel.counter("ncl.flush.submit").get(), 1);
+    assert_eq!(tel.counter("ncl.flush.barrier").get(), 1);
+    assert_eq!(tel.counter("ncl.flush.window_full").get(), 0);
 }
 
 /// The count behind the deleted `ncl_batch` burst-sweep timing gate: a
@@ -1364,9 +1364,9 @@ fn a_burst_of_16_is_one_doorbell_and_two_wrs_per_peer() {
     }
     file.fsync().unwrap();
     assert_eq!(file.durable_seq(), BURSTS * BURST);
-    assert_eq!(tel.counter_value("ncl.flush.submit"), BURSTS);
-    assert_eq!(tel.counter_value("ncl.flush.window_full"), 0);
-    assert_eq!(tel.counter_value("ncl.flush.barrier"), 0);
+    assert_eq!(tel.counter("ncl.flush.submit").get(), BURSTS);
+    assert_eq!(tel.counter("ncl.flush.window_full").get(), 0);
+    assert_eq!(tel.counter("ncl.flush.barrier").get(), 0);
     let peers = h.config.replicas() as u64;
     assert_eq!(
         wire_wrs() - before,
@@ -1399,7 +1399,7 @@ fn ec_2of3_ships_at_most_0_6x_the_replicated_wire_bytes() {
             }
         }
         file.fsync().unwrap();
-        file.telemetry().counter_value("ncl.wire.bytes") as f64 / RECORDS as f64
+        file.telemetry().counter("ncl.wire.bytes").get() as f64 / RECORDS as f64
     };
     let replicated = wire_per_record(Durability::Replicated);
     let ec = wire_per_record(Durability::Ec { k: 2, n: 3 });

@@ -6,6 +6,7 @@
 //! the examples; exposed here (rather than in a test-only crate) because a
 //! downstream user wanting to try SplitFT needs exactly this wiring.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,7 +15,7 @@ use ncl::{Controller, NclConfig, NclLib, NclRegistry, Peer};
 use parking_lot::Mutex;
 use sim::{Cluster, NodeId};
 use telemetry::export::http::ScrapeServer;
-use telemetry::{FlightRecorder, OnlineMonitor, SloPlane};
+use telemetry::{FlightRecorder, Health, OnlineMonitor};
 
 use crate::{Mode, SplitFs};
 
@@ -39,7 +40,8 @@ pub struct TestbedConfig {
     pub weak_flush_interval: Duration,
     /// When set, serve the shared telemetry handle over HTTP at this
     /// address (`/metrics` Prometheus text, `/snapshot` JSON, `/trace`
-    /// Chrome trace). Use `"127.0.0.1:0"` to let the OS pick a port.
+    /// Chrome trace, `/health` verdict). Use `"127.0.0.1:0"` to let the OS
+    /// pick a port.
     pub scrape_addr: Option<String>,
     /// When true, attach a streaming [`telemetry::OnlineMonitor`] to the
     /// shared telemetry handle, for the handle's life: the invariant
@@ -103,11 +105,12 @@ pub struct Testbed {
     /// The operator scrape endpoint, when [`TestbedConfig::scrape_addr`]
     /// asked for one; stops on drop.
     scrape: Option<ScrapeServer>,
-    /// SLO/health plane over the shared telemetry handle. Pre-loaded with
+    /// The health judge over the shared telemetry handle. Pre-loaded with
     /// the NCL objectives and served on the scrape endpoint's `/health`.
-    slo: SloPlane,
-    /// Black-box flight recorder over the same handle; dumps on SLO breach
-    /// (and panic) when `FLIGHT_DUMP_DIR` is set.
+    health: Health,
+    /// Black-box flight recorder over the same handle; dumps on a failing
+    /// `/health` verdict, an invariant violation and a panic when
+    /// `FLIGHT_DUMP_DIR` is set.
     flight: FlightRecorder,
     /// Streaming invariant monitor, when [`TestbedConfig::online_monitor`]
     /// (or `SPLITFT_ONLINE_MONITOR=1`) asked for one.
@@ -158,28 +161,22 @@ impl Testbed {
                 peer.schedule_gc(interval);
             }
         }
-        let slo = SloPlane::with_ncl_objectives(config.ncl.telemetry.clone());
         let flight =
             FlightRecorder::with_limits(config.ncl.telemetry.clone(), 32, config.ncl.quorum());
-        // `FLIGHT_DUMP_DIR` arms the black box: on the first transition into
-        // Breached (and on panic) the last N spans and counter deltas are
-        // preserved as an analyzer-readable JSONL dump.
-        if let Ok(dir) = std::env::var("FLIGHT_DUMP_DIR") {
-            let recorder = flight.clone();
-            let dump_dir = std::path::PathBuf::from(&dir);
-            slo.on_breach(move |report| {
-                let _ = recorder.dump_into(
-                    &dump_dir,
-                    "slo-breach",
-                    &format!("slo-breach status={}", report.status.as_str()),
-                );
-            });
-            // An invariant violation is a stronger signal than an SLO
-            // breach: preserve the offending window the moment the monitor
-            // flags it, tagged so operators can tell the dumps apart.
+        // `FLIGHT_DUMP_DIR` arms the black box: on each transition of
+        // `/health` into 503 (and on panic) the last N spans and counter
+        // deltas are preserved as an analyzer-readable JSONL dump.
+        let dump_dir = std::env::var("FLIGHT_DUMP_DIR").ok().map(PathBuf::from);
+        let dump = dump_dir.clone().map(|dir| (flight.clone(), dir));
+        let health = Health::new(config.ncl.telemetry.clone(), dump);
+        health.add("ncl.record.e2e", 5_000_000, 0.05);
+        health.add("ncl.record.doorbell", 2_000_000, 0.05);
+        if let Some(dir) = dump_dir {
+            // An invariant violation need not wait for a `/health` read:
+            // preserve the offending window the moment the monitor flags
+            // it, tagged so operators can tell the dumps apart.
             if let Some(monitor) = &monitor {
-                let recorder = flight.clone();
-                let dump_dir = std::path::PathBuf::from(&dir);
+                let (recorder, dump_dir) = (flight.clone(), dir.clone());
                 monitor.on_violation(move |v| {
                     let _ = recorder.dump_into(
                         &dump_dir,
@@ -191,7 +188,7 @@ impl Testbed {
             flight.install_panic_hook(dir);
         }
         let scrape = config.scrape_addr.as_deref().map(|addr| {
-            ScrapeServer::start(config.ncl.telemetry.clone(), addr, Some(slo.clone()))
+            ScrapeServer::start(config.ncl.telemetry.clone(), addr, Some(health.clone()))
                 .expect("scrape endpoint binds")
         });
         Testbed {
@@ -203,7 +200,7 @@ impl Testbed {
             config,
             local_disks: Mutex::new(Vec::new()),
             scrape,
-            slo,
+            health,
             flight,
             monitor,
         }
@@ -219,10 +216,10 @@ impl Testbed {
         self.scrape.as_ref().map(|s| s.addr())
     }
 
-    /// The SLO/health plane (served on the scrape endpoint's `/health`).
-    /// Add workload-specific objectives with [`SloPlane::add`].
-    pub fn slo_plane(&self) -> &SloPlane {
-        &self.slo
+    /// The health judge (served on the scrape endpoint's `/health`). Add
+    /// workload-specific objectives with [`Health::add`].
+    pub fn health(&self) -> &Health {
+        &self.health
     }
 
     /// The black-box flight recorder over the testbed's telemetry handle.
@@ -332,14 +329,15 @@ mod tests {
     }
 
     #[test]
-    fn testbed_wires_health_plane_and_flight_recorder() {
+    fn testbed_wires_health_and_flight_recorder() {
         let mut cfg = TestbedConfig::zero(3);
         cfg.scrape_addr = Some("127.0.0.1:0".into());
         let tb = Testbed::start(cfg);
         assert!(tb.scrape_addr().is_some());
-        // The plane starts healthy (no SLO has data yet) and the recorder
-        // watches the same telemetry handle as the testbed services.
-        assert!(!tb.slo_plane().tick().breached());
+        // The verdict starts ok (no objective has data yet) and the
+        // recorder watches the same telemetry handle as the testbed
+        // services.
+        assert!(tb.health().verdict().ok());
         let (fs, _node) = tb.mount(Mode::SplitFt, "app-health");
         let f = fs.open("probe", OpenOptions::create_ncl(1 << 16)).unwrap();
         f.write_at(0, b"observed").unwrap();

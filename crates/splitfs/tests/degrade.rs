@@ -70,14 +70,14 @@ fn quorum_loss_degrades_and_reattaches_with_fresh_peers() {
     let off = f.size().unwrap();
     f.write_at(off, b"|during-loss").unwrap();
     assert!(f.is_degraded(), "quorum loss must engage the fallback");
-    assert_eq!(fs.telemetry().counter_value("splitfs.fallback.engaged"), 1);
+    assert_eq!(fs.telemetry().counter("splitfs.fallback.engaged").get(), 1);
 
     // While degraded, no record is ever acknowledged through NCL: the log's
     // issue and durability watermarks freeze while the fallback counter and
     // the overlay keep advancing.
     let ncl = f.ncl_handle().unwrap().clone();
     let (frozen_seq, frozen_durable) = (ncl.seq(), ncl.durable_seq());
-    let records_before = fs.telemetry().counter_value("splitfs.fallback.records");
+    let records_before = fs.telemetry().counter("splitfs.fallback.records").get();
     let off = f.size().unwrap();
     f.write_at(off, b"|still-degraded").unwrap();
     f.fsync().unwrap();
@@ -87,7 +87,7 @@ fn quorum_loss_degrades_and_reattaches_with_fresh_peers() {
         frozen_durable,
         "NCL acked while degraded"
     );
-    assert!(fs.telemetry().counter_value("splitfs.fallback.records") > records_before);
+    assert!(fs.telemetry().counter("splitfs.fallback.records").get() > records_before);
 
     // Reads and sizes stay coherent through the overlay.
     let size = f.size().unwrap();
@@ -110,8 +110,8 @@ fn quorum_loss_degrades_and_reattaches_with_fresh_peers() {
             "fallback never re-attached after fresh peers were published"
         );
     }
-    assert_eq!(fs.telemetry().counter_value("splitfs.fallback.reattach"), 1);
-    let degraded = fs.telemetry().counter_value("splitfs.fallback.records");
+    assert_eq!(fs.telemetry().counter("splitfs.fallback.reattach").get(), 1);
+    let degraded = fs.telemetry().counter("splitfs.fallback.records").get();
     assert_one_replay_burst(fs.telemetry(), degraded);
 
     // Fact ordering: engage strictly before re-attach, and the re-attach
@@ -229,7 +229,7 @@ fn crash_while_degraded_behind_a_partition_replays_the_journal_into_the_recovere
     );
     assert!(!f2.is_degraded());
     assert_eq!(
-        fs2.telemetry().counter_value("splitfs.fallback.reattach"),
+        fs2.telemetry().counter("splitfs.fallback.reattach").get(),
         1
     );
     // The engage-time snapshot and the two degraded records.

@@ -179,7 +179,7 @@ impl MonitorReport {
         self.violations.len() as u64 + self.violations_dropped
     }
 
-    /// Renders the report as one JSON object (the `/invariants` body).
+    /// Renders the report as one JSON object (`/health`'s `invariants` field).
     pub fn to_json(&self) -> String {
         let status = if !self.ok() {
             "violating"

@@ -1,20 +1,20 @@
-//! Tiny std-only blocking HTTP scrape endpoint.
+//! Tiny std-only blocking HTTP scrape endpoint, and the [`Health`] judge
+//! behind its `/health` route.
 //!
-//! One accept-loop thread, one request per connection, five routes:
+//! One accept-loop thread, one request per connection, four routes:
 //!
 //! * `GET /metrics`  — Prometheus text exposition (for a scrape job);
 //! * `GET /snapshot` — the full [`crate::TelemetrySnapshot`] as JSON;
 //! * `GET /trace`    — the span ring rendered as a Chrome trace document;
-//! * `GET /health`   — the SLO plane's [`crate::HealthReport`] as JSON, 200
-//!   while healthy/warning and **503 when breached** (so a plain HTTP
-//!   health check needs no JSON parsing); without a plane, the monitor's
-//!   verdict, and 404 when there is no monitor either. The handler calls [`SloPlane::maybe_tick`], so the
-//!   report is fresh but hammering the endpoint cannot shrink SLO windows.
-//!   When an [`crate::OnlineMonitor`] is attached to the telemetry handle,
-//!   an invariant violation also flips `/health` to 503 — durability-
-//!   promise breaks outrank latency in a health check;
-//! * `GET /invariants` — the online monitor's [`crate::MonitorReport`] as
-//!   JSON (200 clean, 503 violating, 404 when no monitor is attached).
+//! * `GET /health`   — one [`Verdict`] as JSON, **503** when it fails and
+//!   200 otherwise, so a plain HTTP health check needs no JSON parsing.
+//!
+//! A verdict fails when the attached [`crate::OnlineMonitor`] has confirmed
+//! a violation or a latency objective `(histogram, threshold_ns, budget)`
+//! fails: over its histogram's growth since the previous verdict
+//! ([`Histogram::diff`]), more than `budget × total` samples lay above
+//! `threshold_ns` (bucket granularity, ~3%). A sample at the threshold is
+//! good and an idle window passes.
 //!
 //! This is deliberately not a real HTTP server: no keep-alive, no TLS, no
 //! chunking — a Prometheus scraper and `curl` both speak enough HTTP/1.0 for
@@ -24,13 +24,126 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::export::{chrome, prometheus};
-use crate::{SloPlane, Telemetry};
+use crate::{json_escape, FlightRecorder, Histogram, MonitorReport, Telemetry};
+
+/// One latency objective, judged over the window since the previous verdict.
+#[derive(Debug, Clone, Default)]
+pub struct Objective {
+    /// Registry histogram the objective watches.
+    pub histogram: String,
+    /// Samples at or below this are good.
+    pub threshold_ns: u64,
+    /// Allowed bad-sample fraction.
+    pub budget: f64,
+    /// Samples in the window.
+    pub total: u64,
+    /// Samples in the window above the threshold.
+    pub bad: u64,
+}
+
+/// One `/health` verdict.
+#[derive(Debug, Clone)]
+pub struct Verdict {
+    /// Every objective, in the order added.
+    pub objectives: Vec<Objective>,
+    /// The online monitor's report, when one is attached.
+    pub invariants: Option<MonitorReport>,
+}
+
+impl Verdict {
+    /// True when no objective had more than `budget` of its window's
+    /// samples bad and no invariant is violated.
+    pub fn ok(&self) -> bool {
+        let met = |o: &Objective| o.bad as f64 <= o.budget * o.total as f64;
+        self.objectives.iter().all(met) && self.invariants.as_ref().is_none_or(MonitorReport::ok)
+    }
+
+    /// The `/health` body: one JSON object.
+    pub fn to_json(&self) -> String {
+        let objectives = self.objectives.iter().map(|o| {
+            format!(
+                "{{\"histogram\": \"{}\", \"threshold_ns\": {}, \"budget\": {:.6}, \"total\": {}, \"bad\": {}}}",
+                json_escape(&o.histogram), o.threshold_ns, o.budget, o.total, o.bad
+            )
+        });
+        let invariants = self.invariants.as_ref().map(MonitorReport::to_json);
+        format!(
+            "{{\"status\": \"{}\", \"objectives\": [{}], \"invariants\": {}}}",
+            if self.ok() { "ok" } else { "failing" },
+            objectives.collect::<Vec<_>>().join(", "),
+            invariants.as_deref().unwrap_or("null")
+        )
+    }
+}
+
+/// Each objective with its histogram at the previous verdict, and whether
+/// that verdict failed.
+type State = (Vec<(Objective, Histogram)>, bool);
+
+/// The health judge over one [`Telemetry`] handle. Cloning shares state;
+/// verdicts are serialized, so every sample lands in exactly one window.
+#[derive(Clone)]
+pub struct Health {
+    tel: Telemetry,
+    /// Where a transition into failing dumps the flight recorder.
+    dump: Option<(FlightRecorder, PathBuf)>,
+    state: Arc<Mutex<State>>,
+}
+
+impl Health {
+    /// A judge with no objectives. With `dump`, each transition into
+    /// failing writes `<dir>/trace-flight-health.jsonl`.
+    pub fn new(tel: Telemetry, dump: Option<(FlightRecorder, PathBuf)>) -> Self {
+        let state = Arc::default();
+        Health { tel, dump, state }
+    }
+
+    /// Adds an objective, judged from the next verdict on.
+    pub fn add(&self, histogram: &str, threshold_ns: u64, budget: f64) {
+        let objective = Objective {
+            histogram: histogram.to_string(),
+            threshold_ns,
+            budget,
+            ..Objective::default()
+        };
+        let mut state = self.state.lock().expect("health poisoned");
+        state.0.push((objective, Histogram::new()));
+    }
+
+    /// Judges every objective over the window since the previous verdict,
+    /// and the monitor's invariants.
+    pub fn verdict(&self) -> Verdict {
+        // Snapshot under the lock: an older snapshot would re-count a window.
+        let mut state = self.state.lock().expect("health poisoned");
+        let hists = self.tel.histograms_full();
+        for (o, last) in &mut state.0 {
+            if let Some((_, current)) = hists.iter().find(|(n, _)| *n == o.histogram) {
+                let window = current.diff(last);
+                o.total = window.count();
+                o.bad = o.total.saturating_sub(window.count_at_most(o.threshold_ns));
+                *last = current.clone();
+            }
+        }
+        let verdict = Verdict {
+            objectives: state.0.iter().map(|(o, _)| o.clone()).collect(),
+            invariants: self.tel.online_monitor().map(|m| m.report()),
+        };
+        let entered = !verdict.ok() && !state.1;
+        state.1 = !verdict.ok();
+        drop(state);
+        if let (true, Some((recorder, dir))) = (entered, &self.dump) {
+            let _ = recorder.dump_into(dir, "health", "health-503");
+        }
+        verdict
+    }
+}
 
 /// A running scrape endpoint; dropping it stops the accept loop.
 pub struct ScrapeServer {
@@ -42,15 +155,15 @@ pub struct ScrapeServer {
 impl ScrapeServer {
     /// Binds `addr` (use port 0 for an ephemeral port; see [`Self::addr`])
     /// and serves `tel` until the returned server is dropped. `/health`
-    /// serves `plane`'s report, or the monitor's verdict without one.
-    /// `/invariants` serves whatever [`crate::OnlineMonitor`] is attached to
-    /// `tel` at request time (the monitor rides on the telemetry handle, so
-    /// it needs no parameter here).
+    /// serves `health`'s verdicts, or a judge with no objectives without
+    /// one (the monitor rides on the telemetry handle, so it needs no
+    /// parameter here).
     pub fn start(
         tel: Telemetry,
         addr: &str,
-        plane: Option<SloPlane>,
+        health: Option<Health>,
     ) -> std::io::Result<ScrapeServer> {
+        let health = health.unwrap_or_else(|| Health::new(tel.clone(), None));
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -65,7 +178,7 @@ impl ScrapeServer {
                     if let Ok(stream) = conn {
                         // Serve inline: scrapes are rare and tiny, and one
                         // thread keeps the footprint honest.
-                        let _ = serve_one(stream, &tel, plane.as_ref());
+                        let _ = serve_one(stream, &tel, &health);
                     }
                 }
             })?;
@@ -93,11 +206,7 @@ impl Drop for ScrapeServer {
     }
 }
 
-fn serve_one(
-    mut stream: TcpStream,
-    tel: &Telemetry,
-    plane: Option<&SloPlane>,
-) -> std::io::Result<()> {
+fn serve_one(mut stream: TcpStream, tel: &Telemetry, health: &Health) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     // Read until the end of the request head (or the buffer fills); only the
     // request line matters.
@@ -133,57 +242,18 @@ fn serve_one(
         "/snapshot" => ("200 OK", "application/json", tel.snapshot().render_json()),
         "/trace" => ("200 OK", "application/json", chrome::render(&tel.spans())),
         "/health" => {
-            // An invariant violation outranks latency: the monitor watching
-            // durability promises flips /health regardless of SLO burn.
-            let violating = tel.online_monitor().is_some_and(|m| m.violating());
-            match plane {
-                Some(plane) => {
-                    let report = plane.maybe_tick();
-                    let status = if report.breached() || violating {
-                        "503 Service Unavailable"
-                    } else {
-                        "200 OK"
-                    };
-                    (status, "application/json", report.to_json())
-                }
-                None => match tel.online_monitor() {
-                    // No SLO plane but a monitor: health is the monitor's
-                    // verdict (see /invariants for the full report).
-                    Some(m) => {
-                        let status = if violating {
-                            "503 Service Unavailable"
-                        } else {
-                            "200 OK"
-                        };
-                        (status, "application/json", m.render_json())
-                    }
-                    None => (
-                        "404 Not Found",
-                        "text/plain; charset=utf-8",
-                        "no SLO plane attached\n".to_string(),
-                    ),
-                },
-            }
+            let verdict = health.verdict();
+            let status = if verdict.ok() {
+                "200 OK"
+            } else {
+                "503 Service Unavailable"
+            };
+            (status, "application/json", verdict.to_json())
         }
-        "/invariants" => match tel.online_monitor() {
-            Some(m) => {
-                let status = if m.violating() {
-                    "503 Service Unavailable"
-                } else {
-                    "200 OK"
-                };
-                (status, "application/json", m.render_json())
-            }
-            None => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "no online monitor attached\n".to_string(),
-            ),
-        },
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            "not found; try /metrics, /snapshot, /trace, /health, /invariants\n".to_string(),
+            "not found; try /metrics, /snapshot, /trace, /health\n".to_string(),
         ),
     };
     write!(
@@ -243,59 +313,54 @@ mod tests {
     }
 
     #[test]
-    fn health_endpoint_reflects_slo_status() {
-        use crate::SloSpec;
-        use std::time::Duration;
-
+    fn health_endpoint_judges_objectives() {
         let tel = Telemetry::new();
-        // /health without a plane (or a monitor) is a 404.
+        // /health with no objectives and no monitor is a plain 200.
         let bare = ScrapeServer::start(tel.clone(), "127.0.0.1:0", None).unwrap();
-        let (status, _) = get(bare.addr(), "/health");
-        assert!(status.contains("404"), "{status}");
+        let (status, body) = get(bare.addr(), "/health");
+        assert!(status.contains("200"), "{status}");
+        assert_eq!(
+            body,
+            "{\"status\": \"ok\", \"objectives\": [], \"invariants\": null}"
+        );
         drop(bare);
 
-        let plane = SloPlane::new(tel.clone());
-        plane.set_min_tick_gap(Duration::from_nanos(0));
-        plane.add(SloSpec::new("lat", "lat", 50, 0.1).windows(1, 1));
-        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0", Some(plane)).unwrap();
+        let health = Health::new(tel.clone(), None);
+        health.add("lat", 50, 0.1);
+        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0", Some(health)).unwrap();
 
         let h = tel.histogram("lat");
         h.record(10);
         let (status, body) = get(server.addr(), "/health");
         assert!(status.contains("200"), "{status}");
-        assert!(body.contains("\"status\": \"healthy\""), "{body}");
+        assert!(body.starts_with("{\"status\": \"ok\""), "{body}");
 
         for _ in 0..10 {
             h.record(60);
         }
         let (status, body) = get(server.addr(), "/health");
         assert!(status.contains("503"), "{status}");
-        assert!(body.contains("\"status\": \"breached\""), "{body}");
-        // The tick also exported burn gauges, visible on /metrics.
-        let (_, metrics) = get(server.addr(), "/metrics");
-        assert!(metrics.contains("splitft_slo_status 2"), "{metrics}");
+        assert!(body.starts_with("{\"status\": \"failing\""), "{body}");
+        assert!(
+            body.contains("\"histogram\": \"lat\", \"threshold_ns\": 50, \"budget\": 0.100000, \"total\": 10, \"bad\": 10"),
+            "{body}"
+        );
         drop(server);
     }
 
     #[test]
-    fn invariants_endpoint_reflects_monitor_verdict() {
+    fn health_body_carries_the_invariant_verdict() {
         use crate::OnlineMonitor;
 
         let tel = Telemetry::new();
-        // Without a monitor /invariants is a 404.
-        let bare = ScrapeServer::start(tel.clone(), "127.0.0.1:0", None).unwrap();
-        let (status, _) = get(bare.addr(), "/invariants");
-        assert!(status.contains("404"), "{status}");
-        drop(bare);
-
         let monitor = OnlineMonitor::attach(&tel, 2);
         let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0", None).unwrap();
-        let (status, body) = get(server.addr(), "/invariants");
+        let (status, body) = get(server.addr(), "/health");
         assert!(status.contains("200"), "{status}");
-        assert!(body.contains("\"status\": \"ok\""), "{body}");
-        // /health with no SLO plane serves the monitor verdict.
-        let (status, _) = get(server.addr(), "/health");
-        assert!(status.contains("200"), "{status}");
+        assert!(
+            body.contains("\"invariants\": {\"status\": \"ok\""),
+            "{body}"
+        );
 
         // Seed an ap-map-before-catch-up ordering break: a repair whose
         // ap-map phase has no catch-up before it.
@@ -318,26 +383,28 @@ mod tests {
             (now, now),
         );
         assert!(monitor.violating());
-        let (status, body) = get(server.addr(), "/invariants");
+        let (status, body) = get(server.addr(), "/health");
         assert!(status.contains("503"), "{status}");
+        assert!(
+            body.contains("\"invariants\": {\"status\": \"violating\""),
+            "{body}"
+        );
+        assert!(body.contains("ap-map-order"), "{body}");
         assert!(body.contains("catch-up"), "{body}");
-        let (status, _) = get(server.addr(), "/health");
-        assert!(status.contains("503"), "{status}");
         drop(server);
     }
 
     #[test]
-    fn monitor_violation_flips_health_despite_healthy_slos() {
-        use crate::{OnlineMonitor, SloSpec};
-        use std::time::{Duration, Instant};
+    fn monitor_violation_flips_health_despite_met_objectives() {
+        use crate::OnlineMonitor;
+        use std::time::Instant;
 
         let tel = Telemetry::new();
-        let plane = SloPlane::new(tel.clone());
-        plane.set_min_tick_gap(Duration::from_nanos(0));
-        plane.add(SloSpec::new("lat", "lat", 50, 0.1).windows(1, 1));
-        tel.histogram("lat").record(10); // comfortably healthy
+        let health = Health::new(tel.clone(), None);
+        health.add("lat", 50, 0.1);
+        tel.histogram("lat").record(10); // comfortably within objective
         let monitor = OnlineMonitor::attach(&tel, 2);
-        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0", Some(plane)).unwrap();
+        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0", Some(health)).unwrap();
         let (status, _) = get(server.addr(), "/health");
         assert!(status.contains("200"), "{status}");
 
@@ -359,8 +426,9 @@ mod tests {
         assert!(monitor.violating());
         let (status, body) = get(server.addr(), "/health");
         assert!(status.contains("503"), "{status}");
-        // The body is still the SLO report; /invariants has the details.
-        assert!(body.contains("\"slos\""), "{body}");
+        // One body: the objective, met, beside the invariant that is not.
+        assert!(body.contains("\"histogram\": \"lat\""), "{body}");
+        assert!(body.contains("ap-map-monotone"), "{body}");
         drop(server);
     }
 
@@ -369,14 +437,15 @@ mod tests {
     /// request answered.
     #[test]
     fn concurrent_scrapes_of_all_routes_stay_consistent() {
-        use crate::{OnlineMonitor, SloPlane};
+        use crate::OnlineMonitor;
         use std::sync::atomic::AtomicBool;
         use std::time::Instant;
 
         let tel = Telemetry::new();
-        let plane = SloPlane::new(tel.clone());
+        let health = Health::new(tel.clone(), None);
+        health.add("ncl.record.e2e", 5_000_000, 0.05);
         let monitor = OnlineMonitor::attach(&tel, 2);
-        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0", Some(plane)).unwrap();
+        let server = ScrapeServer::start(tel.clone(), "127.0.0.1:0", Some(health)).unwrap();
         let addr = server.addr();
 
         // Writer thread: emit clean write traces + facts,
@@ -416,7 +485,7 @@ mod tests {
             })
         };
 
-        let scrapers: Vec<_> = ["/metrics", "/health", "/invariants", "/snapshot"]
+        let scrapers: Vec<_> = ["/metrics", "/health", "/trace", "/snapshot"]
             .into_iter()
             .map(|path| {
                 std::thread::spawn(move || {
@@ -471,5 +540,112 @@ mod tests {
         let mut body = String::new();
         reader.read_to_string(&mut body).unwrap();
         assert_eq!(body.len(), content_length);
+    }
+
+    #[test]
+    fn the_worst_objective_decides_each_window() {
+        let tel = Telemetry::new();
+        let health = Health::new(tel.clone(), None);
+        health.add("a", 50, 0.1);
+        health.add("b", 50, 0.1);
+        let hists = [tel.histogram("a"), tel.histogram("b")];
+        // Per window: the samples recorded into `a` and `b` (all in the
+        // histogram's exact region), then each objective's (total, bad)
+        // and the verdict.
+        type Row = ([&'static [u64]; 2], [(u64, u64); 2], bool);
+        let rows: [Row; 5] = [
+            // Idle: an empty window passes.
+            ([&[], &[]], [(0, 0), (0, 0)], true),
+            // A sample exactly at the threshold is good.
+            ([&[50, 49], &[10]], [(2, 0), (1, 0)], true),
+            // Bad samples exactly at the budget still meet it.
+            (
+                [&[10, 10, 10, 10, 10, 10, 10, 10, 10, 60], &[]],
+                [(10, 1), (0, 0)],
+                true,
+            ),
+            // One failing objective fails the verdict, whatever the other.
+            ([&[10], &[60, 60]], [(1, 0), (2, 2)], false),
+            // The window forgets the previous one.
+            ([&[10], &[10]], [(1, 0), (1, 0)], true),
+        ];
+        for (samples, want, ok) in rows {
+            for (h, samples) in hists.iter().zip(samples) {
+                samples.iter().for_each(|&v| h.record(v));
+            }
+            let verdict = health.verdict();
+            let got: Vec<_> = verdict
+                .objectives
+                .iter()
+                .map(|o| (o.total, o.bad))
+                .collect();
+            assert_eq!(got, want);
+            assert_eq!(verdict.ok(), ok, "{}", verdict.to_json());
+            assert!(verdict.invariants.is_none());
+        }
+    }
+
+    /// Verdicts race live writers and each other: each window is a diff of
+    /// cumulative snapshots, so every sample lands in exactly one window,
+    /// none double-counted, none lost, however verdicts interleave with
+    /// recording.
+    #[test]
+    fn concurrent_writers_conserve_samples_across_verdicts() {
+        use std::sync::atomic::AtomicU64;
+        const WRITERS: usize = 4;
+        const PER_WRITER: u64 = 5_000;
+        let tel = Telemetry::new();
+        let h = tel.histogram("lat");
+        let health = Health::new(tel.clone(), None);
+        health.add("lat", 1_500, 0.1);
+        let total = |v: Verdict| v.objectives[0].total;
+        let seen = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let h = h.clone();
+                s.spawn(move || {
+                    for i in 0..PER_WRITER {
+                        h.record(1_000 + (w as u64 * PER_WRITER + i) % 977);
+                    }
+                });
+            }
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        seen.fetch_add(total(health.verdict()), Ordering::Relaxed);
+                        std::thread::yield_now();
+                    }
+                });
+            }
+        });
+        // One last verdict takes whatever the racing ones missed.
+        let seen = seen.into_inner() + total(health.verdict());
+        assert_eq!(seen, WRITERS as u64 * PER_WRITER);
+    }
+
+    #[test]
+    fn the_dump_fires_once_per_transition_into_failing() {
+        let tel = Telemetry::new();
+        let dir = std::env::temp_dir().join(format!("health-dump-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let recorder = FlightRecorder::with_limits(tel.clone(), 32, 2);
+        let health = Health::new(tel.clone(), Some((recorder, dir.clone())));
+        health.add("h", 50, 0.1);
+        let h = tel.histogram("h");
+        let path = dir.join("trace-flight-health.jsonl");
+        // Failing, failing again, passing, failing: two transitions.
+        for (bad, good, dumped) in [(1, 0, true), (1, 0, false), (0, 100, false), (3, 0, true)] {
+            (0..bad).for_each(|_| h.record(60));
+            (0..good).for_each(|_| h.record(10));
+            let verdict = health.verdict();
+            assert_eq!(verdict.ok(), bad == 0);
+            assert_eq!(path.exists(), dumped, "{}", verdict.to_json());
+            if dumped {
+                let text = std::fs::read_to_string(&path).unwrap();
+                assert!(text.contains("health-503"), "{text}");
+                std::fs::remove_file(&path).unwrap();
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,7 +2,7 @@
 //! deltas, dumped to JSONL when something goes wrong.
 //!
 //! The in-memory span rings ([`crate::Telemetry`]'s) already retain recent
-//! history; what they lack is a *disciplined exit*: a crashing or breaching
+//! history; what they lack is a *disciplined exit*: a crashing or failing
 //! process should leave behind a file that the existing offline tooling
 //! (`trace_analyzer --check`, i.e. [`crate::analyze`]) ingests as-is.
 //! [`FlightRecorder`] provides that:
@@ -26,9 +26,10 @@
 //!   facts, how far every counter moved since the recorder's previous
 //!   capture (since zero, on the first), so the rate information of the
 //!   window before the trigger survives the crash;
-//! * **Trigger plumbing** — [`FlightRecorder::dump`] for explicit triggers
-//!   (SLO breach hooks, chaos-assert failures) and
-//!   [`FlightRecorder::install_panic_hook`] for panics.
+//! * **Trigger plumbing** — [`FlightRecorder::dump_into`] for explicit
+//!   triggers (a failing `/health` verdict, an invariant violation, a
+//!   chaos-assert failure) and [`FlightRecorder::install_panic_hook`] for
+//!   panics.
 //!
 //! A dump is a `flight-dump` fact (the reason and the counts), then the
 //! spans in the order the rings recorded them. Dump files are named
@@ -37,7 +38,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -93,15 +93,10 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder over `tel` with default bounds: 32 traces per scope,
-    /// write quorum 2 (the 3-replica default).
-    pub fn new(tel: Telemetry) -> Self {
-        Self::with_limits(tel, 32, 2)
-    }
-
-    /// A recorder with explicit bounds. `quorum` is the coverage required of
-    /// an acked write for it to be considered complete (erasure-coded scopes
-    /// override it via their `durability-mode` facts).
+    /// A recorder over `tel` keeping the newest `per_scope` write traces per
+    /// scope. `quorum` is the coverage required of an acked write for it to
+    /// be considered complete (erasure-coded scopes override it via their
+    /// `durability-mode` facts).
     pub fn with_limits(tel: Telemetry, per_scope: usize, quorum: usize) -> Self {
         FlightRecorder {
             inner: Arc::new(Inner {
@@ -111,11 +106,6 @@ impl FlightRecorder {
                 counters: Mutex::default(),
             }),
         }
-    }
-
-    /// The telemetry handle this recorder watches.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.inner.tel
     }
 
     /// A `flight-counter-delta` fact for every counter that moved since
@@ -188,23 +178,13 @@ impl FlightRecorder {
         }
     }
 
-    /// Captures and writes one dump to `path`, creating parent directories.
-    pub fn dump(&self, path: &Path, reason: &str) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let dump = self.capture();
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(dump.to_jsonl(&self.inner.tel, reason).as_bytes())?;
-        file.flush()
-    }
-
     /// Captures and writes `dir/trace-flight-<tag>.jsonl` (the `trace-*`
-    /// prefix makes the directory `trace_analyzer --check`-able), returning
-    /// the path written.
+    /// prefix makes the directory `trace_analyzer --check`-able), creating
+    /// `dir`, and returns the path written.
     pub fn dump_into(&self, dir: &Path, tag: &str, reason: &str) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("trace-flight-{tag}.jsonl"));
-        self.dump(&path, reason)?;
+        std::fs::write(&path, self.capture().to_jsonl(&self.inner.tel, reason))?;
         Ok(path)
     }
 
@@ -268,7 +248,7 @@ mod tests {
     #[test]
     fn dump_round_trips_through_the_analyzer() {
         let tel = Telemetry::new();
-        let rec = FlightRecorder::new(tel.clone());
+        let rec = FlightRecorder::with_limits(tel.clone(), 32, 2);
         tel.fact(spans::DURABILITY_MODE, "app/f", 1, "replicated");
         for _ in 0..5 {
             acked_write(&tel, "app/f");
@@ -299,7 +279,7 @@ mod tests {
     #[test]
     fn beheaded_traces_are_dropped_not_dumped() {
         let tel = Telemetry::new();
-        let rec = FlightRecorder::new(tel.clone());
+        let rec = FlightRecorder::with_limits(tel.clone(), 32, 2);
         acked_write(&tel, "app/keep");
         // Shrink the ring so the next write's early children are evicted:
         // capacity 3 keeps [wire-1, wire-0... actually the last 3 spans].
@@ -318,7 +298,7 @@ mod tests {
     #[test]
     fn a_dump_after_the_record_ring_wrapped_judges_ec_writes_at_k() {
         let tel = Telemetry::new();
-        let rec = FlightRecorder::new(tel.clone());
+        let rec = FlightRecorder::with_limits(tel.clone(), 32, 2);
         tel.fact(spans::DURABILITY_MODE, "app/ec", 1, "ec k=3 n=4");
         tel.set_span_capacity(64);
         for _ in 0..100 {
@@ -364,7 +344,7 @@ mod tests {
     #[test]
     fn each_capture_writes_the_counter_deltas_since_the_previous_one() {
         let tel = Telemetry::new();
-        let rec = FlightRecorder::new(tel.clone());
+        let rec = FlightRecorder::with_limits(tel.clone(), 32, 2);
         let deltas = |dump: FlightDump| -> Vec<(&str, Box<str>)> {
             let facts = dump.spans.into_iter();
             let deltas = facts.filter(|s| s.name == spans::FLIGHT_COUNTER_DELTA);
@@ -378,7 +358,7 @@ mod tests {
         work.add(3);
         assert_eq!(deltas(rec.capture()), [("work", "delta=3".into())]);
         assert_eq!(deltas(rec.capture()), []);
-        let fresh = FlightRecorder::new(tel.clone());
+        let fresh = FlightRecorder::with_limits(tel.clone(), 32, 2);
         let totals = [("idle", "delta=2".into()), ("work", "delta=8".into())];
         assert_eq!(deltas(fresh.capture()), totals);
     }
@@ -386,7 +366,7 @@ mod tests {
     #[test]
     fn panic_hook_writes_a_dump() {
         let tel = Telemetry::new();
-        let rec = FlightRecorder::new(tel.clone());
+        let rec = FlightRecorder::with_limits(tel.clone(), 32, 2);
         acked_write(&tel, "app/p");
         let dir = std::env::temp_dir().join(format!("flight-panic-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -72,19 +72,16 @@ mod hist;
 mod metrics;
 pub mod monitor;
 mod ring;
-mod slo;
 mod snapshot;
 mod span;
 
 pub use burst::Burst;
 pub use checker::{MonitorReport, Violation};
+pub use export::http::{Health, Objective, Verdict};
 pub use flight::FlightRecorder;
 pub use hist::{Histogram, Summary, OVERFLOW_LIMIT};
 pub use metrics::{Counter, Gauge, HistHandle, HistSet};
 pub use monitor::OnlineMonitor;
-pub use slo::{
-    HealthReport, SaturationSnapshot, SloPlane, SloSpec, SloState, SloStatus, SloTracker,
-};
 pub use snapshot::{json_escape, TelemetrySnapshot};
 pub use span::{intern_scope, spans, ScopeId, Span};
 
@@ -199,16 +196,6 @@ impl Telemetry {
         self.inner
             .as_ref()
             .map_or_else(HistSet::noop, |i| i.registry.histograms(names))
-    }
-
-    /// Convenience point read of a counter (0 when absent or disabled).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counter(name).get()
-    }
-
-    /// Convenience point read of a gauge (0 when absent or disabled).
-    pub fn gauge_value(&self, name: &str) -> i64 {
-        self.gauge(name).get()
     }
 
     /// Full (bucket-level) contents of every registered histogram, for
@@ -477,7 +464,7 @@ mod tests {
         let b = a.clone();
         a.counter("c").inc();
         b.counter("c").inc();
-        assert_eq!(a.counter_value("c"), 2);
+        assert_eq!(a.counter("c").get(), 2);
         b.fact(spans::EPOCH_BUMP, "x", 1, "");
         assert_eq!(a.spans().len(), 1);
     }
@@ -508,7 +495,7 @@ mod tests {
         let a = Telemetry::new();
         let b = Telemetry::new();
         a.counter("c").inc();
-        assert_eq!(b.counter_value("c"), 0);
+        assert_eq!(b.counter("c").get(), 0);
     }
 
     #[test]

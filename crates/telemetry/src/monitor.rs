@@ -17,9 +17,10 @@
 //!   as `splitft_invariant_violations_total`), record an
 //!   `invariant-violation` fact, fire the registered
 //!   [`on_violation`](OnlineMonitor::on_violation) hook (the testbed wires a
-//!   flight-recorder dump there), and flip `/health` to 503 via
-//!   [`OnlineMonitor::violating`] — all on the thread whose call confirmed
-//!   them (a recording or a report), once the checker's mutex is released;
+//!   flight-recorder dump there), and flip `/health` to 503 (a
+//!   [`crate::Health`] verdict reads [`OnlineMonitor::report`]) — all on
+//!   the thread whose call confirmed them (a recording or a report), once
+//!   the checker's mutex is released;
 //! * a span-ring overflow reaches the checker as the `trace-truncated` fact,
 //!   ahead of the batch that overflowed, and it downgrades its
 //!   span-completeness rules to a "truncated window" note.
@@ -193,8 +194,7 @@ impl OnlineMonitor {
         self.with_checker(|checker, _| checker.report().violation_count())
     }
 
-    /// True when at least one invariant has been violated (`/health` flips
-    /// to 503 on this).
+    /// True when at least one invariant has been violated.
     pub fn violating(&self) -> bool {
         self.violation_count() > 0
     }
@@ -216,11 +216,6 @@ impl OnlineMonitor {
             fresh.extend(checker.finalize());
             checker.report().clone()
         })
-    }
-
-    /// `/invariants` body: the current report as JSON.
-    pub fn render_json(&self) -> String {
-        self.report().to_json()
     }
 }
 
@@ -624,7 +619,7 @@ mod tests {
             assert_eq!(offline.truncated, live.truncated, "{name}");
             assert_eq!(live.open_traces, 0, "{name}");
             assert_eq!(
-                tel.counter_value("invariant.violations.total"),
+                tel.counter("invariant.violations.total").get(),
                 case.expect.len() as u64,
                 "{name}"
             );
@@ -665,7 +660,7 @@ mod tests {
         let report = mon.report();
         assert_eq!(report.retired_clean, 4, "no finalize needed");
         assert_eq!(report.open_traces, 0);
-        assert_eq!(tel.counter_value("invariant.retired.total"), 4);
+        assert_eq!(tel.counter("invariant.retired.total").get(), 4);
         assert!(mon.finalize().ok());
     }
 
@@ -779,7 +774,7 @@ mod tests {
         assert_eq!(fired.load(Ordering::SeqCst), 1);
         let ring = tel.spans();
         assert!(ring.iter().any(|s| s.name == spans::INVARIANT_VIOLATION));
-        assert_eq!(tel.counter_value("invariant.violations.total"), 1);
+        assert_eq!(tel.counter("invariant.violations.total").get(), 1);
     }
 
     #[test]
@@ -807,7 +802,7 @@ mod tests {
     fn report_json_is_structured() {
         let (tel, mon) = attached();
         emit_misordered_repair(&tel);
-        let json = mon.render_json();
+        let json = mon.report().to_json();
         assert!(json.contains("\"status\": \"violating\""));
         assert!(json.contains("\"violations_total\": 1"));
         assert!(json.contains("ap-map-order"));

@@ -1,5 +1,5 @@
-//! The crate's one bounded buffer: the two span rings and the SLO windows
-//! keep "the last N" of something and let the oldest fall off the front.
+//! The crate's one bounded buffer: the two span rings keep "the last N"
+//! spans and let the oldest fall off the front.
 
 use std::collections::{vec_deque, VecDeque};
 

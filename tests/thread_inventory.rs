@@ -67,7 +67,7 @@ fn a_testbed_owns_no_thread_with_gc_on_and_a_spill_in_flight() {
     let (fs, _) = tb.mount(Mode::SplitFt, "inventory-ec");
     let file = fs.open("wal", OpenOptions::create_ncl(1 << 16)).unwrap();
     let mut offset = 0;
-    while telemetry.counter_value("ncl.spill.demotions") == 0 {
+    while telemetry.counter("ncl.spill.demotions").get() == 0 {
         file.write_at(offset, b"spilled by its own writer|")
             .unwrap();
         offset += 26;
