@@ -69,10 +69,11 @@ impl PhiDetector {
 
     /// Restarts the silence clock without recording an interval. Call when
     /// new work is posted to a previously *idle* peer: the time it spent
-    /// with nothing outstanding must not count as suspicious silence.
-    pub fn touch(&mut self, now: Instant) {
-        if now > self.last {
-            self.last = now;
+    /// with nothing outstanding must not count as suspicious silence. `at`
+    /// may lie ahead, when the new work's answer is due.
+    pub fn touch(&mut self, at: Instant) {
+        if at > self.last {
+            self.last = at;
         }
     }
 
@@ -196,6 +197,21 @@ mod tests {
         assert!(!d.is_suspect(after(120), Duration::from_millis(100)));
         // ~4 s of silence is phi ≈ 87 — far over the threshold.
         assert!(d.is_suspect(after(4_000), Duration::from_millis(100)));
+    }
+
+    #[test]
+    fn a_touch_ahead_of_now_starts_the_silence_there() {
+        // Work posted to an idle peer at t0 whose answer is due 360 ms on:
+        // a 200 ms floor counts from the due, not from the post.
+        let t0 = Instant::now();
+        let floor = Duration::from_millis(200);
+        let mut d = PhiDetector::new(t0);
+        d.touch(t0 + Duration::from_millis(360));
+        assert!(!d.is_suspect(t0 + Duration::from_millis(500), floor));
+        assert!(d.is_suspect(t0 + Duration::from_millis(561), floor));
+        // The answer lands on time: no silence, a zero interval.
+        d.heartbeat(t0 + Duration::from_millis(360));
+        assert_eq!(d.silence(t0 + Duration::from_millis(360)), Duration::ZERO);
     }
 
     #[test]

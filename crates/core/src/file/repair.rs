@@ -322,12 +322,12 @@ pub(super) fn acquire_peers(
 }
 
 /// Posts to every slot at one instant — per peer one doorbell: its body
-/// (bytes for a data offset), if any, then `header`, into the slot's region
-/// — and waits once for the headers to land. Both writes borrow: the body
-/// from the caller's image, the header from the stack. The WR ids are the
-/// header sequence's, so on a live file the normal completion path credits
-/// the peer with `header.seq`. Returns the post instant and, per slot, its
-/// header's wire time if it landed.
+/// (bytes for a data offset), if any, then `header`, the one signalled
+/// write, into the slot's region — and waits once for the headers to land.
+/// Both writes borrow: the body from the caller's image, the header from
+/// the stack. The WR ids are the header sequence's, so on a live file the
+/// normal completion path credits the peer with `header.seq`. Returns the
+/// post instant and, per slot, its header's wire time if it landed.
 pub(super) fn ship_all<'s, 'b>(
     ctx: &Ctx,
     wait: &dyn WcWait,
@@ -353,7 +353,7 @@ pub(super) fn ship_all<'s, 'b>(
             let wrs = body
                 .into_iter()
                 .chain([write(2 * seq + 1, mr, 0, &encoded)]);
-            let posted = slot.qp.post_many_at(at, wrs);
+            let posted = slot.qp.post_signalling_last_at(at, wrs);
             posted.ok().map(|()| (slot.qp.qp_num(), WrId(2 * seq + 1)))
         })
         .collect();

@@ -207,8 +207,8 @@ pub(super) enum Burst {
 impl Burst {
     /// Rings `slot`'s doorbell at `posted_at` for this burst of `pending`,
     /// staged on top of `image`: everything the peer must apply, then the
-    /// header — QP order makes "header completed" imply "the rest landed".
-    /// Every request borrows its bytes, from the image or from this burst.
+    /// header, the one signalled — QP order makes "header completed" imply
+    /// "the rest landed". Every request borrows from the image or the burst.
     ///
     /// Replicated, each run of remotely-contiguous pending ranges is one
     /// write cut from the image (a pure append burst is a single data WR);
@@ -239,7 +239,8 @@ impl Burst {
                     offset: 0,
                     data: header[..].into(),
                 };
-                slot.qp.post_many_at(posted_at, data.chain([header]))
+                slot.qp
+                    .post_signalling_last_at(posted_at, data.chain([header]))
             }
             Burst::Ec {
                 seq,
@@ -273,7 +274,7 @@ impl Burst {
                         data: header[..].into(),
                     },
                 ];
-                slot.qp.post_many_at(posted_at, &wrs)
+                slot.qp.post_signalling_last_at(posted_at, &wrs)
             }
         }
     }

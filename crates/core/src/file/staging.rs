@@ -344,7 +344,7 @@ impl NclFile {
         let ctx = &self.ctx;
         let window = ctx.config.pipeline_window.max(1);
         // One clock reading per record: the entry, which also starts the
-        // local copy's modelled wait.
+        // local copy's modelled charge; the copy itself runs inside it.
         let copy = ctx.config.local_copy.cost(data.len());
         let entry = (self.metrics.enabled || !copy.is_zero()).then(sim::time::now);
         let (offset, seq);
@@ -360,8 +360,11 @@ impl NclFile {
                 let (capacity, needed) = (self.capacity, end);
                 return (offset, Err(NclError::CapacityExceeded { capacity, needed }));
             }
-            // Stage locally. The reading the copy's wait ends on is the
-            // staged instant; a free copy is staged at its entry.
+            // Stage locally, then wait out what is left of the copy's
+            // charge. The reading that wait ends on is the staged instant;
+            // a free copy is staged at its entry.
+            let image = &mut stage.image;
+            image.buffer[offset as usize..end].copy_from_slice(data);
             let staged = entry.map(|t0| {
                 let staged = if copy.is_zero() {
                     t0
@@ -370,8 +373,6 @@ impl NclFile {
                 };
                 (t0, staged)
             });
-            let image = &mut stage.image;
-            image.buffer[offset as usize..end].copy_from_slice(data);
             if offset < image.len {
                 image.overwritten = true;
             }
@@ -422,9 +423,9 @@ impl NclFile {
     /// their bytes from the image — QP order makes "header completed" imply
     /// "everything before it landed" under every scheme. The flush reads
     /// the clock once: that instant is the burst's (an EC spill is posted or
-    /// seen durable at it), ends its doorbell stage, restarts idle peers'
-    /// silence clocks and is when every peer's doorbell is rung
-    /// ([`rdma::QueuePair::post_many_at`]), so the peers' modelled flights
+    /// seen durable at it), ends its doorbell stage, starts idle peers'
+    /// silence clocks at the header's modelled landing and is when every peer's doorbell is rung
+    /// ([`rdma::QueuePair::post_signalling_last_at`]), so the peers' modelled flights
     /// overlap, and cover the posts' own CPU, although the posts are made in
     /// a loop. Only an EC overflow waits (its spill, once, moving the
     /// instant). Post errors are left to the completion path, like every
@@ -444,18 +445,18 @@ impl NclFile {
         if let Some(stamps) = stage.stamps.take() {
             self.register_flight(&mut rep, stamps, records, now);
         }
-        let per_peer_bytes = if self.metrics.enabled {
-            burst.wire_bytes(&stage.pending)
-        } else {
-            0
-        };
+        let per_peer_bytes = burst.wire_bytes(&stage.pending);
+        // Only the header signals, and the link's model lands it no earlier
+        // than this (a gray peer's injected delay is not in the model).
+        let header_due = now + self.ctx.config.rdma.cost(per_peer_bytes as usize);
         let (idle_below, mut posted) = (stage.flushed_seq, 0);
         for slot in rep.peers.iter_mut().filter(|s| s.alive) {
             // A peer with nothing outstanding was silent because nothing was
-            // asked of it: restart its silence clock as the new work posts,
-            // so idle time never reads as suspicious.
+            // asked of it: its silence clock restarts when the new work's
+            // header is due, so neither idle time nor a slow fabric's flight
+            // reads as suspicious.
             if slot.completed_seq >= idle_below {
-                slot.detector.touch(now);
+                slot.detector.touch(header_due);
             }
             let _ = burst.post(slot, now, &stage.image, &stage.pending);
             posted += 1;

@@ -1469,9 +1469,11 @@ fn peer_crash_mid_pipeline_preserves_acked_prefix() {
 fn peer_crash_between_burst_data_and_coalesced_header() {
     // Batched submission fault injection, case 1: a peer dies after a
     // burst's data WRs have applied but before the burst's single coalesced
-    // header WR. A slow fabric (5 ms/byte, threaded NIC) turns the gap
-    // between the two into a ~140 ms window: the burst's 8 data bytes apply
-    // ~40 ms after the doorbell, its 28-byte header ~180 ms after.
+    // header WR lands. A slow fabric (5 ms/byte) turns the gap between the
+    // two into a ~360 ms window: the burst's 8 data bytes apply at the post,
+    // its 64-byte header lands ~360 ms after it. Only that header signals:
+    // a healthy peer's silence counts from the header's modelled landing,
+    // not from the post, or the 200 ms floor would suspect all three.
     let mut config = NclConfig::zero();
     config.pipeline_window = 64;
     config.rdma = sim::LatencyModel::from_nanos(0, 1.6e-6);
@@ -1911,4 +1913,29 @@ fn a_crash_at_any_step_of_recovery_or_repair_has_one_outcome() {
             }
         }
     }
+}
+
+/// Selective signalling changes which requests complete, never which are
+/// consulted: every request of a burst meets the wire fault point once, so
+/// a fixed workload — a recovery's catch-up, synchronous records and
+/// pipelined bursts of several runs — takes a fixed number of fault-point
+/// steps (the count a sweep of every step walks).
+#[test]
+fn a_fixed_workload_consults_the_fault_points_a_fixed_number_of_times() {
+    let (h, lib, _) = app_and_peer_crashed();
+    let sched = arm(&h, &lib, sim::FaultPlan::new(0));
+    let file = lib.recover("wal").unwrap();
+    for i in 0..4u64 {
+        file.record(100 + i * 8, &i.to_le_bytes()).unwrap();
+    }
+    for burst in 0..3u64 {
+        for run in 0..3u64 {
+            let at = 200 + burst * 600 + run * 200;
+            file.record_nowait(at, &[burst as u8; 16]).unwrap();
+        }
+        file.submit();
+    }
+    file.fsync().unwrap();
+    // What the same workload counts with every request signalled.
+    assert_eq!(sched.steps(), 104);
 }

@@ -278,8 +278,7 @@ impl DfsClient {
     pub fn write(&self, path: &str, offset: u64, data: &[u8]) -> Result<(), DfsError> {
         let entry = self.entry(path)?;
         let mut e = entry.lock();
-        self.config.cache_write.charge(data.len());
-        e.dirty.insert(offset, data);
+        self.cached(data.len(), || e.dirty.insert(offset, data));
         e.size = e.size.max(offset + data.len() as u64);
         Ok(())
     }
@@ -288,11 +287,20 @@ impl DfsClient {
     pub fn append(&self, path: &str, data: &[u8]) -> Result<u64, DfsError> {
         let entry = self.entry(path)?;
         let mut e = entry.lock();
-        self.config.cache_write.charge(data.len());
         let offset = e.size;
-        e.dirty.insert(offset, data);
+        self.cached(data.len(), || e.dirty.insert(offset, data));
         e.size = offset + data.len() as u64;
         Ok(offset)
+    }
+
+    /// Runs `copy` of `bytes`, then waits out the rest of its page-cache charge.
+    fn cached(&self, bytes: usize, copy: impl FnOnce()) {
+        let cost = self.config.cache_write.cost(bytes);
+        let t0 = (!cost.is_zero()).then(sim::time::now);
+        copy();
+        if let Some(t0) = t0 {
+            sim::time::delay_until_from(t0, t0 + cost);
+        }
     }
 
     /// Flushes all dirty data of `path` to the OSDs and updates the MDS.
@@ -636,7 +644,7 @@ impl DfsClient {
 mod tests {
     use super::*;
     use crate::osd::DfsCluster;
-    use sim::Cluster;
+    use sim::{Cluster, LatencyModel};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
 
@@ -743,11 +751,23 @@ mod tests {
 
     #[test]
     fn append_tracks_size() {
-        let (_c, _dfs, client) = setup();
-        client.create("log").unwrap();
-        assert_eq!(client.append("log", b"aaa").unwrap(), 0);
-        assert_eq!(client.append("log", b"bb").unwrap(), 3);
-        assert_eq!(client.size("log").unwrap(), 5);
+        // A charged page-cache copy reads the clock once, for the entry its
+        // charge runs from; a free one never does.
+        let charged = LatencyModel::page_cache_write();
+        for (cache_write, reads) in [(LatencyModel::ZERO, 0), (charged, 1)] {
+            let cluster = Cluster::new();
+            let config = DfsConfig {
+                cache_write,
+                ..DfsConfig::zero_small_objects()
+            };
+            let dfs = DfsCluster::start(&cluster, config);
+            let client = dfs.client(cluster.add_node("app"));
+            client.create("log").unwrap();
+            let (at, read) = sim::time::audited(|| client.append("log", b"aaa"));
+            assert_eq!((at.unwrap(), read), (0, reads));
+            assert_eq!(client.append("log", b"bb").unwrap(), 3);
+            assert_eq!(client.size("log").unwrap(), 5);
+        }
     }
 
     #[test]

@@ -20,6 +20,15 @@
 //! and errors the queue pair, although the bytes are in the peer's region:
 //! "landed, ack lost", which the protocol's prefix rule tolerates.
 //!
+//! Selective signalling ([`QueuePair::post_signalling_last_at`]): a request
+//! that succeeds at its post and is not its doorbell's last gets no flight
+//! and no completion; it is still consulted, priced, applied and counted
+//! (one failing at post is signalled, as verbs always report errors). QP
+//! order makes the last completion — NCL's header — imply the rest, and it
+//! lands later on the same link and is re-checked there: a body whose link
+//! is still severed fails its header, and a link that heals within the
+//! header's serialization gap is one a real RC retry would also survive.
+//!
 //! Multiple queue pairs may share one completion queue (as in real verbs);
 //! completions carry the `qp_num` so the consumer can attribute them.
 
@@ -453,7 +462,7 @@ impl QueuePair {
             offset,
             slices: &slices[..],
         };
-        self.ring(sim::time::now(), [gather])
+        self.ring(sim::time::now(), [gather], true)
     }
 
     /// Posts a one-sided RDMA READ of `len` bytes at `offset` within `mr`.
@@ -492,7 +501,17 @@ impl QueuePair {
         posted_at: Instant,
         wrs: impl IntoIterator<Item = W>,
     ) -> Result<(), SimError> {
-        self.ring(posted_at, wrs)
+        self.ring(posted_at, wrs, true)
+    }
+
+    /// [`QueuePair::post_many_at`] signalling only its last request, and
+    /// any that fails (the module doc's selective signalling).
+    pub fn post_signalling_last_at<'a, W: Borrow<WorkRequest<'a>>>(
+        &self,
+        posted_at: Instant,
+        wrs: impl IntoIterator<Item = W>,
+    ) -> Result<(), SimError> {
+        self.ring(posted_at, wrs, false)
     }
 
     /// Rings one doorbell for `wrs`, whatever a gather's elements are:
@@ -502,6 +521,7 @@ impl QueuePair {
         &self,
         posted_at: Instant,
         wrs: impl IntoIterator<Item = W>,
+        signal_all: bool,
     ) -> Result<(), SimError>
     where
         S: AsRef<[u8]> + 'a,
@@ -522,8 +542,8 @@ impl QueuePair {
         }
         let mut sq = self.sq.lock();
         let (pipe, flying) = &mut *sq;
-        let mut wire_ns = 0;
-        for wr in wrs {
+        let (mut wire_ns, mut posted) = (0, 0);
+        while let Some(wr) = wrs.next() {
             let wr = wr.borrow();
             let verdict = link
                 .cluster
@@ -547,7 +567,11 @@ impl QueuePair {
                 read_data,
                 wire_ns: due.duration_since(posted_at).as_nanos() as u64,
             };
-            wire_ns += wc.wire_ns;
+            (wire_ns, posted) = (wire_ns + wc.wire_ns, posted + 1);
+            // Verbs always report an error; an unsignalled success is silent.
+            if !signal_all && status == WcStatus::Success && wrs.peek().is_some() {
+                continue;
+            }
             flying.push(Flight {
                 due,
                 flew: due > start,
@@ -556,7 +580,7 @@ impl QueuePair {
             });
         }
         if let Some(hist) = link.wire_hist.get() {
-            hist.record_n([(wire_ns, flying.len() as u64)]);
+            hist.record_n([(wire_ns, posted)]);
         }
         self.cq.accept(&self.link, flying);
         Ok(())
@@ -564,7 +588,7 @@ impl QueuePair {
 
     /// A doorbell of one.
     fn post(&self, wr: WorkRequest<'_>) -> Result<(), SimError> {
-        self.ring(sim::time::now(), [wr])
+        self.ring(sim::time::now(), [wr], true)
     }
 
     /// Executes one request now: flushed if the queue pair is in the error
@@ -989,6 +1013,7 @@ mod tests {
     fn doorbell_under_plan(
         plan: &sim::FaultPlan,
         bad_rkey: Option<u64>,
+        signal_all: bool,
     ) -> (Vec<(u64, WcStatus)>, u64, Option<Vec<u8>>) {
         use sim::{Binding, FaultScheduler};
         let (cluster, app, dev, peer) = setup();
@@ -1017,7 +1042,7 @@ mod tests {
                 data: vec![b'a' + i as u8 - 1].into(),
             })
             .collect();
-        qp.post_many(&wrs).unwrap();
+        qp.ring(Instant::now(), &wrs, signal_all).unwrap();
         let mut wcs = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         // Drops and duplicates change the count; wait for the last request's
@@ -1048,7 +1073,7 @@ mod tests {
             (3, WcStatus::FlushErr),
             (4, WcStatus::FlushErr),
         ];
-        let (wcs, steps, mem) = doorbell_under_plan(&plan, Some(2));
+        let (wcs, steps, mem) = doorbell_under_plan(&plan, Some(2), true);
         assert_eq!(wcs, expect);
         assert_eq!(steps, 5, "one doorbell + four wire consultations");
         assert_eq!(mem.unwrap(), [b'a', 0, 0, 0]);
@@ -1064,14 +1089,14 @@ mod tests {
             .push(Trigger::Step(3), FaultAction::DropWr { peer: 0 })
             .push(Trigger::Step(4), FaultAction::DupWr { peer: 0 });
         let ok = WcStatus::Success;
-        let (wcs, steps, mem) = doorbell_under_plan(&wire, None);
+        let (wcs, steps, mem) = doorbell_under_plan(&wire, None, true);
         assert_eq!(wcs, vec![(1, ok), (3, ok), (3, ok), (4, ok)]);
         assert_eq!(steps, 5);
         assert_eq!(mem.unwrap(), *b"abcd");
         // A crash armed at consultation 4 strikes between requests 2 and 3
         // of the same doorbell: 3 finds the peer gone, 4 is flushed.
         let crash = FaultPlan::new(2).push(Trigger::Step(4), FaultAction::CrashPeer(0));
-        let (wcs, steps, mem) = doorbell_under_plan(&crash, None);
+        let (wcs, steps, mem) = doorbell_under_plan(&crash, None, true);
         assert_eq!(
             wcs,
             vec![
@@ -1083,6 +1108,32 @@ mod tests {
         );
         assert_eq!(steps, 5);
         assert!(mem.is_none(), "the peer's memory went with the crash");
+    }
+
+    #[test]
+    fn an_unsignalled_request_meets_every_fault_point_its_signalled_twin_does() {
+        use sim::{FaultAction, FaultPlan, Trigger};
+        // The doorbells and plans of the two tests above, signalling only
+        // the last request: the same consultations and the same bytes, and
+        // every completion but the successful bodies'.
+        let (ok, flushed) = (WcStatus::Success, WcStatus::FlushErr);
+        let wire = FaultPlan::new(1)
+            .push(Trigger::Step(3), FaultAction::DropWr { peer: 0 })
+            .push(Trigger::Step(4), FaultAction::DupWr { peer: 0 });
+        let (wcs, steps, mem) = doorbell_under_plan(&wire, None, false);
+        assert_eq!(wcs, vec![(4, ok)], "nothing to drop or duplicate");
+        assert_eq!(steps, 5);
+        assert_eq!(mem.unwrap(), *b"abcd");
+        let crash = FaultPlan::new(2).push(Trigger::Step(4), FaultAction::CrashPeer(0));
+        let (wcs, steps, mem) = doorbell_under_plan(&crash, None, false);
+        assert_eq!(wcs, vec![(3, WcStatus::RetryExceeded), (4, flushed)]);
+        assert_eq!(steps, 5);
+        assert!(mem.is_none());
+        let (wcs, steps, mem) = doorbell_under_plan(&FaultPlan::new(1), Some(2), false);
+        let refused = WcStatus::RemoteAccessErr;
+        assert_eq!(wcs, vec![(2, refused), (3, flushed), (4, flushed)]);
+        assert_eq!(steps, 5, "one doorbell + four wire consultations");
+        assert_eq!(mem.unwrap(), [b'a', 0, 0, 0]);
     }
 
     #[test]
@@ -1512,6 +1563,64 @@ mod tests {
         assert_eq!(cq.next_due(), None);
         let ids: Vec<u64> = cq.poll().iter().map(|(_, wc)| wc.wr_id.0).collect();
         assert_eq!(ids, [1, 2]);
+    }
+
+    /// Two 128-B bodies and a 64-B header, as NCL bursts a pair of records.
+    fn burst(mr: RemoteMr) -> [WorkRequest<'static>; 3] {
+        [(2, 128, b'b'), (4, 128, b'c'), (5, 64, b'h')].map(|(id, len, byte)| WorkRequest::Write {
+            wr_id: WrId(id),
+            mr,
+            offset: if id == 5 {
+                0
+            } else {
+                64 + 128 * (id as usize / 2 - 1)
+            },
+            data: vec![byte; len].into(),
+        })
+    }
+
+    #[test]
+    fn a_burst_signalling_its_header_lands_one_completion_at_the_headers_due() {
+        let (cluster, app, dev, _peer) = setup();
+        let (local, mr) = dev.register_mr(320).unwrap();
+        let cq = CompletionQueue::new();
+        let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), LatencyModel::rdma_write());
+        let tel = telemetry::Telemetry::new();
+        qp.set_wire_hist(tel.histogram("rdma.wr.wire"));
+        let t = Instant::now();
+        qp.post_signalling_last_at(t, burst(mr)).unwrap();
+        // The bodies still occupy the wire: 40 + 40 + 20 ns, one propagation.
+        assert_eq!(cq.next_due(), Some(t + Duration::from_nanos(1_600)));
+        let wcs = wait_n(&cq, 1);
+        sim::delay_until(t + Duration::from_micros(20));
+        assert!(cq.poll().is_empty(), "no body completion behind it");
+        let header: Vec<_> = wcs.iter().map(|(_, wc)| (wc.wr_id.0, wc.wire_ns)).collect();
+        assert_eq!(header, [(5, 1_600)]);
+        assert!(wcs[0].1.is_success());
+        // Every request was applied, and every one counts on the wire.
+        let region = local.read_local(0, 320).unwrap();
+        assert_eq!((region[0], region[64], region[192]), (b'h', b'b', b'c'));
+        let s = tel.snapshot().summary("rdma.wr.wire").unwrap();
+        assert_eq!(s.count, 3);
+        assert_eq!((s.mean_ns * 3.0).round(), (1_540 + 1_580 + 1_600) as f64);
+    }
+
+    #[test]
+    fn an_unsignalled_body_to_a_revoked_region_still_fails_its_header() {
+        let (cluster, app, dev, _peer) = setup();
+        let (_local, mr) = dev.register_mr(320).unwrap();
+        let cq = CompletionQueue::new();
+        let qp = QueuePair::connect(cluster, app, &dev, cq.clone(), LatencyModel::rdma_write());
+        dev.invalidate(mr.mr_id);
+        qp.post_signalling_last_at(Instant::now(), burst(mr))
+            .unwrap();
+        let wcs = wait_n(&cq, 3);
+        let statuses: Vec<_> = wcs.iter().map(|(_, wc)| (wc.wr_id.0, wc.status)).collect();
+        let flushed = WcStatus::FlushErr;
+        assert_eq!(
+            statuses,
+            [(2, WcStatus::RemoteAccessErr), (4, flushed), (5, flushed)]
+        );
     }
 
     #[test]

@@ -13,8 +13,6 @@
 
 use std::time::Duration;
 
-use crate::time::delay;
-
 /// A base + per-byte latency model.
 ///
 /// The cost of an operation touching `bytes` bytes is
@@ -116,11 +114,6 @@ impl LatencyModel {
     /// Computes the duration charged for an operation on `bytes` bytes.
     pub fn cost(&self, bytes: usize) -> Duration {
         self.base + Duration::from_nanos((self.per_byte_ns * bytes as f64) as u64)
-    }
-
-    /// Charges the cost of an operation by actually waiting.
-    pub fn charge(&self, bytes: usize) {
-        delay(self.cost(bytes));
     }
 
     /// True when this model never waits (all parameters zero).

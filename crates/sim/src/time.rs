@@ -76,12 +76,14 @@ pub fn delay_until(deadline: Instant) -> Instant {
     delay_until_from(now(), deadline)
 }
 
-/// [`delay_until`] for a caller that has just read the clock: the wait
-/// starts from that reading, `now`, instead of an entry read of its own.
-/// Returns the reading it exits on (`now` itself when `deadline` is not
-/// after it). The one wait loop.
+/// [`delay_until`] for a caller that holds a reading of the clock: the
+/// wait starts from that reading, `now`, instead of an entry read of its
+/// own. Returns the reading it exits on (`now` itself when `deadline` is
+/// not after it). The one wait loop. A stale `now` (the priced work ran
+/// since) only picks spin or sleep: a sleep is sized from a fresh reading.
 pub fn delay_until_from(mut now: Instant, deadline: Instant) -> Instant {
     if deadline.saturating_duration_since(now) > SPIN_THRESHOLD {
+        now = Instant::now();
         while now < deadline {
             std::thread::sleep(deadline - now);
             now = Instant::now();
@@ -135,6 +137,21 @@ mod tests {
             delay_until(deadline);
             assert!(Instant::now() >= deadline, "returned before +{us} us");
         }
+    }
+
+    #[test]
+    fn a_stale_reading_never_sizes_a_sleep() {
+        // The caller worked 100 ms since its reading: the wait that follows
+        // sleeps what is left of the 120, not 120 more.
+        let held = now();
+        std::thread::sleep(Duration::from_millis(100));
+        let ended = delay_until_from(held, held + Duration::from_millis(120));
+        assert!(ended >= held + Duration::from_millis(120));
+        assert!(
+            ended - held < Duration::from_millis(200),
+            "{:?}",
+            ended - held
+        );
     }
 
     #[test]

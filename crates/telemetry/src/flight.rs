@@ -39,7 +39,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Once, PoisonError, Weak};
 
 use crate::checker::Checker;
 use crate::{spans, Span, Telemetry};
@@ -85,8 +85,7 @@ impl FlightDump {
     }
 }
 
-/// Shared handle to one flight recorder; cloning shares state (the panic
-/// hook holds a clone).
+/// Shared handle to one flight recorder; cloning shares state.
 #[derive(Clone)]
 pub struct FlightRecorder {
     inner: Arc<Inner>,
@@ -188,19 +187,29 @@ impl FlightRecorder {
         Ok(path)
     }
 
-    /// Chains a panic hook that writes
-    /// `dir/trace-flight-panic-<pid>.jsonl` before the previous hook runs.
-    /// The hook is global to the process; install it once, from the
-    /// top-level harness that owns the recorder.
+    /// Arms the process's one panic hook, chained once, with this recorder,
+    /// held weakly: a panic writes `dir/trace-flight-panic-<pid>.jsonl` from
+    /// the newest armed recorder still alive before the previous hook runs.
     pub fn install_panic_hook(&self, dir: impl Into<PathBuf>) {
-        let dir = dir.into();
-        let recorder = self.clone();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let tag = format!("panic-{}", std::process::id());
-            let _ = recorder.dump_into(&dir, &tag, "panic");
-            prev(info);
-        }));
+        static ARMED: Mutex<Vec<(Weak<Inner>, PathBuf)>> = Mutex::new(Vec::new());
+        static CHAINED: Once = Once::new();
+        let armed = || ARMED.lock().unwrap_or_else(PoisonError::into_inner);
+        armed().retain(|(inner, _)| inner.strong_count() > 0);
+        armed().push((Arc::downgrade(&self.inner), dir.into()));
+        CHAINED.call_once(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let live = armed()
+                    .iter()
+                    .rev()
+                    .find_map(|(inner, dir)| Some((inner.upgrade()?, dir.clone())));
+                if let Some((inner, dir)) = live {
+                    let tag = format!("panic-{}", std::process::id());
+                    let _ = FlightRecorder { inner }.dump_into(&dir, &tag, "panic");
+                }
+                prev(info);
+            }));
+        });
     }
 }
 

@@ -43,7 +43,7 @@ fn reads_per_record(ncl: NclConfig) -> u64 {
 fn a_zero_latency_record_reads_the_clock_three_times() {
     // Entry (a free local copy is staged at its entry reading), the flush
     // instant (the doorbell stage's end, the detector's `touch`, every
-    // peer's `post_many_at`) and the drain instant. A flight that takes no
+    // peer's `post_signalling_last_at`) and the drain instant. A flight that takes no
     // modelled time lands with its post, so the barrier finds nothing in
     // the air, does not wait, and its one drain finds the record durable:
     // the deadline is never computed.
@@ -52,24 +52,30 @@ fn a_zero_latency_record_reads_the_clock_three_times() {
 
 #[test]
 fn with_telemetry_off_only_the_flush_and_the_drain_read_the_clock() {
-    let mut ncl = NclConfig::zero();
-    ncl.telemetry = telemetry::Telemetry::disabled();
-    assert_eq!(reads_per_record(ncl), 2);
+    // A charged local copy adds the one reading its charge runs from: the
+    // copy runs inside that charge, and the wait after it reads no more.
+    let charged = NclConfig::calibrated().local_copy;
+    for (copy, reads) in [(LatencyModel::ZERO, 2), (charged, 3)] {
+        let mut ncl = NclConfig::zero();
+        ncl.telemetry = telemetry::Telemetry::disabled();
+        ncl.local_copy = copy;
+        assert_eq!(reads_per_record(ncl), reads, "{copy:?}");
+    }
 }
 
 #[test]
-fn a_calibrated_record_reads_the_clock_at_most_five_times() {
-    // Entry, which also starts the local copy's wait (the reading that wait
-    // ends on is the staged instant, and a wait's polls are not counted),
-    // the flush instant and the entry read of the barrier's one wait:
-    // three. No post reads the clock (below), and the drain happens at the
-    // reading the wait ended on. A fourth is the entry read of the wait's
-    // spin, when the first `due` is still ahead of the posts' own CPU (an
-    // optimised build). The headers land 20 ns behind the data: a fifth is
-    // the drain asking again when the wait's last reading fell between the
-    // two and left them in the air.
+fn a_calibrated_record_reads_the_clock_at_most_four_times() {
+    // Entry, which also starts the local copy's charge (the copy runs
+    // inside it, the reading its wait ends on is the staged instant, and a
+    // wait's polls are not counted), the flush instant and the entry read
+    // of the barrier's one wait: three. No post reads the clock, and the
+    // drain happens at the reading the wait ended on. A fourth is the entry
+    // read of the wait's spin, when the header's `due` is still ahead of the
+    // posts' own CPU (an optimised build). Only the header is signalled, so
+    // no reading falls between a data completion and its header's and
+    // leaves the drain asking again.
     let reads = reads_per_record(NclConfig::calibrated());
-    assert!((3..=5).contains(&reads), "{reads} clock reads");
+    assert!((3..=4).contains(&reads), "{reads} clock reads");
 }
 
 #[test]
