@@ -45,7 +45,7 @@
 //! `record_nowait` does not post to the NIC at all: it copies the record
 //! into the staging image, its only copy, and adds the range it wrote to a
 //! pending burst. The whole burst is posted with **one doorbell per peer**
-//! ([`rdma::QueuePair::post_signalling_last_at`]) when the burst reaches the pipeline
+//! ([`rdma::QueuePair::post_many_at`]) when the burst reaches the pipeline
 //! window, when a barrier needs it, or when the application rings the
 //! doorbell explicitly ([`NclFile::submit`]). Within a burst, each run of
 //! remotely-contiguous ranges is one write borrowed from the image, and
@@ -107,6 +107,7 @@
 //! finds the peers clean.
 
 mod phases;
+pub mod plan;
 mod recovery;
 mod repair;
 pub mod scheme;

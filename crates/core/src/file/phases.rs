@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use telemetry::{Span, Telemetry};
 
-use super::repair::How;
+use super::plan::Action;
 
 /// The phases of one control-path operation — `create`, `recover`,
 /// `replace_failed` — closed in order, each as one child span of the
@@ -106,19 +106,14 @@ impl<'t> Phases<'t> {
         scope: &'static str,
         epoch: u64,
         (at, wire): (Instant, Option<Duration>),
-        how: How,
+        how: Action,
     ) {
         if self.trace == 0 {
             return;
         }
         let ids = (self.tel.next_trace_id(), self.open);
         let span = self.span(ids, name, epoch, (at, at + wire.unwrap_or_default()));
-        let detail = match how {
-            How::Fresh => "fresh peer",
-            How::InPlace => "tail in place",
-            How::FullCopy => "full copy",
-        };
-        let detail = Some(detail.into());
+        let detail = Some(how.detail().into());
         self.tel.record_spans([Span {
             scope,
             detail,

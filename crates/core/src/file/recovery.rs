@@ -1,7 +1,9 @@
-//! Application recovery (§4.5.1): one front half — ap-map lookup, header
-//! reads from a recovery quorum, the scheme's reconstruction of the acked
-//! prefix — feeding one epilogue: catch every peer up under a new epoch,
-//! re-arm the peer set, and only then advance the ap-map and open the file.
+//! Application recovery (§4.5.1), a runner of [`plan`]'s decisions: one
+//! front half — ap-map lookup, header reads, the planner's quorum check and
+//! source, the scheme's reconstruction of the acked prefix — feeding one
+//! epilogue: catch every peer up under a new epoch by its planned action,
+//! replace the missing ones, and only then publish the caught-up set to the
+//! ap-map and open the file.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,7 +12,8 @@ use rdma::{CompletionQueue, WrId};
 use telemetry::spans;
 
 use super::phases::Phases;
-use super::repair::{acquire_peers, catch_up, plan_existing, How};
+use super::plan::{self, Action, ApMapUpdate, CaughtUp};
+use super::repair::{acquire_peers, catch_up, prepare_existing};
 use super::scheme::Scheme;
 use super::slots::{read_all, PeerSlot, Responders};
 use super::{call_all, free_regions, NclFile, NclLib};
@@ -97,34 +100,28 @@ impl NclLib {
                 Some((slot, header.unwrap_or_default()))
             })
             .collect();
-        if responders.len() < ctx.config.recovery_quorum() {
-            return Err(NclError::QuorumUnavailable(format!(
-                "{} of {} peers responded, need {}",
-                responders.len(),
-                entry.peers.len(),
-                ctx.config.recovery_quorum()
-            )));
-        }
+        let (durability, f) = (ctx.config.durability, ctx.config.f);
+        let headers: Vec<RegionHeader> = responders.iter().map(|(_, h)| *h).collect();
+        let source = plan::source(durability, f, entry.peers.len(), &headers)?;
         phases.close(spans::NCL_RECOVER_CONNECT, entry.epoch);
 
-        // Phase 3: reconstruct the acked prefix from the responders, by the
-        // scheme's decode rule.
-        let (mut scheme, image, responders) = Scheme::reconstruct(ctx, scope, responders, &cq)?;
+        // Phase 3: reconstruct the acked prefix from the planned source.
+        let (mut scheme, image, responders) =
+            Scheme::reconstruct(ctx, scope, responders, source, &cq)?;
         phases.close(spans::NCL_RECOVER_RDMA_READ, entry.epoch);
 
         // Phase 4: catch every peer up to the recovered image under a new
-        // epoch (tail in place, or a staged full copy), dropping any peer
-        // that fails, then (and only then) advance the ap-map.
+        // epoch by its planned action (tail in place, or a staged full
+        // copy), dropping any peer that fails, then (and only then) publish.
         let epoch = entry.epoch + 1;
         let header = scheme.reset_header(&image)?;
         scheme.adopt_reset(&header);
         let region_data = scheme.region_data(image.buffer.len());
         let shipped = scheme.ships_image().then(|| image.valid());
-        let plans = plan_existing(ctx, file, epoch, region_data, responders, &header, shipped);
+        let plans = prepare_existing(ctx, file, epoch, region_data, responders, &header, shipped);
         let span = spans::NCL_RECOVER_CATCH_UP_PEER;
-        let caught_up = catch_up(ctx, file, epoch, &cq, &phases, span, &header, plans);
-        let caught_up = caught_up.into_iter().filter_map(|(s, ok)| ok.then_some(s));
-        let mut slots: Vec<PeerSlot> = caught_up.collect();
+        let round = catch_up(ctx, file, epoch, &cq, &phases, span, &header, plans);
+        let (mut slots, _dropped) = CaughtUp::landed(round);
         phases.close(spans::NCL_RECOVER_CATCH_UP, epoch);
         // Replace unreachable/failed peers to restore the FT level: acquire
         // the replacements together (one wait for their registrations) and
@@ -133,9 +130,13 @@ impl NclLib {
         // are freed.
         let mut exclude = entry.peers.clone();
         let names = [spans::NCL_RECOVER_GET_PEER, spans::NCL_RECOVER_CONNECT];
-        let survivors = slots.len();
-        while slots.len() < ctx.config.replicas() {
-            let missing = ctx.config.replicas() - slots.len();
+        let survivors = slots.peers().len();
+        loop {
+            let rows = 0..slots.peers().len() as u32;
+            let missing = plan::replacements(durability, f, rows).len();
+            if missing == 0 {
+                break;
+            }
             let acquired = acquire_peers(
                 ctx,
                 file,
@@ -152,30 +153,26 @@ impl NclLib {
             if fresh.is_empty() {
                 break;
             }
-            let body = shipped.map(|bytes| (0, bytes));
-            let plans = fresh.into_iter().map(|s| (s, body, How::Fresh)).collect();
-            let caught_up = catch_up(ctx, file, epoch, &cq, &phases, span, &header, plans);
+            let body = Action::Fresh.body(shipped);
+            let plans = fresh
+                .into_iter()
+                .map(|s| (s, body, Action::Fresh))
+                .collect();
+            let round = catch_up(ctx, file, epoch, &cq, &phases, span, &header, plans);
             phases.close(spans::NCL_RECOVER_CATCH_UP, epoch);
-            let (caught_up, failed): (Vec<_>, Vec<_>) =
-                caught_up.into_iter().partition(|&(_, ok)| ok);
-            free_regions(ctx, file, epoch, failed.iter().map(|(s, _)| &s.endpoint));
-            slots.extend(caught_up.into_iter().map(|(s, _)| s));
+            let (caught_up, failed) = CaughtUp::landed(round);
+            free_regions(ctx, file, epoch, failed.iter().map(|s| &s.endpoint));
+            slots.extend(caught_up);
         }
-        let published = if slots.len() < ctx.config.quorum() {
-            Err(NclError::QuorumUnavailable(format!(
-                "caught up {} peers during recovery, the acknowledgement quorum is {}",
-                slots.len(),
-                ctx.config.quorum()
-            )))
-        } else {
-            let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
+        let published = ApMapUpdate::recovery(durability, f, &slots).and_then(|update| {
+            let names = update.peers().map(|s| s.name.clone()).collect();
             ctx.controller
                 .set_ap_entry(ctx.node, &ctx.app_id, file, names, epoch)
-        };
+        });
         if let Err(e) = published {
             // Free what this attempt allocated, so a retry at the same epoch
             // finds the peers clean.
-            let fresh = slots[survivors..].iter().map(|s| &s.endpoint);
+            let fresh = slots.peers()[survivors..].iter().map(|s| &s.endpoint);
             free_regions(ctx, file, epoch, fresh);
             return Err(e);
         }
@@ -190,6 +187,7 @@ impl NclLib {
             ..RecoveryStats::default()
         };
         stats.sync_peer = stats.catch_up + stats.update_ap_map;
+        let slots = slots.into_peers();
         Ok(NclFile::open(
             &self.ctx, file, scope, image, scheme, slots, cq, epoch, stats,
         ))

@@ -1,15 +1,15 @@
-//! Repair: inline peer replacement (§4.5.2), peer acquisition, and the
-//! catch-up that recovery's rearm shares — a fresh peer's bulk copy, an
-//! existing peer's tail in place or staged full copy — posted to every
-//! peer at once and waited for once.
+//! Repair: inline peer replacement (§4.5.2), a runner of [`plan`]'s
+//! decisions; peer acquisition; and the catch-up that recovery shares — a
+//! fresh peer's bulk copy, an existing peer's tail in place or staged full
+//! copy — posted to every peer at once and waited for once.
 
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use rdma::{CompletionQueue, RemoteMr, WorkRequest, WrId};
 use telemetry::{spans, Span};
 
 use super::phases::Phases;
+use super::plan::{self, Action, ApMapUpdate, CaughtUp};
 use super::slots::{self, Flight, PeerSlot, RepWait, Responders, WcWait};
 use super::staging::{FlushReason, Stage};
 use super::{call_all, free_regions, Ctx, NclFile};
@@ -84,9 +84,9 @@ impl NclFile {
             let region_data = stage.scheme.region_data(self.capacity);
             // Each fresh peer inherits a dead slot's row — what the scheme
             // addresses its share of every burst by.
-            let used: HashSet<u32> = rep.peers.iter().map(|s| s.row).collect();
-            let free = (0..ctx.config.replicas() as u32).filter(|r| !used.contains(r));
-            let missing = ctx.config.replicas() - rep.peers.len();
+            let (durability, f) = (ctx.config.durability, ctx.config.f);
+            let free = plan::replacements(durability, f, rep.peers.iter().map(|s| s.row));
+            let missing = free.len();
             let mut fresh = acquire_peers(
                 ctx,
                 &self.name,
@@ -107,12 +107,15 @@ impl NclFile {
         // Phase B (replication lock released): catch the fresh peers up —
         // every bulk copy posted at one instant, one wait for them all.
         let wait = RepWait { file: self };
-        let body = stage.scheme.ships_image().then(|| (0, stage.image.valid()));
-        let plans = fresh.into_iter().map(|s| (s, body, How::Fresh)).collect();
+        let image = stage.scheme.ships_image().then(|| stage.image.valid());
+        let body = Action::Fresh.body(image);
+        let plans = fresh
+            .into_iter()
+            .map(|s| (s, body, Action::Fresh))
+            .collect();
         let span = spans::NCL_REPAIR_CATCH_UP_PEER;
-        let shipped = catch_up(ctx, &self.name, epoch, &wait, &phases, span, &header, plans);
-        let caught_up = shipped.iter().all(|(_, ok)| *ok);
-        let fresh: Vec<PeerSlot> = shipped.into_iter().map(|(s, _)| s).collect();
+        let round = catch_up(ctx, &self.name, epoch, &wait, &phases, span, &header, plans);
+        let (fresh, missed) = CaughtUp::landed(round);
         let catchup_start = phases.mark;
         phases.close(spans::NCL_REPAIR_CATCH_UP, epoch);
         let catchup_end = phases.mark;
@@ -122,7 +125,7 @@ impl NclFile {
         // What the catch-up left parked has no waiter; a one-off read may.
         rep.stray.retain(|(_, wc)| wc.wr_id.0 >= u64::MAX - 2);
         let ids = || (ctx.app_id.clone(), self.name.clone());
-        let published = if caught_up {
+        let published = ApMapUpdate::repair(&rep.peers, &fresh).and_then(|update| {
             // Survivors first: bump their region epochs so e_r stays ≥ the
             // ap-map epoch (see peer::PeerReq::BumpEpoch).
             let bump = || {
@@ -130,20 +133,20 @@ impl NclFile {
                 PeerReq::BumpEpoch { app, file, epoch }
             };
             call_all(ctx, rep.peers.iter().map(|s| &s.endpoint), bump);
-            let names = rep.peers.iter().chain(&fresh).map(|s| s.name.clone());
+            let names = update.peers().map(|s| s.name.clone());
             let (app, file) = ids();
             ctx.controller
                 .set_ap_entry(ctx.node, &app, &file, names.collect(), epoch)
-        } else {
-            Err(NclError::Unavailable("fresh peer not caught up".into()))
-        };
+        });
         if let Err(e) = published {
             // Survivors are kept; the fresh regions are freed, so a retry at
             // this epoch finds the peers clean. The caller defers or
             // retries.
-            free_regions(ctx, &self.name, epoch, fresh.iter().map(|s| &s.endpoint));
+            let fresh = fresh.peers().iter().chain(&missed);
+            free_regions(ctx, &self.name, epoch, fresh.map(|s| &s.endpoint));
             return Err(e);
         }
+        let fresh = fresh.into_peers();
         phases.close(spans::NCL_REPAIR_AP_MAP, epoch);
         // Replaced-in peers never produced wire completions for bursts that
         // were in flight when they joined — the catch-up copy is what made
@@ -353,7 +356,7 @@ pub(super) fn ship_all<'s, 'b>(
             let wrs = body
                 .into_iter()
                 .chain([write(2 * seq + 1, mr, 0, &encoded)]);
-            let posted = slot.qp.post_signalling_last_at(at, wrs);
+            let posted = slot.qp.post_many_at(at, wrs);
             posted.ok().map(|()| (slot.qp.qp_num(), WrId(2 * seq + 1)))
         })
         .collect();
@@ -362,19 +365,9 @@ pub(super) fn ship_all<'s, 'b>(
     (at, wire.collect())
 }
 
-/// How a peer is caught up: into a fresh region, into its live region in
-/// place (only the missing tail), or into a staged region `Commit` switches to.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(super) enum How {
-    Fresh,
-    InPlace,
-    FullCopy,
-}
-
 /// One peer's catch-up: its slot, pointed at the region its bytes go into,
-/// the body (bytes for a data offset) ahead of the header, and how it is
-/// caught up.
-pub(super) type Plan<'b> = (PeerSlot, Option<(usize, &'b [u8])>, How);
+/// the body (bytes for a data offset) ahead of the header, and its action.
+pub(super) type Plan<'b> = (PeerSlot, Option<(usize, &'b [u8])>, Action);
 
 /// Catches peers up by their `plans` at once: every transfer posted at one
 /// instant and waited for once, then every landed full copy's `Commit`
@@ -396,7 +389,7 @@ pub(super) fn catch_up(
     let copies = plans
         .iter()
         .zip(&landed)
-        .filter(|((.., how), wire)| *how == How::FullCopy && wire.is_some());
+        .filter(|((.., how), wire)| *how == Action::FullCopy && wire.is_some());
     let endpoints = copies.map(|((slot, ..), _)| &slot.endpoint);
     let commit = || {
         let (app, file) = (ctx.app_id.clone(), file.to_string());
@@ -409,35 +402,25 @@ pub(super) fn catch_up(
             phases.peer(span, slot.scope.name(), epoch, (at, wire), how);
             slot.completed_seq = header.seq;
             let ok = wire.is_some()
-                && (how != How::FullCopy || matches!(committed.next(), Some(Some(PeerResp::Ok))));
+                && (how != Action::FullCopy
+                    || matches!(committed.next(), Some(Some(PeerResp::Ok))));
             (slot, ok)
         })
         .collect()
 }
 
-/// Plans the recovery catch-up of the responders, peers that still hold a
-/// (possibly lagging) region, under the new `epoch`: every `Adopt` or
-/// `Prepare` priced at one instant, and one wait. A peer that refuses is
-/// dropped.
-///
-/// **In place** (a deviation from the paper's switch, §4.5.1) when the
-/// scheme ships the image, neither header is overwritten and the peer's
-/// length does not exceed the recovered one: the peer's bytes are then a
-/// prefix of the recovered image (§6 byte-diff). One `Adopt` raises the
-/// live region's epoch and re-keys it, fencing any earlier writer as the
-/// switch's invalidate did; then the missing tail and the header go into
-/// that region as one post. QP order lands the tail before the header, so
-/// a crash mid-way leaves the old prefix or the recovered header. A refused
-/// `Adopt` (a predecessor's recovery or repair already raised the region to
-/// `epoch`) falls back to the full copy, asked for once the refusal is back.
-///
-/// **Full copy** otherwise: stage a fresh region of `capacity` data bytes,
-/// ship the whole image into it (only the reset header when the scheme
-/// ships none), and atomically switch. A lagging circular region's bytes
-/// are not a prefix of the recovered image (Figure 7ii), and an
-/// erasure-coded reset rewrites the fragment area, so writing those in
-/// place would destroy the only copy.
-pub(super) fn plan_existing<'b>(
+/// Prepares the recovery catch-up of the responders, peers that still hold
+/// a (possibly lagging) region, under the new `epoch`, by each one's
+/// planned [`Action`]: every `Adopt` or `Prepare` priced at one instant, and
+/// one wait. An in-place catch-up (a deviation from the paper's switch,
+/// §4.5.1) is one `Adopt` — it fences any earlier writer as the switch's
+/// invalidate did — then the tail and the header into that region as one
+/// post; QP order lands the tail before the header, so a crash mid-way
+/// leaves the old prefix or the recovered header. A full copy stages a
+/// fresh region of `capacity` data bytes for the `Commit` that switches it
+/// in. A refused step takes the action's [`Action::refused`] successor,
+/// asked for once the refusal is back: a full copy, or dropping the peer.
+pub(super) fn prepare_existing<'b>(
     ctx: &Ctx,
     file: &str,
     epoch: u64,
@@ -451,37 +434,31 @@ pub(super) fn plan_existing<'b>(
     let mut ready = now;
     let mut plans = Vec::with_capacity(responders.len());
     for (slot, peer) in responders {
-        let call = |at, req| slot.endpoint.rpc.call_at(ctx.node, at, req);
-        let (mut at, (app, file)) = (now, ids());
-        let prefix = !header.overwritten && !peer.overwritten && peer.len <= header.len;
-        if let Some(bytes) = image.filter(|_| prefix) {
-            match call(now, PeerReq::Adopt { app, file, epoch }) {
-                Ok((PeerResp::Mr(mr, _), back)) => {
-                    ready = ready.max(back);
-                    let start = peer.len as usize;
-                    let tail = Some((start, &bytes[start..]));
-                    plans.push((PeerSlot { mr, ..slot }, tail, How::InPlace));
-                    continue;
+        let mut at = now;
+        let mut action = Some(Action::for_responder(image.is_some(), header, &peer));
+        while let Some(how) = action {
+            let (app, file) = ids();
+            let req = match how {
+                Action::InPlace { .. } => PeerReq::Adopt { app, file, epoch },
+                Action::Fresh | Action::FullCopy => PeerReq::Prepare {
+                    app,
+                    file,
+                    epoch,
+                    capacity,
+                },
+            };
+            match slot.endpoint.rpc.call_at(ctx.node, at, req) {
+                // A staged region registers on the peer's pipe; post no
+                // earlier.
+                Ok((PeerResp::Mr(mr, registered), back)) => {
+                    ready = ready.max(back).max(registered);
+                    plans.push((PeerSlot { mr, ..slot }, how.body(image), how));
+                    break;
                 }
                 Ok((_, back)) => at = back,
                 Err(_) => {}
             }
-        }
-        let (app, file) = ids();
-        let prepare = call(
-            at,
-            PeerReq::Prepare {
-                app,
-                file,
-                epoch,
-                capacity,
-            },
-        );
-        // The staged region registers on the peer's pipe; post no earlier.
-        if let Ok((PeerResp::Mr(staged, registered), back)) = prepare {
-            ready = ready.max(back).max(registered);
-            let copy = image.map(|bytes| (0, bytes));
-            plans.push((PeerSlot { mr: staged, ..slot }, copy, How::FullCopy));
+            action = how.refused();
         }
     }
     sim::delay_until(ready);

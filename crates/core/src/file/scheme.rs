@@ -24,9 +24,9 @@
 //!    `crates/modelcheck` calls the same functions, so the checked model
 //!    cannot drift from the code that runs.
 //! 3. **What can a set of responders reconstruct**
-//!    (`Scheme::reconstruct`): the maximum-sequence responder's image
-//!    read back whole, or the highest generation's spill snapshot plus a
-//!    lockstep fragment walk over any `k` holders.
+//!    (`Scheme::reconstruct`), from the source [`plan::source`](super::plan::source) picked:
+//!    that responder's image read back whole, or the highest generation's
+//!    spill snapshot plus a lockstep fragment walk over any `k` holders.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,6 +35,7 @@ use rdma::{WorkRequest, WrId};
 use sim::SimError;
 use telemetry::{spans, Counter, Telemetry};
 
+use super::plan::Source;
 use super::slots::{read_all, PeerSlot, Responders, WcWait};
 use super::staging::{Image, PendingRecord};
 use super::Ctx;
@@ -239,8 +240,7 @@ impl Burst {
                     offset: 0,
                     data: header[..].into(),
                 };
-                slot.qp
-                    .post_signalling_last_at(posted_at, data.chain([header]))
+                slot.qp.post_many_at(posted_at, data.chain([header]))
             }
             Burst::Ec {
                 seq,
@@ -274,7 +274,7 @@ impl Burst {
                         data: header[..].into(),
                     },
                 ];
-                slot.qp.post_signalling_last_at(posted_at, &wrs)
+                slot.qp.post_many_at(posted_at, &wrs)
             }
         }
     }
@@ -475,39 +475,39 @@ impl Scheme {
     }
 
     /// Reconstructs the acked prefix from `responders` (each with the
-    /// region header it served) by the configured scheme's decode rule.
-    /// Returns the scheme, the image, and the responders still usable for
-    /// catch-up.
+    /// region header it served) and the `source` the planner picked among
+    /// them, by the configured scheme's decode rule. Returns the scheme, the
+    /// image, and the responders still usable for catch-up.
     pub fn reconstruct(
         ctx: &Ctx,
         scope: &'static str,
         responders: Responders,
+        source: Source,
         wait: &dyn WcWait,
     ) -> Result<(Scheme, Image, Responders), NclError> {
         // A full-copy region is as large as the file; any other scheme's
         // headers name the capacity.
         let named = responders.iter().map(|(_, h)| h.capacity).max();
         let mut scheme = Scheme::new(&ctx.config, named.unwrap_or(0) as usize, scope)?;
-        let (image, survivors) = match &mut scheme {
-            Scheme::Replicated => (read_back_max_seq(ctx, &responders, wait)?, responders),
-            Scheme::Ec(ec) => ec.reconstruct(ctx, responders, wait)?,
+        let (image, survivors) = match (&mut scheme, source) {
+            (Scheme::Replicated, Source::Image(i)) => {
+                (read_back(ctx, &responders[i], wait)?, responders)
+            }
+            (Scheme::Ec(ec), Source::Decode { gmax }) => {
+                ec.reconstruct(ctx, responders, gmax, source.snapshot(), wait)?
+            }
+            _ => unreachable!("the planner picks the configured scheme's source"),
         };
         Ok((scheme, image, survivors))
     }
 }
 
-/// Replicated decode rule: the responder with the maximum sequence number
-/// covers every acknowledged record (quorum intersection); read its image
-/// back whole.
-fn read_back_max_seq(
+/// Replicated decode rule: read the source responder's image back whole.
+fn read_back(
     ctx: &Ctx,
-    responders: &[(PeerSlot, RegionHeader)],
+    (slot, header): &(PeerSlot, RegionHeader),
     wait: &dyn WcWait,
 ) -> Result<Image, NclError> {
-    let (slot, header) = responders
-        .iter()
-        .max_by_key(|(_, h)| h.seq)
-        .expect("responders nonempty");
     let mut image = Image {
         len: header.len,
         seq: header.seq,
@@ -663,15 +663,17 @@ impl EcState {
         }
     }
 
-    /// Erasure-coded decode rule: the acked prefix is the spill snapshot of
-    /// the highest generation any responder reached, plus a lockstep
-    /// reassembly walk over the surviving fragment logs — any `k` of the
-    /// `n` peers suffice. Leaves the encoder at that generation; the
-    /// caller's reset moves it past.
+    /// Erasure-coded decode rule: the acked prefix is the spill snapshot
+    /// the planner names (that of `gmax`, the highest generation any
+    /// responder reached), plus a lockstep reassembly walk over the
+    /// surviving fragment logs — any `k` of the `n` peers suffice. Leaves
+    /// the encoder at `gmax`; the caller's reset moves it past.
     fn reconstruct(
         &mut self,
         ctx: &Ctx,
         responders: Responders,
+        gmax: u64,
+        snapshot: Option<u64>,
         wait: &dyn WcWait,
     ) -> Result<(Image, Responders), NclError> {
         let (k, n, half_cap) = (self.k, self.n, self.half_cap);
@@ -681,14 +683,14 @@ impl EcState {
                 "no EC region header carries the file capacity".to_string(),
             ));
         }
-        let gmax = responders.iter().map(|(_, h)| h.gen).max().unwrap_or(0);
-        let base = if gmax > 0 {
-            let snap = self.sink.load(self.scope, gmax);
-            Some(snap.map_err(NclError::Unavailable)?.ok_or_else(|| {
-                NclError::Unavailable(format!("spill snapshot for generation {gmax} missing"))
-            })?)
-        } else {
-            None
+        let base = match snapshot {
+            Some(gen) => {
+                let snap = self.sink.load(self.scope, gen);
+                Some(snap.map_err(NclError::Unavailable)?.ok_or_else(|| {
+                    NclError::Unavailable(format!("spill snapshot for generation {gen} missing"))
+                })?)
+            }
+            None => None,
         };
 
         // Fetch the fragment logs each responder serves ([`served_logs`]),

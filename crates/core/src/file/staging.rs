@@ -425,7 +425,7 @@ impl NclFile {
     /// the clock once: that instant is the burst's (an EC spill is posted or
     /// seen durable at it), ends its doorbell stage, starts idle peers'
     /// silence clocks at the header's modelled landing and is when every peer's doorbell is rung
-    /// ([`rdma::QueuePair::post_signalling_last_at`]), so the peers' modelled flights
+    /// ([`rdma::QueuePair::post_many_at`]), so the peers' modelled flights
     /// overlap, and cover the posts' own CPU, although the posts are made in
     /// a loop. Only an EC overflow waits (its spill, once, moving the
     /// instant). Post errors are left to the completion path, like every

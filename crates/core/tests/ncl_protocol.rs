@@ -90,7 +90,8 @@ impl Harness {
     }
 
     /// Posts `writes` (offset, bytes) into `mr` on `peer` from `from` over a
-    /// queue pair of its own, in order, and returns their completions.
+    /// queue pair of its own, in order, one doorbell each so each is
+    /// signalled, and returns their completions.
     fn post_from(
         &self,
         from: NodeId,
@@ -117,7 +118,9 @@ impl Harness {
                 data: (*data).into(),
             })
             .collect();
-        qp.post_many(&wrs).unwrap();
+        for wr in &wrs {
+            qp.post_many(std::slice::from_ref(wr)).unwrap();
+        }
         let mut done = Vec::new();
         while done.len() < writes.len() {
             done.extend(

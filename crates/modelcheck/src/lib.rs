@@ -1,166 +1,132 @@
 //! Explicit-state model checker for NCL's replication and recovery
-//! protocols (§4.6 of the SplitFT paper).
+//! protocols (§4.6 of the SplitFT paper): every interleaving of writes,
+//! crashes, recoveries and repairs within a budget, plus seeded bugs the
+//! checker must catch. Each model's decisions are production code — the ack
+//! rule is `ncl::file::scheme`'s; recovery's quorum check and source, each
+//! responder's catch-up, the replacements and the ap-map publish are
+//! `ncl::file::plan`'s — so a model only runs their effects, and a seeded
+//! bug mutates that runner or the headers it feeds the planner.
 //!
-//! The paper reports model-checking the protocol over millions of states,
-//! injecting peer and application failures at every point and asserting the
-//! durability condition; it also describes three seeded bugs the checker
-//! catches. This crate reproduces that methodology:
-//!
-//! * [`check`] exhaustively explores an abstract model of the protocol —
-//!   writes replicated as ordered (data, sequence-number) message pairs to
-//!   `2f + 1` peers, majority acknowledgement, peer crash/restart,
-//!   application crash, quorum recovery with catch-up, and two-step peer
-//!   replacement — from budgets on writes and failures.
-//! * [`BugMode`] re-introduces the paper's seeded bugs: writing the
-//!   sequence number before the data, updating the ap-map before catching
-//!   up a replacement peer, and skipping the lagging-peer catch-up during
-//!   recovery. [`check`] must (and does) return a counterexample trace for
-//!   each.
-//! * [`ModelConfig::coalesce`] switches the model to the batched submission
-//!   path (one header message per flushed burst, stamped with the
-//!   burst-final sequence number) and explores every burst partition; the
-//!   acked prefix must survive crashes mid-burst, and every seeded bug must
-//!   still be caught.
-//!
-//! The invariant asserted at every recovery:
-//!
-//! 1. the recovered sequence number covers every acknowledged write;
-//! 2. it also covers everything externalized by earlier recoveries;
-//! 3. the recovery peer actually holds the data for every sequence number
-//!    it advertises (no sequence-number-without-data).
-
-//!
-//! [`check_ec`] applies the same methodology to the erasure-coded
-//! durability path (PR 7): bursts striped as `k`-of-`n` fragments, all-`n`
-//! header acknowledgement, the spill tier's snapshot/generation-switch
-//! protocol, and a recovery rule that must reconstruct the acked prefix
-//! from **every** `k`-subset of the surviving fragment holders. Its seeded
-//! bugs ([`EcBugMode`]) are acking at `k` completions and flipping the
-//! fragment generation before the spill snapshot is durable.
-//!
-//! [`check_revoke`] covers the multi-tenant memory plane (PR 9): a peer
-//! daemon under memory pressure may unilaterally revoke a lent region, and
-//! the owning application must replace the peer — catch-up before the
-//! ap-map update — while the adversary keeps at most `f` peers down
-//! (crashed or revoked-and-unreplaced). Its seeded bugs
-//! ([`RevokeBugMode`]) are a stale daemon that keeps advertising a revoked
-//! region's sequence number during recovery, and publishing the
-//! replacement into the ap-map before catching it up.
+//! * [`check`]: replicated writes, replacement and recovery ([`BugMode`]).
+//! * [`check_ec`]: `k`-of-`n` bursts and the spill tier ([`EcBugMode`]).
+//! * [`check_revoke`]: memory revocation racing writes ([`RevokeBugMode`]).
 
 pub mod ec;
 pub mod model;
 pub mod revoke;
 
 pub use ec::{check_ec, EcBugMode, EcModelConfig};
-pub use model::{check, BugMode, CheckResult, ModelConfig};
+pub use model::{check, BugMode, ModelConfig};
 pub use revoke::{check_revoke, RevokeBugMode, RevokeModelConfig};
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashSet;
 use std::hash::Hash;
 
-use model::Violation;
+use ncl::file::plan::{self, Source};
+use ncl::file::scheme;
+use ncl::{Durability, RegionHeader};
 
-/// One edge out of a state: its event label, the state it reaches, and —
-/// when taking it breaks the invariant — why.
+/// Outcome of a check.
+#[derive(Debug, Clone)]
+pub struct CheckResult {
+    /// Distinct states visited.
+    pub states_explored: usize,
+    /// Transitions taken.
+    pub transitions: usize,
+    /// A violating event trace, if the invariant broke.
+    pub violation: Option<Violation>,
+}
+
+/// A counterexample.
+#[derive(Debug, Clone)]
+pub struct Violation {
+    /// Which invariant clause failed.
+    pub reason: String,
+    /// Transition labels from the initial state to the violation.
+    pub trace: Vec<String>,
+}
+
+/// An edge: its label, the state it reaches, and why it violates, if it does.
 type Edge<S> = (String, S, Option<String>);
 
-/// The one explorer behind [`check`], [`check_ec`] and [`check_revoke`]:
-/// breadth-first from `initial`, asking `step` for each state's edges in
-/// order, until an edge violates (reported with its shortest trace), the
-/// frontier empties, or `max_states` distinct states exist (0 = no cap).
+/// The one explorer behind the three checks: breadth-first from `initial`,
+/// asking `step` for each state's edges in order, until an edge violates
+/// (reported with its shortest trace), the frontier empties, or
+/// `max_states` distinct states exist (0 = no cap).
 fn explore<S: Clone + Eq + Hash>(
     initial: S,
     max_states: usize,
     mut step: impl FnMut(&S) -> Vec<Edge<S>>,
 ) -> CheckResult {
-    let mut index: HashMap<S, usize> = HashMap::new();
-    let mut parents: Vec<(usize, String)> = Vec::new();
-    let mut states: Vec<S> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    index.insert(initial.clone(), 0);
-    states.push(initial);
-    parents.push((usize::MAX, String::new()));
-    queue.push_back(0);
-    let mut transitions = 0usize;
-
-    while let Some(cur) = queue.pop_front() {
-        if max_states > 0 && states.len() >= max_states {
-            break;
-        }
-        for (label, next, violation) in step(&states[cur]) {
+    // Every state reached, in breadth-first order, with its parent's index
+    // and the label of the edge that reached it: the queue is the tail.
+    let mut seen = HashSet::from([initial.clone()]);
+    let mut states = vec![(initial, 0, String::new())];
+    let (mut cur, mut transitions, mut violation) = (0, 0, None);
+    while cur < states.len() && (max_states == 0 || states.len() < max_states) {
+        for (label, next, reason) in step(&states[cur].0) {
             transitions += 1;
-            if let Some(reason) = violation {
+            if let Some(reason) = reason {
                 let mut trace = vec![label];
                 let mut at = cur;
                 while at != 0 {
-                    let (parent, l) = &parents[at];
-                    trace.push(l.clone());
-                    at = *parent;
+                    trace.push(states[at].2.clone());
+                    at = states[at].1;
                 }
                 trace.reverse();
-                return CheckResult {
-                    states_explored: states.len(),
-                    transitions,
-                    violation: Some(Violation { reason, trace }),
-                };
+                violation = Some(Violation { reason, trace });
+                break;
             }
-            if !index.contains_key(&next) {
-                let id = states.len();
-                index.insert(next.clone(), id);
-                states.push(next);
-                parents.push((cur, label));
-                queue.push_back(id);
+            if seen.insert(next.clone()) {
+                states.push((next, cur, label));
             }
         }
+        if violation.is_some() {
+            break;
+        }
+        cur += 1;
     }
-
+    let states_explored = states.len();
     CheckResult {
-        states_explored: states.len(),
+        states_explored,
         transitions,
-        violation: None,
+        violation,
     }
 }
 
-/// The edges of a state in the models whose invariant is a terminal
-/// recovery check ([`check_ec`], [`check_revoke`]): the application can
-/// crash at any reachable state, so a failing check (`lost`) is the state's
-/// only edge; otherwise the model's own successors, none of which violates.
-fn recovery_checked<S: Clone>(
-    st: &S,
-    lost: Option<String>,
-    successors: impl FnOnce() -> Vec<(String, S)>,
-) -> Vec<Edge<S>> {
-    match lost {
-        Some(reason) => vec![(
-            "crash_app_and_recover".to_string(),
-            st.clone(),
-            Some(reason),
-        )],
-        None => successors()
-            .into_iter()
-            .map(|(label, next)| (label, next, None))
-            .collect(),
-    }
+/// `st` changed by `edit`: one successor.
+fn with<S: Clone>(st: &S, edit: impl FnOnce(&mut S)) -> S {
+    let mut next = st.clone();
+    edit(&mut next);
+    next
 }
 
-/// Every `k`-subset of `0..n`, as ascending index lists in lexicographic
-/// order (the order the recovery checks report their first failing subset
-/// in).
-fn k_subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
-    fn rec(n: usize, k: usize, start: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == k {
-            out.push(cur.clone());
-            return;
-        }
-        for i in start..n {
-            cur.push(i);
-            rec(n, k, i + 1, cur, out);
-            cur.pop();
-        }
-    }
-    let mut out = Vec::new();
-    rec(n, k, 0, &mut Vec::new(), &mut out);
-    out
+/// Every recovery that `responders` (each an id and the header it serves)
+/// allow: each recovery-quorum subset of them, every one exactly once, with
+/// the source `ncl::file::plan` picks among it. Fewer responders than the
+/// quorum allow none (recovery reports `QuorumUnavailable`).
+pub fn recoveries<T: Copy>(
+    durability: Durability,
+    f: usize,
+    responders: &[(T, RegionHeader)],
+) -> impl Iterator<Item = (Vec<(T, RegionHeader)>, Source)> + '_ {
+    let (n, quorum) = (responders.len(), scheme::recovery_quorum(durability, f));
+    let subsets = (0u32..1 << n).filter(move |m| m.count_ones() as usize == quorum);
+    subsets.map(move |m| {
+        let picked = (0..n).filter(|i| m >> i & 1 == 1);
+        let subset: Vec<_> = picked.map(|i| responders[i]).collect();
+        let headers: Vec<RegionHeader> = subset.iter().map(|&(_, h)| h).collect();
+        let source = plan::source(durability, f, n, &headers).expect("a quorum");
+        (subset, source)
+    })
+}
+
+/// A region header at `seq` and generation `gen`, as a model writes it:
+/// one byte per record, appended.
+fn header(seq: u8, gen: u8) -> RegionHeader {
+    let mut header = RegionHeader::default();
+    (header.seq, header.len, header.gen) = (seq.into(), seq.into(), gen.into());
+    header
 }
 
 #[cfg(test)]
@@ -168,12 +134,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn k_subsets_are_lexicographic_and_complete() {
+    fn recoveries_take_every_quorum_once_with_the_planners_source() {
+        let responders = [(7u8, header(2, 0)), (8, header(5, 0)), (9, header(3, 0))];
+        let seen: Vec<_> = recoveries(Durability::Replicated, 1, &responders)
+            .map(|(quorum, source)| (quorum.iter().map(|(p, _)| *p).collect::<Vec<_>>(), source))
+            .collect();
         assert_eq!(
-            k_subsets(4, 2),
-            [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+            seen,
+            [
+                (vec![7, 8], Source::Image(1)),
+                (vec![7, 9], Source::Image(1)),
+                (vec![8, 9], Source::Image(0)),
+            ]
         );
-        assert_eq!(k_subsets(3, 3), [[0, 1, 2]]);
-        assert!(k_subsets(2, 3).is_empty());
+        assert_eq!(
+            recoveries(Durability::Replicated, 1, &responders[..1]).count(),
+            0
+        );
+        let ec = Durability::Ec { k: 2, n: 4 };
+        let four = [
+            (0u8, header(0, 1)),
+            (1, header(0, 2)),
+            (2, header(0, 2)),
+            (3, header(0, 1)),
+        ];
+        assert_eq!(recoveries(ec, 0, &four).count(), 6, "every 2-subset of 4");
+        assert!(recoveries(ec, 0, &four).all(|(q, s)| q.len() == 2 && s.snapshot().is_some()));
     }
 }

@@ -1,47 +1,31 @@
-//! The abstract protocol model and breadth-first state exploration.
-//!
-//! ## Abstraction
-//!
-//! Writes are abstract tokens `1..=max_writes`; a peer's region is the pair
-//! `(data_applied, seq_applied)` — how many data messages and how many
-//! sequence-number messages have landed, in order. The NIC's send-queue
-//! ordering makes the real per-peer history exactly the alternation
-//! `d1 s1 d2 s2 …`, so one "advance" step either applies the next data
-//! message (when `data == seq`) or the next sequence message (when
-//! `seq < data`). The seeded ordering bug swaps that rule.
-//!
-//! A write is acknowledgeable once **both** of its messages have landed on
-//! a majority. The application issues writes one at a time (NCL's `record`
-//! blocks), crashes at any point, and recovers by reading sequence numbers
-//! from an adversarially chosen majority of the ap-map peers.
-//!
-//! With [`ModelConfig::coalesce`] the model follows the batched submission
-//! path instead: issued records are staged until a nondeterministic *flush*
-//! posts them as one burst — every record's data message but a single
-//! header message stamped with the burst-final sequence number. The per-peer
-//! history becomes `d…d h(b1) d…d h(b2) …` over the burst boundaries `bᵢ`,
-//! and the checker explores every partition of the issue stream into bursts
-//! alongside every crash point.
+//! The replicated protocol model. A peer's region is `(data, seq)`: how
+//! many data messages and how far its header has landed, in QP order
+//! (`d1 s1 d2 s2 …`, or `d…d h(b1) d…d h(b2) …` over every partition into
+//! bursts with [`ModelConfig::coalesce`]). The application crashes anywhere
+//! and recovers from every recovery quorum of the live ap-map peers; a
+//! replacement allocates a spare's region for a row the planner lists, then
+//! its catch-up lands or not, and the planner's update is published.
 
+use ncl::file::plan::{self, Action, ApMapUpdate, CaughtUp, Source};
 use ncl::file::scheme;
 use ncl::Durability;
 
-/// The model's failure budget: three ap-map slots, recovery reads from
-/// every 2-subset of responders, and acks by the implementation's rule.
+use crate::{header, with, CheckResult, Edge};
+
+/// The failure budget: three ap-map rows, 2-peer recovery quorums.
 const F: usize = 1;
+const REPLICATED: Durability = Durability::Replicated;
 
 /// Seeded bugs from §4.6 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BugMode {
     /// The protocol as designed; the checker must find no violation.
     None,
-    /// A peer applies the sequence-number write before the data write.
+    /// A peer applies the header write before the data write.
     SeqBeforeData,
-    /// Peer replacement publishes the new ap-map entry before the new peer
-    /// is caught up (Figure 7iii).
+    /// Replacement reports its catch-up landed early (Figure 7iii).
     ApMapBeforeCatchup,
-    /// Recovery returns data to the application without catching up a
-    /// majority of peers first.
+    /// Recovery hands the image out without its responders' catch-up.
     NoCatchupOnRecovery,
 }
 
@@ -52,452 +36,235 @@ pub struct ModelConfig {
     pub max_writes: u8,
     /// Total peer + application crash events allowed along a trace.
     pub crash_budget: u8,
-    /// Total peers (the first three form the initial ap-map; the rest are
-    /// spares for replacement).
+    /// Total peers: the first three form the ap-map, the rest are spares.
     pub peers: usize,
     /// Bug to seed.
     pub bug: BugMode,
     /// Hard cap on explored states (0 = unlimited).
     pub max_states: usize,
-    /// Maximum writes in flight (issued but not acknowledged) at once.
-    /// 1 models the paper's synchronous `record`; larger values model the
-    /// pipelined `record_nowait` path, where later records' messages race
-    /// the acknowledgement of earlier ones.
+    /// Writes in flight at once: 1 is `record`, more `record_nowait`.
     pub window: u8,
-    /// Model the coalesced-header submission path: issued records are
-    /// *staged* until a nondeterministic flush posts them as one burst that
-    /// carries every record's data message but a **single** header message,
-    /// stamped with the burst-final sequence number. A crash mid-burst may
-    /// lose the un-headered tail, but the acked prefix (covered by the last
-    /// completed header) must survive every interleaving. `false` keeps the
-    /// one-header-per-record stream.
+    /// Records are staged until a flush posts them with one header.
     pub coalesce: bool,
-}
-
-impl Default for ModelConfig {
-    fn default() -> Self {
-        ModelConfig {
-            max_writes: 3,
-            crash_budget: 3,
-            peers: 4,
-            bug: BugMode::None,
-            max_states: 0,
-            window: 1,
-            coalesce: false,
-        }
-    }
-}
-
-/// Outcome of a [`check`] run.
-#[derive(Debug, Clone)]
-pub struct CheckResult {
-    /// Distinct states visited.
-    pub states_explored: usize,
-    /// Transitions taken.
-    pub transitions: usize,
-    /// A violating event trace, if the invariant broke.
-    pub violation: Option<Violation>,
-}
-
-/// A counterexample.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Which invariant clause failed.
-    pub reason: String,
-    /// Transition labels from the initial state to the violation.
-    pub trace: Vec<String>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PeerState {
-    alive: bool,
-    /// `(data_applied, seq_applied)`; `None` = no region (lost or never
-    /// allocated).
-    region: Option<(u8, u8)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum AppPhase {
     Running,
     Crashed,
-    /// Quorum read done (`max_seq` chosen, data fetched) but peers not yet
-    /// caught up; the data has not been returned to the application.
-    NeedCatchup {
-        max_seq: u8,
-    },
-}
-
-/// Replacement of the ap-map slot `slot` by peer `cand`:
-/// progress flags record which of the two steps (catch-up, ap-map commit)
-/// have happened — the bug mode changes which order is allowed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Replacement {
-    slot: u8,
-    cand: u8,
-    caught_up: bool,
-    committed: bool,
+    /// The image is read back at this sequence number, not yet caught up.
+    NeedCatchup(u8),
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct State {
     issued: u8,
     acked: u8,
-    /// Highest sequence number whose data any completed recovery handed to
-    /// the application.
+    /// Highest sequence number any completed recovery handed out.
     externalized: u8,
+    /// The ap-map: row `r`'s peer.
     ap: [u8; 3],
-    peers: Vec<PeerState>,
-    pending: Option<Replacement>,
+    /// Per peer: alive, and its region `(data, seq)`, if it holds one.
+    peers: Vec<(bool, Option<(u8, u8)>)>,
     app: AppPhase,
+    /// A replacement's row and spare, allocated and not yet caught up.
+    pending: Option<(u32, u8)>,
     crashes_left: u8,
-    /// Coalesced mode only: highest sequence number flushed to the wire —
-    /// records in `flushed+1..=issued` are staged in application memory and
-    /// have no messages in flight. Always `0` when `coalesce` is off.
+    /// Coalesced mode: highest sequence number flushed to the wire.
     flushed: u8,
-    /// Coalesced mode only: burst boundaries, ascending. Exactly the
-    /// sequence numbers that got a header message; `max(bursts) == flushed`
-    /// whenever nonempty.
+    /// Coalesced mode: the sequence numbers that got a header, ascending.
     bursts: Vec<u8>,
 }
 
 impl State {
-    fn initial(config: &ModelConfig) -> Self {
-        let mut peers = vec![
-            PeerState {
-                alive: true,
-                region: None,
-            };
-            config.peers
-        ];
-        for p in peers.iter_mut().take(3) {
-            p.region = Some((0, 0));
-        }
-        State {
-            issued: 0,
-            acked: 0,
-            externalized: 0,
-            ap: [0, 1, 2],
-            peers,
-            pending: None,
-            app: AppPhase::Running,
-            crashes_left: config.crash_budget,
-            flushed: 0,
-            bursts: Vec::new(),
-        }
+    /// Peer `p`'s region, if it is alive and holds one.
+    fn live(&self, p: u8) -> Option<(u8, u8)> {
+        let (alive, region) = self.peers[p as usize];
+        region.filter(|_| alive)
     }
 
-    /// Peers (by index) currently in the ap-map.
-    fn ap_peers(&self) -> [usize; 3] {
-        [
-            self.ap[0] as usize,
-            self.ap[1] as usize,
-            self.ap[2] as usize,
-        ]
-    }
-
-    /// Count of ap-map peers on which write `i` is fully applied.
-    fn applied_on(&self, i: u8) -> usize {
-        self.ap_peers()
-            .iter()
-            .filter(|&&p| {
-                let peer = &self.peers[p];
-                peer.alive && peer.region.map(|(d, s)| d >= i && s >= i).unwrap_or(false)
-            })
-            .count()
+    /// Posts the staged records as one burst (coalesced mode).
+    fn flush(&mut self, coalesce: bool) {
+        if coalesce && self.flushed < self.issued {
+            self.flushed = self.issued;
+            self.bursts.push(self.issued);
+        }
     }
 }
 
-type Successor = crate::Edge<State>;
+/// The next message to land on a region at `(d, s)` in QP order: the header
+/// covering the data so far, or the next data write (the seeded bug swaps).
+fn deliver(config: &ModelConfig, st: &State, (d, s): (u8, u8)) -> Option<(u8, u8)> {
+    let (header, tip) = if config.coalesce {
+        (st.bursts.iter().copied().find(|&b| b > s), st.flushed)
+    } else {
+        ((s < st.issued).then_some(s + 1), st.issued)
+    };
+    match config.bug {
+        BugMode::SeqBeforeData if d == s => header.map(|h| (d, h)),
+        BugMode::SeqBeforeData => (d < s).then_some((d + 1, s)),
+        _ if Some(d) == header => Some((d, d)),
+        _ => (d < tip).then_some((d + 1, s)),
+    }
+}
 
-fn successors(config: &ModelConfig, st: &State) -> Vec<Successor> {
-    let mut out: Vec<Successor> = Vec::new();
-    let bug = config.bug;
+/// Runs a planned catch-up to `seq` on a region holding `d` data writes: a
+/// tail that starts past them leaves a gap under the new header.
+fn catch_up(d: u8, action: Action, seq: u8) -> (u8, u8) {
+    match action {
+        Action::InPlace { from } if from > u64::from(d) => (d, seq),
+        _ => (seq, seq),
+    }
+}
 
-    // --- Message delivery: each ap-map peer advances one message. ---
+fn successors(config: &ModelConfig, st: &State) -> Vec<Edge<State>> {
+    let mut out: Vec<Edge<State>> = Vec::new();
+    let mut add = |label, edit: &dyn Fn(&mut State)| out.push((label, with(st, edit), None));
+    let peers = 0..st.peers.len() as u8;
     if st.app == AppPhase::Running {
-        for (slot, &p) in st.ap.iter().enumerate() {
-            let peer = st.peers[p as usize];
-            if !peer.alive {
-                continue;
+        for (row, &p) in st.ap.iter().enumerate() {
+            if let Some((d, s)) = st.live(p).and_then(|r| deliver(config, st, r)) {
+                let label = format!("deliver(p{p},slot{row})->({d},{s})");
+                add(label, &|n| n.peers[p as usize].1 = Some((d, s)));
             }
-            let Some((d, s)) = peer.region else { continue };
-            let (nd, ns) = if config.coalesce {
-                // Coalesced submission: only flushed records are on the
-                // wire, and the per-peer post order is
-                // `d…d h(b1) d…d h(b2) …` with one header per burst,
-                // stamped with the burst boundary.
-                if bug == BugMode::SeqBeforeData {
-                    // Seeded bug: the burst's header is posted before the
-                    // burst's data.
-                    let boundary = st.bursts.iter().copied().filter(|&b| b > s).min();
-                    if s == d {
-                        match boundary {
-                            Some(b) => (d, b),
-                            None => continue,
-                        }
-                    } else if d < s {
-                        (d + 1, s)
-                    } else {
-                        continue;
-                    }
-                } else if st.bursts.contains(&d) && s < d {
-                    (d, d) // The burst-final header jumps seq to the boundary.
-                } else if d < st.flushed {
-                    (d + 1, s) // Next data message of a flushed burst.
-                } else {
-                    continue; // Staged records have no messages in flight.
-                }
-            } else if bug == BugMode::SeqBeforeData {
-                // Seeded bug: the sequence number lands first.
-                if s == d && s < st.issued {
-                    (d, s + 1)
-                } else if d < s {
-                    (d + 1, s)
-                } else {
-                    continue;
-                }
-            } else if d == s && d < st.issued {
-                (d + 1, s)
-            } else if s < d {
-                (d, s + 1)
-            } else {
-                continue;
-            };
-            let mut next = st.clone();
-            next.peers[p as usize].region = Some((nd, ns));
-            out.push((format!("deliver(p{p},slot{slot})->({nd},{ns})"), next, None));
         }
-
-        // --- Acknowledge the in-flight write. ---
-        if st.issued > st.acked
-            && st.applied_on(st.acked + 1) >= scheme::ack_quorum(Durability::Replicated, F)
-        {
-            let mut next = st.clone();
-            next.acked += 1;
-            out.push((format!("ack(w{})", st.acked + 1), next, None));
+        let w = st.acked + 1;
+        let holders = st.ap.iter().filter_map(|&p| st.live(p));
+        let holders = holders.filter(|&(d, s)| d >= w && s >= w).count();
+        if w <= st.issued && holders >= scheme::ack_quorum(REPLICATED, F) {
+            add(format!("ack(w{w})"), &|n| n.acked = w);
         }
-
-        // --- Issue the next write. Up to `window` records may be in
-        // flight; depth 1 serialises them (the synchronous baseline). ---
         if st.issued - st.acked < config.window.max(1) && st.issued < config.max_writes {
-            let mut next = st.clone();
-            next.issued += 1;
-            out.push((format!("issue(w{})", st.issued + 1), next, None));
+            add(format!("issue(w{})", st.issued + 1), &|n| n.issued += 1);
         }
-
-        // --- Flush the staged burst (coalesced mode). Nondeterministic, so
-        // every partition of the issue stream into bursts is explored —
-        // this subsumes window-full, `wait_durable`, and `fsync` flushes. ---
+        // Every partition of the issue stream into bursts: this subsumes the
+        // window-full, `wait_durable` and `fsync` flushes.
         if config.coalesce && st.flushed < st.issued {
-            let mut next = st.clone();
-            next.flushed = st.issued;
-            next.bursts.push(st.issued);
-            out.push((format!("flush(b{})", st.issued), next, None));
+            add(format!("flush(b{})", st.issued), &|n| n.flush(true));
         }
-
-        // --- Peer replacement (two steps whose order the bug flips). ---
-        if st.pending.is_none() {
-            // A slot needs replacement when its peer is dead or lost its
-            // region; candidates are live peers outside the ap-map.
-            for slot in 0..3usize {
-                let p = st.ap[slot] as usize;
-                let broken = !st.peers[p].alive || st.peers[p].region.is_none();
-                if !broken {
-                    continue;
-                }
-                for cand in 0..st.peers.len() {
-                    if st.ap.contains(&(cand as u8)) {
-                        continue;
-                    }
-                    if !st.peers[cand].alive {
-                        continue;
-                    }
-                    let mut next = st.clone();
-                    // Allocation: a fresh, empty region on the candidate.
-                    next.peers[cand].region = Some((0, 0));
-                    next.pending = Some(Replacement {
-                        slot: slot as u8,
-                        cand: cand as u8,
-                        caught_up: false,
-                        committed: false,
-                    });
-                    out.push((format!("replace_start(slot{slot},p{cand})"), next, None));
-                }
-            }
-        }
-        if let Some(rep) = st.pending {
-            let cand = rep.cand as usize;
-            let cand_alive = st.peers[cand].alive && st.peers[cand].region.is_some();
-            // Step: catch the candidate up from the local buffer.
-            if !rep.caught_up && cand_alive {
-                let mut next = st.clone();
-                // The implementation flushes the staged burst before the
-                // catch-up write (catch-up stamps the header at the stage's
-                // tip, so everything staged must be on the wire for the
-                // surviving peers too).
-                if config.coalesce && next.flushed < next.issued {
-                    next.flushed = next.issued;
-                    next.bursts.push(next.issued);
-                }
-                next.peers[cand].region = Some((st.issued, st.issued));
-                next.pending = Some(Replacement {
-                    caught_up: true,
-                    ..rep
+        let survivors = (0..3).zip(st.ap).filter(|&(_, p)| st.live(p).is_some());
+        let survivors: Vec<(u32, u8)> = survivors.collect();
+        let rows = plan::replacements(REPLICATED, F, survivors.iter().map(|&(r, _)| r));
+        let spare = |c: &u8| !st.ap.contains(c) && st.peers[*c as usize].0;
+        let spares = peers.clone().filter(spare);
+        for row in rows.into_iter().filter(|_| st.pending.is_none()) {
+            for c in spares.clone() {
+                add(format!("replace_start(slot{row},p{c})"), &|n| {
+                    n.peers[c as usize].1 = Some((0, 0));
+                    n.pending = Some((row, c));
                 });
-                finish_replacement(&mut next);
-                out.push((format!("replace_catchup(p{cand})"), next, None));
             }
-            // Step: commit the new ap-map entry. Correct protocol only
-            // commits after catch-up; the seeded bug commits first.
-            let commit_allowed = rep.caught_up || bug == BugMode::ApMapBeforeCatchup;
-            if !rep.committed && commit_allowed && cand_alive {
-                let mut next = st.clone();
-                next.ap[rep.slot as usize] = rep.cand;
-                next.pending = Some(Replacement {
-                    committed: true,
-                    ..rep
+        }
+        if let Some((row, c)) = st.pending.filter(|&(_, c)| st.live(c).is_some()) {
+            for landed in [true, false] {
+                let reported = landed || config.bug == BugMode::ApMapBeforeCatchup;
+                let (fresh, missed) = CaughtUp::landed([((row, c), reported)]);
+                add(format!("replace_catchup(p{c},landed={landed})"), &|n| {
+                    // Catch-up stamps the image's tip: the staged burst goes
+                    // to the survivors first.
+                    n.flush(config.coalesce);
+                    n.pending = None;
+                    let held = if landed { st.issued } else { 0 };
+                    n.peers[c as usize].1 = Some((held, held));
+                    if let Ok(update) = ApMapUpdate::repair(&survivors, &fresh) {
+                        update.peers().for_each(|&(r, p)| n.ap[r as usize] = p);
+                    }
+                    missed
+                        .iter()
+                        .for_each(|&(_, p)| n.peers[p as usize].1 = None);
                 });
-                finish_replacement(&mut next);
-                out.push((
-                    format!("replace_commit(slot{},p{cand})", rep.slot),
-                    next,
-                    None,
-                ));
             }
         }
     }
 
-    // --- Recovery: catch-up completes, data is handed to the app. ---
-    if let AppPhase::NeedCatchup { max_seq } = st.app {
-        let mut next = st.clone();
-        for &p in next.ap.clone().iter() {
-            let peer = &mut next.peers[p as usize];
-            if peer.alive {
-                // Lagging peers (and crash-restarted ones, via fresh
-                // regions) are brought to the recovered image.
-                peer.region = Some((max_seq, max_seq));
+    // Recovery's catch-up: every responder by its planned action, then the
+    // application resumes if the planner lets the caught-up set publish.
+    if let AppPhase::NeedCatchup(max_seq) = st.app {
+        add("recover_catchup_and_resume".to_string(), &|n| {
+            let round = st.ap.iter().filter_map(|&p| Some((p, st.live(p)?)));
+            for (p, (d, s)) in round.clone() {
+                let action = Action::for_responder(true, &header(max_seq, 0), &header(s, 0));
+                if config.bug != BugMode::NoCatchupOnRecovery {
+                    n.peers[p as usize].1 = Some(catch_up(d, action, max_seq));
+                }
             }
-        }
-        next.app = AppPhase::Running;
-        next.acked = max_seq;
-        next.issued = max_seq;
-        next.externalized = next.externalized.max(max_seq);
-        if config.coalesce {
-            // The recovered image defines a fresh stream: staged-but-lost
-            // records are gone and every live ap-map peer sits at
-            // `(max_seq, max_seq)`, so old burst boundaries are spent.
-            next.flushed = max_seq;
-            next.bursts.clear();
-        }
-        out.push(("recover_catchup_and_resume".to_string(), next, None));
+            let (caught, _) = CaughtUp::landed(round.map(|(p, _)| (p, true)));
+            n.app = AppPhase::Crashed;
+            if ApMapUpdate::recovery(REPLICATED, F, &caught).is_ok() {
+                (n.app, n.acked, n.issued) = (AppPhase::Running, max_seq, max_seq);
+                n.externalized = n.externalized.max(max_seq);
+                if config.coalesce {
+                    (n.flushed, n.bursts) = (max_seq, Vec::new());
+                }
+            }
+        });
     }
 
-    // --- Failures. ---
-    if st.crashes_left > 0 {
-        for p in 0..st.peers.len() {
-            if st.peers[p].alive {
-                let mut next = st.clone();
-                next.peers[p].alive = false;
-                next.peers[p].region = None; // DRAM gone.
-                next.crashes_left -= 1;
-                out.push((format!("crash_peer(p{p})"), next, None));
-            }
+    for p in peers {
+        let alive = st.peers[p as usize].0;
+        if st.crashes_left > 0 && alive {
+            add(format!("crash_peer(p{p})"), &|n| {
+                n.peers[p as usize] = (false, None);
+                n.crashes_left -= 1;
+            });
         }
-        if st.app != AppPhase::Crashed {
-            let mut next = st.clone();
-            next.app = AppPhase::Crashed;
-            next.pending = None; // In-flight replacement state is lost.
-            next.crashes_left -= 1;
-            out.push(("crash_app".to_string(), next, None));
+        if !alive {
+            let restart = |n: &mut State| n.peers[p as usize].0 = true; // Empty memory.
+            add(format!("restart_peer(p{p})"), &restart);
         }
     }
-    for p in 0..st.peers.len() {
-        if !st.peers[p].alive {
-            let mut next = st.clone();
-            next.peers[p].alive = true; // Restart with empty memory.
-            out.push((format!("restart_peer(p{p})"), next, None));
-        }
+    if st.crashes_left > 0 && st.app != AppPhase::Crashed {
+        add("crash_app".to_string(), &|n| {
+            (n.app, n.pending) = (AppPhase::Crashed, None);
+            n.crashes_left -= 1;
+        });
     }
 
-    // --- Recovery step 1: quorum sequence read (adversarial quorum). ---
+    // Recovery's read: every recovery quorum of the responders, with the
+    // planner's source, checked the moment the image is built.
     if st.app == AppPhase::Crashed {
-        let responders: Vec<usize> = st
-            .ap_peers()
-            .iter()
-            .copied()
-            .filter(|&p| st.peers[p].alive && st.peers[p].region.is_some())
-            .collect();
-        // Every 2-subset of responders is a legal read quorum.
-        for i in 0..responders.len() {
-            for j in (i + 1)..responders.len() {
-                let quorum = [responders[i], responders[j]];
-                let (rp, max_seq) = quorum
-                    .iter()
-                    .map(|&p| (p, st.peers[p].region.expect("responder has region").1))
-                    .max_by_key(|&(_, s)| s)
-                    .expect("quorum nonempty");
-                let label = format!(
-                    "recover_read(q={{p{},p{}}},max={max_seq})",
-                    quorum[0], quorum[1]
-                );
-                // Invariant checks happen at the moment the image is built.
-                let (rd, rs) = st.peers[rp].region.expect("recovery peer region");
-                debug_assert_eq!(rs, max_seq);
-                let violation = if max_seq < st.acked {
-                    Some(format!(
-                        "acknowledged write lost: recovered seq {max_seq} < acked {}",
-                        st.acked
-                    ))
-                } else if max_seq < st.externalized {
-                    Some(format!(
-                        "externalized state lost: recovered seq {max_seq} < externalized {}",
-                        st.externalized
-                    ))
-                } else if rd < rs {
-                    Some(format!(
-                        "recovery peer p{rp} advertises seq {rs} but only holds {rd} data writes"
-                    ))
-                } else {
-                    None
-                };
-                let mut next = st.clone();
-                if config.bug == BugMode::NoCatchupOnRecovery {
-                    // Seeded bug: hand the data to the application without
-                    // catching up the lagging peers.
-                    next.app = AppPhase::Running;
-                    next.acked = max_seq;
-                    next.issued = max_seq;
-                    next.externalized = next.externalized.max(max_seq);
-                    if config.coalesce {
-                        next.flushed = max_seq;
-                        next.bursts.clear();
-                    }
-                } else {
-                    next.app = AppPhase::NeedCatchup { max_seq };
-                }
-                out.push((label, next, violation));
-            }
+        let serve = |p: &u8| Some((*p, header(st.live(*p)?.1, 0)));
+        let responders: Vec<_> = st.ap.iter().filter_map(serve).collect();
+        for (quorum, source) in crate::recoveries(REPLICATED, F, &responders) {
+            let Source::Image(i) = source else {
+                unreachable!("replicated")
+            };
+            let (rp, max_seq) = (quorum[i].0, quorum[i].1.seq as u8);
+            let (rd, _) = st.live(rp).expect("a responder holds a region");
+            let ids: Vec<_> = quorum.iter().map(|(p, _)| format!("p{p}")).collect();
+            let label = format!("recover_read(q={{{}}},max={max_seq})", ids.join(","));
+            let (acked, ext) = (st.acked, st.externalized);
+            let lost = format!("lost: recovered seq {max_seq} <");
+            let held = format!("recovery peer p{rp} advertises seq {max_seq} but only holds");
+            let violation = match () {
+                _ if max_seq < acked => Some(format!("acknowledged write {lost} acked {acked}")),
+                _ if max_seq < ext => Some(format!("externalized state {lost} externalized {ext}")),
+                _ => (rd < max_seq).then(|| format!("{held} {rd} data writes")),
+            };
+            let next = with(st, |n| n.app = AppPhase::NeedCatchup(max_seq));
+            out.push((label, next, violation));
         }
     }
-
     out
-}
-
-/// Clears the pending marker once both steps have happened.
-fn finish_replacement(st: &mut State) {
-    if let Some(rep) = st.pending {
-        if rep.caught_up && rep.committed {
-            st.pending = None;
-        }
-    }
 }
 
 /// Explores the model breadth-first and reports the first violation (with
 /// its shortest trace) or the full state count.
 pub fn check(config: &ModelConfig) -> CheckResult {
-    crate::explore(State::initial(config), config.max_states, |st| {
-        successors(config, st)
-    })
+    let peers = (0..config.peers).map(|p| (true, (p < 3).then_some((0, 0))));
+    let initial = State {
+        issued: 0,
+        acked: 0,
+        externalized: 0,
+        ap: [0, 1, 2],
+        peers: peers.collect(),
+        app: AppPhase::Running,
+        pending: None,
+        crashes_left: config.crash_budget,
+        flushed: 0,
+        bursts: Vec::new(),
+    };
+    crate::explore(initial, config.max_states, |st| successors(config, st))
 }
 
 #[cfg(test)]

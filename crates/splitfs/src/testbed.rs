@@ -111,7 +111,7 @@ pub struct Testbed {
     /// Black-box flight recorder over the same handle; dumps on a failing
     /// `/health` verdict, an invariant violation and a panic when
     /// `FLIGHT_DUMP_DIR` is set.
-    flight: FlightRecorder,
+    flight: Arc<FlightRecorder>,
     /// Streaming invariant monitor, when [`TestbedConfig::online_monitor`]
     /// (or `SPLITFT_ONLINE_MONITOR=1`) asked for one.
     monitor: Option<OnlineMonitor>,
@@ -161,23 +161,31 @@ impl Testbed {
                 peer.schedule_gc(interval);
             }
         }
-        let flight =
-            FlightRecorder::with_limits(config.ncl.telemetry.clone(), 32, config.ncl.quorum());
+        let flight = Arc::new(FlightRecorder::with_limits(
+            config.ncl.telemetry.clone(),
+            32,
+            config.ncl.quorum(),
+        ));
         // `FLIGHT_DUMP_DIR` arms the black box: on each transition of
         // `/health` into 503 (and on panic) the last N spans and counter
         // deltas are preserved as an analyzer-readable JSONL dump.
         let dump_dir = std::env::var("FLIGHT_DUMP_DIR").ok().map(PathBuf::from);
-        let dump = dump_dir.clone().map(|dir| (flight.clone(), dir));
+        let dump = dump_dir.clone().map(|dir| ((*flight).clone(), dir));
         let health = Health::new(config.ncl.telemetry.clone(), dump);
         health.add("ncl.record.e2e", 5_000_000, 0.05);
         health.add("ncl.record.doorbell", 2_000_000, 0.05);
         if let Some(dir) = dump_dir {
             // An invariant violation need not wait for a `/health` read:
             // preserve the offending window the moment the monitor flags
-            // it, tagged so operators can tell the dumps apart.
+            // it, tagged so operators can tell the dumps apart. The hook
+            // lives in the telemetry the recorder holds, so it holds the
+            // recorder weakly: the testbed's drop frees them both.
             if let Some(monitor) = &monitor {
-                let (recorder, dump_dir) = (flight.clone(), dir.clone());
+                let (recorder, dump_dir) = (Arc::downgrade(&flight), dir.clone());
                 monitor.on_violation(move |v| {
+                    let Some(recorder) = recorder.upgrade() else {
+                        return;
+                    };
                     let _ = recorder.dump_into(
                         &dump_dir,
                         "invariant",

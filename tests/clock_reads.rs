@@ -43,7 +43,7 @@ fn reads_per_record(ncl: NclConfig) -> u64 {
 fn a_zero_latency_record_reads_the_clock_three_times() {
     // Entry (a free local copy is staged at its entry reading), the flush
     // instant (the doorbell stage's end, the detector's `touch`, every
-    // peer's `post_signalling_last_at`) and the drain instant. A flight that takes no
+    // peer's `post_many_at`) and the drain instant. A flight that takes no
     // modelled time lands with its post, so the barrier finds nothing in
     // the air, does not wait, and its one drain finds the record durable:
     // the deadline is never computed.
@@ -107,6 +107,7 @@ fn a_doorbell_rung_at_a_known_instant_reads_no_clock() {
         result.unwrap();
         assert_eq!(reads, 0, "applied and priced, not waited for");
     }
-    // All six fly from `t`; nobody waited inside a post.
-    assert_eq!(cq.next_due(), Some(t + Duration::from_nanos(1_540)));
+    // All six fly from `t`; nobody waited inside a post. Each doorbell
+    // signals its last request, the 64-B write behind the 128-B one.
+    assert_eq!(cq.next_due(), Some(t + Duration::from_nanos(1_560)));
 }
