@@ -2,34 +2,14 @@
 
 use crate::kv::{decode_frame, encode_frame, AppError};
 
-use super::store::Command;
+use super::store::{read_bytes, write_bytes, Command};
 
 fn write_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
+    write_bytes(out, s.as_bytes());
 }
 
 fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, AppError> {
     String::from_utf8(read_bytes(buf, pos)?).map_err(|_| AppError::Corrupt("aof utf8".into()))
-}
-
-fn read_bytes(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, AppError> {
-    if *pos + 4 > buf.len() {
-        return Err(AppError::Corrupt("aof length truncated".into()));
-    }
-    let len = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("4")) as usize;
-    *pos += 4;
-    if *pos + len > buf.len() {
-        return Err(AppError::Corrupt("aof bytes truncated".into()));
-    }
-    let v = buf[*pos..*pos + len].to_vec();
-    *pos += len;
-    Ok(v)
 }
 
 /// Serialises one command (unframed).

@@ -355,7 +355,9 @@ impl Store {
     }
 }
 
-fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
+/// Appends `b` length-prefixed (a little-endian `u32`): the one byte-string
+/// codec of the RDB snapshot and the AOF.
+pub(super) fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(&(b.len() as u32).to_le_bytes());
     out.extend_from_slice(b);
 }
@@ -369,14 +371,15 @@ fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64, AppError> {
     Ok(v)
 }
 
-fn read_bytes(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, AppError> {
+/// Reads a [`write_bytes`] string at `*pos` and moves past it.
+pub(super) fn read_bytes(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, AppError> {
     if *pos + 4 > buf.len() {
-        return Err(AppError::Corrupt("rdb truncated length".into()));
+        return Err(AppError::Corrupt("truncated length".into()));
     }
     let len = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("4")) as usize;
     *pos += 4;
     if *pos + len > buf.len() {
-        return Err(AppError::Corrupt("rdb truncated bytes".into()));
+        return Err(AppError::Corrupt("truncated bytes".into()));
     }
     let v = buf[*pos..*pos + len].to_vec();
     *pos += len;

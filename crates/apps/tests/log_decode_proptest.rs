@@ -1,17 +1,21 @@
 //! Property tests of the logs' decoders: `kv::{decode_record,
 //! decode_frame}` (minirocks' WAL, and the frame every log and meta file
-//! shares) and `miniredis::aof::{decode_command, replay}`. Their input is
-//! what a crashed process wrote, and each store replays it at open, so
+//! shares), `miniredis::aof::{decode_command, replay}`, and the page images
+//! minisql's WAL logs and its database file holds, `minisql::pages::{Meta,
+//! DataPage}::decode`. Their input is what a crashed process wrote, and
+//! each store replays it at open, so
 //!
 //! * no input makes a decoder panic, whatever its length or contents — a
 //!   CRC-valid body that claims 2^32 entries included;
-//! * encoded records decode as written;
+//! * encoded records and pages decode as written;
 //! * flipping any single bit yields a prefix of the written records, cut at
-//!   or before the damaged one.
+//!   or before the damaged one, and a meta page whose checksummed 16 bytes
+//!   took a flip is rejected.
 
 use apps::kv::{decode_frame, decode_record, encode_frame, encode_record, replay_records, Entry};
 use apps::miniredis::aof::{decode_command, encode_batch, encode_command, replay};
 use apps::miniredis::Command;
+use apps::minisql::pages::{DataPage, Meta};
 use proptest::prelude::*;
 
 fn bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -53,6 +57,24 @@ fn command() -> impl Strategy<Value = Command> {
 /// AOF appends: up to three commands each.
 fn batches() -> impl Strategy<Value = Vec<Vec<Command>>> {
     prop::collection::vec(prop::collection::vec(command(), 0..4), 0..5)
+}
+
+fn meta() -> impl Strategy<Value = Meta> {
+    (any::<u32>(), any::<u32>()).prop_map(|(npages, next_free)| Meta { npages, next_free })
+}
+
+/// A data page of up to six records and the page size it is encoded at:
+/// what it needs, plus up to 32 bytes of zero tail.
+fn data_page() -> impl Strategy<Value = (DataPage, usize)> {
+    let records = prop::collection::vec((bytes(8), bytes(16)), 0..6);
+    (any::<u32>(), records, 0..32usize).prop_map(|(next_overflow, records, slack)| {
+        let page = DataPage {
+            next_overflow,
+            records,
+        };
+        let size = page.encoded_len() + slack;
+        (page, size)
+    })
 }
 
 /// A frame whose CRC is valid over a body that starts with a little-endian
@@ -187,5 +209,26 @@ proptest! {
         let read = replay(&raw);
         let prefixes: Vec<Vec<Command>> = (0..=intact).map(|n| written[..n].concat()).collect();
         prop_assert!(prefixes.contains(&read), "append {intact} damaged, read {read:?}");
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_a_page_decoder(raw in bytes(96)) {
+        let _ = Meta::decode(&raw);
+        let _ = DataPage::decode(&raw);
+    }
+
+    #[test]
+    fn pages_decode_as_written(case in (meta(), 0..32usize, data_page())) {
+        let (meta, slack, (page, size)) = case;
+        prop_assert_eq!(Meta::decode(&meta.encode(16 + slack)).unwrap(), meta);
+        prop_assert_eq!(DataPage::decode(&page.encode(size)).unwrap(), page);
+    }
+
+    #[test]
+    fn a_flipped_bit_in_a_meta_header_is_rejected(case in (meta(), 0..128usize, 0..32usize)) {
+        let (meta, bit, slack) = case;
+        let mut raw = meta.encode(16 + slack);
+        raw[bit / 8] ^= 1 << (bit % 8);
+        prop_assert!(Meta::decode(&raw).is_err(), "bit {bit} flipped, decoded anyway");
     }
 }

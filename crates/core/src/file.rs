@@ -10,8 +10,8 @@
 //! |---|---|
 //! | `staging` | the local image, the pending burst and the pipeline window: `record_nowait` / `submit` / the one flush function |
 //! | `slots` | peer slots, completion absorption, the acknowledgement watermark and the durability barrier (`wait_durable`) |
-//! | `repair` | inline peer replacement, peer acquisition and the two catch-up transfers |
-//! | `recovery` | `NclLib::recover`: the quorum read front half and the shared catch-up → rearm → ap-map → open epilogue |
+//! | `repair` | inline peer replacement, the catch-up transfers, and the one runner step create, recover and repair end with: acquire → catch up → publish |
+//! | `recovery` | `NclLib::recover`: the quorum read front half and the responders' catch-up |
 //! | `phases` | the control path's one clock: each phase of create / recover / repair is one child span, and the stats are read off them |
 //! | [`scheme`] | everything that differs between `Replicated` and `Ec { k, n }` |
 //!
@@ -76,35 +76,36 @@
 //! bytes are a prefix of the recovered image re-keys its region in place
 //! and receives just the missing tail and header; any other peer stages a
 //! fresh region, receives the whole image, and atomically switches its
-//! mr-map entry. Only then is
-//! the ap-map advanced to the new epoch. Doing these steps in the opposite
-//! order loses data — the model checker in `crates/modelcheck`
-//! demonstrates both seeded bugs. The per-peer header reads and catch-up
-//! transfers are independent, so each phase prices every peer's RPCs, posts
-//! every peer's requests at one instant and waits once, on the caller's
-//! thread, instead of paying one peer round trip after another. Peers that
-//! did not respond are replaced together: one controller round, one
-//! `Alloc` per replacement, one wait for their registrations, and one
-//! catch-up posted to all of them.
+//! mr-map entry. Only then is the ap-map advanced to the new epoch. Doing
+//! these steps in the opposite order loses data — the model checker in
+//! `crates/modelcheck` demonstrates both seeded bugs. The per-peer header
+//! reads and catch-up transfers are independent, so each phase prices
+//! every peer's RPCs, posts every peer's requests at one instant and waits
+//! once, on the caller's thread.
 //!
 //! ## Peer replacement (§4.5.2)
 //!
 //! When a work request fails, the peer is declared dead. If a majority is
 //! still alive the current record completes first; replacement then runs
-//! inline (the paper's Figure 12 "blip"): allocate on fresh peers at the
-//! next epoch, copy the local buffer (to all replacements at one instant),
-//! wait once for the copies to complete, bump the surviving peers' region
-//! epochs, and only then swing the ap-map. If a majority is lost, the
-//! record blocks until replacement restores a quorum.
+//! inline (the paper's Figure 12 "blip"), and then bumps the surviving
+//! peers' region epochs before it swings the ap-map. If a majority is
+//! lost, the record blocks until replacement restores a quorum.
 //!
-//! Create, repair and recovery acquire their peers the same way: the
-//! `Alloc`s of one controller round go out one after another on the
-//! caller's thread, each peer prices its region's registration on its own
-//! registration pipe and answers with the instant it completes, and the
-//! caller waits once, for the latest, before its first post — so the
-//! registrations of different peers overlap. A control operation that fails
-//! after allocating frees what it allocated, so a retry at the same epoch
-//! finds the peers clean.
+//! ## One runner for create, recovery and repair
+//!
+//! A create is a recovery with no responders, of an empty image, and all
+//! three end in one step: fill the rows no caught-up peer holds with fresh
+//! peers at the new epoch, catch them up, and publish what the [`plan`]
+//! lets them. The `Alloc`s of one controller round go out one after
+//! another on the caller's thread, each peer prices its registration on
+//! its own registration pipe, and the caller waits once, for the latest —
+//! so the registrations overlap. Every fresh peer then receives the image
+//! (under erasure coding, none) and the header — for a create, the
+//! scheme's seq-0 header — at one instant, and one that missed is freed.
+//! Create and recovery ask for a spare in its place and publish what
+//! caught up if it makes the ack quorum; a repair publishes all of its
+//! fresh peers or none. A publish that fails frees the fresh regions, so a
+//! retry at the same epoch finds the peers clean.
 
 mod phases;
 pub mod plan;
@@ -126,6 +127,7 @@ use sim::{Cluster, NodeId};
 use telemetry::{spans, Telemetry};
 
 use self::phases::Phases;
+use self::repair::{fill_and_publish, Target};
 use self::scheme::Scheme;
 use self::slots::{AckedState, PeerSlot, Rep};
 use self::staging::{FileMetrics, Image, Stage};
@@ -256,13 +258,14 @@ impl NclLib {
             .list_app_files(self.ctx.node, &self.ctx.app_id)
     }
 
-    /// Creates a new ncl file with the given data capacity, allocating
-    /// regions on the scheme's peer set (`2f + 1` replicated, `n` under
-    /// erasure coding) and publishing the ap-map entry, under one
-    /// `ncl.create` span tree. Short of live peers it opens on an ack
-    /// quorum, [`NclFile::repair_pending`] set: a deferred replacement, as
-    /// if the missing peers had failed after the create, which a
-    /// durability barrier retries once per
+    /// Creates a new ncl file with the given data capacity, under one
+    /// `ncl.create` span tree: a recovery with no responders, of an empty
+    /// image. It allocates regions on the scheme's peer set (`2f + 1`
+    /// replicated, `n` under erasure coding), seeds each with the scheme's
+    /// seq-0 header, and publishes the peers whose header landed. Short of
+    /// them it opens on an ack quorum, [`NclFile::repair_pending`] set: a
+    /// deferred replacement, as if the missing peers had failed after the
+    /// create, which a durability barrier retries once per
     /// [`NclConfig::reattach_probe`](crate::NclConfig::reattach_probe).
     pub fn create(&self, file: &str, capacity: usize) -> Result<Arc<NclFile>, NclError> {
         let ctx = &self.ctx;
@@ -273,41 +276,24 @@ impl NclLib {
         }
         let scheme = Scheme::new(&ctx.config, capacity, scope)?;
         let epoch = ctx.controller.get_app_epoch(ctx.node, &ctx.app_id, file)? + 1;
-        let cq = CompletionQueue::new();
-        let n = ctx.config.replicas();
-        let slots = repair::acquire_peers(
-            ctx,
+        let image = Image::empty(capacity);
+        let target = Target {
             file,
             epoch,
-            scheme.region_data(capacity),
-            [n, ctx.config.quorum()],
-            &cq,
-            &mut Vec::new(),
-            &mut phases,
-            [spans::NCL_CREATE_GET_PEER, spans::NCL_CREATE_CONNECT_MR],
-        )?;
-        let published = (|| {
-            if let Some(header) = scheme.initial_header() {
-                // Post every peer's initial header, then wait for them once.
-                let (_, landed) =
-                    repair::ship_all(ctx, &cq, &header, slots.iter().map(|s| (s, None)));
-                if landed.contains(&None) {
-                    return Err(NclError::Unavailable("initial header not written".into()));
-                }
-                phases.close(spans::NCL_CREATE_SEED, epoch);
-            }
-            let names: Vec<String> = slots.iter().map(|s| s.name.clone()).collect();
-            ctx.controller
-                .set_ap_entry(ctx.node, &ctx.app_id, file, names, epoch)
-        })();
-        if let Err(e) = published {
-            // Free what this attempt allocated, so a retry at the same epoch
-            // finds the peers clean.
-            free_regions(ctx, file, epoch, slots.iter().map(|s| &s.endpoint));
-            return Err(e);
-        }
+            header: scheme.initial_header(),
+            image: scheme.ships_image().then(|| image.valid()),
+            region_data: scheme.region_data(capacity),
+            phases: [
+                spans::NCL_CREATE_GET_PEER,
+                spans::NCL_CREATE_CONNECT_MR,
+                spans::NCL_CREATE_SEED,
+            ],
+            peer_span: None,
+        };
+        let cq = CompletionQueue::new();
+        let none = Default::default();
+        let slots = fill_and_publish(ctx, &target, &cq, None, none, Vec::new(), &mut phases)?;
         phases.close(spans::NCL_CREATE_AP_MAP, epoch);
-        let image = Image::empty(capacity);
         let stats = RecoveryStats::default();
         Ok(NclFile::open(
             ctx, file, scope, image, scheme, slots, cq, epoch, stats,

@@ -1,15 +1,17 @@
-//! Recovery's and repair's decisions, as pure functions of what the runner
-//! saw: no `Ctx`, no clock, no RPC and no lock. [`NclLib::recover`] and the
-//! repair are runners: they gather the inputs (the responders' headers, the
-//! outcome of each RPC), ask this module, and execute the answer with
-//! post-everything, wait-once RPCs. `crates/modelcheck` drives the same
-//! functions from its abstract states, so the decisions it checks are the
-//! ones that run.
+//! The decisions of create, recovery and repair, as pure functions of what
+//! the runner saw: no `Ctx`, no clock, no RPC and no lock.
+//! [`NclLib::create`] (a recovery with no responders, of an empty image),
+//! [`NclLib::recover`] and the repair are runners: they gather the inputs
+//! (the responders' headers, the outcome of each RPC), ask this module, and
+//! execute the answer with post-everything, wait-once RPCs.
+//! `crates/modelcheck` drives the same functions from its abstract states,
+//! so the decisions it checks are the ones that run.
 //!
 //! The order the runner must keep is in the types: an [`ApMapUpdate`] is
 //! built only from a [`CaughtUp`] set, and a `CaughtUp` set only from a
 //! catch-up round's outcomes ([`CaughtUp::landed`]).
 //!
+//! [`NclLib::create`]: super::NclLib::create
 //! [`NclLib::recover`]: super::NclLib::recover
 
 use super::scheme;
@@ -147,7 +149,7 @@ pub fn replacements(
 }
 
 /// The peers of catch-up rounds whose copies landed, in order. Only
-/// [`CaughtUp::landed`] builds one, from a round's outcomes.
+/// [`CaughtUp::landed`] builds one, from the rounds' outcomes.
 #[derive(Debug)]
 pub struct CaughtUp<T> {
     peers: Vec<T>,
@@ -156,7 +158,7 @@ pub struct CaughtUp<T> {
 }
 
 impl<T> CaughtUp<T> {
-    /// Splits a catch-up round, each peer with whether its copy landed, into
+    /// Splits catch-up rounds, each peer with whether its copy landed, into
     /// the caught-up set and the peers that missed (whose regions the runner
     /// frees).
     pub fn landed(round: impl IntoIterator<Item = (T, bool)>) -> (Self, Vec<T>) {
@@ -167,22 +169,6 @@ impl<T> CaughtUp<T> {
             CaughtUp { peers, all },
             missed.into_iter().map(|(peer, _)| peer).collect(),
         )
-    }
-
-    /// Appends a later round's set.
-    pub fn extend(&mut self, later: Self) {
-        self.peers.extend(later.peers);
-        self.all &= later.all;
-    }
-
-    /// The caught-up peers, in order.
-    pub fn peers(&self) -> &[T] {
-        &self.peers
-    }
-
-    /// The caught-up peers, owned.
-    pub fn into_peers(self) -> Vec<T> {
-        self.peers
     }
 }
 
@@ -202,8 +188,8 @@ pub struct ApMapUpdate<'a, T> {
 }
 
 impl<'a, T> ApMapUpdate<'a, T> {
-    /// Recovery's entry: every caught-up peer, if they make the scheme's
-    /// ack quorum.
+    /// The entry of a create or a recovery: every caught-up peer, if they
+    /// make the scheme's ack quorum.
     pub fn recovery(
         durability: Durability,
         f: usize,
@@ -212,7 +198,7 @@ impl<'a, T> ApMapUpdate<'a, T> {
         let quorum = scheme::ack_quorum(durability, f);
         if caught.peers.len() < quorum {
             return Err(NclError::QuorumUnavailable(format!(
-                "caught up {} peers during recovery, the acknowledgement quorum is {quorum}",
+                "caught up {} peers, the acknowledgement quorum is {quorum}",
                 caught.peers.len()
             )));
         }
@@ -375,7 +361,7 @@ mod tests {
         let update = ApMapUpdate::repair(&survivors, &fresh).unwrap();
         assert_eq!(update.peers().copied().collect::<Vec<_>>(), ["a", "b", "c"]);
         let (fresh, missed) = CaughtUp::landed([("c", true), ("d", false)]);
-        assert_eq!((fresh.peers(), &missed[..]), (&["c"][..], &["d"][..]));
+        assert_eq!(missed, ["d"]);
         assert!(
             ApMapUpdate::repair(&survivors, &fresh).is_err(),
             "d never caught up"
@@ -384,14 +370,15 @@ mod tests {
 
     #[test]
     fn recovery_publishes_its_caught_up_rounds_only_at_an_ack_quorum() {
-        let (mut caught, dropped) = CaughtUp::landed([("a", true), ("b", false)]);
+        let (caught, dropped) = CaughtUp::landed([("a", true), ("b", false)]);
         assert_eq!(dropped, ["b"]);
         assert!(
             ApMapUpdate::recovery(REPLICATED, 1, &caught).is_err(),
             "1 < f + 1"
         );
-        let (fresh, _) = CaughtUp::landed([("c", true), ("d", false)]);
-        caught.extend(fresh);
+        // A later round, whose fresh peer c landed and d missed.
+        let rounds = [("a", true), ("b", false), ("c", true), ("d", false)];
+        let (caught, _) = CaughtUp::landed(rounds);
         let update = ApMapUpdate::recovery(REPLICATED, 1, &caught).unwrap();
         assert_eq!(update.peers().copied().collect::<Vec<_>>(), ["a", "c"]);
         assert!(

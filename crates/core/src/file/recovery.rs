@@ -1,9 +1,10 @@
 //! Application recovery (§4.5.1), a runner of [`plan`]'s decisions: one
 //! front half — ap-map lookup, header reads, the planner's quorum check and
-//! source, the scheme's reconstruction of the acked prefix — feeding one
-//! epilogue: catch every peer up under a new epoch by its planned action,
-//! replace the missing ones, and only then publish the caught-up set to the
-//! ap-map and open the file.
+//! source, the scheme's reconstruction of the acked prefix — then every
+//! responder caught up under a new epoch by its planned action, and the
+//! epilogue create and repair end with too (`repair::fill_and_publish`):
+//! replace the missing peers, and only then publish the caught-up set to
+//! the ap-map, before the file opens.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,11 +13,11 @@ use rdma::{CompletionQueue, WrId};
 use telemetry::spans;
 
 use super::phases::Phases;
-use super::plan::{self, Action, ApMapUpdate, CaughtUp};
-use super::repair::{acquire_peers, catch_up, prepare_existing};
+use super::plan;
+use super::repair::{catch_up, fill_and_publish, prepare_existing, Target};
 use super::scheme::Scheme;
 use super::slots::{read_all, PeerSlot, Responders};
-use super::{call_all, free_regions, NclFile, NclLib};
+use super::{call_all, NclFile, NclLib};
 use crate::layout::{RegionHeader, HEADER_WIRE_SIZE};
 use crate::peer::{PeerReq, PeerResp};
 use crate::NclError;
@@ -70,10 +71,10 @@ impl NclLib {
         // instant and waited for once, then every fixed-location header
         // read posted at one instant and waited for once.
         let cq = CompletionQueue::new();
-        let endpoints: Vec<_> = (entry.peers.iter())
-            .filter_map(|name| Some((ctx.registry.lookup(name)?, name.clone())))
+        let endpoints: Vec<_> = (entry.peers.iter().zip(0..))
+            .filter_map(|(name, row)| Some((ctx.registry.lookup(name)?, name.clone(), row)))
             .collect();
-        let answers = call_all(ctx, endpoints.iter().map(|(e, _)| e), || {
+        let answers = call_all(ctx, endpoints.iter().map(|(e, ..)| e), || {
             PeerReq::RecoveryLookup {
                 app: ctx.app_id.clone(),
                 file: file.to_string(),
@@ -82,8 +83,11 @@ impl NclLib {
         let connected: Vec<PeerSlot> = endpoints
             .into_iter()
             .zip(answers)
-            .filter_map(|((endpoint, name), answer)| match answer {
-                Some(PeerResp::Mr(mr, _)) => Some(PeerSlot::connect(ctx, name, endpoint, mr, &cq)),
+            .filter_map(|((endpoint, name, row), answer)| match answer {
+                Some(PeerResp::Mr(mr, _)) => {
+                    let slot = PeerSlot::connect(ctx, name, endpoint, mr, &cq);
+                    Some(PeerSlot { row, ..slot })
+                }
                 _ => None,
             })
             .collect();
@@ -112,70 +116,29 @@ impl NclLib {
 
         // Phase 4: catch every peer up to the recovered image under a new
         // epoch by its planned action (tail in place, or a staged full
-        // copy), dropping any peer that fails, then (and only then) publish.
+        // copy), dropping any peer that fails, replace the missing ones, and
+        // only then publish.
         let epoch = entry.epoch + 1;
         let header = scheme.reset_header(&image)?;
         scheme.adopt_reset(&header);
-        let region_data = scheme.region_data(image.buffer.len());
-        let shipped = scheme.ships_image().then(|| image.valid());
-        let plans = prepare_existing(ctx, file, epoch, region_data, responders, &header, shipped);
-        let span = spans::NCL_RECOVER_CATCH_UP_PEER;
-        let round = catch_up(ctx, file, epoch, &cq, &phases, span, &header, plans);
-        let (mut slots, _dropped) = CaughtUp::landed(round);
+        let target = Target {
+            file,
+            epoch,
+            header,
+            image: scheme.ships_image().then(|| image.valid()),
+            region_data: scheme.region_data(image.buffer.len()),
+            phases: [
+                spans::NCL_RECOVER_GET_PEER,
+                spans::NCL_RECOVER_CONNECT,
+                spans::NCL_RECOVER_CATCH_UP,
+            ],
+            peer_span: Some(spans::NCL_RECOVER_CATCH_UP_PEER),
+        };
+        let (mut slots, actions) = prepare_existing(ctx, &target, responders);
+        let landed = catch_up(ctx, &target, &cq, &phases, &mut slots, |i| actions[i]);
         phases.close(spans::NCL_RECOVER_CATCH_UP, epoch);
-        // Replace unreachable/failed peers to restore the FT level: acquire
-        // the replacements together (one wait for their registrations) and
-        // catch them up together (one wait for their copies). Another round
-        // runs only for replacements whose catch-up failed; their regions
-        // are freed.
-        let mut exclude = entry.peers.clone();
-        let names = [spans::NCL_RECOVER_GET_PEER, spans::NCL_RECOVER_CONNECT];
-        let survivors = slots.peers().len();
-        loop {
-            let rows = 0..slots.peers().len() as u32;
-            let missing = plan::replacements(durability, f, rows).len();
-            if missing == 0 {
-                break;
-            }
-            let acquired = acquire_peers(
-                ctx,
-                file,
-                epoch,
-                region_data,
-                [missing, 0],
-                &cq,
-                &mut exclude,
-                &mut phases,
-                names,
-            );
-            // No spare peers: proceed degraded if quorate.
-            let fresh = acquired.unwrap_or_default();
-            if fresh.is_empty() {
-                break;
-            }
-            let body = Action::Fresh.body(shipped);
-            let plans = fresh
-                .into_iter()
-                .map(|s| (s, body, Action::Fresh))
-                .collect();
-            let round = catch_up(ctx, file, epoch, &cq, &phases, span, &header, plans);
-            phases.close(spans::NCL_RECOVER_CATCH_UP, epoch);
-            let (caught_up, failed) = CaughtUp::landed(round);
-            free_regions(ctx, file, epoch, failed.iter().map(|s| &s.endpoint));
-            slots.extend(caught_up);
-        }
-        let published = ApMapUpdate::recovery(durability, f, &slots).and_then(|update| {
-            let names = update.peers().map(|s| s.name.clone()).collect();
-            ctx.controller
-                .set_ap_entry(ctx.node, &ctx.app_id, file, names, epoch)
-        });
-        if let Err(e) = published {
-            // Free what this attempt allocated, so a retry at the same epoch
-            // finds the peers clean.
-            let fresh = slots.peers()[survivors..].iter().map(|s| &s.endpoint);
-            free_regions(ctx, file, epoch, fresh);
-            return Err(e);
-        }
+        let (caught, exclude) = ((slots, landed), entry.peers.clone());
+        let slots = fill_and_publish(ctx, &target, &cq, None, caught, exclude, &mut phases)?;
         phases.close(spans::NCL_RECOVER_AP_MAP, epoch);
         let total = |name| phases.total(name);
         let mut stats = RecoveryStats {
@@ -187,7 +150,6 @@ impl NclLib {
             ..RecoveryStats::default()
         };
         stats.sync_peer = stats.catch_up + stats.update_ap_map;
-        let slots = slots.into_peers();
         Ok(NclFile::open(
             &self.ctx, file, scope, image, scheme, slots, cq, epoch, stats,
         ))

@@ -1,7 +1,8 @@
 //! Repair: inline peer replacement (§4.5.2), a runner of [`plan`]'s
-//! decisions; peer acquisition; and the catch-up that recovery shares — a
-//! fresh peer's bulk copy, an existing peer's tail in place or staged full
-//! copy — posted to every peer at once and waited for once.
+//! decisions; and the runner step that create, recover and repair share —
+//! [`fill_and_publish`]: peer acquisition, the catch-up — a fresh peer's
+//! bulk copy, an existing peer's tail in place or staged full copy —
+//! posted to every peer at once and waited for once, and the publish.
 
 use std::time::{Duration, Instant};
 
@@ -10,6 +11,7 @@ use telemetry::{spans, Span};
 
 use super::phases::Phases;
 use super::plan::{self, Action, ApMapUpdate, CaughtUp};
+use super::scheme;
 use super::slots::{self, Flight, PeerSlot, RepWait, Responders, WcWait};
 use super::staging::{FlushReason, Stage};
 use super::{call_all, free_regions, Ctx, NclFile};
@@ -40,24 +42,21 @@ impl NclFile {
 
     /// Replaces every dead peer slot, restoring the scheme's full peer set.
     ///
-    /// Steps per the paper (§4.5.2) and Table 3: get new peers from the
-    /// controller; connect and set up their memory regions; catch them up
-    /// from the local buffer, every copy posted at one instant and waited
-    /// for once (so each holds everything up to the current sequence
-    /// number); and only after that update the ap-map — first bumping the
-    /// surviving peers' region epochs so the leak GC cannot misfire. A
-    /// repair that fails after allocating keeps the survivors, frees the
-    /// fresh regions and returns the error, so the caller defers or
-    /// retries it at the same epoch.
+    /// Steps per the paper (§4.5.2) and Table 3, run by [`fill_and_publish`]:
+    /// get new peers from the controller; connect and set up their memory
+    /// regions; catch them up from the local buffer; and only after that
+    /// update the ap-map — first bumping the surviving peers' region epochs
+    /// so the leak GC cannot misfire. A repair that fails keeps the
+    /// survivors and returns the error; the caller defers or retries it.
     ///
     /// The caller holds the staging lock (freezing the image and blocking
-    /// new posts); the replication lock is dropped during the catch-up
-    /// copies so concurrent durability waiters keep draining completions.
+    /// new posts); the replication lock is not held while peers are
+    /// acquired and caught up, so concurrent durability waiters keep
+    /// draining completions.
     pub(super) fn replace_failed(&self, stage: &mut Stage) -> Result<(), NclError> {
         let ctx = &*self.ctx;
         let tel = &ctx.config.telemetry;
-        let scope = self.metrics.scope;
-        let mut phases = Phases::start(tel, spans::NCL_REPAIR, scope);
+        let mut phases = Phases::start(tel, spans::NCL_REPAIR, self.metrics.scope);
         // Catch-up stamps the image's tip, which covers any records still in
         // the pending burst (the staged image already contains their bytes).
         // Post the burst to the survivors first so the flush boundary and
@@ -66,9 +65,8 @@ impl NclFile {
         self.flush_staged(stage, FlushReason::Replace);
         let header = stage.scheme.reset_header(&stage.image)?;
 
-        // Phase A: drop dead slots (their QPs are in error state) and
-        // acquire all replacements.
-        let (epoch, fresh) = {
+        // Phase A: drop dead slots (their QPs are in error state).
+        let (epoch, exclude) = {
             let mut rep = self.rep_guard();
             if rep.peers.iter().all(|s| s.alive) && rep.peers.len() == ctx.config.replicas() {
                 rep.repair_due = None;
@@ -76,77 +74,46 @@ impl NclFile {
                 rep.publish_acked(&ctx.config);
                 return Ok(());
             }
-            let epoch = rep.epoch + 1;
-            let mut exclude: Vec<String> = rep.peers.iter().map(|s| s.name.clone()).collect();
+            let exclude = rep.peers.iter().map(|s| s.name.clone()).collect();
             rep.peers.retain(|s| s.alive);
             rep.rebuild_qp_map();
-            phases.close(spans::NCL_REPAIR_FLUSH, epoch);
-            let region_data = stage.scheme.region_data(self.capacity);
-            // Each fresh peer inherits a dead slot's row — what the scheme
-            // addresses its share of every burst by.
-            let (durability, f) = (ctx.config.durability, ctx.config.f);
-            let free = plan::replacements(durability, f, rep.peers.iter().map(|s| s.row));
-            let missing = free.len();
-            let mut fresh = acquire_peers(
-                ctx,
-                &self.name,
-                epoch,
-                region_data,
-                [missing, missing],
-                &rep.cq,
-                &mut exclude,
-                &mut phases,
-                [spans::NCL_REPAIR_GET_PEER, spans::NCL_REPAIR_CONNECT_MR],
-            )?;
-            for (slot, row) in fresh.iter_mut().zip(free) {
-                slot.row = row;
-            }
-            (epoch, fresh)
+            (rep.epoch + 1, exclude)
         };
+        phases.close(spans::NCL_REPAIR_FLUSH, epoch);
 
-        // Phase B (replication lock released): catch the fresh peers up —
-        // every bulk copy posted at one instant, one wait for them all.
-        let wait = RepWait { file: self };
-        let image = stage.scheme.ships_image().then(|| stage.image.valid());
-        let body = Action::Fresh.body(image);
-        let plans = fresh
-            .into_iter()
-            .map(|s| (s, body, Action::Fresh))
-            .collect();
-        let span = spans::NCL_REPAIR_CATCH_UP_PEER;
-        let round = catch_up(ctx, &self.name, epoch, &wait, &phases, span, &header, plans);
-        let (fresh, missed) = CaughtUp::landed(round);
-        let catchup_start = phases.mark;
-        phases.close(spans::NCL_REPAIR_CATCH_UP, epoch);
-        let catchup_end = phases.mark;
+        // Phase B: fresh peers for the dead slots' rows, caught up from the
+        // image and published with the survivors.
+        let target = Target {
+            file: &self.name,
+            epoch,
+            header,
+            image: stage.scheme.ships_image().then(|| stage.image.valid()),
+            region_data: stage.scheme.region_data(self.capacity),
+            phases: [
+                spans::NCL_REPAIR_GET_PEER,
+                spans::NCL_REPAIR_CONNECT_MR,
+                spans::NCL_REPAIR_CATCH_UP,
+            ],
+            peer_span: Some(spans::NCL_REPAIR_CATCH_UP_PEER),
+        };
+        let none = Default::default();
+        let published = fill_and_publish(
+            ctx,
+            &target,
+            &self.cq,
+            Some(self),
+            none,
+            exclude,
+            &mut phases,
+        );
 
         // Phase C: commit.
         let mut rep = self.rep_guard();
         // What the catch-up left parked has no waiter; a one-off read may.
         rep.stray.retain(|(_, wc)| wc.wr_id.0 >= u64::MAX - 2);
-        let ids = || (ctx.app_id.clone(), self.name.clone());
-        let published = ApMapUpdate::repair(&rep.peers, &fresh).and_then(|update| {
-            // Survivors first: bump their region epochs so e_r stays ≥ the
-            // ap-map epoch (see peer::PeerReq::BumpEpoch).
-            let bump = || {
-                let (app, file) = ids();
-                PeerReq::BumpEpoch { app, file, epoch }
-            };
-            call_all(ctx, rep.peers.iter().map(|s| &s.endpoint), bump);
-            let names = update.peers().map(|s| s.name.clone());
-            let (app, file) = ids();
-            ctx.controller
-                .set_ap_entry(ctx.node, &app, &file, names.collect(), epoch)
-        });
-        if let Err(e) = published {
-            // Survivors are kept; the fresh regions are freed, so a retry at
-            // this epoch finds the peers clean. The caller defers or
-            // retries.
-            let fresh = fresh.peers().iter().chain(&missed);
-            free_regions(ctx, &self.name, epoch, fresh.map(|s| &s.endpoint));
-            return Err(e);
-        }
-        let fresh = fresh.into_peers();
+        let fresh = published?;
+        let catchup_end = phases.mark;
+        let catchup_start = catchup_end - phases.total(spans::NCL_REPAIR_CATCH_UP);
         phases.close(spans::NCL_REPAIR_AP_MAP, epoch);
         // Replaced-in peers never produced wire completions for bursts that
         // were in flight when they joined — the catch-up copy is what made
@@ -222,12 +189,121 @@ impl NclFile {
     }
 }
 
-/// Obtains up to `n` fresh peers for `file` at `epoch`, each lending a
-/// region of `capacity` data bytes: one controller round asks for the
-/// candidates (their availability is only a hint) and the `Alloc`s go out
-/// at one instant, in placement order on the caller's thread. A peer
-/// prices its registration and answers at once, and each connection is one
-/// more control round trip priced after its answer, so the regions
+/// What one control operation catches peers up to, and the names its
+/// phases close under: `file`'s regions under `epoch`, each holding
+/// `image` (when the scheme ships one) through `header`. A fresh or staged
+/// region lends `region_data` data bytes.
+pub(super) struct Target<'a> {
+    pub file: &'a str,
+    pub epoch: u64,
+    pub header: RegionHeader,
+    pub image: Option<&'a [u8]>,
+    pub region_data: usize,
+    /// The `[get_peer, connect, catch_up]` phase names.
+    pub phases: [&'static str; 3],
+    /// One peer's share of a `catch_up` phase, if the operation has a span
+    /// for it (a create's seed has none).
+    pub peer_span: Option<&'static str>,
+}
+
+/// The one step create, recover and repair end with: fills the rows no
+/// `live` file's survivor nor landed `caught` peer (recover's responders,
+/// each with whether it landed) holds with fresh peers, caught up as
+/// [`Action::Fresh`], those that missed freed; publishes what the planner
+/// allows; returns the peers that caught up. A new file asks again in place
+/// of peers that missed and publishes at an ack quorum; a repair is all or
+/// nothing and bumps its survivors' epochs first. A failed publish frees
+/// the fresh regions, so a retry at the same epoch finds the peers clean.
+pub(super) fn fill_and_publish(
+    ctx: &Ctx,
+    target: &Target<'_>,
+    cq: &CompletionQueue,
+    live: Option<&NclFile>,
+    (mut slots, mut landed): (Vec<PeerSlot>, Vec<bool>),
+    mut exclude: Vec<String>,
+    phases: &mut Phases<'_>,
+) -> Result<Vec<PeerSlot>, NclError> {
+    let (durability, f, epoch) = (ctx.config.durability, ctx.config.f, target.epoch);
+    let rep_wait = live.map(|file| RepWait { file });
+    let wait: &dyn WcWait = rep_wait.as_ref().map_or(cq, |wait| wait);
+    let kept: Vec<u32> = live.map_or_else(Vec::new, |file| {
+        file.rep_guard().peers.iter().map(|s| s.row).collect()
+    });
+    let first_fresh = slots.len();
+    // Sized before the regions it names, the peer set does not sit above them
+    // on the heap, cutting a freed region's hole too small for the next one.
+    slots.reserve(scheme::peers_per_file(durability, f));
+    loop {
+        let held = slots
+            .iter()
+            .zip(&landed)
+            .filter_map(|(s, ok)| ok.then_some(s.row));
+        let rows = plan::replacements(durability, f, kept.iter().copied().chain(held));
+        if rows.is_empty() {
+            break;
+        }
+        let want = [rows.len(), if live.is_some() { rows.len() } else { 0 }];
+        let mut fresh = acquire_peers(ctx, target, want, cq, &mut exclude, phases)?;
+        // No spare peers: publish degraded if quorate.
+        if fresh.is_empty() {
+            break;
+        }
+        // Each fresh peer inherits a free row — what the scheme addresses its
+        // share of every burst by.
+        for (slot, row) in fresh.iter_mut().zip(rows) {
+            slot.row = row;
+        }
+        let round = catch_up(ctx, target, wait, phases, &mut fresh, |_| Action::Fresh);
+        phases.close(target.phases[2], epoch);
+        let missed = fresh.iter().zip(&round).filter(|(_, ok)| !**ok);
+        free_regions(ctx, target.file, epoch, missed.map(|(s, _)| &s.endpoint));
+        // The acquisition asked for every spare there was: ask again only in
+        // place of peers that missed, and never in a repair.
+        let again = live.is_none() && round.contains(&false);
+        slots.append(&mut fresh);
+        landed.extend(round);
+        if !again {
+            break;
+        }
+    }
+    let rep = live.map(NclFile::rep_guard);
+    let survivors: Vec<&PeerSlot> = rep.iter().flat_map(|rep| &rep.peers).collect();
+    let (caught, _) = CaughtUp::landed(slots.iter().zip(landed.iter().copied()));
+    let update = match live {
+        None => ApMapUpdate::recovery(durability, f, &caught),
+        Some(_) => ApMapUpdate::repair(&survivors, &caught),
+    };
+    let published = update.and_then(|update| {
+        // Survivors first: bump their region epochs so e_r stays ≥ the
+        // ap-map epoch (see peer::PeerReq::BumpEpoch).
+        let (app, file) = (&ctx.app_id, target.file);
+        let bump = || PeerReq::BumpEpoch {
+            app: app.clone(),
+            file: file.to_string(),
+            epoch,
+        };
+        call_all(ctx, survivors.iter().map(|s| &s.endpoint), bump);
+        let names = update.peers().map(|s| s.name.clone()).collect();
+        ctx.controller
+            .set_ap_entry(ctx.node, app, file, names, epoch)
+    });
+    if let Err(e) = published {
+        let fresh = slots[first_fresh..].iter().zip(&landed[first_fresh..]);
+        let fresh = fresh.filter(|(_, ok)| **ok).map(|(s, _)| &s.endpoint);
+        free_regions(ctx, target.file, epoch, fresh);
+        return Err(e);
+    }
+    let mut landed = landed.into_iter();
+    slots.retain(|_| landed.next() == Some(true));
+    Ok(slots)
+}
+
+/// Obtains up to `n` fresh peers for `target`'s file at its epoch, each
+/// lending a region of its `region_data` bytes: one controller round asks
+/// for the candidates (their availability is only a hint) and the `Alloc`s
+/// go out at one instant, in placement order on the caller's thread. A
+/// peer prices its registration and answers at once, and each connection
+/// is one more control round trip priced after its answer, so the regions
 /// register and connect side by side and the caller waits once, for the
 /// last of them, before it returns — every returned slot can be posted to.
 /// Another round runs only for candidates that were stale or down, after a
@@ -239,18 +315,16 @@ impl NclFile {
 /// each controller round closes a `get_peer` phase (a backoff wait counts
 /// toward the next round), each allocation attempt a `connect` one, and the
 /// wait closes the last `connect` phase.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn acquire_peers(
+fn acquire_peers(
     ctx: &Ctx,
-    file: &str,
-    epoch: u64,
-    capacity: usize,
+    target: &Target<'_>,
     [n, at_least]: [usize; 2],
     cq: &CompletionQueue,
     exclude: &mut Vec<String>,
     phases: &mut Phases<'_>,
-    [get_peer, connect]: [&'static str; 2],
 ) -> Result<Vec<PeerSlot>, NclError> {
+    let (file, epoch, capacity) = (target.file, target.epoch, target.region_data);
+    let [get_peer, connect, _] = target.phases;
     let need = (HEADER_SIZE + capacity) as u64;
     let mut backoff = Backoff::new(ctx.config.backoff_base, ctx.config.backoff_cap, epoch);
     let mut slots: Vec<PeerSlot> = Vec::with_capacity(n);
@@ -324,19 +398,24 @@ pub(super) fn acquire_peers(
     Ok(slots)
 }
 
-/// Posts to every slot at one instant — per peer one doorbell: its body
-/// (bytes for a data offset), if any, then `header`, the one signalled
-/// write, into the slot's region — and waits once for the headers to land.
-/// Both writes borrow: the body from the caller's image, the header from
-/// the stack. The WR ids are the header sequence's, so on a live file the
-/// normal completion path credits the peer with `header.seq`. Returns the
-/// post instant and, per slot, its header's wire time if it landed.
-pub(super) fn ship_all<'s, 'b>(
+/// Catches `slots` up to `target` at once, each by its action `how(i)`
+/// into the region it points at, then records each peer's span, if the
+/// target names one, and returns whether each caught up. Every transfer is
+/// posted at one instant — per peer one doorbell: the body its action cuts
+/// from the image, if any, then the header, the one signalled write — and
+/// waited for once; then every landed full copy's `Commit` is priced at one
+/// instant and waited for once. Both writes borrow: the body from the
+/// caller's image, the header from the stack. The WR ids are the header
+/// sequence's, so on a live file the normal completion path credits the
+/// peer with `header.seq`.
+pub(super) fn catch_up(
     ctx: &Ctx,
+    target: &Target<'_>,
     wait: &dyn WcWait,
-    header: &RegionHeader,
-    transfers: impl IntoIterator<Item = (&'s PeerSlot, Option<(usize, &'b [u8])>)>,
-) -> (Instant, Vec<Option<Duration>>) {
+    phases: &Phases<'_>,
+    slots: &mut [PeerSlot],
+    how: impl Fn(usize) -> Action,
+) -> Vec<bool> {
     fn write(wr_id: u64, mr: RemoteMr, offset: usize, data: &[u8]) -> WorkRequest<'_> {
         let (wr_id, data) = (WrId(wr_id), data.into());
         WorkRequest::Write {
@@ -346,96 +425,74 @@ pub(super) fn ship_all<'s, 'b>(
             data,
         }
     }
+    let (file, epoch) = (target.file, target.epoch);
     let at = sim::time::now();
-    let (seq, encoded) = (header.seq, header.encode());
-    let want: Vec<_> = transfers
-        .into_iter()
-        .map(|(slot, body)| {
-            let (mr, body) = (slot.mr, body.filter(|(_, bytes)| !bytes.is_empty()));
-            let body = body.map(|(start, bytes)| write(2 * seq, mr, HEADER_SIZE + start, bytes));
+    let (seq, header) = (target.header.seq, target.header.encode());
+    let want: Vec<_> = (slots.iter().enumerate())
+        .map(|(i, slot)| {
+            let body = how(i)
+                .body(target.image)
+                .filter(|(_, bytes)| !bytes.is_empty());
+            let body =
+                body.map(|(start, bytes)| write(2 * seq, slot.mr, HEADER_SIZE + start, bytes));
             let wrs = body
                 .into_iter()
-                .chain([write(2 * seq + 1, mr, 0, &encoded)]);
+                .chain([write(2 * seq + 1, slot.mr, 0, &header)]);
             let posted = slot.qp.post_many_at(at, wrs);
             posted.ok().map(|()| (slot.qp.qp_num(), WrId(2 * seq + 1)))
         })
         .collect();
     let landed = slots::landed(ctx, wait, &want).into_iter();
-    let wire = landed.map(|wc| wc.map(|wc| Duration::from_nanos(wc.wire_ns)));
-    (at, wire.collect())
-}
-
-/// One peer's catch-up: its slot, pointed at the region its bytes go into,
-/// the body (bytes for a data offset) ahead of the header, and its action.
-pub(super) type Plan<'b> = (PeerSlot, Option<(usize, &'b [u8])>, Action);
-
-/// Catches peers up by their `plans` at once: every transfer posted at one
-/// instant and waited for once, then every landed full copy's `Commit`
-/// priced at one instant and waited for once. Records each peer's `span`
-/// and returns each slot with whether it caught up.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn catch_up(
-    ctx: &Ctx,
-    file: &str,
-    epoch: u64,
-    wait: &dyn WcWait,
-    phases: &Phases<'_>,
-    span: &'static str,
-    header: &RegionHeader,
-    plans: Vec<Plan<'_>>,
-) -> Vec<(PeerSlot, bool)> {
-    let transfers = plans.iter().map(|(slot, body, _)| (slot, *body));
-    let (at, landed) = ship_all(ctx, wait, header, transfers);
-    let copies = plans
-        .iter()
-        .zip(&landed)
-        .filter(|((.., how), wire)| *how == Action::FullCopy && wire.is_some());
-    let endpoints = copies.map(|((slot, ..), _)| &slot.endpoint);
+    let landed: Vec<_> = landed
+        .map(|wc| wc.map(|wc| Duration::from_nanos(wc.wire_ns)))
+        .collect();
+    let copies = (slots.iter().enumerate().zip(&landed))
+        .filter(|((i, _), wire)| how(*i) == Action::FullCopy && wire.is_some());
+    let endpoints = copies.map(|((_, slot), _)| &slot.endpoint);
     let commit = || {
         let (app, file) = (ctx.app_id.clone(), file.to_string());
         PeerReq::Commit { app, file, epoch }
     };
     let mut committed = call_all(ctx, endpoints, commit).into_iter();
-    let plans = plans.into_iter().zip(landed);
-    plans
-        .map(|((mut slot, _, how), wire)| {
-            phases.peer(span, slot.scope.name(), epoch, (at, wire), how);
-            slot.completed_seq = header.seq;
-            let ok = wire.is_some()
-                && (how != Action::FullCopy
-                    || matches!(committed.next(), Some(Some(PeerResp::Ok))));
-            (slot, ok)
+    (slots.iter_mut().enumerate().zip(landed))
+        .map(|((i, slot), wire)| {
+            if let Some(span) = target.peer_span {
+                phases.peer(span, slot.scope.name(), epoch, (at, wire), how(i));
+            }
+            slot.completed_seq = seq;
+            wire.is_some()
+                && (how(i) != Action::FullCopy
+                    || matches!(committed.next(), Some(Some(PeerResp::Ok))))
         })
         .collect()
 }
 
 /// Prepares the recovery catch-up of the responders, peers that still hold
-/// a (possibly lagging) region, under the new `epoch`, by each one's
-/// planned [`Action`]: every `Adopt` or `Prepare` priced at one instant, and
-/// one wait. An in-place catch-up (a deviation from the paper's switch,
+/// a (possibly lagging) region, to `target`, by each one's planned
+/// [`Action`]: every `Adopt` or `Prepare` priced at one instant, and one
+/// wait. Returns the slots, pointed at the regions their bytes go into,
+/// and their actions. An in-place catch-up (a deviation from the paper's switch,
 /// §4.5.1) is one `Adopt` — it fences any earlier writer as the switch's
 /// invalidate did — then the tail and the header into that region as one
 /// post; QP order lands the tail before the header, so a crash mid-way
 /// leaves the old prefix or the recovered header. A full copy stages a
-/// fresh region of `capacity` data bytes for the `Commit` that switches it
-/// in. A refused step takes the action's [`Action::refused`] successor,
-/// asked for once the refusal is back: a full copy, or dropping the peer.
-pub(super) fn prepare_existing<'b>(
+/// fresh region for the `Commit` that switches it in. A refused step takes
+/// the action's [`Action::refused`] successor, asked for once the refusal
+/// is back: a full copy, or dropping the peer.
+pub(super) fn prepare_existing(
     ctx: &Ctx,
-    file: &str,
-    epoch: u64,
-    capacity: usize,
+    target: &Target<'_>,
     responders: Responders,
-    header: &RegionHeader,
-    image: Option<&'b [u8]>,
-) -> Vec<Plan<'b>> {
-    let ids = || (ctx.app_id.clone(), file.to_string());
+) -> (Vec<PeerSlot>, Vec<Action>) {
+    let ids = || (ctx.app_id.clone(), target.file.to_string());
+    let (epoch, capacity) = (target.epoch, target.region_data);
     let now = sim::time::now();
     let mut ready = now;
-    let mut plans = Vec::with_capacity(responders.len());
+    let mut plans = (Vec::with_capacity(responders.len()), Vec::new());
     for (slot, peer) in responders {
         let mut at = now;
-        let mut action = Some(Action::for_responder(image.is_some(), header, &peer));
+        let ships_image = target.image.is_some();
+        let mut action = Some(Action::for_responder(ships_image, &target.header, &peer));
         while let Some(how) = action {
             let (app, file) = ids();
             let req = match how {
@@ -452,7 +509,8 @@ pub(super) fn prepare_existing<'b>(
                 // earlier.
                 Ok((PeerResp::Mr(mr, registered), back)) => {
                     ready = ready.max(back).max(registered);
-                    plans.push((PeerSlot { mr, ..slot }, how.body(image), how));
+                    plans.0.push(PeerSlot { mr, ..slot });
+                    plans.1.push(how);
                     break;
                 }
                 Ok((_, back)) => at = back,

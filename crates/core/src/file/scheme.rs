@@ -374,17 +374,16 @@ impl Scheme {
         matches!(self, Scheme::Replicated)
     }
 
-    /// The header every region of a brand-new file must carry before the
-    /// first crash can happen, if any. A zeroed replicated region already
-    /// reads as an empty file; an erasure-coded one must name the file
-    /// capacity.
-    pub fn initial_header(&self) -> Option<RegionHeader> {
+    /// The seq-0 header every region of a brand-new file is seeded with,
+    /// as recovery catches a fresh peer up to an empty image. An
+    /// erasure-coded one names the file capacity.
+    pub fn initial_header(&self) -> RegionHeader {
         match self {
-            Scheme::Replicated => None,
-            Scheme::Ec(ec) => Some(RegionHeader {
+            Scheme::Replicated => RegionHeader::default(),
+            Scheme::Ec(ec) => RegionHeader {
                 capacity: ec.capacity,
                 ..Default::default()
-            }),
+            },
         }
     }
 

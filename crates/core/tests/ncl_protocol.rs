@@ -1797,7 +1797,12 @@ fn app_and_peer_crashed() -> (Harness, NclLib, String) {
 /// Three peers, zero latencies: testapp's `wal` loses one with no spare to
 /// replace it, so its repair is deferred; then a spare `p3` joins.
 fn repair_deferred() -> (Harness, NclLib, Arc<NclFile>) {
-    let mut h = Harness::new(3);
+    repair_deferred_with(NclConfig::zero())
+}
+
+/// [`repair_deferred`] under `config`.
+fn repair_deferred_with(config: NclConfig) -> (Harness, NclLib, Arc<NclFile>) {
+    let mut h = Harness::with_config(3, config);
     let lib = h.app("a1");
     let file = lib.create("wal", 4096).unwrap();
     file.record(0, b"a").unwrap();
@@ -1841,6 +1846,64 @@ fn a_repair_whose_ap_map_update_fails_is_retried() {
     assert!(file.peer_names().contains(&"p3".to_string()));
     assert_eq!(ap_map(&h), (file.peer_names(), file.epoch()));
     file.record(2, b"c").unwrap();
+}
+
+/// `NclConfig::zero()`, but a write whose completion is lost is given up
+/// on after 100 ms.
+fn quick_write_timeout() -> NclConfig {
+    let mut config = NclConfig::zero();
+    config.write_timeout = Duration::from_millis(100);
+    config
+}
+
+/// A repair whose fresh peer's header write fails publishes nothing: the
+/// ap-map keeps its epoch and peers, the fresh region is freed, and the
+/// repair stays pending until one lands.
+#[test]
+fn a_repair_whose_fresh_header_fails_keeps_the_ap_map_and_frees_the_region() {
+    use sim::{FaultAction, FaultPlan, Trigger};
+    let (h, lib, file) = repair_deferred_with(quick_write_timeout());
+    let before = ap_map(&h);
+    // The catch-up is the spare's first traffic: its body, then its header,
+    // each loses its completion.
+    let lost = FaultAction::DropWr { peer: 3 };
+    arm(
+        &h,
+        &lib,
+        FaultPlan::new(0)
+            .push(Trigger::Step(1), lost)
+            .push(Trigger::Step(1), lost),
+    );
+    assert!(file.maintain().is_err(), "the fresh header never landed");
+    assert_eq!(ap_map(&h), before, "the ap-map did not move");
+    assert_eq!(h.peer_named("p3").region_count(), 0, "the fresh region");
+    assert!(file.repair_pending());
+    h.cluster.clear_faults();
+    assert!(file.maintain().unwrap());
+    assert!(file.peer_names().contains(&"p3".to_string()));
+    assert_eq!(ap_map(&h), (file.peer_names(), file.epoch()));
+    file.record(2, b"c").unwrap();
+}
+
+/// A create publishes only the peers its seed header reached: one that
+/// missed stays out of the ap-map and its region is freed, and the file
+/// opens on the ack quorum with a repair pending.
+#[test]
+fn a_create_publishes_only_the_peers_whose_seed_header_landed() {
+    use sim::{FaultAction, FaultPlan, Trigger};
+    let h = Harness::with_config(3, quick_write_timeout());
+    let lib = h.app("a1");
+    let lost = FaultAction::DropWr { peer: 2 };
+    arm(&h, &lib, FaultPlan::new(0).push(Trigger::Step(1), lost));
+    let file = lib.create("wal", 1024).unwrap();
+    let (peers, epoch) = ap_map(&h);
+    assert_eq!(peers.len(), 2, "{peers:?}");
+    assert!(!peers.contains(&"p2".to_string()), "{peers:?}");
+    assert_eq!(h.peer_named("p2").region_count(), 0, "the missed region");
+    assert_eq!((peers, epoch), (file.peer_names(), file.epoch()));
+    assert!(file.repair_pending());
+    file.record(0, b"acked by two").unwrap();
+    assert_eq!(file.contents(), b"acked by two");
 }
 
 /// A recovery whose ap-map update fails frees the replacement it

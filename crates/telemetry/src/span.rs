@@ -77,7 +77,7 @@ pub mod spans {
     pub const NCL_CREATE_GET_PEER: &str = "ncl.create.get_peer";
     /// Create child: one region allocation and connect.
     pub const NCL_CREATE_CONNECT_MR: &str = "ncl.create.connect_mr";
-    /// Create child (erasure coding): seeding every peer's initial header.
+    /// Create child: seeding every fresh peer's seq-0 header.
     pub const NCL_CREATE_SEED: &str = "ncl.create.seed";
     /// Create child: publishing the ap-map entry.
     pub const NCL_CREATE_AP_MAP: &str = "ncl.create.ap_map";
