@@ -144,23 +144,10 @@ pub fn decode_record(
     buf: &[u8],
     offset: usize,
 ) -> Result<Option<(u64, Vec<Entry>, usize)>, AppError> {
-    if offset + 8 > buf.len() {
+    // The envelope is a frame's; its body is `seq | count | entries`.
+    let Some((body, next)) = decode_frame(buf, offset)? else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[offset..offset + 4].try_into().expect("4")) as usize;
-    if len == 0 {
-        return Ok(None);
-    }
-    let crc = u32::from_le_bytes(buf[offset + 4..offset + 8].try_into().expect("4"));
-    let body_start = offset + 8;
-    if body_start + len > buf.len() {
-        // Torn record: header landed, body did not.
-        return Err(AppError::Corrupt("record body truncated".into()));
-    }
-    let body = &buf[body_start..body_start + len];
-    if crc32c(body) != crc {
-        return Err(AppError::Corrupt("record crc mismatch".into()));
-    }
+    };
     if body.len() < 12 {
         return Err(AppError::Corrupt("record body too short".into()));
     }
@@ -201,7 +188,7 @@ pub fn decode_record(
             t => return Err(AppError::Corrupt(format!("unknown entry tag {t}"))),
         }
     }
-    Ok(Some((seq, entries, body_start + len)))
+    Ok(Some((seq, entries, next)))
 }
 
 /// Replays every intact record in `buf`, stopping cleanly at the first torn

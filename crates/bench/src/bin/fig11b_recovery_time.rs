@@ -31,19 +31,53 @@
 //! [`RecoveryStats::catch_up`]: ncl::file::RecoveryStats::catch_up
 //! [`RecoveryStats::update_ap_map`]: ncl::file::RecoveryStats::update_ap_map
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use apps::miniredis::{Command, MiniRedis, RedisOptions};
+use apps::miniredis::{MiniRedis, RedisOptions};
 use apps::minirocks::{MiniRocks, RocksOptions};
 use apps::minisql::{MiniSql, SqlOptions};
+use apps::KvApp;
 use bench::{
     calibrated_testbed, f1, header, quick, row, AppKind, BenchJson, RecoveryPhases, NCL_STAGES,
 };
 use splitfs::{Mode, SplitFs, Testbed};
 use telemetry::spans;
 
+/// Opens `app` on `fs` with options sized so a log of `target_bytes`
+/// triggers no flush or checkpoint: the same store to build and recover.
+fn open(app: AppKind, fs: SplitFs, target_bytes: usize) -> Arc<dyn KvApp> {
+    match app {
+        AppKind::Rocks => {
+            let opts = RocksOptions {
+                memtable_bytes: 1 << 30,
+                wal_capacity: target_bytes * 3,
+                ..RocksOptions::default()
+            };
+            Arc::new(MiniRocks::open(fs, "app/", opts).unwrap())
+        }
+        AppKind::Redis => {
+            let opts = RedisOptions {
+                aof_capacity: target_bytes * 3,
+                rewrite_threshold: 1 << 30,
+                ..RedisOptions::default()
+            };
+            Arc::new(MiniRedis::open(fs, "app/", opts).unwrap())
+        }
+        AppKind::Sql => {
+            let opts = SqlOptions {
+                npages: 512,
+                wal_capacity: target_bytes * 3,
+                checkpoint_threshold: 1 << 30,
+                ..SqlOptions::default()
+            };
+            Arc::new(MiniSql::open(fs, "app/", opts).unwrap())
+        }
+    }
+}
+
 /// Writes roughly `target_bytes` of per-key payload into the app's log
-/// without triggering flush/checkpoint (options sized generously).
+/// without triggering flush/checkpoint.
 fn build_log(app: AppKind, fs: SplitFs, target_bytes: usize) {
     let value = vec![0x77u8; 100];
     // MiniSql logs full page images per transaction, so fewer keys produce
@@ -52,75 +86,16 @@ fn build_log(app: AppKind, fs: SplitFs, target_bytes: usize) {
         AppKind::Sql => target_bytes / 4200,
         _ => target_bytes / 150,
     };
-    match app {
-        AppKind::Rocks => {
-            let opts = RocksOptions {
-                memtable_bytes: 1 << 30,
-                wal_capacity: target_bytes * 3,
-                ..RocksOptions::default()
-            };
-            let db = MiniRocks::open(fs, "app/", opts).unwrap();
-            for i in 0..keys {
-                db.put(format!("key{i:08}").as_bytes(), &value).unwrap();
-            }
-        }
-        AppKind::Redis => {
-            let opts = RedisOptions {
-                aof_capacity: target_bytes * 3,
-                rewrite_threshold: 1 << 30,
-                ..RedisOptions::default()
-            };
-            let r = MiniRedis::open(fs, "app/", opts).unwrap();
-            for i in 0..keys {
-                r.execute(Command::Set(format!("key{i:08}"), value.clone()))
-                    .unwrap();
-            }
-        }
-        AppKind::Sql => {
-            let opts = SqlOptions {
-                npages: 512,
-                wal_capacity: target_bytes * 3,
-                checkpoint_threshold: 1 << 30,
-                ..SqlOptions::default()
-            };
-            let db = MiniSql::open(fs, "app/", opts).unwrap();
-            for i in 0..keys {
-                db.put(format!("key{i:08}").as_bytes(), &value).unwrap();
-            }
-        }
+    let db = open(app, fs, target_bytes);
+    for i in 0..keys {
+        db.insert(&format!("key{i:08}"), &value).unwrap();
     }
 }
 
-/// Reopens the application, timing the recovery.
+/// Reopens the application, timing the recovery: the open and the drop.
 fn recover(app: AppKind, fs: SplitFs, target_bytes: usize) -> Duration {
     let sw = Instant::now();
-    match app {
-        AppKind::Rocks => {
-            let opts = RocksOptions {
-                memtable_bytes: 1 << 30,
-                wal_capacity: target_bytes * 3,
-                ..RocksOptions::default()
-            };
-            let _db = MiniRocks::open(fs, "app/", opts).unwrap();
-        }
-        AppKind::Redis => {
-            let opts = RedisOptions {
-                aof_capacity: target_bytes * 3,
-                rewrite_threshold: 1 << 30,
-                ..RedisOptions::default()
-            };
-            let _r = MiniRedis::open(fs, "app/", opts).unwrap();
-        }
-        AppKind::Sql => {
-            let opts = SqlOptions {
-                npages: 512,
-                wal_capacity: target_bytes * 3,
-                checkpoint_threshold: 1 << 30,
-                ..SqlOptions::default()
-            };
-            let _db = MiniSql::open(fs, "app/", opts).unwrap();
-        }
-    }
+    drop(open(app, fs, target_bytes));
     sw.elapsed()
 }
 

@@ -15,10 +15,13 @@
 //!   GC (§4.5.1) remains monotonic;
 //! * instance locks are "ephemeral": the lock is considered released when
 //!   the holding node is crashed, mirroring ZooKeeper session expiry.
+//!
+//! A call is a method of [`ControllerState`] run through `sim::rpc`:
+//! `client.call(from, |c, _| c.get_app_epoch(app, file))`.
 
 use std::collections::HashMap;
 
-use sim::{Cluster, NodeId, RpcClient, RpcServer, SimError};
+use sim::{Cluster, NodeId, RpcClient, RpcServer};
 use telemetry::{spans, Telemetry};
 
 use crate::NclError;
@@ -50,577 +53,225 @@ pub struct ApEntry {
     pub epoch: u64,
 }
 
-/// Controller requests.
-#[derive(Debug, Clone)]
-pub enum CtrlReq {
-    /// A peer announces itself (or re-announces after a restart).
-    RegisterPeer {
-        /// Peer name.
-        name: String,
-        /// Peer node.
-        node: NodeId,
-        /// Lendable memory in bytes.
-        avail: u64,
-    },
-    /// A peer updates its advertised memory gauges.
-    UpdateAvail {
-        /// Peer name.
-        name: String,
-        /// New absolute availability.
-        avail: u64,
-        /// Live regions held (the peer's load figure).
-        regions: u64,
-    },
-    /// Ask for up to `count` peers with at least `need` available bytes,
-    /// excluding the given names. Candidates are ranked by the placement
-    /// policy: fewest regions already assigned to `app` (anti-affinity),
-    /// then fewest regions overall (least-loaded), then most available
-    /// memory, names breaking ties.
-    GetPeers {
-        /// Application asking — drives the anti-affinity term.
-        app: String,
-        /// Minimum available memory.
-        need: u64,
-        /// How many peers to return.
-        count: usize,
-        /// Peer names to skip (already assigned or known bad).
-        exclude: Vec<String>,
-    },
-    /// A peer reports that it revoked a region under memory pressure
-    /// (§4.5.2) — recorded so operators can see revocation storms in the
-    /// control-plane trace and placement can observe pressured peers.
-    ReportRevocation {
-        /// The revoking peer.
-        peer: String,
-        /// Owning application.
-        app: String,
-        /// File whose region was revoked.
-        file: String,
-        /// Epoch the region was held at.
-        epoch: u64,
-    },
-    /// Is the application's instance lock held by a live node? The peers'
-    /// lease GC asks this before reclaiming an expired-lease region.
-    AppLive {
-        /// Application identifier.
-        app: String,
-    },
-    /// Write an ap-map entry; succeeds only if `epoch` exceeds both the
-    /// stored entry's epoch and the high-water mark.
-    SetApEntry {
-        /// Application identifier.
-        app: String,
-        /// File name.
-        file: String,
-        /// Assigned peers.
-        peers: Vec<String>,
-        /// New epoch.
-        epoch: u64,
-    },
-    /// Read an ap-map entry.
-    GetApEntry {
-        /// Application identifier.
-        app: String,
-        /// File name.
-        file: String,
-    },
-    /// Remove an ap-map entry (file deleted); the epoch high-water mark is
-    /// retained.
-    DeleteApEntry {
-        /// Application identifier.
-        app: String,
-        /// File name.
-        file: String,
-    },
-    /// List files that have ap-map entries for `app` (used at recovery).
-    ListAppFiles {
-        /// Application identifier.
-        app: String,
-    },
-    /// The epoch high-water mark for `(app, file)` — what the peers' GC
-    /// compares against.
-    GetAppEpoch {
-        /// Application identifier.
-        app: String,
-        /// File name.
-        file: String,
-    },
-    /// Acquire the single-instance lock for `app` from `node`.
-    AcquireInstance {
-        /// Application identifier.
-        app: String,
-        /// Node attempting to become the instance.
-        node: NodeId,
-    },
-    /// Release the instance lock (normal shutdown).
-    ReleaseInstance {
-        /// Application identifier.
-        app: String,
-        /// Node releasing.
-        node: NodeId,
-    },
-}
-
-/// Controller responses.
-#[derive(Debug, Clone)]
-pub enum CtrlResp {
-    /// Success without payload.
-    Ok,
-    /// Matching peers for `GetPeers`.
-    Peers(Vec<PeerInfo>),
-    /// Entry (or `None`) for `GetApEntry`.
-    Entry(Option<ApEntry>),
-    /// File names for `ListAppFiles`.
-    Files(Vec<String>),
-    /// Epoch for `GetAppEpoch`.
-    Epoch(u64),
-    /// Liveness verdict for `AppLive`.
-    Live(bool),
-    /// Request refused (stale epoch, lock held, unknown peer, ...).
-    Rejected(String),
-}
-
-struct CtrlState {
+/// The controller's state; every call is one of its methods.
+pub struct ControllerState {
+    /// Where instance-lock holders' liveness is read (their "sessions").
+    cluster: Cluster,
     peers: HashMap<String, PeerInfo>,
-    entries: HashMap<(String, String), ApEntry>,
+    entries: HashMap<Key, ApEntry>,
     /// Epoch high-water marks, surviving entry deletion.
-    epochs: HashMap<(String, String), u64>,
+    epochs: HashMap<Key, u64>,
     locks: HashMap<String, NodeId>,
     /// Where ap-map deletions and revocation reports are recorded as facts
     /// (an update is its caller's `*.ap_map` span).
     telemetry: Telemetry,
 }
 
+/// A file's `(app, file)`.
+type Key = (String, String);
+
+fn key(app: &str, file: &str) -> Key {
+    (app.to_string(), file.to_string())
+}
+
+/// A client of the controller: `call` runs a [`ControllerState`] method.
+pub type ControllerClient = RpcClient<ControllerState>;
+
 /// Handle to a running controller service.
 pub struct Controller {
-    server: RpcServer<CtrlReq, CtrlResp>,
-    node: NodeId,
+    server: RpcServer<ControllerState>,
 }
 
 impl Controller {
-    /// Starts the controller on a dedicated node of `cluster`.
+    /// Starts the controller on a dedicated node of `cluster`, recording
+    /// its facts into `telemetry` (the deployment's shared handle, so they
+    /// land in the same span trace as the application's file and peer
+    /// spans; [`Telemetry::disabled`] records nothing).
     ///
     /// The node is registered by this call; the simulation does not crash it
     /// (the paper assumes a fault-tolerant ZooKeeper ensemble).
-    pub fn start(cluster: &Cluster) -> Self {
-        Self::start_with_telemetry(cluster, Telemetry::disabled())
-    }
-
-    /// Starts the controller with an explicit telemetry handle, so its
-    /// facts land in the same span trace as the application's file and peer
-    /// spans (pass the deployment's shared handle).
-    pub fn start_with_telemetry(cluster: &Cluster, telemetry: Telemetry) -> Self {
+    pub fn start(cluster: &Cluster, telemetry: Telemetry) -> Self {
         let node = cluster.add_node("ncl-controller");
-        let cluster2 = cluster.clone();
-        let mut st = CtrlState {
+        let state = ControllerState {
+            cluster: cluster.clone(),
             peers: HashMap::new(),
             entries: HashMap::new(),
             epochs: HashMap::new(),
             locks: HashMap::new(),
             telemetry,
         };
-        let server = RpcServer::new(cluster.clone(), node, move |req| {
-            handle(&cluster2, &mut st, req)
-        });
-        Controller { server, node }
+        let server = RpcServer::new(cluster.clone(), node, state);
+        Controller { server }
     }
 
     /// The controller's node id.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.server.node()
     }
 
-    /// Creates a typed client charging `latency` per direction.
+    /// Creates a client charging `latency` per direction.
     pub fn client(&self, latency: sim::LatencyModel) -> ControllerClient {
-        ControllerClient {
-            rpc: self.server.client(latency),
-        }
+        self.server.client(latency)
     }
 }
 
-fn handle(cluster: &Cluster, st: &mut CtrlState, req: CtrlReq) -> CtrlResp {
-    match req {
-        CtrlReq::RegisterPeer { name, node, avail } => {
-            st.peers.insert(
-                name.clone(),
-                PeerInfo {
-                    name,
-                    node,
-                    avail,
-                    regions: 0,
-                    revocations: 0,
-                },
-            );
-            CtrlResp::Ok
-        }
-        CtrlReq::UpdateAvail {
-            name,
+impl ControllerState {
+    /// A peer announces itself (or re-announces after a restart).
+    pub fn register_peer(&mut self, name: &str, node: NodeId, avail: u64) {
+        let info = PeerInfo {
+            name: name.to_string(),
+            node,
             avail,
-            regions,
-        } => match st.peers.get_mut(&name) {
-            Some(p) => {
-                p.avail = avail;
-                p.regions = regions;
-                CtrlResp::Ok
-            }
-            None => CtrlResp::Rejected(format!("unknown peer {name}")),
-        },
-        CtrlReq::GetPeers {
-            app,
-            need,
-            count,
-            exclude,
-        } => {
-            // Anti-affinity term: how many of this app's files already sit
-            // on each candidate, straight off the ap-map.
-            let mut app_load: HashMap<&str, u64> = HashMap::new();
-            for ((a, _), entry) in &st.entries {
-                if *a == app {
-                    for p in &entry.peers {
-                        *app_load.entry(p.as_str()).or_default() += 1;
-                    }
-                }
-            }
-            let mut matching: Vec<PeerInfo> = st
-                .peers
-                .values()
-                .filter(|p| p.avail >= need && !exclude.contains(&p.name))
-                .cloned()
-                .collect();
-            // Placement policy: spread the asking app across peers first,
-            // then spread overall load, then prefer spare memory (ties
-            // broken by name for determinism).
-            matching.sort_by(|a, b| {
-                let aff_a = app_load.get(a.name.as_str()).copied().unwrap_or(0);
-                let aff_b = app_load.get(b.name.as_str()).copied().unwrap_or(0);
-                aff_a
-                    .cmp(&aff_b)
-                    .then(a.regions.cmp(&b.regions))
-                    .then(b.avail.cmp(&a.avail))
-                    .then(a.name.cmp(&b.name))
-            });
-            matching.truncate(count);
-            CtrlResp::Peers(matching)
-        }
-        CtrlReq::ReportRevocation {
-            peer,
-            app,
-            file,
-            epoch,
-        } => {
-            st.telemetry.fact(
-                spans::REGION_REVOKE,
-                &format!("{app}/{file}"),
-                epoch,
-                format!("revoked by {peer} under memory pressure"),
-            );
-            if let Some(p) = st.peers.get_mut(&peer) {
-                p.revocations += 1;
-            }
-            CtrlResp::Ok
-        }
-        CtrlReq::AppLive { app } => {
-            let live = st
-                .locks
-                .get(&app)
-                .map(|&holder| cluster.is_alive(holder))
-                .unwrap_or(false);
-            CtrlResp::Live(live)
-        }
-        CtrlReq::SetApEntry {
-            app,
-            file,
-            peers,
-            epoch,
-        } => {
-            let key = (app, file);
-            let hw = st.epochs.get(&key).copied().unwrap_or(0);
-            if epoch <= hw {
-                return CtrlResp::Rejected(format!("stale epoch {epoch} (high-water {hw})"));
-            }
-            st.epochs.insert(key.clone(), epoch);
-            st.entries.insert(key, ApEntry { peers, epoch });
-            CtrlResp::Ok
-        }
-        CtrlReq::GetApEntry { app, file } => CtrlResp::Entry(st.entries.get(&(app, file)).cloned()),
-        CtrlReq::DeleteApEntry { app, file } => {
-            if let Some(old) = st.entries.remove(&(app.clone(), file.clone())) {
-                st.telemetry.fact(
-                    spans::AP_MAP_DELETE,
-                    &format!("{app}/{file}"),
-                    old.epoch,
-                    "entry removed (epoch high-water retained)",
-                );
-            }
-            CtrlResp::Ok
-        }
-        CtrlReq::ListAppFiles { app } => {
-            let mut files: Vec<String> = st
-                .entries
-                .keys()
-                .filter(|(a, _)| *a == app)
-                .map(|(_, f)| f.clone())
-                .collect();
-            files.sort();
-            CtrlResp::Files(files)
-        }
-        CtrlReq::GetAppEpoch { app, file } => {
-            CtrlResp::Epoch(st.epochs.get(&(app, file)).copied().unwrap_or(0))
-        }
-        CtrlReq::AcquireInstance { app, node } => {
-            match st.locks.get(&app) {
-                Some(&holder) if holder != node && cluster.is_alive(holder) => {
-                    CtrlResp::Rejected(format!("instance lock held by {holder}"))
-                }
-                _ => {
-                    // Free, re-acquired by the same node, or the holder's
-                    // "session" expired with its crash.
-                    st.locks.insert(app, node);
-                    CtrlResp::Ok
-                }
-            }
-        }
-        CtrlReq::ReleaseInstance { app, node } => {
-            if st.locks.get(&app) == Some(&node) {
-                st.locks.remove(&app);
-            }
-            CtrlResp::Ok
-        }
-    }
-}
-
-/// Typed client wrapper over the controller RPC.
-#[derive(Clone)]
-pub struct ControllerClient {
-    rpc: RpcClient<CtrlReq, CtrlResp>,
-}
-
-impl ControllerClient {
-    fn call(&self, from: NodeId, req: CtrlReq) -> Result<CtrlResp, NclError> {
-        self.rpc
-            .call(from, req)
-            .map_err(|e: SimError| NclError::Unavailable(e.to_string()))
+            regions: 0,
+            revocations: 0,
+        };
+        self.peers.insert(name.to_string(), info);
     }
 
-    /// Registers (or re-registers) a peer.
-    pub fn register_peer(
-        &self,
-        from: NodeId,
-        name: &str,
-        node: NodeId,
-        avail: u64,
-    ) -> Result<(), NclError> {
-        match self.call(
-            from,
-            CtrlReq::RegisterPeer {
-                name: name.to_string(),
-                node,
-                avail,
-            },
-        )? {
-            CtrlResp::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+    /// A peer updates its advertised memory gauges: availability and live
+    /// regions held (its load figure).
+    pub fn update_avail(&mut self, name: &str, avail: u64, regions: u64) -> Result<(), NclError> {
+        let p = (self.peers.get_mut(name))
+            .ok_or_else(|| NclError::Rejected(format!("unknown peer {name}")))?;
+        (p.avail, p.regions) = (avail, regions);
+        Ok(())
     }
 
-    /// Updates a peer's advertised memory gauges (availability and live
-    /// region count).
-    pub fn update_avail(
-        &self,
-        from: NodeId,
-        name: &str,
-        avail: u64,
-        regions: u64,
-    ) -> Result<(), NclError> {
-        match self.call(
-            from,
-            CtrlReq::UpdateAvail {
-                name: name.to_string(),
-                avail,
-                regions,
-            },
-        )? {
-            CtrlResp::Ok => Ok(()),
-            CtrlResp::Rejected(m) => Err(NclError::Rejected(m)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Asks for candidate peers for a file of `app` (placement-ranked).
+    /// Up to `count` peers with at least `need` available bytes, not in
+    /// `exclude`, ranked by the placement policy: fewest regions already
+    /// assigned to `app` (anti-affinity), then fewest regions overall
+    /// (least-loaded), then most available memory, names breaking ties.
     pub fn get_peers(
         &self,
-        from: NodeId,
         app: &str,
         need: u64,
         count: usize,
         exclude: &[String],
-    ) -> Result<Vec<PeerInfo>, NclError> {
-        match self.call(
-            from,
-            CtrlReq::GetPeers {
-                app: app.to_string(),
-                need,
-                count,
-                exclude: exclude.to_vec(),
-            },
-        )? {
-            CtrlResp::Peers(p) => Ok(p),
-            other => Err(unexpected(other)),
+    ) -> Vec<PeerInfo> {
+        // Anti-affinity term: how many of this app's files already sit on
+        // each candidate, straight off the ap-map.
+        let mut app_load: HashMap<&str, u64> = HashMap::new();
+        for ((a, _), entry) in &self.entries {
+            if a == app {
+                for p in &entry.peers {
+                    *app_load.entry(p.as_str()).or_default() += 1;
+                }
+            }
+        }
+        let mut matching: Vec<PeerInfo> = (self.peers.values())
+            .filter(|p| p.avail >= need && !exclude.contains(&p.name))
+            .cloned()
+            .collect();
+        let affinity = |p: &PeerInfo| app_load.get(p.name.as_str()).copied().unwrap_or(0);
+        matching.sort_by(|a, b| {
+            (affinity(a).cmp(&affinity(b)))
+                .then(a.regions.cmp(&b.regions))
+                .then(b.avail.cmp(&a.avail))
+                .then(a.name.cmp(&b.name))
+        });
+        matching.truncate(count);
+        matching
+    }
+
+    /// A peer reports that it revoked `app`'s region for `file`, held at
+    /// `epoch`, under memory pressure (§4.5.2) — recorded so operators can
+    /// see revocation storms in the control-plane trace and placement can
+    /// observe pressured peers.
+    pub fn report_revocation(&mut self, peer: &str, app: &str, file: &str, epoch: u64) {
+        self.telemetry.fact(
+            spans::REGION_REVOKE,
+            &format!("{app}/{file}"),
+            epoch,
+            format!("revoked by {peer} under memory pressure"),
+        );
+        if let Some(p) = self.peers.get_mut(peer) {
+            p.revocations += 1;
         }
     }
 
-    /// Reports a voluntary region revocation (peer → controller).
-    pub fn report_revocation(
-        &self,
-        from: NodeId,
-        peer: &str,
-        app: &str,
-        file: &str,
-        epoch: u64,
-    ) -> Result<(), NclError> {
-        match self.call(
-            from,
-            CtrlReq::ReportRevocation {
-                peer: peer.to_string(),
-                app: app.to_string(),
-                file: file.to_string(),
-                epoch,
-            },
-        )? {
-            CtrlResp::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+    /// Whether `app`'s instance lock is held by a live node. The peers'
+    /// lease GC asks this before reclaiming an expired-lease region.
+    pub fn app_live(&self, app: &str) -> bool {
+        (self.locks.get(app)).is_some_and(|&holder| self.cluster.is_alive(holder))
     }
 
-    /// Whether `app`'s instance lock is held by a live node.
-    pub fn app_live(&self, from: NodeId, app: &str) -> Result<bool, NclError> {
-        match self.call(
-            from,
-            CtrlReq::AppLive {
-                app: app.to_string(),
-            },
-        )? {
-            CtrlResp::Live(l) => Ok(l),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Writes an ap-map entry (conditional on a fresh epoch).
+    /// Writes an ap-map entry; succeeds only if `epoch` exceeds both the
+    /// stored entry's epoch and the high-water mark.
     pub fn set_ap_entry(
-        &self,
-        from: NodeId,
+        &mut self,
         app: &str,
         file: &str,
         peers: Vec<String>,
         epoch: u64,
     ) -> Result<(), NclError> {
-        match self.call(
-            from,
-            CtrlReq::SetApEntry {
-                app: app.to_string(),
-                file: file.to_string(),
-                peers,
-                epoch,
-            },
-        )? {
-            CtrlResp::Ok => Ok(()),
-            CtrlResp::Rejected(m) => Err(NclError::Rejected(m)),
-            other => Err(unexpected(other)),
+        let key = key(app, file);
+        let hw = self.epochs.get(&key).copied().unwrap_or(0);
+        if epoch <= hw {
+            let why = format!("stale epoch {epoch} (high-water {hw})");
+            return Err(NclError::Rejected(why));
         }
+        self.epochs.insert(key.clone(), epoch);
+        self.entries.insert(key, ApEntry { peers, epoch });
+        Ok(())
     }
 
     /// Reads an ap-map entry.
-    pub fn get_ap_entry(
-        &self,
-        from: NodeId,
-        app: &str,
-        file: &str,
-    ) -> Result<Option<ApEntry>, NclError> {
-        match self.call(
-            from,
-            CtrlReq::GetApEntry {
-                app: app.to_string(),
-                file: file.to_string(),
-            },
-        )? {
-            CtrlResp::Entry(e) => Ok(e),
-            other => Err(unexpected(other)),
+    pub fn get_ap_entry(&self, app: &str, file: &str) -> Option<ApEntry> {
+        self.entries.get(&key(app, file)).cloned()
+    }
+
+    /// Removes an ap-map entry (file deleted); the epoch high-water mark is
+    /// retained.
+    pub fn delete_ap_entry(&mut self, app: &str, file: &str) {
+        if let Some(old) = self.entries.remove(&key(app, file)) {
+            self.telemetry.fact(
+                spans::AP_MAP_DELETE,
+                &format!("{app}/{file}"),
+                old.epoch,
+                "entry removed (epoch high-water retained)",
+            );
         }
     }
 
-    /// Removes an ap-map entry.
-    pub fn delete_ap_entry(&self, from: NodeId, app: &str, file: &str) -> Result<(), NclError> {
-        match self.call(
-            from,
-            CtrlReq::DeleteApEntry {
-                app: app.to_string(),
-                file: file.to_string(),
-            },
-        )? {
-            CtrlResp::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+    /// The files that have ap-map entries for `app`, sorted (used at
+    /// recovery).
+    pub fn list_app_files(&self, app: &str) -> Vec<String> {
+        let mut files: Vec<String> = (self.entries.keys())
+            .filter(|(a, _)| a == app)
+            .map(|(_, f)| f.clone())
+            .collect();
+        files.sort();
+        files
     }
 
-    /// Lists the ncl files recorded for an application.
-    pub fn list_app_files(&self, from: NodeId, app: &str) -> Result<Vec<String>, NclError> {
-        match self.call(
-            from,
-            CtrlReq::ListAppFiles {
-                app: app.to_string(),
-            },
-        )? {
-            CtrlResp::Files(f) => Ok(f),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Reads the epoch high-water mark for `(app, file)`.
-    pub fn get_app_epoch(&self, from: NodeId, app: &str, file: &str) -> Result<u64, NclError> {
-        match self.call(
-            from,
-            CtrlReq::GetAppEpoch {
-                app: app.to_string(),
-                file: file.to_string(),
-            },
-        )? {
-            CtrlResp::Epoch(e) => Ok(e),
-            other => Err(unexpected(other)),
-        }
+    /// The epoch high-water mark for `(app, file)` — what the peers' GC
+    /// compares against.
+    pub fn get_app_epoch(&self, app: &str, file: &str) -> u64 {
+        self.epochs.get(&key(app, file)).copied().unwrap_or(0)
     }
 
     /// Acquires the single-instance lock for `app` on behalf of `node`.
-    pub fn acquire_instance(&self, from: NodeId, app: &str, node: NodeId) -> Result<(), NclError> {
-        match self.call(
-            from,
-            CtrlReq::AcquireInstance {
-                app: app.to_string(),
-                node,
-            },
-        )? {
-            CtrlResp::Ok => Ok(()),
-            CtrlResp::Rejected(m) => Err(NclError::InstanceConflict(m)),
-            other => Err(unexpected(other)),
+    pub fn acquire_instance(&mut self, app: &str, node: NodeId) -> Result<(), NclError> {
+        match self.locks.get(app) {
+            Some(&holder) if holder != node && self.cluster.is_alive(holder) => Err(
+                NclError::InstanceConflict(format!("instance lock held by {holder}")),
+            ),
+            _ => {
+                // Free, re-acquired by the same node, or the holder's
+                // "session" expired with its crash.
+                self.locks.insert(app.to_string(), node);
+                Ok(())
+            }
         }
     }
 
-    /// Releases the single-instance lock.
-    pub fn release_instance(&self, from: NodeId, app: &str, node: NodeId) -> Result<(), NclError> {
-        match self.call(
-            from,
-            CtrlReq::ReleaseInstance {
-                app: app.to_string(),
-                node,
-            },
-        )? {
-            CtrlResp::Ok => Ok(()),
-            other => Err(unexpected(other)),
+    /// Releases the instance lock (normal shutdown); a non-holder's
+    /// release is a no-op.
+    pub fn release_instance(&mut self, app: &str, node: NodeId) {
+        if self.locks.get(app) == Some(&node) {
+            self.locks.remove(app);
         }
     }
-}
-
-fn unexpected(resp: CtrlResp) -> NclError {
-    NclError::Unavailable(format!("unexpected controller reply {resp:?}"))
 }
 
 #[cfg(test)]
@@ -628,190 +279,200 @@ mod tests {
     use super::*;
     use sim::LatencyModel;
 
-    fn setup() -> (Cluster, Controller, ControllerClient, NodeId) {
+    /// A controller and a caller on `me` that runs one method over RPC.
+    struct Fixture {
+        cluster: Cluster,
+        _ctrl: Controller,
+        cli: ControllerClient,
+        me: NodeId,
+    }
+
+    impl Fixture {
+        fn on<T>(&self, op: impl FnOnce(&mut ControllerState) -> T) -> T {
+            self.cli.call(self.me, |c, _| op(c)).unwrap()
+        }
+    }
+
+    fn setup() -> Fixture {
         let cluster = Cluster::new();
-        let ctrl = Controller::start(&cluster);
+        let ctrl = Controller::start(&cluster, Telemetry::disabled());
         let cli = ctrl.client(LatencyModel::ZERO);
-        let app_node = cluster.add_node("app");
-        (cluster, ctrl, cli, app_node)
+        let me = cluster.add_node("app");
+        Fixture {
+            cluster,
+            _ctrl: ctrl,
+            cli,
+            me,
+        }
     }
 
     #[test]
     fn peer_registration_and_selection_by_avail() {
-        let (cluster, _ctrl, cli, me) = setup();
+        let fx = setup();
         for (name, mem) in [("p1", 1 << 30), ("p2", 2 << 30), ("p3", 512 << 20)] {
-            let node = cluster.add_node(name);
-            cli.register_peer(me, name, node, mem).unwrap();
+            let node = fx.cluster.add_node(name);
+            fx.on(|c| c.register_peer(name, node, mem));
         }
-        let peers = cli.get_peers(me, "a", 1 << 30, 3, &[]).unwrap();
+        let peers = fx.on(|c| c.get_peers("a", 1 << 30, 3, &[]));
         assert_eq!(peers.len(), 2, "p3 lacks memory");
         assert_eq!(peers[0].name, "p2", "equal load: largest first");
-        let peers = cli.get_peers(me, "a", 0, 10, &["p2".into()]).unwrap();
+        let peers = fx.on(|c| c.get_peers("a", 0, 10, &["p2".into()]));
         assert_eq!(peers.len(), 2);
         assert!(peers.iter().all(|p| p.name != "p2"));
     }
 
     #[test]
     fn update_avail_reflected_in_selection() {
-        let (cluster, _ctrl, cli, me) = setup();
-        let node = cluster.add_node("p1");
-        cli.register_peer(me, "p1", node, 100).unwrap();
-        cli.update_avail(me, "p1", 10, 1).unwrap();
-        assert!(cli.get_peers(me, "a", 50, 1, &[]).unwrap().is_empty());
-        let found = cli.get_peers(me, "a", 10, 1, &[]).unwrap();
+        let fx = setup();
+        let node = fx.cluster.add_node("p1");
+        fx.on(|c| c.register_peer("p1", node, 100));
+        fx.on(|c| c.update_avail("p1", 10, 1)).unwrap();
+        assert!(fx.on(|c| c.get_peers("a", 50, 1, &[])).is_empty());
+        let found = fx.on(|c| c.get_peers("a", 10, 1, &[]));
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].regions, 1, "region gauge round-trips");
     }
 
     #[test]
     fn update_avail_unknown_peer_rejected() {
-        let (_cluster, _ctrl, cli, me) = setup();
+        let fx = setup();
         assert!(matches!(
-            cli.update_avail(me, "ghost", 1, 0),
+            fx.on(|c| c.update_avail("ghost", 1, 0)),
             Err(NclError::Rejected(_))
         ));
     }
 
     #[test]
     fn placement_prefers_least_loaded_peer() {
-        let (cluster, _ctrl, cli, me) = setup();
+        let fx = setup();
         // p-big has more spare memory but carries more regions; placement
         // must pick the lighter peer first.
         for (name, mem, regions) in [("p-big", 4 << 30, 40), ("p-light", 1 << 30, 2)] {
-            let node = cluster.add_node(name);
-            cli.register_peer(me, name, node, mem).unwrap();
-            cli.update_avail(me, name, mem, regions).unwrap();
+            let node = fx.cluster.add_node(name);
+            fx.on(|c| c.register_peer(name, node, mem));
+            fx.on(|c| c.update_avail(name, mem, regions)).unwrap();
         }
-        let peers = cli.get_peers(me, "a", 0, 2, &[]).unwrap();
+        let peers = fx.on(|c| c.get_peers("a", 0, 2, &[]));
         assert_eq!(peers[0].name, "p-light", "least-loaded first");
         assert_eq!(peers[1].name, "p-big");
     }
 
     #[test]
     fn placement_anti_affinity_spreads_an_apps_files() {
-        let (cluster, _ctrl, cli, me) = setup();
+        let fx = setup();
         for name in ["p1", "p2", "p3"] {
-            let node = cluster.add_node(name);
-            cli.register_peer(me, name, node, 1 << 30).unwrap();
+            let node = fx.cluster.add_node(name);
+            fx.on(|c| c.register_peer(name, node, 1 << 30));
         }
         // App "a" already has two files on p1 (and one each on p2/p3):
         // its next file must not land on p1 first, even though every peer
         // reports identical avail and regions.
-        cli.set_ap_entry(me, "a", "wal1", vec!["p1".into(), "p2".into()], 1)
+        fx.on(|c| c.set_ap_entry("a", "wal1", vec!["p1".into(), "p2".into()], 1))
             .unwrap();
-        cli.set_ap_entry(me, "a", "wal2", vec!["p1".into(), "p3".into()], 1)
+        fx.on(|c| c.set_ap_entry("a", "wal2", vec!["p1".into(), "p3".into()], 1))
             .unwrap();
-        let peers = cli.get_peers(me, "a", 0, 3, &[]).unwrap();
+        let peers = fx.on(|c| c.get_peers("a", 0, 3, &[]));
         assert_eq!(peers[2].name, "p1", "app-loaded peer ranked last");
         // A different app sees no affinity penalty: pure name tie-break.
-        let peers = cli.get_peers(me, "b", 0, 3, &[]).unwrap();
+        let peers = fx.on(|c| c.get_peers("b", 0, 3, &[]));
         assert_eq!(peers[0].name, "p1");
     }
 
     #[test]
     fn app_live_follows_instance_lock_and_holder_liveness() {
-        let (cluster, _ctrl, cli, me) = setup();
-        assert!(!cli.app_live(me, "db").unwrap(), "no lock: dead");
-        let holder = cluster.add_node("db-server");
-        cli.acquire_instance(holder, "db", holder).unwrap();
-        assert!(cli.app_live(me, "db").unwrap());
-        cluster.crash(holder);
-        assert!(!cli.app_live(me, "db").unwrap(), "holder crashed: dead");
+        let fx = setup();
+        assert!(!fx.on(|c| c.app_live("db")), "no lock: dead");
+        let holder = fx.cluster.add_node("db-server");
+        fx.on(|c| c.acquire_instance("db", holder)).unwrap();
+        assert!(fx.on(|c| c.app_live("db")));
+        fx.cluster.crash(holder);
+        assert!(!fx.on(|c| c.app_live("db")), "holder crashed: dead");
     }
 
     #[test]
     fn revocation_reports_are_counted_per_peer() {
-        let (cluster, _ctrl, cli, me) = setup();
-        let node = cluster.add_node("p1");
-        cli.register_peer(me, "p1", node, 1 << 30).unwrap();
-        cli.report_revocation(me, "p1", "a", "wal", 3).unwrap();
-        cli.report_revocation(me, "p1", "a", "wal2", 3).unwrap();
-        let peers = cli.get_peers(me, "a", 0, 1, &[]).unwrap();
+        let fx = setup();
+        let node = fx.cluster.add_node("p1");
+        fx.on(|c| c.register_peer("p1", node, 1 << 30));
+        fx.on(|c| c.report_revocation("p1", "a", "wal", 3));
+        fx.on(|c| c.report_revocation("p1", "a", "wal2", 3));
+        let peers = fx.on(|c| c.get_peers("a", 0, 1, &[]));
         assert_eq!(peers[0].revocations, 2);
     }
 
     #[test]
     fn ap_entry_epoch_cas() {
-        let (_cluster, _ctrl, cli, me) = setup();
-        cli.set_ap_entry(me, "app", "wal", vec!["p1".into()], 1)
-            .unwrap();
+        let fx = setup();
+        let set =
+            |peer: &str, epoch| fx.on(|c| c.set_ap_entry("app", "wal", vec![peer.into()], epoch));
+        set("p1", 1).unwrap();
         // Same epoch rejected.
-        assert!(matches!(
-            cli.set_ap_entry(me, "app", "wal", vec!["p2".into()], 1),
-            Err(NclError::Rejected(_))
-        ));
+        assert!(matches!(set("p2", 1), Err(NclError::Rejected(_))));
         // Lower epoch rejected.
-        assert!(matches!(
-            cli.set_ap_entry(me, "app", "wal", vec!["p2".into()], 0),
-            Err(NclError::Rejected(_))
-        ));
+        assert!(matches!(set("p2", 0), Err(NclError::Rejected(_))));
         // Higher accepted.
-        cli.set_ap_entry(me, "app", "wal", vec!["p2".into()], 2)
-            .unwrap();
-        let e = cli.get_ap_entry(me, "app", "wal").unwrap().unwrap();
+        set("p2", 2).unwrap();
+        let e = fx.on(|c| c.get_ap_entry("app", "wal")).unwrap();
         assert_eq!(e.epoch, 2);
         assert_eq!(e.peers, vec!["p2".to_string()]);
     }
 
     #[test]
     fn epoch_high_water_survives_delete() {
-        let (_cluster, _ctrl, cli, me) = setup();
-        cli.set_ap_entry(me, "app", "wal", vec!["p1".into()], 5)
-            .unwrap();
-        cli.delete_ap_entry(me, "app", "wal").unwrap();
-        assert_eq!(cli.get_ap_entry(me, "app", "wal").unwrap(), None);
-        assert_eq!(cli.get_app_epoch(me, "app", "wal").unwrap(), 5);
+        let fx = setup();
+        let set = |epoch| fx.on(|c| c.set_ap_entry("app", "wal", vec!["p1".into()], epoch));
+        set(5).unwrap();
+        fx.on(|c| c.delete_ap_entry("app", "wal"));
+        assert_eq!(fx.on(|c| c.get_ap_entry("app", "wal")), None);
+        assert_eq!(fx.on(|c| c.get_app_epoch("app", "wal")), 5);
         // Recreation must move past the high-water mark.
-        assert!(cli
-            .set_ap_entry(me, "app", "wal", vec!["p1".into()], 5)
-            .is_err());
-        cli.set_ap_entry(me, "app", "wal", vec!["p1".into()], 6)
-            .unwrap();
+        assert!(set(5).is_err());
+        set(6).unwrap();
     }
 
     #[test]
     fn list_app_files_is_scoped_and_sorted() {
-        let (_cluster, _ctrl, cli, me) = setup();
-        cli.set_ap_entry(me, "a", "wal2", vec![], 1).unwrap();
-        cli.set_ap_entry(me, "a", "wal1", vec![], 1).unwrap();
-        cli.set_ap_entry(me, "b", "other", vec![], 1).unwrap();
-        assert_eq!(cli.list_app_files(me, "a").unwrap(), vec!["wal1", "wal2"]);
+        let fx = setup();
+        for (app, file) in [("a", "wal2"), ("a", "wal1"), ("b", "other")] {
+            fx.on(|c| c.set_ap_entry(app, file, vec![], 1)).unwrap();
+        }
+        assert_eq!(fx.on(|c| c.list_app_files("a")), vec!["wal1", "wal2"]);
     }
 
     #[test]
     fn instance_lock_blocks_second_live_instance() {
-        let (cluster, _ctrl, cli, me) = setup();
-        let other = cluster.add_node("other-server");
-        cli.acquire_instance(me, "db", me).unwrap();
+        let fx = setup();
+        let (me, other) = (fx.me, fx.cluster.add_node("other-server"));
+        fx.on(|c| c.acquire_instance("db", me)).unwrap();
         // Re-acquire by the same node is fine (idempotent restart path).
-        cli.acquire_instance(me, "db", me).unwrap();
+        fx.on(|c| c.acquire_instance("db", me)).unwrap();
         assert!(matches!(
-            cli.acquire_instance(other, "db", other),
+            fx.on(|c| c.acquire_instance("db", other)),
             Err(NclError::InstanceConflict(_))
         ));
     }
 
     #[test]
     fn instance_lock_released_by_holder_crash() {
-        let (cluster, _ctrl, cli, me) = setup();
-        let other = cluster.add_node("other-server");
-        cli.acquire_instance(me, "db", me).unwrap();
-        cluster.crash(me);
+        let fx = setup();
+        let holder = fx.cluster.add_node("db-server");
+        fx.on(|c| c.acquire_instance("db", holder)).unwrap();
+        fx.cluster.crash(holder);
         // The ephemeral lock expires with the holder's "session".
-        cli.acquire_instance(other, "db", other).unwrap();
+        fx.on(|c| c.acquire_instance("db", fx.me)).unwrap();
     }
 
     #[test]
     fn instance_lock_explicit_release() {
-        let (cluster, _ctrl, cli, me) = setup();
-        let other = cluster.add_node("other");
-        cli.acquire_instance(me, "db", me).unwrap();
-        cli.release_instance(me, "db", me).unwrap();
-        cli.acquire_instance(other, "db", other).unwrap();
+        let fx = setup();
+        let (me, other) = (fx.me, fx.cluster.add_node("other"));
+        fx.on(|c| c.acquire_instance("db", me)).unwrap();
+        fx.on(|c| c.release_instance("db", me));
+        fx.on(|c| c.acquire_instance("db", other)).unwrap();
         // Release by a non-holder is a no-op.
-        cli.release_instance(me, "db", me).unwrap();
+        fx.on(|c| c.release_instance("db", me));
         assert!(matches!(
-            cli.acquire_instance(me, "db", me),
+            fx.on(|c| c.acquire_instance("db", me)),
             Err(NclError::InstanceConflict(_))
         ));
     }

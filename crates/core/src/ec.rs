@@ -415,6 +415,50 @@ pub struct SpillSnapshot {
     pub data: Vec<u8>,
 }
 
+/// Bytes of a stored snapshot's fixed header: `spill_seq u64 | len u64 |
+/// capacity u64 | overwritten u8`, little-endian.
+const SPILL_HEADER: usize = 25;
+
+impl SpillSnapshot {
+    /// The stored form: the header, `data[..len]`, then a CRC-32C over
+    /// both, so a torn or flipped snapshot is refused instead of handed to
+    /// recovery as acked bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let data = &self.data[..self.len as usize];
+        let mut out = Vec::with_capacity(SPILL_HEADER + data.len() + 4);
+        out.extend_from_slice(&self.spill_seq.to_le_bytes());
+        out.extend_from_slice(&self.len.to_le_bytes());
+        out.extend_from_slice(&self.capacity.to_le_bytes());
+        out.push(self.overwritten as u8);
+        out.extend_from_slice(data);
+        let crc = crc32c(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    /// Parses [`Self::encode`]'s form; `None` for truncated, torn or
+    /// garbage bytes. Bytes past the CRC — a longer predecessor's tail in a
+    /// re-stored file — are ignored.
+    pub fn decode(bytes: &[u8]) -> Option<SpillSnapshot> {
+        let header = bytes.get(..SPILL_HEADER)?;
+        let u64_at =
+            |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+        let len = u64_at(8);
+        let end = SPILL_HEADER.checked_add(usize::try_from(len).ok()?)?;
+        let stored = bytes.get(end..end.checked_add(4)?)?;
+        if crc32c(&bytes[..end]).to_le_bytes() != stored {
+            return None;
+        }
+        Some(SpillSnapshot {
+            spill_seq: u64_at(0),
+            len,
+            overwritten: header[24] != 0,
+            capacity: u64_at(16),
+            data: bytes[SPILL_HEADER..end].to_vec(),
+        })
+    }
+}
+
 /// Durable store for spilled log prefixes, keyed by `(scope, generation)`.
 /// A store is posted on the writer's thread, and no peer's region header
 /// may advance to generation `g + 1` before `g + 1`'s is durable — the ordering the

@@ -120,6 +120,7 @@ pub use repair::RepairStats;
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use rdma::CompletionQueue;
@@ -132,8 +133,8 @@ use self::scheme::Scheme;
 use self::slots::{AckedState, PeerSlot, Rep};
 use self::staging::{FileMetrics, Image, Stage};
 use crate::config::NclConfig;
-use crate::controller::{Controller, ControllerClient};
-use crate::peer::{PeerReq, PeerResp};
+use crate::controller::{Controller, ControllerClient, ControllerState};
+use crate::peer::Daemon;
 use crate::registry::{NclRegistry, PeerEndpoint};
 use crate::NclError;
 
@@ -147,22 +148,33 @@ struct Ctx {
     registry: Arc<NclRegistry>,
 }
 
-/// Sends `req()` to each of `endpoints` at one instant and waits once, for
-/// the latest answer, so the round trips overlap. Returns the answers in
-/// order, `None` for a call that failed.
-fn call_all<'a>(
+impl Ctx {
+    /// Runs `op` on the controller and waits for its answer.
+    fn control<T>(&self, op: impl FnOnce(&mut ControllerState) -> T) -> Result<T, NclError> {
+        Ok(self.controller.call(self.node, |c, _| op(c))?)
+    }
+}
+
+/// Runs `op` on each of `endpoints`' daemons, passed the instant it is
+/// served at, all issued at one instant, and waits once, for the latest
+/// answer, so the round trips overlap. Returns the answers in order, `None`
+/// for a call that failed.
+fn call_all<'a, T>(
     ctx: &Ctx,
     endpoints: impl IntoIterator<Item = &'a PeerEndpoint>,
-    req: impl Fn() -> PeerReq,
-) -> Vec<Option<PeerResp>> {
+    op: impl Fn(&mut Daemon, Instant) -> T,
+) -> Vec<Option<T>> {
     let now = sim::time::now();
     let mut ready = now;
     let answers = endpoints
         .into_iter()
         .map(|endpoint| {
-            let (resp, back) = endpoint.rpc.call_at(ctx.node, now, req()).ok()?;
+            let call = endpoint
+                .rpc
+                .call_at(ctx.node, now, |d, s| op(&mut d.lock(), s.at));
+            let (answer, back) = call.ok()?;
             ready = ready.max(back);
-            Some(resp)
+            Some(answer)
         })
         .collect();
     sim::delay_until(ready);
@@ -177,11 +189,7 @@ fn free_regions<'a>(
     epoch: u64,
     endpoints: impl IntoIterator<Item = &'a PeerEndpoint>,
 ) {
-    call_all(ctx, endpoints, || PeerReq::Free {
-        app: ctx.app_id.clone(),
-        file: file.to_string(),
-        epoch,
-    });
+    call_all(ctx, endpoints, |d, _| d.free(&ctx.app_id, file, epoch));
 }
 
 /// Handle to the NCL layer for one application instance.
@@ -206,18 +214,16 @@ impl NclLib {
         controller: &Controller,
         registry: &Arc<NclRegistry>,
     ) -> Result<Self, NclError> {
-        let client = controller.client(config.control);
-        client.acquire_instance(node, app_id, node)?;
-        Ok(NclLib {
-            ctx: Arc::new(Ctx {
-                cluster: cluster.clone(),
-                node,
-                app_id: app_id.to_string(),
-                config,
-                controller: client,
-                registry: Arc::clone(registry),
-            }),
-        })
+        let ctx = Ctx {
+            cluster: cluster.clone(),
+            node,
+            app_id: app_id.to_string(),
+            controller: controller.client(config.control),
+            config,
+            registry: Arc::clone(registry),
+        };
+        ctx.control(|c| c.acquire_instance(app_id, node))??;
+        Ok(NclLib { ctx: Arc::new(ctx) })
     }
 
     /// The node this instance runs on.
@@ -243,19 +249,14 @@ impl NclLib {
 
     /// True when `(app, file)` has NCL state to recover.
     pub fn exists(&self, file: &str) -> Result<bool, NclError> {
-        Ok(self
-            .ctx
-            .controller
-            .get_ap_entry(self.ctx.node, &self.ctx.app_id, file)?
-            .is_some())
+        let ctx = &self.ctx;
+        ctx.control(|c| c.get_ap_entry(&ctx.app_id, file).is_some())
     }
 
     /// Lists this application's ncl files (used on restart to find what to
     /// recover).
     pub fn list_files(&self) -> Result<Vec<String>, NclError> {
-        self.ctx
-            .controller
-            .list_app_files(self.ctx.node, &self.ctx.app_id)
+        self.ctx.control(|c| c.list_app_files(&self.ctx.app_id))
     }
 
     /// Creates a new ncl file with the given data capacity, under one
@@ -275,7 +276,7 @@ impl NclLib {
             return Err(NclError::AlreadyExists(file.to_string()));
         }
         let scheme = Scheme::new(&ctx.config, capacity, scope)?;
-        let epoch = ctx.controller.get_app_epoch(ctx.node, &ctx.app_id, file)? + 1;
+        let epoch = ctx.control(|c| c.get_app_epoch(&ctx.app_id, file))? + 1;
         let image = Image::empty(capacity);
         let target = Target {
             file,
@@ -307,8 +308,7 @@ impl NclLib {
     pub fn delete(&self, file: &str) -> Result<(), NclError> {
         let ctx = &self.ctx;
         let entry = ctx
-            .controller
-            .get_ap_entry(ctx.node, &ctx.app_id, file)?
+            .control(|c| c.get_ap_entry(&ctx.app_id, file))?
             .ok_or_else(|| NclError::NotFound(file.to_string()))?;
         let endpoints: Vec<_> = entry
             .peers
@@ -316,16 +316,14 @@ impl NclLib {
             .filter_map(|name| ctx.registry.lookup(name))
             .collect();
         free_regions(ctx, file, entry.epoch, &endpoints);
-        ctx.controller.delete_ap_entry(ctx.node, &ctx.app_id, file)
+        ctx.control(|c| c.delete_ap_entry(&ctx.app_id, file))
     }
 }
 
 impl Drop for NclLib {
     fn drop(&mut self) {
-        let _ =
-            self.ctx
-                .controller
-                .release_instance(self.ctx.node, &self.ctx.app_id, self.ctx.node);
+        let ctx = &self.ctx;
+        let _ = ctx.control(|c| c.release_instance(&ctx.app_id, ctx.node));
     }
 }
 
@@ -423,8 +421,6 @@ impl NclFile {
         // to freed regions.
         rep.peers.clear();
         rep.rebuild_qp_map();
-        ctx.controller
-            .delete_ap_entry(ctx.node, &ctx.app_id, &self.name)?;
-        Ok(())
+        ctx.control(|c| c.delete_ap_entry(&ctx.app_id, &self.name))
     }
 }

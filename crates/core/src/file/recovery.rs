@@ -19,7 +19,7 @@ use super::scheme::Scheme;
 use super::slots::{read_all, PeerSlot, Responders};
 use super::{call_all, NclFile, NclLib};
 use crate::layout::{RegionHeader, HEADER_WIRE_SIZE};
-use crate::peer::{PeerReq, PeerResp};
+use crate::peer::Daemon;
 use crate::NclError;
 
 /// Phase timings of the last recovery (Figure 11b's breakdown): the sums
@@ -62,29 +62,24 @@ impl NclLib {
 
         // Phase 1: ap-map from the controller.
         let entry = ctx
-            .controller
-            .get_ap_entry(ctx.node, &ctx.app_id, file)?
+            .control(|c| c.get_ap_entry(&ctx.app_id, file))?
             .ok_or_else(|| NclError::NotFound(file.to_string()))?;
         phases.close(spans::NCL_RECOVER_GET_PEER, entry.epoch);
 
-        // Phase 2: every ap-map peer's `RecoveryLookup` priced at one
+        // Phase 2: every ap-map peer's `lookup` priced at one
         // instant and waited for once, then every fixed-location header
         // read posted at one instant and waited for once.
         let cq = CompletionQueue::new();
         let endpoints: Vec<_> = (entry.peers.iter().zip(0..))
             .filter_map(|(name, row)| Some((ctx.registry.lookup(name)?, name.clone(), row)))
             .collect();
-        let answers = call_all(ctx, endpoints.iter().map(|(e, ..)| e), || {
-            PeerReq::RecoveryLookup {
-                app: ctx.app_id.clone(),
-                file: file.to_string(),
-            }
-        });
+        let lookup = |d: &mut Daemon, at| d.lookup(at, &ctx.app_id, file);
+        let answers = call_all(ctx, endpoints.iter().map(|(e, ..)| e), lookup);
         let connected: Vec<PeerSlot> = endpoints
             .into_iter()
             .zip(answers)
             .filter_map(|((endpoint, name, row), answer)| match answer {
-                Some(PeerResp::Mr(mr, _)) => {
+                Some(Ok((mr, _))) => {
                     let slot = PeerSlot::connect(ctx, name, endpoint, mr, &cq);
                     Some(PeerSlot { row, ..slot })
                 }

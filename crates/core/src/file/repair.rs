@@ -17,7 +17,7 @@ use super::staging::{FlushReason, Stage};
 use super::{call_all, free_regions, Ctx, NclFile};
 use crate::detector::Backoff;
 use crate::layout::{RegionHeader, HEADER_SIZE};
-use crate::peer::{PeerReq, PeerResp};
+use crate::peer::Daemon;
 use crate::NclError;
 
 /// Phase timings of the last peer replacement (Table 3's breakdown): the
@@ -275,17 +275,12 @@ pub(super) fn fill_and_publish(
     };
     let published = update.and_then(|update| {
         // Survivors first: bump their region epochs so e_r stays ≥ the
-        // ap-map epoch (see peer::PeerReq::BumpEpoch).
+        // ap-map epoch (see peer::Daemon::bump_epoch).
         let (app, file) = (&ctx.app_id, target.file);
-        let bump = || PeerReq::BumpEpoch {
-            app: app.clone(),
-            file: file.to_string(),
-            epoch,
-        };
+        let bump = |d: &mut Daemon, at| d.bump_epoch(at, app, file, epoch);
         call_all(ctx, survivors.iter().map(|s| &s.endpoint), bump);
         let names = update.peers().map(|s| s.name.clone()).collect();
-        ctx.controller
-            .set_ap_entry(ctx.node, app, file, names, epoch)
+        ctx.control(|c| c.set_ap_entry(app, file, names, epoch))?
     });
     if let Err(e) = published {
         let fresh = slots[first_fresh..].iter().zip(&landed[first_fresh..]);
@@ -333,10 +328,7 @@ fn acquire_peers(
     while slots.len() < n {
         // A few spares per round, so one stale hint costs no extra round.
         let count = n - slots.len() + 3;
-        let candidates = match ctx
-            .controller
-            .get_peers(ctx.node, &ctx.app_id, need, count, exclude)
-        {
+        let candidates = match ctx.control(|c| c.get_peers(&ctx.app_id, need, count, exclude)) {
             Ok(candidates) => candidates,
             Err(e) => {
                 refused = Some(e);
@@ -356,17 +348,10 @@ fn acquire_peers(
             let Some(endpoint) = ctx.registry.lookup(&cand.name) else {
                 continue;
             };
-            let resp = endpoint.rpc.call_at(
-                ctx.node,
-                at,
-                PeerReq::Alloc {
-                    app: ctx.app_id.clone(),
-                    file: file.to_string(),
-                    epoch,
-                    capacity,
-                },
-            );
-            let Ok((PeerResp::Mr(mr, registered), back)) = resp else {
+            let resp = (endpoint.rpc).call_at(ctx.node, at, |d, s| {
+                d.lock().alloc(s.at, &ctx.app_id, file, epoch, capacity)
+            });
+            let Ok((Ok((mr, registered)), back)) = resp else {
                 phases.close(connect, epoch);
                 continue; // The hint was stale or the peer is down.
             };
@@ -449,10 +434,7 @@ pub(super) fn catch_up(
     let copies = (slots.iter().enumerate().zip(&landed))
         .filter(|((i, _), wire)| how(*i) == Action::FullCopy && wire.is_some());
     let endpoints = copies.map(|((_, slot), _)| &slot.endpoint);
-    let commit = || {
-        let (app, file) = (ctx.app_id.clone(), file.to_string());
-        PeerReq::Commit { app, file, epoch }
-    };
+    let commit = |d: &mut Daemon, at| d.commit(at, &ctx.app_id, file, epoch);
     let mut committed = call_all(ctx, endpoints, commit).into_iter();
     (slots.iter_mut().enumerate().zip(landed))
         .map(|((i, slot), wire)| {
@@ -461,8 +443,7 @@ pub(super) fn catch_up(
             }
             slot.completed_seq = seq;
             wire.is_some()
-                && (how(i) != Action::FullCopy
-                    || matches!(committed.next(), Some(Some(PeerResp::Ok))))
+                && (how(i) != Action::FullCopy || matches!(committed.next(), Some(Some(Ok(())))))
         })
         .collect()
 }
@@ -484,7 +465,7 @@ pub(super) fn prepare_existing(
     target: &Target<'_>,
     responders: Responders,
 ) -> (Vec<PeerSlot>, Vec<Action>) {
-    let ids = || (ctx.app_id.clone(), target.file.to_string());
+    let (app, file) = (&ctx.app_id, target.file);
     let (epoch, capacity) = (target.epoch, target.region_data);
     let now = sim::time::now();
     let mut ready = now;
@@ -494,26 +475,22 @@ pub(super) fn prepare_existing(
         let ships_image = target.image.is_some();
         let mut action = Some(Action::for_responder(ships_image, &target.header, &peer));
         while let Some(how) = action {
-            let (app, file) = ids();
-            let req = match how {
-                Action::InPlace { .. } => PeerReq::Adopt { app, file, epoch },
-                Action::Fresh | Action::FullCopy => PeerReq::Prepare {
-                    app,
-                    file,
-                    epoch,
-                    capacity,
-                },
-            };
-            match slot.endpoint.rpc.call_at(ctx.node, at, req) {
+            let resp = (slot.endpoint.rpc).call_at(ctx.node, at, |d, s| match how {
+                Action::InPlace { .. } => d.lock().adopt(s.at, app, file, epoch),
+                Action::Fresh | Action::FullCopy => {
+                    d.lock().prepare(s.at, app, file, epoch, capacity)
+                }
+            });
+            match resp {
                 // A staged region registers on the peer's pipe; post no
                 // earlier.
-                Ok((PeerResp::Mr(mr, registered), back)) => {
+                Ok((Ok((mr, registered)), back)) => {
                     ready = ready.max(back).max(registered);
                     plans.0.push(PeerSlot { mr, ..slot });
                     plans.1.push(how);
                     break;
                 }
-                Ok((_, back)) => at = back,
+                Ok((Err(_), back)) => at = back,
                 Err(_) => {}
             }
             action = how.refused();

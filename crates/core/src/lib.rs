@@ -43,7 +43,7 @@ pub mod registry;
 pub mod slab;
 
 pub use config::{Durability, NclConfig};
-pub use controller::{ApEntry, Controller, ControllerClient, PeerInfo};
+pub use controller::{ApEntry, Controller, ControllerClient, ControllerState, PeerInfo};
 pub use detector::{Backoff, PhiDetector};
 pub use ec::{MemSpillSink, SpillSink, SpillSnapshot};
 pub use file::{NclFile, NclLib};
@@ -96,3 +96,10 @@ impl fmt::Display for NclError {
 }
 
 impl std::error::Error for NclError {}
+
+/// A control-plane call that never got its answer.
+impl From<sim::SimError> for NclError {
+    fn from(e: sim::SimError) -> Self {
+        NclError::Unavailable(e.to_string())
+    }
+}

@@ -26,10 +26,12 @@
 //! the controller. Recovery lookups for pre-crash regions are rejected —
 //! the behaviour §4.5.1 relies on to keep quorum reasoning sound.
 //!
-//! Shape: all of the above is one `Daemon` value behind [`Peer`]'s mutex.
-//! Every entry point — a request, a scheduled GC pass, an operator call — is
-//! one `Daemon::step`, and the lease clock is an input: a request is served
-//! at the instant the RPC layer hands it (its arrival), a scheduled pass at
+//! Shape: all of the above is one [`Daemon`] value behind [`Peer`]'s mutex,
+//! which its `sim::rpc` service hosts: a request is a `Daemon` method an
+//! application runs through [`PeerEndpoint::rpc`]. Every entry point — a
+//! request, a scheduled GC pass, an operator call — is one `Daemon::step`,
+//! and the lease clock is an input: a request is served at the instant
+//! the RPC layer hands it (its arrival), a scheduled pass at
 //! the instant of the control-plane call its timer ran on
 //! ([`Peer::schedule_gc`]), an operator sweep reads `sim::time::now()`
 //! once, and each passes it down. The daemon owns no thread.
@@ -41,112 +43,27 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rdma::{LocalMr, RdmaDevice, RemoteMr};
-use sim::{Cluster, NodeId, RpcServer, TimerGuard};
+use sim::{Cluster, NodeId, RpcServer, SimError, TimerGuard};
 use telemetry::{spans, Counter, Gauge, Telemetry};
 
 use crate::config::NclConfig;
-use crate::controller::{Controller, ControllerClient};
+use crate::controller::{Controller, ControllerClient, ControllerState};
 use crate::layout::{RegionHeader, HEADER_SIZE, HEADER_WIRE_SIZE};
 use crate::registry::{NclRegistry, PeerEndpoint};
 use crate::slab::{SlabAllocator, TenantUsage};
 
-/// Requests served by a peer daemon.
-#[derive(Debug, Clone)]
-pub enum PeerReq {
-    /// Allocate (or re-allocate under a newer epoch) the region for an ncl
-    /// file. `capacity` is the data capacity; the region adds header space.
-    Alloc {
-        /// Application identifier.
-        app: String,
-        /// File name.
-        file: String,
-        /// Epoch the application will stamp its ap-map entry with.
-        epoch: u64,
-        /// Data capacity in bytes.
-        capacity: usize,
-    },
-    /// Release the region for a deleted ncl file.
-    Free {
-        /// Application identifier.
-        app: String,
-        /// File name.
-        file: String,
-        /// Requesting epoch; stale frees (older than the record) are ignored.
-        epoch: u64,
-    },
-    /// During application recovery: does this peer still hold the region?
-    RecoveryLookup {
-        /// Application identifier.
-        app: String,
-        /// File name.
-        file: String,
-    },
-    /// Recovery of an append-only log whose bytes here are a prefix of the
-    /// recovered image: raise the live region's epoch to `epoch` and fence
-    /// every earlier writer by giving the region a fresh rkey, its bytes
-    /// untouched. Answers `Mr(region, now)`; the recovering application
-    /// then writes only the missing tail and the header into it. Refused
-    /// unless `epoch` is above the region's. Any region still staged for
-    /// the file (an aborted recovery's) is dropped.
-    Adopt {
-        /// Application identifier.
-        app: String,
-        /// File name.
-        file: String,
-        /// Epoch of the in-progress recovery.
-        epoch: u64,
-    },
-    /// Stage a fresh, zeroed region for a full copy's atomic switch: a
-    /// circular or overwritten log, a peer whose bytes are not a prefix of
-    /// the recovered image, or an erasure-coded reset. Writing those in
-    /// place would destroy the only copy.
-    Prepare {
-        /// Application identifier.
-        app: String,
-        /// File name.
-        file: String,
-        /// Epoch of the in-progress recovery.
-        epoch: u64,
-        /// Data capacity in bytes.
-        capacity: usize,
-    },
-    /// Atomically switch the mr-map entry to the staged region and recycle
-    /// the old one.
-    Commit {
-        /// Application identifier.
-        app: String,
-        /// File name.
-        file: String,
-        /// Epoch given at `Prepare`.
-        epoch: u64,
-    },
-    /// Raise the epoch recorded for a surviving peer's region so the leak GC
-    /// never confuses it with a stale allocation (see DESIGN.md §5 note).
-    BumpEpoch {
-        /// Application identifier.
-        app: String,
-        /// File name.
-        file: String,
-        /// New epoch (monotonic).
-        epoch: u64,
-    },
-}
-
-/// Responses from a peer daemon.
-#[derive(Debug, Clone)]
-pub enum PeerResp {
-    /// Success without payload.
-    Ok,
-    /// The requested/staged region token, and the instant its registration
-    /// completes: the application posts to it no earlier. A recycled region
-    /// and a recovery lookup are ready when asked for.
-    Mr(RemoteMr, Instant),
-    /// Request refused (insufficient memory, stale epoch, lost region, ...).
-    Rejected(String),
-}
+/// A region token a call hands out, and the instant its registration
+/// completes: the application posts to it no earlier. A recycled region and
+/// a recovery lookup are ready when asked for. `Err` is the daemon's
+/// refusal (insufficient memory, stale epoch, lost region, ...).
+pub type Grant = Result<(RemoteMr, Instant), String>;
 
 /// A region's `(app, file)`.
 type Key = (String, String);
+
+fn key(app: &str, file: &str) -> Key {
+    (app.to_string(), file.to_string())
+}
 
 struct Region {
     epoch: u64,
@@ -225,8 +142,9 @@ impl MemGauges {
 }
 
 /// The daemon: its context, its ledger and its two region maps (see module
-/// docs). Every operation is a `&mut self` method run inside [`Self::step`].
-struct Daemon {
+/// docs). Every request is a method passed the instant it is served at —
+/// the lease clock — and run inside `Daemon::step`.
+pub struct Daemon {
     name: String,
     node: NodeId,
     cluster: Cluster,
@@ -260,10 +178,8 @@ impl Daemon {
             self.staged.clear();
             self.alloc.wipe();
             self.device.reap_stale();
-            let total = self.alloc.total();
-            let _ = self
-                .controller
-                .register_peer(self.node, &self.name, self.node, total);
+            let (name, node, total) = (&self.name, self.node, self.alloc.total());
+            let _ = self.control(|c| c.register_peer(name, node, total));
         }
         if drain {
             self.drain_pressure();
@@ -271,170 +187,209 @@ impl Daemon {
         let out = op(self);
         let regions = self.live.len() + self.staged.len();
         if self.gauges.publish(&self.alloc, regions) {
-            let avail = self.alloc.avail();
-            let _ = self
-                .controller
-                .update_avail(self.node, &self.name, avail, regions as u64);
+            let (name, avail) = (&self.name, self.alloc.avail());
+            let _ = self.control(|c| c.update_avail(name, avail, regions as u64));
         }
         out
     }
 
-    /// Serves one request at `now`, the instant every lease it touches is
-    /// renewed to.
-    fn handle(&mut self, now: Instant, req: PeerReq) -> PeerResp {
+    /// Runs `op` on the controller from this peer's node.
+    fn control<T>(&self, op: impl FnOnce(&mut ControllerState) -> T) -> Result<T, SimError> {
+        self.controller.call(self.node, |c, _| op(c))
+    }
+
+    /// Allocates (or re-allocates under a newer epoch) the region for
+    /// `app`'s `file`: `capacity` data bytes after the header space, at the
+    /// `epoch` the application will stamp its ap-map entry with.
+    pub fn alloc(
+        &mut self,
+        now: Instant,
+        app: &str,
+        file: &str,
+        epoch: u64,
+        capacity: usize,
+    ) -> Grant {
         self.step(true, |d| {
-            d.serve(now, req).unwrap_or_else(PeerResp::Rejected)
+            let key = key(app, file);
+            if let Some(existing) = d.live.get(&key) {
+                if existing.epoch >= epoch {
+                    let held = existing.epoch;
+                    return Err(format!("region exists at epoch {held} >= {epoch}"));
+                }
+                // A newer epoch supersedes the old allocation.
+                let old = d.live.remove(&key).expect("present");
+                d.release(app, old);
+            }
+            let len = HEADER_SIZE + capacity;
+            let (local, remote, ready) = d.allocate(now, &key, len)?;
+            let detail = format!("{app}/{file}: {len} bytes");
+            d.telemetry
+                .fact(spans::REGION_ALLOC, &d.name, epoch, detail);
+            let region = Region {
+                epoch,
+                local,
+                remote,
+                lease: now,
+            };
+            d.live.insert(key, region);
+            Ok((remote, ready))
         })
     }
 
-    fn serve(&mut self, now: Instant, req: PeerReq) -> Result<PeerResp, String> {
-        match req {
-            PeerReq::Alloc {
-                app,
-                file,
+    /// Releases the region for a deleted file; a free at an epoch older
+    /// than the region's is refused.
+    pub fn free(&mut self, app: &str, file: &str, epoch: u64) -> Result<(), String> {
+        self.step(true, |d| {
+            let key = key(app, file);
+            if let Some(region) = d.live.get(&key).filter(|r| r.epoch > epoch) {
+                let held = region.epoch;
+                return Err(format!(
+                    "free at epoch {epoch} older than region epoch {held}"
+                ));
+            }
+            d.reclaim(
+                Slot::Live,
+                &key,
+                spans::REGION_FREE,
+                "released by application",
+            );
+            // A Free racing a replace: the application deleted the file
+            // while a catch-up had a region staged for it. The staged slot
+            // would otherwise never leave the tenant ledger — the
+            // double-release leak. Dropping it here keeps Free idempotent
+            // (repeats find both maps empty and change nothing).
+            if d.staged.get(&key).is_some_and(|s| s.epoch <= epoch) {
+                let why = "staged region dropped by free";
+                d.reclaim(Slot::Staged, &key, spans::REGION_FREE, why);
+            }
+            Ok(())
+        })
+    }
+
+    /// During application recovery: does this peer still hold the region?
+    pub fn lookup(&mut self, now: Instant, app: &str, file: &str) -> Grant {
+        self.step(true, |d| {
+            // The peer crashed and recovered (mr-map lost) or never had the
+            // region: it must reject so recovery quorum logic treats it as
+            // data-less.
+            let region = d
+                .live
+                .get_mut(&key(app, file))
+                .ok_or("no region for file")?;
+            region.lease = now;
+            Ok((region.remote, now))
+        })
+    }
+
+    /// Recovery of an append-only log whose bytes here are a prefix of the
+    /// recovered image: raises the live region's epoch to `epoch` and
+    /// fences every earlier writer by giving the region a fresh rkey, its
+    /// bytes untouched; the recovering application then writes only the
+    /// missing tail and the header into it. Refused unless `epoch` is above
+    /// the region's. Any region still staged for the file (an aborted
+    /// recovery's) is dropped.
+    pub fn adopt(&mut self, now: Instant, app: &str, file: &str, epoch: u64) -> Grant {
+        self.step(true, |d| {
+            let key = key(app, file);
+            let region = d.live.get_mut(&key).ok_or("no region for file")?;
+            if region.epoch >= epoch {
+                return Err(format!("region at epoch {} >= {epoch}", region.epoch));
+            }
+            let rkey = d.device.rekey(region.remote.mr_id).ok_or("region lost")?;
+            (region.remote.rkey, region.epoch, region.lease) = (rkey, epoch, now);
+            let remote = region.remote;
+            let why = format!("{app}/{file}: region adopted in place");
+            d.telemetry.fact(spans::EPOCH_BUMP, &d.name, epoch, why);
+            // An aborted full copy's staged region: no commit will come.
+            if let Some(old) = d.staged.remove(&key) {
+                d.release(app, old);
+            }
+            Ok((remote, now))
+        })
+    }
+
+    /// Stages a fresh, zeroed region of `capacity` data bytes for a full
+    /// copy's atomic switch at the recovery's `epoch`: a circular or
+    /// overwritten log, a peer whose bytes are not a prefix of the
+    /// recovered image, or an erasure-coded reset. Writing those in place
+    /// would destroy the only copy.
+    pub fn prepare(
+        &mut self,
+        now: Instant,
+        app: &str,
+        file: &str,
+        epoch: u64,
+        capacity: usize,
+    ) -> Grant {
+        self.step(true, |d| {
+            let key = key(app, file);
+            // Drop any previous staging for this file (aborted recovery).
+            if let Some(old) = d.staged.remove(&key) {
+                d.release(app, old);
+            }
+            let (local, remote, ready) = d.allocate(now, &key, HEADER_SIZE + capacity)?;
+            let region = Region {
                 epoch,
-                capacity,
-            } => {
-                let key = (app, file);
-                if let Some(existing) = self.live.get(&key) {
-                    if existing.epoch >= epoch {
-                        return Err(format!(
-                            "region exists at epoch {} >= {epoch}",
-                            existing.epoch
-                        ));
-                    }
-                    // A newer epoch supersedes the old allocation.
-                    let old = self.live.remove(&key).expect("present");
-                    self.release(&key.0, old);
+                local,
+                remote,
+                lease: now,
+            };
+            d.staged.insert(key, region);
+            Ok((remote, ready))
+        })
+    }
+
+    /// Atomically switches the mr-map entry to the region staged at `epoch`
+    /// and recycles the old one.
+    pub fn commit(
+        &mut self,
+        now: Instant,
+        app: &str,
+        file: &str,
+        epoch: u64,
+    ) -> Result<(), String> {
+        self.step(true, |d| {
+            let key = key(app, file);
+            match d.staged.get(&key).map(|s| s.epoch) {
+                None => return Err("nothing staged".to_string()),
+                Some(staged) if staged != epoch => {
+                    let why = format!("staged epoch {staged} does not match commit epoch {epoch}");
+                    return Err(why);
                 }
-                let len = HEADER_SIZE + capacity;
-                let (local, remote, ready) = self.allocate(now, &key, len)?;
-                self.telemetry.fact(
-                    spans::REGION_ALLOC,
-                    &self.name,
-                    epoch,
-                    format!("{}/{}: {len} bytes", key.0, key.1),
-                );
-                let region = Region {
-                    epoch,
-                    local,
-                    remote,
-                    lease: now,
-                };
-                self.live.insert(key, region);
-                Ok(PeerResp::Mr(remote, ready))
+                Some(_) => {}
             }
-            PeerReq::Free { app, file, epoch } => {
-                let key = (app, file);
-                if let Some(region) = self.live.get(&key).filter(|r| r.epoch > epoch) {
-                    return Err(format!(
-                        "free at epoch {epoch} older than region epoch {}",
-                        region.epoch
-                    ));
-                }
-                self.reclaim(
-                    Slot::Live,
-                    &key,
-                    spans::REGION_FREE,
-                    "released by application",
-                );
-                // A Free racing a replace: the application deleted the file
-                // while a catch-up had a region staged for it. The staged slot
-                // would otherwise never leave the tenant ledger — the
-                // double-release leak. Dropping it here keeps Free idempotent
-                // (repeats find both maps empty and change nothing).
-                if self.staged.get(&key).is_some_and(|s| s.epoch <= epoch) {
-                    let why = "staged region dropped by free";
-                    self.reclaim(Slot::Staged, &key, spans::REGION_FREE, why);
-                }
-                Ok(PeerResp::Ok)
+            let mut region = d.staged.remove(&key).expect("present");
+            if let Some(old) = d.live.remove(&key) {
+                d.release(app, old);
             }
-            PeerReq::RecoveryLookup { app, file } => {
-                // The peer crashed and recovered (mr-map lost) or never had
-                // the region: it must reject so recovery quorum logic treats
-                // it as data-less.
-                let region = self
-                    .live
-                    .get_mut(&(app, file))
-                    .ok_or("no region for file")?;
-                region.lease = now;
-                Ok(PeerResp::Mr(region.remote, now))
-            }
-            PeerReq::Adopt { app, file, epoch } => {
-                let key = (app, file);
-                let region = self.live.get_mut(&key).ok_or("no region for file")?;
-                if region.epoch >= epoch {
-                    return Err(format!("region at epoch {} >= {epoch}", region.epoch));
-                }
-                let rkey = self
-                    .device
-                    .rekey(region.remote.mr_id)
-                    .ok_or("region lost")?;
-                (region.remote.rkey, region.epoch, region.lease) = (rkey, epoch, now);
-                let remote = region.remote;
-                let why = format!("{}/{}: region adopted in place", key.0, key.1);
-                self.telemetry
-                    .fact(spans::EPOCH_BUMP, &self.name, epoch, why);
-                // An aborted full copy's staged region: no commit will come.
-                if let Some(old) = self.staged.remove(&key) {
-                    self.release(&key.0, old);
-                }
-                Ok(PeerResp::Mr(remote, now))
-            }
-            PeerReq::Prepare {
-                app,
-                file,
-                epoch,
-                capacity,
-            } => {
-                let key = (app, file);
-                // Drop any previous staging for this file (aborted recovery).
-                if let Some(old) = self.staged.remove(&key) {
-                    self.release(&key.0, old);
-                }
-                let (local, remote, ready) = self.allocate(now, &key, HEADER_SIZE + capacity)?;
-                let region = Region {
-                    epoch,
-                    local,
-                    remote,
-                    lease: now,
-                };
-                self.staged.insert(key, region);
-                Ok(PeerResp::Mr(remote, ready))
-            }
-            PeerReq::Commit { app, file, epoch } => {
-                let key = (app, file);
-                match self.staged.get(&key).map(|s| s.epoch) {
-                    None => Err("nothing staged".to_string()),
-                    Some(staged) if staged != epoch => Err(format!(
-                        "staged epoch {staged} does not match commit epoch {epoch}"
-                    )),
-                    Some(_) => {
-                        let mut region = self.staged.remove(&key).expect("present");
-                        if let Some(old) = self.live.remove(&key) {
-                            self.release(&key.0, old);
-                        }
-                        region.lease = now;
-                        self.live.insert(key, region);
-                        Ok(PeerResp::Ok)
-                    }
-                }
-            }
-            PeerReq::BumpEpoch { app, file, epoch } => {
-                let key = (app, file);
-                let region = self.live.get_mut(&key).ok_or("no region for file")?;
-                region.epoch = region.epoch.max(epoch);
-                region.lease = now;
-                let bumped = region.epoch;
-                self.telemetry.fact(
-                    spans::EPOCH_BUMP,
-                    &self.name,
-                    bumped,
-                    format!("{}/{}: survivor region epoch raised", key.0, key.1),
-                );
-                Ok(PeerResp::Ok)
-            }
-        }
+            region.lease = now;
+            d.live.insert(key, region);
+            Ok(())
+        })
+    }
+
+    /// Raises the epoch recorded for a surviving peer's region to `epoch`
+    /// (monotonic) so the leak GC never confuses it with a stale allocation
+    /// (see DESIGN.md §5 note).
+    pub fn bump_epoch(
+        &mut self,
+        now: Instant,
+        app: &str,
+        file: &str,
+        epoch: u64,
+    ) -> Result<(), String> {
+        self.step(true, |d| {
+            let region = d
+                .live
+                .get_mut(&key(app, file))
+                .ok_or("no region for file")?;
+            region.epoch = region.epoch.max(epoch);
+            region.lease = now;
+            let why = format!("{app}/{file}: survivor region epoch raised");
+            d.telemetry
+                .fact(spans::EPOCH_BUMP, &d.name, region.epoch, why);
+            Ok(())
+        })
     }
 
     /// Allocates a region of `len` bytes for `key`'s app at `now`, preferring
@@ -518,9 +473,7 @@ impl Daemon {
         self.gauges.revoked_regions.inc();
         self.gauges.revoked_bytes.add(len);
         self.release(&key.0, region);
-        let _ = self
-            .controller
-            .report_revocation(self.node, &self.name, &key.0, &key.1, epoch);
+        let _ = self.control(|c| c.report_revocation(&self.name, &key.0, &key.1, epoch));
         len
     }
 
@@ -602,7 +555,7 @@ impl Daemon {
             let Some(e_r) = self.slot(slot).get(&key).map(|r| r.epoch) else {
                 continue;
             };
-            let Ok(e) = self.controller.get_app_epoch(self.node, &key.0, &key.1) else {
+            let Ok(e) = self.control(|c| c.get_app_epoch(&key.0, &key.1)) else {
                 continue;
             };
             let reclaim = e > e_r || (e == e_r && !self.member(&key));
@@ -617,11 +570,11 @@ impl Daemon {
     /// Whether the controller's ap-map entry for `key` lists this peer (no
     /// answer counts as no).
     fn member(&self, key: &Key) -> bool {
-        self.controller
-            .get_ap_entry(self.node, &key.0, &key.1)
-            .ok()
-            .flatten()
-            .is_some_and(|entry| entry.peers.contains(&self.name))
+        self.control(|c| {
+            let entry = c.get_ap_entry(&key.0, &key.1);
+            entry.is_some_and(|entry| entry.peers.contains(&self.name))
+        })
+        .unwrap_or(false)
     }
 
     /// A region idle for the lease window or longer may belong to an
@@ -640,7 +593,7 @@ impl Daemon {
             if !expired {
                 continue;
             }
-            match self.controller.app_live(self.node, &key.0) {
+            match self.control(|c| c.app_live(&key.0)) {
                 Ok(true) => {
                     if let Some(region) = self.slot(slot).get_mut(&key) {
                         region.lease = now;
@@ -681,7 +634,7 @@ pub struct Peer {
     daemon: Arc<Mutex<Daemon>>,
     /// The GC schedule, when one is set; dropping it cancels the timer.
     gc: Option<TimerGuard>,
-    _server: RpcServer<PeerReq, PeerResp>,
+    _server: RpcServer<Arc<Mutex<Daemon>>>,
 }
 
 impl Peer {
@@ -701,8 +654,7 @@ impl Peer {
         let node = cluster.add_node(format!("peer-{name}"));
         let device = RdmaDevice::new(cluster.clone(), node, config.mr_register);
         let controller = controller.client(config.control);
-        controller
-            .register_peer(node, name, node, lend_mem)
+        (controller.call(node, |c, _| c.register_peer(name, node, lend_mem)))
             .expect("controller reachable at peer start");
         let daemon = Arc::new(Mutex::new(Daemon {
             name: name.to_string(),
@@ -718,12 +670,7 @@ impl Peer {
             live: HashMap::new(),
             staged: HashMap::new(),
         }));
-        let server = {
-            let daemon = Arc::clone(&daemon);
-            RpcServer::timed(cluster.clone(), node, move |served, req| {
-                daemon.lock().handle(served, req)
-            })
-        };
+        let server = RpcServer::new(cluster.clone(), node, Arc::clone(&daemon));
         let rpc = server.client(config.control);
         registry.publish(name, PeerEndpoint { rpc, device, node });
         Peer {
@@ -886,7 +833,7 @@ mod tests {
 
     fn setup_with(lend: u64, config: NclConfig) -> Fixture {
         let cluster = Cluster::new();
-        let controller = Controller::start(&cluster);
+        let controller = Controller::start(&cluster, Telemetry::disabled());
         let ctrl_client = controller.client(LatencyModel::ZERO);
         let registry = NclRegistry::new();
         let peer = Peer::start(&cluster, "p1", lend, &config, &controller, &registry);
@@ -909,73 +856,47 @@ mod tests {
         (app.into(), file.into())
     }
 
-    fn alloc_req(app: &str, file: &str, epoch: u64, capacity: usize) -> PeerReq {
-        PeerReq::Alloc {
-            app: app.into(),
-            file: file.into(),
-            epoch,
-            capacity,
-        }
+    /// Runs `op` on the daemon over the peer's RPC endpoint, as an
+    /// application would.
+    fn call<T>(fx: &Fixture, op: impl FnOnce(&mut Daemon, Instant) -> T) -> T {
+        let ep = fx.registry.lookup("p1").unwrap();
+        ep.rpc
+            .call(fx.app_node, |d, s| op(&mut d.lock(), s.at))
+            .unwrap()
+    }
+
+    /// Runs `op` on the controller.
+    fn ctl<T>(fx: &Fixture, op: impl FnOnce(&mut ControllerState) -> T) -> T {
+        fx.ctrl_client.call(fx.app_node, |c, _| op(c)).unwrap()
+    }
+
+    fn alloc(fx: &Fixture, app: &str, file: &str, epoch: u64, cap: usize) -> Grant {
+        call(fx, |d, at| d.alloc(at, app, file, epoch, cap))
+    }
+
+    fn free(fx: &Fixture, app: &str, file: &str, epoch: u64) -> Result<(), String> {
+        call(fx, |d, _| d.free(app, file, epoch))
     }
 
     /// Stages a 128-byte region for `(app, file)` at `epoch`.
-    fn prepare_req(app: &str, file: &str, epoch: u64) -> PeerReq {
-        PeerReq::Prepare {
-            app: app.into(),
-            file: file.into(),
-            epoch,
-            capacity: 128,
-        }
+    fn prepare(fx: &Fixture, app: &str, file: &str, epoch: u64) -> Grant {
+        call(fx, |d, at| d.prepare(at, app, file, epoch, 128))
     }
 
-    fn adopt_req(app: &str, file: &str, epoch: u64) -> PeerReq {
-        PeerReq::Adopt {
-            app: app.into(),
-            file: file.into(),
-            epoch,
-        }
+    fn adopt(fx: &Fixture, app: &str, file: &str, epoch: u64) -> Grant {
+        call(fx, |d, at| d.adopt(at, app, file, epoch))
     }
 
-    fn commit_req(app: &str, file: &str, epoch: u64) -> PeerReq {
-        PeerReq::Commit {
-            app: app.into(),
-            file: file.into(),
-            epoch,
-        }
+    fn commit(fx: &Fixture, app: &str, file: &str, epoch: u64) -> Result<(), String> {
+        call(fx, |d, at| d.commit(at, app, file, epoch))
     }
 
-    fn lookup_req(app: &str, file: &str) -> PeerReq {
-        PeerReq::RecoveryLookup {
-            app: app.into(),
-            file: file.into(),
-        }
+    fn lookup(fx: &Fixture, app: &str, file: &str) -> Grant {
+        call(fx, |d, at| d.lookup(at, app, file))
     }
 
-    fn bump_req(app: &str, file: &str, epoch: u64) -> PeerReq {
-        PeerReq::BumpEpoch {
-            app: app.into(),
-            file: file.into(),
-            epoch,
-        }
-    }
-
-    /// Sends `req` over the peer's RPC endpoint, as an application would.
-    fn call(fx: &Fixture, req: PeerReq) -> PeerResp {
-        let ep = fx.registry.lookup("p1").unwrap();
-        ep.rpc.call(fx.app_node, req).unwrap()
-    }
-
-    fn alloc(fx: &Fixture, app: &str, file: &str, epoch: u64, cap: usize) -> PeerResp {
-        call(fx, alloc_req(app, file, epoch, cap))
-    }
-
-    fn free(fx: &Fixture, app: &str, file: &str, epoch: u64) -> PeerResp {
-        let req = PeerReq::Free {
-            app: app.into(),
-            file: file.into(),
-            epoch,
-        };
-        call(fx, req)
+    fn bump(fx: &Fixture, app: &str, file: &str, epoch: u64) -> Result<(), String> {
+        call(fx, |d, at| d.bump_epoch(at, app, file, epoch))
     }
 
     /// One GC sweep at `now`, run on the daemon directly.
@@ -986,18 +907,12 @@ mod tests {
     #[test]
     fn alloc_returns_region_and_decrements_avail() {
         let fx = setup(1 << 20);
-        let resp = alloc(&fx, "a", "wal", 1, 4096);
-        let PeerResp::Mr(mr, _) = resp else {
-            panic!("expected Mr, got {resp:?}")
-        };
+        let (mr, _) = alloc(&fx, "a", "wal", 1, 4096).unwrap();
         assert_eq!(mr.len, HEADER_SIZE + 4096);
         assert_eq!(fx.peer.avail(), (1 << 20) - (HEADER_SIZE + 4096) as u64);
         assert_eq!(fx.peer.region_count(), 1);
         // The controller sees the updated availability.
-        let peers = fx
-            .ctrl_client
-            .get_peers(fx.app_node, "a", 0, 10, &[])
-            .unwrap();
+        let peers = ctl(&fx, |c| c.get_peers("a", 0, 10, &[]));
         assert_eq!(peers[0].avail, fx.peer.avail());
     }
 
@@ -1005,23 +920,17 @@ mod tests {
     fn alloc_rejected_when_memory_insufficient() {
         let fx = setup(1024);
         let resp = alloc(&fx, "a", "wal", 1, 10_000);
-        assert!(matches!(resp, PeerResp::Rejected(_)));
+        assert!(resp.is_err());
         assert_eq!(fx.peer.region_count(), 0);
     }
 
     #[test]
     fn realloc_requires_newer_epoch() {
         let fx = setup(1 << 20);
-        assert!(matches!(alloc(&fx, "a", "wal", 2, 128), PeerResp::Mr(..)));
-        assert!(matches!(
-            alloc(&fx, "a", "wal", 2, 128),
-            PeerResp::Rejected(_)
-        ));
-        assert!(matches!(
-            alloc(&fx, "a", "wal", 1, 128),
-            PeerResp::Rejected(_)
-        ));
-        assert!(matches!(alloc(&fx, "a", "wal", 3, 128), PeerResp::Mr(..)));
+        assert!(alloc(&fx, "a", "wal", 2, 128).is_ok());
+        assert!(alloc(&fx, "a", "wal", 2, 128).is_err());
+        assert!(alloc(&fx, "a", "wal", 1, 128).is_err());
+        assert!(alloc(&fx, "a", "wal", 3, 128).is_ok());
         assert_eq!(
             fx.peer.region_count(),
             1,
@@ -1032,15 +941,11 @@ mod tests {
     #[test]
     fn free_recycles_into_pool_and_pool_is_reused() {
         let fx = setup(1 << 20);
-        let PeerResp::Mr(mr1, _) = alloc(&fx, "a", "wal", 1, 4096) else {
-            panic!()
-        };
-        free(&fx, "a", "wal", 1);
+        let (mr1, _) = alloc(&fx, "a", "wal", 1, 4096).unwrap();
+        free(&fx, "a", "wal", 1).unwrap();
         assert_eq!(fx.peer.avail(), 1 << 20);
         // Same-size reallocation reuses the pooled region with a fresh rkey.
-        let PeerResp::Mr(mr2, _) = alloc(&fx, "a", "wal2", 1, 4096) else {
-            panic!()
-        };
+        let (mr2, _) = alloc(&fx, "a", "wal2", 1, 4096).unwrap();
         assert_eq!(mr2.mr_id, mr1.mr_id, "pooled region reused");
         assert_ne!(mr2.rkey, mr1.rkey, "stale rkey revoked");
     }
@@ -1048,27 +953,21 @@ mod tests {
     #[test]
     fn stale_free_is_rejected() {
         let fx = setup(1 << 20);
-        alloc(&fx, "a", "wal", 5, 128);
+        alloc(&fx, "a", "wal", 5, 128).unwrap();
         let resp = free(&fx, "a", "wal", 4);
-        assert!(matches!(resp, PeerResp::Rejected(_)));
+        assert!(resp.is_err());
         assert_eq!(fx.peer.region_count(), 1);
     }
 
     #[test]
     fn recovery_lookup_found_and_rejected_after_crash() {
         let fx = setup(1 << 20);
-        alloc(&fx, "a", "wal", 1, 128);
-        assert!(matches!(
-            call(&fx, lookup_req("a", "wal")),
-            PeerResp::Mr(..)
-        ));
+        alloc(&fx, "a", "wal", 1, 128).unwrap();
+        assert!(lookup(&fx, "a", "wal").is_ok());
         // Crash + restart loses the mr-map: lookups must be rejected.
         fx.cluster.crash(fx.peer.node());
         fx.cluster.restart(fx.peer.node());
-        assert!(matches!(
-            call(&fx, lookup_req("a", "wal")),
-            PeerResp::Rejected(_)
-        ));
+        assert!(lookup(&fx, "a", "wal").is_err());
         assert_eq!(fx.peer.avail(), 1 << 20, "memory recovered after restart");
         assert_eq!(fx.peer.mem_used(), 0, "ledger wiped after restart");
     }
@@ -1076,20 +975,16 @@ mod tests {
     #[test]
     fn prepare_commit_switches_region_atomically() {
         let fx = setup(1 << 20);
-        let PeerResp::Mr(old_mr, _) = alloc(&fx, "a", "wal", 1, 128) else {
-            panic!()
-        };
+        let (old_mr, _) = alloc(&fx, "a", "wal", 1, 128).unwrap();
         // Write something into the old region via host access (stand-in for
         // RDMA writes from the app).
         fx.peer.daemon.lock().live[&key("a", "wal")]
             .local
             .write_local(HEADER_SIZE, b"old!");
-        let PeerResp::Mr(new_mr, _) = call(&fx, prepare_req("a", "wal", 2)) else {
-            panic!("prepare failed")
-        };
+        let (new_mr, _) = prepare(&fx, "a", "wal", 2).unwrap();
         assert_ne!(new_mr.mr_id, old_mr.mr_id);
         // The staged region is fresh: the full copy fills it, not the peer.
-        assert!(matches!(call(&fx, commit_req("a", "wal", 2)), PeerResp::Ok));
+        assert!(commit(&fx, "a", "wal", 2).is_ok());
         assert_eq!(
             fx.peer.inspect_region("a", "wal", HEADER_SIZE, 4).unwrap(),
             [0; 4]
@@ -1104,31 +999,24 @@ mod tests {
     #[test]
     fn commit_with_wrong_epoch_rejected() {
         let fx = setup(1 << 20);
-        alloc(&fx, "a", "wal", 1, 128);
-        call(&fx, prepare_req("a", "wal", 2));
-        assert!(matches!(
-            call(&fx, commit_req("a", "wal", 3)),
-            PeerResp::Rejected(_)
-        ));
+        alloc(&fx, "a", "wal", 1, 128).unwrap();
+        prepare(&fx, "a", "wal", 2).unwrap();
+        assert!(commit(&fx, "a", "wal", 3).is_err());
         // Staging survives a mismatched commit and can be committed later.
-        assert!(matches!(call(&fx, commit_req("a", "wal", 2)), PeerResp::Ok));
+        assert!(commit(&fx, "a", "wal", 2).is_ok());
     }
 
     #[test]
     fn adopt_rekeys_the_live_region_in_place_at_a_higher_epoch() {
         let fx = setup(1 << 20);
-        let PeerResp::Mr(old_mr, _) = alloc(&fx, "a", "wal", 1, 128) else {
-            panic!()
-        };
+        let (old_mr, _) = alloc(&fx, "a", "wal", 1, 128).unwrap();
         fx.peer.daemon.lock().live[&key("a", "wal")]
             .local
             .write_local(HEADER_SIZE, b"old!");
         // An aborted full copy left a region staged.
-        call(&fx, prepare_req("a", "wal", 2));
+        prepare(&fx, "a", "wal", 2).unwrap();
         let used = (HEADER_SIZE + 128) as u64;
-        let PeerResp::Mr(mr, _) = call(&fx, adopt_req("a", "wal", 2)) else {
-            panic!("adopt failed")
-        };
+        let (mr, _) = adopt(&fx, "a", "wal", 2).unwrap();
         // Same region, same bytes, a fresh key; the staged region is gone.
         assert_eq!((mr.mr_id, mr.len), (old_mr.mr_id, old_mr.len));
         assert_ne!(mr.rkey, old_mr.rkey);
@@ -1148,11 +1036,11 @@ mod tests {
             .is_ok());
         // Only a higher epoch adopts, and only a region that exists.
         for epoch in [1, 2] {
-            let resp = call(&fx, adopt_req("a", "wal", epoch));
-            assert!(matches!(resp, PeerResp::Rejected(_)), "epoch {epoch}");
+            let resp = adopt(&fx, "a", "wal", epoch);
+            assert!(resp.is_err(), "epoch {epoch}");
         }
-        let resp = call(&fx, adopt_req("a", "other", 3));
-        assert!(matches!(resp, PeerResp::Rejected(_)));
+        let resp = adopt(&fx, "a", "other", 3);
+        assert!(resp.is_err());
         assert!(dev
             .apply_remote(mr.mr_id, mr.rkey, 0, Some(b"y"), 0)
             .is_ok());
@@ -1161,13 +1049,14 @@ mod tests {
     #[test]
     fn gc_reclaims_a_staged_region_the_ap_map_moved_past() {
         let fx = setup(1 << 20);
-        alloc(&fx, "a", "wal", 1, 128);
+        alloc(&fx, "a", "wal", 1, 128).unwrap();
         // A recovery at epoch 2 staged a region here, then set the ap-map at
         // epoch 2 without this peer (its commit never came).
-        call(&fx, prepare_req("a", "wal", 2));
-        fx.ctrl_client
-            .set_ap_entry(fx.app_node, "a", "wal", vec!["p-other".into()], 2)
-            .unwrap();
+        prepare(&fx, "a", "wal", 2).unwrap();
+        ctl(&fx, |c| {
+            c.set_ap_entry("a", "wal", vec!["p-other".into()], 2)
+        })
+        .unwrap();
         assert_eq!(fx.peer.gc_sweep(), 2, "the stale live and the staged one");
         assert_eq!(fx.peer.staged_count(), 0);
         assert_eq!(fx.peer.mem_used(), 0);
@@ -1176,9 +1065,7 @@ mod tests {
     #[test]
     fn revoke_frees_memory_and_invalidate_token() {
         let fx = setup(1 << 20);
-        let PeerResp::Mr(mr, _) = alloc(&fx, "a", "wal", 1, 128) else {
-            panic!()
-        };
+        let (mr, _) = alloc(&fx, "a", "wal", 1, 128).unwrap();
         assert!(fx.peer.revoke("a", "wal"));
         assert!(!fx.peer.revoke("a", "wal"), "second revoke is a no-op");
         assert_eq!(fx.peer.avail(), 1 << 20);
@@ -1187,10 +1074,7 @@ mod tests {
             .apply_remote(mr.mr_id, mr.rkey, 0, Some(b"x"), 0)
             .is_err());
         // The controller heard about the revocation.
-        let peers = fx
-            .ctrl_client
-            .get_peers(fx.app_node, "a", 0, 10, &[])
-            .unwrap();
+        let peers = ctl(&fx, |c| c.get_peers("a", 0, 10, &[]));
         assert_eq!(peers[0].revocations, 1);
     }
 
@@ -1199,27 +1083,28 @@ mod tests {
         let fx = setup(1 << 20);
         // Region allocated at epoch 1, but the app's ap-map moved to epoch 2
         // without this peer: e > e_r → reclaim.
-        alloc(&fx, "a", "leaked", 1, 128);
-        fx.ctrl_client
-            .set_ap_entry(fx.app_node, "a", "leaked", vec!["p-other".into()], 2)
-            .unwrap();
+        alloc(&fx, "a", "leaked", 1, 128).unwrap();
+        ctl(&fx, |c| {
+            c.set_ap_entry("a", "leaked", vec!["p-other".into()], 2)
+        })
+        .unwrap();
         // Region allocated at epoch 3 and the entry at epoch 3 includes us:
         // keep.
-        alloc(&fx, "a", "live", 3, 128);
-        fx.ctrl_client
-            .set_ap_entry(fx.app_node, "a", "live", vec!["p1".into()], 3)
-            .unwrap();
+        alloc(&fx, "a", "live", 3, 128).unwrap();
+        ctl(&fx, |c| c.set_ap_entry("a", "live", vec!["p1".into()], 3)).unwrap();
         // Region allocated at epoch 5; entry still at 3: allocation in
         // progress (e < e_r) → keep.
-        alloc(&fx, "a", "inflight", 5, 128);
-        fx.ctrl_client
-            .set_ap_entry(fx.app_node, "a", "inflight", vec!["p1".into()], 3)
-            .unwrap();
+        alloc(&fx, "a", "inflight", 5, 128).unwrap();
+        ctl(&fx, |c| {
+            c.set_ap_entry("a", "inflight", vec!["p1".into()], 3)
+        })
+        .unwrap();
         // Same epoch but we are not a member → reclaim.
-        alloc(&fx, "a", "evicted", 4, 128);
-        fx.ctrl_client
-            .set_ap_entry(fx.app_node, "a", "evicted", vec!["p9".into()], 4)
-            .unwrap();
+        alloc(&fx, "a", "evicted", 4, 128).unwrap();
+        ctl(&fx, |c| {
+            c.set_ap_entry("a", "evicted", vec!["p9".into()], 4)
+        })
+        .unwrap();
 
         let freed = fx.peer.gc_sweep();
         assert_eq!(freed, 2);
@@ -1232,22 +1117,15 @@ mod tests {
     #[test]
     fn gc_spares_bumped_survivors() {
         let fx = setup(1 << 20);
-        alloc(&fx, "a", "wal", 1, 128);
-        fx.ctrl_client
-            .set_ap_entry(fx.app_node, "a", "wal", vec!["p1".into()], 1)
-            .unwrap();
+        alloc(&fx, "a", "wal", 1, 128).unwrap();
+        ctl(&fx, |c| c.set_ap_entry("a", "wal", vec!["p1".into()], 1)).unwrap();
         // Simulate a peer-replacement: the app bumps the survivor's epoch
         // BEFORE writing the new ap-map entry.
-        call(&fx, bump_req("a", "wal", 2));
-        fx.ctrl_client
-            .set_ap_entry(
-                fx.app_node,
-                "a",
-                "wal",
-                vec!["p1".into(), "p-new".into()],
-                2,
-            )
-            .unwrap();
+        bump(&fx, "a", "wal", 2).unwrap();
+        ctl(&fx, |c| {
+            c.set_ap_entry("a", "wal", vec!["p1".into(), "p-new".into()], 2)
+        })
+        .unwrap();
         assert_eq!(fx.peer.gc_sweep(), 0, "survivor must not be reclaimed");
         assert!(fx.peer.inspect_region("a", "wal", 0, 1).is_some());
     }
@@ -1255,9 +1133,9 @@ mod tests {
     #[test]
     fn tenant_accounting_tracks_per_app_usage() {
         let fx = setup(1 << 20);
-        alloc(&fx, "a", "wal1", 1, 4096);
-        alloc(&fx, "a", "wal2", 1, 4096);
-        alloc(&fx, "b", "wal", 1, 8192);
+        alloc(&fx, "a", "wal1", 1, 4096).unwrap();
+        alloc(&fx, "a", "wal2", 1, 4096).unwrap();
+        alloc(&fx, "b", "wal", 1, 8192).unwrap();
         let small = (HEADER_SIZE + 4096) as u64;
         let big = (HEADER_SIZE + 8192) as u64;
         assert_eq!(fx.peer.tenant_usage("a").bytes, 2 * small);
@@ -1268,9 +1146,9 @@ mod tests {
         assert_eq!(fx.peer.mem_used(), 2 * small + big);
         // Closing every file returns the ledger to zero; the regions wait
         // on the free lists for the next tenant.
-        free(&fx, "a", "wal1", 1);
-        free(&fx, "a", "wal2", 1);
-        free(&fx, "b", "wal", 1);
+        free(&fx, "a", "wal1", 1).unwrap();
+        free(&fx, "a", "wal2", 1).unwrap();
+        free(&fx, "b", "wal", 1).unwrap();
         assert_eq!(fx.peer.mem_used(), 0);
         assert_eq!(fx.peer.tenants().len(), 0);
         assert_eq!(fx.peer.pooled_regions(), 3);
@@ -1279,19 +1157,19 @@ mod tests {
     #[test]
     fn free_is_idempotent_and_drops_replace_race_staging() {
         let fx = setup(1 << 20);
-        alloc(&fx, "a", "wal", 1, 128);
-        call(&fx, prepare_req("a", "wal", 2));
+        alloc(&fx, "a", "wal", 1, 128).unwrap();
+        prepare(&fx, "a", "wal", 2).unwrap();
         assert_eq!(fx.peer.staged_count(), 1);
         assert_eq!(fx.peer.mem_used(), 2 * (HEADER_SIZE + 128) as u64);
         // The app deletes the file while the catch-up has a region staged:
         // the free must release BOTH, or the staged slot leaks its charge.
-        assert!(matches!(free(&fx, "a", "wal", 2), PeerResp::Ok));
+        assert!(free(&fx, "a", "wal", 2).is_ok());
         assert_eq!(fx.peer.mem_used(), 0, "staged charge released too");
         assert_eq!(fx.peer.staged_count(), 0);
         assert_eq!(fx.peer.region_count(), 0);
         assert_eq!(fx.peer.pooled_regions(), 2);
         // Repeating the free is a no-op, not a double credit.
-        assert!(matches!(free(&fx, "a", "wal", 2), PeerResp::Ok));
+        assert!(free(&fx, "a", "wal", 2).is_ok());
         assert_eq!(fx.peer.mem_used(), 0);
         assert_eq!(fx.peer.pooled_regions(), 2);
     }
@@ -1300,8 +1178,8 @@ mod tests {
     fn alloc_under_pressure_evicts_coldest_region() {
         let region = HEADER_SIZE + 128;
         let fx = setup(2 * region as u64);
-        alloc(&fx, "a", "wal1", 1, 128);
-        alloc(&fx, "a", "wal2", 1, 128);
+        alloc(&fx, "a", "wal1", 1, 128).unwrap();
+        alloc(&fx, "a", "wal2", 1, 128).unwrap();
         // wal1's acked prefix is fully spilled (seq == spill_seq): coldest.
         // wal2 still holds 10 unspilled records: hotter.
         {
@@ -1319,14 +1197,11 @@ mod tests {
         }
         // The budget is full; the third allocation forces a voluntary
         // revocation and must pick the spilled (cold) region.
-        assert!(matches!(alloc(&fx, "a", "wal3", 1, 128), PeerResp::Mr(..)));
+        assert!(alloc(&fx, "a", "wal3", 1, 128).is_ok());
         assert!(fx.peer.inspect_region("a", "wal1", 0, 1).is_none());
         assert!(fx.peer.inspect_region("a", "wal2", 0, 1).is_some());
         assert!(fx.peer.inspect_region("a", "wal3", 0, 1).is_some());
-        let peers = fx
-            .ctrl_client
-            .get_peers(fx.app_node, "a", 0, 10, &[])
-            .unwrap();
+        let peers = ctl(&fx, |c| c.get_peers("a", 0, 10, &[]));
         assert_eq!(peers[0].revocations, 1);
     }
 
@@ -1335,12 +1210,10 @@ mod tests {
         let fx = setup(1 << 20);
         let lease = NclConfig::zero().peer_lease;
         // "live" holds its instance lock from a live node: lease renewed.
-        fx.ctrl_client
-            .acquire_instance(fx.app_node, "live", fx.app_node)
-            .unwrap();
-        alloc(&fx, "live", "wal", 1, 128);
+        ctl(&fx, |c| c.acquire_instance("live", fx.app_node)).unwrap();
+        alloc(&fx, "live", "wal", 1, 128).unwrap();
         // "dead" never held (or lost) its lock: confirmed dead → reclaim.
-        alloc(&fx, "dead", "wal", 1, 128);
+        alloc(&fx, "dead", "wal", 1, 128).unwrap();
         let later = Instant::now() + lease;
         assert_eq!(sweep(&mut fx.peer.daemon.lock(), later), 1);
         assert!(fx.peer.inspect_region("live", "wal", 0, 1).is_some());
@@ -1359,18 +1232,15 @@ mod tests {
         let tel = config.telemetry.clone();
         let lease = config.peer_lease;
         let fx = setup_with(1 << 20, config);
-        fx.ctrl_client
-            .acquire_instance(fx.app_node, "live", fx.app_node)
-            .unwrap();
+        ctl(&fx, |c| c.acquire_instance("live", fx.app_node)).unwrap();
         let ns = Duration::from_nanos(1);
         let mut d = fx.peer.daemon.lock();
-        let ok = |resp: PeerResp| assert!(!matches!(resp, PeerResp::Rejected(_)), "{resp:?}");
 
         // The boundary: touched at t, a region is still leased a nanosecond
         // before t + lease and expired at t + lease exactly.
         let t = Instant::now();
-        ok(d.handle(t, alloc_req("live", "wal", 1, 128)));
-        ok(d.handle(t, alloc_req("dead", "wal", 1, 128)));
+        d.alloc(t, "live", "wal", 1, 128).unwrap();
+        d.alloc(t, "dead", "wal", 1, 128).unwrap();
         assert_eq!(sweep(&mut d, t + lease - ns), 0);
         assert_eq!(sweep(&mut d, t + lease), 1, "the dead app's region goes");
         assert!(!d.live.contains_key(&key("dead", "wal")));
@@ -1391,15 +1261,15 @@ mod tests {
         let u = t + 3 * lease;
         let v = u + Duration::from_secs(1);
         for file in ["alloc", "lookup", "prepare", "commit", "bump", "adopt"] {
-            ok(d.handle(u, alloc_req("dead", file, 1, 128)));
+            d.alloc(u, "dead", file, 1, 128).unwrap();
         }
-        ok(d.handle(u, prepare_req("dead", "commit", 2)));
-        ok(d.handle(v, alloc_req("dead", "alloc", 2, 128)));
-        ok(d.handle(v, lookup_req("dead", "lookup")));
-        ok(d.handle(v, prepare_req("dead", "prepare", 2)));
-        ok(d.handle(v, commit_req("dead", "commit", 2)));
-        ok(d.handle(v, bump_req("dead", "bump", 2)));
-        ok(d.handle(v, adopt_req("dead", "adopt", 2)));
+        d.prepare(u, "dead", "commit", 2, 128).unwrap();
+        d.alloc(v, "dead", "alloc", 2, 128).unwrap();
+        d.lookup(v, "dead", "lookup").unwrap();
+        d.prepare(v, "dead", "prepare", 2, 128).unwrap();
+        d.commit(v, "dead", "commit", 2).unwrap();
+        d.bump_epoch(v, "dead", "bump", 2).unwrap();
+        d.adopt(v, "dead", "adopt", 2).unwrap();
         assert_eq!(sweep(&mut d, u + lease), 1);
         assert!(!d.live.contains_key(&key("dead", "prepare")));
         assert_eq!((d.live.len(), d.staged.len()), (5, 1));
@@ -1417,12 +1287,12 @@ mod tests {
         let fx = setup_with(2 * region as u64, config);
         assert_eq!(tel.gauge("peer.mem.p1.total_bytes").get(), 2 * region);
         assert_eq!(tel.gauge("peer.mem.total_bytes").get(), 2 * region);
-        alloc(&fx, "a", "wal", 1, 128);
+        alloc(&fx, "a", "wal", 1, 128).unwrap();
         assert_eq!(tel.gauge("peer.mem.p1.used_bytes").get(), region);
         assert_eq!(tel.gauge("peer.mem.used_bytes").get(), region);
         assert_eq!(tel.gauge("peer.mem.p1.regions").get(), 1);
         assert_eq!(tel.gauge("peer.mem.p1.tenants").get(), 1);
-        free(&fx, "a", "wal", 1);
+        free(&fx, "a", "wal", 1).unwrap();
         assert_eq!(tel.gauge("peer.mem.p1.used_bytes").get(), 0);
         assert_eq!(tel.gauge("peer.mem.used_bytes").get(), 0);
         assert_eq!(tel.gauge("peer.mem.p1.tenants").get(), 0);
@@ -1433,7 +1303,7 @@ mod tests {
         let published = |step: &str| {
             let regions = fx.peer.region_count() + fx.peer.staged_count();
             let avail = fx.peer.mem_total() - fx.peer.mem_used();
-            let hint = fx.ctrl_client.get_peers(fx.app_node, "a", 0, 10, &[]);
+            let hint = ctl(&fx, |c| c.get_peers("a", 0, 10, &[]));
             assert_eq!(
                 tel.gauge("peer.mem.p1.used_bytes").get(),
                 fx.peer.mem_used() as i64,
@@ -1444,22 +1314,16 @@ mod tests {
                 regions as i64,
                 "{step}"
             );
-            assert_eq!(hint.unwrap()[0].avail, avail, "{step}");
+            assert_eq!(hint[0].avail, avail, "{step}");
         };
-        alloc(&fx, "a", "wal", 1, 128);
-        assert!(matches!(
-            call(&fx, prepare_req("a", "wal", 2)),
-            PeerResp::Mr(..)
-        ));
+        alloc(&fx, "a", "wal", 1, 128).unwrap();
+        assert!(prepare(&fx, "a", "wal", 2).is_ok());
         assert_eq!(fx.peer.mem_used(), 2 * region as u64);
         published("after Prepare");
-        assert!(matches!(call(&fx, commit_req("a", "wal", 2)), PeerResp::Ok));
+        assert!(commit(&fx, "a", "wal", 2).is_ok());
         // A superseding Alloc releases the old region, then fails: it does
         // not fit the budget.
-        assert!(matches!(
-            alloc(&fx, "a", "wal", 3, 10_000),
-            PeerResp::Rejected(_)
-        ));
+        assert!(alloc(&fx, "a", "wal", 3, 10_000).is_err());
         assert_eq!(fx.peer.mem_used(), 0);
         published("after a failed superseding Alloc");
     }

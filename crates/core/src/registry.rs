@@ -8,18 +8,19 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use rdma::RdmaDevice;
 use sim::{NodeId, RpcClient};
 use telemetry::{spans, Telemetry};
 
-use crate::peer::{PeerReq, PeerResp};
+use crate::peer::Daemon;
 
 /// Connection handles for one peer.
 #[derive(Clone)]
 pub struct PeerEndpoint {
-    /// Control-plane RPC client (allocation, lookup, prepare/commit, ...).
-    pub rpc: RpcClient<PeerReq, PeerResp>,
+    /// Control-plane RPC client: a call runs a [`Daemon`] method
+    /// (allocation, lookup, prepare/commit, ...).
+    pub rpc: RpcClient<Arc<Mutex<Daemon>>>,
     /// The peer's RDMA device, which queue pairs connect to.
     pub device: RdmaDevice,
     /// The peer's node.

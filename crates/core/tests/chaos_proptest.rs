@@ -12,6 +12,7 @@
 use ncl::{Controller, NclConfig, NclLib, NclRegistry, Peer};
 use proptest::prelude::*;
 use sim::{Binding, Cluster, FaultPlan, FaultScheduler, PlanParams};
+use telemetry::Telemetry;
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -25,7 +26,7 @@ proptest! {
     ) {
         let (seed, writes) = input;
         let cluster = Cluster::new();
-        let controller = Controller::start(&cluster);
+        let controller = Controller::start(&cluster, Telemetry::disabled());
         let registry = NclRegistry::new();
         let config = NclConfig::zero();
         let peers: Vec<Peer> = (0..6)

@@ -1,16 +1,19 @@
 //! Property tests of the erasure-coded decoders recovery runs over what it
-//! fetched from the fragment holders: `ec::decode_burst`,
-//! `FragEntry::decode_at` and `ec::reassemble`. The bytes come from remote
-//! memory that a crash may have left half-written, so
+//! fetched from the fragment holders and the spill tier:
+//! `ec::decode_burst`, `FragEntry::decode_at`, `ec::reassemble` and
+//! `SpillSnapshot::decode`. The bytes come from remote memory or a file
+//! that a crash may have left half-written, so
 //!
 //! * no input makes a decoder panic, whatever its bytes and offsets;
-//! * every encoded burst, entry and striped log reads back exactly;
-//! * flipping any single bit of a valid fragment entry makes it decode to
-//!   `None` (the CRC-32C rejects it), and a stripe with one corrupted shard
-//!   still reassembles from the other `k`.
+//! * every encoded burst, entry, striped log and snapshot reads back
+//!   exactly;
+//! * flipping any single bit of a valid fragment entry or snapshot makes it
+//!   decode to `None` (the CRC-32C rejects it), and a stripe with one
+//!   corrupted shard still reassembles from the other `k`.
 
 use ncl::ec::{
-    decode_burst, encode_burst, parity_units, reassemble, split_units, FragEntry, FRAG_ENTRY_SIZE,
+    decode_burst, encode_burst, parity_units, reassemble, split_units, FragEntry, SpillSnapshot,
+    FRAG_ENTRY_SIZE,
 };
 use proptest::prelude::*;
 
@@ -90,6 +93,23 @@ fn striped(k: usize, n: usize, bursts: &[Records]) -> (Vec<Vec<u8>>, Bursts) {
     (logs, images)
 }
 
+/// A spill snapshot whose `data` is its `len` valid bytes.
+fn snapshot() -> impl Strategy<Value = SpillSnapshot> {
+    (
+        any::<u64>(),
+        any::<bool>(),
+        any::<u64>(),
+        prop::collection::vec(any::<u8>(), 0..64),
+    )
+        .prop_map(|(spill_seq, overwritten, capacity, data)| SpillSnapshot {
+            spill_seq,
+            len: data.len() as u64,
+            overwritten,
+            capacity,
+            data,
+        })
+}
+
 /// `(k, n)` with `1 <= k < n <= 6`.
 fn code() -> impl Strategy<Value = (usize, usize)> {
     (1..4usize, 1..3usize).prop_map(|(k, parity)| (k, k + parity))
@@ -167,5 +187,38 @@ proptest! {
         log[bit / 8] ^= 1 << (bit % 8);
         let all: Vec<&[u8]> = logs.iter().map(Vec::as_slice).collect();
         prop_assert_eq!(reassemble(k, n, &all, 0), images);
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_snapshot_decoder(
+        case in (prop::collection::vec(any::<u8>(), 0..96), any::<u64>())
+    ) {
+        let (mut bytes, len) = case;
+        let _ = SpillSnapshot::decode(&bytes);
+        // The same bytes under a drawn `len`, however large.
+        if bytes.len() >= 16 {
+            bytes[8..16].copy_from_slice(&len.to_le_bytes());
+            let _ = SpillSnapshot::decode(&bytes);
+        }
+    }
+
+    #[test]
+    fn an_encoded_snapshot_round_trips(
+        case in (snapshot(), prop::collection::vec(any::<u8>(), 0..16))
+    ) {
+        let (snap, stale) = case;
+        let mut bytes = snap.encode();
+        // A longer predecessor's tail past the CRC is ignored.
+        bytes.extend_from_slice(&stale);
+        prop_assert_eq!(SpillSnapshot::decode(&bytes), Some(snap));
+    }
+
+    #[test]
+    fn one_flipped_bit_in_a_snapshot_never_decodes(case in (snapshot(), any::<u32>())) {
+        let (snap, draw) = case;
+        let mut bytes = snap.encode();
+        let bit = draw as usize % (8 * bytes.len());
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        prop_assert_eq!(SpillSnapshot::decode(&bytes), None, "bit {}", bit);
     }
 }

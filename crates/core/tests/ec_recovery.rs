@@ -14,6 +14,7 @@ use std::sync::Arc;
 use ncl::{Controller, Durability, MemSpillSink, NclConfig, NclLib, NclRegistry, Peer};
 use proptest::prelude::*;
 use sim::{Cluster, LatencyModel};
+use telemetry::Telemetry;
 
 const CAPACITY: usize = 8192;
 
@@ -63,7 +64,7 @@ fn k_subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
 /// Returns `(mirror, recovered)` — the acked model and what came back.
 fn run_schedule(config: &NclConfig, pool: usize, ops: &[Op], kill: &[usize]) -> (Vec<u8>, Vec<u8>) {
     let cluster = Cluster::new();
-    let controller = Controller::start(&cluster);
+    let controller = Controller::start(&cluster, Telemetry::disabled());
     let registry = NclRegistry::new();
     let peers: Vec<Peer> = (0..pool)
         .map(|i| {
@@ -140,7 +141,7 @@ fn run_schedule(config: &NclConfig, pool: usize, ops: &[Op], kill: &[usize]) -> 
     cluster.crash(node);
     let entry = controller
         .client(LatencyModel::ZERO)
-        .get_ap_entry(controller.node(), "ecapp", "wal")
+        .call(controller.node(), |c, _| c.get_ap_entry("ecapp", "wal"))
         .unwrap()
         .expect("ap entry exists");
     for &pos in kill {

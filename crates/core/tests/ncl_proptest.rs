@@ -10,6 +10,7 @@ use std::sync::Arc;
 use ncl::{Controller, NclConfig, NclFile, NclLib, NclRegistry, Peer};
 use proptest::prelude::*;
 use sim::Cluster;
+use telemetry::Telemetry;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -51,7 +52,7 @@ impl World {
 
     fn with_config(config: NclConfig) -> Self {
         let cluster = Cluster::new();
-        let controller = Controller::start(&cluster);
+        let controller = Controller::start(&cluster, Telemetry::disabled());
         let registry = NclRegistry::new();
         let peers = (0..6)
             .map(|i| {

@@ -8,7 +8,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ncl::peer::{PeerReq, PeerResp};
 use ncl::{
     lockaudit, Controller, Durability, MemSpillSink, NclConfig, NclError, NclFile, NclLib,
     NclRegistry, Peer, RegionHeader, HEADER_SIZE,
@@ -34,7 +33,7 @@ impl Harness {
         let cluster = Cluster::new();
         // Share the config's telemetry handle so controller and peer facts
         // land in the same trace as the files' spans.
-        let controller = Controller::start_with_telemetry(&cluster, config.telemetry.clone());
+        let controller = Controller::start(&cluster, config.telemetry.clone());
         let registry = NclRegistry::with_telemetry(config.telemetry.clone());
         let peers = (0..num_peers)
             .map(|i| {
@@ -79,12 +78,9 @@ impl Harness {
 
     /// The token `peer` hands out for testapp's `file`, asked from `from`.
     fn region_of(&self, from: NodeId, peer: &str, file: &str) -> RemoteMr {
-        let req = PeerReq::RecoveryLookup {
-            app: "testapp".into(),
-            file: file.into(),
-        };
-        match self.registry.lookup(peer).unwrap().rpc.call(from, req) {
-            Ok(PeerResp::Mr(mr, _)) => mr,
+        let rpc = self.registry.lookup(peer).unwrap().rpc;
+        match rpc.call(from, |d, s| d.lock().lookup(s.at, "testapp", file)) {
+            Ok(Ok((mr, _))) => mr,
             other => panic!("lookup on {peer}: {other:?}"),
         }
     }
@@ -819,20 +815,19 @@ fn a_recovery_that_dies_mid_catch_up_is_recovered_again() {
     }
     let ctl = h.controller.client(h.config.control);
     let epoch = |node| {
-        let entry = ctl.get_ap_entry(node, "testapp", "wal").unwrap();
+        let entry = ctl.call(node, |c, _| c.get_ap_entry("testapp", "wal"));
+        let entry = entry.unwrap();
         entry.expect("ap-map entry").epoch
     };
     // Instance a2 does what its catch-up of the lagging peer does — adopt,
     // then the tail and the recovered header — and dies.
     let lib2 = h.app("a2");
     let e = epoch(lib2.node());
-    let adopt = PeerReq::Adopt {
-        app: "testapp".into(),
-        file: "wal".into(),
-        epoch: e + 1,
-    };
     let endpoint = h.registry.lookup(&lagging).unwrap();
-    let Ok(PeerResp::Mr(mr, _)) = endpoint.rpc.call(lib2.node(), adopt) else {
+    let adopted = (endpoint.rpc).call(lib2.node(), |d, s| {
+        d.lock().adopt(s.at, "testapp", "wal", e + 1)
+    });
+    let Ok(Ok((mr, _))) = adopted else {
         panic!("adopt refused")
     };
     let up_to_date = ["p0", "p1", "p2"].into_iter().find(|n| *n != lagging);
@@ -1145,31 +1140,24 @@ fn scheduled_gc_reclaims_leaks_on_the_next_control_call() {
     // moved on without it.
     let ep = h.registry.lookup("p0").unwrap();
     let app_node = lib.node();
-    let resp = ep
-        .rpc
-        .call(
-            app_node,
-            ncl::peer::PeerReq::Alloc {
-                app: "testapp".into(),
-                file: "leaked".into(),
-                epoch: 1,
-                capacity: 128,
-            },
-        )
-        .unwrap();
-    assert!(matches!(resp, ncl::peer::PeerResp::Mr(..)));
-    h.controller
-        .client(sim::LatencyModel::ZERO)
-        .set_ap_entry(app_node, "testapp", "leaked", vec!["p-elsewhere".into()], 2)
-        .unwrap();
+    let resp = (ep.rpc).call(app_node, |d, s| {
+        d.lock().alloc(s.at, "testapp", "leaked", 1, 128)
+    });
+    let resp = resp.unwrap();
+    assert!(resp.is_ok());
+    let ctrl = h.controller.client(sim::LatencyModel::ZERO);
+    let leaked = vec!["p-elsewhere".into()];
+    let set = ctrl.call(app_node, |c, _| {
+        c.set_ap_entry("testapp", "leaked", leaked, 2)
+    });
+    set.unwrap().unwrap();
 
     let before = h.peer_named("p0").region_count();
     let interval = std::time::Duration::from_millis(100);
     h.peers[0].schedule_gc(interval);
     // The GC owns no thread: it runs on the first top-level control call
     // once its interval is up, and only then.
-    let ctrl = h.controller.client(sim::LatencyModel::ZERO);
-    let call = || ctrl.get_app_epoch(app_node, "testapp", "wal").unwrap();
+    let call = || (ctrl.call(app_node, |c, _| c.get_app_epoch("testapp", "wal"))).unwrap();
     call();
     assert_eq!(h.peer_named("p0").region_count(), before, "not due yet");
     std::thread::sleep(interval);
@@ -1766,7 +1754,8 @@ fn arm(h: &Harness, app: &NclLib, plan: sim::FaultPlan) -> sim::FaultScheduler {
 fn ap_map(h: &Harness) -> (Vec<String>, u64) {
     let ctl = h.controller.client(h.config.control);
     let probe = h.cluster.add_node("probe");
-    let entry = ctl.get_ap_entry(probe, "testapp", "wal").unwrap();
+    let entry = ctl.call(probe, |c, _| c.get_ap_entry("testapp", "wal"));
+    let entry = entry.unwrap();
     let entry = entry.expect("ap-map entry");
     (entry.peers, entry.epoch)
 }

@@ -18,6 +18,7 @@ use ncl::{Controller, NclConfig, NclFile, NclLib, NclRegistry, Peer};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sim::Cluster;
+use telemetry::Telemetry;
 
 const CAPACITY: usize = 4096;
 const MAX_FILES: usize = 3;
@@ -74,7 +75,7 @@ impl World {
     fn new() -> Self {
         let config = NclConfig::zero();
         let cluster = Cluster::new();
-        let controller = Controller::start(&cluster);
+        let controller = Controller::start(&cluster, Telemetry::disabled());
         let registry = NclRegistry::new();
         // A bounded budget: enough for every tenant's files plus staging,
         // small enough that accounting drift would hit the ceiling fast.

@@ -42,7 +42,7 @@ fn spread(xs: &mut [f64]) -> (f64, f64, f64) {
 fn telemetry_on_over_off_for_a_synchronous_record() {
     let cluster = Cluster::new();
     let peers_config = NclConfig::zero();
-    let controller = Controller::start_with_telemetry(&cluster, Telemetry::disabled());
+    let controller = Controller::start(&cluster, Telemetry::disabled());
     let registry = NclRegistry::with_telemetry(Telemetry::disabled());
     let _peers: Vec<Peer> = (0..3)
         .map(|i| {
@@ -104,7 +104,7 @@ fn our_cpu_per_calibrated_synchronous_record() {
     const TIMED: usize = 200_000;
     let config = NclConfig::calibrated();
     let cluster = Cluster::new();
-    let controller = Controller::start_with_telemetry(&cluster, config.telemetry.clone());
+    let controller = Controller::start(&cluster, config.telemetry.clone());
     let registry = NclRegistry::with_telemetry(config.telemetry.clone());
     let _peers: Vec<Peer> = (0..3)
         .map(|i| {

@@ -25,7 +25,7 @@ fn harness(
     config: &NclConfig,
 ) -> (Cluster, Controller, Arc<NclRegistry>, Vec<Peer>) {
     let cluster = Cluster::new();
-    let controller = Controller::start_with_telemetry(&cluster, config.telemetry.clone());
+    let controller = Controller::start(&cluster, config.telemetry.clone());
     let registry = NclRegistry::with_telemetry(config.telemetry.clone());
     let peers = (0..num_peers)
         .map(|i| {

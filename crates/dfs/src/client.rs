@@ -27,12 +27,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard};
-use sim::{NodeId, RpcClient};
+use sim::{NodeId, RpcClient, Served};
 
 use crate::config::DfsConfig;
 use crate::extent::ExtentMap;
-use crate::mds::{FileMeta, MdsReq, MdsResp};
-use crate::osd::{OsdReq, OsdResp};
+use crate::mds::{FileMeta, Mds};
+use crate::osd::Osd;
 use crate::DfsError;
 
 /// Classification of a traced IO event.
@@ -168,8 +168,8 @@ impl Shared {
 pub struct DfsClient {
     node: NodeId,
     config: DfsConfig,
-    mds: RpcClient<MdsReq, MdsResp>,
-    osds: Vec<RpcClient<OsdReq, OsdResp>>,
+    mds: RpcClient<Mds>,
+    osds: Vec<RpcClient<Osd>>,
     shared: Arc<Shared>,
 }
 
@@ -177,8 +177,8 @@ impl DfsClient {
     pub(crate) fn new(
         node: NodeId,
         config: DfsConfig,
-        mds: RpcClient<MdsReq, MdsResp>,
-        osds: Vec<RpcClient<OsdReq, OsdResp>>,
+        mds: RpcClient<Mds>,
+        osds: Vec<RpcClient<Osd>>,
     ) -> Self {
         DfsClient {
             node,
@@ -208,17 +208,19 @@ impl DfsClient {
         }
     }
 
-    fn mds_call(&self, req: MdsReq) -> Result<MdsResp, DfsError> {
-        self.mds
-            .call(self.node, req)
-            .map_err(|e| DfsError::Unavailable(e.to_string()))
+    /// Runs `op` on the MDS and waits for its answer.
+    fn mds<T>(&self, op: impl FnOnce(&mut Mds) -> Result<T, DfsError>) -> Result<T, DfsError> {
+        self.mds.call(self.node, |m, _| op(m))?
     }
 
-    /// [`Self::mds_call`] posted at `at`: the answer and when it is back.
-    fn mds_call_at(&self, at: Instant, req: MdsReq) -> Result<(MdsResp, Instant), DfsError> {
-        self.mds
-            .call_at(self.node, at, req)
-            .map_err(|e| DfsError::Unavailable(e.to_string()))
+    /// [`Self::mds`] posted at `at`: the answer and when it is back.
+    fn mds_at<T>(
+        &self,
+        at: Instant,
+        op: impl FnOnce(&mut Mds) -> Result<T, DfsError>,
+    ) -> Result<(T, Instant), DfsError> {
+        let (answer, back) = self.mds.call_at(self.node, at, |m, _| op(m))?;
+        Ok((answer?, back))
     }
 
     /// Creates a new empty file.
@@ -230,16 +232,10 @@ impl DfsClient {
     /// [`DfsClient::create`] posted at `at` without waiting: returns the
     /// instant the MDS's answer is back. The file is usable at once.
     pub fn create_at(&self, path: &str, at: Instant) -> Result<Instant, DfsError> {
-        match self.mds_call_at(at, MdsReq::Create(path.to_string()))? {
-            (MdsResp::Meta(meta), ready) => {
-                self.shared
-                    .files()
-                    .insert(path.to_string(), FileEntry::new(path, meta));
-                Ok(ready)
-            }
-            (MdsResp::Exists, _) => Err(DfsError::AlreadyExists(path.to_string())),
-            (other, _) => Err(DfsError::Invalid(format!("unexpected MDS reply {other:?}"))),
-        }
+        let (meta, ready) = self.mds_at(at, |m| m.create(path))?;
+        let entry = FileEntry::new(path, meta);
+        self.shared.files().insert(path.to_string(), entry);
+        Ok(ready)
     }
 
     /// Opens an existing file: one path lookup, after which
@@ -253,25 +249,19 @@ impl DfsClient {
         if self.shared.files().contains_key(path) {
             return true;
         }
-        matches!(
-            self.mds_call(MdsReq::Lookup(path.to_string())),
-            Ok(MdsResp::Meta(_))
-        )
+        self.mds(|m| m.lookup(path)).is_ok()
     }
 
     fn entry(&self, path: &str) -> Result<Arc<Mutex<FileEntry>>, DfsError> {
         if let Some(e) = self.shared.files().get(path) {
             return Ok(Arc::clone(e));
         }
-        match self.mds_call(MdsReq::Lookup(path.to_string()))? {
-            MdsResp::Meta(meta) => Ok(Arc::clone(
-                self.shared
-                    .files()
-                    .entry(path.to_string())
-                    .or_insert_with(|| FileEntry::new(path, meta)),
-            )),
-            _ => Err(DfsError::NotFound(path.to_string())),
-        }
+        let meta = self.mds(|m| m.lookup(path))?;
+        let mut files = self.shared.files();
+        let entry = files.entry(path.to_string());
+        Ok(Arc::clone(
+            entry.or_insert_with(|| FileEntry::new(path, meta)),
+        ))
     }
 
     /// Buffered write: lands in the client page cache, cheap and volatile.
@@ -330,17 +320,15 @@ impl DfsClient {
         for (off, data) in &extents {
             e.cached.insert(*off, data);
         }
-        let set_size = MdsReq::SetSize {
-            path: path.to_string(),
-            size: e.size,
-            exact: false,
-        };
+        // A file the MDS no longer has fails the flush without a retry; a
+        // failed call puts the data back to dirty.
+        let size = e.size;
+        let set_size = |m: &mut Mds| Ok(m.set_size(path, size, false));
         let durable = self
             .flush_extents(e.meta.id, &extents, at)
-            .and_then(|puts| self.mds_call_at(puts, set_size));
+            .and_then(|puts| self.mds_at(puts, set_size));
         let (meta, ready) = match durable {
-            Ok((MdsResp::Meta(meta), ready)) => (meta, ready),
-            Ok(_) => return Err(DfsError::NotFound(path.to_string())),
+            Ok((meta, ready)) => (meta?, ready),
             Err(err) => {
                 // Back to dirty so a retry re-flushes.
                 for (off, data) in &extents {
@@ -393,20 +381,17 @@ impl DfsClient {
         for (&obj, writes) in &per_object {
             for (r, osd) in self.osds.iter().enumerate() {
                 let mut at = post;
+                let forwarded = (obj % replicas as u64) as usize != r;
                 for &(offset, data) in writes {
-                    let put = OsdReq::Put {
-                        file: file_id,
-                        obj,
-                        offset,
-                        data: data.to_vec(),
-                        forwarded: (obj % replicas as u64) as usize != r,
+                    let put = |o: &mut Osd, s: &mut Served| {
+                        o.put(s, file_id, obj, offset, data, forwarded)
                     };
                     // The data goes out ahead of the request leg.
                     let sent = at + (self.config.hop.cost(data.len()) - self.config.hop.base);
                     match osd.call_at(self.node, sent, put) {
-                        Ok((_, back)) => at = back,
+                        Ok(((), back)) => at = back,
                         Err(e) => {
-                            failed.get_or_insert(DfsError::Unavailable(e.to_string()));
+                            failed.get_or_insert(e.into());
                         }
                     }
                 }
@@ -537,19 +522,9 @@ impl DfsClient {
         let primary = (obj % replicas as u64) as usize;
         for attempt in 0..replicas {
             let r = (primary + attempt) % replicas;
-            match self.osds[r].call_sized(
-                self.node,
-                OsdReq::Get {
-                    file: file_id,
-                    obj,
-                    offset,
-                    len,
-                },
-                0,
-                len,
-            ) {
-                Ok(OsdResp::Data(data)) => return Ok(data),
-                _ => continue, // Down, or not an answer to a read.
+            let get = |o: &mut Osd, s: &mut Served| o.get(s, file_id, obj, offset, len);
+            if let Ok(data) = self.osds[r].call_sized(self.node, 0, len, get) {
+                return Ok(data);
             }
         }
         Err(DfsError::Unavailable(format!(
@@ -564,10 +539,7 @@ impl DfsClient {
 
     /// Deletes a file: removes metadata, purges OSD objects and local cache.
     pub fn delete(&self, path: &str) -> Result<(), DfsError> {
-        let meta = match self.mds_call(MdsReq::Delete(path.to_string()))? {
-            MdsResp::Meta(meta) => meta,
-            _ => return Err(DfsError::NotFound(path.to_string())),
-        };
+        let meta = self.mds(|m| m.delete(path))?;
         let unlinked = self.shared.files().remove(path);
         if let Some(entry) = unlinked {
             // Open handles keep the entry: see `DfsFile`.
@@ -577,9 +549,8 @@ impl DfsClient {
         // orphaned (real systems run scrub/GC for this).
         let at = sim::time::now();
         let ready = self.osds.iter().filter_map(|osd| {
-            let (_, back) = osd
-                .call_at(self.node, at, OsdReq::DeleteFile(meta.id))
-                .ok()?;
+            let delete = |o: &mut Osd, _: &mut Served| o.delete_file(meta.id);
+            let (_, back) = osd.call_at(self.node, at, delete).ok()?;
             Some(back)
         });
         sim::delay_until(ready.max().unwrap_or(at));
@@ -588,26 +559,18 @@ impl DfsClient {
 
     /// Renames a file (metadata-only, like CephFS within one directory).
     pub fn rename(&self, old: &str, new: &str) -> Result<(), DfsError> {
-        match self.mds_call(MdsReq::Rename(old.to_string(), new.to_string()))? {
-            MdsResp::Ok => {
-                let mut files = self.shared.files();
-                if let Some(e) = files.remove(old) {
-                    e.lock().path = new.to_string();
-                    files.insert(new.to_string(), e);
-                }
-                Ok(())
-            }
-            MdsResp::Exists => Err(DfsError::AlreadyExists(new.to_string())),
-            _ => Err(DfsError::NotFound(old.to_string())),
+        self.mds(|m| m.rename(old, new))?;
+        let mut files = self.shared.files();
+        if let Some(e) = files.remove(old) {
+            e.lock().path = new.to_string();
+            files.insert(new.to_string(), e);
         }
+        Ok(())
     }
 
     /// Lists files whose path starts with `prefix`.
     pub fn list(&self, prefix: &str) -> Result<Vec<String>, DfsError> {
-        match self.mds_call(MdsReq::List(prefix.to_string()))? {
-            MdsResp::Paths(p) => Ok(p),
-            _ => Err(DfsError::Invalid("unexpected MDS reply".into())),
-        }
+        self.mds(|m| Ok(m.list(prefix)))
     }
 
     /// Drops clean cached data for `path` (dirty data is preserved).

@@ -52,8 +52,6 @@ pub enum DfsError {
     AlreadyExists(String),
     /// The storage tier is unreachable (all replicas of an object down).
     Unavailable(String),
-    /// Invalid argument (e.g. read past a hole with no data).
-    Invalid(String),
 }
 
 impl fmt::Display for DfsError {
@@ -62,9 +60,15 @@ impl fmt::Display for DfsError {
             DfsError::NotFound(p) => write!(f, "no such file: {p}"),
             DfsError::AlreadyExists(p) => write!(f, "file exists: {p}"),
             DfsError::Unavailable(m) => write!(f, "storage unavailable: {m}"),
-            DfsError::Invalid(m) => write!(f, "invalid operation: {m}"),
         }
     }
 }
 
 impl std::error::Error for DfsError {}
+
+/// A call to an MDS or OSD that never got its answer.
+impl From<sim::SimError> for DfsError {
+    fn from(e: sim::SimError) -> Self {
+        DfsError::Unavailable(e.to_string())
+    }
+}

@@ -3,11 +3,12 @@
 //! Holds the namespace: path → file id + size. Like the paper's CephFS MDS
 //! (and the NCL controller), it is treated as a fault-tolerant service: the
 //! simulation never crashes it. File *data* is addressed by the immutable
-//! file id, so renames are pure metadata operations.
+//! file id, so renames are pure metadata operations. A call is a method of
+//! `Mds` run through `sim::rpc`.
 
 use std::collections::HashMap;
 
-use sim::{Cluster, NodeId, RpcServer};
+use crate::DfsError;
 
 /// Metadata for one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,238 +19,147 @@ pub struct FileMeta {
     pub size: u64,
 }
 
-/// Requests understood by the MDS.
-#[derive(Debug, Clone)]
-pub enum MdsReq {
-    /// Create a new empty file; fails if the path exists.
-    Create(String),
-    /// Look up a file's metadata.
-    Lookup(String),
-    /// Update a file's size (monotonic `max` is applied by callers that
-    /// append; truncation passes the smaller value with `exact = true`).
-    SetSize {
-        /// File path.
-        path: String,
-        /// New size.
+/// The namespace, and the id the next file gets; every call is one of its
+/// methods.
+pub(crate) struct Mds {
+    files: HashMap<String, FileMeta>,
+    next_id: u64,
+}
+
+impl Mds {
+    pub(crate) fn new() -> Self {
+        Mds {
+            files: HashMap::new(),
+            next_id: 1,
+        }
+    }
+
+    /// Creates a new empty file; fails if the path exists.
+    pub(crate) fn create(&mut self, path: &str) -> Result<FileMeta, DfsError> {
+        if self.files.contains_key(path) {
+            return Err(DfsError::AlreadyExists(path.to_string()));
+        }
+        let meta = FileMeta {
+            id: self.next_id,
+            size: 0,
+        };
+        self.next_id += 1;
+        self.files.insert(path.to_string(), meta);
+        Ok(meta)
+    }
+
+    /// A file's metadata.
+    pub(crate) fn lookup(&self, path: &str) -> Result<FileMeta, DfsError> {
+        let meta = self.files.get(path).copied();
+        meta.ok_or_else(|| DfsError::NotFound(path.to_string()))
+    }
+
+    /// Updates a file's size: only ever grows it (concurrent appenders)
+    /// unless `exact`, which truncation passes with the smaller value.
+    pub(crate) fn set_size(
+        &mut self,
+        path: &str,
         size: u64,
-        /// When false, the stored size only grows (concurrent appenders).
         exact: bool,
-    },
-    /// Remove a file, returning its id so the caller can purge OSD objects.
-    Delete(String),
-    /// Rename a file (metadata only).
-    Rename(String, String),
-    /// List paths with the given prefix.
-    List(String),
-}
+    ) -> Result<FileMeta, DfsError> {
+        let meta =
+            (self.files.get_mut(path)).ok_or_else(|| DfsError::NotFound(path.to_string()))?;
+        meta.size = if exact { size } else { meta.size.max(size) };
+        Ok(*meta)
+    }
 
-/// Responses from the MDS.
-#[derive(Debug, Clone)]
-pub enum MdsResp {
-    /// Operation succeeded with no payload.
-    Ok,
-    /// Metadata for a single file.
-    Meta(FileMeta),
-    /// Matching paths for a `List`.
-    Paths(Vec<String>),
-    /// The named path does not exist.
-    NotFound,
-    /// The path already exists (`Create`/`Rename` target).
-    Exists,
-}
+    /// Removes a file, returning its metadata so the caller can purge its
+    /// OSD objects.
+    pub(crate) fn delete(&mut self, path: &str) -> Result<FileMeta, DfsError> {
+        let meta = self.files.remove(path);
+        meta.ok_or_else(|| DfsError::NotFound(path.to_string()))
+    }
 
-/// Starts the MDS service on `node` and returns its server handle.
-pub fn start_mds(cluster: Cluster, node: NodeId) -> RpcServer<MdsReq, MdsResp> {
-    let mut files: HashMap<String, FileMeta> = HashMap::new();
-    let mut next_id: u64 = 1;
-    RpcServer::new(cluster, node, move |req| match req {
-        MdsReq::Create(path) => {
-            if files.contains_key(&path) {
-                return MdsResp::Exists;
-            }
-            let meta = FileMeta {
-                id: next_id,
-                size: 0,
-            };
-            next_id += 1;
-            files.insert(path, meta);
-            MdsResp::Meta(meta)
+    /// Renames a file (metadata only); fails if `new` exists.
+    pub(crate) fn rename(&mut self, old: &str, new: &str) -> Result<(), DfsError> {
+        if self.files.contains_key(new) {
+            return Err(DfsError::AlreadyExists(new.to_string()));
         }
-        MdsReq::Lookup(path) => match files.get(&path) {
-            Some(meta) => MdsResp::Meta(*meta),
-            None => MdsResp::NotFound,
-        },
-        MdsReq::SetSize { path, size, exact } => match files.get_mut(&path) {
-            Some(meta) => {
-                if exact {
-                    meta.size = size;
-                } else {
-                    meta.size = meta.size.max(size);
-                }
-                MdsResp::Meta(*meta)
-            }
-            None => MdsResp::NotFound,
-        },
-        MdsReq::Delete(path) => match files.remove(&path) {
-            Some(meta) => MdsResp::Meta(meta),
-            None => MdsResp::NotFound,
-        },
-        MdsReq::Rename(old, new) => {
-            if files.contains_key(&new) {
-                return MdsResp::Exists;
-            }
-            match files.remove(&old) {
-                Some(meta) => {
-                    files.insert(new, meta);
-                    MdsResp::Ok
-                }
-                None => MdsResp::NotFound,
-            }
-        }
-        MdsReq::List(prefix) => {
-            let mut paths: Vec<String> = files
-                .keys()
-                .filter(|p| p.starts_with(&prefix))
-                .cloned()
-                .collect();
-            paths.sort();
-            MdsResp::Paths(paths)
-        }
-    })
+        let meta = self
+            .files
+            .remove(old)
+            .ok_or_else(|| DfsError::NotFound(old.to_string()))?;
+        self.files.insert(new.to_string(), meta);
+        Ok(())
+    }
+
+    /// The paths with the given prefix, sorted.
+    pub(crate) fn list(&self, prefix: &str) -> Vec<String> {
+        let mut paths: Vec<String> = (self.files.keys())
+            .filter(|p| p.starts_with(prefix))
+            .cloned()
+            .collect();
+        paths.sort();
+        paths
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::LatencyModel;
-
-    fn setup() -> (
-        sim::RpcClient<MdsReq, MdsResp>,
-        NodeId,
-        RpcServer<MdsReq, MdsResp>,
-    ) {
-        let cluster = Cluster::new();
-        let mds_node = cluster.add_node("mds");
-        let app = cluster.add_node("app");
-        let srv = start_mds(cluster, mds_node);
-        let cli = srv.client(LatencyModel::ZERO);
-        (cli, app, srv)
-    }
 
     #[test]
     fn create_lookup_roundtrip() {
-        let (cli, app, _srv) = setup();
-        let MdsResp::Meta(m) = cli.call(app, MdsReq::Create("a".into())).unwrap() else {
-            panic!("expected meta");
-        };
+        let mut mds = Mds::new();
+        let m = mds.create("a").unwrap();
         assert_eq!(m.size, 0);
-        let MdsResp::Meta(m2) = cli.call(app, MdsReq::Lookup("a".into())).unwrap() else {
-            panic!("expected meta");
-        };
-        assert_eq!(m2.id, m.id);
+        assert_eq!(mds.lookup("a").unwrap().id, m.id);
     }
 
     #[test]
     fn duplicate_create_rejected() {
-        let (cli, app, _srv) = setup();
-        cli.call(app, MdsReq::Create("a".into())).unwrap();
-        assert!(matches!(
-            cli.call(app, MdsReq::Create("a".into())).unwrap(),
-            MdsResp::Exists
-        ));
+        let mut mds = Mds::new();
+        mds.create("a").unwrap();
+        assert!(matches!(mds.create("a"), Err(DfsError::AlreadyExists(_))));
     }
 
     #[test]
     fn set_size_monotonic_unless_exact() {
-        let (cli, app, _srv) = setup();
-        cli.call(app, MdsReq::Create("a".into())).unwrap();
-        cli.call(
-            app,
-            MdsReq::SetSize {
-                path: "a".into(),
-                size: 100,
-                exact: false,
-            },
-        )
-        .unwrap();
-        let MdsResp::Meta(m) = cli
-            .call(
-                app,
-                MdsReq::SetSize {
-                    path: "a".into(),
-                    size: 50,
-                    exact: false,
-                },
-            )
-            .unwrap()
-        else {
-            panic!()
-        };
+        let mut mds = Mds::new();
+        mds.create("a").unwrap();
+        mds.set_size("a", 100, false).unwrap();
+        let m = mds.set_size("a", 50, false).unwrap();
         assert_eq!(m.size, 100, "non-exact set never shrinks");
-        let MdsResp::Meta(m) = cli
-            .call(
-                app,
-                MdsReq::SetSize {
-                    path: "a".into(),
-                    size: 50,
-                    exact: true,
-                },
-            )
-            .unwrap()
-        else {
-            panic!()
-        };
+        let m = mds.set_size("a", 50, true).unwrap();
         assert_eq!(m.size, 50, "exact set truncates");
     }
 
     #[test]
     fn rename_moves_metadata_and_rejects_collision() {
-        let (cli, app, _srv) = setup();
-        cli.call(app, MdsReq::Create("a".into())).unwrap();
-        cli.call(app, MdsReq::Create("b".into())).unwrap();
+        let mut mds = Mds::new();
+        mds.create("a").unwrap();
+        mds.create("b").unwrap();
         assert!(matches!(
-            cli.call(app, MdsReq::Rename("a".into(), "b".into()))
-                .unwrap(),
-            MdsResp::Exists
+            mds.rename("a", "b"),
+            Err(DfsError::AlreadyExists(_))
         ));
-        assert!(matches!(
-            cli.call(app, MdsReq::Rename("a".into(), "c".into()))
-                .unwrap(),
-            MdsResp::Ok
-        ));
-        assert!(matches!(
-            cli.call(app, MdsReq::Lookup("a".into())).unwrap(),
-            MdsResp::NotFound
-        ));
-        assert!(matches!(
-            cli.call(app, MdsReq::Lookup("c".into())).unwrap(),
-            MdsResp::Meta(_)
-        ));
+        assert!(mds.rename("a", "c").is_ok());
+        assert!(matches!(mds.lookup("a"), Err(DfsError::NotFound(_))));
+        assert!(mds.lookup("c").is_ok());
     }
 
     #[test]
     fn delete_returns_meta_then_not_found() {
-        let (cli, app, _srv) = setup();
-        cli.call(app, MdsReq::Create("a".into())).unwrap();
-        assert!(matches!(
-            cli.call(app, MdsReq::Delete("a".into())).unwrap(),
-            MdsResp::Meta(_)
-        ));
-        assert!(matches!(
-            cli.call(app, MdsReq::Delete("a".into())).unwrap(),
-            MdsResp::NotFound
-        ));
+        let mut mds = Mds::new();
+        mds.create("a").unwrap();
+        assert!(mds.delete("a").is_ok());
+        assert!(matches!(mds.delete("a"), Err(DfsError::NotFound(_))));
     }
 
     #[test]
     fn list_filters_by_prefix_sorted() {
-        let (cli, app, _srv) = setup();
+        let mut mds = Mds::new();
         for p in ["wal/2", "wal/1", "sst/9"] {
-            cli.call(app, MdsReq::Create(p.into())).unwrap();
+            mds.create(p).unwrap();
         }
-        let MdsResp::Paths(paths) = cli.call(app, MdsReq::List("wal/".into())).unwrap() else {
-            panic!()
-        };
-        assert_eq!(paths, vec!["wal/1".to_string(), "wal/2".to_string()]);
+        assert_eq!(
+            mds.list("wal/"),
+            vec!["wal/1".to_string(), "wal/2".to_string()]
+        );
     }
 }

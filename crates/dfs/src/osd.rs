@@ -12,98 +12,70 @@
 //! `fsync` costs the client → primary → replica chain, not their sum.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
-use sim::{Cluster, NodeId, RpcServer};
+use sim::{Cluster, NodeId, RpcServer, Served};
 
 use crate::client::DfsClient;
 use crate::config::DfsConfig;
+use crate::mds::Mds;
 
-/// Requests understood by an OSD.
-#[derive(Debug, Clone)]
-pub enum OsdReq {
-    /// Write `data` at `offset` within object `(file, obj)`. `forwarded`
-    /// marks replica copies, which charge an extra network hop.
-    Put {
-        /// File id from the MDS.
+/// One OSD's objects; every call is one of its methods, and prices what it
+/// does on the [`Served`] it is handed.
+pub(crate) struct Osd {
+    config: DfsConfig,
+    objects: HashMap<(u64, u64), Vec<u8>>,
+}
+
+impl Osd {
+    /// Writes `data` at `offset` within object `(file, obj)`: a commit,
+    /// and one more network hop on a `forwarded` (non-primary) replica.
+    pub(crate) fn put(
+        &mut self,
+        served: &mut Served,
         file: u64,
-        /// Object index within the file.
         obj: u64,
-        /// Byte offset within the object.
         offset: usize,
-        /// Data to write.
-        data: Vec<u8>,
-        /// True on non-primary replicas (adds the forward-hop cost).
+        data: &[u8],
         forwarded: bool,
-    },
-    /// Read `len` bytes at `offset` from object `(file, obj)`.
-    Get {
-        /// File id from the MDS.
+    ) {
+        let buf = self.objects.entry((file, obj)).or_default();
+        let end = offset + data.len();
+        debug_assert!(end <= self.config.object_size, "write exceeds object size");
+        if buf.len() < end {
+            buf.resize(end, 0);
+        }
+        buf[offset..end].copy_from_slice(data);
+        served.price(self.config.commit.cost(data.len()));
+        if forwarded {
+            served.price(self.config.hop.cost(data.len())); // Primary → replica.
+        }
+    }
+
+    /// Reads `len` bytes at `offset` from object `(file, obj)`; holes and
+    /// unwritten tails read as zeros.
+    pub(crate) fn get(
+        &self,
+        served: &mut Served,
         file: u64,
-        /// Object index within the file.
         obj: u64,
-        /// Byte offset within the object.
         offset: usize,
-        /// Number of bytes to read.
         len: usize,
-    },
-    /// Drop every object belonging to `file`.
-    DeleteFile(u64),
-}
+    ) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        if let Some(buf) = self.objects.get(&(file, obj)) {
+            if offset < buf.len() {
+                let n = (buf.len() - offset).min(len);
+                out[..n].copy_from_slice(&buf[offset..offset + n]);
+            }
+        }
+        served.price(self.config.osd_read.cost(len));
+        out
+    }
 
-/// Responses from an OSD.
-#[derive(Debug, Clone)]
-pub enum OsdResp {
-    /// Write or delete applied.
-    Ok,
-    /// Read result; holes and unwritten tails read as zeros.
-    Data(Vec<u8>),
-}
-
-fn start_osd(cluster: Cluster, node: NodeId, config: &DfsConfig) -> RpcServer<OsdReq, OsdResp> {
-    let config = config.clone();
-    let mut objects: HashMap<(u64, u64), Vec<u8>> = HashMap::new();
-    RpcServer::priced(cluster, node, move |_, req| match req {
-        OsdReq::Put {
-            file,
-            obj,
-            offset,
-            data,
-            forwarded,
-        } => {
-            let buf = objects.entry((file, obj)).or_default();
-            let end = offset + data.len();
-            debug_assert!(end <= config.object_size, "write exceeds object size");
-            if buf.len() < end {
-                buf.resize(end, 0);
-            }
-            buf[offset..end].copy_from_slice(&data);
-            let mut work = config.commit.cost(data.len());
-            if forwarded {
-                work += config.hop.cost(data.len()); // Primary → replica.
-            }
-            (OsdResp::Ok, work)
-        }
-        OsdReq::Get {
-            file,
-            obj,
-            offset,
-            len,
-        } => {
-            let mut out = vec![0u8; len];
-            if let Some(buf) = objects.get(&(file, obj)) {
-                if offset < buf.len() {
-                    let n = (buf.len() - offset).min(len);
-                    out[..n].copy_from_slice(&buf[offset..offset + n]);
-                }
-            }
-            (OsdResp::Data(out), config.osd_read.cost(len))
-        }
-        OsdReq::DeleteFile(file) => {
-            objects.retain(|&(f, _), _| f != file);
-            (OsdResp::Ok, Duration::ZERO)
-        }
-    })
+    /// Drops every object belonging to `file`.
+    pub(crate) fn delete_file(&mut self, file: u64) {
+        self.objects.retain(|&(f, _), _| f != file);
+    }
 }
 
 /// The server side of the simulated DFS: one MDS plus `replicas` OSDs.
@@ -126,8 +98,8 @@ fn start_osd(cluster: Cluster, node: NodeId, config: &DfsConfig) -> RpcServer<Os
 /// ```
 pub struct DfsCluster {
     config: DfsConfig,
-    mds: RpcServer<crate::mds::MdsReq, crate::mds::MdsResp>,
-    osds: Vec<RpcServer<OsdReq, OsdResp>>,
+    mds: RpcServer<Mds>,
+    osds: Vec<RpcServer<Osd>>,
     osd_nodes: Vec<NodeId>,
 }
 
@@ -136,12 +108,17 @@ impl DfsCluster {
     /// and starts their services.
     pub fn start(cluster: &Cluster, config: DfsConfig) -> Self {
         let mds_node = cluster.add_node("dfs-mds");
-        let mds = crate::mds::start_mds(cluster.clone(), mds_node);
+        let mds = RpcServer::new(cluster.clone(), mds_node, Mds::new());
         let mut osds = Vec::new();
         let mut osd_nodes = Vec::new();
         for i in 0..config.replicas {
             let node = cluster.add_node(format!("dfs-osd-{i}"));
-            osds.push(start_osd(cluster.clone(), node, &config));
+            let (config, objects) = (config.clone(), HashMap::new());
+            osds.push(RpcServer::new(
+                cluster.clone(),
+                node,
+                Osd { config, objects },
+            ));
             osd_nodes.push(node);
         }
         DfsCluster {
@@ -173,7 +150,7 @@ impl DfsCluster {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     use sim::LatencyModel;
 
@@ -206,16 +183,10 @@ pub(crate) mod tests {
         // Object 0's primary is OSD 0; OSD 1 holds a forwarded replica.
         for (osd, work) in [(0, commit), (1, hop + commit)] {
             let client = dfs.osds[osd].client(config.hop);
-            let put = || OsdReq::Put {
-                file: 1,
-                obj: 0,
-                offset: 0,
-                data: data.clone(),
-                forwarded: osd != 0,
-            };
+            let put = |o: &mut Osd, s: &mut Served| o.put(s, 1, 0, 0, &data, osd != 0);
             let at = Instant::now();
-            let (_, first) = client.call_at(app, at, put()).unwrap();
-            let (_, second) = client.call_at(app, at, put()).unwrap();
+            let (_, first) = client.call_at(app, at, put).unwrap();
+            let (_, second) = client.call_at(app, at, put).unwrap();
             let lone = at + config.hop.base + work + config.hop.base;
             assert!(first >= lone && first < lone + slack, "osd {osd}");
             let gap = second - first;

@@ -20,11 +20,10 @@
 //!   [`FaultScheduler`] the wire model and control plane consult at decision
 //!   points: crashes, partitions, delayed/dropped/duplicated completions,
 //!   stalled doorbells and gray peers, all replayable from a `u64` seed.
-//! * [`rpc`] — a typed request/response service abstraction for
-//!   *control-plane* traffic (controller RPCs, peer setup, DFS client/OSD
-//!   messages): a service is a handler behind a mutex that runs on its
-//!   caller's thread, and a top-level call first runs the timers due at its
-//!   instant. Data-plane RDMA lives in the `rdma` crate.
+//! * [`rpc`] — services for *control-plane* traffic (controller RPCs, peer
+//!   setup, DFS client/OSD messages): a service is its state behind a
+//!   mutex, a call a closure that runs on that state on its caller's
+//!   thread, and a top-level call first runs the timers due at its instant. Data-plane RDMA lives in the `rdma` crate.
 //! * [`short_read`] — the one end-of-file rule every simulated file backend
 //!   (DFS client, NCL image) clamps a read with.
 //! * [`stats`] — log-bucketed latency histograms and a windowed throughput
@@ -52,7 +51,7 @@ pub use fault::{
 };
 pub use latency::LatencyModel;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
-pub use rpc::{RpcClient, RpcServer};
+pub use rpc::{RpcClient, RpcServer, Served};
 pub use stats::ThroughputSampler;
 pub use time::{delay, delay_until};
 

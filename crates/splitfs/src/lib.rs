@@ -91,7 +91,6 @@ impl From<DfsError> for FsError {
             DfsError::NotFound(p) => FsError::NotFound(p),
             DfsError::AlreadyExists(p) => FsError::AlreadyExists(p),
             DfsError::Unavailable(m) => FsError::Unavailable(m),
-            DfsError::Invalid(m) => FsError::Unavailable(m),
         }
     }
 }

@@ -9,18 +9,15 @@
 //! generation. Recovery loads the snapshot for the maximum responder
 //! generation and replays fragments on top of it.
 //!
-//! Wire format (little-endian): `[spill_seq u64 | len u64 | capacity u64 |
-//! overwritten u8 | data[..len]]`. A re-stored snapshot for the same key
-//! may shrink the payload; the `len` field bounds the read, so stale tail
-//! bytes from a longer predecessor are harmless.
+//! The file holds [`SpillSnapshot::encode`]'s form, which carries its own
+//! CRC-32C. A re-stored snapshot for the same key may shrink the payload;
+//! its `len` field bounds the read, so stale tail bytes from a longer
+//! predecessor are harmless.
 
 use std::time::Instant;
 
 use dfs::{DfsClient, DfsError};
 use ncl::{SpillSink, SpillSnapshot};
-
-/// Fixed-size snapshot header preceding the data image.
-const SPILL_HEADER: usize = 25;
 
 /// [`SpillSink`] over a [`DfsClient`]: the spill tier of a SplitFT
 /// deployment. [`crate::Testbed::start`] wires one up automatically for
@@ -62,14 +59,8 @@ impl SpillSink for DfsSpillSink {
             Err(DfsError::AlreadyExists(_)) => at,
             Err(e) => return Err(format!("spill create {path}: {e}")),
         };
-        let mut buf = Vec::with_capacity(SPILL_HEADER + snap.data.len());
-        buf.extend_from_slice(&snap.spill_seq.to_le_bytes());
-        buf.extend_from_slice(&snap.len.to_le_bytes());
-        buf.extend_from_slice(&snap.capacity.to_le_bytes());
-        buf.push(snap.overwritten as u8);
-        buf.extend_from_slice(&snap.data[..snap.len as usize]);
         self.client
-            .write(&path, 0, &buf)
+            .write(&path, 0, &snap.encode())
             .map_err(|e| format!("spill write {path}: {e}"))?;
         // The engine flips the fragment generation once this instant has
         // passed; the snapshot must be durable, not merely cached, by then.
@@ -87,33 +78,13 @@ impl SpillSink for DfsSpillSink {
             .client
             .size(&path)
             .map_err(|e| format!("spill size {path}: {e}"))? as usize;
-        if size < SPILL_HEADER {
-            return Err(format!("spill snapshot {path} truncated ({size} bytes)"));
-        }
         let buf = self
             .client
             .read_direct(&path, 0, size)
             .map_err(|e| format!("spill read {path}: {e}"))?;
-        let spill_seq = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-        let capacity = u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"));
-        let overwritten = buf[24] != 0;
-        if buf.len() < SPILL_HEADER + len as usize {
-            return Err(format!(
-                "spill snapshot {path} short: header says {len} data bytes, file holds {}",
-                buf.len() - SPILL_HEADER
-            ));
-        }
-        let mut data = buf;
-        data.drain(..SPILL_HEADER);
-        data.truncate(len as usize);
-        Ok(Some(SpillSnapshot {
-            spill_seq,
-            len,
-            overwritten,
-            capacity,
-            data,
-        }))
+        let snap = SpillSnapshot::decode(&buf);
+        snap.map(Some)
+            .ok_or_else(|| format!("spill snapshot {path} torn or corrupt ({size} bytes)"))
     }
 }
 
@@ -153,5 +124,43 @@ mod tests {
         // Other generations and scopes are independent keys.
         assert_eq!(sink.load("app/wal", 2).unwrap(), None);
         assert_eq!(sink.load("other/wal", 1).unwrap(), None);
+    }
+
+    /// A header whose `len` runs past the end of memory is refused, not
+    /// added up: a 25-byte snapshot claiming `u64::MAX` data bytes.
+    #[test]
+    fn a_snapshot_whose_len_overflows_is_refused() {
+        let cluster = Cluster::new();
+        let dfs = DfsCluster::start(&cluster, DfsConfig::zero());
+        let client = dfs.client(cluster.add_node("spill-test"));
+        let mut header = [0u8; 25];
+        header[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let path = DfsSpillSink::path("app/wal", 1);
+        client.create(&path).unwrap();
+        client.write(&path, 0, &header).unwrap();
+        client.fsync(&path).unwrap();
+        assert!(DfsSpillSink::new(client).load("app/wal", 1).is_err());
+    }
+
+    /// One flipped data bit is refused instead of recovered as acked bytes.
+    #[test]
+    fn a_flipped_data_bit_is_refused() {
+        let cluster = Cluster::new();
+        let dfs = DfsCluster::start(&cluster, DfsConfig::zero());
+        let client = dfs.client(cluster.add_node("spill-test"));
+        let sink = DfsSpillSink::new(client.clone());
+        let snap = SpillSnapshot {
+            spill_seq: 7,
+            len: 3,
+            overwritten: false,
+            capacity: 64,
+            data: b"abc".to_vec(),
+        };
+        sink.store("app/wal", 1, &snap, std::time::Instant::now())
+            .unwrap();
+        let path = DfsSpillSink::path("app/wal", 1);
+        client.write(&path, 25, b"abd").unwrap();
+        client.fsync(&path).unwrap();
+        assert!(sink.load("app/wal", 1).is_err());
     }
 }

@@ -142,7 +142,7 @@ impl Testbed {
         }
         // Control-plane services share the application's telemetry handle so
         // their facts and the files' spans land in one trace.
-        let controller = Controller::start_with_telemetry(&cluster, config.ncl.telemetry.clone());
+        let controller = Controller::start(&cluster, config.ncl.telemetry.clone());
         let registry = NclRegistry::with_telemetry(config.ncl.telemetry.clone());
         let mut peers: Vec<Peer> = (0..config.peers)
             .map(|i| {

@@ -7,6 +7,7 @@ use dfs::{DfsCluster, DfsConfig, IoTrace};
 use ncl::{Controller, NclConfig, NclLib, NclRegistry, Peer};
 use sim::Cluster;
 use splitfs::{FsError, Mode, OpenOptions, SplitFs, Testbed, TestbedConfig};
+use telemetry::Telemetry;
 
 struct Harness {
     cluster: Cluster,
@@ -22,7 +23,7 @@ impl Harness {
     fn new() -> Self {
         let cluster = Cluster::new();
         let dfs = DfsCluster::start(&cluster, DfsConfig::zero_small_objects());
-        let controller = Controller::start(&cluster);
+        let controller = Controller::start(&cluster, Telemetry::disabled());
         let registry = NclRegistry::new();
         let config = NclConfig::zero();
         let peers = (0..4)

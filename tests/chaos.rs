@@ -437,7 +437,9 @@ fn seeded_ec_spill_schedule_survives_parity_loss_and_spill_replay() {
     let entry = tb
         .controller
         .client(splitft::sim::LatencyModel::ZERO)
-        .get_ap_entry(tb.controller.node(), "chaos-ec", "wal")
+        .call(tb.controller.node(), |c, _| {
+            c.get_ap_entry("chaos-ec", "wal")
+        })
         .expect("controller reachable")
         .expect("ap entry exists");
     let victim = tb.peer_named(&entry.peers[0]).expect("ap peer in pool");

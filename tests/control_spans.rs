@@ -33,7 +33,7 @@ fn drill(durability: Durability, config: NclConfig) -> Drill {
     };
     config.telemetry.set_span_capacity(1 << 20);
     let cluster = Cluster::new();
-    let controller = Controller::start_with_telemetry(&cluster, config.telemetry.clone());
+    let controller = Controller::start(&cluster, config.telemetry.clone());
     let registry = NclRegistry::with_telemetry(config.telemetry.clone());
     let peers: Vec<Peer> = (0..5)
         .map(|i| {
